@@ -314,7 +314,7 @@ fn run(args: &[String]) -> Result<(), String> {
     // ---- Sharded vs monolithic serving: migrate the store (byte-exact)
     // to a 3-shard layout and run the same all-pairs workload on a fresh
     // cold lazy session over each, so the two rates differ only by the
-    // scatter-gather routing and per-shard I/O. Results are asserted
+    // per-shard segment I/O. Results are asserted
     // identical, and the sharded run's registry bracket yields the exact
     // per-shard fault/byte deltas.
     let n_shards = 3usize;

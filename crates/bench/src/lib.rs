@@ -3,7 +3,9 @@
 //! One module per table/figure of the paper's evaluation (Section 6 and
 //! appendices). Every harness prints the paper's reported numbers next to
 //! our measured values so EXPERIMENTS.md can record paper-vs-measured for
-//! each artefact; `run_all` regenerates the whole set.
+//! each artefact. One binary drives them: `run_all` regenerates the whole
+//! set, `run_all <name>…` (e.g. `run_all fig09_query_rate`) runs just the
+//! named harnesses.
 //!
 //! Absolute wall-clock numbers differ from the paper's 20-node Hadoop
 //! cluster by design; the harnesses reproduce *shapes*: linear index

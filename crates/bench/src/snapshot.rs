@@ -148,7 +148,7 @@ pub struct ObsMetrics {
 /// Sharded-vs-monolith serving (schema v4): the monolithic store is
 /// migrated to an N-shard layout (`shard_store`, byte-exact) and the
 /// same all-pairs workload runs on a lazy session over each, so the two
-/// rates differ only by the scatter-gather routing and per-shard I/O.
+/// rates differ only by the per-shard segment I/O.
 /// The per-shard vectors are deltas of the `store.shard.faults.<shard>`
 /// and `store.shard.bytes_fetched.<shard>` counter families across the
 /// sharded run — exact event counts, one slot per shard.
@@ -365,9 +365,8 @@ impl BenchSnapshot {
         {
             out.push("sharding: a shard faulted segments but fetched no bytes".into());
         }
-        // Scatter-gather routing must not *cost* throughput: the same
-        // slack as the coalescing check, for scheduler noise on loaded
-        // CI hosts.
+        // Sharding must not *cost* throughput: the same slack as the
+        // coalescing check, for scheduler noise on loaded CI hosts.
         if sh.query_rate_sharded_per_min < 0.75 * sh.query_rate_monolith_per_min {
             out.push(format!(
                 "sharding: {:.1} relationships/min sharded vs {:.1} monolithic \

@@ -102,99 +102,8 @@ struct Miss<'q> {
 /// threads: large enough to amortise queue traffic on huge expansions,
 /// small enough (≥ 8 chunks per worker) to keep stragglers from starving
 /// the pool. Chunking never affects results, only scheduling granularity.
-pub(crate) fn task_chunk_size(n_tasks: usize, workers: usize) -> usize {
+fn task_chunk_size(n_tasks: usize, workers: usize) -> usize {
     (n_tasks / (workers.max(1) * 8)).max(1)
-}
-
-/// Which shard owns each cataloged data set — the routing table of the
-/// scatter-gather executor.
-///
-/// A sharded store partitions its data sets across independent shard
-/// files; the executor routes every expanded `UnitTask` to exactly one
-/// owning shard so each shard's task subset runs contiguously on the
-/// worker pool (threads today, `polygamy_mapreduce::Cluster` processes
-/// later). Routing is a pure function of the *task identity*: a task
-/// pairing data sets `(a, b)` belongs to the shard owning `min(a, b)` —
-/// the canonical pair orientation — so the grouping is deterministic for
-/// any worker layout. Results are gathered back into canonical task order
-/// before assembly, so the output is byte-identical for **any shard
-/// count**; [`ShardMap::monolithic`] (every data set on shard 0) routes
-/// exactly like the unsharded executor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardMap {
-    /// Owning shard per catalog index.
-    shard_of: Vec<usize>,
-    /// Total number of shards (≥ 1, even when no data set maps to some).
-    n_shards: usize,
-}
-
-impl ShardMap {
-    /// The trivial map: every data set on shard 0 — routing under it is
-    /// the identity permutation, i.e. today's flat executor.
-    pub fn monolithic(n_datasets: usize) -> Self {
-        Self {
-            shard_of: vec![0; n_datasets],
-            n_shards: 1,
-        }
-    }
-
-    /// Builds a map from an explicit per-data-set shard assignment.
-    /// Returns `None` when an assignment points past `n_shards` or
-    /// `n_shards` is zero.
-    pub fn new(shard_of: Vec<usize>, n_shards: usize) -> Option<Self> {
-        if n_shards == 0 || shard_of.iter().any(|&s| s >= n_shards) {
-            return None;
-        }
-        Some(Self { shard_of, n_shards })
-    }
-
-    /// Number of shards in the layout.
-    pub fn n_shards(&self) -> usize {
-        self.n_shards
-    }
-
-    /// Owning shard of one data set (catalog index). Indices beyond the
-    /// assignment — impossible for maps built from the same catalog the
-    /// query resolves against — fall back to shard 0.
-    pub fn shard_of(&self, dataset: usize) -> usize {
-        self.shard_of.get(dataset).copied().unwrap_or(0)
-    }
-
-    /// The one shard a task pairing data sets `a` and `b` routes to: the
-    /// owner of the canonical pair's first element, `min(a, b)`.
-    pub fn route(&self, a: usize, b: usize) -> usize {
-        self.shard_of(a.min(b))
-    }
-
-    /// True when routing is the identity (a single shard): the executor
-    /// skips the scatter permutation entirely.
-    pub fn is_monolithic(&self) -> bool {
-        self.n_shards <= 1
-    }
-}
-
-/// The scatter ordering: task indices grouped by owning shard (ascending),
-/// stable within each shard — a permutation of `0..tasks.len()` computed
-/// with one counting pass, so grouping cost is O(tasks + shards).
-fn scatter_order(tasks: &[UnitTask<'_>], shards: &ShardMap) -> Vec<usize> {
-    let n_shards = shards.n_shards();
-    let mut counts = vec![0usize; n_shards];
-    for t in tasks {
-        counts[shards.route(t.e1.dataset_index, t.e2.dataset_index)] += 1;
-    }
-    let mut starts = vec![0usize; n_shards];
-    let mut acc = 0;
-    for (s, c) in counts.iter().enumerate() {
-        starts[s] = acc;
-        acc += c;
-    }
-    let mut order = vec![0usize; tasks.len()];
-    for (i, t) in tasks.iter().enumerate() {
-        let s = shards.route(t.e1.dataset_index, t.e2.dataset_index);
-        order[starts[s]] = i;
-        starts[s] += 1;
-    }
-    order
 }
 
 /// Deterministic presentation order: strongest |τ| first, ties broken by
@@ -218,21 +127,30 @@ pub(crate) fn sort_relationships(rels: &mut [Relationship]) {
 
 /// Resolves one collection of a query against a catalog: `None` ranges
 /// over every cataloged data set, explicit names must resolve.
+///
+/// Repeated names collapse to their first occurrence *before* any lookup:
+/// the list arrives from outside the process (PQL text, wire frames), and
+/// everything downstream — pair enumeration, its capacity hints, the
+/// footprint report — must be sized by the catalog, never by how often a
+/// caller repeats itself.
 fn resolve_collection(
     datasets: &[DatasetEntry],
     names: &Option<Vec<String>>,
 ) -> Result<Vec<usize>> {
     match names {
         None => Ok((0..datasets.len()).collect()),
-        Some(list) => list
-            .iter()
-            .map(|n| {
-                datasets
-                    .iter()
-                    .position(|d| d.meta.name == *n)
-                    .ok_or_else(|| Error::UnknownDataset(n.clone()))
-            })
-            .collect(),
+        Some(list) => {
+            let mut seen = HashSet::new();
+            list.iter()
+                .filter(|n| seen.insert(n.as_str()))
+                .map(|n| {
+                    datasets
+                        .iter()
+                        .position(|d| d.meta.name == *n)
+                        .ok_or_else(|| Error::UnknownDataset(n.clone()))
+                })
+                .collect()
+        }
     }
 }
 
@@ -254,41 +172,43 @@ pub fn query_datasets(datasets: &[DatasetEntry], query: &RelationshipQuery) -> R
     Ok(touched)
 }
 
-/// Evaluates a batch of relationship queries against an index view on one
-/// shared worker pool — the read path behind `DataPolygamy::{query,
-/// query_many}` and `StoreSession::{query, query_many}`.
+/// Evaluates one relationship query: [`run_query_many`] on a batch of one.
+pub fn run_query<'a>(
+    index: impl Into<IndexView<'a>>,
+    geometry: &CityGeometry,
+    config: &Config,
+    cache: &QueryCache,
+    query: &RelationshipQuery,
+) -> Result<Vec<Relationship>> {
+    let batch = std::slice::from_ref(query);
+    Ok(run_query_many(index, geometry, config, cache, batch)?
+        .pop()
+        .unwrap_or_default())
+}
+
+/// Evaluates a batch of relationship queries on one shared worker pool —
+/// the executor, and the only read path: `DataPolygamy::{query,
+/// query_many}`, `polygamy-store`'s sessions, the CLI and the daemon all
+/// end here.
+///
+/// `index` is anything that converts into an [`IndexView`]: a whole
+/// `&PolygamyIndex`, or a view over just the entries a demand-paged session
+/// pinned for this batch (see [`query_datasets`]); results are identical
+/// whenever the view holds every entry the expansion reaches.
 ///
 /// Returns one result vector per input query, in input order. Pairs are
 /// deduplicated within each query (the operator is symmetric up to swapping
 /// left/right) and evaluations are deduplicated across the whole batch;
 /// per-pair results are served from `cache` keyed by the clause
 /// fingerprint and inserted on evaluation.
-pub(crate) fn execute_queries(
-    index: &IndexView<'_>,
+pub fn run_query_many<'a>(
+    index: impl Into<IndexView<'a>>,
     geometry: &CityGeometry,
     config: &Config,
     cache: &QueryCache,
     queries: &[RelationshipQuery],
 ) -> Result<Vec<Vec<Relationship>>> {
-    let shards = ShardMap::monolithic(index.datasets().len());
-    execute_queries_routed(index, geometry, config, cache, queries, &shards)
-}
-
-/// [`execute_queries`] with an explicit shard routing table — the
-/// scatter-gather coordinator behind sharded `StoreSession`s. With a
-/// [`ShardMap::monolithic`] map this is byte-identical to the flat path
-/// (the scatter permutation is skipped entirely); with a real map, tasks
-/// are grouped per owning shard before evaluation and results are gathered
-/// back into canonical task order, so the output never depends on the
-/// shard layout.
-pub(crate) fn execute_queries_routed(
-    index: &IndexView<'_>,
-    geometry: &CityGeometry,
-    config: &Config,
-    cache: &QueryCache,
-    queries: &[RelationshipQuery],
-    shards: &ShardMap,
-) -> Result<Vec<Vec<Relationship>>> {
+    let index: IndexView<'a> = index.into();
     let metrics = exec_metrics();
     metrics.queries.add(queries.len() as u64);
     trace::add("queries", queries.len() as u64);
@@ -296,17 +216,14 @@ pub(crate) fn execute_queries_routed(
     // ---- Plan: resolve names, canonicalise pairs, split hits from misses.
     let t_plan = Instant::now();
     let plan_span = trace::span("cache-resolve");
-    let resolve = |names: &Option<Vec<String>>| -> Result<Vec<usize>> {
-        resolve_collection(index.datasets(), names)
-    };
     let mut n_hits = 0u64;
     let mut n_misses = 0u64;
     let mut misses: Vec<Miss> = Vec::new();
     let mut miss_of: HashMap<(usize, usize, u64), usize> = HashMap::new();
     let mut plans: Vec<Vec<PairSource>> = Vec::with_capacity(queries.len());
     for query in queries {
-        let left = resolve(&query.left)?;
-        let right = resolve(&query.right)?;
+        let left = resolve_collection(index.datasets(), &query.left)?;
+        let right = resolve_collection(index.datasets(), &query.right)?;
         let clause_key = query.clause.cache_key();
         // All-pairs queries produce exactly n·(n−1)/2 canonical pairs;
         // explicit collections at most |left|·|right|.
@@ -367,7 +284,7 @@ pub(crate) fn execute_queries_routed(
     for miss in &misses {
         let start = tasks.len();
         expand_pair_tasks(
-            index,
+            &index,
             geometry,
             miss.key.0,
             miss.key.1,
@@ -381,31 +298,14 @@ pub(crate) fn execute_queries_routed(
     metrics.tasks_expanded.add(tasks.len() as u64);
     trace::add("tasks_expanded", tasks.len() as u64);
 
-    // ---- Evaluate the entire batch on one shared pool. Under a real
-    // shard map the tasks are scattered (grouped per owning shard, so each
-    // shard's subset runs contiguously) and the results gathered back into
-    // canonical task order; assembly below never sees the difference.
+    // ---- Evaluate the entire batch on one shared pool.
     let t_evaluate = Instant::now();
     let evaluate_span = trace::span("evaluate");
     let workers = config.cluster.workers();
     let chunk = task_chunk_size(tasks.len(), workers);
-    let results: Vec<Option<Relationship>> = if shards.is_monolithic() {
-        run_chunked_tasks(workers, tasks.len(), chunk, |i| {
-            evaluate_unit(&tasks[i], config)
-        })
-    } else {
-        let order = scatter_order(&tasks, shards);
-        let scattered = run_chunked_tasks(workers, order.len(), chunk, |k| {
-            evaluate_unit(&tasks[order[k]], config)
-        });
-        // Gather: undo the scatter permutation. `order` is a permutation
-        // of 0..tasks.len(), so every slot is written exactly once.
-        let mut gathered: Vec<Option<Relationship>> = vec![None; tasks.len()];
-        for (&i, r) in order.iter().zip(scattered) {
-            gathered[i] = r;
-        }
-        gathered
-    };
+    let results: Vec<Option<Relationship>> = run_chunked_tasks(workers, tasks.len(), chunk, |i| {
+        evaluate_unit(&tasks[i], config)
+    });
     drop(evaluate_span);
     metrics.evaluate_ns.add(elapsed_ns(t_evaluate));
 
@@ -505,155 +405,5 @@ mod tests {
         assert_eq!(task_chunk_size(3_200, 4), 100);
         // Degenerate worker counts never panic or return zero.
         assert_eq!(task_chunk_size(100, 0), 12);
-    }
-
-    #[test]
-    fn shard_map_construction_and_routing() {
-        let m = ShardMap::monolithic(5);
-        assert!(m.is_monolithic());
-        assert_eq!(m.n_shards(), 1);
-        assert_eq!(m.route(3, 1), 0);
-
-        assert!(ShardMap::new(vec![0, 1, 2], 0).is_none());
-        assert!(ShardMap::new(vec![0, 3], 3).is_none());
-        let m = ShardMap::new(vec![1, 0, 1], 2).unwrap();
-        assert!(!m.is_monolithic());
-        // The canonical pair orientation decides the owner.
-        assert_eq!(m.route(0, 2), m.shard_of(0));
-        assert_eq!(m.route(2, 0), m.shard_of(0));
-        assert_eq!(m.route(1, 2), m.shard_of(1));
-        // Out-of-assignment indices fall back to shard 0.
-        assert_eq!(m.shard_of(99), 0);
-    }
-}
-
-#[cfg(test)]
-mod routing_tests {
-    //! Scatter routing invariants, property-tested over arbitrary corpora
-    //! and shard maps: every expanded [`UnitTask`] routes to exactly one
-    //! shard that owns one of its data sets, and the per-shard task groups
-    //! partition the monolithic task list — none lost, none duplicated.
-
-    use super::*;
-    use crate::framework::DataPolygamy;
-    use crate::query::Clause;
-    use polygamy_stdata::{
-        AttributeMeta, Dataset, DatasetBuilder, DatasetMeta, GeoPoint, SpatialResolution,
-        TemporalResolution,
-    };
-    use proptest::prelude::*;
-
-    fn bumpy_dataset(name: &str, bump_at: i64, hours: i64) -> Dataset {
-        let meta = DatasetMeta {
-            name: name.into(),
-            spatial_resolution: SpatialResolution::City,
-            temporal_resolution: TemporalResolution::Hour,
-            description: String::new(),
-        };
-        let mut b = DatasetBuilder::new(meta).attribute(AttributeMeta::named("signal"));
-        for h in 0..hours {
-            let v = if h == bump_at % hours {
-                20.0
-            } else {
-                (h % 12) as f64
-            };
-            b.push(GeoPoint::new(0.5, 0.5), h * 3_600, &[v]).unwrap();
-        }
-        b.build().unwrap()
-    }
-
-    /// Expands the all-pairs task list exactly like the executor's expand
-    /// stage, returning each task's (left, right) data set indices.
-    fn expanded_pairs(dp: &DataPolygamy, clause: &Clause) -> Vec<(usize, usize)> {
-        let index = dp.index().unwrap();
-        let view = IndexView::full(index);
-        let n = index.datasets.len();
-        let mut tasks: Vec<UnitTask> = Vec::new();
-        for a in 0..n {
-            for b in (a + 1)..n {
-                expand_pair_tasks(&view, dp.geometry(), a, b, clause, &mut tasks).unwrap();
-            }
-        }
-        tasks
-            .iter()
-            .map(|t| (t.e1.dataset_index, t.e2.dataset_index))
-            .collect()
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-
-        #[test]
-        fn every_task_routes_to_exactly_one_owning_shard(
-            bumps in prop::collection::vec(0i64..96, 2..6),
-            n_shards in 1usize..4,
-            shard_salt in 0usize..7,
-        ) {
-            let datasets: Vec<Dataset> = bumps
-                .iter()
-                .enumerate()
-                .map(|(i, &b)| bumpy_dataset(&format!("d{i}"), b, 96))
-                .collect();
-            let mut dp = DataPolygamy::new(
-                CityGeometry::city_only(0.0, 0.0, 1.0, 1.0),
-                Config::fast_test(),
-            );
-            for d in &datasets {
-                dp.add_dataset(d.clone());
-            }
-            dp.build_index();
-
-            // An arbitrary (but valid) shard assignment.
-            let shard_of: Vec<usize> = (0..datasets.len())
-                .map(|di| (di + shard_salt) % n_shards)
-                .collect();
-            let map = ShardMap::new(shard_of.clone(), n_shards).unwrap();
-
-            let clause = Clause::default().permutations(10).include_insignificant();
-            let pairs = expanded_pairs(&dp, &clause);
-            // Equal-length hourly corpora always overlap, so expansion is
-            // never empty — the properties below are exercised for real.
-            prop_assert!(!pairs.is_empty());
-
-            // Route every task; the owner must be a shard that actually
-            // contains one of the task's data sets (the canonical-pair
-            // anchor), and routing is total: exactly one shard per task.
-            let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-            for (ti, &(d1, d2)) in pairs.iter().enumerate() {
-                let s = map.route(d1, d2);
-                prop_assert!(s < n_shards);
-                prop_assert_eq!(s, shard_of[d1.min(d2)]);
-                per_shard[s].push(ti);
-            }
-
-            // The per-shard groups partition the monolithic task list: the
-            // union (in scatter order) is a permutation of 0..n — no task
-            // lost, none duplicated.
-            let union: Vec<usize> = per_shard.iter().flatten().copied().collect();
-            let mut sorted = union.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            prop_assert_eq!(sorted, (0..pairs.len()).collect::<Vec<_>>());
-
-            // And the executor's own scatter order is exactly that
-            // grouped union (stable within each shard).
-            let index = dp.index().unwrap();
-            let view = IndexView::full(index);
-            let mut tasks: Vec<UnitTask> = Vec::new();
-            let n = index.datasets.len();
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    expand_pair_tasks(&view, dp.geometry(), a, b, &clause, &mut tasks).unwrap();
-                }
-            }
-            prop_assert_eq!(scatter_order(&tasks, &map), union);
-
-            // A monolithic map is the identity ordering.
-            let mono = ShardMap::monolithic(datasets.len());
-            prop_assert_eq!(
-                scatter_order(&tasks, &mono),
-                (0..tasks.len()).collect::<Vec<_>>()
-            );
-        }
     }
 }

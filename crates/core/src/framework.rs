@@ -8,8 +8,8 @@
 
 use crate::cache::{QueryCache, DEFAULT_QUERY_CACHE_CAPACITY};
 use crate::error::{Error, Result};
-use crate::executor::{execute_queries, execute_queries_routed, ShardMap};
-use crate::index::{DatasetEntry, FunctionEntry, IndexView, PolygamyIndex};
+use crate::executor::run_query_many;
+use crate::index::{DatasetEntry, FunctionEntry, PolygamyIndex};
 use crate::pipeline::{compute_scalar_functions, identify_features};
 use crate::query::RelationshipQuery;
 use crate::relationship::Relationship;
@@ -278,20 +278,18 @@ impl DataPolygamy {
         self.query(&RelationshipQuery::between(&[d1], &[d2]))
     }
 
-    /// Evaluates a relationship query on the flat executor: the query's
-    /// pairs expand into one task list served by a single worker pool, so
-    /// results are identical for any worker count.
+    /// Evaluates a relationship query on the flat executor — a batch of
+    /// one through [`DataPolygamy::query_many`]: the query's pairs expand
+    /// into one task list served by a single worker pool, so results are
+    /// identical for any worker count.
     ///
     /// Pairs are deduplicated (the operator is symmetric up to swapping
     /// left/right); per-pair results are cached keyed by the clause.
     pub fn query(&self, query: &RelationshipQuery) -> Result<Vec<Relationship>> {
-        run_query(
-            self.index()?,
-            &self.geometry,
-            &self.config,
-            &self.cache,
-            query,
-        )
+        Ok(self
+            .query_many(std::slice::from_ref(query))?
+            .pop()
+            .unwrap_or_default())
     }
 
     /// Evaluates a batch of queries on one shared worker pool, amortising
@@ -312,119 +310,6 @@ impl DataPolygamy {
     pub fn cache_len(&self) -> usize {
         self.cache.len()
     }
-}
-
-/// Evaluates a relationship query against an index — the read path shared
-/// by [`DataPolygamy::query`] and `polygamy-store`'s serving sessions.
-///
-/// Planning (name resolution, pair deduplication, cache lookups) happens on
-/// the coordinating thread; cache misses expand into a flat (pair ×
-/// function-unit × class) task list evaluated on one shared worker pool,
-/// with results assembled in canonical task order — byte-identical output
-/// for any worker count (see the flat executor, `core/src/executor.rs`).
-pub fn run_query(
-    index: &PolygamyIndex,
-    geometry: &CityGeometry,
-    config: &Config,
-    cache: &QueryCache,
-    query: &RelationshipQuery,
-) -> Result<Vec<Relationship>> {
-    run_query_view(&IndexView::full(index), geometry, config, cache, query)
-}
-
-/// Evaluates a relationship query against an [`IndexView`] — the same read
-/// path as [`run_query`], but over a borrowed (possibly partial) set of
-/// entries.
-///
-/// This is what makes demand-paged serving possible: a lazy store session
-/// pins only the entries the query's expansion touches (see
-/// [`crate::query_datasets`]) and evaluates without materializing the rest
-/// of the store. Results are identical to [`run_query`] over a full index
-/// whenever the view contains every entry the expansion reaches.
-pub fn run_query_view(
-    index: &IndexView<'_>,
-    geometry: &CityGeometry,
-    config: &Config,
-    cache: &QueryCache,
-    query: &RelationshipQuery,
-) -> Result<Vec<Relationship>> {
-    Ok(
-        execute_queries(index, geometry, config, cache, std::slice::from_ref(query))?
-            .pop()
-            .unwrap_or_default(),
-    )
-}
-
-/// Evaluates a batch of relationship queries against an index on one shared
-/// worker pool — the batched read path behind [`DataPolygamy::query_many`]
-/// and `polygamy-store`'s `query --batch`.
-///
-/// Returns one result vector per query, in input order; each equals what
-/// [`run_query`] returns for that query alone, but pool startup is paid
-/// once and duplicate (pair, clause) evaluations are shared across the
-/// batch.
-pub fn run_query_many(
-    index: &PolygamyIndex,
-    geometry: &CityGeometry,
-    config: &Config,
-    cache: &QueryCache,
-    queries: &[RelationshipQuery],
-) -> Result<Vec<Vec<Relationship>>> {
-    execute_queries(&IndexView::full(index), geometry, config, cache, queries)
-}
-
-/// Evaluates a batch of relationship queries against an [`IndexView`] on
-/// one shared worker pool — the batched twin of [`run_query_view`], with
-/// the same partial-view semantics and the same batch amortisation as
-/// [`run_query_many`].
-pub fn run_query_many_view(
-    index: &IndexView<'_>,
-    geometry: &CityGeometry,
-    config: &Config,
-    cache: &QueryCache,
-    queries: &[RelationshipQuery],
-) -> Result<Vec<Vec<Relationship>>> {
-    execute_queries(index, geometry, config, cache, queries)
-}
-
-/// [`run_query_view`] with an explicit [`ShardMap`]: the scatter-gather
-/// entry point used by sharded store sessions. Tasks are grouped per
-/// owning shard before evaluation and results gathered back into canonical
-/// task order, so output is byte-identical to [`run_query_view`] for any
-/// shard layout ([`ShardMap::monolithic`] routes exactly like the flat
-/// executor).
-pub fn run_query_view_routed(
-    index: &IndexView<'_>,
-    geometry: &CityGeometry,
-    config: &Config,
-    cache: &QueryCache,
-    query: &RelationshipQuery,
-    shards: &ShardMap,
-) -> Result<Vec<Relationship>> {
-    Ok(execute_queries_routed(
-        index,
-        geometry,
-        config,
-        cache,
-        std::slice::from_ref(query),
-        shards,
-    )?
-    .pop()
-    .unwrap_or_default())
-}
-
-/// [`run_query_many_view`] with an explicit [`ShardMap`] — the batched
-/// scatter-gather twin of [`run_query_view_routed`], with the same
-/// byte-identity guarantee across shard layouts.
-pub fn run_query_many_view_routed(
-    index: &IndexView<'_>,
-    geometry: &CityGeometry,
-    config: &Config,
-    cache: &QueryCache,
-    queries: &[RelationshipQuery],
-    shards: &ShardMap,
-) -> Result<Vec<Vec<Relationship>>> {
-    execute_queries_routed(index, geometry, config, cache, queries, shards)
 }
 
 #[cfg(test)]
@@ -680,7 +565,47 @@ mod tests {
     }
 
     #[test]
+    fn repeated_names_are_planned_once() {
+        // Collections arrive from outside the process (PQL text, wire
+        // frames): a name repeated 150 000 times per side must cost what
+        // naming it once costs, not a 150 000² pair enumeration (which
+        // used to size an allocation that aborted the process).
+        let build = || {
+            let mut dp = DataPolygamy::new(
+                CityGeometry::city_only(0.0, 0.0, 1.0, 1.0),
+                Config::fast_test(),
+            );
+            dp.add_dataset(tiny_dataset("a", 100));
+            dp.add_dataset(tiny_dataset("b", 100));
+            dp.add_dataset(tiny_dataset("c", 50));
+            dp.build_index();
+            dp
+        };
+        let clause = Clause::default().permutations(40).include_insignificant();
+        let once = RelationshipQuery::between(&["a", "c"], &["b"]).with_clause(clause.clone());
+        let repeated = RelationshipQuery {
+            left: Some(
+                ["a", "c"]
+                    .repeat(75_000)
+                    .into_iter()
+                    .map(String::from)
+                    .collect(),
+            ),
+            right: Some(vec!["b".to_string(); 150_000]),
+            clause,
+        };
+        let json = |rels: Vec<Relationship>| serde_json::to_string(&rels).unwrap();
+        let expected = json(build().query(&once).unwrap());
+        assert_ne!(expected, "[]");
+        let dp = build();
+        assert_eq!(json(dp.query(&repeated).unwrap()), expected);
+        // Exactly the two distinct pairs were evaluated.
+        assert_eq!(dp.cache_len(), 2);
+    }
+
+    #[test]
     fn missing_geometry_is_a_typed_error() {
+        use crate::executor::run_query;
         use crate::function::FunctionSpec;
         use polygamy_stdata::Resolution;
         use polygamy_topology::{FeatureSet, FeatureSets, SeasonalThresholds, Thresholds};

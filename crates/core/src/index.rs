@@ -112,11 +112,12 @@ pub struct PolygamyIndex {
 /// A borrowed, possibly partial view of an index: the full catalog plus
 /// any subset of function entries.
 ///
-/// The read path (`run_query_view` / the flat executor) only ever needs
-/// the catalog and the entries a query's task expansion touches, so a
-/// caller that pages entries in on demand — `polygamy_store`'s lazy
+/// The read path ([`crate::run_query_many`], the flat executor) only ever
+/// needs the catalog and the entries a query's task expansion touches, so
+/// a caller that pages entries in on demand — `polygamy_store`'s lazy
 /// sessions — can pin just those entries and evaluate without ever
-/// materializing a whole [`PolygamyIndex`].
+/// materializing a whole [`PolygamyIndex`]. A fully materialized index is
+/// the same thing with every entry present: `IndexView::from(&index)`.
 ///
 /// **Determinism contract:** `entries` must be in a canonical order that
 /// does not depend on which subset is present (e.g. the store's manifest
@@ -135,14 +136,6 @@ impl<'a> IndexView<'a> {
     /// determinism contract on [`IndexView`]).
     pub fn new(datasets: &'a [DatasetEntry], entries: Vec<&'a FunctionEntry>) -> Self {
         Self { datasets, entries }
-    }
-
-    /// The view of a fully materialized index.
-    pub fn full(index: &'a PolygamyIndex) -> Self {
-        Self {
-            datasets: &index.datasets,
-            entries: index.functions.iter().collect(),
-        }
     }
 
     /// The data set catalog.
@@ -172,6 +165,14 @@ impl<'a> IndexView<'a> {
     /// Number of entries present in the view.
     pub fn n_entries(&self) -> usize {
         self.entries.len()
+    }
+}
+
+/// The view of a fully materialized index: the whole catalog, every entry,
+/// in [`PolygamyIndex::functions`] order.
+impl<'a> From<&'a PolygamyIndex> for IndexView<'a> {
+    fn from(index: &'a PolygamyIndex) -> Self {
+        Self::new(&index.datasets, index.functions.iter().collect())
     }
 }
 

@@ -50,14 +50,10 @@ pub mod significance;
 
 pub use cache::{Fnv1a, QueryCache, ShardedLruCache};
 pub use error::{Error, Result};
-pub use executor::{query_datasets, ShardMap};
-pub use framework::{
-    index_dataset, run_query, run_query_many, run_query_many_view, run_query_many_view_routed,
-    run_query_view, run_query_view_routed, CityGeometry, Config, DataPolygamy,
-};
+pub use executor::{query_datasets, run_query, run_query_many};
+pub use framework::{index_dataset, CityGeometry, Config, DataPolygamy};
 pub use function::{FunctionRef, FunctionSpec};
 pub use index::{DatasetEntry, FunctionEntry, IndexStats, IndexView, PolygamyIndex};
-pub use operator::relation;
 pub use pql::{parse_batch, parse_query, to_pql, PqlError, PqlErrorKind};
 pub use query::{Clause, RelationshipQuery};
 pub use relationship::{evaluate_features, Relationship, RelationshipMeasures};

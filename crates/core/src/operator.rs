@@ -16,14 +16,12 @@
 
 use crate::cache::Fnv1a;
 use crate::error::{Error, Result};
-use crate::executor::task_chunk_size;
 use crate::framework::{CityGeometry, Config};
 use crate::function::FunctionRef;
-use crate::index::{FunctionEntry, IndexView, PolygamyIndex};
+use crate::index::{FunctionEntry, IndexView};
 use crate::query::Clause;
 use crate::relationship::{evaluate_features, Relationship};
 use crate::significance::significance_test;
-use polygamy_mapreduce::run_chunked_tasks;
 use polygamy_stats::permutation::MonteCarlo;
 use polygamy_topology::{
     sub_level_set, super_level_set, DomainGraph, FeatureClass, FeatureSet, MergeTree,
@@ -101,40 +99,6 @@ pub(crate) fn expand_pair_tasks<'a>(
     Ok(())
 }
 
-/// Evaluates `relation(D1, D2)` over the index on one worker pool.
-///
-/// `d1`/`d2` are dataset indices; the returned relationships are those that
-/// satisfy `clause` (and, unless the clause says otherwise, pass the
-/// significance test). This is the single-pair convenience entry point —
-/// query evaluation goes through the flat executor, which schedules many
-/// pairs on one pool.
-pub fn relation(
-    index: &PolygamyIndex,
-    geometry: &CityGeometry,
-    config: &Config,
-    d1: usize,
-    d2: usize,
-    clause: &Clause,
-) -> Result<Vec<Relationship>> {
-    let mut tasks = Vec::new();
-    expand_pair_tasks(
-        &IndexView::full(index),
-        geometry,
-        d1,
-        d2,
-        clause,
-        &mut tasks,
-    )?;
-    let workers = config.cluster.workers();
-    let results = run_chunked_tasks(
-        workers,
-        tasks.len(),
-        task_chunk_size(tasks.len(), workers),
-        |i| evaluate_unit(&tasks[i], config),
-    );
-    Ok(results.into_iter().flatten().collect())
-}
-
 /// Evaluates one unit task. Pure: the result depends only on the task and
 /// `config`, never on scheduling, which is what makes the flat executor's
 /// output worker-count-independent.
@@ -208,20 +172,10 @@ fn custom_features(entry: &FunctionEntry, clause: &Clause) -> Option<FeatureSet>
         .iter()
         .find(|t| t.dataset == entry.spec.dataset)?;
     let field = entry.field.as_ref()?;
-    let adjacency_len = entry.n_regions;
-    // Rebuild the domain graph: City adjacency is trivially empty, other
-    // resolutions use a chain-free lookup we reconstruct from the field.
-    // The framework keeps geometry adjacency; this helper only needs the
-    // graph shape, so rebuild from the stored field via the same builder.
-    let spatial_adjacency: Vec<Vec<u32>> = if adjacency_len == 1 {
-        vec![vec![]]
-    } else {
-        // Without geometry access here, approximate with no spatial edges:
-        // thresholds are level-set cuts, and membership in a super-/sub-
-        // level set is pointwise — connectivity only affects traversal
-        // order, not the resulting set.
-        vec![vec![]; adjacency_len]
-    };
+    // Level-set membership is pointwise (f(v) against θ), so spatial edges
+    // cannot change the resulting set: an edgeless graph stands in for the
+    // geometry this helper has no access to.
+    let spatial_adjacency: Vec<Vec<u32>> = vec![Vec::new(); entry.n_regions];
     let graph = DomainGraph::new(&spatial_adjacency, field.n_steps);
     let join = MergeTree::join(&graph, &field.values);
     let split = MergeTree::split(&graph, &field.values);

@@ -215,31 +215,6 @@ where
     (results, metrics)
 }
 
-/// Convenience wrapper without a combiner.
-pub fn run_job_simple<I, K, V, O, M, R>(
-    cluster: Cluster,
-    inputs: Vec<I>,
-    map: M,
-    reduce: R,
-) -> (Vec<(K, O)>, JobMetrics)
-where
-    I: Send,
-    K: Ord + Hash + Clone + Send,
-    V: Send,
-    O: Send,
-    M: Fn(I, &mut dyn FnMut(K, V)) + Sync,
-    R: Fn(&K, Vec<V>) -> O + Sync,
-{
-    run_job(
-        cluster,
-        JobConfig::default(),
-        inputs,
-        map,
-        None::<fn(&K, Vec<V>) -> V>,
-        reduce,
-    )
-}
-
 /// Parallel map with no shuffle — the shape of the feature-identification
 /// job, where every scalar function is processed independently.
 pub fn par_map<I, O, F>(cluster: Cluster, inputs: Vec<I>, f: F) -> Vec<O>
@@ -282,6 +257,30 @@ where
 mod tests {
     use super::*;
 
+    /// `run_job` with the default configuration and no combiner.
+    fn run_plain<I, K, V, O>(
+        cluster: Cluster,
+        inputs: Vec<I>,
+        map: impl Fn(I, &mut dyn FnMut(K, V)) + Sync,
+        reduce: impl Fn(&K, Vec<V>) -> O + Sync,
+    ) -> (Vec<(K, O)>, JobMetrics)
+    where
+        I: Send,
+        K: Ord + Hash + Clone + Send,
+        V: Send,
+        O: Send,
+    {
+        let no_combiner = None::<fn(&K, Vec<V>) -> V>;
+        run_job(
+            cluster,
+            JobConfig::default(),
+            inputs,
+            map,
+            no_combiner,
+            reduce,
+        )
+    }
+
     /// Canonical word count over synthetic text.
     fn word_count(cluster: Cluster) -> Vec<(String, usize)> {
         let docs: Vec<String> = (0..50)
@@ -293,7 +292,7 @@ mod tests {
                     .join(" ")
             })
             .collect();
-        let (out, _) = run_job_simple(
+        let (out, _) = run_plain(
             cluster,
             docs,
             |doc: String, emit| {
@@ -330,7 +329,7 @@ mod tests {
         let inputs: Vec<u64> = (0..10_000).collect();
         let map = |x: u64, emit: &mut dyn FnMut(u64, u64)| emit(x % 17, x);
         let reduce = |_k: &u64, vs: Vec<u64>| vs.into_iter().sum::<u64>();
-        let (plain, m1) = run_job_simple(Cluster::local(4), inputs.clone(), map, reduce);
+        let (plain, m1) = run_plain(Cluster::local(4), inputs.clone(), map, reduce);
         let (combined, m2) = run_job(
             Cluster::local(4),
             JobConfig::default(),
@@ -346,7 +345,7 @@ mod tests {
 
     #[test]
     fn metrics_populated() {
-        let (out, m) = run_job_simple(
+        let (out, m) = run_plain(
             Cluster::local(2),
             vec![1u32, 2, 3, 4],
             |x: u32, emit| emit(x % 2, x),
@@ -361,7 +360,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let (out, m) = run_job_simple(
+        let (out, m) = run_plain(
             Cluster::local(4),
             Vec::<u32>::new(),
             |x: u32, emit| emit(x, x),
@@ -381,7 +380,7 @@ mod tests {
     fn reduce_sees_sorted_keys_grouped() {
         // Keys must arrive grouped: reduce output equals input multiset.
         let inputs: Vec<u32> = (0..1000).rev().collect();
-        let (out, _) = run_job_simple(
+        let (out, _) = run_plain(
             Cluster::local(3),
             inputs,
             |x: u32, emit| emit(x / 10, x),

@@ -22,5 +22,5 @@ pub mod job;
 pub mod pool;
 
 pub use cluster::Cluster;
-pub use job::{par_map, run_job, run_job_simple, JobConfig, JobMetrics};
+pub use job::{par_map, run_job, JobConfig, JobMetrics};
 pub use pool::{run_chunked_tasks, run_indexed_tasks};

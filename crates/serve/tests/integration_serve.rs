@@ -296,6 +296,42 @@ fn oversized_request_batch_is_rejected_as_overloaded() {
 }
 
 #[test]
+fn frame_of_repeated_names_gets_the_normal_answer_and_the_daemon_keeps_serving() {
+    // One frame under the size limit used to be enough to kill the daemon:
+    // 80 000 × 50 000 repeated names sized a multi-gigabyte allocation in
+    // the plan stage. Repeats must cost nothing beyond parsing them.
+    let path = build_store();
+    let server = start_server(&path, ServeOptions::default());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let clause = "where permutations = 40 and include insignificant";
+    let plain = format!("between taxi and weather {clause}");
+    let repeated = format!(
+        "between {} and {} {clause}",
+        vec!["taxi"; 80_000].join(", "),
+        vec!["weather"; 50_000].join(", ")
+    );
+    assert!(repeated.len() > 900_000 && repeated.len() < MAX_FRAME_BYTES as usize);
+
+    let mut results = |pql: &str| match client.request(pql).unwrap() {
+        Response::Results(json) => json,
+        Response::Error(e) => panic!("unexpected error frame: {e:?}"),
+    };
+    // The response echoes the query as sent; everything after the echo is
+    // byte-identical to the deduplicated query's answer.
+    let relationships = |json: &str| json[json.find("\"relationships\":").unwrap()..].to_string();
+    let hostile = results(&repeated);
+    // The next request on the same connection is served as usual.
+    let normal = results(&plain);
+    assert_eq!(normal, offline_json(&path, &plain));
+    assert!(relationships(&normal).starts_with("\"relationships\":[{"));
+    assert_eq!(relationships(&hostile), relationships(&normal));
+
+    client.shutdown_server().unwrap();
+    server.wait();
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
 fn shutdown_frame_drains_and_refuses_new_requests() {
     let path = build_store();
     let server = start_server(&path, ServeOptions::default());

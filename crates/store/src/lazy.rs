@@ -102,7 +102,7 @@ pub struct LazyIndex {
     /// Local → global catalog-index remap, set when this index serves one
     /// shard of a sharded store: the shard file numbers its data sets
     /// locally (0..k), but decoded entries must carry the *global* index
-    /// so expansion and routing see the monolithic catalog.
+    /// so expansion sees the monolithic catalog.
     global_of: Option<Vec<usize>>,
     /// Per-shard counters, set on sharded opens.
     shard_obs: Option<ShardObs>,

@@ -23,18 +23,28 @@
 //! [`StoreError::DatasetNotLoaded`] — never a silently empty result — and
 //! whole-corpus queries range over the loaded subset.
 //!
+//! ## One read path
+//!
+//! Every query — single or batched, on any backing — takes the same three
+//! steps: *scope* it to the loaded data sets, *pin* the entries it can
+//! touch (`Backing::pinned`: nothing to do for an eager index, a segment
+//! fault-in for a lazy one), and hand the resulting
+//! [`IndexView`] to [`polygamy_core::run_query_many`]. A single query is a
+//! batch of one.
+//!
 //! ## Sharded stores
 //!
 //! Every open path sniffs the file magic: a shard catalog
 //! ([`crate::shard`], magic `PLGYSHRD`) opens as a *sharded* session, a
 //! plain store (`PLGYSTOR`) as a monolithic one — callers never say which.
-//! A sharded session routes each expanded unit task to its owning shard's
-//! worker set (scatter) and reassembles results in canonical task order
-//! (gather), so query output is **byte-identical for any shard count and
-//! any worker layout** — a one-shard store answers exactly like the
-//! monolith it was migrated from. Lazy sharded sessions degrade per shard:
-//! a missing or corrupt shard file fails only the queries whose footprint
-//! touches it, with a typed [`StoreError::ShardUnavailable`].
+//! Sharding decides which *file* a segment faults from, nothing else: the
+//! pinned entries reach the executor in the monolith's directory order, so
+//! query output is **byte-identical for any shard count and any worker
+//! layout** — a one-shard store answers exactly like the monolith it was
+//! migrated from. Lazy sharded sessions degrade per shard: a missing or
+//! corrupt shard file fails only the queries whose footprint touches it,
+//! with a typed [`StoreError::ShardUnavailable`] raised at pin time, before
+//! any evaluation.
 
 use crate::error::{Result, StoreError};
 use crate::lazy::LazyIndex;
@@ -45,10 +55,7 @@ use polygamy_core::cache::{QueryCache, DEFAULT_QUERY_CACHE_CAPACITY};
 use polygamy_core::index::{DatasetEntry, IndexView, PolygamyIndex};
 use polygamy_core::query::RelationshipQuery;
 use polygamy_core::relationship::Relationship;
-use polygamy_core::{
-    run_query, run_query_many, run_query_many_view, run_query_many_view_routed, run_query_view,
-    run_query_view_routed, CityGeometry, Config, ShardMap,
-};
+use polygamy_core::{run_query_many, CityGeometry, Config};
 use std::path::Path;
 
 /// How a session materializes function segments.
@@ -57,14 +64,38 @@ enum Backing {
     /// Every admitted segment decoded at open. The `u64` is the source's
     /// byte counter captured right after the one-shot load — the total
     /// I/O an eager session will ever do. Sharded stores also load eagerly
-    /// into this variant (the shard layout survives in the session's
-    /// routing map).
+    /// into this variant: once decoded, nothing distinguishes them from a
+    /// monolith.
     Eager(PolygamyIndex, u64),
     /// Segments faulted in per query footprint.
     Lazy(LazyIndex),
     /// Segments faulted in per query footprint from per-shard files, with
     /// per-shard availability (degraded serving).
     ShardedLazy(ShardedLazy),
+}
+
+impl Backing {
+    /// Pins every entry `queries` can touch and runs `f` over the view of
+    /// them — the one place a backing turns into something the executor
+    /// reads. An eager index is already resident in full; lazy backings
+    /// fault in the batch's footprint (a sharded one rejecting queries that
+    /// touch an unavailable shard here, before evaluation) and keep the
+    /// segments alive for the duration of `f`.
+    fn pinned<T>(
+        &self,
+        queries: &[RelationshipQuery],
+        f: impl FnOnce(IndexView<'_>) -> T,
+    ) -> Result<T> {
+        let (catalog, faulted) = match self {
+            Backing::Eager(index, _) => return Ok(f(index.into())),
+            Backing::Lazy(lazy) => (lazy.catalog(), lazy.pin_for(queries)?),
+            Backing::ShardedLazy(lazy) => (lazy.catalog(), lazy.pin_for(queries)?),
+        };
+        Ok(f(IndexView::new(
+            catalog,
+            faulted.iter().map(|entry| &**entry).collect(),
+        )))
+    }
 }
 
 /// A read-only serving session: geometry + (eager or lazy) index + query
@@ -120,9 +151,8 @@ pub struct StoreSession {
     /// Names of the data sets whose segments were admitted by the load
     /// filter — the set this session can serve.
     loaded: Vec<String>,
-    /// Data set → shard routing for the scatter-gather executor. Monolithic
-    /// (single shard) for plain stores, so routing is a no-op there.
-    shards: ShardMap,
+    /// Shard files behind this session (1 for a monolith).
+    n_shards: usize,
     cache: QueryCache,
 }
 
@@ -136,8 +166,8 @@ impl StoreSession {
     /// Opens an eager session with an explicit configuration and load
     /// filter — only the function segments the filter admits are read off
     /// disk. Sharded stores (shard-catalog magic) are detected here: every
-    /// shard the filter touches must be available, and the session routes
-    /// tasks per shard while answering byte-identically to the monolith.
+    /// shard the filter touches must be available, and the session answers
+    /// byte-identically to the monolith.
     pub fn open_with(path: impl AsRef<Path>, config: Config, filter: &LoadFilter) -> Result<Self> {
         let path = path.as_ref();
         if is_sharded(path)? {
@@ -148,7 +178,7 @@ impl StoreSession {
                 config,
                 backing: Backing::Eager(index, bytes_loaded),
                 loaded,
-                shards: catalog.shard_map(),
+                n_shards: catalog.n_shards(),
                 cache: QueryCache::new(DEFAULT_QUERY_CACHE_CAPACITY),
             });
         }
@@ -183,13 +213,12 @@ impl StoreSession {
             let lazy = ShardedLazy::open(path, filter, backend)?;
             let geometry = lazy.load_geometry()?;
             let loaded = loaded_names(lazy.catalog(), filter);
-            let shards = lazy.shard_map();
             return Ok(Self {
                 geometry,
                 config,
+                n_shards: lazy.n_shards(),
                 backing: Backing::ShardedLazy(lazy),
                 loaded,
-                shards,
                 cache: QueryCache::new(DEFAULT_QUERY_CACHE_CAPACITY),
             });
         }
@@ -197,13 +226,12 @@ impl StoreSession {
         let lazy = LazyIndex::new(store, filter)?;
         let geometry = lazy.store().load_geometry()?;
         let loaded = loaded_names(&lazy.store().manifest().datasets, filter);
-        let shards = ShardMap::monolithic(lazy.store().manifest().datasets.len());
         Ok(Self {
             geometry,
             config,
             backing: Backing::Lazy(lazy),
             loaded,
-            shards,
+            n_shards: 1,
             cache: QueryCache::new(DEFAULT_QUERY_CACHE_CAPACITY),
         })
     }
@@ -216,13 +244,12 @@ impl StoreSession {
         // Captured after the one-shot load: an eager session never reads
         // again, so this is its total (and final) I/O.
         let bytes_loaded = store.source().bytes_fetched();
-        let shards = ShardMap::monolithic(index.datasets.len());
         Ok(Self {
             geometry,
             config,
             backing: Backing::Eager(index, bytes_loaded),
             loaded,
-            shards,
+            n_shards: 1,
             cache: QueryCache::new(DEFAULT_QUERY_CACHE_CAPACITY),
         })
     }
@@ -236,45 +263,10 @@ impl StoreSession {
     /// `None` collections range over the loaded data sets only. Takes
     /// `&self`: sessions are shared freely across reader threads.
     pub fn query(&self, query: &RelationshipQuery) -> Result<Vec<Relationship>> {
-        let query = self.scope_to_loaded(query)?;
-        match &self.backing {
-            Backing::Eager(index, _) => {
-                if self.shards.is_monolithic() {
-                    run_query(index, &self.geometry, &self.config, &self.cache, &query)
-                        .map_err(Into::into)
-                } else {
-                    let view = IndexView::new(&index.datasets, index.functions.iter().collect());
-                    run_query_view_routed(
-                        &view,
-                        &self.geometry,
-                        &self.config,
-                        &self.cache,
-                        &query,
-                        &self.shards,
-                    )
-                    .map_err(Into::into)
-                }
-            }
-            Backing::Lazy(lazy) => {
-                let pinned = lazy.pin_for(std::slice::from_ref(&query))?;
-                let view = IndexView::new(lazy.catalog(), pinned.iter().map(|a| &**a).collect());
-                run_query_view(&view, &self.geometry, &self.config, &self.cache, &query)
-                    .map_err(Into::into)
-            }
-            Backing::ShardedLazy(lazy) => {
-                let pinned = lazy.pin_for(std::slice::from_ref(&query))?;
-                let view = IndexView::new(lazy.catalog(), pinned.iter().map(|a| &**a).collect());
-                run_query_view_routed(
-                    &view,
-                    &self.geometry,
-                    &self.config,
-                    &self.cache,
-                    &query,
-                    &self.shards,
-                )
-                .map_err(Into::into)
-            }
-        }
+        Ok(self
+            .query_many(std::slice::from_ref(query))?
+            .pop()
+            .unwrap_or_default())
     }
 
     /// Evaluates a batch of queries on one shared worker pool (the flat
@@ -291,44 +283,11 @@ impl StoreSession {
             .iter()
             .map(|q| self.scope_to_loaded(q))
             .collect::<Result<Vec<_>>>()?;
-        match &self.backing {
-            Backing::Eager(index, _) => {
-                if self.shards.is_monolithic() {
-                    run_query_many(index, &self.geometry, &self.config, &self.cache, &scoped)
-                        .map_err(Into::into)
-                } else {
-                    let view = IndexView::new(&index.datasets, index.functions.iter().collect());
-                    run_query_many_view_routed(
-                        &view,
-                        &self.geometry,
-                        &self.config,
-                        &self.cache,
-                        &scoped,
-                        &self.shards,
-                    )
-                    .map_err(Into::into)
-                }
-            }
-            Backing::Lazy(lazy) => {
-                let pinned = lazy.pin_for(&scoped)?;
-                let view = IndexView::new(lazy.catalog(), pinned.iter().map(|a| &**a).collect());
-                run_query_many_view(&view, &self.geometry, &self.config, &self.cache, &scoped)
-                    .map_err(Into::into)
-            }
-            Backing::ShardedLazy(lazy) => {
-                let pinned = lazy.pin_for(&scoped)?;
-                let view = IndexView::new(lazy.catalog(), pinned.iter().map(|a| &**a).collect());
-                run_query_many_view_routed(
-                    &view,
-                    &self.geometry,
-                    &self.config,
-                    &self.cache,
-                    &scoped,
-                    &self.shards,
-                )
-                .map_err(Into::into)
-            }
-        }
+        self.backing
+            .pinned(&scoped, |view| {
+                run_query_many(view, &self.geometry, &self.config, &self.cache, &scoped)
+            })?
+            .map_err(Into::into)
     }
 
     /// Rewrites a query so it ranges only over loaded data sets, rejecting
@@ -340,7 +299,7 @@ impl StoreSession {
                 None => Ok(Some(self.loaded.clone())),
                 Some(list) => {
                     for name in list {
-                        // Unknown-anywhere names fall through to run_query's
+                        // Unknown-anywhere names fall through to the executor's
                         // UnknownDataset; known-but-unloaded ones are the
                         // session's own refusal.
                         if catalog.iter().any(|d| d.meta.name == *name)
@@ -409,15 +368,9 @@ impl StoreSession {
         }
     }
 
-    /// The task-routing table: monolithic for plain stores, the shard
-    /// layout for sharded ones.
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.shards
-    }
-
     /// Number of shard files behind this session (1 for a monolith).
     pub fn n_shards(&self) -> usize {
-        self.shards.n_shards()
+        self.n_shards
     }
 
     /// True when this session faults segments in on demand.

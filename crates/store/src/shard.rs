@@ -48,7 +48,7 @@ use crate::source::SourceBackend;
 use crate::store::{encode_geometry, write_store, LoadFilter, SegmentGroup, SegmentMeta, Store};
 use polygamy_core::index::{DatasetEntry, FunctionEntry, PolygamyIndex};
 use polygamy_core::query::RelationshipQuery;
-use polygamy_core::{index_dataset, query_datasets, CityGeometry, Config, Fnv1a, ShardMap};
+use polygamy_core::{index_dataset, query_datasets, CityGeometry, Config, Fnv1a};
 use polygamy_obs::names;
 use polygamy_stdata::Dataset;
 use std::fs::File;
@@ -119,12 +119,6 @@ impl ShardCatalog {
     pub fn local_index(&self, di: usize) -> usize {
         let s = self.shard_of[di];
         (0..di).filter(|&j| self.shard_of[j] == s).count()
-    }
-
-    /// The executor routing table this layout induces.
-    pub fn shard_map(&self) -> ShardMap {
-        ShardMap::new(self.shard_of.clone(), self.n_shards().max(1))
-            .expect("catalog validation bounds every assignment")
     }
 
     /// Encodes the complete catalog file (header + checksummed payload).
@@ -591,11 +585,6 @@ impl ShardedLazy {
         &self.catalog.datasets
     }
 
-    /// The executor routing table for this layout.
-    pub fn shard_map(&self) -> ShardMap {
-        self.catalog.shard_map()
-    }
-
     /// Per-shard availability: `None` when the shard serves, or the
     /// recorded open-failure reason.
     pub fn unavailable_reason(&self, shard: usize) -> Option<&str> {
@@ -1000,9 +989,6 @@ mod tests {
         assert_eq!(c.local_index(2), 1);
         assert_eq!(c.dataset_index("gamma").unwrap(), 2);
         assert!(c.dataset_index("nope").is_err());
-        let map = c.shard_map();
-        assert_eq!(map.n_shards(), 2);
-        assert_eq!(map.route(1, 2), 1); // min(1,2)=1 lives on shard 1
     }
 
     #[test]

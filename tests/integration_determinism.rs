@@ -8,9 +8,10 @@
 //! entries keep directory order, so expansion — and therefore output — is
 //! unchanged), and — since the store learned to shard — for **any shard
 //! count**: a store split over 1, 2 or 5 shard files answers with the
-//! exact bytes of the monolith it was migrated from, because the
-//! scatter-gather coordinator reassembles per-shard results in canonical
-//! task order before ranking. Tasks carry their own FNV-derived Monte
+//! exact bytes of the monolith it was migrated from, because shards only
+//! decide which file a segment faults from: the pinned entries reach the
+//! one executor in the monolith's directory order, so expansion never sees
+//! the layout. Tasks carry their own FNV-derived Monte
 //! Carlo seeds and results are assembled in canonical task order, so
 //! scheduling can never leak into significance verdicts. Byte-identity is
 //! checked on the serialized JSON, not just `PartialEq`, so even the bit
@@ -202,8 +203,8 @@ fn store_session_results_identical_across_worker_counts() {
 /// × {eager, lazy, lazy-mmap} × {query, query_many}, every cell
 /// byte-identical to the monolithic single-worker baseline. The 1-shard
 /// store pins the degenerate case (sharded ≡ monolith), and the 5-shard
-/// layout (more shards than some worker counts) exercises gather across
-/// uneven worker/shard splits.
+/// layout (more shards than data sets, so some shard files are empty)
+/// exercises pinning across uneven data-set/shard splits.
 #[test]
 fn sharded_sessions_identical_to_monolith_for_any_shard_count() {
     let path = tmp_path("shard-matrix");
