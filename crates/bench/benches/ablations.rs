@@ -2,15 +2,19 @@
 //!
 //! 1. merge-tree-indexed level sets vs a naive full scan — the paper's
 //!    output-sensitivity claim only pays off when the answer is small;
-//! 2. restricted (rotation) vs naive (shuffle) Monte Carlo — comparable
-//!    cost, so the statistical validity of the restricted test is free;
+//! 2. the word-wise kernels of the restricted Monte Carlo test at the
+//!    urban corpus's shape (25 regions × 8,760 hourly steps): cropping a
+//!    window at an unaligned offset, counting one time rotation, building
+//!    the region-major rows, counting one spatial graph shift on them —
+//!    next to drawing a naive (shuffle) permutation of the same domain, so
+//!    the statistical validity of the restricted test is seen to be free;
 //! 3. persistence-derived thresholds vs fixed quantile thresholds —
 //!    threshold computation cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use polygamy_stats::permutation::temporal_rotation;
+use polygamy_stats::permutation::GraphShifter;
 use polygamy_stats::quantile;
-use polygamy_topology::{super_level_set, BitVec, DomainGraph, MergeTree};
+use polygamy_topology::{super_level_set, BitVec, DomainGraph, FeatureSet, MergeTree};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
@@ -55,11 +59,57 @@ fn bench_index_vs_scan(c: &mut Criterion) {
     group.finish();
 }
 
+/// Features on ~4% (pos) and ~1% (neg) of `n` vertices.
+fn sparse_features(n: usize, phase: usize) -> FeatureSet {
+    let mut fs = FeatureSet::empty(n);
+    for i in (phase..n).step_by(23) {
+        fs.pos.set(i);
+    }
+    for i in (phase + 7..n).step_by(97) {
+        fs.neg.set(i);
+    }
+    fs
+}
+
 fn bench_restricted_vs_naive_mc(c: &mut Criterion) {
-    let n = 17_520;
+    let (n_regions, n_steps) = (25usize, 8_760usize);
+    let n = n_regions * n_steps;
+    // A field 5 steps longer than the window, so the window starts at bit
+    // 125 — off a word boundary, like every urban pair's.
+    let field = sparse_features(n + 5 * n_regions, 0);
+    let left = field.slice(5 * n_regions, 5 * n_regions + n);
+    let right = sparse_features(n, 3);
+    let (left_rows, right_rows) = (
+        left.region_major(n_regions, n_steps),
+        right.region_major(n_regions, n_steps),
+    );
+    // A one-step grid's vertex neighbours are its region adjacency.
+    let grid = DomainGraph::grid(5, 5, 1);
+    let adjacency: Vec<Vec<u32>> = (0..n_regions).map(|x| grid.neighbors(x).to_vec()).collect();
+
     let mut group = c.benchmark_group("ablation_permutation");
-    group.bench_function("restricted_rotation", |b| {
-        b.iter(|| temporal_rotation(1, n, 4_321))
+    group.bench_function("unaligned_slice", |b| {
+        b.iter(|| field.slice(5 * n_regions, 5 * n_regions + n))
+    });
+    group.bench_function("rotation_count", |b| {
+        b.iter(|| left.rotated_related_counts(&right, 4_321))
+    });
+    group.bench_function("row_build", |b| {
+        b.iter(|| left.region_major(n_regions, n_steps))
+    });
+    group.bench_function("spatial_count", |b| {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+        let mut shifter = GraphShifter::default();
+        b.iter(|| {
+            let sigma = shifter.draw(&adjacency, &mut rng);
+            let (mut n_pos, mut n_neg) = (0, 0);
+            for (row, &image) in left_rows.iter().zip(sigma) {
+                let (p, q) = row.rotated_related_counts(&right_rows[image as usize], 0);
+                n_pos += p;
+                n_neg += q;
+            }
+            (n_pos, n_neg)
+        })
     });
     group.bench_function("naive_shuffle", |b| {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(5);

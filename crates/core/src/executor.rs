@@ -34,7 +34,7 @@ use crate::cache::QueryCache;
 use crate::error::{Error, Result};
 use crate::framework::{CityGeometry, Config};
 use crate::index::{DatasetEntry, IndexView};
-use crate::operator::{evaluate_unit, expand_pair_tasks, UnitTask};
+use crate::operator::{evaluate_unit, expand_pair_tasks, OperandTable, UnitTask};
 use crate::query::RelationshipQuery;
 use crate::relationship::Relationship;
 use polygamy_mapreduce::run_chunked_tasks;
@@ -56,6 +56,9 @@ struct ExecMetrics {
     expand_ns: Arc<Counter>,
     evaluate_ns: Arc<Counter>,
     assemble_ns: Arc<Counter>,
+    permutations_run: Arc<Counter>,
+    operands_prepared: Arc<Counter>,
+    operand_reuses: Arc<Counter>,
 }
 
 fn exec_metrics() -> &'static ExecMetrics {
@@ -72,6 +75,9 @@ fn exec_metrics() -> &'static ExecMetrics {
             expand_ns: r.counter(names::CORE_STAGE_EXPAND_NS),
             evaluate_ns: r.counter(names::CORE_STAGE_EVALUATE_NS),
             assemble_ns: r.counter(names::CORE_STAGE_ASSEMBLE_NS),
+            permutations_run: r.counter(names::CORE_PERMUTATIONS_RUN),
+            operands_prepared: r.counter(names::CORE_OPERANDS_PREPARED),
+            operand_reuses: r.counter(names::CORE_OPERAND_REUSES),
         }
     })
 }
@@ -280,6 +286,7 @@ pub fn run_query_many<'a>(
     let t_expand = Instant::now();
     let expand_span = trace::span("expand");
     let mut tasks: Vec<UnitTask> = Vec::new();
+    let mut operands = OperandTable::default();
     let mut task_ranges: Vec<Range<usize>> = Vec::with_capacity(misses.len());
     for miss in &misses {
         let start = tasks.len();
@@ -289,6 +296,7 @@ pub fn run_query_many<'a>(
             miss.key.0,
             miss.key.1,
             miss.clause,
+            &mut operands,
             &mut tasks,
         )?;
         task_ranges.push(start..tasks.len());
@@ -298,16 +306,28 @@ pub fn run_query_many<'a>(
     metrics.tasks_expanded.add(tasks.len() as u64);
     trace::add("tasks_expanded", tasks.len() as u64);
 
-    // ---- Evaluate the entire batch on one shared pool.
+    // ---- Evaluate the entire batch on one shared pool; operands are
+    // prepared inside it, each by the first task that needs it.
     let t_evaluate = Instant::now();
     let evaluate_span = trace::span("evaluate");
     let workers = config.cluster.workers();
     let chunk = task_chunk_size(tasks.len(), workers);
+    let permutations_run = Counter::new();
     let results: Vec<Option<Relationship>> = run_chunked_tasks(workers, tasks.len(), chunk, |i| {
-        evaluate_unit(&tasks[i], config)
+        evaluate_unit(&tasks[i], &operands, config, &permutations_run)
     });
     drop(evaluate_span);
     metrics.evaluate_ns.add(elapsed_ns(t_evaluate));
+    // Every task reads two operands; all but the first read of a slot reuse
+    // what that first read prepared.
+    let prepared = operands.prepared() as u64;
+    let reuses = 2 * tasks.len() as u64 - prepared;
+    metrics.permutations_run.add(permutations_run.get());
+    metrics.operands_prepared.add(prepared);
+    metrics.operand_reuses.add(reuses);
+    trace::add("permutations_run", permutations_run.get());
+    trace::add("operands_prepared", prepared);
+    trace::add("operand_reuses", reuses);
 
     // ---- Assemble per-miss results in canonical task order; fill the cache.
     let t_assemble = Instant::now();

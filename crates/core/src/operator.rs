@@ -8,6 +8,15 @@
 //! pre-filter and keeps the candidate only if its score survives the
 //! restricted Monte Carlo significance test.
 //!
+//! What a task reads of one function — its features of one class, cropped
+//! to the pair's overlap window, possibly recomputed from user thresholds —
+//! depends on the function and the window, not on the partner, so expansion
+//! interns each distinct such *operand* into an `OperandTable` slot and a
+//! task carries two slot indices. A slot is prepared by the first task that
+//! needs it and read by every other: an `n × m` pair prepares `n + m`
+//! windows (and region-major row sets, and merge trees under custom
+//! thresholds), not `2·n·m`.
+//!
 //! Monte Carlo seeds are derived per task with an explicit FNV-1a over a
 //! fully framed byte stream, so significance verdicts are reproducible
 //! across machines, toolchains and worker counts (`std`'s `DefaultHasher`
@@ -19,13 +28,17 @@ use crate::error::{Error, Result};
 use crate::framework::{CityGeometry, Config};
 use crate::function::FunctionRef;
 use crate::index::{FunctionEntry, IndexView};
-use crate::query::Clause;
+use crate::query::{Clause, DatasetThresholds};
 use crate::relationship::{evaluate_features, Relationship};
-use crate::significance::significance_test;
+use crate::significance::permutation_p_value;
+use polygamy_obs::Counter;
 use polygamy_stats::permutation::MonteCarlo;
 use polygamy_topology::{
     sub_level_set, super_level_set, DomainGraph, FeatureClass, FeatureSet, MergeTree,
 };
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// One schedulable unit of relationship evaluation: a (left, right)
 /// function pair at their shared resolution, for one feature class.
@@ -39,6 +52,10 @@ pub(crate) struct UnitTask<'a> {
     pub(crate) e1: &'a FunctionEntry,
     /// Right function entry (same resolution as `e1`).
     pub(crate) e2: &'a FunctionEntry,
+    /// [`OperandTable`] slot of `e1`'s features on the pair's window.
+    left: usize,
+    /// [`OperandTable`] slot of `e2`'s features on the pair's window.
+    right: usize,
     /// Feature class this task evaluates.
     pub(crate) class: FeatureClass,
     /// The query clause (pre-filters, permutation setup, thresholds).
@@ -47,9 +64,112 @@ pub(crate) struct UnitTask<'a> {
     pub(crate) adjacency: &'a [Vec<u32>],
 }
 
+/// What identifies an operand: which function, which of its feature sets
+/// (class, or the user thresholds that replace it), which vertex window.
+#[derive(PartialEq, Eq, Hash)]
+struct OperandKey {
+    /// Address of the entry — entries are pinned for the whole dispatch, so
+    /// the address is the function's identity, and cheaper than its names.
+    entry: usize,
+    class: FeatureClass,
+    window: (usize, usize),
+    /// Bit patterns of the overriding (θ⁺, θ⁻), if any.
+    thresholds: Option<(u64, u64)>,
+}
+
+/// One function's features as unit tasks consume them, prepared at most
+/// once per dispatch by whichever task asks first.
+pub(crate) struct Operand<'a> {
+    entry: &'a FunctionEntry,
+    class: FeatureClass,
+    /// Vertex range `[lo, hi)` of the entry's field.
+    window: (usize, usize),
+    /// User thresholds replacing the precomputed features.
+    thresholds: Option<&'a DatasetThresholds>,
+    features: OnceLock<Cow<'a, FeatureSet>>,
+    rows: OnceLock<Vec<FeatureSet>>,
+}
+
+impl Operand<'_> {
+    /// The features on the window, in the index's time-major layout;
+    /// borrowed from the index when the window is the whole field.
+    fn features(&self) -> &FeatureSet {
+        self.features.get_or_init(|| {
+            let source = match self.thresholds.and_then(|t| custom_features(self.entry, t)) {
+                Some(custom) => Cow::Owned(custom),
+                None => Cow::Borrowed(self.entry.features.class(self.class)),
+            };
+            let (lo, hi) = self.window;
+            if (lo, hi) == (0, source.pos.len()) {
+                source
+            } else {
+                Cow::Owned(source.slice(lo, hi))
+            }
+        })
+    }
+
+    /// One row of the window's time steps per region — what the
+    /// significance test shifts. A 1-D domain's only row is the window.
+    fn rows(&self) -> &[FeatureSet] {
+        let n_regions = self.entry.n_regions;
+        if n_regions <= 1 {
+            return std::slice::from_ref(self.features());
+        }
+        self.rows.get_or_init(|| {
+            let n_steps = (self.window.1 - self.window.0) / n_regions;
+            self.features().region_major(n_regions, n_steps)
+        })
+    }
+}
+
+/// The operands of one dispatch, interned at expansion time on the
+/// coordinating thread and shared read-only by the workers.
+#[derive(Default)]
+pub(crate) struct OperandTable<'a> {
+    slots: Vec<Operand<'a>>,
+    slot_of: HashMap<OperandKey, usize>,
+}
+
+impl<'a> OperandTable<'a> {
+    /// The slot for `entry`'s `class` features on `window`, or for the
+    /// features `thresholds` replace them with.
+    fn intern(
+        &mut self,
+        entry: &'a FunctionEntry,
+        class: FeatureClass,
+        window: (usize, usize),
+        thresholds: Option<&'a DatasetThresholds>,
+    ) -> usize {
+        let key = OperandKey {
+            entry: std::ptr::from_ref(entry) as usize,
+            class,
+            window,
+            thresholds: thresholds.map(|t| (t.theta_pos.to_bits(), t.theta_neg.to_bits())),
+        };
+        *self.slot_of.entry(key).or_insert_with(|| {
+            self.slots.push(Operand {
+                entry,
+                class,
+                window,
+                thresholds,
+                features: OnceLock::new(),
+                rows: OnceLock::new(),
+            });
+            self.slots.len() - 1
+        })
+    }
+
+    /// Slots some task has prepared so far.
+    pub(crate) fn prepared(&self) -> usize {
+        let prepared = |o: &&Operand| o.features.get().is_some();
+        self.slots.iter().filter(prepared).count()
+    }
+}
+
 /// Expands `relation(d1, d2)` under `clause` into unit tasks, appended to
 /// `out` in canonical order: left entries in index order, right entries in
-/// index order, classes in [`FeatureClass::ALL`] order.
+/// index order, classes in [`FeatureClass::ALL`] order. Their operands are
+/// interned into `operands`.
 ///
 /// Geometry is validated here, on the coordinating thread: an indexed
 /// resolution with no geometry partition is a typed
@@ -60,6 +180,7 @@ pub(crate) fn expand_pair_tasks<'a>(
     d1: usize,
     d2: usize,
     clause: &'a Clause,
+    operands: &mut OperandTable<'a>,
     out: &mut Vec<UnitTask<'a>>,
 ) -> Result<()> {
     for e1 in index.functions_of(d1) {
@@ -67,9 +188,12 @@ pub(crate) fn expand_pair_tasks<'a>(
             continue;
         }
         for e2 in index.functions_of(d2) {
-            if e1.resolution != e2.resolution || e1.overlap(e2).is_none() {
+            if e1.resolution != e2.resolution {
                 continue;
             }
+            let Some((start, n_steps)) = e1.overlap(e2) else {
+                continue;
+            };
             let adjacency = geometry
                 .adjacency(e1.resolution.spatial)
                 .ok_or(Error::MissingGeometry(e1.resolution.spatial))?;
@@ -77,8 +201,13 @@ pub(crate) fn expand_pair_tasks<'a>(
             // named data set's functions and suppress the extreme class for
             // the pair (a single threshold pair defines a single feature
             // set).
-            let overridden =
-                has_threshold_override(e1, clause) || has_threshold_override(e2, clause);
+            let (custom1, custom2) = (
+                threshold_override(e1, clause),
+                threshold_override(e2, clause),
+            );
+            let overridden = custom1.is_some() || custom2.is_some();
+            let window1 = e1.vertex_range(start, n_steps);
+            let window2 = e2.vertex_range(start, n_steps);
             for class in FeatureClass::ALL {
                 if !clause.admits_class(class) {
                     continue;
@@ -89,6 +218,8 @@ pub(crate) fn expand_pair_tasks<'a>(
                 out.push(UnitTask {
                     e1,
                     e2,
+                    left: operands.intern(e1, class, window1, custom1),
+                    right: operands.intern(e2, class, window2, custom2),
                     class,
                     clause,
                     adjacency,
@@ -101,33 +232,30 @@ pub(crate) fn expand_pair_tasks<'a>(
 
 /// Evaluates one unit task. Pure: the result depends only on the task and
 /// `config`, never on scheduling, which is what makes the flat executor's
-/// output worker-count-independent.
-pub(crate) fn evaluate_unit(task: &UnitTask<'_>, config: &Config) -> Option<Relationship> {
+/// output worker-count-independent. Adds the permutations it ran to
+/// `permutations_run` (observation only).
+pub(crate) fn evaluate_unit(
+    task: &UnitTask<'_>,
+    operands: &OperandTable<'_>,
+    config: &Config,
+    permutations_run: &Counter,
+) -> Option<Relationship> {
     let UnitTask {
         e1,
         e2,
         class,
         clause,
         adjacency,
+        ..
     } = *task;
-    let (start, len) = e1.overlap(e2)?;
-    let (lo1, hi1) = e1.vertex_range(start, len);
-    let (lo2, hi2) = e2.vertex_range(start, len);
+    let (left, right) = (&operands.slots[task.left], &operands.slots[task.right]);
     let mc = MonteCarlo {
         permutations: clause.permutations,
         alpha: clause.alpha,
         ..MonteCarlo::default()
     };
     let scheme = clause.scheme.unwrap_or(config.scheme);
-    let f1 = match custom_features(e1, clause) {
-        Some(fs) => fs.slice(lo1, hi1),
-        None => e1.features.class(class).slice(lo1, hi1),
-    };
-    let f2 = match custom_features(e2, clause) {
-        Some(fs) => fs.slice(lo2, hi2),
-        None => e2.features.class(class).slice(lo2, hi2),
-    };
-    let measures = evaluate_features(&f1, &f2);
+    let measures = evaluate_features(left.features(), right.features());
     if measures.related_count() == 0 {
         return None;
     }
@@ -137,7 +265,16 @@ pub(crate) fn evaluate_unit(task: &UnitTask<'_>, config: &Config) -> Option<Rela
         return None;
     }
     let seed = pair_seed(config.seed, e1, e2, class);
-    let p = significance_test(&f1, &f2, adjacency, len, measures.score, &mc, scheme, seed);
+    permutations_run.add(mc.permutations as u64);
+    let p = permutation_p_value(
+        left.rows(),
+        right.rows(),
+        adjacency,
+        measures.score,
+        &mc,
+        scheme,
+        seed,
+    );
     let significant = mc.is_significant(p);
     if clause.significant_only && !significant {
         return None;
@@ -153,24 +290,23 @@ pub(crate) fn evaluate_unit(task: &UnitTask<'_>, config: &Config) -> Option<Rela
     })
 }
 
-/// True when `clause` carries user thresholds that will replace this
-/// entry's precomputed features (requires the stored field).
-fn has_threshold_override(entry: &FunctionEntry, clause: &Clause) -> bool {
-    entry.field.is_some()
-        && clause
-            .thresholds
-            .iter()
-            .any(|t| t.dataset == entry.spec.dataset)
+/// The user thresholds in `clause` that replace this entry's precomputed
+/// features, if any (requires the stored field; precomputed features are
+/// silently kept otherwise).
+fn threshold_override<'c>(
+    entry: &FunctionEntry,
+    clause: &'c Clause,
+) -> Option<&'c DatasetThresholds> {
+    entry.field.as_ref()?;
+    clause
+        .thresholds
+        .iter()
+        .find(|t| t.dataset == entry.spec.dataset)
 }
 
 /// Recomputes a function's features from user-supplied thresholds using the
-/// merge-tree index (requires the stored field; silently keeps precomputed
-/// features otherwise).
-fn custom_features(entry: &FunctionEntry, clause: &Clause) -> Option<FeatureSet> {
-    let t = clause
-        .thresholds
-        .iter()
-        .find(|t| t.dataset == entry.spec.dataset)?;
+/// merge-tree index; `None` when the entry has no stored field.
+fn custom_features(entry: &FunctionEntry, t: &DatasetThresholds) -> Option<FeatureSet> {
     let field = entry.field.as_ref()?;
     // Level-set membership is pointwise (f(v) against θ), so spatial edges
     // cannot change the resulting set: an edgeless graph stands in for the
@@ -331,6 +467,77 @@ mod tests {
             "expected no features above 1e12, got {} rels",
             rels.len()
         );
+    }
+
+    #[test]
+    fn thresholds_query_prepares_each_operand_once() {
+        use crate::significance::significance_test;
+        let dp = corpus();
+        let index = dp.index().unwrap();
+        let clause = Clause::default()
+            .permutations(25)
+            .include_insignificant()
+            .with_thresholds("alpha", 20.0, -0.5);
+        let query = crate::query::RelationshipQuery::between(&["alpha"], &["beta"])
+            .with_clause(clause.clone());
+        let (got, trace) = polygamy_obs::trace::record(|| dp.query(&query).unwrap());
+
+        // What the clause means, pair by pair, with nothing shared: alpha's
+        // features rebuilt from its thresholds inside every pair.
+        let (alphas, betas): (Vec<_>, Vec<_>) = (
+            index.functions_of(0).collect(),
+            index.functions_of(1).collect(),
+        );
+        let adjacency = [Vec::new()];
+        let (mut expected, mut n_tasks, mut n_tested) = (Vec::new(), 0u64, 0u64);
+        for &e1 in &alphas {
+            for &e2 in betas.iter().filter(|e2| e1.overlap(e2).is_some()) {
+                n_tasks += 1;
+                let (start, len) = e1.overlap(e2).unwrap();
+                let (lo1, hi1) = e1.vertex_range(start, len);
+                let (lo2, hi2) = e2.vertex_range(start, len);
+                let f1 = custom_features(e1, &clause.thresholds[0])
+                    .expect("fast_test keeps fields")
+                    .slice(lo1, hi1);
+                let f2 = e2.features.salient.slice(lo2, hi2);
+                let measures = evaluate_features(&f1, &f2);
+                if measures.related_count() == 0 {
+                    continue;
+                }
+                n_tested += 1;
+                let mc = MonteCarlo {
+                    permutations: clause.permutations,
+                    alpha: clause.alpha,
+                    ..MonteCarlo::default()
+                };
+                let seed = pair_seed(dp.config().seed, e1, e2, FeatureClass::Salient);
+                let scheme = dp.config().scheme;
+                let p =
+                    significance_test(&f1, &f2, &adjacency, len, measures.score, &mc, scheme, seed);
+                expected.push(Relationship {
+                    left: FunctionRef::from(&e1.spec),
+                    right: FunctionRef::from(&e2.spec),
+                    resolution: e1.resolution,
+                    class: FeatureClass::Salient,
+                    measures,
+                    p_value: p,
+                    significant: mc.is_significant(p),
+                });
+            }
+        }
+        crate::executor::sort_relationships(&mut expected);
+        assert!(!expected.is_empty(), "thresholds chosen to leave features");
+        assert_eq!(got, expected);
+
+        // Same-shaped data sets: every pair shares one window, so each
+        // function is one operand however many partners it meets — alpha's
+        // merge trees are built once per function, not once per pair.
+        assert_eq!(trace.counter("tasks_expanded"), n_tasks);
+        assert!(n_tasks > (alphas.len() + betas.len()) as u64);
+        let prepared = (alphas.len() + betas.len()) as u64;
+        assert_eq!(trace.counter("operands_prepared"), prepared);
+        assert_eq!(trace.counter("operand_reuses"), 2 * n_tasks - prepared);
+        assert_eq!(trace.counter("permutations_run"), 25 * n_tested);
     }
 
     fn seed_entry(dataset: &str, function: &str) -> FunctionEntry {

@@ -52,23 +52,24 @@ impl RelationshipMeasures {
 /// point-set intersection `|Σ| = |(P1∪N1) ∩ (P2∪N2)|`, which keeps
 /// precision and recall in `[0, 1]` unconditionally.
 pub fn evaluate_features(left: &FeatureSet, right: &FeatureSet) -> RelationshipMeasures {
-    let pp = left.pos.and_count(&right.pos);
-    let nn = left.neg.and_count(&right.neg);
-    let pn = left.pos.and_count(&right.neg);
-    let np = left.neg.and_count(&right.pos);
+    debug_assert_eq!(left.pos.len(), right.pos.len());
+    // One pass over the four word slices; the point sets Σ1 = P1∪N1 and
+    // Σ2 = P2∪N2 exist only in registers.
+    let [mut pp, mut nn, mut pn, mut np, mut n_left, mut n_right, mut sigma] = [0usize; 7];
+    let lefts = left.pos.words().iter().zip(left.neg.words());
+    let rights = right.pos.words().iter().zip(right.neg.words());
+    for ((&p1, &n1), (&p2, &n2)) in lefts.zip(rights) {
+        pp += (p1 & p2).count_ones() as usize;
+        nn += (n1 & n2).count_ones() as usize;
+        pn += (p1 & n2).count_ones() as usize;
+        np += (n1 & p2).count_ones() as usize;
+        let (all1, all2) = (p1 | n1, p2 | n2);
+        n_left += all1.count_ones() as usize;
+        n_right += all2.count_ones() as usize;
+        sigma += (all1 & all2).count_ones() as usize;
+    }
     let n_pos = pp + nn;
     let n_neg = pn + np;
-    let score = if n_pos + n_neg == 0 {
-        0.0
-    } else {
-        (n_pos as f64 - n_neg as f64) / (n_pos + n_neg) as f64
-    };
-    // Point-set sizes for precision/recall.
-    let all_left = left.all();
-    let all_right = right.all();
-    let sigma = all_left.and_count(&all_right);
-    let n_left = all_left.count_ones();
-    let n_right = all_right.count_ones();
     let strength = if sigma == 0 || n_left == 0 || n_right == 0 {
         0.0
     } else {
@@ -81,8 +82,18 @@ pub fn evaluate_features(left: &FeatureSet, right: &FeatureSet) -> RelationshipM
         n_neg,
         n_left,
         n_right,
-        score,
+        score: score(n_pos, n_neg),
         strength,
+    }
+}
+
+/// Relationship score τ (Eq. 1) from the sign-agreement counts; 0 when no
+/// point is feature-related.
+pub(crate) fn score(n_pos: usize, n_neg: usize) -> f64 {
+    if n_pos + n_neg == 0 {
+        0.0
+    } else {
+        (n_pos as f64 - n_neg as f64) / (n_pos + n_neg) as f64
     }
 }
 

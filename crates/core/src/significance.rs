@@ -12,11 +12,19 @@
 //! * [`PermutationScheme::SpatioTemporal`] additionally rotates time — the
 //!   3-torus extension the paper lists as future work, kept here as an
 //!   ablation option.
+//!
+//! No permutation is ever materialised. A rotation by `s` re-pairs two
+//! arcs of each bit vector, a graph shift σ re-pairs whole *region rows*
+//! (`Σ_x |row_l[x] ∧ row_r[σ(x)]|`), and either way the shifted counts
+//! `#p`/`#n` are word-level AND-popcounts
+//! ([`FeatureSet::rotated_related_counts`]). The random draws — one
+//! `gen_range` per rotation, one [`GraphShifter::draw`] per graph shift —
+//! are the ones the definition (a dense vertex permutation applied bit by
+//! bit; the oracle in `tests/oracle_statistics.rs`) makes, in the same
+//! order, so every p-value is bit-identical to it.
 
-use crate::relationship::evaluate_features;
-use polygamy_stats::permutation::{
-    graph_toroidal_shift, spatiotemporal_shift, temporal_rotation, MonteCarlo,
-};
+use crate::relationship::score;
+use polygamy_stats::permutation::{GraphShifter, MonteCarlo, TailCounts};
 use polygamy_topology::FeatureSet;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -36,9 +44,13 @@ pub enum PermutationScheme {
 /// Runs the restricted Monte Carlo test for one candidate relationship.
 ///
 /// `left`/`right` are feature sets aligned on a common window with
-/// `n_regions × n_steps` vertices; `spatial_adjacency` is the region
-/// adjacency of their (shared) spatial resolution. Returns the p-value of
-/// the observed score under `mc.tail`.
+/// `n_regions × n_steps` vertices in time-major order; `spatial_adjacency`
+/// is the region adjacency of their (shared) spatial resolution. Returns the
+/// p-value of the observed score under `mc.tail`.
+///
+/// This prepares both operands (region-major rows on a spatial domain) and
+/// runs the loop; the executor prepares each operand once per dispatch and
+/// runs the same loop.
 // The argument list mirrors the paper's test definition (two feature sets,
 // the domain, the observed statistic, the MC setup); a params struct would
 // only re-name it.
@@ -53,35 +65,76 @@ pub fn significance_test(
     scheme: PermutationScheme,
     seed: u64,
 ) -> f64 {
+    let n_regions = spatial_adjacency.len();
+    let (left_rows, right_rows);
+    let (left_rows, right_rows) = if n_regions <= 1 {
+        debug_assert_eq!(left.pos.len(), n_steps);
+        (std::slice::from_ref(left), std::slice::from_ref(right))
+    } else {
+        left_rows = left.region_major(n_regions, n_steps);
+        right_rows = right.region_major(n_regions, n_steps);
+        (&left_rows[..], &right_rows[..])
+    };
+    permutation_p_value(
+        left_rows,
+        right_rows,
+        spatial_adjacency,
+        observed_score,
+        mc,
+        scheme,
+        seed,
+    )
+}
+
+/// The Monte Carlo loop on prepared operands: `left_rows[x]`/`right_rows[x]`
+/// hold region `x`'s bits, one per time step (a 1-D domain's single row is
+/// the window itself). Everything a permutation needs is set up before the
+/// loop, which allocates nothing.
+pub(crate) fn permutation_p_value(
+    left_rows: &[FeatureSet],
+    right_rows: &[FeatureSet],
+    spatial_adjacency: &[Vec<u32>],
+    observed_score: f64,
+    mc: &MonteCarlo,
+    scheme: PermutationScheme,
+    seed: u64,
+) -> f64 {
     let n_regions = spatial_adjacency.len().max(1);
+    assert_eq!(left_rows.len(), n_regions, "one left row per region");
+    assert_eq!(right_rows.len(), n_regions, "one right row per region");
+    let n_steps = left_rows[0].pos.len();
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut permuted_scores = Vec::with_capacity(mc.permutations);
+    let mut shifter = GraphShifter::default();
+    let mut tally = TailCounts::new(observed_score);
     for _ in 0..mc.permutations {
-        let perm = match (n_regions, scheme) {
-            // 1-D: rotate time (never by 0 — identity tells us nothing).
-            (1, _) => {
-                let shift = rng.gen_range(1..n_steps.max(2));
-                temporal_rotation(1, n_steps, shift)
+        let (n_pos, n_neg) = if n_regions == 1 {
+            // 1-D: rotate time by 1..n_steps, never by 0 — except on a
+            // single step, whose only rotation is the identity (p = 1).
+            let shift = rng.gen_range(1..n_steps.max(2));
+            left_rows[0].rotated_related_counts(&right_rows[0], shift)
+        } else {
+            let sigma = shifter.draw(spatial_adjacency, &mut rng);
+            let shift = match scheme {
+                PermutationScheme::Paper => 0,
+                PermutationScheme::SpatioTemporal => rng.gen_range(0..n_steps.max(1)),
+            };
+            let (mut n_pos, mut n_neg) = (0, 0);
+            for (row, &image) in left_rows.iter().zip(sigma) {
+                let (p, n) = row.rotated_related_counts(&right_rows[image as usize], shift);
+                n_pos += p;
+                n_neg += n;
             }
-            (_, PermutationScheme::Paper) => {
-                let spatial = graph_toroidal_shift(spatial_adjacency, &mut rng);
-                spatiotemporal_shift(&spatial, n_steps, 0)
-            }
-            (_, PermutationScheme::SpatioTemporal) => {
-                let spatial = graph_toroidal_shift(spatial_adjacency, &mut rng);
-                let shift = rng.gen_range(0..n_steps.max(1));
-                spatiotemporal_shift(&spatial, n_steps, shift)
-            }
+            (n_pos, n_neg)
         };
-        let shifted = left.permuted(&perm);
-        permuted_scores.push(evaluate_features(&shifted, right).score);
+        tally.push(score(n_pos, n_neg));
     }
-    mc.p_value(observed_score, &permuted_scores)
+    tally.p_value(mc.tail)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relationship::evaluate_features;
     use polygamy_topology::BitVec;
 
     fn fs(n: usize, pos: &[usize], neg: &[usize]) -> FeatureSet {

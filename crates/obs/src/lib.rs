@@ -77,6 +77,17 @@ pub mod names {
     /// Cumulative wall time of the assemble stage (counter, ns).
     pub const CORE_STAGE_ASSEMBLE_NS: &str = "core.stage.assemble_ns";
 
+    /// Monte Carlo permutations run by unit tasks that reached the
+    /// significance test (counter).
+    pub const CORE_PERMUTATIONS_RUN: &str = "core.permutations_run";
+    /// Distinct (function, class, window, thresholds) operands prepared —
+    /// window cropped, custom features rebuilt — by evaluate dispatches
+    /// (counter).
+    pub const CORE_OPERANDS_PREPARED: &str = "core.operands_prepared";
+    /// Unit-task operand reads served by an already prepared operand
+    /// (counter): `2 · tasks − operands_prepared` per dispatch.
+    pub const CORE_OPERAND_REUSES: &str = "core.operand_reuses";
+
     /// Bytes read from `.plst` stores through `SegmentSource` (counter).
     pub const STORE_BYTES_FETCHED: &str = "store.bytes_fetched";
     /// Lazy segment faults: segments decoded on demand (counter).
@@ -145,6 +156,9 @@ pub mod names {
         CORE_STAGE_EXPAND_NS,
         CORE_STAGE_EVALUATE_NS,
         CORE_STAGE_ASSEMBLE_NS,
+        CORE_PERMUTATIONS_RUN,
+        CORE_OPERANDS_PREPARED,
+        CORE_OPERAND_REUSES,
         STORE_BYTES_FETCHED,
         STORE_SEGMENT_FAULTS,
         STORE_SEGMENT_CACHE_HITS,

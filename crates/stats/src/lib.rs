@@ -27,6 +27,4 @@ pub use baselines::{
 };
 pub use descriptive::{iqr, mean, quantile, stddev, variance, z_normalize, Summary};
 pub use kmeans::{two_means_1d, TwoMeans};
-pub use permutation::{
-    graph_toroidal_shift, p_value, spatiotemporal_shift, temporal_rotation, MonteCarlo, Tail,
-};
+pub use permutation::{graph_toroidal_shift, p_value, GraphShifter, MonteCarlo, Tail, TailCounts};

@@ -13,9 +13,12 @@
 //!   [`graph_toroidal_shift`];
 //! * space and time compose via [`spatiotemporal_shift`].
 //!
-//! All shifts are returned as explicit vertex permutations `perm[v] = image`
-//! over the domain graph, which the relationship evaluator applies to one
-//! function's feature bit vector before re-scoring.
+//! The relationship evaluator draws only the *region* permutation
+//! ([`GraphShifter`]) and the rotation amount, and counts the shifted
+//! intersections word-wise without moving a bit. The dense vertex
+//! permutations `perm[v] = image` over the whole space × time domain
+//! ([`temporal_rotation`], [`spatiotemporal_shift`]) are the definition
+//! those counts are tested against; no query path builds one.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -37,21 +40,60 @@ pub enum Tail {
     TwoSided,
 }
 
+/// Running tail tallies of a permutation distribution against one observed
+/// value — the paper's estimator (Eq. 4) without keeping the scores.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TailCounts {
+    observed: f64,
+    lower: usize,
+    upper: usize,
+    total: usize,
+}
+
+impl TailCounts {
+    /// No permutations seen yet.
+    pub fn new(observed: f64) -> Self {
+        Self {
+            observed,
+            lower: 0,
+            upper: 0,
+            total: 0,
+        }
+    }
+
+    /// Tallies one permuted score.
+    #[inline]
+    pub fn push(&mut self, x: f64) {
+        self.lower += usize::from(x <= self.observed);
+        self.upper += usize::from(x >= self.observed);
+        self.total += 1;
+    }
+
+    /// The p-value under `tail`; no continuity correction, and an empty
+    /// permutation set yields `p = 1` (never significant).
+    pub fn p_value(&self, tail: Tail) -> f64 {
+        if self.total == 0 {
+            return 1.0;
+        }
+        let m = self.total as f64;
+        let lower = self.lower as f64 / m;
+        let upper = self.upper as f64 / m;
+        match tail {
+            Tail::Lower => lower,
+            Tail::Upper => upper,
+            Tail::TwoSided => (2.0 * lower.min(upper)).min(1.0),
+        }
+    }
+}
+
 /// Monte Carlo p-value of `observed` against the permutation distribution
-/// `permuted`. Uses the paper's estimator (Eq. 4) with no continuity
-/// correction; an empty permutation set yields `p = 1` (never significant).
+/// `permuted` (see [`TailCounts`]).
 pub fn p_value(observed: f64, permuted: &[f64], tail: Tail) -> f64 {
-    if permuted.is_empty() {
-        return 1.0;
+    let mut counts = TailCounts::new(observed);
+    for &x in permuted {
+        counts.push(x);
     }
-    let m = permuted.len() as f64;
-    let lower = permuted.iter().filter(|&&x| x <= observed).count() as f64 / m;
-    let upper = permuted.iter().filter(|&&x| x >= observed).count() as f64 / m;
-    match tail {
-        Tail::Lower => lower,
-        Tail::Upper => upper,
-        Tail::TwoSided => (2.0 * lower.min(upper)).min(1.0),
-    }
+    counts.p_value(tail)
 }
 
 /// Configuration for a Monte Carlo significance test.
@@ -91,7 +133,9 @@ impl MonteCarlo {
 /// space fixed: vertex `(x, z)` maps to `(x, (z + shift) mod n_steps)`.
 ///
 /// This is the 1-D toroidal wrap of Section 4 ("Restricted Monte Carlo
-/// Tests for Temporal Correlation") extended to any number of regions.
+/// Tests for Temporal Correlation") extended to any number of regions — the
+/// definition the evaluator's rotation counts are tested against, not
+/// something a query builds.
 pub fn temporal_rotation(n_regions: usize, n_steps: usize, shift: usize) -> Vec<u32> {
     let mut perm = vec![0u32; n_regions * n_steps];
     for z in 0..n_steps {
@@ -112,75 +156,110 @@ pub fn temporal_rotation(n_regions: usize, n_steps: usize, shift: usize) -> Vec<
 /// are paired with the remaining unused images at random. The result is a
 /// bijection on `0..n` that preserves adjacency for most pairs.
 pub fn graph_toroidal_shift<R: Rng + ?Sized>(adjacency: &[Vec<u32>], rng: &mut R) -> Vec<u32> {
-    let n = adjacency.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if n == 1 {
-        return vec![0];
-    }
-    let mut image: Vec<Option<u32>> = vec![None; n];
-    let mut used = vec![false; n];
-    let mut queue = VecDeque::new();
+    GraphShifter::default().draw(adjacency, rng).to_vec()
+}
 
-    // Seed every connected component (BFS restart) so disconnected graphs
-    // are fully covered.
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.shuffle(rng);
-    for &start in &order {
-        if image[start as usize].is_some() {
-            continue;
-        }
-        // Random unused image for the component seed.
-        let v0 = loop {
-            let cand = rng.gen_range(0..n);
-            if !used[cand] {
-                break cand as u32;
-            }
-        };
-        image[start as usize] = Some(v0);
-        used[v0 as usize] = true;
-        queue.push_back(start);
-        while let Some(u) = queue.pop_front() {
-            let v = image[u as usize].expect("assigned before enqueue");
-            // Unused neighbours of the image, consumed in order.
-            let targets: Vec<u32> = adjacency[v as usize]
-                .iter()
-                .copied()
-                .filter(|&b| !used[b as usize])
-                .collect();
-            let mut targets = targets.into_iter();
-            for &a in &adjacency[u as usize] {
-                if image[a as usize].is_some() {
-                    continue;
-                }
-                if let Some(b) = targets.next() {
-                    image[a as usize] = Some(b);
-                    used[b as usize] = true;
-                    queue.push_back(a);
-                }
-                // "Where applicable": if the image has no free neighbours
-                // left, `a` stays unassigned and is fixed up below.
-            }
-        }
-    }
+/// [`graph_toroidal_shift`] with its buffers kept between draws: after the
+/// first draw on a graph, further draws on it allocate nothing. The random
+/// draws are the same, in the same order, whether or not buffers are reused.
+#[derive(Debug, Default)]
+pub struct GraphShifter {
+    /// `perm[u]` is the image of `u`, [`Self::UNASSIGNED`] while open.
+    perm: Vec<u32>,
+    used: Vec<bool>,
+    queue: VecDeque<u32>,
+    order: Vec<u32>,
+    targets: Vec<u32>,
+    free: Vec<u32>,
+}
 
-    // Randomly pair leftovers with leftover images.
-    let unassigned: Vec<usize> = (0..n).filter(|&i| image[i].is_none()).collect();
-    let mut free: Vec<u32> = (0..n as u32).filter(|&i| !used[i as usize]).collect();
-    free.shuffle(rng);
-    debug_assert_eq!(unassigned.len(), free.len());
-    for (i, b) in unassigned.into_iter().zip(free) {
-        image[i] = Some(b);
+impl GraphShifter {
+    const UNASSIGNED: u32 = u32::MAX;
+
+    /// Draws one shift of `adjacency`; the slice is valid until the next
+    /// draw.
+    pub fn draw<R: Rng + ?Sized>(&mut self, adjacency: &[Vec<u32>], rng: &mut R) -> &[u32] {
+        let n = adjacency.len();
+        self.perm.clear();
+        if n <= 1 {
+            self.perm.resize(n, 0);
+            return &self.perm;
+        }
+        self.perm.resize(n, Self::UNASSIGNED);
+        self.used.clear();
+        self.used.resize(n, false);
+        self.queue.reserve(n);
+        self.targets.reserve(n);
+        let Self {
+            perm,
+            used,
+            queue,
+            order,
+            targets,
+            free,
+        } = self;
+
+        // Seed every connected component (BFS restart) so disconnected graphs
+        // are fully covered.
+        order.clear();
+        order.extend(0..n as u32);
+        order.shuffle(rng);
+        for &start in order.iter() {
+            if perm[start as usize] != Self::UNASSIGNED {
+                continue;
+            }
+            // Random unused image for the component seed.
+            let v0 = loop {
+                let cand = rng.gen_range(0..n);
+                if !used[cand] {
+                    break cand as u32;
+                }
+            };
+            perm[start as usize] = v0;
+            used[v0 as usize] = true;
+            queue.push_back(start);
+            while let Some(u) = queue.pop_front() {
+                let v = perm[u as usize];
+                // Unused neighbours of the image, consumed in order.
+                targets.clear();
+                targets.extend(
+                    adjacency[v as usize]
+                        .iter()
+                        .copied()
+                        .filter(|&b| !used[b as usize]),
+                );
+                let mut targets = targets.iter().copied();
+                for &a in &adjacency[u as usize] {
+                    if perm[a as usize] != Self::UNASSIGNED {
+                        continue;
+                    }
+                    if let Some(b) = targets.next() {
+                        perm[a as usize] = b;
+                        used[b as usize] = true;
+                        queue.push_back(a);
+                    }
+                    // "Where applicable": if the image has no free neighbours
+                    // left, `a` stays unassigned and is fixed up below.
+                }
+            }
+        }
+
+        // Randomly pair leftovers with leftover images.
+        free.clear();
+        free.extend((0..n as u32).filter(|&i| !used[i as usize]));
+        free.shuffle(rng);
+        let mut free = free.iter().copied();
+        for image in perm.iter_mut().filter(|p| **p == Self::UNASSIGNED) {
+            *image = free.next().expect("as many free images as open vertices");
+        }
+        debug_assert!(free.next().is_none());
+        perm
     }
-    image
-        .into_iter()
-        .map(|v| v.expect("all assigned"))
-        .collect()
 }
 
 /// Composes a spatial region permutation with a temporal rotation into a
-/// vertex permutation over the full space × time domain.
+/// vertex permutation over the full space × time domain (like
+/// [`temporal_rotation`], the tested-against definition only).
 pub fn spatiotemporal_shift(spatial_perm: &[u32], n_steps: usize, time_shift: usize) -> Vec<u32> {
     let n_regions = spatial_perm.len();
     let mut perm = vec![0u32; n_regions * n_steps];
@@ -336,6 +415,94 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let perm = graph_toroidal_shift(&adj, &mut rng);
         assert!(is_permutation(&perm));
+    }
+
+    /// The allocating formulation [`GraphShifter`] replaced, kept as the
+    /// reference for its draw order: a fresh buffer for everything, images
+    /// as `Option`s, leftovers collected before pairing.
+    fn reference_graph_shift(adjacency: &[Vec<u32>], rng: &mut SmallRng) -> Vec<u32> {
+        let n = adjacency.len();
+        if n <= 1 {
+            return vec![0; n];
+        }
+        let mut image: Vec<Option<u32>> = vec![None; n];
+        let mut used = vec![false; n];
+        let mut queue = VecDeque::new();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.shuffle(rng);
+        for &start in &order {
+            if image[start as usize].is_some() {
+                continue;
+            }
+            let v0 = loop {
+                let cand = rng.gen_range(0..n);
+                if !used[cand] {
+                    break cand as u32;
+                }
+            };
+            image[start as usize] = Some(v0);
+            used[v0 as usize] = true;
+            queue.push_back(start);
+            while let Some(u) = queue.pop_front() {
+                let v = image[u as usize].expect("assigned before enqueue");
+                let targets: Vec<u32> = adjacency[v as usize]
+                    .iter()
+                    .copied()
+                    .filter(|&b| !used[b as usize])
+                    .collect();
+                let mut targets = targets.into_iter();
+                for &a in &adjacency[u as usize] {
+                    if image[a as usize].is_some() {
+                        continue;
+                    }
+                    if let Some(b) = targets.next() {
+                        image[a as usize] = Some(b);
+                        used[b as usize] = true;
+                        queue.push_back(a);
+                    }
+                }
+            }
+        }
+        let unassigned: Vec<usize> = (0..n).filter(|&i| image[i].is_none()).collect();
+        let mut free: Vec<u32> = (0..n as u32).filter(|&i| !used[i as usize]).collect();
+        free.shuffle(rng);
+        for (i, b) in unassigned.into_iter().zip(free) {
+            image[i] = Some(b);
+        }
+        image
+            .into_iter()
+            .map(|v| v.expect("all assigned"))
+            .collect()
+    }
+
+    #[test]
+    fn reused_shifter_draws_what_the_allocating_reference_draws() {
+        // Grids, isolated vertices, a grid with a hole and disjoint
+        // components; one shifter reused across all of them, both
+        // generators advanced in lock step.
+        let mut graphs = vec![
+            grid_adjacency(1, 1),
+            grid_adjacency(5, 5),
+            grid_adjacency(9, 3),
+            vec![Vec::new(); 7],
+        ];
+        let mut lumpy = grid_adjacency(4, 4);
+        for nbrs in &mut lumpy {
+            nbrs.retain(|&b| b != 5);
+        }
+        lumpy[5].clear();
+        lumpy.extend(vec![Vec::new(); 3]);
+        graphs.push(lumpy);
+        let mut shifter = GraphShifter::default();
+        let mut ours = SmallRng::seed_from_u64(99);
+        let mut theirs = SmallRng::seed_from_u64(99);
+        for round in 0..40 {
+            for adj in &graphs {
+                let expected = reference_graph_shift(adj, &mut theirs);
+                assert_eq!(shifter.draw(adj, &mut ours), &expected[..], "round {round}");
+            }
+        }
+        assert_eq!(ours.gen_range(0..u64::MAX), theirs.gen_range(0..u64::MAX));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! as a bit vector so that intersections reduce to word-level ANDs
 //! (Appendix C). This implementation provides exactly the operations the
 //! relationship evaluator needs: set/get, population count, intersection
-//! counts, and applying a vertex permutation (for the restricted Monte Carlo
-//! tests).
+//! counts, window slicing, and the time-major → region-major re-layout the
+//! restricted Monte Carlo tests count spatial shifts on. Everything that
+//! runs per query works a word at a time.
 
 use serde::{Deserialize, Serialize};
 
@@ -97,43 +98,79 @@ impl BitVec {
         }
     }
 
-    /// New vector with the bits moved through `perm`: output bit `perm[i]`
-    /// equals input bit `i`. `perm` must be a bijection on `0..len`.
-    pub fn permuted(&self, perm: &[u32]) -> BitVec {
-        debug_assert_eq!(perm.len(), self.len);
-        let mut out = BitVec::zeros(self.len);
-        for i in self.iter_ones() {
-            out.set(perm[i] as usize);
-        }
-        out
-    }
-
     /// Extracts bits `[start, end)` as a new vector (bit `start` becomes
     /// bit 0). Used to crop feature sets to the overlap window of two
     /// functions whose time ranges differ.
     pub fn slice(&self, start: usize, end: usize) -> BitVec {
         debug_assert!(start <= end && end <= self.len);
         let mut out = BitVec::zeros(end - start);
-        // Word-aligned fast path when start is a multiple of 64.
         if start % 64 == 0 {
             let w0 = start / 64;
             let n_words = out.words.len();
             out.words.copy_from_slice(&self.words[w0..w0 + n_words]);
-            // Mask tail bits beyond the new length.
-            let tail = out.len % 64;
-            if tail != 0 {
-                if let Some(last) = out.words.last_mut() {
-                    *last &= (1u64 << tail) - 1;
-                }
-            }
         } else {
-            for i in start..end {
-                if self.get(i) {
-                    out.set(i - start);
-                }
+            for (k, w) in out.words.iter_mut().enumerate() {
+                *w = funnel_word(&self.words, start + 64 * k);
+            }
+        }
+        // Either path copies whole words: drop the source bits past `end`.
+        let tail = out.len % 64;
+        if tail != 0 {
+            if let Some(last) = out.words.last_mut() {
+                *last &= (1u64 << tail) - 1;
             }
         }
         out
+    }
+
+    /// Re-lays a time-major `n_regions × n_steps` vector (bit
+    /// `z * n_regions + x` is region `x` at step `z`) as one `n_steps`-bit
+    /// row per region, so a spatial shift σ pairs whole rows:
+    /// `Σ_x |row_l[x] ∧ row_r[σ(x)]|`.
+    ///
+    /// Works in 64 × 64 blocks: 64 steps of up to 64 regions are gathered
+    /// with one funnel shift per step, bit-transposed in registers, and
+    /// stored as one word of each region's row. Fewer than 33 regions leave
+    /// room in the block, so it takes several runs of 64 steps side by side
+    /// (two for 17–32 regions, four for 9–16, …) and one transpose yields
+    /// that many words per row.
+    pub fn region_major(&self, n_regions: usize, n_steps: usize) -> Vec<BitVec> {
+        assert_eq!(
+            self.len,
+            n_regions * n_steps,
+            "not an n_regions × n_steps vector"
+        );
+        let mut rows = vec![BitVec::zeros(n_steps); n_regions];
+        let width = n_regions.clamp(1, 64).next_power_of_two();
+        let runs = 64 / width;
+        let row_words = n_steps.div_ceil(64);
+        for x0 in (0..n_regions).step_by(64) {
+            let xn = (n_regions - x0).min(64);
+            let mask = u64::MAX >> (64 - xn);
+            for z0 in (0..n_steps).step_by(64 * runs) {
+                let mut block = [0u64; 64];
+                let mut any = 0;
+                for (run, zs) in (z0..n_steps).step_by(64).take(runs).enumerate() {
+                    let zn = (n_steps - zs).min(64);
+                    for (dz, slot) in block[..zn].iter_mut().enumerate() {
+                        let bits = funnel_word(&self.words, (zs + dz) * n_regions + x0) & mask;
+                        *slot |= bits << (run * width);
+                        any |= bits;
+                    }
+                }
+                if any == 0 {
+                    continue; // rows start out zero
+                }
+                transpose64(&mut block);
+                let w0 = z0 / 64;
+                for (run, words) in block.chunks(width).take(row_words - w0).enumerate() {
+                    for (dx, &word) in words[..xn].iter().enumerate() {
+                        rows[x0 + dx].words[w0 + run] = word;
+                    }
+                }
+            }
+        }
+        rows
     }
 
     /// Iterates indices of set bits in increasing order.
@@ -195,6 +232,36 @@ impl FromIterator<usize> for BitVec {
     }
 }
 
+/// The 64 bits of `words` starting at bit offset `bit` (bit `bit` lands in
+/// bit 0), zero-padded past the last word: a two-word funnel shift.
+#[inline]
+pub(crate) fn funnel_word(words: &[u64], bit: usize) -> u64 {
+    let (w, o) = (bit / 64, bit % 64);
+    // `(x << 1) << (63 - o)` is `x << (64 - o)` that also holds at `o == 0`.
+    let hi = words.get(w + 1).map_or(0, |&x| (x << 1) << (63 - o));
+    (words[w] >> o) | hi
+}
+
+/// Transposes a 64 × 64 bit matrix in place (row `i` is `a[i]`, column `j`
+/// is bit `j`): recursive block swaps, 6 rounds of 32 masked exchanges.
+fn transpose64(a: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut mask = 0x0000_0000_FFFF_FFFFu64;
+    while j != 0 {
+        let mut k = 0;
+        while k < 64 {
+            // Swap the high `j` columns of row `k` with the low `j`
+            // columns of row `k + j`, within every 2j-wide column group.
+            let t = ((a[k] >> j) ^ a[k + j]) & mask;
+            a[k] ^= t << j;
+            a[k + j] ^= t;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        mask ^= mask << j;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,17 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn permuted_moves_bits() {
-        let mut bv = BitVec::zeros(4);
-        bv.set(0);
-        bv.set(2);
-        // reverse permutation
-        let out = bv.permuted(&[3, 2, 1, 0]);
-        assert!(out.get(3) && out.get(1));
-        assert_eq!(out.count_ones(), 2);
-    }
-
-    #[test]
     fn from_iter_collects() {
         let bv: BitVec = [3usize, 7, 1].into_iter().collect();
         assert_eq!(bv.len(), 8);
@@ -299,6 +355,99 @@ mod tests {
         let s = bv.slice(64, 96); // aligned start, tail within word
         assert_eq!(s.count_ones(), 1);
         assert!(s.get(0));
+    }
+
+    /// A dense-ish deterministic pattern with no 64-bit period.
+    fn pattern(len: usize) -> BitVec {
+        let mut bv = BitVec::zeros(len);
+        for i in (0..len).filter(|i| (i * i + i / 7) % 3 == 0) {
+            bv.set(i);
+        }
+        bv
+    }
+
+    /// `slice` against a per-bit copy, plus the tail-mask invariant: the
+    /// words must survive `from_words`, which rejects stray bits past `len`.
+    fn assert_slice_matches_per_bit(bv: &BitVec, start: usize, end: usize) {
+        let s = bv.slice(start, end);
+        assert_eq!(s.len(), end - start);
+        for i in start..end {
+            assert_eq!(s.get(i - start), bv.get(i), "bit {i} of [{start}, {end})");
+        }
+        let back = BitVec::from_words(s.len(), s.words().to_vec());
+        assert_eq!(
+            back.as_ref(),
+            Some(&s),
+            "stray bits past len in [{start}, {end})"
+        );
+    }
+
+    #[test]
+    fn slice_unaligned_edges() {
+        let bv = pattern(200); // last word holds 8 bits
+        for (start, end) in [
+            (1, 200),   // unaligned, ends exactly at len, in the partial word
+            (63, 200),  // crosses every word boundary
+            (130, 199), // starts and ends inside the last (partial) word
+            (65, 129),  // 64 bits, none aligned
+            (5, 6),     // 1-bit window
+            (199, 200), // the last bit alone
+            (77, 77),   // 0-bit window, unaligned
+            (200, 200), // 0-bit window at len
+            (64, 200),  // aligned start, partial last word
+        ] {
+            assert_slice_matches_per_bit(&bv, start, end);
+        }
+        // A source that is a whole number of words, read to its end.
+        let full = pattern(256);
+        assert_slice_matches_per_bit(&full, 3, 256);
+        assert_slice_matches_per_bit(&full, 193, 256);
+    }
+
+    #[test]
+    fn transpose64_matches_per_bit() {
+        let mut a = [0u64; 64];
+        for (i, w) in a.iter_mut().enumerate() {
+            *w = (i as u64 + 1)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .rotate_left(i as u32);
+        }
+        let mut t = a;
+        transpose64(&mut t);
+        for (i, &row) in a.iter().enumerate() {
+            for (j, &col) in t.iter().enumerate() {
+                assert_eq!((row >> j) & 1, (col >> i) & 1, "({i}, {j})");
+            }
+        }
+    }
+
+    #[test]
+    fn region_major_matches_per_bit() {
+        for (n_regions, n_steps) in [
+            (1, 1),
+            (1, 130),
+            (3, 64),
+            (25, 200),
+            (2, 5_000),
+            (9, 700),
+            (16, 1_025),
+            (64, 65),
+            (65, 63),
+            (130, 70),
+            (7, 0),
+            (0, 9),
+        ] {
+            let bv = pattern(n_regions * n_steps);
+            let rows = bv.region_major(n_regions, n_steps);
+            assert_eq!(rows.len(), n_regions);
+            for (x, row) in rows.iter().enumerate() {
+                assert_eq!(row.len(), n_steps);
+                for z in 0..n_steps {
+                    assert_eq!(row.get(z), bv.get(z * n_regions + x), "({x}, {z})");
+                }
+                assert!(BitVec::from_words(n_steps, row.words().to_vec()).is_some());
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! framework precomputes both the salient and the extreme feature sets per
 //! scalar function during indexing and stores them as bit vectors.
 
-use crate::bitvec::BitVec;
+use crate::bitvec::{funnel_word, BitVec};
 use crate::graph::DomainGraph;
 use crate::level_set::{sub_level_set_seasonal, super_level_set_seasonal};
 use crate::merge_tree::MergeTree;
@@ -67,13 +67,86 @@ impl FeatureSet {
         self.pos.or_count(&self.neg)
     }
 
-    /// Applies a domain permutation to both sides (for restricted Monte
-    /// Carlo randomisation).
-    pub fn permuted(&self, perm: &[u32]) -> FeatureSet {
-        FeatureSet {
-            pos: self.pos.permuted(perm),
-            neg: self.neg.permuted(perm),
+    /// `(#p, #n)` against `other` after rotating this set by `shift` on
+    /// the circle of its `len` bits (bit `z` moves to `(z + shift) % len`):
+    /// points whose feature signs agree, and points whose signs disagree.
+    ///
+    /// The restricted Monte Carlo test's inner step. Nothing is moved: the
+    /// rotation splits both circles into two arcs that line up again,
+    /// `self[0..len-s]` with `other[s..len]` and `self[len-s..len]` with
+    /// `other[0..s]`, and each pair of arcs is counted word-wise.
+    pub fn rotated_related_counts(&self, other: &FeatureSet, shift: usize) -> (usize, usize) {
+        let len = self.pos.len();
+        debug_assert_eq!(len, other.pos.len());
+        if len == 0 {
+            return (0, 0);
         }
+        let s = shift % len;
+        let (p0, n0) = self.related_counts_range(0, other, s, len - s);
+        let (p1, n1) = self.related_counts_range(len - s, other, 0, s);
+        (p0 + p1, n0 + n1)
+    }
+
+    /// `(#p, #n)` between bits `[l0, l0 + len)` of this set and bits
+    /// `[r0, r0 + len)` of `other`.
+    fn related_counts_range(
+        &self,
+        l0: usize,
+        other: &FeatureSet,
+        r0: usize,
+        len: usize,
+    ) -> (usize, usize) {
+        if len == 0 {
+            return (0, 0);
+        }
+        let (lp, ln) = (self.pos.words(), self.neg.words());
+        let (rp, rn) = (other.pos.words(), other.neg.words());
+        let counts = |p1: u64, n1: u64, p2: u64, n2: u64| {
+            (
+                ((p1 & p2).count_ones() + (n1 & n2).count_ones()) as usize,
+                ((p1 & n2).count_ones() + (n1 & p2).count_ones()) as usize,
+            )
+        };
+        let (mut same, mut opposite) = (0usize, 0usize);
+        // Every 64-bit step but the last has its funnel shift's second word
+        // in bounds, so those run over plain slices with no per-word checks.
+        let n_words = len.div_ceil(64);
+        let bulk = n_words - 1;
+        fn steps(words: &[u64], bit: usize, bulk: usize) -> impl Iterator<Item = u64> + '_ {
+            let (w, o) = (bit / 64, bit % 64);
+            let (lo, hi) = (&words[w..w + bulk], &words[w + 1..w + 1 + bulk]);
+            lo.iter()
+                .zip(hi)
+                .map(move |(&lo, &hi)| (lo >> o) | ((hi << 1) << (63 - o)))
+        }
+        let lefts = steps(lp, l0, bulk).zip(steps(ln, l0, bulk));
+        let rights = steps(rp, r0, bulk).zip(steps(rn, r0, bulk));
+        for ((p1, n1), (p2, n2)) in lefts.zip(rights) {
+            let (s, o) = counts(p1, n1, p2, n2);
+            same += s;
+            opposite += o;
+        }
+        // The last step may end both the range and the vectors.
+        let (l, r) = (l0 + 64 * bulk, r0 + 64 * bulk);
+        let mask = u64::MAX >> (64 * n_words - len);
+        let (s, o) = counts(
+            funnel_word(lp, l) & mask,
+            funnel_word(ln, l) & mask,
+            funnel_word(rp, r),
+            funnel_word(rn, r),
+        );
+        (same + s, opposite + o)
+    }
+
+    /// Both sides re-laid as one `n_steps`-bit row per region (see
+    /// [`BitVec::region_major`]).
+    pub fn region_major(&self, n_regions: usize, n_steps: usize) -> Vec<FeatureSet> {
+        let pos = self.pos.region_major(n_regions, n_steps);
+        let neg = self.neg.region_major(n_regions, n_steps);
+        pos.into_iter()
+            .zip(neg)
+            .map(|(pos, neg)| FeatureSet { pos, neg })
+            .collect()
     }
 
     /// Crops both sides to the vertex range `[start, end)` — used to align
@@ -223,16 +296,55 @@ mod tests {
     }
 
     #[test]
-    fn permuted_preserves_counts() {
-        let (g, f) = spiky();
-        let fs = feature_sets(&g, &f);
-        let n = g.vertex_count();
-        let perm: Vec<u32> = (0..n as u32).map(|v| (v + 17) % n as u32).collect();
-        let p = fs.salient.permuted(&perm);
-        assert_eq!(p.pos.count_ones(), fs.salient.pos.count_ones());
-        assert_eq!(p.neg.count_ones(), fs.salient.neg.count_ones());
-        // Peak at 30 moved to 47.
-        assert!(p.pos.get(47));
+    fn rotated_counts_match_a_moved_copy() {
+        // Overlapping pos/neg on purpose: the counts are per sign pair.
+        for len in [0usize, 1, 2, 63, 64, 65, 200] {
+            let mut a = FeatureSet::empty(len);
+            let mut b = FeatureSet::empty(len);
+            for i in 0..len {
+                if i % 3 == 0 {
+                    a.pos.set(i);
+                }
+                if (i * i) % 5 < 2 {
+                    a.neg.set(i);
+                }
+                if i % 4 < 2 {
+                    b.pos.set(i);
+                }
+                if (i / 3) % 3 == 0 {
+                    b.neg.set(i);
+                }
+            }
+            for shift in [
+                0,
+                1,
+                2,
+                63,
+                64,
+                65,
+                len / 2,
+                len.saturating_sub(1),
+                len,
+                len + 3,
+            ] {
+                let mut moved = FeatureSet::empty(len);
+                for i in 0..len {
+                    if a.pos.get(i) {
+                        moved.pos.set((i + shift) % len);
+                    }
+                    if a.neg.get(i) {
+                        moved.neg.set((i + shift) % len);
+                    }
+                }
+                let same = moved.pos.and_count(&b.pos) + moved.neg.and_count(&b.neg);
+                let opposite = moved.pos.and_count(&b.neg) + moved.neg.and_count(&b.pos);
+                assert_eq!(
+                    a.rotated_related_counts(&b, shift),
+                    (same, opposite),
+                    "len {len}, shift {shift}"
+                );
+            }
+        }
     }
 
     #[test]
