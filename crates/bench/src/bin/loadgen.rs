@@ -4,13 +4,11 @@
 //! loadgen --addr HOST:PORT --file <queries.pql> [--clients N] [--requests N] [--print] [--metrics]
 //! loadgen --addr HOST:PORT --metrics
 //! loadgen --addr HOST:PORT --shutdown
-//! loadgen --self-serve <store.plst> --file <queries.pql> [--clients N] [--requests N]
 //! ```
 //!
-//! **External mode** (`--addr`): every client opens its own connection
-//! and sends the whole batch file as one request, `--requests` times
-//! (default 1), concurrently — the traffic shape the daemon's coalescer
-//! exists for. All responses are asserted byte-identical across clients
+//! Every client opens its own connection and sends the whole batch file
+//! as one request, `--requests` times (default 1), concurrently — the
+//! traffic shape the daemon's coalescer exists for. All responses are asserted byte-identical across clients
 //! and repeats (the determinism guarantee of `docs/serving.md` §8); with
 //! `--print`, exactly one copy of the response JSONL goes to stdout, so
 //! CI can `diff` it against the offline
@@ -27,14 +25,11 @@
 //! — the reconciliation CI relies on, so it is only meaningful against a
 //! dedicated, otherwise-idle daemon. Given without `--file`, `--metrics`
 //! just fetches the snapshot and prints its JSON to stdout.
-//!
-//! **Self-serve mode** (`--self-serve`): starts the daemon in-process
-//! over the given store — twice, coalescing on and off, fresh cold-cache
-//! sessions — drives it with the same client fleet, and reports
-//! served-queries/sec for both dispatch modes. This is the measurement
-//! that fills the `serving` section of the committed `BENCH_*.json`
-//! snapshots.
 
+#[path = "../../../serve/src/cli_args.rs"]
+mod cli_args;
+
+use cli_args::Args;
 use polygamy_obs::{names, Histogram, LATENCY_BUCKETS_US};
 use polygamy_serve::{Client, Response};
 use std::process::ExitCode;
@@ -53,68 +48,56 @@ fn main() -> ExitCode {
     }
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn usage() -> String {
     "usage:\n\
      \x20 loadgen --addr HOST:PORT --file <queries.pql> [--clients N] [--requests N] [--print] [--metrics]\n\
      \x20 loadgen --addr HOST:PORT --metrics\n\
-     \x20 loadgen --addr HOST:PORT --shutdown\n\
-     \x20 loadgen --self-serve <store.plst> --file <queries.pql> [--clients N] [--requests N]"
+     \x20 loadgen --addr HOST:PORT --shutdown"
         .into()
 }
 
 fn run(args: &[String]) -> Result<(), String> {
-    let clients: usize = match flag_value(args, "--clients") {
-        Some(v) => v
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or("--clients expects a positive integer")?,
-        None => 4,
-    };
-    let requests: usize = match flag_value(args, "--requests") {
-        Some(v) => v
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or("--requests expects a positive integer")?,
-        None => 1,
-    };
-    if let Some(store) = flag_value(args, "--self-serve") {
-        let file = flag_value(args, "--file").ok_or_else(usage)?;
-        return self_serve(&store, &file, clients, requests);
+    let args = Args::parse(
+        "",
+        args,
+        &["--print", "--metrics", "--shutdown"],
+        &["--addr", "--file", "--clients", "--requests"],
+    )?;
+    if let Some(stray) = args.positionals().first() {
+        return Err(format!("unexpected argument {stray}\n{}", usage()));
     }
-    let addr = flag_value(args, "--addr").ok_or_else(usage)?;
-    if args.iter().any(|a| a == "--shutdown") {
-        let client = Client::connect_retry(addr.as_str(), Duration::from_secs(10))
-            .map_err(|e| e.to_string())?;
+    let clients: usize = args
+        .parsed("--clients", "a positive integer", |&n| n > 0)?
+        .unwrap_or(4);
+    let requests: usize = args
+        .parsed("--requests", "a positive integer", |&n| n > 0)?
+        .unwrap_or(1);
+    let addr = args.value("--addr").ok_or_else(usage)?;
+    if args.has("--shutdown") {
+        let client =
+            Client::connect_retry(addr, Duration::from_secs(10)).map_err(|e| e.to_string())?;
         client.shutdown_server().map_err(|e| e.to_string())?;
         eprintln!("loadgen: server acknowledged drain");
         return Ok(());
     }
-    let metrics = args.iter().any(|a| a == "--metrics");
-    let file = match flag_value(args, "--file") {
+    let metrics = args.has("--metrics");
+    let file = match args.value("--file") {
         Some(f) => f,
         // A bare metrics probe: fetch the snapshot and print its JSON.
         None if metrics => {
-            let snap = fetch_metrics(&addr)?;
+            let snap = fetch_metrics(addr)?;
             println!("{}", snap.to_json());
             return Ok(());
         }
         None => return Err(usage()),
     };
-    let batch = std::fs::read_to_string(&file).map_err(|e| format!("cannot read {file}: {e}"))?;
-    external(
-        &addr,
+    let batch = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+    drive_and_report(
+        addr,
         &batch,
         clients,
         requests,
-        args.iter().any(|a| a == "--print"),
+        args.has("--print"),
         metrics,
     )
 }
@@ -167,7 +150,7 @@ fn drive(addr: &str, batch: &str, clients: usize, requests: usize) -> Result<Vec
     Ok(all)
 }
 
-fn external(
+fn drive_and_report(
     addr: &str,
     batch: &str,
     clients: usize,
@@ -274,36 +257,6 @@ fn reconcile_metrics(addr: &str, sent_queries: u64) -> Result<(), String> {
          {} dispatch(es), mean batch {:.2}",
         sizes.count(),
         sizes.mean()
-    );
-    Ok(())
-}
-
-fn self_serve(store: &str, file: &str, clients: usize, requests: usize) -> Result<(), String> {
-    let batch = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-    // One query per line, like the wire protocol: the fleet sends single
-    // queries so the coalescer has something to merge.
-    let queries: Vec<String> = batch
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(String::from)
-        .collect();
-    let m = polygamy_bench::serving::measure_serving(
-        std::path::Path::new(store),
-        clients,
-        requests,
-        &queries,
-    )?;
-    println!(
-        "served-queries/sec: coalesced {:.1}, serial {:.1} ({}x{} requests, {} queries, \
-         {} coalesced dispatches, mean batch {:.2})",
-        m.qps_coalesced,
-        m.qps_serial,
-        m.clients,
-        requests,
-        m.queries_total,
-        m.coalesced.batches,
-        m.coalesced.mean_batch()
     );
     Ok(())
 }

@@ -15,8 +15,6 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-pub mod serving;
-pub mod snapshot;
 
 use std::fmt::Write as _;
 use std::time::Instant;

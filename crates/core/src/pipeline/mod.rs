@@ -14,4 +14,4 @@ pub mod features;
 pub mod scalar;
 
 pub use features::{field_features, identify_features};
-pub use scalar::{compute_scalar_functions, density_job};
+pub use scalar::compute_scalar_functions;

@@ -5,20 +5,11 @@
 //! Figure 6 — e.g. a GPS/second data set yields 3 spatial × 4 temporal
 //! resolutions for every function spec. Each (spec, resolution) unit is
 //! independent, so the job is a parallel map.
-//!
-//! [`density_job`] additionally provides the record-level map-reduce
-//! formulation (map tuples → `(cell, 1)`, combine, reduce to counts) that
-//! mirrors the paper's Hadoop job shape; it is exercised by tests and the
-//! cluster-scaling experiment, and must agree exactly with the columnar
-//! aggregation path.
 
 use crate::framework::CityGeometry;
 use crate::function::FunctionSpec;
-use polygamy_mapreduce::{par_map, run_job, Cluster, JobConfig, JobMetrics};
-use polygamy_stdata::{
-    aggregate, Dataset, Resolution, ResolutionDag, ScalarField, SpatialPartition,
-    TemporalResolution,
-};
+use polygamy_mapreduce::{par_map, Cluster};
+use polygamy_stdata::{aggregate, Dataset, Resolution, ResolutionDag, ScalarField};
 
 /// Computes every scalar function of `dataset` at every reachable
 /// resolution for which `geometry` has a partition.
@@ -55,72 +46,12 @@ pub fn compute_scalar_functions(
     .collect()
 }
 
-/// The record-level map-reduce density job: mirrors the paper's Hadoop
-/// implementation where the map phase assigns each tuple to its
-/// spatio-temporal cell and the reduce phase aggregates per cell.
-///
-/// Produces a field identical to the columnar
-/// [`polygamy_stdata::aggregate()`] path (tested), and returns the job
-/// metrics used by the speedup experiment.
-pub fn density_job(
-    cluster: Cluster,
-    dataset: &Dataset,
-    partition: &SpatialPartition,
-    temporal: TemporalResolution,
-) -> Option<(ScalarField, JobMetrics)> {
-    let (start, end) = dataset.time_range().ok()?;
-    let start_bucket = temporal.bucket_of(start);
-    let n_steps = temporal.buckets_in_range(start, end);
-    let n_regions = partition.len();
-    let resolution = Resolution::new(partition.resolution, temporal);
-
-    // Input splits: contiguous record ranges.
-    let n_chunks = (cluster.workers() * 4).max(1);
-    let chunk = dataset.len().div_ceil(n_chunks).max(1);
-    let ranges: Vec<(usize, usize)> = (0..dataset.len())
-        .step_by(chunk)
-        .map(|lo| (lo, (lo + chunk).min(dataset.len())))
-        .collect();
-
-    let times = dataset.times();
-    let locations = dataset.locations();
-    let use_native =
-        dataset.meta.spatial_resolution == partition.resolution && dataset.regions().is_some();
-    let (cells, metrics) = run_job(
-        cluster,
-        JobConfig::default(),
-        ranges,
-        |(lo, hi), emit: &mut dyn FnMut(u64, u64)| {
-            for i in lo..hi {
-                let region = if n_regions == 1 {
-                    Some(0u32)
-                } else if use_native {
-                    let r = dataset.regions().expect("checked")[i];
-                    ((r as usize) < n_regions).then_some(r)
-                } else {
-                    partition.locate(locations[i])
-                };
-                let Some(region) = region else { continue };
-                let step = (temporal.bucket_of(times[i]) - start_bucket) as usize;
-                emit(step as u64 * n_regions as u64 + region as u64, 1);
-            }
-        },
-        Some(|_k: &u64, vs: Vec<u64>| vs.into_iter().sum::<u64>()),
-        |_k, vs: Vec<u64>| vs.into_iter().sum::<u64>(),
-    );
-    let mut field = ScalarField::filled(resolution, n_regions, start_bucket, n_steps, 0.0);
-    for (cell, count) in cells {
-        field.values[cell as usize] = count as f64;
-    }
-    Some((field, metrics))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use polygamy_stdata::{
-        AttributeMeta, DatasetBuilder, DatasetMeta, FunctionKind, GeoPoint, Polygon,
-        SpatialResolution,
+        AttributeMeta, DatasetBuilder, DatasetMeta, GeoPoint, Polygon, SpatialPartition,
+        SpatialResolution, TemporalResolution,
     };
 
     fn geometry() -> CityGeometry {
@@ -188,48 +119,5 @@ mod tests {
         // 2 specs × 4 temporal × 1 spatial (city only).
         assert_eq!(out.len(), 8);
         assert!(out.iter().all(|(_, f)| f.n_regions == 1));
-    }
-
-    #[test]
-    fn density_job_matches_columnar_aggregate() {
-        let d = gps_dataset(2_000);
-        let geo = geometry();
-        for workers in [1, 4] {
-            let (field, metrics) = density_job(
-                Cluster::local(workers),
-                &d,
-                geo.neighborhood.as_ref().unwrap(),
-                TemporalResolution::Hour,
-            )
-            .unwrap();
-            let reference = aggregate(
-                &d,
-                geo.neighborhood.as_ref().unwrap(),
-                TemporalResolution::Hour,
-                FunctionKind::Density,
-                None,
-            )
-            .unwrap();
-            assert_eq!(field, reference, "workers={workers}");
-            assert!(metrics.records_mapped > 0);
-        }
-    }
-
-    #[test]
-    fn density_job_empty_dataset() {
-        let meta = DatasetMeta {
-            name: "empty".into(),
-            spatial_resolution: SpatialResolution::Gps,
-            temporal_resolution: TemporalResolution::Hour,
-            description: String::new(),
-        };
-        let d = DatasetBuilder::new(meta).build().unwrap();
-        assert!(density_job(
-            Cluster::local(1),
-            &d,
-            &geometry().city,
-            TemporalResolution::Hour
-        )
-        .is_none());
     }
 }

@@ -9,8 +9,11 @@
 //! *chunks* of task indices, which amortises counter and channel traffic
 //! when a caller schedules thousands of small tasks on one pool (the flat
 //! query executor's shape). Results are always assembled in task order, so
-//! output is independent of worker count and chunk size.
+//! output is independent of worker count and chunk size. [`par_map`] is
+//! the same pool over owned inputs.
 
+use crate::cluster::Cluster;
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs `f(i)` for every `i in 0..n_tasks` on `workers` threads and returns
@@ -80,6 +83,22 @@ where
         .collect()
 }
 
+/// Parallel map over owned inputs, results in input order — the shape of
+/// the scalar-function and feature-identification jobs, where every
+/// (function, resolution) unit is processed independently.
+pub fn par_map<I, O, F>(cluster: Cluster, inputs: Vec<I>, f: F) -> Vec<O>
+where
+    I: Send,
+    O: Send,
+    F: Fn(I) -> O + Sync,
+{
+    let slots: Vec<Mutex<Option<I>>> = inputs.into_iter().map(|i| Mutex::new(Some(i))).collect();
+    run_indexed_tasks(cluster.workers(), slots.len(), |i| {
+        let input = slots[i].lock().take().expect("input taken once");
+        f(input)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,5 +166,11 @@ mod tests {
     fn chunk_size_zero_clamped() {
         let out = run_chunked_tasks(4, 10, 0, |i| i);
         assert_eq!(out, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn par_map_order() {
+        let out = par_map(Cluster::local(8), (0..100).collect::<Vec<_>>(), |x| x * 2);
+        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
     }
 }

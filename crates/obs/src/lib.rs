@@ -142,10 +142,8 @@ pub mod names {
 
     /// Every canonical name above, in catalogue order — the machine-
     /// checkable form of the `docs/observability.md` catalogue. The
-    /// `serve.errors.` entry is the family *prefix*; concrete error
-    /// counters append a §6 error kind to it. Consumers that validate
-    /// metric names (e.g. `bench_snapshot --validate`) resolve a name as
-    /// known when it equals an entry or extends the prefix entry.
+    /// entries ending in `.` are family *prefixes*: concrete instruments
+    /// append a suffix (a §6 error kind, a shard number) to them.
     pub const ALL: &[&str] = &[
         CORE_QUERIES,
         CORE_TASKS_EXPANDED,
@@ -181,18 +179,4 @@ pub mod names {
         SERVE_ERRORS_PREFIX,
         LOADGEN_LATENCY_US,
     ];
-
-    /// True when `name` is a canonical metric name: a concrete [`ALL`]
-    /// entry verbatim, or a family-prefix entry (trailing `.`) extended
-    /// by a non-empty suffix (`serve.errors.parse`). A bare prefix is
-    /// *not* canonical — no real instrument registers under it.
-    pub fn is_canonical(name: &str) -> bool {
-        ALL.iter().any(|&n| {
-            if n.ends_with('.') {
-                name.len() > n.len() && name.starts_with(n)
-            } else {
-                n == name
-            }
-        })
-    }
 }

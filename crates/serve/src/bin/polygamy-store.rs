@@ -21,6 +21,10 @@
 //!                [--metrics-jsonl <path>] [--lazy [--mmap]]
 //! ```
 //!
+//! A `--flag` the subcommand does not list above, or a value flag with no
+//! value after it, is an error naming the flag (exit 1) before any work
+//! starts.
+//!
 //! `--no-fields` drops the raw scalar fields from the index (features and
 //! thresholds only): stores shrink ~16×, and every clause except
 //! user-defined thresholds still evaluates.
@@ -43,7 +47,8 @@
 //! and evaluates one relationship query — or, with `--batch`, a whole list
 //! of `left:right` pairs through `StoreSession::query_many`, which runs
 //! every pair's candidate evaluations on one shared worker pool instead of
-//! paying session and pool startup per query.
+//! paying session and pool startup per query. Both forms are printed as
+//! canonical PQL and take the same route as `--pql`/`--file` from there.
 //!
 //! `--json` switches the query report from the human-readable lines to the
 //! canonical one-JSON-object-per-query rendering defined in
@@ -79,17 +84,20 @@
 //! second (and a final one at drain) for unattended runs; clients can
 //! also poll the `M` metrics frame at any time.
 
-use polygamy_core::pql::parse_query_maybe_explain;
+#[path = "../cli_args.rs"]
+mod cli_args;
+
+use cli_args::Args;
+use polygamy_core::pql::{parse_query_maybe_explain, to_pql};
 use polygamy_core::prelude::*;
 use polygamy_core::DataPolygamy;
 use polygamy_datagen::{urban_collection, UrbanConfig};
-use polygamy_obs::{names, trace};
+use polygamy_obs::names;
 use polygamy_serve::{ServeOptions, Server};
 use polygamy_store::{
     execute_pql_batch, execute_pql_batch_traced, execute_pql_query, execute_pql_query_traced,
-    is_sharded, merge_shards, save_sharded, shard_store, LazyIndex, LoadFilter, PqlOutcome,
-    PqlServeError, ShardCatalog, ShardedLazy, SourceBackend, Store, StoreSession,
-    SHARD_CATALOG_VERSION,
+    is_sharded, merge_shards, save_sharded, shard_store, LazyIndex, LoadFilter, PqlServeError,
+    ShardCatalog, ShardedLazy, SourceBackend, Store, StoreSession, SHARD_CATALOG_VERSION,
 };
 use std::io::{BufRead, IsTerminal, Write};
 use std::process::ExitCode;
@@ -137,35 +145,22 @@ fn main() -> ExitCode {
     }
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn cmd_build(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("build: missing <path>")?;
-    let quick = args.iter().any(|a| a == "--quick");
-    let years: usize = match flag_value(args, "--years") {
-        Some(v) => v.parse().map_err(|_| "build: --years expects an integer")?,
-        None => {
-            if quick {
-                1
-            } else {
-                2
-            }
-        }
-    };
-    let scale: f64 = match flag_value(args, "--scale") {
-        Some(v) => v.parse().map_err(|_| "build: --scale expects a number")?,
-        None => {
-            if quick {
-                0.02
-            } else {
-                0.2
-            }
-        }
-    };
+    let args = Args::parse(
+        "build",
+        args,
+        &["--quick", "--no-fields"],
+        &["--years", "--scale", "--shards"],
+    )?;
+    let path = *args.positionals().first().ok_or("build: missing <path>")?;
+    let quick = args.has("--quick");
+    let years: usize = args
+        .parsed("--years", "an integer", |_| true)?
+        .unwrap_or(if quick { 1 } else { 2 });
+    let scale: f64 = args
+        .parsed("--scale", "a number", |_| true)?
+        .unwrap_or(if quick { 0.02 } else { 0.2 });
+    let n_shards: Option<usize> = args.parsed("--shards", "a positive integer", |&n| n > 0)?;
     let collection = urban_collection(UrbanConfig {
         n_years: years,
         scale,
@@ -177,7 +172,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     } else {
         Config::default()
     };
-    if args.iter().any(|a| a == "--no-fields") {
+    if args.has("--no-fields") {
         config.keep_fields = false;
     }
     let mut dp = DataPolygamy::new(collection.geometry().clone(), config);
@@ -191,12 +186,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         report.total_secs
     );
     let index = dp.index().map_err(|e| e.to_string())?;
-    if let Some(n) = flag_value(args, "--shards") {
-        let n_shards: usize = n
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or("build: --shards expects a positive integer")?;
+    if let Some(n_shards) = n_shards {
         let catalog =
             save_sharded(path, dp.geometry(), index, n_shards).map_err(|e| e.to_string())?;
         print_shard_summary(path, &catalog)?;
@@ -243,16 +233,13 @@ fn print_shard_summary(catalog_path: &str, catalog: &ShardCatalog) -> Result<(),
 /// `shard <monolith> <out> [--shards N]`: migrate a monolithic store into
 /// a sharded layout, copying geometry and segment bytes verbatim.
 fn cmd_shard(args: &[String]) -> Result<(), String> {
-    let monolith = args.first().ok_or("shard: missing <monolith.plst>")?;
-    let out = args.get(1).ok_or("shard: missing <out.plst>")?;
-    let n_shards: usize = match flag_value(args, "--shards") {
-        Some(v) => v
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or("shard: --shards expects a positive integer")?,
-        None => 2,
+    let args = Args::parse("shard", args, &[], &["--shards"])?;
+    let &[monolith, out, ..] = args.positionals() else {
+        return Err("shard: expects <monolith.plst> <out.plst>".into());
     };
+    let n_shards: usize = args
+        .parsed("--shards", "a positive integer", |&n| n > 0)?
+        .unwrap_or(2);
     if is_sharded(monolith).map_err(|e| e.to_string())? {
         return Err(format!(
             "shard: {monolith} is already a shard catalog; merge it first"
@@ -266,8 +253,10 @@ fn cmd_shard(args: &[String]) -> Result<(), String> {
 /// `merge <catalog> <out>`: reassemble a sharded store into one monolith.
 /// Byte-for-byte inverse of `shard`.
 fn cmd_merge(args: &[String]) -> Result<(), String> {
-    let catalog_path = args.first().ok_or("merge: missing <catalog.plst>")?;
-    let out = args.get(1).ok_or("merge: missing <out.plst>")?;
+    let args = Args::parse("merge", args, &[], &[])?;
+    let &[catalog_path, out, ..] = args.positionals() else {
+        return Err("merge: expects <catalog.plst> <out.plst>".into());
+    };
     if !is_sharded(catalog_path).map_err(|e| e.to_string())? {
         return Err(format!("merge: {catalog_path} is not a shard catalog"));
     }
@@ -281,9 +270,14 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_inspect(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("inspect: missing <path>")?;
+    let args = Args::parse("inspect", args, &["--verify"], &[])?;
+    let path = *args
+        .positionals()
+        .first()
+        .ok_or("inspect: missing <path>")?;
+    let verify = args.has("--verify");
     if is_sharded(path).map_err(|e| e.to_string())? {
-        return cmd_inspect_sharded(path, args);
+        return cmd_inspect_sharded(path, verify);
     }
     let store = Store::open(path).map_err(|e| e.to_string())?;
     let header = store.header();
@@ -326,7 +320,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
         manifest.segments.len(),
         manifest.geometry.len
     );
-    if args.iter().any(|a| a == "--verify") {
+    if verify {
         // Route the force-check through the demand-paged reader so the
         // exact serving read path is what gets exercised.
         let lazy = LazyIndex::new(store, &LoadFilter::all()).map_err(|e| e.to_string())?;
@@ -356,7 +350,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
 /// availability, probed through the same demand-paged open the serving
 /// path uses. `--verify` checksums every segment of every shard and
 /// fails on the first unavailable one.
-fn cmd_inspect_sharded(path: &str, args: &[String]) -> Result<(), String> {
+fn cmd_inspect_sharded(path: &str, verify: bool) -> Result<(), String> {
     let catalog = ShardCatalog::read(path).map_err(|e| e.to_string())?;
     println!(
         "shard catalog {path}: format v{SHARD_CATALOG_VERSION}, {} data set(s) over {} shard(s)",
@@ -399,7 +393,7 @@ fn cmd_inspect_sharded(path: &str, args: &[String]) -> Result<(), String> {
             }
         );
     }
-    if args.iter().any(|a| a == "--verify") {
+    if verify {
         let checked = lazy.verify_all().map_err(|e| e.to_string())?;
         println!(
             "verify: geometry + {checked} segment(s) OK across {} shard(s) ({} bytes read)",
@@ -411,9 +405,9 @@ fn cmd_inspect_sharded(path: &str, args: &[String]) -> Result<(), String> {
 }
 
 /// The session open mode requested by `--lazy` / `--mmap`.
-fn open_session(path: &str, args: &[String]) -> Result<StoreSession, String> {
-    let lazy = args.iter().any(|a| a == "--lazy");
-    let mmap = args.iter().any(|a| a == "--mmap");
+fn open_session(path: &str, args: &Args) -> Result<StoreSession, String> {
+    let lazy = args.has("--lazy");
+    let mmap = args.has("--mmap");
     if mmap && !lazy {
         return Err("--mmap requires --lazy (the eager loader copies segments anyway)".into());
     }
@@ -439,157 +433,65 @@ fn render_pql_error(e: PqlServeError, src: &str) -> String {
     }
 }
 
-/// The query flags that consume a value — the single source of truth for
-/// both clause parsing and positional-argument scanning, so adding a flag
-/// here keeps its value from being misread as a data set name.
-const QUERY_VALUE_FLAGS: [&str; 4] = ["--permutations", "--min-score", "--pql", "--file"];
-
+/// `query`: all four forms end in one PQL source text and one tail — the
+/// shared execute-and-render helper (`polygamy_store::pql_exec`) the REPL
+/// and the network daemon use, so every path renders identical output.
 fn cmd_query(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("query: missing <path>")?;
-    if args.iter().any(|a| a == "--pql" || a == "--file") {
-        return cmd_query_pql(path, args);
-    }
-    let mut clause = Clause::default();
-    if let Some(p) = flag_value(args, "--permutations") {
-        clause = clause.permutations(
-            p.parse()
-                .map_err(|_| "query: --permutations expects an integer")?,
-        );
-    }
-    if let Some(s) = flag_value(args, "--min-score") {
-        clause = clause.min_score(
-            s.parse()
-                .map_err(|_| "query: --min-score expects a number")?,
-        );
-    }
-    if args.iter().any(|a| a == "--include-insignificant") {
-        clause = clause.include_insignificant();
-    }
-    let positionals = positional_args(&args[1..]);
-
-    let pairs: Vec<(String, String)> = if args.iter().any(|a| a == "--batch") {
-        if positionals.is_empty() {
-            return Err("query: --batch expects one or more <left:right> pairs".into());
-        }
-        positionals
-            .iter()
-            .map(|spec| {
-                spec.split_once(':')
-                    .map(|(l, r)| (l.to_string(), r.to_string()))
-                    .filter(|(l, r)| !l.is_empty() && !r.is_empty())
-                    .ok_or_else(|| format!("query: --batch pair '{spec}' is not <left:right>"))
-            })
-            .collect::<Result<_, _>>()?
-    } else {
-        let left = positionals
-            .first()
-            .ok_or("query: missing <left> data set")?;
-        let right = positionals
-            .get(1)
-            .ok_or("query: missing <right> data set")?;
-        vec![(left.to_string(), right.to_string())]
-    };
-
-    let session = open_session(path, args)?;
-    let queries: Vec<RelationshipQuery> = pairs
-        .iter()
-        .map(|(l, r)| {
-            RelationshipQuery::between(&[l.as_str()], &[r.as_str()]).with_clause(clause.clone())
-        })
-        .collect();
-    // One query_many call: the whole batch shares a single worker pool.
-    // With --trace a collector wraps the call; results are byte-identical
-    // either way, and the trace goes to stderr so stdout stays canonical.
-    let results = if args.iter().any(|a| a == "--trace") {
-        let (results, t) = trace::record(|| session.query_many(&queries));
-        eprintln!("trace: {}", t.to_json());
-        results.map_err(|e| e.to_string())?
-    } else {
-        session.query_many(&queries).map_err(|e| e.to_string())?
-    };
-    if args.iter().any(|a| a == "--json") {
-        for (query, relationships) in queries.into_iter().zip(results) {
-            let outcome = PqlOutcome {
-                query,
-                relationships,
-                trace: None,
-            };
-            println!("{}", outcome.to_json());
-        }
-    } else {
-        for ((left, right), rels) in pairs.iter().zip(&results) {
-            println!("{} relationship(s) between {left} and {right}:", rels.len());
-            for rel in rels {
-                println!("  {rel}");
-            }
-        }
-    }
-    Ok(())
-}
-
-/// `query --pql "<text>"` / `query --file <queries.pql>`: the whole query
-/// — collections and clause — travels as PQL through the same shared
-/// execute-and-render helper (`polygamy_store::pql_exec`) the REPL and
-/// the network daemon use, so all three paths render identical output.
-fn cmd_query_pql(path: &str, args: &[String]) -> Result<(), String> {
-    let text = flag_value(args, "--pql");
-    let file = flag_value(args, "--file");
-    if text.is_some() && file.is_some() {
-        return Err("query: --pql and --file are mutually exclusive".into());
-    }
-    // A PQL query carries its own clause; mixing in the ad-hoc flags would
-    // silently lose one side or the other.
-    for flag in [
-        "--batch",
-        "--permutations",
-        "--min-score",
-        "--include-insignificant",
-    ] {
-        if args.iter().any(|a| a == flag) {
-            return Err(format!(
-                "query: {flag} cannot be combined with --pql/--file; \
-                 express the clause in the query text (see docs/pql.md)"
-            ));
-        }
-    }
-    if !positional_args(&args[1..]).is_empty() {
-        return Err("query: --pql/--file take no positional data-set arguments".into());
-    }
-
-    let session = open_session(path, args)?;
-    let traced = args.iter().any(|a| a == "--trace");
-    let outcomes = match (text, file) {
-        (Some(src), None) => {
-            let run = if traced {
-                execute_pql_query_traced
-            } else {
-                execute_pql_query
-            };
-            run(&session, &src)
-                .map(|o| vec![o])
-                .map_err(|e| render_pql_error(e, &src))?
+    let args = Args::parse(
+        "query",
+        args,
+        &[
+            "--batch",
+            "--include-insignificant",
+            "--json",
+            "--trace",
+            "--lazy",
+            "--mmap",
+        ],
+        &["--permutations", "--min-score", "--pql", "--file"],
+    )?;
+    let (&path, names) = args
+        .positionals()
+        .split_first()
+        .ok_or("query: missing <path>")?;
+    let pql = args.value("--pql");
+    let src: String = match (pql, args.value("--file")) {
+        (Some(_), Some(_)) => return Err("query: --pql and --file are mutually exclusive".into()),
+        (Some(text), None) => {
+            reject_clause_flags(&args, names)?;
+            text.to_string()
         }
         (None, Some(p)) => {
-            let src =
-                std::fs::read_to_string(&p).map_err(|e| format!("query: cannot read {p}: {e}"))?;
-            let run = if traced {
-                execute_pql_batch_traced
-            } else {
-                execute_pql_batch
-            };
-            let outcomes = run(&session, &src).map_err(|e| render_pql_error(e, &src))?;
-            if outcomes.is_empty() {
-                return Err("query: the batch file contains no queries".into());
-            }
-            outcomes
+            reject_clause_flags(&args, names)?;
+            std::fs::read_to_string(p).map_err(|e| format!("query: cannot read {p}: {e}"))?
         }
-        // The flag was passed as the last argument, with nothing after it.
-        (None, None) => {
-            return Err("query: --pql expects a query string and --file a path".into());
-        }
-        (Some(_), Some(_)) => unreachable!("rejected above"),
+        (None, None) => clause_flags_to_pql(&args, names)?,
     };
-    let json = args.iter().any(|a| a == "--json");
+
+    let session = open_session(path, &args)?;
+    // `--pql` is one query (newlines allowed inside it); every other form
+    // is a line-per-query batch on one shared worker pool.
+    let traced = args.has("--trace");
+    let outcomes = if pql.is_some() {
+        let run = if traced {
+            execute_pql_query_traced
+        } else {
+            execute_pql_query
+        };
+        run(&session, &src).map(|o| vec![o])
+    } else {
+        let run = if traced {
+            execute_pql_batch_traced
+        } else {
+            execute_pql_batch
+        };
+        run(&session, &src)
+    }
+    .map_err(|e| render_pql_error(e, &src))?;
+    if outcomes.is_empty() {
+        return Err("query: the batch file contains no queries".into());
+    }
+    let json = args.has("--json");
     for outcome in &outcomes {
         if json {
             println!("{}", outcome.to_json());
@@ -605,12 +507,75 @@ fn cmd_query_pql(path: &str, args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// A PQL query carries its own collections and clause; mixing in the
+/// ad-hoc flags would silently lose one side or the other.
+fn reject_clause_flags(args: &Args, names: &[&str]) -> Result<(), String> {
+    if let Some(flag) = [
+        "--batch",
+        "--permutations",
+        "--min-score",
+        "--include-insignificant",
+    ]
+    .iter()
+    .find(|f| args.has(f) || args.value(f).is_some())
+    {
+        return Err(format!(
+            "query: {flag} cannot be combined with --pql/--file; \
+             express the clause in the query text (see docs/pql.md)"
+        ));
+    }
+    if !names.is_empty() {
+        return Err("query: --pql/--file take no positional data-set arguments".into());
+    }
+    Ok(())
+}
+
+/// `<left> <right>` and `--batch <left:right>...` with the ad-hoc clause
+/// flags, printed as canonical PQL, one query per line
+/// (`parse(print(q)) == q`, docs/pql.md).
+fn clause_flags_to_pql(args: &Args, names: &[&str]) -> Result<String, String> {
+    let mut clause = Clause::default();
+    if let Some(p) = args.parsed("--permutations", "an integer", |_| true)? {
+        clause = clause.permutations(p);
+    }
+    // Non-finite numbers have no PQL literal (docs/pql.md, Limits).
+    if let Some(s) = args.parsed("--min-score", "a finite number", |s: &f64| s.is_finite())? {
+        clause = clause.min_score(s);
+    }
+    if args.has("--include-insignificant") {
+        clause = clause.include_insignificant();
+    }
+    let pairs: Vec<(&str, &str)> = if args.has("--batch") {
+        if names.is_empty() {
+            return Err("query: --batch expects one or more <left:right> pairs".into());
+        }
+        names
+            .iter()
+            .map(|spec| {
+                spec.split_once(':')
+                    .filter(|(l, r)| !l.is_empty() && !r.is_empty())
+                    .ok_or_else(|| format!("query: --batch pair '{spec}' is not <left:right>"))
+            })
+            .collect::<Result<_, _>>()?
+    } else {
+        let left = names.first().ok_or("query: missing <left> data set")?;
+        let right = names.get(1).ok_or("query: missing <right> data set")?;
+        vec![(left, right)]
+    };
+    let lines: Vec<String> = pairs
+        .into_iter()
+        .map(|(l, r)| to_pql(&RelationshipQuery::between(&[l], &[r]).with_clause(clause.clone())))
+        .collect();
+    Ok(lines.join("\n"))
+}
+
 /// `repl <path>`: an interactive PQL loop over one long-lived serving
 /// session — open the store once, then parse and serve a query per line.
 /// Parse errors render caret diagnostics and keep the session alive.
 fn cmd_repl(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("repl: missing <path>")?;
-    let session = open_session(path, args)?;
+    let args = Args::parse("repl", args, &["--lazy", "--mmap"], &[])?;
+    let path = *args.positionals().first().ok_or("repl: missing <path>")?;
+    let session = open_session(path, &args)?;
     let interactive = std::io::stdin().is_terminal();
     if interactive {
         println!(
@@ -684,7 +649,7 @@ fn repl_eval(session: &StoreSession, src: &str) {
     };
     // Re-execute from the canonical rendering: `parse(print(q)) == q`,
     // and the explain prefix never reaches the execution path.
-    let canonical = polygamy_core::pql::to_pql(&query);
+    let canonical = to_pql(&query);
     let result = if explain {
         execute_pql_query_traced(session, &canonical)
     } else {
@@ -704,39 +669,38 @@ fn repl_eval(session: &StoreSession, src: &str) {
 
 /// `serve <path>`: the long-running network daemon (`docs/serving.md`).
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("serve: missing <path>")?;
-    let addr = flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:7461".into());
+    let args = Args::parse(
+        "serve",
+        args,
+        &["--no-coalesce", "--lazy", "--mmap"],
+        &[
+            "--addr",
+            "--max-inflight",
+            "--read-timeout-ms",
+            "--max-frame-bytes",
+            "--metrics-jsonl",
+        ],
+    )?;
+    let path = *args.positionals().first().ok_or("serve: missing <path>")?;
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:7461");
     let mut opts = ServeOptions::default();
-    if let Some(v) = flag_value(args, "--max-inflight") {
-        opts.max_inflight = v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or("serve: --max-inflight expects a positive integer")?;
+    if let Some(n) = args.parsed("--max-inflight", "a positive integer", |&n: &usize| n > 0)? {
+        opts.max_inflight = n;
     }
-    if let Some(v) = flag_value(args, "--read-timeout-ms") {
-        opts.read_timeout = Duration::from_millis(
-            v.parse::<u64>()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or("serve: --read-timeout-ms expects a positive integer")?,
-        );
+    if let Some(ms) = args.parsed("--read-timeout-ms", "a positive integer", |&n: &u64| n > 0)? {
+        opts.read_timeout = Duration::from_millis(ms);
     }
-    if let Some(v) = flag_value(args, "--max-frame-bytes") {
-        opts.max_frame_bytes = v
-            .parse::<u32>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or("serve: --max-frame-bytes expects a positive integer")?;
+    if let Some(n) = args.parsed("--max-frame-bytes", "a positive integer", |&n: &u32| n > 0)? {
+        opts.max_frame_bytes = n;
     }
-    if args.iter().any(|a| a == "--no-coalesce") {
+    if args.has("--no-coalesce") {
         opts.coalesce = false;
     }
-    if let Some(v) = flag_value(args, "--metrics-jsonl") {
+    if let Some(v) = args.value("--metrics-jsonl") {
         opts.metrics_jsonl = Some(std::path::PathBuf::from(v));
     }
-    let session = Arc::new(open_session(path, args)?);
-    let server = Server::bind(addr.as_str(), Arc::clone(&session), opts.clone())
+    let session = Arc::new(open_session(path, &args)?);
+    let server = Server::bind(addr, Arc::clone(&session), opts.clone())
         .map_err(|e| format!("serve: cannot bind {addr}: {e}"))?;
     println!(
         "polygamy-serve: serving {} data set(s) from {path} on {} \
@@ -761,20 +725,101 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The non-flag arguments, with each [`QUERY_VALUE_FLAGS`] value skipped.
-fn positional_args(args: &[String]) -> Vec<&String> {
-    let mut out = Vec::new();
-    let mut skip_value = false;
-    for arg in args {
-        if skip_value {
-            skip_value = false;
-            continue;
-        }
-        if QUERY_VALUE_FLAGS.contains(&arg.as_str()) {
-            skip_value = true;
-        } else if !arg.starts_with("--") {
-            out.push(arg);
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
     }
-    out
+
+    /// `build`'s flag set, as `cmd_build` declares it.
+    fn parse_build(args: &[String]) -> Result<Args<'_>, String> {
+        Args::parse(
+            "build",
+            args,
+            &["--quick", "--no-fields"],
+            &["--years", "--scale", "--shards"],
+        )
+    }
+
+    #[test]
+    fn args_split_positionals_switches_and_values() {
+        let raw = strings(&["out.plst", "--quick", "--scale", "-0.5", "--shards", "3"]);
+        let args = parse_build(&raw).unwrap();
+        assert_eq!(args.positionals(), ["out.plst"]);
+        assert!(args.has("--quick") && !args.has("--no-fields"));
+        assert_eq!(args.value("--scale"), Some("-0.5"));
+        assert_eq!(args.value("--years"), None);
+        assert_eq!(
+            args.parsed("--shards", "a positive integer", |&n: &usize| n > 0),
+            Ok(Some(3))
+        );
+        assert_eq!(
+            args.parsed("--scale", "a positive number", |&s: &f64| s > 0.0),
+            Err("build: --scale expects a positive number".into())
+        );
+    }
+
+    #[test]
+    fn args_missing_value_is_an_error_naming_the_flag() {
+        let raw = strings(&["x.plst", "--quick", "--shards"]);
+        assert_eq!(
+            parse_build(&raw).err(),
+            Some("build: --shards expects a value".into())
+        );
+    }
+
+    #[test]
+    fn args_unknown_flag_is_an_error_naming_the_flag() {
+        let raw = strings(&["x.plst", "--permutation", "60"]);
+        assert_eq!(
+            parse_build(&raw).err(),
+            Some("build: unknown flag --permutation".into())
+        );
+        // No command prefix when the caller adds its own.
+        assert_eq!(
+            Args::parse("", &raw, &[], &[]).err(),
+            Some("unknown flag --permutation".into())
+        );
+    }
+
+    #[test]
+    fn args_value_that_looks_like_a_flag_is_not_consumed() {
+        let raw = strings(&["x.plst", "--shards", "--quick"]);
+        assert_eq!(
+            parse_build(&raw).err(),
+            Some("build: --shards expects a value".into())
+        );
+    }
+
+    #[test]
+    fn positional_and_batch_forms_print_canonical_pql() {
+        let flags = |raw: &[String]| {
+            let args = Args::parse(
+                "query",
+                raw,
+                &["--batch", "--include-insignificant"],
+                &["--permutations", "--min-score"],
+            )?;
+            clause_flags_to_pql(&args, args.positionals())
+        };
+        assert_eq!(
+            flags(&strings(&["taxi", "weather", "--permutations", "60"])).unwrap(),
+            "between taxi and weather where permutations = 60"
+        );
+        assert_eq!(
+            flags(&strings(&[
+                "--batch",
+                "a:b",
+                "c:d",
+                "--include-insignificant"
+            ]))
+            .unwrap(),
+            "between a and b where include insignificant\n\
+             between c and d where include insignificant"
+        );
+        assert!(flags(&strings(&["--batch", "a:"])).is_err());
+        assert!(flags(&strings(&["a", "b", "--min-score", "nan"])).is_err());
+    }
 }

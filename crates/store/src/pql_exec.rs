@@ -1,6 +1,6 @@
 //! One shared PQL execute-and-render path for every frontend.
 //!
-//! The CLI `query --pql/--file`, the interactive REPL and the
+//! The CLI `query` (every form), the interactive REPL and the
 //! `polygamy-serve` network daemon (see `docs/serving.md`) all speak the
 //! same contract: PQL text in, relationship results out, rendered either
 //! as human-readable text or as one **canonical JSON object per query**.
@@ -140,7 +140,7 @@ impl PqlOutcome {
 }
 
 /// Parses `src` as a single PQL query (newlines and comments allowed) and
-/// executes it — the REPL path.
+/// executes it — the REPL and `query --pql` path.
 pub fn execute_pql_query(session: &StoreSession, src: &str) -> Result<PqlOutcome, PqlServeError> {
     let query = parse_query(src).map_err(PqlServeError::Parse)?;
     let mut outcomes = run(session, vec![query])?;
@@ -171,7 +171,8 @@ pub fn execute_pql_query_traced(
 
 /// Parses `src` as a PQL batch (one query per line, `#` comments) and
 /// executes every query through one [`StoreSession::query_many`] dispatch
-/// — the `--file`, `--pql` and network-request path. An empty batch is a
+/// — the `query --file` / `--batch` / `<left> <right>` and
+/// network-request path. An empty batch is a
 /// valid request and yields no outcomes.
 pub fn execute_pql_batch(
     session: &StoreSession,

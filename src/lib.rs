@@ -11,7 +11,7 @@
 //! * [`topology`] — merge trees, persistence, level sets, feature sets;
 //! * [`stats`] — descriptive statistics, 2-means, restricted Monte Carlo
 //!   permutations, baselines;
-//! * [`mapreduce`] — the in-process map-reduce substrate;
+//! * [`mapreduce`] — worker-count modelling and the ordered task pool;
 //! * [`datagen`] — synthetic urban corpora with planted ground-truth
 //!   couplings;
 //! * [`store`] — the persistent on-disk index store and its concurrent

@@ -1,11 +1,11 @@
 //! Cross-crate pipeline integration: correctness (paper Section 6.2),
 //! robustness scaffolding, index round-trips and space accounting.
 
-use polygamy_core::pipeline::{density_job, field_features};
+use polygamy_core::pipeline::field_features;
 use polygamy_core::prelude::*;
 use polygamy_core::relationship::evaluate_features;
 use polygamy_datagen::{add_iqr_noise, urban_collection, UrbanConfig};
-use polygamy_stdata::aggregate;
+use polygamy_stdata::{aggregate, ScalarField};
 
 fn small_collection() -> polygamy_datagen::UrbanCollection {
     urban_collection(UrbanConfig {
@@ -118,13 +118,15 @@ fn robustness_noise_keeps_self_relationship() {
     }
 }
 
-/// The record-level map-reduce density job agrees with the columnar
-/// aggregation on real generated data at every resolution.
+/// The columnar `aggregate(…, Density)` agrees, cell for cell, with a
+/// naive per-record count on real generated data: each record goes to its
+/// region (the single city region, its native region index, or a point
+/// location — the three cases of the paper's map step), then to its time
+/// bucket, and adds one.
 #[test]
-fn mapreduce_density_matches_columnar_on_urban_data() {
+fn record_loop_density_matches_columnar_on_urban_data() {
     let c = small_collection();
     let taxi = c.dataset("taxi").unwrap();
-    let cluster = polygamy_mapreduce::Cluster::local(4);
     for (partition, temporal) in [
         (&c.geometry().city, TemporalResolution::Day),
         (
@@ -132,7 +134,31 @@ fn mapreduce_density_matches_columnar_on_urban_data() {
             TemporalResolution::Week,
         ),
     ] {
-        let (field, _) = density_job(cluster, taxi, partition, temporal).unwrap();
+        let (start, end) = taxi.time_range().unwrap();
+        let start_bucket = temporal.bucket_of(start);
+        let n_regions = partition.len();
+        let mut field = ScalarField::filled(
+            Resolution::new(partition.resolution, temporal),
+            n_regions,
+            start_bucket,
+            temporal.buckets_in_range(start, end),
+            0.0,
+        );
+        let native = taxi
+            .regions()
+            .filter(|_| taxi.meta.spatial_resolution == partition.resolution);
+        for i in 0..taxi.len() {
+            let region = if n_regions == 1 {
+                Some(0)
+            } else if let Some(regions) = native {
+                Some(regions[i]).filter(|&r| (r as usize) < n_regions)
+            } else {
+                partition.locate(taxi.locations()[i])
+            };
+            let Some(region) = region else { continue };
+            let step = (temporal.bucket_of(taxi.times()[i]) - start_bucket) as usize;
+            field.values[step * n_regions + region as usize] += 1.0;
+        }
         let reference = aggregate(taxi, partition, temporal, FunctionKind::Density, None).unwrap();
         assert_eq!(field, reference);
     }
