@@ -97,7 +97,7 @@ use polygamy_serve::{ServeOptions, Server};
 use polygamy_store::{
     execute_pql_batch, execute_pql_batch_traced, execute_pql_query, execute_pql_query_traced,
     is_sharded, merge_shards, save_sharded, shard_store, LazyIndex, LoadFilter, PqlServeError,
-    ShardCatalog, ShardedLazy, SourceBackend, Store, StoreSession, SHARD_CATALOG_VERSION,
+    ShardCatalog, SourceBackend, Store, StoreSession, SHARD_CATALOG_VERSION,
 };
 use std::io::{BufRead, IsTerminal, Write};
 use std::process::ExitCode;
@@ -327,7 +327,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
         let checked = lazy.verify_all().map_err(|e| e.to_string())?;
         println!(
             "verify: geometry + {checked} segment(s) OK ({} bytes read)",
-            lazy.store().source().bytes_fetched()
+            lazy.bytes_fetched()
         );
     }
     // This process's registry view: how many bytes inspection itself
@@ -351,7 +351,11 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
 /// path uses. `--verify` checksums every segment of every shard and
 /// fails on the first unavailable one.
 fn cmd_inspect_sharded(path: &str, verify: bool) -> Result<(), String> {
-    let catalog = ShardCatalog::read(path).map_err(|e| e.to_string())?;
+    // Availability is probed exactly as serving would see it: a degraded
+    // open that records each broken shard instead of failing outright.
+    let lazy = LazyIndex::open(path, &LoadFilter::all(), SourceBackend::default())
+        .map_err(|e| e.to_string())?;
+    let catalog = lazy.shard_catalog();
     println!(
         "shard catalog {path}: format v{SHARD_CATALOG_VERSION}, {} data set(s) over {} shard(s)",
         catalog.datasets.len(),
@@ -364,10 +368,6 @@ fn cmd_inspect_sharded(path: &str, verify: bool) -> Result<(), String> {
             d.meta.name, catalog.shard_of[di], d.n_records, d.n_specs,
         );
     }
-    // Availability is probed exactly as serving would see it: a degraded
-    // open that records each broken shard instead of failing outright.
-    let lazy = ShardedLazy::open(path, &LoadFilter::all(), SourceBackend::default())
-        .map_err(|e| e.to_string())?;
     println!("shards ({}):", catalog.n_shards());
     for shard in 0..catalog.n_shards() {
         let file = catalog.shard_path(std::path::Path::new(path), shard);

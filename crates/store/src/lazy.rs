@@ -1,10 +1,12 @@
 //! Demand-paged index serving: fault in only the segments a query touches.
 //!
-//! An eager session ([`crate::store::Store::load_filtered`]) reads and
-//! decodes every admitted segment at open time — O(corpus) work even when
-//! the session will only ever answer queries over two data sets. A
-//! [`LazyIndex`] instead opens in O(header + manifest) and materializes
-//! function segments on first touch:
+//! A [`LazyIndex`] is the one segment-paging type behind every session.
+//! It owns the **global** data set catalog, the store *files* behind it —
+//! one for a monolith, one per shard for a sharded store
+//! ([`crate::shard`]); a monolith simply is the one-shard case — and one
+//! flat segment directory in global (= monolith) order. It opens in
+//! O(header + manifest) per file and materializes function segments on
+//! first touch:
 //!
 //! * **footprint-driven faulting** — before evaluation, the executor's
 //!   footprint report ([`polygamy_core::query_datasets`]) names the catalog
@@ -24,22 +26,33 @@
 //!   re-fault;
 //! * **bounded decode cache** — decoded [`FunctionEntry`]s live in the
 //!   same sharded bounded-LRU structure the query cache uses, keyed by
-//!   directory position, so sustained traffic over a huge corpus keeps
-//!   memory flat.
+//!   global directory position, so sustained traffic over a huge corpus
+//!   keeps memory flat. The bound ([`DEFAULT_SEGMENT_CACHE_CAPACITY`]) is
+//!   per index — per *session*, however many shard files back it;
+//! * **degraded files** — a shard file that fails to open (missing,
+//!   truncated, corrupt, catalog drift) is recorded, not fatal: a query
+//!   whose footprint touches it is rejected at pin time with
+//!   [`StoreError::ShardUnavailable`], repeatably, while every other query
+//!   keeps serving. A monolith's one file must open, so its open errors
+//!   propagate unchanged.
 //!
 //! Corruption surfaces *at query time*, only for queries whose footprint
 //! touches the corrupt segment — opening the store and querying other data
-//! sets still succeeds. That is the deliberate trade against the eager
-//! path, which pays full verification at open.
+//! sets still succeeds. That is the deliberate trade against an eager
+//! session, which reads, verifies and decodes every admitted entry of the
+//! same directory at open (never through the cache).
 
 use crate::codec::decode_function_segment;
 use crate::error::{Result, StoreError};
-use crate::source::SegmentSource;
+use crate::format::SegmentInfo;
+use crate::shard::{is_sharded, open_shard_file, ShardCatalog};
+use crate::source::{SegmentSource, SourceBackend};
 use crate::store::{LoadFilter, Store};
-use polygamy_core::index::{DatasetEntry, FunctionEntry};
+use polygamy_core::index::{DatasetEntry, FunctionEntry, PolygamyIndex};
 use polygamy_core::query::RelationshipQuery;
-use polygamy_core::{query_datasets, ShardedLruCache};
+use polygamy_core::{query_datasets, CityGeometry, ShardedLruCache};
 use polygamy_obs::{names, trace, Counter};
+use std::path::Path;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -67,125 +80,227 @@ fn lazy_metrics() -> &'static LazyMetrics {
     })
 }
 
-/// Default bound on decoded segments held in memory. Entries are a few KB
-/// to a few hundred KB each; 1024 keeps typical working sets fully
-/// resident while bounding memory on corpora far larger than RAM.
+/// Default bound on decoded segments held in memory, per index. Entries
+/// are a few KB to a few hundred KB each; 1024 keeps typical working sets
+/// fully resident while bounding memory on corpora far larger than RAM.
 pub const DEFAULT_SEGMENT_CACHE_CAPACITY: usize = 1_024;
-
-/// Per-shard observability handles, passed in by the sharded open path so
-/// every fault and byte served by one shard file lands on that shard's
-/// own counters (`store.shard.faults.<shard>` /
-/// `store.shard.bytes_fetched.<shard>`) in addition to the process-wide
-/// lazy-serving counters.
-#[derive(Debug, Clone)]
-pub(crate) struct ShardObs {
-    pub(crate) faults: Arc<Counter>,
-    pub(crate) bytes_fetched: Arc<Counter>,
-}
 
 /// Per-segment verification verdict (values of the atomic cells).
 const UNVERIFIED: u8 = 0;
 const VERIFIED_OK: u8 = 1;
 const VERIFIED_BAD: u8 = 2;
 
-/// A store served segment-by-segment on demand. See the module docs for
-/// the faulting, verification and caching contract.
+/// One store file that opened, with its per-file registry counters
+/// (`store.shard.faults.<i>` / `store.shard.bytes_fetched.<i>` — a
+/// monolith is shard 0) alongside the process-wide lazy-serving ones.
+#[derive(Debug)]
+struct OpenFile {
+    store: Store,
+    faults: Arc<Counter>,
+    bytes_fetched: Arc<Counter>,
+}
+
+impl OpenFile {
+    fn new(store: Store, shard: usize) -> Self {
+        let r = polygamy_obs::global();
+        Self {
+            store,
+            faults: r.counter(&format!("{}{shard}", names::STORE_SHARD_FAULTS_PREFIX)),
+            bytes_fetched: r.counter(&format!(
+                "{}{shard}",
+                names::STORE_SHARD_BYTES_FETCHED_PREFIX
+            )),
+        }
+    }
+}
+
+/// One segment of the global directory.
+#[derive(Debug)]
+struct DirEntry {
+    /// Index of the (open) file holding the segment.
+    file: usize,
+    /// Position in that file's own segment directory.
+    local: usize,
+    /// *Global* catalog index of the owning data set: a shard file numbers
+    /// its data sets locally, but decoded entries must carry the global
+    /// index so expansion sees the monolithic catalog.
+    dataset: usize,
+    /// Admitted by the load filter.
+    admitted: bool,
+}
+
+/// A store — monolithic or sharded — served segment-by-segment on demand.
+/// See the module docs for the faulting, verification, caching and
+/// degradation contract.
 #[derive(Debug)]
 pub struct LazyIndex {
-    store: Store,
-    /// Per-segment admission by the session's load filter, directory order.
-    admitted: Vec<bool>,
-    /// Per-segment checksum verdict: unverified / ok / bad.
+    /// Global catalog, data set → file assignment and file names; a
+    /// monolith gets the trivial one-file layout.
+    catalog: ShardCatalog,
+    /// Per file: the open store, or the recorded open-failure reason.
+    files: Vec<std::result::Result<OpenFile, String>>,
+    filter: LoadFilter,
+    /// Every segment of every open file in global directory order — data
+    /// sets in global catalog order, file-directory order within each —
+    /// which is exactly the monolithic store's directory order.
+    directory: Vec<DirEntry>,
+    /// Per-directory-entry checksum verdict: unverified / ok / bad.
     verified: Vec<AtomicU8>,
-    /// Decoded segments keyed by directory position.
+    /// Decoded segments keyed by global directory position.
     cache: ShardedLruCache<usize, Arc<FunctionEntry>>,
-    /// Local → global catalog-index remap, set when this index serves one
-    /// shard of a sharded store: the shard file numbers its data sets
-    /// locally (0..k), but decoded entries must carry the *global* index
-    /// so expansion sees the monolithic catalog.
-    global_of: Option<Vec<usize>>,
-    /// Per-shard counters, set on sharded opens.
-    shard_obs: Option<ShardObs>,
 }
 
 impl LazyIndex {
-    /// Wraps an open store for demand-paged serving. Reads nothing beyond
-    /// what `store` already read (header + manifest); unknown data set
-    /// names in `filter` are rejected here, exactly like the eager loader.
+    /// Opens the store at `path` for demand-paged serving, sniffing the
+    /// file magic — callers never say which kind they hold. A monolith
+    /// must open (errors propagate). A shard catalog opens *degraded*:
+    /// shard files that fail to open are recorded as unavailable and
+    /// everything else serves; the open fails outright only when the
+    /// catalog itself is unreadable, a filter names an unknown data set,
+    /// or *no* shard is available (there is nothing to serve, not even
+    /// geometry).
+    pub fn open(
+        path: impl AsRef<Path>,
+        filter: &LoadFilter,
+        backend: SourceBackend,
+    ) -> Result<Self> {
+        let path = path.as_ref();
+        if !is_sharded(path)? {
+            return Self::new(Store::open_with_backend(path, backend)?, filter);
+        }
+        let catalog = ShardCatalog::read(path)?;
+        let stores = (0..catalog.n_shards())
+            .map(|s| open_shard_file(&catalog, path, s, backend).map_err(|e| e.to_string()))
+            .collect();
+        Self::assemble(catalog, stores, filter)
+    }
+
+    /// Wraps an open monolithic store: the one-file case. Reads nothing
+    /// beyond what `store` already read (header + manifest); unknown data
+    /// set names in `filter` are rejected here, exactly like the eager
+    /// loader.
     pub fn new(store: Store, filter: &LoadFilter) -> Result<Self> {
+        let datasets = store.manifest().datasets.clone();
+        let file = store.path().file_name().unwrap_or_default();
+        let catalog = ShardCatalog {
+            shard_of: vec![0; datasets.len()],
+            datasets,
+            files: vec![file.to_string_lossy().into_owned()],
+        };
+        Self::assemble(catalog, vec![Ok(store)], filter)
+    }
+
+    fn assemble(
+        catalog: ShardCatalog,
+        stores: Vec<std::result::Result<Store, String>>,
+        filter: &LoadFilter,
+    ) -> Result<Self> {
         if let Some(names) = &filter.datasets {
             for name in names {
-                store.manifest().dataset_index(name)?;
+                catalog.dataset_index(name)?;
             }
         }
-        let manifest = store.manifest();
-        let admitted = manifest
-            .segments
-            .iter()
-            .map(|info| filter.admits(info, &manifest.datasets))
-            .collect::<Vec<_>>();
-        let verified = (0..manifest.segments.len())
-            .map(|_| AtomicU8::new(UNVERIFIED))
-            .collect();
-        Ok(Self {
-            store,
-            admitted,
-            verified,
-            cache: ShardedLruCache::new(DEFAULT_SEGMENT_CACHE_CAPACITY),
-            global_of: None,
-            shard_obs: None,
-        })
-    }
-
-    /// [`LazyIndex::new`] for one shard of a sharded store: decoded
-    /// entries carry `global_of[local]` as their data set index (the
-    /// monolithic catalog position), and faults/bytes served by this shard
-    /// additionally land on its per-shard counters.
-    pub(crate) fn new_sharded(
-        store: Store,
-        filter: &LoadFilter,
-        global_of: Vec<usize>,
-        shard_obs: ShardObs,
-    ) -> Result<Self> {
-        debug_assert_eq!(global_of.len(), store.manifest().datasets.len());
-        let mut lazy = Self::new(store, filter)?;
-        lazy.global_of = Some(global_of);
-        lazy.shard_obs = Some(shard_obs);
-        Ok(lazy)
-    }
-
-    /// The global catalog index a locally-numbered data set decodes under.
-    fn global_index(&self, local: usize) -> usize {
-        match &self.global_of {
-            Some(map) => map[local],
-            None => local,
+        let mut directory = Vec::new();
+        let mut files = Vec::with_capacity(stores.len());
+        for (s, opened) in stores.into_iter().enumerate() {
+            files.push(opened.map(|store| {
+                let owned = catalog.datasets_of_shard(s);
+                let manifest = store.manifest();
+                for (local, info) in manifest.segments.iter().enumerate() {
+                    directory.push(DirEntry {
+                        file: s,
+                        local,
+                        dataset: owned[info.dataset_index],
+                        admitted: filter.admits(info, &manifest.datasets),
+                    });
+                }
+                OpenFile::new(store, s)
+            }));
         }
+        // Stable: file-directory order survives within each data set, and a
+        // monolith's directory (already grouped by data set) is unchanged.
+        directory.sort_by_key(|e| e.dataset);
+        let index = Self {
+            verified: directory
+                .iter()
+                .map(|_| AtomicU8::new(UNVERIFIED))
+                .collect(),
+            cache: ShardedLruCache::new(DEFAULT_SEGMENT_CACHE_CAPACITY),
+            catalog,
+            files,
+            filter: filter.clone(),
+            directory,
+        };
+        if index.files.iter().all(|f| f.is_err()) {
+            index.file(0)?;
+        }
+        Ok(index)
     }
 
-    /// The underlying store (manifest, header, byte source).
-    pub fn store(&self) -> &Store {
-        &self.store
+    /// File `shard` if it opened, else the typed rejection replaying its
+    /// recorded open failure.
+    fn file(&self, shard: usize) -> Result<&OpenFile> {
+        self.files[shard]
+            .as_ref()
+            .map_err(|reason| StoreError::ShardUnavailable {
+                shard,
+                file: self.catalog.files[shard].clone(),
+                reason: reason.clone(),
+            })
     }
 
-    /// The data set catalog (always fully resident — it is part of the
-    /// manifest).
+    /// Rejects with [`StoreError::ShardUnavailable`] when any of the
+    /// (global) `datasets` lives in a file that failed to open.
+    fn require_files_of(&self, datasets: impl IntoIterator<Item = usize>) -> Result<()> {
+        for di in datasets {
+            self.file(self.catalog.shard_of[di])?;
+        }
+        Ok(())
+    }
+
+    /// Resolves one directory entry to its file and the file's own
+    /// directory record.
+    fn locate(&self, entry: &DirEntry) -> Result<(&OpenFile, &SegmentInfo)> {
+        let file = self.file(entry.file)?;
+        Ok((file, &file.store.manifest().segments[entry.local]))
+    }
+
+    /// The global data set catalog (always fully resident).
     pub fn catalog(&self) -> &[DatasetEntry] {
-        &self.store.manifest().datasets
+        &self.catalog.datasets
     }
 
-    /// Number of segments in the store's directory.
-    pub fn n_segments(&self) -> usize {
-        self.admitted.len()
+    /// The file layout: global data sets, data set → file assignment and
+    /// file names (one file, owning everything, for a monolith).
+    pub fn shard_catalog(&self) -> &ShardCatalog {
+        &self.catalog
     }
 
-    /// Number of segments the load filter admits for serving.
-    pub fn n_admitted(&self) -> usize {
-        self.admitted.iter().filter(|a| **a).count()
+    /// Per-file availability: `None` when file `shard` serves, or its
+    /// recorded open-failure reason.
+    pub fn unavailable_reason(&self, shard: usize) -> Option<&str> {
+        self.files[shard].as_ref().err().map(String::as_str)
     }
 
-    /// Number of decoded segments currently resident in the cache.
-    pub fn n_resident(&self) -> usize {
-        self.cache.len()
+    /// Total bytes fetched across every open file's byte source.
+    pub fn bytes_fetched(&self) -> u64 {
+        self.files
+            .iter()
+            .flatten()
+            .map(|f| f.store.source().bytes_fetched())
+            .sum()
+    }
+
+    /// Loads the city geometry from the first open file (every shard
+    /// carries the identical blob).
+    pub fn load_geometry(&self) -> Result<CityGeometry> {
+        self.files
+            .iter()
+            .flatten()
+            .next()
+            .expect("open guarantees at least one available file")
+            .store
+            .load_geometry()
     }
 
     /// Faults in every admitted segment any of `queries` can touch,
@@ -193,17 +308,24 @@ impl LazyIndex {
     ///
     /// This is the serving path's page-in step: the returned entries back
     /// an [`polygamy_core::IndexView`] whose expansion order — and
-    /// therefore whose output — is byte-identical to an eager load's,
-    /// because both enumerate segments in directory order.
+    /// therefore whose output — is byte-identical to an eager load's and
+    /// the same for any shard count, because all enumerate the one global
+    /// directory in order.
+    ///
+    /// A batch whose footprint touches an unavailable file is rejected
+    /// with [`StoreError::ShardUnavailable`] before anything is read or
+    /// evaluated; every batch that avoids the broken file keeps serving.
     pub fn pin_for(&self, queries: &[RelationshipQuery]) -> Result<Vec<Arc<FunctionEntry>>> {
-        let manifest = self.store.manifest();
-        let mut needed = vec![false; manifest.segments.len()];
+        let mut needed = vec![false; self.directory.len()];
         for query in queries {
-            let touched = query_datasets(&manifest.datasets, query)?;
-            for (i, info) in manifest.segments.iter().enumerate() {
-                if self.admitted[i]
-                    && touched.contains(&info.dataset_index)
-                    && query.clause.admits_resolution(info.resolution)
+            let touched = query_datasets(&self.catalog.datasets, query)?;
+            self.require_files_of(touched.iter().copied())?;
+            for (i, entry) in self.directory.iter().enumerate() {
+                if entry.admitted
+                    && touched.contains(&entry.dataset)
+                    && query
+                        .clause
+                        .admits_resolution(self.locate(entry)?.1.resolution)
                 {
                     needed[i] = true;
                 }
@@ -217,8 +339,8 @@ impl LazyIndex {
             .collect()
     }
 
-    /// Faults in one segment by directory position: cache hit, or read +
-    /// (first time only) verify + decode + insert.
+    /// Faults in one segment by global directory position: cache hit, or
+    /// read + (first time only) verify + decode + insert.
     pub fn entry(&self, seg_index: usize) -> Result<Arc<FunctionEntry>> {
         let metrics = lazy_metrics();
         if let Some(hit) = self.cache.get(&seg_index) {
@@ -226,17 +348,12 @@ impl LazyIndex {
             trace::add("segment_cache_hits", 1);
             return Ok(hit);
         }
+        let entry = &self.directory[seg_index];
+        let (file, info) = self.locate(entry)?;
+        let what = file.store.segment_label(info);
         metrics.faults.inc();
         trace::add("segment_faults", 1);
-        if let Some(obs) = &self.shard_obs {
-            obs.faults.inc();
-        }
-        let manifest = self.store.manifest();
-        let info = &manifest.segments[seg_index];
-        let what = format!(
-            "segment {}.{}",
-            manifest.datasets[info.dataset_index].meta.name, info.function
-        );
+        file.faults.inc();
         // A recorded failure keeps failing without touching the disk: no
         // concurrent re-fault may decode bytes a previous fault saw fail
         // verification.
@@ -245,10 +362,8 @@ impl LazyIndex {
         if self.verified[seg_index].load(Ordering::Acquire) == VERIFIED_BAD {
             return Err(StoreError::ChecksumMismatch { what });
         }
-        let bytes = self.store.source().fetch(info.loc, &what, false)?;
-        if let Some(obs) = &self.shard_obs {
-            obs.bytes_fetched.add(bytes.len() as u64);
-        }
+        let bytes = file.store.source().fetch(info.loc, &what, false)?;
+        file.bytes_fetched.add(bytes.len() as u64);
         // ordering: Acquire — same pairing as the verdict check above.
         if self.verified[seg_index].load(Ordering::Acquire) == UNVERIFIED {
             metrics.verifications.inc();
@@ -264,37 +379,55 @@ impl LazyIndex {
                 }
             }
         }
-        let entry = Arc::new(decode_function_segment(
-            &bytes,
-            self.global_index(info.dataset_index),
-            &what,
-        )?);
-        if self.cache.insert(seg_index, Arc::clone(&entry)) {
+        let decoded = Arc::new(decode_function_segment(&bytes, entry.dataset, &what)?);
+        if self.cache.insert(seg_index, Arc::clone(&decoded)) {
             metrics.evictions.inc();
         }
-        Ok(entry)
+        Ok(decoded)
     }
 
-    /// Reads and checksum-verifies every admitted segment (and the
-    /// geometry blob) without decoding or caching — the force-check behind
-    /// `polygamy-store inspect --verify`. Returns the number of segments
-    /// checked.
+    /// The eager open: reads, verifies and decodes every admitted segment,
+    /// in directory order — never through the cache (an eager index must
+    /// not be held twice). Every file owning a data set the filter admits
+    /// must be available; files the filter never touches may be down.
+    pub(crate) fn load(&self) -> Result<PolygamyIndex> {
+        let datasets = &self.catalog.datasets;
+        self.require_files_of(
+            (0..datasets.len()).filter(|&di| self.filter.admits_dataset(&datasets[di].meta.name)),
+        )?;
+        let mut functions = Vec::new();
+        for entry in self.directory.iter().filter(|e| e.admitted) {
+            let (file, info) = self.locate(entry)?;
+            let what = file.store.segment_label(info);
+            let bytes = file.store.source().read(info.loc, &what)?;
+            file.bytes_fetched.add(bytes.len() as u64);
+            functions.push(decode_function_segment(&bytes, entry.dataset, &what)?);
+        }
+        Ok(PolygamyIndex {
+            datasets: datasets.clone(),
+            functions,
+        })
+    }
+
+    /// Reads and checksum-verifies every admitted segment (and every
+    /// file's geometry blob) without decoding or caching — the force-check
+    /// behind `polygamy-store inspect --verify`. An unavailable file fails
+    /// the verification with its recorded reason. Returns the number of
+    /// segments checked.
     pub fn verify_all(&self) -> Result<usize> {
-        let manifest = self.store.manifest();
-        self.store
-            .source()
-            .read(manifest.geometry, "geometry")
-            .map(drop)?;
+        for shard in 0..self.files.len() {
+            let store = &self.file(shard)?.store;
+            let geometry = store.manifest().geometry;
+            store.source().read(geometry, "geometry").map(drop)?;
+        }
         let mut checked = 0;
-        for (i, info) in manifest.segments.iter().enumerate() {
-            if !self.admitted[i] {
+        for (i, entry) in self.directory.iter().enumerate() {
+            if !entry.admitted {
                 continue;
             }
-            let what = format!(
-                "segment {}.{}",
-                manifest.datasets[info.dataset_index].meta.name, info.function
-            );
-            self.store.source().read(info.loc, &what).map(drop)?;
+            let (file, info) = self.locate(entry)?;
+            let what = file.store.segment_label(info);
+            file.store.source().read(info.loc, &what).map(drop)?;
             // ordering: Release — publishes this force-check's verdict to
             // the Acquire loads on the fault path.
             self.verified[i].store(VERIFIED_OK, Ordering::Release);

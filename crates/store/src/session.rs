@@ -25,32 +25,35 @@
 //!
 //! ## One read path
 //!
-//! Every query — single or batched, on any backing — takes the same three
-//! steps: *scope* it to the loaded data sets, *pin* the entries it can
-//! touch (`Backing::pinned`: nothing to do for an eager index, a segment
-//! fault-in for a lazy one), and hand the resulting
+//! Every session opens through one [`LazyIndex`] — the global segment
+//! directory over the store's file(s) — and the two modes differ only in
+//! *when* that directory is read: an eager open decodes every admitted
+//! entry once and drops the index, a lazy one keeps it and faults entries
+//! in per query. Every query — single or batched, on either backing —
+//! then takes the same three steps: *scope* it to the loaded data sets,
+//! *pin* the entries it can touch (`Backing::pinned`: nothing to do for an
+//! eager index, a segment fault-in for a lazy one), and hand the resulting
 //! [`IndexView`] to [`polygamy_core::run_query_many`]. A single query is a
 //! batch of one.
 //!
 //! ## Sharded stores
 //!
-//! Every open path sniffs the file magic: a shard catalog
-//! ([`crate::shard`], magic `PLGYSHRD`) opens as a *sharded* session, a
-//! plain store (`PLGYSTOR`) as a monolithic one — callers never say which.
-//! Sharding decides which *file* a segment faults from, nothing else: the
-//! pinned entries reach the executor in the monolith's directory order, so
+//! [`LazyIndex::open`] sniffs the file magic: a shard catalog
+//! ([`crate::shard`], magic `PLGYSHRD`) opens over its shard files, a
+//! plain store (`PLGYSTOR`) as the one-file case — callers never say
+//! which. Sharding decides which *file* a segment is read from, nothing
+//! else: entries reach the executor in the monolith's directory order, so
 //! query output is **byte-identical for any shard count and any worker
 //! layout** — a one-shard store answers exactly like the monolith it was
-//! migrated from. Lazy sharded sessions degrade per shard: a missing or
-//! corrupt shard file fails only the queries whose footprint touches it,
-//! with a typed [`StoreError::ShardUnavailable`] raised at pin time, before
-//! any evaluation.
+//! migrated from. Lazy sessions degrade per shard file: a missing or
+//! corrupt one fails only the queries whose footprint touches it, with a
+//! typed [`StoreError::ShardUnavailable`] raised at pin time, before any
+//! evaluation; an eager open needs every file its filter admits.
 
 use crate::error::{Result, StoreError};
 use crate::lazy::LazyIndex;
-use crate::shard::{is_sharded, load_sharded_eager, ShardedLazy};
 use crate::source::SourceBackend;
-use crate::store::{LoadFilter, Store};
+use crate::store::LoadFilter;
 use polygamy_core::cache::{QueryCache, DEFAULT_QUERY_CACHE_CAPACITY};
 use polygamy_core::index::{DatasetEntry, IndexView, PolygamyIndex};
 use polygamy_core::query::RelationshipQuery;
@@ -61,38 +64,34 @@ use std::path::Path;
 /// How a session materializes function segments.
 #[derive(Debug)]
 enum Backing {
-    /// Every admitted segment decoded at open. The `u64` is the source's
+    /// Every admitted segment decoded at open. The `u64` is the sources'
     /// byte counter captured right after the one-shot load — the total
-    /// I/O an eager session will ever do. Sharded stores also load eagerly
-    /// into this variant: once decoded, nothing distinguishes them from a
-    /// monolith.
+    /// I/O an eager session will ever do.
     Eager(PolygamyIndex, u64),
-    /// Segments faulted in per query footprint.
+    /// Segments faulted in per query footprint, with per-file
+    /// availability on a sharded store (degraded serving).
     Lazy(LazyIndex),
-    /// Segments faulted in per query footprint from per-shard files, with
-    /// per-shard availability (degraded serving).
-    ShardedLazy(ShardedLazy),
 }
 
 impl Backing {
     /// Pins every entry `queries` can touch and runs `f` over the view of
     /// them — the one place a backing turns into something the executor
-    /// reads. An eager index is already resident in full; lazy backings
-    /// fault in the batch's footprint (a sharded one rejecting queries that
-    /// touch an unavailable shard here, before evaluation) and keep the
+    /// reads. An eager index is already resident in full; a lazy one
+    /// faults in the batch's footprint (rejecting queries that touch an
+    /// unavailable shard file here, before evaluation) and keeps the
     /// segments alive for the duration of `f`.
     fn pinned<T>(
         &self,
         queries: &[RelationshipQuery],
         f: impl FnOnce(IndexView<'_>) -> T,
     ) -> Result<T> {
-        let (catalog, faulted) = match self {
+        let lazy = match self {
             Backing::Eager(index, _) => return Ok(f(index.into())),
-            Backing::Lazy(lazy) => (lazy.catalog(), lazy.pin_for(queries)?),
-            Backing::ShardedLazy(lazy) => (lazy.catalog(), lazy.pin_for(queries)?),
+            Backing::Lazy(lazy) => lazy,
         };
+        let faulted = lazy.pin_for(queries)?;
         Ok(f(IndexView::new(
-            catalog,
+            lazy.catalog(),
             faulted.iter().map(|entry| &**entry).collect(),
         )))
     }
@@ -165,24 +164,12 @@ impl StoreSession {
 
     /// Opens an eager session with an explicit configuration and load
     /// filter — only the function segments the filter admits are read off
-    /// disk. Sharded stores (shard-catalog magic) are detected here: every
-    /// shard the filter touches must be available, and the session answers
-    /// byte-identically to the monolith.
+    /// disk. On a sharded store every shard file the filter touches must
+    /// be available, and the session answers byte-identically to the
+    /// monolith.
     pub fn open_with(path: impl AsRef<Path>, config: Config, filter: &LoadFilter) -> Result<Self> {
-        let path = path.as_ref();
-        if is_sharded(path)? {
-            let (catalog, geometry, index, bytes_loaded) = load_sharded_eager(path, filter)?;
-            let loaded = loaded_names(&index.datasets, filter);
-            return Ok(Self {
-                geometry,
-                config,
-                backing: Backing::Eager(index, bytes_loaded),
-                loaded,
-                n_shards: catalog.n_shards(),
-                cache: QueryCache::new(DEFAULT_QUERY_CACHE_CAPACITY),
-            });
-        }
-        Self::from_store(&Store::open(path)?, config, filter)
+        let lazy = LazyIndex::open(path, filter, SourceBackend::default())?;
+        Self::new(lazy, config, filter, true)
     }
 
     /// Opens a lazy session over the whole store with the default
@@ -199,57 +186,43 @@ impl StoreSession {
 
     /// Opens a lazy session with an explicit configuration, load filter
     /// and I/O backend ([`SourceBackend::Mmap`] serves segment bytes as
-    /// borrowed views into a read-only mapping). Sharded stores are
-    /// detected here and open *degraded*: unavailable shard files are
-    /// recorded, and only queries touching them fail.
+    /// borrowed views into a read-only mapping). A sharded store opens
+    /// *degraded*: unavailable shard files are recorded, and only queries
+    /// touching them fail.
     pub fn open_lazy_with(
         path: impl AsRef<Path>,
         config: Config,
         filter: &LoadFilter,
         backend: SourceBackend,
     ) -> Result<Self> {
-        let path = path.as_ref();
-        if is_sharded(path)? {
-            let lazy = ShardedLazy::open(path, filter, backend)?;
-            let geometry = lazy.load_geometry()?;
-            let loaded = loaded_names(lazy.catalog(), filter);
-            return Ok(Self {
-                geometry,
-                config,
-                n_shards: lazy.n_shards(),
-                backing: Backing::ShardedLazy(lazy),
-                loaded,
-                cache: QueryCache::new(DEFAULT_QUERY_CACHE_CAPACITY),
-            });
-        }
-        let store = Store::open_with_backend(path, backend)?;
-        let lazy = LazyIndex::new(store, filter)?;
-        let geometry = lazy.store().load_geometry()?;
-        let loaded = loaded_names(&lazy.store().manifest().datasets, filter);
-        Ok(Self {
-            geometry,
-            config,
-            backing: Backing::Lazy(lazy),
-            loaded,
-            n_shards: 1,
-            cache: QueryCache::new(DEFAULT_QUERY_CACHE_CAPACITY),
-        })
+        let lazy = LazyIndex::open(path, filter, backend)?;
+        Self::new(lazy, config, filter, false)
     }
 
-    /// Builds an eager session from an already-open store.
-    pub fn from_store(store: &Store, config: Config, filter: &LoadFilter) -> Result<Self> {
-        let index = store.load_filtered(filter)?;
-        let loaded = loaded_names(&index.datasets, filter);
-        let geometry = store.load_geometry()?;
-        // Captured after the one-shot load: an eager session never reads
-        // again, so this is its total (and final) I/O.
-        let bytes_loaded = store.source().bytes_fetched();
+    /// A session over an opened index: `eager` decodes every admitted
+    /// segment now and drops the index, otherwise the index stays and
+    /// segments fault in per query.
+    fn new(lazy: LazyIndex, config: Config, filter: &LoadFilter, eager: bool) -> Result<Self> {
+        let geometry = lazy.load_geometry()?;
+        let loaded = match &filter.datasets {
+            None => lazy.catalog().iter().map(|d| d.meta.name.clone()).collect(),
+            Some(names) => names.clone(),
+        };
+        let n_shards = lazy.shard_catalog().n_shards();
+        let backing = if eager {
+            let index = lazy.load()?;
+            // Captured after the one-shot load: an eager session never
+            // reads again, so this is its total (and final) I/O.
+            Backing::Eager(index, lazy.bytes_fetched())
+        } else {
+            Backing::Lazy(lazy)
+        };
         Ok(Self {
             geometry,
             config,
-            backing: Backing::Eager(index, bytes_loaded),
+            backing,
             loaded,
-            n_shards: 1,
+            n_shards,
             cache: QueryCache::new(DEFAULT_QUERY_CACHE_CAPACITY),
         })
     }
@@ -325,7 +298,7 @@ impl StoreSession {
     pub fn index(&self) -> Option<&PolygamyIndex> {
         match &self.backing {
             Backing::Eager(index, _) => Some(index),
-            Backing::Lazy(_) | Backing::ShardedLazy(_) => None,
+            Backing::Lazy(_) => None,
         }
     }
 
@@ -336,8 +309,7 @@ impl StoreSession {
     pub fn bytes_fetched(&self) -> u64 {
         match &self.backing {
             Backing::Eager(_, bytes_loaded) => *bytes_loaded,
-            Backing::Lazy(lazy) => lazy.store().source().bytes_fetched(),
-            Backing::ShardedLazy(lazy) => lazy.bytes_fetched(),
+            Backing::Lazy(lazy) => lazy.bytes_fetched(),
         }
     }
 
@@ -346,25 +318,15 @@ impl StoreSession {
         match &self.backing {
             Backing::Eager(index, _) => &index.datasets,
             Backing::Lazy(lazy) => lazy.catalog(),
-            Backing::ShardedLazy(lazy) => lazy.catalog(),
         }
     }
 
-    /// The demand-paged index — `Some` for (monolithic) lazy sessions only;
-    /// sharded sessions expose theirs via [`StoreSession::sharded_lazy`].
+    /// The demand-paged index — `Some` for lazy sessions, monolithic or
+    /// sharded (it also reports per-shard-file health).
     pub fn lazy_index(&self) -> Option<&LazyIndex> {
         match &self.backing {
-            Backing::Eager(..) | Backing::ShardedLazy(_) => None,
+            Backing::Eager(..) => None,
             Backing::Lazy(lazy) => Some(lazy),
-        }
-    }
-
-    /// The per-shard demand-paged index — `Some` for sharded lazy sessions
-    /// only (inspect and the daemon use it for shard health).
-    pub fn sharded_lazy(&self) -> Option<&ShardedLazy> {
-        match &self.backing {
-            Backing::ShardedLazy(lazy) => Some(lazy),
-            _ => None,
         }
     }
 
@@ -375,7 +337,7 @@ impl StoreSession {
 
     /// True when this session faults segments in on demand.
     pub fn is_lazy(&self) -> bool {
-        matches!(self.backing, Backing::Lazy(_) | Backing::ShardedLazy(_))
+        matches!(self.backing, Backing::Lazy(_))
     }
 
     /// Names of the data sets this session serves.
@@ -396,13 +358,5 @@ impl StoreSession {
     /// Number of cached per-pair results (diagnostics/tests).
     pub fn cache_len(&self) -> usize {
         self.cache.len()
-    }
-}
-
-/// The data set names a filter admits — the set a session can serve.
-fn loaded_names(catalog: &[DatasetEntry], filter: &LoadFilter) -> Vec<String> {
-    match &filter.datasets {
-        None => catalog.iter().map(|d| d.meta.name.clone()).collect(),
-        Some(names) => names.clone(),
     }
 }

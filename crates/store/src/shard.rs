@@ -1,5 +1,8 @@
 //! Sharded stores: one self-contained `.plst` per shard plus a small
-//! versioned shard-catalog file tying them together.
+//! versioned shard-catalog file tying them together. This module owns the
+//! catalog *format* and the write side (build, migrate, maintain); reading
+//! a sharded store is not a separate path — [`crate::lazy::LazyIndex`]
+//! serves a monolith as the one-shard case.
 //!
 //! A monolithic store keeps every data set in one file; a *sharded* store
 //! partitions the catalog across independent shard files — each a complete
@@ -18,7 +21,8 @@
 //!
 //! The catalog file records the **global** data set catalog (in monolith
 //! order), each data set's owning shard, and the shard file names
-//! (relative to the catalog's directory). Each shard file's local catalog
+//! (relative to the catalog's directory — decode rejects any name that is
+//! not one plain path component). Each shard file's local catalog
 //! lists its owned data sets in ascending global order, so the mapping
 //! local ↔ global is positional and survives maintenance. The geometry
 //! blob is duplicated verbatim into every shard, keeping each shard a
@@ -31,30 +35,25 @@
 //! the original file bit-for-bit, manifest included. The round-trip test
 //! pins this.
 //!
-//! **Degraded serving.** Opening a sharded store records per-shard
-//! availability instead of failing outright: shards that open (and whose
-//! local catalogs match the shard catalog) serve normally; a missing,
-//! truncated or corrupt shard yields a typed
-//! [`StoreError::ShardUnavailable`] — repeatably — only for queries whose
-//! footprint touches it. Per-shard counters
-//! (`store.shard.faults.<shard>`, `store.shard.bytes_fetched.<shard>`)
-//! report each shard file's serving load through the process registry.
+//! **Degraded serving.** A shard file that is missing, truncated, corrupt
+//! or whose local catalog drifted from the shard catalog does not open.
+//! The read path records that per shard instead of failing the whole open
+//! (see [`crate::lazy`]); the write paths here need the one shard they
+//! touch and fail with a typed [`StoreError::ShardUnavailable`].
 
-use crate::codec::{decode_function_segment, encode_function_segment, Dec, Enc};
+use crate::codec::{Dec, Enc};
 use crate::error::{Result, StoreError};
 use crate::format::{dec_dataset_entry, enc_dataset_entry};
-use crate::lazy::{LazyIndex, ShardObs};
 use crate::source::SourceBackend;
-use crate::store::{encode_geometry, write_store, LoadFilter, SegmentGroup, SegmentMeta, Store};
-use polygamy_core::index::{DatasetEntry, FunctionEntry, PolygamyIndex};
-use polygamy_core::query::RelationshipQuery;
-use polygamy_core::{index_dataset, query_datasets, CityGeometry, Config, Fnv1a};
-use polygamy_obs::names;
+use crate::store::{
+    encode_geometry, encode_segment_groups, write_atomically, write_store, SegmentGroup, Store,
+};
+use polygamy_core::index::{DatasetEntry, PolygamyIndex};
+use polygamy_core::{CityGeometry, Config, Fnv1a};
 use polygamy_stdata::Dataset;
 use std::fs::File;
 use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::path::{Component, Path, PathBuf};
 
 /// File magic identifying a shard catalog (a sharded store's entry point).
 pub const SHARD_MAGIC: [u8; 8] = *b"PLGYSHRD";
@@ -65,19 +64,6 @@ pub const SHARD_CATALOG_VERSION: u32 = 1;
 
 /// Fixed catalog header length: magic, version, flags, payload len, FNV.
 const SHARD_HEADER_LEN: usize = 32;
-
-/// The per-shard registry counters, resolved on demand (names extend the
-/// `store.shard.*.` families in [`polygamy_obs::names`]).
-fn shard_obs(shard: usize) -> ShardObs {
-    let r = polygamy_obs::global();
-    ShardObs {
-        faults: r.counter(&format!("{}{shard}", names::STORE_SHARD_FAULTS_PREFIX)),
-        bytes_fetched: r.counter(&format!(
-            "{}{shard}",
-            names::STORE_SHARD_BYTES_FETCHED_PREFIX
-        )),
-    }
-}
 
 /// The shard catalog: the global data set catalog plus the data set →
 /// shard-file assignment. This is everything a reader needs to route a
@@ -168,10 +154,14 @@ impl ShardCatalog {
             });
         }
         let _flags = h.u32()?;
-        let len = h.u64()? as usize;
+        let len = h.u64()?;
         let checksum = h.u64()?;
-        let payload = bytes
-            .get(SHARD_HEADER_LEN..SHARD_HEADER_LEN + len)
+        // `len` is untrusted: bound it (overflow included) by the bytes
+        // actually present before slicing.
+        let payload = usize::try_from(len)
+            .ok()
+            .and_then(|len| SHARD_HEADER_LEN.checked_add(len))
+            .and_then(|end| bytes.get(SHARD_HEADER_LEN..end))
             .ok_or_else(|| StoreError::Truncated {
                 what: "shard catalog payload".into(),
             })?;
@@ -206,6 +196,14 @@ impl ShardCatalog {
                 files.len()
             )));
         }
+        // Names are joined onto the catalog's directory for reads *and*
+        // maintenance writes, and the checksum is no MAC: anything but one
+        // plain file name could escape that directory.
+        if let Some(bad) = files.iter().find(|f| !is_plain_file_name(f)) {
+            return Err(StoreError::Corrupt(format!(
+                "shard file name {bad:?} is not a plain file name"
+            )));
+        }
         Ok(Self {
             datasets,
             shard_of,
@@ -220,28 +218,10 @@ impl ShardCatalog {
         Self::decode(&bytes)
     }
 
-    /// Atomically writes the catalog file (temp file + rename, like the
-    /// store writer).
+    /// Atomically writes the catalog file, through the store writer's
+    /// temp-file + sync + rename.
     pub fn write(&self, path: impl AsRef<Path>) -> Result<()> {
-        let path = path.as_ref();
-        // Same temp-name discipline as the store writer: pid + process-wide
-        // counter, so concurrent catalog writers never collide.
-        static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let seq = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-        tmp_name.push(format!(".tmp.{}.{seq}", std::process::id()));
-        let tmp = path.with_file_name(tmp_name);
-        let written = (|| -> Result<()> {
-            let mut out = File::create(&tmp)?;
-            out.write_all(&self.encode())?;
-            out.sync_all()?;
-            std::fs::rename(&tmp, path)?;
-            Ok(())
-        })();
-        if written.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        written
+        write_atomically(path.as_ref(), |out| out.write_all(&self.encode()))
     }
 
     /// Absolute path of one shard file (names are stored relative to the
@@ -263,9 +243,20 @@ pub fn is_sharded(path: impl AsRef<Path>) -> Result<bool> {
     Ok(n == 8 && head == SHARD_MAGIC)
 }
 
+/// True when `name` is exactly one normal path component — no separator
+/// of either platform, not empty, `.` or `..`, not absolute.
+fn is_plain_file_name(name: &str) -> bool {
+    let mut components = Path::new(name).components();
+    !name.contains(['/', '\\'])
+        && matches!(
+            (components.next(), components.next()),
+            (Some(Component::Normal(_)), None)
+        )
+}
+
 /// The default shard file names for a catalog at `path`:
 /// `<stem>.shard<i>.plst`, in the catalog's directory.
-pub fn default_shard_files(path: &Path, n_shards: usize) -> Vec<String> {
+fn default_shard_files(path: &Path, n_shards: usize) -> Vec<String> {
     let stem = path
         .file_stem()
         .map(|s| s.to_string_lossy().into_owned())
@@ -296,21 +287,11 @@ pub fn save_sharded(
             "a sharded store needs at least one shard".into(),
         ));
     }
-    let geometry_bytes = encode_geometry(geometry)?;
-    let mut per_dataset: Vec<SegmentGroup> =
-        (0..index.datasets.len()).map(|_| Vec::new()).collect();
-    for entry in &index.functions {
-        let meta = SegmentMeta {
-            function: entry.spec.name.clone(),
-            resolution: entry.resolution,
-        };
-        per_dataset[entry.dataset_index].push((meta, encode_function_segment(entry)));
-    }
     write_sharded(
         path.as_ref(),
-        &geometry_bytes,
+        &encode_geometry(geometry)?,
         index.datasets.clone(),
-        per_dataset,
+        encode_segment_groups(index),
         round_robin(index.datasets.len(), n_shards),
         n_shards,
     )
@@ -448,8 +429,21 @@ fn verify_shard_catalog(catalog: &ShardCatalog, shard: usize, store: &Store) -> 
     }
 }
 
-/// Opens and catalog-verifies one shard file, wrapping any failure —
-/// missing file, truncation, corruption, catalog drift — into the typed
+/// Opens and catalog-verifies one shard file. Any failure — missing file,
+/// truncation, corruption, catalog drift — means the shard must not serve;
+/// the read path records it, the write paths wrap it ([`open_shard`]).
+pub(crate) fn open_shard_file(
+    catalog: &ShardCatalog,
+    catalog_path: &Path,
+    shard: usize,
+    backend: SourceBackend,
+) -> Result<Store> {
+    let store = Store::open_with_backend(catalog.shard_path(catalog_path, shard), backend)?;
+    verify_shard_catalog(catalog, shard, &store)?;
+    Ok(store)
+}
+
+/// [`open_shard_file`] with the failure wrapped into the typed
 /// [`StoreError::ShardUnavailable`] the degradation contract promises.
 fn open_shard(
     catalog: &ShardCatalog,
@@ -457,350 +451,13 @@ fn open_shard(
     shard: usize,
     backend: SourceBackend,
 ) -> Result<Store> {
-    Store::open_with_backend(catalog.shard_path(catalog_path, shard), backend)
-        .and_then(|store| {
-            verify_shard_catalog(catalog, shard, &store)?;
-            Ok(store)
-        })
-        .map_err(|e| StoreError::ShardUnavailable {
+    open_shard_file(catalog, catalog_path, shard, backend).map_err(|e| {
+        StoreError::ShardUnavailable {
             shard,
             file: catalog.files[shard].clone(),
             reason: e.to_string(),
-        })
-}
-
-/// One shard's serving state after a degraded open.
-#[derive(Debug)]
-enum ShardSlot {
-    /// The shard opened and its catalog matches; it serves queries.
-    /// Boxed: a `LazyIndex` is much larger than the failure record, and
-    /// the slot vector holds one entry per shard either way.
-    Available(Box<LazyIndex>),
-    /// The shard failed to open (or its catalog drifted); queries touching
-    /// it fail with [`StoreError::ShardUnavailable`], repeatably.
-    Unavailable {
-        /// Rendered open error, replayed into every rejection.
-        reason: String,
-    },
-}
-
-/// A sharded store opened for demand-paged serving: the shard catalog plus
-/// one [`LazyIndex`] per *available* shard. Shards that failed to open are
-/// recorded, not fatal — see the module docs for the degradation contract.
-#[derive(Debug)]
-pub struct ShardedLazy {
-    catalog: ShardCatalog,
-    slots: Vec<ShardSlot>,
-    /// The session's load filter (applied per shard at pin time).
-    filter: LoadFilter,
-    /// Global catalog index → shard-local *segment directory* positions,
-    /// ascending — precomputed so pinning assembles entries in global
-    /// (monolith-directory) order without rescanning manifests.
-    segs_of: Vec<Vec<usize>>,
-}
-
-impl ShardedLazy {
-    /// Opens a sharded store for lazy serving. Shard files that fail to
-    /// open — missing, truncated, corrupt, or with a drifted catalog — are
-    /// recorded as unavailable; everything else serves. Fails outright
-    /// only when the catalog itself is unreadable, a filter names an
-    /// unknown data set, or *no* shard is available (there is nothing to
-    /// serve, not even geometry).
-    pub fn open(
-        path: impl AsRef<Path>,
-        filter: &LoadFilter,
-        backend: SourceBackend,
-    ) -> Result<Self> {
-        let path = path.as_ref();
-        let catalog = ShardCatalog::read(path)?;
-        if let Some(names) = &filter.datasets {
-            for name in names {
-                catalog.dataset_index(name)?;
-            }
         }
-        let mut slots = Vec::with_capacity(catalog.n_shards());
-        let mut segs_of: Vec<Vec<usize>> = vec![Vec::new(); catalog.datasets.len()];
-        for s in 0..catalog.n_shards() {
-            let owned = catalog.datasets_of_shard(s);
-            let opened =
-                Store::open_with_backend(catalog.shard_path(path, s), backend).and_then(|store| {
-                    verify_shard_catalog(&catalog, s, &store)?;
-                    // Narrow the global filter to this shard's own names;
-                    // an empty intersection admits nothing (but the shard
-                    // still opens — availability is about file health).
-                    let local_filter = LoadFilter {
-                        datasets: filter.datasets.as_ref().map(|names| {
-                            names
-                                .iter()
-                                .filter(|n| {
-                                    owned
-                                        .iter()
-                                        .any(|&di| catalog.datasets[di].meta.name == **n)
-                                })
-                                .cloned()
-                                .collect()
-                        }),
-                        resolutions: filter.resolutions.clone(),
-                    };
-                    LazyIndex::new_sharded(store, &local_filter, owned.clone(), shard_obs(s))
-                });
-            match opened {
-                Ok(lazy) => {
-                    for (i, info) in lazy.store().manifest().segments.iter().enumerate() {
-                        segs_of[owned[info.dataset_index]].push(i);
-                    }
-                    slots.push(ShardSlot::Available(Box::new(lazy)));
-                }
-                Err(e) => slots.push(ShardSlot::Unavailable {
-                    reason: e.to_string(),
-                }),
-            }
-        }
-        if !slots.iter().any(|s| matches!(s, ShardSlot::Available(_))) {
-            let reason = match &slots[0] {
-                ShardSlot::Unavailable { reason } => reason.clone(),
-                ShardSlot::Available(_) => unreachable!("no shard is available"),
-            };
-            return Err(StoreError::ShardUnavailable {
-                shard: 0,
-                file: catalog.files[0].clone(),
-                reason,
-            });
-        }
-        Ok(Self {
-            catalog,
-            slots,
-            filter: filter.clone(),
-            segs_of,
-        })
-    }
-
-    /// The shard catalog (global data sets, assignment, file names).
-    pub fn shard_catalog(&self) -> &ShardCatalog {
-        &self.catalog
-    }
-
-    /// The global data set catalog.
-    pub fn catalog(&self) -> &[DatasetEntry] {
-        &self.catalog.datasets
-    }
-
-    /// Per-shard availability: `None` when the shard serves, or the
-    /// recorded open-failure reason.
-    pub fn unavailable_reason(&self, shard: usize) -> Option<&str> {
-        match &self.slots[shard] {
-            ShardSlot::Available(_) => None,
-            ShardSlot::Unavailable { reason } => Some(reason),
-        }
-    }
-
-    /// Number of shards in the layout (available or not).
-    pub fn n_shards(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total bytes fetched across every available shard's byte source.
-    pub fn bytes_fetched(&self) -> u64 {
-        self.slots
-            .iter()
-            .map(|s| match s {
-                ShardSlot::Available(lazy) => lazy.store().source().bytes_fetched(),
-                ShardSlot::Unavailable { .. } => 0,
-            })
-            .sum()
-    }
-
-    /// Loads the city geometry from the first available shard (every shard
-    /// carries the identical blob).
-    pub fn load_geometry(&self) -> Result<CityGeometry> {
-        for slot in &self.slots {
-            if let ShardSlot::Available(lazy) = slot {
-                return lazy.store().load_geometry();
-            }
-        }
-        unreachable!("open guarantees at least one available shard")
-    }
-
-    /// The typed rejection for one unavailable shard.
-    fn unavailable(&self, shard: usize) -> StoreError {
-        let reason = match &self.slots[shard] {
-            ShardSlot::Unavailable { reason } => reason.clone(),
-            ShardSlot::Available(_) => unreachable!("shard is available"),
-        };
-        StoreError::ShardUnavailable {
-            shard,
-            file: self.catalog.files[shard].clone(),
-            reason,
-        }
-    }
-
-    /// Faults in every admitted segment any of `queries` can touch, in
-    /// **global directory order** — data sets in global catalog order,
-    /// segments in shard-directory order within each data set — which is
-    /// exactly the monolithic store's directory order. The entries back an
-    /// [`polygamy_core::IndexView`], so sharded output is byte-identical
-    /// to the monolith's for any shard count.
-    ///
-    /// A query whose footprint touches an unavailable shard is rejected
-    /// with [`StoreError::ShardUnavailable`] before any evaluation; clean
-    /// shards keep serving every query that avoids the broken one.
-    pub fn pin_for(&self, queries: &[RelationshipQuery]) -> Result<Vec<Arc<FunctionEntry>>> {
-        let n = self.catalog.datasets.len();
-        // Which queries touch each global data set (clauses differ, so the
-        // resolution check below is per touching query).
-        let mut touched_by: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (qi, query) in queries.iter().enumerate() {
-            for di in query_datasets(&self.catalog.datasets, query)? {
-                touched_by[di].push(qi);
-            }
-        }
-        let mut pinned = Vec::new();
-        for (di, touching) in touched_by.iter().enumerate() {
-            if touching.is_empty() {
-                continue;
-            }
-            let s = self.catalog.shard_of[di];
-            let lazy = match &self.slots[s] {
-                ShardSlot::Available(lazy) => lazy,
-                ShardSlot::Unavailable { .. } => return Err(self.unavailable(s)),
-            };
-            let manifest = lazy.store().manifest();
-            for &seg in &self.segs_of[di] {
-                let info = &manifest.segments[seg];
-                if !self.filter.admits(info, &manifest.datasets) {
-                    continue;
-                }
-                let wanted = touching
-                    .iter()
-                    .any(|&qi| queries[qi].clause.admits_resolution(info.resolution));
-                if wanted {
-                    pinned.push(lazy.entry(seg)?);
-                }
-            }
-        }
-        Ok(pinned)
-    }
-
-    /// Reads and checksum-verifies every admitted segment of every shard
-    /// (the sharded `inspect --verify`). Unavailable shards fail the
-    /// verification with their recorded reason. Returns segments checked.
-    pub fn verify_all(&self) -> Result<usize> {
-        let mut checked = 0;
-        for (s, slot) in self.slots.iter().enumerate() {
-            match slot {
-                ShardSlot::Available(lazy) => checked += lazy.verify_all()?,
-                ShardSlot::Unavailable { .. } => return Err(self.unavailable(s)),
-            }
-        }
-        Ok(checked)
-    }
-}
-
-/// A sharded store opened for **eager** loading: every shard the filter
-/// touches must be available, and every admitted segment is read, verified
-/// and decoded up front — the sharded twin of
-/// [`Store::load_filtered`](crate::store::Store::load_filtered).
-pub fn load_sharded_eager(
-    path: impl AsRef<Path>,
-    filter: &LoadFilter,
-) -> Result<(ShardCatalog, CityGeometry, PolygamyIndex, u64)> {
-    let path = path.as_ref();
-    let catalog = ShardCatalog::read(path)?;
-    if let Some(names) = &filter.datasets {
-        for name in names {
-            catalog.dataset_index(name)?;
-        }
-    }
-    // Open each shard the filter admits at least one data set of. Eager
-    // semantics: any failure in the admitted set fails the whole open —
-    // shards the filter never touches may be missing or corrupt.
-    let mut stores: Vec<Option<Store>> = Vec::with_capacity(catalog.n_shards());
-    for s in 0..catalog.n_shards() {
-        let needed = catalog.datasets_of_shard(s).iter().any(|&di| {
-            filter
-                .datasets
-                .as_ref()
-                .is_none_or(|names| names.iter().any(|n| catalog.datasets[di].meta.name == *n))
-        });
-        stores.push(if needed {
-            Some(open_shard(&catalog, path, s, SourceBackend::default())?)
-        } else {
-            None
-        });
-    }
-    // Geometry must come from somewhere even when the filter admits no
-    // segments at all: fall back to the first shard that opens.
-    if stores.iter().all(|o| o.is_none()) {
-        let mut first_err = None;
-        for (s, slot) in stores.iter_mut().enumerate() {
-            match open_shard(&catalog, path, s, SourceBackend::default()) {
-                Ok(store) => {
-                    *slot = Some(store);
-                    break;
-                }
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        if stores.iter().all(|o| o.is_none()) {
-            return Err(first_err
-                .unwrap_or_else(|| StoreError::Corrupt("sharded store has no shards".into())));
-        }
-    }
-
-    let geometry = stores
-        .iter()
-        .flatten()
-        .next()
-        .expect("at least one shard opened above")
-        .load_geometry()?;
-
-    // Decode admitted segments with *global* data set indices, assembling
-    // in global directory order (data sets ascending, shard-directory
-    // order within each) — the monolith's canonical order.
-    let mut functions: Vec<FunctionEntry> = Vec::new();
-    for di in 0..catalog.datasets.len() {
-        let name = &catalog.datasets[di].meta.name;
-        let admitted = filter
-            .datasets
-            .as_ref()
-            .is_none_or(|names| names.iter().any(|n| n == name));
-        if !admitted {
-            continue;
-        }
-        let s = catalog.shard_of[di];
-        let store = stores[s].as_ref().expect("admitted shards were opened");
-        let li = catalog.local_index(di);
-        for info in &store.manifest().segments {
-            if info.dataset_index != li {
-                continue;
-            }
-            if !filter
-                .resolutions
-                .as_ref()
-                .is_none_or(|rs| rs.contains(&info.resolution))
-            {
-                continue;
-            }
-            let what = format!("segment {name}.{}", info.function);
-            let bytes = store.source().read(info.loc, &what)?;
-            functions.push(decode_function_segment(&bytes, di, &what)?);
-        }
-    }
-
-    // Account the one-shot load on the per-shard byte counters.
-    let mut total = 0;
-    for (s, store) in stores.iter().enumerate() {
-        if let Some(store) = store {
-            let fetched = store.source().bytes_fetched();
-            shard_obs(s).bytes_fetched.add(fetched);
-            total += fetched;
-        }
-    }
-    let index = PolygamyIndex {
-        datasets: catalog.datasets.clone(),
-        functions,
-    };
-    Ok((catalog, geometry, index, total))
+    })
 }
 
 /// Adds or replaces one data set in a sharded store, rewriting **exactly
@@ -814,58 +471,21 @@ pub fn upsert_dataset_sharded(
 ) -> Result<ShardCatalog> {
     let catalog_path = catalog_path.as_ref();
     let mut catalog = ShardCatalog::read(catalog_path)?;
-    let name = dataset.meta.name.as_str();
-    let (target, shard) = match catalog.dataset_index(name) {
-        Ok(di) => (di, catalog.shard_of[di]),
-        Err(_) => {
-            let shard = (0..catalog.n_shards())
-                .min_by_key(|&s| catalog.datasets_of_shard(s).len())
-                .expect("catalog has at least one shard");
-            (catalog.datasets.len(), shard)
-        }
+    let existing = catalog.dataset_index(&dataset.meta.name).ok();
+    let shard = match existing {
+        Some(di) => catalog.shard_of[di],
+        None => (0..catalog.n_shards())
+            .min_by_key(|&s| catalog.datasets_of_shard(s).len())
+            .expect("catalog has at least one shard"),
     };
-    let shard_file = catalog.shard_path(catalog_path, shard);
     let store = open_shard(&catalog, catalog_path, shard, SourceBackend::default())?;
-    let geometry = store.load_geometry()?;
-    let is_new = target == catalog.datasets.len();
-    let local_target = if is_new {
-        store.manifest().datasets.len()
-    } else {
-        catalog.local_index(target)
-    };
-
-    let (catalog_entry, entries, _stats) = index_dataset(config, &geometry, local_target, dataset);
-    let fresh: SegmentGroup = entries
-        .iter()
-        .map(|entry| {
-            (
-                SegmentMeta {
-                    function: entry.spec.name.clone(),
-                    resolution: entry.resolution,
-                },
-                encode_function_segment(entry),
-            )
-        })
-        .collect();
-
-    let mut local_catalog = store.manifest().datasets.clone();
-    let mut per_dataset = store.read_retained_segments(|li| li != local_target)?;
-    if is_new {
-        local_catalog.push(catalog_entry.clone());
-        per_dataset.push(fresh);
-    } else {
-        local_catalog[local_target] = catalog_entry.clone();
-        per_dataset[local_target] = fresh;
-    }
-    let geometry_bytes = store.read_geometry_bytes()?;
-    drop(store);
-    write_store(&shard_file, &geometry_bytes, local_catalog, per_dataset)?;
-
-    if is_new {
-        catalog.datasets.push(catalog_entry);
-        catalog.shard_of.push(shard);
-    } else {
-        catalog.datasets[target] = catalog_entry;
+    let (_store, entry) = store.with_dataset(dataset, config)?;
+    match existing {
+        Some(di) => catalog.datasets[di] = entry,
+        None => {
+            catalog.datasets.push(entry);
+            catalog.shard_of.push(shard);
+        }
     }
     catalog.write(catalog_path)?;
     Ok(catalog)
@@ -879,17 +499,7 @@ pub fn remove_dataset_sharded(catalog_path: impl AsRef<Path>, name: &str) -> Res
     let mut catalog = ShardCatalog::read(catalog_path)?;
     let target = catalog.dataset_index(name)?;
     let shard = catalog.shard_of[target];
-    let local_target = catalog.local_index(target);
-    let shard_file = catalog.shard_path(catalog_path, shard);
-    let store = open_shard(&catalog, catalog_path, shard, SourceBackend::default())?;
-    let mut local_catalog = store.manifest().datasets.clone();
-    local_catalog.remove(local_target);
-    let mut per_dataset = store.read_retained_segments(|li| li != local_target)?;
-    per_dataset.remove(local_target);
-    let geometry_bytes = store.read_geometry_bytes()?;
-    drop(store);
-    write_store(&shard_file, &geometry_bytes, local_catalog, per_dataset)?;
-
+    open_shard(&catalog, catalog_path, shard, SourceBackend::default())?.without_dataset(name)?;
     catalog.datasets.remove(target);
     catalog.shard_of.remove(target);
     catalog.write(catalog_path)?;
@@ -976,6 +586,40 @@ mod tests {
             ShardCatalog::decode(&empty.encode()),
             Err(StoreError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn catalog_with_a_huge_length_field_is_truncated_not_a_panic() {
+        // A bare 32-byte header claiming a u64::MAX payload: the length
+        // must be bounded before it is added to the header length.
+        let mut bytes = sample_catalog().encode();
+        bytes.truncate(SHARD_HEADER_LEN);
+        bytes[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            ShardCatalog::decode(&bytes),
+            Err(StoreError::Truncated { .. })
+        ));
+    }
+
+    #[test]
+    fn catalog_rejects_file_names_that_leave_its_directory() {
+        for bad in [
+            "../escape.plst",
+            "/abs/x.plst",
+            "sub/x.plst",
+            "sub\\x.plst",
+            "x.plst/",
+            "..",
+            ".",
+            "",
+        ] {
+            let mut c = sample_catalog();
+            c.files[1] = bad.into();
+            match ShardCatalog::decode(&c.encode()) {
+                Err(StoreError::Corrupt(msg)) => assert!(msg.contains("file name"), "{msg}"),
+                other => panic!("{bad:?} must be rejected as Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -62,17 +62,19 @@ impl LoadFilter {
         self
     }
 
-    pub(crate) fn admits(&self, info: &SegmentInfo, catalog: &[DatasetEntry]) -> bool {
-        let dataset_ok = self.datasets.as_ref().is_none_or(|names| {
-            names
-                .iter()
-                .any(|n| catalog[info.dataset_index].meta.name == *n)
-        });
-        let resolution_ok = self
-            .resolutions
+    /// True when the data-set half of the filter admits `name`.
+    pub(crate) fn admits_dataset(&self, name: &str) -> bool {
+        self.datasets
             .as_ref()
-            .is_none_or(|rs| rs.contains(&info.resolution));
-        dataset_ok && resolution_ok
+            .is_none_or(|names| names.iter().any(|n| n == name))
+    }
+
+    pub(crate) fn admits(&self, info: &SegmentInfo, catalog: &[DatasetEntry]) -> bool {
+        self.admits_dataset(&catalog[info.dataset_index].meta.name)
+            && self
+                .resolutions
+                .as_ref()
+                .is_none_or(|rs| rs.contains(&info.resolution))
     }
 }
 
@@ -97,23 +99,11 @@ impl Store {
         geometry: &CityGeometry,
         index: &PolygamyIndex,
     ) -> Result<Store> {
-        let geometry_bytes = encode_geometry(geometry)?;
-        // Group segments by data set in catalog order — the canonical
-        // layout incremental maintenance also produces.
-        let mut per_dataset: Vec<SegmentGroup> =
-            (0..index.datasets.len()).map(|_| Vec::new()).collect();
-        for entry in &index.functions {
-            let meta = SegmentMeta {
-                function: entry.spec.name.clone(),
-                resolution: entry.resolution,
-            };
-            per_dataset[entry.dataset_index].push((meta, encode_function_segment(entry)));
-        }
         write_store(
             path.as_ref(),
-            &geometry_bytes,
+            &encode_geometry(geometry)?,
             index.datasets.clone(),
-            per_dataset,
+            encode_segment_groups(index),
         )
     }
 
@@ -221,10 +211,7 @@ impl Store {
             if !filter.admits(info, &self.manifest.datasets) {
                 continue;
             }
-            let what = format!(
-                "segment {}.{}",
-                self.manifest.datasets[info.dataset_index].meta.name, info.function
-            );
+            let what = self.segment_label(info);
             let bytes = self.source.read(info.loc, &what)?;
             functions.push(decode_function_segment(&bytes, info.dataset_index, &what)?);
         }
@@ -232,6 +219,14 @@ impl Store {
             datasets: self.manifest.datasets.clone(),
             functions,
         })
+    }
+
+    /// How errors name one segment of this store: `segment <data set>.<function>`.
+    pub(crate) fn segment_label(&self, info: &SegmentInfo) -> String {
+        format!(
+            "segment {}.{}",
+            self.manifest.datasets[info.dataset_index].meta.name, info.function
+        )
     }
 
     // -- incremental maintenance ------------------------------------------
@@ -245,55 +240,70 @@ impl Store {
         dataset: &Dataset,
         config: &Config,
     ) -> Result<Store> {
-        let path = path.as_ref();
-        let store = Store::open(path)?;
-        let geometry = store.load_geometry()?;
-        let name = dataset.meta.name.as_str();
-        let target = store
-            .manifest
-            .dataset_index(name)
-            .unwrap_or(store.manifest.datasets.len());
-
-        let (catalog_entry, entries, _stats) = index_dataset(config, &geometry, target, dataset);
-        let fresh: Vec<(SegmentMeta, Vec<u8>)> = entries
-            .iter()
-            .map(|entry| {
-                (
-                    SegmentMeta {
-                        function: entry.spec.name.clone(),
-                        resolution: entry.resolution,
-                    },
-                    encode_function_segment(entry),
-                )
-            })
-            .collect();
-
-        let mut catalog = store.manifest.datasets.clone();
-        if target == catalog.len() {
-            catalog.push(catalog_entry);
-        } else {
-            catalog[target] = catalog_entry;
-        }
-        let mut per_dataset = store.read_retained_segments(|di| di != target)?;
-        per_dataset.resize_with(catalog.len(), Vec::new);
-        per_dataset[target] = fresh;
-
-        let geometry_bytes = store.read_geometry_bytes()?;
-        write_store(path, &geometry_bytes, catalog, per_dataset)
+        let (store, _entry) = Store::open(path)?.with_dataset(dataset, config)?;
+        Ok(store)
     }
 
     /// Removes one data set's catalog entry and segments, copying everything
     /// else verbatim. Returns the reopened store.
     pub fn remove_dataset(path: impl AsRef<Path>, name: &str) -> Result<Store> {
-        let path = path.as_ref();
-        let store = Store::open(path)?;
-        let target = store.manifest.dataset_index(name)?;
-        let mut catalog = store.manifest.datasets.clone();
-        catalog.remove(target);
-        let mut per_dataset = store.read_retained_segments(|di| di != target)?;
-        per_dataset.remove(target);
-        let geometry_bytes = store.read_geometry_bytes()?;
-        write_store(path, &geometry_bytes, catalog, per_dataset)
+        Store::open(path)?.without_dataset(name)
+    }
+
+    /// Indexes `dataset` and rewrites this store's file with it replacing
+    /// the data set of the same name, or appended when the name is new.
+    /// Returns the reopened store and the data set's fresh catalog entry
+    /// (a sharded store mirrors it into the shard catalog).
+    pub(crate) fn with_dataset(
+        self,
+        dataset: &Dataset,
+        config: &Config,
+    ) -> Result<(Store, DatasetEntry)> {
+        let geometry = self.load_geometry()?;
+        let target = self
+            .manifest
+            .dataset_index(&dataset.meta.name)
+            .unwrap_or(self.manifest.datasets.len());
+        let (entry, functions, _stats) = index_dataset(config, &geometry, target, dataset);
+        let fresh = functions.iter().map(encode_segment).collect();
+        let store = self.rewrite(target, Some((entry.clone(), fresh)))?;
+        Ok((store, entry))
+    }
+
+    /// Rewrites this store's file without the data set `name`.
+    pub(crate) fn without_dataset(self, name: &str) -> Result<Store> {
+        let target = self.manifest.dataset_index(name)?;
+        self.rewrite(target, None)
+    }
+
+    /// The one per-file rewrite behind all maintenance, monolithic and
+    /// sharded: copies every data set but `target` verbatim (checksums
+    /// verified, payloads never decoded) and replaces `target` with
+    /// `replacement` — appending when `target` is one past the catalog,
+    /// removing it when `replacement` is `None`.
+    fn rewrite(
+        self,
+        target: usize,
+        replacement: Option<(DatasetEntry, SegmentGroup)>,
+    ) -> Result<Store> {
+        let mut catalog = self.manifest.datasets.clone();
+        let mut per_dataset = self.read_retained_segments(|di| di != target)?;
+        match replacement {
+            Some((entry, group)) if target == catalog.len() => {
+                catalog.push(entry);
+                per_dataset.push(group);
+            }
+            Some((entry, group)) => {
+                catalog[target] = entry;
+                per_dataset[target] = group;
+            }
+            None => {
+                catalog.remove(target);
+                per_dataset.remove(target);
+            }
+        }
+        let geometry_bytes = self.read_geometry_bytes()?;
+        write_store(&self.path, &geometry_bytes, catalog, per_dataset)
     }
 
     /// Reads the raw (still-encoded) segments of every data set admitted by
@@ -312,11 +322,7 @@ impl Store {
             if !keep(info.dataset_index) {
                 continue;
             }
-            let what = format!(
-                "segment {}.{}",
-                self.manifest.datasets[info.dataset_index].meta.name, info.function
-            );
-            let bytes = self.source.read(info.loc, &what)?;
+            let bytes = self.source.read(info.loc, &self.segment_label(info))?;
             per_dataset[info.dataset_index].push((
                 SegmentMeta {
                     function: info.function.clone(),
@@ -346,6 +352,26 @@ pub(crate) struct SegmentMeta {
 
 /// One data set's encoded segments, in directory order.
 pub(crate) type SegmentGroup = Vec<(SegmentMeta, Vec<u8>)>;
+
+fn encode_segment(entry: &FunctionEntry) -> (SegmentMeta, Vec<u8>) {
+    let meta = SegmentMeta {
+        function: entry.spec.name.clone(),
+        resolution: entry.resolution,
+    };
+    (meta, encode_function_segment(entry))
+}
+
+/// Encodes an index's segments grouped by data set in catalog order — the
+/// canonical layout every writer (save, sharded save, maintenance)
+/// produces.
+pub(crate) fn encode_segment_groups(index: &PolygamyIndex) -> Vec<SegmentGroup> {
+    let mut per_dataset: Vec<SegmentGroup> =
+        (0..index.datasets.len()).map(|_| Vec::new()).collect();
+    for entry in &index.functions {
+        per_dataset[entry.dataset_index].push(encode_segment(entry));
+    }
+    per_dataset
+}
 
 /// Serialises the geometry blob (JSON payload inside the checksummed
 /// segment framing — polygon soup gains nothing from a binary codec and
@@ -419,10 +445,29 @@ pub(crate) fn write_store(
         manifest_checksum: Fnv1a::hash_bytes(&manifest_bytes),
     };
 
-    // Temp file in the same directory so the final rename stays on one
-    // filesystem. The name appends to the full file name (never replaces an
-    // extension) and carries pid + a process-wide counter, so concurrent
-    // writers — even to paths sharing a stem — never collide.
+    write_atomically(path, |out| {
+        out.write_all(&header.encode())?;
+        out.write_all(geometry_bytes)?;
+        for payload in &payloads {
+            out.write_all(payload)?;
+        }
+        out.write_all(&manifest_bytes)
+    })?;
+    Store::open(path)
+}
+
+/// The one durable writer behind store files and shard catalogs: `write`
+/// fills a temp file that is synced and then renamed over `path`, so a
+/// crashed writer never leaves a half-written file at the target.
+///
+/// The temp file lives in the same directory so the rename stays on one
+/// filesystem. Its name appends to the full file name (never replaces an
+/// extension) and carries pid + a process-wide counter, so concurrent
+/// writers — even to paths sharing a stem — never collide.
+pub(crate) fn write_atomically(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> std::io::Result<()>,
+) -> Result<()> {
     static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let seq = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
@@ -430,12 +475,7 @@ pub(crate) fn write_store(
     let tmp = path.with_file_name(tmp_name);
     let written = (|| -> Result<()> {
         let mut out = File::create(&tmp)?;
-        out.write_all(&header.encode())?;
-        out.write_all(geometry_bytes)?;
-        for payload in &payloads {
-            out.write_all(payload)?;
-        }
-        out.write_all(&manifest_bytes)?;
+        write(&mut out)?;
         out.sync_all()?;
         std::fs::rename(&tmp, path)?;
         Ok(())
@@ -443,6 +483,5 @@ pub(crate) fn write_store(
     if written.is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
-    written?;
-    Store::open(path)
+    written
 }

@@ -88,12 +88,7 @@ fn open_lazy(path: &PathBuf, backend: SourceBackend) -> StoreSession {
 
 /// Bytes read so far by a lazy session's pinned source.
 fn lazy_bytes(session: &StoreSession) -> u64 {
-    session
-        .lazy_index()
-        .expect("lazy session")
-        .store()
-        .source()
-        .bytes_fetched()
+    session.lazy_index().expect("lazy session").bytes_fetched()
 }
 
 #[test]

@@ -117,7 +117,7 @@ fn missing_shard_fails_only_touching_queries_repeatably() {
         // Degraded open still succeeds...
         let session = open_lazy(&catalog_path, backend);
         assert_eq!(session.n_shards(), 3);
-        let lazy = session.sharded_lazy().expect("sharded lazy session");
+        let lazy = session.lazy_index().expect("lazy session");
         assert!(lazy.unavailable_reason(0).is_none(), "{backend:?}");
         assert!(lazy.unavailable_reason(1).is_none(), "{backend:?}");
         assert!(lazy.unavailable_reason(2).is_some(), "{backend:?}");
@@ -178,7 +178,7 @@ fn truncated_and_corrupted_shards_degrade_the_same_way() {
     std::fs::write(&shard2, &bytes).unwrap();
 
     let session = open_lazy(&catalog_path, SourceBackend::PositionedRead);
-    let lazy = session.sharded_lazy().unwrap();
+    let lazy = session.lazy_index().unwrap();
     assert!(lazy.unavailable_reason(0).is_none());
     assert!(lazy.unavailable_reason(1).unwrap().contains("truncated"));
     assert!(lazy.unavailable_reason(2).unwrap().contains("checksum"));
@@ -210,7 +210,7 @@ fn segment_corruption_inside_a_healthy_shard_stays_segment_scoped() {
     std::fs::write(&shard2, &bytes).unwrap();
 
     let session = open_lazy(&catalog_path, SourceBackend::PositionedRead);
-    let lazy = session.sharded_lazy().unwrap();
+    let lazy = session.lazy_index().unwrap();
     assert!(lazy.unavailable_reason(2).is_none(), "shard itself is fine");
 
     // Only queries reaching the corrupt segment fail — with the narrower

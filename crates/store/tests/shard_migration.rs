@@ -13,11 +13,12 @@
 
 use polygamy_core::prelude::*;
 use polygamy_core::DataPolygamy;
+use polygamy_obs::trace;
 use polygamy_store::{
     is_sharded, merge_shards, remove_dataset_sharded, save_sharded, shard_store,
-    upsert_dataset_sharded, ShardCatalog, Store, StoreSession,
+    upsert_dataset_sharded, LoadFilter, ShardCatalog, SourceBackend, Store, StoreSession,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -77,6 +78,46 @@ fn corpus() -> Vec<Dataset> {
     ]
 }
 
+/// Pins a fixed query sequence (two pairs, the whole corpus, then the
+/// first pair again — a pure cache hit) through a fresh lazy session over
+/// `path`. Returns every pinned entry's `(data set index, function,
+/// resolution)` in pin order, plus the number of segments the sequence
+/// faulted in (counted on this thread's trace, so parallel tests cannot
+/// perturb it).
+fn pin_sequence(path: &Path) -> (Vec<(usize, String, Resolution)>, u64) {
+    let session = StoreSession::open_lazy_with(
+        path,
+        Config::fast_test(),
+        &LoadFilter::all(),
+        SourceBackend::default(),
+    )
+    .unwrap();
+    let lazy = session.lazy_index().expect("lazy session");
+    let clause = Clause::default().permutations(40).include_insignificant();
+    let pair =
+        |a: &str, b: &str| RelationshipQuery::between(&[a], &[b]).with_clause(clause.clone());
+    let sequence = [
+        pair("alpha", "beta"),
+        pair("gamma", "delta"),
+        RelationshipQuery::all().with_clause(clause.clone()),
+        pair("alpha", "beta"),
+    ];
+    let (pinned, trace) = trace::record(|| {
+        let mut pinned = Vec::new();
+        for query in &sequence {
+            for entry in lazy.pin_for(std::slice::from_ref(query)).unwrap() {
+                pinned.push((
+                    entry.dataset_index,
+                    entry.spec.name.clone(),
+                    entry.resolution,
+                ));
+            }
+        }
+        pinned
+    });
+    (pinned, trace.counter("segment_faults"))
+}
+
 #[test]
 fn shard_then_merge_reproduces_the_monolith_byte_for_byte() {
     let dir = tmp_dir("roundtrip");
@@ -86,6 +127,8 @@ fn shard_then_merge_reproduces_the_monolith_byte_for_byte() {
     Store::save(&monolith, dp.geometry(), dp.index().unwrap()).unwrap();
     let original = std::fs::read(&monolith).unwrap();
     assert!(!is_sharded(&monolith).unwrap());
+    let (monolith_pins, monolith_faults) = pin_sequence(&monolith);
+    assert!(monolith_faults > 0 && monolith_pins.len() as u64 > monolith_faults);
 
     for n_shards in [1usize, 2, 5] {
         let catalog_path = dir.join(format!("sharded-{n_shards}.plst"));
@@ -106,6 +149,13 @@ fn shard_then_merge_reproduces_the_monolith_byte_for_byte() {
             original,
             "merge of {n_shards} shards must reproduce the monolith bit-for-bit"
         );
+
+        // The direct form of "a monolith is the one-shard store": the
+        // N-shard session pins the monolith's exact entry sequence, and
+        // faults exactly as many segments doing so.
+        let (pins, faults) = pin_sequence(&catalog_path);
+        assert_eq!(pins, monolith_pins, "{n_shards} shard(s)");
+        assert_eq!(faults, monolith_faults, "{n_shards} shard(s)");
     }
 }
 

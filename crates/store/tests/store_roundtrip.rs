@@ -209,8 +209,8 @@ fn selective_loading_materializes_only_requested_segments() {
             .count()
     );
     // A partial session still answers queries over its loaded data sets.
-    let session = StoreSession::from_store(
-        &store,
+    let session = StoreSession::open_with(
+        &path,
         Config::fast_test(),
         &LoadFilter::all().datasets(&["alpha", "gamma"]),
     )
