@@ -9,9 +9,12 @@
 //!    next to drawing a naive (shuffle) permutation of the same domain, so
 //!    the statistical validity of the restricted test is seen to be free;
 //! 3. persistence-derived thresholds vs fixed quantile thresholds —
-//!    threshold computation cost.
+//!    threshold computation cost;
+//! 4. the store's word-wise blob checksum vs the byte-serial FNV-1a it
+//!    replaced in store format 2, over 1 MB.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use polygamy_core::Fnv1a;
 use polygamy_stats::permutation::GraphShifter;
 use polygamy_stats::quantile;
 use polygamy_topology::{super_level_set, BitVec, DomainGraph, FeatureSet, MergeTree};
@@ -138,9 +141,23 @@ fn bench_threshold_strategies(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_checksum(c: &mut Criterion) {
+    let blob: Vec<u8> = (0..1u32 << 20)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+        .collect();
+    let mut group = c.benchmark_group("checksum");
+    group.throughput(Throughput::Bytes(blob.len() as u64));
+    group.bench_function("fnv1a_byte_serial", |b| b.iter(|| Fnv1a::hash_bytes(&blob)));
+    group.bench_function("blob_checksum_word_wise", |b| {
+        b.iter(|| polygamy_store::blob_checksum(&blob))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_index_vs_scan, bench_restricted_vs_naive_mc, bench_threshold_strategies
+    targets = bench_index_vs_scan, bench_restricted_vs_naive_mc, bench_threshold_strategies,
+        bench_checksum
 }
 criterion_main!(benches);

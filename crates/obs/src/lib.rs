@@ -100,6 +100,12 @@ pub mod names {
     pub const STORE_CHECKSUM_VERIFICATIONS: &str = "store.checksum.verifications";
     /// Segment checksum verifications that failed (counter).
     pub const STORE_CHECKSUM_FAILURES: &str = "store.checksum.failures";
+    /// Lazy field-blob faults: scalar fields read on demand, for the data
+    /// sets a query's `thresholds` clause names (counter).
+    pub const STORE_FIELD_FAULTS: &str = "store.field.faults";
+    /// Field-blob bytes read, by lazy faults and eager loads alike — the
+    /// share of `store.bytes_fetched` that is scalar field values (counter).
+    pub const STORE_FIELD_BYTES_FETCHED: &str = "store.field.bytes_fetched";
     /// Prefix for per-shard fault counters in a sharded store:
     /// `store.shard.faults.<shard>` counts segment faults served by that
     /// shard file.
@@ -163,6 +169,8 @@ pub mod names {
         STORE_SEGMENT_EVICTIONS,
         STORE_CHECKSUM_VERIFICATIONS,
         STORE_CHECKSUM_FAILURES,
+        STORE_FIELD_FAULTS,
+        STORE_FIELD_BYTES_FETCHED,
         STORE_SHARD_FAULTS_PREFIX,
         STORE_SHARD_BYTES_FETCHED_PREFIX,
         SERVE_CONNECTIONS_OPENED,

@@ -27,7 +27,9 @@
 //!
 //! `--no-fields` drops the raw scalar fields from the index (features and
 //! thresholds only): stores shrink ~16×, and every clause except
-//! user-defined thresholds still evaluates.
+//! user-defined thresholds still evaluates. (A store built *with* fields
+//! costs queries nothing extra: field blobs are read only for the data
+//! sets a `thresholds` clause names.)
 //!
 //! `build` indexes the synthetic urban corpus from `polygamy_datagen` and
 //! writes it as a store — with `--shards N` a *sharded* store: one
@@ -38,9 +40,9 @@
 //! `shard` → `merge` reproduces the original monolith byte-for-byte.
 //! Every other subcommand auto-detects which kind of file it was given.
 //!
-//! `inspect` prints the header, catalog and segment
-//! directory without decoding any segment (`--verify` additionally reads
-//! every segment and checks its checksum); on a sharded store it prints
+//! `inspect` prints the header, catalog (hot vs field bytes per data set)
+//! and segment directory without decoding any segment (`--verify`
+//! additionally reads every blob, hot and field, and checks its checksum); on a sharded store it prints
 //! the shard layout with per-shard availability instead, and `--verify`
 //! checks every shard (failing on the first unavailable one). `query`
 //! opens a serving session
@@ -56,7 +58,8 @@
 //! returns for the same queries, so offline and served output diff clean.
 //!
 //! `--lazy` opens the session demand-paged: segments are read (and their
-//! checksums verified) only when a query touches them, so open cost is
+//! checksums verified) only when a query touches them — scalar field
+//! blobs only for data sets a `thresholds` clause names — so open cost is
 //! O(header + manifest + geometry) regardless of corpus size. `--mmap`
 //! additionally serves segment bytes as borrowed views of a read-only
 //! memory map instead of copying them (Unix; falls back to positioned
@@ -288,25 +291,29 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
         store.file_bytes().map_err(|e| e.to_string())?
     );
     println!(
-        "manifest: offset {} len {} fnv {:#018x}",
+        "manifest: offset {} len {} sum {:#018x}",
         header.manifest_offset, header.manifest_len, header.manifest_checksum
     );
     println!("catalog ({} data sets):", manifest.datasets.len());
+    let (mut hot_total, mut field_total) = (0u64, 0u64);
     for (di, d) in manifest.datasets.iter().enumerate() {
+        let field = manifest.dataset_field_bytes(di);
+        let hot = manifest.dataset_disk_bytes(di) - field;
+        hot_total += hot;
+        field_total += field;
         println!(
-            "  [{di}] {:<14} {:>9} records, {:>6} specs, {:>10} segment bytes",
-            d.meta.name,
-            d.n_records,
-            d.n_specs,
-            manifest.dataset_disk_bytes(di),
+            "  [{di}] {:<14} {:>9} records, {:>6} specs, {hot:>10} hot bytes, {field:>10} field bytes",
+            d.meta.name, d.n_records, d.n_specs,
         );
     }
     println!("segments ({}):", manifest.segments.len());
-    let mut payload_total: u64 = 0;
     for s in &manifest.segments {
-        payload_total += s.loc.len;
+        let field = match s.field {
+            Some(f) => format!("field offset {:>10} len {:>9}", f.offset, f.len),
+            None => "no field".to_string(),
+        };
         println!(
-            "  {:<14} {:<14} {:<22} offset {:>10} len {:>9} fnv {:#018x}",
+            "  {:<14} {:<14} {:<22} hot offset {:>10} len {:>9} sum {:#018x}, {field}",
             manifest.datasets[s.dataset_index].meta.name,
             s.function,
             s.resolution.label(),
@@ -316,7 +323,8 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
         );
     }
     println!(
-        "segment payload: {payload_total} bytes across {} segment(s), geometry {} bytes",
+        "segment payload: {hot_total} hot + {field_total} field bytes across {} segment(s), \
+         geometry {} bytes",
         manifest.segments.len(),
         manifest.geometry.len
     );

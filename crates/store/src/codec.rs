@@ -49,6 +49,11 @@ impl Enc {
         self.buf.is_empty()
     }
 
+    /// Makes room for `additional` more bytes in one allocation.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -160,6 +165,18 @@ impl<'a> Dec<'a> {
         Ok(n)
     }
 
+    /// Reads `n` little-endian 64-bit words in one bounds check — the bulk
+    /// form of [`Dec::u64`] for bit vectors, fields and id lists.
+    pub fn words(&mut self, n: usize) -> Result<impl Iterator<Item = u64> + 'a> {
+        let len = n
+            .checked_mul(8)
+            .ok_or_else(|| self.corrupt("sequence length exceeds payload"))?;
+        Ok(self
+            .take(len)?
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8"))))
+    }
+
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String> {
         let n = self.seq_len(1)?;
@@ -255,6 +272,7 @@ pub fn dec_spec(d: &mut Dec<'_>) -> Result<FunctionSpec> {
 
 fn enc_bitvec(e: &mut Enc, bv: &BitVec) {
     e.usize(bv.len());
+    e.reserve(bv.words().len() * 8);
     for &w in bv.words() {
         e.u64(w);
     }
@@ -262,17 +280,9 @@ fn enc_bitvec(e: &mut Enc, bv: &BitVec) {
 
 fn dec_bitvec(d: &mut Dec<'_>) -> Result<BitVec> {
     let len = d.usize()?;
-    let n_words = len.div_ceil(64);
-    // Guard before allocating: each word is 8 payload bytes.
-    if n_words.checked_mul(8).is_none_or(|b| b > d.remaining()) {
-        return Err(StoreError::Corrupt(
-            "bit vector length exceeds payload".into(),
-        ));
-    }
-    let mut words = Vec::with_capacity(n_words);
-    for _ in 0..n_words {
-        words.push(d.u64()?);
-    }
+    // `words` bounds the word count by the payload before anything is
+    // allocated: each word is 8 payload bytes.
+    let words = d.words(len.div_ceil(64))?.collect();
     BitVec::from_words(len, words)
         .ok_or_else(|| StoreError::Corrupt("bit vector representation invariant violated".into()))
 }
@@ -317,10 +327,19 @@ fn dec_thresholds(d: &mut Dec<'_>) -> Result<Thresholds> {
     })
 }
 
+/// The interval map `interval_of_step` is piecewise constant (a seasonal
+/// interval spans weeks of hourly steps), so it travels as `(id, run
+/// length)` pairs instead of one `i64` per time step.
 fn enc_seasonal(e: &mut Enc, s: &SeasonalThresholds) {
-    e.usize(s.interval_of_step.len());
-    for &id in &s.interval_of_step {
+    let runs: Vec<(i64, u64)> = s
+        .interval_of_step
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len() as u64))
+        .collect();
+    e.usize(runs.len());
+    for (id, len) in runs {
         e.i64(id);
+        e.u64(len);
     }
     e.usize(s.interval_ids.len());
     for &id in &s.interval_ids {
@@ -332,17 +351,41 @@ fn enc_seasonal(e: &mut Enc, s: &SeasonalThresholds) {
     }
 }
 
-fn dec_seasonal(d: &mut Dec<'_>) -> Result<SeasonalThresholds> {
-    let n = d.seq_len(8)?;
-    let mut interval_of_step = Vec::with_capacity(n);
-    for _ in 0..n {
-        interval_of_step.push(d.i64()?);
+/// Decodes seasonal thresholds whose interval map must cover exactly
+/// `n_steps` steps. The caller has already bounded `n_steps` by the
+/// payload (the entry's bit vectors hold at least one bit per step), and
+/// the run lengths are summed — overflow-checked — and compared with it
+/// *before* the map is allocated, so the expansion is at most a fixed
+/// multiple of the blob's own length whatever the run lengths claim.
+fn dec_seasonal(d: &mut Dec<'_>, n_steps: usize) -> Result<SeasonalThresholds> {
+    let n_runs = d.seq_len(16)?;
+    let mut words = d.words(n_runs * 2)?;
+    let mut runs = Vec::with_capacity(n_runs);
+    let mut covered = 0usize;
+    while let (Some(id), Some(len)) = (words.next(), words.next()) {
+        let end = usize::try_from(len)
+            .ok()
+            .filter(|&len| len > 0)
+            .and_then(|len| covered.checked_add(len));
+        let Some(end) = end else {
+            return Err(StoreError::Corrupt(
+                "seasonal interval map: zero-length or overflowing run".into(),
+            ));
+        };
+        runs.push((id as i64, end - covered));
+        covered = end;
+    }
+    if covered != n_steps {
+        return Err(StoreError::Corrupt(format!(
+            "seasonal interval map runs cover {covered} steps, expected {n_steps}"
+        )));
+    }
+    let mut interval_of_step = Vec::with_capacity(n_steps);
+    for (id, len) in runs {
+        interval_of_step.extend(std::iter::repeat_n(id, len));
     }
     let n = d.seq_len(8)?;
-    let mut interval_ids = Vec::with_capacity(n);
-    for _ in 0..n {
-        interval_ids.push(d.i64()?);
-    }
+    let interval_ids: Vec<i64> = d.words(n)?.map(|w| w as i64).collect();
     let n = d.seq_len(32)?;
     let mut per_interval = Vec::with_capacity(n);
     for _ in 0..n {
@@ -360,48 +403,27 @@ fn dec_seasonal(d: &mut Dec<'_>) -> Result<SeasonalThresholds> {
     })
 }
 
-fn enc_field(e: &mut Enc, field: &ScalarField) {
-    enc_resolution(e, field.resolution);
-    e.usize(field.n_regions);
-    e.i64(field.start_bucket);
-    e.usize(field.n_steps);
-    e.usize(field.values.len());
+/// Encodes a field blob: the `n_regions × n_steps` values as IEEE-754 bit
+/// patterns and nothing else — the shape lives in the entry's hot blob.
+fn enc_field(field: &ScalarField) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.reserve(field.values.len() * 8);
     for &v in &field.values {
         e.f64(v);
     }
+    e.into_bytes()
 }
 
-fn dec_field(d: &mut Dec<'_>) -> Result<ScalarField> {
-    let resolution = dec_resolution(d)?;
-    let n_regions = d.usize()?;
-    let start_bucket = d.i64()?;
-    let n_steps = d.usize()?;
-    let n = d.seq_len(8)?;
-    if n_regions.checked_mul(n_steps) != Some(n) {
-        return Err(StoreError::Corrupt(
-            "scalar field value count does not match its shape".into(),
-        ));
-    }
-    let mut values = Vec::with_capacity(n);
-    for _ in 0..n {
-        values.push(d.f64()?);
-    }
-    Ok(ScalarField {
-        resolution,
-        n_regions,
-        start_bucket,
-        n_steps,
-        values,
-    })
-}
-
-/// Encodes one function segment payload.
+/// Encodes one function entry as its two blobs: the *hot* blob every
+/// query reads (spec, shape, feature bit vectors, seasonal thresholds,
+/// tree statistics) and, when the entry kept its scalar field, the *field*
+/// blob only `thresholds` clauses read.
 ///
-/// `dataset_index` is deliberately *not* part of the payload: it lives in
-/// the manifest's segment directory, so incremental upsert/remove can
-/// renumber data sets by rewriting only the manifest while copying segment
+/// `dataset_index` is deliberately *not* part of either payload: it lives
+/// in the manifest's segment directory, so incremental upsert/remove can
+/// renumber data sets by rewriting only the manifest while copying blob
 /// bytes verbatim.
-pub fn encode_function_segment(entry: &FunctionEntry) -> Vec<u8> {
+pub fn encode_function_segment(entry: &FunctionEntry) -> (Vec<u8>, Option<Vec<u8>>) {
     let mut e = Enc::new();
     enc_spec(&mut e, &entry.spec);
     enc_resolution(&mut e, entry.resolution);
@@ -410,46 +432,34 @@ pub fn encode_function_segment(entry: &FunctionEntry) -> Vec<u8> {
     e.usize(entry.n_steps);
     enc_feature_sets(&mut e, &entry.features);
     enc_seasonal(&mut e, &entry.thresholds);
-    match &entry.field {
-        None => e.u8(0),
-        Some(f) => {
-            e.u8(1);
-            enc_field(&mut e, f);
-        }
-    }
     e.usize(entry.tree_nodes);
-    e.into_bytes()
+    (e.into_bytes(), entry.field.as_ref().map(enc_field))
 }
 
-/// Decodes one function segment payload; `dataset_index` comes from the
-/// manifest's segment directory.
+/// Decodes one function entry from its hot blob and, when the caller
+/// fetched it, its field blob; `dataset_index` comes from the manifest's
+/// segment directory. Without `field` the entry decodes field-less — every
+/// clause except `thresholds` evaluates on it unchanged.
 pub fn decode_function_segment(
-    bytes: &[u8],
+    hot: &[u8],
+    field: Option<&[u8]>,
     dataset_index: usize,
     what: &str,
 ) -> Result<FunctionEntry> {
-    let mut d = Dec::new(bytes, what);
+    let mut d = Dec::new(hot, what);
     let spec = dec_spec(&mut d)?;
     let resolution = dec_resolution(&mut d)?;
     let n_regions = d.usize()?;
     let start_bucket = d.i64()?;
     let n_steps = d.usize()?;
     let features = dec_feature_sets(&mut d)?;
-    let thresholds = dec_seasonal(&mut d)?;
-    let field = match d.u8()? {
-        0 => None,
-        1 => Some(dec_field(&mut d)?),
-        t => {
-            return Err(StoreError::Corrupt(format!(
-                "{what}: unknown field presence tag {t}"
-            )))
-        }
-    };
-    let tree_nodes = d.usize()?;
-    d.finish()?;
+    // With at least one region, four decoded bit vectors of `n_vertices`
+    // bits bound `n_steps` by eight times the blob's length — the bound
+    // `dec_seasonal` and the field decoder allocate under.
     let n_vertices = n_regions
         .checked_mul(n_steps)
-        .ok_or_else(|| StoreError::Corrupt(format!("{what}: vertex count overflow")))?;
+        .filter(|_| n_regions >= 1)
+        .ok_or_else(|| StoreError::Corrupt(format!("{what}: impossible entry shape")))?;
     for (side, bv) in [
         ("salient.pos", &features.salient.pos),
         ("salient.neg", &features.salient.neg),
@@ -463,26 +473,27 @@ pub fn decode_function_segment(
             )));
         }
     }
-    if thresholds.interval_of_step.len() != n_steps {
-        return Err(StoreError::Corrupt(format!(
-            "{what}: seasonal interval map covers {} steps, expected {n_steps}",
-            thresholds.interval_of_step.len()
-        )));
-    }
-    // The embedded field must share the entry's shape: a crafted payload
-    // with an internally consistent but smaller field would otherwise pass
-    // decoding and panic later in release-mode bit-vector slicing.
-    if let Some(f) = &field {
-        if f.resolution != resolution
-            || f.n_regions != n_regions
-            || f.start_bucket != start_bucket
-            || f.n_steps != n_steps
-        {
-            return Err(StoreError::Corrupt(format!(
-                "{what}: embedded scalar field shape disagrees with its entry"
-            )));
+    let thresholds = dec_seasonal(&mut d, n_steps)?;
+    let tree_nodes = d.usize()?;
+    d.finish()?;
+    // A field blob carries no shape of its own: it must hold exactly one
+    // value per vertex of its entry, or slicing would panic later.
+    let field = match field {
+        None => None,
+        Some(bytes) => {
+            let what = format!("{what} field");
+            let mut d = Dec::new(bytes, &what);
+            let values = d.words(n_vertices)?.map(f64::from_bits).collect();
+            d.finish()?;
+            Some(ScalarField {
+                resolution,
+                n_regions,
+                start_bucket,
+                n_steps,
+                values,
+            })
         }
-    }
+    };
     Ok(FunctionEntry {
         spec,
         dataset_index,
@@ -557,6 +568,10 @@ mod tests {
         }
     }
 
+    fn decode(blobs: &(Vec<u8>, Option<Vec<u8>>)) -> Result<FunctionEntry> {
+        decode_function_segment(&blobs.0, blobs.1.as_deref(), 4, "test")
+    }
+
     /// Byte-level round trip: decode(encode(x)) re-encodes to the identical
     /// bytes. (Struct equality is vacuous under NaN thresholds; byte
     /// equality is exact and covers NaN via bit patterns.)
@@ -564,51 +579,106 @@ mod tests {
     fn segment_roundtrip_bytes() {
         for (with_field, nr, ns) in [(true, 3, 50), (false, 1, 200), (true, 1, 1)] {
             let entry = sample_entry(with_field, nr, ns);
-            let bytes = encode_function_segment(&entry);
-            let back = decode_function_segment(&bytes, entry.dataset_index, "test").unwrap();
-            assert_eq!(encode_function_segment(&back), bytes);
+            let blobs = encode_function_segment(&entry);
+            assert_eq!(blobs.1.is_some(), with_field);
+            let back = decode(&blobs).unwrap();
+            assert_eq!(encode_function_segment(&back), blobs);
             assert_eq!(back.dataset_index, entry.dataset_index);
             assert_eq!(back.spec, entry.spec);
             assert_eq!(back.features, entry.features);
+            assert_eq!(
+                back.thresholds.interval_of_step,
+                entry.thresholds.interval_of_step
+            );
+            // The hot blob alone is the same entry without its field.
+            let hot_only = decode_function_segment(&blobs.0, None, 4, "test").unwrap();
+            assert!(hot_only.field.is_none());
+            assert_eq!(encode_function_segment(&hot_only).0, blobs.0);
         }
     }
 
     #[test]
     fn truncated_segment_is_corrupt_not_panic() {
-        let bytes = encode_function_segment(&sample_entry(true, 2, 30));
-        for cut in [0, 1, 7, bytes.len() / 2, bytes.len() - 1] {
-            let err = decode_function_segment(&bytes[..cut], 0, "test").unwrap_err();
+        let (hot, field) = encode_function_segment(&sample_entry(true, 2, 30));
+        let field = field.unwrap();
+        for cut in [0, 1, 7, hot.len() / 2, hot.len() - 1] {
+            let err = decode_function_segment(&hot[..cut], Some(&field), 0, "test").unwrap_err();
             assert!(
                 matches!(err, StoreError::Corrupt(_)),
                 "cut at {cut} gave {err:?}"
+            );
+        }
+        for cut in [0, 8, field.len() - 1] {
+            let err = decode_function_segment(&hot, Some(&field[..cut]), 0, "test").unwrap_err();
+            assert!(
+                matches!(err, StoreError::Corrupt(_)),
+                "field cut at {cut} gave {err:?}"
             );
         }
     }
 
     #[test]
     fn mismatched_field_shape_rejected() {
-        // A crafted payload whose embedded field is internally consistent
-        // but smaller than the entry must decode to Corrupt, not pass and
+        // A field blob carries no shape: one holding fewer (or more) values
+        // than its entry has vertices must decode to Corrupt, not pass and
         // panic later during slicing.
         let mut entry = sample_entry(true, 2, 30);
-        let field = entry.field.as_mut().unwrap();
-        field.n_steps = 10;
-        field.values.truncate(2 * 10);
-        let bytes = encode_function_segment(&entry);
+        entry.field.as_mut().unwrap().values.truncate(2 * 10);
         assert!(matches!(
-            decode_function_segment(&bytes, 0, "test"),
+            decode(&encode_function_segment(&entry)),
+            Err(StoreError::Corrupt(_))
+        ));
+        entry.field.as_mut().unwrap().values.resize(2 * 30 + 1, 0.0);
+        assert!(matches!(
+            decode(&encode_function_segment(&entry)),
             Err(StoreError::Corrupt(_))
         ));
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut bytes = encode_function_segment(&sample_entry(false, 1, 10));
-        bytes.push(0);
-        assert!(matches!(
-            decode_function_segment(&bytes, 0, "test"),
-            Err(StoreError::Corrupt(_))
-        ));
+        let mut blobs = encode_function_segment(&sample_entry(false, 1, 10));
+        blobs.0.push(0);
+        assert!(matches!(decode(&blobs), Err(StoreError::Corrupt(_))));
+    }
+
+    /// The interval map is run-length encoded: a year of hourly steps costs
+    /// a handful of pairs, and every way the runs can misstate the step
+    /// count is rejected before the map is allocated.
+    #[test]
+    fn interval_map_is_run_length_encoded_and_checked() {
+        let entry = sample_entry(false, 1, 8_760);
+        let (hot, _) = encode_function_segment(&entry);
+        assert!(hot.len() < 8 * 8_760, "hot blob is {} bytes", hot.len());
+        let back = decode_function_segment(&hot, None, 0, "test").unwrap();
+        assert_eq!(
+            back.thresholds.interval_of_step,
+            entry.thresholds.interval_of_step
+        );
+
+        // Locate the run list: it follows the four bit vectors.
+        let mut e = Enc::new();
+        enc_spec(&mut e, &entry.spec);
+        enc_resolution(&mut e, entry.resolution);
+        e.usize(entry.n_regions);
+        e.i64(entry.start_bucket);
+        e.usize(entry.n_steps);
+        enc_feature_sets(&mut e, &entry.features);
+        let runs_at = e.len();
+        let n_runs = 8_760usize.div_ceil(24);
+        assert_eq!(hot[runs_at..runs_at + 8], (n_runs as u64).to_le_bytes());
+        let first_len = runs_at + 16;
+        for bad_len in [0u64, 23, 25, u64::MAX, u64::MAX - 8_000] {
+            let mut bytes = hot.clone();
+            bytes[first_len..first_len + 8].copy_from_slice(&bad_len.to_le_bytes());
+            assert!(
+                matches!(
+                    decode_function_segment(&bytes, None, 0, "test"),
+                    Err(StoreError::Corrupt(_))
+                ),
+                "first run length {bad_len}"
+            );
+        }
     }
 
     #[test]
@@ -682,9 +752,9 @@ mod tests {
             if let Some(field) = &mut entry.field {
                 field.values[0] = f64::from_bits(seed);
             }
-            let bytes = encode_function_segment(&entry);
-            let back = decode_function_segment(&bytes, entry.dataset_index, "prop").unwrap();
-            prop_assert_eq!(encode_function_segment(&back), bytes);
+            let blobs = encode_function_segment(&entry);
+            let back = decode(&blobs).unwrap();
+            prop_assert_eq!(encode_function_segment(&back), blobs);
         }
     }
 }

@@ -4,23 +4,28 @@
 //! ┌──────────────────────────────────────────────────────────────┐
 //! │ header (40 bytes, fixed)                                     │
 //! │   magic "PLGYSTOR" · version u32 · flags u32                 │
-//! │   manifest_offset u64 · manifest_len u64 · manifest_fnv u64  │
+//! │   manifest_offset u64 · manifest_len u64 · manifest_sum u64  │
 //! ├──────────────────────────────────────────────────────────────┤
-//! │ geometry blob (JSON payload, FNV-checksummed)                │
+//! │ geometry blob (JSON payload, checksummed)                    │
 //! ├──────────────────────────────────────────────────────────────┤
-//! │ segment 0 (one FunctionEntry, LE codec, FNV-checksummed)     │
-//! │ segment 1                                                    │
+//! │ hot blob 0 (one FunctionEntry minus its field, checksummed)  │
+//! │ hot blob 1                                                   │
 //! │ …                                                            │
+//! ├──────────────────────────────────────────────────────────────┤
+//! │ field blob of entry 0 (its scalar values, checksummed)       │
+//! │ … (only entries indexed with their field have one)           │
 //! ├──────────────────────────────────────────────────────────────┤
 //! │ manifest (LE codec):                                         │
 //! │   geometry location · dataset catalog · segment directory    │
 //! └──────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! The manifest lives at the *tail* so incremental maintenance can copy
-//! retained segment bytes verbatim, append new ones, and write a fresh
-//! manifest — the header's `manifest_offset` is the only fixed-position
-//! field that moves.
+//! Every checksum is [`crate::checksum::blob_checksum`]. The hot blobs —
+//! all a query without a `thresholds` clause ever reads — sit together
+//! ahead of the (much larger) field blobs. The manifest lives at the
+//! *tail* so incremental maintenance can copy retained blob bytes
+//! verbatim, append new ones, and write a fresh manifest — the header's
+//! `manifest_offset` is the only fixed-position field that moves.
 
 use crate::codec::{dec_resolution, enc_resolution, Dec, Enc};
 use crate::error::{Result, StoreError};
@@ -33,7 +38,7 @@ pub const MAGIC: [u8; 8] = *b"PLGYSTOR";
 /// Current format version. Bump whenever the codec's byte stream, the
 /// clause fingerprint derivation, or the segment layout changes shape;
 /// readers reject other versions with a typed error instead of guessing.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Fixed header length in bytes.
 pub const HEADER_LEN: u64 = 40;
@@ -47,7 +52,7 @@ pub struct Header {
     pub manifest_offset: u64,
     /// Length of the manifest payload in bytes.
     pub manifest_len: u64,
-    /// FNV-1a checksum of the manifest payload.
+    /// Checksum of the manifest payload.
     pub manifest_checksum: u64,
 }
 
@@ -101,11 +106,12 @@ pub struct BlobLoc {
     pub offset: u64,
     /// Payload length in bytes.
     pub len: u64,
-    /// FNV-1a checksum of the payload.
+    /// [`blob_checksum`](crate::checksum::blob_checksum) of the payload.
     pub checksum: u64,
 }
 
-/// Directory entry for one function segment.
+/// Directory entry for one function segment: its hot blob and, when the
+/// function was indexed with its scalar field, its field blob.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentInfo {
     /// Catalog index of the owning data set. Lives here — not in the
@@ -117,8 +123,14 @@ pub struct SegmentInfo {
     pub function: String,
     /// Resolution of the entry, for selective loading.
     pub resolution: Resolution,
-    /// Where the payload lives.
+    /// Where the hot blob lives — the payload every query over this
+    /// function reads: spec, shape, feature bit vectors, seasonal
+    /// thresholds, tree statistics.
     pub loc: BlobLoc,
+    /// Where the field blob (the `n_regions × n_steps` scalar values)
+    /// lives, if the function was indexed with its field. Read only for
+    /// data sets a query's `thresholds` clause names.
+    pub field: Option<BlobLoc>,
 }
 
 /// The store manifest: everything needed to route reads, loaded in one
@@ -134,12 +146,24 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Total on-disk segment bytes belonging to catalog entry `di`.
+    /// Total on-disk segment bytes (hot and field blobs) belonging to
+    /// catalog entry `di`.
     pub fn dataset_disk_bytes(&self, di: usize) -> u64 {
         self.segments
             .iter()
             .filter(|s| s.dataset_index == di)
-            .map(|s| s.loc.len)
+            .map(|s| s.loc.len + s.field.map_or(0, |f| f.len))
+            .sum()
+    }
+
+    /// The field-blob share of [`Manifest::dataset_disk_bytes`] — bytes no
+    /// query without a `thresholds` clause reads.
+    pub fn dataset_field_bytes(&self, di: usize) -> u64 {
+        self.segments
+            .iter()
+            .filter(|s| s.dataset_index == di)
+            .filter_map(|s| s.field)
+            .map(|f| f.len)
             .sum()
     }
 
@@ -165,6 +189,13 @@ impl Manifest {
             e.str(&s.function);
             enc_resolution(&mut e, s.resolution);
             enc_blob_loc(&mut e, s.loc);
+            match s.field {
+                None => e.u8(0),
+                Some(loc) => {
+                    e.u8(1);
+                    enc_blob_loc(&mut e, loc);
+                }
+            }
         }
         e.into_bytes()
     }
@@ -185,6 +216,15 @@ impl Manifest {
             let function = d.str()?;
             let resolution = dec_resolution(&mut d)?;
             let loc = dec_blob_loc(&mut d)?;
+            let field = match d.u8()? {
+                0 => None,
+                1 => Some(dec_blob_loc(&mut d)?),
+                t => {
+                    return Err(StoreError::Corrupt(format!(
+                        "segment {function}: unknown field presence tag {t}"
+                    )))
+                }
+            };
             if dataset_index >= datasets.len() {
                 return Err(StoreError::Corrupt(format!(
                     "segment {function} references data set {dataset_index} \
@@ -197,6 +237,7 @@ impl Manifest {
                 function,
                 resolution,
                 loc,
+                field,
             });
         }
         d.finish()?;
@@ -288,6 +329,11 @@ mod tests {
                     len: 512,
                     checksum: 99,
                 },
+                field: Some(BlobLoc {
+                    offset: 652,
+                    len: 4_096,
+                    checksum: 3,
+                }),
             }],
         }
     }
@@ -328,15 +374,16 @@ mod tests {
         bad_version[8] = 0xEE;
         assert!(matches!(
             Header::decode(&bad_version),
-            Err(StoreError::UnsupportedVersion { found, supported: 1 }) if found != VERSION
+            Err(StoreError::UnsupportedVersion { found, supported: 2 }) if found != VERSION
         ));
     }
 
     #[test]
     fn manifest_roundtrip() {
-        let m = sample_manifest();
-        let bytes = m.encode();
-        assert_eq!(Manifest::decode(&bytes).unwrap(), m);
+        let mut m = sample_manifest();
+        assert_eq!(Manifest::decode(&m.encode()).unwrap(), m);
+        m.segments[0].field = None;
+        assert_eq!(Manifest::decode(&m.encode()).unwrap(), m);
     }
 
     #[test]
@@ -352,7 +399,8 @@ mod tests {
     #[test]
     fn manifest_helpers() {
         let m = sample_manifest();
-        assert_eq!(m.dataset_disk_bytes(0), 512);
+        assert_eq!(m.dataset_disk_bytes(0), 512 + 4_096);
+        assert_eq!(m.dataset_field_bytes(0), 4_096);
         assert_eq!(m.dataset_index("taxi").unwrap(), 0);
         assert!(matches!(
             m.dataset_index("nope"),

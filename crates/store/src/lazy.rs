@@ -8,6 +8,12 @@
 //! O(header + manifest) per file and materializes function segments on
 //! first touch:
 //!
+//! * **hot blobs by default, field blobs by clause** — a directory entry
+//!   names two checksummed blobs ([`crate::format::SegmentInfo`]): the hot
+//!   one (features, thresholds, shape) every query over the function
+//!   reads, and the scalar field only `thresholds` clauses read. A fault
+//!   fetches the field blob only for data sets the query's `thresholds`
+//!   clause names; every other fault never touches field bytes;
 //! * **footprint-driven faulting** — before evaluation, the executor's
 //!   footprint report ([`polygamy_core::query_datasets`]) names the catalog
 //!   indices a query's task expansion can reach; combined with the clause's
@@ -17,18 +23,22 @@
 //!   expansion skips left entries at non-admitted resolutions and pairs
 //!   only entries sharing a resolution, so a segment outside the set can
 //!   never appear in a task;
-//! * **once-only verification** — each segment's FNV-1a checksum is
-//!   checked on *first* access and the verdict is recorded in an atomic
-//!   per-segment cell. Re-faults after LRU eviction skip re-hashing (the
-//!   pinned source revision is immutable — see [`crate::source`]), and a
-//!   recorded failure keeps failing without re-reading, so a corrupt
-//!   segment can never slip past verification through a concurrent
-//!   re-fault;
+//! * **once-only verification** — each blob's checksum is checked on
+//!   *first* access and the verdict is recorded in an atomic per-blob
+//!   cell (two per directory entry). Re-faults after LRU eviction skip
+//!   re-hashing (the pinned source revision is immutable — see
+//!   [`crate::source`]), and a recorded failure keeps failing without
+//!   re-reading, so a corrupt blob can never slip past verification
+//!   through a concurrent re-fault. A corrupt *field* blob fails only the
+//!   queries that need that field;
 //! * **bounded decode cache** — decoded [`FunctionEntry`]s live in the
 //!   same sharded bounded-LRU structure the query cache uses, keyed by
 //!   global directory position, so sustained traffic over a huge corpus
-//!   keeps memory flat. The bound ([`DEFAULT_SEGMENT_CACHE_CAPACITY`]) is
-//!   per index — per *session*, however many shard files back it;
+//!   keeps memory flat. An entry cached with its field serves field-less
+//!   pins too; one cached without it is re-faulted with it when a
+//!   `thresholds` clause asks. The bound
+//!   ([`DEFAULT_SEGMENT_CACHE_CAPACITY`]) is per index — per *session*,
+//!   however many shard files back it;
 //! * **degraded files** — a shard file that fails to open (missing,
 //!   truncated, corrupt, catalog drift) is recorded, not fatal: a query
 //!   whose footprint touches it is rejected at pin time with
@@ -39,12 +49,12 @@
 //! Corruption surfaces *at query time*, only for queries whose footprint
 //! touches the corrupt segment — opening the store and querying other data
 //! sets still succeeds. That is the deliberate trade against an eager
-//! session, which reads, verifies and decodes every admitted entry of the
-//! same directory at open (never through the cache).
+//! session, which reads, verifies and decodes both blobs of every admitted
+//! entry of the same directory at open (never through the cache).
 
 use crate::codec::decode_function_segment;
 use crate::error::{Result, StoreError};
-use crate::format::SegmentInfo;
+use crate::format::{BlobLoc, SegmentInfo};
 use crate::shard::{is_sharded, open_shard_file, ShardCatalog};
 use crate::source::{SegmentSource, SourceBackend};
 use crate::store::{LoadFilter, Store};
@@ -52,6 +62,7 @@ use polygamy_core::index::{DatasetEntry, FunctionEntry, PolygamyIndex};
 use polygamy_core::query::RelationshipQuery;
 use polygamy_core::{query_datasets, CityGeometry, ShardedLruCache};
 use polygamy_obs::{names, trace, Counter};
+use std::borrow::Cow;
 use std::path::Path;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -64,6 +75,8 @@ struct LazyMetrics {
     evictions: Arc<Counter>,
     verifications: Arc<Counter>,
     verify_failures: Arc<Counter>,
+    field_faults: Arc<Counter>,
+    field_bytes: Arc<Counter>,
 }
 
 fn lazy_metrics() -> &'static LazyMetrics {
@@ -76,6 +89,8 @@ fn lazy_metrics() -> &'static LazyMetrics {
             evictions: r.counter(names::STORE_SEGMENT_EVICTIONS),
             verifications: r.counter(names::STORE_CHECKSUM_VERIFICATIONS),
             verify_failures: r.counter(names::STORE_CHECKSUM_FAILURES),
+            field_faults: r.counter(names::STORE_FIELD_FAULTS),
+            field_bytes: r.counter(names::STORE_FIELD_BYTES_FETCHED),
         }
     })
 }
@@ -85,7 +100,7 @@ fn lazy_metrics() -> &'static LazyMetrics {
 /// fully resident while bounding memory on corpora far larger than RAM.
 pub const DEFAULT_SEGMENT_CACHE_CAPACITY: usize = 1_024;
 
-/// Per-segment verification verdict (values of the atomic cells).
+/// Per-blob verification verdict (values of the atomic cells).
 const UNVERIFIED: u8 = 0;
 const VERIFIED_OK: u8 = 1;
 const VERIFIED_BAD: u8 = 2;
@@ -144,8 +159,9 @@ pub struct LazyIndex {
     /// sets in global catalog order, file-directory order within each —
     /// which is exactly the monolithic store's directory order.
     directory: Vec<DirEntry>,
-    /// Per-directory-entry checksum verdict: unverified / ok / bad.
-    verified: Vec<AtomicU8>,
+    /// Per-directory-entry checksum verdicts, `[hot blob, field blob]`:
+    /// unverified / ok / bad.
+    verified: Vec<[AtomicU8; 2]>,
     /// Decoded segments keyed by global directory position.
     cache: ShardedLruCache<usize, Arc<FunctionEntry>>,
 }
@@ -223,7 +239,7 @@ impl LazyIndex {
         let index = Self {
             verified: directory
                 .iter()
-                .map(|_| AtomicU8::new(UNVERIFIED))
+                .map(|_| [UNVERIFIED, UNVERIFIED].map(AtomicU8::new))
                 .collect(),
             cache: ShardedLruCache::new(DEFAULT_SEGMENT_CACHE_CAPACITY),
             catalog,
@@ -310,13 +326,16 @@ impl LazyIndex {
     /// an [`polygamy_core::IndexView`] whose expansion order — and
     /// therefore whose output — is byte-identical to an eager load's and
     /// the same for any shard count, because all enumerate the one global
-    /// directory in order.
+    /// directory in order. Entries of data sets a query's `thresholds`
+    /// clause names come with their scalar field (its only reader is the
+    /// operator's threshold override); all others are pinned field-less.
     ///
     /// A batch whose footprint touches an unavailable file is rejected
     /// with [`StoreError::ShardUnavailable`] before anything is read or
     /// evaluated; every batch that avoids the broken file keeps serving.
     pub fn pin_for(&self, queries: &[RelationshipQuery]) -> Result<Vec<Arc<FunctionEntry>>> {
-        let mut needed = vec![false; self.directory.len()];
+        // Per directory entry: not needed, or needed (with its field?).
+        let mut needed: Vec<Option<bool>> = vec![None; self.directory.len()];
         for query in queries {
             let touched = query_datasets(&self.catalog.datasets, query)?;
             self.require_files_of(touched.iter().copied())?;
@@ -327,93 +346,106 @@ impl LazyIndex {
                         .clause
                         .admits_resolution(self.locate(entry)?.1.resolution)
                 {
-                    needed[i] = true;
+                    let name = &self.catalog.datasets[entry.dataset].meta.name;
+                    let with_field = query.clause.thresholds.iter().any(|t| t.dataset == *name);
+                    needed[i] = Some(needed[i].unwrap_or(false) || with_field);
                 }
             }
         }
         needed
             .iter()
             .enumerate()
-            .filter(|(_, n)| **n)
-            .map(|(i, _)| self.entry(i))
+            .filter_map(|(i, n)| n.map(|with_field| self.entry(i, with_field)))
             .collect()
     }
 
     /// Faults in one segment by global directory position: cache hit, or
-    /// read + (first time only) verify + decode + insert.
-    pub fn entry(&self, seg_index: usize) -> Result<Arc<FunctionEntry>> {
+    /// read + (first time only) verify + decode + insert. The field blob
+    /// is fetched only when `with_field` asks and the entry has one.
+    fn entry(&self, seg_index: usize, with_field: bool) -> Result<Arc<FunctionEntry>> {
         let metrics = lazy_metrics();
-        if let Some(hit) = self.cache.get(&seg_index) {
-            metrics.cache_hits.inc();
-            trace::add("segment_cache_hits", 1);
-            return Ok(hit);
-        }
         let entry = &self.directory[seg_index];
         let (file, info) = self.locate(entry)?;
-        let what = file.store.segment_label(info);
+        let with_field = with_field && info.field.is_some();
+        if let Some(hit) = self.cache.get(&seg_index) {
+            // An entry cached with its field is a superset of a field-less
+            // one; the reverse is re-faulted below and replaces it.
+            if !with_field || hit.field.is_some() {
+                metrics.cache_hits.inc();
+                trace::add("segment_cache_hits", 1);
+                return Ok(hit);
+            }
+        }
         metrics.faults.inc();
         trace::add("segment_faults", 1);
         file.faults.inc();
-        // A recorded failure keeps failing without touching the disk: no
-        // concurrent re-fault may decode bytes a previous fault saw fail
-        // verification.
-        // ordering: Acquire pairs with the Release stores below — a thread
-        // that reads a verdict also sees the verification that produced it.
-        if self.verified[seg_index].load(Ordering::Acquire) == VERIFIED_BAD {
-            return Err(StoreError::ChecksumMismatch { what });
-        }
-        let bytes = file.store.source().fetch(info.loc, &what, false)?;
-        file.bytes_fetched.add(bytes.len() as u64);
-        // ordering: Acquire — same pairing as the verdict check above.
-        if self.verified[seg_index].load(Ordering::Acquire) == UNVERIFIED {
-            metrics.verifications.inc();
-            match SegmentSource::verify(&bytes, info.loc, &what) {
-                // ordering: Release publishes the verdict (and the checksum
-                // work that justifies it) to every later Acquire load.
-                Ok(()) => self.verified[seg_index].store(VERIFIED_OK, Ordering::Release),
-                Err(e) => {
-                    metrics.verify_failures.inc();
-                    // ordering: Release — sticky failure published the same way.
-                    self.verified[seg_index].store(VERIFIED_BAD, Ordering::Release);
-                    return Err(e);
-                }
-            }
-        }
-        let decoded = Arc::new(decode_function_segment(&bytes, entry.dataset, &what)?);
+        let decoded = Arc::new(self.read_entry(seg_index, with_field, true)?);
         if self.cache.insert(seg_index, Arc::clone(&decoded)) {
             metrics.evictions.inc();
         }
         Ok(decoded)
     }
 
-    /// The eager open: reads, verifies and decodes every admitted segment,
-    /// in directory order — never through the cache (an eager index must
-    /// not be held twice). Every file owning a data set the filter admits
-    /// must be available; files the filter never touches may be down.
+    /// The one "read → verify → decode a directory entry" step behind
+    /// lazy faults and the eager open alike: the hot blob, plus the field
+    /// blob when `with_field` (the caller checked the entry has one or
+    /// wants every blob there is). `faulting` says a lazy fault is asking:
+    /// only those bump the fault and verification counters, so an eager
+    /// open leaves them describing demand paging.
+    fn read_entry(
+        &self,
+        seg_index: usize,
+        with_field: bool,
+        faulting: bool,
+    ) -> Result<FunctionEntry> {
+        let entry = &self.directory[seg_index];
+        let (file, info) = self.locate(entry)?;
+        let what = file.store.segment_label(info);
+        let [hot_verdict, field_verdict] = &self.verified[seg_index];
+        let hot = read_blob(file, info.loc, hot_verdict, &what, faulting)?;
+        let field = match info.field.filter(|_| with_field) {
+            None => None,
+            Some(loc) => {
+                let what = format!("{what} field");
+                let bytes = read_blob(file, loc, field_verdict, &what, faulting)?;
+                let metrics = lazy_metrics();
+                metrics.field_bytes.add(loc.len);
+                trace::add("field_bytes_fetched", loc.len);
+                if faulting {
+                    metrics.field_faults.inc();
+                    trace::add("field_faults", 1);
+                }
+                Some(bytes)
+            }
+        };
+        decode_function_segment(&hot, field.as_deref(), entry.dataset, &what)
+    }
+
+    /// The eager open: reads, verifies and decodes both blobs of every
+    /// admitted segment, in directory order — never through the cache (an
+    /// eager index must not be held twice). Every file owning a data set
+    /// the filter admits must be available; files the filter never touches
+    /// may be down.
     pub(crate) fn load(&self) -> Result<PolygamyIndex> {
         let datasets = &self.catalog.datasets;
         self.require_files_of(
             (0..datasets.len()).filter(|&di| self.filter.admits_dataset(&datasets[di].meta.name)),
         )?;
-        let mut functions = Vec::new();
-        for entry in self.directory.iter().filter(|e| e.admitted) {
-            let (file, info) = self.locate(entry)?;
-            let what = file.store.segment_label(info);
-            let bytes = file.store.source().read(info.loc, &what)?;
-            file.bytes_fetched.add(bytes.len() as u64);
-            functions.push(decode_function_segment(&bytes, entry.dataset, &what)?);
-        }
+        let functions = (0..self.directory.len())
+            .filter(|&i| self.directory[i].admitted)
+            .map(|i| self.read_entry(i, true, false))
+            .collect::<Result<_>>()?;
         Ok(PolygamyIndex {
             datasets: datasets.clone(),
             functions,
         })
     }
 
-    /// Reads and checksum-verifies every admitted segment (and every
-    /// file's geometry blob) without decoding or caching — the force-check
-    /// behind `polygamy-store inspect --verify`. An unavailable file fails
-    /// the verification with its recorded reason. Returns the number of
-    /// segments checked.
+    /// Reads and checksum-verifies both blobs of every admitted segment
+    /// (and every file's geometry blob) without decoding or caching — the
+    /// force-check behind `polygamy-store inspect --verify`. An
+    /// unavailable file fails the verification with its recorded reason.
+    /// Returns the number of segments (function entries) checked.
     pub fn verify_all(&self) -> Result<usize> {
         for shard in 0..self.files.len() {
             let store = &self.file(shard)?.store;
@@ -421,18 +453,65 @@ impl LazyIndex {
             store.source().read(geometry, "geometry").map(drop)?;
         }
         let mut checked = 0;
-        for (i, entry) in self.directory.iter().enumerate() {
+        for (entry, verdicts) in self.directory.iter().zip(&self.verified) {
             if !entry.admitted {
                 continue;
             }
             let (file, info) = self.locate(entry)?;
             let what = file.store.segment_label(info);
-            file.store.source().read(info.loc, &what).map(drop)?;
-            // ordering: Release — publishes this force-check's verdict to
-            // the Acquire loads on the fault path.
-            self.verified[i].store(VERIFIED_OK, Ordering::Release);
+            let source = file.store.source();
+            source.read(info.loc, &what).map(drop)?;
+            if let Some(loc) = info.field {
+                source.read(loc, &format!("{what} field")).map(drop)?;
+            }
+            for verdict in verdicts {
+                // ordering: Release — publishes this force-check's verdict
+                // to the Acquire loads on the fault path.
+                verdict.store(VERIFIED_OK, Ordering::Release);
+            }
             checked += 1;
         }
         Ok(checked)
     }
+}
+
+/// Fetches one blob of `file` under the once-only verification contract:
+/// a recorded failure keeps failing without touching the disk (no
+/// concurrent re-fault may decode bytes a previous fault saw fail), the
+/// first fetch verifies and records its verdict, later ones skip the hash.
+fn read_blob<'f>(
+    file: &'f OpenFile,
+    loc: BlobLoc,
+    verdict: &AtomicU8,
+    what: &str,
+    faulting: bool,
+) -> Result<Cow<'f, [u8]>> {
+    let metrics = lazy_metrics();
+    // ordering: Acquire pairs with the Release stores below — a thread
+    // that reads a verdict also sees the verification that produced it.
+    if verdict.load(Ordering::Acquire) == VERIFIED_BAD {
+        return Err(StoreError::ChecksumMismatch { what: what.into() });
+    }
+    let bytes = file.store.source().fetch(loc, what, false)?;
+    file.bytes_fetched.add(loc.len);
+    // ordering: Acquire — same pairing as the verdict check above.
+    if verdict.load(Ordering::Acquire) == UNVERIFIED {
+        if faulting {
+            metrics.verifications.inc();
+        }
+        match SegmentSource::verify(&bytes, loc, what) {
+            // ordering: Release publishes the verdict (and the checksum
+            // work that justifies it) to every later Acquire load.
+            Ok(()) => verdict.store(VERIFIED_OK, Ordering::Release),
+            Err(e) => {
+                if faulting {
+                    metrics.verify_failures.inc();
+                }
+                // ordering: Release — sticky failure published the same way.
+                verdict.store(VERIFIED_BAD, Ordering::Release);
+                return Err(e);
+            }
+        }
+    }
+    Ok(bytes)
 }

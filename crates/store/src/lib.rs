@@ -7,24 +7,29 @@
 //! form and served from then on by concurrent read sessions — no rebuild on
 //! restart, no raw data at query time.
 //!
-//! ## On-disk format (version 1)
+//! ## On-disk format (version 2)
 //!
 //! The normative specification of the format lives in
 //! [`docs/store-format.md`](https://github.com/paper-repro/data-polygamy/blob/main/docs/store-format.md)
 //! at the repository root; this section is the summary. A store file has
-//! four regions:
+//! five regions:
 //!
 //! ```text
 //! header    40 bytes, fixed: magic "PLGYSTOR", version u32, flags u32,
-//!           manifest offset/len/FNV-1a checksum (3 × u64)
+//!           manifest offset/len/checksum (3 × u64)
 //! geometry  the CityGeometry as a checksummed JSON blob
-//! segments  one independently checksummed binary segment per indexed
-//!           scalar function (FunctionEntry): spec, resolution, window,
-//!           salient/extreme feature bit vectors, seasonal thresholds,
-//!           optional scalar field, tree statistics
+//! hot       one independently checksummed binary blob per indexed scalar
+//!           function (FunctionEntry): spec, resolution, window, salient/
+//!           extreme feature bit vectors, seasonal thresholds (interval
+//!           map run-length encoded), tree statistics — all a query reads
+//!           unless its clause overrides thresholds
+//! fields    one checksummed blob per function indexed with its scalar
+//!           field: the raw values, read only for data sets a query's
+//!           `thresholds` clause names
 //! manifest  geometry location, data set catalog, and a segment directory
 //!           (owner data set, function name, resolution, offset/len/
-//!           checksum per segment), written at the tail
+//!           checksum of the hot blob and, if any, of the field blob),
+//!           written at the tail
 //! ```
 //!
 //! Everything outside the geometry blob is encoded by an explicit
@@ -32,13 +37,13 @@
 //! travel as IEEE-754 bit patterns (NaN-exact), strings and sequences are
 //! length-prefixed, and enums use the stable one-byte wire codes from
 //! `polygamy_stdata` — never compiler-assigned discriminants. Every region
-//! carries a 64-bit FNV-1a checksum; a truncated, bit-flipped or
-//! wrong-version file yields a typed [`StoreError`], never a panic or
-//! silently wrong data.
+//! carries a 64-bit word-wise checksum ([`checksum::blob_checksum`]); a
+//! truncated, bit-flipped or wrong-version file yields a typed
+//! [`StoreError`], never a panic or silently wrong data.
 //!
 //! The manifest lives at the *tail* so incremental maintenance
 //! ([`Store::upsert_dataset`] / [`Store::remove_dataset`]) can copy
-//! retained segment bytes verbatim, re-index only the data set being
+//! retained blob bytes verbatim, re-index only the data set being
 //! changed, and write a fresh directory. A segment's owning data set is
 //! recorded in the directory — not in the segment payload — so catalog
 //! renumbering never rewrites segment bytes.
@@ -46,20 +51,21 @@
 //! ## Versioning policy
 //!
 //! [`format::VERSION`] names the byte-stream contract: the codec layouts,
-//! the wire codes, and the clause fingerprint used for query-cache keys
-//! (64-bit FNV-1a, pinned by a regression test in `polygamy_core`). Any
-//! change to those bumps the version; readers reject every version other
-//! than their own with [`StoreError::UnsupportedVersion`] rather than
-//! guessing. Wire codes are append-only: new enum variants take fresh
+//! the blob checksum, the wire codes, and the clause fingerprint used for
+//! query-cache keys (64-bit FNV-1a, pinned by a regression test in
+//! `polygamy_core`). Any change to those bumps the version; readers reject
+//! every version other than their own with
+//! [`StoreError::UnsupportedVersion`] rather than guessing — a store is a
+//! derived artifact, so an old file is rebuilt, never migrated. Wire codes are append-only: new enum variants take fresh
 //! codes, existing codes are never renumbered.
 //!
 //! ## Reading
 //!
 //! [`Store::open`] reads header + manifest only (cheap at any corpus
-//! size); [`Store::load_filtered`] materializes just the segments matching
-//! a data set/resolution filter. [`StoreSession`] serves
-//! `RelationshipQuery`s from a loaded index behind a sharded, bounded LRU
-//! cache and is freely shared across reader threads:
+//! size); a [`StoreSession`] materializes just the segments matching its
+//! data set/resolution [`LoadFilter`] — all at open (eager) or per query
+//! (lazy) — and serves `RelationshipQuery`s from them behind a sharded,
+//! bounded LRU cache, freely shared across reader threads:
 //!
 //! ```no_run
 //! use polygamy_store::{Store, StoreSession};
@@ -76,6 +82,7 @@
 
 #![warn(missing_docs)]
 
+pub mod checksum;
 pub mod codec;
 pub mod error;
 pub mod format;
@@ -86,6 +93,7 @@ pub mod shard;
 pub mod source;
 pub mod store;
 
+pub use checksum::blob_checksum;
 pub use error::{Result, StoreError};
 pub use format::{BlobLoc, Header, Manifest, SegmentInfo, VERSION};
 pub use lazy::LazyIndex;

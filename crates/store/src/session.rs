@@ -14,9 +14,10 @@
 //!   admitted set fails the open, and queries never touch the disk;
 //! * **lazy** ([`StoreSession::open_lazy`]): open reads only header,
 //!   manifest and geometry; each query faults in just the segments its
-//!   footprint touches ([`crate::lazy`]), verifying each exactly once on
-//!   first access. Corruption surfaces at query time, only for queries
-//!   touching the corrupt segment.
+//!   footprint touches ([`crate::lazy`]) — their hot blobs, plus the
+//!   scalar field blobs of data sets its `thresholds` clause names —
+//!   verifying each blob exactly once on first access. Corruption
+//!   surfaces at query time, only for queries touching the corrupt blob.
 //!
 //! A session built with a data-set [`LoadFilter`] serves only the loaded
 //! data sets: a query naming an unloaded one is a typed

@@ -29,8 +29,9 @@
 //! valid store on its own.
 //!
 //! **Byte-for-byte migration.** [`shard_store`] and [`merge_shards`] move
-//! geometry and segment bytes verbatim (checksums verified, payloads never
-//! decoded), and [`crate::store`]'s writer lays files out as a pure
+//! geometry and blob bytes verbatim (each verified once against its
+//! manifest checksum as it is read, never decoded, never re-hashed), and
+//! [`crate::store`]'s writer lays files out as a pure
 //! function of its inputs — so monolith → N shards → monolith reproduces
 //! the original file bit-for-bit, manifest included. The round-trip test
 //! pins this.
@@ -41,15 +42,17 @@
 //! (see [`crate::lazy`]); the write paths here need the one shard they
 //! touch and fail with a typed [`StoreError::ShardUnavailable`].
 
+use crate::checksum::blob_checksum;
 use crate::codec::{Dec, Enc};
 use crate::error::{Result, StoreError};
 use crate::format::{dec_dataset_entry, enc_dataset_entry};
 use crate::source::SourceBackend;
 use crate::store::{
-    encode_geometry, encode_segment_groups, write_atomically, write_store, SegmentGroup, Store,
+    encode_geometry, encode_segment_groups, write_atomically, write_store, Blob, SegmentGroup,
+    Store,
 };
 use polygamy_core::index::{DatasetEntry, PolygamyIndex};
-use polygamy_core::{CityGeometry, Config, Fnv1a};
+use polygamy_core::{CityGeometry, Config};
 use polygamy_stdata::Dataset;
 use std::fs::File;
 use std::io::{Read, Write};
@@ -59,10 +62,12 @@ use std::path::{Component, Path, PathBuf};
 pub const SHARD_MAGIC: [u8; 8] = *b"PLGYSHRD";
 
 /// Shard-catalog format version. Bumped independently of the store format
-/// version: the catalog only routes, shard files carry the data.
-pub const SHARD_CATALOG_VERSION: u32 = 1;
+/// version: the catalog only routes, shard files carry the data. Version 2
+/// changed the payload checksum to [`blob_checksum`], with store format 2.
+pub const SHARD_CATALOG_VERSION: u32 = 2;
 
-/// Fixed catalog header length: magic, version, flags, payload len, FNV.
+/// Fixed catalog header length: magic, version, flags, payload len,
+/// checksum.
 const SHARD_HEADER_LEN: usize = 32;
 
 /// The shard catalog: the global data set catalog plus the data set →
@@ -128,7 +133,7 @@ impl ShardCatalog {
         h.u32(SHARD_CATALOG_VERSION);
         h.u32(0); // flags, reserved
         h.u64(payload.len() as u64);
-        h.u64(Fnv1a::hash_bytes(&payload));
+        h.u64(blob_checksum(&payload));
         bytes.extend_from_slice(&h.into_bytes());
         debug_assert_eq!(bytes.len(), SHARD_HEADER_LEN);
         bytes.extend_from_slice(&payload);
@@ -165,7 +170,7 @@ impl ShardCatalog {
             .ok_or_else(|| StoreError::Truncated {
                 what: "shard catalog payload".into(),
             })?;
-        if Fnv1a::hash_bytes(payload) != checksum {
+        if blob_checksum(payload) != checksum {
             return Err(StoreError::ChecksumMismatch {
                 what: "shard catalog".into(),
             });
@@ -312,13 +317,13 @@ pub fn shard_store(
         ));
     }
     let store = Store::open(monolith)?;
-    let geometry_bytes = store.read_geometry_bytes()?;
+    let geometry = store.read_geometry_blob()?;
     let per_dataset = store.read_retained_segments(|_| true)?;
     let catalog = store.manifest().datasets.clone();
     let n = catalog.len();
     write_sharded(
         out.as_ref(),
-        &geometry_bytes,
+        &geometry,
         catalog,
         per_dataset,
         round_robin(n, n_shards),
@@ -331,7 +336,7 @@ pub fn shard_store(
 /// migration never leaves a catalog pointing at missing shards.
 fn write_sharded(
     path: &Path,
-    geometry_bytes: &[u8],
+    geometry: &Blob,
     catalog: Vec<DatasetEntry>,
     mut per_dataset: Vec<SegmentGroup>,
     shard_of: Vec<usize>,
@@ -358,7 +363,7 @@ fn write_sharded(
             .collect();
         write_store(
             &shard_catalog.shard_path(path, s),
-            geometry_bytes,
+            geometry,
             local_catalog,
             local_groups,
         )?;
@@ -375,13 +380,13 @@ fn write_sharded(
 pub fn merge_shards(catalog_path: impl AsRef<Path>, out: impl AsRef<Path>) -> Result<Store> {
     let catalog_path = catalog_path.as_ref();
     let catalog = ShardCatalog::read(catalog_path)?;
-    let mut geometry_bytes: Option<Vec<u8>> = None;
+    let mut geometry: Option<Blob> = None;
     let mut per_dataset: Vec<SegmentGroup> =
         (0..catalog.datasets.len()).map(|_| Vec::new()).collect();
     for s in 0..catalog.n_shards() {
         let store = open_shard(&catalog, catalog_path, s, SourceBackend::default())?;
-        if geometry_bytes.is_none() {
-            geometry_bytes = Some(store.read_geometry_bytes()?);
+        if geometry.is_none() {
+            geometry = Some(store.read_geometry_blob()?);
         }
         let owned = catalog.datasets_of_shard(s);
         for (li, group) in store
@@ -392,10 +397,10 @@ pub fn merge_shards(catalog_path: impl AsRef<Path>, out: impl AsRef<Path>) -> Re
             per_dataset[owned[li]] = group;
         }
     }
-    let geometry_bytes = geometry_bytes.ok_or_else(|| {
+    let geometry = geometry.ok_or_else(|| {
         StoreError::Corrupt("sharded store has no shards to merge geometry from".into())
     })?;
-    write_store(out.as_ref(), &geometry_bytes, catalog.datasets, per_dataset)
+    write_store(out.as_ref(), &geometry, catalog.datasets, per_dataset)
 }
 
 /// Checks one opened shard file against the shard catalog: its local

@@ -14,9 +14,9 @@
 //!   (writers never modify a store in place — they rename a fresh file
 //!   over the path);
 //! * **deferred, countable verification** — callers choose per read
-//!   whether to FNV-verify ([`SegmentSource::read`]) or to defer
+//!   whether to verify ([`SegmentSource::read`]) or to defer
 //!   ([`SegmentSource::fetch`] with `verify = false`), which is what lets
-//!   a lazy index verify each segment exactly once on first touch;
+//!   a lazy index verify each blob exactly once on first touch;
 //! * **byte accounting** — every payload byte served is counted
 //!   ([`SegmentSource::bytes_fetched`]), making "lazy open reads strictly
 //!   fewer bytes than eager load" an assertable property instead of a
@@ -34,9 +34,9 @@
 //!   faulted in by the kernel on first touch. On non-Unix targets the
 //!   mmap request falls back to positioned reads.
 
+use crate::checksum::blob_checksum;
 use crate::error::{Result, StoreError};
 use crate::format::BlobLoc;
-use polygamy_core::Fnv1a;
 use polygamy_obs::{names, Counter};
 use std::borrow::Cow;
 use std::fmt;
@@ -156,7 +156,7 @@ impl SegmentSource {
         self.bytes_fetched.load(Ordering::Relaxed)
     }
 
-    /// Reads and FNV-verifies one blob range — the default for any read
+    /// Reads and checksum-verifies one blob range — the default for any read
     /// whose bytes are consumed immediately.
     pub fn read(&self, loc: BlobLoc, what: &str) -> Result<Cow<'_, [u8]>> {
         self.fetch(loc, what, true)
@@ -197,7 +197,7 @@ impl SegmentSource {
 
     /// Checks `bytes` against the checksum recorded in `loc`.
     pub fn verify(bytes: &[u8], loc: BlobLoc, what: &str) -> Result<()> {
-        if Fnv1a::hash_bytes(bytes) != loc.checksum {
+        if blob_checksum(bytes) != loc.checksum {
             return Err(StoreError::ChecksumMismatch { what: what.into() });
         }
         Ok(())
@@ -327,7 +327,7 @@ mod tests {
         BlobLoc {
             offset,
             len,
-            checksum: Fnv1a::hash_bytes(&bytes[offset as usize..(offset + len) as usize]),
+            checksum: blob_checksum(&bytes[offset as usize..(offset + len) as usize]),
         }
     }
 

@@ -1,11 +1,12 @@
 //! Reading and writing store files.
 //!
 //! [`Store::open`] reads only the 40-byte header and the manifest — cheap
-//! regardless of corpus size. Function segments are materialized on demand
-//! ([`Store::load`] / [`Store::load_filtered`]), each verified against its
-//! FNV-1a checksum before decoding. Writes go through a temp file renamed
-//! into place, so a crashed writer never leaves a half-written store at the
-//! target path.
+//! regardless of corpus size. Function segments are materialized by the one
+//! index over a store's file(s), [`crate::lazy::LazyIndex`] — on demand for
+//! a lazy session, all at once for an eager one — each blob verified
+//! against its checksum before its first decode. Writes go through a temp
+//! file renamed into place, so a crashed writer never leaves a half-written
+//! store at the target path.
 //!
 //! All reads — manifest, geometry, segments, maintenance copies — go
 //! through one [`SegmentSource`] opened at [`Store::open`] time. The single
@@ -15,17 +16,19 @@
 //! source's byte counter makes read-path costs observable.
 //!
 //! Incremental maintenance ([`Store::upsert_dataset`] /
-//! [`Store::remove_dataset`]) copies retained segment bytes verbatim —
-//! checksums verified, payloads never decoded — and re-indexes only the
-//! data set being changed, preserving the index-once/query-many economics
-//! for corpus updates.
+//! [`Store::remove_dataset`]) copies retained blob bytes verbatim — each
+//! verified once against the manifest's checksum as it is read, never
+//! decoded, and that verified checksum is what the new manifest records —
+//! and re-indexes only the data set being changed, preserving the
+//! index-once/query-many economics for corpus updates.
 
-use crate::codec::{decode_function_segment, encode_function_segment};
+use crate::checksum::blob_checksum;
+use crate::codec::encode_function_segment;
 use crate::error::{Result, StoreError};
 use crate::format::{BlobLoc, Header, Manifest, SegmentInfo, HEADER_LEN, VERSION};
 use crate::source::{SegmentSource, SourceBackend};
 use polygamy_core::index::{DatasetEntry, FunctionEntry, PolygamyIndex};
-use polygamy_core::{index_dataset, CityGeometry, Config, Fnv1a};
+use polygamy_core::{index_dataset, CityGeometry, Config};
 use polygamy_stdata::{Dataset, Resolution};
 use std::fs::File;
 use std::io::Write;
@@ -191,36 +194,6 @@ impl Store {
         decode_geometry(&bytes)
     }
 
-    /// Materializes the full index.
-    pub fn load(&self) -> Result<PolygamyIndex> {
-        self.load_filtered(&LoadFilter::all())
-    }
-
-    /// Materializes the catalog plus only the function segments admitted
-    /// by `filter`.
-    pub fn load_filtered(&self, filter: &LoadFilter) -> Result<PolygamyIndex> {
-        // Unknown data set names in the filter are caller errors, not
-        // silently-empty loads.
-        if let Some(names) = &filter.datasets {
-            for name in names {
-                self.manifest.dataset_index(name)?;
-            }
-        }
-        let mut functions: Vec<FunctionEntry> = Vec::new();
-        for info in &self.manifest.segments {
-            if !filter.admits(info, &self.manifest.datasets) {
-                continue;
-            }
-            let what = self.segment_label(info);
-            let bytes = self.source.read(info.loc, &what)?;
-            functions.push(decode_function_segment(&bytes, info.dataset_index, &what)?);
-        }
-        Ok(PolygamyIndex {
-            datasets: self.manifest.datasets.clone(),
-            functions,
-        })
-    }
-
     /// How errors name one segment of this store: `segment <data set>.<function>`.
     pub(crate) fn segment_label(&self, info: &SegmentInfo) -> String {
         format!(
@@ -302,15 +275,16 @@ impl Store {
                 per_dataset.remove(target);
             }
         }
-        let geometry_bytes = self.read_geometry_bytes()?;
-        write_store(&self.path, &geometry_bytes, catalog, per_dataset)
+        let geometry = self.read_geometry_blob()?;
+        write_store(&self.path, &geometry, catalog, per_dataset)
     }
 
     /// Reads the raw (still-encoded) segments of every data set admitted by
-    /// `keep`, grouped by catalog position. Checksums are verified so
-    /// maintenance never copies corruption forward. Shared with the shard
-    /// migration paths ([`crate::shard`]), which move segment bytes between
-    /// files verbatim.
+    /// `keep`, grouped by catalog position. Every blob is verified against
+    /// the manifest's checksum as it is read, so maintenance never copies
+    /// corruption forward — and carries that checksum along, so the writer
+    /// never recomputes it. Shared with the shard migration paths
+    /// ([`crate::shard`]), which move blob bytes between files verbatim.
     pub(crate) fn read_retained_segments(
         &self,
         keep: impl Fn(usize) -> bool,
@@ -322,43 +296,74 @@ impl Store {
             if !keep(info.dataset_index) {
                 continue;
             }
-            let bytes = self.source.read(info.loc, &self.segment_label(info))?;
-            per_dataset[info.dataset_index].push((
-                SegmentMeta {
-                    function: info.function.clone(),
-                    resolution: info.resolution,
-                },
-                bytes.into_owned(),
-            ));
+            let what = self.segment_label(info);
+            per_dataset[info.dataset_index].push(Segment {
+                function: info.function.clone(),
+                resolution: info.resolution,
+                hot: self.read_blob(info.loc, &what)?,
+                field: info
+                    .field
+                    .map(|loc| self.read_blob(loc, &format!("{what} field")))
+                    .transpose()?,
+            });
         }
         Ok(per_dataset)
     }
 
     /// Reads the raw geometry blob, checksum-verified.
-    pub(crate) fn read_geometry_bytes(&self) -> Result<Vec<u8>> {
-        Ok(self
-            .source
-            .read(self.manifest.geometry, "geometry")?
-            .into_owned())
+    pub(crate) fn read_geometry_blob(&self) -> Result<Blob> {
+        self.read_blob(self.manifest.geometry, "geometry")
+    }
+
+    /// Reads one blob for verbatim copying: verified here, once, against
+    /// the checksum the manifest recorded for it.
+    fn read_blob(&self, loc: BlobLoc, what: &str) -> Result<Blob> {
+        Ok(Blob {
+            bytes: self.source.read(loc, what)?.into_owned(),
+            checksum: loc.checksum,
+        })
     }
 }
 
-/// Routing metadata for one segment being written.
-#[derive(Debug, Clone)]
-pub(crate) struct SegmentMeta {
-    pub(crate) function: String,
-    pub(crate) resolution: Resolution,
+/// One blob on its way into a store file: its bytes and their checksum —
+/// computed when the blob was encoded, or carried over from the manifest
+/// it was just verified against.
+#[derive(Debug)]
+pub(crate) struct Blob {
+    bytes: Vec<u8>,
+    checksum: u64,
+}
+
+impl Blob {
+    /// A freshly encoded blob, checksummed here.
+    fn encoded(bytes: Vec<u8>) -> Self {
+        Self {
+            checksum: blob_checksum(&bytes),
+            bytes,
+        }
+    }
+}
+
+/// One function segment being written: routing metadata plus its blobs.
+#[derive(Debug)]
+pub(crate) struct Segment {
+    function: String,
+    resolution: Resolution,
+    hot: Blob,
+    field: Option<Blob>,
 }
 
 /// One data set's encoded segments, in directory order.
-pub(crate) type SegmentGroup = Vec<(SegmentMeta, Vec<u8>)>;
+pub(crate) type SegmentGroup = Vec<Segment>;
 
-fn encode_segment(entry: &FunctionEntry) -> (SegmentMeta, Vec<u8>) {
-    let meta = SegmentMeta {
+fn encode_segment(entry: &FunctionEntry) -> Segment {
+    let (hot, field) = encode_function_segment(entry);
+    Segment {
         function: entry.spec.name.clone(),
         resolution: entry.resolution,
-    };
-    (meta, encode_function_segment(entry))
+        hot: Blob::encoded(hot),
+        field: field.map(Blob::encoded),
+    }
 }
 
 /// Encodes an index's segments grouped by data set in catalog order — the
@@ -377,9 +382,9 @@ pub(crate) fn encode_segment_groups(index: &PolygamyIndex) -> Vec<SegmentGroup> 
 /// segment framing — polygon soup gains nothing from a binary codec and
 /// stays debuggable this way). Shared with [`crate::shard`], which embeds
 /// the identical blob in every shard file.
-pub(crate) fn encode_geometry(geometry: &CityGeometry) -> Result<Vec<u8>> {
+pub(crate) fn encode_geometry(geometry: &CityGeometry) -> Result<Blob> {
     serde_json::to_string(geometry)
-        .map(String::into_bytes)
+        .map(|json| Blob::encoded(json.into_bytes()))
         .map_err(|e| StoreError::Corrupt(format!("geometry encode failed: {e}")))
 }
 
@@ -392,43 +397,51 @@ fn decode_geometry(bytes: &[u8]) -> Result<CityGeometry> {
 
 /// Composes and atomically writes a complete store file, then reopens it.
 ///
-/// The layout is a pure function of its inputs: header, geometry bytes at
-/// offset [`HEADER_LEN`], segments in per-data-set order, tail manifest —
-/// no timestamps, no padding. Two calls with the same geometry bytes,
-/// catalog and segment bytes therefore produce byte-identical files; the
-/// shard/merge round-trip ([`crate::shard`]) leans on this to reproduce a
-/// monolith bit-for-bit.
+/// The layout is a pure function of its inputs: header, geometry blob at
+/// offset [`HEADER_LEN`], every hot blob in per-data-set order, then every
+/// field blob in the same order, tail manifest — no timestamps, no
+/// padding. Two calls with the same geometry, catalog and blobs therefore
+/// produce byte-identical files; the shard/merge round-trip
+/// ([`crate::shard`]) leans on this to reproduce a monolith bit-for-bit.
+/// No blob is hashed here: each arrives with its checksum.
 pub(crate) fn write_store(
     path: &Path,
-    geometry_bytes: &[u8],
+    geometry: &Blob,
     catalog: Vec<DatasetEntry>,
     per_dataset: Vec<SegmentGroup>,
 ) -> Result<Store> {
     debug_assert_eq!(catalog.len(), per_dataset.len());
     let mut offset = HEADER_LEN;
-    let geometry_loc = BlobLoc {
-        offset,
-        len: geometry_bytes.len() as u64,
-        checksum: Fnv1a::hash_bytes(geometry_bytes),
+    let mut payloads: Vec<&[u8]> = Vec::new();
+    let mut place = |blob: &Blob| {
+        let loc = BlobLoc {
+            offset,
+            len: blob.bytes.len() as u64,
+            checksum: blob.checksum,
+        };
+        offset += loc.len;
+        loc
     };
-    offset += geometry_loc.len;
+    let geometry_loc = place(geometry);
+    payloads.push(&geometry.bytes);
 
     let mut segments: Vec<SegmentInfo> = Vec::new();
-    let mut payloads: Vec<&[u8]> = Vec::new();
     for (di, group) in per_dataset.iter().enumerate() {
-        for (meta, bytes) in group {
+        for segment in group {
             segments.push(SegmentInfo {
                 dataset_index: di,
-                function: meta.function.clone(),
-                resolution: meta.resolution,
-                loc: BlobLoc {
-                    offset,
-                    len: bytes.len() as u64,
-                    checksum: Fnv1a::hash_bytes(bytes),
-                },
+                function: segment.function.clone(),
+                resolution: segment.resolution,
+                loc: place(&segment.hot),
+                field: None,
             });
-            payloads.push(bytes);
-            offset += bytes.len() as u64;
+            payloads.push(&segment.hot.bytes);
+        }
+    }
+    for (info, segment) in segments.iter_mut().zip(per_dataset.iter().flatten()) {
+        if let Some(field) = &segment.field {
+            info.field = Some(place(field));
+            payloads.push(&field.bytes);
         }
     }
 
@@ -442,12 +455,11 @@ pub(crate) fn write_store(
         version: VERSION,
         manifest_offset: offset,
         manifest_len: manifest_bytes.len() as u64,
-        manifest_checksum: Fnv1a::hash_bytes(&manifest_bytes),
+        manifest_checksum: blob_checksum(&manifest_bytes),
     };
 
     write_atomically(path, |out| {
         out.write_all(&header.encode())?;
-        out.write_all(geometry_bytes)?;
         for payload in &payloads {
             out.write_all(payload)?;
         }

@@ -98,10 +98,9 @@ fn lazy_open_plus_first_query_reads_strictly_fewer_bytes_than_eager() {
     save_corpus(&path);
 
     // Eager baseline: open + full load, counted at the source.
-    let eager_store = Store::open(&path).unwrap();
-    eager_store.load().unwrap();
-    eager_store.load_geometry().unwrap();
-    let eager_bytes = eager_store.source().bytes_fetched();
+    let eager_bytes = StoreSession::open_with(&path, Config::fast_test(), &LoadFilter::all())
+        .unwrap()
+        .bytes_fetched();
 
     // Lazy: open is O(header + manifest + geometry)...
     let session = open_lazy(&path, SourceBackend::PositionedRead);
@@ -228,10 +227,9 @@ fn corruption_surfaces_only_for_queries_touching_the_corrupt_segment() {
     flipped[gamma_seg.offset as usize + 3] ^= 0x40;
     std::fs::write(&path, &flipped).unwrap();
 
-    // The eager loader refuses the whole store...
-    let reopened = Store::open(&path).unwrap();
+    // The eager open refuses the whole store...
     assert!(matches!(
-        reopened.load(),
+        StoreSession::open_with(&path, Config::fast_test(), &LoadFilter::all()),
         Err(StoreError::ChecksumMismatch { .. })
     ));
 
@@ -289,4 +287,146 @@ fn pinned_handle_keeps_a_session_consistent_across_file_replacement() {
     // A fresh open sees the new revision.
     let fresh = open_lazy(&path, SourceBackend::PositionedRead);
     assert_eq!(fresh.loaded_datasets(), ["delta", "epsilon"]);
+}
+
+/// Σ over `name`'s directory entries of (hot blob bytes, field blob bytes).
+fn dataset_blob_bytes(store: &Store, name: &str) -> (u64, u64) {
+    let manifest = store.manifest();
+    let di = manifest.dataset_index(name).unwrap();
+    let total = manifest.dataset_disk_bytes(di);
+    let field = manifest.dataset_field_bytes(di);
+    (total - field, field)
+}
+
+fn thresholds_clause(dataset: &str) -> Clause {
+    test_clause().with_thresholds(dataset, 5.0, 0.9)
+}
+
+#[test]
+fn field_blobs_are_fetched_only_for_data_sets_a_thresholds_clause_names() {
+    let path = tmp_path("field-bytes");
+    let _cleanup = Cleanup(path.clone());
+    let dp = save_corpus(&path);
+    let store = Store::open(&path).unwrap();
+    let (alpha_hot, alpha_field) = dataset_blob_bytes(&store, "alpha");
+    let (beta_hot, beta_field) = dataset_blob_bytes(&store, "beta");
+    assert!(alpha_field > alpha_hot && beta_field > beta_hot);
+
+    let plain = RelationshipQuery::between(&["alpha"], &["beta"]).with_clause(test_clause());
+    let on_alpha =
+        RelationshipQuery::between(&["alpha"], &["beta"]).with_clause(thresholds_clause("alpha"));
+    // The override really changes the answer, so a session that silently
+    // fell back to the precomputed features could not pass below.
+    assert_ne!(dp.query(&on_alpha).unwrap(), dp.query(&plain).unwrap());
+
+    for backend in [SourceBackend::PositionedRead, SourceBackend::Mmap] {
+        // Without `thresholds`: exactly the two data sets' hot blobs —
+        // zero field bytes.
+        let session = open_lazy(&path, backend);
+        let opened = lazy_bytes(&session);
+        let (rels, t) = polygamy_obs::trace::record(|| session.query(&plain).unwrap());
+        assert_eq!(rels, dp.query(&plain).unwrap(), "{backend:?}");
+        assert_eq!(lazy_bytes(&session) - opened, alpha_hot + beta_hot);
+        assert_eq!(t.counter("field_faults"), 0, "{backend:?}");
+        assert_eq!(t.counter("field_bytes_fetched"), 0, "{backend:?}");
+
+        // `thresholds alpha (…)` on the same session: alpha's entries are
+        // re-faulted with their fields, beta's stay cached and field-less.
+        let before = lazy_bytes(&session);
+        let (rels, t) = polygamy_obs::trace::record(|| session.query(&on_alpha).unwrap());
+        assert_eq!(rels, dp.query(&on_alpha).unwrap(), "{backend:?}");
+        assert_eq!(lazy_bytes(&session) - before, alpha_hot + alpha_field);
+        assert_eq!(t.counter("field_bytes_fetched"), alpha_field, "{backend:?}");
+        assert!(t.counter("field_faults") > 0, "{backend:?}");
+
+        // An entry cached with its field serves field-less pins: nothing
+        // more is read for the plain query, nor for the override again.
+        let before = lazy_bytes(&session);
+        session.query(&plain).unwrap();
+        session.query(&on_alpha).unwrap();
+        assert_eq!(lazy_bytes(&session), before, "{backend:?}");
+
+        // A fresh session asking the override first reads alpha's field
+        // blobs and never beta's.
+        let fresh = open_lazy(&path, backend);
+        let opened = lazy_bytes(&fresh);
+        assert_eq!(
+            fresh.query(&on_alpha).unwrap(),
+            dp.query(&on_alpha).unwrap()
+        );
+        assert_eq!(
+            lazy_bytes(&fresh) - opened,
+            alpha_hot + alpha_field + beta_hot,
+            "{backend:?}"
+        );
+    }
+}
+
+#[test]
+fn a_corrupt_field_blob_fails_only_the_queries_that_read_it() {
+    let path = tmp_path("field-corruption");
+    let _cleanup = Cleanup(path.clone());
+    let dp = save_corpus(&path);
+
+    // Flip one byte inside one of gamma's field blobs.
+    let store = Store::open(&path).unwrap();
+    let gamma = store.manifest().dataset_index("gamma").unwrap();
+    let field = store
+        .manifest()
+        .segments
+        .iter()
+        .find(|s| s.dataset_index == gamma)
+        .and_then(|s| s.field)
+        .expect("gamma kept its fields");
+    drop(store);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[(field.offset + field.len / 2) as usize] ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+
+    // The eager open reads every admitted byte: it refuses the store...
+    assert!(matches!(
+        StoreSession::open_with(&path, Config::fast_test(), &LoadFilter::all()),
+        Err(StoreError::ChecksumMismatch { .. })
+    ));
+    // ...unless its filter leaves gamma out.
+    StoreSession::open_with(
+        &path,
+        Config::fast_test(),
+        &LoadFilter::all().datasets(&["alpha", "beta"]),
+    )
+    .unwrap();
+
+    for backend in [SourceBackend::PositionedRead, SourceBackend::Mmap] {
+        let session = open_lazy(&path, backend);
+        // Every field-less query on gamma keeps serving, correctly.
+        let plain = RelationshipQuery::between(&["alpha"], &["gamma"]).with_clause(test_clause());
+        assert_eq!(session.query(&plain).unwrap(), dp.query(&plain).unwrap());
+        // So does an override on the *other* side of the pair.
+        let on_alpha = RelationshipQuery::between(&["alpha"], &["gamma"])
+            .with_clause(thresholds_clause("alpha"));
+        assert_eq!(
+            session.query(&on_alpha).unwrap(),
+            dp.query(&on_alpha).unwrap()
+        );
+        // The override on gamma needs the corrupt blob: a typed error
+        // naming it, twice (the verdict is sticky — no re-read, no retry
+        // that could decode bytes once seen to fail).
+        let on_gamma = RelationshipQuery::between(&["alpha"], &["gamma"])
+            .with_clause(thresholds_clause("gamma"));
+        for _ in 0..2 {
+            match session.query(&on_gamma) {
+                Err(StoreError::ChecksumMismatch { what }) => {
+                    assert!(what.contains("gamma") && what.contains("field"), "{what}")
+                }
+                other => panic!("{backend:?}: expected checksum mismatch, got {other:?}"),
+            }
+        }
+        // And the field-less query still works afterwards.
+        assert_eq!(session.query(&plain).unwrap(), dp.query(&plain).unwrap());
+        // The force-check covers field blobs too.
+        assert!(matches!(
+            session.lazy_index().unwrap().verify_all(),
+            Err(StoreError::ChecksumMismatch { .. })
+        ));
+    }
 }

@@ -8,6 +8,7 @@
 //! * corrupted/truncated/mis-versioned files yield typed errors;
 //! * one session serves concurrent readers.
 
+use polygamy_core::index::PolygamyIndex;
 use polygamy_core::prelude::*;
 use polygamy_core::DataPolygamy;
 use polygamy_store::{LoadFilter, Store, StoreError, StoreSession};
@@ -69,6 +70,17 @@ fn build_framework(datasets: &[Dataset]) -> DataPolygamy {
     dp
 }
 
+/// The eager materialization of the store at `path` under `filter` — what
+/// every eager session holds.
+fn load(path: &PathBuf, filter: &LoadFilter) -> Result<PolygamyIndex, StoreError> {
+    let session = StoreSession::open_with(path, Config::fast_test(), filter)?;
+    Ok(session.index().expect("eager session").clone())
+}
+
+fn load_all(path: &PathBuf) -> PolygamyIndex {
+    load(path, &LoadFilter::all()).unwrap()
+}
+
 fn test_clause() -> Clause {
     Clause::default().permutations(40).include_insignificant()
 }
@@ -118,8 +130,8 @@ fn incremental_upsert_matches_scratch_rebuild() {
     let three = build_framework(&datasets);
     Store::save(&scratch, three.geometry(), three.index().unwrap()).unwrap();
 
-    let inc_index = Store::open(&incremental).unwrap().load().unwrap();
-    let scr_index = Store::open(&scratch).unwrap().load().unwrap();
+    let inc_index = load_all(&incremental);
+    let scr_index = load_all(&scratch);
     assert_eq!(inc_index.to_json().unwrap(), scr_index.to_json().unwrap());
 
     // Queries agree too (and with the in-memory framework).
@@ -147,18 +159,8 @@ fn upsert_replaces_existing_dataset() {
     let expect = build_framework(&replaced);
     Store::save(&scratch, expect.geometry(), expect.index().unwrap()).unwrap();
     assert_eq!(
-        Store::open(&path)
-            .unwrap()
-            .load()
-            .unwrap()
-            .to_json()
-            .unwrap(),
-        Store::open(&scratch)
-            .unwrap()
-            .load()
-            .unwrap()
-            .to_json()
-            .unwrap()
+        load_all(&path).to_json().unwrap(),
+        load_all(&scratch).to_json().unwrap()
     );
 }
 
@@ -175,7 +177,7 @@ fn remove_dataset_matches_scratch_rebuild() {
     let kept = vec![datasets[0].clone(), datasets[2].clone()];
     let expect = build_framework(&kept);
     assert_eq!(
-        store.load().unwrap().to_json().unwrap(),
+        load_all(&path).to_json().unwrap(),
         expect.index().unwrap().to_json().unwrap()
     );
     // Removing a data set not in the catalog is a typed error.
@@ -191,12 +193,9 @@ fn selective_loading_materializes_only_requested_segments() {
     let _cleanup = Cleanup(path.clone());
     let dp = build_framework(&corpus());
     Store::save(&path, dp.geometry(), dp.index().unwrap()).unwrap();
-    let store = Store::open(&path).unwrap();
 
-    let full = store.load().unwrap();
-    let partial = store
-        .load_filtered(&LoadFilter::all().datasets(&["alpha", "gamma"]))
-        .unwrap();
+    let full = load_all(&path);
+    let partial = load(&path, &LoadFilter::all().datasets(&["alpha", "gamma"])).unwrap();
     // Catalog always loads in full; functions only for the admitted sets.
     assert_eq!(partial.datasets.len(), 3);
     assert!(partial.functions.len() < full.functions.len());
@@ -219,7 +218,7 @@ fn selective_loading_materializes_only_requested_segments() {
     assert_eq!(session.query(&q).unwrap(), dp.query(&q).unwrap());
     // Unknown names in the filter are typed errors, not empty loads.
     assert!(matches!(
-        store.load_filtered(&LoadFilter::all().datasets(&["nope"])),
+        load(&path, &LoadFilter::all().datasets(&["nope"])),
         Err(StoreError::UnknownDataset(_))
     ));
     // Querying a cataloged-but-unloaded data set is a typed refusal, never
@@ -276,9 +275,9 @@ fn corruption_yields_typed_errors() {
     let mut flipped = pristine.clone();
     flipped[first_segment.offset as usize + 3] ^= 0x40;
     std::fs::write(&path, &flipped).unwrap();
-    let reopened = Store::open(&path).unwrap();
+    Store::open(&path).unwrap();
     assert!(matches!(
-        reopened.load(),
+        load(&path, &LoadFilter::all()),
         Err(StoreError::ChecksumMismatch { .. })
     ));
     // Maintenance refuses to copy the corruption forward: removing beta
@@ -305,7 +304,7 @@ fn corruption_yields_typed_errors() {
         Store::open(&path),
         Err(StoreError::UnsupportedVersion {
             found: 0x7F,
-            supported: 1
+            supported: 2
         })
     ));
 
@@ -318,7 +317,7 @@ fn corruption_yields_typed_errors() {
     // And the pristine bytes still load fine (the tests above really were
     // exercising the corruption, not some unrelated breakage).
     std::fs::write(&path, &pristine).unwrap();
-    Store::open(&path).unwrap().load().unwrap();
+    load_all(&path);
 }
 
 #[test]

@@ -11,7 +11,9 @@
 //! exact bytes of the monolith it was migrated from, because shards only
 //! decide which file a segment faults from: the pinned entries reach the
 //! one executor in the monolith's directory order, so expansion never sees
-//! the layout. Tasks carry their own FNV-derived Monte
+//! the layout; and for clauses **with and without a `thresholds`
+//! override** — the one clause that makes a lazy session fetch scalar
+//! field blobs. Tasks carry their own FNV-derived Monte
 //! Carlo seeds and results are assembled in canonical task order, so
 //! scheduling can never leak into significance verdicts. Byte-identity is
 //! checked on the serialized JSON, not just `PartialEq`, so even the bit
@@ -253,6 +255,86 @@ fn sharded_sessions_identical_to_monolith_for_any_shard_count() {
                         &json(rels),
                         expect,
                         "{mode} query_many @ {cluster:?} × {n_shards} shards"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The `thresholds` axis of the matrix: a clause that overrides feature
+/// thresholds is the only reader of a stored scalar field, and since
+/// store format 2 a lazy session fetches field blobs only for the data
+/// sets such a clause names. In-memory, eager, lazy (positioned and mmap)
+/// and sharded {1, 2, 5} sessions at every worker count must still answer
+/// with identical bytes — and with bytes that *differ* from the same
+/// queries without the override, so a session that failed to fetch a
+/// field and silently kept the precomputed features cannot pass.
+#[test]
+fn thresholds_clause_identical_across_every_session_kind() {
+    let path = tmp_path("thresholds-matrix");
+    let _cleanup = Cleanup(path.clone());
+    let datasets = vec![
+        spiky_dataset("alpha", 1.0, 100),
+        spiky_dataset("beta", -2.0, 100),
+        spiky_dataset("gamma", 0.5, 222),
+    ];
+    let dp = build_framework(&datasets, Cluster::local(1));
+    Store::save(&path, dp.geometry(), dp.index().unwrap()).unwrap();
+
+    let clause = Clause::default().permutations(40).include_insignificant();
+    let on_alpha = clause.clone().with_thresholds("alpha", 5.0, 1.1);
+    let on_both = on_alpha.clone().with_thresholds("gamma", 5.0, 0.6);
+    let queries = vec![
+        RelationshipQuery::between(&["alpha"], &["beta"]).with_clause(on_alpha.clone()),
+        RelationshipQuery::all().with_clause(on_both),
+        // A field-less query between two overrides: its pins must not
+        // disturb (or be disturbed by) the entries cached with fields.
+        RelationshipQuery::of("gamma").with_clause(clause.clone()),
+        RelationshipQuery::of("gamma").with_clause(on_alpha),
+    ];
+    let reference: Vec<String> = queries
+        .iter()
+        .map(|q| json(&dp.query(q).unwrap()))
+        .collect();
+    let plain = RelationshipQuery::between(&["alpha"], &["beta"]).with_clause(clause);
+    assert_ne!(
+        reference[0],
+        json(&dp.query(&plain).unwrap()),
+        "the override must change the answer"
+    );
+
+    let mut stores = vec![path.clone()];
+    let mut cleanups = Vec::new();
+    for n_shards in [1usize, 2, 5] {
+        let catalog_path = tmp_path(&format!("thresholds-matrix-{n_shards}"));
+        cleanups.push(Cleanup(catalog_path.clone()));
+        let catalog = shard_store(&path, &catalog_path, n_shards).unwrap();
+        for i in 0..n_shards {
+            cleanups.push(Cleanup(catalog.shard_path(&catalog_path, i)));
+        }
+        stores.push(catalog_path);
+    }
+    for store in &stores {
+        for cluster in worker_matrix() {
+            for (mode, session) in session_matrix(store, cluster) {
+                for (q, expect) in queries.iter().zip(&reference) {
+                    assert_eq!(
+                        &json(&session.query(q).unwrap()),
+                        expect,
+                        "{mode} query @ {cluster:?} over {}",
+                        store.display()
+                    );
+                }
+            }
+            for (mode, session) in session_matrix(store, cluster) {
+                let batched = session.query_many(&queries).unwrap();
+                for (rels, expect) in batched.iter().zip(&reference) {
+                    assert_eq!(
+                        &json(rels),
+                        expect,
+                        "{mode} query_many @ {cluster:?} over {}",
+                        store.display()
                     );
                 }
             }
