@@ -50,7 +50,7 @@ pub fn run(quick: bool) -> String {
             fields_all
                 .into_iter()
                 .enumerate()
-                .map(|(di, fields)| identify_features(cluster, geometry, di, fields, false))
+                .map(|(di, fields)| identify_features(cluster, geometry, di, fields))
                 .collect::<Vec<_>>()
         });
         // Component 3: a fixed query workload.

@@ -69,11 +69,6 @@ impl Fnv1a {
         self.write(&v.to_le_bytes());
     }
 
-    /// Feeds an `i64` as 8 little-endian bytes.
-    pub fn write_i64(&mut self, v: i64) {
-        self.write(&v.to_le_bytes());
-    }
-
     /// Feeds a `usize` widened to `u64` (stable across word sizes).
     pub fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);

@@ -9,18 +9,27 @@ pub enum Error {
     Data(polygamy_stdata::Error),
     /// A data set name was not found in the index.
     UnknownDataset(String),
-    /// A function reference was not found in the index.
-    UnknownFunction(String),
     /// The index has not been built yet.
     IndexNotBuilt,
     /// An indexed function sits at a spatial resolution the geometry has no
     /// partition for (an index/geometry mismatch, e.g. a store file whose
     /// geometry was saved without the partition its segments require).
     MissingGeometry(polygamy_stdata::SpatialResolution),
-    /// A query referenced the same data set on both sides.
-    SelfRelationship(String),
-    /// Index (de)serialisation failed.
-    Serialization(String),
+    /// The geometry's partition at a spatial resolution has another region
+    /// count than an indexed function at that resolution was built over (an
+    /// index/geometry mismatch, e.g. a store file with another city's geometry).
+    GeometryMismatch {
+        /// The spatial resolution both sides claim.
+        resolution: polygamy_stdata::SpatialResolution,
+        /// Regions in the geometry's partition.
+        geometry_regions: usize,
+        /// Regions the indexed function was built over.
+        function_regions: usize,
+    },
+    /// A `thresholds` clause names the data set of this function, which has
+    /// no stored scalar field to evaluate the thresholds on (e.g. a store
+    /// written without field blobs).
+    MissingField(crate::function::FunctionRef),
 }
 
 impl fmt::Display for Error {
@@ -28,17 +37,28 @@ impl fmt::Display for Error {
         match self {
             Error::Data(e) => write!(f, "data error: {e}"),
             Error::UnknownDataset(name) => write!(f, "unknown data set: {name}"),
-            Error::UnknownFunction(name) => write!(f, "unknown function: {name}"),
             Error::IndexNotBuilt => write!(f, "index not built; call build_index() first"),
             Error::MissingGeometry(r) => write!(
                 f,
                 "no geometry partition for spatial resolution '{}' required by an indexed function",
                 r.label()
             ),
-            Error::SelfRelationship(name) => {
-                write!(f, "relationship of {name} with itself is not defined")
-            }
-            Error::Serialization(msg) => write!(f, "serialization error: {msg}"),
+            Error::GeometryMismatch {
+                resolution,
+                geometry_regions,
+                function_regions,
+            } => write!(
+                f,
+                "the geometry partition for spatial resolution '{resolution}' has \
+                 {geometry_regions} region(s), but an indexed function was built over \
+                 {function_regions}"
+            ),
+            Error::MissingField(function) => write!(
+                f,
+                "thresholds clause names data set {}, but {function} has no stored scalar \
+                 field to evaluate them on",
+                function.dataset
+            ),
         }
     }
 }

@@ -69,9 +69,6 @@ pub struct Config {
     pub scheme: PermutationScheme,
     /// Base RNG seed (per-pair seeds derive deterministically from it).
     pub seed: u64,
-    /// Keep scalar fields in the index (needed for custom-threshold
-    /// clauses and the robustness/baseline experiments).
-    pub keep_fields: bool,
 }
 
 impl Default for Config {
@@ -81,7 +78,6 @@ impl Default for Config {
             monte_carlo: MonteCarlo::default(),
             scheme: PermutationScheme::Paper,
             seed: 0xDA7A_9A17,
-            keep_fields: true,
         }
     }
 }
@@ -102,7 +98,7 @@ impl Config {
 }
 
 /// Timing breakdown of one data set's indexing (Figure 8's quantities).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetBuildStats {
     /// Data set name.
     pub name: String,
@@ -115,7 +111,7 @@ pub struct DatasetBuildStats {
 }
 
 /// Report returned by [`DataPolygamy::build_index`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct IndexBuildReport {
     /// Stats for the data sets indexed by *this* call (previously indexed
     /// data sets are reused, not re-run), in indexing order.
@@ -139,13 +135,7 @@ pub fn index_dataset(
     let fields = compute_scalar_functions(config.cluster, geometry, dataset);
     let scalar_secs = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
-    let entries = identify_features(
-        config.cluster,
-        geometry,
-        dataset_index,
-        fields,
-        config.keep_fields,
-    );
+    let entries = identify_features(config.cluster, geometry, dataset_index, fields);
     let feature_secs = t1.elapsed().as_secs_f64();
     let stats = DatasetBuildStats {
         name: dataset.meta.name.clone(),
@@ -221,11 +211,6 @@ impl DataPolygamy {
             self.cache.clear();
         }
         Ok(removed)
-    }
-
-    /// Names of registered data sets, in insertion order.
-    pub fn dataset_names(&self) -> Vec<&str> {
-        self.datasets.iter().map(|d| d.meta.name.as_str()).collect()
     }
 
     /// Immutable access to a registered raw data set.
@@ -351,8 +336,8 @@ mod tests {
         let report = dp.build_index();
         assert_eq!(report.per_dataset.len(), 2);
         assert!(dp.index().is_ok());
-        assert_eq!(dp.dataset_names(), vec!["a", "b"]);
         assert!(dp.dataset("a").is_some());
+        assert!(dp.dataset("b").is_some());
         assert!(dp.dataset("zzz").is_none());
         // Unknown dataset in query.
         let err = dp.relation("a", "nope").unwrap_err();
@@ -446,10 +431,11 @@ mod tests {
         batch.add_dataset(tiny_dataset("c", 50));
         batch.build_index();
 
-        // NaN thresholds make struct equality vacuous; compare JSON forms.
+        // NaN thresholds make struct equality vacuous; `Debug` prints
+        // every field, NaN as `NaN`.
         assert_eq!(
-            inc.index().unwrap().to_json().unwrap(),
-            batch.index().unwrap().to_json().unwrap()
+            format!("{:?}", inc.index().unwrap()),
+            format!("{:?}", batch.index().unwrap())
         );
     }
 
@@ -467,8 +453,13 @@ mod tests {
         assert_eq!(removed.meta.name, "b");
         assert!(dp.remove_dataset("b").is_err());
         let index = dp.index().unwrap();
-        assert_eq!(dp.dataset_names(), vec!["a", "c"]);
-        assert_eq!(index.datasets.len(), 2);
+        assert!(dp.dataset("b").is_none());
+        let names: Vec<&str> = index
+            .datasets
+            .iter()
+            .map(|d| d.meta.name.as_str())
+            .collect();
+        assert_eq!(names, ["a", "c"]);
         // Every function entry points at a live catalog slot.
         assert!(index.functions.iter().all(|f| f.dataset_index < 2));
         assert!(index.functions_of(1).count() > 0, "c's entries survived");
@@ -481,8 +472,8 @@ mod tests {
         scratch.add_dataset(tiny_dataset("c", 50));
         scratch.build_index();
         assert_eq!(
-            index.to_json().unwrap(),
-            scratch.index().unwrap().to_json().unwrap()
+            format!("{index:?}"),
+            format!("{:?}", scratch.index().unwrap())
         );
     }
 
@@ -663,6 +654,38 @@ mod tests {
             err,
             Error::MissingGeometry(SpatialResolution::Zip)
         ));
+        assert!(err.to_string().contains("zip"));
+
+        // A zip partition is there, but of another city: three regions
+        // under functions built over two.
+        use polygamy_stdata::Polygon;
+        let zip = SpatialPartition::new(
+            SpatialResolution::Zip,
+            (0..3)
+                .map(|i| Polygon::rect(f64::from(i), 0.0, f64::from(i) + 1.0, 1.0))
+                .collect(),
+            vec![vec![1], vec![0, 2], vec![1]],
+        )
+        .unwrap();
+        let err = run_query(
+            &index,
+            &CityGeometry {
+                zip: Some(zip),
+                ..CityGeometry::city_only(0.0, 0.0, 3.0, 1.0)
+            },
+            &Config::fast_test(),
+            &QueryCache::new(16),
+            &RelationshipQuery::all(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            Error::GeometryMismatch {
+                resolution: SpatialResolution::Zip,
+                geometry_regions: 3,
+                function_regions: 2,
+            }
+        );
         assert!(err.to_string().contains("zip"));
     }
 

@@ -6,11 +6,11 @@
 //! average; other aggregates are supported per Section 8).
 
 use polygamy_stdata::{AggregateKind, Dataset, FunctionKind};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A scalar function derived from one data set.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FunctionSpec {
     /// Data set name.
     pub dataset: String,
@@ -80,7 +80,7 @@ impl fmt::Display for FunctionSpec {
 }
 
 /// A `(dataset, function)` reference used in query results.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct FunctionRef {
     /// Data set name.
     pub dataset: String,

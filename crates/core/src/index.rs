@@ -11,10 +11,9 @@ use crate::error::{Error, Result};
 use crate::function::FunctionSpec;
 use polygamy_stdata::{DatasetMeta, Resolution, ScalarField};
 use polygamy_topology::{FeatureSets, SeasonalThresholds};
-use serde::{Deserialize, Serialize};
 
 /// Catalog entry for one data set (the paper's Table 1 row).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetEntry {
     /// Data set metadata.
     pub meta: DatasetMeta,
@@ -27,7 +26,7 @@ pub struct DatasetEntry {
 }
 
 /// One indexed scalar function at one resolution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FunctionEntry {
     /// What this function computes.
     pub spec: FunctionSpec,
@@ -45,8 +44,9 @@ pub struct FunctionEntry {
     pub features: FeatureSets,
     /// The per-seasonal-interval thresholds that produced them.
     pub thresholds: SeasonalThresholds,
-    /// The scalar field, kept when `Config::keep_fields` is set (needed for
-    /// custom-threshold clauses, baselines and robustness experiments).
+    /// The scalar field a `thresholds` clause evaluates the user's thresholds
+    /// on. Indexing always produces it; `None` on an entry a lazy session
+    /// pinned hot-only, or read from a store written without its field blob.
     pub field: Option<ScalarField>,
     /// Merge-tree size (join + split critical points) — index statistics.
     pub tree_nodes: usize,
@@ -84,7 +84,7 @@ impl FunctionEntry {
 }
 
 /// Aggregate statistics of an index (paper Section 5.4 space accounting).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct IndexStats {
     /// Data sets indexed.
     pub n_datasets: usize,
@@ -101,7 +101,7 @@ pub struct IndexStats {
 }
 
 /// The full index.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PolygamyIndex {
     /// Data set catalog.
     pub datasets: Vec<DatasetEntry>,
@@ -161,11 +161,6 @@ impl<'a> IndexView<'a> {
             .copied()
             .filter(move |f| f.dataset_index == dataset_index)
     }
-
-    /// Number of entries present in the view.
-    pub fn n_entries(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 /// The view of a fully materialized index: the whole catalog, every entry,
@@ -210,16 +205,6 @@ impl PolygamyIndex {
                 .sum(),
             tree_nodes: self.functions.iter().map(|f| f.tree_nodes).sum(),
         }
-    }
-
-    /// Serialises the index to JSON.
-    pub fn to_json(&self) -> Result<String> {
-        serde_json::to_string(self).map_err(|e| Error::Serialization(e.to_string()))
-    }
-
-    /// Restores an index from JSON.
-    pub fn from_json(json: &str) -> Result<Self> {
-        serde_json::from_str(json).map_err(|e| Error::Serialization(e.to_string()))
     }
 }
 
@@ -301,20 +286,5 @@ mod tests {
         assert_eq!(stats.n_datasets, 1);
         assert_eq!(stats.n_functions, 1);
         assert_eq!(stats.raw_bytes, 320);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let mut idx = PolygamyIndex::default();
-        idx.functions.push(entry(5, 7));
-        let json = idx.to_json().unwrap();
-        let back = PolygamyIndex::from_json(&json).unwrap();
-        // NaN thresholds make struct equality vacuously false; compare the
-        // canonical JSON forms instead.
-        assert_eq!(json, back.to_json().unwrap());
-        assert_eq!(back.functions.len(), 1);
-        assert!(back.functions[0].thresholds.per_interval[0]
-            .salient_pos
-            .is_nan());
     }
 }

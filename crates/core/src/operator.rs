@@ -33,6 +33,7 @@ use crate::relationship::{evaluate_features, Relationship};
 use crate::significance::permutation_p_value;
 use polygamy_obs::Counter;
 use polygamy_stats::permutation::MonteCarlo;
+use polygamy_stdata::ScalarField;
 use polygamy_topology::{
     sub_level_set, super_level_set, DomainGraph, FeatureClass, FeatureSet, MergeTree,
 };
@@ -77,6 +78,10 @@ struct OperandKey {
     thresholds: Option<(u64, u64)>,
 }
 
+/// User thresholds that replace a function's precomputed features, with
+/// the stored field they are evaluated on.
+type ThresholdOverride<'a> = (&'a DatasetThresholds, &'a ScalarField);
+
 /// One function's features as unit tasks consume them, prepared at most
 /// once per dispatch by whichever task asks first.
 pub(crate) struct Operand<'a> {
@@ -85,7 +90,7 @@ pub(crate) struct Operand<'a> {
     /// Vertex range `[lo, hi)` of the entry's field.
     window: (usize, usize),
     /// User thresholds replacing the precomputed features.
-    thresholds: Option<&'a DatasetThresholds>,
+    custom: Option<ThresholdOverride<'a>>,
     features: OnceLock<Cow<'a, FeatureSet>>,
     rows: OnceLock<Vec<FeatureSet>>,
 }
@@ -95,8 +100,8 @@ impl Operand<'_> {
     /// borrowed from the index when the window is the whole field.
     fn features(&self) -> &FeatureSet {
         self.features.get_or_init(|| {
-            let source = match self.thresholds.and_then(|t| custom_features(self.entry, t)) {
-                Some(custom) => Cow::Owned(custom),
+            let source = match self.custom {
+                Some((thresholds, field)) => Cow::Owned(custom_features(field, thresholds)),
                 None => Cow::Borrowed(self.entry.features.class(self.class)),
             };
             let (lo, hi) = self.window;
@@ -132,26 +137,26 @@ pub(crate) struct OperandTable<'a> {
 
 impl<'a> OperandTable<'a> {
     /// The slot for `entry`'s `class` features on `window`, or for the
-    /// features `thresholds` replace them with.
+    /// features `custom` replaces them with.
     fn intern(
         &mut self,
         entry: &'a FunctionEntry,
         class: FeatureClass,
         window: (usize, usize),
-        thresholds: Option<&'a DatasetThresholds>,
+        custom: Option<ThresholdOverride<'a>>,
     ) -> usize {
         let key = OperandKey {
             entry: std::ptr::from_ref(entry) as usize,
             class,
             window,
-            thresholds: thresholds.map(|t| (t.theta_pos.to_bits(), t.theta_neg.to_bits())),
+            thresholds: custom.map(|(t, _)| (t.theta_pos.to_bits(), t.theta_neg.to_bits())),
         };
         *self.slot_of.entry(key).or_insert_with(|| {
             self.slots.push(Operand {
                 entry,
                 class,
                 window,
-                thresholds,
+                custom,
                 features: OnceLock::new(),
                 rows: OnceLock::new(),
             });
@@ -171,9 +176,11 @@ impl<'a> OperandTable<'a> {
 /// index order, classes in [`FeatureClass::ALL`] order. Their operands are
 /// interned into `operands`.
 ///
-/// Geometry is validated here, on the coordinating thread: an indexed
-/// resolution with no geometry partition is a typed
-/// [`Error::MissingGeometry`], never a worker panic.
+/// What workers index by is validated here, on the coordinating thread —
+/// a typed error, never a worker panic: an indexed resolution with no
+/// geometry partition ([`Error::MissingGeometry`]) or one of another region
+/// count ([`Error::GeometryMismatch`]), and a `thresholds` clause over a
+/// function with no stored field ([`Error::MissingField`]).
 pub(crate) fn expand_pair_tasks<'a>(
     index: &IndexView<'a>,
     geometry: &'a CityGeometry,
@@ -197,13 +204,20 @@ pub(crate) fn expand_pair_tasks<'a>(
             let adjacency = geometry
                 .adjacency(e1.resolution.spatial)
                 .ok_or(Error::MissingGeometry(e1.resolution.spatial))?;
+            if adjacency.len() != e1.n_regions {
+                return Err(Error::GeometryMismatch {
+                    resolution: e1.resolution.spatial,
+                    geometry_regions: adjacency.len(),
+                    function_regions: e1.n_regions,
+                });
+            }
             // User-defined thresholds replace the salient features of the
             // named data set's functions and suppress the extreme class for
             // the pair (a single threshold pair defines a single feature
             // set).
             let (custom1, custom2) = (
-                threshold_override(e1, clause),
-                threshold_override(e2, clause),
+                threshold_override(e1, clause)?,
+                threshold_override(e2, clause)?,
             );
             let overridden = custom1.is_some() || custom2.is_some();
             let window1 = e1.vertex_range(start, n_steps);
@@ -291,34 +305,37 @@ pub(crate) fn evaluate_unit(
 }
 
 /// The user thresholds in `clause` that replace this entry's precomputed
-/// features, if any (requires the stored field; precomputed features are
-/// silently kept otherwise).
-fn threshold_override<'c>(
-    entry: &FunctionEntry,
-    clause: &'c Clause,
-) -> Option<&'c DatasetThresholds> {
-    entry.field.as_ref()?;
-    clause
-        .thresholds
-        .iter()
-        .find(|t| t.dataset == entry.spec.dataset)
+/// features, if any, with the stored field they are evaluated on. A clause
+/// naming a data set whose entry has no field is an error: the precomputed
+/// features are not an answer to the thresholds the user gave.
+fn threshold_override<'a>(
+    entry: &'a FunctionEntry,
+    clause: &'a Clause,
+) -> Result<Option<ThresholdOverride<'a>>> {
+    let named = |t: &&DatasetThresholds| t.dataset == entry.spec.dataset;
+    let Some(thresholds) = clause.thresholds.iter().find(named) else {
+        return Ok(None);
+    };
+    match &entry.field {
+        Some(field) => Ok(Some((thresholds, field))),
+        None => Err(Error::MissingField(FunctionRef::from(&entry.spec))),
+    }
 }
 
 /// Recomputes a function's features from user-supplied thresholds using the
-/// merge-tree index; `None` when the entry has no stored field.
-fn custom_features(entry: &FunctionEntry, t: &DatasetThresholds) -> Option<FeatureSet> {
-    let field = entry.field.as_ref()?;
+/// merge-tree index.
+fn custom_features(field: &ScalarField, t: &DatasetThresholds) -> FeatureSet {
     // Level-set membership is pointwise (f(v) against θ), so spatial edges
     // cannot change the resulting set: an edgeless graph stands in for the
     // geometry this helper has no access to.
-    let spatial_adjacency: Vec<Vec<u32>> = vec![Vec::new(); entry.n_regions];
+    let spatial_adjacency: Vec<Vec<u32>> = vec![Vec::new(); field.n_regions];
     let graph = DomainGraph::new(&spatial_adjacency, field.n_steps);
     let join = MergeTree::join(&graph, &field.values);
     let split = MergeTree::split(&graph, &field.values);
-    Some(FeatureSet {
+    FeatureSet {
         pos: super_level_set(&graph, &field.values, &join, t.theta_pos),
         neg: sub_level_set(&graph, &field.values, &split, t.theta_neg),
-    })
+    }
 }
 
 /// Derives the Monte Carlo seed for one (function pair, class) unit.
@@ -496,9 +513,8 @@ mod tests {
                 let (start, len) = e1.overlap(e2).unwrap();
                 let (lo1, hi1) = e1.vertex_range(start, len);
                 let (lo2, hi2) = e2.vertex_range(start, len);
-                let f1 = custom_features(e1, &clause.thresholds[0])
-                    .expect("fast_test keeps fields")
-                    .slice(lo1, hi1);
+                let field = e1.field.as_ref().expect("indexing keeps fields");
+                let f1 = custom_features(field, &clause.thresholds[0]).slice(lo1, hi1);
                 let f2 = e2.features.salient.slice(lo2, hi2);
                 let measures = evaluate_features(&f1, &f2);
                 if measures.related_count() == 0 {
@@ -538,6 +554,40 @@ mod tests {
         assert_eq!(trace.counter("operands_prepared"), prepared);
         assert_eq!(trace.counter("operand_reuses"), 2 * n_tasks - prepared);
         assert_eq!(trace.counter("permutations_run"), 25 * n_tested);
+    }
+
+    #[test]
+    fn thresholds_without_a_field_are_a_typed_error() {
+        use crate::cache::QueryCache;
+        use crate::executor::run_query;
+        let dp = corpus();
+        let mut index = dp.index().unwrap().clone();
+        for entry in &mut index.functions {
+            if entry.spec.dataset == "alpha" {
+                entry.field = None;
+            }
+        }
+        let cache = QueryCache::new(16);
+        let run = |dataset: &str| {
+            let clause = Clause::default()
+                .permutations(25)
+                .include_insignificant()
+                .with_thresholds(dataset, 20.0, -0.5);
+            let query =
+                crate::query::RelationshipQuery::between(&["alpha"], &["beta"]).with_clause(clause);
+            run_query(&index, dp.geometry(), dp.config(), &cache, &query)
+        };
+        // Naming the field-less data set is refused — not answered from its
+        // precomputed features — and nothing is cached under the clause.
+        let err = run("alpha").unwrap_err();
+        assert!(
+            matches!(&err, Error::MissingField(f) if f.dataset == "alpha"),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("alpha"));
+        assert_eq!(cache.len(), 0);
+        // Naming the side that kept its fields needs nothing of alpha's.
+        assert!(!run("beta").unwrap().is_empty());
     }
 
     fn seed_entry(dataset: &str, function: &str) -> FunctionEntry {

@@ -45,7 +45,6 @@ pub fn identify_features(
     geometry: &CityGeometry,
     dataset_index: usize,
     fields: Vec<(FunctionSpec, ScalarField)>,
-    keep_fields: bool,
 ) -> Vec<FunctionEntry> {
     par_map(cluster, fields, |(spec, field)| {
         let adjacency = geometry
@@ -61,7 +60,7 @@ pub fn identify_features(
             n_steps: field.n_steps,
             features,
             thresholds,
-            field: keep_fields.then_some(field),
+            field: Some(field),
             tree_nodes,
         }
     })
@@ -102,18 +101,10 @@ mod tests {
             (FunctionSpec::density("d"), spiky_field(100)),
             (FunctionSpec::density("d"), spiky_field(200)),
         ];
-        let entries = identify_features(Cluster::local(2), &geometry, 3, fields, true);
+        let entries = identify_features(Cluster::local(2), &geometry, 3, fields);
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].dataset_index, 3);
         assert_eq!(entries[0].n_steps, 100);
         assert!(entries[0].field.is_some());
-        let entries_nofield = identify_features(
-            Cluster::local(2),
-            &geometry,
-            3,
-            vec![(FunctionSpec::density("d"), spiky_field(50))],
-            false,
-        );
-        assert!(entries_nofield[0].field.is_none());
     }
 }

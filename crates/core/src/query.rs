@@ -10,12 +10,11 @@ use crate::cache::Fnv1a;
 use crate::significance::PermutationScheme;
 use polygamy_stdata::Resolution;
 use polygamy_topology::FeatureClass;
-use serde::{Deserialize, Serialize};
 
 /// User-supplied feature thresholds for one data set (clause option,
 /// paper Section 5.3: "feature thresholds … can be optionally specified …
 /// if the user is familiar with any of the data sets").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetThresholds {
     /// Data set whose functions should use these thresholds.
     pub dataset: String,
@@ -48,7 +47,7 @@ pub struct DatasetThresholds {
 ///     "between * and * where score >= 0.6 and class = salient and permutations = 2000"
 /// );
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Clause {
     /// Minimum |τ| (0 disables).
     pub min_score: f64,
@@ -227,7 +226,7 @@ impl Clause {
 ///     "between taxi and weather, gas-prices"
 /// );
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RelationshipQuery {
     /// D1 (None = all indexed data sets).
     pub left: Option<Vec<String>>,

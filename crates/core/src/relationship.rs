@@ -15,11 +15,11 @@
 use crate::function::FunctionRef;
 use polygamy_stdata::Resolution;
 use polygamy_topology::{FeatureClass, FeatureSet};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Raw counts and derived measures of one candidate relationship.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RelationshipMeasures {
     /// `#p` — positively related points.
     pub n_pos: usize,
@@ -98,7 +98,7 @@ pub(crate) fn score(n_pos: usize, n_neg: usize) -> f64 {
 }
 
 /// A discovered relationship, as returned by queries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Relationship {
     /// First function.
     pub left: FunctionRef,

@@ -28,10 +28,9 @@ use polygamy_stats::permutation::{GraphShifter, MonteCarlo, TailCounts};
 use polygamy_topology::FeatureSet;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Which restricted randomisation family to draw from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PermutationScheme {
     /// Paper defaults: time rotations for 1-D functions, spatial graph
     /// shifts for spatial functions.

@@ -6,10 +6,9 @@
 //! and intensities, giving every generated coupling a verifiable cause.
 
 use polygamy_stdata::{CivilDate, Timestamp};
-use serde::{Deserialize, Serialize};
 
 /// What kind of disruption an event is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// Extreme wind + rain; crushes outdoor activity.
     Hurricane,
@@ -20,7 +19,7 @@ pub enum EventKind {
 }
 
 /// One event with a half-open time window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventWindow {
     /// Name for reports ("Irene-like", …).
     pub name: String,
@@ -53,7 +52,7 @@ impl EventWindow {
 }
 
 /// The full planted-event calendar.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct UrbanEvents {
     /// All events, chronological.
     pub events: Vec<EventWindow>,

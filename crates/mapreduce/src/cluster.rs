@@ -7,10 +7,8 @@
 //! embarrassingly parallel job scales with available task slots, including
 //! the straggler effects that flatten the curve.
 
-use serde::{Deserialize, Serialize};
-
 /// An execution environment with a bounded number of parallel task slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cluster {
     /// Number of simulated nodes.
     pub nodes: usize,

@@ -2,17 +2,10 @@
 //! store files.
 //!
 //! ```text
-//! polygamy-store build <path> [--quick] [--years N] [--scale S] [--no-fields]
-//!                [--shards N]
+//! polygamy-store build <path> [--quick] [--years N] [--scale S] [--shards N]
 //! polygamy-store shard <monolith.plst> <out.plst> [--shards N]
 //! polygamy-store merge <catalog.plst> <out.plst>
 //! polygamy-store inspect <path> [--verify]
-//! polygamy-store query <path> <left> <right> [--permutations N]
-//!                [--min-score X] [--include-insignificant] [--json] [--trace]
-//!                [--lazy [--mmap]]
-//! polygamy-store query <path> --batch <left:right>... [--permutations N]
-//!                [--min-score X] [--include-insignificant] [--json] [--trace]
-//!                [--lazy [--mmap]]
 //! polygamy-store query <path> --pql "<query>" [--json] [--trace] [--lazy [--mmap]]
 //! polygamy-store query <path> --file <queries.pql> [--json] [--trace] [--lazy [--mmap]]
 //! polygamy-store repl <path> [--lazy [--mmap]]
@@ -24,12 +17,6 @@
 //! A `--flag` the subcommand does not list above, or a value flag with no
 //! value after it, is an error naming the flag (exit 1) before any work
 //! starts.
-//!
-//! `--no-fields` drops the raw scalar fields from the index (features and
-//! thresholds only): stores shrink ~16×, and every clause except
-//! user-defined thresholds still evaluates. (A store built *with* fields
-//! costs queries nothing extra: field blobs are read only for the data
-//! sets a `thresholds` clause names.)
 //!
 //! `build` indexes the synthetic urban corpus from `polygamy_datagen` and
 //! writes it as a store — with `--shards N` a *sharded* store: one
@@ -45,12 +32,12 @@
 //! additionally reads every blob, hot and field, and checks its checksum); on a sharded store it prints
 //! the shard layout with per-shard availability instead, and `--verify`
 //! checks every shard (failing on the first unavailable one). `query`
-//! opens a serving session
-//! and evaluates one relationship query — or, with `--batch`, a whole list
-//! of `left:right` pairs through `StoreSession::query_many`, which runs
-//! every pair's candidate evaluations on one shared worker pool instead of
-//! paying session and pool startup per query. Both forms are printed as
-//! canonical PQL and take the same route as `--pql`/`--file` from there.
+//! opens a serving session and evaluates PQL (see `docs/pql.md`): `--pql`
+//! takes one query — collections *and* clause in one string — and `--file`
+//! a batch file (one query per line, `#` comments) that runs through
+//! `StoreSession::query_many`, every query's candidate evaluations on one
+//! shared worker pool instead of paying session and pool startup per
+//! query.
 //!
 //! `--json` switches the query report from the human-readable lines to the
 //! canonical one-JSON-object-per-query rendering defined in
@@ -65,12 +52,9 @@
 //! memory map instead of copying them (Unix; falls back to positioned
 //! reads elsewhere). Results are byte-identical to the default eager mode.
 //!
-//! `--pql` takes a full PQL query (see `docs/pql.md`) — collections *and*
-//! clause in one string, so none of the ad-hoc clause flags apply.
-//! `--file` compiles a PQL batch file (one query per line, `#` comments)
-//! straight into the same shared-pool `query_many` path. `repl` serves
-//! parsed PQL queries interactively from one long-lived session: parse
-//! errors print caret diagnostics and leave the session running.
+//! `repl` serves parsed PQL queries interactively from one long-lived
+//! session: parse errors print caret diagnostics and leave the session
+//! running.
 //!
 //! `--trace` (and the PQL `explain` prefix in the REPL) installs a trace
 //! collector around execution and prints the per-stage span timings and
@@ -120,14 +104,10 @@ fn main() -> ExitCode {
         _ => {
             eprintln!(
                 "usage: polygamy-store <build|shard|merge|inspect|query|repl|serve> <path> [args]\n\
-                 \x20 build <path> [--quick] [--years N] [--scale S] [--no-fields] [--shards N]\n\
+                 \x20 build <path> [--quick] [--years N] [--scale S] [--shards N]\n\
                  \x20 shard <monolith.plst> <out.plst> [--shards N]\n\
                  \x20 merge <catalog.plst> <out.plst>\n\
                  \x20 inspect <path> [--verify]\n\
-                 \x20 query <path> <left> <right> [--permutations N] \
-                 [--min-score X] [--include-insignificant] [--json] [--trace] [--lazy [--mmap]]\n\
-                 \x20 query <path> --batch <left:right>... [--permutations N] \
-                 [--min-score X] [--include-insignificant] [--json] [--trace] [--lazy [--mmap]]\n\
                  \x20 query <path> --pql \"between taxi and * where score >= 0.6\" \
                  [--json] [--trace] [--lazy [--mmap]]\n\
                  \x20 query <path> --file <queries.pql> [--json] [--trace] [--lazy [--mmap]]\n\
@@ -152,7 +132,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     let args = Args::parse(
         "build",
         args,
-        &["--quick", "--no-fields"],
+        &["--quick"],
         &["--years", "--scale", "--shards"],
     )?;
     let path = *args.positionals().first().ok_or("build: missing <path>")?;
@@ -170,14 +150,11 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         extra_weather_attrs: if quick { 0 } else { 8 },
         ..UrbanConfig::default()
     });
-    let mut config = if quick {
+    let config = if quick {
         Config::fast_test()
     } else {
         Config::default()
     };
-    if args.has("--no-fields") {
-        config.keep_fields = false;
-    }
     let mut dp = DataPolygamy::new(collection.geometry().clone(), config);
     for d in &collection.datasets {
         dp.add_dataset(d.clone());
@@ -441,44 +418,42 @@ fn render_pql_error(e: PqlServeError, src: &str) -> String {
     }
 }
 
-/// `query`: all four forms end in one PQL source text and one tail — the
-/// shared execute-and-render helper (`polygamy_store::pql_exec`) the REPL
-/// and the network daemon use, so every path renders identical output.
+/// `query`: `--pql` xor `--file` names the PQL source text, which runs
+/// through the shared execute-and-render helper
+/// (`polygamy_store::pql_exec`) the REPL and the network daemon use, so
+/// every path renders identical output.
 fn cmd_query(args: &[String]) -> Result<(), String> {
     let args = Args::parse(
         "query",
         args,
-        &[
-            "--batch",
-            "--include-insignificant",
-            "--json",
-            "--trace",
-            "--lazy",
-            "--mmap",
-        ],
-        &["--permutations", "--min-score", "--pql", "--file"],
+        &["--json", "--trace", "--lazy", "--mmap"],
+        &["--pql", "--file"],
     )?;
-    let (&path, names) = args
+    let (&path, extra) = args
         .positionals()
         .split_first()
         .ok_or("query: missing <path>")?;
+    if let Some(arg) = extra.first() {
+        return Err(format!(
+            "query: unexpected argument {arg}; name data sets in the query text \
+             (--pql / --file, see docs/pql.md)"
+        ));
+    }
     let pql = args.value("--pql");
     let src: String = match (pql, args.value("--file")) {
         (Some(_), Some(_)) => return Err("query: --pql and --file are mutually exclusive".into()),
-        (Some(text), None) => {
-            reject_clause_flags(&args, names)?;
-            text.to_string()
-        }
+        (Some(text), None) => text.to_string(),
         (None, Some(p)) => {
-            reject_clause_flags(&args, names)?;
             std::fs::read_to_string(p).map_err(|e| format!("query: cannot read {p}: {e}"))?
         }
-        (None, None) => clause_flags_to_pql(&args, names)?,
+        (None, None) => {
+            return Err("query: expects --pql \"<query>\" or --file <queries.pql>".into())
+        }
     };
 
     let session = open_session(path, &args)?;
-    // `--pql` is one query (newlines allowed inside it); every other form
-    // is a line-per-query batch on one shared worker pool.
+    // `--pql` is one query (newlines allowed inside it); `--file` is a
+    // line-per-query batch on one shared worker pool.
     let traced = args.has("--trace");
     let outcomes = if pql.is_some() {
         let run = if traced {
@@ -513,68 +488,6 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         eprintln!("trace: {}", t.to_json());
     }
     Ok(())
-}
-
-/// A PQL query carries its own collections and clause; mixing in the
-/// ad-hoc flags would silently lose one side or the other.
-fn reject_clause_flags(args: &Args, names: &[&str]) -> Result<(), String> {
-    if let Some(flag) = [
-        "--batch",
-        "--permutations",
-        "--min-score",
-        "--include-insignificant",
-    ]
-    .iter()
-    .find(|f| args.has(f) || args.value(f).is_some())
-    {
-        return Err(format!(
-            "query: {flag} cannot be combined with --pql/--file; \
-             express the clause in the query text (see docs/pql.md)"
-        ));
-    }
-    if !names.is_empty() {
-        return Err("query: --pql/--file take no positional data-set arguments".into());
-    }
-    Ok(())
-}
-
-/// `<left> <right>` and `--batch <left:right>...` with the ad-hoc clause
-/// flags, printed as canonical PQL, one query per line
-/// (`parse(print(q)) == q`, docs/pql.md).
-fn clause_flags_to_pql(args: &Args, names: &[&str]) -> Result<String, String> {
-    let mut clause = Clause::default();
-    if let Some(p) = args.parsed("--permutations", "an integer", |_| true)? {
-        clause = clause.permutations(p);
-    }
-    // Non-finite numbers have no PQL literal (docs/pql.md, Limits).
-    if let Some(s) = args.parsed("--min-score", "a finite number", |s: &f64| s.is_finite())? {
-        clause = clause.min_score(s);
-    }
-    if args.has("--include-insignificant") {
-        clause = clause.include_insignificant();
-    }
-    let pairs: Vec<(&str, &str)> = if args.has("--batch") {
-        if names.is_empty() {
-            return Err("query: --batch expects one or more <left:right> pairs".into());
-        }
-        names
-            .iter()
-            .map(|spec| {
-                spec.split_once(':')
-                    .filter(|(l, r)| !l.is_empty() && !r.is_empty())
-                    .ok_or_else(|| format!("query: --batch pair '{spec}' is not <left:right>"))
-            })
-            .collect::<Result<_, _>>()?
-    } else {
-        let left = names.first().ok_or("query: missing <left> data set")?;
-        let right = names.get(1).ok_or("query: missing <right> data set")?;
-        vec![(left, right)]
-    };
-    let lines: Vec<String> = pairs
-        .into_iter()
-        .map(|(l, r)| to_pql(&RelationshipQuery::between(&[l], &[r]).with_clause(clause.clone())))
-        .collect();
-    Ok(lines.join("\n"))
 }
 
 /// `repl <path>`: an interactive PQL loop over one long-lived serving
@@ -746,7 +659,7 @@ mod tests {
         Args::parse(
             "build",
             args,
-            &["--quick", "--no-fields"],
+            &["--quick"],
             &["--years", "--scale", "--shards"],
         )
     }
@@ -756,7 +669,7 @@ mod tests {
         let raw = strings(&["out.plst", "--quick", "--scale", "-0.5", "--shards", "3"]);
         let args = parse_build(&raw).unwrap();
         assert_eq!(args.positionals(), ["out.plst"]);
-        assert!(args.has("--quick") && !args.has("--no-fields"));
+        assert!(args.has("--quick") && !args.has("--verify"));
         assert_eq!(args.value("--scale"), Some("-0.5"));
         assert_eq!(args.value("--years"), None);
         assert_eq!(
@@ -799,35 +712,5 @@ mod tests {
             parse_build(&raw).err(),
             Some("build: --shards expects a value".into())
         );
-    }
-
-    #[test]
-    fn positional_and_batch_forms_print_canonical_pql() {
-        let flags = |raw: &[String]| {
-            let args = Args::parse(
-                "query",
-                raw,
-                &["--batch", "--include-insignificant"],
-                &["--permutations", "--min-score"],
-            )?;
-            clause_flags_to_pql(&args, args.positionals())
-        };
-        assert_eq!(
-            flags(&strings(&["taxi", "weather", "--permutations", "60"])).unwrap(),
-            "between taxi and weather where permutations = 60"
-        );
-        assert_eq!(
-            flags(&strings(&[
-                "--batch",
-                "a:b",
-                "c:d",
-                "--include-insignificant"
-            ]))
-            .unwrap(),
-            "between a and b where include insignificant\n\
-             between c and d where include insignificant"
-        );
-        assert!(flags(&strings(&["--batch", "a:"])).is_err());
-        assert!(flags(&strings(&["a", "b", "--min-score", "nan"])).is_err());
     }
 }

@@ -643,3 +643,40 @@ fn report_rejection(stream: &mut TcpStream, rejection: Rejection) -> bool {
         .is_ok(),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The bytes of the handshake boundary (`docs/serving.md` §6–7): `H`
+    /// and `E` payloads are parsed by clients built from other revisions,
+    /// so field names, order and escaping may only change together with
+    /// [`PROTOCOL_VERSION`].
+    #[test]
+    fn hello_and_error_payload_bytes_are_pinned() {
+        let hello = Hello {
+            protocol: PROTOCOL_VERSION,
+            server: "polygamy-serve 0.1.0".into(),
+            datasets: vec!["gas-prices".into(), "taxi".into(), "weather".into()],
+            coalescing: true,
+        };
+        assert_eq!(
+            serde_json::to_string(&hello).unwrap(),
+            concat!(
+                r#"{"protocol":1,"server":"polygamy-serve 0.1.0","#,
+                r#""datasets":["gas-prices","taxi","weather"],"coalescing":true}"#,
+            )
+        );
+        let error = WireError::new(
+            "parse",
+            "line 1: expected `between`\n  betwen taxi\n  ^^^^^^ \"here\"",
+        );
+        assert_eq!(
+            serde_json::to_string(&error).unwrap(),
+            concat!(
+                r#"{"error":"parse","message":"line 1: expected `between`\n"#,
+                r#"  betwen taxi\n  ^^^^^^ \"here\""}"#,
+            )
+        );
+    }
+}

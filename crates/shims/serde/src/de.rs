@@ -121,35 +121,11 @@ impl<'de> Deserialize<'de> for f64 {
     }
 }
 
-impl<'de> Deserialize<'de> for f32 {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        f64::deserialize(deserializer).map(|f| f as f32)
-    }
-}
-
 impl<'de> Deserialize<'de> for String {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         match deserializer.content()? {
             Content::Str(s) => Ok(s.clone()),
             c => Err(unexpected("string", c)),
-        }
-    }
-}
-
-impl<'de> Deserialize<'de> for char {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.content()? {
-            Content::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            c => Err(unexpected("single-char string", c)),
-        }
-    }
-}
-
-impl<'de> Deserialize<'de> for () {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.content()? {
-            Content::Null => Ok(()),
-            c => Err(unexpected("null", c)),
         }
     }
 }
@@ -175,120 +151,17 @@ impl<'de, T: Deserialize<'de>> Deserialize<'de> for Vec<T> {
     }
 }
 
-impl<'de, T: Deserialize<'de>> Deserialize<'de> for Box<T> {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        T::deserialize(deserializer).map(Box::new)
-    }
-}
-
-impl<'de, A: Deserialize<'de>, B: Deserialize<'de>> Deserialize<'de> for (A, B) {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.content()? {
-            Content::Seq(items) if items.len() == 2 => Ok((
-                A::deserialize(ContentDeserializer::<D::Error>::new(&items[0]))?,
-                B::deserialize(ContentDeserializer::<D::Error>::new(&items[1]))?,
-            )),
-            c => Err(unexpected("2-element sequence", c)),
-        }
-    }
-}
-
-impl<'de, A: Deserialize<'de>, B: Deserialize<'de>, C: Deserialize<'de>> Deserialize<'de>
-    for (A, B, C)
-{
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.content()? {
-            Content::Seq(items) if items.len() == 3 => Ok((
-                A::deserialize(ContentDeserializer::<D::Error>::new(&items[0]))?,
-                B::deserialize(ContentDeserializer::<D::Error>::new(&items[1]))?,
-                C::deserialize(ContentDeserializer::<D::Error>::new(&items[2]))?,
-            )),
-            c => Err(unexpected("3-element sequence", c)),
-        }
-    }
-}
-
-/// Map keys that can be recovered from the string keys of a JSON object.
-pub trait FromMapKey: Sized {
-    /// Parses a key.
-    fn from_map_key(key: &str) -> Option<Self>;
-}
-
-impl FromMapKey for String {
-    fn from_map_key(key: &str) -> Option<Self> {
-        Some(key.to_string())
-    }
-}
-
-macro_rules! impl_from_map_key_int {
-    ($($t:ty),* $(,)?) => {$(
-        impl FromMapKey for $t {
-            fn from_map_key(key: &str) -> Option<Self> {
-                key.parse().ok()
-            }
-        }
-    )*};
-}
-
-impl_from_map_key_int!(i8, i16, i32, i64, isize, u8, u16, u32, u64, usize);
-
-impl<'de, K, V> Deserialize<'de> for std::collections::BTreeMap<K, V>
-where
-    K: FromMapKey + Ord,
-    V: Deserialize<'de>,
-{
+impl<'de, V: Deserialize<'de>> Deserialize<'de> for std::collections::BTreeMap<String, V> {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         match deserializer.content()? {
             Content::Map(fields) => fields
                 .iter()
                 .map(|(k, v)| {
-                    let key = K::from_map_key(k)
-                        .ok_or_else(|| D::Error::custom(format!("invalid map key `{k}`")))?;
                     let value = V::deserialize(ContentDeserializer::<D::Error>::new(v))?;
-                    Ok((key, value))
+                    Ok((k.clone(), value))
                 })
                 .collect(),
             c => Err(unexpected("map", c)),
         }
-    }
-}
-
-impl<'de, K, V, H> Deserialize<'de> for std::collections::HashMap<K, V, H>
-where
-    K: FromMapKey + Eq + std::hash::Hash,
-    V: Deserialize<'de>,
-    H: std::hash::BuildHasher + Default,
-{
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.content()? {
-            Content::Map(fields) => fields
-                .iter()
-                .map(|(k, v)| {
-                    let key = K::from_map_key(k)
-                        .ok_or_else(|| D::Error::custom(format!("invalid map key `{k}`")))?;
-                    let value = V::deserialize(ContentDeserializer::<D::Error>::new(v))?;
-                    Ok((key, value))
-                })
-                .collect(),
-            c => Err(unexpected("map", c)),
-        }
-    }
-}
-
-impl<'de, T: Deserialize<'de> + Ord> Deserialize<'de> for std::collections::BTreeSet<T> {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.content()? {
-            Content::Seq(items) => items
-                .iter()
-                .map(|c| T::deserialize(ContentDeserializer::<D::Error>::new(c)))
-                .collect(),
-            c => Err(unexpected("sequence", c)),
-        }
-    }
-}
-
-impl<'de> Deserialize<'de> for Content {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        deserializer.content().cloned()
     }
 }

@@ -5,13 +5,14 @@
 //! `Serialize`/`Deserialize` traits, a concrete [`Content`] tree the
 //! serializers produce and the deserializers consume, and re-exported derive
 //! macros from the sibling `serde_derive` shim. The subset covers exactly
-//! the idioms this workspace uses — derived structs and enums, `#[serde(with
-//! = "module")]` field overrides, `collect_seq`, `serialize_none`/`_some`
-//! and `Option`/`Vec` round-trips — and is consumed by the `serde_json`
-//! shim for text encoding.
+//! the idioms this workspace uses — derived named-field structs and
+//! unit-variant enums over `bool`, the integers, `f64`, `String`,
+//! `Option`, `Vec`/slices and `BTreeMap<String, _>` — and is consumed by
+//! the `serde_json` shim for text encoding.
 //!
 //! Not supported (by design): zero-copy borrowing, visitors, non-self
-//! describing formats, `#[serde(rename, default, skip, ...)]`.
+//! describing formats, tuples, data-carrying enum variants, every
+//! `#[serde(...)]` attribute.
 
 pub mod content;
 pub mod de;

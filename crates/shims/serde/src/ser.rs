@@ -46,8 +46,6 @@ pub trait Serializer: Sized {
     fn serialize_f64(self, v: f64) -> Result<Self::Ok, Self::Error>;
     /// Serializes a string slice.
     fn serialize_str(self, v: &str) -> Result<Self::Ok, Self::Error>;
-    /// Serializes a unit value as null.
-    fn serialize_unit(self) -> Result<Self::Ok, Self::Error>;
     /// Serializes `Option::None`.
     fn serialize_none(self) -> Result<Self::Ok, Self::Error>;
     /// Serializes `Option::Some(value)` transparently.
@@ -58,14 +56,6 @@ pub trait Serializer: Sized {
         name: &'static str,
         variant_index: u32,
         variant: &'static str,
-    ) -> Result<Self::Ok, Self::Error>;
-    /// Serializes a data-carrying enum variant, externally tagged.
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        name: &'static str,
-        variant_index: u32,
-        variant: &'static str,
-        value: &T,
     ) -> Result<Self::Ok, Self::Error>;
     /// Serializes everything an iterator yields as a sequence.
     fn collect_seq<I>(self, iter: I) -> Result<Self::Ok, Self::Error>
@@ -171,10 +161,6 @@ impl Serializer for ContentSerializer {
         Ok(Content::Str(v.to_string()))
     }
 
-    fn serialize_unit(self) -> Result<Content, SerError> {
-        Ok(Content::Null)
-    }
-
     fn serialize_none(self) -> Result<Content, SerError> {
         Ok(Content::Null)
     }
@@ -190,17 +176,6 @@ impl Serializer for ContentSerializer {
         variant: &'static str,
     ) -> Result<Content, SerError> {
         Ok(Content::Str(variant.to_string()))
-    }
-
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        _variant_index: u32,
-        variant: &'static str,
-        value: &T,
-    ) -> Result<Content, SerError> {
-        let v = value.serialize(ContentSerializer)?;
-        Ok(Content::Map(vec![(variant.to_string(), v)]))
     }
 
     fn collect_seq<I>(self, iter: I) -> Result<Content, SerError>
@@ -225,11 +200,9 @@ impl Serializer for ContentSerializer {
         for (k, v) in iter {
             let key = match k.serialize(ContentSerializer)? {
                 Content::Str(s) => s,
-                Content::I64(i) => i.to_string(),
-                Content::U64(u) => u.to_string(),
                 other => {
                     return Err(SerError::custom(format!(
-                        "map key must be a string or integer, got {}",
+                        "map key must be a string, got {}",
                         other.kind()
                     )))
                 }
@@ -284,21 +257,9 @@ impl Serialize for bool {
     }
 }
 
-impl Serialize for f32 {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_f64(f64::from(*self))
-    }
-}
-
 impl Serialize for f64 {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serializer.serialize_f64(*self)
-    }
-}
-
-impl Serialize for str {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(self)
     }
 }
 
@@ -308,28 +269,9 @@ impl Serialize for String {
     }
 }
 
-impl Serialize for char {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut buf = [0u8; 4];
-        serializer.serialize_str(self.encode_utf8(&mut buf))
-    }
-}
-
-impl Serialize for () {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_unit()
-    }
-}
-
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         (*self).serialize(serializer)
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        (**self).serialize(serializer)
     }
 }
 
@@ -354,62 +296,8 @@ impl<T: Serialize> Serialize for Vec<T> {
     }
 }
 
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.collect_seq(self.iter())
-    }
-}
-
-impl<A: Serialize, B: Serialize> Serialize for (A, B) {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.collect_seq([
-            to_content(&self.0).map_err(S::Error::custom)?,
-            to_content(&self.1).map_err(S::Error::custom)?,
-        ])
-    }
-}
-
-impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.collect_seq([
-            to_content(&self.0).map_err(S::Error::custom)?,
-            to_content(&self.1).map_err(S::Error::custom)?,
-            to_content(&self.2).map_err(S::Error::custom)?,
-        ])
-    }
-}
-
-impl Serialize for Content {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        match self {
-            Content::Null => serializer.serialize_unit(),
-            Content::Bool(b) => serializer.serialize_bool(*b),
-            Content::I64(i) => serializer.serialize_i64(*i),
-            Content::U64(u) => serializer.serialize_u64(*u),
-            Content::F64(f) => serializer.serialize_f64(*f),
-            Content::Str(s) => serializer.serialize_str(s),
-            Content::Seq(items) => serializer.collect_seq(items.iter()),
-            Content::Map(fields) => {
-                serializer.collect_map(fields.iter().map(|(k, v)| (k.as_str(), v)))
-            }
-        }
-    }
-}
-
 impl<K: Serialize, V: Serialize> Serialize for std::collections::BTreeMap<K, V> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serializer.collect_map(self.iter())
-    }
-}
-
-impl<K: Serialize, V: Serialize, H> Serialize for std::collections::HashMap<K, V, H> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.collect_map(self.iter())
-    }
-}
-
-impl<T: Serialize> Serialize for std::collections::BTreeSet<T> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.collect_seq(self.iter())
     }
 }

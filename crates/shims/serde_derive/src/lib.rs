@@ -5,47 +5,21 @@
 //! available; this macro walks `proc_macro::TokenStream` directly. It
 //! supports exactly the shapes this workspace derives on:
 //!
-//! * structs with named fields, including `#[serde(with = "module")]`
-//!   field overrides;
-//! * tuple structs (encoded as sequences);
-//! * enums with unit, newtype and tuple variants (externally tagged).
+//! * structs with named fields (encoded as maps, in declaration order);
+//! * enums whose variants are all unit variants (encoded as the variant
+//!   name).
 //!
-//! Generics, struct enum variants and the wider `#[serde(...)]` attribute
-//! vocabulary are intentionally unsupported and fail with a clear panic at
-//! expansion time.
+//! Generics, tuple structs, data-carrying enum variants and every
+//! `#[serde(...)]` attribute are intentionally unsupported and fail with a
+//! clear panic at expansion time.
 
 use proc_macro::{Delimiter, Spacing, TokenStream, TokenTree};
 
-struct Field {
-    name: String,
-    ty: String,
-    with: Option<String>,
-}
-
-enum VariantKind {
-    Unit,
-    Tuple(Vec<String>),
-    Struct(Vec<Field>),
-}
-
-struct Variant {
-    name: String,
-    kind: VariantKind,
-}
-
 enum Item {
-    NamedStruct {
-        name: String,
-        fields: Vec<Field>,
-    },
-    TupleStruct {
-        name: String,
-        types: Vec<String>,
-    },
-    Enum {
-        name: String,
-        variants: Vec<Variant>,
-    },
+    /// A struct and the names of its fields.
+    NamedStruct { name: String, fields: Vec<String> },
+    /// An enum and the names of its (unit) variants.
+    Enum { name: String, variants: Vec<String> },
 }
 
 struct Cursor {
@@ -77,9 +51,8 @@ impl Cursor {
         self.pos >= self.tokens.len()
     }
 
-    /// Skips attributes, returning any `#[serde(with = "path")]` override.
-    fn skip_attributes(&mut self) -> Option<String> {
-        let mut with = None;
+    /// Skips attributes (doc comments, other derives' helpers).
+    fn skip_attributes(&mut self) {
         while let Some(TokenTree::Punct(p)) = self.peek() {
             if p.as_char() != '#' {
                 break;
@@ -88,16 +61,15 @@ impl Cursor {
             let Some(TokenTree::Group(g)) = self.next() else {
                 panic!("serde shim derive: malformed attribute");
             };
-            let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-            if let Some(TokenTree::Ident(name)) = inner.first() {
+            if let Some(TokenTree::Ident(name)) = g.stream().into_iter().next() {
                 if name.to_string() == "serde" {
-                    if let Some(TokenTree::Group(args)) = inner.get(1) {
-                        with = Some(parse_with(args.stream()));
-                    }
+                    panic!(
+                        "serde shim derive: #[serde(...)] attributes are not supported, got #[{}]",
+                        g.stream()
+                    );
                 }
             }
         }
-        with
     }
 
     /// Skips `pub`, `pub(crate)`, `pub(in ...)`.
@@ -119,23 +91,6 @@ impl Cursor {
             Some(TokenTree::Ident(i)) => i.to_string(),
             other => panic!("serde shim derive: expected identifier, got {other:?}"),
         }
-    }
-}
-
-/// Extracts `path` from `with = "path"` attribute arguments.
-fn parse_with(args: TokenStream) -> String {
-    let tokens: Vec<TokenTree> = args.into_iter().collect();
-    match tokens.as_slice() {
-        [TokenTree::Ident(key), TokenTree::Punct(eq), TokenTree::Literal(lit)]
-            if key.to_string() == "with" && eq.as_char() == '=' =>
-        {
-            let s = lit.to_string();
-            s.trim_matches('"').to_string()
-        }
-        _ => panic!(
-            "serde shim derive: only #[serde(with = \"module\")] is supported, got #[serde({})]",
-            TokenStream::from_iter(tokens)
-        ),
     }
 }
 
@@ -173,14 +128,10 @@ fn split_commas(stream: TokenStream) -> Vec<Vec<TokenTree>> {
     out
 }
 
-fn tokens_to_string(tokens: &[TokenTree]) -> String {
-    TokenStream::from_iter(tokens.iter().cloned()).to_string()
-}
-
-/// Parses one named field: `attrs vis name: Type`.
-fn parse_named_field(tokens: Vec<TokenTree>) -> Option<Field> {
+/// Parses one named field — `attrs vis name: Type` — to its name.
+fn parse_named_field(tokens: Vec<TokenTree>) -> Option<String> {
     let mut c = Cursor { tokens, pos: 0 };
-    let with = c.skip_attributes();
+    c.skip_attributes();
     if c.at_end() {
         return None;
     }
@@ -190,59 +141,23 @@ fn parse_named_field(tokens: Vec<TokenTree>) -> Option<Field> {
         Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
         other => panic!("serde shim derive: expected `:` after field `{name}`, got {other:?}"),
     }
-    let ty = tokens_to_string(&c.tokens[c.pos..]);
-    Some(Field { name, ty, with })
+    Some(name)
 }
 
-/// Parses one tuple-struct / tuple-variant element: `attrs vis Type`.
-fn parse_tuple_element(tokens: Vec<TokenTree>) -> Option<String> {
+/// Parses one variant — `attrs Name` — to its name.
+fn parse_unit_variant(enum_name: &str, tokens: Vec<TokenTree>) -> Option<String> {
     let mut c = Cursor { tokens, pos: 0 };
-    let with = c.skip_attributes();
-    if with.is_some() {
-        panic!("serde shim derive: #[serde(with)] is not supported on tuple fields");
-    }
+    c.skip_attributes();
     if c.at_end() {
         return None;
     }
-    c.skip_visibility();
-    Some(tokens_to_string(&c.tokens[c.pos..]))
-}
-
-fn parse_variants(stream: TokenStream) -> Vec<Variant> {
-    split_commas(stream)
-        .into_iter()
-        .filter_map(|tokens| {
-            let mut c = Cursor { tokens, pos: 0 };
-            c.skip_attributes();
-            if c.at_end() {
-                return None;
-            }
-            let name = c.expect_ident();
-            let kind = match c.next() {
-                None => VariantKind::Unit,
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                    VariantKind::Tuple(
-                        split_commas(g.stream())
-                            .into_iter()
-                            .filter_map(parse_tuple_element)
-                            .collect(),
-                    )
-                }
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                    VariantKind::Struct(
-                        split_commas(g.stream())
-                            .into_iter()
-                            .filter_map(parse_named_field)
-                            .collect(),
-                    )
-                }
-                other => {
-                    panic!("serde shim derive: unexpected token in variant `{name}`: {other:?}")
-                }
-            };
-            Some(Variant { name, kind })
-        })
-        .collect()
+    let name = c.expect_ident();
+    if !c.at_end() {
+        panic!(
+            "serde shim derive: only unit variants are supported (`{enum_name}::{name}` carries data or a discriminant)"
+        );
+    }
+    Some(name)
 }
 
 fn parse_item(input: TokenStream) -> Item {
@@ -259,27 +174,23 @@ fn parse_item(input: TokenStream) -> Item {
     match kw.as_str() {
         "struct" => match c.next() {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => Item::NamedStruct {
-                name,
                 fields: split_commas(g.stream())
                     .into_iter()
                     .filter_map(parse_named_field)
                     .collect(),
+                name,
             },
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Item::TupleStruct {
-                    name,
-                    types: split_commas(g.stream())
-                        .into_iter()
-                        .filter_map(parse_tuple_element)
-                        .collect(),
-                }
+            _ => {
+                panic!("serde shim derive: only structs with named fields are supported (`{name}`)")
             }
-            other => panic!("serde shim derive: unsupported struct body for `{name}`: {other:?}"),
         },
         "enum" => match c.next() {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => Item::Enum {
+                variants: split_commas(g.stream())
+                    .into_iter()
+                    .filter_map(|tokens| parse_unit_variant(&name, tokens))
+                    .collect(),
                 name,
-                variants: parse_variants(g.stream()),
             },
             other => panic!("serde shim derive: malformed enum `{name}`: {other:?}"),
         },
@@ -288,108 +199,30 @@ fn parse_item(input: TokenStream) -> Item {
 }
 
 fn gen_serialize(item: &Item) -> String {
-    let mut out = String::new();
     match item {
         Item::NamedStruct { name, fields } => {
             let mut body = format!(
                 "let mut __st = ::serde::Serializer::serialize_struct(__s, \"{name}\", {}usize)?;\n",
                 fields.len()
             );
-            for f in fields {
-                let fname = &f.name;
-                match &f.with {
-                    None => body.push_str(&format!(
-                        "::serde::ser::SerializeStruct::serialize_field(&mut __st, \"{fname}\", &self.{fname})?;\n"
-                    )),
-                    Some(with) => body.push_str(&format!(
-                        "{{\n\
-                         struct __SerWith<'__w>(&'__w {ty});\n\
-                         impl<'__w> ::serde::Serialize for __SerWith<'__w> {{\n\
-                         fn serialize<__S2: ::serde::Serializer>(&self, __s2: __S2) -> ::core::result::Result<__S2::Ok, __S2::Error> {{\n\
-                         {with}::serialize(self.0, __s2)\n\
-                         }}\n\
-                         }}\n\
-                         ::serde::ser::SerializeStruct::serialize_field(&mut __st, \"{fname}\", &__SerWith(&self.{fname}))?;\n\
-                         }}\n",
-                        ty = f.ty,
-                    )),
-                }
+            for fname in fields {
+                body.push_str(&format!(
+                    "::serde::ser::SerializeStruct::serialize_field(&mut __st, \"{fname}\", &self.{fname})?;\n"
+                ));
             }
             body.push_str("::serde::ser::SerializeStruct::end(__st)\n");
-            out.push_str(&impl_serialize(name, &body));
-        }
-        Item::TupleStruct { name, types } => {
-            let elems: Vec<String> = (0..types.len())
-                .map(|i| {
-                    format!(
-                        "::serde::ser::to_content(&self.{i}).map_err(::serde::ser::Error::custom)?"
-                    )
-                })
-                .collect();
-            let body = format!(
-                "::serde::Serializer::collect_seq(__s, [{}])\n",
-                elems.join(", ")
-            );
-            out.push_str(&impl_serialize(name, &body));
+            impl_serialize(name, &body)
         }
         Item::Enum { name, variants } => {
             let mut arms = String::new();
-            for (idx, v) in variants.iter().enumerate() {
-                let vname = &v.name;
-                match &v.kind {
-                    VariantKind::Unit => arms.push_str(&format!(
-                        "{name}::{vname} => ::serde::Serializer::serialize_unit_variant(__s, \"{name}\", {idx}u32, \"{vname}\"),\n"
-                    )),
-                    VariantKind::Tuple(types) if types.len() == 1 => arms.push_str(&format!(
-                        "{name}::{vname}(__f0) => ::serde::Serializer::serialize_newtype_variant(__s, \"{name}\", {idx}u32, \"{vname}\", __f0),\n"
-                    )),
-                    VariantKind::Tuple(types) => {
-                        let binds: Vec<String> =
-                            (0..types.len()).map(|i| format!("__f{i}")).collect();
-                        arms.push_str(&format!(
-                            "{name}::{vname}({b}) => ::serde::Serializer::serialize_newtype_variant(__s, \"{name}\", {idx}u32, \"{vname}\", &({b})),\n",
-                            b = binds.join(", "),
-                        ));
-                    }
-                    VariantKind::Struct(fields) => {
-                        let binds: Vec<String> =
-                            fields.iter().map(|f| f.name.clone()).collect();
-                        let decls: Vec<String> = fields
-                            .iter()
-                            .map(|f| format!("{}: &'__w {}", f.name, f.ty))
-                            .collect();
-                        let mut payload_body = format!(
-                            "let mut __st = ::serde::Serializer::serialize_struct(__s2, \"{vname}\", {}usize)?;\n",
-                            fields.len()
-                        );
-                        for f in fields {
-                            payload_body.push_str(&format!(
-                                "::serde::ser::SerializeStruct::serialize_field(&mut __st, \"{0}\", self.{0})?;\n",
-                                f.name
-                            ));
-                        }
-                        payload_body.push_str("::serde::ser::SerializeStruct::end(__st)\n");
-                        arms.push_str(&format!(
-                            "{name}::{vname} {{ {b} }} => {{\n\
-                             struct __SerVariant<'__w> {{ {decls} }}\n\
-                             impl<'__w> ::serde::Serialize for __SerVariant<'__w> {{\n\
-                             fn serialize<__S2: ::serde::Serializer>(&self, __s2: __S2) -> ::core::result::Result<__S2::Ok, __S2::Error> {{\n\
-                             {payload_body}\
-                             }}\n\
-                             }}\n\
-                             ::serde::Serializer::serialize_newtype_variant(__s, \"{name}\", {idx}u32, \"{vname}\", &__SerVariant {{ {b} }})\n\
-                             }},\n",
-                            b = binds.join(", "),
-                            decls = decls.join(", "),
-                        ));
-                    }
-                }
+            for (idx, vname) in variants.iter().enumerate() {
+                arms.push_str(&format!(
+                    "{name}::{vname} => ::serde::Serializer::serialize_unit_variant(__s, \"{name}\", {idx}u32, \"{vname}\"),\n"
+                ));
             }
-            let body = format!("match self {{\n{arms}}}\n");
-            out.push_str(&impl_serialize(name, &body));
+            impl_serialize(name, &format!("match *self {{\n{arms}}}\n"))
         }
     }
-    out
 }
 
 fn impl_serialize(name: &str, body: &str) -> String {
@@ -419,18 +252,15 @@ fn gen_deserialize(item: &Item) -> String {
     match item {
         Item::NamedStruct { name, fields } => {
             let mut inits = String::new();
-            for f in fields {
-                let fname = &f.name;
-                let fetch = format!(
-                    "let __f = ::serde::__private::find(__m, \"{fname}\")\
+            for fname in fields {
+                inits.push_str(&format!(
+                    "{fname}: {{\n\
+                     let __f = ::serde::__private::find(__m, \"{fname}\")\
                      .ok_or_else(|| <__D::Error as ::serde::de::Error>::custom(\
-                     \"missing field `{fname}` in {name}\"))?;\n"
-                );
-                let value = match &f.with {
-                    None => "::serde::Deserialize::deserialize(::serde::__private::cd::<__D::Error>(__f))?".to_string(),
-                    Some(with) => format!("{with}::deserialize(::serde::__private::cd::<__D::Error>(__f))?"),
-                };
-                inits.push_str(&format!("{fname}: {{ {fetch} {value} }},\n"));
+                     \"missing field `{fname}` in {name}\"))?;\n\
+                     ::serde::Deserialize::deserialize(::serde::__private::cd::<__D::Error>(__f))?\n\
+                     }},\n"
+                ));
             }
             let body = format!(
                 "let __m = match __c {{\n\
@@ -442,92 +272,17 @@ fn gen_deserialize(item: &Item) -> String {
             );
             impl_deserialize(name, &body)
         }
-        Item::TupleStruct { name, types } => {
-            let n = types.len();
-            let elems: Vec<String> = (0..n)
-                .map(|i| {
-                    format!(
-                        "::serde::Deserialize::deserialize(::serde::__private::cd::<__D::Error>(&__items[{i}]))?"
-                    )
-                })
-                .collect();
-            let body = format!(
-                "let __items = match __c {{\n\
-                 ::serde::Content::Seq(items) if items.len() == {n} => items.as_slice(),\n\
-                 _ => return Err(<__D::Error as ::serde::de::Error>::custom(\
-                 \"expected {n}-element sequence for tuple struct {name}\")),\n\
-                 }};\n\
-                 Ok({name}({}))\n",
-                elems.join(", ")
-            );
-            impl_deserialize(name, &body)
-        }
         Item::Enum { name, variants } => {
-            let mut unit_arms = String::new();
-            let mut data_arms = String::new();
-            for v in variants {
-                let vname = &v.name;
-                match &v.kind {
-                    VariantKind::Unit => unit_arms
-                        .push_str(&format!("\"{vname}\" => Ok({name}::{vname}),\n")),
-                    VariantKind::Tuple(types) if types.len() == 1 => data_arms.push_str(&format!(
-                        "\"{vname}\" => Ok({name}::{vname}(::serde::Deserialize::deserialize(::serde::__private::cd::<__D::Error>(__v))?)),\n"
-                    )),
-                    VariantKind::Tuple(types) => {
-                        let tuple_ty = format!("({},)", types.join(", "));
-                        let fields: Vec<String> =
-                            (0..types.len()).map(|i| format!("__t.{i}")).collect();
-                        data_arms.push_str(&format!(
-                            "\"{vname}\" => {{\n\
-                             let __t: {tuple_ty} = ::serde::Deserialize::deserialize(::serde::__private::cd::<__D::Error>(__v))?;\n\
-                             Ok({name}::{vname}({}))\n\
-                             }},\n",
-                            fields.join(", ")
-                        ));
-                    }
-                    VariantKind::Struct(fields) => {
-                        let mut inits = String::new();
-                        for f in fields {
-                            if f.with.is_some() {
-                                panic!("serde shim derive: #[serde(with)] is not supported inside enum variants");
-                            }
-                            inits.push_str(&format!(
-                                "{0}: {{\n\
-                                 let __f = ::serde::__private::find(__m2, \"{0}\")\
-                                 .ok_or_else(|| <__D::Error as ::serde::de::Error>::custom(\
-                                 \"missing field `{0}` in variant {vname} of {name}\"))?;\n\
-                                 ::serde::Deserialize::deserialize(::serde::__private::cd::<__D::Error>(__f))?\n\
-                                 }},\n",
-                                f.name
-                            ));
-                        }
-                        data_arms.push_str(&format!(
-                            "\"{vname}\" => {{\n\
-                             let __m2 = match __v {{\n\
-                             ::serde::Content::Map(m) => m.as_slice(),\n\
-                             _ => return Err(<__D::Error as ::serde::de::Error>::custom(\
-                             \"expected map payload for variant {vname} of {name}\")),\n\
-                             }};\n\
-                             Ok({name}::{vname} {{\n{inits}}})\n\
-                             }},\n"
-                        ));
-                    }
-                }
+            let mut arms = String::new();
+            for vname in variants {
+                arms.push_str(&format!("\"{vname}\" => Ok({name}::{vname}),\n"));
             }
             let body = format!(
                 "match __c {{\n\
                  ::serde::Content::Str(__s) => match __s.as_str() {{\n\
-                 {unit_arms}\
+                 {arms}\
                  __other => Err(<__D::Error as ::serde::de::Error>::custom(\
                  format!(\"unknown variant `{{__other}}` of {name}\"))),\n\
-                 }},\n\
-                 ::serde::Content::Map(__m) if __m.len() == 1 => {{\n\
-                 let (__k, __v) = &__m[0];\n\
-                 match __k.as_str() {{\n\
-                 {data_arms}\
-                 __other => Err(<__D::Error as ::serde::de::Error>::custom(\
-                 format!(\"unknown variant `{{__other}}` of {name}\"))),\n\
-                 }}\n\
                  }},\n\
                  _ => Err(<__D::Error as ::serde::de::Error>::custom(\
                  format!(\"expected variant of {name}, got {{}}\", __c.kind()))),\n\

@@ -108,9 +108,16 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`from_str`] accepts (upstream
+/// `serde_json`'s recursion limit). The parser recurses once per level and
+/// its input crosses trust boundaries — store files, wire frames — so
+/// without a bound a few hundred KB of `[` would overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -118,6 +125,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -173,11 +181,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Content::Bool(true)),
             Some(b'f') => self.literal("false", Content::Bool(false)),
             Some(b'"') => self.string().map(Content::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(self.fail("expected a JSON value")),
         }
+    }
+
+    /// Parses one container, a level deeper (see [`MAX_DEPTH`]).
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Content>) -> Result<Content> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.fail("nesting too deep"));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Content> {
@@ -343,6 +362,7 @@ fn utf8_width(lead: u8) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn roundtrip_scalars() {
@@ -350,7 +370,7 @@ mod tests {
         assert_eq!(to_string(&2.0f64).unwrap(), "2.0");
         assert_eq!(to_string(&f64::NAN).unwrap(), "null");
         assert_eq!(to_string(&42u64).unwrap(), "42");
-        assert_eq!(to_string("a\"b").unwrap(), "\"a\\\"b\"");
+        assert_eq!(to_string(&"a\"b".to_string()).unwrap(), "\"a\\\"b\"");
         let x: f64 = from_str("null").unwrap();
         assert!(x.is_nan());
         let v: Vec<Option<f64>> = from_str("[1.0,null,3.5]").unwrap();
@@ -359,9 +379,20 @@ mod tests {
 
     #[test]
     fn roundtrip_nested() {
-        let v: Vec<(String, Vec<u32>)> = vec![("a".into(), vec![1, 2]), ("b".into(), vec![])];
+        let v: BTreeMap<String, Vec<Vec<u32>>> =
+            BTreeMap::from([("a".into(), vec![vec![1, 2], vec![]]), ("b".into(), vec![])]);
         let json = to_string(&v).unwrap();
-        let back: Vec<(String, Vec<u32>)> = from_str(&json).unwrap();
+        assert_eq!(json, r#"{"a":[[1,2],[]],"b":[]}"#);
+        let back: BTreeMap<String, Vec<Vec<u32>>> = from_str(&json).unwrap();
         assert_eq!(v, back);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Parser::new(&nest(MAX_DEPTH)).parse().is_ok());
+        assert!(Parser::new(&nest(MAX_DEPTH + 1)).parse().is_err());
+        // Deep enough to overflow the stack if every level recursed.
+        assert!(Parser::new(&"[{\"k\":".repeat(200_000)).parse().is_err());
     }
 }

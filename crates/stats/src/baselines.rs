@@ -12,7 +12,6 @@
 //! aggregates city-resolution time series.
 
 use crate::descriptive::{mean, z_normalize};
-use serde::{Deserialize, Serialize};
 
 /// Drops pairs where either side is non-finite.
 fn paired(x: &[f64], y: &[f64]) -> (Vec<f64>, Vec<f64>) {
@@ -179,7 +178,7 @@ pub fn dtw_score(x: &[f64], y: &[f64]) -> f64 {
 }
 
 /// All three baseline scores for one pair of series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaselineScores {
     /// Pearson correlation coefficient.
     pub pcc: f64,

@@ -4,8 +4,6 @@
 //! a slice with no finite values yields `NaN` results rather than panicking,
 //! so callers can propagate undefined summaries the way scalar fields do.
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean over finite values.
 pub fn mean(xs: &[f64]) -> f64 {
     let mut acc = 0.0;
@@ -87,7 +85,7 @@ pub fn z_normalize(xs: &mut [f64]) {
 }
 
 /// Five-number-style summary used by the box-plot threshold computation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Count of finite values.
     pub n: usize,

@@ -6,10 +6,8 @@
 //! so instead of Lloyd's iterations we evaluate every split with prefix sums
 //! and return the global optimum — deterministic and O(n log n).
 
-use serde::{Deserialize, Serialize};
-
 /// Result of an exact 1-D 2-means clustering.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwoMeans {
     /// Largest value assigned to the low cluster.
     pub low_max: f64,

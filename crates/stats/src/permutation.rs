@@ -22,7 +22,6 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Which tail of the permutation distribution defines the p-value.
@@ -30,7 +29,7 @@ use std::collections::VecDeque;
 /// The paper's Eq. 4 is `Lower` (`I(τ_k ≤ τ*)`); the framework defaults to
 /// `TwoSided` because the relationship operator must flag both strongly
 /// positive and strongly negative scores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tail {
     /// `p = #(x_k <= x*) / m` — extreme means unusually small.
     Lower,
@@ -97,7 +96,7 @@ pub fn p_value(observed: f64, permuted: &[f64], tail: Tail) -> f64 {
 }
 
 /// Configuration for a Monte Carlo significance test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonteCarlo {
     /// Number of permutations `|m|` (the paper uses 1,000).
     pub permutations: usize,

@@ -11,8 +11,7 @@
 //!
 //! Aggregation always goes from raw records to a field at a requested
 //! resolution — exactly what the scalar-function-computation map-reduce job
-//! does. Field-to-field coarsening along the resolution DAG is also provided
-//! for pure-field workflows.
+//! does.
 
 use crate::dataset::Dataset;
 use crate::error::{Error, Result};
@@ -20,10 +19,9 @@ use crate::field::{MissingPolicy, ScalarField};
 use crate::resolution::Resolution;
 use crate::spatial::SpatialPartition;
 use crate::temporal::{TemporalResolution, Timestamp};
-use serde::{Deserialize, Serialize};
 
 /// Aggregate applied by attribute functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggregateKind {
     /// Arithmetic mean (the paper's default).
     Mean,
@@ -76,7 +74,7 @@ impl AggregateKind {
 }
 
 /// Which scalar function to derive from a data set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FunctionKind {
     /// Number of tuples per spatio-temporal point.
     Density,
@@ -100,11 +98,6 @@ impl FunctionKind {
             FunctionKind::Density | FunctionKind::Unique => MissingPolicy::Zero,
             FunctionKind::Attribute { .. } => MissingPolicy::Exclude,
         }
-    }
-
-    /// True for the two count functions.
-    pub fn is_count(self) -> bool {
-        matches!(self, FunctionKind::Density | FunctionKind::Unique)
     }
 }
 
@@ -283,146 +276,6 @@ pub fn aggregate(
 
     field.apply_missing(kind.missing_policy());
     Ok(field)
-}
-
-/// Maps every fine region to the coarse region containing its centroid.
-pub fn region_mapping(fine: &SpatialPartition, coarse: &SpatialPartition) -> Vec<Option<u32>> {
-    fine.polygons
-        .iter()
-        .map(|p| coarse.locate(p.centroid()))
-        .collect()
-}
-
-/// Coarsens a field along the temporal axis (`to` must be reachable from the
-/// field's temporal resolution in the DAG). Count functions combine with
-/// `Sum`; attribute functions with `Mean`.
-pub fn coarsen_temporal(
-    field: &ScalarField,
-    to: TemporalResolution,
-    combine: AggregateKind,
-) -> Result<ScalarField> {
-    let from = field.resolution.temporal;
-    if !from.convertible_to(to) {
-        return Err(Error::IncompatibleResolution {
-            from: from.label().into(),
-            to: to.label().into(),
-        });
-    }
-    if from == to {
-        return Ok(field.clone());
-    }
-    let t0 = field.step_start(0);
-    let t_end = field
-        .resolution
-        .temporal
-        .bucket_start(field.start_bucket + field.n_steps as i64);
-    let start_bucket = to.bucket_of(t0);
-    let n_steps = to.buckets_in_range(t0, t_end);
-    let mut out = ScalarField::undefined(
-        Resolution::new(field.resolution.spatial, to),
-        field.n_regions,
-        start_bucket,
-        n_steps,
-    );
-    let mut counts = vec![0u64; out.len()];
-    for z in 0..field.n_steps {
-        let zt = field.step_start(z);
-        let oz = (to.bucket_of(zt) - start_bucket) as usize;
-        for x in 0..field.n_regions {
-            let v = field.value(x, z);
-            if v.is_nan() {
-                continue;
-            }
-            let idx = oz * out.n_regions + x;
-            let cur = out.values[idx];
-            out.values[idx] = match combine {
-                AggregateKind::Sum | AggregateKind::Mean => {
-                    if cur.is_nan() {
-                        v
-                    } else {
-                        cur + v
-                    }
-                }
-                AggregateKind::Min => {
-                    if cur.is_nan() {
-                        v
-                    } else {
-                        cur.min(v)
-                    }
-                }
-                AggregateKind::Max => {
-                    if cur.is_nan() {
-                        v
-                    } else {
-                        cur.max(v)
-                    }
-                }
-                AggregateKind::Median => {
-                    // Median over medians is not well defined; approximate
-                    // with mean combining, which keeps the field usable.
-                    if cur.is_nan() {
-                        v
-                    } else {
-                        cur + v
-                    }
-                }
-            };
-            counts[idx] += 1;
-        }
-    }
-    if matches!(combine, AggregateKind::Mean | AggregateKind::Median) {
-        for (v, c) in out.values.iter_mut().zip(&counts) {
-            if *c > 0 {
-                *v /= *c as f64;
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Coarsens a field along the spatial axis using a fine→coarse region
-/// mapping (see [`region_mapping`]). Count functions combine with `Sum`;
-/// attribute functions with `Mean`.
-pub fn coarsen_spatial(
-    field: &ScalarField,
-    mapping: &[Option<u32>],
-    coarse: &SpatialPartition,
-    combine: AggregateKind,
-) -> Result<ScalarField> {
-    if mapping.len() != field.n_regions {
-        return Err(Error::IncompatibleResolution {
-            from: format!("{} regions", field.n_regions),
-            to: format!("mapping of {}", mapping.len()),
-        });
-    }
-    let mut out = ScalarField::undefined(
-        Resolution::new(coarse.resolution, field.resolution.temporal),
-        coarse.len(),
-        field.start_bucket,
-        field.n_steps,
-    );
-    let mut counts = vec![0u64; out.len()];
-    for z in 0..field.n_steps {
-        for (x, m) in mapping.iter().enumerate() {
-            let Some(cx) = *m else { continue };
-            let v = field.value(x, z);
-            if v.is_nan() {
-                continue;
-            }
-            let idx = z * out.n_regions + cx as usize;
-            let cur = out.values[idx];
-            out.values[idx] = if cur.is_nan() { v } else { cur + v };
-            counts[idx] += 1;
-        }
-    }
-    if combine == AggregateKind::Mean {
-        for (v, c) in out.values.iter_mut().zip(&counts) {
-            if *c > 0 {
-                *v /= *c as f64;
-            }
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -631,38 +484,5 @@ mod tests {
             None
         )
         .is_err());
-    }
-
-    #[test]
-    fn coarsen_temporal_sums_days() {
-        let res = Resolution::new(SpatialResolution::City, TemporalResolution::Hour);
-        let values: Vec<f64> = (0..48).map(|i| i as f64).collect();
-        let f = ScalarField::time_series(res, 0, values);
-        let day = coarsen_temporal(&f, TemporalResolution::Day, AggregateKind::Sum).unwrap();
-        assert_eq!(day.n_steps, 2);
-        assert_eq!(day.value(0, 0), (0..24).sum::<i32>() as f64);
-        assert_eq!(day.value(0, 1), (24..48).sum::<i32>() as f64);
-    }
-
-    #[test]
-    fn coarsen_temporal_incompatible() {
-        let res = Resolution::new(SpatialResolution::City, TemporalResolution::Week);
-        let f = ScalarField::time_series(res, 0, vec![1.0; 8]);
-        assert!(coarsen_temporal(&f, TemporalResolution::Month, AggregateKind::Sum).is_err());
-    }
-
-    #[test]
-    fn coarsen_spatial_to_city() {
-        let part = partition();
-        let city = SpatialPartition::city(0.0, 0.0, 2.0, 1.0);
-        let res = Resolution::new(SpatialResolution::Neighborhood, TemporalResolution::Hour);
-        let mut f = ScalarField::undefined(res, 2, 0, 1);
-        f.set(0, 0, 3.0);
-        f.set(1, 0, 5.0);
-        let mapping = region_mapping(&part, &city);
-        let out = coarsen_spatial(&f, &mapping, &city, AggregateKind::Sum).unwrap();
-        assert_eq!(out.value(0, 0), 8.0);
-        let mean = coarsen_spatial(&f, &mapping, &city, AggregateKind::Mean).unwrap();
-        assert_eq!(mean.value(0, 0), 4.0);
     }
 }

@@ -9,10 +9,9 @@ use crate::error::{Error, Result};
 use crate::spatial::{GeoPoint, SpatialResolution};
 use crate::temporal::{TemporalResolution, Timestamp};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// Metadata describing one numerical attribute.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttributeMeta {
     /// Attribute name (unique within the data set).
     pub name: String,
@@ -31,7 +30,7 @@ impl AttributeMeta {
 }
 
 /// Descriptive metadata for a data set (the columns of the paper's Table 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetMeta {
     /// Data set name (unique within a corpus).
     pub name: String,
@@ -59,7 +58,7 @@ pub struct Record {
 }
 
 /// A columnar spatio-temporal data set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     /// Descriptive metadata.
     pub meta: DatasetMeta,
@@ -260,17 +259,6 @@ impl DatasetBuilder {
         self
     }
 
-    /// Declares that records carry pre-assigned native region indices
-    /// (for data published directly at zip/neighborhood resolution).
-    pub fn with_regions(mut self) -> Self {
-        debug_assert!(
-            self.times.is_empty(),
-            "regions must be declared before records"
-        );
-        self.regions = Some(Vec::new());
-        self
-    }
-
     /// Reserves capacity for `n` additional records.
     pub fn reserve(&mut self, n: usize) {
         self.locations.reserve(n);
@@ -300,17 +288,6 @@ impl DatasetBuilder {
         values: &[f64],
     ) -> Result<()> {
         self.push_record(Some(key), location, None, time, values)
-    }
-
-    /// Appends a record that is already assigned to a native region.
-    pub fn push_in_region(
-        &mut self,
-        region: u32,
-        location: GeoPoint,
-        time: Timestamp,
-        values: &[f64],
-    ) -> Result<()> {
-        self.push_record(None, location, Some(region), time, values)
     }
 
     /// Full-control append.

@@ -14,13 +14,6 @@ pub enum Error {
         /// Attribute count the offending record carried.
         found: usize,
     },
-    /// A resolution conversion was requested that the DAG does not permit.
-    IncompatibleResolution {
-        /// Label of the source resolution.
-        from: String,
-        /// Label of the requested target resolution.
-        to: String,
-    },
     /// A data set contained no records inside the requested window.
     EmptyDomain,
     /// A polygon or partition was structurally invalid.
@@ -43,9 +36,6 @@ impl fmt::Display for Error {
                     f,
                     "schema mismatch: expected {expected} attributes, found {found}"
                 )
-            }
-            Error::IncompatibleResolution { from, to } => {
-                write!(f, "cannot convert resolution {from} to {to}")
             }
             Error::EmptyDomain => write!(f, "data set has no records in the requested domain"),
             Error::InvalidGeometry(msg) => write!(f, "invalid geometry: {msg}"),

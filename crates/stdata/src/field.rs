@@ -9,10 +9,9 @@
 use crate::error::{Error, Result};
 use crate::resolution::Resolution;
 use crate::temporal::Timestamp;
-use serde::{Deserialize, Serialize};
 
 /// Policy for spatio-temporal points with no data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MissingPolicy {
     /// Treat missing as 0 (used by count functions: no tuples means zero
     /// activity).
@@ -27,7 +26,7 @@ pub enum MissingPolicy {
 }
 
 /// A dense time-varying scalar function at one resolution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalarField {
     /// The resolution of the field.
     pub resolution: Resolution,
@@ -40,22 +39,7 @@ pub struct ScalarField {
     pub n_steps: usize,
     /// Function values, time-major (`values[z * n_regions + x]`); NaN means
     /// undefined.
-    #[serde(with = "nan_vec")]
     pub values: Vec<f64>,
-}
-
-/// Serialises NaN entries as JSON null so fields survive serde_json.
-mod nan_vec {
-    use serde::{Deserialize, Deserializer, Serializer};
-
-    pub fn serialize<S: Serializer>(v: &[f64], s: S) -> Result<S::Ok, S::Error> {
-        s.collect_seq(v.iter().map(|x| if x.is_nan() { None } else { Some(*x) }))
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Vec<f64>, D::Error> {
-        let opts = Vec::<Option<f64>>::deserialize(d)?;
-        Ok(opts.into_iter().map(|o| o.unwrap_or(f64::NAN)).collect())
-    }
 }
 
 impl ScalarField {
@@ -151,11 +135,6 @@ impl ScalarField {
         self.resolution
             .temporal
             .bucket_start(self.start_bucket + step as i64)
-    }
-
-    /// Number of defined (non-NaN) points.
-    pub fn defined_count(&self) -> usize {
-        self.values.iter().filter(|v| !v.is_nan()).count()
     }
 
     /// Minimum and maximum over defined values, or an error if none exist.
@@ -277,7 +256,7 @@ mod tests {
         f.set(1, 1, 42.0);
         assert_eq!(f.value(1, 1), 42.0);
         assert_eq!(f.slice(1), &[0.0, 42.0, 0.0]);
-        assert_eq!(f.defined_count(), 6);
+        assert!(f.values.iter().all(|v| !v.is_nan()));
     }
 
     #[test]
@@ -292,7 +271,7 @@ mod tests {
         let mut f = ScalarField::undefined(res(), 2, 0, 2);
         f.set(0, 0, 5.0);
         f.apply_missing(MissingPolicy::Zero);
-        assert_eq!(f.defined_count(), 4);
+        assert!(f.values.iter().all(|v| !v.is_nan()));
         assert_eq!(f.value(1, 1), 0.0);
         assert_eq!(f.value(0, 0), 5.0);
     }

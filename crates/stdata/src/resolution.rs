@@ -8,12 +8,12 @@
 
 use crate::spatial::SpatialResolution;
 use crate::temporal::TemporalResolution;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A (spatial, temporal) resolution pair, written `(temporal, spatial)` in
 /// the paper's prose (e.g. "(hour, city)").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct Resolution {
     /// Spatial half.
     pub spatial: SpatialResolution,
@@ -82,11 +82,6 @@ impl ResolutionDag {
         let rb = Self::reachable(b);
         ra.into_iter().filter(|r| rb.contains(r)).collect()
     }
-
-    /// The single highest (finest) common resolution, if any.
-    pub fn highest_common(a: Resolution, b: Resolution) -> Option<Resolution> {
-        Self::common(a, b).into_iter().next()
-    }
 }
 
 #[cfg(test)]
@@ -129,10 +124,7 @@ mod tests {
         let common = ResolutionDag::common(a, b);
         assert!(!common.is_empty());
         assert!(common.iter().all(|r| r.spatial == City));
-        assert_eq!(
-            ResolutionDag::highest_common(a, b),
-            Some(Resolution::new(City, Hour))
-        );
+        assert_eq!(common[0], Resolution::new(City, Hour));
     }
 
     #[test]

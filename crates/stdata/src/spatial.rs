@@ -101,13 +101,6 @@ impl GeoPoint {
     pub fn new(x: f64, y: f64) -> Self {
         Self { x, y }
     }
-
-    /// Squared Euclidean distance to `other`.
-    pub fn dist2(self, other: GeoPoint) -> f64 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        dx * dx + dy * dy
-    }
 }
 
 /// Axis-aligned bounding box.

@@ -7,7 +7,7 @@
 //! Hinnant's `days_from_civil` algorithm — exact over the full `i64` range we
 //! care about and free of external dependencies.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Seconds since the Unix epoch (1970-01-01T00:00:00Z).
@@ -19,7 +19,7 @@ pub const SECS_PER_HOUR: i64 = 3_600;
 pub const SECS_PER_DAY: i64 = 86_400;
 
 /// A date in the proleptic Gregorian calendar.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CivilDate {
     /// Calendar year (e.g. 2012).
     pub year: i32,
@@ -102,22 +102,6 @@ impl CivilDate {
     pub fn is_leap_year(year: i32) -> bool {
         year % 4 == 0 && (year % 100 != 0 || year % 400 == 0)
     }
-
-    /// Number of days in this date's month.
-    pub fn days_in_month(year: i32, month: u8) -> u8 {
-        match month {
-            1 | 3 | 5 | 7 | 8 | 10 | 12 => 31,
-            4 | 6 | 9 | 11 => 30,
-            2 => {
-                if Self::is_leap_year(year) {
-                    29
-                } else {
-                    28
-                }
-            }
-            _ => unreachable!("month out of range"),
-        }
-    }
 }
 
 impl fmt::Display for CivilDate {
@@ -136,7 +120,7 @@ pub fn date_of(ts: Timestamp) -> CivilDate {
 /// Ordering is from finest (`Hour`) to coarsest (`Month`); note that `Week`
 /// and `Month` are *incompatible* with each other (neither nests in the
 /// other), which [`crate::resolution::ResolutionDag`] encodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum TemporalResolution {
     /// Hourly buckets.
     Hour,
@@ -225,17 +209,6 @@ impl TemporalResolution {
         }
     }
 
-    /// Approximate bucket width in seconds; months use 30 days. Used only
-    /// for sizing estimates, never for bucketing.
-    pub fn approx_secs(self) -> i64 {
-        match self {
-            TemporalResolution::Hour => SECS_PER_HOUR,
-            TemporalResolution::Day => SECS_PER_DAY,
-            TemporalResolution::Week => 7 * SECS_PER_DAY,
-            TemporalResolution::Month => 30 * SECS_PER_DAY,
-        }
-    }
-
     /// True if data at this resolution can be aggregated into `coarser`
     /// (the temporal half of the paper's Figure 6 DAG).
     pub fn convertible_to(self, coarser: TemporalResolution) -> bool {
@@ -262,7 +235,7 @@ impl fmt::Display for TemporalResolution {
 ///
 /// Hourly functions use monthly intervals; daily functions use
 /// quarter-yearly intervals; coarser functions use yearly intervals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SeasonalInterval {
     /// One interval per calendar month.
     Monthly,
@@ -345,8 +318,6 @@ mod tests {
         assert!(CivilDate::is_leap_year(2012));
         assert!(!CivilDate::is_leap_year(1900));
         assert!(!CivilDate::is_leap_year(2011));
-        assert_eq!(CivilDate::days_in_month(2012, 2), 29);
-        assert_eq!(CivilDate::days_in_month(2011, 2), 28);
     }
 
     #[test]

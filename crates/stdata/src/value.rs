@@ -5,11 +5,10 @@
 //! Inside a [`crate::Dataset`], attribute columns are stored as `f64` with
 //! `NaN` encoding nulls; [`Value`] is the typed view used at the API surface.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single attribute value of a record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {
     /// Missing value.
     Null,
@@ -32,14 +31,6 @@ impl Value {
             Value::Null
         } else {
             Value::Num(raw)
-        }
-    }
-
-    /// Returns the numeric payload, if present.
-    pub fn as_num(self) -> Option<f64> {
-        match self {
-            Value::Null => None,
-            Value::Num(v) => Some(v),
         }
     }
 
@@ -93,7 +84,6 @@ mod tests {
     #[test]
     fn accessors() {
         assert!(Value::Null.is_null());
-        assert_eq!(Value::Num(1.0).as_num(), Some(1.0));
-        assert_eq!(Value::Null.as_num(), None);
+        assert!(!Value::Num(1.0).is_null());
     }
 }

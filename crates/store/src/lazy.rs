@@ -227,7 +227,8 @@ impl LazyIndex {
                         file: s,
                         local,
                         dataset: owned[info.dataset_index],
-                        admitted: filter.admits(info, &manifest.datasets),
+                        admitted: filter
+                            .admits_dataset(&manifest.datasets[info.dataset_index].meta.name),
                     });
                 }
                 OpenFile::new(store, s)

@@ -63,7 +63,7 @@
 //!
 //! [`Store::open`] reads header + manifest only (cheap at any corpus
 //! size); a [`StoreSession`] materializes just the segments matching its
-//! data set/resolution [`LoadFilter`] — all at open (eager) or per query
+//! data set [`LoadFilter`] — all at open (eager) or per query
 //! (lazy) — and serves `RelationshipQuery`s from them behind a sharded,
 //! bounded LRU cache, freely shared across reader threads:
 //!

@@ -1,9 +1,9 @@
 //! One shared PQL execute-and-render path for every frontend.
 //!
-//! The CLI `query` (every form), the interactive REPL and the
-//! `polygamy-serve` network daemon (see `docs/serving.md`) all speak the
-//! same contract: PQL text in, relationship results out, rendered either
-//! as human-readable text or as one **canonical JSON object per query**.
+//! The CLI `query`, the interactive REPL and the `polygamy-serve` network
+//! daemon (see `docs/serving.md`) all speak the same contract: PQL text
+//! in, relationship results out, rendered either as human-readable text or
+//! as one **canonical JSON object per query**.
 //! This module is that contract's single implementation — parse
 //! ([`parse_query`]/[`parse_batch`]) → [`StoreSession::query_many`] →
 //! render — so the frontends cannot drift apart. The byte-identity
@@ -171,8 +171,7 @@ pub fn execute_pql_query_traced(
 
 /// Parses `src` as a PQL batch (one query per line, `#` comments) and
 /// executes every query through one [`StoreSession::query_many`] dispatch
-/// — the `query --file` / `--batch` / `<left> <right>` and
-/// network-request path. An empty batch is a
+/// — the `query --file` and network-request path. An empty batch is a
 /// valid request and yields no outcomes.
 pub fn execute_pql_batch(
     session: &StoreSession,
@@ -279,6 +278,80 @@ mod tests {
                 serde_json::to_string(&outcome().relationships).unwrap()
             )),
             "{json}"
+        );
+    }
+
+    /// The bytes of the results boundary (`docs/serving.md` §5): field
+    /// names and order, unit variants as their names, the nested
+    /// resolution object, integers bare, integral floats with `.0`,
+    /// shortest round-trip digits, escaped quotes. Served responses and
+    /// `query --json` output are compared and stored by consumers; these
+    /// bytes may only change together with the wire protocol version.
+    #[test]
+    fn json_rendering_bytes_are_pinned() {
+        let rel = |class, spatial, temporal, score, strength, p_value, significant| Relationship {
+            left: FunctionRef {
+                dataset: "taxi".into(),
+                function: "density".into(),
+            },
+            right: FunctionRef {
+                dataset: "weather".into(),
+                function: "avg(wind \"gust\")".into(),
+            },
+            resolution: Resolution::new(spatial, temporal),
+            class,
+            measures: RelationshipMeasures {
+                n_pos: 1,
+                n_neg: 3,
+                n_left: 5,
+                n_right: 40,
+                score,
+                strength,
+            },
+            p_value,
+            significant,
+        };
+        let pinned = PqlOutcome {
+            query: RelationshipQuery::between(&["taxi"], &["weather"]),
+            relationships: vec![
+                rel(
+                    FeatureClass::Salient,
+                    SpatialResolution::City,
+                    TemporalResolution::Hour,
+                    -0.5,
+                    0.17777777777777778,
+                    2.0 / 1001.0,
+                    true,
+                ),
+                rel(
+                    FeatureClass::Extreme,
+                    SpatialResolution::Neighborhood,
+                    TemporalResolution::Week,
+                    1.0,
+                    1.0,
+                    1.0,
+                    false,
+                ),
+            ],
+            trace: None,
+        };
+        assert_eq!(
+            pinned.to_json(),
+            concat!(
+                r#"{"query":"between taxi and weather","relationships":["#,
+                r#"{"left":{"dataset":"taxi","function":"density"},"#,
+                r#""right":{"dataset":"weather","function":"avg(wind \"gust\")"},"#,
+                r#""resolution":{"spatial":"City","temporal":"Hour"},"class":"Salient","#,
+                r#""measures":{"n_pos":1,"n_neg":3,"n_left":5,"n_right":40,"#,
+                r#""score":-0.5,"strength":0.17777777777777778},"#,
+                r#""p_value":0.001998001998001998,"significant":true},"#,
+                r#"{"left":{"dataset":"taxi","function":"density"},"#,
+                r#""right":{"dataset":"weather","function":"avg(wind \"gust\")"},"#,
+                r#""resolution":{"spatial":"Neighborhood","temporal":"Week"},"class":"Extreme","#,
+                r#""measures":{"n_pos":1,"n_neg":3,"n_left":5,"n_right":40,"#,
+                r#""score":1.0,"strength":1.0},"#,
+                r#""p_value":1.0,"significant":false}]}"#,
+            )
         );
     }
 

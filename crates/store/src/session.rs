@@ -245,7 +245,7 @@ impl StoreSession {
 
     /// Evaluates a batch of queries on one shared worker pool (the flat
     /// executor), amortising pool startup across the batch — the serving
-    /// path behind `polygamy-store query --batch`.
+    /// path behind `polygamy-store query --file`.
     ///
     /// Returns one result vector per query, in input order; each equals
     /// what [`StoreSession::query`] returns for that query alone, subject

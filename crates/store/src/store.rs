@@ -29,7 +29,7 @@ use crate::format::{BlobLoc, Header, Manifest, SegmentInfo, HEADER_LEN, VERSION}
 use crate::source::{SegmentSource, SourceBackend};
 use polygamy_core::index::{DatasetEntry, FunctionEntry, PolygamyIndex};
 use polygamy_core::{index_dataset, CityGeometry, Config};
-use polygamy_stdata::{Dataset, Resolution};
+use polygamy_stdata::{Dataset, Polygon, Resolution, SpatialPartition, SpatialResolution};
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -43,8 +43,6 @@ use std::path::{Path, PathBuf};
 pub struct LoadFilter {
     /// Restrict to these data sets (`None` = all).
     pub datasets: Option<Vec<String>>,
-    /// Restrict to these resolutions (`None` = all).
-    pub resolutions: Option<Vec<Resolution>>,
 }
 
 impl LoadFilter {
@@ -59,25 +57,11 @@ impl LoadFilter {
         self
     }
 
-    /// Restricts loading to one resolution (callable repeatedly).
-    pub fn at_resolution(mut self, r: Resolution) -> Self {
-        self.resolutions.get_or_insert_with(Vec::new).push(r);
-        self
-    }
-
-    /// True when the data-set half of the filter admits `name`.
+    /// True when the filter admits the data set `name`.
     pub(crate) fn admits_dataset(&self, name: &str) -> bool {
         self.datasets
             .as_ref()
             .is_none_or(|names| names.iter().any(|n| n == name))
-    }
-
-    pub(crate) fn admits(&self, info: &SegmentInfo, catalog: &[DatasetEntry]) -> bool {
-        self.admits_dataset(&catalog[info.dataset_index].meta.name)
-            && self
-                .resolutions
-                .as_ref()
-                .is_none_or(|rs| rs.contains(&info.resolution))
     }
 }
 
@@ -388,11 +372,42 @@ pub(crate) fn encode_geometry(geometry: &CityGeometry) -> Result<Blob> {
         .map_err(|e| StoreError::Corrupt(format!("geometry encode failed: {e}")))
 }
 
+/// Decodes the geometry blob. The derived `Deserialize` output is only a
+/// parse of untrusted text: every partition is rebuilt through
+/// [`Polygon::new`] and [`SpatialPartition::new`], which enforce what the
+/// executor indexes by (rings of ≥ 3 vertices, one adjacency list per
+/// polygon, neighbours in range) and re-derive the point-location grid
+/// from the polygons — the file's copy of the grid is ignored — and each
+/// partition must sit in the slot of its own resolution. For a geometry
+/// this crate wrote, the rebuilt value is the one that was saved.
 fn decode_geometry(bytes: &[u8]) -> Result<CityGeometry> {
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| StoreError::Corrupt("geometry blob is not utf-8".into()))?;
-    serde_json::from_str(text)
-        .map_err(|e| StoreError::Corrupt(format!("geometry decode failed: {e}")))
+    let corrupt = |e: &dyn std::fmt::Display| StoreError::Corrupt(format!("geometry: {e}"));
+    let text = std::str::from_utf8(bytes).map_err(|_| corrupt(&"blob is not utf-8"))?;
+    let parsed: CityGeometry = serde_json::from_str(text).map_err(|e| corrupt(&e))?;
+    let rebuild = |slot: SpatialResolution, parsed: SpatialPartition| {
+        if parsed.resolution != slot {
+            let found = parsed.resolution;
+            return Err(corrupt(&format!("{slot} slot holds a {found} partition")));
+        }
+        let polygons: Vec<Polygon> = parsed
+            .polygons
+            .into_iter()
+            .map(|p| Polygon::new(p.ring))
+            .collect::<std::result::Result<_, _>>()
+            .map_err(|e| corrupt(&e))?;
+        SpatialPartition::new(slot, polygons, parsed.adjacency).map_err(|e| corrupt(&e))
+    };
+    Ok(CityGeometry {
+        zip: parsed
+            .zip
+            .map(|p| rebuild(SpatialResolution::Zip, p))
+            .transpose()?,
+        neighborhood: parsed
+            .neighborhood
+            .map(|p| rebuild(SpatialResolution::Neighborhood, p))
+            .transpose()?,
+        city: rebuild(SpatialResolution::City, parsed.city)?,
+    })
 }
 
 /// Composes and atomically writes a complete store file, then reopens it.
@@ -496,4 +511,59 @@ pub(crate) fn write_atomically(
         let _ = std::fs::remove_file(&tmp);
     }
     written
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A 2 × 2 grid of unit squares with 4-adjacency.
+    fn grid_partition(resolution: SpatialResolution) -> SpatialPartition {
+        let polygons = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+            .map(|(x, y)| Polygon::rect(x, y, x + 1.0, y + 1.0))
+            .to_vec();
+        let adjacency = vec![vec![1, 2], vec![0, 3], vec![0, 3], vec![1, 2]];
+        SpatialPartition::new(resolution, polygons, adjacency).unwrap()
+    }
+
+    /// Decoding rebuilds every partition through the constructors; for a
+    /// geometry this crate wrote that reproduces the saved value — the
+    /// re-derived locator grid included — so it re-encodes to the same
+    /// bytes and locates points in the same regions.
+    #[test]
+    fn valid_geometry_decodes_to_the_saved_value() {
+        let geometry = CityGeometry {
+            zip: Some(grid_partition(SpatialResolution::Zip)),
+            neighborhood: Some(grid_partition(SpatialResolution::Neighborhood)),
+            city: SpatialPartition::city(0.0, 0.0, 2.0, 2.0),
+        };
+        let blob = encode_geometry(&geometry).unwrap();
+        let decoded = decode_geometry(&blob.bytes).unwrap();
+        assert_eq!(encode_geometry(&decoded).unwrap().bytes, blob.bytes);
+        let (zip, decoded_zip) = (geometry.zip.unwrap(), decoded.zip.unwrap());
+        assert_eq!(decoded_zip.adjacency, zip.adjacency);
+        for p in [(0.5, 0.5), (1.5, 0.5), (0.5, 1.5), (1.5, 1.5), (9.0, 9.0)] {
+            let p = polygamy_stdata::GeoPoint::new(p.0, p.1);
+            assert_eq!(decoded_zip.locate(p), zip.locate(p));
+        }
+    }
+
+    /// The bytes of the geometry boundary (`docs/store-format.md`): every
+    /// store file embeds this encoding, locator grid included, and
+    /// maintenance copies it verbatim — it may only change together with
+    /// [`VERSION`].
+    #[test]
+    fn geometry_encoding_bytes_are_pinned() {
+        let blob = encode_geometry(&CityGeometry::city_only(0.0, 0.0, 1.0, 1.0)).unwrap();
+        assert_eq!(
+            String::from_utf8(blob.bytes).unwrap(),
+            concat!(
+                r#"{"zip":null,"neighborhood":null,"city":{"resolution":"City","#,
+                r#""polygons":[{"ring":[{"x":0.0,"y":0.0},{"x":1.0,"y":0.0},"#,
+                r#"{"x":1.0,"y":1.0},{"x":0.0,"y":1.0}]}],"adjacency":[[]],"#,
+                r#""grid":{"bbox":{"min":{"x":0.0,"y":0.0},"max":{"x":1.0,"y":1.0}},"#,
+                r#""nx":1,"ny":1,"cells":[[0]]}}}"#,
+            )
+        );
+    }
 }

@@ -9,6 +9,14 @@
 //! hostile is driven through real sessions. Version-1 files are refused
 //! by version, not decoded.
 //!
+//! The sixth decoder, the geometry blob's, is JSON text rather than the
+//! binary codec, and is reached the way a reader reaches it: through
+//! `Store::load_geometry` on a truthfully sealed file. Arbitrary bytes and
+//! mutated valid JSON (bytes flipped, the tail cut off, one digit or one
+//! whole number replaced) must end in a typed error or in a geometry that
+//! is safe to index by, and a store carrying a hostile geometry must end
+//! every session path in a typed error on the coordinating thread.
+//!
 //! The shard catalog carries its own checksum, which would reject almost
 //! every mutation before the payload decoder runs; mutated catalogs are
 //! therefore decoded twice, as-is and re-sealed with a matching length and
@@ -16,12 +24,14 @@
 
 use polygamy_core::prelude::*;
 use polygamy_core::DataPolygamy;
+use polygamy_stdata::Polygon;
 use polygamy_store::codec::{decode_function_segment, encode_function_segment};
 use polygamy_store::{
     blob_checksum, BlobLoc, Header, LazyIndex, LoadFilter, Manifest, SegmentInfo, ShardCatalog,
     Store, StoreError, StoreSession, SHARD_CATALOG_VERSION, SHARD_MAGIC, VERSION,
 };
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Length of the shard catalog's fixed header (magic, version, flags,
@@ -109,7 +119,7 @@ fn valid_encodings() -> &'static [Vec<u8>; 5] {
         // The finest entry: the most steps, hence the most runs.
         let finest = index.functions.iter().max_by_key(|f| f.n_steps).unwrap();
         let (hot, field) = encode_function_segment(finest);
-        let field = field.expect("fast_test keeps fields");
+        let field = field.expect("indexing keeps fields");
 
         let loc = |offset: u64, len: u64| BlobLoc {
             offset,
@@ -228,6 +238,266 @@ proptest! {
             let _ = decode(3, &sealed_catalog(&bytes[CATALOG_HEADER_LEN..]));
         }
     }
+}
+
+/// `pristine` with its geometry blob replaced by `geometry`, truthfully
+/// re-sealed: every later blob keeps its bytes and moves by the length
+/// difference, and the manifest and header say so.
+fn with_geometry(pristine: &[u8], geometry: &[u8]) -> Vec<u8> {
+    let header = Header::decode(pristine).unwrap();
+    let manifest_at = header.manifest_offset as usize;
+    let mut manifest = Manifest::decode(&pristine[manifest_at..]).unwrap();
+    let old = manifest.geometry;
+    assert_eq!(old.offset, 40, "the geometry blob follows the header");
+    let shifted = |offset: u64| offset - old.len + geometry.len() as u64;
+    let moved = |loc: BlobLoc| BlobLoc {
+        offset: shifted(loc.offset),
+        ..loc
+    };
+    manifest.geometry = BlobLoc {
+        offset: old.offset,
+        len: geometry.len() as u64,
+        checksum: blob_checksum(geometry),
+    };
+    for segment in &mut manifest.segments {
+        segment.loc = moved(segment.loc);
+        segment.field = segment.field.map(moved);
+    }
+    let manifest_bytes = manifest.encode();
+    let header = Header {
+        manifest_offset: shifted(header.manifest_offset),
+        manifest_len: manifest_bytes.len() as u64,
+        manifest_checksum: blob_checksum(&manifest_bytes),
+        ..header
+    };
+    let mut bytes = header.encode();
+    bytes.extend_from_slice(geometry);
+    bytes.extend_from_slice(&pristine[(old.offset + old.len) as usize..manifest_at]);
+    bytes.extend_from_slice(&manifest_bytes);
+    bytes
+}
+
+/// A fresh temp path per call: test threads run concurrently.
+fn scratch_path(tag: &str) -> Cleanup {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    Cleanup(std::env::temp_dir().join(format!(
+        "polygamy-decoders-test-{}-{tag}-{}.plst",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    )))
+}
+
+/// A segment-less store over a two-region zip partition plus the city, and
+/// the JSON text of its geometry blob.
+fn geometry_seed() -> &'static (Vec<u8>, Vec<u8>) {
+    static SEED: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+    SEED.get_or_init(|| {
+        let zip = SpatialPartition::new(
+            SpatialResolution::Zip,
+            vec![
+                Polygon::rect(0.0, 0.0, 1.0, 1.0),
+                Polygon::rect(1.0, 0.0, 2.0, 1.0),
+            ],
+            vec![vec![1], vec![0]],
+        )
+        .unwrap();
+        let geometry = CityGeometry {
+            zip: Some(zip),
+            neighborhood: None,
+            city: SpatialPartition::city(0.0, 0.0, 2.0, 1.0),
+        };
+        let file = scratch_path("geometry-seed");
+        let store = Store::save(&file.0, &geometry, &Default::default()).unwrap();
+        let loc = store.manifest().geometry;
+        let bytes = std::fs::read(&file.0).unwrap();
+        let json = bytes[loc.offset as usize..][..loc.len as usize].to_vec();
+        (bytes, json)
+    })
+}
+
+/// Decodes `geometry` the way every reader does: out of a sealed file.
+fn decode_geometry(geometry: &[u8]) -> Result<CityGeometry, StoreError> {
+    let file = scratch_path("geometry");
+    std::fs::write(&file.0, with_geometry(&geometry_seed().0, geometry)).unwrap();
+    Store::open(&file.0)?.load_geometry()
+}
+
+/// What the executor and the indexer rely on in a decoded geometry.
+fn assert_safe_to_index_by(geometry: &CityGeometry) {
+    let optional = geometry.zip.iter().chain(&geometry.neighborhood);
+    for partition in optional.chain([&geometry.city]) {
+        let n = partition.len();
+        assert!(n > 0);
+        assert_eq!(partition.adjacency.len(), n);
+        assert!(partition
+            .adjacency
+            .iter()
+            .flatten()
+            .all(|&j| (j as usize) < n));
+        assert!(partition.polygons.iter().all(|p| p.ring.len() >= 3));
+        for point in [(0.5, 0.5), (1.5, 0.5), (-3.0, 1e300)] {
+            let located = partition.locate(GeoPoint::new(point.0, point.1));
+            assert!(located.is_none_or(|region| (region as usize) < n));
+        }
+    }
+}
+
+fn replaced(json: &[u8], from: &str, to: &str) -> Vec<u8> {
+    let text = std::str::from_utf8(json).unwrap();
+    assert!(text.contains(from), "`{from}` not in {text}");
+    text.replacen(from, to, 1).into_bytes()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    #[test]
+    fn geometry_decoder_returns_typed_errors_for_any_input(
+        raw in proptest::collection::vec(0u8..=u8::MAX, 0..192),
+        mutation in 0u8..4,
+        positions in proptest::collection::vec(0usize..usize::MAX, 1..5),
+        masks in proptest::collection::vec(1u8..=u8::MAX, 4),
+        digit in b'0'..=b'9',
+        number in prop_oneof![
+            Just("-1"),
+            Just("0"),
+            Just("4294967296"),
+            Just("18446744073709551616"),
+            Just("1e999"),
+            Just("0.5"),
+            Just("null"),
+            Just("[]"),
+        ],
+    ) {
+        // (a) Arbitrary bytes.
+        let _ = decode_geometry(&raw);
+
+        // (b) The valid JSON, damaged.
+        let valid = &geometry_seed().1;
+        prop_assert!(decode_geometry(valid).is_ok());
+        let mut bytes = valid.clone();
+        let digits: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i].is_ascii_digit()).collect();
+        match mutation {
+            0 => {
+                for (p, m) in positions.iter().zip(&masks) {
+                    let at = p % bytes.len();
+                    bytes[at] ^= m;
+                }
+            }
+            1 => bytes.truncate(positions[0] % bytes.len()),
+            // Still JSON, one number off: a neighbour index, a grid
+            // dimension or cell, a coordinate.
+            2 => bytes[digits[positions[0] % digits.len()]] = digit,
+            // One whole number replaced by a hostile one.
+            _ => {
+                let at = digits[positions[0] % digits.len()];
+                let in_number = |b: &u8| b.is_ascii_digit() || *b == b'.';
+                let start = at - bytes[..at].iter().rev().take_while(|b| in_number(b)).count();
+                let end = at + bytes[at..].iter().take_while(|b| in_number(b)).count();
+                bytes.splice(start..end, number.bytes());
+            }
+        }
+        if let Ok(geometry) = decode_geometry(&bytes) {
+            assert_safe_to_index_by(&geometry);
+        }
+    }
+}
+
+/// The three ways a geometry blob used to reach a panic: a neighbour index
+/// past the partition (out-of-bounds in the graph shift, on a worker), a
+/// locator grid with no columns (underflow at the next upsert) and a
+/// partition with another region count than the indexed functions (a
+/// failed assertion in the permutation test). The first is refused at
+/// decode, the second cannot matter — the grid is rebuilt from the
+/// polygons — and the third is refused at task expansion.
+#[test]
+fn hostile_geometries_yield_typed_errors() {
+    let valid = &geometry_seed().1;
+    let err = decode_geometry(&replaced(
+        valid,
+        r#""adjacency":[[1],[0]]"#,
+        r#""adjacency":[[7],[0]]"#,
+    ))
+    .unwrap_err();
+    assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+    for (from, to) in [
+        (r#""adjacency":[[1],[0]]"#, r#""adjacency":[[1]]"#),
+        (r#""resolution":"Zip""#, r#""resolution":"Neighborhood""#),
+        (r#"{"x":0.0,"y":0.0},{"x":1.0,"y":0.0},"#, ""),
+    ] {
+        let err = decode_geometry(&replaced(valid, from, to)).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{to}: {err:?}");
+    }
+    let no_columns = decode_geometry(&replaced(valid, r#""nx":2"#, r#""nx":0"#)).unwrap();
+    assert_safe_to_index_by(&no_columns);
+
+    // A real store under each of them, through every session path.
+    let (cleanup, pristine) = saved_store("hostile-geometry");
+    let path = &cleanup.0;
+    let stored = {
+        let loc = Store::open(path).unwrap().manifest().geometry;
+        pristine[loc.offset as usize..][..loc.len as usize].to_vec()
+    };
+    let query =
+        parse_query("between sensor and twin where permutations = 5 and include insignificant")
+            .unwrap();
+    let expected = StoreSession::open(path).unwrap().query(&query).unwrap();
+    assert!(!expected.is_empty());
+    let open_both = || [StoreSession::open_lazy(path), StoreSession::open(path)];
+    let verify = || {
+        let index = LazyIndex::new(Store::open(path).unwrap(), &LoadFilter::all()).unwrap();
+        index.verify_all()
+    };
+
+    // A neighbour out of range: no session opens.
+    let out_of_range = replaced(&stored, r#""adjacency":[[]]"#, r#""adjacency":[[7]]"#);
+    std::fs::write(path, with_geometry(&pristine, &out_of_range)).unwrap();
+    for session in open_both() {
+        let err = session.unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+    }
+    // `verify_all` checks bytes against checksums, and these are sealed.
+    verify().unwrap();
+
+    // Another city's partition — two regions under one-region functions:
+    // sessions open, every query is refused before a task exists.
+    let other_city = replaced(
+        &stored,
+        r#""polygons":["#,
+        r#""polygons":[{"ring":[{"x":5.0,"y":5.0},{"x":6.0,"y":5.0},{"x":6.0,"y":6.0}]},"#,
+    );
+    let other_city = replaced(
+        &other_city,
+        r#""adjacency":[[]]"#,
+        r#""adjacency":[[1],[0]]"#,
+    );
+    std::fs::write(path, with_geometry(&pristine, &other_city)).unwrap();
+    for session in open_both() {
+        let err = session.unwrap().query(&query).unwrap_err();
+        let mismatch = polygamy_core::Error::GeometryMismatch {
+            resolution: SpatialResolution::City,
+            geometry_regions: 2,
+            function_regions: 1,
+        };
+        assert!(
+            matches!(&err, StoreError::Query(e) if *e == mismatch),
+            "{err:?}"
+        );
+    }
+    verify().unwrap();
+
+    // A grid with no columns is not read: the store serves, and takes an
+    // upsert, like the pristine one.
+    let no_columns = replaced(&stored, r#""nx":1"#, r#""nx":0"#);
+    std::fs::write(path, with_geometry(&pristine, &no_columns)).unwrap();
+    for session in open_both() {
+        assert_eq!(session.unwrap().query(&query).unwrap(), expected);
+    }
+    verify().unwrap();
+    let sensor = sample_framework().dataset("sensor").unwrap().clone();
+    Store::upsert_dataset(path, &sensor, &Config::fast_test()).unwrap();
+    let upserted = StoreSession::open(path).unwrap();
+    assert_eq!(upserted.query(&query).unwrap(), expected);
 }
 
 struct Cleanup(std::path::PathBuf);

@@ -430,3 +430,45 @@ fn a_corrupt_field_blob_fails_only_the_queries_that_read_it() {
         ));
     }
 }
+
+/// A store written without a data set's field blobs cannot answer a
+/// `thresholds` clause naming it — and says so with a typed error, in
+/// both read modes, rather than answering from the precomputed features.
+/// Everything that does not need those fields keeps serving.
+#[test]
+fn thresholds_over_a_store_without_field_blobs_is_a_typed_error() {
+    let path = tmp_path("no-field-blobs");
+    let _cleanup = Cleanup(path.clone());
+    let dp = build_framework(&corpus());
+    let mut stripped = dp.index().unwrap().clone();
+    for entry in &mut stripped.functions {
+        if entry.spec.dataset == "alpha" {
+            entry.field = None;
+        }
+    }
+    let store = Store::save(&path, dp.geometry(), &stripped).unwrap();
+    assert_eq!(dataset_blob_bytes(&store, "alpha").1, 0);
+    assert!(dataset_blob_bytes(&store, "beta").1 > 0);
+
+    let alpha_beta = |clause| RelationshipQuery::between(&["alpha"], &["beta"]).with_clause(clause);
+    let eager = StoreSession::open_with(&path, Config::fast_test(), &LoadFilter::all()).unwrap();
+    let lazy = open_lazy(&path, SourceBackend::PositionedRead);
+    for session in [&eager, &lazy] {
+        for _ in 0..2 {
+            let err = session
+                .query(&alpha_beta(thresholds_clause("alpha")))
+                .unwrap_err();
+            match err {
+                StoreError::Query(polygamy_core::Error::MissingField(function)) => {
+                    assert_eq!(function.dataset, "alpha")
+                }
+                other => panic!("expected a missing-field error, got {other:?}"),
+            }
+        }
+        assert_eq!(session.cache_len(), 0, "the refusal is not cached");
+        for clause in [test_clause(), thresholds_clause("beta")] {
+            let query = alpha_beta(clause);
+            assert_eq!(session.query(&query).unwrap(), dp.query(&query).unwrap());
+        }
+    }
+}

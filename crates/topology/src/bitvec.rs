@@ -8,10 +8,8 @@
 //! restricted Monte Carlo tests count spatial shifts on. Everything that
 //! runs per query works a word at a time.
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-length packed bit vector.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitVec {
     len: usize,
     words: Vec<u64>,
@@ -87,14 +85,6 @@ impl BitVec {
         debug_assert_eq!(self.len, other.len);
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a |= b;
-        }
-    }
-
-    /// In-place intersection.
-    pub fn and_assign(&mut self, other: &BitVec) {
-        debug_assert_eq!(self.len, other.len);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
         }
     }
 
@@ -304,8 +294,6 @@ mod tests {
         b.set(2);
         a.or_assign(&b);
         assert!(a.get(1) && a.get(2));
-        a.and_assign(&b);
-        assert!(!a.get(1) && a.get(2));
     }
 
     #[test]

@@ -10,11 +10,11 @@ use crate::graph::DomainGraph;
 use crate::level_set::{sub_level_set_seasonal, super_level_set_seasonal};
 use crate::merge_tree::MergeTree;
 use crate::threshold::SeasonalThresholds;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Salient vs extreme features — relationships are evaluated separately for
 /// each class (paper Section 5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum FeatureClass {
     /// Features beyond the persistence-derived salient thresholds.
     Salient,
@@ -36,7 +36,7 @@ impl FeatureClass {
 }
 
 /// Positive and negative features of one scalar function at one class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureSet {
     /// Super-level-set membership (Definition 6).
     pub pos: BitVec,
@@ -166,7 +166,7 @@ impl FeatureSet {
 }
 
 /// Salient and extreme feature sets for one scalar function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureSets {
     /// Features beyond the salient thresholds.
     pub salient: FeatureSet,

@@ -10,10 +10,8 @@
 //! Stored in compressed-sparse-row form: adjacency for vertex `v` lives in
 //! `edges[offsets[v]..offsets[v+1]]`.
 
-use serde::{Deserialize, Serialize};
-
 /// CSR graph over the spatio-temporal domain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainGraph {
     /// Number of spatial regions `n`.
     pub n_regions: usize,

@@ -13,7 +13,7 @@
 //! * [`merge_tree`] — join/split trees computed by the paper's Procedure
 //!   *ComputeJoinTree* in `O(N log N + N α(N))`, with creator–destroyer
 //!   persistence pairing recorded during the sweep;
-//! * [`persistence`] — persistence pairs/diagrams (paper Figure 5);
+//! * [`persistence`] — persistence pairs (paper Figure 5);
 //! * [`threshold`] — automatic feature thresholds: exact 1-D 2-means over
 //!   persistence values for *salient* features, box-plot outlier fences for
 //!   *extreme* features, per seasonal interval (paper Section 3.3);
@@ -25,10 +25,8 @@
 #![forbid(unsafe_code)]
 
 pub mod bitvec;
-pub mod criticals;
 pub mod error;
 pub mod features;
-pub mod gradient;
 pub mod graph;
 pub mod level_set;
 pub mod merge_tree;
@@ -37,13 +35,11 @@ pub mod threshold;
 pub mod union_find;
 
 pub use bitvec::BitVec;
-pub use criticals::{classify_extrema, CriticalKind};
 pub use error::Error;
 pub use features::{FeatureClass, FeatureSet, FeatureSets};
-pub use gradient::{gradient_magnitude, temporal_derivative};
 pub use graph::DomainGraph;
 pub use level_set::{sub_level_set, super_level_set};
 pub use merge_tree::{Direction, MergeTree, TreeNode};
-pub use persistence::{PersistenceDiagram, PersistencePair};
+pub use persistence::PersistencePair;
 pub use threshold::{compute_thresholds, seasonal_thresholds, SeasonalThresholds, Thresholds};
 pub use union_find::UnionFind;

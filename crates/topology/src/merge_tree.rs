@@ -25,11 +25,10 @@
 
 use crate::error::{Error, Result};
 use crate::graph::DomainGraph;
-use crate::persistence::{PersistenceDiagram, PersistencePair};
-use serde::{Deserialize, Serialize};
+use crate::persistence::PersistencePair;
 
 /// Which merge tree to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// Join tree: super-level sets, leaves are maxima.
     Join,
@@ -38,7 +37,7 @@ pub enum Direction {
 }
 
 /// Role of a critical point in the tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeKind {
     /// An extremum (maximum in a join tree, minimum in a split tree).
     Leaf,
@@ -50,7 +49,7 @@ pub enum NodeKind {
 }
 
 /// A node of the merge tree.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeNode {
     /// Domain-graph vertex this critical point lives at.
     pub vertex: u32,
@@ -61,7 +60,7 @@ pub struct TreeNode {
 }
 
 /// A join or split tree with persistence pairing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MergeTree {
     /// Join or split.
     pub direction: Direction,
@@ -96,11 +95,6 @@ impl MergeTree {
     /// Number of arcs.
     pub fn arc_count(&self) -> usize {
         self.arcs.len()
-    }
-
-    /// The persistence diagram of this tree's extrema.
-    pub fn diagram(&self) -> PersistenceDiagram {
-        PersistenceDiagram::new(self.pairs.clone())
     }
 
     /// Persistence values, aligned with [`MergeTree::pairs`].
@@ -486,9 +480,8 @@ mod tests {
             t.pair_of(999),
             Err(crate::error::Error::MissingPair { extremum: 999 })
         ));
-        // The error propagates through the diagram view as well.
-        assert!(t.diagram().pair_of(0).is_err());
-        assert_eq!(t.diagram().pair_of(7).unwrap().extremum, 7);
+        // A leaf's pair is found.
+        assert_eq!(t.pair_of(7).unwrap().extremum, 7);
     }
 
     #[test]

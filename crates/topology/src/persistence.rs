@@ -1,4 +1,4 @@
-//! Topological persistence pairs and diagrams (paper Section 3.3, Figure 5).
+//! Topological persistence pairs (paper Section 3.3, Figure 5).
 //!
 //! Merge-tree construction pairs every component *creator* (an extremum)
 //! with the *destroyer* (a saddle) at which its super-/sub-level-set
@@ -6,11 +6,8 @@
 //! `|f(creator) − f(destroyer)|` is the lifetime of the feature: the height
 //! of a peak or the depth of a valley.
 
-use crate::error::{Error, Result};
-use serde::{Deserialize, Serialize};
-
 /// One creator–destroyer pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PersistencePair {
     /// Vertex of the extremum that created the component.
     pub extremum: u32,
@@ -28,58 +25,6 @@ impl PersistencePair {
     /// The lifetime `|birth − death|` of the feature.
     pub fn persistence(&self) -> f64 {
         (self.birth - self.death).abs()
-    }
-}
-
-/// A persistence diagram: the multiset of (birth, death) points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PersistenceDiagram {
-    /// The pairs, in no particular order.
-    pub pairs: Vec<PersistencePair>,
-}
-
-impl PersistenceDiagram {
-    /// Builds a diagram from merge-tree pairs.
-    pub fn new(pairs: Vec<PersistencePair>) -> Self {
-        Self { pairs }
-    }
-
-    /// Number of pairs.
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// True if the diagram is empty.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-
-    /// `(birth, death)` points — the diagram of paper Figure 5(a).
-    pub fn points(&self) -> Vec<(f64, f64)> {
-        self.pairs.iter().map(|p| (p.birth, p.death)).collect()
-    }
-
-    /// Persistence values — the scatter of paper Figure 5(b).
-    pub fn persistences(&self) -> Vec<f64> {
-        self.pairs
-            .iter()
-            .map(PersistencePair::persistence)
-            .collect()
-    }
-
-    /// Maximum persistence in the diagram (0 when empty).
-    pub fn max_persistence(&self) -> f64 {
-        self.persistences().into_iter().fold(0.0, f64::max)
-    }
-
-    /// The pair created by `extremum`, or [`Error::MissingPair`] when the
-    /// diagram holds no pair for that vertex.
-    pub fn pair_of(&self, extremum: u32) -> Result<PersistencePair> {
-        self.pairs
-            .iter()
-            .find(|p| p.extremum == extremum)
-            .copied()
-            .ok_or(Error::MissingPair { extremum })
     }
 }
 
@@ -103,28 +48,5 @@ mod tests {
             death: 2.0,
         };
         assert_eq!(q.persistence(), 3.0);
-    }
-
-    #[test]
-    fn diagram_accessors() {
-        let d = PersistenceDiagram::new(vec![
-            PersistencePair {
-                extremum: 0,
-                partner: 1,
-                birth: 4.0,
-                death: 1.0,
-            },
-            PersistencePair {
-                extremum: 2,
-                partner: 3,
-                birth: 2.0,
-                death: 1.5,
-            },
-        ]);
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.points(), vec![(4.0, 1.0), (2.0, 1.5)]);
-        assert_eq!(d.persistences(), vec![3.0, 0.5]);
-        assert_eq!(d.max_persistence(), 3.0);
-        assert!(!d.is_empty());
     }
 }

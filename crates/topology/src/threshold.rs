@@ -17,44 +17,19 @@
 use crate::merge_tree::MergeTree;
 use polygamy_stats::descriptive::Summary;
 use polygamy_stats::kmeans::two_means_1d;
-use serde::{Deserialize, Serialize};
-
-/// Serialises possibly-NaN floats as JSON null (serde_json cannot
-/// represent NaN); NaN means "no such features exist".
-pub mod nan_as_null {
-    use serde::{Deserialize, Deserializer, Serializer};
-
-    /// NaN → null, finite → number.
-    pub fn serialize<S: Serializer>(v: &f64, s: S) -> Result<S::Ok, S::Error> {
-        if v.is_nan() {
-            s.serialize_none()
-        } else {
-            s.serialize_some(v)
-        }
-    }
-
-    /// null → NaN, number → number.
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<f64, D::Error> {
-        Ok(Option::<f64>::deserialize(d)?.unwrap_or(f64::NAN))
-    }
-}
 
 /// Feature thresholds for one scalar function (or one seasonal interval).
 ///
 /// NaN means "no such features exist" (e.g. an interval with no extrema).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Thresholds {
     /// Super-level threshold θ⁺ for salient positive features.
-    #[serde(with = "nan_as_null")]
     pub salient_pos: f64,
     /// Sub-level threshold θ⁻ for salient negative features.
-    #[serde(with = "nan_as_null")]
     pub salient_neg: f64,
     /// Super-level threshold for extreme positive features (`Q3 + 1.5 IQR`).
-    #[serde(with = "nan_as_null")]
     pub extreme_pos: f64,
     /// Sub-level threshold for extreme negative features (`Q1 − 1.5 IQR`).
-    #[serde(with = "nan_as_null")]
     pub extreme_neg: f64,
 }
 
@@ -135,7 +110,7 @@ where
 }
 
 /// Per-seasonal-interval thresholds for one scalar function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeasonalThresholds {
     /// Interval id for each time step (ids need not be contiguous).
     pub interval_of_step: Vec<i64>,

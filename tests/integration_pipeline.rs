@@ -1,5 +1,5 @@
 //! Cross-crate pipeline integration: correctness (paper Section 6.2),
-//! robustness scaffolding, index round-trips and space accounting.
+//! robustness scaffolding and space accounting.
 
 use polygamy_core::pipeline::field_features;
 use polygamy_core::prelude::*;
@@ -192,26 +192,6 @@ fn space_overhead_is_modest() {
     );
     assert!(stats.n_functions > 0);
     assert!(stats.tree_nodes > 0);
-}
-
-/// The index catalog survives a JSON round-trip with features intact.
-#[test]
-fn index_json_roundtrip_preserves_features() {
-    let c = small_collection();
-    let mut dp = DataPolygamy::new(
-        c.geometry().clone(),
-        polygamy_core::framework::Config::default(),
-    );
-    dp.add_dataset(c.dataset("gas-prices").unwrap().clone());
-    dp.build_index();
-    let index = dp.index().unwrap();
-    let json = index.to_json().unwrap();
-    let back = polygamy_core::PolygamyIndex::from_json(&json).unwrap();
-    assert_eq!(index.functions.len(), back.functions.len());
-    for (a, b) in index.functions.iter().zip(&back.functions) {
-        assert_eq!(a.features.salient.pos, b.features.salient.pos);
-        assert_eq!(a.features.extreme.neg, b.features.extreme.neg);
-    }
 }
 
 /// Indexing report covers every data set with nonzero function counts.
