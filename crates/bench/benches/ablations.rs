@@ -88,7 +88,9 @@ fn bench_restricted_vs_naive_mc(c: &mut Criterion) {
     );
     // A one-step grid's vertex neighbours are its region adjacency.
     let grid = DomainGraph::grid(5, 5, 1);
-    let adjacency: Vec<Vec<u32>> = (0..n_regions).map(|x| grid.neighbors(x).to_vec()).collect();
+    let adjacency: Vec<Vec<u32>> = (0..n_regions)
+        .map(|x| grid.neighbors(x).collect())
+        .collect();
 
     let mut group = c.benchmark_group("ablation_permutation");
     group.bench_function("unaligned_slice", |b| {
@@ -129,8 +131,7 @@ fn bench_threshold_strategies(c: &mut Criterion) {
     let n = 200_000;
     let g = DomainGraph::time_series(n);
     let f = spiky(n);
-    let join = MergeTree::join(&g, &f);
-    let split = MergeTree::split(&g, &f);
+    let (join, split) = MergeTree::both(&g, &f);
     let mut group = c.benchmark_group("ablation_thresholds");
     group.bench_function("persistence_2means", |b| {
         b.iter(|| polygamy_topology::compute_thresholds(&join, &split))

@@ -24,6 +24,9 @@ fn bench_merge_tree(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("city_1d", steps), &steps, |b, _| {
             b.iter(|| MergeTree::join(&g1, &f1))
         });
+        group.bench_with_input(BenchmarkId::new("city_1d_both", steps), &steps, |b, _| {
+            b.iter(|| MergeTree::both(&g1, &f1))
+        });
         // 3-D neighborhood grid (25 regions).
         let g2 = DomainGraph::grid(5, 5, steps / 25);
         let f2 = taxi_like(g2.vertex_count());
@@ -32,6 +35,11 @@ fn bench_merge_tree(c: &mut Criterion) {
             BenchmarkId::new("neighborhood_3d", steps),
             &steps,
             |b, _| b.iter(|| MergeTree::join(&g2, &f2)),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("neighborhood_3d_both", steps),
+            &steps,
+            |b, _| b.iter(|| MergeTree::both(&g2, &f2)),
         );
     }
     group.finish();

@@ -74,13 +74,9 @@ pub fn run(quick: bool) -> String {
             };
             let graph = DomainGraph::new(&adjacency, n_steps);
             let edges = graph.edge_count();
-            // Index: join + split tree (paper: indexing time includes both).
-            let ((join, split), index_s) = timed(|| {
-                (
-                    MergeTree::join(&graph, &field.values),
-                    MergeTree::split(&graph, &field.values),
-                )
-            });
+            // Index: join + split tree from one sort, as the pipeline builds
+            // them (paper: indexing time includes both).
+            let ((join, split), index_s) = timed(|| MergeTree::both(&graph, &field.values));
             // Query: thresholds + both feature classes (paper: querying
             // includes threshold computation and feature identification).
             let (_features, query_s) = timed(|| {
@@ -89,7 +85,7 @@ pub fn run(quick: bool) -> String {
                     .map(|z| season.interval_of(field.step_start(z)))
                     .collect();
                 let th = seasonal_thresholds(&join, &split, field.n_regions, &interval_of_step);
-                FeatureSets::compute(&graph, &field.values, &join, &split, &th)
+                FeatureSets::scan(&field.values, field.n_regions, &th)
             });
             t.row(&[
                 edges.to_string(),

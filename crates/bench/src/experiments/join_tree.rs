@@ -49,7 +49,7 @@ pub fn run(_quick: bool) -> String {
             seen.set(v);
             stack.push(v);
             while let Some(x) = stack.pop() {
-                for &u in g.neighbors(x) {
+                for u in g.neighbors(x) {
                     if set.get(u as usize) && !seen.get(u as usize) {
                         seen.set(u as usize);
                         stack.push(u as usize);

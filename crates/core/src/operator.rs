@@ -14,7 +14,7 @@
 //! interns each distinct such *operand* into an `OperandTable` slot and a
 //! task carries two slot indices. A slot is prepared by the first task that
 //! needs it and read by every other: an `n × m` pair prepares `n + m`
-//! windows (and region-major row sets, and merge trees under custom
+//! windows (and region-major row sets, and threshold scans under custom
 //! thresholds), not `2·n·m`.
 //!
 //! Monte Carlo seeds are derived per task with an explicit FNV-1a over a
@@ -34,9 +34,7 @@ use crate::significance::permutation_p_value;
 use polygamy_obs::Counter;
 use polygamy_stats::permutation::MonteCarlo;
 use polygamy_stdata::ScalarField;
-use polygamy_topology::{
-    sub_level_set, super_level_set, DomainGraph, FeatureClass, FeatureSet, MergeTree,
-};
+use polygamy_topology::{FeatureClass, FeatureSet};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -322,20 +320,10 @@ fn threshold_override<'a>(
     }
 }
 
-/// Recomputes a function's features from user-supplied thresholds using the
-/// merge-tree index.
+/// Recomputes a function's features from user-supplied thresholds: level-set
+/// membership is pointwise (f(v) against θ), so no tree or graph is built.
 fn custom_features(field: &ScalarField, t: &DatasetThresholds) -> FeatureSet {
-    // Level-set membership is pointwise (f(v) against θ), so spatial edges
-    // cannot change the resulting set: an edgeless graph stands in for the
-    // geometry this helper has no access to.
-    let spatial_adjacency: Vec<Vec<u32>> = vec![Vec::new(); field.n_regions];
-    let graph = DomainGraph::new(&spatial_adjacency, field.n_steps);
-    let join = MergeTree::join(&graph, &field.values);
-    let split = MergeTree::split(&graph, &field.values);
-    FeatureSet {
-        pos: super_level_set(&graph, &field.values, &join, t.theta_pos),
-        neg: sub_level_set(&graph, &field.values, &split, t.theta_neg),
-    }
+    FeatureSet::scan(&field.values, t.theta_pos, t.theta_neg)
 }
 
 /// Derives the Monte Carlo seed for one (function pair, class) unit.

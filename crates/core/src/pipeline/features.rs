@@ -1,19 +1,47 @@
 //! Feature Identification job (paper Sections 3 + 5.2, Appendix C).
 //!
-//! Per scalar function: build the domain graph, compute join and split
-//! trees, derive per-seasonal-interval thresholds from persistence, and
-//! extract salient + extreme feature sets. Each function is independent —
-//! a parallel map over [`polygamy_mapreduce`].
+//! Per scalar function: sort the defined vertices once and sweep that
+//! order both ways for the join and split trees, derive
+//! per-seasonal-interval thresholds from persistence, and scan the field
+//! against them for the salient + extreme feature sets. Each function is
+//! independent — a parallel map over [`polygamy_mapreduce`].
 
 use crate::framework::CityGeometry;
 use crate::function::FunctionSpec;
 use crate::index::FunctionEntry;
 use polygamy_mapreduce::{par_map, Cluster};
+use polygamy_obs::{names, Counter};
 use polygamy_stdata::temporal::SeasonalInterval;
 use polygamy_stdata::ScalarField;
 use polygamy_topology::{
     seasonal_thresholds, DomainGraph, FeatureSets, MergeTree, SeasonalThresholds,
 };
+use std::sync::{Arc, OnceLock};
+
+/// Cached registry handles for the per-field metrics of the index build.
+struct IndexMetrics {
+    trees_ns: Arc<Counter>,
+    thresholds_ns: Arc<Counter>,
+    features_ns: Arc<Counter>,
+    fields: Arc<Counter>,
+    vertices: Arc<Counter>,
+    vertices_defined: Arc<Counter>,
+}
+
+fn index_metrics() -> &'static IndexMetrics {
+    static METRICS: OnceLock<IndexMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let r = polygamy_obs::global();
+        IndexMetrics {
+            trees_ns: r.counter(names::INDEX_STAGE_TREES_NS),
+            thresholds_ns: r.counter(names::INDEX_STAGE_THRESHOLDS_NS),
+            features_ns: r.counter(names::INDEX_STAGE_FEATURES_NS),
+            fields: r.counter(names::INDEX_FIELDS),
+            vertices: r.counter(names::INDEX_VERTICES),
+            vertices_defined: r.counter(names::INDEX_VERTICES_DEFINED),
+        }
+    })
+}
 
 /// Computes trees, thresholds and features for one scalar field.
 ///
@@ -25,15 +53,26 @@ pub fn field_features(
     spatial_adjacency: &[Vec<u32>],
     field: &ScalarField,
 ) -> (FeatureSets, SeasonalThresholds, usize) {
-    let graph = DomainGraph::new(spatial_adjacency, field.n_steps);
-    let join = MergeTree::join(&graph, &field.values);
-    let split = MergeTree::split(&graph, &field.values);
-    let season = SeasonalInterval::for_resolution(field.resolution.temporal);
-    let interval_of_step: Vec<i64> = (0..field.n_steps)
-        .map(|z| season.interval_of(field.step_start(z)))
-        .collect();
-    let thresholds = seasonal_thresholds(&join, &split, field.n_regions, &interval_of_step);
-    let features = FeatureSets::compute(&graph, &field.values, &join, &split, &thresholds);
+    let metrics = index_metrics();
+    let (join, split) = metrics.trees_ns.time(|| {
+        let graph = DomainGraph::new(spatial_adjacency, field.n_steps);
+        MergeTree::both(&graph, &field.values)
+    });
+    let thresholds = metrics.thresholds_ns.time(|| {
+        let season = SeasonalInterval::for_resolution(field.resolution.temporal);
+        let interval_of_step: Vec<i64> = (0..field.n_steps)
+            .map(|z| season.interval_of(field.step_start(z)))
+            .collect();
+        seasonal_thresholds(&join, &split, field.n_regions, &interval_of_step)
+    });
+    let features = metrics
+        .features_ns
+        .time(|| FeatureSets::scan(&field.values, field.n_regions, &thresholds));
+
+    metrics.fields.inc();
+    metrics.vertices.add(field.values.len() as u64);
+    let defined = field.values.iter().filter(|x| !x.is_nan()).count();
+    metrics.vertices_defined.add(defined as u64);
     let tree_nodes = join.node_count() + split.node_count();
     (features, thresholds, tree_nodes)
 }

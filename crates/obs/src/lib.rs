@@ -88,6 +88,25 @@ pub mod names {
     /// (counter): `2 · tasks − operands_prepared` per dispatch.
     pub const CORE_OPERAND_REUSES: &str = "core.operand_reuses";
 
+    /// Wall time of the scalar-function job, summed over indexed data sets
+    /// (counter, ns).
+    pub const INDEX_STAGE_SCALAR_NS: &str = "index.stage.scalar_ns";
+    /// Time sorting and sweeping join + split trees, summed over fields —
+    /// thread time: workers add up (counter, ns).
+    pub const INDEX_STAGE_TREES_NS: &str = "index.stage.trees_ns";
+    /// Time deriving seasonal thresholds from the persistence pairs,
+    /// summed over fields (counter, ns).
+    pub const INDEX_STAGE_THRESHOLDS_NS: &str = "index.stage.thresholds_ns";
+    /// Time in the pointwise feature scan, summed over fields (counter, ns).
+    pub const INDEX_STAGE_FEATURES_NS: &str = "index.stage.features_ns";
+    /// Scalar fields run through feature identification (counter).
+    pub const INDEX_FIELDS: &str = "index.fields";
+    /// Domain vertices (`regions × steps`) of those fields (counter).
+    pub const INDEX_VERTICES: &str = "index.vertices";
+    /// The vertices among them that carry a value — what the sort and the
+    /// sweeps actually visit (counter).
+    pub const INDEX_VERTICES_DEFINED: &str = "index.vertices_defined";
+
     /// Bytes read from `.plst` stores through `SegmentSource` (counter).
     pub const STORE_BYTES_FETCHED: &str = "store.bytes_fetched";
     /// Lazy segment faults: segments decoded on demand (counter).
@@ -106,6 +125,12 @@ pub mod names {
     /// Field-blob bytes read, by lazy faults and eager loads alike — the
     /// share of `store.bytes_fetched` that is scalar field values (counter).
     pub const STORE_FIELD_BYTES_FETCHED: &str = "store.field.bytes_fetched";
+    /// Time encoding and checksumming blobs for store writes: every
+    /// segment on a save, the replaced data set's on an upsert (counter, ns).
+    pub const STORE_SAVE_ENCODE_NS: &str = "store.save.encode_ns";
+    /// Time laying out, writing, syncing and renaming store files, the
+    /// verified copy of retained blobs on a rewrite included (counter, ns).
+    pub const STORE_SAVE_WRITE_NS: &str = "store.save.write_ns";
     /// Prefix for per-shard fault counters in a sharded store:
     /// `store.shard.faults.<shard>` counts segment faults served by that
     /// shard file.
@@ -163,6 +188,13 @@ pub mod names {
         CORE_PERMUTATIONS_RUN,
         CORE_OPERANDS_PREPARED,
         CORE_OPERAND_REUSES,
+        INDEX_STAGE_SCALAR_NS,
+        INDEX_STAGE_TREES_NS,
+        INDEX_STAGE_THRESHOLDS_NS,
+        INDEX_STAGE_FEATURES_NS,
+        INDEX_FIELDS,
+        INDEX_VERTICES,
+        INDEX_VERTICES_DEFINED,
         STORE_BYTES_FETCHED,
         STORE_SEGMENT_FAULTS,
         STORE_SEGMENT_CACHE_HITS,
@@ -171,6 +203,8 @@ pub mod names {
         STORE_CHECKSUM_FAILURES,
         STORE_FIELD_FAULTS,
         STORE_FIELD_BYTES_FETCHED,
+        STORE_SAVE_ENCODE_NS,
+        STORE_SAVE_WRITE_NS,
         STORE_SHARD_FAULTS_PREFIX,
         STORE_SHARD_BYTES_FETCHED_PREFIX,
         SERVE_CONNECTIONS_OPENED,

@@ -165,18 +165,37 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         report.per_dataset.len(),
         report.total_secs
     );
+    // Where the time went, from the registry (docs/observability.md).
+    let count = |name| polygamy_obs::global().counter(name).get();
+    let ms = |name| count(name) as f64 / 1e6;
+    println!(
+        "  stages: scalar {:.0} ms wall; trees {:.0} ms, thresholds {:.0} ms, features {:.0} ms \
+         of worker time over {} field(s), {} of {} vertices defined",
+        ms(names::INDEX_STAGE_SCALAR_NS),
+        ms(names::INDEX_STAGE_TREES_NS),
+        ms(names::INDEX_STAGE_THRESHOLDS_NS),
+        ms(names::INDEX_STAGE_FEATURES_NS),
+        count(names::INDEX_FIELDS),
+        count(names::INDEX_VERTICES_DEFINED),
+        count(names::INDEX_VERTICES),
+    );
     let index = dp.index().map_err(|e| e.to_string())?;
     if let Some(n_shards) = n_shards {
         let catalog =
             save_sharded(path, dp.geometry(), index, n_shards).map_err(|e| e.to_string())?;
         print_shard_summary(path, &catalog)?;
-        return Ok(());
+    } else {
+        let store = Store::save(path, dp.geometry(), index).map_err(|e| e.to_string())?;
+        println!(
+            "wrote {path}: {} bytes, {} segments",
+            store.file_bytes().map_err(|e| e.to_string())?,
+            store.manifest().segments.len()
+        );
     }
-    let store = Store::save(path, dp.geometry(), index).map_err(|e| e.to_string())?;
     println!(
-        "wrote {path}: {} bytes, {} segments",
-        store.file_bytes().map_err(|e| e.to_string())?,
-        store.manifest().segments.len()
+        "  save: encode {:.0} ms, write {:.0} ms",
+        ms(names::STORE_SAVE_ENCODE_NS),
+        ms(names::STORE_SAVE_WRITE_NS),
     );
     Ok(())
 }

@@ -7,7 +7,7 @@
 
 use crate::bitvec::{funnel_word, BitVec};
 use crate::graph::DomainGraph;
-use crate::level_set::{sub_level_set_seasonal, super_level_set_seasonal};
+use crate::level_set::threshold_scan;
 use crate::merge_tree::MergeTree;
 use crate::threshold::SeasonalThresholds;
 use serde::Serialize;
@@ -51,6 +51,14 @@ impl FeatureSet {
             pos: BitVec::zeros(n),
             neg: BitVec::zeros(n),
         }
+    }
+
+    /// The features of `values` under one user-given threshold pair:
+    /// `pos = f ≥ θ⁺`, `neg = f ≤ θ⁻`, pointwise (undefined values and NaN
+    /// thresholds yield no features).
+    pub fn scan(values: &[f64], theta_pos: f64, theta_neg: f64) -> Self {
+        let [(pos, neg)] = threshold_scan(values, values.len(), |_| [(theta_pos, theta_neg)]);
+        Self { pos, neg }
     }
 
     /// `Σᵢ` — all feature points (positive or negative). Positive and
@@ -175,29 +183,35 @@ pub struct FeatureSets {
 }
 
 impl FeatureSets {
-    /// Extracts both feature classes using per-seasonal-interval thresholds
-    /// via the merge-tree index (paper Sections 3.2–3.3).
+    /// Extracts both feature classes of the time-major field `values`
+    /// (`n_regions` values per step) under per-seasonal-interval
+    /// thresholds (paper Section 3.3): one pointwise pass, see
+    /// [`crate::level_set`] for why that is the level sets' union.
+    pub fn scan(values: &[f64], n_regions: usize, thresholds: &SeasonalThresholds) -> Self {
+        let [salient, extreme] = threshold_scan(values, n_regions, |z| {
+            let t = thresholds.of_step(z);
+            [
+                (t.salient_pos, t.salient_neg),
+                (t.extreme_pos, t.extreme_neg),
+            ]
+        });
+        let set = |(pos, neg)| FeatureSet { pos, neg };
+        Self {
+            salient: set(salient),
+            extreme: set(extreme),
+        }
+    }
+
+    /// [`FeatureSets::scan`] under the signature the tree-driven extraction
+    /// had; `benchmark/`'s topology probe still calls it.
     pub fn compute(
         graph: &DomainGraph,
         f: &[f64],
-        join: &MergeTree,
-        split: &MergeTree,
+        _join: &MergeTree,
+        _split: &MergeTree,
         thresholds: &SeasonalThresholds,
     ) -> Self {
-        let salient_pos = thresholds.per_step(|t| t.salient_pos);
-        let salient_neg = thresholds.per_step(|t| t.salient_neg);
-        let extreme_pos = thresholds.per_step(|t| t.extreme_pos);
-        let extreme_neg = thresholds.per_step(|t| t.extreme_neg);
-        Self {
-            salient: FeatureSet {
-                pos: super_level_set_seasonal(graph, f, join, &salient_pos),
-                neg: sub_level_set_seasonal(graph, f, split, &salient_neg),
-            },
-            extreme: FeatureSet {
-                pos: super_level_set_seasonal(graph, f, join, &extreme_pos),
-                neg: sub_level_set_seasonal(graph, f, split, &extreme_neg),
-            },
-        }
+        Self::scan(f, graph.n_regions, thresholds)
     }
 
     /// Picks a class.

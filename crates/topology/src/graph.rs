@@ -7,10 +7,15 @@
 //! function regardless of the dimension of the underlying data — the single
 //! representation the paper relies on for supporting all resolutions.
 //!
-//! Stored in compressed-sparse-row form: adjacency for vertex `v` lives in
-//! `edges[offsets[v]..offsets[v+1]]`.
+//! The graph is *implicit*: every time step repeats the same spatial
+//! adjacency and every temporal edge is `v ± n`, so only the spatial
+//! relation over the `n` regions is stored (compressed-sparse-row:
+//! region `x`'s neighbours live in `edges[offsets[x]..offsets[x+1]]`) and
+//! a vertex's adjacency is derived on demand. Building the graph costs
+//! `O(n + |ES per step|)` whatever the number of steps.
 
-/// CSR graph over the spatio-temporal domain.
+/// The spatio-temporal domain graph: a spatial CSR replicated over
+/// `n_steps` time steps, temporal edges implied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainGraph {
     /// Number of spatial regions `n`.
@@ -26,52 +31,15 @@ impl DomainGraph {
     /// sorted neighbour regions) replicated over `n_steps` time steps with
     /// temporal edges linking consecutive steps.
     pub fn new(spatial_adjacency: &[Vec<u32>], n_steps: usize) -> Self {
-        let n = spatial_adjacency.len();
-        let nv = n * n_steps;
-        let mut offsets = Vec::with_capacity(nv + 1);
+        let mut offsets = Vec::with_capacity(spatial_adjacency.len() + 1);
+        let mut edges = Vec::new();
         offsets.push(0u32);
-        // Degree per vertex: spatial degree + temporal degree (1 at the two
-        // boundary steps, 2 inside; 0 when there is a single step).
-        let mut total = 0u32;
-        for z in 0..n_steps {
-            let tdeg = if n_steps <= 1 {
-                0
-            } else if z == 0 || z == n_steps - 1 {
-                1
-            } else {
-                2
-            };
-            for adj in spatial_adjacency {
-                total += (adj.len() + tdeg) as u32;
-                offsets.push(total);
-            }
-        }
-        let mut edges = vec![0u32; total as usize];
-        let mut cursor: Vec<u32> = offsets[..nv].to_vec();
-        let mut push = |cursor: &mut [u32], from: usize, to: u32| {
-            edges[cursor[from] as usize] = to;
-            cursor[from] += 1;
-        };
-        for z in 0..n_steps {
-            let base = z * n;
-            for (x, adj) in spatial_adjacency.iter().enumerate() {
-                let v = base + x;
-                // Temporal predecessor first, then spatial, then successor —
-                // keeps each adjacency list sorted because predecessors have
-                // smaller indices and successors larger.
-                if z > 0 {
-                    push(&mut cursor, v, (v - n) as u32);
-                }
-                for &y in adj {
-                    push(&mut cursor, v, (base + y as usize) as u32);
-                }
-                if z + 1 < n_steps {
-                    push(&mut cursor, v, (v + n) as u32);
-                }
-            }
+        for adj in spatial_adjacency {
+            edges.extend_from_slice(adj);
+            offsets.push(edges.len() as u32);
         }
         Self {
-            n_regions: n,
+            n_regions: spatial_adjacency.len(),
             n_steps,
             offsets,
             edges,
@@ -108,18 +76,31 @@ impl DomainGraph {
 
     /// Number of vertices `n × m`.
     pub fn vertex_count(&self) -> usize {
-        self.offsets.len() - 1
+        self.n_regions * self.n_steps
     }
 
-    /// Number of undirected edges.
+    /// Number of undirected edges: the spatial edges of every step plus
+    /// one temporal edge per region and pair of consecutive steps.
     pub fn edge_count(&self) -> usize {
-        self.edges.len() / 2
+        let temporal = self.n_regions * self.n_steps.saturating_sub(1);
+        (self.edges.len() * self.n_steps + 2 * temporal) / 2
     }
 
-    /// Neighbours of vertex `v`, sorted ascending.
+    /// Neighbours of vertex `v`, ascending: its temporal predecessor
+    /// `v − n`, its spatial neighbours within the step, its temporal
+    /// successor `v + n`.
     #[inline]
-    pub fn neighbors(&self, v: usize) -> &[u32] {
-        &self.edges[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    pub fn neighbors(&self, v: usize) -> impl Iterator<Item = u32> + '_ {
+        let n = self.n_regions;
+        let x = v % n;
+        let base = (v - x) as u32;
+        let before = (v >= n).then(|| (v - n) as u32);
+        let after = (v + n < self.vertex_count()).then(|| (v + n) as u32);
+        let row = &self.edges[self.offsets[x] as usize..self.offsets[x + 1] as usize];
+        before
+            .into_iter()
+            .chain(row.iter().map(move |&y| base + y))
+            .chain(after)
     }
 
     /// Vertex index of `(region, step)`.
@@ -140,14 +121,18 @@ impl DomainGraph {
 mod tests {
     use super::*;
 
+    fn neighbors(g: &DomainGraph, v: usize) -> Vec<u32> {
+        g.neighbors(v).collect()
+    }
+
     #[test]
     fn time_series_chain() {
         let g = DomainGraph::time_series(5);
         assert_eq!(g.vertex_count(), 5);
         assert_eq!(g.edge_count(), 4);
-        assert_eq!(g.neighbors(0), &[1]);
-        assert_eq!(g.neighbors(2), &[1, 3]);
-        assert_eq!(g.neighbors(4), &[3]);
+        assert_eq!(neighbors(&g, 0), [1]);
+        assert_eq!(neighbors(&g, 2), [1, 3]);
+        assert_eq!(neighbors(&g, 4), [3]);
     }
 
     #[test]
@@ -155,7 +140,7 @@ mod tests {
         let g = DomainGraph::new(&[vec![1], vec![0]], 1);
         assert_eq!(g.vertex_count(), 2);
         assert_eq!(g.edge_count(), 1);
-        assert_eq!(g.neighbors(0), &[1]);
+        assert_eq!(neighbors(&g, 0), [1]);
     }
 
     #[test]
@@ -166,7 +151,7 @@ mod tests {
         // Per step: 1 spatial edge ×3; temporal: 2 regions × 2 transitions.
         assert_eq!(g.edge_count(), 3 + 4);
         // Middle vertex (region 0, step 1) = index 2.
-        assert_eq!(g.neighbors(2), &[0, 3, 4]);
+        assert_eq!(neighbors(&g, 2), [0, 3, 4]);
         assert_eq!(g.region_step(2), (0, 1));
         assert_eq!(g.vertex(0, 1), 2);
     }
@@ -179,20 +164,18 @@ mod tests {
         // temporal: 6 regions × 1 transition.
         assert_eq!(g.edge_count(), 14 + 6);
         // Corner (0,0) step 0: right neighbor 1, up neighbor 3, next step 6.
-        assert_eq!(g.neighbors(0), &[1, 3, 6]);
+        assert_eq!(neighbors(&g, 0), [1, 3, 6]);
     }
 
     #[test]
     fn adjacency_sorted_and_symmetric() {
         let g = DomainGraph::grid(4, 4, 3);
         for v in 0..g.vertex_count() {
-            let nbrs = g.neighbors(v);
-            let mut sorted = nbrs.to_vec();
-            sorted.sort_unstable();
-            assert_eq!(sorted.as_slice(), nbrs, "vertex {v} unsorted");
-            for &u in nbrs {
+            let nbrs = neighbors(&g, v);
+            assert!(nbrs.is_sorted(), "vertex {v} unsorted");
+            for &u in &nbrs {
                 assert!(
-                    g.neighbors(u as usize).contains(&(v as u32)),
+                    neighbors(&g, u as usize).contains(&(v as u32)),
                     "edge {v}->{u} not symmetric"
                 );
             }

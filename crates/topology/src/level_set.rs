@@ -7,9 +7,24 @@
 //! vertices belonging to the answer are touched, so query time is linear in
 //! the output size. Sub-level sets are symmetric via the split tree.
 //!
-//! Seasonal variants take a per-time-step threshold (paper Section 3.3,
-//! "Adjusting for Seasonal Variations"): each vertex is compared against
-//! the threshold of the seasonal interval its time step falls in.
+//! # Feature sets are a pointwise scan
+//!
+//! Indexing does not extract its feature sets through the trees. Under one
+//! threshold per seasonal interval (paper Section 3.3, "Adjusting for
+//! Seasonal Variations") the member set is `{v : f(v) ≥ θ(step of v)}`,
+//! and a component of it next to an interval boundary need not contain a
+//! local maximum of `f` — its highest vertex can have a larger neighbour
+//! that fails the *other* interval's threshold — so a flood has to start
+//! from the member vertices of every boundary step as well as from the
+//! leaves. So seeded, it finds every member. Let `w` be the highest vertex
+//! of a component of the member set: each neighbour `u` of `w` outside the
+//! set is undefined, or under `w`'s own threshold (`f(u) < θ ≤ f(w)`), or
+//! across a boundary. If one is across a boundary, `w` is a boundary seed;
+//! if none is, no defined neighbour is higher than `w`, and `w` is a leaf
+//! of the join tree. The flood therefore returns exactly the member set,
+//! which [`crate::FeatureSets::scan`] reads off the values directly —
+//! every feature class in one pass, no tree, no graph. The flood survives
+//! in this module's tests as the scan's reference.
 
 use crate::bitvec::BitVec;
 use crate::graph::DomainGraph;
@@ -27,72 +42,33 @@ pub fn sub_level_set(graph: &DomainGraph, f: &[f64], tree: &MergeTree, theta: f6
     per_step_traverse(graph, f, &tree.leaves, &|v| f[v] <= theta)
 }
 
-/// Super-level set with a per-time-step threshold: vertex `(x, z)` is in
-/// the set iff `f(x, z) >= theta_of_step[z]` (NaN threshold = no features
-/// in that step).
+/// Pointwise feature membership for `K` threshold pairs at once.
 ///
-/// With per-interval thresholds a feature component adjacent to an interval
-/// boundary need not contain a local maximum of `f` (its highest vertex can
-/// have a larger neighbour that fails the *other* interval's threshold), so
-/// the traversal seeds from the tree leaves *and* from member vertices at
-/// interval-boundary steps. The extra seeding costs `O(n_regions ×
-/// boundaries)`, far below the domain size, preserving output sensitivity
-/// in practice.
-pub fn super_level_set_seasonal(
-    graph: &DomainGraph,
-    f: &[f64],
-    tree: &MergeTree,
-    theta_of_step: &[f64],
-) -> BitVec {
-    debug_assert_eq!(theta_of_step.len(), graph.n_steps);
-    let n = graph.n_regions;
-    let member = |v: usize| {
-        let theta = theta_of_step[v / n];
-        !theta.is_nan() && f[v] >= theta
-    };
-    let seeds = seasonal_seeds(graph, theta_of_step, &tree.leaves, &member);
-    per_step_traverse(graph, f, &seeds, &member)
-}
-
-/// Sub-level set with a per-time-step threshold.
-pub fn sub_level_set_seasonal(
-    graph: &DomainGraph,
-    f: &[f64],
-    tree: &MergeTree,
-    theta_of_step: &[f64],
-) -> BitVec {
-    debug_assert_eq!(theta_of_step.len(), graph.n_steps);
-    let n = graph.n_regions;
-    let member = |v: usize| {
-        let theta = theta_of_step[v / n];
-        !theta.is_nan() && f[v] <= theta
-    };
-    let seeds = seasonal_seeds(graph, theta_of_step, &tree.leaves, &member);
-    per_step_traverse(graph, f, &seeds, &member)
-}
-
-/// Tree leaves plus member vertices at steps where the threshold changes.
-fn seasonal_seeds(
-    graph: &DomainGraph,
-    theta_of_step: &[f64],
-    leaves: &[u32],
-    member: &dyn Fn(usize) -> bool,
-) -> Vec<u32> {
-    let n = graph.n_regions;
-    let mut seeds = leaves.to_vec();
-    for z in 1..graph.n_steps {
-        if theta_of_step[z].to_bits() != theta_of_step[z - 1].to_bits() {
-            for x in 0..n {
-                for step in [z - 1, z] {
-                    let v = step * n + x;
-                    if member(v) {
-                        seeds.push(v as u32);
-                    }
-                }
+/// `values` is time-major with `n_regions` values per step, and
+/// `thetas_of_step(z)` gives step `z`'s `(θ⁺, θ⁻)` pairs. Pair `k` of the
+/// result is `(f ≥ θ⁺ₖ, f ≤ θ⁻ₖ)` over all vertices; a NaN on either side
+/// of a comparison is "not a feature".
+pub(crate) fn threshold_scan<const K: usize>(
+    values: &[f64],
+    n_regions: usize,
+    mut thetas_of_step: impl FnMut(usize) -> [(f64, f64); K],
+) -> [(BitVec, BitVec); K] {
+    let n_words = values.len().div_ceil(64);
+    let mut words: [(Vec<u64>, Vec<u64>); K] =
+        std::array::from_fn(|_| (vec![0; n_words], vec![0; n_words]));
+    let mut v = 0usize;
+    for (z, step) in values.chunks(n_regions.max(1)).enumerate() {
+        let thetas = thetas_of_step(z);
+        for &x in step {
+            for ((pos, neg), &(theta_pos, theta_neg)) in words.iter_mut().zip(&thetas) {
+                pos[v / 64] |= u64::from(x >= theta_pos) << (v % 64);
+                neg[v / 64] |= u64::from(x <= theta_neg) << (v % 64);
             }
+            v += 1;
         }
     }
-    seeds
+    let set = |words| BitVec::from_words(v, words).expect("the scan filled exactly `v` bits");
+    words.map(|(pos, neg)| (set(pos), set(neg)))
 }
 
 /// Flood traversal from the extrema that satisfy the membership predicate.
@@ -117,7 +93,7 @@ fn per_step_traverse(
         out.set(lv);
         stack.push(leaf);
         while let Some(v) = stack.pop() {
-            for &u in graph.neighbors(v as usize) {
+            for u in graph.neighbors(v as usize) {
                 let ui = u as usize;
                 if !out.get(ui) && !f[ui].is_nan() && member(ui) {
                     out.set(ui);
@@ -195,7 +171,7 @@ mod tests {
             seen.set(v);
             stack.push(v);
             while let Some(x) = stack.pop() {
-                for &u in g.neighbors(x) {
+                for u in g.neighbors(x) {
                     let ui = u as usize;
                     if set.get(ui) && !seen.get(ui) {
                         seen.set(ui);
@@ -230,15 +206,84 @@ mod tests {
         assert!(!got.get(1));
     }
 
+    /// The tree-driven seasonal extraction the index used before the scan,
+    /// kept as the scan's reference: vertex `(x, z)` is a member iff
+    /// `f(x, z) >= theta_of_step[z]` (NaN threshold = no features in that
+    /// step), found by a flood seeded from the tree leaves *and* from the
+    /// member vertices at interval-boundary steps.
+    fn super_level_set_seasonal(
+        graph: &DomainGraph,
+        f: &[f64],
+        tree: &MergeTree,
+        theta_of_step: &[f64],
+    ) -> BitVec {
+        let n = graph.n_regions;
+        let member = |v: usize| {
+            let theta = theta_of_step[v / n];
+            !theta.is_nan() && f[v] >= theta
+        };
+        let seeds = seasonal_seeds(graph, theta_of_step, &tree.leaves, &member);
+        per_step_traverse(graph, f, &seeds, &member)
+    }
+
+    /// Sub-level counterpart of [`super_level_set_seasonal`].
+    fn sub_level_set_seasonal(
+        graph: &DomainGraph,
+        f: &[f64],
+        tree: &MergeTree,
+        theta_of_step: &[f64],
+    ) -> BitVec {
+        let n = graph.n_regions;
+        let member = |v: usize| {
+            let theta = theta_of_step[v / n];
+            !theta.is_nan() && f[v] <= theta
+        };
+        let seeds = seasonal_seeds(graph, theta_of_step, &tree.leaves, &member);
+        per_step_traverse(graph, f, &seeds, &member)
+    }
+
+    /// Tree leaves plus member vertices at steps where the threshold changes.
+    fn seasonal_seeds(
+        graph: &DomainGraph,
+        theta_of_step: &[f64],
+        leaves: &[u32],
+        member: &dyn Fn(usize) -> bool,
+    ) -> Vec<u32> {
+        let n = graph.n_regions;
+        let mut seeds = leaves.to_vec();
+        for z in 1..graph.n_steps {
+            if theta_of_step[z].to_bits() != theta_of_step[z - 1].to_bits() {
+                for x in 0..n {
+                    for step in [z - 1, z] {
+                        let v = step * n + x;
+                        if member(v) {
+                            seeds.push(v as u32);
+                        }
+                    }
+                }
+            }
+        }
+        seeds
+    }
+
+    /// The scan's super-level side under per-step thresholds, checked
+    /// against the reference flood on the way out.
+    fn scanned_super(g: &DomainGraph, f: &[f64], theta_of_step: &[f64]) -> BitVec {
+        let [(pos, neg)] = threshold_scan(f, g.n_regions, |z| [(theta_of_step[z], f64::NAN)]);
+        let join = MergeTree::join(g, f);
+        assert_eq!(pos, super_level_set_seasonal(g, f, &join, theta_of_step));
+        assert_eq!(neg.count_ones(), 0);
+        pos
+    }
+
     #[test]
     fn seasonal_thresholds_vary_by_step() {
         // One region, 6 steps, two "seasons" of 3 steps each.
         let g = DomainGraph::time_series(6);
         let f = vec![1.0, 5.0, 2.0, 10.0, 50.0, 20.0];
-        let tree = MergeTree::join(&g, &f);
         // Season 1 threshold 4.0, season 2 threshold 40.0.
         let theta = vec![4.0, 4.0, 4.0, 40.0, 40.0, 40.0];
-        let got = super_level_set_seasonal(&g, &f, &tree, &theta);
+        let got = scanned_super(&g, &f, &theta);
         let members: Vec<usize> = got.iter_ones().collect();
         assert_eq!(members, vec![1, 4]);
     }
@@ -247,12 +292,12 @@ mod tests {
     fn seasonal_component_without_local_maximum_is_found() {
         // f increases monotonically; the only local max is the last vertex,
         // which fails its own interval's threshold. The component {0, 1}
-        // has no local max of f and is reachable only via boundary seeding.
+        // has no local max of f: the flood reaches it only via boundary
+        // seeding, the scan without noticing.
         let g = DomainGraph::time_series(4);
         let f = vec![1.0, 2.0, 3.0, 4.0];
-        let tree = MergeTree::join(&g, &f);
         let theta = vec![0.0, 0.0, 100.0, 100.0];
-        let got = super_level_set_seasonal(&g, &f, &tree, &theta);
+        let got = scanned_super(&g, &f, &theta);
         let members: Vec<usize> = got.iter_ones().collect();
         assert_eq!(members, vec![0, 1]);
     }
@@ -261,10 +306,110 @@ mod tests {
     fn seasonal_nan_threshold_blocks_step() {
         let g = DomainGraph::time_series(4);
         let f = vec![10.0, 20.0, 30.0, 40.0];
-        let tree = MergeTree::join(&g, &f);
         let theta = vec![5.0, f64::NAN, 5.0, 5.0];
-        let got = super_level_set_seasonal(&g, &f, &tree, &theta);
+        let got = scanned_super(&g, &f, &theta);
         assert!(got.get(0) && !got.get(1) && got.get(2) && got.get(3));
+    }
+
+    #[test]
+    fn scan_matches_single_theta_level_sets() {
+        // The single-θ form against the paper's tree-driven query, across
+        // word boundaries (130 vertices) and with undefined values.
+        let g = DomainGraph::grid(5, 2, 13);
+        let f: Vec<f64> = (0..g.vertex_count())
+            .map(|v| match (v * 7 + 3) % 11 {
+                10 => f64::NAN,
+                r => r as f64,
+            })
+            .collect();
+        let (join, split) = MergeTree::both(&g, &f);
+        for (theta_pos, theta_neg) in [(8.0, 2.0), (0.0, 9.0), (f64::NAN, 4.0), (11.0, -1.0)] {
+            let [(pos, neg)] = threshold_scan(&f, f.len(), |_| [(theta_pos, theta_neg)]);
+            assert_eq!(pos, super_level_set(&g, &f, &join, theta_pos));
+            assert_eq!(neg, sub_level_set(&g, &f, &split, theta_neg));
+        }
+    }
+
+    #[test]
+    fn scan_of_an_empty_field_is_empty() {
+        for n_regions in [0, 3] {
+            let [(pos, neg)] = threshold_scan(&[], n_regions, |_| [(0.0, 0.0)]);
+            assert!(pos.is_empty() && neg.is_empty());
+        }
+    }
+
+    mod scan_equals_the_seasonal_flood {
+        use super::*;
+        use crate::features::FeatureSets;
+        use crate::threshold::{SeasonalThresholds, Thresholds};
+        use proptest::prelude::*;
+
+        /// Decodes a drawn byte: small integers (long tie runs, thresholds
+        /// hit exactly), `-0.0`, and NaN twice as often as any of them.
+        fn value(code: u8) -> f64 {
+            match code {
+                0..=8 => f64::from(code) - 4.0,
+                9 => -0.0,
+                _ => f64::NAN,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// All four feature sets of the fused scan equal the four
+            /// floods, on 2-D fields with undefined values, NaN thresholds,
+            /// an interval without thresholds and arbitrary boundaries.
+            #[test]
+            fn on_random_fields(
+                nx in 1usize..4,
+                ny in 1usize..3,
+                n_steps in 1usize..9,
+                values in prop::collection::vec(0u8..12, 6 * 8),
+                intervals in prop::collection::vec(0i64..4, 8),
+                thetas in prop::collection::vec(0u8..12, 3 * 4),
+            ) {
+                let values: Vec<f64> = values.iter().map(|&code| value(code)).collect();
+                let per_interval = thetas
+                    .chunks(4)
+                    .map(|t| Thresholds {
+                        salient_pos: value(t[0]),
+                        salient_neg: value(t[1]),
+                        extreme_pos: value(t[2]),
+                        extreme_neg: value(t[3]),
+                    })
+                    .collect();
+                let g = DomainGraph::grid(nx, ny, n_steps);
+                let f = &values[..g.vertex_count()];
+                // Interval 3 has no entry: its steps carry no features.
+                let thresholds = SeasonalThresholds {
+                    interval_of_step: intervals[..n_steps].to_vec(),
+                    interval_ids: vec![0, 1, 2],
+                    per_interval,
+                };
+                let (join, split) = MergeTree::both(&g, f);
+                let per_step = |pick: fn(&Thresholds) -> f64| -> Vec<f64> {
+                    (0..n_steps).map(|z| pick(&thresholds.of_step(z))).collect()
+                };
+                let got = FeatureSets::scan(f, g.n_regions, &thresholds);
+                prop_assert_eq!(
+                    got.salient.pos,
+                    super_level_set_seasonal(&g, f, &join, &per_step(|t| t.salient_pos))
+                );
+                prop_assert_eq!(
+                    got.salient.neg,
+                    sub_level_set_seasonal(&g, f, &split, &per_step(|t| t.salient_neg))
+                );
+                prop_assert_eq!(
+                    got.extreme.pos,
+                    super_level_set_seasonal(&g, f, &join, &per_step(|t| t.extreme_pos))
+                );
+                prop_assert_eq!(
+                    got.extreme.neg,
+                    sub_level_set_seasonal(&g, f, &split, &per_step(|t| t.extreme_neg))
+                );
+            }
+        }
     }
 
     #[test]

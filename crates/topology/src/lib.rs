@@ -5,20 +5,22 @@
 //! their neighbourhood — using computational topology. This crate implements
 //! that machinery over arbitrary planar domain graphs:
 //!
-//! * [`graph`] — the CSR domain graph `G = (V, ES ∪ ET)` of paper
-//!   Section 3.1: spatial region adjacency replicated per time step plus
-//!   temporal edges between consecutive steps;
+//! * [`graph`] — the domain graph `G = (V, ES ∪ ET)` of paper
+//!   Section 3.1, kept implicit: the spatial region adjacency is stored
+//!   once, its replication per time step and the temporal edges between
+//!   consecutive steps are derived;
 //! * [`union_find`] — the union-find structure behind merge-tree
-//!   construction;
+//!   construction, one payload per set;
 //! * [`merge_tree`] — join/split trees computed by the paper's Procedure
-//!   *ComputeJoinTree* in `O(N log N + N α(N))`, with creator–destroyer
-//!   persistence pairing recorded during the sweep;
+//!   *ComputeJoinTree* in `O(N log N + N α(N))`, both from one sorted
+//!   order, with creator–destroyer persistence pairing recorded during
+//!   the sweep;
 //! * [`persistence`] — persistence pairs (paper Figure 5);
 //! * [`threshold`] — automatic feature thresholds: exact 1-D 2-means over
 //!   persistence values for *salient* features, box-plot outlier fences for
 //!   *extreme* features, per seasonal interval (paper Section 3.3);
 //! * [`level_set`] — output-sensitive super-/sub-level-set extraction
-//!   (paper Section 3.2);
+//!   (paper Section 3.2), and the pointwise scan indexing uses instead;
 //! * [`features`] — positive/negative feature sets as packed bit vectors;
 //! * [`bitvec`] — the packed bit-set representation (paper Appendix C).
 

@@ -3,7 +3,9 @@
 //! The *join tree* tracks connected components of super-level sets as the
 //! function value decreases; the *split tree* tracks sub-level sets as it
 //! increases. Both are computed by one sweep over the vertices in sweep
-//! order with a union-find, in `O(N log N + N α(N))`.
+//! order with a union-find, in `O(N log N + N α(N))`. The split order is
+//! the join order reversed, so [`MergeTree::both`] sorts once and sweeps
+//! the one order in both directions.
 //!
 //! Morse-condition handling (paper Appendix B.1): PL functions on graphs
 //! routinely violate the "distinct critical values" condition, so we impose
@@ -26,6 +28,7 @@
 use crate::error::{Error, Result};
 use crate::graph::DomainGraph;
 use crate::persistence::PersistencePair;
+use crate::union_find::UnionFind;
 
 /// Which merge tree to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,12 +82,23 @@ pub struct MergeTree {
 impl MergeTree {
     /// Computes the join tree of `f` over `graph`.
     pub fn join(graph: &DomainGraph, f: &[f64]) -> Self {
-        Self::compute(graph, f, Direction::Join)
+        Self::sweep(graph, f, Direction::Join, &ascending_order(f))
     }
 
     /// Computes the split tree of `f` over `graph`.
     pub fn split(graph: &DomainGraph, f: &[f64]) -> Self {
-        Self::compute(graph, f, Direction::Split)
+        Self::sweep(graph, f, Direction::Split, &ascending_order(f))
+    }
+
+    /// Computes the join and the split tree of `f` over `graph` from one
+    /// sort: `(join, split)`, each equal to what [`MergeTree::join`] and
+    /// [`MergeTree::split`] return.
+    pub fn both(graph: &DomainGraph, f: &[f64]) -> (Self, Self) {
+        let order = ascending_order(f);
+        (
+            Self::sweep(graph, f, Direction::Join, &order),
+            Self::sweep(graph, f, Direction::Split, &order),
+        )
     }
 
     /// Number of critical points.
@@ -116,154 +130,118 @@ impl MergeTree {
             .ok_or(Error::MissingPair { extremum })
     }
 
-    fn compute(graph: &DomainGraph, f: &[f64], direction: Direction) -> Self {
+    /// One sweep over `order` (ascending; see [`ascending_order`]): forwards
+    /// for the split tree, backwards for the join tree.
+    fn sweep(graph: &DomainGraph, f: &[f64], direction: Direction, order: &[(u64, u32)]) -> Self {
         let nv = graph.vertex_count();
         assert_eq!(f.len(), nv, "function length must match vertex count");
+        let swept = |pos: usize| match direction {
+            Direction::Join => order[order.len() - 1 - pos].1,
+            Direction::Split => order[pos].1,
+        };
 
-        // Sweep order with simulated-perturbation tie-breaking: descending
-        // (value, index) for join trees, ascending for split trees.
-        let mut order: Vec<u32> = (0..nv as u32)
-            .filter(|&v| !f[v as usize].is_nan())
-            .collect();
-        match direction {
-            Direction::Join => order
-                .sort_unstable_by(|&a, &b| f[b as usize].total_cmp(&f[a as usize]).then(b.cmp(&a))),
-            Direction::Split => order
-                .sort_unstable_by(|&a, &b| f[a as usize].total_cmp(&f[b as usize]).then(a.cmp(&b))),
-        }
-        const UNSEEN: u32 = u32::MAX;
-        let mut rank = vec![UNSEEN; nv];
-        for (pos, &v) in order.iter().enumerate() {
-            rank[v as usize] = pos as u32;
-        }
-
-        let mut uf = crate::union_find::UnionFind::new(nv);
-        // Per-component state, stored at the union-find representative.
-        let mut creator = vec![UNSEEN; nv]; // leaf vertex that created the component
-        let mut head = vec![UNSEEN; nv]; // node index of last critical point
-        let mut lowest = vec![UNSEEN; nv]; // last vertex swept in the component
-
+        // The swept vertices, partitioned into the components of the
+        // current level set.
+        let mut components: UnionFind<Component> = UnionFind::new(nv);
         let mut nodes: Vec<TreeNode> = Vec::new();
         let mut arcs: Vec<(u32, u32)> = Vec::new();
         let mut pairs: Vec<PersistencePair> = Vec::new();
         let mut leaves: Vec<u32> = Vec::new();
         let mut roots_scratch: Vec<u32> = Vec::new();
+        let pair = |extremum: u32, partner: u32| PersistencePair {
+            extremum,
+            partner,
+            birth: f[extremum as usize],
+            death: f[partner as usize],
+        };
 
-        for (pos, &v) in order.iter().enumerate() {
-            let pos = pos as u32;
+        for pos in 0..order.len() {
+            let v = swept(pos);
             // Distinct components among already-swept neighbours.
             roots_scratch.clear();
-            for &u in graph.neighbors(v as usize) {
-                if rank[u as usize] < pos {
-                    let r = uf.find(u);
+            for u in graph.neighbors(v as usize) {
+                if components.contains(u) {
+                    let r = components.find(u);
                     if !roots_scratch.contains(&r) {
                         roots_scratch.push(r);
                     }
                 }
             }
-            match roots_scratch.len() {
-                0 => {
+            let node = nodes.len() as u32;
+            let critical = |kind| TreeNode {
+                vertex: v,
+                value: f[v as usize],
+                kind,
+            };
+            match roots_scratch[..] {
+                [] => {
                     // v is an extremum: creator of a new component.
-                    let node = nodes.len() as u32;
-                    nodes.push(TreeNode {
-                        vertex: v,
-                        value: f[v as usize],
-                        kind: NodeKind::Leaf,
-                    });
+                    nodes.push(critical(NodeKind::Leaf));
                     leaves.push(v);
-                    creator[v as usize] = v;
-                    head[v as usize] = node;
-                    lowest[v as usize] = v;
+                    let born = Component {
+                        creator: v,
+                        born: pos as u32,
+                        head: node,
+                        lowest: v,
+                    };
+                    components.insert(v, born);
                 }
-                1 => {
+                [r] => {
                     // Regular vertex: extend the component.
-                    let r = roots_scratch[0];
-                    let (c, h) = (creator[r as usize], head[r as usize]);
-                    let nr = uf.union(r, v);
-                    creator[nr as usize] = c;
-                    head[nr as usize] = h;
-                    lowest[nr as usize] = v;
+                    components.attach(v, r);
+                    components.payload_mut(r).lowest = v;
                 }
                 _ => {
                     // Saddle: merge all components meeting at v. The
-                    // survivor is the eldest creator (smallest sweep rank);
-                    // every younger creator is paired with v.
-                    let node = nodes.len() as u32;
-                    nodes.push(TreeNode {
-                        vertex: v,
-                        value: f[v as usize],
-                        kind: NodeKind::Saddle,
-                    });
-                    let mut eldest = roots_scratch[0];
-                    for &r in &roots_scratch[1..] {
-                        if rank[creator[r as usize] as usize]
-                            < rank[creator[eldest as usize] as usize]
-                        {
-                            eldest = r;
-                        }
-                    }
-                    let surviving_creator = creator[eldest as usize];
+                    // survivor is the eldest creator (earliest in the
+                    // sweep); every younger creator is paired with v.
+                    nodes.push(critical(NodeKind::Saddle));
+                    let eldest = roots_scratch
+                        .iter()
+                        .map(|&r| *components.payload(r))
+                        .min_by_key(|c| c.born)
+                        .expect("a saddle joins components");
+                    let mut merged = roots_scratch[0];
                     for &r in &roots_scratch {
-                        arcs.push((head[r as usize], node));
-                        let c = creator[r as usize];
-                        if c != surviving_creator {
-                            pairs.push(PersistencePair {
-                                extremum: c,
-                                partner: v,
-                                birth: f[c as usize],
-                                death: f[v as usize],
-                            });
+                        let c = *components.payload(r);
+                        arcs.push((c.head, node));
+                        if c.creator != eldest.creator {
+                            pairs.push(pair(c.creator, v));
                         }
+                        merged = components.union(merged, r);
                     }
-                    let mut nr = uf.union(roots_scratch[0], v);
-                    for &r in &roots_scratch[1..] {
-                        nr = uf.union(nr, r);
-                    }
-                    creator[nr as usize] = surviving_creator;
-                    head[nr as usize] = node;
-                    lowest[nr as usize] = v;
+                    components.attach(v, merged);
+                    *components.payload_mut(merged) = Component {
+                        head: node,
+                        lowest: v,
+                        ..eldest
+                    };
                 }
             }
         }
 
         // Close the essential pair of every connected component: its creator
         // (global extremum of the piece) pairs with the piece's final swept
-        // vertex.
-        let mut seen_roots: Vec<u32> = Vec::new();
-        for &v in &order {
-            let r = uf.find(v);
-            if seen_roots.contains(&r) {
+        // vertex. A piece's first swept vertex is the leaf that ends up as
+        // its creator, so the leaves that still own their component are the
+        // pieces, in the order the sweep met them.
+        for &leaf in &leaves {
+            let root = components.find(leaf);
+            let piece = *components.payload(root);
+            if piece.creator != leaf {
                 continue;
             }
-            seen_roots.push(r);
-            let c = creator[r as usize];
-            let low = lowest[r as usize];
-            pairs.push(PersistencePair {
-                extremum: c,
-                partner: low,
-                birth: f[c as usize],
-                death: f[low as usize],
-            });
-            if low != c {
-                // The final vertex becomes the root node unless it already
-                // is one (a saddle that happened to end the sweep).
-                let existing = nodes.iter().position(|n| n.vertex == low);
-                let root_node = match existing {
-                    Some(idx) => idx as u32,
-                    None => {
-                        let idx = nodes.len() as u32;
-                        nodes.push(TreeNode {
-                            vertex: low,
-                            value: f[low as usize],
-                            kind: NodeKind::Root,
-                        });
-                        idx
-                    }
-                };
-                let h = head[r as usize];
-                if h != root_node {
-                    arcs.push((h, root_node));
-                }
+            pairs.push(pair(leaf, piece.lowest));
+            // The final vertex becomes the root node unless it already is a
+            // node: a lone leaf, or a saddle that ended the sweep — which is
+            // then the component's last critical point, its head.
+            if nodes[piece.head as usize].vertex != piece.lowest {
+                arcs.push((piece.head, nodes.len() as u32));
+                nodes.push(TreeNode {
+                    vertex: piece.lowest,
+                    value: f[piece.lowest as usize],
+                    kind: NodeKind::Root,
+                });
             }
         }
 
@@ -275,6 +253,43 @@ impl MergeTree {
             leaves,
         }
     }
+}
+
+/// What the sweep knows about one component of the current level set.
+#[derive(Debug, Clone, Copy)]
+struct Component {
+    /// Leaf vertex that created the component (of the eldest one merged in).
+    creator: u32,
+    /// Sweep position of `creator`.
+    born: u32,
+    /// Node index of the component's last critical point.
+    head: u32,
+    /// Last vertex swept in the component.
+    lowest: u32,
+}
+
+/// Maps a value to a `u64` whose unsigned order is `f64::total_cmp`'s.
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    // Negative values: flip everything (larger magnitude sorts lower);
+    // positive values: move above every negative.
+    bits ^ (((bits as i64 >> 63) as u64) | (1 << 63))
+}
+
+/// The defined (non-NaN) vertices as `(key, vertex)` in ascending
+/// simulated-perturbation order — value by `total_cmp`, ties by vertex
+/// index — which is the split tree's sweep order and the join tree's
+/// reversed. Keys compare as plain integers, and the stable sort keeps the
+/// index order it starts from within a tie.
+fn ascending_order(f: &[f64]) -> Vec<(u64, u32)> {
+    let mut order: Vec<(u64, u32)> = f
+        .iter()
+        .enumerate()
+        .filter(|(_, x)| !x.is_nan())
+        .map(|(v, &x)| (total_order_key(x), v as u32))
+        .collect();
+    order.sort_by_key(|&(key, _)| key);
+    order
 }
 
 #[cfg(test)]
@@ -482,6 +497,74 @@ mod tests {
         ));
         // A leaf's pair is found.
         assert_eq!(t.pair_of(7).unwrap().extremum, 7);
+    }
+
+    #[test]
+    fn many_small_components_close_in_linear_time() {
+        // Regression: the essential-pair closers searched a list of seen
+        // roots and the node list linearly — O(N · components). Every third
+        // step undefined makes 133,333 two-vertex islands, each closing
+        // with a root node distinct from its creator: ~14 s in release
+        // (minutes unoptimised) before the fix, well under a second after.
+        let n = 400_000;
+        let f: Vec<f64> = (0..n)
+            .map(|i| match i % 3 {
+                0 => f64::NAN,
+                _ => ((i * 2_654_435_761) % 1_000) as f64,
+            })
+            .collect();
+        let islands = n / 3;
+        let (join, split) = MergeTree::both(&DomainGraph::time_series(n), &f);
+        for tree in [join, split] {
+            assert_eq!(tree.leaves.len(), islands);
+            assert_eq!(tree.pairs.len(), islands);
+            assert_eq!(tree.node_count(), 2 * islands);
+            assert_eq!(tree.arc_count(), islands);
+        }
+    }
+
+    #[test]
+    fn keyed_order_equals_the_comparator_order() {
+        // The sweep order used to come from sorting vertex indices through
+        // `f[..]` with `total_cmp`, ties by index — descending for the join
+        // tree, ascending for the split tree. The keyed order must be that
+        // order on every kind of value `total_cmp` tells apart.
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 4.0, // subnormal
+            -f64::MIN_POSITIVE / 4.0,
+            5e-324,
+            f64::MAX,
+            f64::MIN,
+            1.5,
+            -1.5,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let mut f: Vec<f64> = (0..600)
+            .map(|i| specials[(i * 7) % specials.len()])
+            .collect();
+        f.extend(std::iter::repeat_n(0.0, 200)); // a long tie run
+        f.extend((0..200).map(|i| f64::from(i % 5) - 2.0));
+        let defined = || (0..f.len() as u32).filter(|&v| !f[v as usize].is_nan());
+        let mut descending: Vec<u32> = defined().collect();
+        descending
+            .sort_unstable_by(|&a, &b| f[b as usize].total_cmp(&f[a as usize]).then(b.cmp(&a)));
+        let mut ascending: Vec<u32> = defined().collect();
+        ascending
+            .sort_unstable_by(|&a, &b| f[a as usize].total_cmp(&f[b as usize]).then(a.cmp(&b)));
+
+        let keyed: Vec<u32> = ascending_order(&f).iter().map(|&(_, v)| v).collect();
+        assert_eq!(keyed, ascending);
+        assert!(keyed.iter().rev().eq(&descending));
+        // And through the public surface: without edges every defined
+        // vertex is a leaf, so the leaves are the sweep order.
+        let edgeless = DomainGraph::new(&vec![Vec::new(); f.len()], 1);
+        assert_eq!(MergeTree::join(&edgeless, &f).leaves, descending);
+        assert_eq!(MergeTree::split(&edgeless, &f).leaves, ascending);
     }
 
     #[test]

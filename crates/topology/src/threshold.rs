@@ -121,16 +121,14 @@ pub struct SeasonalThresholds {
 }
 
 impl SeasonalThresholds {
-    /// Expands one side of the thresholds to a per-step array suitable for
-    /// the seasonal level-set queries.
-    pub fn per_step(&self, pick: impl Fn(&Thresholds) -> f64) -> Vec<f64> {
-        self.interval_of_step
-            .iter()
-            .map(|id| match self.interval_ids.iter().position(|x| x == id) {
-                Some(idx) => pick(&self.per_interval[idx]),
-                None => f64::NAN,
-            })
-            .collect()
+    /// The thresholds in force at time step `z`: those of its interval, or
+    /// [`Thresholds::none`] when the interval has no entry.
+    pub fn of_step(&self, z: usize) -> Thresholds {
+        let id = self.interval_of_step[z];
+        match self.interval_ids.iter().position(|&x| x == id) {
+            Some(idx) => self.per_interval[idx],
+            None => Thresholds::none(),
+        }
     }
 }
 
@@ -291,13 +289,13 @@ mod tests {
         let interval_of_step: Vec<i64> = (0..200).map(|z| if z < 100 { 0 } else { 1 }).collect();
         let st = seasonal_thresholds(&join, &split, 1, &interval_of_step);
         assert_eq!(st.interval_ids, vec![0, 1]);
-        let pos = st.per_step(|t| t.salient_pos);
+        let pos = |z| st.of_step(z).salient_pos;
         // Season 0 threshold should be near 8; season 1 near 108.
-        assert!(pos[0] > 1.0 && pos[0] <= 8.0, "season 0: {}", pos[0]);
+        assert!(pos(0) > 1.0 && pos(0) <= 8.0, "season 0: {}", pos(0));
         assert!(
-            pos[150] > 101.0 && pos[150] <= 108.0,
+            pos(150) > 101.0 && pos(150) <= 108.0,
             "season 1: {}",
-            pos[150]
+            pos(150)
         );
     }
 
@@ -313,8 +311,7 @@ mod tests {
                 extreme_neg: -1.0,
             }],
         };
-        let pos = st.per_step(|t| t.salient_pos);
-        assert_eq!(pos[0], 1.0);
-        assert!(pos[2].is_nan());
+        assert_eq!(st.of_step(0).salient_pos, 1.0);
+        assert!(st.of_step(2).salient_pos.is_nan());
     }
 }
