@@ -11,12 +11,21 @@
 //! 3. persistence-derived thresholds vs fixed quantile thresholds —
 //!    threshold computation cost;
 //! 4. the store's word-wise blob checksum vs the byte-serial FNV-1a it
-//!    replaced in store format 2, over 1 MB.
+//!    replaced in store format 2, over 1 MB;
+//! 5. the store's field codec (format 3) vs the raw `f64` words it
+//!    replaced, on three real fields of the urban corpus — a neighbourhood
+//!    density layer (sparse counts), a neighbourhood attribute layer
+//!    (mostly undefined reals) and a city-level attribute series (dense
+//!    reals, the incompressible case). Throughput is raw-side: 8 bytes
+//!    per value on every line.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use polygamy_core::Fnv1a;
+use polygamy_core::{Config, DataPolygamy, Fnv1a};
+use polygamy_datagen::{urban_collection, UrbanConfig};
 use polygamy_stats::permutation::GraphShifter;
 use polygamy_stats::quantile;
+use polygamy_stdata::{FunctionKind, Resolution, SpatialResolution, TemporalResolution};
+use polygamy_store::codec::{decode_field, encode_field};
 use polygamy_topology::{super_level_set, BitVec, DomainGraph, FeatureSet, MergeTree};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -155,10 +164,94 @@ fn bench_checksum(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_field_codec(c: &mut Criterion) {
+    // One year of the urban corpus's taxi and weather data sets, indexed.
+    let collection = urban_collection(UrbanConfig {
+        n_years: 1,
+        scale: 0.02,
+        extra_weather_attrs: 0,
+        ..UrbanConfig::default()
+    });
+    let mut dp = DataPolygamy::new(collection.geometry().clone(), Config::default());
+    for d in &collection.datasets {
+        if ["taxi", "weather"].contains(&d.meta.name.as_str()) {
+            dp.add_dataset(d.clone());
+        }
+    }
+    dp.build_index();
+    let index = dp.index().expect("index built");
+    let field_of = |dataset: &str, attribute: bool, spatial| {
+        let resolution = Resolution::new(spatial, TemporalResolution::Hour);
+        let entry = index
+            .functions
+            .iter()
+            .find(|f| {
+                f.spec.dataset == dataset
+                    && f.resolution == resolution
+                    && matches!(f.spec.kind, FunctionKind::Attribute { .. }) == attribute
+            })
+            .expect("the urban corpus has this function");
+        entry
+            .field
+            .as_ref()
+            .expect("indexing keeps fields")
+            .values
+            .as_slice()
+    };
+    let fields = [
+        (
+            "neighborhood_density",
+            field_of("taxi", false, SpatialResolution::Neighborhood),
+        ),
+        (
+            "neighborhood_attribute",
+            field_of("taxi", true, SpatialResolution::Neighborhood),
+        ),
+        (
+            "city_series",
+            field_of("weather", true, SpatialResolution::City),
+        ),
+    ];
+    for (label, values) in fields {
+        let blob = encode_field(values);
+        let raw: Vec<u8> = values
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .collect();
+        let mut group = c.benchmark_group(format!("field_codec/{label}"));
+        group.throughput(Throughput::Bytes(raw.len() as u64));
+        group.bench_function("encode", |b| b.iter(|| encode_field(values)));
+        group.bench_function("decode", |b| {
+            b.iter(|| decode_field(&blob, values.len(), label))
+        });
+        // What format 2 did with the same field: copy the words out and
+        // checksum them; checksum them and copy the words in.
+        group.bench_function("raw_words_write", |b| {
+            b.iter(|| {
+                let mut bytes = Vec::with_capacity(values.len() * 8);
+                for v in values {
+                    bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+                }
+                (polygamy_store::blob_checksum(&bytes), bytes)
+            })
+        });
+        group.bench_function("raw_words_read", |b| {
+            b.iter(|| {
+                let words = raw.chunks_exact(8).map(|w| w.try_into().expect("8 bytes"));
+                let values: Vec<f64> = words
+                    .map(|w| f64::from_bits(u64::from_le_bytes(w)))
+                    .collect();
+                (polygamy_store::blob_checksum(&raw), values)
+            })
+        });
+        group.finish();
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_index_vs_scan, bench_restricted_vs_naive_mc, bench_threshold_strategies,
-        bench_checksum
+        bench_checksum, bench_field_codec
 }
 criterion_main!(benches);

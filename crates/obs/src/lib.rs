@@ -131,6 +131,12 @@ pub mod names {
     /// Time laying out, writing, syncing and renaming store files, the
     /// verified copy of retained blobs on a rewrite included (counter, ns).
     pub const STORE_SAVE_WRITE_NS: &str = "store.save.write_ns";
+    /// Raw size of the scalar fields encoded for store writes: 8 bytes per
+    /// value (counter).
+    pub const STORE_SAVE_FIELD_RAW_BYTES: &str = "store.save.field_raw_bytes";
+    /// Size of the field blobs those fields were encoded to — what the
+    /// field codec left of `store.save.field_raw_bytes` (counter).
+    pub const STORE_SAVE_FIELD_STORED_BYTES: &str = "store.save.field_stored_bytes";
     /// Prefix for per-shard fault counters in a sharded store:
     /// `store.shard.faults.<shard>` counts segment faults served by that
     /// shard file.
@@ -205,6 +211,8 @@ pub mod names {
         STORE_FIELD_BYTES_FETCHED,
         STORE_SAVE_ENCODE_NS,
         STORE_SAVE_WRITE_NS,
+        STORE_SAVE_FIELD_RAW_BYTES,
+        STORE_SAVE_FIELD_STORED_BYTES,
         STORE_SHARD_FAULTS_PREFIX,
         STORE_SHARD_BYTES_FETCHED_PREFIX,
         SERVE_CONNECTIONS_OPENED,

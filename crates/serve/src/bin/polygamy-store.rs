@@ -192,10 +192,15 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
             store.manifest().segments.len()
         );
     }
+    let (raw, stored) = (
+        count(names::STORE_SAVE_FIELD_RAW_BYTES),
+        count(names::STORE_SAVE_FIELD_STORED_BYTES),
+    );
     println!(
-        "  save: encode {:.0} ms, write {:.0} ms",
+        "  save: encode {:.0} ms, write {:.0} ms, fields {raw} → {stored} bytes (÷{:.1})",
         ms(names::STORE_SAVE_ENCODE_NS),
         ms(names::STORE_SAVE_WRITE_NS),
+        raw as f64 / stored.max(1) as f64,
     );
     Ok(())
 }
@@ -282,7 +287,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
     let header = store.header();
     let manifest = store.manifest();
     println!(
-        "store {path}: format v{}, {} bytes on disk",
+        "store {path}: format {}, {} bytes on disk",
         header.version,
         store.file_bytes().map_err(|e| e.to_string())?
     );
@@ -361,7 +366,7 @@ fn cmd_inspect_sharded(path: &str, verify: bool) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let catalog = lazy.shard_catalog();
     println!(
-        "shard catalog {path}: format v{SHARD_CATALOG_VERSION}, {} data set(s) over {} shard(s)",
+        "shard catalog {path}: format {SHARD_CATALOG_VERSION}, {} data set(s) over {} shard(s)",
         catalog.datasets.len(),
         catalog.n_shards()
     );

@@ -4,14 +4,17 @@
 //! patterns (NaN thresholds round-trip exactly); strings and sequences are
 //! length-prefixed. Enums travel as the stable one-byte wire codes exposed
 //! by `polygamy_stdata` — never as `#[derive]`d discriminants, which are an
-//! implementation detail of the Rust compiler.
+//! implementation detail of the Rust compiler. A function's scalar field —
+//! most of what an index would otherwise weigh — is the one structure that
+//! travels compressed: [`encode_field`] run-length codes its values,
+//! losslessly, as words or as varint counts.
 //!
 //! Decoding is total: any byte sequence either decodes to a valid structure
 //! or yields a typed [`StoreError`]. The decoder therefore checks every
 //! length against the remaining payload, validates enum codes, and verifies
-//! structural invariants (bit-vector word counts, field value counts) that
-//! a crafted or corrupted payload could violate even with a matching
-//! checksum.
+//! structural invariants (bit-vector word counts, field token lengths and
+//! value counts) that a crafted or corrupted payload could violate even
+//! with a matching checksum.
 
 use crate::error::{Result, StoreError};
 use polygamy_core::index::FunctionEntry;
@@ -79,9 +82,30 @@ impl Enc {
         self.u64(v.to_bits());
     }
 
+    /// Appends `values` as their bit patterns in one resize — the bulk
+    /// form of [`Enc::f64`], read back by [`Dec::words`].
+    pub fn f64s(&mut self, values: &[f64]) {
+        let at = self.buf.len();
+        self.buf.resize(at + 8 * values.len(), 0);
+        for (word, v) in self.buf[at..].chunks_exact_mut(8).zip(values) {
+            word.copy_from_slice(&v.to_bits().to_le_bytes());
+        }
+    }
+
     /// Appends a `usize` widened to `u64`.
     pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
+    }
+
+    /// Appends a `u64` as an unsigned LEB128 varint: seven bits per byte,
+    /// least significant group first, the high bit set on every byte but
+    /// the last — always the shortest form (1 to 10 bytes).
+    pub fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
     }
 
     /// Appends a length-prefixed UTF-8 string.
@@ -175,6 +199,25 @@ impl<'a> Dec<'a> {
             .take(len)?
             .chunks_exact(8)
             .map(|w| u64::from_le_bytes(w.try_into().expect("8"))))
+    }
+
+    /// Reads an unsigned LEB128 varint (see [`Enc::varint`]). Padded forms
+    /// decode to the value they spell; more than 10 bytes, or a tenth byte
+    /// carrying bits beyond the 64th, is corruption — never a wrapped value.
+    pub fn varint(&mut self) -> Result<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.u8()?;
+            let bits = u64::from(byte & 0x7f);
+            if shift == 63 && bits > 1 {
+                return Err(self.corrupt("varint overflows 64 bits"));
+            }
+            v |= bits << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(self.corrupt("varint longer than 10 bytes"))
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -403,15 +446,165 @@ fn dec_seasonal(d: &mut Dec<'_>, n_steps: usize) -> Result<SeasonalThresholds> {
     })
 }
 
-/// Encodes a field blob: the `n_regions × n_steps` values as IEEE-754 bit
-/// patterns and nothing else — the shape lives in the entry's hot blob.
-fn enc_field(field: &ScalarField) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.reserve(field.values.len() * 8);
-    for &v in &field.values {
-        e.f64(v);
+/// Field blob mode `words`: a value is its 8-byte little-endian IEEE-754
+/// bit pattern.
+const MODE_WORDS: u8 = 0;
+
+/// Field blob mode `counts`: a value is `LEB128(v + 1)`, `0` standing for
+/// the canonical NaN.
+const MODE_COUNTS: u8 = 1;
+
+/// The largest value mode `counts` represents; its code is `2³² + 1`.
+const MAX_COUNT: u64 = 1 << 32;
+
+/// The one NaN mode `counts` represents, as code 0: the quiet NaN with an
+/// empty payload, which is what `f64::NAN` — the indexer's "no value" —
+/// is on every current target. Spelled out because the format must not
+/// move if that constant ever does (such fields would travel as `words`).
+const CANONICAL_NAN: u64 = 0x7FF8_0000_0000_0000;
+
+/// Shortest run of identical bit patterns the encoder writes as a run
+/// token, per mode. A `words` run costs 9 bytes against 8 per literal
+/// value, so two already pay. A `counts` value is mostly one byte and a
+/// run that interrupts a literal stretch also costs the header of the
+/// stretch resuming after it, so a pair is left literal; on the urban
+/// benchmark corpus 3 stores 4,716,703 field bytes, 2 and 4 store 4,723,013
+/// and 4,755,259.
+const MIN_RUN_WORDS: usize = 2;
+const MIN_RUN_COUNTS: usize = 3;
+
+/// The `counts` code of `v`: `0` for the canonical NaN, `v + 1` for a
+/// non-negative integer up to 2³² with a `+0` sign, `None` for every other
+/// bit pattern (−0.0, fractions, negatives, infinities, payload NaNs).
+fn count_code(v: f64) -> Option<u64> {
+    let bits = v.to_bits();
+    if bits == CANONICAL_NAN {
+        return Some(0);
     }
+    // `as` saturates: negatives and NaNs land on 0, whose bit pattern
+    // (+0.0) they do not share.
+    let count = v as u64;
+    (count <= MAX_COUNT && (count as f64).to_bits() == bits).then(|| count + 1)
+}
+
+/// Encodes a field blob: the values, run-length coded, and nothing else —
+/// the shape lives in the entry's hot blob.
+///
+/// ```text
+/// blob    = mode token*
+/// mode    = 0x00 (words) | 0x01 (counts)
+/// token   = LEB128(len << 1 | 1) value          a run: `len` times `value`
+///         | LEB128(len << 1 | 0) value{len}     a literal stretch
+/// value   = 8 bytes, the f64's bits, LE         in mode words
+///         | LEB128(0) for the canonical NaN,
+///           LEB128(v + 1) for the integer v     in mode counts
+/// ```
+///
+/// The mode is chosen from the values alone: `counts` iff every value is
+/// the canonical NaN or a non-negative integer ≤ 2³² with a `+0` sign (an
+/// urban density or unique-count layer at a fine resolution), else `words`
+/// — which holds every bit pattern there is, so nothing is ever lost, and
+/// which with no runs *is* the raw encoding plus a few header bytes. Runs
+/// are maximal runs of identical bit patterns of at least the mode's
+/// minimum length; everything between two runs is one literal stretch. The
+/// bytes are therefore a pure function of the values.
+pub fn encode_field(values: &[f64]) -> Vec<u8> {
+    let counts = values.iter().all(|&v| count_code(v).is_some());
+    let (mode, min_run) = if counts {
+        (MODE_COUNTS, MIN_RUN_COUNTS)
+    } else {
+        (MODE_WORDS, MIN_RUN_WORDS)
+    };
+    let mut e = Enc::new();
+    e.u8(mode);
+    let value = |e: &mut Enc, v: f64| match count_code(v) {
+        Some(code) if counts => e.varint(code),
+        _ => e.f64(v),
+    };
+    let literal = |e: &mut Enc, stretch: &[f64]| {
+        if stretch.is_empty() {
+            return;
+        }
+        e.varint((stretch.len() as u64) << 1);
+        if counts {
+            e.reserve(stretch.len());
+            for &v in stretch {
+                value(e, v);
+            }
+        } else {
+            e.f64s(stretch);
+        }
+    };
+    let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
+    // `values[..written]` is encoded; `values[scanned]` starts a maximal
+    // run, and no run from `written` up to it is long enough for a token.
+    let (mut written, mut scanned) = (0, 0);
+    while let Some(pair) = values[scanned..].windows(2).position(|w| same(w[0], w[1])) {
+        let start = scanned + pair;
+        let first = values[start];
+        let len = 2 + values[start + 2..]
+            .iter()
+            .take_while(|&&v| same(v, first))
+            .count();
+        if len >= min_run {
+            literal(&mut e, &values[written..start]);
+            e.varint((len as u64) << 1 | 1);
+            value(&mut e, first);
+            written = start + len;
+        }
+        scanned = start + len;
+    }
+    literal(&mut e, &values[written..]);
     e.into_bytes()
+}
+
+/// Decodes a field blob (see [`encode_field`]) that must hold exactly
+/// `n_vertices` values.
+///
+/// A field blob carries no shape and, run-length coded, its length says
+/// nothing about its value count, so every check is in the token walk: an
+/// unknown mode, a zero-length token, a varint over 10 bytes or 64 bits, a
+/// `counts` code above 2³² + 1, a token reaching past `n_vertices`
+/// (checked, overflow included, before anything is written), a stream
+/// ending short of `n_vertices` and bytes after the last token are each
+/// [`StoreError::Corrupt`]. The one allocation is `n_vertices` values — a
+/// number the caller took from an already decoded hot blob whose four bit
+/// vectors hold a bit per vertex, so it is at most 16 bytes per byte of
+/// that blob whatever this one claims.
+pub fn decode_field(bytes: &[u8], n_vertices: usize, what: &str) -> Result<Vec<f64>> {
+    let mut d = Dec::new(bytes, what);
+    let counts = match d.u8()? {
+        MODE_WORDS => false,
+        MODE_COUNTS => true,
+        mode => return Err(d.corrupt(&format!("unknown field mode {mode}"))),
+    };
+    let count = |d: &mut Dec<'_>| match d.varint()? {
+        0 => Ok(f64::from_bits(CANONICAL_NAN)),
+        code if code <= MAX_COUNT + 1 => Ok((code - 1) as f64),
+        code => Err(d.corrupt(&format!("count code {code} out of range"))),
+    };
+    let mut values = Vec::with_capacity(n_vertices);
+    while values.len() < n_vertices {
+        let token = d.varint()?;
+        let end = usize::try_from(token >> 1)
+            .ok()
+            .filter(|&len| len > 0)
+            .and_then(|len| values.len().checked_add(len))
+            .filter(|&end| end <= n_vertices)
+            .ok_or_else(|| d.corrupt("empty token, or one past the entry's last vertex"))?;
+        if token & 1 == 1 {
+            let v = if counts { count(&mut d)? } else { d.f64()? };
+            values.resize(end, v);
+        } else if counts {
+            for _ in values.len()..end {
+                values.push(count(&mut d)?);
+            }
+        } else {
+            values.extend(d.words(end - values.len())?.map(f64::from_bits));
+        }
+    }
+    d.finish()?;
+    Ok(values)
 }
 
 /// Encodes one function entry as its two blobs: the *hot* blob every
@@ -433,7 +626,8 @@ pub fn encode_function_segment(entry: &FunctionEntry) -> (Vec<u8>, Option<Vec<u8
     enc_feature_sets(&mut e, &entry.features);
     enc_seasonal(&mut e, &entry.thresholds);
     e.usize(entry.tree_nodes);
-    (e.into_bytes(), entry.field.as_ref().map(enc_field))
+    let field = entry.field.as_ref().map(|f| encode_field(&f.values));
+    (e.into_bytes(), field)
 }
 
 /// Decodes one function entry from its hot blob and, when the caller
@@ -480,19 +674,13 @@ pub fn decode_function_segment(
     // value per vertex of its entry, or slicing would panic later.
     let field = match field {
         None => None,
-        Some(bytes) => {
-            let what = format!("{what} field");
-            let mut d = Dec::new(bytes, &what);
-            let values = d.words(n_vertices)?.map(f64::from_bits).collect();
-            d.finish()?;
-            Some(ScalarField {
-                resolution,
-                n_regions,
-                start_bucket,
-                n_steps,
-                values,
-            })
-        }
+        Some(bytes) => Some(ScalarField {
+            resolution,
+            n_regions,
+            start_bucket,
+            n_steps,
+            values: decode_field(bytes, n_vertices, &format!("{what} field"))?,
+        }),
     };
     Ok(FunctionEntry {
         spec,
@@ -681,6 +869,167 @@ mod tests {
         }
     }
 
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn varint(v: u64) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.varint(v);
+        e.into_bytes()
+    }
+
+    /// Round trip of one field: decode(encode(f)) has f's bit patterns and
+    /// encoding is repeatable. Returns the blob.
+    fn field_roundtrip(values: &[f64]) -> Vec<u8> {
+        let blob = encode_field(values);
+        let back = decode_field(&blob, values.len(), "test field").unwrap();
+        assert_eq!(bits(&back), bits(values));
+        assert_eq!(encode_field(values), blob);
+        blob
+    }
+
+    /// The worked examples of docs/store-format.md § the field blob: the
+    /// field codec's bytes are pinned, like the geometry blob's, and change
+    /// only together with [`crate::format::VERSION`].
+    #[test]
+    fn field_encoding_bytes_are_pinned() {
+        let nan = f64::NAN;
+        // Mode counts: a run of NaN, a run of zeros, a literal stretch.
+        assert_eq!(
+            field_roundtrip(&[nan, nan, nan, nan, 0.0, 0.0, 0.0, 2.0, 0.0, 300.0]),
+            [0x01, 0x09, 0x00, 0x07, 0x01, 0x06, 0x03, 0x01, 0xAD, 0x02]
+        );
+        // Mode counts ends at 2³²: its code, 2³² + 1, is the largest.
+        assert_eq!(
+            field_roundtrip(&[4_294_967_296.0]),
+            [0x01, 0x02, 0x81, 0x80, 0x80, 0x80, 0x10]
+        );
+        // Mode words: two values are a run, −0.0 keeps its sign.
+        assert_eq!(
+            field_roundtrip(&[nan, nan, 1.5, -0.0]),
+            [
+                0x00, // words
+                0x05, 0, 0, 0, 0, 0, 0, 0xF8, 0x7F, // 2 × NaN
+                0x04, 0, 0, 0, 0, 0, 0, 0xF8, 0x3F, 0, 0, 0, 0, 0, 0, 0, 0x80, // 1.5, −0.0
+            ]
+        );
+        // One fraction among counts: the whole field travels as words.
+        assert_eq!(
+            field_roundtrip(&[0.0, 0.0, 0.0, 0.5, 0.0, 0.0]),
+            [
+                0x00, // words
+                0x07, 0, 0, 0, 0, 0, 0, 0, 0, // 3 × 0.0
+                0x02, 0, 0, 0, 0, 0, 0, 0xE0, 0x3F, // 0.5
+                0x05, 0, 0, 0, 0, 0, 0, 0, 0, // 2 × 0.0
+            ]
+        );
+    }
+
+    #[test]
+    fn field_roundtrip_fixed_shapes() {
+        let nan = f64::NAN;
+        // Empty: the mode byte alone (every value of no values is a count).
+        assert_eq!(field_roundtrip(&[]), [MODE_COUNTS]);
+        assert_eq!(field_roundtrip(&[7.0]), [MODE_COUNTS, 0x02, 0x08]);
+        assert_eq!(field_roundtrip(&[-7.0]).len(), 1 + 1 + 8);
+        // All-NaN and all-equal: one run, whatever the length.
+        assert_eq!(
+            field_roundtrip(&[nan; 1_000]),
+            [MODE_COUNTS, 0xD1, 0x0F, 0x00]
+        );
+        assert_eq!(field_roundtrip(&[0.25; 1_000]).len(), 1 + 2 + 8);
+        // Strictly alternating: no runs, one literal stretch.
+        let alternating: Vec<f64> = (0..1_000).map(|i| f64::from(i % 2)).collect();
+        assert_eq!(field_roundtrip(&alternating).len(), 1 + 2 + 1_000);
+        let alternating: Vec<f64> = (0..1_000).map(|i| f64::from(i % 2) - 0.5).collect();
+        assert_eq!(field_roundtrip(&alternating).len(), 1 + 2 + 8_000);
+        // One odd value in an otherwise `counts` field — each of the
+        // nearest misses — sends it to `words` with the value intact.
+        let odd_values = [
+            -0.0,
+            -1.0,
+            0.5,
+            4_294_967_297.0,
+            f64::INFINITY,
+            -nan,
+            f64::from_bits(nan.to_bits() | 1),
+            f64::from_bits(1),
+        ];
+        for odd in odd_values {
+            let mut field = vec![0.0; 50];
+            field[10] = nan;
+            field[20] = 3.0;
+            assert_eq!(field_roundtrip(&field)[0], MODE_COUNTS);
+            field[30] = odd;
+            assert_eq!(field_roundtrip(&field)[0], MODE_WORDS, "{odd:?}");
+        }
+    }
+
+    /// `words` with no runs is the incompressible case: the raw words plus
+    /// the mode byte and one token header.
+    #[test]
+    fn an_incompressible_field_costs_its_raw_size_and_a_header() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for n in [1usize, 100, 10_000, 1_000_000] {
+            let values: Vec<f64> = (0..n)
+                .map(|_| {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    f64::from_bits(x)
+                })
+                .collect();
+            let blob = encode_field(&values);
+            assert!(
+                blob.len() <= 8 * n + 8 * n / 1_000 + 16,
+                "{n}: {}",
+                blob.len()
+            );
+            assert_eq!(blob.len(), 1 + varint((n as u64) << 1).len() + 8 * n);
+            assert_eq!(
+                bits(&decode_field(&blob, n, "test").unwrap()),
+                bits(&values)
+            );
+        }
+    }
+
+    #[test]
+    fn varints_roundtrip_and_reject_overlong_forms() {
+        for v in [
+            0,
+            1,
+            127,
+            128,
+            300,
+            1 << 32,
+            (1 << 63) - 1,
+            1 << 63,
+            u64::MAX,
+        ] {
+            let bytes = varint(v);
+            assert_eq!(
+                bytes.len(),
+                (64 - v.leading_zeros() as usize).div_ceil(7).max(1)
+            );
+            let mut d = Dec::new(&bytes, "test");
+            assert_eq!(d.varint().unwrap(), v);
+            d.finish().unwrap();
+        }
+        assert_eq!(varint(300), [0xAC, 0x02]);
+        // A padded form spells the same value...
+        assert_eq!(Dec::new(&[0x85, 0x80, 0x00], "test").varint().unwrap(), 5);
+        // ...an eleventh byte, bits past the 64th and a cut-off form do not.
+        let eleven = [[0x80; 10].as_slice(), &[0x00]].concat();
+        let sixty_five_bits = [[0xFF; 9].as_slice(), &[0x02]].concat();
+        for bad in [eleven.as_slice(), &sixty_five_bits, &[0x80, 0x80]] {
+            assert!(matches!(
+                Dec::new(bad, "test").varint(),
+                Err(StoreError::Corrupt(_))
+            ));
+        }
+    }
+
     #[test]
     fn unknown_enum_codes_rejected() {
         let mut e = Enc::new();
@@ -728,6 +1077,54 @@ mod tests {
             prop_assert_eq!(d.u8().unwrap(), d_);
             prop_assert_eq!(d.f64().unwrap().to_bits(), f.to_bits());
             d.finish().unwrap();
+        }
+
+        /// A field mixing every kind of value the codec tells apart, in
+        /// runs and alone, comes back bit for bit — from the `counts`
+        /// palette alone (mode counts), with one odd value planted, or from
+        /// everything at once — and encodes to the same bytes every time.
+        #[test]
+        fn field_roundtrip_is_bit_exact(
+            picks in proptest::collection::vec(0usize..64, 0..48),
+            lens in proptest::collection::vec(1usize..7, 48),
+            raw in proptest::collection::vec(0u64..=u64::MAX, 48),
+            palette in 0usize..3,
+        ) {
+            let nan = f64::NAN.to_bits();
+            let counts = [
+                f64::NAN, 0.0, 0.0, 0.0, 1.0, 2.0, 126.0, 127.0, 128.0, 16_383.0, 16_384.0,
+                4_294_967_295.0, 4_294_967_296.0,
+            ];
+            let odd = [
+                f64::from_bits(nan | 1 << 63),      // negative NaN
+                f64::from_bits(0x7FF0_0000_0000_0001), // signalling NaN
+                f64::from_bits(nan | 0xDEAD_BEEF),  // payload NaN
+                -0.0, f64::INFINITY, f64::NEG_INFINITY,
+                f64::from_bits(1), -f64::MIN_POSITIVE / 2.0, // subnormals
+                9_007_199_254_740_991.0, 9_007_199_254_740_993.0, // 2⁵³ ∓ 1
+                4_294_967_297.0, -1.0, -3.0, 0.5, 2.75, 1e-300, -1e300,
+            ];
+            let mut values = Vec::new();
+            for (i, &pick) in picks.iter().enumerate() {
+                let v = match palette {
+                    0 => counts[pick % counts.len()],
+                    1 if i == picks.len() / 2 => odd[pick % odd.len()],
+                    1 => counts[pick % counts.len()],
+                    _ if pick < counts.len() => counts[pick],
+                    _ if pick < counts.len() + odd.len() => odd[pick - counts.len()],
+                    _ => f64::from_bits(raw[i]),
+                };
+                values.extend(std::iter::repeat_n(v, lens[i]));
+            }
+            let blob = encode_field(&values);
+            match palette {
+                0 => prop_assert_eq!(blob[0], MODE_COUNTS),
+                1 if !picks.is_empty() => prop_assert_eq!(blob[0], MODE_WORDS),
+                _ => {}
+            }
+            let back = decode_field(&blob, values.len(), "prop").unwrap();
+            prop_assert_eq!(bits(&back), bits(&values));
+            prop_assert_eq!(encode_field(&values), blob);
         }
 
         /// Whole-segment round trip over randomized shapes and payloads:

@@ -12,8 +12,9 @@
 //! │ hot blob 1                                                   │
 //! │ …                                                            │
 //! ├──────────────────────────────────────────────────────────────┤
-//! │ field blob of entry 0 (its scalar values, checksummed)       │
-//! │ … (only entries indexed with their field have one)           │
+//! │ field blob of entry 0 (its scalar values, run-length coded,  │
+//! │ …                      checksummed)                          │
+//! │   (only entries indexed with their field have one)           │
 //! ├──────────────────────────────────────────────────────────────┤
 //! │ manifest (LE codec):                                         │
 //! │   geometry location · dataset catalog · segment directory    │
@@ -22,7 +23,7 @@
 //!
 //! Every checksum is [`crate::checksum::blob_checksum`]. The hot blobs —
 //! all a query without a `thresholds` clause ever reads — sit together
-//! ahead of the (much larger) field blobs. The manifest lives at the
+//! ahead of the field blobs. The manifest lives at the
 //! *tail* so incremental maintenance can copy retained blob bytes
 //! verbatim, append new ones, and write a fresh manifest — the header's
 //! `manifest_offset` is the only fixed-position field that moves.
@@ -38,7 +39,7 @@ pub const MAGIC: [u8; 8] = *b"PLGYSTOR";
 /// Current format version. Bump whenever the codec's byte stream, the
 /// clause fingerprint derivation, or the segment layout changes shape;
 /// readers reject other versions with a typed error instead of guessing.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 /// Fixed header length in bytes.
 pub const HEADER_LEN: u64 = 40;
@@ -374,7 +375,7 @@ mod tests {
         bad_version[8] = 0xEE;
         assert!(matches!(
             Header::decode(&bad_version),
-            Err(StoreError::UnsupportedVersion { found, supported: 2 }) if found != VERSION
+            Err(StoreError::UnsupportedVersion { found, supported: VERSION }) if found != VERSION
         ));
     }
 

@@ -7,7 +7,7 @@
 //! form and served from then on by concurrent read sessions — no rebuild on
 //! restart, no raw data at query time.
 //!
-//! ## On-disk format (version 2)
+//! ## On-disk format (version 3)
 //!
 //! The normative specification of the format lives in
 //! [`docs/store-format.md`](https://github.com/paper-repro/data-polygamy/blob/main/docs/store-format.md)
@@ -24,7 +24,8 @@
 //!           map run-length encoded), tree statistics — all a query reads
 //!           unless its clause overrides thresholds
 //! fields    one checksummed blob per function indexed with its scalar
-//!           field: the raw values, read only for data sets a query's
+//!           field: the values as lossless runs and counts
+//!           ([`codec::encode_field`]), read only for data sets a query's
 //!           `thresholds` clause names
 //! manifest  geometry location, data set catalog, and a segment directory
 //!           (owner data set, function name, resolution, offset/len/
@@ -34,9 +35,11 @@
 //!
 //! Everything outside the geometry blob is encoded by an explicit
 //! little-endian codec ([`codec`]): integers are little-endian, floats
-//! travel as IEEE-754 bit patterns (NaN-exact), strings and sequences are
-//! length-prefixed, and enums use the stable one-byte wire codes from
-//! `polygamy_stdata` — never compiler-assigned discriminants. Every region
+//! travel as IEEE-754 bit patterns (NaN-exact) — run-length coded, and as
+//! varint counts where every value allows it, inside field blobs — strings
+//! and sequences are length-prefixed, and enums use the stable one-byte
+//! wire codes from `polygamy_stdata` — never compiler-assigned
+//! discriminants. Every region
 //! carries a 64-bit word-wise checksum ([`checksum::blob_checksum`]); a
 //! truncated, bit-flipped or wrong-version file yields a typed
 //! [`StoreError`], never a panic or silently wrong data.

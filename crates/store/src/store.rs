@@ -5,9 +5,10 @@
 //! index over a store's file(s), [`crate::lazy::LazyIndex`] — on demand for
 //! a lazy session, all at once for an eager one — each blob verified
 //! against its checksum before its first decode. Writes go through a temp
-//! file renamed into place, so a crashed writer never leaves a half-written
-//! store at the target path; the temp file is filled in whole blocks that
-//! bypass the page cache where the platform allows (`BlockWriter`).
+//! file renamed into place (and the directory synced behind it), so a
+//! crashed writer never leaves a half-written store at the target path; the
+//! temp file is filled in whole blocks that bypass the page cache where the
+//! platform allows (`BlockWriter`).
 //!
 //! All reads — manifest, geometry, segments, maintenance copies — go
 //! through one [`SegmentSource`] opened at [`Store::open`] time. The single
@@ -357,6 +358,11 @@ fn write_timer() -> Arc<Counter> {
 
 fn encode_segment(entry: &FunctionEntry) -> Segment {
     let (hot, field) = encode_function_segment(entry);
+    if let (Some(raw), Some(stored)) = (&entry.field, &field) {
+        let count = |name, bytes: usize| polygamy_obs::global().counter(name).add(bytes as u64);
+        count(names::STORE_SAVE_FIELD_RAW_BYTES, 8 * raw.values.len());
+        count(names::STORE_SAVE_FIELD_STORED_BYTES, stored.len());
+    }
     Segment {
         function: entry.spec.name.clone(),
         resolution: entry.resolution,
@@ -512,7 +518,9 @@ fn compose_and_write(
 
 /// The one durable writer behind store files and shard catalogs: `write`
 /// fills a temp file that is synced and then renamed over `path`, so a
-/// crashed writer never leaves a half-written file at the target.
+/// crashed writer never leaves a half-written file at the target — and the
+/// directory is synced after the rename, so a crash after this returns
+/// never brings the previous revision back.
 ///
 /// The temp file lives in the same directory so the rename stays on one
 /// filesystem. Its name appends to the full file name (never replaces an
@@ -532,12 +540,30 @@ pub(crate) fn write_atomically(
         write(&mut out)?;
         out.finish()?.sync_all()?;
         std::fs::rename(&tmp, path)?;
+        sync_parent_dir(path)?;
         Ok(())
     })();
     if written.is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
     written
+}
+
+/// Makes a rename into `path`'s directory durable: the new name is an entry
+/// of the directory, which has to reach the device like any other data.
+#[cfg(unix)]
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
+}
+
+/// Directories cannot be opened for syncing here.
+#[cfg(not(unix))]
+fn sync_parent_dir(_path: &Path) -> std::io::Result<()> {
+    Ok(())
 }
 
 /// Alignment of everything a [`BlockWriter`] hands the kernel: buffer

@@ -5,9 +5,13 @@
 //! sized by an unvalidated length (which would abort the test process).
 //! The hot blob's run-length interval map gets its own mutation (a run
 //! count or run length overwritten: run-sum overflow, runs that miss
-//! `n_steps`, zero-length runs), and a manifest whose `field` location is
-//! hostile is driven through real sessions. Version-1 files are refused
-//! by version, not decoded.
+//! `n_steps`, zero-length runs). The field blob is run-length coded too and
+//! carries no shape, so its decoder is also driven directly — arbitrary
+//! bytes against arbitrary shapes, and valid blobs of both modes with every
+//! token header, the mode byte and the tail damaged in turn — and a
+//! manifest whose `field` location is hostile is driven through real
+//! sessions. Version-1 and version-2 files are refused by version, not
+//! decoded.
 //!
 //! The sixth decoder, the geometry blob's, is JSON text rather than the
 //! binary codec, and is reached the way a reader reaches it: through
@@ -25,7 +29,9 @@
 use polygamy_core::prelude::*;
 use polygamy_core::DataPolygamy;
 use polygamy_stdata::Polygon;
-use polygamy_store::codec::{decode_function_segment, encode_function_segment};
+use polygamy_store::codec::{
+    decode_field, decode_function_segment, encode_field, encode_function_segment,
+};
 use polygamy_store::{
     blob_checksum, BlobLoc, Header, LazyIndex, LoadFilter, Manifest, SegmentInfo, ShardCatalog,
     Store, StoreError, StoreSession, SHARD_CATALOG_VERSION, SHARD_MAGIC, VERSION,
@@ -41,8 +47,8 @@ const CATALOG_HEADER_LEN: usize = 32;
 /// Byte offsets of leading u64 length/offset fields per format, indexed
 /// like [`decode`]: the header's manifest offset and length, the
 /// manifest's geometry location and catalog count, the hot blob's first
-/// string length, the catalog's payload length and data set count. (A
-/// field blob has no length field: its size *is* its shape claim.)
+/// string length, the catalog's payload length and data set count, the
+/// field blob's mode byte and first token.
 const LENGTH_FIELDS: [&[usize]; 5] = [&[16, 24], &[0, 8, 24], &[0], &[16, 32], &[0]];
 
 const HOT: usize = 2;
@@ -238,6 +244,154 @@ proptest! {
             let _ = decode(3, &sealed_catalog(&bytes[CATALOG_HEADER_LEN..]));
         }
     }
+
+    /// The field decoder against shapes the bytes know nothing about:
+    /// arbitrary bytes — and small ones, which spell short tokens and get
+    /// deep into the walk — bare and behind each mode byte, for any vertex
+    /// count. It answers with exactly that many values or a typed error.
+    #[test]
+    fn field_decoder_returns_typed_errors_for_any_input_and_shape(
+        raw in proptest::collection::vec(0u8..=u8::MAX, 0..96),
+        small in proptest::collection::vec(0u8..12, 0..64),
+        mode in 0u8..3,
+        n_vertices in 0usize..600,
+    ) {
+        for tokens in [&raw, &small] {
+            let behind_mode = [&[mode][..], tokens.as_slice()].concat();
+            for bytes in [tokens, &behind_mode] {
+                let outcome = check_field_decode(bytes, n_vertices);
+                prop_assert!(outcome.is_ok(), "{:?}", outcome);
+            }
+        }
+    }
+}
+
+/// `decode_field` answers with exactly `n_vertices` values or with
+/// `Corrupt` naming the blob — the two outcomes a field decode may have.
+fn check_field_decode(bytes: &[u8], n_vertices: usize) -> Result<bool, String> {
+    match decode_field(bytes, n_vertices, "fuzz field") {
+        Ok(values) if values.len() == n_vertices => Ok(true),
+        Ok(values) => Err(format!("{} values for {n_vertices} vertices", values.len())),
+        Err(StoreError::Corrupt(message)) if message.starts_with("fuzz field: ") => Ok(false),
+        Err(other) => Err(format!("{other:?}")),
+    }
+}
+
+/// Unsigned LEB128 of a value that may not fit 64 bits.
+fn leb128(mut v: u128) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    while v >= 0x80 {
+        bytes.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    bytes.push(v as u8);
+    bytes
+}
+
+/// Offset and byte length of every token header of a valid field blob,
+/// with the token's run flag.
+fn token_headers(blob: &[u8]) -> Vec<(usize, usize, bool)> {
+    let varint = |at: usize| {
+        let n = blob[at..].iter().position(|b| b & 0x80 == 0).unwrap() + 1;
+        let value = (0..n).fold(0u64, |v, i| v | u64::from(blob[at + i] & 0x7f) << (7 * i));
+        (value, n)
+    };
+    let counts = blob[0] == 1;
+    let mut headers = Vec::new();
+    let mut at = 1;
+    while at < blob.len() {
+        let (token, n) = varint(at);
+        headers.push((at, n, token & 1 == 1));
+        at += n;
+        let values = if token & 1 == 1 { 1 } else { token >> 1 };
+        for _ in 0..values {
+            at += if counts { varint(at).1 } else { 8 };
+        }
+    }
+    assert_eq!(at, blob.len());
+    headers
+}
+
+/// Valid field blobs of both modes, damaged one place at a time: every
+/// token's run length or literal count replaced by 0, 1, 2³², 2⁴⁰, 2⁶³ and
+/// 2⁶⁴ − 1 (the last two no longer fit the token's 64 bits), the mode byte
+/// flipped to every other value, the tail cut at every offset, one byte
+/// appended. Each ends in `Corrupt` or in exactly the entry's vertices.
+#[test]
+fn damaged_field_blobs_are_rejected_or_decode_to_the_shape() {
+    // A sparse count layer, a mostly undefined attribute layer, and the
+    // dense hourly series of the seed corpus.
+    let sparse: Vec<f64> = (0..3_000u32)
+        .map(|i| match i % 97 {
+            0..=59 => 0.0,
+            60..=90 => f64::NAN,
+            91 => 300.0,
+            r => f64::from(r % 3),
+        })
+        .collect();
+    let undefined: Vec<f64> = (0..3_000u32)
+        .map(|i| match i % 41 {
+            0..=36 => f64::NAN,
+            r => f64::from(i) * 0.37 + f64::from(r),
+        })
+        .collect();
+    let (hot, dense_blob) = (&valid_encodings()[HOT], &valid_encodings()[FIELD]);
+    let dense = decode_function_segment(hot, Some(dense_blob), 0, "seed")
+        .unwrap()
+        .field
+        .unwrap()
+        .values;
+    for (values, mode) in [(sparse, 1), (undefined, 0), (dense, 0)] {
+        let n = values.len();
+        let valid = encode_field(&values);
+        assert_eq!(valid[0], mode);
+        assert_eq!(check_field_decode(&valid, n), Ok(true));
+        let headers = token_headers(&valid);
+        assert!(!headers.is_empty());
+
+        for &(at, len, is_run) in &headers {
+            for claimed in [0u128, 1, 1 << 32, 1 << 40, 1 << 63, u128::from(u64::MAX)] {
+                let mut bytes = valid[..at].to_vec();
+                bytes.extend(leb128(claimed << 1 | u128::from(is_run)));
+                bytes.extend_from_slice(&valid[at + len..]);
+                let decoded = check_field_decode(&bytes, n).unwrap();
+                // Only a length of 1 can be what the token already said.
+                assert!(!decoded || claimed == 1, "token at {at} claiming {claimed}");
+            }
+        }
+        for flipped in 0..=u8::MAX {
+            let mut bytes = valid.clone();
+            bytes[0] = flipped;
+            let decoded = check_field_decode(&bytes, n).unwrap();
+            assert!(!decoded || flipped < 2, "mode {flipped}");
+        }
+        for cut in 0..valid.len() {
+            assert_eq!(
+                check_field_decode(&valid[..cut], n),
+                Ok(false),
+                "cut at {cut}"
+            );
+        }
+        for extra in [0x00, 0x01, 0x02, 0x80, 0xff] {
+            let bytes = [valid.as_slice(), &[extra]].concat();
+            assert_eq!(
+                check_field_decode(&bytes, n),
+                Ok(false),
+                "{extra:#04x} appended"
+            );
+        }
+        // One value too few or too many for the shape is neither.
+        assert_eq!(check_field_decode(&valid, n + 1), Ok(false));
+        assert_eq!(check_field_decode(&valid, n - 1), Ok(false));
+    }
+
+    // Through the segment decoder the error names `<segment> field`.
+    let err = decode_function_segment(hot, Some(&dense_blob[..3]), 0, "segment sensor.avg(signal)")
+        .unwrap_err();
+    assert!(
+        matches!(&err, StoreError::Corrupt(m) if m.starts_with("segment sensor.avg(signal) field: ")),
+        "{err:?}"
+    );
 }
 
 /// `pristine` with its geometry blob replaced by `geometry`, truthfully
@@ -542,8 +696,17 @@ fn hostile_field_locations_yield_typed_errors() {
     let header = Header::decode(&pristine).unwrap();
     let manifest_at = header.manifest_offset as usize;
     let manifest = Manifest::decode(&pristine[manifest_at..]).unwrap();
-    let good = manifest.segments[0].field.expect("sample keeps fields");
-    let hot = manifest.segments[0].loc;
+    // The first segment — one of `sensor`'s — whose field is a dense
+    // attribute series: a blob of some length, where a density series of
+    // all ones is a four-byte run.
+    let victim = manifest
+        .segments
+        .iter()
+        .position(|s| s.field.expect("sample keeps fields").len > 64)
+        .unwrap();
+    assert_eq!(manifest.segments[victim].dataset_index, 0);
+    let good = manifest.segments[victim].field.unwrap();
+    let hot = manifest.segments[victim].loc;
     let file_len = pristine.len() as u64;
     let resealed = |len: u64| BlobLoc {
         len,
@@ -568,8 +731,9 @@ fn hostile_field_locations_yield_typed_errors() {
             len: 0,
             checksum: blob_checksum(&[]),
         },
-        resealed(good.len - 8), // sealed, but one value short of the shape
-        resealed(good.len + 8), // sealed, one value too many
+        resealed(good.len - 8), // sealed, but the tokens stop a value short
+        resealed(good.len + 8), // sealed, bytes after the last token
+        resealed(3),            // sealed, and no length is wrong by itself
         BlobLoc {
             checksum: good.checksum,
             ..hot
@@ -585,7 +749,7 @@ fn hostile_field_locations_yield_typed_errors() {
     .unwrap();
     for loc in hostile {
         let mut manifest = manifest.clone();
-        manifest.segments[0].field = Some(loc);
+        manifest.segments[victim].field = Some(loc);
         let manifest_bytes = manifest.encode();
         let mut bytes = pristine[..manifest_at].to_vec();
         bytes.extend_from_slice(&manifest_bytes);
@@ -620,23 +784,28 @@ fn hostile_field_locations_yield_typed_errors() {
     }
 }
 
+/// Every way of opening a store file that claims format `version`.
+fn open_claiming_version(version: u32) -> [Result<(), StoreError>; 3] {
+    let (cleanup, mut bytes) = saved_store(&format!("version-{version}"));
+    bytes[8..12].copy_from_slice(&version.to_le_bytes());
+    std::fs::write(&cleanup.0, &bytes).unwrap();
+    [
+        Store::open(&cleanup.0).map(drop),
+        StoreSession::open(&cleanup.0).map(drop),
+        StoreSession::open_lazy(&cleanup.0).map(drop),
+    ]
+}
+
 /// Stores are derived artifacts: a version-1 file is refused by version —
 /// typed, naming both versions — and rebuilt, never decoded.
 #[test]
 fn version_1_files_are_refused_by_version() {
-    let (cleanup, mut bytes) = saved_store("version-1");
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    std::fs::write(&cleanup.0, &bytes).unwrap();
-    for result in [
-        Store::open(&cleanup.0).map(drop),
-        StoreSession::open(&cleanup.0).map(drop),
-        StoreSession::open_lazy(&cleanup.0).map(drop),
-    ] {
+    for result in open_claiming_version(1) {
         assert!(matches!(
             result,
             Err(StoreError::UnsupportedVersion {
                 found: 1,
-                supported: 2
+                supported: 3
             })
         ));
     }
@@ -649,4 +818,21 @@ fn version_1_files_are_refused_by_version() {
             supported: 2
         })
     ));
+}
+
+/// So is a version-2 file (raw `f64` field blobs): no second field decoder
+/// is kept for it. The shard catalog's bytes did not change with format 3,
+/// so its version is still 2.
+#[test]
+fn version_2_files_are_refused_by_version() {
+    for result in open_claiming_version(2) {
+        assert!(matches!(
+            result,
+            Err(StoreError::UnsupportedVersion {
+                found: 2,
+                supported: 3
+            })
+        ));
+    }
+    assert_eq!((VERSION, SHARD_CATALOG_VERSION), (3, 2));
 }

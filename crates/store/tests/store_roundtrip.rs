@@ -313,7 +313,7 @@ fn corruption_yields_typed_errors() {
         Store::open(&path),
         Err(StoreError::UnsupportedVersion {
             found: 0x7F,
-            supported: 2
+            supported: 3
         })
     ));
 
