@@ -17,16 +17,26 @@
 //!    density layer (sparse counts), a neighbourhood attribute layer
 //!    (mostly undefined reals) and a city-level attribute series (dense
 //!    reals, the incompressible case). Throughput is raw-side: 8 bytes
-//!    per value on every line.
+//!    per value on every line;
+//! 6. one pool dispatch of 17, 287 and 858 unit-sized tasks (a cold pair,
+//!    an `explore_urban` query, a `serve_open` request) inline and on two
+//!    workers — the measurement behind the pool's inline floor
+//!    (docs/architecture.md, "The evaluate dispatch");
+//! 7. rendering a 434-relationship answer (the largest `explore_urban`
+//!    one) to JSON, bytes per second.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use polygamy_core::{Config, DataPolygamy, Fnv1a};
+use polygamy_core::relationship::RelationshipMeasures;
+use polygamy_core::{Config, DataPolygamy, Fnv1a, FunctionRef, Relationship};
 use polygamy_datagen::{urban_collection, UrbanConfig};
+use polygamy_mapreduce::run_chunked_tasks;
 use polygamy_stats::permutation::GraphShifter;
 use polygamy_stats::quantile;
 use polygamy_stdata::{FunctionKind, Resolution, SpatialResolution, TemporalResolution};
 use polygamy_store::codec::{decode_field, encode_field};
-use polygamy_topology::{super_level_set, BitVec, DomainGraph, FeatureSet, MergeTree};
+use polygamy_topology::{
+    super_level_set, BitVec, DomainGraph, FeatureClass, FeatureSet, MergeTree,
+};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
@@ -248,10 +258,77 @@ fn bench_field_codec(c: &mut Criterion) {
     }
 }
 
+fn bench_dispatch(c: &mut Criterion) {
+    // A unit-sized task: the intersection and two rotations of a city-level
+    // hourly year (8,760 steps) — what one 1-D unit task of the urban
+    // queries (`permutations = 2`) does.
+    let (left, right) = (sparse_features(8_760, 0), sparse_features(8_760, 3));
+    let task = |i: usize| {
+        (0..3)
+            .map(|pass| left.rotated_related_counts(&right, (pass * 2_917 + i) % 8_760))
+            .fold((0, 0), |sum, counts| (sum.0 + counts.0, sum.1 + counts.1))
+    };
+    let mut group = c.benchmark_group("dispatch");
+    for n_tasks in [17usize, 287, 858] {
+        group.bench_with_input(BenchmarkId::new("inline", n_tasks), &n_tasks, |b, &n| {
+            b.iter(|| run_chunked_tasks(1, n, 1, task))
+        });
+        // Sixteen chunks, as a weighted dispatch cuts for two workers.
+        group.bench_with_input(
+            BenchmarkId::new("two_workers", n_tasks),
+            &n_tasks,
+            |b, &n| b.iter(|| run_chunked_tasks(2, n, n.div_ceil(16), task)),
+        );
+    }
+    group.finish();
+}
+
+fn bench_render(c: &mut Criterion) {
+    let datasets = ["taxi", "collisions", "complaints-311", "calls-911"];
+    let functions = [
+        "density",
+        "unique(medallion)",
+        "avg(fare)",
+        "avg(trip-miles)",
+    ];
+    let spatial = [SpatialResolution::Neighborhood, SpatialResolution::Zip];
+    let function = |k: usize| FunctionRef {
+        dataset: datasets[k % datasets.len()].into(),
+        function: functions[k / datasets.len() % functions.len()].into(),
+    };
+    let answer: Vec<Relationship> = (0..434usize)
+        .map(|k| Relationship {
+            left: function(k),
+            right: function(k * 7 + 1),
+            resolution: Resolution::new(spatial[k % 2], TemporalResolution::Hour),
+            class: FeatureClass::ALL[k / 2 % 2],
+            measures: RelationshipMeasures {
+                n_pos: 3 * k + 1,
+                n_neg: k,
+                n_left: 9 * k + 40,
+                n_right: 11 * k + 7,
+                score: (2 * k + 1) as f64 / (4 * k + 1) as f64,
+                strength: 1.0 / (k + 3) as f64,
+            },
+            p_value: (k % 61 + 1) as f64 / 61.0,
+            significant: k % 61 < 3,
+        })
+        .collect();
+    let bytes = serde_json::to_string(&answer)
+        .expect("relationships serialize")
+        .len();
+    let mut group = c.benchmark_group("render");
+    group.throughput(Throughput::Bytes(bytes as u64));
+    group.bench_function("to_string_434_relationships", |b| {
+        b.iter(|| serde_json::to_string(&answer))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_index_vs_scan, bench_restricted_vs_naive_mc, bench_threshold_strategies,
-        bench_checksum, bench_field_codec
+        bench_checksum, bench_field_codec, bench_dispatch, bench_render
 }
 criterion_main!(benches);

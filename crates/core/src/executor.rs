@@ -6,8 +6,11 @@
 //! path. A query — or a whole batch of queries — is planned on the
 //! coordinating thread and expanded *up front* into its complete flat list
 //! of (pair × function-unit × class) [`UnitTask`]s; the tasks then run on a
-//! **single shared worker pool** ([`run_chunked_tasks`]), and results are
-//! assembled in canonical task order. The invariants this buys:
+//! **single shared worker pool** ([`run_weighted_tasks`]: the calling
+//! thread is one of its workers, tasks are claimed heaviest-first by an
+//! estimated cost, and a dispatch too small to repay a thread's start runs
+//! inline), and results are assembled in canonical task order. The
+//! invariants this buys:
 //!
 //! * **no per-pair pool spawn** — one pool serves an entire
 //!   `query`/`query_many` call, however many pairs it expands to;
@@ -33,12 +36,15 @@
 use crate::cache::QueryCache;
 use crate::error::{Error, Result};
 use crate::framework::{CityGeometry, Config};
+use crate::function::FunctionRef;
 use crate::index::{DatasetEntry, IndexView};
-use crate::operator::{evaluate_unit, expand_pair_tasks, OperandTable, UnitTask};
+use crate::operator::{evaluate_unit, expand_pair_tasks, EvalCounts, OperandTable, UnitTask};
 use crate::query::RelationshipQuery;
 use crate::relationship::Relationship;
-use polygamy_mapreduce::run_chunked_tasks;
+use polygamy_mapreduce::run_weighted_tasks;
 use polygamy_obs::{names, trace, Counter};
+use polygamy_stdata::Resolution;
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -59,6 +65,9 @@ struct ExecMetrics {
     permutations_run: Arc<Counter>,
     operands_prepared: Arc<Counter>,
     operand_reuses: Arc<Counter>,
+    operand_rows_built: Arc<Counter>,
+    dispatches_inline: Arc<Counter>,
+    dispatches_parallel: Arc<Counter>,
 }
 
 fn exec_metrics() -> &'static ExecMetrics {
@@ -78,6 +87,9 @@ fn exec_metrics() -> &'static ExecMetrics {
             permutations_run: r.counter(names::CORE_PERMUTATIONS_RUN),
             operands_prepared: r.counter(names::CORE_OPERANDS_PREPARED),
             operand_reuses: r.counter(names::CORE_OPERAND_REUSES),
+            operand_rows_built: r.counter(names::CORE_OPERAND_ROWS_BUILT),
+            dispatches_inline: r.counter(names::CORE_DISPATCHES_INLINE),
+            dispatches_parallel: r.counter(names::CORE_DISPATCHES_PARALLEL),
         }
     })
 }
@@ -104,12 +116,11 @@ struct Miss<'q> {
     clause: &'q crate::query::Clause,
 }
 
-/// Chunk size for scheduling `n_tasks` evaluation tasks on `workers`
-/// threads: large enough to amortise queue traffic on huge expansions,
-/// small enough (≥ 8 chunks per worker) to keep stragglers from starving
-/// the pool. Chunking never affects results, only scheduling granularity.
-fn task_chunk_size(n_tasks: usize, workers: usize) -> usize {
-    (n_tasks / (workers.max(1) * 8)).max(1)
+/// Orders the concatenations `a[0] ‖ a[1] ‖ …` and `b[0] ‖ b[1] ‖ …` as
+/// `String`s compare — byte-lexicographically — without building either.
+fn cmp_concat<const N: usize>(a: [&str; N], b: [&str; N]) -> Ordering {
+    let a = a.into_iter().flat_map(str::bytes);
+    a.cmp(b.into_iter().flat_map(str::bytes))
 }
 
 /// Deterministic presentation order: strongest |τ| first, ties broken by
@@ -119,14 +130,26 @@ fn task_chunk_size(n_tasks: usize, workers: usize) -> usize {
 /// possible on degenerate inputs such as constant functions with custom
 /// thresholds — sorts to a stable position (NaN |τ| first, as the largest
 /// value in total order) instead of panicking the query.
+///
+/// Names and resolutions tie-break in the order of their display forms,
+/// `dataset.function` and `(temporal, spatial)`, compared piecewise so
+/// that a tie allocates nothing. The separators are part of the key: a
+/// data set named `a.b` sorts where the string `a.b.f` does.
 pub(crate) fn sort_relationships(rels: &mut [Relationship]) {
+    fn name(f: &FunctionRef) -> [&str; 3] {
+        [&f.dataset, ".", &f.function]
+    }
+    // `Resolution::label` without its leading `(`, which decides nothing.
+    fn resolution(r: Resolution) -> [&'static str; 4] {
+        [r.temporal.label(), ", ", r.spatial.label(), ")"]
+    }
     rels.sort_by(|x, y| {
         y.score()
             .abs()
             .total_cmp(&x.score().abs())
-            .then_with(|| x.left.to_string().cmp(&y.left.to_string()))
-            .then_with(|| x.right.to_string().cmp(&y.right.to_string()))
-            .then_with(|| x.resolution.label().cmp(&y.resolution.label()))
+            .then_with(|| cmp_concat(name(&x.left), name(&y.left)))
+            .then_with(|| cmp_concat(name(&x.right), name(&y.right)))
+            .then_with(|| cmp_concat(resolution(x.resolution), resolution(y.resolution)))
             .then_with(|| x.class.label().cmp(y.class.label()))
     });
 }
@@ -310,11 +333,10 @@ pub fn run_query_many<'a>(
     // prepared inside it, each by the first task that needs it.
     let t_evaluate = Instant::now();
     let evaluate_span = trace::span("evaluate");
-    let workers = config.cluster.workers();
-    let chunk = task_chunk_size(tasks.len(), workers);
-    let permutations_run = Counter::new();
-    let results: Vec<Option<Relationship>> = run_chunked_tasks(workers, tasks.len(), chunk, |i| {
-        evaluate_unit(&tasks[i], &operands, config, &permutations_run)
+    let costs: Vec<u64> = tasks.iter().map(|t| t.estimated_ns(&operands)).collect();
+    let counts = EvalCounts::default();
+    let (results, threads) = run_weighted_tasks(config.cluster.workers(), &costs, |i| {
+        evaluate_unit(&tasks[i], &operands, config, &counts)
     });
     drop(evaluate_span);
     metrics.evaluate_ns.add(elapsed_ns(t_evaluate));
@@ -322,20 +344,35 @@ pub fn run_query_many<'a>(
     // what that first read prepared.
     let prepared = operands.prepared() as u64;
     let reuses = 2 * tasks.len() as u64 - prepared;
-    metrics.permutations_run.add(permutations_run.get());
+    let (permutations_run, rows_built) = (counts.permutations.get(), counts.rows_built.get());
+    metrics.permutations_run.add(permutations_run);
     metrics.operands_prepared.add(prepared);
     metrics.operand_reuses.add(reuses);
-    trace::add("permutations_run", permutations_run.get());
+    metrics.operand_rows_built.add(rows_built);
+    trace::add("permutations_run", permutations_run);
     trace::add("operands_prepared", prepared);
     trace::add("operand_reuses", reuses);
+    trace::add("operand_rows_built", rows_built);
+    // A batch answered from the cache alone dispatches nothing.
+    if !tasks.is_empty() {
+        let (dispatches, name) = match threads {
+            1 => (&metrics.dispatches_inline, "dispatches_inline"),
+            _ => (&metrics.dispatches_parallel, "dispatches_parallel"),
+        };
+        dispatches.inc();
+        trace::add(name, 1);
+    }
 
-    // ---- Assemble per-miss results in canonical task order; fill the cache.
+    // ---- Assemble per-miss results in canonical task order, sorted once
+    // here so that every later use — this batch, a cache hit — starts from
+    // a sorted run; fill the cache.
     let t_assemble = Instant::now();
     let assemble_span = trace::span("assemble");
     let mut results = results.into_iter();
     let mut evaluated: Vec<Arc<Vec<Relationship>>> = Vec::with_capacity(misses.len());
     for (miss, range) in misses.iter().zip(&task_ranges) {
-        let rels: Vec<Relationship> = results.by_ref().take(range.len()).flatten().collect();
+        let mut rels: Vec<Relationship> = results.by_ref().take(range.len()).flatten().collect();
+        sort_relationships(&mut rels);
         let rels = Arc::new(rels);
         if cache.insert(miss.key, Arc::clone(&rels)) {
             metrics.cache_evictions.inc();
@@ -343,17 +380,23 @@ pub fn run_query_many<'a>(
         evaluated.push(rels);
     }
 
-    // ---- Stitch each query's output from hits and fresh evaluations.
+    // ---- Stitch each query's output from hits and fresh evaluations: one
+    // pair's run is the answer, several are merged by a stable sort (which
+    // finds the runs; keys are unique per relationship, so the result is
+    // the one total order however it is reached).
     let mut out = Vec::with_capacity(plans.len());
     for plan in plans {
-        let mut rels: Vec<Relationship> = Vec::new();
-        for source in plan {
-            match source {
-                PairSource::Cached(r) => rels.extend(r.iter().cloned()),
-                PairSource::Pending(mi) => rels.extend(evaluated[mi].iter().cloned()),
-            }
+        let runs: Vec<&[Relationship]> = plan
+            .iter()
+            .map(|source| match source {
+                PairSource::Cached(r) => r.as_slice(),
+                PairSource::Pending(mi) => evaluated[*mi].as_slice(),
+            })
+            .collect();
+        let mut rels = runs.concat();
+        if runs.len() > 1 {
+            sort_relationships(&mut rels);
         }
-        sort_relationships(&mut rels);
         out.push(rels);
     }
     drop(assemble_span);
@@ -364,9 +407,9 @@ pub fn run_query_many<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::function::FunctionRef;
+    use crate::cache::Fnv1a;
     use crate::relationship::RelationshipMeasures;
-    use polygamy_stdata::{Resolution, SpatialResolution, TemporalResolution};
+    use polygamy_stdata::{SpatialResolution, TemporalResolution};
     use polygamy_topology::FeatureClass;
 
     fn rel(left: &str, score: f64) -> Relationship {
@@ -418,12 +461,60 @@ mod tests {
         assert_eq!(names, vec!["alpha", "mid", "zeta"]);
     }
 
+    /// `sort_relationships` as it was when every tie built its display
+    /// strings — the order the allocation-free comparator must reproduce.
+    fn sort_by_display_strings(rels: &mut [Relationship]) {
+        rels.sort_by(|x, y| {
+            y.score()
+                .abs()
+                .total_cmp(&x.score().abs())
+                .then_with(|| x.left.to_string().cmp(&y.left.to_string()))
+                .then_with(|| x.right.to_string().cmp(&y.right.to_string()))
+                .then_with(|| x.resolution.label().cmp(&y.resolution.label()))
+                .then_with(|| x.class.label().cmp(y.class.label()))
+        });
+    }
+
     #[test]
-    fn chunk_size_scales_with_tasks() {
-        assert_eq!(task_chunk_size(0, 4), 1);
-        assert_eq!(task_chunk_size(10, 4), 1);
-        assert_eq!(task_chunk_size(3_200, 4), 100);
-        // Degenerate worker counts never panic or return zero.
-        assert_eq!(task_chunk_size(100, 0), 12);
+    fn sort_orders_as_the_display_strings_do() {
+        // Names where comparing piecewise and comparing the joined string
+        // could part ways: a `.` inside a name, one name a prefix of
+        // another, bytes below and above `.`, empty names, non-ASCII.
+        let datasets = ["a", "a.b", "a.", "ab", "a b", "a-b", "", "é"];
+        let functions = ["", "b", "b.c", ".", "-", "density", "avg(x)"];
+        let resolutions = [
+            (SpatialResolution::City, TemporalResolution::Hour),
+            (SpatialResolution::Zip, TemporalResolution::Day),
+            (SpatialResolution::Neighborhood, TemporalResolution::Day),
+            (SpatialResolution::Gps, TemporalResolution::Month),
+        ];
+        let scores = [0.5, -0.5, 0.25, f64::NAN];
+        let mut rels = Vec::new();
+        for (i, dataset) in datasets.iter().enumerate() {
+            for (j, function) in functions.iter().enumerate() {
+                for (k, &(spatial, temporal)) in resolutions.iter().enumerate() {
+                    let n = i + j + k;
+                    let mut r = rel(dataset, scores[n % scores.len()]);
+                    r.left.function = function.to_string();
+                    r.right.dataset = datasets[(n * 5 + 3) % datasets.len()].to_string();
+                    r.right.function = functions[(n * 3 + 1) % functions.len()].to_string();
+                    r.resolution = Resolution::new(spatial, temporal);
+                    for class in FeatureClass::ALL {
+                        rels.push(Relationship { class, ..r.clone() });
+                    }
+                }
+            }
+        }
+        // Scatter, so neither sort starts from the construction order.
+        rels.sort_by_key(|r| Fnv1a::hash_bytes(format!("{r:?}").as_bytes()));
+        let mut expected = rels.clone();
+        sort_by_display_strings(&mut expected);
+        sort_relationships(&mut rels);
+        assert_eq!(format!("{rels:?}"), format!("{expected:?}"));
+        let ties = expected
+            .windows(2)
+            .filter(|w| w[0].score().abs().total_cmp(&w[1].score().abs()).is_eq())
+            .count();
+        assert!(ties > 300, "the names must decide most places: {ties}");
     }
 }

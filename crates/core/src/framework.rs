@@ -628,6 +628,7 @@ mod tests {
                 },
                 field: None,
                 tree_nodes: 0,
+                row_memo: Default::default(),
             }
         };
         let catalog = |name: &str| DatasetEntry {

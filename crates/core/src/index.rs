@@ -10,7 +10,9 @@
 use crate::error::{Error, Result};
 use crate::function::FunctionSpec;
 use polygamy_stdata::{DatasetMeta, Resolution, ScalarField};
-use polygamy_topology::{FeatureSets, SeasonalThresholds};
+use polygamy_topology::{FeatureClass, FeatureSet, FeatureSets, SeasonalThresholds};
+use std::fmt;
+use std::sync::OnceLock;
 
 /// Catalog entry for one data set (the paper's Table 1 row).
 #[derive(Debug, Clone, PartialEq)]
@@ -50,6 +52,42 @@ pub struct FunctionEntry {
     pub field: Option<ScalarField>,
     /// Merge-tree size (join + split critical points) — index statistics.
     pub tree_nodes: usize,
+    /// Memo behind [`FunctionEntry::region_rows`]; `Default::default()`
+    /// wherever an entry is built.
+    pub row_memo: RegionRowMemo,
+}
+
+/// The whole-field region-major rows of an entry's precomputed features,
+/// one cell per class, filled on first use.
+///
+/// The rows are a pure function of the entry, so the memo is no part of
+/// its value: it compares equal to any other, clones empty and prints the
+/// same filled or not. It has no key, capacity or eviction — it lives as
+/// long as the entry does (the eager index, or a lazy session's cached
+/// `Arc<FunctionEntry>`) and holds at most the entry's four bit vectors
+/// again.
+#[derive(Default)]
+pub struct RegionRowMemo {
+    salient: OnceLock<Vec<FeatureSet>>,
+    extreme: OnceLock<Vec<FeatureSet>>,
+}
+
+impl Clone for RegionRowMemo {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl PartialEq for RegionRowMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for RegionRowMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("RegionRowMemo")
+    }
 }
 
 impl FunctionEntry {
@@ -75,6 +113,32 @@ impl FunctionEntry {
     pub fn vertex_range(&self, start: i64, len: usize) -> (usize, usize) {
         let z0 = (start - self.start_bucket) as usize;
         (z0 * self.n_regions, (z0 + len) * self.n_regions)
+    }
+
+    /// The precomputed `class` features re-laid region-major: one
+    /// `n_steps`-bit row per region ([`FeatureSet::region_major`]) — what
+    /// the significance test shifts on a spatial domain. Transposed by the
+    /// first caller, borrowed by every later one.
+    pub fn region_rows(&self, class: FeatureClass) -> &[FeatureSet] {
+        self.region_rows_noting(class, || ())
+    }
+
+    /// [`FunctionEntry::region_rows`], calling `built` if this call is the
+    /// one that transposes.
+    pub(crate) fn region_rows_noting(
+        &self,
+        class: FeatureClass,
+        built: impl FnOnce(),
+    ) -> &[FeatureSet] {
+        let cell = match class {
+            FeatureClass::Salient => &self.row_memo.salient,
+            FeatureClass::Extreme => &self.row_memo.extreme,
+        };
+        cell.get_or_init(|| {
+            built();
+            let features = self.features.class(class);
+            features.region_major(self.n_regions, self.n_steps)
+        })
     }
 
     /// Bytes used by the precomputed feature sets.
@@ -212,7 +276,7 @@ impl PolygamyIndex {
 mod tests {
     use super::*;
     use polygamy_stdata::{SpatialResolution, TemporalResolution};
-    use polygamy_topology::{FeatureSet, Thresholds};
+    use polygamy_topology::{BitVec, Thresholds};
 
     fn entry(start: i64, steps: usize) -> FunctionEntry {
         FunctionEntry {
@@ -233,6 +297,7 @@ mod tests {
             },
             field: None,
             tree_nodes: 0,
+            row_memo: Default::default(),
         }
     }
 
@@ -286,5 +351,103 @@ mod tests {
         assert_eq!(stats.n_datasets, 1);
         assert_eq!(stats.n_functions, 1);
         assert_eq!(stats.raw_bytes, 320);
+    }
+
+    /// An `n_regions × n_steps` entry whose four feature vectors take their
+    /// bits from `words`, cycled.
+    fn spatial_entry(n_regions: usize, n_steps: usize, words: &[u64]) -> FunctionEntry {
+        let n = n_regions * n_steps;
+        let bits = |salt: usize| {
+            let mut bits = BitVec::zeros(n);
+            for v in 0..n {
+                let at = v + salt * n;
+                if words[(at / 64) % words.len()] >> (at % 64) & 1 == 1 {
+                    bits.set(v);
+                }
+            }
+            bits
+        };
+        // Finite thresholds: an entry with NaN ones is not equal to itself.
+        let thresholds = Thresholds {
+            salient_pos: 1.0,
+            salient_neg: -1.0,
+            extreme_pos: 2.0,
+            extreme_neg: -2.0,
+        };
+        FunctionEntry {
+            n_regions,
+            thresholds: SeasonalThresholds {
+                per_interval: vec![thresholds],
+                ..entry(0, n_steps).thresholds
+            },
+            features: FeatureSets {
+                salient: FeatureSet {
+                    pos: bits(0),
+                    neg: bits(1),
+                },
+                extreme: FeatureSet {
+                    pos: bits(2),
+                    neg: bits(3),
+                },
+            },
+            ..entry(0, n_steps)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// Cropping the memoised whole-field rows row by row is the
+        /// transpose of the cropped window — what an operand with a cropped
+        /// window relies on.
+        #[test]
+        fn region_rows_sliced_match_the_window_transposed(
+            n_regions in 1usize..=70,
+            n_steps in 1usize..200,
+            from in 0usize..200,
+            len in 1usize..200,
+            words in proptest::collection::vec(0u64..u64::MAX, 1..12)
+        ) {
+            let e = spatial_entry(n_regions, n_steps, &words);
+            let z0 = from % n_steps;
+            let z1 = (z0 + len).min(n_steps);
+            for class in FeatureClass::ALL {
+                let rows = e.region_rows(class);
+                proptest::prop_assert_eq!(rows.len(), n_regions);
+                let cropped: Vec<FeatureSet> = rows.iter().map(|r| r.slice(z0, z1)).collect();
+                let (lo, hi) = e.vertex_range(z0 as i64, z1 - z0);
+                let window = e.features.class(class).slice(lo, hi);
+                proptest::prop_assert_eq!(cropped, window.region_major(n_regions, z1 - z0));
+            }
+        }
+    }
+
+    #[test]
+    fn a_filled_row_memo_is_no_part_of_the_entry() {
+        let filled = spatial_entry(3, 70, &[0x9E37_79B9_7F4A_7C15, 0x0123_4567_89AB_CDEF]);
+        let untouched = filled.clone();
+        let before = format!("{filled:?}");
+        for class in FeatureClass::ALL {
+            assert_eq!(filled.region_rows(class).len(), 3);
+            // A second call borrows what the first one built.
+            assert!(std::ptr::eq(
+                filled.region_rows(class),
+                filled.region_rows(class)
+            ));
+        }
+        assert_eq!(filled, untouched);
+        assert_eq!(format!("{filled:?}"), before);
+        assert_eq!(format!("{filled:?}"), format!("{untouched:?}"));
+        // A clone of a filled entry equals it, and builds its own rows.
+        let copy = filled.clone();
+        assert_eq!(copy, filled);
+        assert_eq!(
+            copy.region_rows(FeatureClass::Salient),
+            filled.region_rows(FeatureClass::Salient)
+        );
+        assert!(!std::ptr::eq(
+            copy.region_rows(FeatureClass::Salient),
+            filled.region_rows(FeatureClass::Salient)
+        ));
     }
 }

@@ -14,8 +14,15 @@
 //! interns each distinct such *operand* into an `OperandTable` slot and a
 //! task carries two slot indices. A slot is prepared by the first task that
 //! needs it and read by every other: an `n × m` pair prepares `n + m`
-//! windows (and region-major row sets, and threshold scans under custom
-//! thresholds), not `2·n·m`.
+//! windows (and threshold scans under custom thresholds), not `2·n·m`.
+//!
+//! The region-major rows a spatial significance test shifts outlive the
+//! dispatch: the whole-field rows of a function's precomputed features are
+//! memoised on its index entry ([`FunctionEntry::region_rows`]), so they
+//! are transposed once per entry and class, and an operand borrows them
+//! (whole-field window) or crops each row to its window. Only a
+//! `thresholds` override, whose features exist for one clause, still
+//! transposes per dispatch.
 //!
 //! Monte Carlo seeds are derived per task with an explicit FNV-1a over a
 //! fully framed byte stream, so significance verdicts are reproducible
@@ -90,7 +97,18 @@ pub(crate) struct Operand<'a> {
     /// User thresholds replacing the precomputed features.
     custom: Option<ThresholdOverride<'a>>,
     features: OnceLock<Cow<'a, FeatureSet>>,
+    /// The window's rows, where they are not the entry's own.
     rows: OnceLock<Vec<FeatureSet>>,
+}
+
+/// What the unit tasks of one dispatch did, for the executor's counters
+/// (observation only).
+#[derive(Default)]
+pub(crate) struct EvalCounts {
+    /// Permutations run by tasks that reached the significance test.
+    pub(crate) permutations: Counter,
+    /// Region-major transposes performed.
+    pub(crate) rows_built: Counter,
 }
 
 impl Operand<'_> {
@@ -112,16 +130,32 @@ impl Operand<'_> {
     }
 
     /// One row of the window's time steps per region — what the
-    /// significance test shifts. A 1-D domain's only row is the window.
-    fn rows(&self) -> &[FeatureSet] {
+    /// significance test shifts. A 1-D domain's only row is the window; a
+    /// spatial domain's rows are the entry's memoised whole-field rows,
+    /// borrowed when the window is the whole field and cropped row by row
+    /// otherwise. Features a `thresholds` clause defines have no rows
+    /// beyond this dispatch and are transposed here.
+    fn rows(&self, rows_built: &Counter) -> &[FeatureSet] {
         let n_regions = self.entry.n_regions;
         if n_regions <= 1 {
             return std::slice::from_ref(self.features());
         }
-        self.rows.get_or_init(|| {
-            let n_steps = (self.window.1 - self.window.0) / n_regions;
-            self.features().region_major(n_regions, n_steps)
-        })
+        let (z0, z1) = (self.window.0 / n_regions, self.window.1 / n_regions);
+        if self.custom.is_some() {
+            return self.rows.get_or_init(|| {
+                rows_built.inc();
+                self.features().region_major(n_regions, z1 - z0)
+            });
+        }
+        let whole = || {
+            self.entry
+                .region_rows_noting(self.class, || rows_built.inc())
+        };
+        if (z0, z1) == (0, self.entry.n_steps) {
+            return whole();
+        }
+        self.rows
+            .get_or_init(|| whole().iter().map(|row| row.slice(z0, z1)).collect())
     }
 }
 
@@ -242,15 +276,34 @@ pub(crate) fn expand_pair_tasks<'a>(
     Ok(())
 }
 
+/// Window vertices a unit task passes over per nanosecond: one pass for the
+/// intersection, one per permutation, each an AND-popcount sweep of both
+/// operands' two bit vectors. Measured on the reference sandbox over the
+/// `explore_urban` queries (docs/architecture.md, "The evaluate dispatch"); an
+/// estimate for scheduling, so only its order of magnitude matters.
+const VERTEX_PASSES_PER_NS: u64 = 8;
+
+impl UnitTask<'_> {
+    /// Estimated single-thread nanoseconds of [`evaluate_unit`] on this
+    /// task: window vertices × (1 + permutations). What the pool balances
+    /// chunks by — a task the clause prunes after its intersection costs
+    /// less, which unbalances a chunk, never a result.
+    pub(crate) fn estimated_ns(&self, operands: &OperandTable<'_>) -> u64 {
+        let (lo, hi) = operands.slots[self.left].window;
+        let passes = 1 + self.clause.permutations as u64;
+        ((hi - lo) as u64).saturating_mul(passes) / VERTEX_PASSES_PER_NS
+    }
+}
+
 /// Evaluates one unit task. Pure: the result depends only on the task and
 /// `config`, never on scheduling, which is what makes the flat executor's
-/// output worker-count-independent. Adds the permutations it ran to
-/// `permutations_run` (observation only).
+/// output worker-count-independent. Adds what it did to `counts`
+/// (observation only).
 pub(crate) fn evaluate_unit(
     task: &UnitTask<'_>,
     operands: &OperandTable<'_>,
     config: &Config,
-    permutations_run: &Counter,
+    counts: &EvalCounts,
 ) -> Option<Relationship> {
     let UnitTask {
         e1,
@@ -277,10 +330,10 @@ pub(crate) fn evaluate_unit(
         return None;
     }
     let seed = pair_seed(config.seed, e1, e2, class);
-    permutations_run.add(mc.permutations as u64);
+    counts.permutations.add(mc.permutations as u64);
     let p = permutation_p_value(
-        left.rows(),
-        right.rows(),
+        left.rows(&counts.rows_built),
+        right.rows(&counts.rows_built),
         adjacency,
         measures.score,
         &mc,
@@ -535,7 +588,7 @@ mod tests {
 
         // Same-shaped data sets: every pair shares one window, so each
         // function is one operand however many partners it meets — alpha's
-        // merge trees are built once per function, not once per pair.
+        // threshold scan runs once per function, not once per pair.
         assert_eq!(trace.counter("tasks_expanded"), n_tasks);
         assert!(n_tasks > (alphas.len() + betas.len()) as u64);
         let prepared = (alphas.len() + betas.len()) as u64;
@@ -600,6 +653,7 @@ mod tests {
             },
             field: None,
             tree_nodes: 0,
+            row_memo: Default::default(),
         }
     }
 

@@ -101,6 +101,7 @@ pub fn identify_features(
             thresholds,
             field: Some(field),
             tree_nodes,
+            row_memo: Default::default(),
         }
     })
 }

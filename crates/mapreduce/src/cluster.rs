@@ -7,6 +7,8 @@
 //! embarrassingly parallel job scales with available task slots, including
 //! the straggler effects that flatten the curve.
 
+use std::sync::OnceLock;
+
 /// An execution environment with a bounded number of parallel task slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cluster {
@@ -33,14 +35,19 @@ impl Cluster {
     /// Uses every core the host offers, unless the `POLYGAMY_WORKERS`
     /// environment variable forces a specific count (CI runs the suite
     /// under forced worker counts to prove results are worker-independent).
+    ///
+    /// Resolved once per process, at first use: every session and every
+    /// `Config::default()` of a process sees the same count, and none of
+    /// them pays the environment and cgroup reads again.
     pub fn host() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::new(
-            1,
-            Self::forced_workers(std::env::var("POLYGAMY_WORKERS").ok()).unwrap_or(cores),
-        )
+        static HOST: OnceLock<Cluster> = OnceLock::new();
+        *HOST.get_or_init(|| {
+            let cores = std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1);
+            let forced = Self::forced_workers(std::env::var("POLYGAMY_WORKERS").ok());
+            Self::local(forced.unwrap_or(cores))
+        })
     }
 
     /// Parses a `POLYGAMY_WORKERS` override; unset, empty or unparsable
@@ -72,6 +79,7 @@ mod tests {
         assert_eq!(Cluster::new(4, 8).workers(), 32);
         assert_eq!(Cluster::local(3).workers(), 3);
         assert!(Cluster::host().workers() >= 1);
+        assert_eq!(Cluster::host(), Cluster::host());
     }
 
     #[test]

@@ -9,11 +9,13 @@
 //! * **cluster sizing**: a [`Cluster`] is a worker count, modelled as
 //!   nodes × cores, which is how the Figure 10 speedup experiment sweeps
 //!   "cluster sizes";
-//! * **an ordered task pool**: [`run_chunked_tasks`] (and its
-//!   single-index form [`run_indexed_tasks`], and [`par_map`] over owned
-//!   inputs) runs independent tasks on that many scoped threads and
-//!   returns results in task order, so output never depends on the
-//!   worker count.
+//! * **an ordered task pool**: [`run_weighted_tasks`] (chunks cut from a
+//!   per-task cost estimate, small dispatches inline), its equal-cost case
+//!   [`run_chunked_tasks`] (and that one's single-index form
+//!   [`run_indexed_tasks`], and [`par_map`] over owned inputs) run
+//!   independent tasks on the calling thread plus that many minus one
+//!   scoped helpers and return results in task order, so output never
+//!   depends on the worker count.
 
 #![forbid(unsafe_code)]
 
@@ -21,4 +23,4 @@ pub mod cluster;
 pub mod pool;
 
 pub use cluster::Cluster;
-pub use pool::{par_map, run_chunked_tasks, run_indexed_tasks};
+pub use pool::{par_map, run_chunked_tasks, run_indexed_tasks, run_weighted_tasks};

@@ -87,6 +87,15 @@ pub mod names {
     /// Unit-task operand reads served by an already prepared operand
     /// (counter): `2 · tasks − operands_prepared` per dispatch.
     pub const CORE_OPERAND_REUSES: &str = "core.operand_reuses";
+    /// Region-major transposes performed for spatial significance tests
+    /// (counter): one per (index entry, class) for as long as the entry
+    /// lives, one per operand and dispatch under a `thresholds` override.
+    pub const CORE_OPERAND_ROWS_BUILT: &str = "core.operand_rows_built";
+    /// Evaluate dispatches that stayed on the calling thread: one worker,
+    /// or an estimated cost under the pool's inline floor (counter).
+    pub const CORE_DISPATCHES_INLINE: &str = "core.dispatches_inline";
+    /// Evaluate dispatches that spawned helper threads (counter).
+    pub const CORE_DISPATCHES_PARALLEL: &str = "core.dispatches_parallel";
 
     /// Wall time of the scalar-function job, summed over indexed data sets
     /// (counter, ns).
@@ -194,6 +203,9 @@ pub mod names {
         CORE_PERMUTATIONS_RUN,
         CORE_OPERANDS_PREPARED,
         CORE_OPERAND_REUSES,
+        CORE_OPERAND_ROWS_BUILT,
+        CORE_DISPATCHES_INLINE,
+        CORE_DISPATCHES_PARALLEL,
         INDEX_STAGE_SCALAR_NS,
         INDEX_STAGE_TREES_NS,
         INDEX_STAGE_THRESHOLDS_NS,

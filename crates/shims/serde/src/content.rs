@@ -1,12 +1,12 @@
-//! The self-describing value tree shared by serialization and
-//! deserialization.
+//! The self-describing value tree of the deserialization side.
 
-/// A serialized value: the JSON data model plus an integer fast path.
+/// A parsed value: the JSON data model plus an integer fast path.
 ///
-/// Serializers produce a `Content` tree; deserializers read one. `NaN`
-/// floats serialize as [`Content::Null`] (JSON has no NaN) and `Null`
-/// deserializes back to NaN for float targets, so scalar fields with
-/// undefined points round-trip.
+/// A format's parser produces a `Content` tree and deserializers read it;
+/// serialization never builds one (values stream through
+/// [`crate::Serializer`]). `NaN` floats serialize as `null` (JSON has no
+/// NaN) and [`Content::Null`] deserializes back to NaN for float targets,
+/// so values with undefined points round-trip.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Content {
     /// JSON `null`.

@@ -2,13 +2,15 @@
 //!
 //! The container this repository builds in has no crates.io access, so the
 //! workspace vendors a small data-model-compatible subset of serde: the
-//! `Serialize`/`Deserialize` traits, a concrete [`Content`] tree the
-//! serializers produce and the deserializers consume, and re-exported derive
-//! macros from the sibling `serde_derive` shim. The subset covers exactly
+//! `Serialize`/`Deserialize` traits, the `Serializer` trait a format's
+//! writer implements (values stream through it; no tree is built), a
+//! concrete [`Content`] tree a format's parser produces and the
+//! deserializers consume, and re-exported derive macros from the sibling
+//! `serde_derive` shim. The subset covers exactly
 //! the idioms this workspace uses — derived named-field structs and
 //! unit-variant enums over `bool`, the integers, `f64`, `String`,
 //! `Option`, `Vec`/slices and `BTreeMap<String, _>` — and is consumed by
-//! the `serde_json` shim for text encoding.
+//! the `serde_json` shim for text encoding and decoding.
 //!
 //! Not supported (by design): zero-copy borrowing, visitors, non-self
 //! describing formats, tuples, data-carrying enum variants, every

@@ -1,30 +1,13 @@
-//! Serialization half of the shim: serde-shaped traits over [`Content`].
+//! Serialization half of the shim: the serde-shaped traits a data format
+//! implements (the `serde_json` shim's writer streams through them) and
+//! the `Serialize` impls of the primitives the workspace uses.
 
-use crate::content::Content;
 use std::fmt::Display;
 
 /// Error trait for serializers (mirrors `serde::ser::Error`).
 pub trait Error: Sized + Display {
     /// Builds an error from a message.
     fn custom<T: Display>(msg: T) -> Self;
-}
-
-/// The concrete serialization error.
-#[derive(Debug, Clone)]
-pub struct SerError(pub String);
-
-impl Display for SerError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for SerError {}
-
-impl Error for SerError {
-    fn custom<T: Display>(msg: T) -> Self {
-        SerError(msg.to_string())
-    }
 }
 
 /// A data format that can serialize the shim's data model.
@@ -97,135 +80,6 @@ pub trait SerializeStruct {
 pub trait Serialize {
     /// Serializes `self` into the given serializer.
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error>;
-}
-
-/// The workhorse serializer: builds a [`Content`] tree.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ContentSerializer;
-
-/// In-progress struct serialization for [`ContentSerializer`].
-#[derive(Debug, Default)]
-pub struct ContentStructSerializer {
-    fields: Vec<(String, Content)>,
-}
-
-impl SerializeStruct for ContentStructSerializer {
-    type Ok = Content;
-    type Error = SerError;
-
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<(), Self::Error> {
-        let v = value.serialize(ContentSerializer)?;
-        self.fields.push((key.to_string(), v));
-        Ok(())
-    }
-
-    fn end(self) -> Result<Self::Ok, Self::Error> {
-        Ok(Content::Map(self.fields))
-    }
-}
-
-impl Serializer for ContentSerializer {
-    type Ok = Content;
-    type Error = SerError;
-    type SerializeStruct = ContentStructSerializer;
-
-    fn serialize_bool(self, v: bool) -> Result<Content, SerError> {
-        Ok(Content::Bool(v))
-    }
-
-    fn serialize_i64(self, v: i64) -> Result<Content, SerError> {
-        Ok(Content::I64(v))
-    }
-
-    fn serialize_u64(self, v: u64) -> Result<Content, SerError> {
-        Ok(Content::U64(v))
-    }
-
-    fn serialize_f64(self, v: f64) -> Result<Content, SerError> {
-        // JSON cannot represent NaN/inf; the shim maps them to null and
-        // float deserialization maps null back to NaN.
-        if v.is_finite() {
-            Ok(Content::F64(v))
-        } else if v.is_nan() {
-            Ok(Content::Null)
-        } else {
-            Err(SerError::custom("cannot serialize infinite float"))
-        }
-    }
-
-    fn serialize_str(self, v: &str) -> Result<Content, SerError> {
-        Ok(Content::Str(v.to_string()))
-    }
-
-    fn serialize_none(self) -> Result<Content, SerError> {
-        Ok(Content::Null)
-    }
-
-    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<Content, SerError> {
-        value.serialize(self)
-    }
-
-    fn serialize_unit_variant(
-        self,
-        _name: &'static str,
-        _variant_index: u32,
-        variant: &'static str,
-    ) -> Result<Content, SerError> {
-        Ok(Content::Str(variant.to_string()))
-    }
-
-    fn collect_seq<I>(self, iter: I) -> Result<Content, SerError>
-    where
-        I: IntoIterator,
-        I::Item: Serialize,
-    {
-        let items: Result<Vec<Content>, SerError> = iter
-            .into_iter()
-            .map(|item| item.serialize(ContentSerializer))
-            .collect();
-        Ok(Content::Seq(items?))
-    }
-
-    fn collect_map<K, V, I>(self, iter: I) -> Result<Content, SerError>
-    where
-        K: Serialize,
-        V: Serialize,
-        I: IntoIterator<Item = (K, V)>,
-    {
-        let mut fields = Vec::new();
-        for (k, v) in iter {
-            let key = match k.serialize(ContentSerializer)? {
-                Content::Str(s) => s,
-                other => {
-                    return Err(SerError::custom(format!(
-                        "map key must be a string, got {}",
-                        other.kind()
-                    )))
-                }
-            };
-            fields.push((key, v.serialize(ContentSerializer)?));
-        }
-        Ok(Content::Map(fields))
-    }
-
-    fn serialize_struct(
-        self,
-        _name: &'static str,
-        len: usize,
-    ) -> Result<ContentStructSerializer, SerError> {
-        Ok(ContentStructSerializer {
-            fields: Vec::with_capacity(len),
-        })
-    }
-}
-
-/// Serializes any value to a [`Content`] tree.
-pub fn to_content<T: Serialize + ?Sized>(value: &T) -> Result<Content, SerError> {
-    value.serialize(ContentSerializer)
 }
 
 macro_rules! impl_serialize_int {

@@ -693,6 +693,7 @@ pub fn decode_function_segment(
         thresholds,
         field,
         tree_nodes,
+        row_memo: Default::default(),
     })
 }
 
@@ -753,6 +754,7 @@ mod tests {
             },
             field,
             tree_nodes: 17,
+            row_memo: Default::default(),
         }
     }
 

@@ -398,6 +398,7 @@ fn geometry_missing_an_indexed_resolution_is_a_typed_error() {
             },
             field: None,
             tree_nodes: 0,
+            row_memo: Default::default(),
         }
     };
     let catalog = |name: &str| DatasetEntry {

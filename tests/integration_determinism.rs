@@ -18,12 +18,26 @@
 //! scheduling can never leak into significance verdicts. Byte-identity is
 //! checked on the serialized JSON, not just `PartialEq`, so even the bit
 //! patterns of scores and p-values must agree.
+//!
+//! Every corpus above is city-level (1-D). The last two tests run a small
+//! **spatial** corpus — neighbourhood and zip partitions, overlap windows
+//! cropped off a word boundary — through the same matrix, asked cold, again,
+//! and against a second partner on one session (the region-major rows the
+//! spatial significance test shifts are memoised on the index entry and
+//! cropped per window), and re-derive a whole query pair by pair on the
+//! naive path: the executor-level oracle for spatial domains.
 
 use polygamy_core::prelude::*;
-use polygamy_core::DataPolygamy;
+use polygamy_core::{
+    evaluate_features, significance_test, DataPolygamy, Fnv1a, FunctionEntry, PermutationScheme,
+};
 use polygamy_mapreduce::Cluster;
+use polygamy_obs::trace;
+use polygamy_stats::permutation::MonteCarlo;
+use polygamy_stdata::Polygon;
 use polygamy_store::{shard_store, LoadFilter, SourceBackend, Store, StoreSession};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 fn tmp_path(tag: &str) -> PathBuf {
@@ -49,9 +63,16 @@ fn config_with(cluster: Cluster) -> Config {
     }
 }
 
-/// The worker-count matrix every result must be invariant over.
+/// The worker-count matrix every result must be invariant over. Three is
+/// the odd one: the calling thread is a worker, so chunks are claimed by
+/// one caller and two helpers.
 fn worker_matrix() -> Vec<Cluster> {
-    vec![Cluster::local(1), Cluster::local(2), Cluster::host()]
+    vec![
+        Cluster::local(1),
+        Cluster::local(2),
+        Cluster::local(3),
+        Cluster::host(),
+    ]
 }
 
 /// The read-mode axis: every store-session result must also be invariant
@@ -392,6 +413,350 @@ fn traced_results_identical_to_untraced() {
     assert!(traced.trace.is_some(), "traced outcome carries its trace");
     assert_eq!(traced.to_json(), plain.to_json(), "trace changed the bytes");
     assert_eq!(traced.render_text(), plain.render_text());
+}
+
+/// A 3 × 2-neighbourhood city under two zip codes (the west four cells,
+/// the east two).
+fn spatial_geometry() -> CityGeometry {
+    let cells: Vec<(u32, u32)> = (0..2).flat_map(|y| (0..3).map(move |x| (x, y))).collect();
+    let polygons = cells
+        .iter()
+        .map(|&(x, y)| Polygon::rect(x as f64, y as f64, x as f64 + 1.0, y as f64 + 1.0))
+        .collect();
+    let adjacency = cells
+        .iter()
+        .map(|&(x, y)| {
+            let east = (x + 1 < 3).then_some(y * 3 + x + 1);
+            let north = (y + 1 < 2).then_some((y + 1) * 3 + x);
+            east.into_iter().chain(north).collect()
+        })
+        .collect();
+    let zips = vec![
+        Polygon::rect(0.0, 0.0, 2.0, 2.0),
+        Polygon::rect(2.0, 0.0, 3.0, 2.0),
+    ];
+    CityGeometry {
+        neighborhood: Some(
+            SpatialPartition::new(SpatialResolution::Neighborhood, polygons, adjacency).unwrap(),
+        ),
+        zip: Some(
+            SpatialPartition::new(SpatialResolution::Zip, zips, vec![vec![1], vec![0]]).unwrap(),
+        ),
+        city: SpatialPartition::city(0.0, 0.0, 3.0, 2.0),
+    }
+}
+
+/// An hourly GPS data set over `hours`: a trickle of records in every cell
+/// and bursts, with a jump of the attribute, every 53 hours of `hours +
+/// phase` in one cell — data sets of one phase burst together.
+fn gps_dataset(name: &str, hours: std::ops::Range<i64>, phase: i64) -> Dataset {
+    let meta = DatasetMeta {
+        name: name.into(),
+        spatial_resolution: SpatialResolution::Gps,
+        temporal_resolution: TemporalResolution::Hour,
+        description: String::new(),
+    };
+    let mut b = DatasetBuilder::new(meta).attribute(AttributeMeta::named("signal"));
+    for h in hours {
+        for cell in 0..6i64 {
+            let burst = (h + phase) % 53 == 0 && (h + phase) / 53 % 6 == cell;
+            let records = match burst {
+                true => 9,
+                false => 1 + i64::from((h * 7 + cell * 3 + phase) % 5 == 0),
+            };
+            let signal = (h % 24) as f64 * 0.1 + cell as f64 + if burst { 30.0 } else { 0.0 };
+            for k in 0..records {
+                let at = GeoPoint::new(
+                    (cell % 3) as f64 + 0.1 + 0.08 * k as f64,
+                    (cell / 3) as f64 + 0.5,
+                );
+                b.push(at, h * 3_600 + k * 60, &[signal + k as f64 * 0.01])
+                    .expect("schema matches");
+            }
+        }
+    }
+    b.build().expect("dataset builds")
+}
+
+/// Three GPS data sets: `north` and `south` share a time range (their
+/// windows are whole fields), `late` starts 37 hours after them — every
+/// window with it is cropped, at hour 37 of 400: off a word boundary.
+fn spatial_datasets() -> Vec<Dataset> {
+    vec![
+        gps_dataset("north", 0..400, 0),
+        gps_dataset("late", 37..437, 0),
+        gps_dataset("south", 0..400, 11),
+    ]
+}
+
+fn build_spatial(cluster: Cluster) -> DataPolygamy {
+    let mut dp = DataPolygamy::new(spatial_geometry(), config_with(cluster));
+    for d in spatial_datasets() {
+        dp.add_dataset(d);
+    }
+    dp.build_index();
+    dp
+}
+
+/// What one session is asked, in order: a pair with cropped windows, the
+/// same again (a cache hit), `north` against a partner of its own range
+/// (rows already memoised, another window), the remaining pair, and the
+/// clauses that change what a spatial task does.
+fn spatial_queries() -> Vec<RelationshipQuery> {
+    let clause = Clause::default().permutations(30).include_insignificant();
+    let pair = |a: &str, b: &str, c: &Clause| {
+        RelationshipQuery::between(&[a], &[b]).with_clause(c.clone())
+    };
+    vec![
+        pair("north", "late", &clause),
+        pair("north", "late", &clause),
+        pair("north", "south", &clause),
+        pair("late", "south", &clause),
+        pair(
+            "north",
+            "late",
+            &clause
+                .clone()
+                .with_scheme(PermutationScheme::SpatioTemporal),
+        ),
+        pair(
+            "late",
+            "south",
+            &clause.clone().class(FeatureClass::Extreme),
+        ),
+        pair("north", "late", &clause.clone().min_score(0.5)),
+        pair(
+            "north",
+            "late",
+            &clause.clone().with_thresholds("north", 5.0, 1.0),
+        ),
+        RelationshipQuery::all().with_clause(clause),
+    ]
+}
+
+/// The spatial axis of the matrix: workers {1, 2, 3, host} × {in-memory,
+/// eager, lazy, lazy-mmap, 3 shards} on a corpus whose unit tasks shift
+/// region rows, with every session asked the whole query sequence — so
+/// each answer after the first is computed over rows an earlier query
+/// left on the entries.
+#[test]
+fn spatial_corpus_identical_across_every_session_kind() {
+    let path = tmp_path("spatial-matrix");
+    let catalog_path = tmp_path("spatial-matrix-sharded");
+    let mut cleanups = vec![Cleanup(path.clone()), Cleanup(catalog_path.clone())];
+    let queries = spatial_queries();
+    // Every reference answer comes from a framework of its own: no rows
+    // memoised, no query cached.
+    let reference: Vec<String> = queries
+        .iter()
+        .map(|q| json(&build_spatial(Cluster::local(1)).query(q).unwrap()))
+        .collect();
+    let spatial = |j: &String| j.contains("\"Neighborhood\"") && j.contains("\"Zip\"");
+    assert!(reference.iter().all(spatial), "every query must be spatial");
+    assert_ne!(reference[0], reference[4], "the scheme must show");
+    assert_ne!(reference[0], reference[7], "the override must show");
+
+    let dp = build_spatial(Cluster::local(1));
+    Store::save(&path, dp.geometry(), dp.index().unwrap()).unwrap();
+    let catalog = shard_store(&path, &catalog_path, 3).unwrap();
+    for i in 0..3 {
+        cleanups.push(Cleanup(catalog.shard_path(&catalog_path, i)));
+    }
+
+    for cluster in worker_matrix() {
+        let dp = build_spatial(cluster);
+        for (q, expect) in queries.iter().zip(&reference) {
+            assert_eq!(&json(&dp.query(q).unwrap()), expect, "query @ {cluster:?}");
+        }
+        let batched = build_spatial(cluster).query_many(&queries).unwrap();
+        for (rels, expect) in batched.iter().zip(&reference) {
+            assert_eq!(&json(rels), expect, "query_many @ {cluster:?}");
+        }
+        for store in [&path, &catalog_path] {
+            for (mode, session) in session_matrix(store, cluster) {
+                for (q, expect) in queries.iter().zip(&reference) {
+                    assert_eq!(
+                        &json(&session.query(q).unwrap()),
+                        expect,
+                        "{mode} query @ {cluster:?} over {}",
+                        store.display()
+                    );
+                }
+            }
+            for (mode, session) in session_matrix(store, cluster) {
+                let batched = session.query_many(&queries).unwrap();
+                for (rels, expect) in batched.iter().zip(&reference) {
+                    assert_eq!(
+                        &json(rels),
+                        expect,
+                        "{mode} query_many @ {cluster:?} over {}",
+                        store.display()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The Monte Carlo seed of one unit task, from its inputs (the framing
+/// `core/src/operator.rs` pins in `seed_format_pinned`).
+fn unit_seed(base: u64, e1: &FunctionEntry, e2: &FunctionEntry, class: FeatureClass) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_u64(base);
+    for name in [
+        &e1.spec.dataset,
+        &e1.spec.name,
+        &e2.spec.dataset,
+        &e2.spec.name,
+    ] {
+        h.write_str(name);
+    }
+    h.write_u8(e1.resolution.spatial.code());
+    h.write_u8(e1.resolution.temporal.code());
+    h.write_u8(match class {
+        FeatureClass::Salient => 1,
+        FeatureClass::Extreme => 2,
+    });
+    h.finish()
+}
+
+/// The executor-level oracle on a spatial domain: every relationship of a
+/// whole query re-derived pair by pair with nothing shared — the window
+/// sliced off the time-major features, intersected, and tested by
+/// `significance_test` (which transposes its two arguments itself) — and
+/// compared bit for bit, for both permutation schemes. On the way it
+/// counts what the executor may build: one transpose per spatial (entry,
+/// class) that reaches a test, however many queries and windows use it.
+#[test]
+fn spatial_query_matches_the_naive_path_pair_by_pair() {
+    let dp = build_spatial(Cluster::local(3));
+    let index = dp.index().unwrap();
+    let mc = MonteCarlo {
+        permutations: 30,
+        ..MonteCarlo::default()
+    };
+    let mut rows_built = 0;
+    let mut tested: BTreeSet<(usize, bool)> = BTreeSet::new();
+    for scheme in [PermutationScheme::Paper, PermutationScheme::SpatioTemporal] {
+        let clause = Clause::default()
+            .permutations(mc.permutations)
+            .include_insignificant()
+            .with_scheme(scheme);
+        for (a, b) in [(0, 1), (0, 2), (1, 2)] {
+            let names = [&index.datasets[a].meta.name, &index.datasets[b].meta.name];
+            let query =
+                RelationshipQuery::between(&[names[0]], &[names[1]]).with_clause(clause.clone());
+            let (got, t) = trace::record(|| dp.query(&query).unwrap());
+            rows_built += t.counter("operand_rows_built");
+            assert_eq!(
+                t.counter("dispatches_inline") + t.counter("dispatches_parallel"),
+                1,
+                "one dispatch per evaluated query"
+            );
+
+            let mut expected = Vec::new();
+            for e1 in index.functions_of(a) {
+                for e2 in index.functions_of(b) {
+                    let Some((start, len)) = e1.overlap(e2) else {
+                        continue;
+                    };
+                    let (lo1, hi1) = e1.vertex_range(start, len);
+                    let (lo2, hi2) = e2.vertex_range(start, len);
+                    let adjacency = dp.geometry().adjacency(e1.resolution.spatial).unwrap();
+                    for class in FeatureClass::ALL {
+                        let f1 = e1.features.class(class).slice(lo1, hi1);
+                        let f2 = e2.features.class(class).slice(lo2, hi2);
+                        let measures = evaluate_features(&f1, &f2);
+                        if measures.related_count() == 0 {
+                            continue;
+                        }
+                        if e1.n_regions > 1 {
+                            for e in [e1, e2] {
+                                tested.insert((
+                                    std::ptr::from_ref(e) as usize,
+                                    class == FeatureClass::Salient,
+                                ));
+                            }
+                        }
+                        let seed = unit_seed(dp.config().seed, e1, e2, class);
+                        let p = significance_test(
+                            &f1,
+                            &f2,
+                            adjacency,
+                            len,
+                            measures.score,
+                            &mc,
+                            scheme,
+                            seed,
+                        );
+                        expected.push((
+                            (e1.spec.to_string(), e2.spec.to_string()),
+                            (e1.resolution, class),
+                            [measures.score, measures.strength, p].map(f64::to_bits),
+                        ));
+                    }
+                }
+            }
+            assert!(
+                expected
+                    .iter()
+                    .any(|(_, (r, _), _)| r.spatial != SpatialResolution::City),
+                "{names:?} must relate somewhere spatial"
+            );
+            let mut got: Vec<_> = got
+                .iter()
+                .map(|r| {
+                    (
+                        (r.left.to_string(), r.right.to_string()),
+                        (r.resolution, r.class),
+                        [r.score(), r.strength(), r.p_value].map(f64::to_bits),
+                    )
+                })
+                .collect();
+            let key = |x: &((String, String), (Resolution, FeatureClass), [u64; 3])| {
+                (x.0.clone(), x.1 .0.label(), x.1 .1.label())
+            };
+            got.sort_by_key(key);
+            expected.sort_by_key(key);
+            assert_eq!(got, expected, "{names:?} under {scheme:?}");
+        }
+    }
+    // Six queries, three windows per data set, two schemes — and one
+    // transpose per (entry, class) that ever reached a test.
+    assert!(tested.len() >= 12, "{} spatial operands", tested.len());
+    assert_eq!(rows_built, tested.len() as u64);
+
+    // Asked again, nothing is evaluated.
+    let clause = Clause::default()
+        .permutations(30)
+        .include_insignificant()
+        .with_scheme(PermutationScheme::Paper);
+    let again = RelationshipQuery::between(&["north"], &["late"]).with_clause(clause.clone());
+    let (_, t) = trace::record(|| dp.query(&again).unwrap());
+    assert_eq!(t.counter("cache_hits"), 1);
+    assert_eq!(t.counter("operand_rows_built"), 0);
+    assert_eq!(
+        t.counter("dispatches_inline") + t.counter("dispatches_parallel"),
+        0
+    );
+    // Under a thresholds override the named data set's rows are the
+    // clause's: built for the dispatch and gone with it, so every dispatch
+    // builds them again (the first may also fill rows of `late` that no
+    // query above needed).
+    let built_under_override = |permutations: usize| {
+        let clause = clause
+            .clone()
+            .permutations(permutations)
+            .with_thresholds("north", 5.0, 1.0);
+        let query = RelationshipQuery::between(&["north"], &["late"]).with_clause(clause);
+        let (rels, t) = trace::record(|| dp.query(&query).unwrap());
+        assert!(!rels.is_empty());
+        t.counter("operand_rows_built")
+    };
+    built_under_override(30);
+    let built = built_under_override(31);
+    assert!(built > 0, "the override's rows are transposed");
+    assert_eq!(built_under_override(32), built);
 }
 
 proptest! {
