@@ -23,17 +23,25 @@
 //!    workers — the measurement behind the pool's inline floor
 //!    (docs/architecture.md, "The evaluate dispatch");
 //! 7. rendering a 434-relationship answer (the largest `explore_urban`
-//!    one) to JSON, bytes per second.
+//!    one) to JSON, bytes per second;
+//! 8. the store's read path on one year of `gas-prices`, `taxi` and
+//!    `weather`: an eager open — which validates every field blob without
+//!    decoding it — next to that validating walk and the decode it
+//!    replaced over the same blobs (`eager_open`), and a fresh lazy
+//!    index's first pin for a mixed-resolution pair, which reads the one
+//!    resolution both sides have, next to a same-resolution pair and a
+//!    sweep (`pin_footprint`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use polygamy_core::relationship::RelationshipMeasures;
-use polygamy_core::{Config, DataPolygamy, Fnv1a, FunctionRef, Relationship};
+use polygamy_core::{parse_query, Config, DataPolygamy, Fnv1a, FunctionRef, Relationship};
 use polygamy_datagen::{urban_collection, UrbanConfig};
 use polygamy_mapreduce::run_chunked_tasks;
 use polygamy_stats::permutation::GraphShifter;
 use polygamy_stats::quantile;
 use polygamy_stdata::{FunctionKind, Resolution, SpatialResolution, TemporalResolution};
-use polygamy_store::codec::{decode_field, encode_field};
+use polygamy_store::codec::{decode_field, encode_field, validate_field};
+use polygamy_store::{LazyIndex, LoadFilter, SourceBackend, Store, StoreSession};
 use polygamy_topology::{
     super_level_set, BitVec, DomainGraph, FeatureClass, FeatureSet, MergeTree,
 };
@@ -174,8 +182,8 @@ fn bench_checksum(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_field_codec(c: &mut Criterion) {
-    // One year of the urban corpus's taxi and weather data sets, indexed.
+/// One year of the urban corpus's `names` data sets, indexed.
+fn urban_index(names: &[&str]) -> DataPolygamy {
     let collection = urban_collection(UrbanConfig {
         n_years: 1,
         scale: 0.02,
@@ -184,11 +192,16 @@ fn bench_field_codec(c: &mut Criterion) {
     });
     let mut dp = DataPolygamy::new(collection.geometry().clone(), Config::default());
     for d in &collection.datasets {
-        if ["taxi", "weather"].contains(&d.meta.name.as_str()) {
+        if names.contains(&d.meta.name.as_str()) {
             dp.add_dataset(d.clone());
         }
     }
     dp.build_index();
+    dp
+}
+
+fn bench_field_codec(c: &mut Criterion) {
+    let dp = urban_index(&["taxi", "weather"]);
     let index = dp.index().expect("index built");
     let field_of = |dataset: &str, attribute: bool, spatial| {
         let resolution = Resolution::new(spatial, TemporalResolution::Hour);
@@ -256,6 +269,56 @@ fn bench_field_codec(c: &mut Criterion) {
         });
         group.finish();
     }
+}
+
+fn bench_read_path(c: &mut Criterion) {
+    let dp = urban_index(&["gas-prices", "taxi", "weather"]);
+    let index = dp.index().expect("index built");
+    let path = std::env::temp_dir().join(format!("ablations-{}.plst", std::process::id()));
+    let store = Store::save(&path, dp.geometry(), index).expect("store saves");
+
+    // Every field blob with its entry's vertex count, as an open sees them.
+    let blobs: Vec<(Vec<u8>, usize)> = (store.manifest().segments.iter())
+        .zip(&index.functions)
+        .filter_map(|(info, entry)| {
+            let bytes = store.source().read(info.field?, "field blob").ok()?;
+            Some((bytes.into_owned(), entry.n_regions * entry.n_steps))
+        })
+        .collect();
+    let mut group = c.benchmark_group("eager_open");
+    group.throughput(Throughput::Bytes(store.file_bytes().expect("file size")));
+    group.bench_function("open", |b| b.iter(|| StoreSession::open(&path)));
+    group.bench_function("validate_fields", |b| {
+        b.iter(|| {
+            let valid = |(blob, n): &(Vec<u8>, usize)| validate_field(blob, *n, "field").is_ok();
+            blobs.iter().filter(|blob| valid(blob)).count()
+        })
+    });
+    group.bench_function("decode_fields", |b| {
+        b.iter(|| {
+            let decoded = |(blob, n): &(Vec<u8>, usize)| decode_field(blob, *n, "field").is_ok();
+            blobs.iter().filter(|blob| decoded(blob)).count()
+        })
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("pin_footprint");
+    for (label, pql) in [
+        ("mixed_resolution_pair", "between gas-prices and taxi"),
+        ("same_resolution_pair", "between weather and taxi"),
+        ("sweep", "between taxi and *"),
+    ] {
+        let query = [parse_query(pql).expect("valid PQL")];
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                let lazy = LazyIndex::open(&path, &LoadFilter::all(), SourceBackend::default())
+                    .expect("store opens");
+                lazy.pin_for(&query).map(|pinned| pinned.len())
+            })
+        });
+    }
+    group.finish();
+    let _ = std::fs::remove_file(&path);
 }
 
 fn bench_dispatch(c: &mut Criterion) {
@@ -329,6 +392,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_index_vs_scan, bench_restricted_vs_naive_mc, bench_threshold_strategies,
-        bench_checksum, bench_field_codec, bench_dispatch, bench_render
+        bench_checksum, bench_field_codec, bench_read_path, bench_dispatch, bench_render
 }
 criterion_main!(benches);

@@ -183,22 +183,47 @@ fn resolve_collection(
     }
 }
 
-/// The catalog indices a query's task expansion will touch — every data
-/// set named (or ranged over) by either collection, deduplicated and
-/// sorted.
+/// The canonical data set pairs a query evaluates, in plan order: every
+/// `(left, right)` combination with `left ≠ right`, oriented `(min, max)` —
+/// the operator is symmetric up to swapping sides, so `(a, b)` and `(b, a)`
+/// are one evaluation and one cache entry — each pair once.
 ///
-/// This is the executor's *footprint report*: a demand-paged store
-/// session calls it before evaluation to fault in exactly the function
-/// segments the expansion can reach — combined with
+/// This is both the executor's plan and its *footprint report*: a
+/// demand-paged store session calls it before evaluation to fault in, for
+/// each pair, the function segments of either side at the resolutions the
+/// other side also has (and
 /// [`Clause::admits_resolution`](crate::query::Clause::admits_resolution)
-/// per segment — instead of materializing the whole store. Unknown names
-/// yield the same [`Error::UnknownDataset`] the evaluation itself would.
-pub fn query_datasets(datasets: &[DatasetEntry], query: &RelationshipQuery) -> Result<Vec<usize>> {
-    let mut touched: Vec<usize> = resolve_collection(datasets, &query.left)?;
-    touched.extend(resolve_collection(datasets, &query.right)?);
-    touched.sort_unstable();
-    touched.dedup();
-    Ok(touched)
+/// admits) — task expansion pairs only entries sharing a resolution, so no
+/// other segment can appear in a task. That bound is exact in data set ×
+/// resolution and still loose in time: two entries at a shared resolution
+/// whose time windows do not overlap are read and then skipped. Unknown
+/// names yield the same [`Error::UnknownDataset`] the evaluation itself
+/// would.
+pub fn query_pairs(
+    datasets: &[DatasetEntry],
+    query: &RelationshipQuery,
+) -> Result<Vec<(usize, usize)>> {
+    let left = resolve_collection(datasets, &query.left)?;
+    let right = resolve_collection(datasets, &query.right)?;
+    // All-pairs queries produce exactly n·(n−1)/2 canonical pairs;
+    // explicit collections at most |left|·|right|.
+    let cap = if query.left.is_none() && query.right.is_none() {
+        let n = left.len();
+        n * n.saturating_sub(1) / 2
+    } else {
+        left.len() * right.len()
+    };
+    let mut pairs = Vec::with_capacity(cap);
+    let mut seen: HashSet<(usize, usize)> = HashSet::with_capacity(cap);
+    for &a in &left {
+        for &b in &right {
+            let pair = (a.min(b), a.max(b));
+            if a != b && seen.insert(pair) {
+                pairs.push(pair);
+            }
+        }
+    }
+    Ok(pairs)
 }
 
 /// Evaluates one relationship query: [`run_query_many`] on a batch of one.
@@ -222,7 +247,7 @@ pub fn run_query<'a>(
 ///
 /// `index` is anything that converts into an [`IndexView`]: a whole
 /// `&PolygamyIndex`, or a view over just the entries a demand-paged session
-/// pinned for this batch (see [`query_datasets`]); results are identical
+/// pinned for this batch (see [`query_pairs`]); results are identical
 /// whenever the view holds every entry the expansion reaches.
 ///
 /// Returns one result vector per input query, in input order. Pairs are
@@ -251,47 +276,26 @@ pub fn run_query_many<'a>(
     let mut miss_of: HashMap<(usize, usize, u64), usize> = HashMap::new();
     let mut plans: Vec<Vec<PairSource>> = Vec::with_capacity(queries.len());
     for query in queries {
-        let left = resolve_collection(index.datasets(), &query.left)?;
-        let right = resolve_collection(index.datasets(), &query.right)?;
+        let pairs = query_pairs(index.datasets(), query)?;
         let clause_key = query.clause.cache_key();
-        // All-pairs queries produce exactly n·(n−1)/2 canonical pairs;
-        // explicit collections at most |left|·|right|.
-        let cap = if query.left.is_none() && query.right.is_none() {
-            let n = left.len();
-            n * n.saturating_sub(1) / 2
-        } else {
-            left.len() * right.len()
-        };
-        let mut plan: Vec<PairSource> = Vec::with_capacity(cap);
-        let mut seen: HashSet<(usize, usize)> = HashSet::with_capacity(cap);
-        for &a in &left {
-            for &b in &right {
-                if a == b {
-                    continue;
+        let mut plan: Vec<PairSource> = Vec::with_capacity(pairs.len());
+        for pair in pairs {
+            let key = (pair.0, pair.1, clause_key);
+            match cache.get(&key) {
+                Some(hit) => {
+                    n_hits += 1;
+                    plan.push(PairSource::Cached(hit));
                 }
-                // Canonicalise so (a, b) and (b, a) share cache entries;
-                // results are reported with the canonical orientation.
-                let pair = (a.min(b), a.max(b));
-                if !seen.insert(pair) {
-                    continue;
-                }
-                let key = (pair.0, pair.1, clause_key);
-                match cache.get(&key) {
-                    Some(hit) => {
-                        n_hits += 1;
-                        plan.push(PairSource::Cached(hit));
-                    }
-                    None => {
-                        n_misses += 1;
-                        let mi = *miss_of.entry(key).or_insert_with(|| {
-                            misses.push(Miss {
-                                key,
-                                clause: &query.clause,
-                            });
-                            misses.len() - 1
+                None => {
+                    n_misses += 1;
+                    let mi = *miss_of.entry(key).or_insert_with(|| {
+                        misses.push(Miss {
+                            key,
+                            clause: &query.clause,
                         });
-                        plan.push(PairSource::Pending(mi));
-                    }
+                        misses.len() - 1
+                    });
+                    plan.push(PairSource::Pending(mi));
                 }
             }
         }

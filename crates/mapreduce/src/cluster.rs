@@ -19,17 +19,12 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// A cluster of `nodes` nodes with `cores_per_node` slots each.
-    pub fn new(nodes: usize, cores_per_node: usize) -> Self {
-        Self {
-            nodes: nodes.max(1),
-            cores_per_node: cores_per_node.max(1),
-        }
-    }
-
-    /// A single-node "cluster" with `workers` slots.
+    /// A single-node "cluster" with `workers` slots (at least one).
     pub fn local(workers: usize) -> Self {
-        Self::new(1, workers)
+        Self {
+            nodes: 1,
+            cores_per_node: workers.max(1),
+        }
     }
 
     /// Uses every core the host offers, unless the `POLYGAMY_WORKERS`
@@ -76,7 +71,11 @@ mod tests {
 
     #[test]
     fn worker_counts() {
-        assert_eq!(Cluster::new(4, 8).workers(), 32);
+        let four_by_eight = Cluster {
+            nodes: 4,
+            cores_per_node: 8,
+        };
+        assert_eq!(four_by_eight.workers(), 32);
         assert_eq!(Cluster::local(3).workers(), 3);
         assert!(Cluster::host().workers() >= 1);
         assert_eq!(Cluster::host(), Cluster::host());
@@ -84,7 +83,7 @@ mod tests {
 
     #[test]
     fn zero_clamped() {
-        assert_eq!(Cluster::new(0, 0).workers(), 1);
+        assert_eq!(Cluster::local(0).workers(), 1);
     }
 
     #[test]

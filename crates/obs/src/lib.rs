@@ -128,12 +128,22 @@ pub mod names {
     pub const STORE_CHECKSUM_VERIFICATIONS: &str = "store.checksum.verifications";
     /// Segment checksum verifications that failed (counter).
     pub const STORE_CHECKSUM_FAILURES: &str = "store.checksum.failures";
-    /// Lazy field-blob faults: scalar fields read on demand, for the data
-    /// sets a query's `thresholds` clause names (counter).
+    /// Field-blob faults: scalar fields read and decoded on demand, for
+    /// the data sets a query's `thresholds` clause names — on a lazy
+    /// session and, since an eager open leaves fields encoded, on an eager
+    /// one alike (counter).
     pub const STORE_FIELD_FAULTS: &str = "store.field.faults";
-    /// Field-blob bytes read, by lazy faults and eager loads alike — the
-    /// share of `store.bytes_fetched` that is scalar field values (counter).
+    /// Field-blob bytes read — by those faults and by an eager open's
+    /// verify-and-validate pass — the share of `store.bytes_fetched` that
+    /// is scalar field values (counter).
     pub const STORE_FIELD_BYTES_FETCHED: &str = "store.field.bytes_fetched";
+    /// Segments a session pinned for query batches: per pair, those of
+    /// either side at a resolution the other side shares (counter).
+    pub const STORE_PIN_SEGMENTS: &str = "store.pin.segments";
+    /// Segments of the data sets those batches named, at resolutions their
+    /// clauses admit, that no pair shares and no pin therefore read
+    /// (counter).
+    pub const STORE_PIN_SKIPPED: &str = "store.pin.skipped";
     /// Time encoding and checksumming blobs for store writes: every
     /// segment on a save, the replaced data set's on an upsert (counter, ns).
     pub const STORE_SAVE_ENCODE_NS: &str = "store.save.encode_ns";
@@ -221,6 +231,8 @@ pub mod names {
         STORE_CHECKSUM_FAILURES,
         STORE_FIELD_FAULTS,
         STORE_FIELD_BYTES_FETCHED,
+        STORE_PIN_SEGMENTS,
+        STORE_PIN_SKIPPED,
         STORE_SAVE_ENCODE_NS,
         STORE_SAVE_WRITE_NS,
         STORE_SAVE_FIELD_RAW_BYTES,

@@ -97,11 +97,6 @@ impl CivilDate {
         // 1970-01-01 was a Thursday (weekday 3 in Monday-based numbering).
         (self.days_from_civil() + 3).rem_euclid(7) as u8
     }
-
-    /// True for leap years in the proleptic Gregorian calendar.
-    pub fn is_leap_year(year: i32) -> bool {
-        year % 4 == 0 && (year % 100 != 0 || year % 400 == 0)
-    }
 }
 
 impl fmt::Display for CivilDate {
@@ -314,10 +309,20 @@ mod tests {
 
     #[test]
     fn leap_years() {
-        assert!(CivilDate::is_leap_year(2000));
-        assert!(CivilDate::is_leap_year(2012));
-        assert!(!CivilDate::is_leap_year(1900));
-        assert!(!CivilDate::is_leap_year(2011));
+        // Through the day count every bucket is derived from: February has
+        // a 29th in 2000 and 2012, none in 1900 and 2011.
+        let february_days = |year: i32| {
+            CivilDate::new(year, 3, 1).days_from_civil()
+                - CivilDate::new(year, 2, 1).days_from_civil()
+        };
+        assert_eq!(february_days(2000), 29);
+        assert_eq!(february_days(2012), 29);
+        assert_eq!(february_days(1900), 28);
+        assert_eq!(february_days(2011), 28);
+        assert_eq!(
+            CivilDate::from_days(CivilDate::new(2012, 2, 28).days_from_civil() + 1),
+            CivilDate::new(2012, 2, 29)
+        );
     }
 
     #[test]

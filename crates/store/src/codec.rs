@@ -82,13 +82,23 @@ impl Enc {
         self.u64(v.to_bits());
     }
 
+    /// Appends `words` little-endian in one resize — the bulk form of
+    /// [`Enc::u64`], read back by [`Dec::words`].
+    pub fn words(&mut self, words: &[u64]) {
+        self.extend_words(words.iter().copied());
+    }
+
     /// Appends `values` as their bit patterns in one resize — the bulk
     /// form of [`Enc::f64`], read back by [`Dec::words`].
     pub fn f64s(&mut self, values: &[f64]) {
+        self.extend_words(values.iter().map(|v| v.to_bits()));
+    }
+
+    fn extend_words(&mut self, words: impl ExactSizeIterator<Item = u64>) {
         let at = self.buf.len();
-        self.buf.resize(at + 8 * values.len(), 0);
-        for (word, v) in self.buf[at..].chunks_exact_mut(8).zip(values) {
-            word.copy_from_slice(&v.to_bits().to_le_bytes());
+        self.buf.resize(at + 8 * words.len(), 0);
+        for (slot, word) in self.buf[at..].chunks_exact_mut(8).zip(words) {
+            slot.copy_from_slice(&word.to_le_bytes());
         }
     }
 
@@ -205,6 +215,11 @@ impl<'a> Dec<'a> {
     /// decode to the value they spell; more than 10 bytes, or a tenth byte
     /// carrying bits beyond the 64th, is corruption — never a wrapped value.
     pub fn varint(&mut self) -> Result<u64> {
+        // Most varints a field blob holds are a single byte.
+        if let Some(&byte) = self.buf.get(self.pos).filter(|&&b| b < 0x80) {
+            self.pos += 1;
+            return Ok(u64::from(byte));
+        }
         let mut v = 0u64;
         for shift in (0..64).step_by(7) {
             let byte = self.u8()?;
@@ -218,6 +233,27 @@ impl<'a> Dec<'a> {
             }
         }
         Err(self.corrupt("varint longer than 10 bytes"))
+    }
+
+    /// Consumes the one-byte varints (bytes under `0x80`) at the cursor, at
+    /// most `max` of them, and returns them: eight at a time, which is what
+    /// makes a literal stretch of small counts cheap to walk.
+    fn one_byte_varints(&mut self, max: usize) -> &'a [u8] {
+        let rest = &self.buf[self.pos..];
+        let window = &rest[..rest.len().min(max)];
+        let whole_words = window
+            .chunks_exact(8)
+            .take_while(|w| {
+                u64::from_le_bytes((*w).try_into().expect("8")) & 0x8080_8080_8080_8080 == 0
+            })
+            .count();
+        let n = 8 * whole_words
+            + window[8 * whole_words..]
+                .iter()
+                .take_while(|&&b| b < 0x80)
+                .count();
+        self.pos += n;
+        &window[..n]
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -315,10 +351,7 @@ pub fn dec_spec(d: &mut Dec<'_>) -> Result<FunctionSpec> {
 
 fn enc_bitvec(e: &mut Enc, bv: &BitVec) {
     e.usize(bv.len());
-    e.reserve(bv.words().len() * 8);
-    for &w in bv.words() {
-        e.u64(w);
-    }
+    e.words(bv.words());
 }
 
 fn dec_bitvec(d: &mut Dec<'_>) -> Result<BitVec> {
@@ -558,6 +591,99 @@ pub fn encode_field(values: &[f64]) -> Vec<u8> {
     e.into_bytes()
 }
 
+/// Where [`walk_field`] puts the values it reads: a vector for a decode,
+/// nowhere for a validation.
+trait FieldSink {
+    /// `len` copies of `v`.
+    fn run(&mut self, v: f64, len: usize);
+    /// One value per bit pattern.
+    fn words(&mut self, words: impl Iterator<Item = u64>);
+    /// One value per one-byte `counts` code.
+    fn codes(&mut self, codes: &[u8]);
+}
+
+impl FieldSink for Vec<f64> {
+    fn run(&mut self, v: f64, len: usize) {
+        self.resize(self.len() + len, v);
+    }
+
+    fn words(&mut self, words: impl Iterator<Item = u64>) {
+        self.extend(words.map(f64::from_bits));
+    }
+
+    fn codes(&mut self, codes: &[u8]) {
+        self.extend(codes.iter().map(|&code| match code {
+            0 => f64::from_bits(CANONICAL_NAN),
+            code => f64::from(code - 1),
+        }));
+    }
+}
+
+/// The sink of [`validate_field`]: every check, no output.
+struct NoOutput;
+
+impl FieldSink for NoOutput {
+    fn run(&mut self, _: f64, _: usize) {}
+    fn words(&mut self, _: impl Iterator<Item = u64>) {}
+    fn codes(&mut self, _: &[u8]) {}
+}
+
+/// The one token walk over a field blob, behind [`decode_field`] (which
+/// documents its checks) and [`validate_field`] alike: the values reach
+/// `sink` in order, never more than `n_vertices` of them whatever the blob
+/// claims — a token is checked against the shape before anything of it is
+/// handed on.
+fn walk_field(
+    bytes: &[u8],
+    n_vertices: usize,
+    what: &str,
+    sink: &mut impl FieldSink,
+) -> Result<()> {
+    let mut d = Dec::new(bytes, what);
+    let counts = match d.u8()? {
+        MODE_WORDS => false,
+        MODE_COUNTS => true,
+        mode => return Err(d.corrupt(&format!("unknown field mode {mode}"))),
+    };
+    let count = |d: &mut Dec<'_>| match d.varint()? {
+        0 => Ok(f64::from_bits(CANONICAL_NAN)),
+        code if code <= MAX_COUNT + 1 => Ok((code - 1) as f64),
+        code => Err(d.corrupt(&format!("count code {code} out of range"))),
+    };
+    let mut walked = 0usize;
+    while walked < n_vertices {
+        let token = d.varint()?;
+        let end = usize::try_from(token >> 1)
+            .ok()
+            .filter(|&len| len > 0)
+            .and_then(|len| walked.checked_add(len))
+            .filter(|&end| end <= n_vertices)
+            .ok_or_else(|| d.corrupt("empty token, or one past the entry's last vertex"))?;
+        if token & 1 == 1 {
+            let v = if counts { count(&mut d)? } else { d.f64()? };
+            sink.run(v, end - walked);
+        } else if counts {
+            // A literal stretch of counts is mostly one-byte codes, taken
+            // in bulk; each longer code between them goes the checked way
+            // (which is also where a stream ending early is reported).
+            let mut left = end - walked;
+            while left > 0 {
+                let short = d.one_byte_varints(left);
+                sink.codes(short);
+                left -= short.len();
+                if left > 0 {
+                    sink.run(count(&mut d)?, 1);
+                    left -= 1;
+                }
+            }
+        } else {
+            sink.words(d.words(end - walked)?);
+        }
+        walked = end;
+    }
+    d.finish()
+}
+
 /// Decodes a field blob (see [`encode_field`]) that must hold exactly
 /// `n_vertices` values.
 ///
@@ -572,39 +698,18 @@ pub fn encode_field(values: &[f64]) -> Vec<u8> {
 /// vectors hold a bit per vertex, so it is at most 16 bytes per byte of
 /// that blob whatever this one claims.
 pub fn decode_field(bytes: &[u8], n_vertices: usize, what: &str) -> Result<Vec<f64>> {
-    let mut d = Dec::new(bytes, what);
-    let counts = match d.u8()? {
-        MODE_WORDS => false,
-        MODE_COUNTS => true,
-        mode => return Err(d.corrupt(&format!("unknown field mode {mode}"))),
-    };
-    let count = |d: &mut Dec<'_>| match d.varint()? {
-        0 => Ok(f64::from_bits(CANONICAL_NAN)),
-        code if code <= MAX_COUNT + 1 => Ok((code - 1) as f64),
-        code => Err(d.corrupt(&format!("count code {code} out of range"))),
-    };
     let mut values = Vec::with_capacity(n_vertices);
-    while values.len() < n_vertices {
-        let token = d.varint()?;
-        let end = usize::try_from(token >> 1)
-            .ok()
-            .filter(|&len| len > 0)
-            .and_then(|len| values.len().checked_add(len))
-            .filter(|&end| end <= n_vertices)
-            .ok_or_else(|| d.corrupt("empty token, or one past the entry's last vertex"))?;
-        if token & 1 == 1 {
-            let v = if counts { count(&mut d)? } else { d.f64()? };
-            values.resize(end, v);
-        } else if counts {
-            for _ in values.len()..end {
-                values.push(count(&mut d)?);
-            }
-        } else {
-            values.extend(d.words(end - values.len())?.map(f64::from_bits));
-        }
-    }
-    d.finish()?;
+    walk_field(bytes, n_vertices, what, &mut values)?;
     Ok(values)
+}
+
+/// Checks that a field blob decodes to exactly `n_vertices` values without
+/// producing them: the token walk of [`decode_field`] — one function, so
+/// every check it makes and the same typed errors — with nowhere to put a
+/// value, allocating nothing. What an eager open runs over every field
+/// blob it leaves encoded.
+pub fn validate_field(bytes: &[u8], n_vertices: usize, what: &str) -> Result<()> {
+    walk_field(bytes, n_vertices, what, &mut NoOutput)
 }
 
 /// Encodes one function entry as its two blobs: the *hot* blob every
@@ -1030,6 +1135,25 @@ mod tests {
                 Err(StoreError::Corrupt(_))
             ));
         }
+    }
+
+    #[test]
+    fn bulk_words_are_the_words_one_at_a_time() {
+        let words = [0, 1, u64::MAX, 0x0102_0304_0506_0708, 1 << 63];
+        let (mut bulk, mut single, mut floats) = (Enc::new(), Enc::new(), Enc::new());
+        bulk.u8(7);
+        single.u8(7);
+        floats.u8(7);
+        bulk.words(&words);
+        words.iter().for_each(|&w| single.u64(w));
+        floats.f64s(&words.map(f64::from_bits));
+        let bytes = bulk.into_bytes();
+        assert_eq!(bytes, single.into_bytes());
+        assert_eq!(bytes, floats.into_bytes());
+        let mut d = Dec::new(&bytes, "test");
+        assert_eq!(d.u8().unwrap(), 7);
+        assert_eq!(d.words(words.len()).unwrap().collect::<Vec<_>>(), words);
+        d.finish().unwrap();
     }
 
     #[test]

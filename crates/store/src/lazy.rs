@@ -14,15 +14,22 @@
 //!   reads, and the scalar field only `thresholds` clauses read. A fault
 //!   fetches the field blob only for data sets the query's `thresholds`
 //!   clause names; every other fault never touches field bytes;
-//! * **footprint-driven faulting** — before evaluation, the executor's
-//!   footprint report ([`polygamy_core::query_datasets`]) names the catalog
-//!   indices a query's task expansion can reach; combined with the clause's
-//!   resolution filter
+//! * **pair-exact faulting** — before evaluation, the executor's plan
+//!   ([`polygamy_core::query_pairs`]) names the data set pairs a query
+//!   evaluates; for each pair, only the segments of either side at a
+//!   resolution the *other* side also has — and the clause's resolution
+//!   filter
 //!   ([`Clause::admits_resolution`](polygamy_core::query::Clause::admits_resolution))
-//!   that bounds the exact segment set to read. The bound is tight: task
-//!   expansion skips left entries at non-admitted resolutions and pairs
-//!   only entries sharing a resolution, so a segment outside the set can
-//!   never appear in a task;
+//!   admits — are read. Task expansion pairs only entries sharing a
+//!   resolution, so a segment outside that set can never appear in a task:
+//!   a weekly city-wide series against an hourly neighbourhood data set
+//!   reads the one (week, city) blob of each side, not the hourly ones.
+//!   The bound is exact in data set × resolution and still loose in time:
+//!   two entries at a shared resolution whose time windows do not overlap
+//!   are read and then skipped by the executor (the windows are in the
+//!   blobs, not in the directory). `segments_pinned` and
+//!   `segments_outside_shared_resolutions` in a query's trace say what a
+//!   pin read and what naming the data sets alone would have added;
 //! * **once-only verification** — each blob's checksum is checked on
 //!   *first* access and the verdict is recorded in an atomic per-blob
 //!   cell (two per directory entry). Re-faults after LRU eviction skip
@@ -48,11 +55,16 @@
 //!
 //! Corruption surfaces *at query time*, only for queries whose footprint
 //! touches the corrupt segment — opening the store and querying other data
-//! sets still succeeds. That is the deliberate trade against an eager
-//! session, which reads, verifies and decodes both blobs of every admitted
-//! entry of the same directory at open (never through the cache).
+//! sets, or the same data set against a partner that lacks the segment's
+//! resolution, still succeeds. That is the deliberate trade against an
+//! eager session, which at open reads and verifies both blobs of every
+//! admitted entry of the same directory, decodes the hot one and walks the
+//! field one's tokens with every check a decode makes
+//! ([`crate::codec::validate_field`]) — never through the cache — and
+//! afterwards comes back here only for the scalar fields a `thresholds`
+//! clause reads, faulted like any lazy pin.
 
-use crate::codec::decode_function_segment;
+use crate::codec::{decode_function_segment, validate_field};
 use crate::error::{Result, StoreError};
 use crate::format::{BlobLoc, SegmentInfo};
 use crate::shard::{is_sharded, open_shard_file, ShardCatalog};
@@ -60,8 +72,9 @@ use crate::source::{SegmentSource, SourceBackend};
 use crate::store::{LoadFilter, Store};
 use polygamy_core::index::{DatasetEntry, FunctionEntry, PolygamyIndex};
 use polygamy_core::query::RelationshipQuery;
-use polygamy_core::{query_datasets, CityGeometry, ShardedLruCache};
+use polygamy_core::{query_pairs, CityGeometry, ShardedLruCache};
 use polygamy_obs::{names, trace, Counter};
+use polygamy_stdata::Resolution;
 use std::borrow::Cow;
 use std::path::Path;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -77,6 +90,8 @@ struct LazyMetrics {
     verify_failures: Arc<Counter>,
     field_faults: Arc<Counter>,
     field_bytes: Arc<Counter>,
+    pin_segments: Arc<Counter>,
+    pin_skipped: Arc<Counter>,
 }
 
 fn lazy_metrics() -> &'static LazyMetrics {
@@ -91,6 +106,8 @@ fn lazy_metrics() -> &'static LazyMetrics {
             verify_failures: r.counter(names::STORE_CHECKSUM_FAILURES),
             field_faults: r.counter(names::STORE_FIELD_FAULTS),
             field_bytes: r.counter(names::STORE_FIELD_BYTES_FETCHED),
+            pin_segments: r.counter(names::STORE_PIN_SEGMENTS),
+            pin_skipped: r.counter(names::STORE_PIN_SKIPPED),
         }
     })
 }
@@ -142,6 +159,27 @@ struct DirEntry {
     dataset: usize,
     /// Admitted by the load filter.
     admitted: bool,
+    /// The segment's resolution, as its one bit of a [`ResolutionSet`].
+    resolution: ResolutionSet,
+}
+
+/// A set of resolutions, one bit each: the wire codes of the two halves
+/// ([`polygamy_stdata::SpatialResolution::code`] and its temporal twin, 0–3
+/// both) span sixteen.
+type ResolutionSet = u16;
+
+fn resolution_bit(r: Resolution) -> ResolutionSet {
+    1 << (4 * r.spatial.code() + r.temporal.code())
+}
+
+/// How [`LazyIndex::read_entry`] treats an entry's field blob.
+enum Read {
+    /// A lazy fault: the hot blob, and the field blob — decoded into the
+    /// entry — when asked for and present.
+    Fault { with_field: bool },
+    /// The eager open: the hot blob, and the field blob read, verified and
+    /// validated ([`validate_field`]) but left encoded.
+    Open,
 }
 
 /// A store — monolithic or sharded — served segment-by-segment on demand.
@@ -159,6 +197,10 @@ pub struct LazyIndex {
     /// sets in global catalog order, file-directory order within each —
     /// which is exactly the monolithic store's directory order.
     directory: Vec<DirEntry>,
+    /// Per data set: the resolutions its admitted segments exist at — what
+    /// a pair's two sides are intersected over at pin time. Empty for a
+    /// data set the filter leaves out or whose file did not open.
+    resolutions: Vec<ResolutionSet>,
     /// Per-directory-entry checksum verdicts, `[hot blob, field blob]`:
     /// unverified / ok / bad.
     verified: Vec<[AtomicU8; 2]>,
@@ -217,19 +259,25 @@ impl LazyIndex {
             }
         }
         let mut directory = Vec::new();
+        let mut resolutions = vec![0; catalog.datasets.len()];
         let mut files = Vec::with_capacity(stores.len());
         for (s, opened) in stores.into_iter().enumerate() {
             files.push(opened.map(|store| {
                 let owned = catalog.datasets_of_shard(s);
                 let manifest = store.manifest();
                 for (local, info) in manifest.segments.iter().enumerate() {
-                    directory.push(DirEntry {
+                    let entry = DirEntry {
                         file: s,
                         local,
                         dataset: owned[info.dataset_index],
                         admitted: filter
                             .admits_dataset(&manifest.datasets[info.dataset_index].meta.name),
-                    });
+                        resolution: resolution_bit(info.resolution),
+                    };
+                    if entry.admitted {
+                        resolutions[entry.dataset] |= entry.resolution;
+                    }
+                    directory.push(entry);
                 }
                 OpenFile::new(store, s)
             }));
@@ -247,6 +295,7 @@ impl LazyIndex {
             files,
             filter: filter.clone(),
             directory,
+            resolutions,
         };
         if index.files.iter().all(|f| f.is_err()) {
             index.file(0)?;
@@ -327,37 +376,103 @@ impl LazyIndex {
     /// an [`polygamy_core::IndexView`] whose expansion order — and
     /// therefore whose output — is byte-identical to an eager load's and
     /// the same for any shard count, because all enumerate the one global
-    /// directory in order. Entries of data sets a query's `thresholds`
-    /// clause names come with their scalar field (its only reader is the
-    /// operator's threshold override); all others are pinned field-less.
+    /// directory in order. What a query can touch is, for each of its
+    /// pairs ([`query_pairs`]), the segments of either side at a resolution
+    /// the clause admits and the *other* side also has; entries of data
+    /// sets the query's `thresholds` clause names come with their scalar
+    /// field (its only reader is the operator's threshold override), all
+    /// others are pinned field-less.
     ///
-    /// A batch whose footprint touches an unavailable file is rejected
-    /// with [`StoreError::ShardUnavailable`] before anything is read or
+    /// A batch naming a data set in an unavailable file is rejected with
+    /// [`StoreError::ShardUnavailable`] before anything is read or
     /// evaluated; every batch that avoids the broken file keeps serving.
     pub fn pin_for(&self, queries: &[RelationshipQuery]) -> Result<Vec<Arc<FunctionEntry>>> {
-        // Per directory entry: not needed, or needed (with its field?).
-        let mut needed: Vec<Option<bool>> = vec![None; self.directory.len()];
-        for query in queries {
-            let touched = query_datasets(&self.catalog.datasets, query)?;
-            self.require_files_of(touched.iter().copied())?;
-            for (i, entry) in self.directory.iter().enumerate() {
-                if entry.admitted
-                    && touched.contains(&entry.dataset)
-                    && query
-                        .clause
-                        .admits_resolution(self.locate(entry)?.1.resolution)
-                {
-                    let name = &self.catalog.datasets[entry.dataset].meta.name;
-                    let with_field = query.clause.thresholds.iter().any(|t| t.dataset == *name);
-                    needed[i] = Some(needed[i].unwrap_or(false) || with_field);
-                }
-            }
-        }
-        needed
+        let footprint = self.footprint(queries)?;
+        footprint
             .iter()
             .enumerate()
             .filter_map(|(i, n)| n.map(|with_field| self.entry(i, with_field)))
             .collect()
+    }
+
+    /// What an eager session adds to its resident hot-only entries for
+    /// `queries`: per admitted segment, in [`LazyIndex::load`]'s order, the
+    /// entry with its scalar field where a `thresholds` clause of the batch
+    /// can reach it — faulted like any lazy pin, through the same verdicts
+    /// and the same bounded decode cache.
+    pub(crate) fn pin_fields_for(
+        &self,
+        queries: &[RelationshipQuery],
+    ) -> Result<Vec<Option<Arc<FunctionEntry>>>> {
+        let footprint = self.footprint(queries)?;
+        (0..self.directory.len())
+            .filter(|&i| self.directory[i].admitted)
+            .map(|i| match footprint[i] {
+                Some(true) => self.entry(i, true).map(Some),
+                _ => Ok(None),
+            })
+            .collect()
+    }
+
+    /// Per directory entry: `None` when no query of the batch can reach
+    /// it, else whether one of them needs its scalar field. Checks shard
+    /// availability for every data set the batch names, pair or no pair.
+    fn footprint(&self, queries: &[RelationshipQuery]) -> Result<Vec<Option<bool>>> {
+        let datasets = &self.catalog.datasets;
+        // Per data set, the resolutions to pin, those among them to pin
+        // with the field, and those that naming the data set alone — the
+        // bound before pairs were looked at — would have pinned.
+        let mut pinned: Vec<ResolutionSet> = vec![0; datasets.len()];
+        let mut with_field = pinned.clone();
+        let mut named = pinned.clone();
+        for query in queries {
+            let pairs = query_pairs(datasets, query)?;
+            let admitted = match &query.clause.resolutions {
+                None => ResolutionSet::MAX,
+                Some(list) => list.iter().fold(0, |set, &r| set | resolution_bit(r)),
+            };
+            for collection in [&query.left, &query.right] {
+                let named_here: Vec<usize> = match collection {
+                    None => (0..datasets.len()).collect(),
+                    // Unknown names did not get past `query_pairs`.
+                    Some(list) => (list.iter())
+                        .filter_map(|name| self.catalog.dataset_index(name).ok())
+                        .collect(),
+                };
+                self.require_files_of(named_here.iter().copied())?;
+                for di in named_here {
+                    named[di] |= self.resolutions[di] & admitted;
+                }
+            }
+            let overridden: Vec<usize> = (query.clause.thresholds.iter())
+                .filter_map(|t| self.catalog.dataset_index(&t.dataset).ok())
+                .collect();
+            for (a, b) in pairs {
+                let shared = self.resolutions[a] & self.resolutions[b] & admitted;
+                for di in [a, b] {
+                    pinned[di] |= shared;
+                    if overridden.contains(&di) {
+                        with_field[di] |= shared;
+                    }
+                }
+            }
+        }
+        let footprint: Vec<Option<bool>> = (self.directory.iter())
+            .map(|e| {
+                (pinned[e.dataset] & e.resolution != 0)
+                    .then_some(with_field[e.dataset] & e.resolution != 0)
+            })
+            .collect();
+        let n_pinned = footprint.iter().flatten().count() as u64;
+        let n_named = (self.directory.iter())
+            .filter(|e| named[e.dataset] & e.resolution != 0)
+            .count() as u64;
+        let metrics = lazy_metrics();
+        metrics.pin_segments.add(n_pinned);
+        metrics.pin_skipped.add(n_named - n_pinned);
+        trace::add("segments_pinned", n_pinned);
+        trace::add("segments_outside_shared_resolutions", n_named - n_pinned);
+        Ok(footprint)
     }
 
     /// Faults in one segment by global directory position: cache hit, or
@@ -380,7 +495,7 @@ impl LazyIndex {
         metrics.faults.inc();
         trace::add("segment_faults", 1);
         file.faults.inc();
-        let decoded = Arc::new(self.read_entry(seg_index, with_field, true)?);
+        let decoded = Arc::new(self.read_entry(seg_index, Read::Fault { with_field })?);
         if self.cache.insert(seg_index, Arc::clone(&decoded)) {
             metrics.evictions.inc();
         }
@@ -388,43 +503,42 @@ impl LazyIndex {
     }
 
     /// The one "read → verify → decode a directory entry" step behind
-    /// lazy faults and the eager open alike: the hot blob, plus the field
-    /// blob when `with_field` (the caller checked the entry has one or
-    /// wants every blob there is). `faulting` says a lazy fault is asking:
-    /// only those bump the fault and verification counters, so an eager
-    /// open leaves them describing demand paging.
-    fn read_entry(
-        &self,
-        seg_index: usize,
-        with_field: bool,
-        faulting: bool,
-    ) -> Result<FunctionEntry> {
+    /// lazy faults and the eager open alike ([`Read`] says which, and what
+    /// becomes of the field blob). Only faults bump the fault and
+    /// verification counters, so an eager open leaves them describing
+    /// demand paging.
+    fn read_entry(&self, seg_index: usize, read: Read) -> Result<FunctionEntry> {
         let entry = &self.directory[seg_index];
         let (file, info) = self.locate(entry)?;
         let what = file.store.segment_label(info);
         let [hot_verdict, field_verdict] = &self.verified[seg_index];
+        let faulting = matches!(read, Read::Fault { .. });
         let hot = read_blob(file, info.loc, hot_verdict, &what, faulting)?;
-        let field = match info.field.filter(|_| with_field) {
-            None => None,
-            Some(loc) => {
-                let what = format!("{what} field");
-                let bytes = read_blob(file, loc, field_verdict, &what, faulting)?;
-                let metrics = lazy_metrics();
-                metrics.field_bytes.add(loc.len);
-                trace::add("field_bytes_fetched", loc.len);
-                if faulting {
-                    metrics.field_faults.inc();
-                    trace::add("field_faults", 1);
-                }
-                Some(bytes)
-            }
+        let wanted = !matches!(read, Read::Fault { with_field: false });
+        let Some(loc) = info.field.filter(|_| wanted) else {
+            return decode_function_segment(&hot, None, entry.dataset, &what);
         };
-        decode_function_segment(&hot, field.as_deref(), entry.dataset, &what)
+        let field_what = format!("{what} field");
+        let field = read_blob(file, loc, field_verdict, &field_what, faulting)?;
+        let metrics = lazy_metrics();
+        metrics.field_bytes.add(loc.len);
+        trace::add("field_bytes_fetched", loc.len);
+        if faulting {
+            metrics.field_faults.inc();
+            trace::add("field_faults", 1);
+            return decode_function_segment(&hot, Some(&field), entry.dataset, &what);
+        }
+        let decoded = decode_function_segment(&hot, None, entry.dataset, &what)?;
+        validate_field(&field, decoded.n_regions * decoded.n_steps, &field_what)?;
+        Ok(decoded)
     }
 
-    /// The eager open: reads, verifies and decodes both blobs of every
-    /// admitted segment, in directory order — never through the cache (an
-    /// eager index must not be held twice). Every file owning a data set
+    /// The eager open: reads and verifies both blobs of every admitted
+    /// segment, in directory order, decoding the hot blob and checking the
+    /// field blob's structure without decoding it ([`Read::Open`]) — never
+    /// through the cache (an eager index must not be held twice). The
+    /// entries come back field-less: a session serves `thresholds` clauses
+    /// through [`LazyIndex::pin_fields_for`]. Every file owning a data set
     /// the filter admits must be available; files the filter never touches
     /// may be down.
     pub(crate) fn load(&self) -> Result<PolygamyIndex> {
@@ -434,7 +548,7 @@ impl LazyIndex {
         )?;
         let functions = (0..self.directory.len())
             .filter(|&i| self.directory[i].admitted)
-            .map(|i| self.read_entry(i, true, false))
+            .map(|i| self.read_entry(i, Read::Open))
             .collect::<Result<_>>()?;
         Ok(PolygamyIndex {
             datasets: datasets.clone(),

@@ -66,9 +66,11 @@
 //!
 //! [`Store::open`] reads header + manifest only (cheap at any corpus
 //! size); a [`StoreSession`] materializes just the segments matching its
-//! data set [`LoadFilter`] — all at open (eager) or per query
-//! (lazy) — and serves `RelationshipQuery`s from them behind a sharded,
-//! bounded LRU cache, freely shared across reader threads:
+//! data set [`LoadFilter`] — every hot blob at open, scalar fields left
+//! encoded until a `thresholds` clause asks (eager), or per query and per
+//! pair only the resolutions both sides have (lazy) — and serves
+//! `RelationshipQuery`s from them behind a sharded, bounded LRU cache,
+//! freely shared across reader threads:
 //!
 //! ```no_run
 //! use polygamy_store::{Store, StoreSession};

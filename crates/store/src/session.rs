@@ -9,15 +9,22 @@
 //!
 //! Sessions come in two read modes with byte-identical query results:
 //!
-//! * **eager** ([`StoreSession::open`]): every admitted segment is read,
-//!   verified and decoded at open time — corruption anywhere in the
-//!   admitted set fails the open, and queries never touch the disk;
+//! * **eager** ([`StoreSession::open`]): at open, every admitted blob —
+//!   hot and field — is read and checksum-verified, every hot blob is
+//!   decoded into the [`PolygamyIndex`] the session holds, and every field
+//!   blob's structure is validated and left encoded (decoded, the scalar
+//!   fields are most of what an index weighs, and only a `thresholds`
+//!   clause reads them). Corruption anywhere in the admitted set — a
+//!   checksum, or a sealed blob of the wrong shape — fails the open; after
+//!   it, only a query with a `thresholds` clause touches the file, for the
+//!   named data sets' fields, through the lazy path's decode cache;
 //! * **lazy** ([`StoreSession::open_lazy`]): open reads only header,
 //!   manifest and geometry; each query faults in just the segments its
-//!   footprint touches ([`crate::lazy`]) — their hot blobs, plus the
-//!   scalar field blobs of data sets its `thresholds` clause names —
-//!   verifying each blob exactly once on first access. Corruption
-//!   surfaces at query time, only for queries touching the corrupt blob.
+//!   footprint touches ([`crate::lazy`]) — per pair of data sets, the hot
+//!   blobs at the resolutions both sides have, plus the scalar field blobs
+//!   of data sets its `thresholds` clause names — verifying each blob
+//!   exactly once on first access. Corruption surfaces at query time, only
+//!   for queries touching the corrupt blob.
 //!
 //! A session built with a data-set [`LoadFilter`] serves only the loaded
 //! data sets: a query naming an unloaded one is a typed
@@ -27,15 +34,13 @@
 //! ## One read path
 //!
 //! Every session opens through one [`LazyIndex`] — the global segment
-//! directory over the store's file(s) — and the two modes differ only in
-//! *when* that directory is read: an eager open decodes every admitted
-//! entry once and drops the index, a lazy one keeps it and faults entries
-//! in per query. Every query — single or batched, on either backing —
-//! then takes the same three steps: *scope* it to the loaded data sets,
-//! *pin* the entries it can touch (`Backing::pinned`: nothing to do for an
-//! eager index, a segment fault-in for a lazy one), and hand the resulting
-//! [`IndexView`] to [`polygamy_core::run_query_many`]. A single query is a
-//! batch of one.
+//! directory over the store's file(s) — and keeps it; "eager" means every
+//! hot blob was pinned at open. Every query — single or batched, on either
+//! backing — then takes the same three steps: *scope* it to the loaded
+//! data sets, *pin* the entries it can touch (`Backing::pinned`: a segment
+//! fault-in for a lazy session; for an eager one nothing, or the fields a
+//! `thresholds` clause asks for), and hand the resulting [`IndexView`] to
+//! [`polygamy_core::run_query_many`]. A single query is a batch of one.
 //!
 //! ## Sharded stores
 //!
@@ -62,39 +67,47 @@ use polygamy_core::relationship::Relationship;
 use polygamy_core::{run_query_many, CityGeometry, Config};
 use std::path::Path;
 
-/// How a session materializes function segments.
+/// What a session reads function segments through: the one index over the
+/// store's file(s), and — on an eager session — every admitted hot blob it
+/// pinned at open.
 #[derive(Debug)]
-enum Backing {
-    /// Every admitted segment decoded at open. The `u64` is the sources'
-    /// byte counter captured right after the one-shot load — the total
-    /// I/O an eager session will ever do.
-    Eager(PolygamyIndex, u64),
-    /// Segments faulted in per query footprint, with per-file
-    /// availability on a sharded store (degraded serving).
-    Lazy(LazyIndex),
+struct Backing {
+    /// Every read after open goes through here: segment faults on a lazy
+    /// session (with per-file availability on a sharded store — degraded
+    /// serving), on-demand scalar fields on an eager one.
+    lazy: LazyIndex,
+    /// Eager sessions: every admitted entry, decoded at open, field-less.
+    resident: Option<PolygamyIndex>,
 }
 
 impl Backing {
     /// Pins every entry `queries` can touch and runs `f` over the view of
     /// them — the one place a backing turns into something the executor
-    /// reads. An eager index is already resident in full; a lazy one
-    /// faults in the batch's footprint (rejecting queries that touch an
-    /// unavailable shard file here, before evaluation) and keeps the
-    /// segments alive for the duration of `f`.
+    /// reads. A lazy session faults in the batch's footprint (rejecting
+    /// queries that touch an unavailable shard file here, before
+    /// evaluation); an eager one pinned every hot blob at open and faults
+    /// in only the scalar fields a `thresholds` clause of the batch reads,
+    /// substituting those entries for their field-less residents in place.
+    /// Either way the view is in directory order and the pins stay alive
+    /// for the duration of `f`.
     fn pinned<T>(
         &self,
         queries: &[RelationshipQuery],
         f: impl FnOnce(IndexView<'_>) -> T,
     ) -> Result<T> {
-        let lazy = match self {
-            Backing::Eager(index, _) => return Ok(f(index.into())),
-            Backing::Lazy(lazy) => lazy,
+        let Some(index) = &self.resident else {
+            let faulted = self.lazy.pin_for(queries)?;
+            let entries = faulted.iter().map(|entry| &**entry).collect();
+            return Ok(f(IndexView::new(self.lazy.catalog(), entries)));
         };
-        let faulted = lazy.pin_for(queries)?;
-        Ok(f(IndexView::new(
-            lazy.catalog(),
-            faulted.iter().map(|entry| &**entry).collect(),
-        )))
+        if queries.iter().all(|q| q.clause.thresholds.is_empty()) {
+            return Ok(f(index.into()));
+        }
+        let with_fields = self.lazy.pin_fields_for(queries)?;
+        let entries = (index.functions.iter().zip(&with_fields))
+            .map(|(resident, with_field)| with_field.as_deref().unwrap_or(resident))
+            .collect();
+        Ok(f(IndexView::new(&index.datasets, entries)))
     }
 }
 
@@ -200,9 +213,9 @@ impl StoreSession {
         Self::new(lazy, config, filter, false)
     }
 
-    /// A session over an opened index: `eager` decodes every admitted
-    /// segment now and drops the index, otherwise the index stays and
-    /// segments fault in per query.
+    /// A session over an opened index: `eager` reads, verifies and
+    /// validates every admitted blob now and keeps the decoded hot blobs,
+    /// otherwise segments fault in per query.
     fn new(lazy: LazyIndex, config: Config, filter: &LoadFilter, eager: bool) -> Result<Self> {
         let geometry = lazy.load_geometry()?;
         let loaded = match &filter.datasets {
@@ -210,18 +223,11 @@ impl StoreSession {
             Some(names) => names.clone(),
         };
         let n_shards = lazy.shard_catalog().n_shards();
-        let backing = if eager {
-            let index = lazy.load()?;
-            // Captured after the one-shot load: an eager session never
-            // reads again, so this is its total (and final) I/O.
-            Backing::Eager(index, lazy.bytes_fetched())
-        } else {
-            Backing::Lazy(lazy)
-        };
+        let resident = eager.then(|| lazy.load()).transpose()?;
         Ok(Self {
             geometry,
             config,
-            backing,
+            backing: Backing { lazy, resident },
             loaded,
             n_shards,
             cache: QueryCache::new(DEFAULT_QUERY_CACHE_CAPACITY),
@@ -296,39 +302,30 @@ impl StoreSession {
     /// The materialized index — `Some` for eager sessions, `None` for lazy
     /// ones (a lazy session never holds the whole index; use
     /// [`StoreSession::catalog`] for the always-resident data set catalog).
+    /// It holds every admitted function *hot-only* (`field: None`): the
+    /// scalar fields stay encoded in the file, so saving this index would
+    /// write a store without field blobs.
     pub fn index(&self) -> Option<&PolygamyIndex> {
-        match &self.backing {
-            Backing::Eager(index, _) => Some(index),
-            Backing::Lazy(_) => None,
-        }
+        self.backing.resident.as_ref()
     }
 
-    /// Total `.plst` bytes this session has read, uniformly across modes:
-    /// an eager session reports its one-shot load (a constant from open
-    /// onwards), a lazy session reports the live source counter, which
-    /// grows as queries fault segments in.
+    /// Total `.plst` bytes this session has read so far — the live source
+    /// counter in both modes: a lazy session's grows as queries fault
+    /// segments in, an eager session's is its open plus the scalar fields
+    /// `thresholds` clauses have faulted in since.
     pub fn bytes_fetched(&self) -> u64 {
-        match &self.backing {
-            Backing::Eager(_, bytes_loaded) => *bytes_loaded,
-            Backing::Lazy(lazy) => lazy.bytes_fetched(),
-        }
+        self.backing.lazy.bytes_fetched()
     }
 
     /// The data set catalog (resident in every mode).
     pub fn catalog(&self) -> &[DatasetEntry] {
-        match &self.backing {
-            Backing::Eager(index, _) => &index.datasets,
-            Backing::Lazy(lazy) => lazy.catalog(),
-        }
+        self.backing.lazy.catalog()
     }
 
     /// The demand-paged index — `Some` for lazy sessions, monolithic or
     /// sharded (it also reports per-shard-file health).
     pub fn lazy_index(&self) -> Option<&LazyIndex> {
-        match &self.backing {
-            Backing::Eager(..) => None,
-            Backing::Lazy(lazy) => Some(lazy),
-        }
+        self.is_lazy().then_some(&self.backing.lazy)
     }
 
     /// Number of shard files behind this session (1 for a monolith).
@@ -338,7 +335,7 @@ impl StoreSession {
 
     /// True when this session faults segments in on demand.
     pub fn is_lazy(&self) -> bool {
-        matches!(self.backing, Backing::Lazy(_))
+        self.backing.resident.is_none()
     }
 
     /// Names of the data sets this session serves.

@@ -8,9 +8,10 @@
 //! `n_steps`, zero-length runs). The field blob is run-length coded too and
 //! carries no shape, so its decoder is also driven directly — arbitrary
 //! bytes against arbitrary shapes, and valid blobs of both modes with every
-//! token header, the mode byte and the tail damaged in turn — and a
-//! manifest whose `field` location is hostile is driven through real
-//! sessions. Version-1 and version-2 files are refused by version, not
+//! token header, the mode byte and the tail damaged in turn, each input
+//! also through `validate_field`, the walk an eager open runs in place of
+//! the decode, which must agree word for word — and a manifest whose
+//! `field` location is hostile is driven through real sessions. Version-1 and version-2 files are refused by version, not
 //! decoded.
 //!
 //! The sixth decoder, the geometry blob's, is JSON text rather than the
@@ -30,7 +31,7 @@ use polygamy_core::prelude::*;
 use polygamy_core::DataPolygamy;
 use polygamy_stdata::Polygon;
 use polygamy_store::codec::{
-    decode_field, decode_function_segment, encode_field, encode_function_segment,
+    decode_field, decode_function_segment, encode_field, encode_function_segment, validate_field,
 };
 use polygamy_store::{
     blob_checksum, BlobLoc, Header, LazyIndex, LoadFilter, Manifest, SegmentInfo, ShardCatalog,
@@ -267,9 +268,17 @@ proptest! {
 }
 
 /// `decode_field` answers with exactly `n_vertices` values or with
-/// `Corrupt` naming the blob — the two outcomes a field decode may have.
+/// `Corrupt` naming the blob — the two outcomes a field decode may have —
+/// and `validate_field`, the same walk without the values (what an eager
+/// open runs), reaches the same verdict in the same words.
 fn check_field_decode(bytes: &[u8], n_vertices: usize) -> Result<bool, String> {
-    match decode_field(bytes, n_vertices, "fuzz field") {
+    let decoded = decode_field(bytes, n_vertices, "fuzz field");
+    let validated = validate_field(bytes, n_vertices, "fuzz field");
+    let verdict = |e: &StoreError| e.to_string();
+    if validated.as_ref().err().map(verdict) != decoded.as_ref().err().map(verdict) {
+        return Err(format!("validated {validated:?}, decoded {decoded:?}"));
+    }
+    match decoded {
         Ok(values) if values.len() == n_vertices => Ok(true),
         Ok(values) => Err(format!("{} values for {n_vertices} vertices", values.len())),
         Err(StoreError::Corrupt(message)) if message.starts_with("fuzz field: ") => Ok(false),

@@ -10,11 +10,18 @@
 //!   whose footprint reaches the corrupt segment errors — repeatably,
 //!   thanks to the sticky per-segment verification verdict;
 //! * the single pinned handle keeps a session consistent when a writer
-//!   replaces the store file mid-session.
+//!   replaces the store file mid-session;
+//! * a pair reads only the resolutions both of its data sets have —
+//!   exactly Σ `loc.len` of those directory entries, on both backends —
+//!   and corruption is scoped by the same bound;
+//! * an eager session decodes hot blobs only and goes back to the file
+//!   for exactly the scalar fields a `thresholds` clause names.
 
 use polygamy_core::prelude::*;
 use polygamy_core::DataPolygamy;
-use polygamy_store::{LoadFilter, SourceBackend, Store, StoreError, StoreSession};
+use polygamy_stdata::Polygon;
+use polygamy_store::{shard_store, LoadFilter, SourceBackend, Store, StoreError, StoreSession};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 fn tmp_path(tag: &str) -> PathBuf {
@@ -470,5 +477,357 @@ fn thresholds_over_a_store_without_field_blobs_is_a_typed_error() {
             let query = alpha_beta(clause);
             assert_eq!(session.query(&query).unwrap(), dp.query(&query).unwrap());
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The pair-exact footprint: a pair reads only the resolutions both sides have
+// ---------------------------------------------------------------------------
+
+/// A 2 × 2-neighbourhood city with no zip partition.
+fn quartered_geometry() -> CityGeometry {
+    let cells = [(0u32, 0u32), (1, 0), (0, 1), (1, 1)];
+    let polygons = cells
+        .iter()
+        .map(|&(x, y)| Polygon::rect(x as f64, y as f64, x as f64 + 1.0, y as f64 + 1.0))
+        .collect();
+    let adjacency = vec![vec![1, 2], vec![0, 3], vec![0, 3], vec![1, 2]];
+    CityGeometry {
+        neighborhood: Some(
+            SpatialPartition::new(SpatialResolution::Neighborhood, polygons, adjacency).unwrap(),
+        ),
+        zip: None,
+        city: SpatialPartition::city(0.0, 0.0, 2.0, 2.0),
+    }
+}
+
+const MIXED_WEEKS: i64 = 16;
+
+/// A city-level weekly series: it exists at (week, city) and nowhere else.
+fn weekly_dataset(name: &str) -> Dataset {
+    let meta = DatasetMeta {
+        name: name.into(),
+        spatial_resolution: SpatialResolution::City,
+        temporal_resolution: TemporalResolution::Week,
+        description: String::new(),
+    };
+    let mut b = DatasetBuilder::new(meta).attribute(AttributeMeta::named("price"));
+    for w in 0..MIXED_WEEKS {
+        let v = if w % 5 == 3 {
+            9.0
+        } else {
+            2.0 + (w % 3) as f64 * 0.1
+        };
+        b.push(GeoPoint::new(1.0, 1.0), w * 7 * 86_400, &[v])
+            .expect("schema matches");
+    }
+    b.build().expect("dataset builds")
+}
+
+/// An hourly GPS data set over the same weeks: indexed at {neighbourhood,
+/// city} × {hour, day, week, month}, with a burst in one cell every week
+/// `w` with `(w + phase) % 5 == 3`.
+fn hourly_dataset(name: &str, phase: i64) -> Dataset {
+    let meta = DatasetMeta {
+        name: name.into(),
+        spatial_resolution: SpatialResolution::Gps,
+        temporal_resolution: TemporalResolution::Hour,
+        description: String::new(),
+    };
+    let mut b = DatasetBuilder::new(meta).attribute(AttributeMeta::named("signal"));
+    for h in (0..MIXED_WEEKS * 168).step_by(3) {
+        let week = h / 168;
+        for cell in 0..4i64 {
+            let burst = (week + phase) % 5 == 3 && h % 168 < 48 && cell == week % 4;
+            let records = if burst { 6 } else { 1 };
+            for k in 0..records {
+                let at = GeoPoint::new((cell % 2) as f64 + 0.5, (cell / 2) as f64 + 0.5);
+                let v = (h % 24) as f64 * 0.1 + if burst { 20.0 } else { 0.0 };
+                b.push(at, h * 3_600 + k * 60, &[v])
+                    .expect("schema matches");
+            }
+        }
+    }
+    b.build().expect("dataset builds")
+}
+
+/// `weekly` (one resolution) beside `hourly1` and `hourly2` (eight each):
+/// the layered corpus on which naming a data set and reading it part ways.
+fn save_mixed(path: &PathBuf) -> DataPolygamy {
+    let mut dp = DataPolygamy::new(quartered_geometry(), Config::fast_test());
+    dp.add_dataset(weekly_dataset("weekly"));
+    dp.add_dataset(hourly_dataset("hourly1", 0));
+    dp.add_dataset(hourly_dataset("hourly2", 0));
+    dp.build_index();
+    Store::save(path, dp.geometry(), dp.index().unwrap()).unwrap();
+    dp
+}
+
+fn resolutions_of(store: &Store, name: &str) -> BTreeSet<Resolution> {
+    let di = store.manifest().dataset_index(name).unwrap();
+    let segments = store.manifest().segments.iter();
+    segments
+        .filter(|s| s.dataset_index == di)
+        .map(|s| s.resolution)
+        .collect()
+}
+
+/// (count, Σ `loc.len`) of `name`'s directory entries at a resolution in `at`.
+fn hot_blobs_at(store: &Store, name: &str, at: &BTreeSet<Resolution>) -> (u64, u64) {
+    let di = store.manifest().dataset_index(name).unwrap();
+    let segments = store.manifest().segments.iter();
+    segments
+        .filter(|s| s.dataset_index == di && at.contains(&s.resolution))
+        .fold((0, 0), |(n, bytes), s| (n + 1, bytes + s.loc.len))
+}
+
+/// Asks `query` of `session`, checks the answer against the in-memory
+/// framework and an eager session, and returns (bytes fetched, segments
+/// pinned, segments the pair-blind bound would have added).
+fn footprint_of(
+    session: &StoreSession,
+    eager: &StoreSession,
+    dp: &DataPolygamy,
+    query: &RelationshipQuery,
+) -> (u64, u64, u64) {
+    let before = lazy_bytes(session);
+    let (rels, t) = polygamy_obs::trace::record(|| session.query(query).unwrap());
+    assert_eq!(rels, dp.query(query).unwrap());
+    assert_eq!(rels, eager.query(query).unwrap());
+    (
+        lazy_bytes(session) - before,
+        t.counter("segments_pinned"),
+        t.counter("segments_outside_shared_resolutions"),
+    )
+}
+
+#[test]
+fn a_pair_reads_only_the_resolutions_both_sides_have() {
+    let path = tmp_path("pair-footprint");
+    let _cleanup = Cleanup(path.clone());
+    let dp = save_mixed(&path);
+    let store = Store::open(&path).unwrap();
+    let eager = StoreSession::open_with(&path, Config::fast_test(), &LoadFilter::all()).unwrap();
+
+    let weekly = resolutions_of(&store, "weekly");
+    let hourly = resolutions_of(&store, "hourly1");
+    assert_eq!(hourly, resolutions_of(&store, "hourly2"));
+    let city_week = Resolution::new(SpatialResolution::City, TemporalResolution::Week);
+    assert_eq!(weekly, BTreeSet::from([city_week]));
+    assert_eq!(hourly.len(), 8);
+    assert!(hourly.contains(&city_week));
+    // Both sides of a pair at the resolutions in `at`.
+    let both = |a: &str, b: &str, at: &BTreeSet<Resolution>| {
+        let (na, bytes_a) = hot_blobs_at(&store, a, at);
+        let (nb, bytes_b) = hot_blobs_at(&store, b, at);
+        (na + nb, bytes_a + bytes_b)
+    };
+    let between = |left: &[&str], right: &[&str], clause: Clause| {
+        RelationshipQuery::between(left, right).with_clause(clause)
+    };
+
+    for backend in [SourceBackend::PositionedRead, SourceBackend::Mmap] {
+        // weekly × hourly1 meet at (week, city) alone: hourly1's seven other
+        // resolutions — the large blobs — are never read.
+        let session = open_lazy(&path, backend);
+        let query = between(&["weekly"], &["hourly1"], test_clause());
+        assert!(!dp.query(&query).unwrap().is_empty());
+        let (n, bytes) = both("weekly", "hourly1", &weekly);
+        let (n_named, bytes_named) = both("weekly", "hourly1", &hourly);
+        assert!(bytes < bytes_named / 4, "{bytes} of {bytes_named}");
+        assert_eq!(
+            footprint_of(&session, &eager, &dp, &query),
+            (bytes, n, n_named - n),
+            "{backend:?}"
+        );
+
+        // One collection of two: weekly × hourly1 and weekly × hourly2 are
+        // enumerated, hourly1 × hourly2 is not — no hour blob is read.
+        let session = open_lazy(&path, backend);
+        let query = between(&["weekly"], &["hourly1", "hourly2"], test_clause());
+        let (n2, bytes2) = hot_blobs_at(&store, "hourly2", &weekly);
+        assert_eq!(
+            footprint_of(&session, &eager, &dp, &query),
+            (bytes + bytes2, n + n2, 2 * (n_named - n)),
+            "{backend:?}"
+        );
+        // Split the other way, hourly1 × hourly2 is a pair: everything the
+        // two have is read, each blob once.
+        let session = open_lazy(&path, backend);
+        let query = between(&["weekly", "hourly1"], &["hourly2"], test_clause());
+        let (n_weekly, bytes_weekly) = hot_blobs_at(&store, "weekly", &weekly);
+        let (n_all, bytes_all) = both("hourly1", "hourly2", &hourly);
+        assert_eq!(
+            footprint_of(&session, &eager, &dp, &query),
+            (bytes_weekly + bytes_all, n_weekly + n_all, 0),
+            "{backend:?}"
+        );
+
+        // A data set against itself is no pair: nothing is pinned.
+        let session = open_lazy(&path, backend);
+        let query = between(&["hourly1"], &["hourly1"], test_clause());
+        let (n_self, _) = hot_blobs_at(&store, "hourly1", &hourly);
+        assert_eq!(
+            footprint_of(&session, &eager, &dp, &query),
+            (0, 0, n_self),
+            "{backend:?}"
+        );
+
+        // A resolution clause intersects with what the pair shares.
+        let nbhd_day = Resolution::new(SpatialResolution::Neighborhood, TemporalResolution::Day);
+        let two = test_clause()
+            .at_resolution(city_week)
+            .at_resolution(nbhd_day);
+        let query = between(&["hourly1"], &["hourly2"], two.clone());
+        let (n_two, bytes_two) = both("hourly1", "hourly2", &BTreeSet::from([city_week, nbhd_day]));
+        assert_eq!(
+            footprint_of(&session, &eager, &dp, &query),
+            (bytes_two, n_two, 0),
+            "{backend:?}"
+        );
+        let session = open_lazy(&path, backend);
+        let query = between(&["weekly"], &["hourly1"], two);
+        assert_eq!(
+            footprint_of(&session, &eager, &dp, &query),
+            (
+                bytes,
+                n,
+                hot_blobs_at(&store, "hourly1", &BTreeSet::from([nbhd_day])).0
+            ),
+            "{backend:?}"
+        );
+        let query = between(
+            &["weekly"],
+            &["hourly1"],
+            test_clause().at_resolution(nbhd_day),
+        );
+        assert_eq!(footprint_of(&session, &eager, &dp, &query).0, 0);
+    }
+}
+
+/// Corruption is scoped by the same bound: a flipped byte in a segment at
+/// a resolution the partner lacks cannot fail the pair — the segment is
+/// never read — while a partner that shares the resolution meets the typed
+/// error, repeatably, and the force-check still finds it.
+#[test]
+fn corruption_at_a_resolution_the_partner_lacks_does_not_fail_the_pair() {
+    let path = tmp_path("pair-corruption");
+    let _cleanup = Cleanup(path.clone());
+    let dp = save_mixed(&path);
+
+    let store = Store::open(&path).unwrap();
+    let hourly1 = store.manifest().dataset_index("hourly1").unwrap();
+    let nbhd_hour = Resolution::new(SpatialResolution::Neighborhood, TemporalResolution::Hour);
+    let mut segments = store.manifest().segments.iter();
+    let victim = segments
+        .find(|s| s.dataset_index == hourly1 && s.resolution == nbhd_hour)
+        .expect("hourly1 is indexed at (hour, neighbourhood)")
+        .loc;
+    drop(store);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[(victim.offset + victim.len / 2) as usize] ^= 0x10;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let clause = test_clause();
+    let lacking = RelationshipQuery::between(&["weekly"], &["hourly1"]).with_clause(clause.clone());
+    let sharing = RelationshipQuery::between(&["hourly1"], &["hourly2"]).with_clause(clause);
+    for backend in [SourceBackend::PositionedRead, SourceBackend::Mmap] {
+        let session = open_lazy(&path, backend);
+        assert_eq!(
+            session.query(&lacking).unwrap(),
+            dp.query(&lacking).unwrap()
+        );
+        for _ in 0..2 {
+            match session.query(&sharing) {
+                Err(StoreError::ChecksumMismatch { what }) => {
+                    assert!(what.contains("hourly1"), "{backend:?}: {what}")
+                }
+                other => panic!("{backend:?}: expected checksum mismatch, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            session.query(&lacking).unwrap(),
+            dp.query(&lacking).unwrap()
+        );
+        assert!(matches!(
+            session.lazy_index().unwrap().verify_all(),
+            Err(StoreError::ChecksumMismatch { .. })
+        ));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Eager sessions: every hot blob pinned at open, fields left in the file
+// ---------------------------------------------------------------------------
+
+/// An eager open decodes hot blobs only; a `thresholds` clause is the one
+/// thing that sends an eager session back to the file, for exactly the
+/// named data set's field blobs, once — on a monolith, on a 3-shard
+/// catalog and under a load filter — and the answer is the lazy session's
+/// and the in-memory framework's.
+#[test]
+fn an_eager_session_reads_fields_only_when_a_thresholds_clause_asks() {
+    let path = tmp_path("eager-fields");
+    let catalog_path = tmp_path("eager-fields-sharded");
+    let mut cleanups = vec![Cleanup(path.clone()), Cleanup(catalog_path.clone())];
+    let dp = save_corpus(&path);
+    let catalog = shard_store(&path, &catalog_path, 3).unwrap();
+    cleanups.extend((0..3).map(|i| Cleanup(catalog.shard_path(&catalog_path, i))));
+    let store = Store::open(&path).unwrap();
+    let (alpha_hot, alpha_field) = dataset_blob_bytes(&store, "alpha");
+    let alpha = store.manifest().dataset_index("alpha").unwrap();
+    let segments = store.manifest().segments.iter();
+    let alpha_segments = segments.filter(|s| s.dataset_index == alpha).count() as u64;
+
+    let alpha_beta = |clause| RelationshipQuery::between(&["alpha"], &["beta"]).with_clause(clause);
+    let plain = alpha_beta(test_clause());
+    let on_alpha = alpha_beta(thresholds_clause("alpha"));
+    // Another override of alpha: misses the query cache, not the fields.
+    let on_alpha_again = alpha_beta(test_clause().with_thresholds("alpha", 4.0, 0.8));
+    let lazy = open_lazy(&path, SourceBackend::PositionedRead);
+
+    let all = LoadFilter::all();
+    let two = LoadFilter::all().datasets(&["alpha", "beta"]);
+    for (what, at, filter) in [
+        ("monolith", &path, &all),
+        ("3 shards", &catalog_path, &all),
+        ("filtered", &path, &two),
+    ] {
+        let session = StoreSession::open_with(at, Config::fast_test(), filter).unwrap();
+        let hot_only = |s: &StoreSession| {
+            s.index()
+                .unwrap()
+                .functions
+                .iter()
+                .all(|f| f.field.is_none())
+        };
+        assert!(hot_only(&session), "{what}");
+        assert!(session.lazy_index().is_none(), "{what}");
+
+        let opened = session.bytes_fetched();
+        assert_eq!(session.query(&plain).unwrap(), dp.query(&plain).unwrap());
+        assert_eq!(
+            session.bytes_fetched(),
+            opened,
+            "{what}: no clause, no read"
+        );
+
+        let (rels, t) = polygamy_obs::trace::record(|| session.query(&on_alpha).unwrap());
+        assert_eq!(rels, dp.query(&on_alpha).unwrap(), "{what}");
+        assert_eq!(rels, lazy.query(&on_alpha).unwrap(), "{what}");
+        assert_eq!(t.counter("field_bytes_fetched"), alpha_field, "{what}");
+        assert_eq!(t.counter("field_faults"), alpha_segments, "{what}");
+        // The live counter: alpha's entries were faulted whole.
+        assert_eq!(session.bytes_fetched() - opened, alpha_hot + alpha_field);
+
+        let before = session.bytes_fetched();
+        let (rels, t) = polygamy_obs::trace::record(|| session.query(&on_alpha_again).unwrap());
+        assert_eq!(rels, dp.query(&on_alpha_again).unwrap(), "{what}");
+        assert_eq!(t.counter("field_bytes_fetched"), 0, "{what}");
+        assert_eq!(session.bytes_fetched(), before, "{what}");
+        assert!(
+            hot_only(&session),
+            "{what}: the resident index stays hot-only"
+        );
     }
 }

@@ -85,15 +85,38 @@ fn load_all(path: &PathBuf) -> PolygamyIndex {
 /// An index in its one serialisation — the catalog plus every function's
 /// owner and codec bytes — for equality that is exact on NaN thresholds,
 /// which `==` on the structs is not.
-type Encoded<'a> = (&'a [DatasetEntry], Vec<(usize, (Vec<u8>, Option<Vec<u8>>))>);
+type Encoded = (Vec<DatasetEntry>, Vec<(usize, (Vec<u8>, Option<Vec<u8>>))>);
 
-fn encoded(index: &PolygamyIndex) -> Encoded<'_> {
+fn encoded(index: &PolygamyIndex) -> Encoded {
     let functions = index
         .functions
         .iter()
         .map(|f| (f.dataset_index, encode_function_segment(f)))
         .collect();
-    (&index.datasets, functions)
+    (index.datasets.clone(), functions)
+}
+
+/// What the store at `path` holds, in the same form: the hot blobs as an
+/// eager session materializes them — its `index()` is hot-only, an eager
+/// open leaves the scalar fields encoded — and the field blobs as the
+/// manifest locates them in the file.
+fn stored(path: &PathBuf) -> Encoded {
+    let index = load_all(path);
+    assert!(index.functions.iter().all(|f| f.field.is_none()));
+    let store = Store::open(path).unwrap();
+    let segments = &store.manifest().segments;
+    assert_eq!(segments.len(), index.functions.len());
+    let functions = (index.functions.iter().zip(segments))
+        .map(|(f, info)| {
+            assert_eq!(f.dataset_index, info.dataset_index);
+            let field = info.field.map(|loc| {
+                let bytes = store.source().read(loc, "field blob").unwrap();
+                bytes.into_owned()
+            });
+            (f.dataset_index, (encode_function_segment(f).0, field))
+        })
+        .collect();
+    (index.datasets, functions)
 }
 
 fn test_clause() -> Clause {
@@ -108,11 +131,8 @@ fn session_query_matches_in_memory_framework() {
     Store::save(&path, dp.geometry(), dp.index().unwrap()).unwrap();
 
     let session = StoreSession::open_with(&path, Config::fast_test(), &LoadFilter::all()).unwrap();
-    // The materialized index is byte-for-byte the one that was saved.
-    assert_eq!(
-        encoded(session.index().unwrap()),
-        encoded(dp.index().unwrap())
-    );
+    // What the store holds is byte-for-byte the index that was saved.
+    assert_eq!(stored(&path), encoded(dp.index().unwrap()));
     // And every query form answers identically.
     for query in [
         RelationshipQuery::all().with_clause(test_clause()),
@@ -188,7 +208,7 @@ fn remove_dataset_matches_scratch_rebuild() {
 
     let kept = vec![datasets[0].clone(), datasets[2].clone()];
     let expect = build_framework(&kept);
-    assert_eq!(encoded(&load_all(&path)), encoded(expect.index().unwrap()));
+    assert_eq!(stored(&path), encoded(expect.index().unwrap()));
     // Removing a data set not in the catalog is a typed error.
     assert!(matches!(
         Store::remove_dataset(&path, "beta"),

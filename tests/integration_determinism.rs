@@ -759,6 +759,132 @@ fn spatial_query_matches_the_naive_path_pair_by_pair() {
     assert_eq!(built_under_override(32), built);
 }
 
+/// A data set native at `(spatial, temporal)` over the first twenty weeks
+/// of the epoch: one record per bucket in each cell of the spatial
+/// geometry (one cell for a city-level data set), a burst of five and a
+/// jump of the attribute every eleventh bucket of `bucket + phase`.
+fn native_dataset(
+    name: &str,
+    spatial: SpatialResolution,
+    temporal: TemporalResolution,
+    phase: i64,
+) -> Dataset {
+    let meta = DatasetMeta {
+        name: name.into(),
+        spatial_resolution: spatial,
+        temporal_resolution: temporal,
+        description: String::new(),
+    };
+    let step_hours = match temporal {
+        TemporalResolution::Hour => 2,
+        TemporalResolution::Day => 24,
+        TemporalResolution::Week => 168,
+        TemporalResolution::Month => 30 * 24,
+    };
+    let cells = if spatial == SpatialResolution::City {
+        1
+    } else {
+        6
+    };
+    let mut b = DatasetBuilder::new(meta).attribute(AttributeMeta::named("signal"));
+    for (bucket, h) in (0..20 * 168).step_by(step_hours).enumerate() {
+        let bucket = bucket as i64 + phase;
+        for cell in 0..cells {
+            let burst = bucket % 11 == 0 && bucket / 11 % cells == cell;
+            let at = GeoPoint::new((cell % 3) as f64 + 0.5, (cell / 3) as f64 + 0.5);
+            for k in 0..if burst { 5 } else { 1 } {
+                let signal = (bucket % 7) as f64 * 0.2 + if burst { 25.0 } else { 0.0 };
+                b.push(at, h as i64 * 3_600 + k * 60, &[signal + k as f64 * 0.01])
+                    .expect("schema matches");
+            }
+        }
+    }
+    b.build().expect("dataset builds")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Random layered corpora — three data sets of random native
+    /// resolutions, so random sets of resolutions each pair shares (some
+    /// none at all) — asked random collections (`*`, lists, repeated
+    /// names, a data set against itself) under random clauses: a lazy
+    /// session, which reads per pair only the resolutions both sides have,
+    /// answers with the bytes of the eager session and of the in-memory
+    /// framework, which see every entry, at one worker and at three.
+    #[test]
+    fn random_native_resolutions_answer_identically_lazy_eager_and_in_memory(
+        natives in prop::collection::vec(0usize..16, 3),
+        lefts in prop::collection::vec(prop::collection::vec(0usize..3, 0..4), 4),
+        rights in prop::collection::vec(prop::collection::vec(0usize..3, 0..4), 4),
+        kinds in prop::collection::vec(0usize..5, 4),
+        picks in prop::collection::vec(0usize..12, 4),
+    ) {
+        let spatials = [
+            SpatialResolution::Gps,
+            SpatialResolution::Zip,
+            SpatialResolution::Neighborhood,
+            SpatialResolution::City,
+        ];
+        let temporals = TemporalResolution::ALL;
+        let name = |i: usize| format!("d{i}");
+        let mut dp = DataPolygamy::new(spatial_geometry(), config_with(Cluster::local(1)));
+        for (i, &n) in natives.iter().enumerate() {
+            let (spatial, temporal) = (spatials[n / 4], temporals[n % 4]);
+            dp.add_dataset(native_dataset(&name(i), spatial, temporal, 3 * i as i64));
+        }
+        dp.build_index();
+        let path = tmp_path(&format!("prop-native-{}-{}-{}", natives[0], natives[1], natives[2]));
+        let _cleanup = Cleanup(path.clone());
+        Store::save(&path, dp.geometry(), dp.index().unwrap()).unwrap();
+
+        let base = Clause::default().permutations(20).include_insignificant();
+        let queries: Vec<RelationshipQuery> = (0..4)
+            .map(|i| {
+                // An empty pick is `*`; a list may repeat a name.
+                let collection = |picks: &Vec<usize>| {
+                    (!picks.is_empty()).then(|| picks.iter().map(|&i| name(i)).collect())
+                };
+                // Resolutions a clause can name: the evaluable ones.
+                let picked = Resolution::new(spatials[1 + picks[i] / 4], temporals[picks[i] % 4]);
+                let clause = match kinds[i] {
+                    0 => base.clone(),
+                    1 => base.clone().at_resolution(picked),
+                    2 => base.clone().at_resolution(picked).at_resolution(Resolution::new(
+                        SpatialResolution::City,
+                        TemporalResolution::Week,
+                    )),
+                    3 => base.clone().class(FeatureClass::Extreme),
+                    _ => base.clone().with_thresholds("d0", 5.0, 1.0),
+                };
+                RelationshipQuery {
+                    left: collection(&lefts[i]),
+                    right: collection(&rights[i]),
+                    clause,
+                }
+            })
+            .collect();
+        let reference: Vec<String> = queries
+            .iter()
+            .map(|q| json(&dp.query(q).unwrap()))
+            .collect();
+        for cluster in [Cluster::local(1), Cluster::local(3)] {
+            for (mode, session) in session_matrix(&path, cluster) {
+                for (q, expect) in queries.iter().zip(&reference) {
+                    let answer = json(&session.query(q).unwrap());
+                    prop_assert!(&answer == expect, "{} @ {:?}: {:?}", mode, cluster, q);
+                }
+            }
+            for (mode, session) in session_matrix(&path, cluster) {
+                let batched = session.query_many(&queries).unwrap();
+                for (rels, expect) in batched.iter().zip(&reference) {
+                    prop_assert!(&json(rels) == expect, "{} query_many @ {:?}", mode, cluster);
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
