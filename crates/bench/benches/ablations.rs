@@ -41,7 +41,7 @@ use polygamy_stats::permutation::GraphShifter;
 use polygamy_stats::quantile;
 use polygamy_stdata::{FunctionKind, Resolution, SpatialResolution, TemporalResolution};
 use polygamy_store::codec::{decode_field, encode_field, validate_field};
-use polygamy_store::{LazyIndex, LoadFilter, SourceBackend, Store, StoreSession};
+use polygamy_store::{LazyIndex, LoadFilter, Store, StoreSession};
 use polygamy_topology::{
     super_level_set, BitVec, DomainGraph, FeatureClass, FeatureSet, MergeTree,
 };
@@ -282,7 +282,7 @@ fn bench_read_path(c: &mut Criterion) {
         .zip(&index.functions)
         .filter_map(|(info, entry)| {
             let bytes = store.source().read(info.field?, "field blob").ok()?;
-            Some((bytes.into_owned(), entry.n_regions * entry.n_steps))
+            Some((bytes, entry.n_regions * entry.n_steps))
         })
         .collect();
     let mut group = c.benchmark_group("eager_open");
@@ -311,8 +311,7 @@ fn bench_read_path(c: &mut Criterion) {
         let query = [parse_query(pql).expect("valid PQL")];
         group.bench_function(label, |b| {
             b.iter(|| {
-                let lazy = LazyIndex::open(&path, &LoadFilter::all(), SourceBackend::default())
-                    .expect("store opens");
+                let lazy = LazyIndex::open(&path, &LoadFilter::all()).expect("store opens");
                 lazy.pin_for(&query).map(|pinned| pinned.len())
             })
         });

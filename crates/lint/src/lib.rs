@@ -222,4 +222,23 @@ mod tests {
         assert_eq!(paths, sorted);
         assert!(findings.iter().all(|f| f.rule == "default-hasher"));
     }
+
+    #[test]
+    fn unsafe_under_tests_does_not_exempt_a_library_from_forbidding_it() {
+        let ws = Workspace::from_sources(
+            vec![
+                rs("crates/x/src/lib.rs", "pub fn f() {}\n"),
+                rs(
+                    "crates/x/tests/alloc.rs",
+                    "struct A;\n// SAFETY: forwards to the system allocator unchanged.\n\
+                     unsafe impl Sync for A {}\n",
+                ),
+            ],
+            vec![],
+        );
+        let findings = lint(&ws);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].rule, "missing-forbid-unsafe");
+        assert_eq!(findings[0].path, "crates/x/src/lib.rs");
+    }
 }

@@ -1,10 +1,10 @@
 //! Rule family 2: unsafe hygiene.
 //!
-//! The workspace contains exactly one unsafe region — the opt-in mmap
-//! backend in `crates/store/src/source.rs`. These rules keep it that
-//! way: every `unsafe` must argue its soundness in a `// SAFETY:`
-//! comment, and a crate with no unsafe at all must say so with
-//! `#![forbid(unsafe_code)]` so the next unsafe block is a compile
+//! No library or binary in the workspace contains unsafe code; the only
+//! `unsafe` left is in test-only counting allocators. These rules keep it
+//! that way: every `unsafe` must argue its soundness in a `// SAFETY:`
+//! comment, and a crate whose `src/` has no unsafe at all must say so
+//! with `#![forbid(unsafe_code)]` so the next unsafe block is a compile
 //! error, not a review discussion.
 
 use super::Rule;
@@ -64,20 +64,17 @@ It applies everywhere, tests included — test unsafety needs the same argument.
 pub struct MissingForbidUnsafeRule;
 
 impl MissingForbidUnsafeRule {
-    /// Groups a repo-relative path into its crate: `crates/<name>/…` or
-    /// the root facade package (src/, tests/, examples/, benches/).
-    fn crate_root(path: &str) -> Option<String> {
+    /// The crate whose `src/` tree holds a repo-relative path:
+    /// `crates/<name>` for `crates/<name>/src/…`, the root facade package
+    /// (`""`) for `src/…`. `None` for tests, examples, benches and
+    /// anything else — a `#![forbid]` in lib.rs never covers those, so
+    /// their `unsafe` cannot excuse a library from declaring it.
+    fn crate_of_src(path: &str) -> Option<String> {
         if let Some(rest) = path.strip_prefix("crates/") {
-            let name = rest.split('/').next()?;
-            return Some(format!("crates/{name}"));
+            let (name, inner) = rest.split_once('/')?;
+            return inner.starts_with("src/").then(|| format!("crates/{name}"));
         }
-        if ["src/", "tests/", "examples/", "benches/"]
-            .iter()
-            .any(|p| path.starts_with(p))
-        {
-            return Some(String::new());
-        }
-        None
+        path.starts_with("src/").then(String::new)
     }
 
     /// True when the token stream contains `#![forbid(unsafe_code)]`.
@@ -106,16 +103,18 @@ impl Rule for MissingForbidUnsafeRule {
     fn explain(&self) -> &'static str {
         "A crate that contains no unsafe code should make that a compiler-enforced \
 invariant: with #![forbid(unsafe_code)] in lib.rs, the next unsafe block fails \
-to build instead of slipping through review. The rule groups files by crate, \
-checks the whole crate (bins, tests, examples included) for `unsafe` tokens, \
-and requires the attribute in lib.rs when none are found. Crates that do use \
-unsafe (today: polygamy_store's mmap backend) are exempt — their obligation is \
-undocumented-unsafe instead."
+to build instead of slipping through review. The rule groups the files under \
+each crate's `src/` (lib and bins), checks them for `unsafe` tokens, and \
+requires the attribute in lib.rs when none are found. Tests, examples and \
+benches are not consulted: the attribute never covers them, so a counting \
+allocator under `tests/` does not exempt its crate. Crates whose `src/` does \
+use unsafe (today: none) are exempt — their obligation is undocumented-unsafe \
+instead."
     }
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
         let mut groups: BTreeMap<String, Vec<&Scanned>> = BTreeMap::new();
         for src in &ws.sources {
-            if let Some(key) = Self::crate_root(&src.file.path) {
+            if let Some(key) = Self::crate_of_src(&src.file.path) {
                 groups.entry(key).or_default().push(src);
             }
         }

@@ -6,12 +6,12 @@
 //! polygamy-store shard <monolith.plst> <out.plst> [--shards N]
 //! polygamy-store merge <catalog.plst> <out.plst>
 //! polygamy-store inspect <path> [--verify]
-//! polygamy-store query <path> --pql "<query>" [--json] [--trace] [--lazy [--mmap]]
-//! polygamy-store query <path> --file <queries.pql> [--json] [--trace] [--lazy [--mmap]]
-//! polygamy-store repl <path> [--lazy [--mmap]]
+//! polygamy-store query <path> --pql "<query>" [--json] [--trace] [--lazy]
+//! polygamy-store query <path> --file <queries.pql> [--json] [--trace] [--lazy]
+//! polygamy-store repl <path> [--lazy]
 //! polygamy-store serve <path> [--addr HOST:PORT] [--max-inflight N]
 //!                [--read-timeout-ms N] [--max-frame-bytes N] [--no-coalesce]
-//!                [--metrics-jsonl <path>] [--lazy [--mmap]]
+//!                [--metrics-jsonl <path>] [--lazy]
 //! ```
 //!
 //! A `--flag` the subcommand does not list above, or a value flag with no
@@ -47,10 +47,8 @@
 //! `--lazy` opens the session demand-paged: segments are read (and their
 //! checksums verified) only when a query touches them — scalar field
 //! blobs only for data sets a `thresholds` clause names — so open cost is
-//! O(header + manifest + geometry) regardless of corpus size. `--mmap`
-//! additionally serves segment bytes as borrowed views of a read-only
-//! memory map instead of copying them (Unix; falls back to positioned
-//! reads elsewhere). Results are byte-identical to the default eager mode.
+//! O(header + manifest + geometry) regardless of corpus size. Results are
+//! byte-identical to the default eager mode.
 //!
 //! `repl` serves parsed PQL queries interactively from one long-lived
 //! session: parse errors print caret diagnostics and leave the session
@@ -84,7 +82,7 @@ use polygamy_serve::{ServeOptions, Server};
 use polygamy_store::{
     execute_pql_batch, execute_pql_batch_traced, execute_pql_query, execute_pql_query_traced,
     is_sharded, merge_shards, save_sharded, shard_store, LazyIndex, LoadFilter, PqlServeError,
-    ShardCatalog, SourceBackend, Store, StoreSession, SHARD_CATALOG_VERSION,
+    ShardCatalog, Store, StoreSession, SHARD_CATALOG_VERSION,
 };
 use std::io::{BufRead, IsTerminal, Write};
 use std::process::ExitCode;
@@ -109,12 +107,12 @@ fn main() -> ExitCode {
                  \x20 merge <catalog.plst> <out.plst>\n\
                  \x20 inspect <path> [--verify]\n\
                  \x20 query <path> --pql \"between taxi and * where score >= 0.6\" \
-                 [--json] [--trace] [--lazy [--mmap]]\n\
-                 \x20 query <path> --file <queries.pql> [--json] [--trace] [--lazy [--mmap]]\n\
-                 \x20 repl <path> [--lazy [--mmap]]\n\
+                 [--json] [--trace] [--lazy]\n\
+                 \x20 query <path> --file <queries.pql> [--json] [--trace] [--lazy]\n\
+                 \x20 repl <path> [--lazy]\n\
                  \x20 serve <path> [--addr HOST:PORT] [--max-inflight N] \
                  [--read-timeout-ms N] [--max-frame-bytes N] [--no-coalesce] \
-                 [--metrics-jsonl <path>] [--lazy [--mmap]]"
+                 [--metrics-jsonl <path>] [--lazy]"
             );
             return ExitCode::FAILURE;
         }
@@ -362,8 +360,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
 fn cmd_inspect_sharded(path: &str, verify: bool) -> Result<(), String> {
     // Availability is probed exactly as serving would see it: a degraded
     // open that records each broken shard instead of failing outright.
-    let lazy = LazyIndex::open(path, &LoadFilter::all(), SourceBackend::default())
-        .map_err(|e| e.to_string())?;
+    let lazy = LazyIndex::open(path, &LoadFilter::all()).map_err(|e| e.to_string())?;
     let catalog = lazy.shard_catalog();
     println!(
         "shard catalog {path}: format {SHARD_CATALOG_VERSION}, {} data set(s) over {} shard(s)",
@@ -413,24 +410,14 @@ fn cmd_inspect_sharded(path: &str, verify: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// The session open mode requested by `--lazy` / `--mmap`.
+/// The session open mode requested by `--lazy`.
 fn open_session(path: &str, args: &Args) -> Result<StoreSession, String> {
-    let lazy = args.has("--lazy");
-    let mmap = args.has("--mmap");
-    if mmap && !lazy {
-        return Err("--mmap requires --lazy (the eager loader copies segments anyway)".into());
-    }
-    if lazy {
-        let backend = if mmap {
-            SourceBackend::Mmap
-        } else {
-            SourceBackend::PositionedRead
-        };
-        StoreSession::open_lazy_with(path, Config::default(), &LoadFilter::all(), backend)
-            .map_err(|e| e.to_string())
+    if args.has("--lazy") {
+        StoreSession::open_lazy(path)
     } else {
-        StoreSession::open(path).map_err(|e| e.to_string())
+        StoreSession::open(path)
     }
+    .map_err(|e| e.to_string())
 }
 
 /// Parse errors render their caret diagnostic; execution errors print as
@@ -450,7 +437,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     let args = Args::parse(
         "query",
         args,
-        &["--json", "--trace", "--lazy", "--mmap"],
+        &["--json", "--trace", "--lazy"],
         &["--pql", "--file"],
     )?;
     let (&path, extra) = args
@@ -518,7 +505,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 /// session — open the store once, then parse and serve a query per line.
 /// Parse errors render caret diagnostics and keep the session alive.
 fn cmd_repl(args: &[String]) -> Result<(), String> {
-    let args = Args::parse("repl", args, &["--lazy", "--mmap"], &[])?;
+    let args = Args::parse("repl", args, &["--lazy"], &[])?;
     let path = *args.positionals().first().ok_or("repl: missing <path>")?;
     let session = open_session(path, &args)?;
     let interactive = std::io::stdin().is_terminal();
@@ -617,7 +604,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let args = Args::parse(
         "serve",
         args,
-        &["--no-coalesce", "--lazy", "--mmap"],
+        &["--no-coalesce", "--lazy"],
         &[
             "--addr",
             "--max-inflight",

@@ -465,6 +465,56 @@ fn coalescer_merges_queued_requests_into_one_dispatch() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// A store truncated in place under a lazy daemon: the request whose reads
+/// fall past the cut gets a `query` error frame, and the same connection
+/// serves the next request (its blobs lie below the cut).
+#[test]
+fn a_store_truncated_in_place_answers_query_errors_and_keeps_serving() {
+    let path = build_store();
+    let store = Store::open(&path).unwrap();
+    let cut = store.file_bytes().unwrap() / 2;
+    let manifest = store.manifest();
+    let noise = manifest.dataset_index("noise").unwrap();
+    assert!(manifest
+        .segments
+        .iter()
+        .all(|s| s.loc.offset + s.loc.len <= cut));
+    let mut noise_fields = manifest
+        .segments
+        .iter()
+        .filter(|s| s.dataset_index == noise);
+    assert!(noise_fields.all(|s| s.field.is_some_and(|f| f.offset >= cut)));
+    drop(store);
+
+    let session = Arc::new(StoreSession::open_lazy(&path).unwrap());
+    let server = Server::bind("127.0.0.1:0", session, ServeOptions::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .unwrap()
+        .set_len(cut)
+        .unwrap();
+
+    for _ in 0..2 {
+        match client
+            .request("between taxi and noise where thresholds noise (5.0, 0.9)")
+            .unwrap()
+        {
+            Response::Error(e) => assert_eq!(e.error, "query", "{}", e.message),
+            Response::Results(r) => panic!("query error expected, got results: {r}"),
+        }
+    }
+    match client.request("between taxi and noise").unwrap() {
+        Response::Results(json) => assert!(json.starts_with("{\"query\":")),
+        Response::Error(e) => panic!("unexpected error frame: {e:?}"),
+    }
+
+    client.shutdown_server().unwrap();
+    server.wait();
+    std::fs::remove_file(&path).unwrap();
+}
+
 #[test]
 fn coalescer_isolates_a_failing_request_from_its_batchmates() {
     let path = build_store();

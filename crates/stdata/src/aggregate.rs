@@ -141,11 +141,6 @@ pub fn aggregate(
     let resolution = Resolution::new(partition.resolution, temporal);
     let mut field = ScalarField::undefined(resolution, n_regions, start_bucket, n_steps);
 
-    // Region assignment: reuse the data set's native region indices when it
-    // was published at this partition's resolution; otherwise point-locate.
-    let use_native_regions =
-        dataset.meta.spatial_resolution == partition.resolution && dataset.regions().is_some();
-
     let cell_of = |i: usize| -> Option<usize> {
         let t = dataset.times()[i];
         if t < start || t >= end {
@@ -155,13 +150,6 @@ pub fn aggregate(
             // City scale: every record inside the window belongs to the
             // single region regardless of coordinates.
             0u32
-        } else if use_native_regions {
-            let r = dataset.regions().expect("checked above")[i];
-            if (r as usize) < n_regions {
-                r
-            } else {
-                return None;
-            }
         } else {
             partition.locate(dataset.locations()[i])?
         };

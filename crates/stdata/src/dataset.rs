@@ -49,8 +49,6 @@ pub struct Record {
     pub key: Option<u64>,
     /// Spatial location. For city-resolution data this is the city centroid.
     pub location: GeoPoint,
-    /// Pre-assigned region index at the native resolution, if known.
-    pub region: Option<u32>,
     /// Event timestamp.
     pub time: Timestamp,
     /// Attribute values, aligned with [`Dataset::attributes`].
@@ -66,7 +64,6 @@ pub struct Dataset {
     pub attributes: Vec<AttributeMeta>,
     keys: Option<Vec<u64>>,
     locations: Vec<GeoPoint>,
-    regions: Option<Vec<u32>>,
     times: Vec<Timestamp>,
     /// One column per attribute, each `len() == times.len()`.
     columns: Vec<Vec<f64>>,
@@ -121,11 +118,6 @@ impl Dataset {
         self.keys.as_deref()
     }
 
-    /// Pre-assigned native region indices, when present.
-    pub fn regions(&self) -> Option<&[u32]> {
-        self.regions.as_deref()
-    }
-
     /// The half-open time range `[min, max+1)` covered by the records.
     pub fn time_range(&self) -> Result<(Timestamp, Timestamp)> {
         if self.is_empty() {
@@ -150,7 +142,6 @@ impl Dataset {
         Record {
             key: self.keys.as_ref().map(|k| k[i]),
             location: self.locations[i],
-            region: self.regions.as_ref().map(|r| r[i]),
             time: self.times[i],
             values: self.columns.iter().map(|c| c[i]).collect(),
         }
@@ -162,9 +153,6 @@ impl Dataset {
         let mut bytes = n * (std::mem::size_of::<GeoPoint>() + 8);
         if self.keys.is_some() {
             bytes += n * 8;
-        }
-        if self.regions.is_some() {
-            bytes += n * 4;
         }
         bytes += self.columns.len() * n * 8;
         bytes
@@ -195,13 +183,14 @@ impl Dataset {
                 }
             };
             let values: Vec<f64> = self.columns.iter().map(|c| c[i]).collect();
-            builder.push_raw(
-                self.keys.as_ref().map(|k| k[i]),
-                self.locations[i],
-                self.regions.as_ref().map(|r| r[i]),
-                self.times[i],
-                &values,
-            );
+            builder
+                .push_record(
+                    self.keys.as_ref().map(|k| k[i]),
+                    self.locations[i],
+                    self.times[i],
+                    &values,
+                )
+                .expect("schema preserved");
         }
         let mut datasets: Vec<(i32, Dataset)> = out
             .into_iter()
@@ -219,7 +208,6 @@ pub struct DatasetBuilder {
     attributes: Vec<AttributeMeta>,
     keys: Option<Vec<u64>>,
     locations: Vec<GeoPoint>,
-    regions: Option<Vec<u32>>,
     times: Vec<Timestamp>,
     columns: Vec<Vec<f64>>,
 }
@@ -232,7 +220,6 @@ impl DatasetBuilder {
             attributes: Vec::new(),
             keys: None,
             locations: Vec::new(),
-            regions: None,
             times: Vec::new(),
             columns: Vec::new(),
         }
@@ -266,9 +253,6 @@ impl DatasetBuilder {
         if let Some(k) = &mut self.keys {
             k.reserve(n);
         }
-        if let Some(r) = &mut self.regions {
-            r.reserve(n);
-        }
         for c in &mut self.columns {
             c.reserve(n);
         }
@@ -276,7 +260,7 @@ impl DatasetBuilder {
 
     /// Appends a record with GPS location.
     pub fn push(&mut self, location: GeoPoint, time: Timestamp, values: &[f64]) -> Result<()> {
-        self.push_record(None, location, None, time, values)
+        self.push_record(None, location, time, values)
     }
 
     /// Appends a record with an identifier key.
@@ -287,7 +271,7 @@ impl DatasetBuilder {
         time: Timestamp,
         values: &[f64],
     ) -> Result<()> {
-        self.push_record(Some(key), location, None, time, values)
+        self.push_record(Some(key), location, time, values)
     }
 
     /// Full-control append.
@@ -295,7 +279,6 @@ impl DatasetBuilder {
         &mut self,
         key: Option<u64>,
         location: GeoPoint,
-        region: Option<u32>,
         time: Timestamp,
         values: &[f64],
     ) -> Result<()> {
@@ -316,27 +299,12 @@ impl DatasetBuilder {
             }
             (None, None) => {}
         }
-        if let Some(rs) = &mut self.regions {
-            rs.push(region.unwrap_or(0));
-        }
         self.locations.push(location);
         self.times.push(time);
         for (col, &v) in self.columns.iter_mut().zip(values) {
             col.push(v);
         }
         Ok(())
-    }
-
-    fn push_raw(
-        &mut self,
-        key: Option<u64>,
-        location: GeoPoint,
-        region: Option<u32>,
-        time: Timestamp,
-        values: &[f64],
-    ) {
-        self.push_record(key, location, region, time, values)
-            .expect("raw push uses matching schema");
     }
 
     /// Finalises the data set.
@@ -346,7 +314,6 @@ impl DatasetBuilder {
             attributes: self.attributes,
             keys: self.keys,
             locations: self.locations,
-            regions: self.regions,
             times: self.times,
             columns: self.columns,
         })

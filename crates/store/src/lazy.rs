@@ -68,14 +68,13 @@ use crate::codec::{decode_function_segment, validate_field};
 use crate::error::{Result, StoreError};
 use crate::format::{BlobLoc, SegmentInfo};
 use crate::shard::{is_sharded, open_shard_file, ShardCatalog};
-use crate::source::{SegmentSource, SourceBackend};
+use crate::source::SegmentSource;
 use crate::store::{LoadFilter, Store};
 use polygamy_core::index::{DatasetEntry, FunctionEntry, PolygamyIndex};
 use polygamy_core::query::RelationshipQuery;
 use polygamy_core::{query_pairs, CityGeometry, ShardedLruCache};
 use polygamy_obs::{names, trace, Counter};
 use polygamy_stdata::Resolution;
-use std::borrow::Cow;
 use std::path::Path;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -217,18 +216,14 @@ impl LazyIndex {
     /// catalog itself is unreadable, a filter names an unknown data set,
     /// or *no* shard is available (there is nothing to serve, not even
     /// geometry).
-    pub fn open(
-        path: impl AsRef<Path>,
-        filter: &LoadFilter,
-        backend: SourceBackend,
-    ) -> Result<Self> {
+    pub fn open(path: impl AsRef<Path>, filter: &LoadFilter) -> Result<Self> {
         let path = path.as_ref();
         if !is_sharded(path)? {
-            return Self::new(Store::open_with_backend(path, backend)?, filter);
+            return Self::new(Store::open(path)?, filter);
         }
         let catalog = ShardCatalog::read(path)?;
         let stores = (0..catalog.n_shards())
-            .map(|s| open_shard_file(&catalog, path, s, backend).map_err(|e| e.to_string()))
+            .map(|s| open_shard_file(&catalog, path, s).map_err(|e| e.to_string()))
             .collect();
         Self::assemble(catalog, stores, filter)
     }
@@ -594,20 +589,20 @@ impl LazyIndex {
 /// a recorded failure keeps failing without touching the disk (no
 /// concurrent re-fault may decode bytes a previous fault saw fail), the
 /// first fetch verifies and records its verdict, later ones skip the hash.
-fn read_blob<'f>(
-    file: &'f OpenFile,
+fn read_blob(
+    file: &OpenFile,
     loc: BlobLoc,
     verdict: &AtomicU8,
     what: &str,
     faulting: bool,
-) -> Result<Cow<'f, [u8]>> {
+) -> Result<Vec<u8>> {
     let metrics = lazy_metrics();
     // ordering: Acquire pairs with the Release stores below — a thread
     // that reads a verdict also sees the verification that produced it.
     if verdict.load(Ordering::Acquire) == VERIFIED_BAD {
         return Err(StoreError::ChecksumMismatch { what: what.into() });
     }
-    let bytes = file.store.source().fetch(loc, what, false)?;
+    let bytes = file.store.source().fetch(loc, what)?;
     file.bytes_fetched.add(loc.len);
     // ordering: Acquire — same pairing as the verdict check above.
     if verdict.load(Ordering::Acquire) == UNVERIFIED {

@@ -65,7 +65,9 @@
 //! ## Reading
 //!
 //! [`Store::open`] reads header + manifest only (cheap at any corpus
-//! size); a [`StoreSession`] materializes just the segments matching its
+//! size), and every later byte of the file is a positioned read into an
+//! owned buffer through the one handle it pinned ([`source`]); a
+//! [`StoreSession`] materializes just the segments matching its
 //! data set [`LoadFilter`] — every hot blob at open, scalar fields left
 //! encoded until a `thresholds` clause asks (eager), or per query and per
 //! pair only the resolutions both sides have (lazy) — and serves
@@ -85,6 +87,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checksum;

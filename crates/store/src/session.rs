@@ -41,6 +41,9 @@
 //! fault-in for a lazy session; for an eager one nothing, or the fields a
 //! `thresholds` clause asks for), and hand the resulting [`IndexView`] to
 //! [`polygamy_core::run_query_many`]. A single query is a batch of one.
+//! Underneath, every byte either mode reads is a positioned read into an
+//! owned buffer through the one handle each store file was opened with
+//! ([`crate::source`]).
 //!
 //! ## Sharded stores
 //!
@@ -182,7 +185,7 @@ impl StoreSession {
     /// be available, and the session answers byte-identically to the
     /// monolith.
     pub fn open_with(path: impl AsRef<Path>, config: Config, filter: &LoadFilter) -> Result<Self> {
-        let lazy = LazyIndex::open(path, filter, SourceBackend::default())?;
+        let lazy = LazyIndex::open(path, filter)?;
         Self::new(lazy, config, filter, true)
     }
 
@@ -198,18 +201,20 @@ impl StoreSession {
         )
     }
 
-    /// Opens a lazy session with an explicit configuration, load filter
-    /// and I/O backend ([`SourceBackend::Mmap`] serves segment bytes as
-    /// borrowed views into a read-only mapping). A sharded store opens
-    /// *degraded*: unavailable shard files are recorded, and only queries
-    /// touching them fail.
+    /// Opens a lazy session with an explicit configuration and load
+    /// filter. A sharded store opens *degraded*: unavailable shard files
+    /// are recorded, and only queries touching them fail.
+    ///
+    /// `_backend` is ignored: every read is a positioned read
+    /// ([`crate::source`]). The parameter stays only because callers
+    /// outside this workspace still pass [`SourceBackend::default()`].
     pub fn open_lazy_with(
         path: impl AsRef<Path>,
         config: Config,
         filter: &LoadFilter,
-        backend: SourceBackend,
+        _backend: SourceBackend,
     ) -> Result<Self> {
-        let lazy = LazyIndex::open(path, filter, backend)?;
+        let lazy = LazyIndex::open(path, filter)?;
         Self::new(lazy, config, filter, false)
     }
 

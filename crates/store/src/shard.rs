@@ -46,7 +46,6 @@ use crate::checksum::blob_checksum;
 use crate::codec::{Dec, Enc};
 use crate::error::{Result, StoreError};
 use crate::format::{dec_dataset_entry, enc_dataset_entry};
-use crate::source::SourceBackend;
 use crate::store::{
     encode_geometry, encode_segment_groups, write_atomically, write_store, Blob, SegmentGroup,
     Store,
@@ -384,7 +383,7 @@ pub fn merge_shards(catalog_path: impl AsRef<Path>, out: impl AsRef<Path>) -> Re
     let mut per_dataset: Vec<SegmentGroup> =
         (0..catalog.datasets.len()).map(|_| Vec::new()).collect();
     for s in 0..catalog.n_shards() {
-        let store = open_shard(&catalog, catalog_path, s, SourceBackend::default())?;
+        let store = open_shard(&catalog, catalog_path, s)?;
         if geometry.is_none() {
             geometry = Some(store.read_geometry_blob()?);
         }
@@ -441,27 +440,19 @@ pub(crate) fn open_shard_file(
     catalog: &ShardCatalog,
     catalog_path: &Path,
     shard: usize,
-    backend: SourceBackend,
 ) -> Result<Store> {
-    let store = Store::open_with_backend(catalog.shard_path(catalog_path, shard), backend)?;
+    let store = Store::open(catalog.shard_path(catalog_path, shard))?;
     verify_shard_catalog(catalog, shard, &store)?;
     Ok(store)
 }
 
 /// [`open_shard_file`] with the failure wrapped into the typed
 /// [`StoreError::ShardUnavailable`] the degradation contract promises.
-fn open_shard(
-    catalog: &ShardCatalog,
-    catalog_path: &Path,
-    shard: usize,
-    backend: SourceBackend,
-) -> Result<Store> {
-    open_shard_file(catalog, catalog_path, shard, backend).map_err(|e| {
-        StoreError::ShardUnavailable {
-            shard,
-            file: catalog.files[shard].clone(),
-            reason: e.to_string(),
-        }
+fn open_shard(catalog: &ShardCatalog, catalog_path: &Path, shard: usize) -> Result<Store> {
+    open_shard_file(catalog, catalog_path, shard).map_err(|e| StoreError::ShardUnavailable {
+        shard,
+        file: catalog.files[shard].clone(),
+        reason: e.to_string(),
     })
 }
 
@@ -483,7 +474,7 @@ pub fn upsert_dataset_sharded(
             .min_by_key(|&s| catalog.datasets_of_shard(s).len())
             .expect("catalog has at least one shard"),
     };
-    let store = open_shard(&catalog, catalog_path, shard, SourceBackend::default())?;
+    let store = open_shard(&catalog, catalog_path, shard)?;
     let (_store, entry) = store.with_dataset(dataset, config)?;
     match existing {
         Some(di) => catalog.datasets[di] = entry,
@@ -504,7 +495,7 @@ pub fn remove_dataset_sharded(catalog_path: impl AsRef<Path>, name: &str) -> Res
     let mut catalog = ShardCatalog::read(catalog_path)?;
     let target = catalog.dataset_index(name)?;
     let shard = catalog.shard_of[target];
-    open_shard(&catalog, catalog_path, shard, SourceBackend::default())?.without_dataset(name)?;
+    open_shard(&catalog, catalog_path, shard)?.without_dataset(name)?;
     catalog.datasets.remove(target);
     catalog.shard_of.remove(target);
     catalog.write(catalog_path)?;

@@ -10,12 +10,13 @@
 //! temp file is filled in whole blocks that bypass the page cache where the
 //! platform allows (`BlockWriter`).
 //!
-//! All reads — manifest, geometry, segments, maintenance copies — go
-//! through one [`SegmentSource`] opened at [`Store::open`] time. The single
-//! long-lived handle pins the file revision, so a concurrent writer's
-//! atomic rename can never pair this store's manifest with another
-//! revision's bytes (see [`crate::source`] for the full contract), and the
-//! source's byte counter makes read-path costs observable.
+//! All reads — manifest, geometry, segments, maintenance copies — are
+//! positioned reads into owned buffers through one [`SegmentSource`]
+//! opened at [`Store::open`] time. The single long-lived handle pins the
+//! file revision, so a concurrent writer's atomic rename can never pair
+//! this store's manifest with another revision's bytes (see
+//! [`crate::source`] for the full contract), and the source's byte counter
+//! makes read-path costs observable.
 //!
 //! Incremental maintenance ([`Store::upsert_dataset`] /
 //! [`Store::remove_dataset`]) copies retained blob bytes verbatim — each
@@ -28,7 +29,7 @@ use crate::checksum::blob_checksum;
 use crate::codec::encode_function_segment;
 use crate::error::{Result, StoreError};
 use crate::format::{BlobLoc, Header, Manifest, SegmentInfo, HEADER_LEN, VERSION};
-use crate::source::{SegmentSource, SourceBackend};
+use crate::source::SegmentSource;
 use polygamy_core::index::{DatasetEntry, FunctionEntry, PolygamyIndex};
 use polygamy_core::{index_dataset, CityGeometry, Config};
 use polygamy_obs::{names, Counter};
@@ -101,19 +102,14 @@ impl Store {
     // -- opening and loading ----------------------------------------------
 
     /// Opens a store, reading and verifying only the header and manifest.
-    pub fn open(path: impl AsRef<Path>) -> Result<Store> {
-        Self::open_with_backend(path, SourceBackend::default())
-    }
-
-    /// Opens a store with an explicit I/O backend for all segment reads.
     ///
-    /// The file is opened (or mapped) exactly once here; every later read
-    /// — geometry, segments, maintenance copies — is served by the same
+    /// The file is opened exactly once here; every later read — geometry,
+    /// segments, maintenance copies — is served by the same
     /// [`SegmentSource`], so the revision observed at open time is the one
     /// all reads see even if a writer replaces the path concurrently.
-    pub fn open_with_backend(path: impl AsRef<Path>, backend: SourceBackend) -> Result<Store> {
+    pub fn open(path: impl AsRef<Path>) -> Result<Store> {
         let path = path.as_ref().to_path_buf();
-        let source = SegmentSource::open(&path, backend)?;
+        let source = SegmentSource::open(&path)?;
         if source.len() < HEADER_LEN {
             return Err(StoreError::Truncated {
                 what: "header".into(),
@@ -129,7 +125,6 @@ impl Store {
                 checksum: 0,
             },
             "header",
-            false,
         )?;
         let header = Header::decode(&header_bytes)?;
         let manifest_bytes = source.read(
@@ -165,7 +160,7 @@ impl Store {
     }
 
     /// The byte source serving all of this store's reads — exposes the
-    /// active backend and the running bytes-fetched counter.
+    /// running bytes-fetched counter.
     pub fn source(&self) -> &SegmentSource {
         &self.source
     }
@@ -308,7 +303,7 @@ impl Store {
     /// the checksum the manifest recorded for it.
     fn read_blob(&self, loc: BlobLoc, what: &str) -> Result<Blob> {
         Ok(Blob {
-            bytes: self.source.read(loc, what)?.into_owned(),
+            bytes: self.source.read(loc, what)?,
             checksum: loc.checksum,
         })
     }

@@ -4,16 +4,17 @@
 //!   bytes** than an eager load — asserted through the `SegmentSource`
 //!   byte counter, not inferred from timings;
 //! * lazy and eager sessions return byte-identical results for every
-//!   query form, on both I/O backends;
+//!   query form;
 //! * corruption surfaces lazily: a flipped byte in one segment leaves the
 //!   open and queries over other data sets untouched, and only a query
 //!   whose footprint reaches the corrupt segment errors — repeatably,
 //!   thanks to the sticky per-segment verification verdict;
 //! * the single pinned handle keeps a session consistent when a writer
-//!   replaces the store file mid-session;
+//!   replaces the store file mid-session, and a file truncated in place
+//!   under it fails only the reads past the cut, with a typed error;
 //! * a pair reads only the resolutions both of its data sets have —
-//!   exactly Σ `loc.len` of those directory entries, on both backends —
-//!   and corruption is scoped by the same bound;
+//!   exactly Σ `loc.len` of those directory entries — and corruption is
+//!   scoped by the same bound;
 //! * an eager session decodes hot blobs only and goes back to the file
 //!   for exactly the scalar fields a `thresholds` clause names.
 
@@ -89,8 +90,14 @@ fn test_clause() -> Clause {
     Clause::default().permutations(40).include_insignificant()
 }
 
-fn open_lazy(path: &PathBuf, backend: SourceBackend) -> StoreSession {
-    StoreSession::open_lazy_with(path, Config::fast_test(), &LoadFilter::all(), backend).unwrap()
+fn open_lazy(path: &PathBuf) -> StoreSession {
+    StoreSession::open_lazy_with(
+        path,
+        Config::fast_test(),
+        &LoadFilter::all(),
+        SourceBackend::default(),
+    )
+    .unwrap()
 }
 
 /// Bytes read so far by a lazy session's pinned source.
@@ -110,7 +117,7 @@ fn lazy_open_plus_first_query_reads_strictly_fewer_bytes_than_eager() {
         .bytes_fetched();
 
     // Lazy: open is O(header + manifest + geometry)...
-    let session = open_lazy(&path, SourceBackend::PositionedRead);
+    let session = open_lazy(&path);
     let open_bytes = lazy_bytes(&session);
     assert!(open_bytes > 0);
     assert!(
@@ -136,7 +143,7 @@ fn lazy_open_plus_first_query_reads_strictly_fewer_bytes_than_eager() {
 }
 
 #[test]
-fn lazy_matches_eager_for_every_query_form_and_backend() {
+fn lazy_matches_eager_for_every_query_form() {
     let path = tmp_path("equivalence");
     let _cleanup = Cleanup(path.clone());
     let dp = save_corpus(&path);
@@ -147,20 +154,18 @@ fn lazy_matches_eager_for_every_query_form_and_backend() {
         RelationshipQuery::of("alpha").with_clause(test_clause()),
         RelationshipQuery::between(&["beta"], &["gamma"]).with_clause(test_clause()),
     ];
-    for backend in [SourceBackend::PositionedRead, SourceBackend::Mmap] {
-        let lazy = open_lazy(&path, backend);
-        assert!(lazy.is_lazy() && lazy.index().is_none());
-        for q in &queries {
-            let expect = dp.query(q).unwrap();
-            assert_eq!(eager.query(q).unwrap(), expect, "{backend:?}");
-            assert_eq!(lazy.query(q).unwrap(), expect, "{backend:?}");
-        }
-        // The batched path pins the whole footprint once and still matches
-        // per-query evaluation.
-        let batched = lazy.query_many(&queries).unwrap();
-        for (q, rels) in queries.iter().zip(&batched) {
-            assert_eq!(rels, &dp.query(q).unwrap(), "{backend:?}");
-        }
+    let lazy = open_lazy(&path);
+    assert!(lazy.is_lazy() && lazy.index().is_none());
+    for q in &queries {
+        let expect = dp.query(q).unwrap();
+        assert_eq!(eager.query(q).unwrap(), expect);
+        assert_eq!(lazy.query(q).unwrap(), expect);
+    }
+    // The batched path pins the whole footprint once and still matches
+    // per-query evaluation.
+    let batched = lazy.query_many(&queries).unwrap();
+    for (q, rels) in queries.iter().zip(&batched) {
+        assert_eq!(rels, &dp.query(q).unwrap());
     }
 }
 
@@ -174,7 +179,7 @@ fn lazy_session_respects_load_filter() {
         &path,
         Config::fast_test(),
         &LoadFilter::all().datasets(&["alpha", "gamma"]),
-        SourceBackend::PositionedRead,
+        SourceBackend::default(),
     )
     .unwrap();
     assert_eq!(session.loaded_datasets(), ["alpha", "gamma"]);
@@ -206,7 +211,7 @@ fn lazy_session_respects_load_filter() {
             &path,
             Config::fast_test(),
             &LoadFilter::all().datasets(&["nope"]),
-            SourceBackend::PositionedRead,
+            SourceBackend::default(),
         ),
         Err(StoreError::UnknownDataset(_))
     ));
@@ -242,27 +247,24 @@ fn corruption_surfaces_only_for_queries_touching_the_corrupt_segment() {
 
     // ...the lazy session opens fine and serves every query that stays
     // away from the corrupt segment.
-    for backend in [SourceBackend::PositionedRead, SourceBackend::Mmap] {
-        let session = open_lazy(&path, backend);
-        let clean = RelationshipQuery::between(&["alpha"], &["beta"]).with_clause(test_clause());
-        assert!(!session.query(&clean).unwrap().is_empty(), "{backend:?}");
+    let session = open_lazy(&path);
+    let clean = RelationshipQuery::between(&["alpha"], &["beta"]).with_clause(test_clause());
+    assert!(!session.query(&clean).unwrap().is_empty());
 
-        // Only the query whose footprint reaches gamma errors — with the
-        // accurate typed error, naming the corrupt segment's owner.
-        let touching =
-            RelationshipQuery::between(&["alpha"], &["gamma"]).with_clause(test_clause());
-        for _ in 0..2 {
-            // Twice: the sticky verdict keeps failing without re-reading.
-            match session.query(&touching) {
-                Err(StoreError::ChecksumMismatch { what }) => {
-                    assert!(what.contains("gamma"), "{backend:?}: {what}")
-                }
-                other => panic!("{backend:?}: expected checksum mismatch, got {other:?}"),
+    // Only the query whose footprint reaches gamma errors — with the
+    // accurate typed error, naming the corrupt segment's owner.
+    let touching = RelationshipQuery::between(&["alpha"], &["gamma"]).with_clause(test_clause());
+    for _ in 0..2 {
+        // Twice: the sticky verdict keeps failing without re-reading.
+        match session.query(&touching) {
+            Err(StoreError::ChecksumMismatch { what }) => {
+                assert!(what.contains("gamma"), "{what}")
             }
+            other => panic!("expected checksum mismatch, got {other:?}"),
         }
-        // The clean query still works after the failure.
-        assert!(!session.query(&clean).unwrap().is_empty(), "{backend:?}");
     }
+    // The clean query still works after the failure.
+    assert!(!session.query(&clean).unwrap().is_empty());
 }
 
 #[test]
@@ -271,7 +273,7 @@ fn pinned_handle_keeps_a_session_consistent_across_file_replacement() {
     let _cleanup = Cleanup(path.clone());
     save_corpus(&path);
 
-    let session = open_lazy(&path, SourceBackend::PositionedRead);
+    let session = open_lazy(&path);
     let q = RelationshipQuery::between(&["alpha"], &["beta"]).with_clause(test_clause());
     let before = session.query(&q).unwrap();
 
@@ -292,8 +294,75 @@ fn pinned_handle_keeps_a_session_consistent_across_file_replacement() {
     assert_eq!(session.loaded_datasets(), ["alpha", "beta", "gamma"]);
 
     // A fresh open sees the new revision.
-    let fresh = open_lazy(&path, SourceBackend::PositionedRead);
+    let fresh = open_lazy(&path);
     assert_eq!(fresh.loaded_datasets(), ["delta", "epsilon"]);
+}
+
+/// Truncating a served store *in place* (the same inode, not a writer's
+/// rename) fails only the reads past the cut, each with a typed error — a
+/// positioned read past the new end of file is an I/O error, never a
+/// fault. What the session already decoded keeps serving, and so does
+/// every blob below the cut.
+#[test]
+fn a_store_truncated_in_place_fails_only_reads_past_the_cut() {
+    let path = tmp_path("truncated-in-place");
+    let _cleanup = Cleanup(path.clone());
+    let dp = save_corpus(&path);
+    let store = Store::open(&path).unwrap();
+    let cut = store.file_bytes().unwrap() / 2;
+    let manifest = store.manifest();
+    let gamma = manifest.dataset_index("gamma").unwrap();
+    // Every hot blob lies below the cut, every one of gamma's field blobs
+    // past it.
+    assert!(manifest
+        .segments
+        .iter()
+        .all(|s| s.loc.offset + s.loc.len <= cut));
+    let mut gamma_fields = manifest
+        .segments
+        .iter()
+        .filter(|s| s.dataset_index == gamma);
+    assert!(gamma_fields.all(|s| s.field.is_some_and(|f| f.offset >= cut)));
+    drop(store);
+
+    let session = open_lazy(&path);
+    let warmed = RelationshipQuery::between(&["alpha"], &["beta"]).with_clause(test_clause());
+    assert_eq!(session.query(&warmed).unwrap(), dp.query(&warmed).unwrap());
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .unwrap()
+        .set_len(cut)
+        .unwrap();
+
+    // The pair whose field blobs lie past the cut: a typed error, twice
+    // (nothing was verified, so the second ask reads again and fails the
+    // same way).
+    let past_cut =
+        RelationshipQuery::between(&["alpha"], &["gamma"]).with_clause(thresholds_clause("gamma"));
+    for _ in 0..2 {
+        match session.query(&past_cut) {
+            Err(StoreError::Io(_) | StoreError::Truncated { .. }) => {}
+            other => panic!("expected an I/O or truncation error, got {other:?}"),
+        }
+    }
+    // The warmed pair answers from the decode cache: a new clause misses
+    // the query cache, and not one byte is read.
+    let rewarmed = RelationshipQuery::between(&["alpha"], &["beta"])
+        .with_clause(test_clause().permutations(30));
+    let before = lazy_bytes(&session);
+    let (rels, t) = polygamy_obs::trace::record(|| session.query(&rewarmed).unwrap());
+    assert_eq!(rels, dp.query(&rewarmed).unwrap());
+    assert_eq!(t.counter("segment_faults"), 0);
+    assert_eq!(lazy_bytes(&session), before);
+    // A pair below the cut, never read before, still serves.
+    let below = RelationshipQuery::between(&["alpha"], &["gamma"]).with_clause(test_clause());
+    assert_eq!(session.query(&below).unwrap(), dp.query(&below).unwrap());
+    // The force-check reads every blob, so it meets the cut.
+    assert!(matches!(
+        session.lazy_index().unwrap().verify_all(),
+        Err(StoreError::Io(_) | StoreError::Truncated { .. })
+    ));
 }
 
 /// Σ over `name`'s directory entries of (hot blob bytes, field blob bytes).
@@ -326,47 +395,44 @@ fn field_blobs_are_fetched_only_for_data_sets_a_thresholds_clause_names() {
     // fell back to the precomputed features could not pass below.
     assert_ne!(dp.query(&on_alpha).unwrap(), dp.query(&plain).unwrap());
 
-    for backend in [SourceBackend::PositionedRead, SourceBackend::Mmap] {
-        // Without `thresholds`: exactly the two data sets' hot blobs —
-        // zero field bytes.
-        let session = open_lazy(&path, backend);
-        let opened = lazy_bytes(&session);
-        let (rels, t) = polygamy_obs::trace::record(|| session.query(&plain).unwrap());
-        assert_eq!(rels, dp.query(&plain).unwrap(), "{backend:?}");
-        assert_eq!(lazy_bytes(&session) - opened, alpha_hot + beta_hot);
-        assert_eq!(t.counter("field_faults"), 0, "{backend:?}");
-        assert_eq!(t.counter("field_bytes_fetched"), 0, "{backend:?}");
+    // Without `thresholds`: exactly the two data sets' hot blobs —
+    // zero field bytes.
+    let session = open_lazy(&path);
+    let opened = lazy_bytes(&session);
+    let (rels, t) = polygamy_obs::trace::record(|| session.query(&plain).unwrap());
+    assert_eq!(rels, dp.query(&plain).unwrap());
+    assert_eq!(lazy_bytes(&session) - opened, alpha_hot + beta_hot);
+    assert_eq!(t.counter("field_faults"), 0);
+    assert_eq!(t.counter("field_bytes_fetched"), 0);
 
-        // `thresholds alpha (…)` on the same session: alpha's entries are
-        // re-faulted with their fields, beta's stay cached and field-less.
-        let before = lazy_bytes(&session);
-        let (rels, t) = polygamy_obs::trace::record(|| session.query(&on_alpha).unwrap());
-        assert_eq!(rels, dp.query(&on_alpha).unwrap(), "{backend:?}");
-        assert_eq!(lazy_bytes(&session) - before, alpha_hot + alpha_field);
-        assert_eq!(t.counter("field_bytes_fetched"), alpha_field, "{backend:?}");
-        assert!(t.counter("field_faults") > 0, "{backend:?}");
+    // `thresholds alpha (…)` on the same session: alpha's entries are
+    // re-faulted with their fields, beta's stay cached and field-less.
+    let before = lazy_bytes(&session);
+    let (rels, t) = polygamy_obs::trace::record(|| session.query(&on_alpha).unwrap());
+    assert_eq!(rels, dp.query(&on_alpha).unwrap());
+    assert_eq!(lazy_bytes(&session) - before, alpha_hot + alpha_field);
+    assert_eq!(t.counter("field_bytes_fetched"), alpha_field);
+    assert!(t.counter("field_faults") > 0);
 
-        // An entry cached with its field serves field-less pins: nothing
-        // more is read for the plain query, nor for the override again.
-        let before = lazy_bytes(&session);
-        session.query(&plain).unwrap();
-        session.query(&on_alpha).unwrap();
-        assert_eq!(lazy_bytes(&session), before, "{backend:?}");
+    // An entry cached with its field serves field-less pins: nothing
+    // more is read for the plain query, nor for the override again.
+    let before = lazy_bytes(&session);
+    session.query(&plain).unwrap();
+    session.query(&on_alpha).unwrap();
+    assert_eq!(lazy_bytes(&session), before);
 
-        // A fresh session asking the override first reads alpha's field
-        // blobs and never beta's.
-        let fresh = open_lazy(&path, backend);
-        let opened = lazy_bytes(&fresh);
-        assert_eq!(
-            fresh.query(&on_alpha).unwrap(),
-            dp.query(&on_alpha).unwrap()
-        );
-        assert_eq!(
-            lazy_bytes(&fresh) - opened,
-            alpha_hot + alpha_field + beta_hot,
-            "{backend:?}"
-        );
-    }
+    // A fresh session asking the override first reads alpha's field
+    // blobs and never beta's.
+    let fresh = open_lazy(&path);
+    let opened = lazy_bytes(&fresh);
+    assert_eq!(
+        fresh.query(&on_alpha).unwrap(),
+        dp.query(&on_alpha).unwrap()
+    );
+    assert_eq!(
+        lazy_bytes(&fresh) - opened,
+        alpha_hot + alpha_field + beta_hot
+    );
 }
 
 #[test]
@@ -403,39 +469,37 @@ fn a_corrupt_field_blob_fails_only_the_queries_that_read_it() {
     )
     .unwrap();
 
-    for backend in [SourceBackend::PositionedRead, SourceBackend::Mmap] {
-        let session = open_lazy(&path, backend);
-        // Every field-less query on gamma keeps serving, correctly.
-        let plain = RelationshipQuery::between(&["alpha"], &["gamma"]).with_clause(test_clause());
-        assert_eq!(session.query(&plain).unwrap(), dp.query(&plain).unwrap());
-        // So does an override on the *other* side of the pair.
-        let on_alpha = RelationshipQuery::between(&["alpha"], &["gamma"])
-            .with_clause(thresholds_clause("alpha"));
-        assert_eq!(
-            session.query(&on_alpha).unwrap(),
-            dp.query(&on_alpha).unwrap()
-        );
-        // The override on gamma needs the corrupt blob: a typed error
-        // naming it, twice (the verdict is sticky — no re-read, no retry
-        // that could decode bytes once seen to fail).
-        let on_gamma = RelationshipQuery::between(&["alpha"], &["gamma"])
-            .with_clause(thresholds_clause("gamma"));
-        for _ in 0..2 {
-            match session.query(&on_gamma) {
-                Err(StoreError::ChecksumMismatch { what }) => {
-                    assert!(what.contains("gamma") && what.contains("field"), "{what}")
-                }
-                other => panic!("{backend:?}: expected checksum mismatch, got {other:?}"),
+    let session = open_lazy(&path);
+    // Every field-less query on gamma keeps serving, correctly.
+    let plain = RelationshipQuery::between(&["alpha"], &["gamma"]).with_clause(test_clause());
+    assert_eq!(session.query(&plain).unwrap(), dp.query(&plain).unwrap());
+    // So does an override on the *other* side of the pair.
+    let on_alpha =
+        RelationshipQuery::between(&["alpha"], &["gamma"]).with_clause(thresholds_clause("alpha"));
+    assert_eq!(
+        session.query(&on_alpha).unwrap(),
+        dp.query(&on_alpha).unwrap()
+    );
+    // The override on gamma needs the corrupt blob: a typed error
+    // naming it, twice (the verdict is sticky — no re-read, no retry
+    // that could decode bytes once seen to fail).
+    let on_gamma =
+        RelationshipQuery::between(&["alpha"], &["gamma"]).with_clause(thresholds_clause("gamma"));
+    for _ in 0..2 {
+        match session.query(&on_gamma) {
+            Err(StoreError::ChecksumMismatch { what }) => {
+                assert!(what.contains("gamma") && what.contains("field"), "{what}")
             }
+            other => panic!("expected checksum mismatch, got {other:?}"),
         }
-        // And the field-less query still works afterwards.
-        assert_eq!(session.query(&plain).unwrap(), dp.query(&plain).unwrap());
-        // The force-check covers field blobs too.
-        assert!(matches!(
-            session.lazy_index().unwrap().verify_all(),
-            Err(StoreError::ChecksumMismatch { .. })
-        ));
     }
+    // And the field-less query still works afterwards.
+    assert_eq!(session.query(&plain).unwrap(), dp.query(&plain).unwrap());
+    // The force-check covers field blobs too.
+    assert!(matches!(
+        session.lazy_index().unwrap().verify_all(),
+        Err(StoreError::ChecksumMismatch { .. })
+    ));
 }
 
 /// A store written without a data set's field blobs cannot answer a
@@ -459,7 +523,7 @@ fn thresholds_over_a_store_without_field_blobs_is_a_typed_error() {
 
     let alpha_beta = |clause| RelationshipQuery::between(&["alpha"], &["beta"]).with_clause(clause);
     let eager = StoreSession::open_with(&path, Config::fast_test(), &LoadFilter::all()).unwrap();
-    let lazy = open_lazy(&path, SourceBackend::PositionedRead);
+    let lazy = open_lazy(&path);
     for session in [&eager, &lazy] {
         for _ in 0..2 {
             let err = session
@@ -626,83 +690,72 @@ fn a_pair_reads_only_the_resolutions_both_sides_have() {
         RelationshipQuery::between(left, right).with_clause(clause)
     };
 
-    for backend in [SourceBackend::PositionedRead, SourceBackend::Mmap] {
-        // weekly × hourly1 meet at (week, city) alone: hourly1's seven other
-        // resolutions — the large blobs — are never read.
-        let session = open_lazy(&path, backend);
-        let query = between(&["weekly"], &["hourly1"], test_clause());
-        assert!(!dp.query(&query).unwrap().is_empty());
-        let (n, bytes) = both("weekly", "hourly1", &weekly);
-        let (n_named, bytes_named) = both("weekly", "hourly1", &hourly);
-        assert!(bytes < bytes_named / 4, "{bytes} of {bytes_named}");
-        assert_eq!(
-            footprint_of(&session, &eager, &dp, &query),
-            (bytes, n, n_named - n),
-            "{backend:?}"
-        );
+    // weekly × hourly1 meet at (week, city) alone: hourly1's seven other
+    // resolutions — the large blobs — are never read.
+    let session = open_lazy(&path);
+    let query = between(&["weekly"], &["hourly1"], test_clause());
+    assert!(!dp.query(&query).unwrap().is_empty());
+    let (n, bytes) = both("weekly", "hourly1", &weekly);
+    let (n_named, bytes_named) = both("weekly", "hourly1", &hourly);
+    assert!(bytes < bytes_named / 4, "{bytes} of {bytes_named}");
+    assert_eq!(
+        footprint_of(&session, &eager, &dp, &query),
+        (bytes, n, n_named - n)
+    );
 
-        // One collection of two: weekly × hourly1 and weekly × hourly2 are
-        // enumerated, hourly1 × hourly2 is not — no hour blob is read.
-        let session = open_lazy(&path, backend);
-        let query = between(&["weekly"], &["hourly1", "hourly2"], test_clause());
-        let (n2, bytes2) = hot_blobs_at(&store, "hourly2", &weekly);
-        assert_eq!(
-            footprint_of(&session, &eager, &dp, &query),
-            (bytes + bytes2, n + n2, 2 * (n_named - n)),
-            "{backend:?}"
-        );
-        // Split the other way, hourly1 × hourly2 is a pair: everything the
-        // two have is read, each blob once.
-        let session = open_lazy(&path, backend);
-        let query = between(&["weekly", "hourly1"], &["hourly2"], test_clause());
-        let (n_weekly, bytes_weekly) = hot_blobs_at(&store, "weekly", &weekly);
-        let (n_all, bytes_all) = both("hourly1", "hourly2", &hourly);
-        assert_eq!(
-            footprint_of(&session, &eager, &dp, &query),
-            (bytes_weekly + bytes_all, n_weekly + n_all, 0),
-            "{backend:?}"
-        );
+    // One collection of two: weekly × hourly1 and weekly × hourly2 are
+    // enumerated, hourly1 × hourly2 is not — no hour blob is read.
+    let session = open_lazy(&path);
+    let query = between(&["weekly"], &["hourly1", "hourly2"], test_clause());
+    let (n2, bytes2) = hot_blobs_at(&store, "hourly2", &weekly);
+    assert_eq!(
+        footprint_of(&session, &eager, &dp, &query),
+        (bytes + bytes2, n + n2, 2 * (n_named - n))
+    );
+    // Split the other way, hourly1 × hourly2 is a pair: everything the
+    // two have is read, each blob once.
+    let session = open_lazy(&path);
+    let query = between(&["weekly", "hourly1"], &["hourly2"], test_clause());
+    let (n_weekly, bytes_weekly) = hot_blobs_at(&store, "weekly", &weekly);
+    let (n_all, bytes_all) = both("hourly1", "hourly2", &hourly);
+    assert_eq!(
+        footprint_of(&session, &eager, &dp, &query),
+        (bytes_weekly + bytes_all, n_weekly + n_all, 0)
+    );
 
-        // A data set against itself is no pair: nothing is pinned.
-        let session = open_lazy(&path, backend);
-        let query = between(&["hourly1"], &["hourly1"], test_clause());
-        let (n_self, _) = hot_blobs_at(&store, "hourly1", &hourly);
-        assert_eq!(
-            footprint_of(&session, &eager, &dp, &query),
-            (0, 0, n_self),
-            "{backend:?}"
-        );
+    // A data set against itself is no pair: nothing is pinned.
+    let session = open_lazy(&path);
+    let query = between(&["hourly1"], &["hourly1"], test_clause());
+    let (n_self, _) = hot_blobs_at(&store, "hourly1", &hourly);
+    assert_eq!(footprint_of(&session, &eager, &dp, &query), (0, 0, n_self));
 
-        // A resolution clause intersects with what the pair shares.
-        let nbhd_day = Resolution::new(SpatialResolution::Neighborhood, TemporalResolution::Day);
-        let two = test_clause()
-            .at_resolution(city_week)
-            .at_resolution(nbhd_day);
-        let query = between(&["hourly1"], &["hourly2"], two.clone());
-        let (n_two, bytes_two) = both("hourly1", "hourly2", &BTreeSet::from([city_week, nbhd_day]));
-        assert_eq!(
-            footprint_of(&session, &eager, &dp, &query),
-            (bytes_two, n_two, 0),
-            "{backend:?}"
-        );
-        let session = open_lazy(&path, backend);
-        let query = between(&["weekly"], &["hourly1"], two);
-        assert_eq!(
-            footprint_of(&session, &eager, &dp, &query),
-            (
-                bytes,
-                n,
-                hot_blobs_at(&store, "hourly1", &BTreeSet::from([nbhd_day])).0
-            ),
-            "{backend:?}"
-        );
-        let query = between(
-            &["weekly"],
-            &["hourly1"],
-            test_clause().at_resolution(nbhd_day),
-        );
-        assert_eq!(footprint_of(&session, &eager, &dp, &query).0, 0);
-    }
+    // A resolution clause intersects with what the pair shares.
+    let nbhd_day = Resolution::new(SpatialResolution::Neighborhood, TemporalResolution::Day);
+    let two = test_clause()
+        .at_resolution(city_week)
+        .at_resolution(nbhd_day);
+    let query = between(&["hourly1"], &["hourly2"], two.clone());
+    let (n_two, bytes_two) = both("hourly1", "hourly2", &BTreeSet::from([city_week, nbhd_day]));
+    assert_eq!(
+        footprint_of(&session, &eager, &dp, &query),
+        (bytes_two, n_two, 0)
+    );
+    let session = open_lazy(&path);
+    let query = between(&["weekly"], &["hourly1"], two);
+    assert_eq!(
+        footprint_of(&session, &eager, &dp, &query),
+        (
+            bytes,
+            n,
+            hot_blobs_at(&store, "hourly1", &BTreeSet::from([nbhd_day])).0
+        )
+    );
+    let query = between(
+        &["weekly"],
+        &["hourly1"],
+        test_clause().at_resolution(nbhd_day),
+    );
+    assert_eq!(footprint_of(&session, &eager, &dp, &query).0, 0);
 }
 
 /// Corruption is scoped by the same bound: a flipped byte in a segment at
@@ -731,29 +784,27 @@ fn corruption_at_a_resolution_the_partner_lacks_does_not_fail_the_pair() {
     let clause = test_clause();
     let lacking = RelationshipQuery::between(&["weekly"], &["hourly1"]).with_clause(clause.clone());
     let sharing = RelationshipQuery::between(&["hourly1"], &["hourly2"]).with_clause(clause);
-    for backend in [SourceBackend::PositionedRead, SourceBackend::Mmap] {
-        let session = open_lazy(&path, backend);
-        assert_eq!(
-            session.query(&lacking).unwrap(),
-            dp.query(&lacking).unwrap()
-        );
-        for _ in 0..2 {
-            match session.query(&sharing) {
-                Err(StoreError::ChecksumMismatch { what }) => {
-                    assert!(what.contains("hourly1"), "{backend:?}: {what}")
-                }
-                other => panic!("{backend:?}: expected checksum mismatch, got {other:?}"),
+    let session = open_lazy(&path);
+    assert_eq!(
+        session.query(&lacking).unwrap(),
+        dp.query(&lacking).unwrap()
+    );
+    for _ in 0..2 {
+        match session.query(&sharing) {
+            Err(StoreError::ChecksumMismatch { what }) => {
+                assert!(what.contains("hourly1"), "{what}")
             }
+            other => panic!("expected checksum mismatch, got {other:?}"),
         }
-        assert_eq!(
-            session.query(&lacking).unwrap(),
-            dp.query(&lacking).unwrap()
-        );
-        assert!(matches!(
-            session.lazy_index().unwrap().verify_all(),
-            Err(StoreError::ChecksumMismatch { .. })
-        ));
     }
+    assert_eq!(
+        session.query(&lacking).unwrap(),
+        dp.query(&lacking).unwrap()
+    );
+    assert!(matches!(
+        session.lazy_index().unwrap().verify_all(),
+        Err(StoreError::ChecksumMismatch { .. })
+    ));
 }
 
 // ---------------------------------------------------------------------------
@@ -784,7 +835,7 @@ fn an_eager_session_reads_fields_only_when_a_thresholds_clause_asks() {
     let on_alpha = alpha_beta(thresholds_clause("alpha"));
     // Another override of alpha: misses the query cache, not the fields.
     let on_alpha_again = alpha_beta(test_clause().with_thresholds("alpha", 4.0, 0.8));
-    let lazy = open_lazy(&path, SourceBackend::PositionedRead);
+    let lazy = open_lazy(&path);
 
     let all = LoadFilter::all();
     let two = LoadFilter::all().datasets(&["alpha", "beta"]);

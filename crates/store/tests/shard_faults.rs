@@ -86,8 +86,14 @@ fn between(a: &str, b: &str) -> RelationshipQuery {
     RelationshipQuery::between(&[a], &[b]).with_clause(test_clause())
 }
 
-fn open_lazy(path: &std::path::Path, backend: SourceBackend) -> StoreSession {
-    StoreSession::open_lazy_with(path, Config::fast_test(), &LoadFilter::all(), backend).unwrap()
+fn open_lazy(path: &std::path::Path) -> StoreSession {
+    StoreSession::open_lazy_with(
+        path,
+        Config::fast_test(),
+        &LoadFilter::all(),
+        SourceBackend::default(),
+    )
+    .unwrap()
 }
 
 /// Asserts `result` is the typed unavailability error for `shard`.
@@ -113,48 +119,38 @@ fn missing_shard_fails_only_touching_queries_repeatably() {
     // Kill shard 2 (gamma) outright.
     std::fs::remove_file(dir.join("corpus.shard2.plst")).unwrap();
 
-    for backend in [SourceBackend::PositionedRead, SourceBackend::Mmap] {
-        // Degraded open still succeeds...
-        let session = open_lazy(&catalog_path, backend);
-        assert_eq!(session.n_shards(), 3);
-        let lazy = session.lazy_index().expect("lazy session");
-        assert!(lazy.unavailable_reason(0).is_none(), "{backend:?}");
-        assert!(lazy.unavailable_reason(1).is_none(), "{backend:?}");
-        assert!(lazy.unavailable_reason(2).is_some(), "{backend:?}");
+    // Degraded open still succeeds...
+    let session = open_lazy(&catalog_path);
+    assert_eq!(session.n_shards(), 3);
+    let lazy = session.lazy_index().expect("lazy session");
+    assert!(lazy.unavailable_reason(0).is_none());
+    assert!(lazy.unavailable_reason(1).is_none());
+    assert!(lazy.unavailable_reason(2).is_some());
 
-        // ...and queries that stay on shards 0/1 serve the monolithic
-        // bytes (alpha–beta crosses shards, alpha–delta stays on one).
-        for q in [between("alpha", "beta"), between("alpha", "delta")] {
-            assert_eq!(
-                session.query(&q).unwrap(),
-                dp.query(&q).unwrap(),
-                "{backend:?}"
-            );
-        }
+    // ...and queries that stay on shards 0/1 serve the monolithic
+    // bytes (alpha–beta crosses shards, alpha–delta stays on one).
+    for q in [between("alpha", "beta"), between("alpha", "delta")] {
+        assert_eq!(session.query(&q).unwrap(), dp.query(&q).unwrap());
+    }
 
-        // Queries touching gamma fail with the typed error — repeatably.
-        for _ in 0..2 {
-            assert_unavailable(session.query(&between("alpha", "gamma")), 2);
-        }
-        // Whole-corpus footprints touch every shard, so they fail too.
-        assert_unavailable(
-            session.query(&RelationshipQuery::all().with_clause(test_clause())),
-            2,
-        );
+    // Queries touching gamma fail with the typed error — repeatably.
+    for _ in 0..2 {
+        assert_unavailable(session.query(&between("alpha", "gamma")), 2);
+    }
+    // Whole-corpus footprints touch every shard, so they fail too.
+    assert_unavailable(
+        session.query(&RelationshipQuery::all().with_clause(test_clause())),
+        2,
+    );
 
-        // Clean shards keep serving after the failures.
-        let q = between("beta", "epsilon");
-        assert_eq!(
-            session.query(&q).unwrap(),
-            dp.query(&q).unwrap(),
-            "{backend:?}"
-        );
-        // A batch confined to healthy shards works end to end.
-        let healthy = [between("alpha", "beta"), between("delta", "epsilon")];
-        let batched = session.query_many(&healthy).unwrap();
-        for (q, rels) in healthy.iter().zip(&batched) {
-            assert_eq!(rels, &dp.query(q).unwrap(), "{backend:?}");
-        }
+    // Clean shards keep serving after the failures.
+    let q = between("beta", "epsilon");
+    assert_eq!(session.query(&q).unwrap(), dp.query(&q).unwrap());
+    // A batch confined to healthy shards works end to end.
+    let healthy = [between("alpha", "beta"), between("delta", "epsilon")];
+    let batched = session.query_many(&healthy).unwrap();
+    for (q, rels) in healthy.iter().zip(&batched) {
+        assert_eq!(rels, &dp.query(q).unwrap());
     }
 }
 
@@ -177,7 +173,7 @@ fn truncated_and_corrupted_shards_degrade_the_same_way() {
     bytes[last] ^= 0x10;
     std::fs::write(&shard2, &bytes).unwrap();
 
-    let session = open_lazy(&catalog_path, SourceBackend::PositionedRead);
+    let session = open_lazy(&catalog_path);
     let lazy = session.lazy_index().unwrap();
     assert!(lazy.unavailable_reason(0).is_none());
     assert!(lazy.unavailable_reason(1).unwrap().contains("truncated"));
@@ -209,7 +205,7 @@ fn segment_corruption_inside_a_healthy_shard_stays_segment_scoped() {
     bytes[seg.offset as usize + 3] ^= 0x40;
     std::fs::write(&shard2, &bytes).unwrap();
 
-    let session = open_lazy(&catalog_path, SourceBackend::PositionedRead);
+    let session = open_lazy(&catalog_path);
     let lazy = session.lazy_index().unwrap();
     assert!(lazy.unavailable_reason(2).is_none(), "shard itself is fine");
 

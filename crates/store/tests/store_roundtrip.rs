@@ -109,10 +109,7 @@ fn stored(path: &PathBuf) -> Encoded {
     let functions = (index.functions.iter().zip(segments))
         .map(|(f, info)| {
             assert_eq!(f.dataset_index, info.dataset_index);
-            let field = info.field.map(|loc| {
-                let bytes = store.source().read(loc, "field blob").unwrap();
-                bytes.into_owned()
-            });
+            let field = (info.field).map(|loc| store.source().read(loc, "field blob").unwrap());
             (f.dataset_index, (encode_function_segment(f).0, field))
         })
         .collect();

@@ -76,7 +76,7 @@ fn worker_matrix() -> Vec<Cluster> {
 }
 
 /// The read-mode axis: every store-session result must also be invariant
-/// over eager vs lazy materialization (and the lazy I/O backends).
+/// over eager vs lazy materialization.
 fn session_matrix(path: &std::path::Path, cluster: Cluster) -> Vec<(&'static str, StoreSession)> {
     vec![
         (
@@ -89,17 +89,7 @@ fn session_matrix(path: &std::path::Path, cluster: Cluster) -> Vec<(&'static str
                 path,
                 config_with(cluster),
                 &LoadFilter::all(),
-                SourceBackend::PositionedRead,
-            )
-            .unwrap(),
-        ),
-        (
-            "lazy-mmap",
-            StoreSession::open_lazy_with(
-                path,
-                config_with(cluster),
-                &LoadFilter::all(),
-                SourceBackend::Mmap,
+                SourceBackend::default(),
             )
             .unwrap(),
         ),
@@ -223,7 +213,7 @@ fn store_session_results_identical_across_worker_counts() {
 }
 
 /// The shard axis of the matrix: workers {1, 2, host} × shards {1, 2, 5}
-/// × {eager, lazy, lazy-mmap} × {query, query_many}, every cell
+/// × {eager, lazy} × {query, query_many}, every cell
 /// byte-identical to the monolithic single-worker baseline. The 1-shard
 /// store pins the degenerate case (sharded ≡ monolith), and the 5-shard
 /// layout (more shards than data sets, so some shard files are empty)
@@ -286,8 +276,8 @@ fn sharded_sessions_identical_to_monolith_for_any_shard_count() {
 /// The `thresholds` axis of the matrix: a clause that overrides feature
 /// thresholds is the only reader of a stored scalar field, and since
 /// store format 2 a lazy session fetches field blobs only for the data
-/// sets such a clause names. In-memory, eager, lazy (positioned and mmap)
-/// and sharded {1, 2, 5} sessions at every worker count must still answer
+/// sets such a clause names. In-memory, eager, lazy and sharded
+/// {1, 2, 5} sessions at every worker count must still answer
 /// with identical bytes — and with bytes that *differ* from the same
 /// queries without the override, so a session that failed to fetch a
 /// field and silently kept the precomputed features cannot pass.
@@ -535,7 +525,7 @@ fn spatial_queries() -> Vec<RelationshipQuery> {
 }
 
 /// The spatial axis of the matrix: workers {1, 2, 3, host} × {in-memory,
-/// eager, lazy, lazy-mmap, 3 shards} on a corpus whose unit tasks shift
+/// eager, lazy, 3 shards} on a corpus whose unit tasks shift
 /// region rows, with every session asked the whole query sequence — so
 /// each answer after the first is computed over rows an earlier query
 /// left on the entries.

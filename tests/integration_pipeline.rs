@@ -120,9 +120,8 @@ fn robustness_noise_keeps_self_relationship() {
 
 /// The columnar `aggregate(…, Density)` agrees, cell for cell, with a
 /// naive per-record count on real generated data: each record goes to its
-/// region (the single city region, its native region index, or a point
-/// location — the three cases of the paper's map step), then to its time
-/// bucket, and adds one.
+/// region (the single city region or a point location — the two cases of
+/// the map step), then to its time bucket, and adds one.
 #[test]
 fn record_loop_density_matches_columnar_on_urban_data() {
     let c = small_collection();
@@ -144,14 +143,9 @@ fn record_loop_density_matches_columnar_on_urban_data() {
             temporal.buckets_in_range(start, end),
             0.0,
         );
-        let native = taxi
-            .regions()
-            .filter(|_| taxi.meta.spatial_resolution == partition.resolution);
         for i in 0..taxi.len() {
             let region = if n_regions == 1 {
                 Some(0)
-            } else if let Some(regions) = native {
-                Some(regions[i]).filter(|&r| (r as usize) < n_regions)
             } else {
                 partition.locate(taxi.locations()[i])
             };
