@@ -1,5 +1,7 @@
 //! Criterion micro-benchmark behind Figure 7: merge-tree construction time
-//! vs domain size, for 1-D (city) and 3-D (neighborhood) domains.
+//! vs domain size, for 1-D (city) and 3-D (neighborhood) domains, on a
+//! dense taxi-like field and on a sparse count field whose values are
+//! ≈ 85% `+0.0`, like the urban corpus's count functions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use polygamy_topology::{DomainGraph, MergeTree};
@@ -10,6 +12,23 @@ fn taxi_like(n: usize) -> Vec<f64> {
             let hod = (i % 24) as f64;
             40.0 * (0.2 + (-((hod - 19.0) / 3.5).powi(2)).exp())
                 + ((i as u64).wrapping_mul(0x9E37_79B9) % 997) as f64 / 100.0
+        })
+        .collect()
+}
+
+/// A sparse count field: ≈ 85% of the cells empty (`+0.0`, as
+/// `MissingPolicy::Zero` writes them), the rest small counts that peak in
+/// the evening — the shape of a zip-by-hour density.
+fn sparse_counts(n: usize) -> Vec<f64> {
+    (0..n)
+        .map(|i| {
+            let draw = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            if draw % 100 < 85 {
+                0.0
+            } else {
+                let hod = (i % 24) as f64;
+                (1.0 + 4.0 * (-((hod - 19.0) / 3.5).powi(2)).exp() + (draw % 3) as f64).round()
+            }
         })
         .collect()
 }
@@ -40,6 +59,14 @@ fn bench_merge_tree(c: &mut Criterion) {
             BenchmarkId::new("neighborhood_3d_both", steps),
             &steps,
             |b, _| b.iter(|| MergeTree::both(&g2, &f2)),
+        );
+        // The same grid over a sparse count field: the zero run is spliced
+        // into the sweep order, only the nonzero counts are sorted.
+        let f3 = sparse_counts(g2.vertex_count());
+        group.bench_with_input(
+            BenchmarkId::new("neighborhood_3d_sparse_both", steps),
+            &steps,
+            |b, _| b.iter(|| MergeTree::both(&g2, &f3)),
         );
     }
     group.finish();

@@ -694,6 +694,38 @@ mod tests {
     }
 
     #[test]
+    fn empty_dataset_indexes_to_no_functions() {
+        // `DatasetBuilder::build` accepts zero records; the scalar job used
+        // to panic on their missing time range.
+        let meta = DatasetMeta {
+            name: "empty".into(),
+            spatial_resolution: SpatialResolution::City,
+            temporal_resolution: TemporalResolution::Hour,
+            description: String::new(),
+        };
+        let empty = DatasetBuilder::new(meta)
+            .attribute(AttributeMeta::named("x"))
+            .build()
+            .unwrap();
+        let mut dp = DataPolygamy::new(
+            CityGeometry::city_only(0.0, 0.0, 1.0, 1.0),
+            Config::fast_test(),
+        );
+        dp.add_dataset(empty);
+        dp.add_dataset(tiny_dataset("tiny", 100));
+        let report = dp.build_index();
+        assert_eq!(report.per_dataset.len(), 2);
+        assert_eq!(report.per_dataset[0].n_functions, 0);
+        assert!(report.per_dataset[1].n_functions > 0);
+        let index = dp.index().unwrap();
+        assert_eq!(index.datasets[0].n_records, 0);
+        assert_eq!(index.functions_of(0).count(), 0);
+        let q = RelationshipQuery::between(&["empty"], &["tiny"])
+            .with_clause(Clause::default().permutations(20).include_insignificant());
+        assert_eq!(dp.query(&q).unwrap(), []);
+    }
+
+    #[test]
     fn geometry_accessors() {
         let g = CityGeometry::city_only(0.0, 0.0, 2.0, 2.0);
         assert!(g.partition(SpatialResolution::City).is_some());

@@ -1,7 +1,8 @@
 //! Feature Identification job (paper Sections 3 + 5.2, Appendix C).
 //!
-//! Per scalar function: sort the defined vertices once and sweep that
-//! order both ways for the join and split trees, derive
+//! Per scalar function: order the defined vertices once — sorting all but
+//! the run of `+0.0` values, which is spliced in — and sweep that order
+//! both ways for the join and split trees, derive
 //! per-seasonal-interval thresholds from persistence, and scan the field
 //! against them for the salient + extreme feature sets. Each function is
 //! independent — a parallel map over [`polygamy_mapreduce`].
@@ -26,6 +27,7 @@ struct IndexMetrics {
     fields: Arc<Counter>,
     vertices: Arc<Counter>,
     vertices_defined: Arc<Counter>,
+    vertices_zero_run: Arc<Counter>,
 }
 
 fn index_metrics() -> &'static IndexMetrics {
@@ -39,6 +41,7 @@ fn index_metrics() -> &'static IndexMetrics {
             fields: r.counter(names::INDEX_FIELDS),
             vertices: r.counter(names::INDEX_VERTICES),
             vertices_defined: r.counter(names::INDEX_VERTICES_DEFINED),
+            vertices_zero_run: r.counter(names::INDEX_VERTICES_ZERO_RUN),
         }
     })
 }
@@ -71,8 +74,17 @@ pub fn field_features(
 
     metrics.fields.inc();
     metrics.vertices.add(field.values.len() as u64);
-    let defined = field.values.iter().filter(|x| !x.is_nan()).count();
-    metrics.vertices_defined.add(defined as u64);
+    let (defined, zeros) = field
+        .values
+        .iter()
+        .fold((0u64, 0u64), |(defined, zeros), x| {
+            (
+                defined + u64::from(!x.is_nan()),
+                zeros + u64::from(x.to_bits() == 0),
+            )
+        });
+    metrics.vertices_defined.add(defined);
+    metrics.vertices_zero_run.add(zeros);
     let tree_nodes = join.node_count() + split.node_count();
     (features, thresholds, tree_nodes)
 }

@@ -3,47 +3,73 @@
 //! For a data set published at native resolution `(s, t)`, scalar functions
 //! are computed at every evaluable resolution reachable in the DAG of
 //! Figure 6 — e.g. a GPS/second data set yields 3 spatial × 4 temporal
-//! resolutions for every function spec. Each (spec, resolution) unit is
-//! independent, so the job is a parallel map.
+//! resolutions for every function spec. The map runs once per record, not
+//! once per function: one point-in-polygon lookup per record per partition
+//! ([`RecordRegions`]) and one bucket per record per resolution
+//! ([`Binning`]). Every (spec, resolution) unit then reduces the shared
+//! binning of its resolution — an independent parallel map.
 
 use crate::framework::CityGeometry;
 use crate::function::FunctionSpec;
 use polygamy_mapreduce::{par_map, Cluster};
-use polygamy_stdata::{aggregate, Dataset, Resolution, ResolutionDag, ScalarField};
+use polygamy_obs::names;
+use polygamy_stdata::{Binning, Dataset, RecordRegions, Resolution, ResolutionDag, ScalarField};
 
 /// Computes every scalar function of `dataset` at every reachable
 /// resolution for which `geometry` has a partition.
 ///
-/// Returns `(spec, field)` pairs; specs repeat across resolutions.
+/// Returns `(spec, field)` pairs, resolution-major; specs repeat across
+/// resolutions. An empty data set has no time range to bin and yields no
+/// functions.
 pub fn compute_scalar_functions(
     cluster: Cluster,
     geometry: &CityGeometry,
     dataset: &Dataset,
 ) -> Vec<(FunctionSpec, ScalarField)> {
+    if dataset.is_empty() {
+        return Vec::new();
+    }
     let native = Resolution::new(
         dataset.meta.spatial_resolution,
         dataset.meta.temporal_resolution,
     );
+    let resolutions: Vec<Resolution> = ResolutionDag::reachable(native)
+        .into_iter()
+        .filter(|r| geometry.partition(r.spatial).is_some())
+        .collect();
+    // `reachable` is spatial-major: one run of resolutions per partition.
+    let mut spatials: Vec<_> = resolutions.iter().map(|r| r.spatial).collect();
+    spatials.dedup();
+    let per_partition = par_map(cluster, spatials, |spatial| {
+        let partition = geometry.partition(spatial).expect("filtered above");
+        let regions = RecordRegions::locate(dataset, partition);
+        let binnings: Vec<Binning> = resolutions
+            .iter()
+            .filter(|r| r.spatial == spatial)
+            .map(|r| {
+                Binning::new(&regions, r.temporal, None)
+                    .expect("a non-empty data set bins at every resolution")
+            })
+            .collect();
+        (regions.lookups(), binnings)
+    });
+    let located: usize = per_partition.iter().map(|(lookups, _)| lookups).sum();
+    polygamy_obs::global()
+        .counter(names::INDEX_RECORDS_LOCATED)
+        .add(located as u64);
+
     let specs = FunctionSpec::enumerate(dataset);
-    let mut units: Vec<(FunctionSpec, Resolution)> = Vec::new();
-    for resolution in ResolutionDag::reachable(native) {
-        if geometry.partition(resolution.spatial).is_none() {
-            continue;
-        }
-        for spec in &specs {
-            units.push((spec.clone(), resolution));
-        }
-    }
-    par_map(cluster, units, |(spec, resolution)| {
-        let partition = geometry
-            .partition(resolution.spatial)
-            .expect("filtered above");
-        let field = aggregate(dataset, partition, resolution.temporal, spec.kind, None)
-            .expect("reachable resolutions aggregate cleanly");
-        (spec, field)
+    let units: Vec<(&FunctionSpec, &Binning)> = per_partition
+        .iter()
+        .flat_map(|(_, binnings)| binnings)
+        .flat_map(|binning| specs.iter().map(move |spec| (spec, binning)))
+        .collect();
+    par_map(cluster, units, |(spec, binning)| {
+        let field = binning
+            .reduce(spec.kind)
+            .expect("enumerated specs reduce cleanly");
+        (spec.clone(), field)
     })
-    .into_iter()
-    .collect()
 }
 
 #[cfg(test)]

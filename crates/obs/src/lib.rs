@@ -108,6 +108,9 @@ pub mod names {
     pub const INDEX_STAGE_THRESHOLDS_NS: &str = "index.stage.thresholds_ns";
     /// Time in the pointwise feature scan, summed over fields (counter, ns).
     pub const INDEX_STAGE_FEATURES_NS: &str = "index.stage.features_ns";
+    /// Point-in-polygon lookups the scalar-function job made: one per
+    /// record per multi-region partition, none at city scale (counter).
+    pub const INDEX_RECORDS_LOCATED: &str = "index.records_located";
     /// Scalar fields run through feature identification (counter).
     pub const INDEX_FIELDS: &str = "index.fields";
     /// Domain vertices (`regions × steps`) of those fields (counter).
@@ -115,6 +118,9 @@ pub mod names {
     /// The vertices among them that carry a value — what the sort and the
     /// sweeps actually visit (counter).
     pub const INDEX_VERTICES_DEFINED: &str = "index.vertices_defined";
+    /// The defined vertices whose value is exactly `+0.0` — the run the
+    /// sweep order splices in instead of sorting (counter).
+    pub const INDEX_VERTICES_ZERO_RUN: &str = "index.vertices_zero_run";
 
     /// Bytes read from `.plst` stores through `SegmentSource` (counter).
     pub const STORE_BYTES_FETCHED: &str = "store.bytes_fetched";
@@ -220,9 +226,11 @@ pub mod names {
         INDEX_STAGE_TREES_NS,
         INDEX_STAGE_THRESHOLDS_NS,
         INDEX_STAGE_FEATURES_NS,
+        INDEX_RECORDS_LOCATED,
         INDEX_FIELDS,
         INDEX_VERTICES,
         INDEX_VERTICES_DEFINED,
+        INDEX_VERTICES_ZERO_RUN,
         STORE_BYTES_FETCHED,
         STORE_SEGMENT_FAULTS,
         STORE_SEGMENT_CACHE_HITS,

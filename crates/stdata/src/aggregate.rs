@@ -10,14 +10,19 @@
 //!   Section 8) over the tuples that fall on it.
 //!
 //! Aggregation always goes from raw records to a field at a requested
-//! resolution — exactly what the scalar-function-computation map-reduce job
-//! does.
+//! resolution, in the two phases of the scalar-function-computation job
+//! (paper Appendix C). The *map* gives each record its spatio-temporal
+//! cell once: [`RecordRegions::locate`] makes one point-in-polygon lookup
+//! per record per partition, and [`Binning::new`] one bucket per record per
+//! temporal resolution. The *reduce*, [`Binning::reduce`], accumulates one
+//! function over a binning, in record order, so every function of a data
+//! set at one resolution shares one map. [`aggregate`] is the two composed.
 
 use crate::dataset::Dataset;
 use crate::error::{Error, Result};
 use crate::field::{MissingPolicy, ScalarField};
 use crate::resolution::Resolution;
-use crate::spatial::SpatialPartition;
+use crate::spatial::{SpatialPartition, SpatialResolution};
 use crate::temporal::{TemporalResolution, Timestamp};
 
 /// Aggregate applied by attribute functions.
@@ -107,7 +112,13 @@ impl FunctionKind {
 ///
 /// Records that fall outside the partition (GPS points not inside any
 /// polygon) or outside the window are dropped, mirroring the map phase of
-/// the scalar-function-computation job.
+/// the scalar-function-computation job. This is one map and one reduce:
+/// [`RecordRegions::locate`], [`Binning::new`], [`Binning::reduce`]. A
+/// caller computing several functions over one domain keeps the binning
+/// and reduces it once per function, with bit-identical results.
+///
+/// `kind` is checked first: a bad attribute index or `Unique` without keys
+/// is [`Error::UnknownAttribute`] whatever the window.
 pub fn aggregate(
     dataset: &Dataset,
     partition: &SpatialPartition,
@@ -115,6 +126,13 @@ pub fn aggregate(
     kind: FunctionKind,
     window: Option<(Timestamp, Timestamp)>,
 ) -> Result<ScalarField> {
+    check_kind(dataset, kind)?;
+    let regions = RecordRegions::locate(dataset, partition);
+    Binning::new(&regions, temporal, window)?.reduce(kind)
+}
+
+/// [`Error::UnknownAttribute`] unless `dataset` can derive `kind`.
+fn check_kind(dataset: &Dataset, kind: FunctionKind) -> Result<()> {
     if let FunctionKind::Attribute { attr, .. } = kind {
         if attr >= dataset.attribute_count() {
             return Err(Error::UnknownAttribute(format!("attribute #{attr}")));
@@ -123,147 +141,242 @@ pub fn aggregate(
     if kind == FunctionKind::Unique && !dataset.has_keys() {
         return Err(Error::UnknownAttribute("unique function needs keys".into()));
     }
-    let (start, end) = match window {
-        Some((s, e)) => {
-            if e <= s {
-                return Err(Error::InvalidTimeRange { start: s, end: e });
-            }
-            (s, e)
-        }
-        None => dataset.time_range()?,
-    };
-    let start_bucket = temporal.bucket_of(start);
-    let n_steps = temporal.buckets_in_range(start, end);
-    if n_steps == 0 {
-        return Err(Error::EmptyDomain);
-    }
-    let n_regions = partition.len();
-    let resolution = Resolution::new(partition.resolution, temporal);
-    let mut field = ScalarField::undefined(resolution, n_regions, start_bucket, n_steps);
+    Ok(())
+}
 
-    let cell_of = |i: usize| -> Option<usize> {
-        let t = dataset.times()[i];
-        if t < start || t >= end {
-            return None;
-        }
-        let region = if n_regions == 1 {
-            // City scale: every record inside the window belongs to the
-            // single region regardless of coordinates.
-            0u32
+/// A record in no region or no cell: outside every polygon, or outside
+/// the window.
+const NO_CELL: u32 = u32::MAX;
+
+/// Every record's region in one spatial partition — the spatial half of
+/// the map, shared by every temporal resolution binned over that partition.
+#[derive(Debug, Clone)]
+pub struct RecordRegions<'a> {
+    dataset: &'a Dataset,
+    resolution: SpatialResolution,
+    n_regions: usize,
+    /// Per record, its region or [`NO_CELL`].
+    of_record: Vec<u32>,
+}
+
+impl<'a> RecordRegions<'a> {
+    /// One [`SpatialPartition::locate`] per record. A one-region partition
+    /// makes none: at city scale every record belongs to the single region
+    /// regardless of coordinates.
+    pub fn locate(dataset: &'a Dataset, partition: &SpatialPartition) -> Self {
+        let n_regions = partition.len();
+        let of_record = if n_regions == 1 {
+            vec![0; dataset.len()]
         } else {
-            partition.locate(dataset.locations()[i])?
+            (dataset.locations().iter())
+                .map(|&p| partition.locate(p).unwrap_or(NO_CELL))
+                .collect()
         };
-        let step = (temporal.bucket_of(t) - start_bucket) as usize;
-        Some(step * n_regions + region as usize)
-    };
-
-    match kind {
-        FunctionKind::Density => {
-            let mut counts = vec![0u64; field.len()];
-            for i in 0..dataset.len() {
-                if let Some(c) = cell_of(i) {
-                    counts[c] += 1;
-                }
-            }
-            for (v, c) in field.values.iter_mut().zip(&counts) {
-                *v = *c as f64;
-            }
-        }
-        FunctionKind::Unique => {
-            let keys = dataset.keys().expect("checked above");
-            let mut pairs: Vec<(u32, u64)> = Vec::new();
-            for (i, &key) in keys.iter().enumerate() {
-                if let Some(c) = cell_of(i) {
-                    pairs.push((c as u32, key));
-                }
-            }
-            pairs.sort_unstable();
-            pairs.dedup();
-            let mut counts = vec![0u64; field.len()];
-            for (c, _) in pairs {
-                counts[c as usize] += 1;
-            }
-            for (v, c) in field.values.iter_mut().zip(&counts) {
-                *v = *c as f64;
-            }
-        }
-        FunctionKind::Attribute { attr, agg } => {
-            let col = dataset.column(attr);
-            match agg {
-                AggregateKind::Mean | AggregateKind::Sum => {
-                    let mut sums = vec![0.0f64; field.len()];
-                    let mut counts = vec![0u64; field.len()];
-                    for (i, &v) in col.iter().enumerate() {
-                        if v.is_nan() {
-                            continue;
-                        }
-                        if let Some(c) = cell_of(i) {
-                            sums[c] += v;
-                            counts[c] += 1;
-                        }
-                    }
-                    for ((out, s), c) in field.values.iter_mut().zip(&sums).zip(&counts) {
-                        if *c > 0 {
-                            *out = if agg == AggregateKind::Mean {
-                                s / *c as f64
-                            } else {
-                                *s
-                            };
-                        }
-                    }
-                }
-                AggregateKind::Min | AggregateKind::Max => {
-                    for (i, &v) in col.iter().enumerate() {
-                        if v.is_nan() {
-                            continue;
-                        }
-                        if let Some(c) = cell_of(i) {
-                            let cur = field.values[c];
-                            field.values[c] = if cur.is_nan() {
-                                v
-                            } else if agg == AggregateKind::Min {
-                                cur.min(v)
-                            } else {
-                                cur.max(v)
-                            };
-                        }
-                    }
-                }
-                AggregateKind::Median => {
-                    let mut pairs: Vec<(u32, f64)> = Vec::new();
-                    for (i, &v) in col.iter().enumerate() {
-                        if v.is_nan() {
-                            continue;
-                        }
-                        if let Some(c) = cell_of(i) {
-                            pairs.push((c as u32, v));
-                        }
-                    }
-                    pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
-                    let mut i = 0;
-                    while i < pairs.len() {
-                        let cell = pairs[i].0;
-                        let mut j = i;
-                        while j < pairs.len() && pairs[j].0 == cell {
-                            j += 1;
-                        }
-                        let run = &pairs[i..j];
-                        let mid = run.len() / 2;
-                        let med = if run.len() % 2 == 1 {
-                            run[mid].1
-                        } else {
-                            (run[mid - 1].1 + run[mid].1) / 2.0
-                        };
-                        field.values[cell as usize] = med;
-                        i = j;
-                    }
-                }
-            }
+        Self {
+            dataset,
+            resolution: partition.resolution,
+            n_regions,
+            of_record,
         }
     }
 
-    field.apply_missing(kind.missing_policy());
-    Ok(field)
+    /// Point-in-polygon lookups [`RecordRegions::locate`] made.
+    pub fn lookups(&self) -> usize {
+        if self.n_regions == 1 {
+            0
+        } else {
+            self.of_record.len()
+        }
+    }
+}
+
+/// The map of the scalar-function job: every record's cell of one
+/// (data set, partition, temporal resolution, window) domain, computed
+/// once and reduced by any number of functions.
+#[derive(Debug, Clone)]
+pub struct Binning<'a> {
+    dataset: &'a Dataset,
+    resolution: Resolution,
+    n_regions: usize,
+    start_bucket: i64,
+    n_steps: usize,
+    /// Per record, its cell `step * n_regions + region` or [`NO_CELL`].
+    cells: Vec<u32>,
+}
+
+impl<'a> Binning<'a> {
+    /// Bins the records of `regions` into `temporal` buckets over the
+    /// half-open `window` (the data set's own time range when `None`): one
+    /// bucket per record inside the window and the partition.
+    pub fn new(
+        regions: &RecordRegions<'a>,
+        temporal: TemporalResolution,
+        window: Option<(Timestamp, Timestamp)>,
+    ) -> Result<Self> {
+        let dataset = regions.dataset;
+        let (start, end) = match window {
+            Some((s, e)) => {
+                if e <= s {
+                    return Err(Error::InvalidTimeRange { start: s, end: e });
+                }
+                (s, e)
+            }
+            None => dataset.time_range()?,
+        };
+        let start_bucket = temporal.bucket_of(start);
+        let n_steps = temporal.buckets_in_range(start, end);
+        if n_steps == 0 {
+            return Err(Error::EmptyDomain);
+        }
+        let n_regions = regions.n_regions;
+        // Cells are `u32`, with `NO_CELL` reserved.
+        if n_regions.saturating_mul(n_steps) >= NO_CELL as usize {
+            return Err(Error::InvalidTimeRange { start, end });
+        }
+        let cells = (dataset.times().iter().zip(&regions.of_record))
+            .map(|(&t, &region)| {
+                if t < start || t >= end || region == NO_CELL {
+                    return NO_CELL;
+                }
+                let step = (temporal.bucket_of(t) - start_bucket) as usize;
+                (step * n_regions) as u32 + region
+            })
+            .collect();
+        Ok(Self {
+            dataset,
+            resolution: Resolution::new(regions.resolution, temporal),
+            n_regions,
+            start_bucket,
+            n_steps,
+            cells,
+        })
+    }
+
+    /// Record `i`'s cell, if it has one.
+    fn cell(&self, i: usize) -> Option<usize> {
+        let c = self.cells[i];
+        (c != NO_CELL).then_some(c as usize)
+    }
+
+    /// The reduce: accumulates the function `kind` over the binned records,
+    /// in record order, into a field of this binning's domain.
+    pub fn reduce(&self, kind: FunctionKind) -> Result<ScalarField> {
+        let dataset = self.dataset;
+        check_kind(dataset, kind)?;
+        let mut field = ScalarField::undefined(
+            self.resolution,
+            self.n_regions,
+            self.start_bucket,
+            self.n_steps,
+        );
+        match kind {
+            FunctionKind::Density => {
+                let mut counts = vec![0u64; field.len()];
+                for i in 0..dataset.len() {
+                    if let Some(c) = self.cell(i) {
+                        counts[c] += 1;
+                    }
+                }
+                for (v, c) in field.values.iter_mut().zip(&counts) {
+                    *v = *c as f64;
+                }
+            }
+            FunctionKind::Unique => {
+                let keys = dataset.keys().expect("checked above");
+                let mut pairs: Vec<(u32, u64)> = Vec::new();
+                for (i, &key) in keys.iter().enumerate() {
+                    if let Some(c) = self.cell(i) {
+                        pairs.push((c as u32, key));
+                    }
+                }
+                pairs.sort_unstable();
+                pairs.dedup();
+                let mut counts = vec![0u64; field.len()];
+                for (c, _) in pairs {
+                    counts[c as usize] += 1;
+                }
+                for (v, c) in field.values.iter_mut().zip(&counts) {
+                    *v = *c as f64;
+                }
+            }
+            FunctionKind::Attribute { attr, agg } => {
+                let col = dataset.column(attr);
+                match agg {
+                    AggregateKind::Mean | AggregateKind::Sum => {
+                        let mut sums = vec![0.0f64; field.len()];
+                        let mut counts = vec![0u64; field.len()];
+                        for (i, &v) in col.iter().enumerate() {
+                            if v.is_nan() {
+                                continue;
+                            }
+                            if let Some(c) = self.cell(i) {
+                                sums[c] += v;
+                                counts[c] += 1;
+                            }
+                        }
+                        for ((out, s), c) in field.values.iter_mut().zip(&sums).zip(&counts) {
+                            if *c > 0 {
+                                *out = if agg == AggregateKind::Mean {
+                                    s / *c as f64
+                                } else {
+                                    *s
+                                };
+                            }
+                        }
+                    }
+                    AggregateKind::Min | AggregateKind::Max => {
+                        for (i, &v) in col.iter().enumerate() {
+                            if v.is_nan() {
+                                continue;
+                            }
+                            if let Some(c) = self.cell(i) {
+                                let cur = field.values[c];
+                                field.values[c] = if cur.is_nan() {
+                                    v
+                                } else if agg == AggregateKind::Min {
+                                    cur.min(v)
+                                } else {
+                                    cur.max(v)
+                                };
+                            }
+                        }
+                    }
+                    AggregateKind::Median => {
+                        let mut pairs: Vec<(u32, f64)> = Vec::new();
+                        for (i, &v) in col.iter().enumerate() {
+                            if v.is_nan() {
+                                continue;
+                            }
+                            if let Some(c) = self.cell(i) {
+                                pairs.push((c as u32, v));
+                            }
+                        }
+                        pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+                        let mut i = 0;
+                        while i < pairs.len() {
+                            let cell = pairs[i].0;
+                            let mut j = i;
+                            while j < pairs.len() && pairs[j].0 == cell {
+                                j += 1;
+                            }
+                            let run = &pairs[i..j];
+                            let mid = run.len() / 2;
+                            let med = if run.len() % 2 == 1 {
+                                run[mid].1
+                            } else {
+                                (run[mid - 1].1 + run[mid].1) / 2.0
+                            };
+                            field.values[cell as usize] = med;
+                            i = j;
+                        }
+                    }
+                }
+            }
+        }
+
+        field.apply_missing(kind.missing_policy());
+        Ok(field)
+    }
 }
 
 #[cfg(test)]
@@ -451,6 +564,55 @@ mod tests {
         .unwrap();
         assert_eq!(f.n_steps, 1);
         assert_eq!(f.value(1, 0), 2.0);
+    }
+
+    #[test]
+    fn one_binning_serves_every_function() {
+        let d = sample_dataset();
+        let regions = RecordRegions::locate(&d, &partition());
+        assert_eq!(regions.lookups(), d.len());
+        let city = SpatialPartition::city(0.0, 0.0, 2.0, 1.0);
+        assert_eq!(RecordRegions::locate(&d, &city).lookups(), 0);
+        let binning = Binning::new(&regions, TemporalResolution::Hour, None).unwrap();
+        for kind in [
+            FunctionKind::Density,
+            FunctionKind::Unique,
+            FunctionKind::Attribute {
+                attr: 0,
+                agg: AggregateKind::Median,
+            },
+        ] {
+            let standalone = aggregate(&d, &partition(), TemporalResolution::Hour, kind, None);
+            // `Debug` prints every value, NaN as `NaN`.
+            assert_eq!(
+                format!("{:?}", binning.reduce(kind)),
+                format!("{standalone:?}")
+            );
+        }
+        let bad = FunctionKind::Attribute {
+            attr: 1,
+            agg: AggregateKind::Mean,
+        };
+        assert!(matches!(
+            binning.reduce(bad),
+            Err(Error::UnknownAttribute(_))
+        ));
+    }
+
+    #[test]
+    fn a_window_too_long_to_number_is_a_typed_error() {
+        // 2 regions × 2^31 hours overflows the `u32` cell numbering: a
+        // typed error, not a 34 GB field.
+        let d = sample_dataset();
+        let regions = RecordRegions::locate(&d, &partition());
+        let window = (0, (1i64 << 31) * 3_600);
+        assert_eq!(
+            Binning::new(&regions, TemporalResolution::Hour, Some(window)).err(),
+            Some(Error::InvalidTimeRange {
+                start: window.0,
+                end: window.1
+            })
+        );
     }
 
     #[test]

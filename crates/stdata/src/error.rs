@@ -18,7 +18,8 @@ pub enum Error {
     EmptyDomain,
     /// A polygon or partition was structurally invalid.
     InvalidGeometry(String),
-    /// A time range was empty or inverted.
+    /// A time range was empty or inverted, or spans more cells than a
+    /// binning can number (`u32`).
     InvalidTimeRange {
         /// Inclusive start timestamp.
         start: i64,

@@ -33,7 +33,7 @@ pub mod spatial;
 pub mod temporal;
 pub mod value;
 
-pub use aggregate::{aggregate, AggregateKind, FunctionKind};
+pub use aggregate::{aggregate, AggregateKind, Binning, FunctionKind, RecordRegions};
 pub use dataset::{AttributeMeta, Dataset, DatasetBuilder, DatasetMeta, Record};
 pub use error::{Error, Result};
 pub use field::{MissingPolicy, ScalarField};

@@ -173,6 +173,43 @@ fn incremental_upsert_matches_scratch_rebuild() {
 }
 
 #[test]
+fn upsert_of_an_empty_dataset_catalogs_it_with_no_segments() {
+    // `DatasetBuilder::build` accepts zero records; indexing one used to
+    // panic in the scalar job.
+    let path = tmp_path("upsert-empty");
+    let _cleanup = Cleanup(path.clone());
+    let config = Config::fast_test();
+    let dp = build_framework(&corpus());
+    Store::save(&path, dp.geometry(), dp.index().unwrap()).unwrap();
+    let meta = DatasetMeta {
+        name: "empty".into(),
+        spatial_resolution: SpatialResolution::City,
+        temporal_resolution: TemporalResolution::Hour,
+        description: String::new(),
+    };
+    let empty = DatasetBuilder::new(meta)
+        .attribute(AttributeMeta::named("signal"))
+        .build()
+        .unwrap();
+    let store = Store::upsert_dataset(&path, &empty, &config).unwrap();
+    let manifest = store.manifest();
+    let di = manifest.dataset_index("empty").unwrap();
+    assert_eq!(manifest.datasets[di].n_records, 0);
+    assert!(manifest.segments.iter().all(|s| s.dataset_index != di));
+
+    let q = RelationshipQuery::between(&["empty"], &["alpha"]).with_clause(test_clause());
+    let eager = StoreSession::open_with(&path, config, &LoadFilter::all()).unwrap();
+    assert_eq!(eager.query(&q).unwrap(), []);
+    let lazy = StoreSession::open_lazy(&path).unwrap();
+    assert_eq!(lazy.query(&q).unwrap(), []);
+    let n_segments = lazy.lazy_index().unwrap().verify_all().unwrap();
+    assert_eq!(n_segments, manifest.segments.len());
+    // The rest of the corpus answers as before.
+    let rest = RelationshipQuery::all().with_clause(test_clause());
+    assert_eq!(eager.query(&rest).unwrap(), dp.query(&rest).unwrap());
+}
+
+#[test]
 fn upsert_replaces_existing_dataset() {
     let path = tmp_path("upsert-replace");
     let scratch = tmp_path("upsert-replace-scratch");

@@ -5,7 +5,10 @@
 //! increases. Both are computed by one sweep over the vertices in sweep
 //! order with a union-find, in `O(N log N + N α(N))`. The split order is
 //! the join order reversed, so [`MergeTree::both`] sorts once and sweeps
-//! the one order in both directions.
+//! the one order in both directions. The sort skips the run of `+0.0`
+//! values (every empty cell of a count function, most of a sparse field):
+//! that run is already in tie order and is spliced in at its place, so the
+//! `N log N` term is over the other values only.
 //!
 //! Morse-condition handling (paper Appendix B.1): PL functions on graphs
 //! routinely violate the "distinct critical values" condition, so we impose
@@ -276,19 +279,39 @@ fn total_order_key(x: f64) -> u64 {
     bits ^ (((bits as i64 >> 63) as u64) | (1 << 63))
 }
 
+/// `total_order_key(+0.0)`: the key of every empty count cell.
+const ZERO_KEY: u64 = 1 << 63;
+
 /// The defined (non-NaN) vertices as `(key, vertex)` in ascending
 /// simulated-perturbation order — value by `total_cmp`, ties by vertex
 /// index — which is the split tree's sweep order and the join tree's
 /// reversed. Keys compare as plain integers, and the stable sort keeps the
 /// index order it starts from within a tie.
+///
+/// Only the keys that are not `+0.0` are sorted. The `+0.0` vertices —
+/// most of a sparse count field — are one tie run already in index order,
+/// so they are spliced in where the sorted keys cross [`ZERO_KEY`].
 fn ascending_order(f: &[f64]) -> Vec<(u64, u32)> {
-    let mut order: Vec<(u64, u32)> = f
-        .iter()
-        .enumerate()
-        .filter(|(_, x)| !x.is_nan())
-        .map(|(v, &x)| (total_order_key(x), v as u32))
-        .collect();
+    let mut order: Vec<(u64, u32)> = Vec::with_capacity(f.len());
+    let mut zeros = 0;
+    for (v, &x) in f.iter().enumerate() {
+        if x.to_bits() == 0 {
+            zeros += 1;
+        } else if !x.is_nan() {
+            order.push((total_order_key(x), v as u32));
+        }
+    }
     order.sort_by_key(|&(key, _)| key);
+    let (at, sorted) = (
+        order.partition_point(|&(key, _)| key < ZERO_KEY),
+        order.len(),
+    );
+    order.resize(sorted + zeros, (ZERO_KEY, 0));
+    order.copy_within(at..sorted, at + zeros);
+    let zero_run = f.iter().enumerate().filter(|(_, x)| x.to_bits() == 0);
+    for (slot, (v, _)) in order[at..at + zeros].iter_mut().zip(zero_run) {
+        *slot = (ZERO_KEY, v as u32);
+    }
     order
 }
 
@@ -523,12 +546,37 @@ mod tests {
         }
     }
 
+    /// The sweep order used to come from sorting vertex indices through
+    /// `f[..]` with `total_cmp`, ties by index — descending for the join
+    /// tree, ascending for the split tree. The keyed order, zero run
+    /// spliced, must be that order on every kind of value `total_cmp`
+    /// tells apart.
+    fn assert_comparator_order(f: &[f64]) {
+        let defined = || (0..f.len() as u32).filter(|&v| !f[v as usize].is_nan());
+        let mut descending: Vec<u32> = defined().collect();
+        descending
+            .sort_unstable_by(|&a, &b| f[b as usize].total_cmp(&f[a as usize]).then(b.cmp(&a)));
+        let mut ascending: Vec<u32> = defined().collect();
+        ascending
+            .sort_unstable_by(|&a, &b| f[a as usize].total_cmp(&f[b as usize]).then(a.cmp(&b)));
+
+        let order = ascending_order(f);
+        assert!(order
+            .iter()
+            .all(|&(key, v)| key == total_order_key(f[v as usize])));
+        let keyed: Vec<u32> = order.iter().map(|&(_, v)| v).collect();
+        assert_eq!(keyed, ascending);
+        assert!(keyed.iter().rev().eq(&descending));
+        // And through the public surface: without edges every defined
+        // vertex is a leaf, so the leaves are the sweep order.
+        let edgeless = DomainGraph::new(&vec![Vec::new(); f.len()], 1);
+        assert_eq!(MergeTree::join(&edgeless, f).leaves, descending);
+        assert_eq!(MergeTree::split(&edgeless, f).leaves, ascending);
+    }
+
     #[test]
     fn keyed_order_equals_the_comparator_order() {
-        // The sweep order used to come from sorting vertex indices through
-        // `f[..]` with `total_cmp`, ties by index — descending for the join
-        // tree, ascending for the split tree. The keyed order must be that
-        // order on every kind of value `total_cmp` tells apart.
+        assert_eq!(total_order_key(0.0), ZERO_KEY);
         let specials = [
             0.0,
             -0.0,
@@ -549,22 +597,69 @@ mod tests {
             .collect();
         f.extend(std::iter::repeat_n(0.0, 200)); // a long tie run
         f.extend((0..200).map(|i| f64::from(i % 5) - 2.0));
-        let defined = || (0..f.len() as u32).filter(|&v| !f[v as usize].is_nan());
-        let mut descending: Vec<u32> = defined().collect();
-        descending
-            .sort_unstable_by(|&a, &b| f[b as usize].total_cmp(&f[a as usize]).then(b.cmp(&a)));
-        let mut ascending: Vec<u32> = defined().collect();
-        ascending
-            .sort_unstable_by(|&a, &b| f[a as usize].total_cmp(&f[b as usize]).then(a.cmp(&b)));
+        assert_comparator_order(&f);
 
-        let keyed: Vec<u32> = ascending_order(&f).iter().map(|&(_, v)| v).collect();
-        assert_eq!(keyed, ascending);
-        assert!(keyed.iter().rev().eq(&descending));
-        // And through the public surface: without edges every defined
-        // vertex is a leaf, so the leaves are the sweep order.
-        let edgeless = DomainGraph::new(&vec![Vec::new(); f.len()], 1);
-        assert_eq!(MergeTree::join(&edgeless, &f).leaves, descending);
-        assert_eq!(MergeTree::split(&edgeless, &f).leaves, ascending);
+        // +0.0 / −0.0 mixes: −0.0 sorts below +0.0 and is not spliced.
+        let signed_zeros = (0..40).map(|i| if i % 3 == 0 { -0.0 } else { 0.0 });
+        assert_comparator_order(&signed_zeros.collect::<Vec<f64>>());
+        assert_comparator_order(&[-0.0, 0.0, -0.0, 0.0, 5e-324, -5e-324]);
+        // An all-+0.0 field, a field with no zero, and the empty ones.
+        assert_comparator_order(&[0.0; 64]);
+        assert_comparator_order(&(1..=64).map(|i| f64::from(i) * 0.5).collect::<Vec<_>>());
+        assert_comparator_order(&[]);
+        assert_comparator_order(&[f64::NAN; 8]);
+        // Zeros interleaved with NaN and negatives, the run at either end.
+        let interleaved = [
+            0.0,
+            f64::NAN,
+            -1.0,
+            0.0,
+            -f64::NAN,
+            -0.0,
+            0.0,
+            f64::NEG_INFINITY,
+            0.0,
+            2.0,
+            f64::NAN,
+            0.0,
+        ];
+        assert_comparator_order(&interleaved);
+        assert_comparator_order(&[0.0, 0.0, 3.0, -3.0]);
+        assert_comparator_order(&[-3.0, -2.0, 0.0, 0.0]);
+        assert_comparator_order(&[3.0, 2.0, 0.0, 0.0]);
+    }
+
+    mod sparse_sweep_order {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Decodes a drawn byte over a palette that is ≥ 50% `+0.0` — the
+        /// shape of an urban count field — with `−0.0`, NaN of both signs,
+        /// infinities, a subnormal and small ties for the rest.
+        fn value(code: u8) -> f64 {
+            match code {
+                0..=9 => 0.0,
+                10 => -0.0,
+                11 => f64::NAN,
+                12 => -f64::NAN,
+                13 => f64::INFINITY,
+                14 => f64::NEG_INFINITY,
+                15 => 5e-324,
+                _ => f64::from(code % 4) - 1.5,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn spliced_order_is_the_comparator_order(
+                codes in prop::collection::vec(0u8..20, 0..200),
+            ) {
+                let f: Vec<f64> = codes.iter().map(|&c| value(c)).collect();
+                assert_comparator_order(&f);
+            }
+        }
     }
 
     #[test]

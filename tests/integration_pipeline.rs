@@ -1,11 +1,13 @@
 //! Cross-crate pipeline integration: correctness (paper Section 6.2),
 //! robustness scaffolding and space accounting.
 
-use polygamy_core::pipeline::field_features;
+use polygamy_core::pipeline::{compute_scalar_functions, field_features};
 use polygamy_core::prelude::*;
 use polygamy_core::relationship::evaluate_features;
 use polygamy_datagen::{add_iqr_noise, urban_collection, UrbanConfig};
-use polygamy_stdata::{aggregate, ScalarField};
+use polygamy_mapreduce::Cluster;
+use polygamy_stdata::{aggregate, Error, ResolutionDag, ScalarField};
+use polygamy_store::{blob_checksum, Store};
 
 fn small_collection() -> polygamy_datagen::UrbanCollection {
     urban_collection(UrbanConfig {
@@ -118,45 +120,275 @@ fn robustness_noise_keeps_self_relationship() {
     }
 }
 
-/// The columnar `aggregate(…, Density)` agrees, cell for cell, with a
-/// naive per-record count on real generated data: each record goes to its
-/// region (the single city region or a point location — the two cases of
-/// the map step), then to its time bucket, and adds one.
+/// Every function kind over `d`, as `compute_scalar_functions` and the
+/// tests below name them: density, unique, and each aggregate of
+/// attribute 0.
+fn every_kind(d: &Dataset) -> Vec<FunctionKind> {
+    let mut kinds = vec![FunctionKind::Density];
+    if d.has_keys() {
+        kinds.push(FunctionKind::Unique);
+    }
+    for agg in [
+        AggregateKind::Mean,
+        AggregateKind::Sum,
+        AggregateKind::Min,
+        AggregateKind::Max,
+        AggregateKind::Median,
+    ] {
+        kinds.push(FunctionKind::Attribute { attr: 0, agg });
+    }
+    kinds
+}
+
+/// The record-loop oracle: each record goes to its region (the single
+/// city region, or the polygon its point lies in — the two cases of the
+/// map step), then to its time bucket inside `[start, end)`, and the cell
+/// collects it; each cell then reduces what it collected.
+fn record_loop(
+    d: &Dataset,
+    partition: &SpatialPartition,
+    temporal: TemporalResolution,
+    kind: FunctionKind,
+    (start, end): (i64, i64),
+) -> ScalarField {
+    let start_bucket = temporal.bucket_of(start);
+    let n_regions = partition.len();
+    let mut field = ScalarField::undefined(
+        Resolution::new(partition.resolution, temporal),
+        n_regions,
+        start_bucket,
+        temporal.buckets_in_range(start, end),
+    );
+    let mut cells: Vec<Vec<usize>> = vec![Vec::new(); field.len()];
+    for i in 0..d.len() {
+        let t = d.times()[i];
+        if t < start || t >= end {
+            continue;
+        }
+        let region = if n_regions == 1 {
+            Some(0)
+        } else {
+            partition.locate(d.locations()[i])
+        };
+        let Some(region) = region else { continue };
+        let step = (temporal.bucket_of(t) - start_bucket) as usize;
+        cells[step * n_regions + region as usize].push(i);
+    }
+    for (out, records) in field.values.iter_mut().zip(&cells) {
+        *out = match kind {
+            FunctionKind::Density => records.len() as f64,
+            FunctionKind::Unique => {
+                let keys = d.keys().unwrap();
+                let distinct: std::collections::BTreeSet<u64> =
+                    records.iter().map(|&i| keys[i]).collect();
+                distinct.len() as f64
+            }
+            FunctionKind::Attribute { attr, agg } => {
+                let mut vals: Vec<f64> = records
+                    .iter()
+                    .map(|&i| d.column(attr)[i])
+                    .filter(|v| !v.is_nan())
+                    .collect();
+                if vals.is_empty() {
+                    f64::NAN
+                } else {
+                    let sum = vals.iter().fold(0.0, |acc, v| acc + v);
+                    match agg {
+                        AggregateKind::Sum => sum,
+                        AggregateKind::Mean => sum / vals.len() as f64,
+                        AggregateKind::Min => vals.iter().copied().fold(f64::NAN, f64::min),
+                        AggregateKind::Max => vals.iter().copied().fold(f64::NAN, f64::max),
+                        AggregateKind::Median => {
+                            vals.sort_by(f64::total_cmp);
+                            let mid = vals.len() / 2;
+                            if vals.len() % 2 == 1 {
+                                vals[mid]
+                            } else {
+                                (vals[mid - 1] + vals[mid]) / 2.0
+                            }
+                        }
+                    }
+                }
+            }
+        };
+    }
+    field
+}
+
+fn bits(field: &ScalarField) -> Vec<u64> {
+    field.values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The columnar `aggregate` — one shared binning reduced per function —
+/// agrees, bit for bit, with the naive per-record oracle on real generated
+/// data: every function kind × every reachable resolution of the taxi data
+/// × the whole time range and a sub-range window.
 #[test]
-fn record_loop_density_matches_columnar_on_urban_data() {
+fn record_loop_matches_columnar_on_urban_data() {
     let c = small_collection();
     let taxi = c.dataset("taxi").unwrap();
-    for (partition, temporal) in [
-        (&c.geometry().city, TemporalResolution::Day),
-        (
-            c.geometry().neighborhood.as_ref().unwrap(),
-            TemporalResolution::Week,
-        ),
-    ] {
-        let (start, end) = taxi.time_range().unwrap();
-        let start_bucket = temporal.bucket_of(start);
-        let n_regions = partition.len();
-        let mut field = ScalarField::filled(
-            Resolution::new(partition.resolution, temporal),
-            n_regions,
-            start_bucket,
-            temporal.buckets_in_range(start, end),
-            0.0,
-        );
-        for i in 0..taxi.len() {
-            let region = if n_regions == 1 {
-                Some(0)
-            } else {
-                partition.locate(taxi.locations()[i])
-            };
-            let Some(region) = region else { continue };
-            let step = (temporal.bucket_of(taxi.times()[i]) - start_bucket) as usize;
-            field.values[step * n_regions + region as usize] += 1.0;
+    let native = Resolution::new(taxi.meta.spatial_resolution, taxi.meta.temporal_resolution);
+    let (start, end) = taxi.time_range().unwrap();
+    let third = (end - start) / 3;
+    let mut checked = 0;
+    for resolution in ResolutionDag::reachable(native) {
+        let Some(partition) = c.geometry().partition(resolution.spatial) else {
+            continue;
+        };
+        let temporal = resolution.temporal;
+        for window in [None, Some((start + third, end - third))] {
+            for kind in every_kind(taxi) {
+                let oracle = record_loop(
+                    taxi,
+                    partition,
+                    temporal,
+                    kind,
+                    window.unwrap_or((start, end)),
+                );
+                let field = aggregate(taxi, partition, temporal, kind, window).unwrap();
+                assert_eq!(
+                    (
+                        field.resolution,
+                        field.n_regions,
+                        field.start_bucket,
+                        field.n_steps
+                    ),
+                    (
+                        oracle.resolution,
+                        oracle.n_regions,
+                        oracle.start_bucket,
+                        oracle.n_steps
+                    ),
+                );
+                assert!(
+                    bits(&field) == bits(&oracle),
+                    "{resolution} {kind:?} {window:?}"
+                );
+                checked += 1;
+            }
         }
-        let reference = aggregate(taxi, partition, temporal, FunctionKind::Density, None).unwrap();
-        assert_eq!(field, reference);
+    }
+    // Zip and neighborhood and city × four temporal resolutions.
+    assert_eq!(checked, 12 * 2 * every_kind(taxi).len());
+}
+
+/// The scalar job's shared binnings produce exactly what one standalone
+/// `aggregate` call per (spec, resolution) unit produces, in unit order.
+#[test]
+fn scalar_job_equals_one_aggregate_per_unit() {
+    let c = small_collection();
+    let geometry = c.geometry();
+    for d in &c.datasets {
+        let out = compute_scalar_functions(Cluster::local(2), geometry, d);
+        let native = Resolution::new(d.meta.spatial_resolution, d.meta.temporal_resolution);
+        let specs = FunctionSpec::enumerate(d);
+        let mut expected = Vec::new();
+        for resolution in ResolutionDag::reachable(native) {
+            let Some(partition) = geometry.partition(resolution.spatial) else {
+                continue;
+            };
+            for spec in &specs {
+                let field = aggregate(d, partition, resolution.temporal, spec.kind, None).unwrap();
+                expected.push((spec.clone(), field));
+            }
+        }
+        assert_eq!(out.len(), expected.len(), "{}", d.meta.name);
+        for ((spec, field), (want_spec, want)) in out.iter().zip(&expected) {
+            assert_eq!(spec, want_spec);
+            assert_eq!(field.resolution, want.resolution);
+            assert!(bits(field) == bits(want), "{spec} at {}", field.resolution);
+        }
     }
 }
+
+/// A function the data set cannot derive is `UnknownAttribute` before any
+/// time-range error — on an empty data set, and under an inverted window.
+#[test]
+fn kind_errors_precede_time_range_errors() {
+    let c = small_collection();
+    let city = &c.geometry().city;
+    let meta = DatasetMeta {
+        name: "empty".into(),
+        ..c.dataset("taxi").unwrap().meta.clone()
+    };
+    let empty = DatasetBuilder::new(meta)
+        .attribute(AttributeMeta::named("x"))
+        .build()
+        .unwrap();
+    let bad_attr = FunctionKind::Attribute {
+        attr: 5,
+        agg: AggregateKind::Mean,
+    };
+    for (window, kind) in [
+        (None, bad_attr),
+        (None, FunctionKind::Unique),
+        (Some((10, 5)), bad_attr),
+        (Some((10, 5)), FunctionKind::Unique),
+    ] {
+        assert!(matches!(
+            aggregate(&empty, city, TemporalResolution::Day, kind, window),
+            Err(Error::UnknownAttribute(_))
+        ));
+    }
+    // A derivable function reports the time range itself.
+    assert_eq!(
+        aggregate(
+            &empty,
+            city,
+            TemporalResolution::Day,
+            FunctionKind::Density,
+            None
+        ),
+        Err(Error::EmptyDomain)
+    );
+    assert_eq!(
+        aggregate(
+            &empty,
+            city,
+            TemporalResolution::Day,
+            FunctionKind::Density,
+            Some((10, 5))
+        ),
+        Err(Error::InvalidTimeRange { start: 10, end: 5 })
+    );
+}
+
+/// Write-path bytes are pinned here, not only in CI's `cmp` legs: the
+/// fixed small corpus, built at one and at two workers and saved, is a
+/// file of exactly this length and checksum. The values are the ones the
+/// commit before the shared binning and the spliced zero run produced.
+#[test]
+fn store_bytes_of_the_small_corpus_are_pinned() {
+    let c = small_collection();
+    for workers in [1, 2] {
+        let mut dp = DataPolygamy::new(
+            c.geometry().clone(),
+            Config {
+                cluster: Cluster::local(workers),
+                ..Config::default()
+            },
+        );
+        for d in &c.datasets {
+            dp.add_dataset(d.clone());
+        }
+        dp.build_index();
+        let path = std::env::temp_dir().join(format!(
+            "polygamy-pinned-bytes-{}-{workers}.plst",
+            std::process::id()
+        ));
+        Store::save(&path, dp.geometry(), dp.index().unwrap()).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(
+            (bytes.len(), blob_checksum(&bytes)),
+            PINNED_SMALL_CORPUS_STORE,
+            "workers = {workers}"
+        );
+    }
+}
+
+/// `(length, blob_checksum)` of the small corpus's store.
+const PINNED_SMALL_CORPUS_STORE: (usize, u64) = (31_050_941, 17_927_002_656_056_506_769);
 
 /// Index space overhead (paper Section 5.4): scalar functions + features
 /// must be far smaller than the raw data.
