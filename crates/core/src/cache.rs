@@ -13,10 +13,9 @@
 //! least-recently-used entry once full, bounding memory under sustained
 //! query traffic.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// 64-bit FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -173,9 +172,17 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
         &self.shards[(h.finish() as usize) & (N_SHARDS - 1)]
     }
 
+    /// Locks a shard, whether or not an earlier holder panicked: each
+    /// step of `get` and `insert` leaves the shard a valid cache (at
+    /// worst one entry short), so a panic elsewhere in a query never
+    /// takes the cache down with it.
+    fn lock(shard: &Mutex<Shard<K, V>>) -> MutexGuard<'_, Shard<K, V>> {
+        shard.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Looks up `key`, refreshing its recency on a hit.
     pub fn get(&self, key: &K) -> Option<V> {
-        self.shard(key).lock().get(key)
+        Self::lock(self.shard(key)).get(key)
     }
 
     /// Inserts `key → value`, evicting the shard's least-recently-used
@@ -183,13 +190,12 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
     /// was evicted to make room — callers feed this into the registry's
     /// eviction counters.
     pub fn insert(&self, key: K, value: V) -> bool {
-        let shard = self.shard(&key);
-        shard.lock().insert(key, value, self.per_shard_capacity)
+        Self::lock(self.shard(&key)).insert(key, value, self.per_shard_capacity)
     }
 
     /// Number of cached entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.shards.iter().map(|s| Self::lock(s).map.len()).sum()
     }
 
     /// True when no entries are cached.
@@ -200,7 +206,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
     /// Drops every cached entry.
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().map.clear();
+            Self::lock(shard).map.clear();
         }
     }
 }
@@ -316,6 +322,28 @@ mod tests {
         assert_eq!(c.get(&a), Some(1));
         assert_eq!(c.get(&b), None);
         assert_eq!(c.get(&d), Some(3));
+    }
+
+    /// A thread that panics while it holds a shard leaves the cache
+    /// serving: the next reader of that shard still gets its entries, and
+    /// inserts still land.
+    #[test]
+    fn lock_survives_holder_panic() {
+        let c: QueryCache = ShardedLruCache::new(64);
+        let key = (0, 1, 7);
+        c.insert(key, Arc::new(Vec::new()));
+        let held = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = ShardedLruCache::lock(c.shard(&key));
+                panic!("query panicked while holding a shard");
+            })
+            .join()
+        });
+        assert!(held.is_err());
+        assert!(c.shard(&key).is_poisoned());
+        assert_eq!(c.get(&key).map(|rels| rels.len()), Some(0));
+        c.insert((0, 1, 8), Arc::new(Vec::new()));
+        assert_eq!(c.len(), 2);
     }
 
     #[test]

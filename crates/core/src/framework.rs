@@ -17,11 +17,10 @@ use crate::significance::PermutationScheme;
 use polygamy_mapreduce::Cluster;
 use polygamy_stats::permutation::MonteCarlo;
 use polygamy_stdata::{Dataset, SpatialPartition, SpatialResolution};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// The polygon partitions of the city at each evaluable spatial resolution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CityGeometry {
     /// Zip-code partition (optional).
     pub zip: Option<SpatialPartition>,
@@ -588,7 +587,11 @@ mod tests {
             right: Some(vec!["b".to_string(); 150_000]),
             clause,
         };
-        let json = |rels: Vec<Relationship>| serde_json::to_string(&rels).unwrap();
+        let json = |rels: Vec<Relationship>| {
+            let mut out = String::new();
+            crate::relationship::write_json_array(&mut out, &rels).unwrap();
+            out
+        };
         let expected = json(build().query(&once).unwrap());
         assert_ne!(expected, "[]");
         let dp = build();

@@ -6,7 +6,6 @@
 //! average; other aggregates are supported per Section 8).
 
 use polygamy_stdata::{AggregateKind, Dataset, FunctionKind};
-use serde::Serialize;
 use std::fmt;
 
 /// A scalar function derived from one data set.
@@ -80,7 +79,7 @@ impl fmt::Display for FunctionSpec {
 }
 
 /// A `(dataset, function)` reference used in query results.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FunctionRef {
     /// Data set name.
     pub dataset: String,

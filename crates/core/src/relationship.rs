@@ -11,15 +11,18 @@
 //!   feature in f1 co-occurs with one in f2), recall `|Σ|/|Σ2|`.
 //!
 //! All set algebra happens on packed bit vectors (paper Appendix C).
+//!
+//! A [`Relationship`] is what a query answers, and its JSON object
+//! ([`Relationship::write_json`]) is the results boundary's one writer.
 
 use crate::function::FunctionRef;
+use polygamy_json as json;
 use polygamy_stdata::Resolution;
 use polygamy_topology::{FeatureClass, FeatureSet};
-use serde::Serialize;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Raw counts and derived measures of one candidate relationship.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RelationshipMeasures {
     /// `#p` — positively related points.
     pub n_pos: usize,
@@ -39,6 +42,19 @@ impl RelationshipMeasures {
     /// `|Σ| = #p + #n` — feature-related points.
     pub fn related_count(&self) -> usize {
         self.n_pos + self.n_neg
+    }
+
+    fn write_json(&self, out: &mut String) -> Result<(), json::Error> {
+        let _ = write!(
+            out,
+            "{{\"n_pos\":{},\"n_neg\":{},\"n_left\":{},\"n_right\":{},\"score\":",
+            self.n_pos, self.n_neg, self.n_left, self.n_right
+        );
+        json::write_f64(out, self.score)?;
+        out.push_str(",\"strength\":");
+        json::write_f64(out, self.strength)?;
+        out.push('}');
+        Ok(())
     }
 }
 
@@ -98,7 +114,7 @@ pub(crate) fn score(n_pos: usize, n_neg: usize) -> f64 {
 }
 
 /// A discovered relationship, as returned by queries.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Relationship {
     /// First function.
     pub left: FunctionRef,
@@ -127,6 +143,48 @@ impl Relationship {
     pub fn strength(&self) -> f64 {
         self.measures.strength
     }
+
+    /// Appends this relationship's JSON object to `out` — the shape
+    /// `docs/serving.md` §5 specifies: the fields in declaration order,
+    /// each [`FunctionRef`] as `{"dataset","function"}`, the resolution as
+    /// `{"spatial","temporal"}` and every unit variant as its Rust name
+    /// (`"Neighborhood"`, `"Hour"`, `"Salient"`). A float of ±∞ has no
+    /// JSON form and is an error.
+    pub fn write_json(&self, out: &mut String) -> Result<(), json::Error> {
+        out.push_str("{\"left\":");
+        write_function(out, &self.left);
+        out.push_str(",\"right\":");
+        write_function(out, &self.right);
+        let _ = write!(
+            out,
+            ",\"resolution\":{{\"spatial\":\"{}\",\"temporal\":\"{}\"}},\"class\":\"{}\",\"measures\":",
+            self.resolution.spatial.name(),
+            self.resolution.temporal.name(),
+            self.class.name()
+        );
+        self.measures.write_json(out)?;
+        out.push_str(",\"p_value\":");
+        json::write_f64(out, self.p_value)?;
+        let _ = write!(out, ",\"significant\":{}}}", self.significant);
+        Ok(())
+    }
+}
+
+/// Appends `relationships` to `out` as one JSON array of
+/// [`Relationship::write_json`] objects.
+pub fn write_json_array(
+    out: &mut String,
+    relationships: &[Relationship],
+) -> Result<(), json::Error> {
+    json::write_array(out, relationships, Relationship::write_json)
+}
+
+fn write_function(out: &mut String, function: &FunctionRef) {
+    out.push_str("{\"dataset\":");
+    json::write_str(out, &function.dataset);
+    out.push_str(",\"function\":");
+    json::write_str(out, &function.function);
+    out.push('}');
 }
 
 impl fmt::Display for Relationship {

@@ -3,11 +3,12 @@
 //! The caret format follows the PQL error renderer (`core/src/pql/
 //! error.rs`): a `path:line:col` header, the echoed source line with a
 //! line-number gutter, a caret underline, and a `help:` footer naming
-//! the fix. The JSON rendering is one object per finding on one line —
-//! machine-readable without a serde dependency, for editors and CI
-//! annotators.
+//! the fix. The JSON rendering is one object per finding on one line,
+//! machine-readable for editors and CI annotators.
 
 use crate::scan::Scanned;
+use polygamy_json::write_str;
+use std::fmt::Write as _;
 
 /// One rule violation, anchored to a file position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,33 +74,21 @@ impl Finding {
     /// Renders the finding as one JSON object (one line, stable key
     /// order) for `--json` consumers.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"rule\":\"{}\",\"path\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\",\"help\":\"{}\"}}",
-            escape(self.rule),
-            escape(&self.path),
-            self.line,
-            self.col,
-            escape(&self.message),
-            escape(&self.help),
-        )
+        let mut out = String::from("{\"rule\":");
+        write_str(&mut out, self.rule);
+        out.push_str(",\"path\":");
+        write_str(&mut out, &self.path);
+        let _ = write!(
+            out,
+            ",\"line\":{},\"col\":{},\"message\":",
+            self.line, self.col
+        );
+        write_str(&mut out, &self.message);
+        out.push_str(",\"help\":");
+        write_str(&mut out, &self.help);
+        out.push('}');
+        out
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -23,9 +23,9 @@
 //! is computed: every entry point returns exactly `(0..n).map(f)`.
 
 use crate::cluster::Cluster;
-use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Chunks a weighted dispatch cuts per worker: enough that the chunk a
 /// worker is still on when the others run dry is ≤ 1/8 of its share, few
@@ -179,8 +179,11 @@ where
 {
     let slots: Vec<Mutex<Option<I>>> = inputs.into_iter().map(|i| Mutex::new(Some(i))).collect();
     run_indexed_tasks(cluster.workers(), slots.len(), |i| {
-        let input = slots[i].lock().take().expect("input taken once");
-        f(input)
+        let input = slots[i]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        f(input.expect("input taken once"))
     })
 }
 

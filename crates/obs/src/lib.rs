@@ -1,6 +1,6 @@
 //! # polygamy-obs — the observability substrate
 //!
-//! A zero-dependency metrics-and-tracing core shared by every layer of
+//! A metrics-and-tracing core shared by every layer of
 //! the Data Polygamy reproduction: the flat executor, the demand-paged
 //! store, the network daemon and the load generator all report through
 //! the types in this crate, so one `MetricsSnapshot` explains a whole
@@ -18,7 +18,8 @@
 //!   captures everything as a [`MetricsSnapshot`] with a deterministic
 //!   JSON rendering ([`MetricsSnapshot::to_json`]) and a matching parser
 //!   ([`MetricsSnapshot::parse_json`]) so clients can validate server
-//!   snapshots without a JSON dependency.
+//!   snapshots with this crate and its one dependency, the workspace's
+//!   JSON codec (`polygamy_json`).
 //! * **Tracing** ([`trace`]) — a thread-local span collector.
 //!   [`trace::span`] is compiled in everywhere but does not even read
 //!   the clock unless a collector is installed ([`trace::record`]), so
@@ -43,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod json;
 mod metrics;
 mod registry;
 pub mod trace;

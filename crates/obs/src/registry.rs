@@ -1,7 +1,7 @@
 //! The process-wide instrument registry and its serializable snapshot.
 
-use crate::json::{self, write_string, ParseError, Value};
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+use polygamy_json::{self as json, write_str, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -159,7 +159,7 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            write_string(&mut out, name);
+            write_str(&mut out, name);
             let _ = write!(out, ":{value}");
         }
         out.push_str("},\"gauges\":{");
@@ -167,7 +167,7 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            write_string(&mut out, name);
+            write_str(&mut out, name);
             let _ = write!(out, ":{value}");
         }
         out.push_str("},\"histograms\":{");
@@ -175,7 +175,7 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            write_string(&mut out, name);
+            write_str(&mut out, name);
             out.push_str(":{\"bounds\":[");
             for (j, b) in h.bounds.iter().enumerate() {
                 if j > 0 {
@@ -198,93 +198,52 @@ impl MetricsSnapshot {
 
     /// Parses the JSON produced by [`MetricsSnapshot::to_json`]. All
     /// three sections are required; unknown extra keys are rejected, so
-    /// a malformed or foreign payload fails loudly.
-    pub fn parse_json(src: &str) -> Result<Self, ParseError> {
+    /// a malformed or foreign payload fails loudly, and every count must
+    /// be an integer token in range — a float or a boolean is an error.
+    pub fn parse_json(src: &str) -> Result<Self, json::Error> {
         let root = json::parse(src)?;
-        let fields = root.as_object().ok_or_else(|| ParseError {
-            message: "snapshot must be a JSON object".into(),
-            offset: 0,
-        })?;
         let known = ["counters", "gauges", "histograms"];
-        if let Some((k, _)) = fields.iter().find(|(k, _)| !known.contains(&k.as_str())) {
-            return Err(ParseError {
-                message: format!("unknown snapshot section `{k}`"),
-                offset: 0,
-            });
+        for (k, _) in root.as_object()? {
+            if !known.contains(&k.as_str()) {
+                let message = format!("unknown snapshot section `{k}`");
+                return Err(json::Error::Invalid(message));
+            }
         }
-        let section = |name: &str| -> Result<&[(String, Value)], ParseError> {
-            root.field(name)
-                .and_then(Value::as_object)
-                .ok_or_else(|| ParseError {
-                    message: format!("missing `{name}` object"),
-                    offset: 0,
-                })
+        let in_context = |what: &str, name: &str| {
+            let what = format!("{what} `{name}`");
+            move |e: json::Error| json::Error::Invalid(format!("{what}: {e}"))
         };
         let mut snapshot = MetricsSnapshot::default();
-        for (name, v) in section("counters")? {
-            let n = v.as_int().and_then(|n| u64::try_from(n).ok());
-            snapshot.counters.insert(
-                name.clone(),
-                n.ok_or_else(|| ParseError {
-                    message: format!("counter `{name}` is not a u64"),
-                    offset: 0,
-                })?,
-            );
+        for (name, v) in root.get("counters")?.as_object()? {
+            let value = v.as_int().map_err(in_context("counter", name))?;
+            snapshot.counters.insert(name.clone(), value);
         }
-        for (name, v) in section("gauges")? {
-            let n = v.as_int().and_then(|n| i64::try_from(n).ok());
-            snapshot.gauges.insert(
-                name.clone(),
-                n.ok_or_else(|| ParseError {
-                    message: format!("gauge `{name}` is not an i64"),
-                    offset: 0,
-                })?,
-            );
+        for (name, v) in root.get("gauges")?.as_object()? {
+            let value = v.as_int().map_err(in_context("gauge", name))?;
+            snapshot.gauges.insert(name.clone(), value);
         }
-        for (name, v) in section("histograms")? {
-            let ints = |field: &str| -> Result<Vec<u64>, ParseError> {
-                v.field(field)
-                    .and_then(Value::as_array)
-                    .map(|items| {
-                        items
-                            .iter()
-                            .map(|i| i.as_int().and_then(|n| u64::try_from(n).ok()))
-                            .collect::<Option<Vec<u64>>>()
-                    })
-                    .and_then(|o| o)
-                    .ok_or_else(|| ParseError {
-                        message: format!("histogram `{name}` lacks a u64 `{field}` array"),
-                        offset: 0,
-                    })
-            };
-            let bounds = ints("bounds")?;
-            let counts = ints("counts")?;
-            let sum = v
-                .field("sum")
-                .and_then(Value::as_int)
-                .and_then(|n| u64::try_from(n).ok())
-                .ok_or_else(|| ParseError {
-                    message: format!("histogram `{name}` lacks a u64 `sum`"),
-                    offset: 0,
-                })?;
-            if counts.len() != bounds.len() + 1 {
-                return Err(ParseError {
-                    message: format!(
-                        "histogram `{name}` has {} counts for {} bounds",
+        for (name, h) in root.get("histograms")?.as_object()? {
+            let read = || -> Result<HistogramSnapshot, json::Error> {
+                let ints = |key| -> Result<Vec<u64>, json::Error> {
+                    h.get(key)?.as_array()?.iter().map(Value::as_int).collect()
+                };
+                let (bounds, counts) = (ints("bounds")?, ints("counts")?);
+                if counts.len() != bounds.len() + 1 {
+                    return Err(json::Error::Invalid(format!(
+                        "{} counts for {} bounds",
                         counts.len(),
                         bounds.len()
-                    ),
-                    offset: 0,
-                });
-            }
-            snapshot.histograms.insert(
-                name.clone(),
-                HistogramSnapshot {
+                    )));
+                }
+                let sum = h.get("sum")?.as_int()?;
+                Ok(HistogramSnapshot {
                     bounds,
                     counts,
                     sum,
-                },
-            );
+                })
+            };
+            let histogram = read().map_err(in_context("histogram", name))?;
+            snapshot.histograms.insert(name.clone(), histogram);
         }
         Ok(snapshot)
     }
@@ -356,6 +315,32 @@ mod tests {
         .is_err());
         assert!(
             MetricsSnapshot::parse_json(r#"{"counters":{},"gauges":{},"histograms":{}}"#).is_ok()
+        );
+    }
+
+    /// Every count is an integer token: a float — even an integral one —
+    /// or a boolean where a count is due is an error, in every section.
+    #[test]
+    fn parse_rejects_non_integer_counts() {
+        for bad in [
+            r#"{"counters":{"c":1.5},"gauges":{},"histograms":{}}"#,
+            r#"{"counters":{"c":2.0},"gauges":{},"histograms":{}}"#,
+            r#"{"counters":{"c":true},"gauges":{},"histograms":{}}"#,
+            r#"{"counters":{"c":null},"gauges":{},"histograms":{}}"#,
+            r#"{"counters":{"c":18446744073709551616},"gauges":{},"histograms":{}}"#,
+            r#"{"counters":{},"gauges":{"g":-1e0},"histograms":{}}"#,
+            r#"{"counters":{},"gauges":{"g":false},"histograms":{}}"#,
+            r#"{"counters":{},"gauges":{},"histograms":{"h":{"bounds":[1.0],"counts":[0,0],"sum":0}}}"#,
+            r#"{"counters":{},"gauges":{},"histograms":{"h":{"bounds":[1],"counts":[0,true],"sum":0}}}"#,
+            r#"{"counters":{},"gauges":{},"histograms":{"h":{"bounds":[1],"counts":[0,0],"sum":0.5}}}"#,
+        ] {
+            assert!(MetricsSnapshot::parse_json(bad).is_err(), "{bad}");
+        }
+        let good = r#"{"counters":{"c":18446744073709551615},"gauges":{"g":-9223372036854775808},"histograms":{}}"#;
+        let parsed = MetricsSnapshot::parse_json(good).unwrap();
+        assert_eq!(
+            (parsed.counter("c"), parsed.gauge("g")),
+            (u64::MAX, i64::MIN)
         );
     }
 

@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use crate::json::write_string;
+use polygamy_json::write_str;
 
 #[derive(Default)]
 struct Collector {
@@ -84,7 +84,7 @@ impl Trace {
                 out.push(',');
             }
             out.push_str("{\"name\":");
-            write_string(&mut out, &s.name);
+            write_str(&mut out, &s.name);
             let _ = write!(out, ",\"ns\":{}}}", s.nanos);
         }
         out.push_str("],\"counters\":{");
@@ -92,7 +92,7 @@ impl Trace {
             if i > 0 {
                 out.push(',');
             }
-            write_string(&mut out, name);
+            write_str(&mut out, name);
             let _ = write!(out, ":{v}");
         }
         out.push_str("}}");

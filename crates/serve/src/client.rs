@@ -127,8 +127,8 @@ impl Client {
         }
         let text = String::from_utf8(frame.payload)
             .map_err(|_| ClientError::Protocol("hello payload is not UTF-8".into()))?;
-        let hello: Hello = serde_json::from_str(&text)
-            .map_err(|e| ClientError::Protocol(format!("hello payload is not valid JSON: {e}")))?;
+        let hello = Hello::from_json(&text)
+            .map_err(|e| ClientError::Protocol(format!("hello payload is invalid: {e}")))?;
         if hello.protocol != PROTOCOL_VERSION {
             return Err(ClientError::VersionMismatch {
                 server: hello.protocol,
@@ -196,9 +196,8 @@ impl Client {
             Some(FrameTag::Error) => {
                 let text = String::from_utf8(frame.payload)
                     .map_err(|_| ClientError::Protocol("error payload is not UTF-8".into()))?;
-                let err: WireError = serde_json::from_str(&text).map_err(|e| {
-                    ClientError::Protocol(format!("error payload is not valid JSON: {e}"))
-                })?;
+                let err = WireError::from_json(&text)
+                    .map_err(|e| ClientError::Protocol(format!("error payload is invalid: {e}")))?;
                 Ok(Response::Error(err))
             }
             _ => Err(ClientError::Protocol(format!(
@@ -206,5 +205,18 @@ impl Client {
                 frame.tag
             ))),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `metrics()` parses bytes a server sent, up to a whole frame of them:
+    /// a frame of nothing but `[` is a typed error, not a stack overflow.
+    #[test]
+    fn a_frame_of_open_brackets_is_no_snapshot() {
+        let deep = "[".repeat(MAX_FRAME_BYTES as usize);
+        assert!(MetricsSnapshot::parse_json(&deep).is_err());
     }
 }

@@ -11,9 +11,10 @@ use crate::coalesce::{CoalesceStats, Coalescer, Rejection};
 use crate::protocol::{
     write_frame, Frame, FrameError, FrameTag, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
+use polygamy_json as json;
 use polygamy_obs::{names, Counter, Gauge};
 use polygamy_store::{PqlOutcome, StoreSession};
-use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 use std::io::{self, Read, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -48,7 +49,7 @@ fn conn_metrics() -> &'static ConnMetrics {
 
 /// The server's JSON handshake, sent as the `H` frame payload on every
 /// accepted connection (`docs/serving.md` §7).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hello {
     /// [`PROTOCOL_VERSION`] of the serving build; clients reject a
     /// mismatch instead of guessing at frame semantics.
@@ -61,8 +62,41 @@ pub struct Hello {
     pub coalescing: bool,
 }
 
+impl Hello {
+    /// The `H` payload: `{"protocol","server","datasets","coalescing"}`,
+    /// in that order.
+    pub fn to_json(&self) -> String {
+        let mut out = format!("{{\"protocol\":{},\"server\":", self.protocol);
+        json::write_str(&mut out, &self.server);
+        out.push_str(",\"datasets\":[");
+        for (i, dataset) in self.datasets.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            json::write_str(&mut out, dataset);
+        }
+        let _ = write!(out, "],\"coalescing\":{}}}", self.coalescing);
+        out
+    }
+
+    /// Reads an `H` payload. Keys may come in any order and unknown keys
+    /// are ignored, so a newer server may add fields (§7); a missing key or
+    /// a value of the wrong type is an error.
+    pub fn from_json(text: &str) -> Result<Self, json::Error> {
+        let hello = json::parse(text)?;
+        Ok(Self {
+            protocol: hello.get("protocol")?.as_int()?,
+            server: hello.get("server")?.as_str()?.to_owned(),
+            datasets: (hello.get("datasets")?.as_array()?.iter())
+                .map(|d| d.as_str().map(str::to_owned))
+                .collect::<Result<_, _>>()?,
+            coalescing: hello.get("coalescing")?.as_bool()?,
+        })
+    }
+}
+
 /// The JSON payload of an `E` frame (`docs/serving.md` §6).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError {
     /// Machine-readable kind: `parse`, `query`, `bad-frame`,
     /// `overloaded`, `shutting-down` or `internal`.
@@ -78,6 +112,26 @@ impl WireError {
             error: kind.into(),
             message: message.into(),
         }
+    }
+
+    /// The `E` payload: `{"error","message"}`, in that order.
+    pub fn to_json(&self) -> String {
+        let mut out = String::from("{\"error\":");
+        json::write_str(&mut out, &self.error);
+        out.push_str(",\"message\":");
+        json::write_str(&mut out, &self.message);
+        out.push('}');
+        out
+    }
+
+    /// Reads an `E` payload, under the same rules as [`Hello::from_json`]:
+    /// any key order, unknown keys ignored, a missing key an error.
+    pub fn from_json(text: &str) -> Result<Self, json::Error> {
+        let error = json::parse(text)?;
+        Ok(Self {
+            error: error.get("error")?.as_str()?.to_owned(),
+            message: error.get("message")?.as_str()?.to_owned(),
+        })
     }
 }
 
@@ -207,9 +261,7 @@ impl Server {
             opts,
             draining: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
-            hello: serde_json::to_string(&hello)
-                .expect("hello serializes")
-                .into_bytes(),
+            hello: hello.to_json().into_bytes(),
             drain_started: Mutex::new(None),
         });
         let flusher_stop = Arc::new(AtomicBool::new(false));
@@ -436,8 +488,7 @@ fn send_error(stream: &mut TcpStream, err: &WireError) -> io::Result<()> {
     polygamy_obs::global()
         .counter(&format!("{}{}", names::SERVE_ERRORS_PREFIX, err.error))
         .inc();
-    let payload = serde_json::to_string(err).expect("wire errors serialize");
-    write_frame(stream, FrameTag::Error, payload.as_bytes())
+    write_frame(stream, FrameTag::Error, err.to_json().as_bytes())
 }
 
 /// Decrements the live-connection gauge and counts the close on every
@@ -661,7 +712,7 @@ mod tests {
             coalescing: true,
         };
         assert_eq!(
-            serde_json::to_string(&hello).unwrap(),
+            hello.to_json(),
             concat!(
                 r#"{"protocol":1,"server":"polygamy-serve 0.1.0","#,
                 r#""datasets":["gas-prices","taxi","weather"],"coalescing":true}"#,
@@ -672,11 +723,72 @@ mod tests {
             "line 1: expected `between`\n  betwen taxi\n  ^^^^^^ \"here\"",
         );
         assert_eq!(
-            serde_json::to_string(&error).unwrap(),
+            error.to_json(),
             concat!(
                 r#"{"error":"parse","message":"line 1: expected `between`\n"#,
                 r#"  betwen taxi\n  ^^^^^^ \"here\""}"#,
             )
         );
+        assert_eq!(Hello::from_json(&hello.to_json()), Ok(hello));
+        assert_eq!(WireError::from_json(&error.to_json()), Ok(error));
+    }
+
+    /// `docs/serving.md` §7: a client reads `H` and `E` payloads from
+    /// servers of other revisions, so key order does not matter and
+    /// unknown keys are skipped — but a payload missing a key it needs is
+    /// a typed error, not a default.
+    #[test]
+    fn handshake_payloads_tolerate_order_and_unknown_keys() {
+        let hello = Hello::from_json(
+            r#"{"coalescing":false,"shards":3,"datasets":["taxi"],"server":"x","build":{"id":[1]},"protocol":1}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            hello,
+            Hello {
+                protocol: 1,
+                server: "x".into(),
+                datasets: vec!["taxi".into()],
+                coalescing: false,
+            }
+        );
+        let error = WireError::from_json(r#"{"hint":"retry","message":"m","error":"query"}"#);
+        assert_eq!(error, Ok(WireError::new("query", "m")));
+
+        let missing = Hello::from_json(r#"{"protocol":1,"server":"x","datasets":[]}"#);
+        assert_eq!(missing, Err(json::Error::MissingKey("coalescing".into())));
+        let missing = WireError::from_json(r#"{"error":"parse"}"#);
+        assert_eq!(missing, Err(json::Error::MissingKey("message".into())));
+        for wrong in [
+            r#"{"protocol":"1","server":"x","datasets":[],"coalescing":true}"#,
+            r#"{"protocol":1.0,"server":"x","datasets":[],"coalescing":true}"#,
+            r#"{"protocol":-1,"server":"x","datasets":[],"coalescing":true}"#,
+            r#"{"protocol":1,"server":"x","datasets":[7],"coalescing":true}"#,
+            r#"{"protocol":1,"server":"x","datasets":[],"coalescing":1}"#,
+            r#"[]"#,
+        ] {
+            assert!(
+                matches!(Hello::from_json(wrong), Err(json::Error::Invalid(_))),
+                "{wrong}"
+            );
+        }
+    }
+
+    /// A `\u` surrogate pair in a payload is one character; a lone or
+    /// mismatched surrogate is an error, not a substituted character.
+    #[test]
+    fn handshake_surrogate_escapes_follow_one_rule() {
+        let hello = |server: &str| {
+            Hello::from_json(&format!(
+                r#"{{"protocol":1,"server":"{server}","datasets":[],"coalescing":true}}"#
+            ))
+        };
+        assert_eq!(hello(r"\uD83E\uDD80").unwrap().server, "🦀");
+        for lone in [r"\uD800\u0041", r"\uDD80", r"\uD83E"] {
+            assert!(
+                matches!(hello(lone), Err(json::Error::Syntax { .. })),
+                "{lone}"
+            );
+        }
     }
 }

@@ -8,12 +8,11 @@
 
 use crate::spatial::SpatialResolution;
 use crate::temporal::TemporalResolution;
-use serde::Serialize;
 use std::fmt;
 
 /// A (spatial, temporal) resolution pair, written `(temporal, spatial)` in
 /// the paper's prose (e.g. "(hour, city)").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Resolution {
     /// Spatial half.
     pub spatial: SpatialResolution,

@@ -7,7 +7,6 @@
 //! Hinnant's `days_from_civil` algorithm — exact over the full `i64` range we
 //! care about and free of external dependencies.
 
-use serde::Serialize;
 use std::fmt;
 
 /// Seconds since the Unix epoch (1970-01-01T00:00:00Z).
@@ -115,7 +114,7 @@ pub fn date_of(ts: Timestamp) -> CivilDate {
 /// Ordering is from finest (`Hour`) to coarsest (`Month`); note that `Week`
 /// and `Month` are *incompatible* with each other (neither nests in the
 /// other), which [`crate::resolution::ResolutionDag`] encodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TemporalResolution {
     /// Hourly buckets.
     Hour,
@@ -169,6 +168,17 @@ impl TemporalResolution {
             return 0;
         }
         (self.bucket_of(end - 1) - self.bucket_of(start) + 1) as usize
+    }
+
+    /// The variant's Rust name (`"Hour"`): how every JSON boundary writes
+    /// it.
+    pub fn name(self) -> &'static str {
+        match self {
+            TemporalResolution::Hour => "Hour",
+            TemporalResolution::Day => "Day",
+            TemporalResolution::Week => "Week",
+            TemporalResolution::Month => "Month",
+        }
     }
 
     /// Stable one-byte wire code for on-disk persistence. Codes are part of

@@ -51,7 +51,7 @@ use crate::error::StoreError;
 use crate::session::StoreSession;
 use polygamy_core::pql::{parse_batch, parse_query, to_pql, PqlError};
 use polygamy_core::query::RelationshipQuery;
-use polygamy_core::relationship::Relationship;
+use polygamy_core::relationship::{write_json_array, Relationship};
 use polygamy_obs::trace::{self, Trace};
 use std::fmt;
 
@@ -115,11 +115,13 @@ impl PqlOutcome {
     /// offline `polygamy-store query --json` output are both exactly this
     /// string, byte for byte.
     pub fn to_json(&self) -> String {
-        let query =
-            serde_json::to_string(&to_pql(&self.query)).expect("strings serialize infallibly");
-        let relationships =
-            serde_json::to_string(&self.relationships).expect("relationships serialize");
-        format!("{{\"query\":{query},\"relationships\":{relationships}}}")
+        let mut out = String::from("{\"query\":");
+        polygamy_json::write_str(&mut out, &to_pql(&self.query));
+        out.push_str(",\"relationships\":");
+        // Every measure is finite: τ ∈ [−1, 1], ρ and p ∈ [0, 1].
+        write_json_array(&mut out, &self.relationships).expect("relationships serialize");
+        out.push('}');
+        out
     }
 
     /// Renders the human-readable report the CLI and REPL print: a
@@ -270,13 +272,12 @@ mod tests {
             "{json}"
         );
         assert!(!json.contains('\n'), "{json}");
-        // The relationships array is the plain serde rendering, so the
-        // framework's byte-identity guarantees carry over verbatim.
+        // The relationships array is the framework's own rendering, so its
+        // byte-identity guarantees carry over verbatim.
+        let mut relationships = String::new();
+        write_json_array(&mut relationships, &outcome().relationships).unwrap();
         assert!(
-            json.ends_with(&format!(
-                "\"relationships\":{}}}",
-                serde_json::to_string(&outcome().relationships).unwrap()
-            )),
+            json.ends_with(&format!("\"relationships\":{relationships}}}")),
             "{json}"
         );
     }
@@ -353,6 +354,143 @@ mod tests {
                 r#""p_value":1.0,"significant":false}]}"#,
             )
         );
+    }
+
+    /// Every escape class — quote, backslash, the three named controls, a
+    /// `\u00XX` control, DEL (not escaped) — plus 2-, 3- and 4-byte UTF-8.
+    const PALETTE: [char; 14] = [
+        'a', 'Z', ' ', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', '\u{7f}', 'é', '→', '🦀',
+    ];
+
+    /// Floats whose rendering takes a branch of its own: signed zeros,
+    /// integral on both sides of the `.1` rule's 1e15 bound, subnormals,
+    /// NaN (written `null`).
+    const FLOATS: [f64; 12] = [
+        0.0,
+        -0.0,
+        1.0,
+        -3.0,
+        999_999_999_999_999.0,
+        1e15,
+        -1e15,
+        1.5e300,
+        5e-324,
+        2.2250738585072014e-308,
+        f64::NAN,
+        0.1,
+    ];
+
+    /// A name of 0–6 palette characters.
+    fn name(w: u64) -> String {
+        (0..w % 7)
+            .map(|k| PALETTE[(w >> (8 * k + 3)) as usize % PALETTE.len()])
+            .collect()
+    }
+
+    /// A relationship drawn from a stream of random words.
+    fn arbitrary_relationship(words: &mut impl Iterator<Item = u64>) -> Relationship {
+        let mut next = || words.next().unwrap_or(0);
+        let float = |w: u64| match w % 3 {
+            0 => FLOATS[(w >> 2) as usize % FLOATS.len()],
+            1 => Some(f64::from_bits(w))
+                .filter(|f| !f.is_infinite())
+                .unwrap_or(f64::NAN),
+            _ => (w >> 2) as i32 as f64 / 8.0,
+        };
+        let function = |dataset, function| FunctionRef { dataset, function };
+        let w = next();
+        Relationship {
+            left: function(name(next()), name(next())),
+            right: function(name(next()), name(next())),
+            resolution: Resolution::new(
+                [
+                    SpatialResolution::Gps,
+                    SpatialResolution::Zip,
+                    SpatialResolution::Neighborhood,
+                    SpatialResolution::City,
+                ][w as usize % 4],
+                TemporalResolution::ALL[(w >> 2) as usize % 4],
+            ),
+            class: FeatureClass::ALL[(w >> 4) as usize % 2],
+            measures: RelationshipMeasures {
+                n_pos: next() as usize,
+                n_neg: next() as usize,
+                n_left: next() as usize,
+                n_right: next() as usize,
+                score: float(next()),
+                strength: float(next()),
+            },
+            p_value: float(next()),
+            significant: w & 64 == 0,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(300))]
+
+        /// What `to_json` writes, `polygamy_json::parse` reads back field by
+        /// field: keys in declaration order, strings char for char, counts
+        /// exactly, floats bit for bit (NaN as `null`).
+        #[test]
+        fn json_rendering_parses_back_to_every_field(
+            words in proptest::collection::vec(0u64..u64::MAX, 1..100)
+        ) {
+            let mut words = words.iter().copied();
+            let count = words.next().unwrap_or(0) % 4;
+            let (a, b) = (name(words.next().unwrap_or(0)), name(words.next().unwrap_or(0)));
+            let outcome = PqlOutcome {
+                query: RelationshipQuery::between(&[&a], &[&b]),
+                relationships: (0..count).map(|_| arbitrary_relationship(&mut words)).collect(),
+                trace: None,
+            };
+            let root = polygamy_json::parse(&outcome.to_json()).unwrap();
+            let keys = |v: &polygamy_json::Value| -> Vec<String> {
+                v.as_object().unwrap().iter().map(|(k, _)| k.clone()).collect()
+            };
+            let text = |v: &polygamy_json::Value, key| v.get(key).unwrap().as_str().unwrap().to_owned();
+            let float = |v: &polygamy_json::Value, key| v.get(key).unwrap().as_f64().unwrap();
+            let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+            proptest::prop_assert_eq!(keys(&root), ["query", "relationships"]);
+            proptest::prop_assert_eq!(text(&root, "query"), to_pql(&outcome.query));
+            let parsed = root.get("relationships").unwrap().as_array().unwrap();
+            proptest::prop_assert_eq!(parsed.len(), outcome.relationships.len());
+            for (v, rel) in parsed.iter().zip(&outcome.relationships) {
+                proptest::prop_assert_eq!(
+                    keys(v),
+                    ["left", "right", "resolution", "class", "measures", "p_value", "significant"]
+                );
+                for (key, function) in [("left", &rel.left), ("right", &rel.right)] {
+                    let f = v.get(key).unwrap();
+                    proptest::prop_assert_eq!(keys(f), ["dataset", "function"]);
+                    proptest::prop_assert_eq!(&text(f, "dataset"), &function.dataset);
+                    proptest::prop_assert_eq!(&text(f, "function"), &function.function);
+                }
+                let resolution = v.get("resolution").unwrap();
+                proptest::prop_assert_eq!(keys(resolution), ["spatial", "temporal"]);
+                proptest::prop_assert_eq!(text(resolution, "spatial"), rel.resolution.spatial.name());
+                proptest::prop_assert_eq!(text(resolution, "temporal"), rel.resolution.temporal.name());
+                proptest::prop_assert_eq!(text(v, "class"), rel.class.name());
+                let m = v.get("measures").unwrap();
+                proptest::prop_assert_eq!(
+                    keys(m),
+                    ["n_pos", "n_neg", "n_left", "n_right", "score", "strength"]
+                );
+                let counts = ["n_pos", "n_neg", "n_left", "n_right"]
+                    .map(|key| m.get(key).unwrap().as_int::<usize>().unwrap());
+                let measures = &rel.measures;
+                proptest::prop_assert_eq!(
+                    counts,
+                    [measures.n_pos, measures.n_neg, measures.n_left, measures.n_right]
+                );
+                proptest::prop_assert!(same(float(m, "score"), measures.score));
+                proptest::prop_assert!(same(float(m, "strength"), measures.strength));
+                proptest::prop_assert!(same(float(v, "p_value"), rel.p_value));
+                proptest::prop_assert_eq!(
+                    v.get("significant").unwrap().as_bool().unwrap(),
+                    rel.significant
+                );
+            }
+        }
     }
 
     #[test]

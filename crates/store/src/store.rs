@@ -32,8 +32,9 @@ use crate::format::{BlobLoc, Header, Manifest, SegmentInfo, HEADER_LEN, VERSION}
 use crate::source::SegmentSource;
 use polygamy_core::index::{DatasetEntry, FunctionEntry, PolygamyIndex};
 use polygamy_core::{index_dataset, CityGeometry, Config};
+use polygamy_json::Value;
 use polygamy_obs::{names, Counter};
-use polygamy_stdata::{Dataset, Polygon, Resolution, SpatialPartition, SpatialResolution};
+use polygamy_stdata::{Dataset, Resolution, SpatialPartition, SpatialResolution};
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -382,49 +383,67 @@ pub(crate) fn encode_segment_groups(index: &PolygamyIndex) -> Vec<SegmentGroup> 
 
 /// Serialises the geometry blob (JSON payload inside the checksummed
 /// segment framing — polygon soup gains nothing from a binary codec and
-/// stays debuggable this way). Shared with [`crate::shard`], which embeds
-/// the identical blob in every shard file.
+/// stays debuggable this way): `{"zip","neighborhood","city"}`, each a
+/// [`SpatialPartition::write_json`] object or, for the optional two,
+/// `null`. Shared with [`crate::shard`], which embeds the identical blob
+/// in every shard file.
 pub(crate) fn encode_geometry(geometry: &CityGeometry) -> Result<Blob> {
-    serde_json::to_string(geometry)
-        .map(|json| Blob::encoded(json.into_bytes()))
-        .map_err(|e| StoreError::Corrupt(format!("geometry encode failed: {e}")))
+    let mut json = String::new();
+    write_geometry(&mut json, geometry)
+        .map_err(|e| StoreError::Corrupt(format!("geometry encode failed: {e}")))?;
+    Ok(Blob::encoded(json.into_bytes()))
 }
 
-/// Decodes the geometry blob. The derived `Deserialize` output is only a
-/// parse of untrusted text: every partition is rebuilt through
-/// [`Polygon::new`] and [`SpatialPartition::new`], which enforce what the
-/// executor indexes by (rings of ≥ 3 vertices, one adjacency list per
-/// polygon, neighbours in range) and re-derive the point-location grid
-/// from the polygons — the file's copy of the grid is ignored — and each
-/// partition must sit in the slot of its own resolution. For a geometry
-/// this crate wrote, the rebuilt value is the one that was saved.
+fn write_geometry(
+    out: &mut String,
+    geometry: &CityGeometry,
+) -> std::result::Result<(), polygamy_json::Error> {
+    let optional = |out: &mut String, partition: Option<&SpatialPartition>| match partition {
+        Some(partition) => partition.write_json(out),
+        None => {
+            out.push_str("null");
+            Ok(())
+        }
+    };
+    out.push_str("{\"zip\":");
+    optional(out, geometry.zip.as_ref())?;
+    out.push_str(",\"neighborhood\":");
+    optional(out, geometry.neighborhood.as_ref())?;
+    out.push_str(",\"city\":");
+    geometry.city.write_json(out)?;
+    out.push('}');
+    Ok(())
+}
+
+/// Decodes the geometry blob, untrusted text: every partition is read
+/// through [`SpatialPartition::from_json`], which builds it with the
+/// constructors that enforce what the executor indexes by (rings of ≥ 3
+/// vertices, one adjacency list per polygon, neighbours in range) and
+/// re-derives the point-location grid from the polygons — the file's copy
+/// of the grid is never read — and each partition must sit in the slot of
+/// its own resolution. For a geometry this crate wrote, the decoded value
+/// is the one that was saved.
 fn decode_geometry(bytes: &[u8]) -> Result<CityGeometry> {
     let corrupt = |e: &dyn std::fmt::Display| StoreError::Corrupt(format!("geometry: {e}"));
     let text = std::str::from_utf8(bytes).map_err(|_| corrupt(&"blob is not utf-8"))?;
-    let parsed: CityGeometry = serde_json::from_str(text).map_err(|e| corrupt(&e))?;
-    let rebuild = |slot: SpatialResolution, parsed: SpatialPartition| {
-        if parsed.resolution != slot {
-            let found = parsed.resolution;
+    let root = polygamy_json::parse(text).map_err(|e| corrupt(&e))?;
+    let slot = |key: &str| root.get(key).map_err(|e| corrupt(&e));
+    let read = |value: &Value, slot: SpatialResolution| {
+        let partition = SpatialPartition::from_json(value).map_err(|e| corrupt(&e))?;
+        if partition.resolution != slot {
+            let found = partition.resolution;
             return Err(corrupt(&format!("{slot} slot holds a {found} partition")));
         }
-        let polygons: Vec<Polygon> = parsed
-            .polygons
-            .into_iter()
-            .map(|p| Polygon::new(p.ring))
-            .collect::<std::result::Result<_, _>>()
-            .map_err(|e| corrupt(&e))?;
-        SpatialPartition::new(slot, polygons, parsed.adjacency).map_err(|e| corrupt(&e))
+        Ok(partition)
+    };
+    let optional = |key: &str, resolution| match slot(key)? {
+        Value::Null => Ok(None),
+        value => read(value, resolution).map(Some),
     };
     Ok(CityGeometry {
-        zip: parsed
-            .zip
-            .map(|p| rebuild(SpatialResolution::Zip, p))
-            .transpose()?,
-        neighborhood: parsed
-            .neighborhood
-            .map(|p| rebuild(SpatialResolution::Neighborhood, p))
-            .transpose()?,
-        city: rebuild(SpatialResolution::City, parsed.city)?,
+        zip: optional("zip", SpatialResolution::Zip)?,
+        neighborhood: optional("neighborhood", SpatialResolution::Neighborhood)?,
+        city: read(slot("city")?, SpatialResolution::City)?,
     })
 }
 
@@ -695,6 +714,7 @@ impl Write for BlockWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polygamy_stdata::{GeoPoint, Polygon};
 
     /// A 2 × 2 grid of unit squares with 4-adjacency.
     fn grid_partition(resolution: SpatialResolution) -> SpatialPartition {
@@ -722,9 +742,125 @@ mod tests {
         let (zip, decoded_zip) = (geometry.zip.unwrap(), decoded.zip.unwrap());
         assert_eq!(decoded_zip.adjacency, zip.adjacency);
         for p in [(0.5, 0.5), (1.5, 0.5), (0.5, 1.5), (1.5, 1.5), (9.0, 9.0)] {
-            let p = polygamy_stdata::GeoPoint::new(p.0, p.1);
+            let p = GeoPoint::new(p.0, p.1);
             assert_eq!(decoded_zip.locate(p), zip.locate(p));
         }
+    }
+
+    /// Coordinates that take a branch of the float rule each: signed
+    /// zeros, integral values on both sides of 1e15 (1e15 itself is
+    /// written as the integer token `1000000000000000`), a subnormal, NaN
+    /// (written `null`, read back as NaN).
+    const COORDINATES: [f64; 9] = [
+        0.0,
+        -0.0,
+        1.0,
+        -3.5,
+        999_999_999_999_999.0,
+        1e15,
+        5e-324,
+        0.1,
+        f64::NAN,
+    ];
+
+    /// A partition of 1–4 polygons with 3–5 vertices each and arbitrary
+    /// (one-sided, repeated, self-) neighbours, drawn from `words`.
+    fn arbitrary_partition(
+        words: &mut impl Iterator<Item = u64>,
+        resolution: SpatialResolution,
+    ) -> SpatialPartition {
+        let mut next = || words.next().unwrap_or(0);
+        let coordinate = |w: u64| match w % 3 {
+            0 => COORDINATES[(w >> 2) as usize % COORDINATES.len()],
+            _ => Some(f64::from_bits(w))
+                .filter(|f| f.is_finite())
+                .unwrap_or(0.5),
+        };
+        let n = 1 + next() as usize % 4;
+        let polygons = (0..n)
+            .map(|_| {
+                let ring = (0..3 + next() % 3)
+                    .map(|_| GeoPoint::new(coordinate(next()), coordinate(next())));
+                Polygon::new(ring.collect()).unwrap()
+            })
+            .collect();
+        let adjacency = (0..n)
+            .map(|_| {
+                (0..next() % 4)
+                    .map(|_| (next() % n as u64) as u32)
+                    .collect()
+            })
+            .collect();
+        SpatialPartition::new(resolution, polygons, adjacency).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(300))]
+
+        /// Encode → decode returns the geometry that was encoded: every
+        /// coordinate bit for bit, every adjacency list, and (since the
+        /// grid is re-derived from those) the same bytes again.
+        #[test]
+        fn geometry_decodes_to_what_was_encoded(
+            words in proptest::collection::vec(0u64..u64::MAX, 1..120)
+        ) {
+            let mut words = words.iter().copied();
+            let flags = words.next().unwrap_or(0);
+            let geometry = CityGeometry {
+                zip: (flags & 1 == 0)
+                    .then(|| arbitrary_partition(&mut words, SpatialResolution::Zip)),
+                neighborhood: (flags & 2 == 0)
+                    .then(|| arbitrary_partition(&mut words, SpatialResolution::Neighborhood)),
+                city: arbitrary_partition(&mut words, SpatialResolution::City),
+            };
+            let blob = encode_geometry(&geometry).unwrap();
+            let decoded = decode_geometry(&blob.bytes).unwrap();
+            proptest::prop_assert!(encode_geometry(&decoded).unwrap().bytes == blob.bytes);
+            let pairs = [
+                (geometry.zip.as_ref(), decoded.zip.as_ref()),
+                (geometry.neighborhood.as_ref(), decoded.neighborhood.as_ref()),
+                (Some(&geometry.city), Some(&decoded.city)),
+            ];
+            for (original, decoded) in pairs {
+                proptest::prop_assert_eq!(original.is_some(), decoded.is_some());
+                let (Some(original), Some(decoded)) = (original, decoded) else { continue };
+                proptest::prop_assert_eq!(decoded.resolution, original.resolution);
+                proptest::prop_assert_eq!(&decoded.adjacency, &original.adjacency);
+                let bits = |p: &SpatialPartition| -> Vec<(u64, u64)> {
+                    let points = p.polygons.iter().flat_map(|poly| &poly.ring);
+                    points.map(|v| (v.x.to_bits(), v.y.to_bits())).collect()
+                };
+                proptest::prop_assert_eq!(bits(decoded), bits(original));
+            }
+        }
+    }
+
+    /// The file's `grid` is written but never read: the key must be there,
+    /// but its value — here no grid at all — does not matter, because the
+    /// decoder re-derives the grid from the polygons, so a blob whose only
+    /// defect lies inside the grid decodes.
+    #[test]
+    fn a_grid_is_written_but_not_read() {
+        let geometry = CityGeometry::city_only(0.0, 0.0, 1.0, 1.0);
+        let blob = encode_geometry(&geometry).unwrap();
+        let text = String::from_utf8(blob.bytes.clone()).unwrap();
+        let grid = r#""grid":{"bbox":{"min":{"x":0.0,"y":0.0},"max":{"x":1.0,"y":1.0}},"nx":1,"ny":1,"cells":[[0]]}"#;
+        assert!(text.contains(grid), "{text}");
+        for garbage in [
+            r#""grid":"none""#,
+            r#""grid":{"nx":-1,"cells":[[7]]}"#,
+            r#""grid":null"#,
+        ] {
+            let decoded = decode_geometry(text.replace(grid, garbage).as_bytes()).unwrap();
+            assert_eq!(
+                encode_geometry(&decoded).unwrap().bytes,
+                blob.bytes,
+                "{garbage}"
+            );
+        }
+        let without = text.replace(&format!(",{grid}"), "");
+        let err = decode_geometry(without.as_bytes()).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
     }
 
     /// The bytes of the geometry boundary (`docs/store-format.md`): every

@@ -10,11 +10,10 @@ use crate::graph::DomainGraph;
 use crate::level_set::threshold_scan;
 use crate::merge_tree::MergeTree;
 use crate::threshold::SeasonalThresholds;
-use serde::Serialize;
 
 /// Salient vs extreme features — relationships are evaluated separately for
 /// each class (paper Section 5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeatureClass {
     /// Features beyond the persistence-derived salient thresholds.
     Salient,
@@ -31,6 +30,15 @@ impl FeatureClass {
         match self {
             FeatureClass::Salient => "salient",
             FeatureClass::Extreme => "extreme",
+        }
+    }
+
+    /// The variant's Rust name (`"Salient"`): how every JSON boundary
+    /// writes it.
+    pub fn name(self) -> &'static str {
+        match self {
+            FeatureClass::Salient => "Salient",
+            FeatureClass::Extreme => "Extreme",
         }
     }
 }

@@ -28,6 +28,7 @@
 //! naive path: the executor-level oracle for spatial domains.
 
 use polygamy_core::prelude::*;
+use polygamy_core::relationship::write_json_array;
 use polygamy_core::{
     evaluate_features, significance_test, DataPolygamy, Fnv1a, FunctionEntry, PermutationScheme,
 };
@@ -138,7 +139,9 @@ fn test_queries() -> Vec<RelationshipQuery> {
 }
 
 fn json(rels: &[Relationship]) -> String {
-    serde_json::to_string(rels).expect("relationships serialize")
+    let mut out = String::new();
+    write_json_array(&mut out, rels).expect("relationships serialize");
+    out
 }
 
 #[test]

@@ -13,6 +13,7 @@
 
 use polygamy_core::pql::{parse_batch, parse_query, to_pql, PqlErrorKind};
 use polygamy_core::prelude::*;
+use polygamy_core::relationship::write_json_array;
 use polygamy_core::significance::PermutationScheme;
 use polygamy_core::DataPolygamy;
 use polygamy_mapreduce::Cluster;
@@ -187,7 +188,9 @@ fn build_framework() -> DataPolygamy {
 }
 
 fn json(rels: &[Relationship]) -> String {
-    serde_json::to_string(rels).expect("relationships serialize")
+    let mut out = String::new();
+    write_json_array(&mut out, rels).expect("relationships serialize");
+    out
 }
 
 /// Every clause predicate, written once in PQL and once with the builder.
