@@ -12,12 +12,15 @@
 //!    threshold computation cost;
 //! 4. the store's word-wise blob checksum vs the byte-serial FNV-1a it
 //!    replaced in store format 2, over 1 MB;
-//! 5. the store's field codec (format 3) vs the raw `f64` words it
+//! 5. the store's field codec (format 4: a mask of the defined values,
+//!    then those values run-length coded) vs the raw `f64` words it
 //!    replaced, on three real fields of the urban corpus — a neighbourhood
 //!    density layer (sparse counts), a neighbourhood attribute layer
 //!    (mostly undefined reals) and a city-level attribute series (dense
 //!    reals, the incompressible case). Throughput is raw-side: 8 bytes
-//!    per value on every line;
+//!    per value on every line. Beside it the bit-vector codec (format 4)
+//!    vs the raw words of store format 3, over every feature vector of the
+//!    urban index (`bitvec_codec`), raw-side too;
 //! 6. one pool dispatch of 17, 287 and 858 unit-sized tasks (a cold pair,
 //!    an `explore_urban` query, a `serve_open` request) inline and on two
 //!    workers — the measurement behind the pool's inline floor
@@ -40,7 +43,9 @@ use polygamy_mapreduce::run_chunked_tasks;
 use polygamy_stats::permutation::GraphShifter;
 use polygamy_stats::quantile;
 use polygamy_stdata::{FunctionKind, Resolution, SpatialResolution, TemporalResolution};
-use polygamy_store::codec::{decode_field, encode_field, validate_field};
+use polygamy_store::codec::{
+    decode_bitvec, decode_field, encode_bitvec, encode_field, validate_field,
+};
 use polygamy_store::{LazyIndex, LoadFilter, Store, StoreSession};
 use polygamy_topology::{
     super_level_set, BitVec, DomainGraph, FeatureClass, FeatureSet, MergeTree,
@@ -271,6 +276,66 @@ fn bench_field_codec(c: &mut Criterion) {
     }
 }
 
+fn bench_bitvec_codec(c: &mut Criterion) {
+    let dp = urban_index(&["taxi", "weather", "collisions"]);
+    let index = dp.index().expect("index built");
+    let vectors: Vec<&BitVec> = (index.functions.iter())
+        .flat_map(|f| {
+            let fs = &f.features;
+            [
+                &fs.salient.pos,
+                &fs.salient.neg,
+                &fs.extreme.pos,
+                &fs.extreme.neg,
+            ]
+        })
+        .collect();
+    let encoded: Vec<Vec<u8>> = vectors.iter().map(|bv| encode_bitvec(bv)).collect();
+    let raw: Vec<Vec<u8>> = (vectors.iter())
+        .map(|bv| bv.words().iter().flat_map(|w| w.to_le_bytes()).collect())
+        .collect();
+    let mut group = c.benchmark_group("bitvec_codec");
+    group.throughput(Throughput::Bytes(raw.iter().map(|r| r.len() as u64).sum()));
+    group.bench_function("encode", |b| {
+        b.iter(|| {
+            vectors
+                .iter()
+                .map(|bv| encode_bitvec(bv).len())
+                .sum::<usize>()
+        })
+    });
+    group.bench_function("decode", |b| {
+        b.iter(|| {
+            let decode = |(bytes, bv): (&Vec<u8>, &&BitVec)| decode_bitvec(bytes, bv.len(), "v");
+            encoded
+                .iter()
+                .zip(&vectors)
+                .filter(|&p| decode(p).is_ok())
+                .count()
+        })
+    });
+    // What format 3 did with the same vectors: copy the words out; read
+    // them back in.
+    group.bench_function("raw_words_write", |b| {
+        b.iter(|| {
+            let bytes = |bv: &BitVec| bv.words().iter().flat_map(|w| w.to_le_bytes()).collect();
+            vectors.iter().map(|bv| bytes(bv)).collect::<Vec<Vec<u8>>>()
+        })
+    });
+    group.bench_function("raw_words_read", |b| {
+        b.iter(|| {
+            let words = |bytes: &Vec<u8>| {
+                let chunks = bytes.chunks_exact(8);
+                chunks
+                    .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
+                    .collect()
+            };
+            raw.iter().map(words).collect::<Vec<Vec<u64>>>()
+        })
+    });
+    group.finish();
+}
+
 fn bench_read_path(c: &mut Criterion) {
     let dp = urban_index(&["gas-prices", "taxi", "weather"]);
     let index = dp.index().expect("index built");
@@ -391,6 +456,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_index_vs_scan, bench_restricted_vs_naive_mc, bench_threshold_strategies,
-        bench_checksum, bench_field_codec, bench_read_path, bench_dispatch, bench_render
+        bench_checksum, bench_field_codec, bench_bitvec_codec, bench_read_path, bench_dispatch,
+        bench_render
 }
 criterion_main!(benches);

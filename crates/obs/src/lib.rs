@@ -162,6 +162,13 @@ pub mod names {
     /// Size of the field blobs those fields were encoded to — what the
     /// field codec left of `store.save.field_raw_bytes` (counter).
     pub const STORE_SAVE_FIELD_STORED_BYTES: &str = "store.save.field_stored_bytes";
+    /// Size the hot blobs encoded for store writes would have with their
+    /// four feature vectors as raw words: 8 bytes per word and 8 for the
+    /// bit count (counter).
+    pub const STORE_SAVE_HOT_RAW_BYTES: &str = "store.save.hot_raw_bytes";
+    /// Size of those hot blobs as written — what the bit-vector codec left
+    /// of `store.save.hot_raw_bytes` (counter).
+    pub const STORE_SAVE_HOT_STORED_BYTES: &str = "store.save.hot_stored_bytes";
     /// Prefix for per-shard fault counters in a sharded store:
     /// `store.shard.faults.<shard>` counts segment faults served by that
     /// shard file.
@@ -245,6 +252,8 @@ pub mod names {
         STORE_SAVE_WRITE_NS,
         STORE_SAVE_FIELD_RAW_BYTES,
         STORE_SAVE_FIELD_STORED_BYTES,
+        STORE_SAVE_HOT_RAW_BYTES,
+        STORE_SAVE_HOT_STORED_BYTES,
         STORE_SHARD_FAULTS_PREFIX,
         STORE_SHARD_BYTES_FETCHED_PREFIX,
         SERVE_CONNECTIONS_OPENED,

@@ -82,7 +82,7 @@ use polygamy_serve::{ServeOptions, Server};
 use polygamy_store::{
     execute_pql_batch, execute_pql_batch_traced, execute_pql_query, execute_pql_query_traced,
     is_sharded, merge_shards, save_sharded, shard_store, LazyIndex, LoadFilter, PqlServeError,
-    ShardCatalog, Store, StoreSession, SHARD_CATALOG_VERSION,
+    ShardCatalog, Store, StoreSession, SHARD_CATALOG_VERSION, VERSION,
 };
 use std::io::{BufRead, IsTerminal, Write};
 use std::process::ExitCode;
@@ -193,15 +193,25 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
             store.manifest().segments.len()
         );
     }
-    let (raw, stored) = (
-        count(names::STORE_SAVE_FIELD_RAW_BYTES),
-        count(names::STORE_SAVE_FIELD_STORED_BYTES),
-    );
+    let ratio = |raw, stored| {
+        let (raw, stored) = (count(raw), count(stored));
+        format!(
+            "{raw} → {stored} bytes (÷{:.1})",
+            raw as f64 / stored.max(1) as f64
+        )
+    };
     println!(
-        "  save: encode {:.0} ms, write {:.0} ms, fields {raw} → {stored} bytes (÷{:.1})",
+        "  save: encode {:.0} ms, write {:.0} ms, hot {}, fields {}",
         ms(names::STORE_SAVE_ENCODE_NS),
         ms(names::STORE_SAVE_WRITE_NS),
-        raw as f64 / stored.max(1) as f64,
+        ratio(
+            names::STORE_SAVE_HOT_RAW_BYTES,
+            names::STORE_SAVE_HOT_STORED_BYTES
+        ),
+        ratio(
+            names::STORE_SAVE_FIELD_RAW_BYTES,
+            names::STORE_SAVE_FIELD_STORED_BYTES
+        ),
     );
     Ok(())
 }
@@ -366,7 +376,8 @@ fn cmd_inspect_sharded(path: &str, verify: bool) -> Result<(), String> {
     let lazy = LazyIndex::open(path, &LoadFilter::all()).map_err(|e| e.to_string())?;
     let catalog = lazy.shard_catalog();
     println!(
-        "shard catalog {path}: format {SHARD_CATALOG_VERSION}, {} data set(s) over {} shard(s)",
+        "shard catalog {path}: format {SHARD_CATALOG_VERSION}, shard files store format {VERSION}, \
+         {} data set(s) over {} shard(s)",
         catalog.datasets.len(),
         catalog.n_shards()
     );

@@ -4,17 +4,21 @@
 //! patterns (NaN thresholds round-trip exactly); strings and sequences are
 //! length-prefixed. Enums travel as the stable one-byte wire codes exposed
 //! by `polygamy_stdata` — never as `#[derive]`d discriminants, which are an
-//! implementation detail of the Rust compiler. A function's scalar field —
-//! most of what an index would otherwise weigh — is the one structure that
-//! travels compressed: [`encode_field`] run-length codes its values,
-//! losslessly, as words or as varint counts.
+//! implementation detail of the Rust compiler. The two structures an index
+//! weighs travel compressed, losslessly: a bit vector as runs of all-zero
+//! and all-ones words between literal stretches (`enc_bitvec`), and a
+//! function's scalar field as a mask of its defined values followed by
+//! those values, run-length coded as words or as varint counts
+//! ([`encode_field`]).
 //!
 //! Decoding is total: any byte sequence either decodes to a valid structure
 //! or yields a typed [`StoreError`]. The decoder therefore checks every
 //! length against the remaining payload, validates enum codes, and verifies
-//! structural invariants (bit-vector word counts, field token lengths and
-//! value counts) that a crafted or corrupted payload could violate even
-//! with a matching checksum.
+//! structural invariants (bit-vector token lengths and padding bits, field
+//! token lengths and value counts) that a crafted or corrupted payload
+//! could violate even with a matching checksum; and it allocates at most a
+//! fixed multiple of the bytes it has consumed, growing a compressed
+//! vector token by token rather than from the length it declares.
 
 use crate::error::{Result, StoreError};
 use polygamy_core::index::FunctionEntry;
@@ -349,18 +353,181 @@ pub fn dec_spec(d: &mut Dec<'_>) -> Result<FunctionSpec> {
     })
 }
 
-fn enc_bitvec(e: &mut Enc, bv: &BitVec) {
-    e.usize(bv.len());
-    e.words(bv.words());
+/// Bit-vector token kinds, the low two bits of a token: a run of all-zero
+/// words, a run of all-ones words, a literal stretch of words. (3 is no
+/// kind.)
+const ZERO_RUN: u64 = 0;
+const ONES_RUN: u64 = 1;
+const LITERAL: u64 = 2;
+
+/// The most words one run token spells; the encoder splits longer runs.
+/// `LEB128(64 << 2 | kind)` is two bytes, so a decoded vector holds at most
+/// 256 bytes of words per byte of token (a one-byte token spells at most
+/// 31 words, 248 bytes) — the expansion bound every allocation made while
+/// decoding a hot blob goes back to.
+const MAX_RUN_WORDS: usize = 64;
+
+/// Encodes the `bits`-bit vector `words` (the [`BitVec`] word layout, every
+/// bit past `bits` clear):
+///
+/// ```text
+/// bitvec = LEB128(bits) token*
+/// token  = LEB128(len << 2 | 0)            `len` all-zero words
+///        | LEB128(len << 2 | 1)            `len` all-ones words
+///        | LEB128(len << 2 | 2) word{len}  a literal stretch, 8 bytes LE each
+/// ```
+///
+/// Chosen from the bits alone: every maximal run of all-zero or all-ones
+/// words is a run token — in tokens of at most [`MAX_RUN_WORDS`] — and
+/// everything between two runs is one literal stretch. A run of one word
+/// already pays: its token is a byte where the literal word is eight and
+/// the stretch it interrupts resumes for one header byte.
+fn enc_bitvec(e: &mut Enc, bits: usize, words: &[u64]) {
+    e.varint(bits as u64);
+    let mut rest = words;
+    while let Some(&first) = rest.first() {
+        let (len, kind) = if first == 0 || first == u64::MAX {
+            let run = rest.iter().take(MAX_RUN_WORDS).take_while(|&&w| w == first);
+            (run.count(), if first == 0 { ZERO_RUN } else { ONES_RUN })
+        } else {
+            let literal = rest.iter().position(|&w| w == 0 || w == u64::MAX);
+            (literal.unwrap_or(rest.len()), LITERAL)
+        };
+        e.varint((len as u64) << 2 | kind);
+        if kind == LITERAL {
+            e.words(&rest[..len]);
+        }
+        rest = &rest[len..];
+    }
 }
 
-fn dec_bitvec(d: &mut Dec<'_>) -> Result<BitVec> {
-    let len = d.usize()?;
-    // `words` bounds the word count by the payload before anything is
-    // allocated: each word is 8 payload bytes.
-    let words = d.words(len.div_ceil(64))?.collect();
-    BitVec::from_words(len, words)
-        .ok_or_else(|| StoreError::Corrupt("bit vector representation invariant violated".into()))
+/// Where [`walk_bitvec`] puts the words it reads: a vector for a decode, a
+/// count of set bits for a validation.
+trait WordSink {
+    /// `len` copies of `word` (all zeros or all ones).
+    fn run(&mut self, word: u64, len: usize);
+    /// A literal stretch, in order.
+    fn words(&mut self, words: impl Iterator<Item = u64>);
+    /// Set bits received so far.
+    fn ones(&self) -> usize;
+}
+
+impl WordSink for Vec<u64> {
+    fn run(&mut self, word: u64, len: usize) {
+        self.resize(self.len() + len, word);
+    }
+
+    fn words(&mut self, words: impl Iterator<Item = u64>) {
+        self.extend(words);
+    }
+
+    fn ones(&self) -> usize {
+        self.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
+
+/// The word sink of [`validate_field`]: counts, allocates nothing.
+struct CountOnes(usize);
+
+impl WordSink for CountOnes {
+    fn run(&mut self, word: u64, len: usize) {
+        self.0 += word.count_ones() as usize * len;
+    }
+
+    fn words(&mut self, words: impl Iterator<Item = u64>) {
+        self.0 += words.map(|w| w.count_ones() as usize).sum::<usize>();
+    }
+
+    fn ones(&self) -> usize {
+        self.0
+    }
+}
+
+/// Reads a bit vector's `LEB128(bits)` header and requires it to be
+/// `expected` — a shape the caller already holds — before any token is read.
+fn bitvec_header(d: &mut Dec<'_>, expected: usize, side: &str) -> Result<()> {
+    let bits = d.varint()?;
+    if bits != expected as u64 {
+        return Err(d.corrupt(&format!("{side} covers {bits} bits, expected {expected}")));
+    }
+    Ok(())
+}
+
+/// The one token walk over a bit vector of `bits` bits whose header was
+/// read, behind [`dec_bitvec`] and the field mask alike: the words reach
+/// `sink` token by token, never more than `bits.div_ceil(64)` of them, and
+/// a token is checked — kind, `len ≥ 1`, a run's `len ≤` [`MAX_RUN_WORDS`],
+/// the end of the vector, no bit set past `bits` — before anything of it
+/// is handed on. A sink that stores the words therefore grows only with
+/// bytes really consumed, whatever `bits` said.
+fn walk_bitvec(d: &mut Dec<'_>, bits: usize, sink: &mut impl WordSink) -> Result<()> {
+    let n_words = bits.div_ceil(64);
+    // Bits the last word may have set; a full last word may set all.
+    let last_mask = match bits % 64 {
+        0 => u64::MAX,
+        tail => (1u64 << tail) - 1,
+    };
+    let mut walked = 0usize;
+    while walked < n_words {
+        let token = d.varint()?;
+        let kind = token & 3;
+        let end = usize::try_from(token >> 2)
+            .ok()
+            .filter(|&len| len > 0 && (kind == LITERAL || len <= MAX_RUN_WORDS))
+            .and_then(|len| walked.checked_add(len))
+            .filter(|&end| end <= n_words)
+            .ok_or_else(|| {
+                d.corrupt("empty or overlong bit-vector token, or one past the vector's last word")
+            })?;
+        let len = end - walked;
+        let last = if end == n_words { last_mask } else { u64::MAX };
+        match kind {
+            ZERO_RUN => sink.run(0, len),
+            ONES_RUN if last == u64::MAX => sink.run(u64::MAX, len),
+            LITERAL => {
+                let raw = d.take(8 * len)?;
+                let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8"));
+                if word(&raw[raw.len() - 8..]) & !last != 0 {
+                    return Err(d.corrupt("bit vector sets a bit past its length"));
+                }
+                sink.words(raw.chunks_exact(8).map(word));
+            }
+            ONES_RUN => return Err(d.corrupt("bit vector sets a bit past its length")),
+            _ => return Err(d.corrupt("unknown bit-vector token kind 3")),
+        }
+        walked = end;
+    }
+    Ok(())
+}
+
+/// Decodes a bit vector that must hold exactly `bits` bits (see
+/// [`enc_bitvec`]) into `words`, an empty vector whose capacity the caller
+/// chose: none, and the words grow token by token (and are trimmed to
+/// their length at the end), so the vector never holds more than 256 bytes
+/// per byte consumed whatever its header declared; or `bits.div_ceil(64)`,
+/// a length an already decoded vector has spelled out.
+fn dec_bitvec(d: &mut Dec<'_>, bits: usize, side: &str, mut words: Vec<u64>) -> Result<BitVec> {
+    bitvec_header(d, bits, side)?;
+    walk_bitvec(d, bits, &mut words)?;
+    words.shrink_to_fit();
+    BitVec::from_words(bits, words)
+        .ok_or_else(|| d.corrupt("bit vector representation invariant violated"))
+}
+
+/// Encodes one bit vector as a hot blob carries each of its four.
+pub fn encode_bitvec(bv: &BitVec) -> Vec<u8> {
+    let mut e = Enc::new();
+    enc_bitvec(&mut e, bv.len(), bv.words());
+    e.into_bytes()
+}
+
+/// Decodes one bit vector of exactly `bits` bits from `bytes` and nothing
+/// else — what a hot blob's decoder does four times over.
+pub fn decode_bitvec(bytes: &[u8], bits: usize, what: &str) -> Result<BitVec> {
+    let mut d = Dec::new(bytes, what);
+    let bv = dec_bitvec(&mut d, bits, "bit vector", Vec::new())?;
+    d.finish()?;
+    Ok(bv)
 }
 
 fn enc_feature_sets(e: &mut Enc, fs: &FeatureSets) {
@@ -370,20 +537,31 @@ fn enc_feature_sets(e: &mut Enc, fs: &FeatureSets) {
         &fs.extreme.pos,
         &fs.extreme.neg,
     ] {
-        enc_bitvec(e, bv);
+        enc_bitvec(e, bv.len(), bv.words());
     }
 }
 
-fn dec_feature_sets(d: &mut Dec<'_>) -> Result<FeatureSets> {
+/// Decodes the four feature vectors of an entry with `n_vertices` vertices.
+/// The first grows token by token; once it stands, `n_vertices` is a length
+/// the bytes consumed have spelled out, and the other three are allocated
+/// at it in one go.
+fn dec_feature_sets(d: &mut Dec<'_>, n_vertices: usize) -> Result<FeatureSets> {
+    let salient_pos = dec_bitvec(d, n_vertices, "salient.pos", Vec::new())?;
+    let mut next = |side| {
+        let words = Vec::with_capacity(salient_pos.words().len());
+        dec_bitvec(d, n_vertices, side, words)
+    };
+    let salient_neg = next("salient.neg")?;
+    let extreme = FeatureSet {
+        pos: next("extreme.pos")?,
+        neg: next("extreme.neg")?,
+    };
     Ok(FeatureSets {
         salient: FeatureSet {
-            pos: dec_bitvec(d)?,
-            neg: dec_bitvec(d)?,
+            pos: salient_pos,
+            neg: salient_neg,
         },
-        extreme: FeatureSet {
-            pos: dec_bitvec(d)?,
-            neg: dec_bitvec(d)?,
-        },
+        extreme,
     })
 }
 
@@ -428,11 +606,12 @@ fn enc_seasonal(e: &mut Enc, s: &SeasonalThresholds) {
 }
 
 /// Decodes seasonal thresholds whose interval map must cover exactly
-/// `n_steps` steps. The caller has already bounded `n_steps` by the
-/// payload (the entry's bit vectors hold at least one bit per step), and
-/// the run lengths are summed — overflow-checked — and compared with it
-/// *before* the map is allocated, so the expansion is at most a fixed
-/// multiple of the blob's own length whatever the run lengths claim.
+/// `n_steps` steps. The caller has already bounded `n_steps` by what it
+/// decoded — the entry's four bit vectors, grown from the bytes consumed,
+/// hold at least one bit per step — and the run lengths are summed —
+/// overflow-checked — and compared with it *before* the map is allocated,
+/// so the map (8 bytes a step) is at most 16 times the bytes of those
+/// vectors whatever the run lengths claim.
 fn dec_seasonal(d: &mut Dec<'_>, n_steps: usize) -> Result<SeasonalThresholds> {
     let n_runs = d.seq_len(16)?;
     let mut words = d.words(n_runs * 2)?;
@@ -483,17 +662,16 @@ fn dec_seasonal(d: &mut Dec<'_>, n_steps: usize) -> Result<SeasonalThresholds> {
 /// bit pattern.
 const MODE_WORDS: u8 = 0;
 
-/// Field blob mode `counts`: a value is `LEB128(v + 1)`, `0` standing for
-/// the canonical NaN.
+/// Field blob mode `counts`: a value is `LEB128(v)`.
 const MODE_COUNTS: u8 = 1;
 
-/// The largest value mode `counts` represents; its code is `2³² + 1`.
+/// The largest value mode `counts` represents.
 const MAX_COUNT: u64 = 1 << 32;
 
-/// The one NaN mode `counts` represents, as code 0: the quiet NaN with an
-/// empty payload, which is what `f64::NAN` — the indexer's "no value" —
-/// is on every current target. Spelled out because the format must not
-/// move if that constant ever does (such fields would travel as `words`).
+/// The undefined value the mask leaves out: the quiet NaN with an empty
+/// payload, which is what `f64::NAN` — the indexer's "no value" — is on
+/// every current target. Spelled out because the format must not move if
+/// that constant ever does (such values would travel as `words`).
 const CANONICAL_NAN: u64 = 0x7FF8_0000_0000_0000;
 
 /// Shortest run of identical bit patterns the encoder writes as a run
@@ -502,53 +680,73 @@ const CANONICAL_NAN: u64 = 0x7FF8_0000_0000_0000;
 /// run that interrupts a literal stretch also costs the header of the
 /// stretch resuming after it, so a pair is left literal; on the urban
 /// benchmark corpus 3 stores 4,716,703 field bytes, 2 and 4 store 4,723,013
-/// and 4,755,259.
+/// and 4,755,259 (store format 3, before the mask took the NaN runs out).
 const MIN_RUN_WORDS: usize = 2;
 const MIN_RUN_COUNTS: usize = 3;
 
-/// The `counts` code of `v`: `0` for the canonical NaN, `v + 1` for a
-/// non-negative integer up to 2³² with a `+0` sign, `None` for every other
-/// bit pattern (−0.0, fractions, negatives, infinities, payload NaNs).
+/// True unless `v` is the canonical NaN: the field mask's bit for `v`.
+fn is_defined(v: f64) -> bool {
+    v.to_bits() != CANONICAL_NAN
+}
+
+/// The `counts` code of `v`: `v` itself for a non-negative integer up to
+/// 2³² with a `+0` sign, `None` for every other bit pattern (−0.0,
+/// fractions, negatives, infinities, NaNs).
 fn count_code(v: f64) -> Option<u64> {
-    let bits = v.to_bits();
-    if bits == CANONICAL_NAN {
-        return Some(0);
-    }
     // `as` saturates: negatives and NaNs land on 0, whose bit pattern
     // (+0.0) they do not share.
     let count = v as u64;
-    (count <= MAX_COUNT && (count as f64).to_bits() == bits).then(|| count + 1)
+    (count <= MAX_COUNT && (count as f64).to_bits() == v.to_bits()).then_some(count)
 }
 
-/// Encodes a field blob: the values, run-length coded, and nothing else —
-/// the shape lives in the entry's hot blob.
+/// Encodes a field blob: which values are defined, then the defined values
+/// run-length coded, and nothing else — the shape lives in the entry's hot
+/// blob.
 ///
 /// ```text
-/// blob    = mode token*
+/// blob    = mask mode token*
+/// mask    = bitvec (see `enc_bitvec`)      bit i set iff value i is not
+///                                           the canonical NaN
 /// mode    = 0x00 (words) | 0x01 (counts)
 /// token   = LEB128(len << 1 | 1) value          a run: `len` times `value`
 ///         | LEB128(len << 1 | 0) value{len}     a literal stretch
 /// value   = 8 bytes, the f64's bits, LE         in mode words
-///         | LEB128(0) for the canonical NaN,
-///           LEB128(v + 1) for the integer v     in mode counts
+///         | LEB128(v) for the integer v         in mode counts
 /// ```
 ///
-/// The mode is chosen from the values alone: `counts` iff every value is
-/// the canonical NaN or a non-negative integer ≤ 2³² with a `+0` sign (an
-/// urban density or unique-count layer at a fine resolution), else `words`
-/// — which holds every bit pattern there is, so nothing is ever lost, and
-/// which with no runs *is* the raw encoding plus a few header bytes. Runs
-/// are maximal runs of identical bit patterns of at least the mode's
-/// minimum length; everything between two runs is one literal stretch. The
-/// bytes are therefore a pure function of the values.
+/// The tokens spell the defined values only, in order: an undefined value
+/// costs its mask bit, and a stretch of defined values is never cut by the
+/// NaNs between them. The mode is chosen from those values alone: `counts`
+/// iff every one is a non-negative integer ≤ 2³² with a `+0` sign (an urban
+/// density or unique-count layer), else `words` — which holds every bit
+/// pattern there is, so nothing is ever lost, and which with no runs and no
+/// NaN *is* the raw encoding plus a few header bytes. Runs are maximal runs
+/// of identical bit patterns of at least the mode's minimum length;
+/// everything between two runs is one literal stretch. The bytes are
+/// therefore a pure function of the values.
 pub fn encode_field(values: &[f64]) -> Vec<u8> {
-    let counts = values.iter().all(|&v| count_code(v).is_some());
+    // One pass: a mask word per 64 values, and their defined values —
+    // copied whole where all are, skipped where none is.
+    let mut mask = Vec::with_capacity(values.len().div_ceil(64));
+    let mut defined = Vec::with_capacity(values.len());
+    for chunk in values.chunks(64) {
+        let word = (chunk.iter().enumerate())
+            .fold(0u64, |word, (i, &v)| word | u64::from(is_defined(v)) << i);
+        if word.count_ones() as usize == chunk.len() {
+            defined.extend_from_slice(chunk);
+        } else if word != 0 {
+            defined.extend(chunk.iter().copied().filter(|&v| is_defined(v)));
+        }
+        mask.push(word);
+    }
+    let counts = defined.iter().all(|&v| count_code(v).is_some());
     let (mode, min_run) = if counts {
         (MODE_COUNTS, MIN_RUN_COUNTS)
     } else {
         (MODE_WORDS, MIN_RUN_WORDS)
     };
     let mut e = Enc::new();
+    enc_bitvec(&mut e, values.len(), &mask);
     e.u8(mode);
     let value = |e: &mut Enc, v: f64| match count_code(v) {
         Some(code) if counts => e.varint(code),
@@ -569,30 +767,30 @@ pub fn encode_field(values: &[f64]) -> Vec<u8> {
         }
     };
     let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
-    // `values[..written]` is encoded; `values[scanned]` starts a maximal
+    // `defined[..written]` is encoded; `defined[scanned]` starts a maximal
     // run, and no run from `written` up to it is long enough for a token.
     let (mut written, mut scanned) = (0, 0);
-    while let Some(pair) = values[scanned..].windows(2).position(|w| same(w[0], w[1])) {
+    while let Some(pair) = defined[scanned..].windows(2).position(|w| same(w[0], w[1])) {
         let start = scanned + pair;
-        let first = values[start];
-        let len = 2 + values[start + 2..]
+        let first = defined[start];
+        let len = 2 + defined[start + 2..]
             .iter()
             .take_while(|&&v| same(v, first))
             .count();
         if len >= min_run {
-            literal(&mut e, &values[written..start]);
+            literal(&mut e, &defined[written..start]);
             e.varint((len as u64) << 1 | 1);
             value(&mut e, first);
             written = start + len;
         }
         scanned = start + len;
     }
-    literal(&mut e, &values[written..]);
+    literal(&mut e, &defined[written..]);
     e.into_bytes()
 }
 
-/// Where [`walk_field`] puts the values it reads: a vector for a decode,
-/// nowhere for a validation.
+/// Where [`walk_field`] puts the defined values it reads: a vector for a
+/// decode, nowhere for a validation.
 trait FieldSink {
     /// `len` copies of `v`.
     fn run(&mut self, v: f64, len: usize);
@@ -612,14 +810,11 @@ impl FieldSink for Vec<f64> {
     }
 
     fn codes(&mut self, codes: &[u8]) {
-        self.extend(codes.iter().map(|&code| match code {
-            0 => f64::from_bits(CANONICAL_NAN),
-            code => f64::from(code - 1),
-        }));
+        self.extend(codes.iter().map(|&code| f64::from(code)));
     }
 }
 
-/// The sink of [`validate_field`]: every check, no output.
+/// The value sink of [`validate_field`]: every check, no output.
 struct NoOutput;
 
 impl FieldSink for NoOutput {
@@ -628,40 +823,44 @@ impl FieldSink for NoOutput {
     fn codes(&mut self, _: &[u8]) {}
 }
 
-/// The one token walk over a field blob, behind [`decode_field`] (which
-/// documents its checks) and [`validate_field`] alike: the values reach
-/// `sink` in order, never more than `n_vertices` of them whatever the blob
-/// claims — a token is checked against the shape before anything of it is
-/// handed on.
+/// The one walk over a field blob, behind [`decode_field`] (which documents
+/// its checks) and [`validate_field`] alike: the mask's words reach `mask`
+/// and then the defined values reach `values`, in order, never more of
+/// either than the shape allows whatever the blob claims — the mask must
+/// cover exactly `n_vertices` bits, and a value token is checked against
+/// the mask's count of set bits before anything of it is handed on.
 fn walk_field(
     bytes: &[u8],
     n_vertices: usize,
     what: &str,
-    sink: &mut impl FieldSink,
+    mask: &mut impl WordSink,
+    values: &mut impl FieldSink,
 ) -> Result<()> {
     let mut d = Dec::new(bytes, what);
+    bitvec_header(&mut d, n_vertices, "mask")?;
+    walk_bitvec(&mut d, n_vertices, mask)?;
+    let n_defined = mask.ones();
     let counts = match d.u8()? {
         MODE_WORDS => false,
         MODE_COUNTS => true,
         mode => return Err(d.corrupt(&format!("unknown field mode {mode}"))),
     };
     let count = |d: &mut Dec<'_>| match d.varint()? {
-        0 => Ok(f64::from_bits(CANONICAL_NAN)),
-        code if code <= MAX_COUNT + 1 => Ok((code - 1) as f64),
-        code => Err(d.corrupt(&format!("count code {code} out of range"))),
+        code if code <= MAX_COUNT => Ok(code as f64),
+        code => Err(d.corrupt(&format!("count {code} out of range"))),
     };
     let mut walked = 0usize;
-    while walked < n_vertices {
+    while walked < n_defined {
         let token = d.varint()?;
         let end = usize::try_from(token >> 1)
             .ok()
             .filter(|&len| len > 0)
             .and_then(|len| walked.checked_add(len))
-            .filter(|&end| end <= n_vertices)
-            .ok_or_else(|| d.corrupt("empty token, or one past the entry's last vertex"))?;
+            .filter(|&end| end <= n_defined)
+            .ok_or_else(|| d.corrupt("empty token, or one past the mask's last defined value"))?;
         if token & 1 == 1 {
             let v = if counts { count(&mut d)? } else { d.f64()? };
-            sink.run(v, end - walked);
+            values.run(v, end - walked);
         } else if counts {
             // A literal stretch of counts is mostly one-byte codes, taken
             // in bulk; each longer code between them goes the checked way
@@ -669,47 +868,86 @@ fn walk_field(
             let mut left = end - walked;
             while left > 0 {
                 let short = d.one_byte_varints(left);
-                sink.codes(short);
+                values.codes(short);
                 left -= short.len();
                 if left > 0 {
-                    sink.run(count(&mut d)?, 1);
+                    values.run(count(&mut d)?, 1);
                     left -= 1;
                 }
             }
         } else {
-            sink.words(d.words(end - walked)?);
+            values.words(d.words(end - walked)?);
         }
         walked = end;
     }
     d.finish()
 }
 
+/// Moves the defined values — `values`, in order — onto the set bits of
+/// `mask` and fills every other slot of `n_vertices` with the canonical
+/// NaN: in place, from the back, so a value is read before its slot is
+/// written. Stops early where everything below is defined and therefore
+/// already in place.
+fn spread_over_mask(values: &mut Vec<f64>, mask: &[u64], n_vertices: usize) {
+    let nan = f64::from_bits(CANONICAL_NAN);
+    // `values[..next]` are the defined values not yet placed.
+    let mut next = values.len();
+    values.resize(n_vertices, nan);
+    for (w, &word) in mask.iter().enumerate().rev() {
+        let start = 64 * w;
+        let end = (start + 64).min(n_vertices);
+        if next == end {
+            break;
+        }
+        if word == 0 {
+            values[start..end].fill(nan);
+        } else if word == u64::MAX {
+            values.copy_within(next - 64..next, start);
+            next -= 64;
+        } else {
+            for i in (start..end).rev() {
+                values[i] = if word >> (i - start) & 1 == 1 {
+                    next -= 1;
+                    values[next]
+                } else {
+                    nan
+                };
+            }
+        }
+    }
+}
+
 /// Decodes a field blob (see [`encode_field`]) that must hold exactly
 /// `n_vertices` values.
 ///
 /// A field blob carries no shape and, run-length coded, its length says
-/// nothing about its value count, so every check is in the token walk: an
-/// unknown mode, a zero-length token, a varint over 10 bytes or 64 bits, a
-/// `counts` code above 2³² + 1, a token reaching past `n_vertices`
-/// (checked, overflow included, before anything is written), a stream
-/// ending short of `n_vertices` and bytes after the last token are each
-/// [`StoreError::Corrupt`]. The one allocation is `n_vertices` values — a
+/// nothing about its value count, so every check is in the walk: a mask
+/// whose header is not `n_vertices` bits, every bit-vector check (see
+/// `walk_bitvec`), an unknown mode, a zero-length token, a varint over 10
+/// bytes or 64 bits, a `counts` value above 2³², a token reaching past the
+/// mask's count of defined values (checked, overflow included, before
+/// anything is written), a stream ending short of that count and bytes
+/// after the last token are each [`StoreError::Corrupt`]. The mask's words
+/// grow token by token; the values are one allocation of `n_vertices` — a
 /// number the caller took from an already decoded hot blob whose four bit
 /// vectors hold a bit per vertex, so it is at most 16 bytes per byte of
-/// that blob whatever this one claims.
+/// those vectors whatever this blob claims.
 pub fn decode_field(bytes: &[u8], n_vertices: usize, what: &str) -> Result<Vec<f64>> {
+    let mut mask = Vec::new();
     let mut values = Vec::with_capacity(n_vertices);
-    walk_field(bytes, n_vertices, what, &mut values)?;
+    walk_field(bytes, n_vertices, what, &mut mask, &mut values)?;
+    spread_over_mask(&mut values, &mask, n_vertices);
     Ok(values)
 }
 
 /// Checks that a field blob decodes to exactly `n_vertices` values without
-/// producing them: the token walk of [`decode_field`] — one function, so
-/// every check it makes and the same typed errors — with nowhere to put a
-/// value, allocating nothing. What an eager open runs over every field
-/// blob it leaves encoded.
+/// producing them: the walk of [`decode_field`] — one function, so every
+/// check it makes and the same typed errors — counting the mask's bits
+/// instead of keeping them and with nowhere to put a value, allocating
+/// nothing. What an eager open runs over every field blob it leaves
+/// encoded.
 pub fn validate_field(bytes: &[u8], n_vertices: usize, what: &str) -> Result<()> {
-    walk_field(bytes, n_vertices, what, &mut NoOutput)
+    walk_field(bytes, n_vertices, what, &mut CountOnes(0), &mut NoOutput)
 }
 
 /// Encodes one function entry as its two blobs: the *hot* blob every
@@ -722,17 +960,28 @@ pub fn validate_field(bytes: &[u8], n_vertices: usize, what: &str) -> Result<()>
 /// renumber data sets by rewriting only the manifest while copying blob
 /// bytes verbatim.
 pub fn encode_function_segment(entry: &FunctionEntry) -> (Vec<u8>, Option<Vec<u8>>) {
+    let field = entry.field.as_ref().map(|f| encode_field(&f.values));
+    (encode_hot(entry).0, field)
+}
+
+/// Encodes `entry`'s hot blob, and returns with it the length the blob
+/// would have with its four feature vectors as raw words — 8 bytes for the
+/// bit count and 8 per word, the store format 3 layout — which is what
+/// `store.save.hot_raw_bytes` counts.
+pub(crate) fn encode_hot(entry: &FunctionEntry) -> (Vec<u8>, usize) {
     let mut e = Enc::new();
     enc_spec(&mut e, &entry.spec);
     enc_resolution(&mut e, entry.resolution);
     e.usize(entry.n_regions);
     e.i64(entry.start_bucket);
     e.usize(entry.n_steps);
+    let before = e.len();
     enc_feature_sets(&mut e, &entry.features);
+    let coded = e.len() - before;
     enc_seasonal(&mut e, &entry.thresholds);
     e.usize(entry.tree_nodes);
-    let field = entry.field.as_ref().map(|f| encode_field(&f.values));
-    (e.into_bytes(), field)
+    let raw_len = e.len() - coded + 4 * 8 + entry.features.approx_bytes();
+    (e.into_bytes(), raw_len)
 }
 
 /// Decodes one function entry from its hot blob and, when the caller
@@ -751,27 +1000,16 @@ pub fn decode_function_segment(
     let n_regions = d.usize()?;
     let start_bucket = d.i64()?;
     let n_steps = d.usize()?;
-    let features = dec_feature_sets(&mut d)?;
-    // With at least one region, four decoded bit vectors of `n_vertices`
-    // bits bound `n_steps` by eight times the blob's length — the bound
-    // `dec_seasonal` and the field decoder allocate under.
     let n_vertices = n_regions
         .checked_mul(n_steps)
         .filter(|_| n_regions >= 1)
         .ok_or_else(|| StoreError::Corrupt(format!("{what}: impossible entry shape")))?;
-    for (side, bv) in [
-        ("salient.pos", &features.salient.pos),
-        ("salient.neg", &features.salient.neg),
-        ("extreme.pos", &features.extreme.pos),
-        ("extreme.neg", &features.extreme.neg),
-    ] {
-        if bv.len() != n_vertices {
-            return Err(StoreError::Corrupt(format!(
-                "{what}: {side} covers {} vertices, expected {n_vertices}",
-                bv.len()
-            )));
-        }
-    }
+    // The chain of bounds every later allocation stands on: each vector
+    // must declare `n_vertices` bits and grows only token by token, so once
+    // the four are decoded `n_vertices` is a number 256 bytes per byte
+    // consumed have spelled out — and `dec_seasonal` (8 bytes a step) and
+    // the field decoder (8 bytes a vertex) allocate under it.
+    let features = dec_feature_sets(&mut d, n_vertices)?;
     let thresholds = dec_seasonal(&mut d, n_steps)?;
     let tree_nodes = d.usize()?;
     d.finish()?;
@@ -986,14 +1224,94 @@ mod tests {
         e.into_bytes()
     }
 
-    /// Round trip of one field: decode(encode(f)) has f's bit patterns and
-    /// encoding is repeatable. Returns the blob.
+    /// Round trip of one bit vector: it decodes to its words, re-encodes
+    /// to the same bytes and is validated by the counting walk. Returns
+    /// the bytes.
+    fn bitvec_roundtrip(bv: &BitVec) -> Vec<u8> {
+        let bytes = encode_bitvec(bv);
+        assert_eq!(&decode_bitvec(&bytes, bv.len(), "test").unwrap(), bv);
+        let mut d = Dec::new(&bytes, "test");
+        let mut ones = CountOnes(0);
+        bitvec_header(&mut d, bv.len(), "test").unwrap();
+        walk_bitvec(&mut d, bv.len(), &mut ones).unwrap();
+        assert_eq!(ones.ones(), bv.count_ones());
+        bytes
+    }
+
+    fn bitvec_of(len: usize, set: impl IntoIterator<Item = usize>) -> BitVec {
+        let mut bv = BitVec::zeros(len);
+        set.into_iter().for_each(|i| bv.set(i));
+        bv
+    }
+
+    /// The worked examples of docs/store-format.md § bit vectors: a bit
+    /// vector's bytes are pinned and change only together with
+    /// [`crate::format::VERSION`].
+    #[test]
+    fn bitvec_encoding_bytes_are_pinned() {
+        // No bits: the header alone.
+        assert_eq!(bitvec_roundtrip(&BitVec::zeros(0)), [0x00]);
+        // One set bit: a literal word.
+        assert_eq!(
+            bitvec_roundtrip(&bitvec_of(3, [1])),
+            [0x03, 0x06, 0x02, 0, 0, 0, 0, 0, 0, 0]
+        );
+        // 200 zero words, then 130 set bits from bit 12,800: a zero run
+        // split at 64 words, a ones run of two and a literal partial word.
+        assert_eq!(
+            bitvec_roundtrip(&bitvec_of(12_930, 12_800..12_930)),
+            [
+                0x82, 0x65, // 12,930 bits
+                0x80, 0x02, 0x80, 0x02, 0x80, 0x02, 0x20, // 64 + 64 + 64 + 8 zero words
+                0x09, // 2 ones words
+                0x06, 0x03, 0, 0, 0, 0, 0, 0, 0, // literal: bits 12,928 and 12,929
+            ]
+        );
+    }
+
+    #[test]
+    fn bitvec_decoder_rejects_what_no_vector_is() {
+        let decode = |bytes: &[u8], bits: usize| decode_bitvec(bytes, bits, "test");
+        let corrupt =
+            |bytes: &[u8], bits: usize| matches!(decode(bytes, bits), Err(StoreError::Corrupt(_)));
+        assert!(decode(&[0x40, 0x05], 64).is_ok());
+        // Another length than the shape's, before any token is read.
+        assert!(corrupt(&[0x41, 0x05], 64));
+        // A ones run over a partial last word sets bits past the length...
+        assert!(corrupt(&[0x3F, 0x05], 63));
+        // ...and so does a literal word with its top bit set.
+        let top = [[0x3F, 0x06].as_slice(), &(1u64 << 63).to_le_bytes()].concat();
+        assert!(corrupt(&top, 63));
+        // Kind 3; an empty run; a run of 65 words; a token past the end; a
+        // literal stretch the payload does not hold; a stream ending early.
+        assert!(corrupt(&[0x40, 0x07], 64));
+        assert!(corrupt(&[0x40, 0x00], 64));
+        assert!(corrupt(&[0xC1, 0x20, 0x84, 0x02], 4_161));
+        assert!(corrupt(&[0x40, 0x08], 64));
+        assert!(corrupt(&[0x80, 0x01, 0x0A, 0, 0, 0, 0, 0, 0, 0, 1], 128));
+        assert!(corrupt(&[0x80, 0x01, 0x04], 128));
+        // Bytes after the vector belong to the caller, who refuses them.
+        assert!(corrupt(&[0x40, 0x05, 0x00], 64));
+    }
+
+    /// Round trip of one field: decode(encode(f)) has f's bit patterns,
+    /// encoding is repeatable and validation agrees. Returns the blob.
     fn field_roundtrip(values: &[f64]) -> Vec<u8> {
         let blob = encode_field(values);
         let back = decode_field(&blob, values.len(), "test field").unwrap();
         assert_eq!(bits(&back), bits(values));
         assert_eq!(encode_field(values), blob);
+        validate_field(&blob, values.len(), "test field").unwrap();
         blob
+    }
+
+    /// The mode byte of a field blob of `n` values: the byte after its
+    /// mask.
+    fn mode_of(blob: &[u8], n: usize) -> u8 {
+        let mut d = Dec::new(blob, "test");
+        bitvec_header(&mut d, n, "mask").unwrap();
+        walk_bitvec(&mut d, n, &mut CountOnes(0)).unwrap();
+        d.u8().unwrap()
     }
 
     /// The worked examples of docs/store-format.md § the field blob: the
@@ -1002,22 +1320,28 @@ mod tests {
     #[test]
     fn field_encoding_bytes_are_pinned() {
         let nan = f64::NAN;
-        // Mode counts: a run of NaN, a run of zeros, a literal stretch.
+        // Mode counts: four NaN in the mask, a run of zeros, a literal
+        // stretch.
         assert_eq!(
             field_roundtrip(&[nan, nan, nan, nan, 0.0, 0.0, 0.0, 2.0, 0.0, 300.0]),
-            [0x01, 0x09, 0x00, 0x07, 0x01, 0x06, 0x03, 0x01, 0xAD, 0x02]
+            [
+                0x0A, 0x06, 0xF0, 0x03, 0, 0, 0, 0, 0, 0,    // mask: 10 bits, 0b11_1111_0000
+                0x01, // counts
+                0x07, 0x00, // 3 × 0
+                0x06, 0x02, 0x00, 0xAC, 0x02, // 2, 0, 300
+            ]
         );
-        // Mode counts ends at 2³²: its code, 2³² + 1, is the largest.
+        // Mode counts ends at 2³².
         assert_eq!(
             field_roundtrip(&[4_294_967_296.0]),
-            [0x01, 0x02, 0x81, 0x80, 0x80, 0x80, 0x10]
+            [0x01, 0x06, 0x01, 0, 0, 0, 0, 0, 0, 0, 0x01, 0x02, 0x80, 0x80, 0x80, 0x80, 0x10]
         );
-        // Mode words: two values are a run, −0.0 keeps its sign.
+        // Mode words: the NaNs are the mask's, −0.0 keeps its sign.
         assert_eq!(
             field_roundtrip(&[nan, nan, 1.5, -0.0]),
             [
+                0x04, 0x06, 0x0C, 0, 0, 0, 0, 0, 0, 0,    // mask: 4 bits, 0b1100
                 0x00, // words
-                0x05, 0, 0, 0, 0, 0, 0, 0xF8, 0x7F, // 2 × NaN
                 0x04, 0, 0, 0, 0, 0, 0, 0xF8, 0x3F, 0, 0, 0, 0, 0, 0, 0, 0x80, // 1.5, −0.0
             ]
         );
@@ -1025,10 +1349,25 @@ mod tests {
         assert_eq!(
             field_roundtrip(&[0.0, 0.0, 0.0, 0.5, 0.0, 0.0]),
             [
+                0x06, 0x06, 0x3F, 0, 0, 0, 0, 0, 0, 0,    // mask: 6 bits, all set
                 0x00, // words
                 0x07, 0, 0, 0, 0, 0, 0, 0, 0, // 3 × 0.0
                 0x02, 0, 0, 0, 0, 0, 0, 0xE0, 0x3F, // 0.5
                 0x05, 0, 0, 0, 0, 0, 0, 0, 0, // 2 × 0.0
+            ]
+        );
+        // A sparse layer: 64 NaN, 64 sevens, 8 NaN — 9 bytes for 136 values.
+        let sparse: Vec<f64> = [[nan; 64], [7.0; 64]]
+            .concat()
+            .into_iter()
+            .chain([nan; 8])
+            .collect();
+        assert_eq!(
+            field_roundtrip(&sparse),
+            [
+                0x88, 0x01, 0x04, 0x05, 0x04, // mask: 136 bits, zero · ones · zero word
+                0x01, // counts
+                0x81, 0x01, 0x07, // 64 × 7
             ]
         );
     }
@@ -1036,23 +1375,34 @@ mod tests {
     #[test]
     fn field_roundtrip_fixed_shapes() {
         let nan = f64::NAN;
-        // Empty: the mode byte alone (every value of no values is a count).
-        assert_eq!(field_roundtrip(&[]), [MODE_COUNTS]);
-        assert_eq!(field_roundtrip(&[7.0]), [MODE_COUNTS, 0x02, 0x08]);
-        assert_eq!(field_roundtrip(&[-7.0]).len(), 1 + 1 + 8);
-        // All-NaN and all-equal: one run, whatever the length.
+        // Empty: an empty mask and the mode byte (every value of no values
+        // is a count).
+        assert_eq!(field_roundtrip(&[]), [0x00, MODE_COUNTS]);
+        assert_eq!(field_roundtrip(&[7.0]).len(), 10 + 1 + 2);
+        assert_eq!(field_roundtrip(&[-7.0]).len(), 10 + 1 + 1 + 8);
+        // All-NaN: a mask of one zero run and no values, whatever the
+        // length; all-equal: a mask of ones and one value run.
         assert_eq!(
             field_roundtrip(&[nan; 1_000]),
-            [MODE_COUNTS, 0xD1, 0x0F, 0x00]
+            [0xE8, 0x07, 0x40, MODE_COUNTS]
         );
-        assert_eq!(field_roundtrip(&[0.25; 1_000]).len(), 1 + 2 + 8);
+        // 1,000 set bits: 15 ones words and a literal partial one.
+        let all_set = 2 + 1 + 9;
+        assert_eq!(field_roundtrip(&[0.25; 1_000]).len(), all_set + 1 + 2 + 8);
         // Strictly alternating: no runs, one literal stretch.
         let alternating: Vec<f64> = (0..1_000).map(|i| f64::from(i % 2)).collect();
-        assert_eq!(field_roundtrip(&alternating).len(), 1 + 2 + 1_000);
+        assert_eq!(field_roundtrip(&alternating).len(), all_set + 1 + 2 + 1_000);
         let alternating: Vec<f64> = (0..1_000).map(|i| f64::from(i % 2) - 0.5).collect();
-        assert_eq!(field_roundtrip(&alternating).len(), 1 + 2 + 8_000);
+        assert_eq!(field_roundtrip(&alternating).len(), all_set + 1 + 2 + 8_000);
+        // Defined and undefined strictly alternating: the mask's literal
+        // words, and one run of the defined values.
+        let gappy: Vec<f64> = (0..1_000)
+            .map(|i| if i % 2 == 0 { nan } else { 2.5 })
+            .collect();
+        assert_eq!(field_roundtrip(&gappy).len(), 2 + 1 + 8 * 16 + 1 + 2 + 8);
         // One odd value in an otherwise `counts` field — each of the
-        // nearest misses — sends it to `words` with the value intact.
+        // nearest misses, a NaN that is not the canonical one included —
+        // sends it to `words` with the value intact.
         let odd_values = [
             -0.0,
             -1.0,
@@ -1067,14 +1417,14 @@ mod tests {
             let mut field = vec![0.0; 50];
             field[10] = nan;
             field[20] = 3.0;
-            assert_eq!(field_roundtrip(&field)[0], MODE_COUNTS);
+            assert_eq!(mode_of(&field_roundtrip(&field), 50), MODE_COUNTS);
             field[30] = odd;
-            assert_eq!(field_roundtrip(&field)[0], MODE_WORDS, "{odd:?}");
+            assert_eq!(mode_of(&field_roundtrip(&field), 50), MODE_WORDS, "{odd:?}");
         }
     }
 
-    /// `words` with no runs is the incompressible case: the raw words plus
-    /// the mode byte and one token header.
+    /// `words` with no runs and no NaN is the incompressible case: the raw
+    /// words plus a mask of ones runs, the mode byte and one token header.
     #[test]
     fn an_incompressible_field_costs_its_raw_size_and_a_header() {
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
@@ -1089,11 +1439,10 @@ mod tests {
                 .collect();
             let blob = encode_field(&values);
             assert!(
-                blob.len() <= 8 * n + 8 * n / 1_000 + 16,
+                blob.len() <= 8 * n + 8 * n / 1_000 + 24,
                 "{n}: {}",
                 blob.len()
             );
-            assert_eq!(blob.len(), 1 + varint((n as u64) << 1).len() + 8 * n);
             assert_eq!(
                 bits(&decode_field(&blob, n, "test").unwrap()),
                 bits(&values)
@@ -1244,13 +1593,14 @@ mod tests {
             }
             let blob = encode_field(&values);
             match palette {
-                0 => prop_assert_eq!(blob[0], MODE_COUNTS),
-                1 if !picks.is_empty() => prop_assert_eq!(blob[0], MODE_WORDS),
+                0 => prop_assert_eq!(mode_of(&blob, values.len()), MODE_COUNTS),
+                1 if !picks.is_empty() => prop_assert_eq!(mode_of(&blob, values.len()), MODE_WORDS),
                 _ => {}
             }
             let back = decode_field(&blob, values.len(), "prop").unwrap();
             prop_assert_eq!(bits(&back), bits(&values));
             prop_assert_eq!(encode_field(&values), blob);
+            prop_assert!(validate_field(&blob, values.len(), "prop").is_ok());
         }
 
         /// Whole-segment round trip over randomized shapes and payloads:

@@ -39,7 +39,7 @@ pub const MAGIC: [u8; 8] = *b"PLGYSTOR";
 /// Current format version. Bump whenever the codec's byte stream, the
 /// clause fingerprint derivation, or the segment layout changes shape;
 /// readers reject other versions with a typed error instead of guessing.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
 /// Fixed header length in bytes.
 pub const HEADER_LEN: u64 = 40;

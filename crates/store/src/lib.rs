@@ -7,7 +7,7 @@
 //! form and served from then on by concurrent read sessions — no rebuild on
 //! restart, no raw data at query time.
 //!
-//! ## On-disk format (version 3)
+//! ## On-disk format (version 4)
 //!
 //! The normative specification of the format lives in
 //! [`docs/store-format.md`](https://github.com/paper-repro/data-polygamy/blob/main/docs/store-format.md)
@@ -20,13 +20,14 @@
 //! geometry  the CityGeometry as a checksummed JSON blob
 //! hot       one independently checksummed binary blob per indexed scalar
 //!           function (FunctionEntry): spec, resolution, window, salient/
-//!           extreme feature bit vectors, seasonal thresholds (interval
-//!           map run-length encoded), tree statistics — all a query reads
-//!           unless its clause overrides thresholds
+//!           extreme feature bit vectors (runs of all-zero and all-ones
+//!           words between literal stretches), seasonal thresholds
+//!           (interval map run-length encoded), tree statistics — all a
+//!           query reads unless its clause overrides thresholds
 //! fields    one checksummed blob per function indexed with its scalar
-//!           field: the values as lossless runs and counts
-//!           ([`codec::encode_field`]), read only for data sets a query's
-//!           `thresholds` clause names
+//!           field: a bit vector of the defined values, then those values
+//!           as lossless runs and counts ([`codec::encode_field`]), read
+//!           only for data sets a query's `thresholds` clause names
 //! manifest  geometry location, data set catalog, and a segment directory
 //!           (owner data set, function name, resolution, offset/len/
 //!           checksum of the hot blob and, if any, of the field blob),
@@ -36,7 +37,8 @@
 //! Everything outside the geometry blob is encoded by an explicit
 //! little-endian codec ([`codec`]): integers are little-endian, floats
 //! travel as IEEE-754 bit patterns (NaN-exact) — run-length coded, and as
-//! varint counts where every value allows it, inside field blobs — strings
+//! varint counts where every value allows it, inside field blobs; bit
+//! vectors travel as word runs — strings
 //! and sequences are length-prefixed, and enums use the stable one-byte
 //! wire codes from `polygamy_stdata` — never compiler-assigned
 //! discriminants. Every region

@@ -26,7 +26,7 @@
 //! index-once/query-many economics for corpus updates.
 
 use crate::checksum::blob_checksum;
-use crate::codec::encode_function_segment;
+use crate::codec::{encode_field, encode_hot};
 use crate::error::{Result, StoreError};
 use crate::format::{BlobLoc, Header, Manifest, SegmentInfo, HEADER_LEN, VERSION};
 use crate::source::SegmentSource;
@@ -353,9 +353,12 @@ fn write_timer() -> Arc<Counter> {
 }
 
 fn encode_segment(entry: &FunctionEntry) -> Segment {
-    let (hot, field) = encode_function_segment(entry);
+    let (hot, hot_raw) = encode_hot(entry);
+    let field = entry.field.as_ref().map(|f| encode_field(&f.values));
+    let count = |name, bytes: usize| polygamy_obs::global().counter(name).add(bytes as u64);
+    count(names::STORE_SAVE_HOT_RAW_BYTES, hot_raw);
+    count(names::STORE_SAVE_HOT_STORED_BYTES, hot.len());
     if let (Some(raw), Some(stored)) = (&entry.field, &field) {
-        let count = |name, bytes: usize| polygamy_obs::global().counter(name).add(bytes as u64);
         count(names::STORE_SAVE_FIELD_RAW_BYTES, 8 * raw.values.len());
         count(names::STORE_SAVE_FIELD_STORED_BYTES, stored.len());
     }

@@ -5,14 +5,19 @@
 //! sized by an unvalidated length (which would abort the test process).
 //! The hot blob's run-length interval map gets its own mutation (a run
 //! count or run length overwritten: run-sum overflow, runs that miss
-//! `n_steps`, zero-length runs). The field blob is run-length coded too and
-//! carries no shape, so its decoder is also driven directly — arbitrary
-//! bytes against arbitrary shapes, and valid blobs of both modes with every
-//! token header, the mode byte and the tail damaged in turn, each input
+//! `n_steps`, zero-length runs), its word-run bit vectors are fed arbitrary
+//! token streams behind a valid shape, round-trip bit for bit at the
+//! lengths around a word boundary, and a hot blob of under 100 bytes that
+//! declares 2⁴⁰ bits is refused within a counted allocation bound. The
+//! field blob — a word-run mask, then the defined values run-length coded —
+//! carries no shape, so its decoder is also driven directly: arbitrary
+//! bytes against arbitrary shapes, bare and behind a valid mask, and valid
+//! blobs of both modes with every mask token, every value token header, the
+//! mask's length, the mode byte and the tail damaged in turn, each input
 //! also through `validate_field`, the walk an eager open runs in place of
-//! the decode, which must agree word for word — and a manifest whose
-//! `field` location is hostile is driven through real sessions. Version-1 and version-2 files are refused by version, not
-//! decoded.
+//! the decode, which must agree word for word; and a manifest whose `field`
+//! location is hostile is driven through real sessions. Files of versions
+//! 1 to 3 are refused by version, not decoded.
 //!
 //! The sixth decoder, the geometry blob's, is JSON text rather than the
 //! binary codec, and is reached the way a reader reaches it: through
@@ -27,19 +32,28 @@
 //! therefore decoded twice, as-is and re-sealed with a matching length and
 //! checksum, so the payload decoder sees hostile input too.
 
+mod support;
+
+use polygamy_core::index::FunctionEntry;
 use polygamy_core::prelude::*;
 use polygamy_core::DataPolygamy;
 use polygamy_stdata::Polygon;
 use polygamy_store::codec::{
-    decode_field, decode_function_segment, encode_field, encode_function_segment, validate_field,
+    decode_field, decode_function_segment, enc_resolution, enc_spec, encode_field,
+    encode_function_segment, validate_field, Enc,
 };
 use polygamy_store::{
     blob_checksum, BlobLoc, Header, LazyIndex, LoadFilter, Manifest, SegmentInfo, ShardCatalog,
     Store, StoreError, StoreSession, SHARD_CATALOG_VERSION, SHARD_MAGIC, VERSION,
 };
+use polygamy_topology::threshold::Thresholds;
+use polygamy_topology::{BitVec, FeatureSet, FeatureSets, SeasonalThresholds};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
+
+#[global_allocator]
+static GLOBAL: support::Counting = support::Counting;
 
 /// Length of the shard catalog's fixed header (magic, version, flags,
 /// payload length, checksum).
@@ -49,7 +63,7 @@ const CATALOG_HEADER_LEN: usize = 32;
 /// like [`decode`]: the header's manifest offset and length, the
 /// manifest's geometry location and catalog count, the hot blob's first
 /// string length, the catalog's payload length and data set count, the
-/// field blob's mode byte and first token.
+/// field blob's mask length and first mask token.
 const LENGTH_FIELDS: [&[usize]; 5] = [&[16, 24], &[0, 8, 24], &[0], &[16, 32], &[0]];
 
 const HOT: usize = 2;
@@ -248,23 +262,180 @@ proptest! {
 
     /// The field decoder against shapes the bytes know nothing about:
     /// arbitrary bytes — and small ones, which spell short tokens and get
-    /// deep into the walk — bare and behind each mode byte, for any vertex
-    /// count. It answers with exactly that many values or a typed error.
+    /// deep into the walk — bare, as the tokens of a mask of the right
+    /// length, and as value tokens behind each mode byte and a valid mask,
+    /// for any vertex count. It answers with exactly that many values or a
+    /// typed error.
     #[test]
     fn field_decoder_returns_typed_errors_for_any_input_and_shape(
         raw in proptest::collection::vec(0u8..=u8::MAX, 0..96),
         small in proptest::collection::vec(0u8..12, 0..64),
         mode in 0u8..3,
         n_vertices in 0usize..600,
+        gaps in 1usize..70,
     ) {
+        let values: Vec<f64> = (0..n_vertices)
+            .map(|i| if i % gaps == 0 { f64::NAN } else { i as f64 })
+            .collect();
+        let valid = encode_field(&values);
+        let mask = &valid[..field_layout(&valid).mode_at];
         for tokens in [&raw, &small] {
-            let behind_mode = [&[mode][..], tokens.as_slice()].concat();
-            for bytes in [tokens, &behind_mode] {
+            let as_mask = [leb128(n_vertices as u128).as_slice(), tokens].concat();
+            let behind_mask = [mask, &[mode][..], tokens].concat();
+            for bytes in [tokens, &as_mask, &behind_mask] {
                 let outcome = check_field_decode(bytes, n_vertices);
                 prop_assert!(outcome.is_ok(), "{:?}", outcome);
             }
         }
     }
+
+    /// A hot blob's bit vectors as arbitrary word-run token streams behind
+    /// a valid spec and shape: each decodes to the entry's vertex count or
+    /// is a typed error.
+    #[test]
+    fn hot_bit_vectors_return_typed_errors_for_any_token_stream(
+        raw in proptest::collection::vec(0u8..=u8::MAX, 0..128),
+        small in proptest::collection::vec(0u8..24, 0..64),
+        n_steps in 0u64..300,
+    ) {
+        for tokens in [&raw, &small] {
+            let header = leb128(u128::from(n_steps));
+            let bytes = [hot_prefix(1, n_steps).as_slice(), &header, tokens].concat();
+            match decode_function_segment(&bytes, None, 0, "fuzz") {
+                Ok(entry) => prop_assert_eq!(entry.features.salient.pos.len() as u64, n_steps),
+                Err(StoreError::Corrupt(_)) => {}
+                Err(other) => prop_assert!(false, "{:?}", other),
+            }
+        }
+    }
+
+    /// Bit vectors round-trip bit for bit through a hot blob — empty, one
+    /// bit, either side of a word boundary, and all ones with a partial
+    /// last word, whose padding bits must stay clear — and encode to the
+    /// same bytes again.
+    #[test]
+    fn bit_vectors_roundtrip_bit_exact(
+        len in prop_oneof![Just(0usize), Just(1), Just(63), Just(64), Just(65), 0usize..5_000],
+        pattern in 0u8..4,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x >> 33
+        };
+        let mut vectors = [(); 4].map(|()| BitVec::zeros(len));
+        for (k, bv) in vectors.iter_mut().enumerate() {
+            // All ones, all zeros, scattered bits, or blocks of up to
+            // three words.
+            let block = 1 + next() as usize % 200;
+            for i in 0..len {
+                let set = match (pattern + k as u8) % 4 {
+                    0 => true,
+                    1 => false,
+                    2 => next() % 5 == 0,
+                    _ => (i / block) % 2 == 0,
+                };
+                if set {
+                    bv.set(i);
+                }
+            }
+        }
+        let entry = entry_with_features(vectors.clone());
+        let (hot, _) = encode_function_segment(&entry);
+        let back = decode_function_segment(&hot, None, 0, "prop").unwrap();
+        let fs = &back.features;
+        let decoded = [&fs.salient.pos, &fs.salient.neg, &fs.extreme.pos, &fs.extreme.neg];
+        for (got, want) in decoded.into_iter().zip(&vectors) {
+            prop_assert_eq!(got.len(), want.len());
+            prop_assert_eq!(got.words(), want.words());
+        }
+        prop_assert_eq!(encode_function_segment(&back).0, hot);
+    }
+}
+
+/// The leading spec, resolution and shape of a hot blob: everything up to
+/// its first bit vector.
+fn hot_prefix(n_regions: u64, n_steps: u64) -> Vec<u8> {
+    let mut e = Enc::new();
+    enc_spec(&mut e, &FunctionSpec::density("d"));
+    enc_resolution(
+        &mut e,
+        Resolution::new(SpatialResolution::City, TemporalResolution::Hour),
+    );
+    e.u64(n_regions);
+    e.i64(0);
+    e.u64(n_steps);
+    e.into_bytes()
+}
+
+/// A one-region, field-less entry over the four vectors' length, with one
+/// seasonal interval.
+fn entry_with_features([sp, sn, ep, en]: [BitVec; 4]) -> FunctionEntry {
+    let n_steps = sp.len();
+    FunctionEntry {
+        spec: FunctionSpec::density("d"),
+        dataset_index: 0,
+        resolution: Resolution::new(SpatialResolution::City, TemporalResolution::Hour),
+        n_regions: 1,
+        start_bucket: 0,
+        n_steps,
+        features: FeatureSets {
+            salient: FeatureSet { pos: sp, neg: sn },
+            extreme: FeatureSet { pos: ep, neg: en },
+        },
+        thresholds: SeasonalThresholds {
+            interval_of_step: vec![0; n_steps],
+            interval_ids: vec![0],
+            per_interval: vec![Thresholds::none()],
+        },
+        field: None,
+        tree_nodes: 0,
+        row_memo: Default::default(),
+    }
+}
+
+/// A hot blob of under 100 bytes whose shape and first vector declare 2⁴⁰
+/// bits, spelled by two-byte tokens of 64 zero words each until the bytes
+/// run out. The decoder grows the vector token by token, so it fails at
+/// the payload's end having allocated what the bytes it consumed could
+/// spell — at most 256 bytes of words per byte, four times that counting
+/// every capacity a doubling vector passes through — never the 128 GiB
+/// declared. A vector declaring another length than the shape's is refused
+/// before its first token.
+#[test]
+fn a_short_hot_blob_declaring_2_pow_40_bits_is_refused_within_the_bound() {
+    let bits = 1u64 << 40;
+    let run_of_64_zero_words = leb128(64 << 2);
+    let mut hot = [hot_prefix(1, bits), leb128(bits.into())].concat();
+    while hot.len() + run_of_64_zero_words.len() < 100 {
+        hot.extend_from_slice(&run_of_64_zero_words);
+    }
+    let before = support::allocated_bytes();
+    let result = decode_function_segment(&hot, None, 0, "hostile");
+    let allocated = support::allocated_bytes() - before;
+    assert!(
+        matches!(
+            result,
+            Err(StoreError::Corrupt(_) | StoreError::Truncated { .. })
+        ),
+        "{result:?}"
+    );
+    let bound = 4 * 256 * hot.len() as u64 + 1_024;
+    assert!(
+        hot.len() < 100 && allocated <= bound,
+        "{allocated} B allocated decoding {} B, bound {bound} B",
+        hot.len()
+    );
+
+    let mismatched = [hot_prefix(1, 1_000), leb128(bits.into()), vec![0x80, 0x02]].concat();
+    let before = support::allocated_bytes();
+    let err = decode_function_segment(&mismatched, None, 0, "hostile").unwrap_err();
+    assert!(support::allocated_bytes() - before <= 1_024);
+    assert!(
+        matches!(&err, StoreError::Corrupt(m) if m.contains("salient.pos covers 1099511627776 bits")),
+        "{err:?}"
+    );
 }
 
 /// `decode_field` answers with exactly `n_vertices` values or with
@@ -297,20 +468,44 @@ fn leb128(mut v: u128) -> Vec<u8> {
     bytes
 }
 
-/// Offset and byte length of every token header of a valid field blob,
-/// with the token's run flag.
-fn token_headers(blob: &[u8]) -> Vec<(usize, usize, bool)> {
+/// Where the parts of a valid field blob sit.
+struct FieldLayout {
+    /// Byte length of the mask's bit count, the blob's first bytes.
+    mask_header_len: usize,
+    /// Offset, byte length and kind of every mask token header.
+    mask_tokens: Vec<(usize, usize, u64)>,
+    /// Offset of the mode byte.
+    mode_at: usize,
+    /// Offset, byte length and run flag of every value token header.
+    value_tokens: Vec<(usize, usize, bool)>,
+}
+
+fn field_layout(blob: &[u8]) -> FieldLayout {
     let varint = |at: usize| {
         let n = blob[at..].iter().position(|b| b & 0x80 == 0).unwrap() + 1;
         let value = (0..n).fold(0u64, |v, i| v | u64::from(blob[at + i] & 0x7f) << (7 * i));
         (value, n)
     };
-    let counts = blob[0] == 1;
-    let mut headers = Vec::new();
-    let mut at = 1;
+    let (bits, mask_header_len) = varint(0);
+    let mut at = mask_header_len;
+    let mut mask_tokens = Vec::new();
+    let mut words = 0;
+    while words < bits.div_ceil(64) {
+        let (token, n) = varint(at);
+        mask_tokens.push((at, n, token & 3));
+        at += n;
+        if token & 3 == 2 {
+            at += 8 * (token >> 2) as usize;
+        }
+        words += token >> 2;
+    }
+    let mode_at = at;
+    let counts = blob[mode_at] == 1;
+    let mut value_tokens = Vec::new();
+    at += 1;
     while at < blob.len() {
         let (token, n) = varint(at);
-        headers.push((at, n, token & 1 == 1));
+        value_tokens.push((at, n, token & 1 == 1));
         at += n;
         let values = if token & 1 == 1 { 1 } else { token >> 1 };
         for _ in 0..values {
@@ -318,14 +513,26 @@ fn token_headers(blob: &[u8]) -> Vec<(usize, usize, bool)> {
         }
     }
     assert_eq!(at, blob.len());
-    headers
+    FieldLayout {
+        mask_header_len,
+        mask_tokens,
+        mode_at,
+        value_tokens,
+    }
+}
+
+/// `blob` with the `len` bytes at `at` replaced by `with`.
+fn spliced(blob: &[u8], at: usize, len: usize, with: &[u8]) -> Vec<u8> {
+    [&blob[..at], with, &blob[at + len..]].concat()
 }
 
 /// Valid field blobs of both modes, damaged one place at a time: every
-/// token's run length or literal count replaced by 0, 1, 2³², 2⁴⁰, 2⁶³ and
-/// 2⁶⁴ − 1 (the last two no longer fit the token's 64 bits), the mode byte
-/// flipped to every other value, the tail cut at every offset, one byte
-/// appended. Each ends in `Corrupt` or in exactly the entry's vertices.
+/// value token's run length or literal count replaced by 0, 1, 2³², 2⁴⁰,
+/// 2⁶³ and 2⁶⁴ − 1 (the last two no longer fit the token's 64 bits); every
+/// mask token replaced by each kind at lengths 0, 1, 64, 65 and 2⁴⁰; the
+/// mask's bit count off by one or huge; the mode byte flipped to every
+/// other value; the tail cut at every offset; one byte appended. Each ends
+/// in `Corrupt` or in exactly the entry's vertices.
 #[test]
 fn damaged_field_blobs_are_rejected_or_decode_to_the_shape() {
     // A sparse count layer, a mostly undefined attribute layer, and the
@@ -353,24 +560,39 @@ fn damaged_field_blobs_are_rejected_or_decode_to_the_shape() {
     for (values, mode) in [(sparse, 1), (undefined, 0), (dense, 0)] {
         let n = values.len();
         let valid = encode_field(&values);
-        assert_eq!(valid[0], mode);
+        let layout = field_layout(&valid);
+        assert_eq!(valid[layout.mode_at], mode);
         assert_eq!(check_field_decode(&valid, n), Ok(true));
-        let headers = token_headers(&valid);
-        assert!(!headers.is_empty());
+        assert!(!layout.mask_tokens.is_empty() && !layout.value_tokens.is_empty());
 
-        for &(at, len, is_run) in &headers {
+        for &(at, len, is_run) in &layout.value_tokens {
             for claimed in [0u128, 1, 1 << 32, 1 << 40, 1 << 63, u128::from(u64::MAX)] {
-                let mut bytes = valid[..at].to_vec();
-                bytes.extend(leb128(claimed << 1 | u128::from(is_run)));
-                bytes.extend_from_slice(&valid[at + len..]);
-                let decoded = check_field_decode(&bytes, n).unwrap();
+                let token = leb128(claimed << 1 | u128::from(is_run));
+                let decoded = check_field_decode(&spliced(&valid, at, len, &token), n).unwrap();
                 // Only a length of 1 can be what the token already said.
                 assert!(!decoded || claimed == 1, "token at {at} claiming {claimed}");
             }
         }
+        for &(at, len, kind) in &layout.mask_tokens {
+            for claimed in [0u128, 1, 64, 65, 1 << 40] {
+                for other in 0..4u128 {
+                    let token = leb128(claimed << 2 | other);
+                    let outcome = check_field_decode(&spliced(&valid, at, len, &token), n);
+                    assert!(outcome.is_ok(), "mask token at {at} ({kind}): {outcome:?}");
+                }
+            }
+        }
+        for claimed in [n as u128 - 1, n as u128 + 1, 1 << 40, u128::from(u64::MAX)] {
+            let bytes = spliced(&valid, 0, layout.mask_header_len, &leb128(claimed));
+            assert_eq!(
+                check_field_decode(&bytes, n),
+                Ok(false),
+                "mask of {claimed} bits"
+            );
+        }
         for flipped in 0..=u8::MAX {
             let mut bytes = valid.clone();
-            bytes[0] = flipped;
+            bytes[layout.mode_at] = flipped;
             let decoded = check_field_decode(&bytes, n).unwrap();
             assert!(!decoded || flipped < 2, "mode {flipped}");
         }
@@ -814,7 +1036,7 @@ fn version_1_files_are_refused_by_version() {
             result,
             Err(StoreError::UnsupportedVersion {
                 found: 1,
-                supported: 3
+                supported: 4
             })
         ));
     }
@@ -830,8 +1052,7 @@ fn version_1_files_are_refused_by_version() {
 }
 
 /// So is a version-2 file (raw `f64` field blobs): no second field decoder
-/// is kept for it. The shard catalog's bytes did not change with format 3,
-/// so its version is still 2.
+/// is kept for it.
 #[test]
 fn version_2_files_are_refused_by_version() {
     for result in open_claiming_version(2) {
@@ -839,9 +1060,26 @@ fn version_2_files_are_refused_by_version() {
             result,
             Err(StoreError::UnsupportedVersion {
                 found: 2,
-                supported: 3
+                supported: 4
             })
         ));
     }
-    assert_eq!((VERSION, SHARD_CATALOG_VERSION), (3, 2));
+}
+
+/// And a version-3 file (raw-word bit vectors, field blobs that spell out
+/// every NaN): no second bit-vector or field decoder is kept for it. The
+/// shard catalog's bytes did not change with formats 3 and 4, so its
+/// version is still 2.
+#[test]
+fn version_3_files_are_refused_by_version() {
+    for result in open_claiming_version(3) {
+        assert!(matches!(
+            result,
+            Err(StoreError::UnsupportedVersion {
+                found: 3,
+                supported: 4
+            })
+        ));
+    }
+    assert_eq!((VERSION, SHARD_CATALOG_VERSION), (4, 2));
 }

@@ -1,53 +1,25 @@
-//! An eager session holds a small multiple of its store file, and checking
-//! a field blob allocates nothing.
+//! An eager session holds a small multiple of what it decoded plus the
+//! field blobs it left encoded, and checking a field blob allocates
+//! nothing.
 //!
 //! An eager open decodes every admitted hot blob and leaves the scalar
-//! fields — run-length coded on disk, eight bytes a value in memory —
+//! fields — a mask and runs on disk, eight bytes a value in memory —
 //! encoded in the file, validating each blob's structure with a walk that
-//! produces no values. A counting global allocator (per thread, so the
-//! harness's other threads cannot disturb it) pins both: the bytes a
-//! session still holds after `open`, against the file's size, and the
-//! allocations of one `validate_field` call.
+//! produces no values. A counting global allocator (`support`) pins both:
+//! the bytes a session still holds after `open`, and the allocations of
+//! one `validate_field` call.
 
+mod support;
+
+use polygamy_core::index::FunctionEntry;
 use polygamy_core::prelude::*;
 use polygamy_core::DataPolygamy;
 use polygamy_stdata::Polygon;
 use polygamy_store::codec::{encode_field, validate_field};
 use polygamy_store::{LoadFilter, Store, StoreSession};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: both methods forward unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is two thread-local counters
-// with no destructor, which neither allocate nor unwind. (`realloc` keeps
-// its default, which goes through `alloc` and `dealloc`, so growth is
-// counted too.)
-unsafe impl GlobalAlloc for Counting {
-    // SAFETY: the caller's obligations for `alloc` are passed on as they are.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + layout.size() as i64));
-        // SAFETY: see the method.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: `ptr` came from `System.alloc` above with this `layout`.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        let _ = LIVE_BYTES.try_with(|n| n.set(n.get() - layout.size() as i64));
-        // SAFETY: see the method.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: support::Counting = support::Counting;
 
 const GRID: (i64, i64) = (8, 4);
 
@@ -100,8 +72,17 @@ fn sparse_dataset(name: &str, phase: i64) -> Dataset {
     b.build().expect("dataset builds")
 }
 
+/// What decoding `entry`'s hot blob leaves in memory: the entry itself,
+/// its four feature vectors and its seasonal thresholds.
+fn decoded_hot_bytes(entry: &FunctionEntry) -> u64 {
+    let t = &entry.thresholds;
+    let seasonal =
+        8 * (t.interval_of_step.len() + t.interval_ids.len()) + 32 * t.per_interval.len();
+    (std::mem::size_of::<FunctionEntry>() + entry.features.approx_bytes() + seasonal) as u64
+}
+
 #[test]
-fn an_eager_session_holds_at_most_three_times_its_store_file() {
+fn an_eager_session_holds_at_most_twice_its_decoded_hot_entries_and_field_blobs() {
     let path = std::env::temp_dir().join(format!(
         "polygamy-eager-allocations-{}.plst",
         std::process::id()
@@ -112,19 +93,22 @@ fn an_eager_session_holds_at_most_three_times_its_store_file() {
     dp.build_index();
     let index = dp.index().unwrap();
     let store = Store::save(&path, dp.geometry(), index).unwrap();
-    let file_bytes = store.file_bytes().unwrap();
+    let segments = &store.manifest().segments;
+    let field_blob_bytes: u64 = segments.iter().filter_map(|s| s.field).map(|f| f.len).sum();
     drop(store);
+    let hot_bytes: u64 = index.functions.iter().map(decoded_hot_bytes).sum();
+    let bound = 2 * (hot_bytes + field_blob_bytes);
     let fields = index.functions.iter().filter_map(|f| f.field.as_ref());
     let decoded_field_bytes: u64 = fields.map(|f| 8 * f.values.len() as u64).sum();
     // The corpus is one on which holding the fields decoded could not pass.
     assert!(
-        decoded_field_bytes > 5 * file_bytes,
-        "{decoded_field_bytes} B of fields, a {file_bytes} B file"
+        decoded_field_bytes > 2 * bound,
+        "{decoded_field_bytes} B of fields, a {bound} B bound"
     );
 
-    let before = LIVE_BYTES.with(Cell::get);
+    let before = support::live_bytes();
     let session = StoreSession::open_with(&path, Config::fast_test(), &LoadFilter::all());
-    let held = LIVE_BYTES.with(Cell::get) - before;
+    let held = support::live_bytes() - before;
     std::fs::remove_file(&path).unwrap();
     let session = session.unwrap();
     assert_eq!(
@@ -132,28 +116,32 @@ fn an_eager_session_holds_at_most_three_times_its_store_file() {
         index.functions.len()
     );
     assert!(
-        held > 0 && held as u64 <= 3 * file_bytes,
-        "an eager session holds {held} B over a {file_bytes} B file"
+        held > 0 && held as u64 <= bound,
+        "an eager session holds {held} B over {hot_bytes} B of decoded hot entries \
+         and {field_blob_bytes} B of field blobs"
     );
 }
 
 #[test]
 fn validating_a_field_blob_allocates_nothing() {
-    // Both modes, runs and literal stretches, one- and multi-byte counts.
+    // Both modes, runs and literal stretches, one- and multi-byte counts,
+    // behind a mask of zero runs, ones runs and literal words.
     let counts: Vec<f64> = (0..200_000u32)
-        .map(|i| match i % 50 {
-            0..=30 => f64::NAN,
-            31..=40 => 0.0,
-            41 => 300.0,
-            r => f64::from(r),
+        .map(|i| match (i, i % 50) {
+            (..=9_999, _) => f64::NAN,
+            (..=19_999, r) => f64::from(r % 7),
+            (_, 0..=30) => f64::NAN,
+            (_, 31..=40) => 0.0,
+            (_, 41) => 300.0,
+            (_, r) => f64::from(r),
         })
         .collect();
     let words: Vec<f64> = counts.iter().map(|v| v * 0.37).collect();
     for values in [counts, words] {
         let blob = encode_field(&values);
-        let before = ALLOCATIONS.with(Cell::get);
+        let before = support::allocations();
         let verdict = validate_field(&blob, values.len(), "test field");
-        assert_eq!(ALLOCATIONS.with(Cell::get), before);
+        assert_eq!(support::allocations(), before);
         verdict.unwrap();
         assert!(validate_field(&blob, values.len() + 1, "test field").is_err());
     }

@@ -1,13 +1,14 @@
 //! Cross-crate pipeline integration: correctness (paper Section 6.2),
 //! robustness scaffolding and space accounting.
 
+use polygamy_core::index::FunctionEntry;
 use polygamy_core::pipeline::{compute_scalar_functions, field_features};
 use polygamy_core::prelude::*;
 use polygamy_core::relationship::evaluate_features;
 use polygamy_datagen::{add_iqr_noise, urban_collection, UrbanConfig};
 use polygamy_mapreduce::Cluster;
 use polygamy_stdata::{aggregate, Error, ResolutionDag, ScalarField};
-use polygamy_store::{blob_checksum, Store};
+use polygamy_store::{blob_checksum, Store, StoreSession};
 
 fn small_collection() -> polygamy_datagen::UrbanCollection {
     urban_collection(UrbanConfig {
@@ -355,8 +356,11 @@ fn kind_errors_precede_time_range_errors() {
 
 /// Write-path bytes are pinned here, not only in CI's `cmp` legs: the
 /// fixed small corpus, built at one and at two workers and saved, is a
-/// file of exactly this length and checksum. The values are the ones the
-/// commit before the shared binning and the spliced zero run produced.
+/// file of exactly this length and checksum. The values are store format
+/// 4's — word-run bit vectors and masked field blobs, which took the file
+/// from 31,050,941 bytes to 15,342,244 — and what the file decodes to is
+/// pinned apart from them, unmoved by that change, by
+/// `index_content_of_the_small_corpus_is_pinned`.
 #[test]
 fn store_bytes_of_the_small_corpus_are_pinned() {
     let c = small_collection();
@@ -388,7 +392,111 @@ fn store_bytes_of_the_small_corpus_are_pinned() {
 }
 
 /// `(length, blob_checksum)` of the small corpus's store.
-const PINNED_SMALL_CORPUS_STORE: (usize, u64) = (31_050_941, 17_927_002_656_056_506_769);
+const PINNED_SMALL_CORPUS_STORE: (usize, u64) = (15_342_244, 3_624_123_518_538_000_478);
+
+/// What the small corpus's store *means*, pinned apart from the bytes that
+/// carry it: every entry, decoded by an eager session and by a lazy one,
+/// digests to these two checksums — the first over spec, shape, the four
+/// feature vectors' words, the threshold bits, the interval map and the
+/// tree size; the second over every field value's bits, pinned lazily
+/// under a `thresholds` clause per data set. A store format change moves
+/// `PINNED_SMALL_CORPUS_STORE`; it must never move these.
+#[test]
+fn index_content_of_the_small_corpus_is_pinned() {
+    let c = small_collection();
+    let mut dp = DataPolygamy::new(c.geometry().clone(), Config::default());
+    for d in &c.datasets {
+        dp.add_dataset(d.clone());
+    }
+    dp.build_index();
+    let path = std::env::temp_dir().join(format!(
+        "polygamy-pinned-content-{}.plst",
+        std::process::id()
+    ));
+    Store::save(&path, dp.geometry(), dp.index().unwrap()).unwrap();
+    let eager = StoreSession::open(&path).unwrap();
+    let lazy = StoreSession::open_lazy(&path).unwrap();
+    let overrides: Vec<String> = (c.datasets.iter())
+        .map(|d| format!("thresholds {} (1.0, -1.0)", d.meta.name))
+        .collect();
+    let everything = parse_query(&format!(
+        "between * and * where {}",
+        overrides.join(" and ")
+    ));
+    let pinned = (lazy.lazy_index().unwrap())
+        .pin_for(&[everything.unwrap()])
+        .unwrap();
+    std::fs::remove_file(&path).unwrap();
+
+    let eager = &eager.index().unwrap().functions;
+    assert_eq!(pinned.len(), eager.len());
+    assert!(pinned.iter().all(|e| e.field.is_some()));
+    let (hot, fields) = content_digest(pinned.iter().map(|e| &**e));
+    assert_eq!(content_digest(eager.iter()), (hot, blob_checksum(&[])));
+    assert_eq!((hot, fields), PINNED_SMALL_CORPUS_CONTENT);
+}
+
+/// `(hot, field)` content digests of the small corpus's index; the
+/// values are the ones store format 3 decoded to.
+const PINNED_SMALL_CORPUS_CONTENT: (u64, u64) =
+    (11_773_626_843_826_791_231, 14_612_133_017_079_297_574);
+
+/// `blob_checksum` over the decoded parts of `entries`, in order: the
+/// hot parts, and the field values of those entries that carry one.
+fn content_digest<'a>(entries: impl Iterator<Item = &'a FunctionEntry>) -> (u64, u64) {
+    fn put(out: &mut Vec<u8>, words: impl IntoIterator<Item = u64>) {
+        words
+            .into_iter()
+            .for_each(|w| out.extend_from_slice(&w.to_le_bytes()));
+    }
+    let (mut hot, mut fields) = (Vec::new(), Vec::new());
+    for e in entries {
+        let (spec, res) = (&e.spec, e.resolution.label());
+        hot.extend_from_slice(
+            format!("{}/{}/{:?}/{res}", spec.dataset, spec.name, spec.kind).as_bytes(),
+        );
+        let shape = [
+            e.n_regions,
+            e.start_bucket as usize,
+            e.n_steps,
+            e.tree_nodes,
+        ];
+        put(&mut hot, shape.map(|n| n as u64));
+        let fs = &e.features;
+        for bv in [
+            &fs.salient.pos,
+            &fs.salient.neg,
+            &fs.extreme.pos,
+            &fs.extreme.neg,
+        ] {
+            put(
+                &mut hot,
+                std::iter::once(bv.len() as u64).chain(bv.words().iter().copied()),
+            );
+        }
+        let t = &e.thresholds;
+        put(
+            &mut hot,
+            t.interval_of_step
+                .iter()
+                .chain(&t.interval_ids)
+                .map(|&i| i as u64),
+        );
+        for th in &t.per_interval {
+            let bits = [
+                th.salient_pos,
+                th.salient_neg,
+                th.extreme_pos,
+                th.extreme_neg,
+            ];
+            put(&mut hot, bits.map(f64::to_bits));
+        }
+        if let Some(field) = &e.field {
+            put(&mut fields, field.values.iter().map(|v| v.to_bits()));
+        }
+    }
+    (blob_checksum(&hot), blob_checksum(&fields))
+}
 
 /// Index space overhead (paper Section 5.4): scalar functions + features
 /// must be far smaller than the raw data.
