@@ -219,8 +219,8 @@ fn report_latency() {
 /// no other traffic — exactly the CI topology.
 fn reconcile_metrics(addr: &str, sent_queries: u64) -> Result<(), String> {
     let snap = fetch_metrics(addr)?;
-    let served = snap.counter("serve.queries");
-    let requests = snap.counter("serve.requests");
+    let served = snap.counter(names::SERVE_QUERIES);
+    let requests = snap.counter(names::SERVE_REQUESTS);
     if served == 0 || requests == 0 {
         return Err(format!(
             "metrics: daemon reports {requests} request(s) / {served} query(ies) — \
@@ -244,12 +244,12 @@ fn reconcile_metrics(addr: &str, sent_queries: u64) -> Result<(), String> {
             sizes.sum
         ));
     }
-    if sizes.count() != snap.counter("serve.batches") {
+    if sizes.count() != snap.counter(names::SERVE_BATCHES) {
         return Err(format!(
             "metrics: batch-size histogram holds {} observation(s), \
              serve.batches says {} — counters do not reconcile",
             sizes.count(),
-            snap.counter("serve.batches")
+            snap.counter(names::SERVE_BATCHES)
         ));
     }
     eprintln!(

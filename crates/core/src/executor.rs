@@ -26,12 +26,12 @@
 //! appearing several times in one batch are evaluated once.
 //!
 //! Every call reports through [`polygamy_obs`]: stage wall times
-//! (`core.stage.*_ns`), task/cache counters (`core.*`), and — when the
-//! calling thread is inside [`polygamy_obs::trace::record`] — the same
-//! events into the per-query trace (spans `cache-resolve`, `expand`,
-//! `evaluate`, `assemble`). Instrumentation never touches the result
-//! values, so traced and untraced executions stay byte-identical (the
-//! determinism matrix pins this).
+//! (`core.stage.*_ns`) and task/cache counters (`core.*`), which — when
+//! the calling thread is inside [`polygamy_obs::trace::record`] — land in
+//! the per-query trace under the same names (the four stages as spans).
+//! Instrumentation never touches the result values, so traced and
+//! untraced executions stay byte-identical (the determinism matrix pins
+//! this).
 
 use crate::cache::QueryCache;
 use crate::error::{Error, Result};
@@ -42,62 +42,12 @@ use crate::operator::{evaluate_unit, expand_pair_tasks, EvalCounts, OperandTable
 use crate::query::RelationshipQuery;
 use crate::relationship::Relationship;
 use polygamy_mapreduce::run_weighted_tasks;
-use polygamy_obs::{names, trace, Counter};
+use polygamy_obs::{count, names, stage};
 use polygamy_stdata::Resolution;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
-
-/// Cached registry handles for the executor's metrics — resolved once
-/// per process, so the hot path pays only relaxed atomic adds.
-struct ExecMetrics {
-    queries: Arc<Counter>,
-    tasks_expanded: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-    cache_evictions: Arc<Counter>,
-    plan_ns: Arc<Counter>,
-    expand_ns: Arc<Counter>,
-    evaluate_ns: Arc<Counter>,
-    assemble_ns: Arc<Counter>,
-    permutations_run: Arc<Counter>,
-    operands_prepared: Arc<Counter>,
-    operand_reuses: Arc<Counter>,
-    operand_rows_built: Arc<Counter>,
-    dispatches_inline: Arc<Counter>,
-    dispatches_parallel: Arc<Counter>,
-}
-
-fn exec_metrics() -> &'static ExecMetrics {
-    static METRICS: OnceLock<ExecMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = polygamy_obs::global();
-        ExecMetrics {
-            queries: r.counter(names::CORE_QUERIES),
-            tasks_expanded: r.counter(names::CORE_TASKS_EXPANDED),
-            cache_hits: r.counter(names::CORE_QUERY_CACHE_HITS),
-            cache_misses: r.counter(names::CORE_QUERY_CACHE_MISSES),
-            cache_evictions: r.counter(names::CORE_QUERY_CACHE_EVICTIONS),
-            plan_ns: r.counter(names::CORE_STAGE_PLAN_NS),
-            expand_ns: r.counter(names::CORE_STAGE_EXPAND_NS),
-            evaluate_ns: r.counter(names::CORE_STAGE_EVALUATE_NS),
-            assemble_ns: r.counter(names::CORE_STAGE_ASSEMBLE_NS),
-            permutations_run: r.counter(names::CORE_PERMUTATIONS_RUN),
-            operands_prepared: r.counter(names::CORE_OPERANDS_PREPARED),
-            operand_reuses: r.counter(names::CORE_OPERAND_REUSES),
-            operand_rows_built: r.counter(names::CORE_OPERAND_ROWS_BUILT),
-            dispatches_inline: r.counter(names::CORE_DISPATCHES_INLINE),
-            dispatches_parallel: r.counter(names::CORE_DISPATCHES_PARALLEL),
-        }
-    })
-}
-
-/// Elapsed nanoseconds, saturating into `u64`.
-fn elapsed_ns(t0: Instant) -> u64 {
-    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
+use std::sync::Arc;
 
 /// How one canonical pair of a planned query is satisfied.
 enum PairSource {
@@ -263,13 +213,10 @@ pub fn run_query_many<'a>(
     queries: &[RelationshipQuery],
 ) -> Result<Vec<Vec<Relationship>>> {
     let index: IndexView<'a> = index.into();
-    let metrics = exec_metrics();
-    metrics.queries.add(queries.len() as u64);
-    trace::add("queries", queries.len() as u64);
+    count(names::CORE_QUERIES, queries.len() as u64);
 
     // ---- Plan: resolve names, canonicalise pairs, split hits from misses.
-    let t_plan = Instant::now();
-    let plan_span = trace::span("cache-resolve");
+    let plan_stage = stage(names::CORE_STAGE_PLAN_NS);
     let mut n_hits = 0u64;
     let mut n_misses = 0u64;
     let mut misses: Vec<Miss> = Vec::new();
@@ -301,17 +248,13 @@ pub fn run_query_many<'a>(
         }
         plans.push(plan);
     }
-    drop(plan_span);
-    metrics.plan_ns.add(elapsed_ns(t_plan));
-    metrics.cache_hits.add(n_hits);
-    metrics.cache_misses.add(n_misses);
-    trace::add("cache_hits", n_hits);
-    trace::add("cache_misses", n_misses);
+    drop(plan_stage);
+    count(names::CORE_QUERY_CACHE_HITS, n_hits);
+    count(names::CORE_QUERY_CACHE_MISSES, n_misses);
 
     // ---- Expand every miss into its flat unit-task list (geometry is
     // validated here, on the coordinating thread).
-    let t_expand = Instant::now();
-    let expand_span = trace::span("expand");
+    let expand_stage = stage(names::CORE_STAGE_EXPAND_NS);
     let mut tasks: Vec<UnitTask> = Vec::new();
     let mut operands = OperandTable::default();
     let mut task_ranges: Vec<Range<usize>> = Vec::with_capacity(misses.len());
@@ -328,61 +271,50 @@ pub fn run_query_many<'a>(
         )?;
         task_ranges.push(start..tasks.len());
     }
-    drop(expand_span);
-    metrics.expand_ns.add(elapsed_ns(t_expand));
-    metrics.tasks_expanded.add(tasks.len() as u64);
-    trace::add("tasks_expanded", tasks.len() as u64);
+    drop(expand_stage);
+    count(names::CORE_TASKS_EXPANDED, tasks.len() as u64);
 
     // ---- Evaluate the entire batch on one shared pool; operands are
     // prepared inside it, each by the first task that needs it.
-    let t_evaluate = Instant::now();
-    let evaluate_span = trace::span("evaluate");
+    let evaluate_stage = stage(names::CORE_STAGE_EVALUATE_NS);
     let costs: Vec<u64> = tasks.iter().map(|t| t.estimated_ns(&operands)).collect();
     let counts = EvalCounts::default();
     let (results, threads) = run_weighted_tasks(config.cluster.workers(), &costs, |i| {
         evaluate_unit(&tasks[i], &operands, config, &counts)
     });
-    drop(evaluate_span);
-    metrics.evaluate_ns.add(elapsed_ns(t_evaluate));
+    drop(evaluate_stage);
+    count(names::CORE_PERMUTATIONS_RUN, counts.permutations.get());
+    count(names::CORE_OPERAND_ROWS_BUILT, counts.rows_built.get());
     // Every task reads two operands; all but the first read of a slot reuse
     // what that first read prepared.
     let prepared = operands.prepared() as u64;
     let reuses = 2 * tasks.len() as u64 - prepared;
-    let (permutations_run, rows_built) = (counts.permutations.get(), counts.rows_built.get());
-    metrics.permutations_run.add(permutations_run);
-    metrics.operands_prepared.add(prepared);
-    metrics.operand_reuses.add(reuses);
-    metrics.operand_rows_built.add(rows_built);
-    trace::add("permutations_run", permutations_run);
-    trace::add("operands_prepared", prepared);
-    trace::add("operand_reuses", reuses);
-    trace::add("operand_rows_built", rows_built);
+    count(names::CORE_OPERANDS_PREPARED, prepared);
+    count(names::CORE_OPERAND_REUSES, reuses);
     // A batch answered from the cache alone dispatches nothing.
     if !tasks.is_empty() {
-        let (dispatches, name) = match threads {
-            1 => (&metrics.dispatches_inline, "dispatches_inline"),
-            _ => (&metrics.dispatches_parallel, "dispatches_parallel"),
+        let dispatches = match threads {
+            1 => names::CORE_DISPATCHES_INLINE,
+            _ => names::CORE_DISPATCHES_PARALLEL,
         };
-        dispatches.inc();
-        trace::add(name, 1);
+        count(dispatches, 1);
     }
 
     // ---- Assemble per-miss results in canonical task order, sorted once
     // here so that every later use — this batch, a cache hit — starts from
     // a sorted run; fill the cache.
-    let t_assemble = Instant::now();
-    let assemble_span = trace::span("assemble");
+    let assemble_stage = stage(names::CORE_STAGE_ASSEMBLE_NS);
     let mut results = results.into_iter();
     let mut evaluated: Vec<Arc<Vec<Relationship>>> = Vec::with_capacity(misses.len());
+    let mut evictions = 0u64;
     for (miss, range) in misses.iter().zip(&task_ranges) {
         let mut rels: Vec<Relationship> = results.by_ref().take(range.len()).flatten().collect();
         sort_relationships(&mut rels);
         let rels = Arc::new(rels);
-        if cache.insert(miss.key, Arc::clone(&rels)) {
-            metrics.cache_evictions.inc();
-        }
+        evictions += u64::from(cache.insert(miss.key, Arc::clone(&rels)));
         evaluated.push(rels);
     }
+    count(names::CORE_QUERY_CACHE_EVICTIONS, evictions);
 
     // ---- Stitch each query's output from hits and fresh evaluations: one
     // pair's run is the answer, several are merged by a stable sort (which
@@ -403,8 +335,7 @@ pub fn run_query_many<'a>(
         }
         out.push(rels);
     }
-    drop(assemble_span);
-    metrics.assemble_ns.add(elapsed_ns(t_assemble));
+    drop(assemble_stage);
     Ok(out)
 }
 

@@ -133,9 +133,10 @@ pub fn index_dataset(
     let t0 = Instant::now();
     let fields = compute_scalar_functions(config.cluster, geometry, dataset);
     let scalar_secs = t0.elapsed().as_secs_f64();
-    polygamy_obs::global()
-        .counter(polygamy_obs::names::INDEX_STAGE_SCALAR_NS)
-        .add((scalar_secs * 1e9) as u64);
+    polygamy_obs::count(
+        polygamy_obs::names::INDEX_STAGE_SCALAR_NS,
+        (scalar_secs * 1e9) as u64,
+    );
     let t1 = Instant::now();
     let entries = identify_features(config.cluster, geometry, dataset_index, fields);
     let feature_secs = t1.elapsed().as_secs_f64();

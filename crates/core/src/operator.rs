@@ -589,12 +589,24 @@ mod tests {
         // Same-shaped data sets: every pair shares one window, so each
         // function is one operand however many partners it meets — alpha's
         // threshold scan runs once per function, not once per pair.
-        assert_eq!(trace.counter("tasks_expanded"), n_tasks);
+        assert_eq!(
+            trace.counter(polygamy_obs::names::CORE_TASKS_EXPANDED),
+            n_tasks
+        );
         assert!(n_tasks > (alphas.len() + betas.len()) as u64);
         let prepared = (alphas.len() + betas.len()) as u64;
-        assert_eq!(trace.counter("operands_prepared"), prepared);
-        assert_eq!(trace.counter("operand_reuses"), 2 * n_tasks - prepared);
-        assert_eq!(trace.counter("permutations_run"), 25 * n_tested);
+        assert_eq!(
+            trace.counter(polygamy_obs::names::CORE_OPERANDS_PREPARED),
+            prepared
+        );
+        assert_eq!(
+            trace.counter(polygamy_obs::names::CORE_OPERAND_REUSES),
+            2 * n_tasks - prepared
+        );
+        assert_eq!(
+            trace.counter(polygamy_obs::names::CORE_PERMUTATIONS_RUN),
+            25 * n_tested
+        );
     }
 
     #[test]

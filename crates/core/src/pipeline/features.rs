@@ -11,40 +11,12 @@ use crate::framework::CityGeometry;
 use crate::function::FunctionSpec;
 use crate::index::FunctionEntry;
 use polygamy_mapreduce::{par_map, Cluster};
-use polygamy_obs::{names, Counter};
+use polygamy_obs::{count, names, stage};
 use polygamy_stdata::temporal::SeasonalInterval;
 use polygamy_stdata::ScalarField;
 use polygamy_topology::{
     seasonal_thresholds, DomainGraph, FeatureSets, MergeTree, SeasonalThresholds,
 };
-use std::sync::{Arc, OnceLock};
-
-/// Cached registry handles for the per-field metrics of the index build.
-struct IndexMetrics {
-    trees_ns: Arc<Counter>,
-    thresholds_ns: Arc<Counter>,
-    features_ns: Arc<Counter>,
-    fields: Arc<Counter>,
-    vertices: Arc<Counter>,
-    vertices_defined: Arc<Counter>,
-    vertices_zero_run: Arc<Counter>,
-}
-
-fn index_metrics() -> &'static IndexMetrics {
-    static METRICS: OnceLock<IndexMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = polygamy_obs::global();
-        IndexMetrics {
-            trees_ns: r.counter(names::INDEX_STAGE_TREES_NS),
-            thresholds_ns: r.counter(names::INDEX_STAGE_THRESHOLDS_NS),
-            features_ns: r.counter(names::INDEX_STAGE_FEATURES_NS),
-            fields: r.counter(names::INDEX_FIELDS),
-            vertices: r.counter(names::INDEX_VERTICES),
-            vertices_defined: r.counter(names::INDEX_VERTICES_DEFINED),
-            vertices_zero_run: r.counter(names::INDEX_VERTICES_ZERO_RUN),
-        }
-    })
-}
 
 /// Computes trees, thresholds and features for one scalar field.
 ///
@@ -56,24 +28,26 @@ pub fn field_features(
     spatial_adjacency: &[Vec<u32>],
     field: &ScalarField,
 ) -> (FeatureSets, SeasonalThresholds, usize) {
-    let metrics = index_metrics();
-    let (join, split) = metrics.trees_ns.time(|| {
+    let (join, split) = {
+        let _trees = stage(names::INDEX_STAGE_TREES_NS);
         let graph = DomainGraph::new(spatial_adjacency, field.n_steps);
         MergeTree::both(&graph, &field.values)
-    });
-    let thresholds = metrics.thresholds_ns.time(|| {
+    };
+    let thresholds = {
+        let _thresholds = stage(names::INDEX_STAGE_THRESHOLDS_NS);
         let season = SeasonalInterval::for_resolution(field.resolution.temporal);
         let interval_of_step: Vec<i64> = (0..field.n_steps)
             .map(|z| season.interval_of(field.step_start(z)))
             .collect();
         seasonal_thresholds(&join, &split, field.n_regions, &interval_of_step)
-    });
-    let features = metrics
-        .features_ns
-        .time(|| FeatureSets::scan(&field.values, field.n_regions, &thresholds));
+    };
+    let features = {
+        let _features = stage(names::INDEX_STAGE_FEATURES_NS);
+        FeatureSets::scan(&field.values, field.n_regions, &thresholds)
+    };
 
-    metrics.fields.inc();
-    metrics.vertices.add(field.values.len() as u64);
+    count(names::INDEX_FIELDS, 1);
+    count(names::INDEX_VERTICES, field.values.len() as u64);
     let (defined, zeros) = field
         .values
         .iter()
@@ -83,8 +57,8 @@ pub fn field_features(
                 zeros + u64::from(x.to_bits() == 0),
             )
         });
-    metrics.vertices_defined.add(defined);
-    metrics.vertices_zero_run.add(zeros);
+    count(names::INDEX_VERTICES_DEFINED, defined);
+    count(names::INDEX_VERTICES_ZERO_RUN, zeros);
     let tree_nodes = join.node_count() + split.node_count();
     (features, thresholds, tree_nodes)
 }

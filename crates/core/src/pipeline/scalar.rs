@@ -12,7 +12,7 @@
 use crate::framework::CityGeometry;
 use crate::function::FunctionSpec;
 use polygamy_mapreduce::{par_map, Cluster};
-use polygamy_obs::names;
+use polygamy_obs::{count, names};
 use polygamy_stdata::{Binning, Dataset, RecordRegions, Resolution, ResolutionDag, ScalarField};
 
 /// Computes every scalar function of `dataset` at every reachable
@@ -54,9 +54,7 @@ pub fn compute_scalar_functions(
         (regions.lookups(), binnings)
     });
     let located: usize = per_partition.iter().map(|(lookups, _)| lookups).sum();
-    polygamy_obs::global()
-        .counter(names::INDEX_RECORDS_LOCATED)
-        .add(located as u64);
+    count(names::INDEX_RECORDS_LOCATED, located as u64);
 
     let specs = FunctionSpec::enumerate(dataset);
     let units: Vec<(&FunctionSpec, &Binning)> = per_partition

@@ -47,7 +47,7 @@ impl Rule for DefaultHasherRule {
 releases (and RandomState is seeded per-process). PR 4 removed exactly this bug: \
 Monte Carlo permutation seeds derived from DefaultHasher flipped significance \
 verdicts between toolchains. Derive stable values with the explicit FNV-1a \
-hashers already in core/src/cache.rs and mapreduce/src/job.rs instead. This rule \
+hasher already in core/src/cache.rs instead. This rule \
 fires on every occurrence, tests included — a test that depends on an unstable \
 hash is a flake waiting to happen."
     }
@@ -283,11 +283,11 @@ impl Rule for WallClockRule {
         "Query evaluation is a pure function of (index bytes, clause, seeds); a clock \
 read anywhere else is either dead weight or a determinism leak in the making. \
 Instant::now and SystemTime are allowed only in the modules that measure or \
-enforce time by design: crates/bench, crates/obs, the daemon's timeout/drain \
-machinery (serve server/client), the executor and framework stage timers, and \
-the mapreduce job metrics. Code elsewhere that genuinely needs a timestamp \
-should take it as a parameter from an allowlisted caller, or carry an allow \
-comment explaining why the read cannot steer results."
+enforce time by design: crates/bench, crates/obs (whose `stage` guards time \
+every instrumented stage elsewhere), the daemon's timeout/drain machinery \
+(serve server/client) and the framework's build report. Code elsewhere that \
+genuinely needs a timestamp should take it as a parameter from an allowlisted \
+caller, or carry an allow comment explaining why the read cannot steer results."
     }
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
         for src in &ws.sources {

@@ -29,6 +29,30 @@ fn the_linter_lints_itself_clean() {
     );
 }
 
+/// Every path list a rule consults names something that exists: an entry
+/// for a deleted or renamed file exempts nothing and hides the rule's
+/// real reach.
+#[test]
+fn every_path_list_entry_exists() {
+    use polygamy_lint::rules::{ORDERING_EXEMPT, RESULT_PATH, WALL_CLOCK_ALLOWED};
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let lists = [
+        ("RESULT_PATH", RESULT_PATH),
+        ("WALL_CLOCK_ALLOWED", WALL_CLOCK_ALLOWED),
+        ("ORDERING_EXEMPT", ORDERING_EXEMPT),
+    ];
+    for (list, entries) in lists {
+        for entry in entries {
+            let path = root.join(entry);
+            let exists = match entry.strip_suffix('/') {
+                Some(_) => path.is_dir(),
+                None => path.is_file(),
+            };
+            assert!(exists, "{list} names `{entry}`, which does not exist");
+        }
+    }
+}
+
 #[test]
 fn the_whole_workspace_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))

@@ -20,25 +20,27 @@
 //!   ([`MetricsSnapshot::parse_json`]) so clients can validate server
 //!   snapshots with this crate and its one dependency, the workspace's
 //!   JSON codec (`polygamy_json`).
-//! * **Tracing** ([`trace`]) — a thread-local span collector.
-//!   [`trace::span`] is compiled in everywhere but does not even read
-//!   the clock unless a collector is installed ([`trace::record`]), so
-//!   the untraced hot path stays untouched.
+//! * **Tracing** ([`trace`]) — a thread-local collector that, inside
+//!   [`trace::record`], receives the same events under the same names.
+//!
+//! Instrumented code observes an event with one call naming a
+//! [`names`] constant: [`count`] adds to a registry counter, and [`stage`]
+//! times a region into a `*_ns` counter. Inside a [`trace::record`] scope
+//! the event also lands in the calling thread's trace, so the registry and
+//! a trace can never spell one event two ways.
 //!
 //! ```
-//! use polygamy_obs::{global, trace};
+//! use polygamy_obs::{count, global, names, stage, trace};
 //!
-//! let counter = global().counter("example.widgets");
 //! let (sum, t) = trace::record(|| {
-//!     let _span = trace::span("add");
-//!     trace::add("widgets", 2);
-//!     counter.add(2);
+//!     let _plan = stage(names::CORE_STAGE_PLAN_NS);
+//!     count(names::CORE_QUERIES, 2);
 //!     40 + 2
 //! });
 //! assert_eq!(sum, 42);
-//! assert_eq!(t.counter("widgets"), 2);
-//! assert_eq!(t.spans.len(), 1);
-//! assert!(global().snapshot().counter("example.widgets") >= 2);
+//! assert_eq!(t.counter(names::CORE_QUERIES), 2);
+//! assert_eq!(t.spans[0].name, names::CORE_STAGE_PLAN_NS);
+//! assert!(global().snapshot().counter(names::CORE_QUERIES) >= 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,6 +54,48 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_US,
 };
 pub use registry::{global, MetricsSnapshot, Registry};
+
+use std::time::Instant;
+
+/// Adds `n` to the [`global`] counter `name` — and, inside a
+/// [`trace::record`] scope, to the calling thread's trace counter of the
+/// same name. `name` is a [`names`] constant.
+pub fn count(name: &'static str, n: u64) {
+    global().add(name, n);
+    trace::add(name, n);
+}
+
+/// Starts timing a stage: when the returned guard drops, its wall time in
+/// nanoseconds is added to the [`global`] counter `name` (a `*_ns`
+/// [`names`] constant) and, inside a [`trace::record`] scope, pushed as a
+/// span named `name`.
+#[must_use = "a stage measures until the guard drops; binding it to `_` ends it immediately"]
+pub fn stage(name: &'static str) -> Stage {
+    Stage {
+        name,
+        start: Instant::now(),
+    }
+}
+
+/// A running [`stage`]; records on drop.
+#[derive(Debug)]
+pub struct Stage {
+    name: &'static str,
+    start: Instant,
+}
+
+impl Drop for Stage {
+    fn drop(&mut self) {
+        let nanos = nanos_since(self.start);
+        global().add(self.name, nanos);
+        trace::push_span(self.name, nanos);
+    }
+}
+
+/// Nanoseconds since `t0`, saturating into `u64`.
+fn nanos_since(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
 
 /// The canonical metric names every layer registers under — one place,
 /// so producers (instrumented crates) and consumers (snapshots, tests,
@@ -270,4 +314,37 @@ pub mod names {
         SERVE_ERRORS_PREFIX,
         LOADGEN_LATENCY_US,
     ];
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn count_reaches_the_registry_always_and_a_trace_when_recording() {
+        let total = || global().snapshot().counter("test.count_probe");
+        count("test.count_probe", 2);
+        let before = total();
+        assert!(before >= 2);
+        let ((), t) = trace::record(|| count("test.count_probe", 3));
+        assert_eq!(t.counter("test.count_probe"), 3);
+        assert!(total() >= before + 3);
+    }
+
+    #[test]
+    fn stage_times_into_its_counter_and_a_span_of_the_same_name() {
+        let ((), t) = trace::record(|| {
+            let _stage = stage("test.stage_probe_ns");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        });
+        assert_eq!(t.spans.len(), 1);
+        assert_eq!(t.spans[0].name, "test.stage_probe_ns");
+        assert!(t.spans[0].nanos >= 1_000_000);
+        let timed = global().snapshot().counter("test.stage_probe_ns");
+        assert!(timed >= t.spans[0].nanos);
+        assert!(
+            t.counters.is_empty(),
+            "a stage is a span, not a trace counter"
+        );
+    }
 }

@@ -21,7 +21,6 @@
 //! with an `// ordering:` contract comment.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::time::Instant;
 
 /// Microsecond latency buckets (inclusive upper bounds), 50 µs – 5 s.
 ///
@@ -61,15 +60,6 @@ impl Counter {
     /// Adds `n`.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Runs `f` and adds its wall time in nanoseconds — a `*_ns` stage
-    /// timer for code that must not read the clock itself.
-    pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
-        let t0 = Instant::now();
-        let out = f();
-        self.add(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        out
     }
 
     /// The current value.

@@ -4,11 +4,13 @@ use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use polygamy_json::{self as json, write_str, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// A name → instrument map. Instruments are created on first request and
-/// live for the registry's lifetime; handles are cheap `Arc` clones, so
-/// hot paths resolve a name once and keep the handle.
+/// live for the registry's lifetime. A lookup of a registered name takes
+/// the lock and allocates nothing, so instrumented code names its
+/// instrument at every event ([`crate::count`], [`crate::stage`]) instead
+/// of caching handles.
 #[derive(Debug, Default)]
 pub struct Registry {
     inner: Mutex<Inner>,
@@ -19,6 +21,18 @@ struct Inner {
     counters: BTreeMap<String, Arc<Counter>>,
     gauges: BTreeMap<String, Arc<Gauge>>,
     histograms: BTreeMap<String, Arc<Histogram>>,
+}
+
+/// The instrument under `name` in `map`, created by `make` on first use:
+/// a hit is one lookup by `&str`, and only a miss allocates the key.
+fn lookup<T>(map: &mut BTreeMap<String, Arc<T>>, name: &str, make: impl FnOnce() -> T) -> Arc<T> {
+    if let Some(hit) = map.get(name) {
+        return Arc::clone(hit);
+    }
+    Arc::clone(
+        map.entry(name.to_owned())
+            .or_insert_with(|| Arc::new(make())),
+    )
 }
 
 static GLOBAL: OnceLock<Registry> = OnceLock::new();
@@ -36,28 +50,32 @@ impl Registry {
         Self::default()
     }
 
+    /// The maps, recovered even from a poisoned lock: every update under
+    /// it is one map insert or one atomic add, so no panic can leave the
+    /// maps half-updated — and the `Drop` of a [`crate::Stage`] or a
+    /// connection guard, which counts through here, must not panic.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The counter registered under `name`, created at zero on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        Arc::clone(
-            self.inner
-                .lock()
-                .expect("registry poisoned")
-                .counters
-                .entry(name.to_string())
-                .or_default(),
-        )
+        lookup(&mut self.lock().counters, name, Counter::new)
+    }
+
+    /// Adds `n` to the counter under `name` without handing out a handle:
+    /// the registry half of [`crate::count`].
+    pub(crate) fn add(&self, name: &str, n: u64) {
+        let mut inner = self.lock();
+        match inner.counters.get(name) {
+            Some(counter) => counter.add(n),
+            None => inner.counters.entry(name.to_owned()).or_default().add(n),
+        }
     }
 
     /// The gauge registered under `name`, created at zero on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        Arc::clone(
-            self.inner
-                .lock()
-                .expect("registry poisoned")
-                .gauges
-                .entry(name.to_string())
-                .or_default(),
-        )
+        lookup(&mut self.lock().gauges, name, Gauge::new)
     }
 
     /// The histogram registered under `name`, created over `bounds` on
@@ -65,14 +83,7 @@ impl Registry {
     /// given name (debug-asserted): mixed bounds would make the merged
     /// distribution meaningless.
     pub fn histogram(&self, name: &str, bounds: &'static [u64]) -> Arc<Histogram> {
-        let h = Arc::clone(
-            self.inner
-                .lock()
-                .expect("registry poisoned")
-                .histograms
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new(bounds))),
-        );
+        let h = lookup(&mut self.lock().histograms, name, || Histogram::new(bounds));
         debug_assert_eq!(
             h.bounds(),
             bounds,
@@ -83,7 +94,7 @@ impl Registry {
 
     /// A point-in-time copy of every registered instrument.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().expect("registry poisoned");
+        let inner = self.lock();
         MetricsSnapshot {
             counters: inner
                 .counters

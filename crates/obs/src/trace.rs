@@ -1,9 +1,12 @@
 //! Per-query tracing: a thread-local span collector.
 //!
-//! Instrumented code calls [`span`] and [`add`] unconditionally; both
-//! are near-free unless the calling thread is inside [`record`] — the
-//! disabled [`span`] never even reads the clock. A frontend that wants a
-//! trace (CLI `query --trace`, the REPL's `explain` prefix) wraps the
+//! Instrumented code records events through [`crate::count`] and
+//! [`crate::stage`], which bump a registry instrument and — only while the
+//! calling thread is inside [`record`] — the trace entry of the same
+//! catalogue name, so a trace is spelled in the vocabulary of
+//! `polygamy_obs::names`. [`span`] remains for the one trace-only span,
+//! `parse`; disabled, it never even reads the clock. A frontend that wants
+//! a trace (CLI `query --trace`, the REPL's `explain` prefix) wraps the
 //! execution in [`record`] and receives a [`Trace`], **separate from the
 //! result value**, so the traced and untraced result bytes are identical
 //! by construction (the determinism matrix pins this).
@@ -34,7 +37,8 @@ thread_local! {
 /// One timed span: a name and its monotonic-clock wall time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSpan {
-    /// The span name (`docs/observability.md` catalogues them).
+    /// The span name: a `core.stage.*` (or other `*_ns`) catalogue name,
+    /// or `parse`.
     pub name: String,
     /// Elapsed wall time in nanoseconds.
     pub nanos: u64,
@@ -72,7 +76,7 @@ impl Trace {
     /// A single-line JSON rendering:
     ///
     /// ```text
-    /// {"spans":[{"name":"expand","ns":1234},…],"counters":{"tasks":8,…}}
+    /// {"spans":[{"name":"core.stage.expand_ns","ns":1234},…],"counters":{"core.tasks_expanded":8,…}}
     /// ```
     ///
     /// Span timings vary run to run, so this string is diagnostic
@@ -136,12 +140,14 @@ pub struct SpanGuard {
     start: Option<Instant>,
 }
 
-/// Starts a span. Keep the guard alive for the region being timed:
+/// Starts a trace-only span — one the registry does not time (a timed
+/// stage is [`crate::stage`]). Keep the guard alive for the region being
+/// timed:
 ///
 /// ```
-/// # fn expand_everything() {}
-/// let _span = polygamy_obs::trace::span("expand");
-/// expand_everything();
+/// # fn parse_everything() {}
+/// let _span = polygamy_obs::trace::span("parse");
+/// parse_everything();
 /// // timed region ends when `_span` drops
 /// ```
 #[must_use = "a span measures until the guard drops; binding it to `_` ends it immediately"]
@@ -155,22 +161,28 @@ pub fn span(name: &'static str) -> SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(t0) = self.start {
-            let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            COLLECTOR.with(|c| {
-                if let Some(col) = c.borrow_mut().as_mut() {
-                    col.spans.push(TraceSpan {
-                        name: self.name.to_string(),
-                        nanos,
-                    });
-                }
-            });
+            push_span(self.name, crate::nanos_since(t0));
         }
     }
 }
 
+/// Appends a completed span to the thread's collector; a no-op when no
+/// collector is installed.
+pub(crate) fn push_span(name: &'static str, nanos: u64) {
+    COLLECTOR.with(|c| {
+        if let Some(col) = c.borrow_mut().as_mut() {
+            col.spans.push(TraceSpan {
+                name: name.to_string(),
+                nanos,
+            });
+        }
+    });
+}
+
 /// Adds `n` to the named event count in the thread's collector; a no-op
-/// when no collector is installed.
-pub fn add(name: &'static str, n: u64) {
+/// when no collector is installed. Crate-private: events enter a trace
+/// through [`crate::count`], under a catalogue name.
+pub(crate) fn add(name: &'static str, n: u64) {
     COLLECTOR.with(|c| {
         if let Some(col) = c.borrow_mut().as_mut() {
             *col.counters.entry(name).or_insert(0) += n;
@@ -232,14 +244,14 @@ mod tests {
     fn trace_json_shape() {
         let t = Trace {
             spans: vec![TraceSpan {
-                name: "expand".into(),
+                name: "core.stage.expand_ns".into(),
                 nanos: 42,
             }],
-            counters: vec![("tasks".into(), 8)],
+            counters: vec![("core.tasks_expanded".into(), 8)],
         };
         assert_eq!(
             t.to_json(),
-            r#"{"spans":[{"name":"expand","ns":42}],"counters":{"tasks":8}}"#
+            r#"{"spans":[{"name":"core.stage.expand_ns","ns":42}],"counters":{"core.tasks_expanded":8}}"#
         );
         assert_eq!(Trace::default().to_json(), r#"{"spans":[],"counters":{}}"#);
     }

@@ -30,38 +30,11 @@
 
 use polygamy_core::query::RelationshipQuery;
 use polygamy_core::relationship::Relationship;
-use polygamy_obs::{names, Counter, Gauge, Histogram, BATCH_SIZE_BUCKETS};
+use polygamy_obs::{count, global, names, BATCH_SIZE_BUCKETS};
 use polygamy_store::{StoreError, StoreSession};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-
-/// Registry handles mirroring the coalescer's counters into the
-/// process-wide snapshot (the `M` frame view of this module), resolved
-/// once per process.
-struct QueueMetrics {
-    requests: Arc<Counter>,
-    queries: Arc<Counter>,
-    batches: Arc<Counter>,
-    batch_size: Arc<Histogram>,
-    queue_depth: Arc<Gauge>,
-    inflight: Arc<Gauge>,
-}
-
-fn queue_metrics() -> &'static QueueMetrics {
-    static M: OnceLock<QueueMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let r = polygamy_obs::global();
-        QueueMetrics {
-            requests: r.counter(names::SERVE_REQUESTS),
-            queries: r.counter(names::SERVE_QUERIES),
-            batches: r.counter(names::SERVE_BATCHES),
-            batch_size: r.histogram(names::SERVE_BATCH_SIZE, BATCH_SIZE_BUCKETS),
-            queue_depth: r.gauge(names::SERVE_QUEUE_DEPTH),
-            inflight: r.gauge(names::SERVE_INFLIGHT),
-        }
-    })
-}
+use std::sync::{Arc, Condvar, Mutex};
 
 /// The per-request result: one relationship vector per query in the
 /// request, or the store error that failed the request.
@@ -196,15 +169,8 @@ impl Coalescer {
             state = self.space.wait(state).expect("coalescer poisoned");
         }
         state.inflight += queries.len();
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .queries
-            .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        let metrics = queue_metrics();
-        metrics.requests.inc();
-        metrics.queries.add(queries.len() as u64);
-        metrics.inflight.add(queries.len() as i64);
-        metrics.queue_depth.add(1);
+        self.note_admission(queries.len());
+        global().gauge(names::SERVE_QUEUE_DEPTH).add(1);
         let (tx, rx) = channel();
         state.queue.push(Pending { queries, tx });
         drop(state);
@@ -226,7 +192,9 @@ impl Coalescer {
                 }
                 std::mem::take(&mut state.queue)
             };
-            queue_metrics().queue_depth.add(-(batch.len() as i64));
+            global()
+                .gauge(names::SERVE_QUEUE_DEPTH)
+                .add(-(batch.len() as i64));
             self.evaluate(batch);
         }
     }
@@ -237,7 +205,7 @@ impl Coalescer {
     pub fn dispatch_pending(&self) -> usize {
         let batch = std::mem::take(&mut self.state.lock().expect("coalescer poisoned").queue);
         let n = batch.len();
-        queue_metrics().queue_depth.add(-(n as i64));
+        global().gauge(names::SERVE_QUEUE_DEPTH).add(-(n as i64));
         self.evaluate(batch);
         n
     }
@@ -266,21 +234,10 @@ impl Coalescer {
         }
         state.inflight += queries.len();
         drop(state);
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .queries
-            .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        let metrics = queue_metrics();
-        metrics.requests.inc();
-        metrics.queries.add(queries.len() as u64);
-        metrics.inflight.add(queries.len() as i64);
+        self.note_admission(queries.len());
         self.note_dispatch(queries.len());
         let result = self.session.query_many(queries);
-        let mut state = self.state.lock().expect("coalescer poisoned");
-        state.inflight = state.inflight.saturating_sub(queries.len());
-        drop(state);
-        metrics.inflight.add(-(queries.len() as i64));
-        self.space.notify_all();
+        self.release(queries.len());
         Ok(result)
     }
 
@@ -337,11 +294,29 @@ impl Coalescer {
                 let _ = batch[0].tx.send(Err(e));
             }
         }
-        let answered: usize = batch.iter().map(|p| p.queries.len()).sum();
+        self.release(batch.iter().map(|p| p.queries.len()).sum());
+    }
+
+    /// Counts one admitted request of `queries` queries, here and in the
+    /// registry.
+    fn note_admission(&self, queries: usize) {
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        let n = queries as u64;
+        self.counters.queries.fetch_add(n, Ordering::Relaxed);
+        count(names::SERVE_REQUESTS, 1);
+        count(names::SERVE_QUERIES, n);
+        global().gauge(names::SERVE_INFLIGHT).add(queries as i64);
+    }
+
+    /// Returns `answered` queries' admission slots and wakes blocked
+    /// submitters.
+    fn release(&self, answered: usize) {
         let mut state = self.state.lock().expect("coalescer poisoned");
         state.inflight = state.inflight.saturating_sub(answered);
         drop(state);
-        queue_metrics().inflight.add(-(answered as i64));
+        global()
+            .gauge(names::SERVE_INFLIGHT)
+            .add(-(answered as i64));
         self.space.notify_all();
     }
 
@@ -354,9 +329,10 @@ impl Coalescer {
         self.counters
             .max_batch
             .fetch_max(queries as u64, Ordering::Relaxed);
-        let metrics = queue_metrics();
-        metrics.batches.inc();
-        metrics.batch_size.record(queries as u64);
+        count(names::SERVE_BATCHES, 1);
+        global()
+            .histogram(names::SERVE_BATCH_SIZE, BATCH_SIZE_BUCKETS)
+            .record(queries as u64);
     }
 }
 

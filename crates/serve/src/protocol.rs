@@ -187,8 +187,9 @@ pub fn write_frame(w: &mut impl Write, tag: FrameTag, payload: &[u8]) -> io::Res
 /// Returns `Ok(None)` on a clean EOF *at a frame boundary* (the peer
 /// closed between frames); EOF anywhere else is
 /// [`FrameError::TruncatedFrame`]. The declared length is validated
-/// **before** any payload allocation, so a garbage prefix cannot force a
-/// huge allocation.
+/// **before** any payload allocation — by the same check the server's
+/// deadline-aware reader makes — so a garbage prefix cannot force a huge
+/// allocation.
 pub fn read_frame(r: &mut impl Read, max: u32) -> Result<Option<Frame>, FrameError> {
     let mut len_buf = [0u8; 4];
     match r.read(&mut len_buf) {
@@ -196,14 +197,22 @@ pub fn read_frame(r: &mut impl Read, max: u32) -> Result<Option<Frame>, FrameErr
         Ok(n) => r.read_exact(&mut len_buf[n..]).map_err(map_truncation)?,
         Err(e) => return Err(FrameError::Io(e)),
     }
-    let length = u32::from_le_bytes(len_buf);
-    read_body(r, length, max)
+    let payload_len = check_length(u32::from_le_bytes(len_buf), max)?;
+    let mut tag = [0u8; 1];
+    r.read_exact(&mut tag).map_err(map_truncation)?;
+    let mut payload = vec![0u8; payload_len];
+    r.read_exact(&mut payload).map_err(map_truncation)?;
+    Ok(Some(Frame {
+        tag: tag[0],
+        payload,
+    }))
 }
 
-/// Reads the tag + payload of a frame whose length prefix is already
-/// known — the tail shared by [`read_frame`] and the server's
-/// deadline-aware reader.
-pub fn read_body(r: &mut impl Read, length: u32, max: u32) -> Result<Option<Frame>, FrameError> {
+/// Validates a frame's declared `length` (tag + payload) against the cap
+/// `max` and returns the payload length it leaves after the tag byte —
+/// the one check both [`read_frame`] and the server's deadline-aware
+/// reader make before allocating anything for the frame.
+pub(crate) fn check_length(length: u32, max: u32) -> Result<usize, FrameError> {
     if length == 0 {
         return Err(FrameError::Empty);
     }
@@ -213,14 +222,7 @@ pub fn read_body(r: &mut impl Read, length: u32, max: u32) -> Result<Option<Fram
             max,
         });
     }
-    let mut tag = [0u8; 1];
-    r.read_exact(&mut tag).map_err(map_truncation)?;
-    let mut payload = vec![0u8; length as usize - 1];
-    r.read_exact(&mut payload).map_err(map_truncation)?;
-    Ok(Some(Frame {
-        tag: tag[0],
-        payload,
-    }))
+    Ok(length as usize - 1)
 }
 
 /// EOF inside a frame is a protocol error, not a transport error.

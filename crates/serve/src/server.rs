@@ -9,43 +9,19 @@
 
 use crate::coalesce::{CoalesceStats, Coalescer, Rejection};
 use crate::protocol::{
-    write_frame, Frame, FrameError, FrameTag, MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    check_length, write_frame, Frame, FrameError, FrameTag, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use polygamy_json as json;
-use polygamy_obs::{names, Counter, Gauge};
+use polygamy_obs::{count, global, names};
 use polygamy_store::{PqlOutcome, StoreSession};
 use std::fmt::Write as _;
-use std::io::{self, Read, Write as _};
+use std::io::{self, IoSliceMut, Read, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Registry handles for the connection/drain counters, resolved once per
-/// process.
-struct ConnMetrics {
-    opened: Arc<Counter>,
-    closed: Arc<Counter>,
-    active: Arc<Gauge>,
-    metrics_frames: Arc<Counter>,
-    drain_ns: Arc<Counter>,
-}
-
-fn conn_metrics() -> &'static ConnMetrics {
-    static M: OnceLock<ConnMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let r = polygamy_obs::global();
-        ConnMetrics {
-            opened: r.counter(names::SERVE_CONNECTIONS_OPENED),
-            closed: r.counter(names::SERVE_CONNECTIONS_CLOSED),
-            active: r.gauge(names::SERVE_CONNECTIONS_ACTIVE),
-            metrics_frames: r.counter(names::SERVE_METRICS_FRAMES),
-            drain_ns: r.counter(names::SERVE_DRAIN_NS),
-        }
-    })
-}
 
 /// The server's JSON handshake, sent as the `H` frame payload on every
 /// accepted connection (`docs/serving.md` §7).
@@ -337,7 +313,7 @@ impl Server {
             .expect("drain stamp poisoned")
         {
             let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            conn_metrics().drain_ns.add(nanos);
+            count(names::SERVE_DRAIN_NS, nanos);
         }
         // Stop the flusher last so its final line records post-drain state.
         // ordering: SeqCst publishes the stop flag after every drain-side
@@ -366,7 +342,7 @@ fn metrics_flusher(path: &PathBuf, stop: &AtomicBool) {
         // ordering: SeqCst pairs with the shutdown store — seeing `stop`
         // implies seeing the drained metrics the final line must record.
         let stopping = stop.load(Ordering::SeqCst);
-        let line = polygamy_obs::global().snapshot().to_json();
+        let line = global().snapshot().to_json();
         let _ = writeln!(file, "{line}");
         let _ = file.flush();
         if stopping {
@@ -415,31 +391,36 @@ enum NextFrame {
     Fatal(FrameError),
 }
 
-/// Reads exactly `buf.len()` bytes with the connection's poll tick,
-/// honouring the frame deadline and (while no byte of the current frame
-/// has arrived) the drain flag.
+/// Fills `bufs` completely — one vectored read per wake-up, so a frame's
+/// tag byte and payload land in their own buffers in one system call —
+/// with the connection's poll tick, honouring the frame deadline and
+/// (while no byte of the current frame has arrived) the drain flag.
 fn read_full(
     stream: &mut TcpStream,
-    buf: &mut [u8],
-    mut filled: usize,
+    mut bufs: &mut [IoSliceMut<'_>],
     deadline: Instant,
     shared: &Shared,
     frame_started: bool,
-) -> Result<usize, NextFrame> {
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
+) -> Result<(), NextFrame> {
+    let mut started = frame_started;
+    IoSliceMut::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match stream.read_vectored(bufs) {
             Ok(0) => {
-                return Err(if filled == 0 && !frame_started {
-                    NextFrame::Close
-                } else {
+                return Err(if started {
                     NextFrame::Fatal(FrameError::TruncatedFrame)
+                } else {
+                    NextFrame::Close
                 });
             }
-            Ok(n) => filled += n,
+            Ok(n) => {
+                started = true;
+                IoSliceMut::advance_slices(&mut bufs, n);
+            }
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                if shared.draining() && filled == 0 && !frame_started {
+                if shared.draining() && !started {
                     return Err(NextFrame::Close);
                 }
                 if Instant::now() >= deadline {
@@ -450,7 +431,7 @@ fn read_full(
             Err(e) => return Err(NextFrame::Fatal(FrameError::Io(e))),
         }
     }
-    Ok(filled)
+    Ok(())
 }
 
 /// Reads the next frame, enforcing the read timeout: the deadline starts
@@ -459,33 +440,32 @@ fn read_full(
 fn next_frame(stream: &mut TcpStream, shared: &Shared) -> NextFrame {
     let deadline = Instant::now() + shared.opts.read_timeout;
     let mut prefix = [0u8; 4];
-    if let Err(out) = read_full(stream, &mut prefix, 0, deadline, shared, false) {
+    let mut bufs = [IoSliceMut::new(&mut prefix)];
+    if let Err(out) = read_full(stream, &mut bufs, deadline, shared, false) {
         return out;
     }
-    let length = u32::from_le_bytes(prefix);
-    if length == 0 {
-        return NextFrame::Fatal(FrameError::Empty);
-    }
-    if length > shared.opts.max_frame_bytes {
-        return NextFrame::Fatal(FrameError::Oversize {
-            declared: length,
-            max: shared.opts.max_frame_bytes,
-        });
-    }
-    let mut body = vec![0u8; length as usize];
-    if let Err(out) = read_full(stream, &mut body, 0, deadline, shared, true) {
+    let max = shared.opts.max_frame_bytes;
+    let payload_len = match check_length(u32::from_le_bytes(prefix), max) {
+        Ok(n) => n,
+        Err(e) => return NextFrame::Fatal(e),
+    };
+    let mut tag = [0u8; 1];
+    let mut payload = vec![0u8; payload_len];
+    let mut bufs = [IoSliceMut::new(&mut tag), IoSliceMut::new(&mut payload)];
+    if let Err(out) = read_full(stream, &mut bufs, deadline, shared, true) {
         return out;
     }
-    let tag = body[0];
-    body.remove(0);
-    NextFrame::Frame(Frame { tag, payload: body })
+    NextFrame::Frame(Frame {
+        tag: tag[0],
+        payload,
+    })
 }
 
 fn send_error(stream: &mut TcpStream, err: &WireError) -> io::Result<()> {
     // Every error frame bumps its per-kind counter; the kind set is the
     // closed wire vocabulary of docs/serving.md §6, so this creates at
     // most six counters.
-    polygamy_obs::global()
+    global()
         .counter(&format!("{}{}", names::SERVE_ERRORS_PREFIX, err.error))
         .inc();
     write_frame(stream, FrameTag::Error, err.to_json().as_bytes())
@@ -497,17 +477,15 @@ struct ConnGuard;
 
 impl Drop for ConnGuard {
     fn drop(&mut self) {
-        let metrics = conn_metrics();
-        metrics.closed.inc();
-        metrics.active.add(-1);
+        count(names::SERVE_CONNECTIONS_CLOSED, 1);
+        global().gauge(names::SERVE_CONNECTIONS_ACTIVE).add(-1);
     }
 }
 
 /// The per-connection protocol state machine (`docs/serving.md` §4).
 fn serve_connection(mut stream: TcpStream, shared: &Shared) {
-    let metrics = conn_metrics();
-    metrics.opened.inc();
-    metrics.active.add(1);
+    count(names::SERVE_CONNECTIONS_OPENED, 1);
+    global().gauge(names::SERVE_CONNECTIONS_ACTIVE).add(1);
     let _guard = ConnGuard;
     // The poll tick bounds how stale the drain flag and deadline checks
     // can get; it must sit well under the read timeout.
@@ -542,8 +520,8 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                 // A point-in-time registry snapshot, canonical JSON
                 // (docs/serving.md §10). Served even while draining —
                 // observing a drain is exactly when you want metrics.
-                conn_metrics().metrics_frames.inc();
-                let body = polygamy_obs::global().snapshot().to_json();
+                count(names::SERVE_METRICS_FRAMES, 1);
+                let body = global().snapshot().to_json();
                 if write_frame(&mut stream, FrameTag::Result, body.as_bytes()).is_err() {
                     return;
                 }

@@ -567,3 +567,126 @@ mod frame_codec_props {
         }
     }
 }
+
+/// Hostile wire bytes (`docs/serving.md` §2): whatever a peer sends,
+/// `read_frame` answers with a frame, a clean end, or a typed
+/// [`FrameError`] — never a panic — and it refuses an oversize length
+/// having read nothing past the prefix.
+mod hostile_frames {
+    use super::*;
+    use polygamy_serve::protocol::FrameError;
+    use proptest::prelude::*;
+
+    /// A small cap, so that short generated streams reach it.
+    const CAP: u32 = 48;
+
+    /// A reader over a byte slice that counts what it hands out.
+    struct Counting<'a> {
+        rest: &'a [u8],
+        consumed: usize,
+    }
+
+    impl Read for Counting<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.rest.read(buf)?;
+            self.consumed += n;
+            Ok(n)
+        }
+    }
+
+    /// Reads `wire` frame by frame until it ends or breaks, checking every
+    /// outcome against the codec's contract; returns the frames read.
+    fn read_all(wire: &[u8]) -> Result<Vec<Frame>, TestCaseError> {
+        let mut r = Counting {
+            rest: wire,
+            consumed: 0,
+        };
+        let mut frames = Vec::new();
+        loop {
+            let before = r.consumed;
+            match read_frame(&mut r, CAP) {
+                Ok(Some(frame)) => {
+                    prop_assert!(frame.payload.len() < CAP as usize);
+                    prop_assert_eq!(r.consumed - before, 5 + frame.payload.len());
+                    frames.push(frame);
+                }
+                Ok(None) => {
+                    prop_assert!(r.consumed == wire.len(), "`None` only at the end");
+                    return Ok(frames);
+                }
+                Err(FrameError::Oversize { declared, max }) => {
+                    prop_assert!(declared > CAP && max == CAP);
+                    prop_assert!(r.consumed - before == 4, "oversize read past the prefix");
+                    return Ok(frames);
+                }
+                Err(FrameError::Empty) => {
+                    prop_assert_eq!(r.consumed - before, 4);
+                    return Ok(frames);
+                }
+                Err(FrameError::TruncatedFrame) => {
+                    prop_assert!(r.consumed == wire.len(), "truncation before the end");
+                    return Ok(frames);
+                }
+                Err(FrameError::Io(e)) => {
+                    return Err(TestCaseError::fail(format!("untyped i/o error: {e}")));
+                }
+            }
+        }
+    }
+
+    /// A valid stream of frames whose payloads are `bytes` cut at `cuts`.
+    fn valid_stream(bytes: &[u8], cuts: &[usize]) -> (Vec<u8>, Vec<Frame>) {
+        let tags = [
+            FrameTag::Query,
+            FrameTag::Result,
+            FrameTag::Metrics,
+            FrameTag::Error,
+        ];
+        let (mut wire, mut frames, mut rest) = (Vec::new(), Vec::new(), bytes);
+        for (i, &cut) in cuts.iter().enumerate() {
+            let (payload, tail) = rest.split_at(cut.min(rest.len()));
+            let frame = Frame::new(tags[i % tags.len()], payload.to_vec());
+            write_frame(&mut wire, tags[i % tags.len()], payload).unwrap();
+            frames.push(frame);
+            rest = tail;
+        }
+        (wire, frames)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        /// Arbitrary bytes: wide ones, whose prefixes are mostly oversize,
+        /// and bytes from a tiny alphabet, whose prefixes are mostly small.
+        #[test]
+        fn arbitrary_bytes_end_typed(
+            wire in prop_oneof![
+                proptest::collection::vec(0u8..=u8::MAX, 0..160),
+                proptest::collection::vec(0u8..3, 0..160),
+            ],
+        ) {
+            read_all(&wire)?;
+        }
+
+        /// A valid multi-frame stream reads back exactly; cut anywhere or
+        /// with any one byte flipped, it still ends in a frame, a clean
+        /// end or a typed error.
+        #[test]
+        fn damaged_streams_end_typed(
+            bytes in proptest::collection::vec(0u8..=u8::MAX, 0..120),
+            cuts in proptest::collection::vec(0usize..40, 1..6),
+            cut in 0usize..usize::MAX,
+            position in 0usize..usize::MAX,
+            flip in 1u8..=u8::MAX,
+        ) {
+            let (wire, frames) = valid_stream(&bytes, &cuts);
+            prop_assert_eq!(read_all(&wire)?, frames);
+            let truncated = &wire[..cut % (wire.len() + 1)];
+            let read = read_all(truncated)?;
+            prop_assert!(frames.starts_with(&read), "a cut stream reads a prefix of its frames");
+            let mut mutated = wire.clone();
+            mutated[position % wire.len()] ^= flip;
+            read_all(&mutated)?;
+        }
+    }
+}

@@ -27,9 +27,9 @@
 //!   The bound is exact in data set × resolution and still loose in time:
 //!   two entries at a shared resolution whose time windows do not overlap
 //!   are read and then skipped by the executor (the windows are in the
-//!   blobs, not in the directory). `segments_pinned` and
-//!   `segments_outside_shared_resolutions` in a query's trace say what a
-//!   pin read and what naming the data sets alone would have added;
+//!   blobs, not in the directory). `store.pin.segments` and
+//!   `store.pin.skipped` in a query's trace say what a pin read and what
+//!   naming the data sets alone would have added;
 //! * **once-only verification** — each blob's checksum is checked on
 //!   *first* access and the verdict is recorded in an atomic per-blob
 //!   cell (two per directory entry). Re-faults after LRU eviction skip
@@ -73,43 +73,11 @@ use crate::store::{LoadFilter, Store};
 use polygamy_core::index::{DatasetEntry, FunctionEntry, PolygamyIndex};
 use polygamy_core::query::RelationshipQuery;
 use polygamy_core::{query_pairs, CityGeometry, ShardedLruCache};
-use polygamy_obs::{names, trace, Counter};
+use polygamy_obs::{count, names, Counter};
 use polygamy_stdata::Resolution;
 use std::path::Path;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
-
-/// Registry handles for the lazy-serving counters, resolved once per
-/// process (handles are shared by every [`LazyIndex`]).
-struct LazyMetrics {
-    faults: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    evictions: Arc<Counter>,
-    verifications: Arc<Counter>,
-    verify_failures: Arc<Counter>,
-    field_faults: Arc<Counter>,
-    field_bytes: Arc<Counter>,
-    pin_segments: Arc<Counter>,
-    pin_skipped: Arc<Counter>,
-}
-
-fn lazy_metrics() -> &'static LazyMetrics {
-    static M: OnceLock<LazyMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let r = polygamy_obs::global();
-        LazyMetrics {
-            faults: r.counter(names::STORE_SEGMENT_FAULTS),
-            cache_hits: r.counter(names::STORE_SEGMENT_CACHE_HITS),
-            evictions: r.counter(names::STORE_SEGMENT_EVICTIONS),
-            verifications: r.counter(names::STORE_CHECKSUM_VERIFICATIONS),
-            verify_failures: r.counter(names::STORE_CHECKSUM_FAILURES),
-            field_faults: r.counter(names::STORE_FIELD_FAULTS),
-            field_bytes: r.counter(names::STORE_FIELD_BYTES_FETCHED),
-            pin_segments: r.counter(names::STORE_PIN_SEGMENTS),
-            pin_skipped: r.counter(names::STORE_PIN_SKIPPED),
-        }
-    })
-}
+use std::sync::Arc;
 
 /// Default bound on decoded segments held in memory, per index. Entries
 /// are a few KB to a few hundred KB each; 1024 keeps typical working sets
@@ -123,7 +91,7 @@ const VERIFIED_BAD: u8 = 2;
 
 /// One store file that opened, with its per-file registry counters
 /// (`store.shard.faults.<i>` / `store.shard.bytes_fetched.<i>` — a
-/// monolith is shard 0) alongside the process-wide lazy-serving ones.
+/// monolith is shard 0), whose names are made once, at open.
 #[derive(Debug)]
 struct OpenFile {
     store: Store,
@@ -383,11 +351,12 @@ impl LazyIndex {
     /// evaluated; every batch that avoids the broken file keeps serving.
     pub fn pin_for(&self, queries: &[RelationshipQuery]) -> Result<Vec<Arc<FunctionEntry>>> {
         let footprint = self.footprint(queries)?;
-        footprint
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| n.map(|with_field| self.entry(i, with_field)))
-            .collect()
+        let mut hits = 0;
+        let pinned = (footprint.iter().enumerate())
+            .filter_map(|(i, n)| n.map(|with_field| self.entry(i, with_field, &mut hits)))
+            .collect();
+        count(names::STORE_SEGMENT_CACHE_HITS, hits);
+        pinned
     }
 
     /// What an eager session adds to its resident hot-only entries for
@@ -400,13 +369,16 @@ impl LazyIndex {
         queries: &[RelationshipQuery],
     ) -> Result<Vec<Option<Arc<FunctionEntry>>>> {
         let footprint = self.footprint(queries)?;
-        (0..self.directory.len())
+        let mut hits = 0;
+        let pinned = (0..self.directory.len())
             .filter(|&i| self.directory[i].admitted)
             .map(|i| match footprint[i] {
-                Some(true) => self.entry(i, true).map(Some),
+                Some(true) => self.entry(i, true, &mut hits).map(Some),
                 _ => Ok(None),
             })
-            .collect()
+            .collect();
+        count(names::STORE_SEGMENT_CACHE_HITS, hits);
+        pinned
     }
 
     /// Per directory entry: `None` when no query of the batch can reach
@@ -462,19 +434,23 @@ impl LazyIndex {
         let n_named = (self.directory.iter())
             .filter(|e| named[e.dataset] & e.resolution != 0)
             .count() as u64;
-        let metrics = lazy_metrics();
-        metrics.pin_segments.add(n_pinned);
-        metrics.pin_skipped.add(n_named - n_pinned);
-        trace::add("segments_pinned", n_pinned);
-        trace::add("segments_outside_shared_resolutions", n_named - n_pinned);
+        count(names::STORE_PIN_SEGMENTS, n_pinned);
+        count(names::STORE_PIN_SKIPPED, n_named - n_pinned);
         Ok(footprint)
     }
 
     /// Faults in one segment by global directory position: cache hit, or
     /// read + (first time only) verify + decode + insert. The field blob
-    /// is fetched only when `with_field` asks and the entry has one.
-    fn entry(&self, seg_index: usize, with_field: bool) -> Result<Arc<FunctionEntry>> {
-        let metrics = lazy_metrics();
+    /// is fetched only when `with_field` asks and the entry has one. A hit
+    /// adds one to `hits`, which the pin counts once: a warm pair pins
+    /// dozens of segments, and a registry lookup per hit would be most of
+    /// a cached request's instrumentation.
+    fn entry(
+        &self,
+        seg_index: usize,
+        with_field: bool,
+        hits: &mut u64,
+    ) -> Result<Arc<FunctionEntry>> {
         let entry = &self.directory[seg_index];
         let (file, info) = self.locate(entry)?;
         let with_field = with_field && info.field.is_some();
@@ -482,18 +458,15 @@ impl LazyIndex {
             // An entry cached with its field is a superset of a field-less
             // one; the reverse is re-faulted below and replaces it.
             if !with_field || hit.field.is_some() {
-                metrics.cache_hits.inc();
-                trace::add("segment_cache_hits", 1);
+                *hits += 1;
                 return Ok(hit);
             }
         }
-        metrics.faults.inc();
-        trace::add("segment_faults", 1);
+        count(names::STORE_SEGMENT_FAULTS, 1);
         file.faults.inc();
         let decoded = Arc::new(self.read_entry(seg_index, Read::Fault { with_field })?);
-        if self.cache.insert(seg_index, Arc::clone(&decoded)) {
-            metrics.evictions.inc();
-        }
+        let evicted = self.cache.insert(seg_index, Arc::clone(&decoded));
+        count(names::STORE_SEGMENT_EVICTIONS, u64::from(evicted));
         Ok(decoded)
     }
 
@@ -515,12 +488,9 @@ impl LazyIndex {
         };
         let field_what = format!("{what} field");
         let field = read_blob(file, loc, field_verdict, &field_what, faulting)?;
-        let metrics = lazy_metrics();
-        metrics.field_bytes.add(loc.len);
-        trace::add("field_bytes_fetched", loc.len);
+        count(names::STORE_FIELD_BYTES_FETCHED, loc.len);
         if faulting {
-            metrics.field_faults.inc();
-            trace::add("field_faults", 1);
+            count(names::STORE_FIELD_FAULTS, 1);
             return decode_function_segment(&hot, Some(&field), entry.dataset, &what);
         }
         let decoded = decode_function_segment(&hot, None, entry.dataset, &what)?;
@@ -596,7 +566,6 @@ fn read_blob(
     what: &str,
     faulting: bool,
 ) -> Result<Vec<u8>> {
-    let metrics = lazy_metrics();
     // ordering: Acquire pairs with the Release stores below — a thread
     // that reads a verdict also sees the verification that produced it.
     if verdict.load(Ordering::Acquire) == VERIFIED_BAD {
@@ -607,7 +576,7 @@ fn read_blob(
     // ordering: Acquire — same pairing as the verdict check above.
     if verdict.load(Ordering::Acquire) == UNVERIFIED {
         if faulting {
-            metrics.verifications.inc();
+            count(names::STORE_CHECKSUM_VERIFICATIONS, 1);
         }
         match SegmentSource::verify(&bytes, loc, what) {
             // ordering: Release publishes the verdict (and the checksum
@@ -615,7 +584,7 @@ fn read_blob(
             Ok(()) => verdict.store(VERIFIED_OK, Ordering::Release),
             Err(e) => {
                 if faulting {
-                    metrics.verify_failures.inc();
+                    count(names::STORE_CHECKSUM_FAILURES, 1);
                 }
                 // ordering: Release — sticky failure published the same way.
                 verdict.store(VERIFIED_BAD, Ordering::Release);

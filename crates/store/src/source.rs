@@ -22,26 +22,18 @@
 //!   verifies, [`SegmentSource::fetch`] never does, which is what lets a
 //!   lazy index verify each blob exactly once on first touch;
 //! * **byte accounting** — every payload byte served is counted
-//!   ([`SegmentSource::bytes_fetched`]), making "lazy open reads strictly
+//!   ([`SegmentSource::bytes_fetched`], and process-wide as
+//!   `store.bytes_fetched`), making "lazy open reads strictly
 //!   fewer bytes than eager load" an assertable property instead of a
 //!   claim.
 
 use crate::checksum::blob_checksum;
 use crate::error::{Result, StoreError};
 use crate::format::BlobLoc;
-use polygamy_obs::{names, Counter};
+use polygamy_obs::{count, names};
 use std::fs::File;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-
-/// Process-wide `store.bytes_fetched` registry counter, resolved once.
-/// Every source in the process adds into it alongside its own per-source
-/// [`SegmentSource::bytes_fetched`] counter.
-fn global_bytes_fetched() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| polygamy_obs::global().counter(names::STORE_BYTES_FETCHED))
-}
 
 /// How a [`SegmentSource`] reads: positioned reads, the only mechanism.
 /// Kept for callers that still name it
@@ -115,7 +107,7 @@ impl SegmentSource {
         let mut bytes = vec![0u8; n];
         read_at(&self.file, loc.offset, &mut bytes)?;
         self.bytes_fetched.fetch_add(loc.len, Ordering::Relaxed);
-        global_bytes_fetched().add(loc.len);
+        count(names::STORE_BYTES_FETCHED, loc.len);
         Ok(bytes)
     }
 

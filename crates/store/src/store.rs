@@ -33,12 +33,11 @@ use crate::source::SegmentSource;
 use polygamy_core::index::{DatasetEntry, FunctionEntry, PolygamyIndex};
 use polygamy_core::{index_dataset, CityGeometry, Config};
 use polygamy_json::Value;
-use polygamy_obs::{names, Counter};
+use polygamy_obs::{count, names, stage};
 use polygamy_stdata::{Dataset, Resolution, SpatialPartition, SpatialResolution};
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Which parts of a store to materialize.
 ///
@@ -222,7 +221,10 @@ impl Store {
             .dataset_index(&dataset.meta.name)
             .unwrap_or(self.manifest.datasets.len());
         let (entry, functions, _stats) = index_dataset(config, &geometry, target, dataset);
-        let fresh = encode_timer().time(|| functions.iter().map(encode_segment).collect());
+        let fresh = {
+            let _encode = stage(names::STORE_SAVE_ENCODE_NS);
+            functions.iter().map(encode_segment).collect()
+        };
         let store = self.rewrite(target, Some((entry.clone(), fresh)))?;
         Ok((store, entry))
     }
@@ -244,8 +246,10 @@ impl Store {
         replacement: Option<(DatasetEntry, SegmentGroup)>,
     ) -> Result<Store> {
         let mut catalog = self.manifest.datasets.clone();
-        let mut per_dataset =
-            write_timer().time(|| self.read_retained_segments(|di| di != target))?;
+        let mut per_dataset = {
+            let _write = stage(names::STORE_SAVE_WRITE_NS);
+            self.read_retained_segments(|di| di != target)?
+        };
         match replacement {
             Some((entry, group)) if target == catalog.len() => {
                 catalog.push(entry);
@@ -341,26 +345,17 @@ pub(crate) struct Segment {
 /// One data set's encoded segments, in directory order.
 pub(crate) type SegmentGroup = Vec<Segment>;
 
-/// `store.save.encode_ns`: segment encoding + checksumming for a write.
-fn encode_timer() -> Arc<Counter> {
-    polygamy_obs::global().counter(names::STORE_SAVE_ENCODE_NS)
-}
-
-/// `store.save.write_ns`: composing and durably writing store files, and a
-/// rewrite's verified read of what it retains.
-fn write_timer() -> Arc<Counter> {
-    polygamy_obs::global().counter(names::STORE_SAVE_WRITE_NS)
-}
-
 fn encode_segment(entry: &FunctionEntry) -> Segment {
     let (hot, hot_raw) = encode_hot(entry);
     let field = entry.field.as_ref().map(|f| encode_field(&f.values));
-    let count = |name, bytes: usize| polygamy_obs::global().counter(name).add(bytes as u64);
-    count(names::STORE_SAVE_HOT_RAW_BYTES, hot_raw);
-    count(names::STORE_SAVE_HOT_STORED_BYTES, hot.len());
+    count(names::STORE_SAVE_HOT_RAW_BYTES, hot_raw as u64);
+    count(names::STORE_SAVE_HOT_STORED_BYTES, hot.len() as u64);
     if let (Some(raw), Some(stored)) = (&entry.field, &field) {
-        count(names::STORE_SAVE_FIELD_RAW_BYTES, 8 * raw.values.len());
-        count(names::STORE_SAVE_FIELD_STORED_BYTES, stored.len());
+        count(
+            names::STORE_SAVE_FIELD_RAW_BYTES,
+            8 * raw.values.len() as u64,
+        );
+        count(names::STORE_SAVE_FIELD_STORED_BYTES, stored.len() as u64);
     }
     Segment {
         function: entry.spec.name.clone(),
@@ -376,11 +371,10 @@ fn encode_segment(entry: &FunctionEntry) -> Segment {
 pub(crate) fn encode_segment_groups(index: &PolygamyIndex) -> Vec<SegmentGroup> {
     let mut per_dataset: Vec<SegmentGroup> =
         (0..index.datasets.len()).map(|_| Vec::new()).collect();
-    encode_timer().time(|| {
-        for entry in &index.functions {
-            per_dataset[entry.dataset_index].push(encode_segment(entry));
-        }
-    });
+    let _encode = stage(names::STORE_SAVE_ENCODE_NS);
+    for entry in &index.functions {
+        per_dataset[entry.dataset_index].push(encode_segment(entry));
+    }
     per_dataset
 }
 
@@ -465,7 +459,10 @@ pub(crate) fn write_store(
     catalog: Vec<DatasetEntry>,
     per_dataset: Vec<SegmentGroup>,
 ) -> Result<Store> {
-    write_timer().time(|| compose_and_write(path, geometry, catalog, per_dataset))?;
+    {
+        let _write = stage(names::STORE_SAVE_WRITE_NS);
+        compose_and_write(path, geometry, catalog, per_dataset)?;
+    }
     Store::open(path)
 }
 

@@ -20,6 +20,7 @@
 
 use polygamy_core::prelude::*;
 use polygamy_core::DataPolygamy;
+use polygamy_obs::names;
 use polygamy_stdata::Polygon;
 use polygamy_store::{shard_store, LoadFilter, SourceBackend, Store, StoreError, StoreSession};
 use std::collections::BTreeSet;
@@ -353,7 +354,7 @@ fn a_store_truncated_in_place_fails_only_reads_past_the_cut() {
     let before = lazy_bytes(&session);
     let (rels, t) = polygamy_obs::trace::record(|| session.query(&rewarmed).unwrap());
     assert_eq!(rels, dp.query(&rewarmed).unwrap());
-    assert_eq!(t.counter("segment_faults"), 0);
+    assert_eq!(t.counter(names::STORE_SEGMENT_FAULTS), 0);
     assert_eq!(lazy_bytes(&session), before);
     // A pair below the cut, never read before, still serves.
     let below = RelationshipQuery::between(&["alpha"], &["gamma"]).with_clause(test_clause());
@@ -402,8 +403,8 @@ fn field_blobs_are_fetched_only_for_data_sets_a_thresholds_clause_names() {
     let (rels, t) = polygamy_obs::trace::record(|| session.query(&plain).unwrap());
     assert_eq!(rels, dp.query(&plain).unwrap());
     assert_eq!(lazy_bytes(&session) - opened, alpha_hot + beta_hot);
-    assert_eq!(t.counter("field_faults"), 0);
-    assert_eq!(t.counter("field_bytes_fetched"), 0);
+    assert_eq!(t.counter(names::STORE_FIELD_FAULTS), 0);
+    assert_eq!(t.counter(names::STORE_FIELD_BYTES_FETCHED), 0);
 
     // `thresholds alpha (…)` on the same session: alpha's entries are
     // re-faulted with their fields, beta's stay cached and field-less.
@@ -411,8 +412,8 @@ fn field_blobs_are_fetched_only_for_data_sets_a_thresholds_clause_names() {
     let (rels, t) = polygamy_obs::trace::record(|| session.query(&on_alpha).unwrap());
     assert_eq!(rels, dp.query(&on_alpha).unwrap());
     assert_eq!(lazy_bytes(&session) - before, alpha_hot + alpha_field);
-    assert_eq!(t.counter("field_bytes_fetched"), alpha_field);
-    assert!(t.counter("field_faults") > 0);
+    assert_eq!(t.counter(names::STORE_FIELD_BYTES_FETCHED), alpha_field);
+    assert!(t.counter(names::STORE_FIELD_FAULTS) > 0);
 
     // An entry cached with its field serves field-less pins: nothing
     // more is read for the plain query, nor for the override again.
@@ -660,8 +661,8 @@ fn footprint_of(
     assert_eq!(rels, eager.query(query).unwrap());
     (
         lazy_bytes(session) - before,
-        t.counter("segments_pinned"),
-        t.counter("segments_outside_shared_resolutions"),
+        t.counter(names::STORE_PIN_SEGMENTS),
+        t.counter(names::STORE_PIN_SKIPPED),
     )
 }
 
@@ -866,15 +867,23 @@ fn an_eager_session_reads_fields_only_when_a_thresholds_clause_asks() {
         let (rels, t) = polygamy_obs::trace::record(|| session.query(&on_alpha).unwrap());
         assert_eq!(rels, dp.query(&on_alpha).unwrap(), "{what}");
         assert_eq!(rels, lazy.query(&on_alpha).unwrap(), "{what}");
-        assert_eq!(t.counter("field_bytes_fetched"), alpha_field, "{what}");
-        assert_eq!(t.counter("field_faults"), alpha_segments, "{what}");
+        assert_eq!(
+            t.counter(names::STORE_FIELD_BYTES_FETCHED),
+            alpha_field,
+            "{what}"
+        );
+        assert_eq!(
+            t.counter(names::STORE_FIELD_FAULTS),
+            alpha_segments,
+            "{what}"
+        );
         // The live counter: alpha's entries were faulted whole.
         assert_eq!(session.bytes_fetched() - opened, alpha_hot + alpha_field);
 
         let before = session.bytes_fetched();
         let (rels, t) = polygamy_obs::trace::record(|| session.query(&on_alpha_again).unwrap());
         assert_eq!(rels, dp.query(&on_alpha_again).unwrap(), "{what}");
-        assert_eq!(t.counter("field_bytes_fetched"), 0, "{what}");
+        assert_eq!(t.counter(names::STORE_FIELD_BYTES_FETCHED), 0, "{what}");
         assert_eq!(session.bytes_fetched(), before, "{what}");
         assert!(
             hot_only(&session),

@@ -13,7 +13,7 @@
 
 use polygamy_core::prelude::*;
 use polygamy_core::DataPolygamy;
-use polygamy_obs::trace;
+use polygamy_obs::{names, trace};
 use polygamy_store::{
     is_sharded, merge_shards, remove_dataset_sharded, save_sharded, shard_store,
     upsert_dataset_sharded, LoadFilter, ShardCatalog, SourceBackend, Store, StoreSession,
@@ -115,7 +115,7 @@ fn pin_sequence(path: &Path) -> (Vec<(usize, String, Resolution)>, u64) {
         }
         pinned
     });
-    (pinned, trace.counter("segment_faults"))
+    (pinned, trace.counter(names::STORE_SEGMENT_FAULTS))
 }
 
 #[test]

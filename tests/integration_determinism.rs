@@ -33,7 +33,7 @@ use polygamy_core::{
     evaluate_features, significance_test, DataPolygamy, Fnv1a, FunctionEntry, PermutationScheme,
 };
 use polygamy_mapreduce::Cluster;
-use polygamy_obs::trace;
+use polygamy_obs::{names, trace};
 use polygamy_stats::permutation::MonteCarlo;
 use polygamy_stdata::Polygon;
 use polygamy_store::{shard_store, LoadFilter, SourceBackend, Store, StoreSession};
@@ -356,13 +356,35 @@ fn thresholds_clause_identical_across_every_session_kind() {
     }
 }
 
+/// Asserts that a trace speaks the metric catalogue's vocabulary: every
+/// counter key and span name is in `names::ALL` or extends one of its
+/// family prefixes — all but the trace-only `parse` span.
+fn assert_catalogue_vocabulary(t: &trace::Trace, context: &str) {
+    let catalogued = |name: &str| {
+        (names::ALL.iter()).any(|&n| name == n || (n.ends_with('.') && name.starts_with(n)))
+    };
+    for (name, _) in &t.counters {
+        assert!(
+            catalogued(name),
+            "trace counter `{name}` is not a catalogue name ({context})"
+        );
+    }
+    for span in &t.spans {
+        assert!(
+            span.name == "parse" || catalogued(&span.name),
+            "trace span `{}` is not a catalogue name ({context})",
+            span.name
+        );
+    }
+}
+
 /// The tracing axis of the matrix: running the *same* queries inside a
 /// `trace::record` scope must not change a byte of the result JSON, on
 /// any worker count, eager or lazy, `query` or PQL. Tracing observes the
-/// executor; it must never steer it (`docs/observability.md`).
+/// executor; it must never steer it (`docs/observability.md`). Every
+/// trace on the way is spelled in the metric catalogue's names.
 #[test]
 fn traced_results_identical_to_untraced() {
-    use polygamy_obs::trace;
     use polygamy_store::{execute_pql_query, execute_pql_query_traced};
 
     let path = tmp_path("traced");
@@ -389,9 +411,10 @@ fn traced_results_identical_to_untraced() {
                 assert_eq!(&json(&rels), expect, "traced {mode} query @ {cluster:?}");
                 // The trace itself must have observed the run.
                 assert!(
-                    t.span_nanos("evaluate") > 0,
+                    t.span_nanos(names::CORE_STAGE_EVALUATE_NS) > 0,
                     "traced {mode} run recorded no evaluate span @ {cluster:?}"
                 );
+                assert_catalogue_vocabulary(&t, &format!("{mode} @ {cluster:?}"));
             }
         }
     }
@@ -403,7 +426,15 @@ fn traced_results_identical_to_untraced() {
     let pql = "between alpha and beta where permutations = 40 and include insignificant";
     let plain = execute_pql_query(&session, pql).unwrap();
     let traced = execute_pql_query_traced(&session, pql).unwrap();
-    assert!(traced.trace.is_some(), "traced outcome carries its trace");
+    let t = traced
+        .trace
+        .as_ref()
+        .expect("traced outcome carries its trace");
+    assert!(
+        t.spans.iter().any(|s| s.name == "parse"),
+        "the PQL trace times compilation"
+    );
+    assert_catalogue_vocabulary(t, "PQL");
     assert_eq!(traced.to_json(), plain.to_json(), "trace changed the bytes");
     assert_eq!(traced.render_text(), plain.render_text());
 }
@@ -640,9 +671,10 @@ fn spatial_query_matches_the_naive_path_pair_by_pair() {
             let query =
                 RelationshipQuery::between(&[names[0]], &[names[1]]).with_clause(clause.clone());
             let (got, t) = trace::record(|| dp.query(&query).unwrap());
-            rows_built += t.counter("operand_rows_built");
+            rows_built += t.counter(names::CORE_OPERAND_ROWS_BUILT);
             assert_eq!(
-                t.counter("dispatches_inline") + t.counter("dispatches_parallel"),
+                t.counter(names::CORE_DISPATCHES_INLINE)
+                    + t.counter(names::CORE_DISPATCHES_PARALLEL),
                 1,
                 "one dispatch per evaluated query"
             );
@@ -726,10 +758,10 @@ fn spatial_query_matches_the_naive_path_pair_by_pair() {
         .with_scheme(PermutationScheme::Paper);
     let again = RelationshipQuery::between(&["north"], &["late"]).with_clause(clause.clone());
     let (_, t) = trace::record(|| dp.query(&again).unwrap());
-    assert_eq!(t.counter("cache_hits"), 1);
-    assert_eq!(t.counter("operand_rows_built"), 0);
+    assert_eq!(t.counter(names::CORE_QUERY_CACHE_HITS), 1);
+    assert_eq!(t.counter(names::CORE_OPERAND_ROWS_BUILT), 0);
     assert_eq!(
-        t.counter("dispatches_inline") + t.counter("dispatches_parallel"),
+        t.counter(names::CORE_DISPATCHES_INLINE) + t.counter(names::CORE_DISPATCHES_PARALLEL),
         0
     );
     // Under a thresholds override the named data set's rows are the
@@ -744,7 +776,7 @@ fn spatial_query_matches_the_naive_path_pair_by_pair() {
         let query = RelationshipQuery::between(&["north"], &["late"]).with_clause(clause);
         let (rels, t) = trace::record(|| dp.query(&query).unwrap());
         assert!(!rels.is_empty());
-        t.counter("operand_rows_built")
+        t.counter(names::CORE_OPERAND_ROWS_BUILT)
     };
     built_under_override(30);
     let built = built_under_override(31);
