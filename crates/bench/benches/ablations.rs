@@ -46,7 +46,7 @@ use polygamy_stdata::{FunctionKind, Resolution, SpatialResolution, TemporalResol
 use polygamy_store::codec::{
     decode_bitvec, decode_field, encode_bitvec, encode_field, validate_field,
 };
-use polygamy_store::{LazyIndex, LoadFilter, Store, StoreSession};
+use polygamy_store::{LazyIndex, Store, StoreSession};
 use polygamy_topology::{
     super_level_set, BitVec, DomainGraph, FeatureClass, FeatureSet, MergeTree,
 };
@@ -376,7 +376,7 @@ fn bench_read_path(c: &mut Criterion) {
         let query = [parse_query(pql).expect("valid PQL")];
         group.bench_function(label, |b| {
             b.iter(|| {
-                let lazy = LazyIndex::open(&path, &LoadFilter::all()).expect("store opens");
+                let lazy = LazyIndex::open(&path).expect("store opens");
                 lazy.pin_for(&query).map(|pinned| pinned.len())
             })
         });

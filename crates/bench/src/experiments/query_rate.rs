@@ -59,10 +59,7 @@ pub fn run(quick: bool) -> String {
         // Same index, fresh cache per run, only the worker count differs —
         // the flat executor guarantees identical results either way.
         let run_with = |cluster: Cluster| {
-            let config = polygamy_core::framework::Config {
-                cluster,
-                ..polygamy_core::framework::Config::default()
-            };
+            let config = polygamy_core::framework::Config { cluster };
             let cache = QueryCache::new(DEFAULT_QUERY_CACHE_CAPACITY);
             timed(|| {
                 run_query(index, dp.geometry(), &config, &cache, &query).expect("query succeeds")

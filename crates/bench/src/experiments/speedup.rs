@@ -34,10 +34,7 @@ pub fn run(quick: bool) -> String {
     ]);
     for &w in &worker_counts {
         let cluster = Cluster::local(w);
-        let config = polygamy_core::framework::Config {
-            cluster,
-            ..polygamy_core::framework::Config::default()
-        };
+        let config = polygamy_core::framework::Config { cluster };
         // Component 1+2 measured via the pipeline jobs directly.
         let geometry = c.geometry();
         let (fields_all, scalar_secs) = timed(|| {

@@ -280,7 +280,7 @@ pub fn run_query_many<'a>(
     let costs: Vec<u64> = tasks.iter().map(|t| t.estimated_ns(&operands)).collect();
     let counts = EvalCounts::default();
     let (results, threads) = run_weighted_tasks(config.cluster.workers(), &costs, |i| {
-        evaluate_unit(&tasks[i], &operands, config, &counts)
+        evaluate_unit(&tasks[i], &operands, &counts)
     });
     drop(evaluate_stage);
     count(names::CORE_PERMUTATIONS_RUN, counts.permutations.get());

@@ -13,9 +13,7 @@ use crate::index::{DatasetEntry, FunctionEntry, PolygamyIndex};
 use crate::pipeline::{compute_scalar_functions, identify_features};
 use crate::query::RelationshipQuery;
 use crate::relationship::Relationship;
-use crate::significance::PermutationScheme;
 use polygamy_mapreduce::Cluster;
-use polygamy_stats::permutation::MonteCarlo;
 use polygamy_stdata::{Dataset, SpatialPartition, SpatialResolution};
 use std::time::Instant;
 
@@ -57,41 +55,29 @@ impl CityGeometry {
     }
 }
 
-/// Framework configuration.
+/// Framework configuration: the worker pool the indexing jobs and the query
+/// executor run on. Everything a relationship query's significance test
+/// reads — the number of permutations, α and the permutation scheme — comes
+/// from its [`Clause`](crate::query::Clause).
 #[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Execution environment for the parallel jobs.
     pub cluster: Cluster,
-    /// Monte Carlo defaults (clauses can override count/alpha per query).
-    pub monte_carlo: MonteCarlo,
-    /// Restricted permutation family.
-    pub scheme: PermutationScheme,
-    /// Base RNG seed (per-pair seeds derive deterministically from it).
-    pub seed: u64,
 }
 
 impl Default for Config {
     fn default() -> Self {
         Self {
             cluster: Cluster::host(),
-            monte_carlo: MonteCarlo::default(),
-            scheme: PermutationScheme::Paper,
-            seed: 0xDA7A_9A17,
         }
     }
 }
 
 impl Config {
-    /// A configuration for fast deterministic tests: 2 workers, 80
-    /// permutations.
+    /// A configuration for fast deterministic tests: two workers.
     pub fn fast_test() -> Self {
         Self {
             cluster: Cluster::local(2),
-            monte_carlo: MonteCarlo {
-                permutations: 80,
-                ..MonteCarlo::default()
-            },
-            ..Self::default()
         }
     }
 }

@@ -30,10 +30,11 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Which restricted randomisation family to draw from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PermutationScheme {
     /// Paper defaults: time rotations for 1-D functions, spatial graph
     /// shifts for spatial functions.
+    #[default]
     Paper,
     /// Spatial graph shifts composed with time rotations (3-torus
     /// extension; paper Section 8).

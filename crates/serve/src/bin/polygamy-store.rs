@@ -81,8 +81,8 @@ use polygamy_obs::names;
 use polygamy_serve::{ServeOptions, Server};
 use polygamy_store::{
     execute_pql_batch, execute_pql_batch_traced, execute_pql_query, execute_pql_query_traced,
-    is_sharded, merge_shards, save_sharded, shard_store, LazyIndex, LoadFilter, PqlServeError,
-    ShardCatalog, Store, StoreSession, SHARD_CATALOG_VERSION, VERSION,
+    is_sharded, merge_shards, save_sharded, shard_store, LazyIndex, PqlServeError, ShardCatalog,
+    Store, StoreSession, SHARD_CATALOG_VERSION, VERSION,
 };
 use std::io::{BufRead, IsTerminal, Write};
 use std::process::ExitCode;
@@ -343,7 +343,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
     if verify {
         // Route the force-check through the demand-paged reader so the
         // exact serving read path is what gets exercised.
-        let lazy = LazyIndex::new(store, &LoadFilter::all()).map_err(|e| e.to_string())?;
+        let lazy = LazyIndex::new(store).map_err(|e| e.to_string())?;
         let checked = lazy.verify_all().map_err(|e| e.to_string())?;
         println!(
             "verify: geometry + {checked} segment(s) OK ({} bytes read)",
@@ -373,7 +373,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
 fn cmd_inspect_sharded(path: &str, verify: bool) -> Result<(), String> {
     // Availability is probed exactly as serving would see it: a degraded
     // open that records each broken shard instead of failing outright.
-    let lazy = LazyIndex::open(path, &LoadFilter::all()).map_err(|e| e.to_string())?;
+    let lazy = LazyIndex::open(path).map_err(|e| e.to_string())?;
     let catalog = lazy.shard_catalog();
     println!(
         "shard catalog {path}: format {SHARD_CATALOG_VERSION}, shard files store format {VERSION}, \
@@ -526,13 +526,16 @@ fn cmd_repl(args: &[String]) -> Result<(), String> {
     if interactive {
         println!(
             "polygamy-store repl — {} data set(s) {} from {path}: {}",
-            session.loaded_datasets().len(),
+            session.catalog().len(),
             if session.is_lazy() {
                 "served lazily"
             } else {
                 "loaded"
             },
-            session.loaded_datasets().join(", ")
+            (session.catalog().iter())
+                .map(|d| d.meta.name.as_str())
+                .collect::<Vec<_>>()
+                .join(", ")
         );
         println!("type a PQL query, or :help / :quit");
     }
@@ -571,8 +574,8 @@ fn cmd_repl(args: &[String]) -> Result<(), String> {
                 );
             }
             ":datasets" => {
-                for name in session.loaded_datasets() {
-                    println!("{name}");
+                for d in session.catalog() {
+                    println!("{}", d.meta.name);
                 }
             }
             _ => repl_eval(&session, input),
@@ -647,11 +650,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     let session = Arc::new(open_session(path, &args)?);
     let server = Server::bind(addr, Arc::clone(&session), opts.clone())
-        .map_err(|e| format!("serve: cannot bind {addr}: {e}"))?;
+        .map_err(|e| format!("serve: {e}"))?;
     println!(
         "polygamy-serve: serving {} data set(s) from {path} on {} \
          (coalescing {}, max-inflight {}, read timeout {:?})",
-        session.loaded_datasets().len(),
+        session.catalog().len(),
         server.local_addr(),
         if opts.coalesce { "on" } else { "off" },
         opts.max_inflight,

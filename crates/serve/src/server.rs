@@ -14,7 +14,7 @@ use crate::protocol::{
 use polygamy_json as json;
 use polygamy_obs::{count, global, names};
 use polygamy_store::{PqlOutcome, StoreSession};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io::{self, IoSliceMut, Read, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -218,18 +218,39 @@ impl Server {
     /// [`Server::local_addr`]) and starts serving `session` with the
     /// given options. The session is shared — concurrent connections are
     /// answered from one index, one segment LRU and one query cache.
+    ///
+    /// Fails when `opts.metrics_jsonl` cannot be opened for appending (the
+    /// error names the path) or `addr` cannot be bound (it names the
+    /// address): a daemon asked to keep a metrics record never runs
+    /// without one.
     pub fn bind(
-        addr: impl ToSocketAddrs,
+        addr: impl ToSocketAddrs + fmt::Display,
         session: Arc<StoreSession>,
         opts: ServeOptions,
     ) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
+        let metrics_file = match &opts.metrics_jsonl {
+            None => None,
+            Some(path) => {
+                let opened = std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(path);
+                Some(opened.map_err(|e| {
+                    let what = format!("cannot open metrics file {}: {e}", path.display());
+                    io::Error::new(e.kind(), what)
+                })?)
+            }
+        };
+        let listener = TcpListener::bind(&addr)
+            .map_err(|e| io::Error::new(e.kind(), format!("cannot bind {addr}: {e}")))?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let hello = Hello {
             protocol: PROTOCOL_VERSION,
             server: format!("polygamy-serve {}", env!("CARGO_PKG_VERSION")),
-            datasets: session.loaded_datasets().to_vec(),
+            datasets: (session.catalog().iter())
+                .map(|d| d.meta.name.clone())
+                .collect(),
             coalescing: opts.coalesce,
         };
         let shared = Arc::new(Shared {
@@ -241,11 +262,11 @@ impl Server {
             drain_started: Mutex::new(None),
         });
         let flusher_stop = Arc::new(AtomicBool::new(false));
-        let flusher = shared.opts.metrics_jsonl.clone().map(|path| {
+        let flusher = metrics_file.map(|file| {
             let stop = Arc::clone(&flusher_stop);
             std::thread::Builder::new()
                 .name("polygamy-serve-metrics".into())
-                .spawn(move || metrics_flusher(&path, &stop))
+                .spawn(move || metrics_flusher(file, &stop))
                 .expect("spawn metrics flusher")
         });
         let dispatcher = shared.opts.coalesce.then(|| {
@@ -330,14 +351,7 @@ impl Server {
 /// JSON line roughly every second, and a final line once `stop` is set
 /// (after the drain completes, so the last line is the daemon's closing
 /// state).
-fn metrics_flusher(path: &PathBuf, stop: &AtomicBool) {
-    let Ok(mut file) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-    else {
-        return;
-    };
+fn metrics_flusher(mut file: std::fs::File, stop: &AtomicBool) {
     loop {
         // ordering: SeqCst pairs with the shutdown store — seeing `stop`
         // implies seeing the drained metrics the final line must record.

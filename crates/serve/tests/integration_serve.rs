@@ -411,6 +411,42 @@ fn metrics_frame_returns_monotonic_snapshots_that_track_queries() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// A daemon asked to keep a metrics record never runs without one: a
+/// `metrics_jsonl` path that cannot be opened fails `bind`, naming the
+/// path; one that can gets a line per flush, the last after the drain.
+#[test]
+fn metrics_jsonl_is_opened_at_bind() {
+    let path = build_store();
+    let dir = std::env::temp_dir().join(format!("plst-metrics-{}", std::process::id()));
+    let missing = dir.join("missing").join("metrics.jsonl");
+    let opts = |file: &PathBuf| ServeOptions {
+        metrics_jsonl: Some(file.clone()),
+        ..ServeOptions::default()
+    };
+    let session = Arc::new(StoreSession::open(&path).unwrap());
+    let err = Server::bind("127.0.0.1:0", Arc::clone(&session), opts(&missing))
+        .err()
+        .expect("an unopenable metrics file fails bind");
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+    assert!(
+        err.to_string().contains(&missing.display().to_string()),
+        "{err}"
+    );
+
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("metrics.jsonl");
+    let server = Server::bind("127.0.0.1:0", session, opts(&file)).unwrap();
+    server.shutdown();
+    server.wait();
+    let lines = std::fs::read_to_string(&file).unwrap();
+    assert!(lines.lines().count() >= 1);
+    for line in lines.lines() {
+        polygamy_obs::MetricsSnapshot::parse_json(line).unwrap();
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_file(&path).unwrap();
+}
+
 #[test]
 fn serial_dispatch_mode_serves_the_same_bytes() {
     let path = build_store();
@@ -687,6 +723,169 @@ mod hostile_frames {
             let mut mutated = wire.clone();
             mutated[position % wire.len()] ^= flip;
             read_all(&mutated)?;
+        }
+    }
+}
+
+/// Handshake payloads from a hostile or broken peer: `Hello::from_json`
+/// and `WireError::from_json` answer every text with a value or a typed
+/// `json::Error`, never a panic, and every value they return writes back
+/// to itself.
+mod hostile_handshakes {
+    use polygamy_json as json;
+    use polygamy_serve::{Hello, WireError};
+    use proptest::prelude::*;
+
+    /// Fragments texts are glued from: JSON punctuation, literals, escapes
+    /// (valid, truncated and lone surrogates), the payloads' own keys, and
+    /// multi-byte and control characters.
+    const PIECES: [&str; 34] = [
+        "{",
+        "}",
+        "[",
+        "]",
+        ":",
+        ",",
+        "\"",
+        "\\",
+        "\\n",
+        "\\u00e9",
+        "\\ud83d\\ude00",
+        "\\ud800",
+        "\\u12",
+        "true",
+        "false",
+        "null",
+        "0",
+        "-1",
+        "1e999",
+        "4294967296",
+        "1.5",
+        " ",
+        "\n",
+        "\"protocol\"",
+        "\"server\"",
+        "\"datasets\"",
+        "\"coalescing\"",
+        "\"error\"",
+        "\"message\"",
+        "é",
+        "中",
+        "😀",
+        "\u{0}",
+        "\u{7f}",
+    ];
+
+    fn glue(pieces: &[usize]) -> String {
+        pieces.iter().map(|&i| PIECES[i % PIECES.len()]).collect()
+    }
+
+    /// A reader's error must be one a reader can produce, and a syntax
+    /// error must point inside the text.
+    fn check_error(text: &str, e: &json::Error) -> Result<(), TestCaseError> {
+        match e {
+            json::Error::Syntax { offset, .. } => prop_assert!(*offset <= text.len()),
+            json::Error::MissingKey(_) | json::Error::Invalid(_) => {}
+            json::Error::NonFinite => prop_assert!(false, "a reader reported a writer error"),
+        }
+        Ok(())
+    }
+
+    fn check(text: &str) -> Result<(), TestCaseError> {
+        match Hello::from_json(text) {
+            Ok(hello) => prop_assert_eq!(Hello::from_json(&hello.to_json()), Ok(hello)),
+            Err(e) => check_error(text, &e)?,
+        }
+        match WireError::from_json(text) {
+            Ok(error) => prop_assert_eq!(WireError::from_json(&error.to_json()), Ok(error)),
+            Err(e) => check_error(text, &e)?,
+        }
+        Ok(())
+    }
+
+    /// `text` cut at `cut` (moved down to a character boundary) and with
+    /// the byte at `position` xor-ed with `flip`.
+    fn damaged(text: &str, cut: usize, position: usize, flip: u8) -> [String; 2] {
+        let mut cut = cut % (text.len() + 1);
+        while !text.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        let mut bytes = text.as_bytes().to_vec();
+        bytes[position % text.len()] ^= flip;
+        [
+            text[..cut].to_owned(),
+            String::from_utf8_lossy(&bytes).into_owned(),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+        #[test]
+        fn arbitrary_text(pieces in proptest::collection::vec(0usize..PIECES.len(), 0..60)) {
+            check(&glue(&pieces))?;
+        }
+
+        /// Arrays and objects nested 10⁴ deep, bare or where a payload
+        /// expects its data sets, closed or left open.
+        #[test]
+        fn deep_nesting(
+            depth in 9_000usize..=10_000,
+            shape in 0usize..3,
+            in_payload in 0u8..2,
+            closed in 0u8..2,
+        ) {
+            let (open, close) = [("[", "]"), ("{\"a\":", "}"), ("[{\"a\":", "}]")][shape];
+            let mut text = String::new();
+            if in_payload == 1 {
+                text.push_str(r#"{"protocol":1,"server":"s","error":"e","datasets":"#);
+            }
+            text.push_str(&open.repeat(depth));
+            text.push('0');
+            if closed == 1 {
+                text.push_str(&close.repeat(depth));
+            }
+            prop_assert!(matches!(
+                Hello::from_json(&text),
+                Err(json::Error::Syntax { .. })
+            ));
+            check(&text)?;
+        }
+
+        /// Valid `H` and `E` payloads round-trip; cut anywhere or with any
+        /// one byte changed, they still read to a value or a typed error.
+        #[test]
+        fn valid_and_damaged_payloads(
+            protocol in 0u32..=u32::MAX,
+            server in proptest::collection::vec(0usize..PIECES.len(), 0..12),
+            datasets in proptest::collection::vec(
+                proptest::collection::vec(0usize..PIECES.len(), 0..4),
+                0..5,
+            ),
+            coalescing in 0u8..2,
+            message in proptest::collection::vec(0usize..PIECES.len(), 0..12),
+            cut in 0usize..usize::MAX,
+            position in 0usize..usize::MAX,
+            flip in 1u8..=u8::MAX,
+        ) {
+            let hello = Hello {
+                protocol,
+                server: glue(&server),
+                datasets: datasets.iter().map(|d| glue(d)).collect(),
+                coalescing: coalescing == 1,
+            };
+            let error = WireError {
+                error: glue(&server),
+                message: glue(&message),
+            };
+            let (hello_text, error_text) = (hello.to_json(), error.to_json());
+            prop_assert_eq!(Hello::from_json(&hello_text), Ok(hello));
+            prop_assert_eq!(WireError::from_json(&error_text), Ok(error));
+            for text in [hello_text, error_text] {
+                for damaged in damaged(&text, cut, position, flip) {
+                    check(&damaged)?;
+                }
+            }
         }
     }
 }

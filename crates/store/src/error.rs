@@ -32,9 +32,6 @@ pub enum StoreError {
     Corrupt(String),
     /// A requested data set is not in the store's catalog.
     UnknownDataset(String),
-    /// A query referenced a cataloged data set whose segments the session's
-    /// load filter did not materialize.
-    DatasetNotLoaded(String),
     /// A shard of a sharded store could not be opened (missing, truncated
     /// or corrupt shard file) and a query's footprint touches it. Shards
     /// that opened cleanly keep serving; only queries touching this shard
@@ -69,9 +66,6 @@ impl fmt::Display for StoreError {
             StoreError::Corrupt(msg) => write!(f, "corrupt store: {msg}"),
             StoreError::UnknownDataset(name) => {
                 write!(f, "data set not in store catalog: {name}")
-            }
-            StoreError::DatasetNotLoaded(name) => {
-                write!(f, "data set not loaded by this session's filter: {name}")
             }
             StoreError::ShardUnavailable {
                 shard,

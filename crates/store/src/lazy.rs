@@ -58,7 +58,7 @@
 //! sets, or the same data set against a partner that lacks the segment's
 //! resolution, still succeeds. That is the deliberate trade against an
 //! eager session, which at open reads and verifies both blobs of every
-//! admitted entry of the same directory, decodes the hot one and walks the
+//! entry of the same directory, decodes the hot one and walks the
 //! field one's tokens with every check a decode makes
 //! ([`crate::codec::validate_field`]) — never through the cache — and
 //! afterwards comes back here only for the scalar fields a `thresholds`
@@ -69,7 +69,7 @@ use crate::error::{Result, StoreError};
 use crate::format::{BlobLoc, SegmentInfo};
 use crate::shard::{is_sharded, open_shard_file, ShardCatalog};
 use crate::source::SegmentSource;
-use crate::store::{LoadFilter, Store};
+use crate::store::Store;
 use polygamy_core::index::{DatasetEntry, FunctionEntry, PolygamyIndex};
 use polygamy_core::query::RelationshipQuery;
 use polygamy_core::{query_pairs, CityGeometry, ShardedLruCache};
@@ -124,8 +124,6 @@ struct DirEntry {
     /// its data sets locally, but decoded entries must carry the global
     /// index so expansion sees the monolithic catalog.
     dataset: usize,
-    /// Admitted by the load filter.
-    admitted: bool,
     /// The segment's resolution, as its one bit of a [`ResolutionSet`].
     resolution: ResolutionSet,
 }
@@ -159,14 +157,13 @@ pub struct LazyIndex {
     catalog: ShardCatalog,
     /// Per file: the open store, or the recorded open-failure reason.
     files: Vec<std::result::Result<OpenFile, String>>,
-    filter: LoadFilter,
     /// Every segment of every open file in global directory order — data
     /// sets in global catalog order, file-directory order within each —
     /// which is exactly the monolithic store's directory order.
     directory: Vec<DirEntry>,
-    /// Per data set: the resolutions its admitted segments exist at — what
-    /// a pair's two sides are intersected over at pin time. Empty for a
-    /// data set the filter leaves out or whose file did not open.
+    /// Per data set: the resolutions its segments exist at — what a pair's
+    /// two sides are intersected over at pin time. Empty for a data set
+    /// whose file did not open.
     resolutions: Vec<ResolutionSet>,
     /// Per-directory-entry checksum verdicts, `[hot blob, field blob]`:
     /// unverified / ok / bad.
@@ -181,26 +178,23 @@ impl LazyIndex {
     /// must open (errors propagate). A shard catalog opens *degraded*:
     /// shard files that fail to open are recorded as unavailable and
     /// everything else serves; the open fails outright only when the
-    /// catalog itself is unreadable, a filter names an unknown data set,
-    /// or *no* shard is available (there is nothing to serve, not even
-    /// geometry).
-    pub fn open(path: impl AsRef<Path>, filter: &LoadFilter) -> Result<Self> {
+    /// catalog itself is unreadable or *no* shard is available (there is
+    /// nothing to serve, not even geometry).
+    pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref();
         if !is_sharded(path)? {
-            return Self::new(Store::open(path)?, filter);
+            return Self::new(Store::open(path)?);
         }
         let catalog = ShardCatalog::read(path)?;
         let stores = (0..catalog.n_shards())
             .map(|s| open_shard_file(&catalog, path, s).map_err(|e| e.to_string()))
             .collect();
-        Self::assemble(catalog, stores, filter)
+        Self::assemble(catalog, stores)
     }
 
     /// Wraps an open monolithic store: the one-file case. Reads nothing
-    /// beyond what `store` already read (header + manifest); unknown data
-    /// set names in `filter` are rejected here, exactly like the eager
-    /// loader.
-    pub fn new(store: Store, filter: &LoadFilter) -> Result<Self> {
+    /// beyond what `store` already read (header + manifest).
+    pub fn new(store: Store) -> Result<Self> {
         let datasets = store.manifest().datasets.clone();
         let file = store.path().file_name().unwrap_or_default();
         let catalog = ShardCatalog {
@@ -208,38 +202,27 @@ impl LazyIndex {
             datasets,
             files: vec![file.to_string_lossy().into_owned()],
         };
-        Self::assemble(catalog, vec![Ok(store)], filter)
+        Self::assemble(catalog, vec![Ok(store)])
     }
 
     fn assemble(
         catalog: ShardCatalog,
         stores: Vec<std::result::Result<Store, String>>,
-        filter: &LoadFilter,
     ) -> Result<Self> {
-        if let Some(names) = &filter.datasets {
-            for name in names {
-                catalog.dataset_index(name)?;
-            }
-        }
         let mut directory = Vec::new();
         let mut resolutions = vec![0; catalog.datasets.len()];
         let mut files = Vec::with_capacity(stores.len());
         for (s, opened) in stores.into_iter().enumerate() {
             files.push(opened.map(|store| {
                 let owned = catalog.datasets_of_shard(s);
-                let manifest = store.manifest();
-                for (local, info) in manifest.segments.iter().enumerate() {
+                for (local, info) in store.manifest().segments.iter().enumerate() {
                     let entry = DirEntry {
                         file: s,
                         local,
                         dataset: owned[info.dataset_index],
-                        admitted: filter
-                            .admits_dataset(&manifest.datasets[info.dataset_index].meta.name),
                         resolution: resolution_bit(info.resolution),
                     };
-                    if entry.admitted {
-                        resolutions[entry.dataset] |= entry.resolution;
-                    }
+                    resolutions[entry.dataset] |= entry.resolution;
                     directory.push(entry);
                 }
                 OpenFile::new(store, s)
@@ -256,7 +239,6 @@ impl LazyIndex {
             cache: ShardedLruCache::new(DEFAULT_SEGMENT_CACHE_CAPACITY),
             catalog,
             files,
-            filter: filter.clone(),
             directory,
             resolutions,
         };
@@ -332,7 +314,7 @@ impl LazyIndex {
             .load_geometry()
     }
 
-    /// Faults in every admitted segment any of `queries` can touch,
+    /// Faults in every segment any of `queries` can touch,
     /// returning the decoded entries in directory (canonical) order.
     ///
     /// This is the serving path's page-in step: the returned entries back
@@ -360,7 +342,7 @@ impl LazyIndex {
     }
 
     /// What an eager session adds to its resident hot-only entries for
-    /// `queries`: per admitted segment, in [`LazyIndex::load`]'s order, the
+    /// `queries`: per segment, in [`LazyIndex::load`]'s order, the
     /// entry with its scalar field where a `thresholds` clause of the batch
     /// can reach it — faulted like any lazy pin, through the same verdicts
     /// and the same bounded decode cache.
@@ -370,9 +352,8 @@ impl LazyIndex {
     ) -> Result<Vec<Option<Arc<FunctionEntry>>>> {
         let footprint = self.footprint(queries)?;
         let mut hits = 0;
-        let pinned = (0..self.directory.len())
-            .filter(|&i| self.directory[i].admitted)
-            .map(|i| match footprint[i] {
+        let pinned = (footprint.iter().enumerate())
+            .map(|(i, n)| match n {
                 Some(true) => self.entry(i, true, &mut hits).map(Some),
                 _ => Ok(None),
             })
@@ -498,21 +479,16 @@ impl LazyIndex {
         Ok(decoded)
     }
 
-    /// The eager open: reads and verifies both blobs of every admitted
-    /// segment, in directory order, decoding the hot blob and checking the
-    /// field blob's structure without decoding it ([`Read::Open`]) — never
-    /// through the cache (an eager index must not be held twice). The
-    /// entries come back field-less: a session serves `thresholds` clauses
-    /// through [`LazyIndex::pin_fields_for`]. Every file owning a data set
-    /// the filter admits must be available; files the filter never touches
-    /// may be down.
+    /// The eager open: reads and verifies both blobs of every segment, in
+    /// directory order, decoding the hot blob and checking the field blob's
+    /// structure without decoding it ([`Read::Open`]) — never through the
+    /// cache (an eager index must not be held twice). The entries come back
+    /// field-less: a session serves `thresholds` clauses through
+    /// [`LazyIndex::pin_fields_for`]. Every file must be available.
     pub(crate) fn load(&self) -> Result<PolygamyIndex> {
         let datasets = &self.catalog.datasets;
-        self.require_files_of(
-            (0..datasets.len()).filter(|&di| self.filter.admits_dataset(&datasets[di].meta.name)),
-        )?;
+        self.require_files_of(0..datasets.len())?;
         let functions = (0..self.directory.len())
-            .filter(|&i| self.directory[i].admitted)
             .map(|i| self.read_entry(i, Read::Open))
             .collect::<Result<_>>()?;
         Ok(PolygamyIndex {
@@ -521,7 +497,7 @@ impl LazyIndex {
         })
     }
 
-    /// Reads and checksum-verifies both blobs of every admitted segment
+    /// Reads and checksum-verifies both blobs of every segment
     /// (and every file's geometry blob) without decoding or caching — the
     /// force-check behind `polygamy-store inspect --verify`. An
     /// unavailable file fails the verification with its recorded reason.
@@ -534,9 +510,6 @@ impl LazyIndex {
         }
         let mut checked = 0;
         for (entry, verdicts) in self.directory.iter().zip(&self.verified) {
-            if !entry.admitted {
-                continue;
-            }
             let (file, info) = self.locate(entry)?;
             let what = file.store.segment_label(info);
             let source = file.store.source();

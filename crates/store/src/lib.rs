@@ -69,10 +69,10 @@
 //! [`Store::open`] reads header + manifest only (cheap at any corpus
 //! size), and every later byte of the file is a positioned read into an
 //! owned buffer through the one handle it pinned ([`source`]); a
-//! [`StoreSession`] materializes just the segments matching its
-//! data set [`LoadFilter`] — every hot blob at open, scalar fields left
-//! encoded until a `thresholds` clause asks (eager), or per query and per
-//! pair only the resolutions both sides have (lazy) — and serves
+//! [`StoreSession`] materializes the segments it serves — every hot blob
+//! at open, scalar fields left encoded until a `thresholds` clause asks
+//! (eager), or per query and per pair only the resolutions both sides
+//! have (lazy) — and serves
 //! `RelationshipQuery`s from them behind a sharded, bounded LRU cache,
 //! freely shared across reader threads:
 //!

@@ -9,15 +9,15 @@
 //!
 //! Sessions come in two read modes with byte-identical query results:
 //!
-//! * **eager** ([`StoreSession::open`]): at open, every admitted blob —
-//!   hot and field — is read and checksum-verified, every hot blob is
-//!   decoded into the [`PolygamyIndex`] the session holds, and every field
-//!   blob's structure is validated and left encoded (decoded, the scalar
-//!   fields are most of what an index weighs, and only a `thresholds`
-//!   clause reads them). Corruption anywhere in the admitted set — a
-//!   checksum, or a sealed blob of the wrong shape — fails the open; after
-//!   it, only a query with a `thresholds` clause touches the file, for the
-//!   named data sets' fields, through the lazy path's decode cache;
+//! * **eager** ([`StoreSession::open`]): at open, every blob — hot and
+//!   field — is read and checksum-verified, every hot blob is decoded into
+//!   the [`PolygamyIndex`] the session holds, and every field blob's
+//!   structure is validated and left encoded (decoded, the scalar fields
+//!   are most of what an index weighs, and only a `thresholds` clause
+//!   reads them). Corruption anywhere in the store — a checksum, or a
+//!   sealed blob of the wrong shape — fails the open; after it, only a
+//!   query with a `thresholds` clause touches the file, for the named data
+//!   sets' fields, through the lazy path's decode cache;
 //! * **lazy** ([`StoreSession::open_lazy`]): open reads only header,
 //!   manifest and geometry; each query faults in just the segments its
 //!   footprint touches ([`crate::lazy`]) — per pair of data sets, the hot
@@ -26,22 +26,20 @@
 //!   exactly once on first access. Corruption surfaces at query time, only
 //!   for queries touching the corrupt blob.
 //!
-//! A session built with a data-set [`LoadFilter`] serves only the loaded
-//! data sets: a query naming an unloaded one is a typed
-//! [`StoreError::DatasetNotLoaded`] — never a silently empty result — and
-//! whole-corpus queries range over the loaded subset.
+//! Every session serves the whole catalog. A lazy session already reads
+//! only what a query touches, so there is nothing to gain by opening a
+//! subset of the data sets.
 //!
 //! ## One read path
 //!
 //! Every session opens through one [`LazyIndex`] — the global segment
 //! directory over the store's file(s) — and keeps it; "eager" means every
 //! hot blob was pinned at open. Every query — single or batched, on either
-//! backing — then takes the same three steps: *scope* it to the loaded
-//! data sets, *pin* the entries it can touch (`Backing::pinned`: a segment
-//! fault-in for a lazy session; for an eager one nothing, or the fields a
-//! `thresholds` clause asks for), and hand the resulting [`IndexView`] to
-//! [`polygamy_core::run_query_many`]. A single query is a batch of one.
-//! Underneath, every byte either mode reads is a positioned read into an
+//! backing — then takes the same two steps: *pin* the entries it can touch
+//! (`Backing::pinned`: a segment fault-in for a lazy session; for an eager
+//! one nothing, or the fields a `thresholds` clause asks for), and hand the
+//! resulting [`IndexView`] to [`polygamy_core::run_query_many`]. A single
+//! query is a batch of one. Underneath, every byte either mode reads is a positioned read into an
 //! owned buffer through the one handle each store file was opened with
 //! ([`crate::source`]).
 //!
@@ -56,10 +54,12 @@
 //! layout** — a one-shard store answers exactly like the monolith it was
 //! migrated from. Lazy sessions degrade per shard file: a missing or
 //! corrupt one fails only the queries whose footprint touches it, with a
-//! typed [`StoreError::ShardUnavailable`] raised at pin time, before any
-//! evaluation; an eager open needs every file its filter admits.
+//! typed
+//! [`StoreError::ShardUnavailable`](crate::StoreError::ShardUnavailable)
+//! raised at pin time, before any evaluation; an eager open needs every
+//! file.
 
-use crate::error::{Result, StoreError};
+use crate::error::Result;
 use crate::lazy::LazyIndex;
 use crate::source::SourceBackend;
 use crate::store::LoadFilter;
@@ -71,15 +71,15 @@ use polygamy_core::{run_query_many, CityGeometry, Config};
 use std::path::Path;
 
 /// What a session reads function segments through: the one index over the
-/// store's file(s), and — on an eager session — every admitted hot blob it
-/// pinned at open.
+/// store's file(s), and — on an eager session — every hot blob it pinned
+/// at open.
 #[derive(Debug)]
 struct Backing {
     /// Every read after open goes through here: segment faults on a lazy
     /// session (with per-file availability on a sharded store — degraded
     /// serving), on-demand scalar fields on an eager one.
     lazy: LazyIndex,
-    /// Eager sessions: every admitted entry, decoded at open, field-less.
+    /// Eager sessions: every entry, decoded at open, field-less.
     resident: Option<PolygamyIndex>,
 }
 
@@ -151,7 +151,7 @@ impl Backing {
 /// let session = StoreSession::open(&path).unwrap();
 /// let query = parse_query("between sensor and * where permutations = 20").unwrap();
 /// assert!(session.query(&query).unwrap().is_empty()); // one data set: no pairs
-/// assert_eq!(session.loaded_datasets(), ["sensor".to_string()]);
+/// assert_eq!(session.catalog()[0].meta.name, "sensor");
 ///
 /// // The lazy session answers the same queries with the same bytes,
 /// // reading segments only when a query touches them.
@@ -164,11 +164,6 @@ pub struct StoreSession {
     geometry: CityGeometry,
     config: Config,
     backing: Backing,
-    /// Names of the data sets whose segments were admitted by the load
-    /// filter — the set this session can serve.
-    loaded: Vec<String>,
-    /// Shard files behind this session (1 for a monolith).
-    n_shards: usize,
     cache: QueryCache,
 }
 
@@ -176,65 +171,54 @@ impl StoreSession {
     /// Opens an eager session over the whole store with the default
     /// configuration.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        Self::open_with(path, Config::default(), &LoadFilter::all())
+        Self::new(LazyIndex::open(path)?, Config::default(), true)
     }
 
-    /// Opens an eager session with an explicit configuration and load
-    /// filter — only the function segments the filter admits are read off
-    /// disk. On a sharded store every shard file the filter touches must
-    /// be available, and the session answers byte-identically to the
-    /// monolith.
-    pub fn open_with(path: impl AsRef<Path>, config: Config, filter: &LoadFilter) -> Result<Self> {
-        let lazy = LazyIndex::open(path, filter)?;
-        Self::new(lazy, config, filter, true)
+    /// Opens an eager session with an explicit configuration. On a sharded
+    /// store every shard file must be available, and the session answers
+    /// byte-identically to the monolith.
+    ///
+    /// `_filter` is ignored: [`LoadFilter`] has one value. The parameter
+    /// stays only because callers outside this workspace still pass
+    /// [`LoadFilter::all()`].
+    pub fn open_with(path: impl AsRef<Path>, config: Config, _filter: &LoadFilter) -> Result<Self> {
+        Self::new(LazyIndex::open(path)?, config, true)
     }
 
     /// Opens a lazy session over the whole store with the default
     /// configuration: O(header + manifest + geometry) now, segments
     /// faulted in per query.
     pub fn open_lazy(path: impl AsRef<Path>) -> Result<Self> {
-        Self::open_lazy_with(
-            path,
-            Config::default(),
-            &LoadFilter::all(),
-            SourceBackend::default(),
-        )
+        Self::new(LazyIndex::open(path)?, Config::default(), false)
     }
 
-    /// Opens a lazy session with an explicit configuration and load
-    /// filter. A sharded store opens *degraded*: unavailable shard files
-    /// are recorded, and only queries touching them fail.
+    /// Opens a lazy session with an explicit configuration. A sharded
+    /// store opens *degraded*: unavailable shard files are recorded, and
+    /// only queries touching them fail.
     ///
-    /// `_backend` is ignored: every read is a positioned read
-    /// ([`crate::source`]). The parameter stays only because callers
-    /// outside this workspace still pass [`SourceBackend::default()`].
+    /// `_filter` and `_backend` are ignored: [`LoadFilter`] has one value,
+    /// and every read is a positioned read ([`crate::source`]). The
+    /// parameters stay only because callers outside this workspace still
+    /// pass [`LoadFilter::all()`] and [`SourceBackend::default()`].
     pub fn open_lazy_with(
         path: impl AsRef<Path>,
         config: Config,
-        filter: &LoadFilter,
+        _filter: &LoadFilter,
         _backend: SourceBackend,
     ) -> Result<Self> {
-        let lazy = LazyIndex::open(path, filter)?;
-        Self::new(lazy, config, filter, false)
+        Self::new(LazyIndex::open(path)?, config, false)
     }
 
     /// A session over an opened index: `eager` reads, verifies and
-    /// validates every admitted blob now and keeps the decoded hot blobs,
-    /// otherwise segments fault in per query.
-    fn new(lazy: LazyIndex, config: Config, filter: &LoadFilter, eager: bool) -> Result<Self> {
+    /// validates every blob now and keeps the decoded hot blobs, otherwise
+    /// segments fault in per query.
+    fn new(lazy: LazyIndex, config: Config, eager: bool) -> Result<Self> {
         let geometry = lazy.load_geometry()?;
-        let loaded = match &filter.datasets {
-            None => lazy.catalog().iter().map(|d| d.meta.name.clone()).collect(),
-            Some(names) => names.clone(),
-        };
-        let n_shards = lazy.shard_catalog().n_shards();
         let resident = eager.then(|| lazy.load()).transpose()?;
         Ok(Self {
             geometry,
             config,
             backing: Backing { lazy, resident },
-            loaded,
-            n_shards,
             cache: QueryCache::new(DEFAULT_QUERY_CACHE_CAPACITY),
         })
     }
@@ -243,10 +227,8 @@ impl StoreSession {
     ///
     /// Results are identical to [`polygamy_core::DataPolygamy::query`] over
     /// the same corpus, configuration and clause — in both eager and lazy
-    /// mode. On a session built with a data-set filter, explicit names
-    /// outside the loaded set yield [`StoreError::DatasetNotLoaded`], and
-    /// `None` collections range over the loaded data sets only. Takes
-    /// `&self`: sessions are shared freely across reader threads.
+    /// mode. Takes `&self`: sessions are shared freely across reader
+    /// threads.
     pub fn query(&self, query: &RelationshipQuery) -> Result<Vec<Relationship>> {
         Ok(self
             .query_many(std::slice::from_ref(query))?
@@ -259,55 +241,21 @@ impl StoreSession {
     /// path behind `polygamy-store query --file`.
     ///
     /// Returns one result vector per query, in input order; each equals
-    /// what [`StoreSession::query`] returns for that query alone, subject
-    /// to the same load-filter scoping rules. In lazy mode the whole
-    /// batch's footprint is pinned up front, so segments shared by several
-    /// queries fault in once.
+    /// what [`StoreSession::query`] returns for that query alone. In lazy
+    /// mode the whole batch's footprint is pinned up front, so segments
+    /// shared by several queries fault in once.
     pub fn query_many(&self, queries: &[RelationshipQuery]) -> Result<Vec<Vec<Relationship>>> {
-        let scoped = queries
-            .iter()
-            .map(|q| self.scope_to_loaded(q))
-            .collect::<Result<Vec<_>>>()?;
         self.backing
-            .pinned(&scoped, |view| {
-                run_query_many(view, &self.geometry, &self.config, &self.cache, &scoped)
+            .pinned(queries, |view| {
+                run_query_many(view, &self.geometry, &self.config, &self.cache, queries)
             })?
             .map_err(Into::into)
-    }
-
-    /// Rewrites a query so it ranges only over loaded data sets, rejecting
-    /// explicit references to unloaded ones.
-    fn scope_to_loaded(&self, query: &RelationshipQuery) -> Result<RelationshipQuery> {
-        let catalog = self.catalog();
-        let scope = |names: &Option<Vec<String>>| -> Result<Option<Vec<String>>> {
-            match names {
-                None => Ok(Some(self.loaded.clone())),
-                Some(list) => {
-                    for name in list {
-                        // Unknown-anywhere names fall through to the executor's
-                        // UnknownDataset; known-but-unloaded ones are the
-                        // session's own refusal.
-                        if catalog.iter().any(|d| d.meta.name == *name)
-                            && !self.loaded.contains(name)
-                        {
-                            return Err(StoreError::DatasetNotLoaded(name.clone()));
-                        }
-                    }
-                    Ok(Some(list.clone()))
-                }
-            }
-        };
-        Ok(RelationshipQuery {
-            left: scope(&query.left)?,
-            right: scope(&query.right)?,
-            clause: query.clause.clone(),
-        })
     }
 
     /// The materialized index — `Some` for eager sessions, `None` for lazy
     /// ones (a lazy session never holds the whole index; use
     /// [`StoreSession::catalog`] for the always-resident data set catalog).
-    /// It holds every admitted function *hot-only* (`field: None`): the
+    /// It holds every function *hot-only* (`field: None`): the
     /// scalar fields stay encoded in the file, so saving this index would
     /// write a store without field blobs.
     pub fn index(&self) -> Option<&PolygamyIndex> {
@@ -335,17 +283,12 @@ impl StoreSession {
 
     /// Number of shard files behind this session (1 for a monolith).
     pub fn n_shards(&self) -> usize {
-        self.n_shards
+        self.backing.lazy.shard_catalog().n_shards()
     }
 
     /// True when this session faults segments in on demand.
     pub fn is_lazy(&self) -> bool {
         self.backing.resident.is_none()
-    }
-
-    /// Names of the data sets this session serves.
-    pub fn loaded_datasets(&self) -> &[String] {
-        &self.loaded
     }
 
     /// The geometry the index was built over.

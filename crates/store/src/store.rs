@@ -39,34 +39,19 @@ use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Which parts of a store to materialize.
-///
-/// The catalog always loads in full (it is part of the manifest); the
-/// filter narrows which *function segments* are read off disk, so a session
-/// serving two data sets out of fifty touches only their bytes.
-#[derive(Debug, Clone, Default)]
-pub struct LoadFilter {
-    /// Restrict to these data sets (`None` = all).
-    pub datasets: Option<Vec<String>>,
-}
+/// Which parts of a store to materialize: always all of it. A lazy
+/// session reads only the segments a query touches, so a data-set filter
+/// would save nothing; the type stays, with its one value, only because
+/// callers outside this workspace still pass it to
+/// [`StoreSession::open_with`](crate::StoreSession::open_with) and
+/// [`StoreSession::open_lazy_with`](crate::StoreSession::open_lazy_with).
+#[derive(Debug, Clone)]
+pub struct LoadFilter;
 
 impl LoadFilter {
     /// Loads everything.
     pub fn all() -> Self {
-        Self::default()
-    }
-
-    /// Restricts loading to the named data sets.
-    pub fn datasets(mut self, names: &[&str]) -> Self {
-        self.datasets = Some(names.iter().map(|s| s.to_string()).collect());
-        self
-    }
-
-    /// True when the filter admits the data set `name`.
-    pub(crate) fn admits_dataset(&self, name: &str) -> bool {
-        self.datasets
-            .as_ref()
-            .is_none_or(|names| names.iter().any(|n| n == name))
+        Self
     }
 }
 

@@ -43,8 +43,8 @@ use polygamy_store::codec::{
     encode_function_segment, validate_field, Enc,
 };
 use polygamy_store::{
-    blob_checksum, BlobLoc, Header, LazyIndex, LoadFilter, Manifest, SegmentInfo, ShardCatalog,
-    Store, StoreError, StoreSession, SHARD_CATALOG_VERSION, SHARD_MAGIC, VERSION,
+    blob_checksum, BlobLoc, Header, LazyIndex, Manifest, SegmentInfo, ShardCatalog, Store,
+    StoreError, StoreSession, SHARD_CATALOG_VERSION, SHARD_MAGIC, VERSION,
 };
 use polygamy_topology::threshold::Thresholds;
 use polygamy_topology::{BitVec, FeatureSet, FeatureSets, SeasonalThresholds};
@@ -830,7 +830,7 @@ fn hostile_geometries_yield_typed_errors() {
     assert!(!expected.is_empty());
     let open_both = || [StoreSession::open_lazy(path), StoreSession::open(path)];
     let verify = || {
-        let index = LazyIndex::new(Store::open(path).unwrap(), &LoadFilter::all()).unwrap();
+        let index = LazyIndex::new(Store::open(path).unwrap()).unwrap();
         index.verify_all()
     };
 
@@ -1006,7 +1006,7 @@ fn hostile_field_locations_yield_typed_errors() {
         assert!(typed(&err), "{loc:?}: lazy thresholds query gave {err:?}");
         let err = StoreSession::open(path).unwrap_err();
         assert!(typed(&err), "{loc:?}: eager open gave {err:?}");
-        let index = LazyIndex::new(Store::open(path).unwrap(), &LoadFilter::all()).unwrap();
+        let index = LazyIndex::new(Store::open(path).unwrap()).unwrap();
         // `verify_all` checks bytes against checksums, not shapes: the two
         // well-sealed wrong-size blobs pass it and fail at decode above.
         if let Err(err) = index.verify_all() {

@@ -101,6 +101,12 @@ fn open_lazy(path: &PathBuf) -> StoreSession {
     .unwrap()
 }
 
+fn dataset_names(session: &StoreSession) -> Vec<&str> {
+    (session.catalog().iter())
+        .map(|d| d.meta.name.as_str())
+        .collect()
+}
+
 /// Bytes read so far by a lazy session's pinned source.
 fn lazy_bytes(session: &StoreSession) -> u64 {
     session.lazy_index().expect("lazy session").bytes_fetched()
@@ -141,6 +147,15 @@ fn lazy_open_plus_first_query_reads_strictly_fewer_bytes_than_eager() {
     // Re-running the query faults nothing new: segment + result caches hold.
     session.query(&q).unwrap();
     assert_eq!(lazy_bytes(&session), after_query);
+
+    // A name outside the catalog is the executor's typed error, raised
+    // before anything is read.
+    assert!(matches!(
+        session
+            .query(&RelationshipQuery::between(&["gamma"], &["nope"]).with_clause(test_clause())),
+        Err(StoreError::Query(polygamy_core::Error::UnknownDataset(name))) if name == "nope"
+    ));
+    assert_eq!(lazy_bytes(&session), after_query);
 }
 
 #[test]
@@ -168,54 +183,6 @@ fn lazy_matches_eager_for_every_query_form() {
     for (q, rels) in queries.iter().zip(&batched) {
         assert_eq!(rels, &dp.query(q).unwrap());
     }
-}
-
-#[test]
-fn lazy_session_respects_load_filter() {
-    let path = tmp_path("filter");
-    let _cleanup = Cleanup(path.clone());
-    let dp = save_corpus(&path);
-
-    let session = StoreSession::open_lazy_with(
-        &path,
-        Config::fast_test(),
-        &LoadFilter::all().datasets(&["alpha", "gamma"]),
-        SourceBackend::default(),
-    )
-    .unwrap();
-    assert_eq!(session.loaded_datasets(), ["alpha", "gamma"]);
-    let q = RelationshipQuery::between(&["alpha"], &["gamma"]).with_clause(test_clause());
-    assert_eq!(session.query(&q).unwrap(), dp.query(&q).unwrap());
-    // Cataloged-but-unloaded: the session's own typed refusal.
-    assert!(matches!(
-        session.query(
-            &RelationshipQuery::between(&["alpha"], &["beta"]).with_clause(test_clause())
-        ),
-        Err(StoreError::DatasetNotLoaded(name)) if name == "beta"
-    ));
-    // Unknown-anywhere names keep their UnknownDataset error.
-    assert!(matches!(
-        session
-            .query(&RelationshipQuery::between(&["alpha"], &["nope"]).with_clause(test_clause())),
-        Err(StoreError::Query(polygamy_core::Error::UnknownDataset(_)))
-    ));
-    // Whole-corpus queries range over the loaded subset only.
-    assert_eq!(
-        session
-            .query(&RelationshipQuery::all().with_clause(test_clause()))
-            .unwrap(),
-        session.query(&q).unwrap()
-    );
-    // Unknown filter names are rejected at open, like the eager loader.
-    assert!(matches!(
-        StoreSession::open_lazy_with(
-            &path,
-            Config::fast_test(),
-            &LoadFilter::all().datasets(&["nope"]),
-            SourceBackend::default(),
-        ),
-        Err(StoreError::UnknownDataset(_))
-    ));
 }
 
 #[test]
@@ -292,11 +259,11 @@ fn pinned_handle_keeps_a_session_consistent_across_file_replacement() {
     assert_eq!(session.query(&q).unwrap(), before);
     let gamma_q = RelationshipQuery::between(&["alpha"], &["gamma"]).with_clause(test_clause());
     assert!(session.query(&gamma_q).is_ok());
-    assert_eq!(session.loaded_datasets(), ["alpha", "beta", "gamma"]);
+    assert_eq!(dataset_names(&session), ["alpha", "beta", "gamma"]);
 
     // A fresh open sees the new revision.
     let fresh = open_lazy(&path);
-    assert_eq!(fresh.loaded_datasets(), ["delta", "epsilon"]);
+    assert_eq!(dataset_names(&fresh), ["delta", "epsilon"]);
 }
 
 /// Truncating a served store *in place* (the same inode, not a writer's
@@ -457,18 +424,11 @@ fn a_corrupt_field_blob_fails_only_the_queries_that_read_it() {
     bytes[(field.offset + field.len / 2) as usize] ^= 0x01;
     std::fs::write(&path, &bytes).unwrap();
 
-    // The eager open reads every admitted byte: it refuses the store...
+    // The eager open reads every byte: it refuses the store.
     assert!(matches!(
         StoreSession::open_with(&path, Config::fast_test(), &LoadFilter::all()),
         Err(StoreError::ChecksumMismatch { .. })
     ));
-    // ...unless its filter leaves gamma out.
-    StoreSession::open_with(
-        &path,
-        Config::fast_test(),
-        &LoadFilter::all().datasets(&["alpha", "beta"]),
-    )
-    .unwrap();
 
     let session = open_lazy(&path);
     // Every field-less query on gamma keeps serving, correctly.
@@ -838,14 +798,8 @@ fn an_eager_session_reads_fields_only_when_a_thresholds_clause_asks() {
     let on_alpha_again = alpha_beta(test_clause().with_thresholds("alpha", 4.0, 0.8));
     let lazy = open_lazy(&path);
 
-    let all = LoadFilter::all();
-    let two = LoadFilter::all().datasets(&["alpha", "beta"]);
-    for (what, at, filter) in [
-        ("monolith", &path, &all),
-        ("3 shards", &catalog_path, &all),
-        ("filtered", &path, &two),
-    ] {
-        let session = StoreSession::open_with(at, Config::fast_test(), filter).unwrap();
+    for (what, at) in [("monolith", &path), ("3 shards", &catalog_path)] {
+        let session = StoreSession::open_with(at, Config::fast_test(), &LoadFilter::all()).unwrap();
         let hot_only = |s: &StoreSession| {
             s.index()
                 .unwrap()

@@ -71,15 +71,15 @@ fn build_framework(datasets: &[Dataset]) -> DataPolygamy {
     dp
 }
 
-/// The eager materialization of the store at `path` under `filter` — what
-/// every eager session holds.
-fn load(path: &PathBuf, filter: &LoadFilter) -> Result<PolygamyIndex, StoreError> {
-    let session = StoreSession::open_with(path, Config::fast_test(), filter)?;
+/// The eager materialization of the store at `path` — what every eager
+/// session holds.
+fn load(path: &PathBuf) -> Result<PolygamyIndex, StoreError> {
+    let session = StoreSession::open_with(path, Config::fast_test(), &LoadFilter::all())?;
     Ok(session.index().expect("eager session").clone())
 }
 
 fn load_all(path: &PathBuf) -> PolygamyIndex {
-    load(path, &LoadFilter::all()).unwrap()
+    load(path).unwrap()
 }
 
 /// An index in its one serialisation — the catalog plus every function's
@@ -251,65 +251,6 @@ fn remove_dataset_matches_scratch_rebuild() {
 }
 
 #[test]
-fn selective_loading_materializes_only_requested_segments() {
-    let path = tmp_path("selective");
-    let _cleanup = Cleanup(path.clone());
-    let dp = build_framework(&corpus());
-    Store::save(&path, dp.geometry(), dp.index().unwrap()).unwrap();
-
-    let full = load_all(&path);
-    let partial = load(&path, &LoadFilter::all().datasets(&["alpha", "gamma"])).unwrap();
-    // Catalog always loads in full; functions only for the admitted sets.
-    assert_eq!(partial.datasets.len(), 3);
-    assert!(partial.functions.len() < full.functions.len());
-    assert!(partial.functions.iter().all(|f| f.dataset_index != 1));
-    assert_eq!(
-        partial.functions.len(),
-        full.functions
-            .iter()
-            .filter(|f| f.dataset_index != 1)
-            .count()
-    );
-    // A partial session still answers queries over its loaded data sets.
-    let session = StoreSession::open_with(
-        &path,
-        Config::fast_test(),
-        &LoadFilter::all().datasets(&["alpha", "gamma"]),
-    )
-    .unwrap();
-    let q = RelationshipQuery::between(&["alpha"], &["gamma"]).with_clause(test_clause());
-    assert_eq!(session.query(&q).unwrap(), dp.query(&q).unwrap());
-    // Unknown names in the filter are typed errors, not empty loads.
-    assert!(matches!(
-        load(&path, &LoadFilter::all().datasets(&["nope"])),
-        Err(StoreError::UnknownDataset(_))
-    ));
-    // Querying a cataloged-but-unloaded data set is a typed refusal, never
-    // a silently empty result.
-    assert_eq!(session.loaded_datasets(), ["alpha", "gamma"]);
-    assert!(matches!(
-        session.query(
-            &RelationshipQuery::between(&["alpha"], &["beta"]).with_clause(test_clause())
-        ),
-        Err(StoreError::DatasetNotLoaded(name)) if name == "beta"
-    ));
-    // A name unknown to the whole catalog keeps its UnknownDataset error.
-    assert!(matches!(
-        session
-            .query(&RelationshipQuery::between(&["alpha"], &["nope"]).with_clause(test_clause())),
-        Err(StoreError::Query(polygamy_core::Error::UnknownDataset(_)))
-    ));
-    // Whole-corpus queries range over the loaded subset: identical to the
-    // explicit pair, with no silently dropped pairs involving beta.
-    assert_eq!(
-        session
-            .query(&RelationshipQuery::all().with_clause(test_clause()))
-            .unwrap(),
-        session.query(&q).unwrap()
-    );
-}
-
-#[test]
 fn corruption_yields_typed_errors() {
     let path = tmp_path("corruption");
     let _cleanup = Cleanup(path.clone());
@@ -340,7 +281,7 @@ fn corruption_yields_typed_errors() {
     std::fs::write(&path, &flipped).unwrap();
     Store::open(&path).unwrap();
     assert!(matches!(
-        load(&path, &LoadFilter::all()),
+        load(&path),
         Err(StoreError::ChecksumMismatch { .. })
     ));
     // Maintenance refuses to copy the corruption forward: removing beta
@@ -408,16 +349,13 @@ fn session_query_many_matches_single_queries() {
         assert_eq!(batch_result, &single_session.query(q).unwrap());
     }
 
-    // Load-filter scoping applies per batched query too.
-    let filtered = StoreSession::open_with(
-        &path,
-        Config::fast_test(),
-        &LoadFilter::all().datasets(&["alpha", "gamma"]),
-    )
-    .unwrap();
+    // One query naming a data set outside the catalog fails the whole
+    // batch with the executor's typed error, never a silently empty result.
+    let mut with_unknown = queries.clone();
+    with_unknown.push(RelationshipQuery::between(&["alpha"], &["nope"]).with_clause(test_clause()));
     assert!(matches!(
-        filtered.query_many(&queries),
-        Err(StoreError::DatasetNotLoaded(name)) if name == "beta"
+        batch_session.query_many(&with_unknown),
+        Err(StoreError::Query(polygamy_core::Error::UnknownDataset(name))) if name == "nope"
     ));
 }
 

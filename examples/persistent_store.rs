@@ -7,7 +7,7 @@
 
 use polygamy_core::prelude::*;
 use polygamy_core::DataPolygamy;
-use polygamy_store::{LoadFilter, Store, StoreSession};
+use polygamy_store::{Store, StoreSession};
 
 fn make_dataset(name: &str, level: f64, spikes: &[i64]) -> Dataset {
     let meta = DatasetMeta {
@@ -86,18 +86,17 @@ fn main() {
         session.cache_len()
     );
 
-    // 4. Selective loading: a session over just one pair touches only that
-    //    pair's segments on disk.
-    let narrow = StoreSession::open_with(
-        &path,
-        Config::default(),
-        &LoadFilter::all().datasets(&["sensors-a", "sensors-c"]),
-    )
-    .expect("partial load");
+    // 4. Demand paging: a lazy session reads header, manifest and geometry
+    //    at open, and then only the segments a query's pairs touch.
+    let lazy = StoreSession::open_lazy(&path).expect("store opens");
+    let opened = lazy.bytes_fetched();
+    let pair = RelationshipQuery::between(&["sensors-a"], &["sensors-c"])
+        .with_clause(Clause::default().permutations(200));
+    lazy.query(&pair).expect("query evaluates");
     println!(
-        "selective session materialized {} of {} function segments",
-        narrow.index().expect("eager session").functions.len(),
-        session.index().expect("eager session").functions.len()
+        "lazy session read {opened} bytes at open, {} after a one-pair query (file: {} bytes)",
+        lazy.bytes_fetched(),
+        std::fs::metadata(&path).expect("metadata").len()
     );
 
     let _ = std::fs::remove_file(&path);

@@ -369,7 +369,6 @@ fn store_bytes_of_the_small_corpus_are_pinned() {
             c.geometry().clone(),
             Config {
                 cluster: Cluster::local(workers),
-                ..Config::default()
             },
         );
         for d in &c.datasets {

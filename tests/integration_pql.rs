@@ -16,7 +16,6 @@ use polygamy_core::prelude::*;
 use polygamy_core::relationship::write_json_array;
 use polygamy_core::significance::PermutationScheme;
 use polygamy_core::DataPolygamy;
-use polygamy_mapreduce::Cluster;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -171,10 +170,7 @@ fn spiky_dataset(name: &str, level: f64, bump_at: i64) -> Dataset {
 fn build_framework() -> DataPolygamy {
     let mut dp = DataPolygamy::new(
         CityGeometry::city_only(0.0, 0.0, 1.0, 1.0),
-        Config {
-            cluster: Cluster::local(2),
-            ..Config::fast_test()
-        },
+        Config::fast_test(),
     );
     for d in [
         spiky_dataset("alpha", 1.0, 100),
@@ -318,4 +314,124 @@ fn unknown_dataset_is_a_query_error_not_a_parse_error() {
         dp.query(&q).is_err(),
         "unknown data set surfaces at query time"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Hostile text: whatever arrives on a command line, in a batch file or over
+// the wire, the parsers answer with a query or a typed error whose span
+// `render` can point at.
+
+mod hostile_text {
+    use super::*;
+    use polygamy_core::pql::{parse_query_maybe_explain, PqlError, Span};
+
+    /// Fragments hostile text is glued from: PQL words and operators,
+    /// whitespace the lexer treats specially (tabs, newlines, `#`), quoting
+    /// characters, and multi-byte characters of every UTF-8 length.
+    const PIECES: [&str; 40] = [
+        "between",
+        "and",
+        "where",
+        "explain",
+        "*",
+        ",",
+        "=",
+        ">=",
+        "<=",
+        ">",
+        "<",
+        "!",
+        "(",
+        ")",
+        "\"",
+        "\\",
+        "'",
+        "#",
+        "\t",
+        "\n",
+        "\r",
+        " ",
+        "  ",
+        "score",
+        "class",
+        "thresholds",
+        "salient",
+        "0.5",
+        "-1e9",
+        "1e400",
+        ".",
+        "-",
+        "taxi",
+        "gas-prices",
+        "é",
+        "naïve",
+        "中",
+        "😀",
+        "e\u{301}",
+        "\u{feff}",
+    ];
+
+    /// A query text: random fragments, a query over a collection of 10⁴
+    /// names, or a printed query cut or with one byte changed.
+    struct HostileText;
+
+    impl proptest::strategy::Strategy for HostileText {
+        type Value = String;
+
+        fn generate(&self, rng: &mut SmallRng) -> String {
+            match rng.gen_range(0..4u32) {
+                0 => (0..rng.gen_range(0..40))
+                    .map(|_| PIECES[rng.gen_range(0..PIECES.len())])
+                    .collect(),
+                1 => {
+                    let names: Vec<String> = (0..10_000).map(|i| format!("d{i}")).collect();
+                    let mut src = format!("between {} and *", names.join(", "));
+                    if rng.gen_bool(0.5) {
+                        let at = rng.gen_range(0..src.len());
+                        src.insert_str(at, PIECES[rng.gen_range(0..PIECES.len())]);
+                    }
+                    src
+                }
+                kind => {
+                    let mut bytes = to_pql(&ArbQuery.generate(rng)).into_bytes();
+                    let at = rng.gen_range(0..bytes.len());
+                    if kind == 2 {
+                        bytes.truncate(at);
+                    } else {
+                        bytes[at] = rng.gen_range(0..=u8::MAX);
+                    }
+                    String::from_utf8_lossy(&bytes).into_owned()
+                }
+            }
+        }
+    }
+
+    /// An error must point inside `src`, at character boundaries, and
+    /// render without panicking.
+    fn check(src: &str, err: Option<PqlError>) -> Result<(), TestCaseError> {
+        let Some(err) = err else { return Ok(()) };
+        let Span { start, end } = err.span;
+        prop_assert!(
+            start <= end && end <= src.len(),
+            "span {start}..{end} of {}",
+            src.len()
+        );
+        prop_assert!(
+            src.is_char_boundary(start) && src.is_char_boundary(end),
+            "span {start}..{end} splits a character"
+        );
+        prop_assert!(err.render(src).starts_with("error: "));
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+        #[test]
+        fn parsers_answer_hostile_text_with_typed_errors(src in HostileText) {
+            check(&src, parse_query(&src).err())?;
+            check(&src, parse_query_maybe_explain(&src).err())?;
+            check(&src, parse_batch(&src).err())?;
+        }
+    }
 }
