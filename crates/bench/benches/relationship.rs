@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use polygamy_core::relationship::evaluate_features;
-use polygamy_core::significance::{significance_test, PermutationScheme};
+use polygamy_core::significance::{permutation_p_value, significance_test, PermutationScheme};
 use polygamy_stats::permutation::MonteCarlo;
 use polygamy_topology::{BitVec, FeatureSet};
 
@@ -54,9 +54,63 @@ fn bench_relationship(c: &mut Criterion) {
     group.finish();
 }
 
+/// Positive features at about one step in `every`, negative ones at as
+/// many others, where a SplitMix64 hash of (step, `salt`) picks them: two
+/// salts give two independent feature sets.
+fn scattered_features(n: usize, every: u64, salt: u64) -> FeatureSet {
+    let (mut pos, mut neg) = (BitVec::zeros(n), BitVec::zeros(n));
+    for i in 0..n {
+        let mut z = ((i as u64) ^ (salt << 32)).wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        match (z ^ (z >> 31)) % every {
+            0 => pos.set(i),
+            1 => neg.set(i),
+            _ => {}
+        }
+    }
+    FeatureSet { pos, neg }
+}
+
+/// One pair's Monte Carlo loop at |m| = 1,000, run to the end (what
+/// `include insignificant` does) and stopped once the pair cannot be
+/// significant (the default clause). The null pair — two independent
+/// feature sets, p = 0.582, near a null p-value's median — stops after 60
+/// draws; the planted pair — one function against itself, significant —
+/// runs every draw either way.
+fn bench_significance_stop(c: &mut Criterion) {
+    let n = 8_760; // a year of hourly steps at city scale
+    let left = scattered_features(n, 20, 1);
+    let null = scattered_features(n, 20, 4);
+    let mc = MonteCarlo::default();
+    let mut group = c.benchmark_group("significance_stop");
+    for (pair, right) in [("null", &null), ("planted", &left)] {
+        let observed = evaluate_features(&left, right).score;
+        let (lr, rr) = (std::slice::from_ref(&left), std::slice::from_ref(right));
+        for (mode, significant_only) in [("full", false), ("stopped", true)] {
+            let id = BenchmarkId::new(format!("{pair}_{mode}"), mc.permutations);
+            group.bench_with_input(id, &significant_only, |bch, &stop| {
+                bch.iter(|| {
+                    permutation_p_value(
+                        lr,
+                        rr,
+                        &[],
+                        observed,
+                        &mc,
+                        PermutationScheme::Paper,
+                        7,
+                        stop,
+                    )
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_relationship
+    targets = bench_relationship, bench_significance_stop
 }
 criterion_main!(benches);

@@ -284,6 +284,10 @@ pub fn run_query_many<'a>(
     });
     drop(evaluate_stage);
     count(names::CORE_PERMUTATIONS_RUN, counts.permutations.get());
+    count(
+        names::CORE_PERMUTATION_TESTS_STOPPED,
+        counts.tests_stopped.get(),
+    );
     count(names::CORE_OPERAND_ROWS_BUILT, counts.rows_built.get());
     // Every task reads two operands; all but the first read of a slot reuse
     // what that first read prepared.

@@ -30,7 +30,7 @@
 //! is documented to change between releases and must never seed a
 //! hypothesis test).
 
-use crate::cache::Fnv1a;
+use crate::cache::{Fnv1a, WordHasher};
 use crate::error::{Error, Result};
 use crate::framework::CityGeometry;
 use crate::function::FunctionRef;
@@ -44,6 +44,7 @@ use polygamy_stdata::ScalarField;
 use polygamy_topology::{FeatureClass, FeatureSet};
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::OnceLock;
 
 /// One schedulable unit of relationship evaluation: a (left, right)
@@ -105,8 +106,10 @@ pub(crate) struct Operand<'a> {
 /// (observation only).
 #[derive(Default)]
 pub(crate) struct EvalCounts {
-    /// Permutations run by tasks that reached the significance test.
+    /// Permutations drawn by tasks that reached the significance test.
     pub(crate) permutations: Counter,
+    /// Significance tests stopped before their last draw.
+    pub(crate) tests_stopped: Counter,
     /// Region-major transposes performed.
     pub(crate) rows_built: Counter,
 }
@@ -164,7 +167,9 @@ impl Operand<'_> {
 #[derive(Default)]
 pub(crate) struct OperandTable<'a> {
     slots: Vec<Operand<'a>>,
-    slot_of: HashMap<OperandKey, usize>,
+    /// Keyed by addresses and small codes, hashed a word at a time; slot
+    /// numbers are insertion order, so the hasher decides nothing visible.
+    slot_of: HashMap<OperandKey, usize, BuildHasherDefault<WordHasher>>,
 }
 
 impl<'a> OperandTable<'a> {
@@ -222,11 +227,12 @@ pub(crate) fn expand_pair_tasks<'a>(
     operands: &mut OperandTable<'a>,
     out: &mut Vec<UnitTask<'a>>,
 ) -> Result<()> {
+    let rights: Vec<&'a FunctionEntry> = index.functions_of(d2).collect();
     for e1 in index.functions_of(d1) {
         if !clause.admits_resolution(e1.resolution) {
             continue;
         }
-        for e2 in index.functions_of(d2) {
+        for &e2 in &rights {
             if e1.resolution != e2.resolution {
                 continue;
             }
@@ -329,8 +335,7 @@ pub(crate) fn evaluate_unit(
         return None;
     }
     let seed = pair_seed(BASE_SEED, e1, e2, class);
-    counts.permutations.add(mc.permutations as u64);
-    let p = permutation_p_value(
+    let tested = permutation_p_value(
         left.rows(&counts.rows_built),
         right.rows(&counts.rows_built),
         adjacency,
@@ -338,7 +343,14 @@ pub(crate) fn evaluate_unit(
         &mc,
         scheme,
         seed,
+        clause.significant_only,
     );
+    counts.permutations.add(tested.draws as u64);
+    let Some(p) = tested.p else {
+        // Stopped: the pair cannot be significant, and the clause drops it.
+        counts.tests_stopped.inc();
+        return None;
+    };
     let significant = mc.is_significant(p);
     if clause.significant_only && !significant {
         return None;
@@ -669,6 +681,50 @@ mod tests {
             tree_nodes: 0,
             row_memo: Default::default(),
         }
+    }
+
+    #[test]
+    fn a_null_pair_stops_under_the_default_clause_only() {
+        // Features at nine of every ten steps on both sides: every rotation
+        // relates them as fully as the data does, so every permuted τ ties
+        // the observed one and the two-sided p-value is 1. At |m| = 100 the
+        // bound passes α = 0.05 on the third draw.
+        let steps = 200;
+        let mut features = FeatureSet::empty(steps);
+        for i in (0..steps).filter(|i| i % 10 != 0) {
+            features.pos.set(i);
+        }
+        let mut taxi = seed_entry("taxi", "density");
+        let mut wind = seed_entry("weather", "avg(wind)");
+        for entry in [&mut taxi, &mut wind] {
+            entry.n_steps = steps;
+            entry.features.salient = features.clone();
+            entry.features.extreme = FeatureSet::empty(steps);
+        }
+        let run = |clause: &Clause| {
+            let mut operands = OperandTable::default();
+            let class = FeatureClass::Salient;
+            let task = UnitTask {
+                e1: &taxi,
+                e2: &wind,
+                left: operands.intern(&taxi, class, (0, steps), None),
+                right: operands.intern(&wind, class, (0, steps), None),
+                class,
+                clause,
+                adjacency: &[],
+            };
+            let counts = EvalCounts::default();
+            let found = evaluate_unit(&task, &operands, &counts);
+            (found, counts.permutations.get(), counts.tests_stopped.get())
+        };
+        let (found, draws, stopped) = run(&Clause::default().permutations(100));
+        assert!(found.is_none());
+        assert_eq!((draws, stopped), (3, 1));
+        let (found, draws, stopped) =
+            run(&Clause::default().permutations(100).include_insignificant());
+        let found = found.expect("include insignificant keeps the pair");
+        assert_eq!((found.p_value, found.significant), (1.0, false));
+        assert_eq!((draws, stopped), (100, 0));
     }
 
     #[test]

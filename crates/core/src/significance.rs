@@ -22,6 +22,24 @@
 //! are the ones the definition (a dense vertex permutation applied bit by
 //! bit; the oracle in `tests/oracle_statistics.rs`) makes, in the same
 //! order, so every p-value is bit-identical to it.
+//!
+//! # Stopping a test whose verdict is decided
+//!
+//! A relationship is reported only if its p-value is ≤ α (paper
+//! Definition 14), so under a `significant_only` clause — the default — a
+//! pair that fails the test is dropped and its p-value never shown. The
+//! loop then stops as soon as the failure is certain: after each draw it
+//! evaluates the tallies so far over the *final* |m|
+//! ([`TailCounts::p_value_over`], the expression the p-value itself uses)
+//! and gives up once that bound is not significant under the same
+//! [`MonteCarlo::is_significant`] predicate as the verdict (Besag &
+//! Clifford, "Sequential Monte Carlo p-values", Biometrika 1991). The rule
+//! is exact, not approximate: the tallies only grow and the p-value never
+//! falls as they do, so the final p-value is at least the bound and fails
+//! too, for every α. A pair that ends significant never crosses the bound,
+//! so it runs every draw, from the same stream, and reports the same p
+//! bit for bit. `include insignificant` prints p and so always runs all
+//! |m| draws, as does the public [`significance_test`].
 
 use crate::relationship::score;
 use polygamy_stats::permutation::{GraphShifter, MonteCarlo, TailCounts};
@@ -75,7 +93,7 @@ pub fn significance_test(
         right_rows = right.region_major(n_regions, n_steps);
         (&left_rows[..], &right_rows[..])
     };
-    permutation_p_value(
+    let tested = permutation_p_value(
         left_rows,
         right_rows,
         spatial_adjacency,
@@ -83,14 +101,33 @@ pub fn significance_test(
         mc,
         scheme,
         seed,
-    )
+        false,
+    );
+    tested.p.expect("the full loop always yields a p-value")
+}
+
+/// What one pair's Monte Carlo loop did.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Tested {
+    /// The p-value, or `None` when the loop stopped before its last draw
+    /// because no remaining draw could make the pair significant.
+    pub p: Option<f64>,
+    /// Permutations drawn.
+    pub draws: usize,
 }
 
 /// The Monte Carlo loop on prepared operands: `left_rows[x]`/`right_rows[x]`
 /// hold region `x`'s bits, one per time step (a 1-D domain's single row is
 /// the window itself). Everything a permutation needs is set up before the
-/// loop, which allocates nothing.
-pub(crate) fn permutation_p_value(
+/// loop, which allocates nothing. With `significant_only`, the loop stops
+/// once the pair cannot be significant (see the module docs).
+///
+/// Public only for the `significance_stop` benchmark; the executor is its
+/// one caller.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn permutation_p_value(
     left_rows: &[FeatureSet],
     right_rows: &[FeatureSet],
     spatial_adjacency: &[Vec<u32>],
@@ -98,7 +135,8 @@ pub(crate) fn permutation_p_value(
     mc: &MonteCarlo,
     scheme: PermutationScheme,
     seed: u64,
-) -> f64 {
+    significant_only: bool,
+) -> Tested {
     let n_regions = spatial_adjacency.len().max(1);
     assert_eq!(left_rows.len(), n_regions, "one left row per region");
     assert_eq!(right_rows.len(), n_regions, "one right row per region");
@@ -106,7 +144,7 @@ pub(crate) fn permutation_p_value(
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut shifter = GraphShifter::default();
     let mut tally = TailCounts::new(observed_score);
-    for _ in 0..mc.permutations {
+    for draws in 1..=mc.permutations {
         let (n_pos, n_neg) = if n_regions == 1 {
             // 1-D: rotate time by 1..n_steps, never by 0 — except on a
             // single step, whose only rotation is the identity (p = 1).
@@ -127,15 +165,26 @@ pub(crate) fn permutation_p_value(
             (n_pos, n_neg)
         };
         tally.push(score(n_pos, n_neg));
+        if significant_only
+            && draws < mc.permutations
+            && !mc.is_significant(tally.p_value_over(mc.permutations, mc.tail))
+        {
+            return Tested { p: None, draws };
+        }
     }
-    tally.p_value(mc.tail)
+    Tested {
+        p: Some(tally.p_value(mc.tail)),
+        draws: mc.permutations,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::relationship::evaluate_features;
+    use polygamy_stats::permutation::Tail;
     use polygamy_topology::BitVec;
+    use proptest::{prop_assert, prop_assert_eq};
 
     fn fs(n: usize, pos: &[usize], neg: &[usize]) -> FeatureSet {
         let mut p = BitVec::zeros(n);
@@ -262,6 +311,122 @@ mod tests {
             42,
         );
         assert_eq!(p1, p2);
+    }
+
+    /// A time-major `n_regions × n_steps` feature set, each side at one of
+    /// a few densities from empty to full.
+    fn random_features(n: usize, rng: &mut SmallRng) -> FeatureSet {
+        let mut side = || {
+            let density = [0.0, 0.002, 0.05, 0.3, 0.9, 1.0][rng.gen_range(0..6usize)];
+            let mut bits = BitVec::zeros(n);
+            for i in 0..n {
+                if rng.gen_range(0.0..1.0) < density {
+                    bits.set(i);
+                }
+            }
+            bits
+        };
+        FeatureSet {
+            pos: side(),
+            neg: side(),
+        }
+    }
+
+    /// An `nx × ny` grid with some cells cut out: a hole keeps its region
+    /// number but has no neighbours, and none of its neighbours keep it.
+    fn grid_with_holes(nx: usize, ny: usize, rng: &mut SmallRng) -> Vec<Vec<u32>> {
+        let hole: Vec<bool> = (0..nx * ny).map(|_| rng.gen_range(0..5u32) == 0).collect();
+        let mut adj = vec![Vec::new(); nx * ny];
+        for y in 0..ny {
+            for x in 0..nx {
+                let i = y * nx + x;
+                for j in [
+                    (x + 1 < nx).then_some(i + 1),
+                    (y + 1 < ny).then_some(i + nx),
+                ] {
+                    match j {
+                        Some(j) if !hole[i] && !hole[j] => {
+                            adj[i].push(j as u32);
+                            adj[j].push(i as u32);
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+        for a in &mut adj {
+            a.sort_unstable();
+        }
+        adj
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(300))]
+
+        /// The stopped loop reaches the full loop's verdict, and every
+        /// p-value it returns is the full loop's bit for bit — on 1-D and
+        /// spatial domains, for every α the parser accepts, |m| from 0 to
+        /// 1,000, all three tails and both schemes.
+        #[test]
+        fn stopped_loop_reaches_the_full_loops_verdict(seed in 0u64..u64::MAX) {
+            let rng = &mut SmallRng::seed_from_u64(seed);
+            let adjacency = match rng.gen_range(0..4u32) {
+                0 => Vec::new(),
+                1 => vec![Vec::new()],
+                _ => grid_with_holes(rng.gen_range(1..=6), rng.gen_range(1..=5), rng),
+            };
+            let n_regions = adjacency.len().max(1);
+            let n_steps = [1, 2, 64, 65, rng.gen_range(1..=130)][rng.gen_range(0..5usize)];
+            let left = random_features(n_regions * n_steps, rng);
+            // Planted pairs (one function against itself) end significant.
+            let right = match rng.gen_range(0..3u32) {
+                0 => left.clone(),
+                _ => random_features(n_regions * n_steps, rng),
+            };
+            let mc = MonteCarlo {
+                permutations: [0, 1, 2, 10, 100, 1_000][rng.gen_range(0..6usize)],
+                alpha: [-1.0, 0.0, 0.01, 0.05, 0.5, 1.0, 2.0][rng.gen_range(0..7usize)],
+                tail: [Tail::Lower, Tail::Upper, Tail::TwoSided][rng.gen_range(0..3usize)],
+            };
+            let scheme = match rng.gen_range(0..2u32) {
+                0 => PermutationScheme::Paper,
+                _ => PermutationScheme::SpatioTemporal,
+            };
+            let observed = evaluate_features(&left, &right).score;
+            let (left_rows, right_rows) = if n_regions == 1 {
+                (vec![left.clone()], vec![right.clone()])
+            } else {
+                (
+                    left.region_major(n_regions, n_steps),
+                    right.region_major(n_regions, n_steps),
+                )
+            };
+            let run = |significant_only| {
+                permutation_p_value(
+                    &left_rows, &right_rows, &adjacency, observed, &mc, scheme, seed,
+                    significant_only,
+                )
+            };
+            let (full, stopped) = (run(false), run(true));
+            let p = full.p.expect("the full loop yields a p-value");
+            prop_assert_eq!(full.draws, mc.permutations);
+            prop_assert_eq!(
+                p.to_bits(),
+                significance_test(&left, &right, &adjacency, n_steps, observed, &mc, scheme, seed)
+                    .to_bits()
+            );
+            prop_assert!(
+                stopped.p.is_some_and(|p| mc.is_significant(p)) == mc.is_significant(p),
+                "verdicts differ: {:?} vs {:?}, {:?}", stopped, full, mc
+            );
+            match stopped.p {
+                Some(stopped_p) => {
+                    prop_assert_eq!(stopped_p.to_bits(), p.to_bits());
+                    prop_assert_eq!(stopped.draws, mc.permutations);
+                }
+                None => prop_assert!(stopped.draws < mc.permutations),
+            }
+        }
     }
 
     #[test]

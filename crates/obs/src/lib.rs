@@ -121,9 +121,13 @@ pub mod names {
     /// Cumulative wall time of the assemble stage (counter, ns).
     pub const CORE_STAGE_ASSEMBLE_NS: &str = "core.stage.assemble_ns";
 
-    /// Monte Carlo permutations run by unit tasks that reached the
+    /// Monte Carlo permutations drawn by unit tasks that reached the
     /// significance test (counter).
     pub const CORE_PERMUTATIONS_RUN: &str = "core.permutations_run";
+    /// Significance tests a `significant_only` clause stopped before
+    /// their last draw, once no remaining draw could make the pair
+    /// significant (counter).
+    pub const CORE_PERMUTATION_TESTS_STOPPED: &str = "core.permutation_tests_stopped";
     /// Distinct (function, class, window, thresholds) operands prepared —
     /// window cropped, custom features rebuilt — by evaluate dispatches
     /// (counter).
@@ -268,6 +272,7 @@ pub mod names {
         CORE_STAGE_EVALUATE_NS,
         CORE_STAGE_ASSEMBLE_NS,
         CORE_PERMUTATIONS_RUN,
+        CORE_PERMUTATION_TESTS_STOPPED,
         CORE_OPERANDS_PREPARED,
         CORE_OPERAND_REUSES,
         CORE_OPERAND_ROWS_BUILT,

@@ -71,10 +71,18 @@ impl TailCounts {
     /// The p-value under `tail`; no continuity correction, and an empty
     /// permutation set yields `p = 1` (never significant).
     pub fn p_value(&self, tail: Tail) -> f64 {
-        if self.total == 0 {
+        self.p_value_over(self.total, tail)
+    }
+
+    /// The tallies so far over `total` permutations, with the expression
+    /// [`Self::p_value`] uses. Over the final total of a run still in
+    /// progress it is a lower bound of that run's p-value: the tallies
+    /// only grow, and the expression never falls as they do.
+    pub fn p_value_over(&self, total: usize, tail: Tail) -> f64 {
+        if total == 0 {
             return 1.0;
         }
-        let m = self.total as f64;
+        let m = total as f64;
         let lower = self.lower as f64 / m;
         let upper = self.upper as f64 / m;
         match tail {
@@ -328,6 +336,22 @@ mod tests {
         assert!(p > 0.9, "middle observation should not be significant: {p}");
         // empty permutations: never significant
         assert_eq!(p_value(0.0, &[], Tail::Lower), 1.0);
+    }
+
+    #[test]
+    fn tallies_over_the_final_total_bound_the_final_p_value() {
+        let permuted = [0.3, 0.9, 0.5, 0.5, 0.1, 0.7, 0.5];
+        for tail in [Tail::Lower, Tail::Upper, Tail::TwoSided] {
+            let last = p_value(0.5, &permuted, tail);
+            let mut counts = TailCounts::new(0.5);
+            assert_eq!(counts.p_value_over(permuted.len(), tail), 0.0);
+            for &x in &permuted {
+                counts.push(x);
+                assert!(counts.p_value_over(permuted.len(), tail) <= last);
+            }
+            let over = counts.p_value_over(permuted.len(), tail);
+            assert_eq!(over.to_bits(), last.to_bits());
+        }
     }
 
     #[test]

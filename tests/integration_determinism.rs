@@ -614,6 +614,78 @@ fn spatial_corpus_identical_across_every_session_kind() {
     }
 }
 
+/// Under the default clause a pair's Monte Carlo test stops once the pair
+/// cannot be significant. That must change no answer: the default clause
+/// answers with exactly the significant relationships of the `include
+/// insignificant` answer, every field equal — on a 1-D pair, a spatial pair,
+/// a one-to-all sweep, a `thresholds` clause and the spatiotemporal scheme,
+/// at one and four workers, eager, lazy and over three shards.
+#[test]
+fn default_clause_answers_are_the_significant_subset() {
+    let path = tmp_path("stopping-matrix");
+    let catalog_path = tmp_path("stopping-matrix-sharded");
+    let mut cleanups = vec![Cleanup(path.clone()), Cleanup(catalog_path.clone())];
+    let dp = build_spatial(Cluster::local(1));
+    Store::save(&path, dp.geometry(), dp.index().unwrap()).unwrap();
+    let catalog = shard_store(&path, &catalog_path, 3).unwrap();
+    for i in 0..3 {
+        cleanups.push(Cleanup(catalog.shard_path(&catalog_path, i)));
+    }
+
+    let full = Clause::default().permutations(60).include_insignificant();
+    let at = |spatial| Resolution::new(spatial, TemporalResolution::Hour);
+    let pair = |c: Clause| RelationshipQuery::between(&["north"], &["late"]).with_clause(c);
+    let asked = [
+        pair(full.clone().at_resolution(at(SpatialResolution::City))),
+        pair(
+            full.clone()
+                .at_resolution(at(SpatialResolution::Neighborhood)),
+        ),
+        RelationshipQuery::of("north").with_clause(full.clone()),
+        pair(full.clone().with_thresholds("north", 5.0, 1.0)),
+        pair(full.with_scheme(PermutationScheme::SpatioTemporal)),
+    ];
+    let mut defaults = Vec::new();
+    let mut expected = Vec::new();
+    let (mut kept, mut dropped) = (0, 0);
+    for query in &asked {
+        let mut default = query.clone();
+        default.clause.significant_only = true;
+        let all = dp.query(query).unwrap();
+        let significant: Vec<Relationship> =
+            all.iter().filter(|r| r.significant).cloned().collect();
+        kept += significant.len();
+        dropped += all.len() - significant.len();
+        expected.push(json(&significant));
+        defaults.push(default);
+    }
+    assert!(kept > 0 && dropped > 0, "{kept} significant, {dropped} not");
+    let (answers, t) = trace::record(|| {
+        let dp = build_spatial(Cluster::local(1));
+        defaults
+            .iter()
+            .map(|q| json(&dp.query(q).unwrap()))
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(answers, expected, "in-memory, one worker");
+    assert!(t.counter(names::CORE_PERMUTATION_TESTS_STOPPED) > 0);
+
+    for cluster in [Cluster::local(1), Cluster::local(4)] {
+        for store in [&path, &catalog_path] {
+            for (mode, session) in session_matrix(store, cluster) {
+                for (q, expect) in defaults.iter().zip(&expected) {
+                    assert_eq!(
+                        &json(&session.query(q).unwrap()),
+                        expect,
+                        "{mode} @ {cluster:?} over {}",
+                        store.display()
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// The Monte Carlo seed of one unit task, from its inputs (the framing
 /// `core/src/operator.rs` pins in `seed_format_pinned`).
 fn unit_seed(base: u64, e1: &FunctionEntry, e2: &FunctionEntry, class: FeatureClass) -> u64 {
