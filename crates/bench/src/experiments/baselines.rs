@@ -117,8 +117,8 @@ pub fn run(quick: bool) -> String {
             hourly.bucket_of(window.0),
             b.clone(),
         );
-        let (feat_a, _, _) = field_features(&adjacency, &fa);
-        let (feat_b, _, _) = field_features(&adjacency, &fb);
+        let (feat_a, _) = field_features(&adjacency, &fa);
+        let (feat_b, _) = field_features(&adjacency, &fb);
         let salient = evaluate_features(&feat_a.salient, &feat_b.salient);
         let extreme = evaluate_features(&feat_a.extreme, &feat_b.extreme);
         t.row(&[

@@ -47,11 +47,11 @@ pub fn run(quick: bool) -> String {
             None,
         )
         .expect("aggregates");
-        let (clean, _, _) = field_features(&adjacency, &field);
+        let (clean, _) = field_features(&adjacency, &field);
         let mut t = Table::new(&["noise %", "score τ", "strength ρ"]);
         for &frac in &noise_levels {
             let noisy_field = add_iqr_noise(&field, frac, 0xF1612 ^ (frac * 1000.0) as u64);
-            let (noisy, _, _) = field_features(&adjacency, &noisy_field);
+            let (noisy, _) = field_features(&adjacency, &noisy_field);
             let m = evaluate_features(&clean.salient, &noisy.salient);
             t.row(&[
                 format!("{:.0}", frac * 100.0),

@@ -29,28 +29,19 @@ pub fn run(quick: bool) -> String {
     let file_bytes = store.file_bytes().expect("store metadata");
     let manifest = store.manifest();
 
-    let mut t = Table::new(&[
-        "data set",
-        "raw",
-        "fields",
-        "features",
-        "on-disk",
-        "tree nodes",
-    ]);
+    let mut t = Table::new(&["data set", "raw", "fields", "features", "on-disk"]);
     for (di, entry) in index.datasets.iter().enumerate() {
         let fields: usize = index
             .functions_of(di)
             .filter_map(|f| f.field.as_ref().map(|x| x.approx_bytes()))
             .sum();
         let features: usize = index.functions_of(di).map(|f| f.feature_bytes()).sum();
-        let nodes: usize = index.functions_of(di).map(|f| f.tree_nodes).sum();
         t.row(&[
             entry.meta.name.clone(),
             human_bytes(entry.raw_bytes),
             human_bytes(fields),
             human_bytes(features),
             human_bytes(manifest.dataset_disk_bytes(di) as usize),
-            nodes.to_string(),
         ]);
     }
     out.push_str(&t.render());

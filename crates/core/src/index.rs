@@ -50,8 +50,6 @@ pub struct FunctionEntry {
     /// on. Indexing always produces it; `None` on an entry a lazy session
     /// pinned hot-only, or read from a store written without its field blob.
     pub field: Option<ScalarField>,
-    /// Merge-tree size (join + split critical points) — index statistics.
-    pub tree_nodes: usize,
     /// Memo behind [`FunctionEntry::region_rows`]; `Default::default()`
     /// wherever an entry is built.
     pub row_memo: RegionRowMemo,
@@ -160,8 +158,6 @@ pub struct IndexStats {
     pub field_bytes: usize,
     /// Bytes of precomputed feature bit vectors.
     pub feature_bytes: usize,
-    /// Total merge-tree critical points.
-    pub tree_nodes: usize,
 }
 
 /// The full index.
@@ -267,7 +263,6 @@ impl PolygamyIndex {
                 .iter()
                 .map(FunctionEntry::feature_bytes)
                 .sum(),
-            tree_nodes: self.functions.iter().map(|f| f.tree_nodes).sum(),
         }
     }
 }
@@ -296,7 +291,6 @@ mod tests {
                 per_interval: vec![Thresholds::none()],
             },
             field: None,
-            tree_nodes: 0,
             row_memo: Default::default(),
         }
     }

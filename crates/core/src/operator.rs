@@ -678,7 +678,6 @@ mod tests {
                 per_interval: vec![Thresholds::none()],
             },
             field: None,
-            tree_nodes: 0,
             row_memo: Default::default(),
         }
     }

@@ -20,14 +20,13 @@ use polygamy_topology::{
 
 /// Computes trees, thresholds and features for one scalar field.
 ///
-/// Returns the feature sets, the thresholds, and the merge-tree size
-/// (join + split critical points). This is the reusable unit behind both
-/// the indexing job and the ad-hoc experiments (robustness, persistence
-/// diagrams).
+/// Returns the feature sets and the thresholds. This is the reusable unit
+/// behind both the indexing job and the ad-hoc experiments (robustness,
+/// persistence diagrams).
 pub fn field_features(
     spatial_adjacency: &[Vec<u32>],
     field: &ScalarField,
-) -> (FeatureSets, SeasonalThresholds, usize) {
+) -> (FeatureSets, SeasonalThresholds) {
     let (join, split) = {
         let _trees = stage(names::INDEX_STAGE_TREES_NS);
         let graph = DomainGraph::new(spatial_adjacency, field.n_steps);
@@ -59,8 +58,7 @@ pub fn field_features(
         });
     count(names::INDEX_VERTICES_DEFINED, defined);
     count(names::INDEX_VERTICES_ZERO_RUN, zeros);
-    let tree_nodes = join.node_count() + split.node_count();
-    (features, thresholds, tree_nodes)
+    (features, thresholds)
 }
 
 /// Runs feature identification for a batch of scalar functions, producing
@@ -75,7 +73,7 @@ pub fn identify_features(
         let adjacency = geometry
             .adjacency(field.resolution.spatial)
             .expect("field was computed from a geometry partition");
-        let (features, thresholds, tree_nodes) = field_features(adjacency, &field);
+        let (features, thresholds) = field_features(adjacency, &field);
         FunctionEntry {
             spec,
             dataset_index,
@@ -86,7 +84,6 @@ pub fn identify_features(
             features,
             thresholds,
             field: Some(field),
-            tree_nodes,
             row_memo: Default::default(),
         }
     })
@@ -111,10 +108,9 @@ mod tests {
     #[test]
     fn field_features_finds_spikes() {
         let field = spiky_field(24 * 60);
-        let (features, thresholds, tree_nodes) = field_features(&[vec![]], &field);
+        let (features, thresholds) = field_features(&[vec![]], &field);
         assert!(features.salient.pos.get(24 * 30));
         assert!(features.salient.neg.get(24 * 15));
-        assert!(tree_nodes > 2);
         // Monthly seasonal intervals for hourly data: 60 days ≈ 2-3 months.
         assert!(thresholds.interval_ids.len() >= 2);
     }

@@ -951,9 +951,9 @@ pub fn validate_field(bytes: &[u8], n_vertices: usize, what: &str) -> Result<()>
 }
 
 /// Encodes one function entry as its two blobs: the *hot* blob every
-/// query reads (spec, shape, feature bit vectors, seasonal thresholds,
-/// tree statistics) and, when the entry kept its scalar field, the *field*
-/// blob only `thresholds` clauses read.
+/// query reads (spec, shape, feature bit vectors, seasonal thresholds)
+/// and, when the entry kept its scalar field, the *field* blob only
+/// `thresholds` clauses read.
 ///
 /// `dataset_index` is deliberately *not* part of either payload: it lives
 /// in the manifest's segment directory, so incremental upsert/remove can
@@ -979,7 +979,6 @@ pub(crate) fn encode_hot(entry: &FunctionEntry) -> (Vec<u8>, usize) {
     enc_feature_sets(&mut e, &entry.features);
     let coded = e.len() - before;
     enc_seasonal(&mut e, &entry.thresholds);
-    e.usize(entry.tree_nodes);
     let raw_len = e.len() - coded + 4 * 8 + entry.features.approx_bytes();
     (e.into_bytes(), raw_len)
 }
@@ -1011,7 +1010,6 @@ pub fn decode_function_segment(
     // the field decoder (8 bytes a vertex) allocate under it.
     let features = dec_feature_sets(&mut d, n_vertices)?;
     let thresholds = dec_seasonal(&mut d, n_steps)?;
-    let tree_nodes = d.usize()?;
     d.finish()?;
     // A field blob carries no shape of its own: it must hold exactly one
     // value per vertex of its entry, or slicing would panic later.
@@ -1035,7 +1033,6 @@ pub fn decode_function_segment(
         features,
         thresholds,
         field,
-        tree_nodes,
         row_memo: Default::default(),
     })
 }
@@ -1096,7 +1093,6 @@ mod tests {
                 ],
             },
             field,
-            tree_nodes: 17,
             row_memo: Default::default(),
         }
     }

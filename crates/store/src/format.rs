@@ -39,7 +39,7 @@ pub const MAGIC: [u8; 8] = *b"PLGYSTOR";
 /// Current format version. Bump whenever the codec's byte stream, the
 /// clause fingerprint derivation, or the segment layout changes shape;
 /// readers reject other versions with a typed error instead of guessing.
-pub const VERSION: u32 = 4;
+pub const VERSION: u32 = 5;
 
 /// Fixed header length in bytes.
 pub const HEADER_LEN: u64 = 40;
@@ -126,7 +126,7 @@ pub struct SegmentInfo {
     pub resolution: Resolution,
     /// Where the hot blob lives — the payload every query over this
     /// function reads: spec, shape, feature bit vectors, seasonal
-    /// thresholds, tree statistics.
+    /// thresholds.
     pub loc: BlobLoc,
     /// Where the field blob (the `n_regions × n_steps` scalar values)
     /// lives, if the function was indexed with its field. Read only for

@@ -98,8 +98,8 @@ fn run_fields() -> &'static [usize] {
         let entry = decode_function_segment(hot, None, 0, "seed").unwrap();
         let t = &entry.thresholds;
         let n_runs = t.interval_of_step.chunk_by(|a, b| a == b).count();
-        // Behind the runs: the id list, the threshold list, tree_nodes.
-        let tail = (8 + 8 * t.interval_ids.len()) + (8 + 32 * t.per_interval.len()) + 8;
+        // Behind the runs: the id list and the threshold list.
+        let tail = (8 + 8 * t.interval_ids.len()) + (8 + 32 * t.per_interval.len());
         let runs_at = hot.len() - tail - 16 * n_runs - 8;
         assert_eq!(hot[runs_at..runs_at + 8], (n_runs as u64).to_le_bytes());
         std::iter::once(runs_at)
@@ -390,7 +390,6 @@ fn entry_with_features([sp, sn, ep, en]: [BitVec; 4]) -> FunctionEntry {
             per_interval: vec![Thresholds::none()],
         },
         field: None,
-        tree_nodes: 0,
         row_memo: Default::default(),
     }
 }
@@ -1036,7 +1035,7 @@ fn version_1_files_are_refused_by_version() {
             result,
             Err(StoreError::UnsupportedVersion {
                 found: 1,
-                supported: 4
+                supported: 5
             })
         ));
     }
@@ -1060,16 +1059,14 @@ fn version_2_files_are_refused_by_version() {
             result,
             Err(StoreError::UnsupportedVersion {
                 found: 2,
-                supported: 4
+                supported: 5
             })
         ));
     }
 }
 
 /// And a version-3 file (raw-word bit vectors, field blobs that spell out
-/// every NaN): no second bit-vector or field decoder is kept for it. The
-/// shard catalog's bytes did not change with formats 3 and 4, so its
-/// version is still 2.
+/// every NaN): no second bit-vector or field decoder is kept for it.
 #[test]
 fn version_3_files_are_refused_by_version() {
     for result in open_claiming_version(3) {
@@ -1077,9 +1074,26 @@ fn version_3_files_are_refused_by_version() {
             result,
             Err(StoreError::UnsupportedVersion {
                 found: 3,
-                supported: 4
+                supported: 5
             })
         ));
     }
-    assert_eq!((VERSION, SHARD_CATALOG_VERSION), (4, 2));
+}
+
+/// And a version-4 file (a merge-tree node count at the end of every hot
+/// blob): no hot-blob decoder that skips the count is kept for it. The
+/// shard catalog's bytes did not change with formats 3 to 5, so its
+/// version is still 2.
+#[test]
+fn version_4_files_are_refused_by_version() {
+    for result in open_claiming_version(4) {
+        assert!(matches!(
+            result,
+            Err(StoreError::UnsupportedVersion {
+                found: 4,
+                supported: 5
+            })
+        ));
+    }
+    assert_eq!((VERSION, SHARD_CATALOG_VERSION), (5, 2));
 }

@@ -308,7 +308,7 @@ fn corruption_yields_typed_errors() {
         Store::open(&path),
         Err(StoreError::UnsupportedVersion {
             found: 0x7F,
-            supported: 4
+            supported: 5
         })
     ));
 
@@ -389,7 +389,6 @@ fn geometry_missing_an_indexed_resolution_is_a_typed_error() {
                 per_interval: vec![Thresholds::none()],
             },
             field: None,
-            tree_nodes: 0,
             row_memo: Default::default(),
         }
     };

@@ -33,7 +33,7 @@ fn main() {
     )
     .expect("wind field");
 
-    let (features, thresholds, _) = field_features(&[vec![]], &field);
+    let (features, thresholds) = field_features(&[vec![]], &field);
     println!(
         "wind-speed function: {} hours, {} seasonal intervals",
         field.n_steps,

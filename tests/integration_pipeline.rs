@@ -103,10 +103,10 @@ fn robustness_noise_keeps_self_relationship() {
     )
     .unwrap();
     let adjacency = vec![vec![]];
-    let (clean, _, _) = field_features(&adjacency, &field);
+    let (clean, _) = field_features(&adjacency, &field);
     for frac in [0.02, 0.05, 0.10] {
         let noisy_field = add_iqr_noise(&field, frac, 99);
-        let (noisy, _, _) = field_features(&adjacency, &noisy_field);
+        let (noisy, _) = field_features(&adjacency, &noisy_field);
         let m = evaluate_features(&clean.salient, &noisy.salient);
         assert!(
             m.score > 0.8,
@@ -357,9 +357,10 @@ fn kind_errors_precede_time_range_errors() {
 /// Write-path bytes are pinned here, not only in CI's `cmp` legs: the
 /// fixed small corpus, built at one and at two workers and saved, is a
 /// file of exactly this length and checksum. The values are store format
-/// 4's — word-run bit vectors and masked field blobs, which took the file
-/// from 31,050,941 bytes to 15,342,244 — and what the file decodes to is
-/// pinned apart from them, unmoved by that change, by
+/// 5's — format 4's word-run bit vectors and masked field blobs, which took
+/// the file from 31,050,941 bytes to 15,342,244, less the merge-tree node
+/// count format 5 dropped from every hot blob (8 bytes each) — and what the
+/// file decodes to is pinned apart from them by
 /// `index_content_of_the_small_corpus_is_pinned`.
 #[test]
 fn store_bytes_of_the_small_corpus_are_pinned() {
@@ -391,13 +392,13 @@ fn store_bytes_of_the_small_corpus_are_pinned() {
 }
 
 /// `(length, blob_checksum)` of the small corpus's store.
-const PINNED_SMALL_CORPUS_STORE: (usize, u64) = (15_342_244, 3_624_123_518_538_000_478);
+const PINNED_SMALL_CORPUS_STORE: (usize, u64) = (15_339_540, 16_440_577_082_709_286_878);
 
 /// What the small corpus's store *means*, pinned apart from the bytes that
 /// carry it: every entry, decoded by an eager session and by a lazy one,
 /// digests to these two checksums — the first over spec, shape, the four
-/// feature vectors' words, the threshold bits, the interval map and the
-/// tree size; the second over every field value's bits, pinned lazily
+/// feature vectors' words, the threshold bits and the interval map; the
+/// second over every field value's bits, pinned lazily
 /// under a `thresholds` clause per data set. A store format change moves
 /// `PINNED_SMALL_CORPUS_STORE`; it must never move these.
 #[test]
@@ -435,10 +436,11 @@ fn index_content_of_the_small_corpus_is_pinned() {
     assert_eq!((hot, fields), PINNED_SMALL_CORPUS_CONTENT);
 }
 
-/// `(hot, field)` content digests of the small corpus's index; the
-/// values are the ones store format 3 decoded to.
+/// `(hot, field)` content digests of the small corpus's index. The hot
+/// digest is the one store formats 3 and 4 decoded to with the merge-tree
+/// node count, which format 5 no longer stores, left out of the shape.
 const PINNED_SMALL_CORPUS_CONTENT: (u64, u64) =
-    (11_773_626_843_826_791_231, 14_612_133_017_079_297_574);
+    (13_123_830_743_658_429_040, 14_612_133_017_079_297_574);
 
 /// `blob_checksum` over the decoded parts of `entries`, in order: the
 /// hot parts, and the field values of those entries that carry one.
@@ -454,12 +456,7 @@ fn content_digest<'a>(entries: impl Iterator<Item = &'a FunctionEntry>) -> (u64,
         hot.extend_from_slice(
             format!("{}/{}/{:?}/{res}", spec.dataset, spec.name, spec.kind).as_bytes(),
         );
-        let shape = [
-            e.n_regions,
-            e.start_bucket as usize,
-            e.n_steps,
-            e.tree_nodes,
-        ];
+        let shape = [e.n_regions, e.start_bucket as usize, e.n_steps];
         put(&mut hot, shape.map(|n| n as u64));
         let fs = &e.features;
         for bv in [
@@ -524,7 +521,6 @@ fn space_overhead_is_modest() {
         stats.field_bytes
     );
     assert!(stats.n_functions > 0);
-    assert!(stats.tree_nodes > 0);
 }
 
 /// Indexing report covers every data set with nonzero function counts.
