@@ -1,10 +1,13 @@
 //! Criterion micro-benchmark behind Figure 7: merge-tree construction time
 //! vs domain size, for 1-D (city) and 3-D (neighborhood) domains, on a
 //! dense taxi-like field and on a sparse count field whose values are
-//! ≈ 85% `+0.0`, like the urban corpus's count functions.
+//! ≈ 85% `+0.0`, like the urban corpus's count functions. The `_pairs`
+//! ids time what the index build runs instead of the two trees:
+//! `persistence_pairs`, which on the sparse field takes the `+0.0`
+//! plateau short-cuts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use polygamy_topology::{DomainGraph, MergeTree};
+use polygamy_topology::{persistence_pairs, DomainGraph, MergeTree};
 
 fn taxi_like(n: usize) -> Vec<f64> {
     (0..n)
@@ -46,6 +49,9 @@ fn bench_merge_tree(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("city_1d_both", steps), &steps, |b, _| {
             b.iter(|| MergeTree::both(&g1, &f1))
         });
+        group.bench_with_input(BenchmarkId::new("city_1d_pairs", steps), &steps, |b, _| {
+            b.iter(|| persistence_pairs(&g1, &f1))
+        });
         // 3-D neighborhood grid (25 regions).
         let g2 = DomainGraph::grid(5, 5, steps / 25);
         let f2 = taxi_like(g2.vertex_count());
@@ -67,6 +73,11 @@ fn bench_merge_tree(c: &mut Criterion) {
             BenchmarkId::new("neighborhood_3d_sparse_both", steps),
             &steps,
             |b, _| b.iter(|| MergeTree::both(&g2, &f3)),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("neighborhood_3d_sparse_pairs", steps),
+            &steps,
+            |b, _| b.iter(|| persistence_pairs(&g2, &f3)),
         );
     }
     group.finish();

@@ -1,11 +1,13 @@
 //! Feature Identification job (paper Sections 3 + 5.2, Appendix C).
 //!
-//! Per scalar function: order the defined vertices once — sorting all but
-//! the run of `+0.0` values, which is spliced in — and sweep that order
-//! both ways for the join and split trees, derive
-//! per-seasonal-interval thresholds from persistence, and scan the field
-//! against them for the salient + extreme feature sets. Each function is
-//! independent — a parallel map over [`polygamy_mapreduce`].
+//! Per scalar function: sort the defined vertices that are not `+0.0`
+//! once, sweep them both ways for the persistence pairs of the join and
+//! split trees (the trees themselves are never built; on a field with no
+//! value below `+0.0` the `+0.0` plateau takes a short-cut in either
+//! direction), derive per-seasonal-interval thresholds from the pairs, and
+//! scan the field against them for the salient + extreme feature sets.
+//! Each function is independent — a parallel map over
+//! [`polygamy_mapreduce`].
 
 use crate::framework::CityGeometry;
 use crate::function::FunctionSpec;
@@ -15,10 +17,11 @@ use polygamy_obs::{count, names, stage};
 use polygamy_stdata::temporal::SeasonalInterval;
 use polygamy_stdata::ScalarField;
 use polygamy_topology::{
-    seasonal_thresholds, DomainGraph, FeatureSets, MergeTree, SeasonalThresholds,
+    persistence_pairs, seasonal_thresholds_of_pairs, DomainGraph, FeatureSets, SeasonalThresholds,
 };
 
-/// Computes trees, thresholds and features for one scalar field.
+/// Computes persistence pairs, thresholds and features for one scalar
+/// field.
 ///
 /// Returns the feature sets and the thresholds. This is the reusable unit
 /// behind both the indexing job and the ad-hoc experiments (robustness,
@@ -27,10 +30,10 @@ pub fn field_features(
     spatial_adjacency: &[Vec<u32>],
     field: &ScalarField,
 ) -> (FeatureSets, SeasonalThresholds) {
-    let (join, split) = {
+    let pairs = {
         let _trees = stage(names::INDEX_STAGE_TREES_NS);
         let graph = DomainGraph::new(spatial_adjacency, field.n_steps);
-        MergeTree::both(&graph, &field.values)
+        persistence_pairs(&graph, &field.values)
     };
     let thresholds = {
         let _thresholds = stage(names::INDEX_STAGE_THRESHOLDS_NS);
@@ -38,7 +41,12 @@ pub fn field_features(
         let interval_of_step: Vec<i64> = (0..field.n_steps)
             .map(|z| season.interval_of(field.step_start(z)))
             .collect();
-        seasonal_thresholds(&join, &split, field.n_regions, &interval_of_step)
+        seasonal_thresholds_of_pairs(
+            &pairs.join,
+            &pairs.split,
+            field.n_regions,
+            &interval_of_step,
+        )
     };
     let features = {
         let _features = stage(names::INDEX_STAGE_FEATURES_NS);
@@ -46,18 +54,13 @@ pub fn field_features(
     };
 
     count(names::INDEX_FIELDS, 1);
+    count(
+        names::INDEX_FIELDS_PLATEAU_SWEPT,
+        u64::from(pairs.plateau_swept),
+    );
     count(names::INDEX_VERTICES, field.values.len() as u64);
-    let (defined, zeros) = field
-        .values
-        .iter()
-        .fold((0u64, 0u64), |(defined, zeros), x| {
-            (
-                defined + u64::from(!x.is_nan()),
-                zeros + u64::from(x.to_bits() == 0),
-            )
-        });
-    count(names::INDEX_VERTICES_DEFINED, defined);
-    count(names::INDEX_VERTICES_ZERO_RUN, zeros);
+    count(names::INDEX_VERTICES_DEFINED, pairs.defined as u64);
+    count(names::INDEX_VERTICES_ZERO_RUN, pairs.zeros as u64);
     (features, thresholds)
 }
 

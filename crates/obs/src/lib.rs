@@ -148,8 +148,8 @@ pub mod names {
     /// Wall time of the scalar-function job, summed over indexed data sets
     /// (counter, ns).
     pub const INDEX_STAGE_SCALAR_NS: &str = "index.stage.scalar_ns";
-    /// Time sorting and sweeping join + split trees, summed over fields —
-    /// thread time: workers add up (counter, ns).
+    /// Time sorting and sweeping for the join + split persistence pairs,
+    /// summed over fields — thread time: workers add up (counter, ns).
     pub const INDEX_STAGE_TREES_NS: &str = "index.stage.trees_ns";
     /// Time deriving seasonal thresholds from the persistence pairs,
     /// summed over fields (counter, ns).
@@ -161,13 +161,16 @@ pub mod names {
     pub const INDEX_RECORDS_LOCATED: &str = "index.records_located";
     /// Scalar fields run through feature identification (counter).
     pub const INDEX_FIELDS: &str = "index.fields";
+    /// The fields among them with no value below `+0.0`, whose `+0.0`
+    /// plateau the sweeps took without sorting or a join sweep (counter).
+    pub const INDEX_FIELDS_PLATEAU_SWEPT: &str = "index.fields_plateau_swept";
     /// Domain vertices (`regions × steps`) of those fields (counter).
     pub const INDEX_VERTICES: &str = "index.vertices";
     /// The vertices among them that carry a value — what the sort and the
     /// sweeps actually visit (counter).
     pub const INDEX_VERTICES_DEFINED: &str = "index.vertices_defined";
     /// The defined vertices whose value is exactly `+0.0` — the run the
-    /// sweep order splices in instead of sorting (counter).
+    /// sweeps take in index order instead of sorting (counter).
     pub const INDEX_VERTICES_ZERO_RUN: &str = "index.vertices_zero_run";
 
     /// Bytes read from `.plst` stores through `SegmentSource` (counter).
@@ -284,6 +287,7 @@ pub mod names {
         INDEX_STAGE_FEATURES_NS,
         INDEX_RECORDS_LOCATED,
         INDEX_FIELDS,
+        INDEX_FIELDS_PLATEAU_SWEPT,
         INDEX_VERTICES,
         INDEX_VERTICES_DEFINED,
         INDEX_VERTICES_ZERO_RUN,

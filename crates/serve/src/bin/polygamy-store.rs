@@ -168,14 +168,15 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     let ms = |name| count(name) as f64 / 1e6;
     println!(
         "  stages: scalar {:.0} ms wall, {} record(s) located; trees {:.0} ms, thresholds {:.0} ms, \
-         features {:.0} ms of worker time over {} field(s), {} of {} vertices defined, {} of them \
-         in the +0.0 run",
+         features {:.0} ms of worker time over {} field(s) ({} plateau swept), {} of {} vertices \
+         defined, {} of them in the +0.0 run",
         ms(names::INDEX_STAGE_SCALAR_NS),
         count(names::INDEX_RECORDS_LOCATED),
         ms(names::INDEX_STAGE_TREES_NS),
         ms(names::INDEX_STAGE_THRESHOLDS_NS),
         ms(names::INDEX_STAGE_FEATURES_NS),
         count(names::INDEX_FIELDS),
+        count(names::INDEX_FIELDS_PLATEAU_SWEPT),
         count(names::INDEX_VERTICES_DEFINED),
         count(names::INDEX_VERTICES),
         count(names::INDEX_VERTICES_ZERO_RUN),

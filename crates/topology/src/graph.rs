@@ -96,11 +96,16 @@ impl DomainGraph {
         let base = (v - x) as u32;
         let before = (v >= n).then(|| (v - n) as u32);
         let after = (v + n < self.vertex_count()).then(|| (v + n) as u32);
-        let row = &self.edges[self.offsets[x] as usize..self.offsets[x + 1] as usize];
         before
             .into_iter()
-            .chain(row.iter().map(move |&y| base + y))
+            .chain(self.row(x).iter().map(move |&y| base + y))
             .chain(after)
+    }
+
+    /// The spatial neighbours of region `x`, as regions.
+    #[inline]
+    pub(crate) fn row(&self, x: usize) -> &[u32] {
+        &self.edges[self.offsets[x] as usize..self.offsets[x + 1] as usize]
     }
 
     /// Vertex index of `(region, step)`.

@@ -14,7 +14,8 @@
 //! * [`merge_tree`] — join/split trees computed by the paper's Procedure
 //!   *ComputeJoinTree* in `O(N log N + N α(N))`, both from one sorted
 //!   order, with creator–destroyer persistence pairing recorded during
-//!   the sweep;
+//!   the sweep — or, for the index, the pairs alone, with the `+0.0`
+//!   plateau of a non-negative field swept without sorting;
 //! * [`persistence`] — persistence pairs (paper Figure 5);
 //! * [`threshold`] — automatic feature thresholds: exact 1-D 2-means over
 //!   persistence values for *salient* features, box-plot outlier fences for
@@ -41,7 +42,10 @@ pub use error::Error;
 pub use features::{FeatureClass, FeatureSet, FeatureSets};
 pub use graph::DomainGraph;
 pub use level_set::{sub_level_set, super_level_set};
-pub use merge_tree::{Direction, MergeTree, TreeNode};
-pub use persistence::PersistencePair;
-pub use threshold::{compute_thresholds, seasonal_thresholds, SeasonalThresholds, Thresholds};
+pub use merge_tree::{persistence_pairs, Direction, MergeTree, TreeNode, TreePairs};
+pub use persistence::{ExtremumPair, PersistencePair};
+pub use threshold::{
+    compute_thresholds, seasonal_thresholds, seasonal_thresholds_of_pairs, SeasonalThresholds,
+    Thresholds,
+};
 pub use union_find::UnionFind;

@@ -3,12 +3,23 @@
 //! The *join tree* tracks connected components of super-level sets as the
 //! function value decreases; the *split tree* tracks sub-level sets as it
 //! increases. Both are computed by one sweep over the vertices in sweep
-//! order with a union-find, in `O(N log N + N α(N))`. The split order is
-//! the join order reversed, so [`MergeTree::both`] sorts once and sweeps
+//! order with a union-find, in `O(N log N + N α(N))` (Carr, Snoeyink &
+//! Axen, "Computing Contour Trees in All Dimensions", 2003). The split order
+//! is the join order reversed, so [`MergeTree::both`] sorts once and sweeps
 //! the one order in both directions. The sort skips the run of `+0.0`
 //! values (every empty cell of a count function, most of a sparse field):
 //! that run is already in tie order and is spliced in at its place, so the
 //! `N log N` term is over the other values only.
+//!
+//! The index reads nothing of a tree but its persistence pairs, so the
+//! sweep reports what it finds to a sink: [`MergeTree`] records nodes,
+//! arcs and leaves and is the reference the oracle tests compare against;
+//! [`persistence_pairs`] keeps `(extremum, birth, death)` only. On a field
+//! with no value below `+0.0` it does not sweep the `+0.0` plateau at all
+//! in the join direction — every component still open when the sweep
+//! reaches the plateau dies at 0, and the plateau's own maxima are found by
+//! a local test — and sweeps it in index order, unsorted, in the split
+//! direction, where it comes first.
 //!
 //! Morse-condition handling (paper Appendix B.1): PL functions on graphs
 //! routinely violate the "distinct critical values" condition, so we impose
@@ -30,7 +41,7 @@
 
 use crate::error::{Error, Result};
 use crate::graph::DomainGraph;
-use crate::persistence::PersistencePair;
+use crate::persistence::{ExtremumPair, PersistencePair};
 use crate::union_find::UnionFind;
 
 /// Which merge tree to build.
@@ -136,126 +147,97 @@ impl MergeTree {
     /// One sweep over `order` (ascending; see [`ascending_order`]): forwards
     /// for the split tree, backwards for the join tree.
     fn sweep(graph: &DomainGraph, f: &[f64], direction: Direction, order: &[(u64, u32)]) -> Self {
-        let nv = graph.vertex_count();
-        assert_eq!(f.len(), nv, "function length must match vertex count");
-        let swept = |pos: usize| match direction {
-            Direction::Join => order[order.len() - 1 - pos].1,
-            Direction::Split => order[pos].1,
-        };
-
-        // The swept vertices, partitioned into the components of the
-        // current level set.
-        let mut components: UnionFind<Component> = UnionFind::new(nv);
-        let mut nodes: Vec<TreeNode> = Vec::new();
-        let mut arcs: Vec<(u32, u32)> = Vec::new();
-        let mut pairs: Vec<PersistencePair> = Vec::new();
-        let mut leaves: Vec<u32> = Vec::new();
-        let mut roots_scratch: Vec<u32> = Vec::new();
-        let pair = |extremum: u32, partner: u32| PersistencePair {
-            extremum,
-            partner,
-            birth: f[extremum as usize],
-            death: f[partner as usize],
-        };
-
-        for pos in 0..order.len() {
-            let v = swept(pos);
-            // Distinct components among already-swept neighbours.
-            roots_scratch.clear();
-            for u in graph.neighbors(v as usize) {
-                if components.contains(u) {
-                    let r = components.find(u);
-                    if !roots_scratch.contains(&r) {
-                        roots_scratch.push(r);
-                    }
-                }
-            }
-            let node = nodes.len() as u32;
-            let critical = |kind| TreeNode {
-                vertex: v,
-                value: f[v as usize],
-                kind,
-            };
-            match roots_scratch[..] {
-                [] => {
-                    // v is an extremum: creator of a new component.
-                    nodes.push(critical(NodeKind::Leaf));
-                    leaves.push(v);
-                    let born = Component {
-                        creator: v,
-                        born: pos as u32,
-                        head: node,
-                        lowest: v,
-                    };
-                    components.insert(v, born);
-                }
-                [r] => {
-                    // Regular vertex: extend the component.
-                    components.attach(v, r);
-                    components.payload_mut(r).lowest = v;
-                }
-                _ => {
-                    // Saddle: merge all components meeting at v. The
-                    // survivor is the eldest creator (earliest in the
-                    // sweep); every younger creator is paired with v.
-                    nodes.push(critical(NodeKind::Saddle));
-                    let eldest = roots_scratch
-                        .iter()
-                        .map(|&r| *components.payload(r))
-                        .min_by_key(|c| c.born)
-                        .expect("a saddle joins components");
-                    let mut merged = roots_scratch[0];
-                    for &r in &roots_scratch {
-                        let c = *components.payload(r);
-                        arcs.push((c.head, node));
-                        if c.creator != eldest.creator {
-                            pairs.push(pair(c.creator, v));
-                        }
-                        merged = components.union(merged, r);
-                    }
-                    components.attach(v, merged);
-                    *components.payload_mut(merged) = Component {
-                        head: node,
-                        lowest: v,
-                        ..eldest
-                    };
-                }
-            }
-        }
-
-        // Close the essential pair of every connected component: its creator
-        // (global extremum of the piece) pairs with the piece's final swept
-        // vertex. A piece's first swept vertex is the leaf that ends up as
-        // its creator, so the leaves that still own their component are the
-        // pieces, in the order the sweep met them.
-        for &leaf in &leaves {
-            let root = components.find(leaf);
-            let piece = *components.payload(root);
-            if piece.creator != leaf {
-                continue;
-            }
-            pairs.push(pair(leaf, piece.lowest));
-            // The final vertex becomes the root node unless it already is a
-            // node: a lone leaf, or a saddle that ended the sweep — which is
-            // then the component's last critical point, its head.
-            if nodes[piece.head as usize].vertex != piece.lowest {
-                arcs.push((piece.head, nodes.len() as u32));
-                nodes.push(TreeNode {
-                    vertex: piece.lowest,
-                    value: f[piece.lowest as usize],
-                    kind: NodeKind::Root,
-                });
-            }
-        }
-
+        let mut sweep = Sweep::new(graph, f, TreeSink::default());
+        sweep.sorted::<false>(order, direction);
+        let (tree, leaves) = sweep.finish();
         Self {
             direction,
-            nodes,
-            arcs,
-            pairs,
+            nodes: tree.nodes,
+            arcs: tree.arcs,
+            pairs: tree.pairs,
             leaves,
         }
     }
+}
+
+/// The persistence pairs of a function's join and split trees — all that
+/// the thresholds read of them — and what the ordering pass counted.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TreePairs {
+    /// The join tree's pairs: one per maximum, in no particular order.
+    pub join: Vec<ExtremumPair>,
+    /// The split tree's pairs: one per minimum, in no particular order.
+    pub split: Vec<ExtremumPair>,
+    /// Vertices with a defined (non-NaN) value.
+    pub defined: usize,
+    /// Vertices whose value is exactly `+0.0`.
+    pub zeros: usize,
+    /// True when no defined value sorts below `+0.0` (no negative value,
+    /// no `−0.0`), so the `+0.0` plateau was swept by the short-cuts.
+    pub plateau_swept: bool,
+}
+
+/// The persistence pairs of the join and the split tree of `f` over
+/// `graph`: as a multiset per direction, what [`MergeTree::both`] pairs,
+/// without building either tree.
+///
+/// When no defined value of `f` sorts below `+0.0`, the `+0.0` plateau is
+/// where the join sweep ends and the split sweep starts. The join sweep
+/// then visits only the positive vertices, remembering per component
+/// whether one of them borders the plateau: such a component dies at 0
+/// wherever in the plateau it would merge (edges are undirected, so the
+/// plateau vertex it borders would join it), and the plateau's own maxima
+/// are the `+0.0` vertices with no positive neighbour and no `+0.0`
+/// neighbour of higher index. The split sweep takes the plateau in index
+/// order — its tie order — with no sort, then the sorted positives.
+pub fn persistence_pairs(graph: &DomainGraph, f: &[f64]) -> TreePairs {
+    let (order, zeros) = sorted_keys(f);
+    let defined = order.len() + zeros;
+    let plateau_swept = order.first().is_none_or(|&(key, _)| key > ZERO_KEY);
+    let (join, split) = if plateau_swept {
+        let mut join = Sweep::new(graph, f, PairSink::default());
+        join.sorted::<true>(&order, Direction::Join);
+        let mut join = join.finish().0 .0;
+        let mut split = Sweep::new(graph, f, PairSink::default());
+        // Without a `+0.0` vertex there is no plateau to walk (nor, on an
+        // empty domain, a step to walk it by).
+        if zeros > 0 {
+            plateau_maxima(graph, f, &mut join);
+            split.plateau_in_index_order();
+        }
+        split.sorted::<false>(&order, Direction::Split);
+        (join, split.finish().0 .0)
+    } else {
+        let order = splice_zeros(f, order, zeros);
+        let sweep = |direction| {
+            let mut sweep = Sweep::new(graph, f, PairSink::default());
+            sweep.sorted::<false>(&order, direction);
+            sweep.finish().0 .0
+        };
+        (sweep(Direction::Join), sweep(Direction::Split))
+    };
+    TreePairs {
+        join,
+        split,
+        defined,
+        zeros,
+        plateau_swept,
+    }
+}
+
+/// The sweep: the swept vertices, partitioned into the components of the
+/// current level set, and what it found reported to `S`.
+struct Sweep<'a, S> {
+    graph: &'a DomainGraph,
+    f: &'a [f64],
+    components: UnionFind<Component>,
+    /// Every vertex that created a component, in sweep order.
+    leaves: Vec<u32>,
+    /// Scratch: the distinct components among a vertex's swept neighbours.
+    roots: Vec<u32>,
+    /// Vertices swept so far.
+    swept: u32,
+    sink: S,
 }
 
 /// What the sweep knows about one component of the current level set.
@@ -265,10 +247,292 @@ struct Component {
     creator: u32,
     /// Sweep position of `creator`.
     born: u32,
-    /// Node index of the component's last critical point.
+    /// The sink's id of the component's last critical point.
     head: u32,
     /// Last vertex swept in the component.
     lowest: u32,
+    /// Whether a vertex of the component borders the unswept `+0.0`
+    /// plateau; only the join short-cut of [`persistence_pairs`] sets it.
+    borders_zero: bool,
+}
+
+/// Where a sweep reports critical points and pairs.
+trait Sink {
+    /// `vertex` created a component; returns the id of its node.
+    fn leaf(&mut self, vertex: u32, value: f64) -> u32;
+    /// Components meet at `vertex`; returns the id of its node.
+    fn saddle(&mut self, vertex: u32, value: f64) -> u32;
+    /// The component whose last critical point was `head` ends at `node`.
+    fn arc(&mut self, head: u32, node: u32);
+    /// The component created at `extremum` died at `partner`, valued `death`.
+    fn pair(&mut self, extremum: u32, birth: f64, partner: u32, death: f64);
+    /// A piece of the domain whose last critical point was `head` ended at
+    /// its last swept vertex `lowest`.
+    fn close(&mut self, head: u32, lowest: u32, value: f64);
+}
+
+/// Records the whole tree: what [`MergeTree`] is made of.
+#[derive(Default)]
+struct TreeSink {
+    nodes: Vec<TreeNode>,
+    arcs: Vec<(u32, u32)>,
+    pairs: Vec<PersistencePair>,
+}
+
+impl TreeSink {
+    fn node(&mut self, vertex: u32, value: f64, kind: NodeKind) -> u32 {
+        self.nodes.push(TreeNode {
+            vertex,
+            value,
+            kind,
+        });
+        self.nodes.len() as u32 - 1
+    }
+}
+
+impl Sink for TreeSink {
+    fn leaf(&mut self, vertex: u32, value: f64) -> u32 {
+        self.node(vertex, value, NodeKind::Leaf)
+    }
+
+    fn saddle(&mut self, vertex: u32, value: f64) -> u32 {
+        self.node(vertex, value, NodeKind::Saddle)
+    }
+
+    fn arc(&mut self, head: u32, node: u32) {
+        self.arcs.push((head, node));
+    }
+
+    fn pair(&mut self, extremum: u32, birth: f64, partner: u32, death: f64) {
+        self.pairs.push(PersistencePair {
+            extremum,
+            partner,
+            birth,
+            death,
+        });
+    }
+
+    fn close(&mut self, head: u32, lowest: u32, value: f64) {
+        // The final vertex becomes the root node unless it already is a
+        // node: a lone leaf, or a saddle that ended the sweep — which is
+        // then the component's last critical point, its head.
+        if self.nodes[head as usize].vertex != lowest {
+            let root = self.node(lowest, value, NodeKind::Root);
+            self.arcs.push((head, root));
+        }
+    }
+}
+
+/// Keeps the pairs only, without their destroyer vertices.
+#[derive(Default)]
+struct PairSink(Vec<ExtremumPair>);
+
+impl Sink for PairSink {
+    fn leaf(&mut self, _: u32, _: f64) -> u32 {
+        0
+    }
+
+    fn saddle(&mut self, _: u32, _: f64) -> u32 {
+        0
+    }
+
+    fn arc(&mut self, _: u32, _: u32) {}
+
+    fn pair(&mut self, extremum: u32, birth: f64, _: u32, death: f64) {
+        self.0.push(ExtremumPair {
+            extremum,
+            birth,
+            death,
+        });
+    }
+
+    fn close(&mut self, _: u32, _: u32, _: f64) {}
+}
+
+impl<'a, S: Sink> Sweep<'a, S> {
+    fn new(graph: &'a DomainGraph, f: &'a [f64], sink: S) -> Self {
+        assert_eq!(
+            f.len(),
+            graph.vertex_count(),
+            "function length must match vertex count"
+        );
+        Self {
+            graph,
+            f,
+            components: UnionFind::new(f.len()),
+            leaves: Vec::new(),
+            roots: Vec::new(),
+            swept: 0,
+            sink,
+        }
+    }
+
+    /// Sweeps `order` (ascending; see [`ascending_order`]): forwards for
+    /// the split tree, backwards for the join tree. `BORDERS_ZERO` as for
+    /// [`Sweep::step`].
+    fn sorted<const BORDERS_ZERO: bool>(&mut self, order: &[(u64, u32)], direction: Direction) {
+        let graph = self.graph;
+        let mut step = |&(_, v): &(u64, u32)| {
+            self.step::<BORDERS_ZERO>(v, graph.neighbors(v as usize));
+        };
+        match direction {
+            Direction::Join => order.iter().rev().for_each(&mut step),
+            Direction::Split => order.iter().for_each(&mut step),
+        }
+    }
+
+    /// Sweeps the `+0.0` vertices in index order — their order in a split
+    /// sweep that meets them first. The only neighbours swept before a
+    /// vertex are then its `+0.0` neighbours of lower index: its temporal
+    /// predecessor and the spatial neighbours of lower region index.
+    fn plateau_in_index_order(&mut self) {
+        let (graph, f) = (self.graph, self.f);
+        let n = graph.n_regions;
+        for (z, step) in f.chunks_exact(n).enumerate() {
+            let base = z * n;
+            for (x, value) in step.iter().enumerate() {
+                if value.to_bits() != 0 {
+                    continue;
+                }
+                let v = base + x;
+                let before = (z > 0).then(|| (v - n) as u32);
+                let lower = graph.row(x).iter().filter(|&&y| (y as usize) < x);
+                let lower = lower.map(|&y| (base + y as usize) as u32);
+                self.step::<false>(v as u32, before.into_iter().chain(lower));
+            }
+        }
+    }
+
+    /// Sweeps `v`, given (at least) every neighbour of it swept so far.
+    /// With `BORDERS_ZERO`, an unswept `+0.0` neighbour marks `v`'s
+    /// component as bordering the plateau.
+    #[inline]
+    fn step<const BORDERS_ZERO: bool>(&mut self, v: u32, neighbours: impl Iterator<Item = u32>) {
+        let mut roots = std::mem::take(&mut self.roots);
+        roots.clear();
+        let mut borders_zero = false;
+        for u in neighbours {
+            if self.components.contains(u) {
+                let r = self.components.find(u);
+                if !roots.contains(&r) {
+                    roots.push(r);
+                }
+            } else if BORDERS_ZERO {
+                borders_zero |= self.f[u as usize].to_bits() == 0;
+            }
+        }
+        let value = self.f[v as usize];
+        let born = self.swept;
+        self.swept += 1;
+        match roots[..] {
+            [] => {
+                // v is an extremum: creator of a new component.
+                let head = self.sink.leaf(v, value);
+                self.leaves.push(v);
+                let component = Component {
+                    creator: v,
+                    born,
+                    head,
+                    lowest: v,
+                    borders_zero,
+                };
+                self.components.insert(v, component);
+            }
+            [r] => {
+                // Regular vertex: extend the component.
+                let component = self.components.attach(v, r);
+                component.lowest = v;
+                component.borders_zero |= borders_zero;
+            }
+            _ => {
+                // Saddle: merge all components meeting at v. The survivor
+                // is the eldest creator (earliest in the sweep); every
+                // younger creator is paired with v.
+                let node = self.sink.saddle(v, value);
+                let eldest = roots
+                    .iter()
+                    .map(|&r| *self.components.payload(r))
+                    .min_by_key(|c| c.born)
+                    .expect("a saddle joins components");
+                let mut merged = roots[0];
+                for &r in &roots {
+                    let c = *self.components.payload(r);
+                    self.sink.arc(c.head, node);
+                    borders_zero |= c.borders_zero;
+                    if c.creator != eldest.creator {
+                        self.sink
+                            .pair(c.creator, self.f[c.creator as usize], v, value);
+                    }
+                    merged = self.components.union(merged, r);
+                }
+                *self.components.attach(v, merged) = Component {
+                    head: node,
+                    lowest: v,
+                    borders_zero,
+                    ..eldest
+                };
+            }
+        }
+        self.roots = roots;
+    }
+
+    /// Closes the essential pair of every connected piece and returns the
+    /// sink with the leaves. A piece's creator pairs with the piece's final
+    /// swept vertex — or, when it borders the unswept `+0.0` plateau, dies
+    /// at 0 there. A piece's first swept vertex is the leaf that ends up as
+    /// its creator, so the leaves that still own their component are the
+    /// pieces, in the order the sweep met them.
+    fn finish(mut self) -> (S, Vec<u32>) {
+        for &leaf in &self.leaves {
+            let root = self.components.find(leaf);
+            let piece = *self.components.payload(root);
+            if piece.creator != leaf {
+                continue;
+            }
+            let lowest = self.f[piece.lowest as usize];
+            let death = if piece.borders_zero { 0.0 } else { lowest };
+            let birth = self.f[leaf as usize];
+            self.sink.pair(leaf, birth, piece.lowest, death);
+            self.sink.close(piece.head, piece.lowest, lowest);
+        }
+        (self.sink, self.leaves)
+    }
+}
+
+/// Adds the join pairs of the `+0.0` plateau's own maxima to `pairs`, on a
+/// function with no value below `+0.0` whose positive vertices have been
+/// swept. A join sweep would meet the plateau last, in descending index
+/// order, so a `+0.0` vertex creates a component iff it has no positive
+/// neighbour and no `+0.0` neighbour of higher index; that component dies
+/// at 0, in the plateau, so its pair is `(v, 0, 0)`.
+fn plateau_maxima(graph: &DomainGraph, f: &[f64], pairs: &mut Vec<ExtremumPair>) {
+    let n = graph.n_regions;
+    let defined = |u: usize| !f[u].is_nan();
+    let positive = |u: usize| defined(u) && f[u].to_bits() != 0;
+    for (z, step) in f.chunks_exact(n).enumerate() {
+        let base = z * n;
+        for (x, value) in step.iter().enumerate() {
+            let v = base + x;
+            let maximum = value.to_bits() == 0
+                && !(v + n < f.len() && defined(v + n))
+                && !(z > 0 && positive(v - n))
+                && graph.row(x).iter().all(|&y| {
+                    let u = base + y as usize;
+                    if y as usize > x {
+                        !defined(u)
+                    } else {
+                        !positive(u)
+                    }
+                });
+            if maximum {
+                pairs.push(ExtremumPair {
+                    extremum: v as u32,
+                    birth: 0.0,
+                    death: 0.0,
+                });
+            }
+        }
+    }
 }
 
 /// Maps a value to a `u64` whose unsigned order is `f64::total_cmp`'s.
@@ -285,13 +549,20 @@ const ZERO_KEY: u64 = 1 << 63;
 /// The defined (non-NaN) vertices as `(key, vertex)` in ascending
 /// simulated-perturbation order — value by `total_cmp`, ties by vertex
 /// index — which is the split tree's sweep order and the join tree's
-/// reversed. Keys compare as plain integers, and the stable sort keeps the
-/// index order it starts from within a tie.
-///
-/// Only the keys that are not `+0.0` are sorted. The `+0.0` vertices —
-/// most of a sparse count field — are one tie run already in index order,
-/// so they are spliced in where the sorted keys cross [`ZERO_KEY`].
+/// reversed.
 fn ascending_order(f: &[f64]) -> Vec<(u64, u32)> {
+    let (order, zeros) = sorted_keys(f);
+    splice_zeros(f, order, zeros)
+}
+
+/// The defined vertices whose value is not `+0.0`, as `(key, vertex)` in
+/// ascending order, and the number of `+0.0` vertices. Keys compare as
+/// plain integers and ties by vertex index; no two pairs are equal, so an
+/// unstable sort has only the one result.
+///
+/// The `+0.0` vertices — most of a sparse count field — are one tie run
+/// already in index order, so they are left out of the sort.
+fn sorted_keys(f: &[f64]) -> (Vec<(u64, u32)>, usize) {
     let mut order: Vec<(u64, u32)> = Vec::with_capacity(f.len());
     let mut zeros = 0;
     for (v, &x) in f.iter().enumerate() {
@@ -301,7 +572,13 @@ fn ascending_order(f: &[f64]) -> Vec<(u64, u32)> {
             order.push((total_order_key(x), v as u32));
         }
     }
-    order.sort_by_key(|&(key, _)| key);
+    order.sort_unstable();
+    (order, zeros)
+}
+
+/// Splices the `zeros` vertices of `f` whose value is `+0.0`, in index
+/// order, into the sorted `order` where its keys cross [`ZERO_KEY`].
+fn splice_zeros(f: &[f64], mut order: Vec<(u64, u32)>, zeros: usize) -> Vec<(u64, u32)> {
     let (at, sorted) = (
         order.partition_point(|&(key, _)| key < ZERO_KEY),
         order.len(),
@@ -658,6 +935,91 @@ mod tests {
             ) {
                 let f: Vec<f64> = codes.iter().map(|&c| value(c)).collect();
                 assert_comparator_order(&f);
+            }
+        }
+    }
+
+    mod pairs_only_sweep {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Decodes a drawn byte over a palette that is ≥ 50% `+0.0`, with
+        /// NaN holes and tied positive values. `mix` 0 is non-negative
+        /// (with `+∞` and a subnormal), 1 adds negative values, 2 adds
+        /// `−0.0` and nothing below it.
+        fn value(code: u8, mix: u8) -> f64 {
+            match (code, mix) {
+                (0..=9, _) => 0.0,
+                (10, _) => f64::NAN,
+                (11, 1) => -1.5,
+                (11, 2) => -0.0,
+                (11, _) => f64::INFINITY,
+                (12, 1) => -0.5,
+                (12, _) => 5e-324,
+                _ => f64::from(code % 4) + 0.5,
+            }
+        }
+
+        /// A symmetric spatial adjacency over `n` regions, one drawn bit
+        /// per region pair.
+        fn irregular(n: usize, bits: u64) -> Vec<Vec<u32>> {
+            let mut adjacency = vec![Vec::new(); n];
+            let mut bit = 0;
+            for a in 0..n {
+                for b in a + 1..n {
+                    if bits >> bit & 1 == 1 {
+                        adjacency[a].push(b as u32);
+                        adjacency[b].push(a as u32);
+                    }
+                    bit += 1;
+                }
+            }
+            adjacency
+        }
+
+        /// A pair multiset as sorted `(extremum, birth bits, death bits)`.
+        fn multiset(pairs: impl IntoIterator<Item = ExtremumPair>) -> Vec<(u32, u64, u64)> {
+            let mut out: Vec<_> = pairs
+                .into_iter()
+                .map(|p| (p.extremum, p.birth.to_bits(), p.death.to_bits()))
+                .collect();
+            out.sort_unstable();
+            out
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn pairs_only_sweep_pairs_what_the_trees_pair(
+                shape in 0u8..3,
+                regions in 1usize..7,
+                steps in 1usize..9,
+                edges in 0u64..u64::MAX,
+                mix in 0u8..3,
+                codes in prop::collection::vec(0u8..20, 96),
+            ) {
+                let graph = match shape {
+                    0 => DomainGraph::time_series(regions * steps),
+                    1 => DomainGraph::grid(regions, 2, steps),
+                    _ => DomainGraph::new(&irregular(regions, edges), steps),
+                };
+                let f: Vec<f64> = codes[..graph.vertex_count()]
+                    .iter()
+                    .map(|&c| value(c, mix))
+                    .collect();
+                let pairs = persistence_pairs(&graph, &f);
+                let (join, split) = MergeTree::both(&graph, &f);
+                let tree_pairs = |t: &MergeTree| multiset(t.pairs.iter().map(ExtremumPair::from));
+                prop_assert_eq!(multiset(pairs.join), tree_pairs(&join));
+                prop_assert_eq!(multiset(pairs.split), tree_pairs(&split));
+                let (zeros, defined) = (
+                    f.iter().filter(|x| x.to_bits() == 0).count(),
+                    f.iter().filter(|x| !x.is_nan()).count(),
+                );
+                prop_assert_eq!((pairs.zeros, pairs.defined), (zeros, defined));
+                let non_negative = f.iter().all(|x| x.is_nan() || x.is_sign_positive());
+                prop_assert_eq!(pairs.plateau_swept, non_negative);
             }
         }
     }

@@ -28,6 +28,28 @@ impl PersistencePair {
     }
 }
 
+/// A persistence pair without its destroyer's vertex: what the thresholds
+/// read of it (see [`crate::merge_tree::persistence_pairs`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExtremumPair {
+    /// Vertex of the extremum that created the component.
+    pub extremum: u32,
+    /// Function value at creation.
+    pub birth: f64,
+    /// Function value at destruction.
+    pub death: f64,
+}
+
+impl From<&PersistencePair> for ExtremumPair {
+    fn from(p: &PersistencePair) -> Self {
+        Self {
+            extremum: p.extremum,
+            birth: p.birth,
+            death: p.death,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,6 +15,7 @@
 //! computed per interval from the extrema that fall inside it.
 
 use crate::merge_tree::MergeTree;
+use crate::persistence::ExtremumPair;
 use polygamy_stats::descriptive::Summary;
 use polygamy_stats::kmeans::two_means_1d;
 
@@ -132,14 +133,32 @@ impl SeasonalThresholds {
     }
 }
 
-/// Computes per-interval thresholds. `interval_of_step[z]` assigns each
-/// time step to a seasonal interval (e.g. months-since-epoch for monthly
-/// intervals); extrema are grouped by the interval of their time step.
-///
-/// `n_regions` recovers the time step from a vertex index.
+/// Computes per-interval thresholds from the join tree (maxima) and the
+/// split tree (minima) of a function: [`seasonal_thresholds_of_pairs`]
+/// over their pairs.
 pub fn seasonal_thresholds(
     join: &MergeTree,
     split: &MergeTree,
+    n_regions: usize,
+    interval_of_step: &[i64],
+) -> SeasonalThresholds {
+    let pairs = |tree: &MergeTree| -> Vec<ExtremumPair> {
+        tree.pairs.iter().map(ExtremumPair::from).collect()
+    };
+    seasonal_thresholds_of_pairs(&pairs(join), &pairs(split), n_regions, interval_of_step)
+}
+
+/// Computes per-interval thresholds from the persistence pairs of a
+/// function's maxima and minima. `interval_of_step[z]` assigns each time
+/// step to a seasonal interval (e.g. months-since-epoch for monthly
+/// intervals); extrema are grouped by the interval of their time step.
+/// The order of the pairs does not matter: each interval's thresholds
+/// depend only on its multiset of `(birth, persistence)`.
+///
+/// `n_regions` recovers the time step from a vertex index.
+pub fn seasonal_thresholds_of_pairs(
+    maxima: &[ExtremumPair],
+    minima: &[ExtremumPair],
     n_regions: usize,
     interval_of_step: &[i64],
 ) -> SeasonalThresholds {
@@ -147,21 +166,21 @@ pub fn seasonal_thresholds(
     interval_ids.sort_unstable();
     interval_ids.dedup();
 
-    let group = |tree: &MergeTree| -> Vec<Vec<(f64, f64)>> {
+    let group = |pairs: &[ExtremumPair]| -> Vec<Vec<(f64, f64)>> {
         let mut groups = vec![Vec::new(); interval_ids.len()];
-        for p in &tree.pairs {
+        for p in pairs {
             let step = p.extremum as usize / n_regions;
             let id = interval_of_step[step];
             let idx = interval_ids
                 .binary_search(&id)
                 .expect("interval id comes from the same array");
-            groups[idx].push((p.birth, p.persistence()));
+            groups[idx].push((p.birth, (p.birth - p.death).abs()));
         }
         groups
     };
 
-    let max_groups = group(join);
-    let min_groups = group(split);
+    let max_groups = group(maxima);
+    let min_groups = group(minima);
     let per_interval: Vec<Thresholds> = max_groups
         .into_iter()
         .zip(min_groups)

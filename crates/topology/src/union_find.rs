@@ -51,13 +51,15 @@ impl<T> UnionFind<T> {
         self.sets.push(Set { rank: 0, payload });
     }
 
-    /// Adds the new element `x` to the set represented by `root`.
+    /// Adds the new element `x` to the set represented by `root`; returns
+    /// that set's payload.
     #[inline]
-    pub fn attach(&mut self, x: u32, root: u32) {
+    pub fn attach(&mut self, x: u32, root: u32) -> &mut T {
         debug_assert!(!self.contains(x));
         self.link[x as usize] = root + 1;
         let set = self.set_mut(root);
         set.rank = set.rank.max(1);
+        &mut set.payload
     }
 
     /// Representative of the set the inserted element `x` is in, with path
@@ -81,12 +83,6 @@ impl<T> UnionFind<T> {
     #[inline]
     pub fn payload(&self, root: u32) -> &T {
         &self.set(root).payload
-    }
-
-    /// The payload of the set represented by `root`, mutably.
-    #[inline]
-    pub fn payload_mut(&mut self, root: u32) -> &mut T {
-        &mut self.set_mut(root).payload
     }
 
     /// Merges the sets of `a` and `b`; returns the new representative, whose
@@ -174,10 +170,13 @@ mod tests {
 
     #[test]
     fn union_keeps_the_representatives_payload() {
-        let mut uf = singletons_of(4);
+        let mut uf = UnionFind::new(5);
+        for i in 0..4 {
+            uf.insert(i, i);
+        }
         let r = uf.union(2, 3);
         assert_eq!(*uf.payload(r), r);
-        *uf.payload_mut(r) = 77;
+        *uf.attach(4, r) = 77;
         // The deeper set's representative wins, whichever side it is on.
         assert_eq!(uf.union(0, r), r);
         let root = uf.find(0);
