@@ -201,8 +201,13 @@ pub mod names {
     /// clauses admit, that no pair shares and no pin therefore read
     /// (counter).
     pub const STORE_PIN_SKIPPED: &str = "store.pin.skipped";
-    /// Time encoding and checksumming blobs for store writes: every
-    /// segment on a save, the replaced data set's on an upsert (counter, ns).
+    /// Wall time of an eager open's pass over the whole segment directory
+    /// — read, verify, decode the hot blob, validate the field blob — run
+    /// per segment on the session's worker pool (counter, ns).
+    pub const STORE_OPEN_LOAD_NS: &str = "store.open.load_ns";
+    /// Wall time of the pass encoding and checksumming blobs for store
+    /// writes, run per segment on the worker pool: every segment on a
+    /// save, the replaced data set's on an upsert (counter, ns).
     pub const STORE_SAVE_ENCODE_NS: &str = "store.save.encode_ns";
     /// Time laying out, writing, syncing and renaming store files, the
     /// verified copy of retained blobs on a rewrite included (counter, ns).
@@ -301,6 +306,7 @@ pub mod names {
         STORE_FIELD_BYTES_FETCHED,
         STORE_PIN_SEGMENTS,
         STORE_PIN_SKIPPED,
+        STORE_OPEN_LOAD_NS,
         STORE_SAVE_ENCODE_NS,
         STORE_SAVE_WRITE_NS,
         STORE_SAVE_FIELD_RAW_BYTES,

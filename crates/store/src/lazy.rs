@@ -63,17 +63,26 @@
 //! ([`crate::codec::validate_field`]) — never through the cache — and
 //! afterwards comes back here only for the scalar fields a `thresholds`
 //! clause reads, faulted like any lazy pin.
+//!
+//! The two whole-directory passes — the eager open (`LazyIndex::load`)
+//! and [`LazyIndex::verify_all`] — run per segment on the index's worker
+//! pool (`store::per_segment`): the session's `Config` cluster,
+//! or the host's for an index opened on its own. Their failure is the
+//! first failing segment in directory order, as a serial loop's was. A
+//! lazy pin's misses stay on the calling thread, so the decode cache sees
+//! them in directory order.
 
 use crate::codec::{decode_function_segment, validate_field};
 use crate::error::{Result, StoreError};
 use crate::format::{BlobLoc, SegmentInfo};
 use crate::shard::{is_sharded, open_shard_file, ShardCatalog};
 use crate::source::SegmentSource;
-use crate::store::Store;
+use crate::store::{per_segment, segment_bytes, Store, COPY_PS_PER_BYTE, OPEN_PS_PER_BYTE};
 use polygamy_core::index::{DatasetEntry, FunctionEntry, PolygamyIndex};
 use polygamy_core::query::RelationshipQuery;
 use polygamy_core::{query_pairs, CityGeometry, ShardedLruCache};
-use polygamy_obs::{count, names, Counter};
+use polygamy_mapreduce::Cluster;
+use polygamy_obs::{count, names, stage, Counter};
 use polygamy_stdata::Resolution;
 use std::path::Path;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -170,6 +179,9 @@ pub struct LazyIndex {
     verified: Vec<[AtomicU8; 2]>,
     /// Decoded segments keyed by global directory position.
     cache: ShardedLruCache<usize, Arc<FunctionEntry>>,
+    /// The pool the whole-directory passes run on: the host's, until a
+    /// session sets its own ([`LazyIndex::on`]).
+    cluster: Cluster,
 }
 
 impl LazyIndex {
@@ -237,6 +249,7 @@ impl LazyIndex {
                 .map(|_| [UNVERIFIED, UNVERIFIED].map(AtomicU8::new))
                 .collect(),
             cache: ShardedLruCache::new(DEFAULT_SEGMENT_CACHE_CAPACITY),
+            cluster: Cluster::default(),
             catalog,
             files,
             directory,
@@ -246,6 +259,12 @@ impl LazyIndex {
             index.file(0)?;
         }
         Ok(index)
+    }
+
+    /// Runs this index's whole-directory passes ([`LazyIndex::load`],
+    /// [`LazyIndex::verify_all`]) on `cluster`'s pool.
+    pub(crate) fn on(self, cluster: Cluster) -> Self {
+        Self { cluster, ..self }
     }
 
     /// File `shard` if it opened, else the typed rejection replaying its
@@ -274,6 +293,12 @@ impl LazyIndex {
     fn locate(&self, entry: &DirEntry) -> Result<(&OpenFile, &SegmentInfo)> {
         let file = self.file(entry.file)?;
         Ok((file, &file.store.manifest().segments[entry.local]))
+    }
+
+    /// Per directory entry, its stored bytes (0 where its file is
+    /// unavailable): what a whole-directory pass is estimated from.
+    fn segment_sizes(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        (self.directory.iter()).map(|e| self.locate(e).map_or(0, |(_, info)| segment_bytes(info)))
     }
 
     /// The global data set catalog (always fully resident).
@@ -479,27 +504,34 @@ impl LazyIndex {
         Ok(decoded)
     }
 
-    /// The eager open: reads and verifies both blobs of every segment, in
-    /// directory order, decoding the hot blob and checking the field blob's
-    /// structure without decoding it ([`Read::Open`]) — never through the
-    /// cache (an eager index must not be held twice). The entries come back
-    /// field-less: a session serves `thresholds` clauses through
+    /// The eager open: reads and verifies both blobs of every segment,
+    /// decoding the hot blob and checking the field blob's structure
+    /// without decoding it ([`Read::Open`]) — never through the cache (an
+    /// eager index must not be held twice). The segments are taken per
+    /// segment on this index's pool and come back in directory order; a
+    /// failure is the first failing segment's in that order. The entries
+    /// come back field-less: a session serves `thresholds` clauses through
     /// [`LazyIndex::pin_fields_for`]. Every file must be available.
     pub(crate) fn load(&self) -> Result<PolygamyIndex> {
         let datasets = &self.catalog.datasets;
         self.require_files_of(0..datasets.len())?;
-        let functions = (0..self.directory.len())
-            .map(|i| self.read_entry(i, Read::Open))
-            .collect::<Result<_>>()?;
+        let _load = stage(names::STORE_OPEN_LOAD_NS);
+        let functions: Result<Vec<FunctionEntry>> =
+            per_segment(self.cluster, self.segment_sizes(), OPEN_PS_PER_BYTE, |i| {
+                self.read_entry(i, Read::Open)
+            });
         Ok(PolygamyIndex {
             datasets: datasets.clone(),
-            functions,
+            functions: functions?,
         })
     }
 
     /// Reads and checksum-verifies both blobs of every segment
     /// (and every file's geometry blob) without decoding or caching — the
-    /// force-check behind `polygamy-store inspect --verify`. An
+    /// force-check behind `polygamy-store inspect --verify`. The segments
+    /// are checked per segment on this index's pool; a failure is the
+    /// first failing segment's in directory order, and every segment that
+    /// passed has its verdicts recorded whatever else failed. An
     /// unavailable file fails the verification with its recorded reason.
     /// Returns the number of segments (function entries) checked.
     pub fn verify_all(&self) -> Result<usize> {
@@ -508,23 +540,29 @@ impl LazyIndex {
             let geometry = store.manifest().geometry;
             store.source().read(geometry, "geometry").map(drop)?;
         }
-        let mut checked = 0;
-        for (entry, verdicts) in self.directory.iter().zip(&self.verified) {
-            let (file, info) = self.locate(entry)?;
-            let what = file.store.segment_label(info);
-            let source = file.store.source();
-            source.read(info.loc, &what).map(drop)?;
-            if let Some(loc) = info.field {
-                source.read(loc, &format!("{what} field")).map(drop)?;
-            }
-            for verdict in verdicts {
-                // ordering: Release — publishes this force-check's verdict
-                // to the Acquire loads on the fault path.
-                verdict.store(VERIFIED_OK, Ordering::Release);
-            }
-            checked += 1;
+        let checked: Result<Vec<()>> =
+            per_segment(self.cluster, self.segment_sizes(), COPY_PS_PER_BYTE, |i| {
+                self.verify_entry(i)
+            });
+        Ok(checked?.len())
+    }
+
+    /// [`LazyIndex::verify_all`]'s step for one directory entry: both
+    /// blobs read and verified, then both verdicts recorded as passed.
+    fn verify_entry(&self, seg_index: usize) -> Result<()> {
+        let (file, info) = self.locate(&self.directory[seg_index])?;
+        let what = file.store.segment_label(info);
+        let source = file.store.source();
+        source.read(info.loc, &what).map(drop)?;
+        if let Some(loc) = info.field {
+            source.read(loc, &format!("{what} field")).map(drop)?;
         }
-        Ok(checked)
+        for verdict in &self.verified[seg_index] {
+            // ordering: Release — publishes this force-check's verdict
+            // to the Acquire loads on the fault path.
+            verdict.store(VERIFIED_OK, Ordering::Release);
+        }
+        Ok(())
     }
 }
 

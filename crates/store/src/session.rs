@@ -211,8 +211,10 @@ impl StoreSession {
 
     /// A session over an opened index: `eager` reads, verifies and
     /// validates every blob now and keeps the decoded hot blobs, otherwise
-    /// segments fault in per query.
+    /// segments fault in per query. The eager open — and `verify_all` on
+    /// the session's index — run on `config`'s cluster.
     fn new(lazy: LazyIndex, config: Config, eager: bool) -> Result<Self> {
+        let lazy = lazy.on(config.cluster);
         let geometry = lazy.load_geometry()?;
         let resident = eager.then(|| lazy.load()).transpose()?;
         Ok(Self {

@@ -52,6 +52,7 @@ use crate::store::{
 };
 use polygamy_core::index::{DatasetEntry, PolygamyIndex};
 use polygamy_core::{CityGeometry, Config};
+use polygamy_mapreduce::Cluster;
 use polygamy_stdata::Dataset;
 use std::fs::File;
 use std::io::{Read, Write};
@@ -317,7 +318,7 @@ pub fn shard_store(
     }
     let store = Store::open(monolith)?;
     let geometry = store.read_geometry_blob()?;
-    let per_dataset = store.read_retained_segments(|_| true)?;
+    let per_dataset = store.read_retained_segments(|_| true, Cluster::default())?;
     let catalog = store.manifest().datasets.clone();
     let n = catalog.len();
     write_sharded(
@@ -389,7 +390,7 @@ pub fn merge_shards(catalog_path: impl AsRef<Path>, out: impl AsRef<Path>) -> Re
         }
         let owned = catalog.datasets_of_shard(s);
         for (li, group) in store
-            .read_retained_segments(|_| true)?
+            .read_retained_segments(|_| true, Cluster::default())?
             .drain(..)
             .enumerate()
         {

@@ -24,6 +24,16 @@
 //! decoded, and that verified checksum is what the new manifest records —
 //! and re-indexes only the data set being changed, preserving the
 //! index-once/query-many economics for corpus updates.
+//!
+//! Every pass that touches each segment of a store once — the encode of a
+//! save or upsert, the verified copy behind maintenance and shard
+//! migration, and in [`crate::lazy`] the eager open and `--verify` — is
+//! one dispatch over the directory on a worker pool (`per_segment`),
+//! each worker taking runs of consecutive segments, with the results in
+//! directory order. Callers with a [`Config`] run on its cluster; the
+//! entry points without one ([`Store::save`], [`Store::remove_dataset`],
+//! the shard migrations) run on `Cluster::default()`, the host's pool
+//! (`POLYGAMY_WORKERS`).
 
 use crate::checksum::blob_checksum;
 use crate::codec::{encode_field, encode_hot};
@@ -33,6 +43,7 @@ use crate::source::SegmentSource;
 use polygamy_core::index::{DatasetEntry, FunctionEntry, PolygamyIndex};
 use polygamy_core::{index_dataset, CityGeometry, Config};
 use polygamy_json::Value;
+use polygamy_mapreduce::{run_weighted_tasks, Cluster};
 use polygamy_obs::{count, names, stage};
 use polygamy_stdata::{Dataset, Resolution, SpatialPartition, SpatialResolution};
 use std::fs::File;
@@ -206,34 +217,33 @@ impl Store {
             .dataset_index(&dataset.meta.name)
             .unwrap_or(self.manifest.datasets.len());
         let (entry, functions, _stats) = index_dataset(config, &geometry, target, dataset);
-        let fresh = {
-            let _encode = stage(names::STORE_SAVE_ENCODE_NS);
-            functions.iter().map(encode_segment).collect()
-        };
-        let store = self.rewrite(target, Some((entry.clone(), fresh)))?;
+        let fresh = encode_segments(&functions, config.cluster);
+        let store = self.rewrite(target, Some((entry.clone(), fresh)), config.cluster)?;
         Ok((store, entry))
     }
 
     /// Rewrites this store's file without the data set `name`.
     pub(crate) fn without_dataset(self, name: &str) -> Result<Store> {
         let target = self.manifest.dataset_index(name)?;
-        self.rewrite(target, None)
+        self.rewrite(target, None, Cluster::default())
     }
 
     /// The one per-file rewrite behind all maintenance, monolithic and
     /// sharded: copies every data set but `target` verbatim (checksums
     /// verified, payloads never decoded) and replaces `target` with
     /// `replacement` — appending when `target` is one past the catalog,
-    /// removing it when `replacement` is `None`.
+    /// removing it when `replacement` is `None`. The retained blobs are
+    /// read on `cluster`'s pool.
     fn rewrite(
         self,
         target: usize,
         replacement: Option<(DatasetEntry, SegmentGroup)>,
+        cluster: Cluster,
     ) -> Result<Store> {
         let mut catalog = self.manifest.datasets.clone();
         let mut per_dataset = {
             let _write = stage(names::STORE_SAVE_WRITE_NS);
-            self.read_retained_segments(|di| di != target)?
+            self.read_retained_segments(|di| di != target, cluster)?
         };
         match replacement {
             Some((entry, group)) if target == catalog.len() => {
@@ -259,29 +269,40 @@ impl Store {
     /// corruption forward — and carries that checksum along, so the writer
     /// never recomputes it. Shared with the shard migration paths
     /// ([`crate::shard`]), which move blob bytes between files verbatim.
+    /// The segments are read per segment on `cluster`'s pool; a failure is
+    /// the first failing segment's in directory order.
     pub(crate) fn read_retained_segments(
         &self,
         keep: impl Fn(usize) -> bool,
+        cluster: Cluster,
     ) -> Result<Vec<SegmentGroup>> {
+        let kept: Vec<&SegmentInfo> = (self.manifest.segments.iter())
+            .filter(|info| keep(info.dataset_index))
+            .collect();
+        let bytes = kept.iter().map(|info| segment_bytes(info));
+        let read: Result<Vec<Segment>> = per_segment(cluster, bytes, COPY_PS_PER_BYTE, |k| {
+            self.read_segment(kept[k])
+        });
         let mut per_dataset: Vec<SegmentGroup> = (0..self.manifest.datasets.len())
             .map(|_| Vec::new())
             .collect();
-        for info in &self.manifest.segments {
-            if !keep(info.dataset_index) {
-                continue;
-            }
-            let what = self.segment_label(info);
-            per_dataset[info.dataset_index].push(Segment {
-                function: info.function.clone(),
-                resolution: info.resolution,
-                hot: self.read_blob(info.loc, &what)?,
-                field: info
-                    .field
-                    .map(|loc| self.read_blob(loc, &format!("{what} field")))
-                    .transpose()?,
-            });
+        for (info, segment) in kept.iter().zip(read?) {
+            per_dataset[info.dataset_index].push(segment);
         }
         Ok(per_dataset)
+    }
+
+    /// Reads both blobs of one segment for verbatim copying.
+    fn read_segment(&self, info: &SegmentInfo) -> Result<Segment> {
+        let what = self.segment_label(info);
+        Ok(Segment {
+            function: info.function.clone(),
+            resolution: info.resolution,
+            hot: self.read_blob(info.loc, &what)?,
+            field: (info.field)
+                .map(|loc| self.read_blob(loc, &format!("{what} field")))
+                .transpose()?,
+        })
     }
 
     /// Reads the raw geometry blob, checksum-verified.
@@ -350,17 +371,83 @@ fn encode_segment(entry: &FunctionEntry) -> Segment {
     }
 }
 
+/// Encodes `functions` in order, per segment on `cluster`'s pool — the
+/// encode pass of a save and of an upsert's fresh data set.
+fn encode_segments(functions: &[FunctionEntry], cluster: Cluster) -> Vec<Segment> {
+    let _encode = stage(names::STORE_SAVE_ENCODE_NS);
+    let values = functions.iter().map(|f| (f.n_regions * f.n_steps) as u64);
+    per_segment(cluster, values, ENCODE_PS_PER_VALUE, |i| {
+        encode_segment(&functions[i])
+    })
+}
+
 /// Encodes an index's segments grouped by data set in catalog order — the
 /// canonical layout every writer (save, sharded save, maintenance)
-/// produces.
+/// produces — on the host's pool.
 pub(crate) fn encode_segment_groups(index: &PolygamyIndex) -> Vec<SegmentGroup> {
     let mut per_dataset: Vec<SegmentGroup> =
         (0..index.datasets.len()).map(|_| Vec::new()).collect();
-    let _encode = stage(names::STORE_SAVE_ENCODE_NS);
-    for entry in &index.functions {
-        per_dataset[entry.dataset_index].push(encode_segment(entry));
+    let encoded = encode_segments(&index.functions, Cluster::default());
+    for (entry, segment) in index.functions.iter().zip(encoded) {
+        per_dataset[entry.dataset_index].push(segment);
     }
     per_dataset
+}
+
+// -- whole-store passes -------------------------------------------------------
+
+// The cost constants are single-thread picoseconds per unit, measured
+// whole-pass on the urban benchmark store (338 segments, 4.9 MB of blobs,
+// 8.0 M domain vertices) at one worker on a 2-vCPU VM, and rounded. All
+// they decide is whether a pass clears the pool's inline floor
+// (docs/architecture.md, "Whole-store passes").
+
+/// An eager open's step — read, verify, decode the hot blob, validate the
+/// field blob — per stored blob byte (measured 1.4–1.9 ns).
+pub(crate) const OPEN_PS_PER_BYTE: u64 = 1_500;
+
+/// A verified read — read and checksum, nothing decoded: maintenance's
+/// retained copy and `--verify` — per stored blob byte (0.32–0.45 ns).
+pub(crate) const COPY_PS_PER_BYTE: u64 = 400;
+
+/// Encoding one segment — the field blob, most of it, and the hot blob's
+/// four vectors of as many bits — per domain vertex (4.9–6.4 ns).
+const ENCODE_PS_PER_VALUE: u64 = 5_500;
+
+/// Stored bytes of one segment: its hot blob and its field blob, as the
+/// (untrusted) manifest declares them.
+pub(crate) fn segment_bytes(info: &SegmentInfo) -> u64 {
+    (info.loc.len).saturating_add(info.field.map_or(0, |loc| loc.len))
+}
+
+/// One whole-store pass: `task(i)` for every segment `i` of a directory,
+/// as one dispatch on `cluster`'s pool ([`run_weighted_tasks`]) whose
+/// single-thread estimate is `Σ sizes × ps_per_unit` — so a store whose
+/// whole pass is estimated under the pool's inline floor runs on the
+/// caller.
+///
+/// Every segment gets the same share of the estimate: the pool then cuts
+/// equal runs of consecutive segments and hands them out in directory
+/// order (its sort is stable), so each worker reads the file front to
+/// back. Weighted by size, heaviest first, the pool read it in size order:
+/// a `verify_all` straight after a write — every blob from the device,
+/// past the page cache — took 2.3× the serial pass at two workers instead
+/// of the same time.
+///
+/// The results are collected in directory order whoever ran them: into a
+/// `Result`, a pass's failure is the first `Err` in directory order — the
+/// one the serial loop returns — whichever segment failed first in time.
+pub(crate) fn per_segment<R: Send, C: FromIterator<R>>(
+    cluster: Cluster,
+    sizes: impl ExactSizeIterator<Item = u64>,
+    ps_per_unit: u64,
+    task: impl Fn(usize) -> R + Sync,
+) -> C {
+    let n = sizes.len();
+    let units = sizes.fold(0u64, |sum, size| sum.saturating_add(size));
+    let share = units.saturating_mul(ps_per_unit) / 1_000 / n.max(1) as u64;
+    let (results, _threads) = run_weighted_tasks(cluster.workers(), &vec![share; n], task);
+    results.into_iter().collect()
 }
 
 /// Serialises the geometry blob (JSON payload inside the checksummed

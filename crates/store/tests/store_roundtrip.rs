@@ -6,13 +6,18 @@
 //!   from-scratch rebuild of the same corpus;
 //! * selective loading materializes only the requested segments;
 //! * corrupted/truncated/mis-versioned files yield typed errors;
-//! * one session serves concurrent readers.
+//! * one session serves concurrent readers;
+//! * the whole-store passes, which run per segment on a worker pool, are
+//!   worker-independent at the API: an upsert writes the same bytes at any
+//!   worker count, and a corrupt store fails with the first failing
+//!   segment in directory order.
 
 use polygamy_core::index::{DatasetEntry, PolygamyIndex};
 use polygamy_core::prelude::*;
 use polygamy_core::DataPolygamy;
+use polygamy_mapreduce::Cluster;
 use polygamy_store::codec::encode_function_segment;
-use polygamy_store::{LoadFilter, Store, StoreError, StoreSession};
+use polygamy_store::{LoadFilter, SourceBackend, Store, StoreError, StoreSession};
 use std::path::PathBuf;
 
 fn tmp_path(tag: &str) -> PathBuf {
@@ -448,4 +453,149 @@ fn one_session_serves_concurrent_readers() {
     // All threads hit the same pair/clause keys: the cache stays bounded
     // and small.
     assert!(session.cache_len() >= 1);
+}
+
+/// A city-level hourly data set of `hours` records whose attribute is a
+/// real-valued noise series: its `avg` fields stay literal words in the
+/// field codec, eight bytes a value, so a few of these make a store whose
+/// whole-store passes are estimated well over the pool's inline floor.
+fn dense_dataset(name: &str, hours: i64) -> Dataset {
+    let meta = DatasetMeta {
+        name: name.into(),
+        spatial_resolution: SpatialResolution::City,
+        temporal_resolution: TemporalResolution::Hour,
+        description: String::new(),
+    };
+    let mut b = DatasetBuilder::new(meta).attribute(AttributeMeta::named("signal"));
+    let mut state = name.bytes().fold(0x9E37_79B9_7F4A_7C15u64, |h, c| {
+        (h ^ u64::from(c)).wrapping_mul(0x100_0000_01B3)
+    });
+    for h in 0..hours {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let v = (state >> 11) as f64 / (1u64 << 53) as f64 + (h % 24) as f64 * 0.1;
+        b.push(GeoPoint::new(0.5, 0.5), h * 3_600, &[v])
+            .expect("schema matches");
+    }
+    b.build().expect("dataset builds")
+}
+
+/// Six dense data sets: ≈ 1.6 MB of blobs, 8 segments and ≈ 63,000
+/// domain vertices each.
+fn dense_corpus() -> Vec<Dataset> {
+    (0..6)
+        .map(|i| dense_dataset(&format!("dense-{i}"), 30_000))
+        .collect()
+}
+
+fn on(workers: usize) -> Config {
+    Config {
+        cluster: Cluster::local(workers),
+    }
+}
+
+#[test]
+fn upsert_writes_the_same_bytes_at_any_worker_count() {
+    let datasets = dense_corpus();
+    let (base, fresh) = datasets.split_at(datasets.len() - 1);
+    let before = build_framework(base);
+    let after = build_framework(&datasets);
+    let scratch = tmp_path("upsert-workers-scratch");
+    let _cleanup = Cleanup(scratch.clone());
+    let store = Store::save(&scratch, after.geometry(), after.index().unwrap()).unwrap();
+    // Both passes of the upsert are big enough to leave the caller: the
+    // retained copy reads ≈ 1.3 MB, the fresh data set encodes ≈ 63,000
+    // values — each estimated above the pool's 0.28 ms inline floor.
+    let blob_bytes: u64 = (store.manifest().segments.iter())
+        .map(|s| s.loc.len + s.field.map_or(0, |f| f.len))
+        .sum();
+    assert!(blob_bytes > 1_500_000, "{blob_bytes} B of blobs");
+    let fresh_values: usize = (after.index().unwrap().functions.iter())
+        .filter(|f| f.dataset_index == base.len())
+        .map(|f| f.n_regions * f.n_steps)
+        .sum();
+    assert!(fresh_values > 60_000, "{fresh_values} values to encode");
+    let expected = std::fs::read(&scratch).unwrap();
+    for workers in [1, 4] {
+        let path = tmp_path(&format!("upsert-workers-{workers}"));
+        let _cleanup = Cleanup(path.clone());
+        Store::save(&path, before.geometry(), before.index().unwrap()).unwrap();
+        Store::upsert_dataset(&path, &fresh[0], &on(workers)).unwrap();
+        assert!(
+            std::fs::read(&path).unwrap() == expected,
+            "upsert at {workers} worker(s) differs from a fresh save"
+        );
+    }
+}
+
+/// How errors name a segment: `segment <data set>.<function>`.
+fn label(store: &Store, segment: usize) -> String {
+    let manifest = store.manifest();
+    let info = &manifest.segments[segment];
+    let dataset = &manifest.datasets[info.dataset_index].meta.name;
+    format!("segment {dataset}.{}", info.function)
+}
+
+#[test]
+fn a_corrupt_store_fails_with_its_first_bad_segment_in_directory_order() {
+    let path = tmp_path("first-error");
+    let _cleanup = Cleanup(path.clone());
+    let datasets = dense_corpus();
+    let dp = build_framework(&datasets);
+    let store = Store::save(&path, dp.geometry(), dp.index().unwrap()).unwrap();
+    let pristine = std::fs::read(&path).unwrap();
+    let segments = &store.manifest().segments;
+    let first_of = |di: usize| segments.iter().position(|s| s.dataset_index == di).unwrap();
+    // Far apart in the directory: the first segment of the second data
+    // set and the last segment of the last one, both with a field blob.
+    let (early, late) = (first_of(1), segments.len() - 1);
+    assert!(segments[early].field.is_some() && segments[late].field.is_some());
+    assert!(late - early > segments.len() / 2);
+    let untouched =
+        RelationshipQuery::between(&["dense-3"], &["dense-4"]).with_clause(test_clause());
+    let answer = dp.query(&untouched).unwrap();
+
+    let blob = |segment: usize, hot: bool| match hot {
+        true => segments[segment].loc,
+        false => segments[segment].field.unwrap(),
+    };
+    // Each way round: a hot blob early and a field blob late, then a field
+    // blob early and a hot blob late.
+    for early_is_hot in [true, false] {
+        let mut corrupt = pristine.clone();
+        for loc in [blob(early, early_is_hot), blob(late, !early_is_hot)] {
+            corrupt[loc.offset as usize + loc.len as usize / 2] ^= 0x40;
+        }
+        std::fs::write(&path, &corrupt).unwrap();
+        let what = match early_is_hot {
+            true => label(&store, early),
+            false => format!("{} field", label(&store, early)),
+        };
+        for workers in [1, 2, 4] {
+            let config = on(workers);
+            let eager = StoreSession::open_with(&path, config, &LoadFilter::all());
+            match eager {
+                Err(StoreError::ChecksumMismatch { what: got }) => {
+                    assert_eq!(got, what, "eager open at {workers} worker(s)")
+                }
+                other => panic!("eager open at {workers} worker(s): {other:?}"),
+            }
+            let lazy = StoreSession::open_lazy_with(
+                &path,
+                config,
+                &LoadFilter::all(),
+                SourceBackend::default(),
+            )
+            .unwrap();
+            match lazy.lazy_index().unwrap().verify_all() {
+                Err(StoreError::ChecksumMismatch { what: got }) => {
+                    assert_eq!(got, what, "verify_all at {workers} worker(s)")
+                }
+                other => panic!("verify_all at {workers} worker(s): {other:?}"),
+            }
+            // A pair that touches neither corrupt segment still answers.
+            assert_eq!(lazy.query(&untouched).unwrap(), answer);
+        }
+    }
 }
