@@ -48,7 +48,8 @@ use polygamy_store::codec::{
 };
 use polygamy_store::{LazyIndex, Store, StoreSession};
 use polygamy_topology::{
-    super_level_set, BitVec, DomainGraph, FeatureClass, FeatureSet, MergeTree,
+    super_level_set, BitVec, DomainGraph, FeatureClass, FeatureSet, FeatureWindow, MergeTree,
+    SignCounts,
 };
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -128,8 +129,12 @@ fn bench_restricted_vs_naive_mc(c: &mut Criterion) {
     group.bench_function("unaligned_slice", |b| {
         b.iter(|| field.slice(5 * n_regions, 5 * n_regions + n))
     });
+    let (window, whole) = (
+        FeatureWindow::new(&field, 5 * n_regions, n),
+        FeatureWindow::whole(&right),
+    );
     group.bench_function("rotation_count", |b| {
-        b.iter(|| left.rotated_related_counts(&right, 4_321))
+        b.iter(|| window.rotated_sign_counts(&whole, 4_321))
     });
     group.bench_function("row_build", |b| {
         b.iter(|| left.region_major(n_regions, n_steps))
@@ -139,13 +144,12 @@ fn bench_restricted_vs_naive_mc(c: &mut Criterion) {
         let mut shifter = GraphShifter::default();
         b.iter(|| {
             let sigma = shifter.draw(&adjacency, &mut rng);
-            let (mut n_pos, mut n_neg) = (0, 0);
+            let mut counts = SignCounts::default();
             for (row, &image) in left_rows.iter().zip(sigma) {
-                let (p, q) = row.rotated_related_counts(&right_rows[image as usize], 0);
-                n_pos += p;
-                n_neg += q;
+                let right_row = FeatureWindow::whole(&right_rows[image as usize]);
+                counts += FeatureWindow::whole(row).rotated_sign_counts(&right_row, 0);
             }
-            (n_pos, n_neg)
+            counts
         })
     });
     group.bench_function("naive_shuffle", |b| {
@@ -390,10 +394,13 @@ fn bench_dispatch(c: &mut Criterion) {
     // hourly year (8,760 steps) — what one 1-D unit task of the urban
     // queries (`permutations = 2`) does.
     let (left, right) = (sparse_features(8_760, 0), sparse_features(8_760, 3));
+    let (left, right) = (FeatureWindow::whole(&left), FeatureWindow::whole(&right));
     let task = |i: usize| {
-        (0..3)
-            .map(|pass| left.rotated_related_counts(&right, (pass * 2_917 + i) % 8_760))
-            .fold((0, 0), |sum, counts| (sum.0 + counts.0, sum.1 + counts.1))
+        let mut counts = SignCounts::default();
+        for pass in 0..3 {
+            counts += left.rotated_sign_counts(&right, (pass * 2_917 + i) % 8_760);
+        }
+        counts
     };
     let mut group = c.benchmark_group("dispatch");
     for n_tasks in [17usize, 287, 858] {

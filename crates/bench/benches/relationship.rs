@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use polygamy_core::relationship::evaluate_features;
 use polygamy_core::significance::{permutation_p_value, significance_test, PermutationScheme};
 use polygamy_stats::permutation::MonteCarlo;
-use polygamy_topology::{BitVec, FeatureSet};
+use polygamy_topology::{BitVec, FeatureSet, FeatureWindow, RowWindows};
 
 fn sparse_features(n: usize, every: usize, offset: usize) -> FeatureSet {
     let mut pos = BitVec::zeros(n);
@@ -86,7 +86,10 @@ fn bench_significance_stop(c: &mut Criterion) {
     let mut group = c.benchmark_group("significance_stop");
     for (pair, right) in [("null", &null), ("planted", &left)] {
         let observed = evaluate_features(&left, right).score;
-        let (lr, rr) = (std::slice::from_ref(&left), std::slice::from_ref(right));
+        let (lr, rr) = (
+            RowWindows::new(std::slice::from_ref(&left), 0, n),
+            RowWindows::new(std::slice::from_ref(right), 0, n),
+        );
         for (mode, significant_only) in [("full", false), ("stopped", true)] {
             let id = BenchmarkId::new(format!("{pair}_{mode}"), mc.permutations);
             group.bench_with_input(id, &significant_only, |bch, &stop| {
@@ -108,9 +111,62 @@ fn bench_significance_stop(c: &mut Criterion) {
     group.finish();
 }
 
+/// The sign-count kernel where the executor spends *evaluate*: one
+/// intersection and one graph-shift draw at `explore_urban`'s shape (25
+/// regions × 8,708 hourly steps, a neighbourhood × hour pair), with both
+/// windows at step 0 of their fields (aligned) and the left one 3 steps in
+/// (every word funnel-shifted); and 1,000 1-D rotations (shifts 1 to 1,000)
+/// at 120 and 2,880 bits — `serve_open`'s city × day and city × hour
+/// windows — the left window 5 bits into its field.
+fn bench_sign_counts(c: &mut Criterion) {
+    const REGIONS: usize = 25;
+    const STEPS: usize = 8_708;
+    const ROTATIONS: usize = 1_000;
+    let mut group = c.benchmark_group("sign_counts");
+    for (name, before) in [("aligned", 0), ("offset3", 3)] {
+        let left = scattered_features(REGIONS * (before + STEPS), 20, 1);
+        let right = scattered_features(REGIONS * STEPS, 20, 4);
+        let l = FeatureWindow::new(&left, REGIONS * before, REGIONS * STEPS);
+        let r = FeatureWindow::whole(&right);
+        group.bench_function(format!("intersect_{name}"), |bch| {
+            bch.iter(|| l.intersect(&r))
+        });
+        let left_rows = left.region_major(REGIONS, before + STEPS);
+        let right_rows = right.region_major(REGIONS, STEPS);
+        let (lr, rr) = (
+            RowWindows::new(&left_rows, before, STEPS),
+            RowWindows::new(&right_rows, 0, STEPS),
+        );
+        group.bench_function(format!("draw_{name}"), |bch| {
+            bch.iter(|| {
+                (0..REGIONS)
+                    .map(|x| lr.row(x).sign_counts(&rr.row((x * 7 + 3) % REGIONS)).n_pos)
+                    .sum::<usize>()
+            })
+        });
+    }
+    for bits in [120usize, 2_880] {
+        let left = scattered_features(5 + bits, 20, 1);
+        let right = scattered_features(bits, 20, 4);
+        let (l, r) = (
+            FeatureWindow::new(&left, 5, bits),
+            FeatureWindow::whole(&right),
+        );
+        let id = BenchmarkId::new(format!("rotation_{bits}"), ROTATIONS);
+        group.bench_function(id, |bch| {
+            bch.iter(|| {
+                (1..=ROTATIONS)
+                    .map(|shift| l.rotated_sign_counts(&r, shift).n_pos)
+                    .sum::<usize>()
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_relationship, bench_significance_stop
+    targets = bench_relationship, bench_significance_stop, bench_sign_counts
 }
 criterion_main!(benches);

@@ -391,9 +391,9 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
 
-        /// Cropping the memoised whole-field rows row by row is the
-        /// transpose of the cropped window — what an operand with a cropped
-        /// window relies on.
+        /// A window of steps of the memoised whole-field rows, row by row,
+        /// is the transpose of that window of the field — what an operand
+        /// reading its window of each row relies on.
         #[test]
         fn region_rows_sliced_match_the_window_transposed(
             n_regions in 1usize..=70,

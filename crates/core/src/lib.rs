@@ -56,7 +56,7 @@ pub use function::{FunctionRef, FunctionSpec};
 pub use index::{DatasetEntry, FunctionEntry, IndexStats, IndexView, PolygamyIndex};
 pub use pql::{parse_batch, parse_query, to_pql, PqlError, PqlErrorKind};
 pub use query::{Clause, RelationshipQuery};
-pub use relationship::{evaluate_features, Relationship, RelationshipMeasures};
+pub use relationship::{evaluate_features, evaluate_windows, Relationship, RelationshipMeasures};
 pub use significance::{significance_test, PermutationScheme};
 
 /// Convenient glob import for applications.

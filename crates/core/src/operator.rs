@@ -8,21 +8,24 @@
 //! pre-filter and keeps the candidate only if its score survives the
 //! restricted Monte Carlo significance test.
 //!
-//! What a task reads of one function — its features of one class, cropped
-//! to the pair's overlap window, possibly recomputed from user thresholds —
+//! What a task reads of one function — its features of one class on the
+//! pair's overlap window, possibly recomputed from user thresholds —
 //! depends on the function and the window, not on the partner, so expansion
 //! interns each distinct such *operand* into an `OperandTable` slot and a
 //! task carries two slot indices. A slot is prepared by the first task that
-//! needs it and read by every other: an `n × m` pair prepares `n + m`
-//! windows (and threshold scans under custom thresholds), not `2·n·m`.
+//! needs it and read by every other: an `n × m` pair counts `n + m`
+//! windows' features (and runs as many threshold scans under custom
+//! thresholds), not `2·n·m`. No window is copied: an operand is the
+//! entry's own feature set plus a window offset, read in place by the
+//! intersection and by every draw.
 //!
 //! The region-major rows a spatial significance test shifts outlive the
 //! dispatch: the whole-field rows of a function's precomputed features are
 //! memoised on its index entry ([`FunctionEntry::region_rows`]), so they
-//! are transposed once per entry and class, and an operand borrows them
-//! (whole-field window) or crops each row to its window. Only a
-//! `thresholds` override, whose features exist for one clause, still
-//! transposes per dispatch.
+//! are transposed once per entry and class, and an operand reads its
+//! window of steps in each row. Only a `thresholds` override, whose
+//! features exist for one clause, is scanned and transposed per dispatch,
+//! whole-field, once per operand.
 //!
 //! Monte Carlo seeds are derived per task with an explicit FNV-1a over a
 //! fully framed byte stream, so significance verdicts are reproducible
@@ -36,13 +39,12 @@ use crate::framework::CityGeometry;
 use crate::function::FunctionRef;
 use crate::index::{FunctionEntry, IndexView};
 use crate::query::{Clause, DatasetThresholds};
-use crate::relationship::{evaluate_features, Relationship};
+use crate::relationship::{measures, Relationship};
 use crate::significance::permutation_p_value;
 use polygamy_obs::Counter;
 use polygamy_stats::permutation::MonteCarlo;
 use polygamy_stdata::ScalarField;
-use polygamy_topology::{FeatureClass, FeatureSet};
-use std::borrow::Cow;
+use polygamy_topology::{FeatureClass, FeatureSet, FeatureWindow, RowWindows};
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::sync::OnceLock;
@@ -97,9 +99,17 @@ pub(crate) struct Operand<'a> {
     window: (usize, usize),
     /// User thresholds replacing the precomputed features.
     custom: Option<ThresholdOverride<'a>>,
-    features: OnceLock<Cow<'a, FeatureSet>>,
-    /// The window's rows, where they are not the entry's own.
-    rows: OnceLock<Vec<FeatureSet>>,
+    prepared: OnceLock<Prepared>,
+    /// Region-major rows of the custom features.
+    custom_rows: OnceLock<Vec<FeatureSet>>,
+}
+
+/// What the first task to read an operand works out for every other.
+struct Prepared {
+    /// The whole-field features a `thresholds` clause defines.
+    custom: Option<FeatureSet>,
+    /// `|Σ|` of the window.
+    count: usize,
 }
 
 /// What the unit tasks of one dispatch did, for the executor's counters
@@ -112,54 +122,81 @@ pub(crate) struct EvalCounts {
     pub(crate) tests_stopped: Counter,
     /// Region-major transposes performed.
     pub(crate) rows_built: Counter,
+    /// Sign-count second passes over points both positive and negative.
+    pub(crate) overlap_passes: Counter,
+}
+
+impl EvalCounts {
+    /// Adds `passes` to `overlap_passes` unless it is 0, as it is for
+    /// almost every task: an atomic add per task would bounce the
+    /// counter's cache line between the workers.
+    fn note_overlap_passes(&self, passes: usize) {
+        if passes != 0 {
+            self.overlap_passes.add(passes as u64);
+        }
+    }
 }
 
 impl Operand<'_> {
-    /// The features on the window, in the index's time-major layout;
-    /// borrowed from the index when the window is the whole field.
-    fn features(&self) -> &FeatureSet {
-        self.features.get_or_init(|| {
-            let source = match self.custom {
-                Some((thresholds, field)) => Cow::Owned(custom_features(field, thresholds)),
-                None => Cow::Borrowed(self.entry.features.class(self.class)),
-            };
-            let (lo, hi) = self.window;
-            if (lo, hi) == (0, source.pos.len()) {
-                source
-            } else {
-                Cow::Owned(source.slice(lo, hi))
-            }
+    fn prepared(&self) -> &Prepared {
+        self.prepared.get_or_init(|| {
+            let custom = self
+                .custom
+                .map(|(thresholds, field)| custom_features(field, thresholds));
+            let set = custom
+                .as_ref()
+                .unwrap_or_else(|| self.entry.features.class(self.class));
+            let count = window_of(set, self.window).count();
+            Prepared { custom, count }
         })
     }
 
-    /// One row of the window's time steps per region — what the
-    /// significance test shifts. A 1-D domain's only row is the window; a
-    /// spatial domain's rows are the entry's memoised whole-field rows,
-    /// borrowed when the window is the whole field and cropped row by row
-    /// otherwise. Features a `thresholds` clause defines have no rows
-    /// beyond this dispatch and are transposed here.
-    fn rows(&self, rows_built: &Counter) -> &[FeatureSet] {
+    /// The whole-field features the window is read from, in the index's
+    /// time-major layout.
+    fn field(&self) -> &FeatureSet {
+        match &self.prepared().custom {
+            Some(custom) => custom,
+            None => self.entry.features.class(self.class),
+        }
+    }
+
+    /// The features on the window.
+    fn features(&self) -> FeatureWindow<'_> {
+        window_of(self.field(), self.window)
+    }
+
+    /// `|Σ|` of the window.
+    fn count(&self) -> usize {
+        self.prepared().count
+    }
+
+    /// The window's steps in each region row — what the significance test
+    /// shifts. A 1-D domain's only row is the field; a spatial domain's
+    /// rows are the entry's memoised whole-field rows. Features a
+    /// `thresholds` clause defines have no rows beyond this dispatch and
+    /// are transposed here.
+    fn rows(&self, rows_built: &Counter) -> RowWindows<'_> {
         let n_regions = self.entry.n_regions;
+        let (lo, hi) = self.window;
         if n_regions <= 1 {
-            return std::slice::from_ref(self.features());
+            return RowWindows::new(std::slice::from_ref(self.field()), lo, hi - lo);
         }
-        let (z0, z1) = (self.window.0 / n_regions, self.window.1 / n_regions);
-        if self.custom.is_some() {
-            return self.rows.get_or_init(|| {
+        let rows = if self.custom.is_some() {
+            self.custom_rows.get_or_init(|| {
                 rows_built.inc();
-                self.features().region_major(n_regions, z1 - z0)
-            });
-        }
-        let whole = || {
+                self.field().region_major(n_regions, self.entry.n_steps)
+            })
+        } else {
             self.entry
                 .region_rows_noting(self.class, || rows_built.inc())
         };
-        if (z0, z1) == (0, self.entry.n_steps) {
-            return whole();
-        }
-        self.rows
-            .get_or_init(|| whole().iter().map(|row| row.slice(z0, z1)).collect())
+        RowWindows::new(rows, lo / n_regions, (hi - lo) / n_regions)
     }
+}
+
+/// Vertices `[lo, hi)` of `set`.
+fn window_of(set: &FeatureSet, (lo, hi): (usize, usize)) -> FeatureWindow<'_> {
+    FeatureWindow::new(set, lo, hi - lo)
 }
 
 /// The operands of one dispatch, interned at expansion time on the
@@ -194,8 +231,8 @@ impl<'a> OperandTable<'a> {
                 class,
                 window,
                 custom,
-                features: OnceLock::new(),
-                rows: OnceLock::new(),
+                prepared: OnceLock::new(),
+                custom_rows: OnceLock::new(),
             });
             self.slots.len() - 1
         })
@@ -203,7 +240,7 @@ impl<'a> OperandTable<'a> {
 
     /// Slots some task has prepared so far.
     pub(crate) fn prepared(&self) -> usize {
-        let prepared = |o: &&Operand| o.features.get().is_some();
+        let prepared = |o: &&Operand| o.prepared.get().is_some();
         self.slots.iter().filter(prepared).count()
     }
 }
@@ -283,10 +320,12 @@ pub(crate) fn expand_pair_tasks<'a>(
 }
 
 /// Window vertices a unit task passes over per nanosecond: one pass for the
-/// intersection, one per permutation, each an AND-popcount sweep of both
+/// intersection, one per permutation, each a sign-count sweep of both
 /// operands' two bit vectors. Measured on the reference sandbox over the
-/// `explore_urban` queries (docs/architecture.md, "The evaluate dispatch"); an
-/// estimate for scheduling, so only its order of magnitude matters.
+/// `explore_urban` queries and the open corpus's hour × hour pairs, and
+/// re-measured for the two-popcount kernel (docs/architecture.md, "The
+/// evaluate dispatch"); an estimate for scheduling, so only its order of
+/// magnitude matters.
 const VERTEX_PASSES_PER_NS: u64 = 8;
 
 impl UnitTask<'_> {
@@ -325,7 +364,9 @@ pub(crate) fn evaluate_unit(
         ..MonteCarlo::default()
     };
     let scheme = clause.scheme.unwrap_or_default();
-    let measures = evaluate_features(left.features(), right.features());
+    let meet = left.features().intersect(&right.features());
+    counts.note_overlap_passes(meet.0.overlap_passes);
+    let measures = measures(meet, left.count(), right.count());
     if measures.related_count() == 0 {
         return None;
     }
@@ -346,6 +387,7 @@ pub(crate) fn evaluate_unit(
         clause.significant_only,
     );
     counts.permutations.add(tested.draws as u64);
+    counts.note_overlap_passes(tested.overlap_passes);
     let Some(p) = tested.p else {
         // Stopped: the pair cannot be significant, and the clause drops it.
         counts.tests_stopped.inc();
@@ -423,6 +465,7 @@ mod tests {
     use crate::framework::{CityGeometry, Config, DataPolygamy};
     use crate::function::FunctionSpec;
     use crate::query::Clause;
+    use crate::relationship::evaluate_features;
     use polygamy_stdata::{
         AttributeMeta, DatasetBuilder, DatasetMeta, GeoPoint, Resolution, SpatialResolution,
         TemporalResolution,

@@ -10,7 +10,11 @@
 //! * **strength** `ρ = F1` (Eq. 2) — precision `|Σ|/|Σ1|` (how often a
 //!   feature in f1 co-occurs with one in f2), recall `|Σ|/|Σ2|`.
 //!
-//! All set algebra happens on packed bit vectors (paper Appendix C).
+//! All set algebra happens on packed bit vectors (paper Appendix C), on
+//! windows of the stored feature sets read in place
+//! ([`FeatureWindow::intersect`]): three popcounts per 64 points give `#p`,
+//! `#n` and `|Σ|`, and `|Σ1|`, `|Σ2|` are one count per operand, which
+//! the executor makes once per window however many partners meet it.
 //!
 //! A [`Relationship`] is what a query answers, and its JSON object
 //! ([`Relationship::write_json`]) is the results boundary's one writer.
@@ -18,7 +22,7 @@
 use crate::function::FunctionRef;
 use polygamy_json as json;
 use polygamy_stdata::Resolution;
-use polygamy_topology::{FeatureClass, FeatureSet};
+use polygamy_topology::{FeatureClass, FeatureSet, FeatureWindow, SignCounts};
 use std::fmt::{self, Write as _};
 
 /// Raw counts and derived measures of one candidate relationship.
@@ -67,25 +71,41 @@ impl RelationshipMeasures {
 /// positive and a negative feature; the strength therefore uses the true
 /// point-set intersection `|Σ| = |(P1∪N1) ∩ (P2∪N2)|`, which keeps
 /// precision and recall in `[0, 1]` unconditionally.
+///
+/// # Panics
+///
+/// If the two sets differ in length.
 pub fn evaluate_features(left: &FeatureSet, right: &FeatureSet) -> RelationshipMeasures {
-    debug_assert_eq!(left.pos.len(), right.pos.len());
-    // One pass over the four word slices; the point sets Σ1 = P1∪N1 and
-    // Σ2 = P2∪N2 exist only in registers.
-    let [mut pp, mut nn, mut pn, mut np, mut n_left, mut n_right, mut sigma] = [0usize; 7];
-    let lefts = left.pos.words().iter().zip(left.neg.words());
-    let rights = right.pos.words().iter().zip(right.neg.words());
-    for ((&p1, &n1), (&p2, &n2)) in lefts.zip(rights) {
-        pp += (p1 & p2).count_ones() as usize;
-        nn += (n1 & n2).count_ones() as usize;
-        pn += (p1 & n2).count_ones() as usize;
-        np += (n1 & p2).count_ones() as usize;
-        let (all1, all2) = (p1 | n1, p2 | n2);
-        n_left += all1.count_ones() as usize;
-        n_right += all2.count_ones() as usize;
-        sigma += (all1 & all2).count_ones() as usize;
-    }
-    let n_pos = pp + nn;
-    let n_neg = pn + np;
+    assert_eq!(
+        left.pos.len(),
+        right.pos.len(),
+        "evaluate_features over a {}-bit and a {}-bit feature set",
+        left.pos.len(),
+        right.pos.len()
+    );
+    evaluate_windows(&FeatureWindow::whole(left), &FeatureWindow::whole(right))
+}
+
+/// [`evaluate_features`] on two windows of stored feature sets, read in
+/// place.
+///
+/// # Panics
+///
+/// If the two windows differ in length.
+pub fn evaluate_windows(
+    left: &FeatureWindow<'_>,
+    right: &FeatureWindow<'_>,
+) -> RelationshipMeasures {
+    measures(left.intersect(right), left.count(), right.count())
+}
+
+/// τ and ρ from the intersection of two windows and `|Σ1|`, `|Σ2|`.
+pub(crate) fn measures(
+    (signs, sigma): (SignCounts, usize),
+    n_left: usize,
+    n_right: usize,
+) -> RelationshipMeasures {
+    let SignCounts { n_pos, n_neg, .. } = signs;
     let strength = if sigma == 0 || n_left == 0 || n_right == 0 {
         0.0
     } else {
@@ -292,6 +312,19 @@ mod tests {
         let strong = evaluate_features(&a, &c);
         assert!(weak.strength < strong.strength);
         assert_eq!(strong.strength, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "evaluate_features over a 10-bit and a 9-bit feature set")]
+    fn unequal_feature_sets_are_refused() {
+        evaluate_features(&fs(10, &[1], &[]), &fs(9, &[1], &[]));
+    }
+
+    #[test]
+    #[should_panic(expected = "sign counts of a 4-bit and a 5-bit window")]
+    fn unequal_windows_are_refused() {
+        let a = fs(10, &[1], &[]);
+        evaluate_windows(&FeatureWindow::new(&a, 0, 4), &FeatureWindow::new(&a, 5, 5));
     }
 
     #[test]

@@ -16,12 +16,13 @@
 //! No permutation is ever materialised. A rotation by `s` re-pairs two
 //! arcs of each bit vector, a graph shift σ re-pairs whole *region rows*
 //! (`Σ_x |row_l[x] ∧ row_r[σ(x)]|`), and either way the shifted counts
-//! `#p`/`#n` are word-level AND-popcounts
-//! ([`FeatureSet::rotated_related_counts`]). The random draws — one
-//! `gen_range` per rotation, one [`GraphShifter::draw`] per graph shift —
-//! are the ones the definition (a dense vertex permutation applied bit by
-//! bit; the oracle in `tests/oracle_statistics.rs`) makes, in the same
-//! order, so every p-value is bit-identical to it.
+//! `#p`/`#n` come from the two-popcount kernel the intersection uses
+//! ([`FeatureWindow::rotated_sign_counts`]), on each row's window read in
+//! place. The random draws — one `gen_range` per rotation, one
+//! [`GraphShifter::draw`] per graph shift — are the ones the definition
+//! (a dense vertex permutation applied bit by bit; the oracle in
+//! `tests/oracle_statistics.rs`) makes, in the same order, so every
+//! p-value is bit-identical to it.
 //!
 //! # Stopping a test whose verdict is decided
 //!
@@ -40,10 +41,12 @@
 //! so it runs every draw, from the same stream, and reports the same p
 //! bit for bit. `include insignificant` prints p and so always runs all
 //! |m| draws, as does the public [`significance_test`].
+//!
+//! [`FeatureWindow::rotated_sign_counts`]: polygamy_topology::FeatureWindow::rotated_sign_counts
 
 use crate::relationship::score;
 use polygamy_stats::permutation::{GraphShifter, MonteCarlo, TailCounts};
-use polygamy_topology::FeatureSet;
+use polygamy_topology::{FeatureSet, RowWindows, SignCounts};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -83,10 +86,17 @@ pub fn significance_test(
     scheme: PermutationScheme,
     seed: u64,
 ) -> f64 {
-    let n_regions = spatial_adjacency.len();
+    let n_regions = spatial_adjacency.len().max(1);
+    for side in [left, right] {
+        assert_eq!(
+            side.pos.len(),
+            n_regions * n_steps,
+            "a significance test over {n_regions} regions × {n_steps} steps given a {}-bit feature set",
+            side.pos.len()
+        );
+    }
     let (left_rows, right_rows);
-    let (left_rows, right_rows) = if n_regions <= 1 {
-        debug_assert_eq!(left.pos.len(), n_steps);
+    let (left_rows, right_rows) = if n_regions == 1 {
         (std::slice::from_ref(left), std::slice::from_ref(right))
     } else {
         left_rows = left.region_major(n_regions, n_steps);
@@ -94,8 +104,8 @@ pub fn significance_test(
         (&left_rows[..], &right_rows[..])
     };
     let tested = permutation_p_value(
-        left_rows,
-        right_rows,
+        RowWindows::new(left_rows, 0, n_steps),
+        RowWindows::new(right_rows, 0, n_steps),
         spatial_adjacency,
         observed_score,
         mc,
@@ -115,21 +125,29 @@ pub struct Tested {
     pub p: Option<f64>,
     /// Permutations drawn.
     pub draws: usize,
+    /// Second passes the kernel ran over points that are both a positive
+    /// and a negative feature ([`SignCounts::overlap_passes`]).
+    pub overlap_passes: usize,
 }
 
-/// The Monte Carlo loop on prepared operands: `left_rows[x]`/`right_rows[x]`
-/// hold region `x`'s bits, one per time step (a 1-D domain's single row is
-/// the window itself). Everything a permutation needs is set up before the
-/// loop, which allocates nothing. With `significant_only`, the loop stops
-/// once the pair cannot be significant (see the module docs).
+/// The Monte Carlo loop on prepared operands: row `x` of `left`/`right`
+/// holds region `x`'s window, one bit per time step (a 1-D domain's single
+/// row is the window of the field itself), read in place. Everything a
+/// permutation needs is set up before the loop, which allocates nothing.
+/// With `significant_only`, the loop stops once the pair cannot be
+/// significant (see the module docs).
 ///
-/// Public only for the `significance_stop` benchmark; the executor is its
-/// one caller.
+/// Public only for the `significance_stop` benchmark and the statistics
+/// oracle; the executor is its one caller.
+///
+/// # Panics
+///
+/// Unless both sides have one row per region and windows of one length.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn permutation_p_value(
-    left_rows: &[FeatureSet],
-    right_rows: &[FeatureSet],
+    left: RowWindows<'_>,
+    right: RowWindows<'_>,
     spatial_adjacency: &[Vec<u32>],
     observed_score: f64,
     mc: &MonteCarlo,
@@ -138,43 +156,57 @@ pub fn permutation_p_value(
     significant_only: bool,
 ) -> Tested {
     let n_regions = spatial_adjacency.len().max(1);
-    assert_eq!(left_rows.len(), n_regions, "one left row per region");
-    assert_eq!(right_rows.len(), n_regions, "one right row per region");
-    let n_steps = left_rows[0].pos.len();
+    assert_eq!(left.n_rows(), n_regions, "one left row per region");
+    assert_eq!(right.n_rows(), n_regions, "one right row per region");
+    assert_eq!(
+        left.steps(),
+        right.steps(),
+        "Monte Carlo loop over windows of {} and {} steps",
+        left.steps(),
+        right.steps()
+    );
+    let n_steps = left.steps();
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut shifter = GraphShifter::default();
     let mut tally = TailCounts::new(observed_score);
+    let mut overlap_passes = 0;
     for draws in 1..=mc.permutations {
-        let (n_pos, n_neg) = if n_regions == 1 {
+        let counts = if n_regions == 1 {
             // 1-D: rotate time by 1..n_steps, never by 0 — except on a
             // single step, whose only rotation is the identity (p = 1).
             let shift = rng.gen_range(1..n_steps.max(2));
-            left_rows[0].rotated_related_counts(&right_rows[0], shift)
+            left.row(0).rotated_sign_counts(&right.row(0), shift)
         } else {
             let sigma = shifter.draw(spatial_adjacency, &mut rng);
             let shift = match scheme {
                 PermutationScheme::Paper => 0,
                 PermutationScheme::SpatioTemporal => rng.gen_range(0..n_steps.max(1)),
             };
-            let (mut n_pos, mut n_neg) = (0, 0);
-            for (row, &image) in left_rows.iter().zip(sigma) {
-                let (p, n) = row.rotated_related_counts(&right_rows[image as usize], shift);
-                n_pos += p;
-                n_neg += n;
+            let mut counts = SignCounts::default();
+            for (x, &image) in sigma.iter().enumerate() {
+                counts += left
+                    .row(x)
+                    .rotated_sign_counts(&right.row(image as usize), shift);
             }
-            (n_pos, n_neg)
+            counts
         };
-        tally.push(score(n_pos, n_neg));
+        overlap_passes += counts.overlap_passes;
+        tally.push(score(counts.n_pos, counts.n_neg));
         if significant_only
             && draws < mc.permutations
             && !mc.is_significant(tally.p_value_over(mc.permutations, mc.tail))
         {
-            return Tested { p: None, draws };
+            return Tested {
+                p: None,
+                draws,
+                overlap_passes,
+            };
         }
     }
     Tested {
         p: Some(tally.p_value(mc.tail)),
         draws: mc.permutations,
+        overlap_passes,
     }
 }
 
@@ -403,8 +435,9 @@ mod tests {
             };
             let run = |significant_only| {
                 permutation_p_value(
-                    &left_rows, &right_rows, &adjacency, observed, &mc, scheme, seed,
-                    significant_only,
+                    RowWindows::new(&left_rows, 0, n_steps),
+                    RowWindows::new(&right_rows, 0, n_steps),
+                    &adjacency, observed, &mc, scheme, seed, significant_only,
                 )
             };
             let (full, stopped) = (run(false), run(true));
@@ -427,6 +460,40 @@ mod tests {
                 None => prop_assert!(stopped.draws < mc.permutations),
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "over 3 regions × 4 steps given a 13-bit feature set")]
+    fn a_feature_set_off_the_domain_is_refused() {
+        let adjacency = [vec![1], vec![0], vec![]];
+        let (a, b) = (fs(12, &[1], &[]), fs(13, &[1], &[]));
+        significance_test(
+            &a,
+            &b,
+            &adjacency,
+            4,
+            1.0,
+            &mc(5),
+            PermutationScheme::Paper,
+            0,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "Monte Carlo loop over windows of 6 and 5 steps")]
+    fn windows_of_unequal_length_are_refused() {
+        let a = fs(10, &[1], &[]);
+        let rows = std::slice::from_ref(&a);
+        permutation_p_value(
+            RowWindows::new(rows, 0, 6),
+            RowWindows::new(rows, 4, 5),
+            &[],
+            1.0,
+            &mc(5),
+            PermutationScheme::Paper,
+            0,
+            false,
+        );
     }
 
     #[test]

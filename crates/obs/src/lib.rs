@@ -129,8 +129,8 @@ pub mod names {
     /// significant (counter).
     pub const CORE_PERMUTATION_TESTS_STOPPED: &str = "core.permutation_tests_stopped";
     /// Distinct (function, class, window, thresholds) operands prepared —
-    /// window cropped, custom features rebuilt — by evaluate dispatches
-    /// (counter).
+    /// the window's features counted, custom features rebuilt — by
+    /// evaluate dispatches (counter).
     pub const CORE_OPERANDS_PREPARED: &str = "core.operands_prepared";
     /// Unit-task operand reads served by an already prepared operand
     /// (counter): `2 · tasks − operands_prepared` per dispatch.
@@ -139,6 +139,10 @@ pub mod names {
     /// (counter): one per (index entry, class) for as long as the entry
     /// lives, one per operand and dispatch under a `thresholds` override.
     pub const CORE_OPERAND_ROWS_BUILT: &str = "core.operand_rows_built";
+    /// Second passes of the sign-count kernel, run where a point is a
+    /// positive and a negative feature of both functions — degenerate
+    /// thresholds on both sides (counter).
+    pub const CORE_SIGN_OVERLAP_PASSES: &str = "core.sign_overlap_passes";
     /// Evaluate dispatches that stayed on the calling thread: one worker,
     /// or an estimated cost under the pool's inline floor (counter).
     pub const CORE_DISPATCHES_INLINE: &str = "core.dispatches_inline";
@@ -284,6 +288,7 @@ pub mod names {
         CORE_OPERANDS_PREPARED,
         CORE_OPERAND_REUSES,
         CORE_OPERAND_ROWS_BUILT,
+        CORE_SIGN_OVERLAP_PASSES,
         CORE_DISPATCHES_INLINE,
         CORE_DISPATCHES_PARALLEL,
         INDEX_STAGE_SCALAR_NS,

@@ -6,7 +6,8 @@
 //! relationship evaluator needs: set/get, population count, intersection
 //! counts, window slicing, and the time-major → region-major re-layout the
 //! restricted Monte Carlo tests count spatial shifts on. Everything that
-//! runs per query works a word at a time.
+//! runs per query works a word at a time, and reads windows in place
+//! ([`crate::FeatureWindow`]) rather than slicing them.
 
 /// A fixed-length packed bit vector.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,8 +90,8 @@ impl BitVec {
     }
 
     /// Extracts bits `[start, end)` as a new vector (bit `start` becomes
-    /// bit 0). Used to crop feature sets to the overlap window of two
-    /// functions whose time ranges differ.
+    /// bit 0): a copy of a window, for callers that want one. The query
+    /// path reads windows in place ([`crate::FeatureWindow`]).
     pub fn slice(&self, start: usize, end: usize) -> BitVec {
         debug_assert!(start <= end && end <= self.len);
         let mut out = BitVec::zeros(end - start);

@@ -4,8 +4,31 @@
 //! θ⁺; a *negative feature* is a point in the sub-level set at θ⁻. The
 //! framework precomputes both the salient and the extreme feature sets per
 //! scalar function during indexing and stores them as bit vectors.
+//!
+//! A relationship compares two functions on their common window, and a
+//! Monte Carlo draw compares them after a rotation or a graph shift: both
+//! read a [`FeatureWindow`] — bits `[start, start + len)` of a stored set,
+//! where they lie, never copied — and count sign agreement with one kernel
+//! of two popcounts per 64 points ([`FeatureWindow::sign_counts`]):
+//!
+//! ```text
+//! same     = (P1 ∧ P2) ∨ (N1 ∧ N2)        #p = |same|
+//! opposite = (P1 ∧ N2) ∨ (N1 ∧ P2)        #n = |opposite|
+//! ```
+//!
+//! The intersection adds a third, `|Σ| = |same ∨ opposite|`
+//! ([`FeatureWindow::intersect`]).
+//!
+//! `#p = |P1∧P2| + |N1∧N2|` counts a point twice where it is a positive
+//! *and* a negative feature of both functions; `|same|` counts it once
+//! (likewise `#n`). Such a point needs θ⁻ ≥ θ⁺ on both sides — degenerate
+//! thresholds, which a `thresholds` clause can set and automatic thresholds
+//! give sparse count functions whose salient thresholds collapse onto their
+//! zeros. The loop ORs `P1∧N1∧P2∧N2` together, branch-free; only if that
+//! ends non-zero does a second pass count it and add it to `#p` and `#n`.
+//! Every count stays an exact integer.
 
-use crate::bitvec::{funnel_word, BitVec};
+use crate::bitvec::BitVec;
 use crate::graph::DomainGraph;
 use crate::level_set::threshold_scan;
 use crate::merge_tree::MergeTree;
@@ -83,77 +106,6 @@ impl FeatureSet {
         self.pos.or_count(&self.neg)
     }
 
-    /// `(#p, #n)` against `other` after rotating this set by `shift` on
-    /// the circle of its `len` bits (bit `z` moves to `(z + shift) % len`):
-    /// points whose feature signs agree, and points whose signs disagree.
-    ///
-    /// The restricted Monte Carlo test's inner step. Nothing is moved: the
-    /// rotation splits both circles into two arcs that line up again,
-    /// `self[0..len-s]` with `other[s..len]` and `self[len-s..len]` with
-    /// `other[0..s]`, and each pair of arcs is counted word-wise.
-    pub fn rotated_related_counts(&self, other: &FeatureSet, shift: usize) -> (usize, usize) {
-        let len = self.pos.len();
-        debug_assert_eq!(len, other.pos.len());
-        if len == 0 {
-            return (0, 0);
-        }
-        let s = shift % len;
-        let (p0, n0) = self.related_counts_range(0, other, s, len - s);
-        let (p1, n1) = self.related_counts_range(len - s, other, 0, s);
-        (p0 + p1, n0 + n1)
-    }
-
-    /// `(#p, #n)` between bits `[l0, l0 + len)` of this set and bits
-    /// `[r0, r0 + len)` of `other`.
-    fn related_counts_range(
-        &self,
-        l0: usize,
-        other: &FeatureSet,
-        r0: usize,
-        len: usize,
-    ) -> (usize, usize) {
-        if len == 0 {
-            return (0, 0);
-        }
-        let (lp, ln) = (self.pos.words(), self.neg.words());
-        let (rp, rn) = (other.pos.words(), other.neg.words());
-        let counts = |p1: u64, n1: u64, p2: u64, n2: u64| {
-            (
-                ((p1 & p2).count_ones() + (n1 & n2).count_ones()) as usize,
-                ((p1 & n2).count_ones() + (n1 & p2).count_ones()) as usize,
-            )
-        };
-        let (mut same, mut opposite) = (0usize, 0usize);
-        // Every 64-bit step but the last has its funnel shift's second word
-        // in bounds, so those run over plain slices with no per-word checks.
-        let n_words = len.div_ceil(64);
-        let bulk = n_words - 1;
-        fn steps(words: &[u64], bit: usize, bulk: usize) -> impl Iterator<Item = u64> + '_ {
-            let (w, o) = (bit / 64, bit % 64);
-            let (lo, hi) = (&words[w..w + bulk], &words[w + 1..w + 1 + bulk]);
-            lo.iter()
-                .zip(hi)
-                .map(move |(&lo, &hi)| (lo >> o) | ((hi << 1) << (63 - o)))
-        }
-        let lefts = steps(lp, l0, bulk).zip(steps(ln, l0, bulk));
-        let rights = steps(rp, r0, bulk).zip(steps(rn, r0, bulk));
-        for ((p1, n1), (p2, n2)) in lefts.zip(rights) {
-            let (s, o) = counts(p1, n1, p2, n2);
-            same += s;
-            opposite += o;
-        }
-        // The last step may end both the range and the vectors.
-        let (l, r) = (l0 + 64 * bulk, r0 + 64 * bulk);
-        let mask = u64::MAX >> (64 * n_words - len);
-        let (s, o) = counts(
-            funnel_word(lp, l) & mask,
-            funnel_word(ln, l) & mask,
-            funnel_word(rp, r),
-            funnel_word(rn, r),
-        );
-        (same + s, opposite + o)
-    }
-
     /// Both sides re-laid as one `n_steps`-bit row per region (see
     /// [`BitVec::region_major`]).
     pub fn region_major(&self, n_regions: usize, n_steps: usize) -> Vec<FeatureSet> {
@@ -165,9 +117,9 @@ impl FeatureSet {
             .collect()
     }
 
-    /// Crops both sides to the vertex range `[start, end)` — used to align
-    /// two functions on their overlapping time window (time-major layout
-    /// makes a step range a contiguous vertex range).
+    /// Copies both sides' vertex range `[start, end)` (time-major layout
+    /// makes a step range a contiguous vertex range). The query path reads
+    /// windows in place instead ([`FeatureWindow`]).
     pub fn slice(&self, start: usize, end: usize) -> FeatureSet {
         FeatureSet {
             pos: self.pos.slice(start, end),
@@ -179,6 +131,315 @@ impl FeatureSet {
     pub fn approx_bytes(&self) -> usize {
         self.pos.approx_bytes() + self.neg.approx_bytes()
     }
+}
+
+/// Sign agreement between two equal-length windows (paper Definitions
+/// 9–11), as exact integers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SignCounts {
+    /// `#p = |P1∧P2| + |N1∧N2|` — positively related points.
+    pub n_pos: usize,
+    /// `#n = |P1∧N2| + |N1∧P2|` — negatively related points.
+    pub n_neg: usize,
+    /// Second passes run because some point was a positive and a negative
+    /// feature of both windows (see the module docs).
+    pub overlap_passes: usize,
+}
+
+impl std::ops::AddAssign for SignCounts {
+    fn add_assign(&mut self, other: SignCounts) {
+        self.n_pos += other.n_pos;
+        self.n_neg += other.n_neg;
+        self.overlap_passes += other.overlap_passes;
+    }
+}
+
+/// Bits `[start, start + len)` of a feature set, read where they lie: a
+/// time window of a time-major field, or a run of steps of one region
+/// row.
+#[derive(Debug, Clone, Copy)]
+pub struct FeatureWindow<'a> {
+    set: &'a FeatureSet,
+    start: usize,
+    len: usize,
+}
+
+impl<'a> FeatureWindow<'a> {
+    /// Bits `[start, start + len)` of `set`.
+    ///
+    /// # Panics
+    ///
+    /// If the window reaches past the set's last bit.
+    pub fn new(set: &'a FeatureSet, start: usize, len: usize) -> Self {
+        assert!(
+            start
+                .checked_add(len)
+                .is_some_and(|end| end <= set.pos.len()),
+            "a {len}-bit window at bit {start} overruns a {}-bit feature set",
+            set.pos.len()
+        );
+        Self { set, start, len }
+    }
+
+    /// The whole of `set`.
+    pub fn whole(set: &'a FeatureSet) -> Self {
+        Self::new(set, 0, set.pos.len())
+    }
+
+    /// Feature points (positive or negative) in the window.
+    pub fn count(&self) -> usize {
+        if self.len == 0 {
+            return 0;
+        }
+        let end = self.start + self.len;
+        let (first, last) = (self.start / 64, (end - 1) / 64);
+        let pos = &self.set.pos.words()[first..=last];
+        let neg = &self.set.neg.words()[first..=last];
+        let words: usize = pos
+            .iter()
+            .zip(neg)
+            .map(|(p, n)| (p | n).count_ones() as usize)
+            .sum();
+        // Take back the bits before the window in its first word and those
+        // past it in its last.
+        let before = (pos[0] | neg[0]) & ((1u64 << (self.start % 64)) - 1);
+        let after = (pos[last - first] | neg[last - first]) & (u64::MAX << 1 << ((end - 1) % 64));
+        words - before.count_ones() as usize - after.count_ones() as usize
+    }
+
+    /// Sign agreement of bit `i` of this window with bit `i` of `other`,
+    /// for every `i`.
+    ///
+    /// # Panics
+    ///
+    /// If the windows differ in length.
+    pub fn sign_counts(&self, other: &FeatureWindow<'_>) -> SignCounts {
+        self.assert_aligned_with(other);
+        let (l, r) = (self.start, other.start);
+        range_sign_counts::<false>(self.set, l, other.set, r, self.len).0
+    }
+
+    /// [`FeatureWindow::sign_counts`] and `|Σ|`, the points that are a
+    /// feature of both windows: the relationship's intersection.
+    ///
+    /// # Panics
+    ///
+    /// If the windows differ in length.
+    pub fn intersect(&self, other: &FeatureWindow<'_>) -> (SignCounts, usize) {
+        self.assert_aligned_with(other);
+        // The counts are symmetric in the two sides: read the window that
+        // starts lower in its word as it lies, so the pass spans as few of
+        // its words as it can (a short window saves a whole step).
+        let (a, b) = if self.start % 64 <= other.start % 64 {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        range_sign_counts::<true>(a.set, a.start, b.set, b.start, self.len)
+    }
+
+    /// [`FeatureWindow::sign_counts`] after rotating this window by `shift`
+    /// on the circle of its bits (bit `z` moves to `(z + shift) % len`):
+    /// the restricted Monte Carlo test's inner step.
+    ///
+    /// Nothing is moved: the rotation splits both circles into two arcs
+    /// that line up again, `self[0..len-s]` with `other[s..len]` and
+    /// `self[len-s..len]` with `other[0..s]`, and each pair of arcs is one
+    /// kernel call.
+    ///
+    /// # Panics
+    ///
+    /// If the windows differ in length.
+    pub fn rotated_sign_counts(&self, other: &FeatureWindow<'_>, shift: usize) -> SignCounts {
+        self.assert_aligned_with(other);
+        let len = self.len;
+        if len == 0 {
+            return SignCounts::default();
+        }
+        let s = shift % len;
+        let (l, r) = (self.start, other.start);
+        let (mut counts, _) = range_sign_counts::<false>(self.set, l, other.set, r + s, len - s);
+        counts += range_sign_counts::<false>(self.set, l + len - s, other.set, r, s).0;
+        counts
+    }
+
+    fn assert_aligned_with(&self, other: &FeatureWindow<'_>) {
+        assert_eq!(
+            self.len, other.len,
+            "sign counts of a {}-bit and a {}-bit window",
+            self.len, other.len
+        );
+    }
+}
+
+/// The same run of steps in every region row of a domain (a 1-D domain's
+/// one row is its field): what a Monte Carlo draw re-pairs.
+#[derive(Debug, Clone, Copy)]
+pub struct RowWindows<'a> {
+    rows: &'a [FeatureSet],
+    start: usize,
+    steps: usize,
+}
+
+impl<'a> RowWindows<'a> {
+    /// Bits `[start, start + steps)` of each of `rows`.
+    ///
+    /// # Panics
+    ///
+    /// If the window reaches past the last bit of a row.
+    pub fn new(rows: &'a [FeatureSet], start: usize, steps: usize) -> Self {
+        for row in rows {
+            FeatureWindow::new(row, start, steps);
+        }
+        Self { rows, start, steps }
+    }
+
+    /// Number of rows.
+    pub fn n_rows(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Steps per row.
+    pub fn steps(&self) -> usize {
+        self.steps
+    }
+
+    /// Row `x`'s window.
+    pub fn row(&self, x: usize) -> FeatureWindow<'a> {
+        FeatureWindow {
+            set: &self.rows[x],
+            start: self.start,
+            len: self.steps,
+        }
+    }
+}
+
+/// What one pass of the kernel adds up over a range, 64 points at a time
+/// (`p1`, `n1` of one side and `p2`, `n2` of the other). Every pass is
+/// symmetric in the two sides.
+trait Pass: Default {
+    fn add(&mut self, p1: u64, n1: u64, p2: u64, n2: u64);
+}
+
+/// The first pass: two popcounts per word, and with `RELATED` a third.
+#[derive(Default)]
+struct Tally<const RELATED: bool> {
+    same: usize,
+    opposite: usize,
+    /// `|same ∨ opposite| = |(P1∨N1) ∧ (P2∨N2)|`, if `RELATED`.
+    related: usize,
+    /// OR of every `P1∧N1∧P2∧N2`.
+    quad: u64,
+}
+
+impl<const RELATED: bool> Pass for Tally<RELATED> {
+    #[inline(always)]
+    fn add(&mut self, p1: u64, n1: u64, p2: u64, n2: u64) {
+        let same = (p1 & p2) | (n1 & n2);
+        let opposite = (p1 & n2) | (n1 & p2);
+        self.same += same.count_ones() as usize;
+        self.opposite += opposite.count_ones() as usize;
+        if RELATED {
+            self.related += (same | opposite).count_ones() as usize;
+        }
+        self.quad |= p1 & n1 & p2 & n2;
+    }
+}
+
+/// The second pass: `|P1∧N1∧P2∧N2|`, the points `|same|` and `|opposite|`
+/// count once but `#p` and `#n` twice.
+#[derive(Default)]
+struct Quads(usize);
+
+impl Pass for Quads {
+    #[inline(always)]
+    fn add(&mut self, p1: u64, n1: u64, p2: u64, n2: u64) {
+        self.0 += (p1 & n1 & p2 & n2).count_ones() as usize;
+    }
+}
+
+/// [`SignCounts`] of bits `[l0, l0 + len)` of `left` against bits
+/// `[r0, r0 + len)` of `right` (both in range), and with `RELATED` the
+/// points that are a feature of both (0 without).
+fn range_sign_counts<const RELATED: bool>(
+    left: &FeatureSet,
+    l0: usize,
+    right: &FeatureSet,
+    r0: usize,
+    len: usize,
+) -> (SignCounts, usize) {
+    let tally: Tally<RELATED> = sweep(left, l0, right, r0, len);
+    let mut counts = SignCounts {
+        n_pos: tally.same,
+        n_neg: tally.opposite,
+        overlap_passes: 0,
+    };
+    if tally.quad != 0 {
+        let Quads(quad) = sweep(left, l0, right, r0, len);
+        counts.n_pos += quad;
+        counts.n_neg += quad;
+        counts.overlap_passes = 1;
+    }
+    (counts, tally.related)
+}
+
+/// One pass over bits `[a0, a0 + len)` of `a` and `[b0, b0 + len)` of `b`
+/// (the pass is symmetric, so either side may be `a`). `a`'s words are
+/// read as they lie, and each is paired with the 64 bits of `b` that line
+/// up with it: two neighbouring words of `b`, funnel-shifted. The first
+/// and last words of `a` hold bits outside the range; masking the `b` word
+/// paired with each clears them from every product. Nothing branches on
+/// the offsets, so random rotations cost no mispredictions.
+fn sweep<P: Pass>(a: &FeatureSet, a0: usize, b: &FeatureSet, b0: usize, len: usize) -> P {
+    let mut pass = P::default();
+    if len == 0 {
+        return pass;
+    }
+    let (first, ao) = (a0 / 64, a0 % 64);
+    let n = (a0 + len - 1) / 64 + 1 - first;
+    let (ap, an) = (
+        &a.pos.words()[first..first + n],
+        &a.neg.words()[first..first + n],
+    );
+    let (bp, bn) = (b.pos.words(), b.neg.words());
+    let head = u64::MAX << ao;
+    let tail = u64::MAX >> (63 - (a0 + len - 1) % 64);
+    // The bits of `b` under `a`'s word `k` start at bit `64 (q + k − 1) +
+    // shift`: the top of `b[q + k − 1]` and the bottom of `b[q + k]`.
+    let bit = b0 + 64 - ao;
+    let (q, shift) = (bit / 64, bit % 64);
+    let join = |lo: u64, hi: u64| (lo >> shift) | ((hi << 1) << (63 - shift));
+    // At the two ends either word may lie outside `b`: one before `b[0]`
+    // reads as zeros, one past its last word as that word again. Either way
+    // the bits they give lie outside the range, under the masks.
+    let top = bp.len() - 1;
+    let before_b = 0u64.wrapping_sub(u64::from(q > 0));
+    let ends = |w: &[u64], k: usize| {
+        let (lo, hi) = (w[(q + k).wrapping_sub(1).min(top)], w[(q + k).min(top)]);
+        join(if k == 0 { lo & before_b } else { lo }, hi)
+    };
+    if n == 1 {
+        let mask = head & tail;
+        pass.add(ap[0], an[0], ends(bp, 0) & mask, ends(bn, 0) & mask);
+        return pass;
+    }
+    pass.add(ap[0], an[0], ends(bp, 0) & head, ends(bn, 0) & head);
+    // The words in between: equal-length re-sliced runs with no per-word
+    // checks, which vectorize. `b`'s run is one word longer, for the funnel
+    // shift's second word.
+    let m = n - 2;
+    let (ap_mid, an_mid) = (&ap[1..=m], &an[1..=m]);
+    let (bp_mid, bn_mid) = (&bp[q..=q + m], &bn[q..=q + m]);
+    for k in 0..m {
+        let (p2, n2) = (
+            join(bp_mid[k], bp_mid[k + 1]),
+            join(bn_mid[k], bn_mid[k + 1]),
+        );
+        pass.add(ap_mid[k], an_mid[k], p2, n2);
+    }
+    let (p2, n2) = (ends(bp, n - 1) & tail, ends(bn, n - 1) & tail);
+    pass.add(ap[n - 1], an[n - 1], p2, n2);
+    pass
 }
 
 /// Salient and extreme feature sets for one scalar function.
@@ -317,10 +578,30 @@ mod tests {
         );
     }
 
+    /// `a` at bit `at` of a longer set whose other bits are all set, so a
+    /// window that reads one bit too many shows it.
+    fn embedded(a: &FeatureSet, at: usize, after: usize) -> FeatureSet {
+        let len = a.pos.len();
+        let mut long = FeatureSet::empty(at + len + after);
+        for i in (0..at).chain(at + len..at + len + after) {
+            long.pos.set(i);
+            long.neg.set(i);
+        }
+        for i in 0..len {
+            if a.pos.get(i) {
+                long.pos.set(at + i);
+            }
+            if a.neg.get(i) {
+                long.neg.set(at + i);
+            }
+        }
+        long
+    }
+
     #[test]
     fn rotated_counts_match_a_moved_copy() {
         // Overlapping pos/neg on purpose: the counts are per sign pair.
-        for len in [0usize, 1, 2, 63, 64, 65, 200] {
+        for len in [0usize, 1, 2, 63, 64, 65, 200, 256, 257, 700] {
             let mut a = FeatureSet::empty(len);
             let mut b = FeatureSet::empty(len);
             for i in 0..len {
@@ -358,15 +639,100 @@ mod tests {
                         moved.neg.set((i + shift) % len);
                     }
                 }
-                let same = moved.pos.and_count(&b.pos) + moved.neg.and_count(&b.neg);
-                let opposite = moved.pos.and_count(&b.neg) + moved.neg.and_count(&b.pos);
-                assert_eq!(
-                    a.rotated_related_counts(&b, shift),
-                    (same, opposite),
-                    "len {len}, shift {shift}"
-                );
+                let n_pos = moved.pos.and_count(&b.pos) + moved.neg.and_count(&b.neg);
+                let n_neg = moved.pos.and_count(&b.neg) + moved.neg.and_count(&b.pos);
+                let related = moved.all().and_count(&b.all());
+                // Aligned, at bit offsets on one side or both, and with a
+                // window ending in the last word of its set or before it.
+                for (l0, r0, after) in
+                    [(0, 0, 0), (3, 0, 1), (0, 70, 64), (64, 128, 5), (127, 1, 0)]
+                {
+                    let (long_a, long_b) = (embedded(&a, l0, after), embedded(&b, r0, 2 * after));
+                    let (wa, wb) = (
+                        FeatureWindow::new(&long_a, l0, len),
+                        FeatureWindow::new(&long_b, r0, len),
+                    );
+                    assert_eq!((wa.count(), wb.count()), (a.count(), b.count()));
+                    let got = wa.rotated_sign_counts(&wb, shift);
+                    assert_eq!(
+                        (got.n_pos, got.n_neg),
+                        (n_pos, n_neg),
+                        "len {len}, shift {shift}, windows at {l0} and {r0}"
+                    );
+                    if shift % len.max(1) == 0 {
+                        assert_eq!(got, wa.sign_counts(&wb));
+                        assert_eq!(wa.intersect(&wb), (got, related));
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    fn only_points_both_signed_on_both_sides_take_a_second_pass() {
+        let mut a = FeatureSet::empty(300);
+        let mut b = FeatureSet::empty(300);
+        for i in 0..300 {
+            match i % 7 {
+                0 | 1 => a.pos.set(i),
+                2 => a.neg.set(i),
+                _ => {}
+            }
+            match i % 5 {
+                0 => b.pos.set(i),
+                1 | 2 => b.neg.set(i),
+                _ => {}
+            }
+        }
+        let counts = |a: &FeatureSet, b: &FeatureSet| {
+            FeatureWindow::whole(a).intersect(&FeatureWindow::whole(b))
+        };
+        let (signs, related) = counts(&a, &b);
+        assert_eq!(signs.overlap_passes, 0);
+        assert_eq!(related, signs.n_pos + signs.n_neg);
+        assert_eq!(related, a.all().and_count(&b.all()));
+        // Point 0 both positive and negative on one side only: `#p` and
+        // `#n` each count it once, `|Σ|` once.
+        a.neg.set(0);
+        let (signs, related) = counts(&a, &b);
+        assert_eq!(signs.overlap_passes, 0);
+        assert_eq!(related + 1, signs.n_pos + signs.n_neg);
+        // On both sides: twice each, in the second pass.
+        b.neg.set(0);
+        let (signs, related) = counts(&a, &b);
+        assert_eq!(signs.overlap_passes, 1);
+        assert_eq!(related + 3, signs.n_pos + signs.n_neg);
+    }
+
+    #[test]
+    #[should_panic(expected = "overruns a 100-bit feature set")]
+    fn a_window_past_the_set_is_refused() {
+        FeatureWindow::new(&FeatureSet::empty(100), 40, 61);
+    }
+
+    #[test]
+    #[should_panic(expected = "overruns a 10-bit feature set")]
+    fn a_row_window_past_a_row_is_refused() {
+        let rows = [FeatureSet::empty(12), FeatureSet::empty(10)];
+        RowWindows::new(&rows, 2, 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "sign counts of a 64-bit and a 63-bit window")]
+    fn sign_counts_of_unequal_windows_are_refused() {
+        let set = FeatureSet::empty(200);
+        FeatureWindow::new(&set, 0, 64).sign_counts(&FeatureWindow::new(&set, 1, 63));
+    }
+
+    #[test]
+    #[should_panic(expected = "sign counts of a 5-bit and a 6-bit window")]
+    fn rotated_counts_of_unequal_windows_are_refused() {
+        let set = FeatureSet::empty(20);
+        let (five, six) = (
+            FeatureWindow::new(&set, 0, 5),
+            FeatureWindow::new(&set, 0, 6),
+        );
+        five.rotated_sign_counts(&six, 1);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! cropped off a word boundary — through the same matrix, asked cold, again,
 //! and against a second partner on one session (the region-major rows the
 //! spatial significance test shifts are memoised on the index entry and
-//! cropped per window), and re-derive a whole query pair by pair on the
+//! read in place at each window's offset), and re-derive a whole query pair by pair on the
 //! naive path: the executor-level oracle for spatial domains.
 
 use polygamy_core::prelude::*;

@@ -7,13 +7,15 @@
 //! a time, re-scored one bit at a time, and a p-value from two passes over
 //! the kept scores. The two paths draw from the generator in the same order,
 //! so their p-values must be equal **bit for bit** — on every domain shape,
-//! scheme, tail and density, and on windows cropped at any bit offset.
+//! scheme, tail and density, and on windows cropped at any bit offset or,
+//! as the executor reads them, left in place at that offset.
 
-use polygamy_core::{evaluate_features, significance_test, PermutationScheme};
+use polygamy_core::significance::permutation_p_value;
+use polygamy_core::{evaluate_features, evaluate_windows, significance_test, PermutationScheme};
 use polygamy_stats::permutation::{
     graph_toroidal_shift, spatiotemporal_shift, temporal_rotation, MonteCarlo, Tail,
 };
-use polygamy_topology::{BitVec, FeatureSet};
+use polygamy_topology::{BitVec, FeatureSet, FeatureWindow, RowWindows};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -291,6 +293,83 @@ proptest! {
         let p = significance_test(&left, &right, adjacency, n_steps, observed, mc, scheme, seed);
         let naive_p =
             naive_significance_test(&left, &right, adjacency, n_steps, observed, mc, scheme, seed);
+        prop_assert!(
+            p.to_bits() == naive_p.to_bits(),
+            "p = {p} but the oracle says {naive_p}: {} regions × {} steps, {:?}, {:?}",
+            case.adjacency.len(), case.n_steps, case.scheme, case.mc
+        );
+    }
+}
+
+/// The oracle's ρ from its counts.
+fn naive_strength([_, _, n_left, n_right, sigma]: [usize; 5]) -> f64 {
+    if sigma == 0 {
+        0.0
+    } else {
+        let (precision, recall) = (sigma as f64 / n_left as f64, sigma as f64 / n_right as f64);
+        2.0 * precision * recall / (precision + recall)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// The executor's path — the intersection and the Monte Carlo loop on
+    /// windows of the un-cropped fields, read in place at their offsets,
+    /// the loop over each region's row of the whole field — against the
+    /// oracle on crops made one bit at a time.
+    #[test]
+    fn windowed_statistics_equal_the_naive_oracle(seed in 0u64..u64::MAX) {
+        let case = Case::generate(seed);
+        let (n, n_regions, n_steps) = (case.n_vertices(), case.adjacency.len().max(1), case.n_steps);
+        let [left_field, right_field] = &case.fields;
+        let [lo1, lo2] = case.offsets;
+        let crop = |field: &FeatureSet, lo: usize| FeatureSet {
+            pos: naive_crop(&field.pos, lo, lo + n),
+            neg: naive_crop(&field.neg, lo, lo + n),
+        };
+        let (naive_left, naive_right) = (crop(left_field, lo1), crop(right_field, lo2));
+
+        let (left, right) = (
+            FeatureWindow::new(left_field, lo1, n),
+            FeatureWindow::new(right_field, lo2, n),
+        );
+        let measures = evaluate_windows(&left, &right);
+        let counts = naive_counts(&naive_left, &naive_right);
+        prop_assert_eq!(
+            [measures.n_pos, measures.n_neg, measures.n_left, measures.n_right],
+            [counts[0], counts[1], counts[2], counts[3]]
+        );
+        prop_assert_eq!(measures.score.to_bits(), naive_score(&naive_left, &naive_right).to_bits());
+        prop_assert_eq!(measures.strength.to_bits(), naive_strength(counts).to_bits());
+        prop_assert_eq!(left.intersect(&right).1, counts[4]);
+
+        // Each field's rows span its whole length; the window starts
+        // `offset / n_regions` steps in.
+        let rows = |field: &FeatureSet| {
+            if n_regions == 1 {
+                vec![field.clone()]
+            } else {
+                field.region_major(n_regions, field.pos.len() / n_regions)
+            }
+        };
+        let (left_rows, right_rows) = (rows(left_field), rows(right_field));
+        let (adjacency, mc, scheme) = (&case.adjacency[..], &case.mc, case.scheme);
+        let observed = measures.score;
+        let tested = permutation_p_value(
+            RowWindows::new(&left_rows, lo1 / n_regions, n_steps),
+            RowWindows::new(&right_rows, lo2 / n_regions, n_steps),
+            adjacency,
+            observed,
+            mc,
+            scheme,
+            seed,
+            false,
+        );
+        let p = tested.p.expect("the full loop yields a p-value");
+        let naive_p = naive_significance_test(
+            &naive_left, &naive_right, adjacency, n_steps, observed, mc, scheme, seed,
+        );
         prop_assert!(
             p.to_bits() == naive_p.to_bits(),
             "p = {p} but the oracle says {naive_p}: {} regions × {} steps, {:?}, {:?}",
