@@ -49,7 +49,7 @@ use polygamy_store::codec::{
 use polygamy_store::{LazyIndex, Store, StoreSession};
 use polygamy_topology::{
     super_level_set, BitVec, DomainGraph, FeatureClass, FeatureSet, FeatureWindow, MergeTree,
-    SignCounts,
+    RowWindows, SignCounts,
 };
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -139,15 +139,18 @@ fn bench_restricted_vs_naive_mc(c: &mut Criterion) {
     group.bench_function("row_build", |b| {
         b.iter(|| left.region_major(n_regions, n_steps))
     });
+    let (lr, rr) = (
+        RowWindows::new(&left_rows, n_regions, n_steps, 0, n_steps),
+        RowWindows::new(&right_rows, n_regions, n_steps, 0, n_steps),
+    );
     group.bench_function("spatial_count", |b| {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
         let mut shifter = GraphShifter::default();
         b.iter(|| {
             let sigma = shifter.draw(&adjacency, &mut rng);
             let mut counts = SignCounts::default();
-            for (row, &image) in left_rows.iter().zip(sigma) {
-                let right_row = FeatureWindow::whole(&right_rows[image as usize]);
-                counts += FeatureWindow::whole(row).rotated_sign_counts(&right_row, 0);
+            for (x, &image) in sigma.iter().enumerate() {
+                counts += lr.row(x).rotated_sign_counts(&rr.row(image as usize), 0);
             }
             counts
         })

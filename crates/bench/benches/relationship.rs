@@ -87,8 +87,8 @@ fn bench_significance_stop(c: &mut Criterion) {
     for (pair, right) in [("null", &null), ("planted", &left)] {
         let observed = evaluate_features(&left, right).score;
         let (lr, rr) = (
-            RowWindows::new(std::slice::from_ref(&left), 0, n),
-            RowWindows::new(std::slice::from_ref(right), 0, n),
+            RowWindows::new(&left, 1, n, 0, n),
+            RowWindows::new(right, 1, n, 0, n),
         );
         for (mode, significant_only) in [("full", false), ("stopped", true)] {
             let id = BenchmarkId::new(format!("{pair}_{mode}"), mc.permutations);
@@ -112,38 +112,42 @@ fn bench_significance_stop(c: &mut Criterion) {
 }
 
 /// The sign-count kernel where the executor spends *evaluate*: one
-/// intersection and one graph-shift draw at `explore_urban`'s shape (25
-/// regions × 8,708 hourly steps, a neighbourhood × hour pair), with both
-/// windows at step 0 of their fields (aligned) and the left one 3 steps in
-/// (every word funnel-shifted); and 1,000 1-D rotations (shifts 1 to 1,000)
-/// at 120 and 2,880 bits — `serve_open`'s city × day and city × hour
-/// windows — the left window 5 bits into its field.
+/// intersection (the sum over the region rows) and one graph-shift draw on
+/// region-major feature sets, at `explore_urban`'s shape (25 regions ×
+/// 8,708 hourly steps, a neighbourhood × hour pair), with both windows
+/// covering whole rows (aligned: the intersection is one pass) and the
+/// left one 3 steps into longer rows (every row read at its own bit
+/// offset); the same at neighbourhood × month (25 rows of 12 steps) and
+/// zip × day (9 rows of 363 steps), where each row is one or a few words;
+/// and 1,000 1-D rotations (shifts 1 to 1,000) at 120 and 2,880 bits —
+/// `serve_open`'s city × day and city × hour windows — the left window 5
+/// bits into its field.
 fn bench_sign_counts(c: &mut Criterion) {
-    const REGIONS: usize = 25;
-    const STEPS: usize = 8_708;
     const ROTATIONS: usize = 1_000;
     let mut group = c.benchmark_group("sign_counts");
-    for (name, before) in [("aligned", 0), ("offset3", 3)] {
-        let left = scattered_features(REGIONS * (before + STEPS), 20, 1);
-        let right = scattered_features(REGIONS * STEPS, 20, 4);
-        let l = FeatureWindow::new(&left, REGIONS * before, REGIONS * STEPS);
-        let r = FeatureWindow::whole(&right);
-        group.bench_function(format!("intersect_{name}"), |bch| {
-            bch.iter(|| l.intersect(&r))
-        });
-        let left_rows = left.region_major(REGIONS, before + STEPS);
-        let right_rows = right.region_major(REGIONS, STEPS);
-        let (lr, rr) = (
-            RowWindows::new(&left_rows, before, STEPS),
-            RowWindows::new(&right_rows, 0, STEPS),
-        );
-        group.bench_function(format!("draw_{name}"), |bch| {
-            bch.iter(|| {
-                (0..REGIONS)
-                    .map(|x| lr.row(x).sign_counts(&rr.row((x * 7 + 3) % REGIONS)).n_pos)
-                    .sum::<usize>()
-            })
-        });
+    for (shape, regions, steps) in [
+        ("", 25, 8_708),
+        ("nbhd_month_", 25, 12),
+        ("zip_day_", 9, 363),
+    ] {
+        for (name, before) in [("aligned", 0), ("offset3", 3)] {
+            let left = scattered_features(regions * (before + steps), 20, 1);
+            let right = scattered_features(regions * steps, 20, 4);
+            let (lr, rr) = (
+                RowWindows::new(&left, regions, before + steps, before, steps),
+                RowWindows::new(&right, regions, steps, 0, steps),
+            );
+            group.bench_function(format!("intersect_{shape}{name}"), |bch| {
+                bch.iter(|| lr.intersect(&rr))
+            });
+            group.bench_function(format!("draw_{shape}{name}"), |bch| {
+                bch.iter(|| {
+                    (0..regions)
+                        .map(|x| lr.row(x).sign_counts(&rr.row((x * 7 + 3) % regions)).n_pos)
+                        .sum::<usize>()
+                })
+            });
+        }
     }
     for bits in [120usize, 2_880] {
         let left = scattered_features(5 + bits, 20, 1);

@@ -288,7 +288,6 @@ pub fn run_query_many<'a>(
         names::CORE_PERMUTATION_TESTS_STOPPED,
         counts.tests_stopped.get(),
     );
-    count(names::CORE_OPERAND_ROWS_BUILT, counts.rows_built.get());
     count(names::CORE_SIGN_OVERLAP_PASSES, counts.overlap_passes.get());
     // Every task reads two operands; all but the first read of a slot reuse
     // what that first read prepared.

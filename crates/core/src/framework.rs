@@ -617,7 +617,6 @@ mod tests {
                     per_interval: vec![Thresholds::none()],
                 },
                 field: None,
-                row_memo: Default::default(),
             }
         };
         let catalog = |name: &str| DatasetEntry {

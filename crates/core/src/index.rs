@@ -10,9 +10,7 @@
 use crate::error::{Error, Result};
 use crate::function::FunctionSpec;
 use polygamy_stdata::{DatasetMeta, Resolution, ScalarField};
-use polygamy_topology::{FeatureClass, FeatureSet, FeatureSets, SeasonalThresholds};
-use std::fmt;
-use std::sync::OnceLock;
+use polygamy_topology::{FeatureSets, SeasonalThresholds};
 
 /// Catalog entry for one data set (the paper's Table 1 row).
 #[derive(Debug, Clone, PartialEq)]
@@ -42,7 +40,8 @@ pub struct FunctionEntry {
     pub start_bucket: i64,
     /// Number of time steps.
     pub n_steps: usize,
-    /// Precomputed salient + extreme features.
+    /// Precomputed salient + extreme features, region-major: bit
+    /// `x · n_steps + z` is region `x` at step `z`.
     pub features: FeatureSets,
     /// The per-seasonal-interval thresholds that produced them.
     pub thresholds: SeasonalThresholds,
@@ -50,42 +49,6 @@ pub struct FunctionEntry {
     /// on. Indexing always produces it; `None` on an entry a lazy session
     /// pinned hot-only, or read from a store written without its field blob.
     pub field: Option<ScalarField>,
-    /// Memo behind [`FunctionEntry::region_rows`]; `Default::default()`
-    /// wherever an entry is built.
-    pub row_memo: RegionRowMemo,
-}
-
-/// The whole-field region-major rows of an entry's precomputed features,
-/// one cell per class, filled on first use.
-///
-/// The rows are a pure function of the entry, so the memo is no part of
-/// its value: it compares equal to any other, clones empty and prints the
-/// same filled or not. It has no key, capacity or eviction — it lives as
-/// long as the entry does (the eager index, or a lazy session's cached
-/// `Arc<FunctionEntry>`) and holds at most the entry's four bit vectors
-/// again.
-#[derive(Default)]
-pub struct RegionRowMemo {
-    salient: OnceLock<Vec<FeatureSet>>,
-    extreme: OnceLock<Vec<FeatureSet>>,
-}
-
-impl Clone for RegionRowMemo {
-    fn clone(&self) -> Self {
-        Self::default()
-    }
-}
-
-impl PartialEq for RegionRowMemo {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
-impl fmt::Debug for RegionRowMemo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("RegionRowMemo")
-    }
 }
 
 impl FunctionEntry {
@@ -107,36 +70,21 @@ impl FunctionEntry {
     }
 
     /// Vertex range `[lo, hi)` covering buckets `[start, start + len)` of
-    /// this entry's field (time-major layout).
+    /// this entry's time-major [`ScalarField`] (vertex `z · n_regions + x`).
+    /// The feature sets are region-major: a window of steps is the same run
+    /// in every row (`polygamy_topology::RowWindows`).
+    ///
+    /// # Panics
+    ///
+    /// If `start` is before the entry's first bucket.
     pub fn vertex_range(&self, start: i64, len: usize) -> (usize, usize) {
-        let z0 = (start - self.start_bucket) as usize;
+        let first = self.start_bucket;
+        assert!(
+            start >= first,
+            "bucket {start} before the entry's first, {first}"
+        );
+        let z0 = (start - first) as usize;
         (z0 * self.n_regions, (z0 + len) * self.n_regions)
-    }
-
-    /// The precomputed `class` features re-laid region-major: one
-    /// `n_steps`-bit row per region ([`FeatureSet::region_major`]) — what
-    /// the significance test shifts on a spatial domain. Transposed by the
-    /// first caller, borrowed by every later one.
-    pub fn region_rows(&self, class: FeatureClass) -> &[FeatureSet] {
-        self.region_rows_noting(class, || ())
-    }
-
-    /// [`FunctionEntry::region_rows`], calling `built` if this call is the
-    /// one that transposes.
-    pub(crate) fn region_rows_noting(
-        &self,
-        class: FeatureClass,
-        built: impl FnOnce(),
-    ) -> &[FeatureSet] {
-        let cell = match class {
-            FeatureClass::Salient => &self.row_memo.salient,
-            FeatureClass::Extreme => &self.row_memo.extreme,
-        };
-        cell.get_or_init(|| {
-            built();
-            let features = self.features.class(class);
-            features.region_major(self.n_regions, self.n_steps)
-        })
     }
 
     /// Bytes used by the precomputed feature sets.
@@ -271,7 +219,7 @@ impl PolygamyIndex {
 mod tests {
     use super::*;
     use polygamy_stdata::{SpatialResolution, TemporalResolution};
-    use polygamy_topology::{BitVec, Thresholds};
+    use polygamy_topology::{BitVec, FeatureClass, FeatureSet, RowWindows, Thresholds};
 
     fn entry(start: i64, steps: usize) -> FunctionEntry {
         FunctionEntry {
@@ -291,7 +239,6 @@ mod tests {
                 per_interval: vec![Thresholds::none()],
             },
             field: None,
-            row_memo: Default::default(),
         }
     }
 
@@ -321,6 +268,13 @@ mod tests {
         a.n_regions = 4;
         assert_eq!(a.vertex_range(10, 100), (0, 400));
         assert_eq!(a.vertex_range(20, 5), (40, 60));
+        assert_eq!(a.vertex_range(110, 0), (400, 400));
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket 9 before the entry's first, 10")]
+    fn a_vertex_range_before_the_entry_is_refused() {
+        entry(10, 100).vertex_range(9, 1);
     }
 
     #[test]
@@ -388,14 +342,33 @@ mod tests {
         }
     }
 
+    /// `set` re-laid time-major, one bit at a time: the layout of the
+    /// entry's field, from the region-major one of its features.
+    fn time_major(set: &FeatureSet, n_regions: usize, n_steps: usize) -> FeatureSet {
+        let mut out = FeatureSet::empty(set.pos.len());
+        for x in 0..n_regions {
+            for z in 0..n_steps {
+                let (from, to) = (x * n_steps + z, z * n_regions + x);
+                if set.pos.get(from) {
+                    out.pos.set(to);
+                }
+                if set.neg.get(from) {
+                    out.neg.set(to);
+                }
+            }
+        }
+        out
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
 
-        /// A window of steps of the memoised whole-field rows, row by row,
-        /// is the transpose of that window of the field — what an operand
-        /// reading its window of each row relies on.
+        /// A window of steps of the stored rows, row by row, is the same
+        /// window cut from the time-major layout at `vertex_range` and
+        /// re-laid region-major — what an operand reading its window of
+        /// each stored row relies on.
         #[test]
-        fn region_rows_sliced_match_the_window_transposed(
+        fn stored_rows_sliced_match_the_window_transposed(
             n_regions in 1usize..=70,
             n_steps in 1usize..200,
             from in 0usize..200,
@@ -406,42 +379,44 @@ mod tests {
             let z0 = from % n_steps;
             let z1 = (z0 + len).min(n_steps);
             for class in FeatureClass::ALL {
-                let rows = e.region_rows(class);
-                proptest::prop_assert_eq!(rows.len(), n_regions);
-                let cropped: Vec<FeatureSet> = rows.iter().map(|r| r.slice(z0, z1)).collect();
+                let stored = e.features.class(class);
+                let rows = RowWindows::new(stored, n_regions, n_steps, z0, z1 - z0);
+                proptest::prop_assert_eq!(rows.n_rows(), n_regions);
+                let mut cropped = FeatureSet::empty(n_regions * (z1 - z0));
+                for x in 0..n_regions {
+                    let row = stored.slice(x * n_steps + z0, x * n_steps + z1);
+                    for z in 0..z1 - z0 {
+                        if row.pos.get(z) {
+                            cropped.pos.set(x * (z1 - z0) + z);
+                        }
+                        if row.neg.get(z) {
+                            cropped.neg.set(x * (z1 - z0) + z);
+                        }
+                    }
+                    proptest::prop_assert_eq!(rows.row(x).count(), row.count());
+                }
                 let (lo, hi) = e.vertex_range(z0 as i64, z1 - z0);
-                let window = e.features.class(class).slice(lo, hi);
-                proptest::prop_assert_eq!(cropped, window.region_major(n_regions, z1 - z0));
+                let window = time_major(stored, n_regions, n_steps).slice(lo, hi);
+                proptest::prop_assert_eq!(&cropped, &window.region_major(n_regions, z1 - z0));
+                proptest::prop_assert_eq!(rows.count(), window.count());
             }
         }
     }
 
     #[test]
-    fn a_filled_row_memo_is_no_part_of_the_entry() {
-        let filled = spatial_entry(3, 70, &[0x9E37_79B9_7F4A_7C15, 0x0123_4567_89AB_CDEF]);
-        let untouched = filled.clone();
-        let before = format!("{filled:?}");
+    fn a_cloned_entry_reads_the_same_rows() {
+        let entry = spatial_entry(3, 70, &[0x9E37_79B9_7F4A_7C15, 0x0123_4567_89AB_CDEF]);
+        let copy = entry.clone();
+        assert_eq!(copy, entry);
+        assert_eq!(format!("{copy:?}"), format!("{entry:?}"));
         for class in FeatureClass::ALL {
-            assert_eq!(filled.region_rows(class).len(), 3);
-            // A second call borrows what the first one built.
-            assert!(std::ptr::eq(
-                filled.region_rows(class),
-                filled.region_rows(class)
-            ));
+            let (a, b) = (
+                RowWindows::new(entry.features.class(class), 3, 70, 5, 60),
+                RowWindows::new(copy.features.class(class), 3, 70, 5, 60),
+            );
+            assert_eq!(a.count(), b.count());
+            assert_eq!(a.intersect(&b), b.intersect(&a));
+            assert_eq!(a.intersect(&b).1, a.count());
         }
-        assert_eq!(filled, untouched);
-        assert_eq!(format!("{filled:?}"), before);
-        assert_eq!(format!("{filled:?}"), format!("{untouched:?}"));
-        // A clone of a filled entry equals it, and builds its own rows.
-        let copy = filled.clone();
-        assert_eq!(copy, filled);
-        assert_eq!(
-            copy.region_rows(FeatureClass::Salient),
-            filled.region_rows(FeatureClass::Salient)
-        );
-        assert!(!std::ptr::eq(
-            copy.region_rows(FeatureClass::Salient),
-            filled.region_rows(FeatureClass::Salient)
-        ));
     }
 }

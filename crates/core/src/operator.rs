@@ -16,16 +16,11 @@
 //! needs it and read by every other: an `n × m` pair counts `n + m`
 //! windows' features (and runs as many threshold scans under custom
 //! thresholds), not `2·n·m`. No window is copied: an operand is the
-//! entry's own feature set plus a window offset, read in place by the
-//! intersection and by every draw.
-//!
-//! The region-major rows a spatial significance test shifts outlive the
-//! dispatch: the whole-field rows of a function's precomputed features are
-//! memoised on its index entry ([`FunctionEntry::region_rows`]), so they
-//! are transposed once per entry and class, and an operand reads its
-//! window of steps in each row. Only a `thresholds` override, whose
-//! features exist for one clause, is scanned and transposed per dispatch,
-//! whole-field, once per operand.
+//! entry's own feature set plus a window of steps, read in place in every
+//! region row ([`RowWindows`]) by the intersection and by every draw. The
+//! index stores its feature sets region-major, and a `thresholds` override
+//! scans its field into that layout, so nothing is transposed at query
+//! time.
 //!
 //! Monte Carlo seeds are derived per task with an explicit FNV-1a over a
 //! fully framed byte stream, so significance verdicts are reproducible
@@ -44,7 +39,7 @@ use crate::significance::permutation_p_value;
 use polygamy_obs::Counter;
 use polygamy_stats::permutation::MonteCarlo;
 use polygamy_stdata::ScalarField;
-use polygamy_topology::{FeatureClass, FeatureSet, FeatureWindow, RowWindows};
+use polygamy_topology::{FeatureClass, FeatureSet, RowWindows};
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::sync::OnceLock;
@@ -74,7 +69,7 @@ pub(crate) struct UnitTask<'a> {
 }
 
 /// What identifies an operand: which function, which of its feature sets
-/// (class, or the user thresholds that replace it), which vertex window.
+/// (class, or the user thresholds that replace it), which window of steps.
 #[derive(PartialEq, Eq, Hash)]
 struct OperandKey {
     /// Address of the entry — entries are pinned for the whole dispatch, so
@@ -95,13 +90,11 @@ type ThresholdOverride<'a> = (&'a DatasetThresholds, &'a ScalarField);
 pub(crate) struct Operand<'a> {
     entry: &'a FunctionEntry,
     class: FeatureClass,
-    /// Vertex range `[lo, hi)` of the entry's field.
+    /// Steps `[z0, z0 + steps)` of the entry, as `(z0, steps)`.
     window: (usize, usize),
     /// User thresholds replacing the precomputed features.
     custom: Option<ThresholdOverride<'a>>,
     prepared: OnceLock<Prepared>,
-    /// Region-major rows of the custom features.
-    custom_rows: OnceLock<Vec<FeatureSet>>,
 }
 
 /// What the first task to read an operand works out for every other.
@@ -120,8 +113,6 @@ pub(crate) struct EvalCounts {
     pub(crate) permutations: Counter,
     /// Significance tests stopped before their last draw.
     pub(crate) tests_stopped: Counter,
-    /// Region-major transposes performed.
-    pub(crate) rows_built: Counter,
     /// Sign-count second passes over points both positive and negative.
     pub(crate) overlap_passes: Counter,
 }
@@ -146,57 +137,31 @@ impl Operand<'_> {
             let set = custom
                 .as_ref()
                 .unwrap_or_else(|| self.entry.features.class(self.class));
-            let count = window_of(set, self.window).count();
+            let count = self.rows_of(set).count();
             Prepared { custom, count }
         })
     }
 
-    /// The whole-field features the window is read from, in the index's
-    /// time-major layout.
-    fn field(&self) -> &FeatureSet {
-        match &self.prepared().custom {
+    /// The window's steps in each region row of the entry's features, or
+    /// of those a `thresholds` clause defines: what the intersection sums
+    /// and the significance test shifts.
+    fn rows(&self) -> RowWindows<'_> {
+        let set = match &self.prepared().custom {
             Some(custom) => custom,
             None => self.entry.features.class(self.class),
-        }
+        };
+        self.rows_of(set)
     }
 
-    /// The features on the window.
-    fn features(&self) -> FeatureWindow<'_> {
-        window_of(self.field(), self.window)
+    fn rows_of<'s>(&self, set: &'s FeatureSet) -> RowWindows<'s> {
+        let (z0, steps) = self.window;
+        RowWindows::new(set, self.entry.n_regions, self.entry.n_steps, z0, steps)
     }
 
     /// `|Σ|` of the window.
     fn count(&self) -> usize {
         self.prepared().count
     }
-
-    /// The window's steps in each region row — what the significance test
-    /// shifts. A 1-D domain's only row is the field; a spatial domain's
-    /// rows are the entry's memoised whole-field rows. Features a
-    /// `thresholds` clause defines have no rows beyond this dispatch and
-    /// are transposed here.
-    fn rows(&self, rows_built: &Counter) -> RowWindows<'_> {
-        let n_regions = self.entry.n_regions;
-        let (lo, hi) = self.window;
-        if n_regions <= 1 {
-            return RowWindows::new(std::slice::from_ref(self.field()), lo, hi - lo);
-        }
-        let rows = if self.custom.is_some() {
-            self.custom_rows.get_or_init(|| {
-                rows_built.inc();
-                self.field().region_major(n_regions, self.entry.n_steps)
-            })
-        } else {
-            self.entry
-                .region_rows_noting(self.class, || rows_built.inc())
-        };
-        RowWindows::new(rows, lo / n_regions, (hi - lo) / n_regions)
-    }
-}
-
-/// Vertices `[lo, hi)` of `set`.
-fn window_of(set: &FeatureSet, (lo, hi): (usize, usize)) -> FeatureWindow<'_> {
-    FeatureWindow::new(set, lo, hi - lo)
 }
 
 /// The operands of one dispatch, interned at expansion time on the
@@ -232,7 +197,6 @@ impl<'a> OperandTable<'a> {
                 window,
                 custom,
                 prepared: OnceLock::new(),
-                custom_rows: OnceLock::new(),
             });
             self.slots.len() - 1
         })
@@ -295,8 +259,9 @@ pub(crate) fn expand_pair_tasks<'a>(
                 threshold_override(e2, clause)?,
             );
             let overridden = custom1.is_some() || custom2.is_some();
-            let window1 = e1.vertex_range(start, n_steps);
-            let window2 = e2.vertex_range(start, n_steps);
+            // `overlap` starts at or after both entries' first buckets.
+            let window1 = ((start - e1.start_bucket) as usize, n_steps);
+            let window2 = ((start - e2.start_bucket) as usize, n_steps);
             for class in FeatureClass::ALL {
                 if !clause.admits_class(class) {
                     continue;
@@ -334,9 +299,10 @@ impl UnitTask<'_> {
     /// chunks by — a task the clause prunes after its intersection costs
     /// less, which unbalances a chunk, never a result.
     pub(crate) fn estimated_ns(&self, operands: &OperandTable<'_>) -> u64 {
-        let (lo, hi) = operands.slots[self.left].window;
+        let (_, steps) = operands.slots[self.left].window;
+        let vertices = (steps * self.e1.n_regions) as u64;
         let passes = 1 + self.clause.permutations as u64;
-        ((hi - lo) as u64).saturating_mul(passes) / VERTEX_PASSES_PER_NS
+        vertices.saturating_mul(passes) / VERTEX_PASSES_PER_NS
     }
 }
 
@@ -364,7 +330,8 @@ pub(crate) fn evaluate_unit(
         ..MonteCarlo::default()
     };
     let scheme = clause.scheme.unwrap_or_default();
-    let meet = left.features().intersect(&right.features());
+    let (left_rows, right_rows) = (left.rows(), right.rows());
+    let meet = left_rows.intersect(&right_rows);
     counts.note_overlap_passes(meet.0.overlap_passes);
     let measures = measures(meet, left.count(), right.count());
     if measures.related_count() == 0 {
@@ -377,8 +344,8 @@ pub(crate) fn evaluate_unit(
     }
     let seed = pair_seed(BASE_SEED, e1, e2, class);
     let tested = permutation_p_value(
-        left.rows(&counts.rows_built),
-        right.rows(&counts.rows_built),
+        left_rows,
+        right_rows,
         adjacency,
         measures.score,
         &mc,
@@ -428,8 +395,9 @@ fn threshold_override<'a>(
 
 /// Recomputes a function's features from user-supplied thresholds: level-set
 /// membership is pointwise (f(v) against θ), so no tree or graph is built.
+/// Region-major, like the precomputed features they replace.
 fn custom_features(field: &ScalarField, t: &DatasetThresholds) -> FeatureSet {
-    FeatureSet::scan(&field.values, t.theta_pos, t.theta_neg)
+    FeatureSet::scan(&field.values, field.n_regions, t.theta_pos, t.theta_neg)
 }
 
 /// The base every per-unit Monte Carlo seed is derived from.
@@ -721,7 +689,6 @@ mod tests {
                 per_interval: vec![Thresholds::none()],
             },
             field: None,
-            row_memo: Default::default(),
         }
     }
 

@@ -87,7 +87,6 @@ pub fn identify_features(
             features,
             thresholds,
             field: Some(field),
-            row_memo: Default::default(),
         }
     })
 }

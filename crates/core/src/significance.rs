@@ -15,7 +15,8 @@
 //!
 //! No permutation is ever materialised. A rotation by `s` re-pairs two
 //! arcs of each bit vector, a graph shift σ re-pairs whole *region rows*
-//! (`Σ_x |row_l[x] ∧ row_r[σ(x)]|`), and either way the shifted counts
+//! (`Σ_x |row_l[x] ∧ row_r[σ(x)]|`, each row a run of the region-major
+//! feature set), and either way the shifted counts
 //! `#p`/`#n` come from the two-popcount kernel the intersection uses
 //! ([`FeatureWindow::rotated_sign_counts`]), on each row's window read in
 //! place. The random draws — one `gen_range` per rotation, one
@@ -69,9 +70,9 @@ pub enum PermutationScheme {
 /// is the region adjacency of their (shared) spatial resolution. Returns the
 /// p-value of the observed score under `mc.tail`.
 ///
-/// This prepares both operands (region-major rows on a spatial domain) and
-/// runs the loop; the executor prepares each operand once per dispatch and
-/// runs the same loop.
+/// This re-lays both operands region-major, the layout the index stores
+/// its features in, and runs the loop; the executor reads the stored rows
+/// in place and runs the same loop.
 // The argument list mirrors the paper's test definition (two feature sets,
 // the domain, the observed statistic, the MC setup); a params struct would
 // only re-name it.
@@ -95,17 +96,13 @@ pub fn significance_test(
             side.pos.len()
         );
     }
-    let (left_rows, right_rows);
-    let (left_rows, right_rows) = if n_regions == 1 {
-        (std::slice::from_ref(left), std::slice::from_ref(right))
-    } else {
-        left_rows = left.region_major(n_regions, n_steps);
-        right_rows = right.region_major(n_regions, n_steps);
-        (&left_rows[..], &right_rows[..])
-    };
+    let (left, right) = (
+        left.region_major(n_regions, n_steps),
+        right.region_major(n_regions, n_steps),
+    );
     let tested = permutation_p_value(
-        RowWindows::new(left_rows, 0, n_steps),
-        RowWindows::new(right_rows, 0, n_steps),
+        RowWindows::new(&left, n_regions, n_steps, 0, n_steps),
+        RowWindows::new(&right, n_regions, n_steps, 0, n_steps),
         spatial_adjacency,
         observed_score,
         mc,
@@ -425,18 +422,14 @@ mod tests {
                 _ => PermutationScheme::SpatioTemporal,
             };
             let observed = evaluate_features(&left, &right).score;
-            let (left_rows, right_rows) = if n_regions == 1 {
-                (vec![left.clone()], vec![right.clone()])
-            } else {
-                (
-                    left.region_major(n_regions, n_steps),
-                    right.region_major(n_regions, n_steps),
-                )
-            };
+            let (left_rows, right_rows) = (
+                left.region_major(n_regions, n_steps),
+                right.region_major(n_regions, n_steps),
+            );
             let run = |significant_only| {
                 permutation_p_value(
-                    RowWindows::new(&left_rows, 0, n_steps),
-                    RowWindows::new(&right_rows, 0, n_steps),
+                    RowWindows::new(&left_rows, n_regions, n_steps, 0, n_steps),
+                    RowWindows::new(&right_rows, n_regions, n_steps, 0, n_steps),
                     &adjacency, observed, &mc, scheme, seed, significant_only,
                 )
             };
@@ -483,10 +476,9 @@ mod tests {
     #[should_panic(expected = "Monte Carlo loop over windows of 6 and 5 steps")]
     fn windows_of_unequal_length_are_refused() {
         let a = fs(10, &[1], &[]);
-        let rows = std::slice::from_ref(&a);
         permutation_p_value(
-            RowWindows::new(rows, 0, 6),
-            RowWindows::new(rows, 4, 5),
+            RowWindows::new(&a, 1, 10, 0, 6),
+            RowWindows::new(&a, 1, 10, 4, 5),
             &[],
             1.0,
             &mc(5),

@@ -135,10 +135,6 @@ pub mod names {
     /// Unit-task operand reads served by an already prepared operand
     /// (counter): `2 · tasks − operands_prepared` per dispatch.
     pub const CORE_OPERAND_REUSES: &str = "core.operand_reuses";
-    /// Region-major transposes performed for spatial significance tests
-    /// (counter): one per (index entry, class) for as long as the entry
-    /// lives, one per operand and dispatch under a `thresholds` override.
-    pub const CORE_OPERAND_ROWS_BUILT: &str = "core.operand_rows_built";
     /// Second passes of the sign-count kernel, run where a point is a
     /// positive and a negative feature of both functions — degenerate
     /// thresholds on both sides (counter).
@@ -287,7 +283,6 @@ pub mod names {
         CORE_PERMUTATION_TESTS_STOPPED,
         CORE_OPERANDS_PREPARED,
         CORE_OPERAND_REUSES,
-        CORE_OPERAND_ROWS_BUILT,
         CORE_SIGN_OVERLAP_PASSES,
         CORE_DISPATCHES_INLINE,
         CORE_DISPATCHES_PARALLEL,

@@ -1033,7 +1033,6 @@ pub fn decode_function_segment(
         features,
         thresholds,
         field,
-        row_memo: Default::default(),
     })
 }
 
@@ -1093,7 +1092,6 @@ mod tests {
                 ],
             },
             field,
-            row_memo: Default::default(),
         }
     }
 

@@ -37,9 +37,11 @@ use polygamy_stdata::{DatasetMeta, Resolution, SpatialResolution, TemporalResolu
 pub const MAGIC: [u8; 8] = *b"PLGYSTOR";
 
 /// Current format version. Bump whenever the codec's byte stream, the
-/// clause fingerprint derivation, or the segment layout changes shape;
-/// readers reject other versions with a typed error instead of guessing.
-pub const VERSION: u32 = 5;
+/// clause fingerprint derivation, the segment layout or the meaning of a
+/// stored bit changes; readers reject other versions with a typed error
+/// instead of guessing. Version 6 stores feature bit vectors region-major
+/// (bit `x · n_steps + z`); version 5 stored them time-major.
+pub const VERSION: u32 = 6;
 
 /// Fixed header length in bytes.
 pub const HEADER_LEN: u64 = 40;

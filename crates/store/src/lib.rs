@@ -7,7 +7,7 @@
 //! form and served from then on by concurrent read sessions — no rebuild on
 //! restart, no raw data at query time.
 //!
-//! ## On-disk format (version 5)
+//! ## On-disk format (version 6)
 //!
 //! The normative specification of the format lives in
 //! [`docs/store-format.md`](https://github.com/paper-repro/data-polygamy/blob/main/docs/store-format.md)
@@ -20,12 +20,14 @@
 //! geometry  the CityGeometry as a checksummed JSON blob
 //! hot       one independently checksummed binary blob per indexed scalar
 //!           function (FunctionEntry): spec, resolution, window, salient/
-//!           extreme feature bit vectors (runs of all-zero and all-ones
-//!           words between literal stretches), seasonal thresholds
+//!           extreme feature bit vectors, region-major (bit x·n_steps + z;
+//!           runs of all-zero and all-ones words between literal
+//!           stretches), seasonal thresholds
 //!           (interval map run-length encoded) — all a query reads
 //!           unless its clause overrides thresholds
 //! fields    one checksummed blob per function indexed with its scalar
-//!           field: a bit vector of the defined values, then those values
+//!           field, time-major (vertex z·n_regions + x): a bit vector of
+//!           the defined values, then those values
 //!           as lossless runs and counts ([`codec::encode_field`]), read
 //!           only for data sets a query's `thresholds` clause names
 //! manifest  geometry location, data set catalog, and a segment directory

@@ -313,7 +313,7 @@ fn corruption_yields_typed_errors() {
         Store::open(&path),
         Err(StoreError::UnsupportedVersion {
             found: 0x7F,
-            supported: 5
+            supported: 6
         })
     ));
 
@@ -394,7 +394,6 @@ fn geometry_missing_an_indexed_resolution_is_a_typed_error() {
                 per_interval: vec![Thresholds::none()],
             },
             field: None,
-            row_memo: Default::default(),
         }
     };
     let catalog = |name: &str| DatasetEntry {

@@ -4,10 +4,11 @@
 //! as a bit vector so that intersections reduce to word-level ANDs
 //! (Appendix C). This implementation provides exactly the operations the
 //! relationship evaluator needs: set/get, population count, intersection
-//! counts, window slicing, and the time-major → region-major re-layout the
-//! restricted Monte Carlo tests count spatial shifts on. Everything that
-//! runs per query works a word at a time, and reads windows in place
-//! ([`crate::FeatureWindow`]) rather than slicing them.
+//! counts, window slicing, and the time-major → region-major re-layout for
+//! callers that hold time-major sets (the index stores its feature sets
+//! region-major from the start). Everything that runs per query works a
+//! word at a time, and reads windows in place ([`crate::FeatureWindow`])
+//! rather than slicing them.
 
 /// A fixed-length packed bit vector.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,9 +62,10 @@ impl BitVec {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// `|self ∧ other|` without materialising the intersection.
+    /// `|self ∧ other|` without materialising the intersection. Panics if
+    /// the vectors differ in length, as do `or_count` and `or_assign`.
     pub fn and_count(&self, other: &BitVec) -> usize {
-        debug_assert_eq!(self.len, other.len);
+        self.assert_same_len(other, "and_count");
         self.words
             .iter()
             .zip(&other.words)
@@ -73,7 +75,7 @@ impl BitVec {
 
     /// `|self ∨ other|` without materialising the union.
     pub fn or_count(&self, other: &BitVec) -> usize {
-        debug_assert_eq!(self.len, other.len);
+        self.assert_same_len(other, "or_count");
         self.words
             .iter()
             .zip(&other.words)
@@ -83,17 +85,33 @@ impl BitVec {
 
     /// In-place union.
     pub fn or_assign(&mut self, other: &BitVec) {
-        debug_assert_eq!(self.len, other.len);
+        self.assert_same_len(other, "or_assign");
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a |= b;
         }
     }
 
+    fn assert_same_len(&self, other: &BitVec, op: &str) {
+        assert_eq!(
+            self.len, other.len,
+            "{op} of a {}-bit and a {}-bit vector",
+            self.len, other.len
+        );
+    }
+
     /// Extracts bits `[start, end)` as a new vector (bit `start` becomes
     /// bit 0): a copy of a window, for callers that want one. The query
     /// path reads windows in place ([`crate::FeatureWindow`]).
+    ///
+    /// # Panics
+    ///
+    /// Unless `start <= end <= len`.
     pub fn slice(&self, start: usize, end: usize) -> BitVec {
-        debug_assert!(start <= end && end <= self.len);
+        assert!(
+            start <= end && end <= self.len,
+            "bits [{start}, {end}) of a {}-bit vector",
+            self.len
+        );
         let mut out = BitVec::zeros(end - start);
         if start % 64 == 0 {
             let w0 = start / 64;
@@ -115,9 +133,10 @@ impl BitVec {
     }
 
     /// Re-lays a time-major `n_regions × n_steps` vector (bit
-    /// `z * n_regions + x` is region `x` at step `z`) as one `n_steps`-bit
-    /// row per region, so a spatial shift σ pairs whole rows:
-    /// `Σ_x |row_l[x] ∧ row_r[σ(x)]|`.
+    /// `z * n_regions + x` is region `x` at step `z`) region-major: bit
+    /// `x * n_steps + z`, so each region's steps are one contiguous
+    /// `n_steps`-bit row, with no padding between rows, and a spatial shift
+    /// σ pairs whole rows: `Σ_x |row_l[x] ∧ row_r[σ(x)]|`.
     ///
     /// Works in 64 × 64 blocks: 64 steps of up to 64 regions are gathered
     /// with one funnel shift per step, bit-transposed in registers, and
@@ -125,13 +144,13 @@ impl BitVec {
     /// room in the block, so it takes several runs of 64 steps side by side
     /// (two for 17–32 regions, four for 9–16, …) and one transpose yields
     /// that many words per row.
-    pub fn region_major(&self, n_regions: usize, n_steps: usize) -> Vec<BitVec> {
+    pub fn region_major(&self, n_regions: usize, n_steps: usize) -> BitVec {
         assert_eq!(
-            self.len,
-            n_regions * n_steps,
+            Some(self.len),
+            n_regions.checked_mul(n_steps),
             "not an n_regions × n_steps vector"
         );
-        let mut rows = vec![BitVec::zeros(n_steps); n_regions];
+        let mut out = BitVec::zeros(self.len);
         let width = n_regions.clamp(1, 64).next_power_of_two();
         let runs = 64 / width;
         let row_words = n_steps.div_ceil(64);
@@ -150,18 +169,26 @@ impl BitVec {
                     }
                 }
                 if any == 0 {
-                    continue; // rows start out zero
+                    continue; // the output starts out zero
                 }
                 transpose64(&mut block);
                 let w0 = z0 / 64;
                 for (run, words) in block.chunks(width).take(row_words - w0).enumerate() {
                     for (dx, &word) in words[..xn].iter().enumerate() {
-                        rows[x0 + dx].words[w0 + run] = word;
+                        // OR the word in at its row's bit offset. Steps past
+                        // the row's end were never gathered, so no bit of it
+                        // lands in the next row or past the last word.
+                        let bit = (x0 + dx) * n_steps + 64 * (w0 + run);
+                        let (w, o) = (bit / 64, bit % 64);
+                        out.words[w] |= word << o;
+                        if o != 0 && word >> (64 - o) != 0 {
+                            out.words[w + 1] |= word >> (64 - o);
+                        }
                     }
                 }
             }
         }
-        rows
+        out
     }
 
     /// Iterates indices of set bits in increasing order.
@@ -425,18 +452,52 @@ mod tests {
             (130, 70),
             (7, 0),
             (0, 9),
+            (5, 1),
         ] {
             let bv = pattern(n_regions * n_steps);
-            let rows = bv.region_major(n_regions, n_steps);
-            assert_eq!(rows.len(), n_regions);
-            for (x, row) in rows.iter().enumerate() {
-                assert_eq!(row.len(), n_steps);
+            let rm = bv.region_major(n_regions, n_steps);
+            assert_eq!(rm.len(), n_regions * n_steps);
+            for x in 0..n_regions {
                 for z in 0..n_steps {
-                    assert_eq!(row.get(z), bv.get(z * n_regions + x), "({x}, {z})");
+                    assert_eq!(
+                        rm.get(x * n_steps + z),
+                        bv.get(z * n_regions + x),
+                        "({x}, {z})"
+                    );
                 }
-                assert!(BitVec::from_words(n_steps, row.words().to_vec()).is_some());
             }
+            assert!(BitVec::from_words(rm.len(), rm.words().to_vec()).is_some());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "and_count of a 100-bit and a 99-bit vector")]
+    fn and_count_of_unequal_lengths_is_refused() {
+        BitVec::zeros(100).and_count(&BitVec::zeros(99));
+    }
+
+    #[test]
+    #[should_panic(expected = "or_count of a 64-bit and a 65-bit vector")]
+    fn or_count_of_unequal_lengths_is_refused() {
+        BitVec::zeros(64).or_count(&BitVec::zeros(65));
+    }
+
+    #[test]
+    #[should_panic(expected = "or_assign of a 10-bit and a 200-bit vector")]
+    fn or_assign_of_unequal_lengths_is_refused() {
+        BitVec::zeros(10).or_assign(&BitVec::zeros(200));
+    }
+
+    #[test]
+    #[should_panic(expected = "bits [50, 40) of a 100-bit vector")]
+    fn a_slice_that_ends_before_it_starts_is_refused() {
+        BitVec::zeros(100).slice(50, 40);
+    }
+
+    #[test]
+    #[should_panic(expected = "bits [90, 101) of a 100-bit vector")]
+    fn a_slice_past_the_end_is_refused() {
+        BitVec::zeros(100).slice(90, 101);
     }
 
     #[test]

@@ -5,6 +5,13 @@
 //! framework precomputes both the salient and the extreme feature sets per
 //! scalar function during indexing and stores them as bit vectors.
 //!
+//! A feature set is laid out *region-major*: bit `x · n_steps + z` is
+//! region `x` at step `z`, so each region's steps are one contiguous row
+//! (a 1-D function's one row is its whole series). The scan writes that
+//! layout directly. A window of steps is then the same run of bits in
+//! every row ([`RowWindows`]): the intersection sums the rows, and a
+//! spatial shift re-pairs them.
+//!
 //! A relationship compares two functions on their common window, and a
 //! Monte Carlo draw compares them after a rotation or a graph shift: both
 //! read a [`FeatureWindow`] — bits `[start, start + len)` of a stored set,
@@ -84,11 +91,12 @@ impl FeatureSet {
         }
     }
 
-    /// The features of `values` under one user-given threshold pair:
-    /// `pos = f ≥ θ⁺`, `neg = f ≤ θ⁻`, pointwise (undefined values and NaN
-    /// thresholds yield no features).
-    pub fn scan(values: &[f64], theta_pos: f64, theta_neg: f64) -> Self {
-        let [(pos, neg)] = threshold_scan(values, values.len(), |_| [(theta_pos, theta_neg)]);
+    /// The features of the time-major field `values` (`n_regions` values
+    /// per step) under one user-given threshold pair: `pos = f ≥ θ⁺`,
+    /// `neg = f ≤ θ⁻`, pointwise (undefined values and NaN thresholds yield
+    /// no features), laid out region-major.
+    pub fn scan(values: &[f64], n_regions: usize, theta_pos: f64, theta_neg: f64) -> Self {
+        let [(pos, neg)] = threshold_scan(values, n_regions, |_| [(theta_pos, theta_neg)]);
         Self { pos, neg }
     }
 
@@ -106,20 +114,18 @@ impl FeatureSet {
         self.pos.or_count(&self.neg)
     }
 
-    /// Both sides re-laid as one `n_steps`-bit row per region (see
+    /// A time-major set re-laid region-major, both sides (see
     /// [`BitVec::region_major`]).
-    pub fn region_major(&self, n_regions: usize, n_steps: usize) -> Vec<FeatureSet> {
-        let pos = self.pos.region_major(n_regions, n_steps);
-        let neg = self.neg.region_major(n_regions, n_steps);
-        pos.into_iter()
-            .zip(neg)
-            .map(|(pos, neg)| FeatureSet { pos, neg })
-            .collect()
+    pub fn region_major(&self, n_regions: usize, n_steps: usize) -> FeatureSet {
+        FeatureSet {
+            pos: self.pos.region_major(n_regions, n_steps),
+            neg: self.neg.region_major(n_regions, n_steps),
+        }
     }
 
-    /// Copies both sides' vertex range `[start, end)` (time-major layout
-    /// makes a step range a contiguous vertex range). The query path reads
-    /// windows in place instead ([`FeatureWindow`]).
+    /// Copies both sides' bits `[start, end)`: a step range of a time-major
+    /// set or of one region's row. The query path reads windows in place
+    /// instead ([`FeatureWindow`]).
     pub fn slice(&self, start: usize, end: usize) -> FeatureSet {
         FeatureSet {
             pos: self.pos.slice(start, end),
@@ -155,8 +161,7 @@ impl std::ops::AddAssign for SignCounts {
 }
 
 /// Bits `[start, start + len)` of a feature set, read where they lie: a
-/// time window of a time-major field, or a run of steps of one region
-/// row.
+/// run of steps of one region's row, or any other run of bits.
 #[derive(Debug, Clone, Copy)]
 pub struct FeatureWindow<'a> {
     set: &'a FeatureSet,
@@ -272,31 +277,56 @@ impl<'a> FeatureWindow<'a> {
     }
 }
 
-/// The same run of steps in every region row of a domain (a 1-D domain's
-/// one row is its field): what a Monte Carlo draw re-pairs.
+/// The same run of steps in every row of a region-major feature set (row
+/// `x` is bits `[x · stride, (x + 1) · stride)`; a 1-D domain's one row is
+/// its field): what the intersection sums and a Monte Carlo draw
+/// re-pairs, read in place.
 #[derive(Debug, Clone, Copy)]
 pub struct RowWindows<'a> {
-    rows: &'a [FeatureSet],
+    set: &'a FeatureSet,
+    n_rows: usize,
+    stride: usize,
     start: usize,
     steps: usize,
 }
 
 impl<'a> RowWindows<'a> {
-    /// Bits `[start, start + steps)` of each of `rows`.
+    /// Steps `[start, start + steps)` of each of the `n_rows` rows of
+    /// `stride` steps that `set` holds.
     ///
     /// # Panics
     ///
-    /// If the window reaches past the last bit of a row.
-    pub fn new(rows: &'a [FeatureSet], start: usize, steps: usize) -> Self {
-        for row in rows {
-            FeatureWindow::new(row, start, steps);
+    /// Unless `set` is exactly `n_rows` rows of `stride` bits and the
+    /// window ends inside a row.
+    pub fn new(
+        set: &'a FeatureSet,
+        n_rows: usize,
+        stride: usize,
+        start: usize,
+        steps: usize,
+    ) -> Self {
+        assert_eq!(
+            n_rows.checked_mul(stride),
+            Some(set.pos.len()),
+            "{n_rows} rows of {stride} steps in a {}-bit feature set",
+            set.pos.len()
+        );
+        assert!(
+            start.checked_add(steps).is_some_and(|end| end <= stride),
+            "a {steps}-step window at step {start} overruns a {stride}-step row"
+        );
+        Self {
+            set,
+            n_rows,
+            stride,
+            start,
+            steps,
         }
-        Self { rows, start, steps }
     }
 
     /// Number of rows.
     pub fn n_rows(&self) -> usize {
-        self.rows.len()
+        self.n_rows
     }
 
     /// Steps per row.
@@ -306,11 +336,48 @@ impl<'a> RowWindows<'a> {
 
     /// Row `x`'s window.
     pub fn row(&self, x: usize) -> FeatureWindow<'a> {
+        debug_assert!(x < self.n_rows, "row {x} of {}", self.n_rows);
         FeatureWindow {
-            set: &self.rows[x],
-            start: self.start,
+            set: self.set,
+            start: x * self.stride + self.start,
             len: self.steps,
         }
+    }
+
+    /// The whole set, if the window covers whole rows: they lie end to end
+    /// as one run of bits.
+    fn whole_rows(&self) -> Option<FeatureWindow<'a>> {
+        (self.start == 0 && self.steps == self.stride).then(|| FeatureWindow::whole(self.set))
+    }
+
+    /// Feature points (positive or negative) in the window, over all rows.
+    pub fn count(&self) -> usize {
+        (0..self.n_rows).map(|x| self.row(x).count()).sum()
+    }
+
+    /// [`FeatureWindow::intersect`] of each row's window with the same row
+    /// of `other`, summed over the rows: the relationship's intersection.
+    /// Where both windows cover whole rows, that is one pass over the sets.
+    ///
+    /// # Panics
+    ///
+    /// If the two differ in rows or in steps.
+    pub fn intersect(&self, other: &RowWindows<'_>) -> (SignCounts, usize) {
+        assert_eq!(
+            self.n_rows, other.n_rows,
+            "intersection of {} and {} rows",
+            self.n_rows, other.n_rows
+        );
+        if let (Some(a), Some(b)) = (self.whole_rows(), other.whole_rows()) {
+            return a.intersect(&b);
+        }
+        let (mut signs, mut related) = (SignCounts::default(), 0);
+        for x in 0..self.n_rows {
+            let (s, r) = self.row(x).intersect(&other.row(x));
+            signs += s;
+            related += r;
+        }
+        (signs, related)
     }
 }
 
@@ -454,8 +521,9 @@ pub struct FeatureSets {
 impl FeatureSets {
     /// Extracts both feature classes of the time-major field `values`
     /// (`n_regions` values per step) under per-seasonal-interval
-    /// thresholds (paper Section 3.3): one pointwise pass, see
-    /// [`crate::level_set`] for why that is the level sets' union.
+    /// thresholds (paper Section 3.3), laid out region-major: one pointwise
+    /// pass, see [`crate::level_set`] for why that is the level sets'
+    /// union.
     pub fn scan(values: &[f64], n_regions: usize, thresholds: &SeasonalThresholds) -> Self {
         let [salient, extreme] = threshold_scan(values, n_regions, |z| {
             let t = thresholds.of_step(z);
@@ -711,10 +779,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "overruns a 10-bit feature set")]
+    #[should_panic(expected = "a 9-step window at step 2 overruns a 10-step row")]
     fn a_row_window_past_a_row_is_refused() {
-        let rows = [FeatureSet::empty(12), FeatureSet::empty(10)];
-        RowWindows::new(&rows, 2, 9);
+        RowWindows::new(&FeatureSet::empty(20), 2, 10, 2, 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "3 rows of 7 steps in a 20-bit feature set")]
+    fn rows_that_do_not_tile_the_set_are_refused() {
+        RowWindows::new(&FeatureSet::empty(20), 3, 7, 0, 7);
     }
 
     #[test]

@@ -46,28 +46,45 @@ pub fn sub_level_set(graph: &DomainGraph, f: &[f64], tree: &MergeTree, theta: f6
 ///
 /// `values` is time-major with `n_regions` values per step, and
 /// `thetas_of_step(z)` gives step `z`'s `(θ⁺, θ⁻)` pairs. Pair `k` of the
-/// result is `(f ≥ θ⁺ₖ, f ≤ θ⁻ₖ)` over all vertices; a NaN on either side
-/// of a comparison is "not a feature".
+/// result is `(f ≥ θ⁺ₖ, f ≤ θ⁻ₖ)` over all vertices, laid out region-major
+/// (bit `x · n_steps + z` is region `x` at step `z`, see
+/// [`BitVec::region_major`]); a NaN on either side of a comparison is "not
+/// a feature". The scan reads the values in order; the bits it writes for
+/// one step lie one per row, in words the previous step wrote too.
+///
+/// # Panics
+///
+/// Unless `values` holds a whole number of steps.
 pub(crate) fn threshold_scan<const K: usize>(
     values: &[f64],
     n_regions: usize,
     mut thetas_of_step: impl FnMut(usize) -> [(f64, f64); K],
 ) -> [(BitVec, BitVec); K] {
+    let n_regions = n_regions.max(1);
+    assert_eq!(
+        values.len() % n_regions,
+        0,
+        "a field of {} values is not whole steps of {n_regions} regions",
+        values.len()
+    );
+    let n_steps = values.len() / n_regions;
     let n_words = values.len().div_ceil(64);
     let mut words: [(Vec<u64>, Vec<u64>); K] =
         std::array::from_fn(|_| (vec![0; n_words], vec![0; n_words]));
-    let mut v = 0usize;
-    for (z, step) in values.chunks(n_regions.max(1)).enumerate() {
+    for (z, step) in values.chunks(n_regions).enumerate() {
         let thetas = thetas_of_step(z);
+        let mut v = z;
         for &x in step {
             for ((pos, neg), &(theta_pos, theta_neg)) in words.iter_mut().zip(&thetas) {
                 pos[v / 64] |= u64::from(x >= theta_pos) << (v % 64);
                 neg[v / 64] |= u64::from(x <= theta_neg) << (v % 64);
             }
-            v += 1;
+            v += n_steps;
         }
     }
-    let set = |words| BitVec::from_words(v, words).expect("the scan filled exactly `v` bits");
+    let set = |words| {
+        BitVec::from_words(values.len(), words).expect("the scan filled exactly `len` bits")
+    };
     words.map(|(pos, neg)| (set(pos), set(neg)))
 }
 
@@ -392,21 +409,23 @@ mod tests {
                     (0..n_steps).map(|z| pick(&thresholds.of_step(z))).collect()
                 };
                 let got = FeatureSets::scan(f, g.n_regions, &thresholds);
+                // The floods are time-major; the scan writes region-major.
+                let rows = |flood: BitVec| flood.region_major(g.n_regions, n_steps);
                 prop_assert_eq!(
                     got.salient.pos,
-                    super_level_set_seasonal(&g, f, &join, &per_step(|t| t.salient_pos))
+                    rows(super_level_set_seasonal(&g, f, &join, &per_step(|t| t.salient_pos)))
                 );
                 prop_assert_eq!(
                     got.salient.neg,
-                    sub_level_set_seasonal(&g, f, &split, &per_step(|t| t.salient_neg))
+                    rows(sub_level_set_seasonal(&g, f, &split, &per_step(|t| t.salient_neg)))
                 );
                 prop_assert_eq!(
                     got.extreme.pos,
-                    super_level_set_seasonal(&g, f, &join, &per_step(|t| t.extreme_pos))
+                    rows(super_level_set_seasonal(&g, f, &join, &per_step(|t| t.extreme_pos)))
                 );
                 prop_assert_eq!(
                     got.extreme.neg,
-                    sub_level_set_seasonal(&g, f, &split, &per_step(|t| t.extreme_neg))
+                    rows(sub_level_set_seasonal(&g, f, &split, &per_step(|t| t.extreme_neg)))
                 );
             }
         }

@@ -23,9 +23,10 @@
 //! **spatial** corpus — neighbourhood and zip partitions, overlap windows
 //! cropped off a word boundary — through the same matrix, asked cold, again,
 //! and against a second partner on one session (the region-major rows the
-//! spatial significance test shifts are memoised on the index entry and
-//! read in place at each window's offset), and re-derive a whole query pair by pair on the
-//! naive path: the executor-level oracle for spatial domains.
+//! spatial significance test shifts are the stored feature sets, read in
+//! place by stride at each window's offset), and re-derive a whole query
+//! pair by pair on the naive path: the executor-level oracle for spatial
+//! domains.
 
 use polygamy_core::prelude::*;
 use polygamy_core::relationship::write_json_array;
@@ -37,6 +38,7 @@ use polygamy_obs::{names, trace};
 use polygamy_stats::permutation::MonteCarlo;
 use polygamy_stdata::Polygon;
 use polygamy_store::{shard_store, LoadFilter, SourceBackend, Store, StoreSession};
+use polygamy_topology::FeatureSet;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -516,7 +518,7 @@ fn build_spatial(cluster: Cluster) -> DataPolygamy {
 
 /// What one session is asked, in order: a pair with cropped windows, the
 /// same again (a cache hit), `north` against a partner of its own range
-/// (rows already memoised, another window), the remaining pair, and the
+/// (another window of the same rows), the remaining pair, and the
 /// clauses that change what a spatial task does.
 fn spatial_queries() -> Vec<RelationshipQuery> {
     let clause = Clause::default().permutations(30).include_insignificant();
@@ -552,9 +554,7 @@ fn spatial_queries() -> Vec<RelationshipQuery> {
 
 /// The spatial axis of the matrix: workers {1, 2, 3, host} × {in-memory,
 /// eager, lazy, 3 shards} on a corpus whose unit tasks shift
-/// region rows, with every session asked the whole query sequence — so
-/// each answer after the first is computed over rows an earlier query
-/// left on the entries.
+/// region rows, with every session asked the whole query sequence.
 #[test]
 fn spatial_corpus_identical_across_every_session_kind() {
     let path = tmp_path("spatial-matrix");
@@ -708,13 +708,30 @@ fn unit_seed(base: u64, e1: &FunctionEntry, e2: &FunctionEntry, class: FeatureCl
     h.finish()
 }
 
+/// `set`, stored region-major (bit `x · n_steps + z`), re-laid time-major
+/// (bit `z · n_regions + x`) one bit at a time.
+fn time_major(set: &FeatureSet, n_regions: usize, n_steps: usize) -> FeatureSet {
+    let mut out = FeatureSet::empty(set.pos.len());
+    for x in 0..n_regions {
+        for z in 0..n_steps {
+            let (from, to) = (x * n_steps + z, z * n_regions + x);
+            if set.pos.get(from) {
+                out.pos.set(to);
+            }
+            if set.neg.get(from) {
+                out.neg.set(to);
+            }
+        }
+    }
+    out
+}
+
 /// The executor-level oracle on a spatial domain: every relationship of a
-/// whole query re-derived pair by pair with nothing shared — the window
-/// sliced off the time-major features, intersected, and tested by
-/// `significance_test` (which transposes its two arguments itself) — and
-/// compared bit for bit, for both permutation schemes. On the way it
-/// counts what the executor may build: one transpose per spatial (entry,
-/// class) that reaches a test, however many queries and windows use it.
+/// whole query re-derived pair by pair with nothing shared — the entry's
+/// features re-laid time-major, the window sliced off them, intersected,
+/// and tested by `significance_test` (which re-lays its two arguments
+/// region-major itself) — and compared bit for bit, for both permutation
+/// schemes.
 #[test]
 fn spatial_query_matches_the_naive_path_pair_by_pair() {
     let dp = build_spatial(Cluster::local(3));
@@ -723,7 +740,6 @@ fn spatial_query_matches_the_naive_path_pair_by_pair() {
         permutations: 30,
         ..MonteCarlo::default()
     };
-    let mut rows_built = 0;
     let mut tested: BTreeSet<(usize, bool)> = BTreeSet::new();
     for scheme in [PermutationScheme::Paper, PermutationScheme::SpatioTemporal] {
         let clause = Clause::default()
@@ -735,7 +751,6 @@ fn spatial_query_matches_the_naive_path_pair_by_pair() {
             let query =
                 RelationshipQuery::between(&[names[0]], &[names[1]]).with_clause(clause.clone());
             let (got, t) = trace::record(|| dp.query(&query).unwrap());
-            rows_built += t.counter(names::CORE_OPERAND_ROWS_BUILT);
             assert_eq!(
                 t.counter(names::CORE_DISPATCHES_INLINE)
                     + t.counter(names::CORE_DISPATCHES_PARALLEL),
@@ -753,8 +768,11 @@ fn spatial_query_matches_the_naive_path_pair_by_pair() {
                     let (lo2, hi2) = e2.vertex_range(start, len);
                     let adjacency = dp.geometry().adjacency(e1.resolution.spatial).unwrap();
                     for class in FeatureClass::ALL {
-                        let f1 = e1.features.class(class).slice(lo1, hi1);
-                        let f2 = e2.features.class(class).slice(lo2, hi2);
+                        let field = |e: &FunctionEntry| {
+                            time_major(e.features.class(class), e.n_regions, e.n_steps)
+                        };
+                        let f1 = field(e1).slice(lo1, hi1);
+                        let f2 = field(e2).slice(lo2, hi2);
                         let measures = evaluate_features(&f1, &f2);
                         if measures.related_count() == 0 {
                             continue;
@@ -810,10 +828,8 @@ fn spatial_query_matches_the_naive_path_pair_by_pair() {
             assert_eq!(got, expected, "{names:?} under {scheme:?}");
         }
     }
-    // Six queries, three windows per data set, two schemes — and one
-    // transpose per (entry, class) that ever reached a test.
+    // Six queries, three windows per data set, two schemes.
     assert!(tested.len() >= 12, "{} spatial operands", tested.len());
-    assert_eq!(rows_built, tested.len() as u64);
 
     // Asked again, nothing is evaluated.
     let clause = Clause::default()
@@ -823,29 +839,77 @@ fn spatial_query_matches_the_naive_path_pair_by_pair() {
     let again = RelationshipQuery::between(&["north"], &["late"]).with_clause(clause.clone());
     let (_, t) = trace::record(|| dp.query(&again).unwrap());
     assert_eq!(t.counter(names::CORE_QUERY_CACHE_HITS), 1);
-    assert_eq!(t.counter(names::CORE_OPERAND_ROWS_BUILT), 0);
     assert_eq!(
         t.counter(names::CORE_DISPATCHES_INLINE) + t.counter(names::CORE_DISPATCHES_PARALLEL),
         0
     );
-    // Under a thresholds override the named data set's rows are the
-    // clause's: built for the dispatch and gone with it, so every dispatch
-    // builds them again (the first may also fill rows of `late` that no
-    // query above needed).
-    let built_under_override = |permutations: usize| {
-        let clause = clause
-            .clone()
-            .permutations(permutations)
-            .with_thresholds("north", 5.0, 1.0);
-        let query = RelationshipQuery::between(&["north"], &["late"]).with_clause(clause);
-        let (rels, t) = trace::record(|| dp.query(&query).unwrap());
-        assert!(!rels.is_empty());
-        t.counter(names::CORE_OPERAND_ROWS_BUILT)
+
+    // Under a thresholds override north's features come from its field,
+    // scanned per dispatch: re-derived here time-major, a value at a time.
+    let (theta_pos, theta_neg) = (5.0, 1.0);
+    let clause = clause
+        .permutations(31)
+        .with_thresholds("north", theta_pos, theta_neg);
+    let query = RelationshipQuery::between(&["north"], &["late"]).with_clause(clause);
+    let got = dp.query(&query).unwrap();
+    let mc = MonteCarlo {
+        permutations: 31,
+        ..MonteCarlo::default()
     };
-    built_under_override(30);
-    let built = built_under_override(31);
-    assert!(built > 0, "the override's rows are transposed");
-    assert_eq!(built_under_override(32), built);
+    let (north, late) = (
+        index.dataset_index("north").unwrap(),
+        index.dataset_index("late").unwrap(),
+    );
+    let mut expected = Vec::new();
+    for e1 in index.functions_of(north) {
+        for e2 in index.functions_of(late) {
+            let Some((start, len)) = e1.overlap(e2) else {
+                continue;
+            };
+            let (lo1, hi1) = e1.vertex_range(start, len);
+            let (lo2, hi2) = e2.vertex_range(start, len);
+            let values = &e1.field.as_ref().expect("indexing keeps fields").values;
+            let mut scanned = FeatureSet::empty(values.len());
+            for (v, &f) in values.iter().enumerate() {
+                if f >= theta_pos {
+                    scanned.pos.set(v);
+                }
+                if f <= theta_neg {
+                    scanned.neg.set(v);
+                }
+            }
+            let f1 = scanned.slice(lo1, hi1);
+            let f2 = time_major(&e2.features.salient, e2.n_regions, e2.n_steps).slice(lo2, hi2);
+            let measures = evaluate_features(&f1, &f2);
+            if measures.related_count() == 0 {
+                continue;
+            }
+            let adjacency = dp.geometry().adjacency(e1.resolution.spatial).unwrap();
+            let seed = unit_seed(0xDA7A_9A17, e1, e2, FeatureClass::Salient);
+            let scheme = PermutationScheme::Paper;
+            let p = significance_test(&f1, &f2, adjacency, len, measures.score, &mc, scheme, seed);
+            expected.push((
+                (e1.spec.to_string(), e2.spec.to_string()),
+                e1.resolution.label(),
+                [measures.score, measures.strength, p].map(f64::to_bits),
+            ));
+        }
+    }
+    assert!(expected.len() > 1, "the override leaves features to relate");
+    let mut got: Vec<_> = got
+        .iter()
+        .map(|r| {
+            assert_eq!(r.class, FeatureClass::Salient);
+            (
+                (r.left.to_string(), r.right.to_string()),
+                r.resolution.label(),
+                [r.score(), r.strength(), r.p_value].map(f64::to_bits),
+            )
+        })
+        .collect();
+    got.sort();
+    expected.sort();
+    assert_eq!(got, expected);
 }
 
 /// A data set native at `(spatial, temporal)` over the first twenty weeks

@@ -344,21 +344,17 @@ proptest! {
         prop_assert_eq!(measures.strength.to_bits(), naive_strength(counts).to_bits());
         prop_assert_eq!(left.intersect(&right).1, counts[4]);
 
-        // Each field's rows span its whole length; the window starts
-        // `offset / n_regions` steps in.
-        let rows = |field: &FeatureSet| {
-            if n_regions == 1 {
-                vec![field.clone()]
-            } else {
-                field.region_major(n_regions, field.pos.len() / n_regions)
-            }
-        };
+        // Each field re-laid region-major, as the index stores it: its rows
+        // span its whole length, and the window starts `offset / n_regions`
+        // steps in.
+        let stride = |field: &FeatureSet| field.pos.len() / n_regions;
+        let rows = |field: &FeatureSet| field.region_major(n_regions, stride(field));
         let (left_rows, right_rows) = (rows(left_field), rows(right_field));
         let (adjacency, mc, scheme) = (&case.adjacency[..], &case.mc, case.scheme);
         let observed = measures.score;
         let tested = permutation_p_value(
-            RowWindows::new(&left_rows, lo1 / n_regions, n_steps),
-            RowWindows::new(&right_rows, lo2 / n_regions, n_steps),
+            RowWindows::new(&left_rows, n_regions, stride(left_field), lo1 / n_regions, n_steps),
+            RowWindows::new(&right_rows, n_regions, stride(right_field), lo2 / n_regions, n_steps),
             adjacency,
             observed,
             mc,
