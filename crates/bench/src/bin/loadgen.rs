@@ -7,8 +7,8 @@
 //! ```
 //!
 //! Every client opens its own connection and sends the whole batch file
-//! as one request, `--requests` times (default 1), concurrently — the
-//! traffic shape the daemon's coalescer exists for. All responses are asserted byte-identical across clients
+//! as one request, `--requests` times (default 1), concurrently, so the
+//! daemon merges the requests into shared batches. All responses are asserted byte-identical across clients
 //! and repeats (the determinism guarantee of `docs/serving.md` §8); with
 //! `--print`, exactly one copy of the response JSONL goes to stdout, so
 //! CI can `diff` it against the offline

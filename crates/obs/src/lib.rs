@@ -246,7 +246,7 @@ pub mod names {
     pub const SERVE_QUERIES: &str = "serve.queries";
     /// `query_many` dispatches issued (counter).
     pub const SERVE_BATCHES: &str = "serve.batches";
-    /// Requests queued, waiting for the dispatcher (gauge).
+    /// Requests queued, waiting for a leader to take them (gauge).
     pub const SERVE_QUEUE_DEPTH: &str = "serve.queue_depth";
     /// Queries admitted but not yet answered (gauge).
     pub const SERVE_INFLIGHT: &str = "serve.inflight";

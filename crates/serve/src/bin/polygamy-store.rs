@@ -10,7 +10,7 @@
 //! polygamy-store query <path> --file <queries.pql> [--json] [--trace] [--lazy]
 //! polygamy-store repl <path> [--lazy]
 //! polygamy-store serve <path> [--addr HOST:PORT] [--max-inflight N]
-//!                [--read-timeout-ms N] [--max-frame-bytes N] [--no-coalesce]
+//!                [--read-timeout-ms N] [--max-frame-bytes N]
 //!                [--metrics-jsonl <path>] [--lazy]
 //! ```
 //!
@@ -62,7 +62,7 @@
 //!
 //! `serve` runs the long-lived network daemon from `polygamy_serve`: PQL
 //! in, canonical JSON out, concurrent requests coalesced into one flat
-//! `query_many` dispatch. The wire protocol, limits and shutdown
+//! `query_many` dispatch, led by one of the requesting connections. The wire protocol, limits and shutdown
 //! semantics are specified in `docs/serving.md`; the daemon exits after a
 //! client sends the shutdown frame (e.g. `loadgen --shutdown`).
 //! `--metrics-jsonl <path>` appends a registry-snapshot JSON line per
@@ -111,7 +111,7 @@ fn main() -> ExitCode {
                  \x20 query <path> --file <queries.pql> [--json] [--trace] [--lazy]\n\
                  \x20 repl <path> [--lazy]\n\
                  \x20 serve <path> [--addr HOST:PORT] [--max-inflight N] \
-                 [--read-timeout-ms N] [--max-frame-bytes N] [--no-coalesce] \
+                 [--read-timeout-ms N] [--max-frame-bytes N] \
                  [--metrics-jsonl <path>] [--lazy]"
             );
             return ExitCode::FAILURE;
@@ -622,7 +622,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let args = Args::parse(
         "serve",
         args,
-        &["--no-coalesce", "--lazy"],
+        &["--lazy"],
         &[
             "--addr",
             "--max-inflight",
@@ -643,9 +643,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(n) = args.parsed("--max-frame-bytes", "a positive integer", |&n: &u32| n > 0)? {
         opts.max_frame_bytes = n;
     }
-    if args.has("--no-coalesce") {
-        opts.coalesce = false;
-    }
     if let Some(v) = args.value("--metrics-jsonl") {
         opts.metrics_jsonl = Some(std::path::PathBuf::from(v));
     }
@@ -654,10 +651,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("serve: {e}"))?;
     println!(
         "polygamy-serve: serving {} data set(s) from {path} on {} \
-         (coalescing {}, max-inflight {}, read timeout {:?})",
+         (max-inflight {}, read timeout {:?})",
         session.catalog().len(),
         server.local_addr(),
-        if opts.coalesce { "on" } else { "off" },
         opts.max_inflight,
         opts.read_timeout,
     );

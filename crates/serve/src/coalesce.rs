@@ -1,10 +1,11 @@
-//! Cross-connection batch coalescing (`docs/serving.md` §8).
+//! Cross-connection batch coalescing by combining (`docs/serving.md` §8).
 //!
-//! Every connection thread submits its parsed request here instead of
-//! evaluating it. A single dispatcher thread drains the admission queue
-//! and evaluates **everything that is waiting** as one flat
-//! [`StoreSession::query_many`] call — so while one batch is being
-//! evaluated, newly arriving requests pile up and form the next batch.
+//! Every connection thread submits its parsed request here, and the
+//! requesting threads themselves take turns evaluating: a submitter that
+//! finds no batch running becomes the **leader**, takes **everything that
+//! is queued** and evaluates it as one flat [`StoreSession::query_many`]
+//! call — so while one batch is being evaluated, newly arriving requests
+//! pile up and form the next batch, which one of their own threads leads.
 //! The executor's pair/clause dedup and the segment LRU thereby pay off
 //! *across* connections, not just within one request, and a burst of N
 //! one-query requests costs one pool dispatch instead of N.
@@ -25,22 +26,21 @@
 //!   blocks the connection thread, which stops reading from its socket:
 //!   TCP itself then pushes back on the client.
 //! * **Drain** — after [`Coalescer::close`], new submissions are refused
-//!   (`Rejection::ShuttingDown`), queued work is still dispatched, and
-//!   the dispatcher exits once the queue is empty.
+//!   (`Rejection::ShuttingDown`); every request already queued still has
+//!   its submitter waiting on it, so queued work is still evaluated.
 
 use polygamy_core::query::RelationshipQuery;
 use polygamy_core::relationship::Relationship;
 use polygamy_obs::{count, global, names, BATCH_SIZE_BUCKETS};
 use polygamy_store::{StoreError, StoreSession};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// The per-request result: one relationship vector per query in the
 /// request, or the store error that failed the request.
 pub type BatchResult = Result<Vec<Vec<Relationship>>, StoreError>;
 
-/// Why a submission was refused at the door.
+/// Why a submission got no answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rejection {
     /// The server is draining; no new work is admitted.
@@ -53,48 +53,50 @@ pub enum Rejection {
         /// The admission cap.
         max_inflight: usize,
     },
+    /// The request was admitted, but the batch evaluating it panicked
+    /// before answering — a bug, not a protocol state.
+    Abandoned,
 }
 
-/// One admitted request: its queries plus the channel its connection
-/// thread is blocked on.
+/// One admitted request: its queries plus the channel its submitter
+/// blocks on.
 struct Pending {
     queries: Vec<RelationshipQuery>,
-    tx: std::sync::mpsc::Sender<BatchResult>,
+    tx: Sender<Wake>,
 }
 
-/// Admission-queue state guarded by one mutex.
+/// What wakes a submitter whose request is queued.
+enum Wake {
+    /// A batch answered the request.
+    Answer(BatchResult),
+    /// The previous leader is done: take the queue and lead.
+    Lead,
+}
+
+/// Admission-queue state and counters, guarded by one mutex.
 struct State {
+    /// Requests waiting for a leader.
     queue: Vec<Pending>,
-    /// Queries admitted but not yet answered (queued or evaluating).
-    inflight: usize,
+    stats: CoalesceStats,
     open: bool,
+    /// A leader is evaluating a batch, or has been handed the lead.
+    busy: bool,
 }
 
-/// Counters the server reports (`Server::stats`) and the load generator
-/// folds into benchmark snapshots.
-#[derive(Debug, Default)]
-pub struct CoalesceCounters {
-    /// Requests admitted.
-    pub requests: AtomicU64,
-    /// Individual queries admitted.
-    pub queries: AtomicU64,
-    /// `query_many` dispatches issued (fallback re-dispatches included).
-    pub batches: AtomicU64,
-    /// Largest number of queries evaluated in one dispatch.
-    pub max_batch: AtomicU64,
-}
-
-/// A point-in-time copy of the counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A point-in-time copy of the counters the server reports
+/// (`Server::stats`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoalesceStats {
     /// Requests admitted.
     pub requests: u64,
     /// Individual queries admitted.
     pub queries: u64,
-    /// `query_many` dispatches issued.
+    /// `query_many` dispatches issued (fallback re-dispatches included).
     pub batches: u64,
     /// Largest single dispatch, in queries.
     pub max_batch: u64,
+    /// Queries admitted and not yet answered (0 once traffic quiesces).
+    pub inflight: u64,
 }
 
 impl CoalesceStats {
@@ -108,22 +110,20 @@ impl CoalesceStats {
     }
 }
 
-/// The admission queue plus the session it dispatches against.
+/// The admission queue plus the session its leaders dispatch against.
 ///
-/// Connection threads call [`Coalescer::submit`] and block on the
-/// returned receiver; the server runs [`Coalescer::dispatch_loop`] on a
-/// dedicated thread. Tests may instead park submissions and call
-/// [`Coalescer::dispatch_pending`] directly to force a deterministic
-/// batch shape.
+/// Connection threads call [`Coalescer::submit`], which admits, queues
+/// and returns the request's answer — having led the batch that computed
+/// it, or waited for another submitter's batch to. Tests call
+/// [`Coalescer::dispatch`], the batch step itself, to pin a batch shape
+/// without threads.
 pub struct Coalescer {
     session: Arc<StoreSession>,
     state: Mutex<State>,
-    /// Wakes the dispatcher when work arrives or the queue closes.
-    work: Condvar,
-    /// Wakes blocked submitters when in-flight work completes.
+    /// Wakes submitters blocked at the admission cap when a batch frees
+    /// slots or the queue closes.
     space: Condvar,
     max_inflight: usize,
-    counters: CoalesceCounters,
 }
 
 impl Coalescer {
@@ -134,23 +134,23 @@ impl Coalescer {
             session,
             state: Mutex::new(State {
                 queue: Vec::new(),
-                inflight: 0,
+                stats: CoalesceStats::default(),
                 open: true,
+                busy: false,
             }),
-            work: Condvar::new(),
             space: Condvar::new(),
             max_inflight: max_inflight.max(1),
-            counters: CoalesceCounters::default(),
         }
     }
 
-    /// Submits one request (a non-empty list of queries). Blocks while
-    /// the in-flight cap is reached; once admitted, returns the receiver
-    /// the dispatcher will answer on.
-    pub fn submit(
-        &self,
-        queries: Vec<RelationshipQuery>,
-    ) -> Result<Receiver<BatchResult>, Rejection> {
+    /// Submits one request (a non-empty list of queries) and returns its
+    /// answer. Blocks while the in-flight cap is reached, then queues the
+    /// request. If no batch is running, this thread leads one: it takes
+    /// everything queued — its own request among it — and evaluates it
+    /// with [`Coalescer::dispatch`]. Otherwise it sleeps until a batch
+    /// answers it, or until the running batch's leader, done, hands it the
+    /// lead of the next batch.
+    pub fn submit(&self, queries: Vec<RelationshipQuery>) -> Result<BatchResult, Rejection> {
         debug_assert!(!queries.is_empty(), "empty requests are answered inline");
         if queries.len() > self.max_inflight {
             return Err(Rejection::TooLarge {
@@ -158,166 +158,112 @@ impl Coalescer {
                 max_inflight: self.max_inflight,
             });
         }
-        let mut state = self.state.lock().expect("coalescer poisoned");
+        let n = queries.len() as u64;
+        let mut state = self.lock();
         loop {
             if !state.open {
                 return Err(Rejection::ShuttingDown);
             }
-            if state.inflight + queries.len() <= self.max_inflight {
+            if state.stats.inflight + n <= self.max_inflight as u64 {
                 break;
             }
             state = self.space.wait(state).expect("coalescer poisoned");
         }
-        state.inflight += queries.len();
-        self.note_admission(queries.len());
+        state.stats.inflight += n;
+        state.stats.requests += 1;
+        state.stats.queries += n;
+        count(names::SERVE_REQUESTS, 1);
+        count(names::SERVE_QUERIES, n);
+        global().gauge(names::SERVE_INFLIGHT).add(n as i64);
         global().gauge(names::SERVE_QUEUE_DEPTH).add(1);
         let (tx, rx) = channel();
         state.queue.push(Pending { queries, tx });
+        let idle = !state.busy;
+        state.busy = true;
         drop(state);
-        self.work.notify_one();
-        Ok(rx)
-    }
-
-    /// Runs the dispatcher until [`Coalescer::close`] is called *and* the
-    /// queue has drained — the body of the server's dispatcher thread.
-    pub fn dispatch_loop(&self) {
+        if idle {
+            self.lead();
+        }
         loop {
-            let batch = {
-                let mut state = self.state.lock().expect("coalescer poisoned");
-                while state.queue.is_empty() && state.open {
-                    state = self.work.wait(state).expect("coalescer poisoned");
-                }
-                if state.queue.is_empty() {
-                    return; // closed and drained
-                }
-                std::mem::take(&mut state.queue)
-            };
-            global()
-                .gauge(names::SERVE_QUEUE_DEPTH)
-                .add(-(batch.len() as i64));
-            self.evaluate(batch);
+            match rx.recv() {
+                Ok(Wake::Answer(result)) => return Ok(result),
+                // Handed the lead: this request is still queued.
+                Ok(Wake::Lead) => self.lead(),
+                Err(_) => return Err(Rejection::Abandoned),
+            }
         }
     }
 
-    /// Dispatches whatever is queued right now, once. Returns the number
-    /// of requests evaluated. (Primarily for tests, which use it to pin
-    /// an exact batch shape; the server uses [`Coalescer::dispatch_loop`].)
-    pub fn dispatch_pending(&self) -> usize {
-        let batch = std::mem::take(&mut self.state.lock().expect("coalescer poisoned").queue);
-        let n = batch.len();
-        global().gauge(names::SERVE_QUEUE_DEPTH).add(-(n as i64));
-        self.evaluate(batch);
-        n
-    }
-
-    /// Evaluates one request on the *calling* thread — the serial-dispatch
-    /// baseline mode (`ServeOptions::coalesce = false`). Admission
-    /// accounting, backpressure and drain refusal are identical to
-    /// [`Coalescer::submit`]; only the dispatch differs: every request
-    /// pays its own `query_many` call.
-    pub fn execute_inline(&self, queries: &[RelationshipQuery]) -> Result<BatchResult, Rejection> {
-        if queries.len() > self.max_inflight {
-            return Err(Rejection::TooLarge {
-                queries: queries.len(),
-                max_inflight: self.max_inflight,
-            });
+    /// Evaluates `requests` as one batch and returns one result per
+    /// request, in order: one flat `query_many` over every request's
+    /// queries, split back per request; on error, falls back to one
+    /// dispatch per request so the failure is isolated. Every dispatch is
+    /// counted (`serve.batches`, `serve.batch_size`). Admission is not
+    /// involved: this is the step a leader runs on what it took.
+    pub fn dispatch(&self, requests: &[&[RelationshipQuery]]) -> Vec<BatchResult> {
+        if let [only] = requests {
+            self.note_dispatch(only.len());
+            return vec![self.session.query_many(only)];
         }
-        let mut state = self.state.lock().expect("coalescer poisoned");
-        loop {
-            if !state.open {
-                return Err(Rejection::ShuttingDown);
+        let flat: Vec<RelationshipQuery> = requests.concat();
+        self.note_dispatch(flat.len());
+        match self.session.query_many(&flat) {
+            Ok(results) => {
+                let mut results = results.into_iter();
+                (requests.iter())
+                    .map(|r| Ok(results.by_ref().take(r.len()).collect()))
+                    .collect()
             }
-            if state.inflight + queries.len() <= self.max_inflight {
-                break;
-            }
-            state = self.space.wait(state).expect("coalescer poisoned");
+            // Which request poisoned the batch is unknowable from one
+            // error; re-dispatch per request so only the guilty one fails.
+            // Results stay byte-identical: the executor is
+            // batch-composition-independent.
+            Err(_) => (requests.iter())
+                .map(|r| {
+                    self.note_dispatch(r.len());
+                    self.session.query_many(r)
+                })
+                .collect(),
         }
-        state.inflight += queries.len();
-        drop(state);
-        self.note_admission(queries.len());
-        self.note_dispatch(queries.len());
-        let result = self.session.query_many(queries);
-        self.release(queries.len());
-        Ok(result)
     }
 
     /// Refuses new submissions and wakes everyone; queued work still
     /// runs. Idempotent.
     pub fn close(&self) {
-        self.state.lock().expect("coalescer poisoned").open = false;
-        self.work.notify_all();
+        self.lock().open = false;
         self.space.notify_all();
     }
 
     /// A snapshot of the admission/dispatch counters.
     pub fn stats(&self) -> CoalesceStats {
-        CoalesceStats {
-            requests: self.counters.requests.load(Ordering::Relaxed),
-            queries: self.counters.queries.load(Ordering::Relaxed),
-            batches: self.counters.batches.load(Ordering::Relaxed),
-            max_batch: self.counters.max_batch.load(Ordering::Relaxed),
-        }
+        self.lock().stats
     }
 
-    /// Evaluates a drained batch: one flat `query_many` over every
-    /// request's queries, split back per request; on error, falls back to
-    /// per-request dispatch so the failure is isolated.
-    fn evaluate(&self, batch: Vec<Pending>) {
-        if batch.is_empty() {
-            return;
-        }
-        let flat: Vec<RelationshipQuery> = batch
-            .iter()
-            .flat_map(|p| p.queries.iter().cloned())
-            .collect();
-        self.note_dispatch(flat.len());
-        match self.session.query_many(&flat) {
-            Ok(mut results) => {
-                // Split the flat result vector back into per-request runs,
-                // from the tail to avoid re-allocating.
-                for pending in batch.iter().rev() {
-                    let run = results.split_off(results.len() - pending.queries.len());
-                    let _ = pending.tx.send(Ok(run));
-                }
-            }
-            Err(_) if batch.len() > 1 => {
-                // Which request poisoned the batch is unknowable from one
-                // error; re-dispatch per request so only the guilty one
-                // fails. Results stay byte-identical: the executor is
-                // batch-composition-independent.
-                for pending in &batch {
-                    self.note_dispatch(pending.queries.len());
-                    let _ = pending.tx.send(self.session.query_many(&pending.queries));
-                }
-            }
-            Err(e) => {
-                let _ = batch[0].tx.send(Err(e));
-            }
-        }
-        self.release(batch.iter().map(|p| p.queries.len()).sum());
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("coalescer poisoned")
     }
 
-    /// Counts one admitted request of `queries` queries, here and in the
-    /// registry.
-    fn note_admission(&self, queries: usize) {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let n = queries as u64;
-        self.counters.queries.fetch_add(n, Ordering::Relaxed);
-        count(names::SERVE_REQUESTS, 1);
-        count(names::SERVE_QUERIES, n);
-        global().gauge(names::SERVE_INFLIGHT).add(queries as i64);
-    }
-
-    /// Returns `answered` queries' admission slots and wakes blocked
-    /// submitters.
-    fn release(&self, answered: usize) {
-        let mut state = self.state.lock().expect("coalescer poisoned");
-        state.inflight = state.inflight.saturating_sub(answered);
-        drop(state);
+    /// The leader's turn: takes everything queued, evaluates it, answers
+    /// each request, then hands the lead on. The hand-off runs in a drop
+    /// guard, so a panic inside the evaluation still frees the batch's
+    /// admission slots and passes the lead on; the submitters it did not
+    /// answer see their senders dropped and report the request abandoned.
+    fn lead(&self) {
+        let batch = std::mem::take(&mut self.lock().queue);
         global()
-            .gauge(names::SERVE_INFLIGHT)
-            .add(-(answered as i64));
-        self.space.notify_all();
+            .gauge(names::SERVE_QUEUE_DEPTH)
+            .add(-(batch.len() as i64));
+        let mut turn = Turn {
+            coalescer: self,
+            queries: batch.iter().map(|p| p.queries.len()).sum(),
+            batch,
+        };
+        let requests: Vec<&[RelationshipQuery]> =
+            turn.batch.iter().map(|p| p.queries.as_slice()).collect();
+        let results = self.dispatch(&requests);
+        for (pending, result) in turn.batch.drain(..).zip(results) {
+            let _ = pending.tx.send(Wake::Answer(result));
+        }
     }
 
     /// The single point every dispatch passes through — the registry's
@@ -325,14 +271,45 @@ impl Coalescer {
     /// call, so its total count equals `serve.batches` and its sum equals
     /// the queries dispatched (re-dispatches included).
     fn note_dispatch(&self, queries: usize) {
-        self.counters.batches.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .max_batch
-            .fetch_max(queries as u64, Ordering::Relaxed);
+        let mut state = self.lock();
+        state.stats.batches += 1;
+        state.stats.max_batch = state.stats.max_batch.max(queries as u64);
+        drop(state);
         count(names::SERVE_BATCHES, 1);
         global()
             .histogram(names::SERVE_BATCH_SIZE, BATCH_SIZE_BUCKETS)
             .record(queries as u64);
+    }
+}
+
+/// One leader's batch. Dropping it — after the answers went out, or
+/// while a panic unwinds — drops what was not answered, returns the
+/// batch's admission slots, and hands the lead to the submitter of the
+/// oldest queued request, or clears `busy` when nothing is queued.
+struct Turn<'a> {
+    coalescer: &'a Coalescer,
+    batch: Vec<Pending>,
+    queries: usize,
+}
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        self.batch.clear();
+        let mut state = self.coalescer.lock();
+        state.stats.inflight -= self.queries as u64;
+        // A queued request's submitter holds its receiver until it is
+        // answered, so the lead cannot be lost.
+        match state.queue.first() {
+            Some(next) => {
+                let _ = next.tx.send(Wake::Lead);
+            }
+            None => state.busy = false,
+        }
+        drop(state);
+        global()
+            .gauge(names::SERVE_INFLIGHT)
+            .add(-(self.queries as i64));
+        self.coalescer.space.notify_all();
     }
 }
 

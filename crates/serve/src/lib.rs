@@ -18,11 +18,14 @@
 //! ## Batch coalescing
 //!
 //! The core mechanism ([`coalesce`]): requests from concurrent
-//! connections are *admitted into a queue*, and a single dispatcher
-//! evaluates everything waiting as one flat
+//! connections are *admitted into a queue*, and the requesting threads
+//! combine them — one that finds no batch running leads, evaluating
+//! everything queued as one flat
 //! [`StoreSession::query_many`](polygamy_store::StoreSession::query_many)
-//! call. The flat executor's pair/clause dedup and the store's segment
-//! cache therefore pay off **across users**, not just within one batch —
+//! call, while the others wait for its answers or for the lead of the
+//! next batch. There is no dispatcher thread. The flat executor's
+//! pair/clause dedup and the store's segment cache therefore pay off
+//! **across users**, not just within one batch —
 //! and because the executor is deterministic and batch-composition
 //! independent, a coalesced response is byte-identical to the same query
 //! served solo (or offline via `polygamy-store query --json`).

@@ -3,9 +3,9 @@
 //!
 //! One [`Server`] owns one shared [`StoreSession`] (eager or lazy), a
 //! [`Coalescer`] over it, an accept thread, and one thread per live
-//! connection. Requests never evaluate on the connection thread when
-//! coalescing is on — they queue, and the dispatcher answers whole
-//! bursts with one flat `query_many` call.
+//! connection. Every request goes through [`Coalescer::submit`]: it
+//! queues, and whichever connection thread finds no batch running leads
+//! one, answering everything queued with one flat `query_many` call.
 
 use crate::coalesce::{CoalesceStats, Coalescer, Rejection};
 use crate::protocol::{
@@ -34,7 +34,8 @@ pub struct Hello {
     pub server: String,
     /// Data sets this session serves, in catalog order.
     pub datasets: Vec<String>,
-    /// Whether cross-connection batch coalescing is enabled.
+    /// Whether cross-connection batch coalescing is enabled; a server of
+    /// this build always writes `true`.
     pub coalescing: bool,
 }
 
@@ -117,7 +118,6 @@ impl WireError {
 /// ```
 /// use polygamy_serve::ServeOptions;
 /// let opts = ServeOptions::default();
-/// assert!(opts.coalesce);
 /// assert_eq!(opts.max_inflight, 256);
 /// ```
 #[derive(Debug, Clone)]
@@ -133,9 +133,8 @@ pub struct ServeOptions {
     /// Largest accepted frame length (tag + payload). CLI:
     /// `--max-frame-bytes`.
     pub max_frame_bytes: u32,
-    /// Evaluate requests through the cross-connection coalescer (the
-    /// default) or inline per request (the serial-dispatch baseline the
-    /// benchmarks compare against). CLI: `--no-coalesce`.
+    /// Read by nothing: every request is coalesced (`docs/serving.md` §8).
+    /// The field stays only because the benchmark harness still sets it.
     pub coalesce: bool,
     /// When set, a background thread appends the registry snapshot to
     /// this file as one JSON line per second (plus a final line at
@@ -156,7 +155,7 @@ impl Default for ServeOptions {
     }
 }
 
-/// State shared by the accept loop, connection threads and dispatcher.
+/// State shared by the accept loop and the connection threads.
 struct Shared {
     coalescer: Coalescer,
     opts: ServeOptions,
@@ -208,7 +207,6 @@ pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
-    dispatcher: Option<JoinHandle<()>>,
     flusher: Option<JoinHandle<()>>,
     flusher_stop: Arc<AtomicBool>,
 }
@@ -251,7 +249,7 @@ impl Server {
             datasets: (session.catalog().iter())
                 .map(|d| d.meta.name.clone())
                 .collect(),
-            coalescing: opts.coalesce,
+            coalescing: true,
         };
         let shared = Arc::new(Shared {
             coalescer: Coalescer::new(session, opts.max_inflight),
@@ -269,13 +267,6 @@ impl Server {
                 .spawn(move || metrics_flusher(file, &stop))
                 .expect("spawn metrics flusher")
         });
-        let dispatcher = shared.opts.coalesce.then(|| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("polygamy-serve-dispatch".into())
-                .spawn(move || shared.coalescer.dispatch_loop())
-                .expect("spawn dispatcher")
-        });
         let accept = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -287,7 +278,6 @@ impl Server {
             shared,
             addr: local,
             accept: Some(accept),
-            dispatcher,
             flusher,
             flusher_stop,
         })
@@ -321,9 +311,6 @@ impl Server {
         // No new connections can spawn now; join the existing ones.
         let conns = std::mem::take(&mut *self.shared.conns.lock().expect("conns poisoned"));
         for h in conns {
-            let _ = h.join();
-        }
-        if let Some(h) = self.dispatcher.take() {
             let _ = h.join();
         }
         // Everything admitted has been answered: the drain is over.
@@ -378,12 +365,26 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     while !shared.draining() {
         match listener.accept() {
             Ok((stream, _peer)) => {
+                let mut conns = shared.conns.lock().expect("conns poisoned");
+                // Join the connections that have ended, so a finished
+                // thread's stack is not kept mapped until the drain.
+                for handle in std::mem::take(&mut *conns) {
+                    if handle.is_finished() {
+                        let _ = handle.join();
+                    } else {
+                        conns.push(handle);
+                    }
+                }
                 let shared2 = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
+                // A thread that cannot be spawned drops its closure, and
+                // with it the stream: that connection closes, and the
+                // daemon keeps accepting.
+                if let Ok(handle) = std::thread::Builder::new()
                     .name("polygamy-serve-conn".into())
                     .spawn(move || serve_connection(stream, &shared2))
-                    .expect("spawn connection thread");
-                shared.conns.lock().expect("conns poisoned").push(handle);
+                {
+                    conns.push(handle);
+                }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(20));
@@ -601,9 +602,9 @@ fn handle_query(stream: &mut TcpStream, shared: &Shared, payload: &[u8]) -> bool
         );
         return false;
     }
-    // Parse here, on the connection thread: a parse error never occupies
-    // the dispatcher, and the error frame carries the same caret
-    // diagnostic the REPL prints (docs/serving.md §6).
+    // Parse before submitting: a parse error never joins a batch, and the
+    // error frame carries the same caret diagnostic the REPL prints
+    // (docs/serving.md §6).
     let queries = match polygamy_core::pql::parse_batch(src) {
         Ok(qs) => qs,
         Err(e) => {
@@ -614,25 +615,9 @@ fn handle_query(stream: &mut TcpStream, shared: &Shared, payload: &[u8]) -> bool
         // A comment-only batch is a valid, empty request.
         return write_frame(stream, FrameTag::Result, b"").is_ok();
     }
-    let outcome = if shared.opts.coalesce {
-        match shared.coalescer.submit(queries.clone()) {
-            Ok(rx) => match rx.recv() {
-                Ok(r) => r,
-                Err(_) => {
-                    let _ = send_error(
-                        stream,
-                        &WireError::new("internal", "dispatcher exited mid-request"),
-                    );
-                    return false;
-                }
-            },
-            Err(rejection) => return report_rejection(stream, rejection),
-        }
-    } else {
-        match shared.coalescer.execute_inline(&queries) {
-            Ok(r) => r,
-            Err(rejection) => return report_rejection(stream, rejection),
-        }
+    let outcome = match shared.coalescer.submit(queries.clone()) {
+        Ok(outcome) => outcome,
+        Err(rejection) => return report_rejection(stream, rejection),
     };
     match outcome {
         Ok(results) => {
@@ -659,10 +644,16 @@ fn handle_query(stream: &mut TcpStream, shared: &Shared, payload: &[u8]) -> bool
     }
 }
 
-/// Renders an admission rejection; returns false when the connection
-/// must close.
+/// Renders a rejection; returns false when the connection must close.
 fn report_rejection(stream: &mut TcpStream, rejection: Rejection) -> bool {
     match rejection {
+        Rejection::Abandoned => {
+            let _ = send_error(
+                stream,
+                &WireError::new("internal", "the batch evaluating this request panicked"),
+            );
+            false
+        }
         Rejection::ShuttingDown => {
             let _ = send_error(
                 stream,
@@ -764,6 +755,35 @@ mod tests {
                 "{wrong}"
             );
         }
+    }
+
+    /// 200 sequential connect → hello → close cycles: the accept loop
+    /// joins ended connection threads as new connections arrive, so the
+    /// handles it keeps stay bounded by the connections still open.
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        use polygamy_core::prelude::{CityGeometry, Config};
+        let path = std::env::temp_dir().join(format!("plst-reap-{}.plst", std::process::id()));
+        let mut dp = polygamy_core::DataPolygamy::new(
+            CityGeometry::city_only(0.0, 0.0, 1.0, 1.0),
+            Config::fast_test(),
+        );
+        dp.build_index();
+        polygamy_store::Store::save(&path, dp.geometry(), dp.index().unwrap()).unwrap();
+        let session = Arc::new(StoreSession::open(&path).unwrap());
+        let server = Server::bind("127.0.0.1:0", session, ServeOptions::default()).unwrap();
+        let mut most = 0;
+        for _ in 0..200 {
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            let hello = crate::protocol::read_frame(&mut stream, MAX_FRAME_BYTES).unwrap();
+            assert_eq!(hello.unwrap().known_tag(), Some(FrameTag::Hello));
+            drop(stream);
+            most = most.max(server.shared.conns.lock().unwrap().len());
+        }
+        assert!(most <= 8, "{most} connection handles kept");
+        server.shutdown();
+        server.wait();
+        std::fs::remove_file(&path).unwrap();
     }
 
     /// A `\u` surrogate pair in a payload is one character; a lone or

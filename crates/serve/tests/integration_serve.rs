@@ -6,77 +6,19 @@
 //! promises: a query answered inside a coalesced batch returns **byte
 //! identical** JSON to the same query executed solo and offline.
 
-use polygamy_core::prelude::*;
-use polygamy_core::DataPolygamy;
+mod common;
+
+use common::{build_store, offline_json, start_server};
 use polygamy_serve::protocol::{read_frame, write_frame, Frame, MAX_FRAME_BYTES};
 use polygamy_serve::{
     Client, Coalescer, FrameTag, Response, ServeOptions, Server, PROTOCOL_VERSION,
 };
-use polygamy_store::{execute_pql_batch, Store, StoreSession};
+use polygamy_store::{Store, StoreSession};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Builds a small two-data-set store (so queries have candidate pairs)
-/// in a fresh temp file and returns its path.
-fn build_store() -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let path = std::env::temp_dir().join(format!(
-        "plst-serve-test-{}-{}.plst",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    let mut dp = DataPolygamy::new(
-        CityGeometry::city_only(0.0, 0.0, 1.0, 1.0),
-        Config::fast_test(),
-    );
-    for (name, level, bump_at) in [
-        ("taxi", 1.0, 100i64),
-        ("weather", -2.0, 100),
-        ("noise", 0.5, 333),
-    ] {
-        let meta = DatasetMeta {
-            name: name.into(),
-            spatial_resolution: SpatialResolution::City,
-            temporal_resolution: TemporalResolution::Hour,
-            description: String::new(),
-        };
-        let mut b = DatasetBuilder::new(meta).attribute(AttributeMeta::named("signal"));
-        for h in 0..600i64 {
-            let v = if h == bump_at || h == bump_at + 137 {
-                40.0
-            } else {
-                level + (h % 24) as f64 * 0.05
-            };
-            b.push(GeoPoint::new(0.5, 0.5), h * 3_600, &[v]).unwrap();
-        }
-        dp.add_dataset(b.build().unwrap());
-    }
-    dp.build_index();
-    Store::save(&path, dp.geometry(), dp.index().unwrap()).unwrap();
-    path
-}
-
-/// Starts a server over `path` on an ephemeral port.
-fn start_server(path: &PathBuf, opts: ServeOptions) -> Server {
-    let session = Arc::new(StoreSession::open(path).unwrap());
-    Server::bind("127.0.0.1:0", session, opts).unwrap()
-}
-
-/// The offline reference rendering: each query executed through the CLI's
-/// own helper on a fresh session, JSON per line.
-fn offline_json(path: &PathBuf, batch: &str) -> String {
-    let session = StoreSession::open(path).unwrap();
-    execute_pql_batch(&session, batch)
-        .unwrap()
-        .iter()
-        .map(|o| o.to_json())
-        .collect::<Vec<_>>()
-        .join("\n")
-}
 
 const QUERIES: [&str; 4] = [
     "between taxi and weather where permutations = 40 and include insignificant",
@@ -91,7 +33,7 @@ fn coalesced_response_is_byte_identical_to_solo_and_offline() {
     let server = start_server(&path, ServeOptions::default());
     let addr = server.local_addr();
 
-    // Fire all queries concurrently so the dispatcher has real batches to
+    // Fire all queries concurrently so there are real batches to
     // coalesce, one connection per client.
     let handles: Vec<_> = QUERIES
         .iter()
@@ -447,54 +389,28 @@ fn metrics_jsonl_is_opened_at_bind() {
     std::fs::remove_file(&path).unwrap();
 }
 
-#[test]
-fn serial_dispatch_mode_serves_the_same_bytes() {
-    let path = build_store();
-    let opts = ServeOptions {
-        coalesce: false,
-        ..ServeOptions::default()
-    };
-    let server = start_server(&path, opts);
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    assert!(!client.hello().coalescing);
-    for q in QUERIES {
-        match client.request(q).unwrap() {
-            Response::Results(json) => assert_eq!(json, offline_json(&path, q)),
-            Response::Error(e) => panic!("unexpected error frame: {e:?}"),
-        }
-    }
-    let stats = server.stats();
-    // Serial mode never merges: one dispatch per request.
-    assert_eq!(stats.batches, stats.requests);
-
-    client.shutdown_server().unwrap();
-    server.wait();
-    std::fs::remove_file(&path).unwrap();
-}
-
+/// The batch step a leader runs, called directly: every request's
+/// queries go out in one flat dispatch and come back split per request.
 #[test]
 fn coalescer_merges_queued_requests_into_one_dispatch() {
     let path = build_store();
     let session = Arc::new(StoreSession::open(&path).unwrap());
-    // No dispatcher thread: submissions park in the queue, so the batch
-    // shape is fully deterministic.
-    let coalescer = Arc::new(Coalescer::new(Arc::clone(&session), 64));
-    let receivers: Vec<_> = QUERIES
+    let coalescer = Coalescer::new(Arc::clone(&session), 64);
+    let requests: Vec<_> = QUERIES
         .iter()
-        .map(|q| {
-            let queries = polygamy_core::pql::parse_batch(q).unwrap();
-            (queries.clone(), coalescer.submit(queries).unwrap())
-        })
+        .map(|q| polygamy_core::pql::parse_batch(q).unwrap())
         .collect();
-    assert_eq!(coalescer.dispatch_pending(), QUERIES.len());
+    let slices: Vec<_> = requests.iter().map(Vec::as_slice).collect();
+    let results = coalescer.dispatch(&slices);
     let stats = coalescer.stats();
-    assert_eq!(stats.batches, 1, "all queued requests must merge");
+    assert_eq!(stats.batches, 1, "all requests must merge");
     assert_eq!(stats.max_batch, QUERIES.len() as u64);
-    for (queries, rx) in receivers {
-        let results = rx.recv().unwrap().unwrap();
-        assert_eq!(results.len(), queries.len());
+    assert_eq!(results.len(), requests.len());
+    for (queries, result) in requests.iter().zip(results) {
+        let result = result.unwrap();
+        assert_eq!(result.len(), queries.len());
         // Byte-identity per request against a solo evaluation.
-        for (query, rels) in queries.iter().zip(&results) {
+        for (query, rels) in queries.iter().zip(&result) {
             assert_eq!(rels, &session.query(query).unwrap());
         }
     }
@@ -551,6 +467,8 @@ fn a_store_truncated_in_place_answers_query_errors_and_keeps_serving() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// A batch that fails is re-dispatched per request: only the request
+/// naming an unknown data set fails, its batchmates are answered.
 #[test]
 fn coalescer_isolates_a_failing_request_from_its_batchmates() {
     let path = build_store();
@@ -558,15 +476,14 @@ fn coalescer_isolates_a_failing_request_from_its_batchmates() {
     let coalescer = Coalescer::new(Arc::clone(&session), 64);
     let good = polygamy_core::pql::parse_batch("between taxi and weather").unwrap();
     let bad = polygamy_core::pql::parse_batch("between nosuch and taxi").unwrap();
-    let rx_good = coalescer.submit(good.clone()).unwrap();
-    let rx_bad = coalescer.submit(bad).unwrap();
-    coalescer.dispatch_pending();
-    let good_results = rx_good.recv().unwrap().expect("innocent request succeeds");
-    assert_eq!(good_results[0], session.query(&good[0]).unwrap());
-    assert!(
-        rx_bad.recv().unwrap().is_err(),
-        "guilty request fails alone"
-    );
+    let results = coalescer.dispatch(&[&good, &bad, &good]);
+    // One merged dispatch that fails, then one per request.
+    assert_eq!(coalescer.stats().batches, 4);
+    let [first, guilty, last] = <[_; 3]>::try_from(results).unwrap();
+    let solo = session.query(&good[0]).unwrap();
+    assert_eq!(first.expect("innocent request succeeds")[0], solo);
+    assert!(guilty.is_err(), "guilty request fails alone");
+    assert_eq!(last.expect("innocent request succeeds")[0], solo);
     std::fs::remove_file(&path).unwrap();
 }
 
