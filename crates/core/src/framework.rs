@@ -420,8 +420,8 @@ mod tests {
         batch.add_dataset(tiny_dataset("c", 50));
         batch.build_index();
 
-        // NaN thresholds make struct equality vacuous; `Debug` prints
-        // every field, NaN as `NaN`.
+        // Undefined (NaN) field values make struct equality vacuous;
+        // `Debug` prints every field, NaN as `NaN`.
         assert_eq!(
             format!("{:?}", inc.index().unwrap()),
             format!("{:?}", batch.index().unwrap())
@@ -592,7 +592,7 @@ mod tests {
         use crate::executor::run_query;
         use crate::function::FunctionSpec;
         use polygamy_stdata::Resolution;
-        use polygamy_topology::{FeatureSet, FeatureSets, SeasonalThresholds, Thresholds};
+        use polygamy_topology::{FeatureSet, FeatureSets};
 
         // Hand-craft an index that claims zip-resolution functions against
         // a geometry that only has the city partition — the shape of a
@@ -610,11 +610,6 @@ mod tests {
                 features: FeatureSets {
                     salient: FeatureSet::empty(n_regions * n_steps),
                     extreme: FeatureSet::empty(n_regions * n_steps),
-                },
-                thresholds: SeasonalThresholds {
-                    interval_of_step: vec![0; n_steps],
-                    interval_ids: vec![0],
-                    per_interval: vec![Thresholds::none()],
                 },
                 field: None,
             }

@@ -10,7 +10,7 @@
 use crate::error::{Error, Result};
 use crate::function::FunctionSpec;
 use polygamy_stdata::{DatasetMeta, Resolution, ScalarField};
-use polygamy_topology::{FeatureSets, SeasonalThresholds};
+use polygamy_topology::FeatureSets;
 
 /// Catalog entry for one data set (the paper's Table 1 row).
 #[derive(Debug, Clone, PartialEq)]
@@ -43,8 +43,6 @@ pub struct FunctionEntry {
     /// Precomputed salient + extreme features, region-major: bit
     /// `x · n_steps + z` is region `x` at step `z`.
     pub features: FeatureSets,
-    /// The per-seasonal-interval thresholds that produced them.
-    pub thresholds: SeasonalThresholds,
     /// The scalar field a `thresholds` clause evaluates the user's thresholds
     /// on. Indexing always produces it; `None` on an entry a lazy session
     /// pinned hot-only, or read from a store written without its field blob.
@@ -219,7 +217,7 @@ impl PolygamyIndex {
 mod tests {
     use super::*;
     use polygamy_stdata::{SpatialResolution, TemporalResolution};
-    use polygamy_topology::{BitVec, FeatureClass, FeatureSet, RowWindows, Thresholds};
+    use polygamy_topology::{BitVec, FeatureClass, FeatureSet, RowWindows};
 
     fn entry(start: i64, steps: usize) -> FunctionEntry {
         FunctionEntry {
@@ -232,11 +230,6 @@ mod tests {
             features: FeatureSets {
                 salient: FeatureSet::empty(steps),
                 extreme: FeatureSet::empty(steps),
-            },
-            thresholds: SeasonalThresholds {
-                interval_of_step: vec![0; steps],
-                interval_ids: vec![0],
-                per_interval: vec![Thresholds::none()],
             },
             field: None,
         }
@@ -315,19 +308,8 @@ mod tests {
             }
             bits
         };
-        // Finite thresholds: an entry with NaN ones is not equal to itself.
-        let thresholds = Thresholds {
-            salient_pos: 1.0,
-            salient_neg: -1.0,
-            extreme_pos: 2.0,
-            extreme_neg: -2.0,
-        };
         FunctionEntry {
             n_regions,
-            thresholds: SeasonalThresholds {
-                per_interval: vec![thresholds],
-                ..entry(0, n_steps).thresholds
-            },
             features: FeatureSets {
                 salient: FeatureSet {
                     pos: bits(0),

@@ -438,7 +438,7 @@ mod tests {
         AttributeMeta, DatasetBuilder, DatasetMeta, GeoPoint, Resolution, SpatialResolution,
         TemporalResolution,
     };
-    use polygamy_topology::{FeatureSets, SeasonalThresholds, Thresholds};
+    use polygamy_topology::FeatureSets;
 
     /// Two city-resolution hourly data sets with attribute spikes at the
     /// same instants (strong positive relationship) plus an unrelated flat
@@ -682,11 +682,6 @@ mod tests {
             features: FeatureSets {
                 salient: FeatureSet::empty(steps),
                 extreme: FeatureSet::empty(steps),
-            },
-            thresholds: SeasonalThresholds {
-                interval_of_step: vec![0; steps],
-                interval_ids: vec![0],
-                per_interval: vec![Thresholds::none()],
             },
             field: None,
         }

@@ -76,7 +76,8 @@ pub fn identify_features(
         let adjacency = geometry
             .adjacency(field.resolution.spatial)
             .expect("field was computed from a geometry partition");
-        let (features, thresholds) = field_features(adjacency, &field);
+        // The thresholds only serve the scan; an entry keeps its features.
+        let (features, _) = field_features(adjacency, &field);
         FunctionEntry {
             spec,
             dataset_index,
@@ -85,7 +86,6 @@ pub fn identify_features(
             start_bucket: field.start_bucket,
             n_steps: field.n_steps,
             features,
-            thresholds,
             field: Some(field),
         }
     })

@@ -16,7 +16,7 @@ use polygamy_obs::{count, global, names};
 use polygamy_store::{PqlOutcome, StoreSession};
 use std::fmt::{self, Write as _};
 use std::io::{self, IoSliceMut, Read, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -162,6 +162,10 @@ struct Shared {
     draining: AtomicBool,
     conns: Mutex<Vec<JoinHandle<()>>>,
     hello: Vec<u8>,
+    /// Where a connection reaches the listener, which blocks in `accept`:
+    /// the bound address, or loopback of its family when that is
+    /// unspecified (`0.0.0.0`, `[::]`).
+    wake: SocketAddr,
     /// When the first drain trigger fired — the start of the interval
     /// `serve.drain_ns` measures.
     drain_started: Mutex<Option<Instant>>,
@@ -176,7 +180,8 @@ impl Shared {
     }
 
     /// Flips the server into drain mode: stop accepting, refuse new
-    /// requests, let admitted work finish. Idempotent.
+    /// requests, let admitted work finish. Idempotent. One connection to
+    /// the listener wakes the accept loop to see the flag.
     fn begin_drain(&self) {
         self.drain_started
             .lock()
@@ -187,6 +192,7 @@ impl Shared {
         // admission check sees in the same order.
         self.draining.store(true, Ordering::SeqCst);
         self.coalescer.close();
+        let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
     }
 }
 
@@ -241,8 +247,12 @@ impl Server {
         };
         let listener = TcpListener::bind(&addr)
             .map_err(|e| io::Error::new(e.kind(), format!("cannot bind {addr}: {e}")))?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
+        let wake = match local.ip() {
+            ip if !ip.is_unspecified() => local,
+            ip if ip.is_ipv4() => SocketAddr::new(Ipv4Addr::LOCALHOST.into(), local.port()),
+            _ => SocketAddr::new(Ipv6Addr::LOCALHOST.into(), local.port()),
+        };
         let hello = Hello {
             protocol: PROTOCOL_VERSION,
             server: format!("polygamy-serve {}", env!("CARGO_PKG_VERSION")),
@@ -257,6 +267,7 @@ impl Server {
             draining: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
             hello: hello.to_json().into_bytes(),
+            wake,
             drain_started: Mutex::new(None),
         });
         let flusher_stop = Arc::new(AtomicBool::new(false));
@@ -359,11 +370,13 @@ fn metrics_flusher(mut file: std::fs::File, stop: &AtomicBool) {
     }
 }
 
-/// Accepts until drain begins; non-blocking with a sleep tick so the
-/// drain flag is observed promptly.
+/// Accepts until drain begins. `accept` blocks; the drain's own wake-up
+/// connection (or a client's arriving after it) is dropped unserved. Only
+/// a failed `accept` (`EMFILE`, say) waits before the next.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     while !shared.draining() {
         match listener.accept() {
+            Ok(_) if shared.draining() => return,
             Ok((stream, _peer)) => {
                 let mut conns = shared.conns.lock().expect("conns poisoned");
                 // Join the connections that have ended, so a finished
@@ -385,9 +398,6 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 {
                     conns.push(handle);
                 }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
@@ -757,13 +767,11 @@ mod tests {
         }
     }
 
-    /// 200 sequential connect → hello → close cycles: the accept loop
-    /// joins ended connection threads as new connections arrive, so the
-    /// handles it keeps stay bounded by the connections still open.
-    #[test]
-    fn finished_connection_threads_are_reaped() {
+    /// A server on `addr` over an empty store saved at a path named by
+    /// `name`, which the caller removes.
+    fn empty_server(addr: &str, name: &str) -> (Server, PathBuf) {
         use polygamy_core::prelude::{CityGeometry, Config};
-        let path = std::env::temp_dir().join(format!("plst-reap-{}.plst", std::process::id()));
+        let path = std::env::temp_dir().join(format!("plst-{name}-{}.plst", std::process::id()));
         let mut dp = polygamy_core::DataPolygamy::new(
             CityGeometry::city_only(0.0, 0.0, 1.0, 1.0),
             Config::fast_test(),
@@ -771,18 +779,69 @@ mod tests {
         dp.build_index();
         polygamy_store::Store::save(&path, dp.geometry(), dp.index().unwrap()).unwrap();
         let session = Arc::new(StoreSession::open(&path).unwrap());
-        let server = Server::bind("127.0.0.1:0", session, ServeOptions::default()).unwrap();
+        let server = Server::bind(addr, session, ServeOptions::default()).unwrap();
+        (server, path)
+    }
+
+    /// Connects to `addr` and reads the greeting.
+    fn greeted(addr: SocketAddr) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let hello = crate::protocol::read_frame(&mut stream, MAX_FRAME_BYTES).unwrap();
+        assert_eq!(hello.unwrap().known_tag(), Some(FrameTag::Hello));
+        stream
+    }
+
+    /// Drains `server` as a host process does, failing instead of hanging
+    /// if the accept loop never wakes.
+    fn drain_within(server: Server, limit: Duration) {
+        let (done, drained) = std::sync::mpsc::channel();
+        server.shutdown();
+        std::thread::spawn(move || done.send(server.wait()));
+        assert!(drained.recv_timeout(limit).is_ok(), "no drain in {limit:?}");
+    }
+
+    /// 200 sequential connect → hello → close cycles: the accept loop
+    /// joins ended connection threads as new connections arrive, so the
+    /// handles it keeps stay bounded by the connections still open.
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let (server, path) = empty_server("127.0.0.1:0", "reap");
         let mut most = 0;
         for _ in 0..200 {
-            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-            let hello = crate::protocol::read_frame(&mut stream, MAX_FRAME_BYTES).unwrap();
-            assert_eq!(hello.unwrap().known_tag(), Some(FrameTag::Hello));
-            drop(stream);
+            drop(greeted(server.local_addr()));
             most = most.max(server.shared.conns.lock().unwrap().len());
         }
         assert!(most <= 8, "{most} connection handles kept");
-        server.shutdown();
-        server.wait();
+        drain_within(server, Duration::from_secs(10));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The accept loop blocks in `accept` rather than polling it, so a
+    /// connection is greeted at once: 200 sequential connect → hello →
+    /// close cycles take well under 2 s, where a 20 ms poll tick would
+    /// make them 4 s.
+    #[test]
+    fn sequential_connections_are_greeted_without_a_poll_tick() {
+        let (server, path) = empty_server("127.0.0.1:0", "greet");
+        let started = Instant::now();
+        for _ in 0..200 {
+            drop(greeted(server.local_addr()));
+        }
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(2), "200 greetings took {took:?}");
+        drain_within(server, Duration::from_secs(10));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A server bound to the unspecified address is woken for its drain
+    /// through loopback, and a client that reached it before is served.
+    #[test]
+    fn a_server_bound_to_the_unspecified_address_drains() {
+        let (server, path) = empty_server("0.0.0.0:0", "unspecified");
+        assert!(server.local_addr().ip().is_unspecified());
+        let port = server.local_addr().port();
+        drop(greeted(SocketAddr::new(Ipv4Addr::LOCALHOST.into(), port)));
+        drain_within(server, Duration::from_secs(10));
         std::fs::remove_file(&path).unwrap();
     }
 

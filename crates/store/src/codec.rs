@@ -1,7 +1,7 @@
 //! The explicit little-endian codec for on-disk structures.
 //!
 //! Every multi-byte integer is little-endian; floats are IEEE-754 bit
-//! patterns (NaN thresholds round-trip exactly); strings and sequences are
+//! patterns (NaN values round-trip exactly); strings and sequences are
 //! length-prefixed. Enums travel as the stable one-byte wire codes exposed
 //! by `polygamy_stdata` — never as `#[derive]`d discriminants, which are an
 //! implementation detail of the Rust compiler. The two structures an index
@@ -26,8 +26,7 @@ use polygamy_core::FunctionSpec;
 use polygamy_stdata::{
     AggregateKind, FunctionKind, Resolution, ScalarField, SpatialResolution, TemporalResolution,
 };
-use polygamy_topology::threshold::Thresholds;
-use polygamy_topology::{BitVec, FeatureSet, FeatureSets, SeasonalThresholds};
+use polygamy_topology::{BitVec, FeatureSet, FeatureSets};
 
 /// An append-only little-endian encoder.
 #[derive(Debug, Default)]
@@ -565,99 +564,6 @@ fn dec_feature_sets(d: &mut Dec<'_>, n_vertices: usize) -> Result<FeatureSets> {
     })
 }
 
-fn enc_thresholds(e: &mut Enc, t: &Thresholds) {
-    e.f64(t.salient_pos);
-    e.f64(t.salient_neg);
-    e.f64(t.extreme_pos);
-    e.f64(t.extreme_neg);
-}
-
-fn dec_thresholds(d: &mut Dec<'_>) -> Result<Thresholds> {
-    Ok(Thresholds {
-        salient_pos: d.f64()?,
-        salient_neg: d.f64()?,
-        extreme_pos: d.f64()?,
-        extreme_neg: d.f64()?,
-    })
-}
-
-/// The interval map `interval_of_step` is piecewise constant (a seasonal
-/// interval spans weeks of hourly steps), so it travels as `(id, run
-/// length)` pairs instead of one `i64` per time step.
-fn enc_seasonal(e: &mut Enc, s: &SeasonalThresholds) {
-    let runs: Vec<(i64, u64)> = s
-        .interval_of_step
-        .chunk_by(|a, b| a == b)
-        .map(|run| (run[0], run.len() as u64))
-        .collect();
-    e.usize(runs.len());
-    for (id, len) in runs {
-        e.i64(id);
-        e.u64(len);
-    }
-    e.usize(s.interval_ids.len());
-    for &id in &s.interval_ids {
-        e.i64(id);
-    }
-    e.usize(s.per_interval.len());
-    for t in &s.per_interval {
-        enc_thresholds(e, t);
-    }
-}
-
-/// Decodes seasonal thresholds whose interval map must cover exactly
-/// `n_steps` steps. The caller has already bounded `n_steps` by what it
-/// decoded — the entry's four bit vectors, grown from the bytes consumed,
-/// hold at least one bit per step — and the run lengths are summed —
-/// overflow-checked — and compared with it *before* the map is allocated,
-/// so the map (8 bytes a step) is at most 16 times the bytes of those
-/// vectors whatever the run lengths claim.
-fn dec_seasonal(d: &mut Dec<'_>, n_steps: usize) -> Result<SeasonalThresholds> {
-    let n_runs = d.seq_len(16)?;
-    let mut words = d.words(n_runs * 2)?;
-    let mut runs = Vec::with_capacity(n_runs);
-    let mut covered = 0usize;
-    while let (Some(id), Some(len)) = (words.next(), words.next()) {
-        let end = usize::try_from(len)
-            .ok()
-            .filter(|&len| len > 0)
-            .and_then(|len| covered.checked_add(len));
-        let Some(end) = end else {
-            return Err(StoreError::Corrupt(
-                "seasonal interval map: zero-length or overflowing run".into(),
-            ));
-        };
-        runs.push((id as i64, end - covered));
-        covered = end;
-    }
-    if covered != n_steps {
-        return Err(StoreError::Corrupt(format!(
-            "seasonal interval map runs cover {covered} steps, expected {n_steps}"
-        )));
-    }
-    let mut interval_of_step = Vec::with_capacity(n_steps);
-    for (id, len) in runs {
-        interval_of_step.extend(std::iter::repeat_n(id, len));
-    }
-    let n = d.seq_len(8)?;
-    let interval_ids: Vec<i64> = d.words(n)?.map(|w| w as i64).collect();
-    let n = d.seq_len(32)?;
-    let mut per_interval = Vec::with_capacity(n);
-    for _ in 0..n {
-        per_interval.push(dec_thresholds(d)?);
-    }
-    if interval_ids.len() != per_interval.len() {
-        return Err(StoreError::Corrupt(
-            "seasonal thresholds: interval ids and thresholds disagree".into(),
-        ));
-    }
-    Ok(SeasonalThresholds {
-        interval_of_step,
-        interval_ids,
-        per_interval,
-    })
-}
-
 /// Field blob mode `words`: a value is its 8-byte little-endian IEEE-754
 /// bit pattern.
 const MODE_WORDS: u8 = 0;
@@ -951,9 +857,8 @@ pub fn validate_field(bytes: &[u8], n_vertices: usize, what: &str) -> Result<()>
 }
 
 /// Encodes one function entry as its two blobs: the *hot* blob every
-/// query reads (spec, shape, feature bit vectors, seasonal thresholds)
-/// and, when the entry kept its scalar field, the *field* blob only
-/// `thresholds` clauses read.
+/// query reads (spec, shape, feature bit vectors) and, when the entry kept
+/// its scalar field, the *field* blob only `thresholds` clauses read.
 ///
 /// `dataset_index` is deliberately *not* part of either payload: it lives
 /// in the manifest's segment directory, so incremental upsert/remove can
@@ -975,11 +880,8 @@ pub(crate) fn encode_hot(entry: &FunctionEntry) -> (Vec<u8>, usize) {
     e.usize(entry.n_regions);
     e.i64(entry.start_bucket);
     e.usize(entry.n_steps);
-    let before = e.len();
+    let raw_len = e.len() + 4 * 8 + entry.features.approx_bytes();
     enc_feature_sets(&mut e, &entry.features);
-    let coded = e.len() - before;
-    enc_seasonal(&mut e, &entry.thresholds);
-    let raw_len = e.len() - coded + 4 * 8 + entry.features.approx_bytes();
     (e.into_bytes(), raw_len)
 }
 
@@ -1003,13 +905,12 @@ pub fn decode_function_segment(
         .checked_mul(n_steps)
         .filter(|_| n_regions >= 1)
         .ok_or_else(|| StoreError::Corrupt(format!("{what}: impossible entry shape")))?;
-    // The chain of bounds every later allocation stands on: each vector
-    // must declare `n_vertices` bits and grows only token by token, so once
-    // the four are decoded `n_vertices` is a number 256 bytes per byte
-    // consumed have spelled out — and `dec_seasonal` (8 bytes a step) and
-    // the field decoder (8 bytes a vertex) allocate under it.
+    // The bound every later allocation stands on: each vector must declare
+    // `n_vertices` bits and grows only token by token, so once the four are
+    // decoded `n_vertices` is a number 256 bytes per byte consumed have
+    // spelled out — and the field decoder (8 bytes a vertex) allocates
+    // under it.
     let features = dec_feature_sets(&mut d, n_vertices)?;
-    let thresholds = dec_seasonal(&mut d, n_steps)?;
     d.finish()?;
     // A field blob carries no shape of its own: it must hold exactly one
     // value per vertex of its entry, or slicing would panic later.
@@ -1031,7 +932,6 @@ pub fn decode_function_segment(
         start_bucket,
         n_steps,
         features,
-        thresholds,
         field,
     })
 }
@@ -1078,19 +978,6 @@ mod tests {
             start_bucket: -5,
             n_steps,
             features: FeatureSets { salient, extreme },
-            thresholds: SeasonalThresholds {
-                interval_of_step: (0..n_steps).map(|z| (z / 24) as i64).collect(),
-                interval_ids: vec![0, 1],
-                per_interval: vec![
-                    Thresholds {
-                        salient_pos: 3.0,
-                        salient_neg: -1.0,
-                        extreme_pos: f64::NAN,
-                        extreme_neg: f64::NAN,
-                    },
-                    Thresholds::none(),
-                ],
-            },
             field,
         }
     }
@@ -1099,9 +986,9 @@ mod tests {
         decode_function_segment(&blobs.0, blobs.1.as_deref(), 4, "test")
     }
 
-    /// Byte-level round trip: decode(encode(x)) re-encodes to the identical
-    /// bytes. (Struct equality is vacuous under NaN thresholds; byte
-    /// equality is exact and covers NaN via bit patterns.)
+    /// Round trip: decode(encode(x)) re-encodes to the identical bytes
+    /// (which covers the field's NaNs through their bit patterns), and the
+    /// hot blob alone decodes to the entry itself without its field.
     #[test]
     fn segment_roundtrip_bytes() {
         for (with_field, nr, ns) in [(true, 3, 50), (false, 1, 200), (true, 1, 1)] {
@@ -1110,17 +997,14 @@ mod tests {
             assert_eq!(blobs.1.is_some(), with_field);
             let back = decode(&blobs).unwrap();
             assert_eq!(encode_function_segment(&back), blobs);
-            assert_eq!(back.dataset_index, entry.dataset_index);
-            assert_eq!(back.spec, entry.spec);
-            assert_eq!(back.features, entry.features);
-            assert_eq!(
-                back.thresholds.interval_of_step,
-                entry.thresholds.interval_of_step
-            );
-            // The hot blob alone is the same entry without its field.
             let hot_only = decode_function_segment(&blobs.0, None, 4, "test").unwrap();
-            assert!(hot_only.field.is_none());
-            assert_eq!(encode_function_segment(&hot_only).0, blobs.0);
+            assert_eq!(
+                hot_only,
+                FunctionEntry {
+                    field: None,
+                    ..entry
+                }
+            );
         }
     }
 
@@ -1167,45 +1051,6 @@ mod tests {
         let mut blobs = encode_function_segment(&sample_entry(false, 1, 10));
         blobs.0.push(0);
         assert!(matches!(decode(&blobs), Err(StoreError::Corrupt(_))));
-    }
-
-    /// The interval map is run-length encoded: a year of hourly steps costs
-    /// a handful of pairs, and every way the runs can misstate the step
-    /// count is rejected before the map is allocated.
-    #[test]
-    fn interval_map_is_run_length_encoded_and_checked() {
-        let entry = sample_entry(false, 1, 8_760);
-        let (hot, _) = encode_function_segment(&entry);
-        assert!(hot.len() < 8 * 8_760, "hot blob is {} bytes", hot.len());
-        let back = decode_function_segment(&hot, None, 0, "test").unwrap();
-        assert_eq!(
-            back.thresholds.interval_of_step,
-            entry.thresholds.interval_of_step
-        );
-
-        // Locate the run list: it follows the four bit vectors.
-        let mut e = Enc::new();
-        enc_spec(&mut e, &entry.spec);
-        enc_resolution(&mut e, entry.resolution);
-        e.usize(entry.n_regions);
-        e.i64(entry.start_bucket);
-        e.usize(entry.n_steps);
-        enc_feature_sets(&mut e, &entry.features);
-        let runs_at = e.len();
-        let n_runs = 8_760usize.div_ceil(24);
-        assert_eq!(hot[runs_at..runs_at + 8], (n_runs as u64).to_le_bytes());
-        let first_len = runs_at + 16;
-        for bad_len in [0u64, 23, 25, u64::MAX, u64::MAX - 8_000] {
-            let mut bytes = hot.clone();
-            bytes[first_len..first_len + 8].copy_from_slice(&bad_len.to_le_bytes());
-            assert!(
-                matches!(
-                    decode_function_segment(&bytes, None, 0, "test"),
-                    Err(StoreError::Corrupt(_))
-                ),
-                "first run length {bad_len}"
-            );
-        }
     }
 
     fn bits(values: &[f64]) -> Vec<u64> {

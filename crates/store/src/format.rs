@@ -39,9 +39,9 @@ pub const MAGIC: [u8; 8] = *b"PLGYSTOR";
 /// Current format version. Bump whenever the codec's byte stream, the
 /// clause fingerprint derivation, the segment layout or the meaning of a
 /// stored bit changes; readers reject other versions with a typed error
-/// instead of guessing. Version 6 stores feature bit vectors region-major
-/// (bit `x · n_steps + z`); version 5 stored them time-major.
-pub const VERSION: u32 = 6;
+/// instead of guessing. Version 7 hot blobs end with the feature bit
+/// vectors; version 6 stored the seasonal thresholds after them.
+pub const VERSION: u32 = 7;
 
 /// Fixed header length in bytes.
 pub const HEADER_LEN: u64 = 40;

@@ -22,9 +22,8 @@
 //!           function (FunctionEntry): spec, resolution, window, salient/
 //!           extreme feature bit vectors, region-major (bit x·n_steps + z;
 //!           runs of all-zero and all-ones words between literal
-//!           stretches), seasonal thresholds
-//!           (interval map run-length encoded) — all a query reads
-//!           unless its clause overrides thresholds
+//!           stretches) — all a query reads unless its clause overrides
+//!           thresholds, and nothing else
 //! fields    one checksummed blob per function indexed with its scalar
 //!           field, time-major (vertex z·n_regions + x): a bit vector of
 //!           the defined values, then those values

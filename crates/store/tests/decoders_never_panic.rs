@@ -3,9 +3,9 @@
 //! length field overwritten with a huge value — yields `Ok` or a typed
 //! [`StoreError`], never a panic, an arithmetic overflow or an allocation
 //! sized by an unvalidated length (which would abort the test process).
-//! The hot blob's run-length interval map gets its own mutation (a run
-//! count or run length overwritten: run-sum overflow, runs that miss
-//! `n_steps`, zero-length runs), its word-run bit vectors are fed arbitrary
+//! The hot blob's shape gets its own mutation (`n_regions` or `n_steps`
+//! overwritten: a product that overflows, is zero, or misses the bits its
+//! vectors declare), its word-run bit vectors are fed arbitrary
 //! token streams behind a valid shape, round-trip bit for bit at the
 //! lengths around a word boundary, and a hot blob of under 100 bytes that
 //! declares 2⁴⁰ bits is refused within a counted allocation bound. The
@@ -17,7 +17,7 @@
 //! also through `validate_field`, the walk an eager open runs in place of
 //! the decode, which must agree word for word; and a manifest whose `field`
 //! location is hostile is driven through real sessions. Files of versions
-//! 1 to 3 are refused by version, not decoded.
+//! 1 to 6 are refused by version, not decoded.
 //!
 //! The sixth decoder, the geometry blob's, is JSON text rather than the
 //! binary codec, and is reached the way a reader reaches it: through
@@ -46,8 +46,7 @@ use polygamy_store::{
     blob_checksum, BlobLoc, Header, LazyIndex, Manifest, SegmentInfo, ShardCatalog, Store,
     StoreError, StoreSession, SHARD_CATALOG_VERSION, SHARD_MAGIC, VERSION,
 };
-use polygamy_topology::threshold::Thresholds;
-use polygamy_topology::{BitVec, FeatureSet, FeatureSets, SeasonalThresholds};
+use polygamy_topology::{BitVec, FeatureSet, FeatureSets};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -89,22 +88,27 @@ fn decode(kind: usize, bytes: &[u8]) -> Result<(), StoreError> {
     }
 }
 
-/// Offsets, in the valid hot blob, of the run count and of every run
-/// length of its run-length interval map.
-fn run_fields() -> &'static [usize] {
-    static FIELDS: OnceLock<Vec<usize>> = OnceLock::new();
-    FIELDS.get_or_init(|| {
+/// Offsets, in the valid hot blob, of its fixed-width `n_regions` and
+/// `n_steps`: they follow the spec and the resolution, around the start
+/// bucket.
+fn shape_fields() -> [usize; 2] {
+    static FIELDS: OnceLock<[usize; 2]> = OnceLock::new();
+    *FIELDS.get_or_init(|| {
         let hot = &valid_encodings()[HOT];
         let entry = decode_function_segment(hot, None, 0, "seed").unwrap();
-        let t = &entry.thresholds;
-        let n_runs = t.interval_of_step.chunk_by(|a, b| a == b).count();
-        // Behind the runs: the id list and the threshold list.
-        let tail = (8 + 8 * t.interval_ids.len()) + (8 + 32 * t.per_interval.len());
-        let runs_at = hot.len() - tail - 16 * n_runs - 8;
-        assert_eq!(hot[runs_at..runs_at + 8], (n_runs as u64).to_le_bytes());
-        std::iter::once(runs_at)
-            .chain((0..n_runs).map(|r| runs_at + 8 + 16 * r + 8))
-            .collect()
+        let mut e = Enc::new();
+        enc_spec(&mut e, &entry.spec);
+        enc_resolution(&mut e, entry.resolution);
+        let [regions_at, steps_at] = [e.len(), e.len() + 16];
+        assert_eq!(
+            hot[regions_at..regions_at + 8],
+            (entry.n_regions as u64).to_le_bytes()
+        );
+        assert_eq!(
+            hot[steps_at..steps_at + 8],
+            (entry.n_steps as u64).to_le_bytes()
+        );
+        [regions_at, steps_at]
     })
 }
 
@@ -116,8 +120,8 @@ fn sample_framework() -> DataPolygamy {
         description: "fuzz seed".into(),
     };
     let mut b = DatasetBuilder::new(meta).attribute(AttributeMeta::named("signal"));
-    // Long enough to cross a seasonal-interval boundary: the interval map
-    // has more than one run.
+    // Long enough to cross a seasonal-interval boundary: the features were
+    // scanned against more than one interval's thresholds.
     for h in 0..2_400i64 {
         let v = if h == 30 { 9.0 } else { (h % 24) as f64 * 0.1 };
         b.push(GeoPoint::new(0.5, 0.5), h * 3_600, &[v]).unwrap();
@@ -137,7 +141,7 @@ fn valid_encodings() -> &'static [Vec<u8>; 5] {
     VALID.get_or_init(|| {
         let dp = sample_framework();
         let index = dp.index().unwrap();
-        // The finest entry: the most steps, hence the most runs.
+        // The finest entry: the most steps, hence the most feature words.
         let finest = index.functions.iter().max_by_key(|f| f.n_steps).unwrap();
         let (hot, field) = encode_function_segment(finest);
         let field = field.expect("indexing keeps fields");
@@ -229,16 +233,16 @@ proptest! {
                 }
             }
             1 => bytes.truncate(positions[0] % bytes.len()),
-            // The run-length interval map: a run count or run length
-            // replaced — overflowing the run sum, missing `n_steps` by a
-            // little or a lot, or zero.
+            // The shape: `n_regions` or `n_steps` replaced — a product
+            // that overflows, is zero, or misses the vectors' bits by a
+            // little or a lot.
             3 if kind == HOT => {
-                let at = run_fields()[positions[0] % run_fields().len()];
+                let at = shape_fields()[positions[0] % 2];
                 bytes[at..at + 8].copy_from_slice(&huge.to_le_bytes());
-                // Any *different* run count or length breaks the cover.
+                // Any *different* shape breaks the vectors' headers.
                 prop_assert!(
                     bytes == *valid || decode(kind, &bytes).is_err(),
-                    "run field at {} = {}",
+                    "shape field at {} = {}",
                     at,
                     huge
                 );
@@ -369,8 +373,7 @@ fn hot_prefix(n_regions: u64, n_steps: u64) -> Vec<u8> {
     e.into_bytes()
 }
 
-/// A one-region, field-less entry over the four vectors' length, with one
-/// seasonal interval.
+/// A one-region, field-less entry over the four vectors' length.
 fn entry_with_features([sp, sn, ep, en]: [BitVec; 4]) -> FunctionEntry {
     let n_steps = sp.len();
     FunctionEntry {
@@ -383,11 +386,6 @@ fn entry_with_features([sp, sn, ep, en]: [BitVec; 4]) -> FunctionEntry {
         features: FeatureSets {
             salient: FeatureSet { pos: sp, neg: sn },
             extreme: FeatureSet { pos: ep, neg: en },
-        },
-        thresholds: SeasonalThresholds {
-            interval_of_step: vec![0; n_steps],
-            interval_ids: vec![0],
-            per_interval: vec![Thresholds::none()],
         },
         field: None,
     }
@@ -1034,7 +1032,7 @@ fn version_1_files_are_refused_by_version() {
             result,
             Err(StoreError::UnsupportedVersion {
                 found: 1,
-                supported: 6
+                supported: 7
             })
         ));
     }
@@ -1058,7 +1056,7 @@ fn version_2_files_are_refused_by_version() {
             result,
             Err(StoreError::UnsupportedVersion {
                 found: 2,
-                supported: 6
+                supported: 7
             })
         ));
     }
@@ -1073,7 +1071,7 @@ fn version_3_files_are_refused_by_version() {
             result,
             Err(StoreError::UnsupportedVersion {
                 found: 3,
-                supported: 6
+                supported: 7
             })
         ));
     }
@@ -1088,7 +1086,7 @@ fn version_4_files_are_refused_by_version() {
             result,
             Err(StoreError::UnsupportedVersion {
                 found: 4,
-                supported: 6
+                supported: 7
             })
         ));
     }
@@ -1096,8 +1094,7 @@ fn version_4_files_are_refused_by_version() {
 
 /// And a version-5 file (time-major feature bit vectors): its bytes decode
 /// as well as version 6's, but to features at other bits, so it is refused
-/// rather than answered from. The shard catalog's bytes did not change with
-/// formats 3 to 6, so its version is still 2.
+/// rather than answered from.
 #[test]
 fn version_5_files_are_refused_by_version() {
     for result in open_claiming_version(5) {
@@ -1105,9 +1102,26 @@ fn version_5_files_are_refused_by_version() {
             result,
             Err(StoreError::UnsupportedVersion {
                 found: 5,
-                supported: 6
+                supported: 7
             })
         ));
     }
-    assert_eq!((VERSION, SHARD_CATALOG_VERSION), (6, 2));
+}
+
+/// And a version-6 file (seasonal thresholds after the feature vectors of
+/// every hot blob): no hot-blob decoder that skips them is kept for it. The
+/// shard catalog's bytes did not change with formats 3 to 7, so its version
+/// is still 2.
+#[test]
+fn version_6_files_are_refused_by_version() {
+    for result in open_claiming_version(6) {
+        assert!(matches!(
+            result,
+            Err(StoreError::UnsupportedVersion {
+                found: 6,
+                supported: 7
+            })
+        ));
+    }
+    assert_eq!((VERSION, SHARD_CATALOG_VERSION), (7, 2));
 }

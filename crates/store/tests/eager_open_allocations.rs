@@ -72,13 +72,10 @@ fn sparse_dataset(name: &str, phase: i64) -> Dataset {
     b.build().expect("dataset builds")
 }
 
-/// What decoding `entry`'s hot blob leaves in memory: the entry itself,
-/// its four feature vectors and its seasonal thresholds.
+/// What decoding `entry`'s hot blob leaves in memory: the entry itself and
+/// its four feature vectors.
 fn decoded_hot_bytes(entry: &FunctionEntry) -> u64 {
-    let t = &entry.thresholds;
-    let seasonal =
-        8 * (t.interval_of_step.len() + t.interval_ids.len()) + 32 * t.per_interval.len();
-    (std::mem::size_of::<FunctionEntry>() + entry.features.approx_bytes() + seasonal) as u64
+    (std::mem::size_of::<FunctionEntry>() + entry.features.approx_bytes()) as u64
 }
 
 #[test]

@@ -12,11 +12,11 @@
 //!   worker count, and a corrupt store fails with the first failing
 //!   segment in directory order.
 
-use polygamy_core::index::{DatasetEntry, PolygamyIndex};
+use polygamy_core::index::{DatasetEntry, FunctionEntry, PolygamyIndex};
 use polygamy_core::prelude::*;
 use polygamy_core::DataPolygamy;
 use polygamy_mapreduce::Cluster;
-use polygamy_store::codec::encode_function_segment;
+use polygamy_store::codec::encode_field;
 use polygamy_store::{LoadFilter, SourceBackend, Store, StoreError, StoreSession};
 use std::path::PathBuf;
 
@@ -87,21 +87,29 @@ fn load_all(path: &PathBuf) -> PolygamyIndex {
     load(path).unwrap()
 }
 
-/// An index in its one serialisation — the catalog plus every function's
-/// owner and codec bytes — for equality that is exact on NaN thresholds,
-/// which `==` on the structs is not.
-type Encoded = (Vec<DatasetEntry>, Vec<(usize, (Vec<u8>, Option<Vec<u8>>))>);
+/// An index as a store holds it: the catalog, and every function as its
+/// hot-only entry — compared whole with `==` — beside its field blob's
+/// bytes, for equality that is exact on the fields' NaNs, which `==` on
+/// the values is not.
+type Encoded = (Vec<DatasetEntry>, Vec<(FunctionEntry, Option<Vec<u8>>)>);
 
 fn encoded(index: &PolygamyIndex) -> Encoded {
     let functions = index
         .functions
         .iter()
-        .map(|f| (f.dataset_index, encode_function_segment(f)))
+        .map(|f| {
+            let field = f.field.as_ref().map(|field| encode_field(&field.values));
+            let hot_only = FunctionEntry {
+                field: None,
+                ..f.clone()
+            };
+            (hot_only, field)
+        })
         .collect();
     (index.datasets.clone(), functions)
 }
 
-/// What the store at `path` holds, in the same form: the hot blobs as an
+/// What the store at `path` holds, in the same form: the entries as an
 /// eager session materializes them — its `index()` is hot-only, an eager
 /// open leaves the scalar fields encoded — and the field blobs as the
 /// manifest locates them in the file.
@@ -111,11 +119,11 @@ fn stored(path: &PathBuf) -> Encoded {
     let store = Store::open(path).unwrap();
     let segments = &store.manifest().segments;
     assert_eq!(segments.len(), index.functions.len());
-    let functions = (index.functions.iter().zip(segments))
+    let functions = (index.functions.into_iter().zip(segments))
         .map(|(f, info)| {
             assert_eq!(f.dataset_index, info.dataset_index);
             let field = (info.field).map(|loc| store.source().read(loc, "field blob").unwrap());
-            (f.dataset_index, (encode_function_segment(f).0, field))
+            (f, field)
         })
         .collect();
     (index.datasets, functions)
@@ -313,7 +321,7 @@ fn corruption_yields_typed_errors() {
         Store::open(&path),
         Err(StoreError::UnsupportedVersion {
             found: 0x7F,
-            supported: 6
+            supported: 7
         })
     ));
 
@@ -367,8 +375,7 @@ fn session_query_many_matches_single_queries() {
 #[test]
 fn geometry_missing_an_indexed_resolution_is_a_typed_error() {
     use polygamy_core::function::FunctionSpec;
-    use polygamy_core::index::{DatasetEntry, FunctionEntry, PolygamyIndex};
-    use polygamy_topology::{FeatureSet, FeatureSets, SeasonalThresholds, Thresholds};
+    use polygamy_topology::{FeatureSet, FeatureSets};
 
     let path = tmp_path("missing-geometry");
     let _cleanup = Cleanup(path.clone());
@@ -387,11 +394,6 @@ fn geometry_missing_an_indexed_resolution_is_a_typed_error() {
             features: FeatureSets {
                 salient: FeatureSet::empty(n_regions * n_steps),
                 extreme: FeatureSet::empty(n_regions * n_steps),
-            },
-            thresholds: SeasonalThresholds {
-                interval_of_step: vec![0; n_steps],
-                interval_ids: vec![0],
-                per_interval: vec![Thresholds::none()],
             },
             field: None,
         }

@@ -393,16 +393,16 @@ fn store_bytes_of_the_small_corpus_are_pinned() {
 }
 
 /// `(length, blob_checksum)` of the small corpus's store.
-const PINNED_SMALL_CORPUS_STORE: (usize, u64) = (15_200_180, 3_616_255_010_269_280_384);
+const PINNED_SMALL_CORPUS_STORE: (usize, u64) = (15_017_684, 15_781_313_015_620_836_942);
 
 /// What the small corpus's store *means*, pinned apart from the bytes that
 /// carry it: every entry, decoded by an eager session and by a lazy one,
-/// digests to these two checksums — the first over spec, shape, the four
-/// feature vectors' words, the threshold bits and the interval map; the
-/// second over every field value's bits, pinned lazily
-/// under a `thresholds` clause per data set. A store format change moves
-/// `PINNED_SMALL_CORPUS_STORE`; it moves these only if it changes what a
-/// vector's bits mean, as format 6 did for the hot digest.
+/// digests to these two checksums — the first over spec, shape and the four
+/// feature vectors' words; the second over every field value's bits, pinned
+/// lazily under a `thresholds` clause per data set. A store format change
+/// moves `PINNED_SMALL_CORPUS_STORE`; it moves these only if it changes
+/// what an entry holds or what a vector's bits mean, as formats 6 and 7 did
+/// for the hot digest.
 #[test]
 fn index_content_of_the_small_corpus_is_pinned() {
     let c = small_collection();
@@ -439,12 +439,13 @@ fn index_content_of_the_small_corpus_is_pinned() {
 }
 
 /// `(hot, field)` content digests of the small corpus's index. The hot
-/// digest is the one store format 5 decoded to (formats 3 and 4 without
-/// the merge-tree node count) with every feature vector re-laid
-/// region-major, bit `z · n_regions + x` moved to `x · n_steps + z`: format
-/// 6's layout. The field digest has not moved since format 3.
+/// digest is the one store format 6 decoded to with the seasonal
+/// thresholds left out, which format 7 no longer stores: format 6's was
+/// format 5's with every feature vector re-laid region-major, bit
+/// `z · n_regions + x` moved to `x · n_steps + z`. The field digest has not
+/// moved since format 3.
 const PINNED_SMALL_CORPUS_CONTENT: (u64, u64) =
-    (7_234_619_610_661_097_083, 14_612_133_017_079_297_574);
+    (11_482_620_933_855_836_933, 14_612_133_017_079_297_574);
 
 /// `blob_checksum` over the decoded parts of `entries`, in order: the
 /// hot parts, and the field values of those entries that carry one.
@@ -473,23 +474,6 @@ fn content_digest<'a>(entries: impl Iterator<Item = &'a FunctionEntry>) -> (u64,
                 &mut hot,
                 std::iter::once(bv.len() as u64).chain(bv.words().iter().copied()),
             );
-        }
-        let t = &e.thresholds;
-        put(
-            &mut hot,
-            t.interval_of_step
-                .iter()
-                .chain(&t.interval_ids)
-                .map(|&i| i as u64),
-        );
-        for th in &t.per_interval {
-            let bits = [
-                th.salient_pos,
-                th.salient_neg,
-                th.extreme_pos,
-                th.extreme_neg,
-            ];
-            put(&mut hot, bits.map(f64::to_bits));
         }
         if let Some(field) = &e.field {
             put(&mut fields, field.values.iter().map(|v| v.to_bits()));
