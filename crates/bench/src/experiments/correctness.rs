@@ -66,8 +66,8 @@ pub fn run(quick: bool) -> String {
     ] {
         let found = rels.iter().find(|r| {
             r.resolution == res
-                && r.left.function == "density"
-                && r.right.function == "density"
+                && &*r.left.function == "density"
+                && &*r.right.function == "density"
                 && r.class == FeatureClass::Salient
         });
         match found {

@@ -100,12 +100,12 @@ pub fn run(quick: bool) -> String {
     let mut recalled = 0;
     for &(a, b) in &open.planted_pairs {
         let (na, nb) = (
-            open.datasets[a].meta.name.clone(),
-            open.datasets[b].meta.name.clone(),
+            open.datasets[a].meta.name.as_str(),
+            open.datasets[b].meta.name.as_str(),
         );
         if rels.iter().any(|r| {
-            (r.left.dataset == na && r.right.dataset == nb)
-                || (r.left.dataset == nb && r.right.dataset == na)
+            (&*r.left.dataset == na && &*r.right.dataset == nb)
+                || (&*r.left.dataset == nb && &*r.right.dataset == na)
         }) {
             recalled += 1;
         }

@@ -39,7 +39,7 @@ use crate::framework::{CityGeometry, Config};
 use crate::function::FunctionRef;
 use crate::index::{DatasetEntry, IndexView};
 use crate::operator::{evaluate_unit, expand_pair_tasks, EvalCounts, OperandTable, UnitTask};
-use crate::query::RelationshipQuery;
+use crate::query::{Clause, RelationshipQuery};
 use crate::relationship::Relationship;
 use polygamy_mapreduce::run_weighted_tasks;
 use polygamy_obs::{count, names, stage};
@@ -62,8 +62,8 @@ struct Miss<'q> {
     /// Cache key: canonical dataset pair + clause fingerprint.
     key: (usize, usize, u64),
     /// The clause to evaluate under (clauses with equal fingerprints are
-    /// interchangeable by construction of [`crate::query::Clause::cache_key`]).
-    clause: &'q crate::query::Clause,
+    /// interchangeable by construction of [`Clause::cache_key`]).
+    clause: &'q Clause,
 }
 
 /// Orders the concatenations `a[0] ‖ a[1] ‖ …` and `b[0] ‖ b[1] ‖ …` as
@@ -137,19 +137,7 @@ fn resolve_collection(
 /// `(left, right)` combination with `left ≠ right`, oriented `(min, max)` —
 /// the operator is symmetric up to swapping sides, so `(a, b)` and `(b, a)`
 /// are one evaluation and one cache entry — each pair once.
-///
-/// This is both the executor's plan and its *footprint report*: a
-/// demand-paged store session calls it before evaluation to fault in, for
-/// each pair, the function segments of either side at the resolutions the
-/// other side also has (and
-/// [`Clause::admits_resolution`](crate::query::Clause::admits_resolution)
-/// admits) — task expansion pairs only entries sharing a resolution, so no
-/// other segment can appear in a task. That bound is exact in data set ×
-/// resolution and still loose in time: two entries at a shared resolution
-/// whose time windows do not overlap are read and then skipped. Unknown
-/// names yield the same [`Error::UnknownDataset`] the evaluation itself
-/// would.
-pub fn query_pairs(
+fn query_pairs(
     datasets: &[DatasetEntry],
     query: &RelationshipQuery,
 ) -> Result<Vec<(usize, usize)>> {
@@ -176,6 +164,78 @@ pub fn query_pairs(
     Ok(pairs)
 }
 
+/// A batch of queries resolved against a catalog and split by the query
+/// cache — the executor's *plan* stage, taken before anything is read.
+///
+/// It is also the batch's *footprint report*: a demand-paged store session
+/// plans first and then faults in, for each miss ([`QueryPlan::misses`]),
+/// the function segments of either side at the resolutions the other side
+/// also has (and
+/// [`Clause::admits_resolution`](crate::query::Clause::admits_resolution)
+/// admits) — task expansion pairs only entries sharing a resolution, so no
+/// other segment can appear in a task, and a pair the cache answers reads
+/// nothing. That bound is exact in data set × resolution and still loose in
+/// time: two entries at a shared resolution whose time windows do not
+/// overlap are read and then skipped.
+pub struct QueryPlan<'q> {
+    /// Per query, where each of its canonical pairs is answered from.
+    sources: Vec<Vec<PairSource>>,
+    /// The distinct (pair, clause) evaluations the cache could not answer,
+    /// in first-appearance order.
+    misses: Vec<Miss<'q>>,
+}
+
+impl<'q> QueryPlan<'q> {
+    /// Plans `queries` over `datasets`: resolves names (an unknown one is
+    /// [`Error::UnknownDataset`]), canonicalises each query's pairs and
+    /// looks every (pair, clause) up in `cache`. Identical (pair, clause)
+    /// requests of the batch are one miss. Without a cache every pair is a
+    /// miss.
+    pub fn new(
+        datasets: &[DatasetEntry],
+        cache: Option<&QueryCache>,
+        queries: &'q [RelationshipQuery],
+    ) -> Result<Self> {
+        let _plan = stage(names::CORE_STAGE_PLAN_NS);
+        let mut plan = Self {
+            sources: Vec::with_capacity(queries.len()),
+            misses: Vec::new(),
+        };
+        let mut miss_of: HashMap<(usize, usize, u64), usize> = HashMap::new();
+        for query in queries {
+            let pairs = query_pairs(datasets, query)?;
+            let clause_key = query.clause.cache_key();
+            let mut sources: Vec<PairSource> = Vec::with_capacity(pairs.len());
+            for pair in pairs {
+                let key = (pair.0, pair.1, clause_key);
+                if let Some(hit) = cache.and_then(|c| c.get(&key)) {
+                    sources.push(PairSource::Cached(hit));
+                    continue;
+                }
+                let misses = &mut plan.misses;
+                let mi = *miss_of.entry(key).or_insert_with(|| {
+                    misses.push(Miss {
+                        key,
+                        clause: &query.clause,
+                    });
+                    misses.len() - 1
+                });
+                sources.push(PairSource::Pending(mi));
+            }
+            plan.sources.push(sources);
+        }
+        Ok(plan)
+    }
+
+    /// The evaluations the batch owes, as `(left, right, clause)` with
+    /// `left < right` catalog positions: everything the rest of the
+    /// execution reads the index for. Empty when the cache answered the
+    /// whole batch.
+    pub fn misses(&self) -> impl ExactSizeIterator<Item = (usize, usize, &'q Clause)> + '_ {
+        (self.misses.iter()).map(|m| (m.key.0, m.key.1, m.clause))
+    }
+}
+
 /// Evaluates one relationship query: [`run_query_many`] on a batch of one.
 pub fn run_query<'a>(
     index: impl Into<IndexView<'a>>,
@@ -197,14 +257,15 @@ pub fn run_query<'a>(
 ///
 /// `index` is anything that converts into an [`IndexView`]: a whole
 /// `&PolygamyIndex`, or a view over just the entries a demand-paged session
-/// pinned for this batch (see [`query_pairs`]); results are identical
-/// whenever the view holds every entry the expansion reaches.
+/// pinned for this batch; results are identical whenever the view holds
+/// every entry the expansion reaches.
 ///
 /// Returns one result vector per input query, in input order. Pairs are
 /// deduplicated within each query (the operator is symmetric up to swapping
 /// left/right) and evaluations are deduplicated across the whole batch;
 /// per-pair results are served from `cache` keyed by the clause
-/// fingerprint and inserted on evaluation.
+/// fingerprint and inserted on evaluation. It is [`QueryPlan::new`]
+/// followed by [`run_plan`].
 pub fn run_query_many<'a>(
     index: impl Into<IndexView<'a>>,
     geometry: &CityGeometry,
@@ -213,44 +274,34 @@ pub fn run_query_many<'a>(
     queries: &[RelationshipQuery],
 ) -> Result<Vec<Vec<Relationship>>> {
     let index: IndexView<'a> = index.into();
-    count(names::CORE_QUERIES, queries.len() as u64);
+    let plan = QueryPlan::new(index.datasets(), Some(cache), queries)?;
+    run_plan(index, geometry, config, cache, plan)
+}
 
-    // ---- Plan: resolve names, canonicalise pairs, split hits from misses.
-    let plan_stage = stage(names::CORE_STAGE_PLAN_NS);
-    let mut n_hits = 0u64;
-    let mut n_misses = 0u64;
-    let mut misses: Vec<Miss> = Vec::new();
-    let mut miss_of: HashMap<(usize, usize, u64), usize> = HashMap::new();
-    let mut plans: Vec<Vec<PairSource>> = Vec::with_capacity(queries.len());
-    for query in queries {
-        let pairs = query_pairs(index.datasets(), query)?;
-        let clause_key = query.clause.cache_key();
-        let mut plan: Vec<PairSource> = Vec::with_capacity(pairs.len());
-        for pair in pairs {
-            let key = (pair.0, pair.1, clause_key);
-            match cache.get(&key) {
-                Some(hit) => {
-                    n_hits += 1;
-                    plan.push(PairSource::Cached(hit));
-                }
-                None => {
-                    n_misses += 1;
-                    let mi = *miss_of.entry(key).or_insert_with(|| {
-                        misses.push(Miss {
-                            key,
-                            clause: &query.clause,
-                        });
-                        misses.len() - 1
-                    });
-                    plan.push(PairSource::Pending(mi));
-                }
-            }
-        }
-        plans.push(plan);
-    }
-    drop(plan_stage);
-    count(names::CORE_QUERY_CACHE_HITS, n_hits);
-    count(names::CORE_QUERY_CACHE_MISSES, n_misses);
+/// Executes a plan made over `index`'s catalog: expands its misses into
+/// unit tasks, evaluates them on one shared pool, inserts each into
+/// `cache`, and stitches every query's answer from hits and fresh
+/// evaluations. `index` must hold every entry the misses' expansion
+/// reaches; a plan with no misses reads no entry at all.
+pub fn run_plan<'a>(
+    index: impl Into<IndexView<'a>>,
+    geometry: &CityGeometry,
+    config: &Config,
+    cache: &QueryCache,
+    plan: QueryPlan<'_>,
+) -> Result<Vec<Vec<Relationship>>> {
+    let index: IndexView<'a> = index.into();
+    let QueryPlan { sources, misses } = plan;
+    let pairs = sources.iter().flatten();
+    let n_hits = (pairs.clone())
+        .filter(|s| matches!(s, PairSource::Cached(_)))
+        .count();
+    count(names::CORE_QUERIES, sources.len() as u64);
+    count(names::CORE_QUERY_CACHE_HITS, n_hits as u64);
+    count(
+        names::CORE_QUERY_CACHE_MISSES,
+        (pairs.count() - n_hits) as u64,
+    );
 
     // ---- Expand every miss into its flat unit-task list (geometry is
     // validated here, on the coordinating thread).
@@ -324,8 +375,8 @@ pub fn run_query_many<'a>(
     // pair's run is the answer, several are merged by a stable sort (which
     // finds the runs; keys are unique per relationship, so the result is
     // the one total order however it is reached).
-    let mut out = Vec::with_capacity(plans.len());
-    for plan in plans {
+    let mut out = Vec::with_capacity(sources.len());
+    for plan in sources {
         let runs: Vec<&[Relationship]> = plan
             .iter()
             .map(|source| match source {
@@ -384,8 +435,8 @@ mod tests {
         sort_relationships(&mut rels);
         // NaN |τ| is the largest value in IEEE total order.
         assert!(rels[0].score().is_nan());
-        assert_eq!(rels[1].left.dataset, "c");
-        assert_eq!(rels[2].left.dataset, "a");
+        assert_eq!(&*rels[1].left.dataset, "c");
+        assert_eq!(&*rels[2].left.dataset, "a");
         // And sorting is idempotent (stable output on resort).
         let once = rels.clone();
         sort_relationships(&mut rels);
@@ -396,7 +447,7 @@ mod tests {
     fn sort_breaks_ties_by_name() {
         let mut rels = vec![rel("zeta", 0.5), rel("alpha", 0.5), rel("mid", 0.5)];
         sort_relationships(&mut rels);
-        let names: Vec<&str> = rels.iter().map(|r| r.left.dataset.as_str()).collect();
+        let names: Vec<&str> = rels.iter().map(|r| &*r.left.dataset).collect();
         assert_eq!(names, vec!["alpha", "mid", "zeta"]);
     }
 
@@ -434,9 +485,9 @@ mod tests {
                 for (k, &(spatial, temporal)) in resolutions.iter().enumerate() {
                     let n = i + j + k;
                     let mut r = rel(dataset, scores[n % scores.len()]);
-                    r.left.function = function.to_string();
-                    r.right.dataset = datasets[(n * 5 + 3) % datasets.len()].to_string();
-                    r.right.function = functions[(n * 3 + 1) % functions.len()].to_string();
+                    r.left.function = (*function).into();
+                    r.right.dataset = datasets[(n * 5 + 3) % datasets.len()].into();
+                    r.right.function = functions[(n * 3 + 1) % functions.len()].into();
                     r.resolution = Resolution::new(spatial, temporal);
                     for class in FeatureClass::ALL {
                         rels.push(Relationship { class, ..r.clone() });

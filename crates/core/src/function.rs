@@ -7,6 +7,7 @@
 
 use polygamy_stdata::{AggregateKind, Dataset, FunctionKind};
 use std::fmt;
+use std::sync::Arc;
 
 /// A scalar function derived from one data set.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -79,12 +80,16 @@ impl fmt::Display for FunctionSpec {
 }
 
 /// A `(dataset, function)` reference used in query results.
+///
+/// The names are shared: cloning a reference — as every relationship a
+/// query-cache hit hands out is cloned — copies two pointers, not the
+/// name bytes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FunctionRef {
     /// Data set name.
-    pub dataset: String,
+    pub dataset: Arc<str>,
     /// Function name.
-    pub function: String,
+    pub function: Arc<str>,
 }
 
 impl fmt::Display for FunctionRef {
@@ -96,8 +101,8 @@ impl fmt::Display for FunctionRef {
 impl From<&FunctionSpec> for FunctionRef {
     fn from(spec: &FunctionSpec) -> Self {
         Self {
-            dataset: spec.dataset.clone(),
-            function: spec.name.clone(),
+            dataset: spec.dataset.as_str().into(),
+            function: spec.name.as_str().into(),
         }
     }
 }

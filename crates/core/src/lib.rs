@@ -50,7 +50,7 @@ pub mod significance;
 
 pub use cache::{Fnv1a, QueryCache, ShardedLruCache};
 pub use error::{Error, Result};
-pub use executor::{query_pairs, run_query, run_query_many};
+pub use executor::{run_plan, run_query, run_query_many, QueryPlan};
 pub use framework::{index_dataset, CityGeometry, Config, DataPolygamy};
 pub use function::{FunctionRef, FunctionSpec};
 pub use index::{DatasetEntry, FunctionEntry, IndexStats, IndexView, PolygamyIndex};

@@ -483,7 +483,7 @@ mod tests {
         let rels = dp.relation("alpha", "beta").unwrap();
         let signal = rels
             .iter()
-            .find(|r| r.left.function == "avg(signal)" && r.right.function == "avg(signal)");
+            .find(|r| &*r.left.function == "avg(signal)" && &*r.right.function == "avg(signal)");
         let signal = signal.expect("planted signal~signal relationship missing");
         assert!(signal.score() > 0.8, "τ = {}", signal.score());
         assert!(signal.significant);
@@ -659,7 +659,7 @@ mod tests {
         // precomputed features — and nothing is cached under the clause.
         let err = run("alpha").unwrap_err();
         assert!(
-            matches!(&err, Error::MissingField(f) if f.dataset == "alpha"),
+            matches!(&err, Error::MissingField(f) if &*f.dataset == "alpha"),
             "{err:?}"
         );
         assert!(err.to_string().contains("alpha"));

@@ -23,7 +23,7 @@ use crate::function::FunctionRef;
 use polygamy_json as json;
 use polygamy_stdata::Resolution;
 use polygamy_topology::{FeatureClass, FeatureSet, FeatureWindow, SignCounts};
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 /// Raw counts and derived measures of one candidate relationship.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,11 +49,15 @@ impl RelationshipMeasures {
     }
 
     fn write_json(&self, out: &mut String) -> Result<(), json::Error> {
-        let _ = write!(
-            out,
-            "{{\"n_pos\":{},\"n_neg\":{},\"n_left\":{},\"n_right\":{},\"score\":",
-            self.n_pos, self.n_neg, self.n_left, self.n_right
-        );
+        out.push_str("{\"n_pos\":");
+        json::write_u64(out, self.n_pos as u64);
+        out.push_str(",\"n_neg\":");
+        json::write_u64(out, self.n_neg as u64);
+        out.push_str(",\"n_left\":");
+        json::write_u64(out, self.n_left as u64);
+        out.push_str(",\"n_right\":");
+        json::write_u64(out, self.n_right as u64);
+        out.push_str(",\"score\":");
         json::write_f64(out, self.score)?;
         out.push_str(",\"strength\":");
         json::write_f64(out, self.strength)?;
@@ -175,17 +179,20 @@ impl Relationship {
         write_function(out, &self.left);
         out.push_str(",\"right\":");
         write_function(out, &self.right);
-        let _ = write!(
-            out,
-            ",\"resolution\":{{\"spatial\":\"{}\",\"temporal\":\"{}\"}},\"class\":\"{}\",\"measures\":",
-            self.resolution.spatial.name(),
-            self.resolution.temporal.name(),
-            self.class.name()
-        );
+        out.push_str(",\"resolution\":{\"spatial\":\"");
+        out.push_str(self.resolution.spatial.name());
+        out.push_str("\",\"temporal\":\"");
+        out.push_str(self.resolution.temporal.name());
+        out.push_str("\"},\"class\":\"");
+        out.push_str(self.class.name());
+        out.push_str("\",\"measures\":");
         self.measures.write_json(out)?;
         out.push_str(",\"p_value\":");
         json::write_f64(out, self.p_value)?;
-        let _ = write!(out, ",\"significant\":{}}}", self.significant);
+        out.push_str(match self.significant {
+            true => ",\"significant\":true}",
+            false => ",\"significant\":false}",
+        });
         Ok(())
     }
 }

@@ -8,9 +8,9 @@
 //!
 //! **Writing** has no value tree: each boundary's hand-written codec
 //! appends its keys and values straight into one output `String`, through
-//! [`write_str`] for strings, [`write_f64`] for floats and [`write_array`]
-//! for arrays (integers and booleans print with `write!`). The rules, pinned by golden tests at
-//! every boundary:
+//! [`write_str`] for strings, [`write_f64`] for floats, [`write_u64`] for
+//! unsigned integers and [`write_array`] for arrays. The rules, pinned by
+//! golden tests at every boundary:
 //!
 //! * a float prints as `{:.1}` when it is integral and |f| < 1e15 (`2.0`,
 //!   `-0.0`, `999999999999999.0`) and with Rust's shortest round-trip
@@ -195,6 +195,22 @@ pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Appends `n` to `out` in decimal, as `{n}` prints it.
+pub fn write_u64(out: &mut String, n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut rest = n;
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
 /// Appends `f` to `out` under the float rule (see the crate docs):
 /// integral floats below 1e15 keep a `.0`, so they read back as floats.
 pub fn write_f64(out: &mut String, f: f64) -> Result<(), Error> {
@@ -203,7 +219,13 @@ pub fn write_f64(out: &mut String, f: f64) -> Result<(), Error> {
     } else if f.is_infinite() {
         return Err(Error::NonFinite);
     } else if f.fract() == 0.0 && f.abs() < 1e15 {
-        let _ = write!(out, "{f:.1}");
+        // Exactly an integer below 2⁵⁰: the cast is lossless, and `{:.1}`
+        // of it is its digits, `.0` and the sign — of `-0.0` too.
+        if f.is_sign_negative() {
+            out.push('-');
+        }
+        write_u64(out, f.abs() as u64);
+        out.push_str(".0");
     } else {
         let _ = write!(out, "{f}");
     }

@@ -86,8 +86,40 @@ use polygamy_store::{
 };
 use std::io::{BufRead, IsTerminal, Write};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Writes one line to standard output through [`emit`], returning its
+/// error from the enclosing function.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))?
+    };
+}
+
+/// Every line the CLI prints goes through here. A reader that stops
+/// early (`inspect --verify | head -3`) closes the pipe, and the write
+/// after that fails with `BrokenPipe`: that is the end of output, not an
+/// error — later lines are dropped and the command runs to its end, so a
+/// `build` still writes its store and `serve` keeps serving. Any other
+/// write failure is the command's error.
+fn emit(text: std::fmt::Arguments<'_>) -> Result<(), String> {
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    // ordering: Relaxed — the flag only drops output; nothing else is
+    // published through it.
+    if CLOSED.load(Ordering::Relaxed) {
+        return Ok(());
+    }
+    match std::io::stdout().lock().write_fmt(text) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            // ordering: Relaxed — as above.
+            CLOSED.store(true, Ordering::Relaxed);
+            Ok(())
+        }
+        written => written.map_err(|e| format!("cannot write to standard output: {e}")),
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -158,7 +190,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         dp.add_dataset(d.clone());
     }
     let report = dp.build_index();
-    println!(
+    outln!(
         "indexed {} data sets in {:.2}s",
         report.per_dataset.len(),
         report.total_secs
@@ -166,7 +198,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     // Where the time went, from the registry (docs/observability.md).
     let count = |name| polygamy_obs::global().counter(name).get();
     let ms = |name| count(name) as f64 / 1e6;
-    println!(
+    outln!(
         "  stages: scalar {:.0} ms wall, {} record(s) located; trees {:.0} ms, thresholds {:.0} ms, \
          features {:.0} ms of worker time over {} field(s) ({} plateau swept), {} of {} vertices \
          defined, {} of them in the +0.0 run",
@@ -188,7 +220,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         print_shard_summary(path, &catalog)?;
     } else {
         let store = Store::save(path, dp.geometry(), index).map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "wrote {path}: {} bytes, {} segments",
             store.file_bytes().map_err(|e| e.to_string())?,
             store.manifest().segments.len()
@@ -201,7 +233,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
             raw as f64 / stored.max(1) as f64
         )
     };
-    println!(
+    outln!(
         "  save: encode {:.0} ms, write {:.0} ms, hot {}, fields {}",
         ms(names::STORE_SAVE_ENCODE_NS),
         ms(names::STORE_SAVE_WRITE_NS),
@@ -220,7 +252,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
 /// One line per shard file: name, size and owned data sets. Shared by
 /// `build --shards` and `shard`, which produce identical layouts.
 fn print_shard_summary(catalog_path: &str, catalog: &ShardCatalog) -> Result<(), String> {
-    println!(
+    outln!(
         "wrote shard catalog {catalog_path}: {} data set(s) over {} shard(s)",
         catalog.datasets.len(),
         catalog.n_shards()
@@ -233,7 +265,7 @@ fn print_shard_summary(catalog_path: &str, catalog: &ShardCatalog) -> Result<(),
             .into_iter()
             .map(|di| catalog.datasets[di].meta.name.as_str())
             .collect();
-        println!(
+        outln!(
             "  shard {shard}: {} ({bytes} bytes) — {}",
             file.display(),
             if owned.is_empty() {
@@ -277,7 +309,7 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
         return Err(format!("merge: {catalog_path} is not a shard catalog"));
     }
     let store = merge_shards(catalog_path, out).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "wrote {out}: {} bytes, {} segments",
         store.file_bytes().map_err(|e| e.to_string())?,
         store.manifest().segments.len()
@@ -298,34 +330,36 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
     let store = Store::open(path).map_err(|e| e.to_string())?;
     let header = store.header();
     let manifest = store.manifest();
-    println!(
+    outln!(
         "store {path}: format {}, {} bytes on disk",
         header.version,
         store.file_bytes().map_err(|e| e.to_string())?
     );
-    println!(
+    outln!(
         "manifest: offset {} len {} sum {:#018x}",
-        header.manifest_offset, header.manifest_len, header.manifest_checksum
+        header.manifest_offset,
+        header.manifest_len,
+        header.manifest_checksum
     );
-    println!("catalog ({} data sets):", manifest.datasets.len());
+    outln!("catalog ({} data sets):", manifest.datasets.len());
     let (mut hot_total, mut field_total) = (0u64, 0u64);
     for (di, d) in manifest.datasets.iter().enumerate() {
         let field = manifest.dataset_field_bytes(di);
         let hot = manifest.dataset_disk_bytes(di) - field;
         hot_total += hot;
         field_total += field;
-        println!(
+        outln!(
             "  [{di}] {:<14} {:>9} records, {:>6} specs, {hot:>10} hot bytes, {field:>10} field bytes",
             d.meta.name, d.n_records, d.n_specs,
         );
     }
-    println!("segments ({}):", manifest.segments.len());
+    outln!("segments ({}):", manifest.segments.len());
     for s in &manifest.segments {
         let field = match s.field {
             Some(f) => format!("field offset {:>10} len {:>9}", f.offset, f.len),
             None => "no field".to_string(),
         };
-        println!(
+        outln!(
             "  {:<14} {:<14} {:<22} hot offset {:>10} len {:>9} sum {:#018x}, {field}",
             manifest.datasets[s.dataset_index].meta.name,
             s.function,
@@ -335,7 +369,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
             s.loc.checksum,
         );
     }
-    println!(
+    outln!(
         "segment payload: {hot_total} hot + {field_total} field bytes across {} segment(s), \
          geometry {} bytes",
         manifest.segments.len(),
@@ -346,7 +380,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
         // exact serving read path is what gets exercised.
         let lazy = LazyIndex::new(store).map_err(|e| e.to_string())?;
         let checked = lazy.verify_all().map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "verify: geometry + {checked} segment(s) OK ({} bytes read)",
             lazy.bytes_fetched()
         );
@@ -354,7 +388,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
     // This process's registry view: how many bytes inspection itself
     // fetched, and any cache/fault traffic a --verify pass generated.
     let snap = polygamy_obs::global().snapshot();
-    println!(
+    outln!(
         "registry: {} byte(s) fetched, {} segment fault(s), {} segment cache hit(s), \
          {} eviction(s), {} checksum verification(s) ({} failed)",
         snap.counter(names::STORE_BYTES_FETCHED),
@@ -376,20 +410,23 @@ fn cmd_inspect_sharded(path: &str, verify: bool) -> Result<(), String> {
     // open that records each broken shard instead of failing outright.
     let lazy = LazyIndex::open(path).map_err(|e| e.to_string())?;
     let catalog = lazy.shard_catalog();
-    println!(
+    outln!(
         "shard catalog {path}: format {SHARD_CATALOG_VERSION}, shard files store format {VERSION}, \
          {} data set(s) over {} shard(s)",
         catalog.datasets.len(),
         catalog.n_shards()
     );
-    println!("catalog ({} data sets):", catalog.datasets.len());
+    outln!("catalog ({} data sets):", catalog.datasets.len());
     for (di, d) in catalog.datasets.iter().enumerate() {
-        println!(
+        outln!(
             "  [{di}] {:<14} shard {:>2}, {:>9} records, {:>6} specs",
-            d.meta.name, catalog.shard_of[di], d.n_records, d.n_specs,
+            d.meta.name,
+            catalog.shard_of[di],
+            d.n_records,
+            d.n_specs,
         );
     }
-    println!("shards ({}):", catalog.n_shards());
+    outln!("shards ({}):", catalog.n_shards());
     for shard in 0..catalog.n_shards() {
         let file = catalog.shard_path(std::path::Path::new(path), shard);
         let status = match lazy.unavailable_reason(shard) {
@@ -404,7 +441,7 @@ fn cmd_inspect_sharded(path: &str, verify: bool) -> Result<(), String> {
             .into_iter()
             .map(|di| catalog.datasets[di].meta.name.as_str())
             .collect();
-        println!(
+        outln!(
             "  shard {shard}: {} — {status} — {}",
             file.display(),
             if owned.is_empty() {
@@ -416,7 +453,7 @@ fn cmd_inspect_sharded(path: &str, verify: bool) -> Result<(), String> {
     }
     if verify {
         let checked = lazy.verify_all().map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "verify: geometry + {checked} segment(s) OK across {} shard(s) ({} bytes read)",
             catalog.n_shards(),
             lazy.bytes_fetched()
@@ -503,9 +540,9 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     let json = args.has("--json");
     for outcome in &outcomes {
         if json {
-            println!("{}", outcome.to_json());
+            outln!("{}", outcome.to_json());
         } else {
-            println!("{}", outcome.render_text());
+            outln!("{}", outcome.render_text());
         }
     }
     // A traced batch shares one whole-batch trace; print it once, on
@@ -525,7 +562,7 @@ fn cmd_repl(args: &[String]) -> Result<(), String> {
     let session = open_session(path, &args)?;
     let interactive = std::io::stdin().is_terminal();
     if interactive {
-        println!(
+        outln!(
             "polygamy-store repl — {} data set(s) {} from {path}: {}",
             session.catalog().len(),
             if session.is_lazy() {
@@ -538,13 +575,13 @@ fn cmd_repl(args: &[String]) -> Result<(), String> {
                 .collect::<Vec<_>>()
                 .join(", ")
         );
-        println!("type a PQL query, or :help / :quit");
+        outln!("type a PQL query, or :help / :quit");
     }
     let stdin = std::io::stdin();
     let mut line = String::new();
     loop {
         if interactive {
-            print!("pql> ");
+            emit(format_args!("pql> "))?;
             std::io::stdout().flush().map_err(|e| e.to_string())?;
         }
         line.clear();
@@ -562,7 +599,7 @@ fn cmd_repl(args: &[String]) -> Result<(), String> {
         match input {
             ":quit" | ":q" | ":exit" => break,
             ":help" | ":h" => {
-                println!(
+                outln!(
                     "PQL: between <collection> and <collection> [where <predicates>]\n\
                      \x20 e.g. between taxi, weather and * where score >= 0.6 and \
                      class = salient\n\
@@ -576,10 +613,10 @@ fn cmd_repl(args: &[String]) -> Result<(), String> {
             }
             ":datasets" => {
                 for d in session.catalog() {
-                    println!("{}", d.meta.name);
+                    outln!("{}", d.meta.name);
                 }
             }
-            _ => repl_eval(&session, input),
+            _ => repl_eval(&session, input)?,
         }
     }
     Ok(())
@@ -589,12 +626,12 @@ fn cmd_repl(args: &[String]) -> Result<(), String> {
 /// print and return. A leading `explain` runs the query with a trace
 /// collector installed and appends the trace report — the results
 /// themselves are byte-identical to the plain run.
-fn repl_eval(session: &StoreSession, src: &str) {
+fn repl_eval(session: &StoreSession, src: &str) -> Result<(), String> {
     let (query, explain) = match parse_query_maybe_explain(src) {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("{}", e.render(src));
-            return;
+            return Ok(());
         }
     };
     // Re-execute from the canonical rendering: `parse(print(q)) == q`,
@@ -607,14 +644,15 @@ fn repl_eval(session: &StoreSession, src: &str) {
     };
     match result {
         Ok(outcome) => {
-            println!("{}", outcome.render_text());
+            outln!("{}", outcome.render_text());
             if let Some(t) = &outcome.trace {
-                println!("trace: {}", t.to_json());
+                outln!("trace: {}", t.to_json());
             }
         }
         Err(PqlServeError::Parse(e)) => eprintln!("{}", e.render(&canonical)),
         Err(PqlServeError::Execute(e)) => eprintln!("polygamy-store: {e}"),
     }
+    Ok(())
 }
 
 /// `serve <path>`: the long-running network daemon (`docs/serving.md`).
@@ -649,7 +687,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let session = Arc::new(open_session(path, &args)?);
     let server = Server::bind(addr, Arc::clone(&session), opts.clone())
         .map_err(|e| format!("serve: {e}"))?;
-    println!(
+    outln!(
         "polygamy-serve: serving {} data set(s) from {path} on {} \
          (max-inflight {}, read timeout {:?})",
         session.catalog().len(),
@@ -659,7 +697,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     );
     std::io::stdout().flush().ok();
     let stats = server.wait();
-    println!(
+    outln!(
         "polygamy-serve: drained — {} request(s), {} query(ies) in {} dispatch(es), \
          largest {} (mean {:.2} queries/dispatch)",
         stats.requests,

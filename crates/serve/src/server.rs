@@ -635,19 +635,18 @@ fn handle_query(stream: &mut TcpStream, shared: &Shared, payload: &[u8]) -> bool
             // request order — each line is byte-identical to what
             // `polygamy-store query --json` prints for that query alone
             // (docs/serving.md §5).
-            let body = queries
-                .into_iter()
-                .zip(results)
-                .map(|(query, relationships)| {
-                    PqlOutcome {
-                        query,
-                        relationships,
-                        trace: None,
-                    }
-                    .to_json()
-                })
-                .collect::<Vec<_>>()
-                .join("\n");
+            let mut body = String::new();
+            for (i, (query, relationships)) in queries.into_iter().zip(results).enumerate() {
+                if i > 0 {
+                    body.push('\n');
+                }
+                let outcome = PqlOutcome {
+                    query,
+                    relationships,
+                    trace: None,
+                };
+                outcome.write_json(&mut body);
+            }
             write_frame(stream, FrameTag::Result, body.as_bytes()).is_ok()
         }
         Err(e) => send_error(stream, &WireError::new("query", e.to_string())).is_ok(),

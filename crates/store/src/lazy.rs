@@ -15,8 +15,9 @@
 //!   fetches the field blob only for data sets the query's `thresholds`
 //!   clause names; every other fault never touches field bytes;
 //! * **pair-exact faulting** — before evaluation, the executor's plan
-//!   ([`polygamy_core::query_pairs`]) names the data set pairs a query
-//!   evaluates; for each pair, only the segments of either side at a
+//!   ([`polygamy_core::QueryPlan`]) names the data set pairs a batch
+//!   evaluates and splits off those the query cache answers; for each
+//!   pair that missed, only the segments of either side at a
 //!   resolution the *other* side also has — and the clause's resolution
 //!   filter
 //!   ([`Clause::admits_resolution`](polygamy_core::query::Clause::admits_resolution))
@@ -27,9 +28,10 @@
 //!   The bound is exact in data set × resolution and still loose in time:
 //!   two entries at a shared resolution whose time windows do not overlap
 //!   are read and then skipped by the executor (the windows are in the
-//!   blobs, not in the directory). `store.pin.segments` and
-//!   `store.pin.skipped` in a query's trace say what a pin read and what
-//!   naming the data sets alone would have added;
+//!   blobs, not in the directory). A cached pair pins nothing.
+//!   `store.pin.segments` and `store.pin.skipped` in a query's trace say
+//!   what a pin read and what naming the missed pairs' data sets alone
+//!   would have added;
 //! * **once-only verification** — each blob's checksum is checked on
 //!   *first* access and the verdict is recorded in an atomic per-blob
 //!   cell (two per directory entry). Re-faults after LRU eviction skip
@@ -80,7 +82,7 @@ use crate::source::SegmentSource;
 use crate::store::{per_segment, segment_bytes, Store, COPY_PS_PER_BYTE, OPEN_PS_PER_BYTE};
 use polygamy_core::index::{DatasetEntry, FunctionEntry, PolygamyIndex};
 use polygamy_core::query::RelationshipQuery;
-use polygamy_core::{query_pairs, CityGeometry, ShardedLruCache};
+use polygamy_core::{CityGeometry, Error, QueryPlan, ShardedLruCache};
 use polygamy_mapreduce::Cluster;
 use polygamy_obs::{count, names, stage, Counter};
 use polygamy_stdata::Resolution;
@@ -344,25 +346,33 @@ impl LazyIndex {
             .load_geometry()
     }
 
-    /// Faults in every segment any of `queries` can touch,
-    /// returning the decoded entries in directory (canonical) order.
+    /// Faults in every segment any of `queries` can touch, as if nothing
+    /// were cached — the page-in a session makes for a plan whose every
+    /// pair missed the query cache — returning the decoded entries in
+    /// directory (canonical) order. A batch naming a data set in an
+    /// unavailable file is rejected with [`StoreError::ShardUnavailable`]
+    /// before anything is read.
+    pub fn pin_for(&self, queries: &[RelationshipQuery]) -> Result<Vec<Arc<FunctionEntry>>> {
+        self.require_named(queries)?;
+        self.pin_plan(&QueryPlan::new(self.catalog(), None, queries)?)
+    }
+
+    /// Faults in every segment the misses of `plan` can touch, returning
+    /// the decoded entries in directory (canonical) order.
     ///
     /// This is the serving path's page-in step: the returned entries back
     /// an [`polygamy_core::IndexView`] whose expansion order — and
     /// therefore whose output — is byte-identical to an eager load's and
     /// the same for any shard count, because all enumerate the one global
-    /// directory in order. What a query can touch is, for each of its
-    /// pairs ([`query_pairs`]), the segments of either side at a resolution
-    /// the clause admits and the *other* side also has; entries of data
-    /// sets the query's `thresholds` clause names come with their scalar
-    /// field (its only reader is the operator's threshold override), all
-    /// others are pinned field-less.
-    ///
-    /// A batch naming a data set in an unavailable file is rejected with
-    /// [`StoreError::ShardUnavailable`] before anything is read or
-    /// evaluated; every batch that avoids the broken file keeps serving.
-    pub fn pin_for(&self, queries: &[RelationshipQuery]) -> Result<Vec<Arc<FunctionEntry>>> {
-        let footprint = self.footprint(queries)?;
+    /// directory in order. What a miss can touch is the segments of either
+    /// side of its pair at a resolution its clause admits and the *other*
+    /// side also has; entries of data sets the clause's `thresholds` names
+    /// come with their scalar field (its only reader is the operator's
+    /// threshold override), all others are pinned field-less. A pair the
+    /// query cache answered pins nothing, so a batch answered from the
+    /// cache alone reads, faults and pins nothing.
+    pub(crate) fn pin_plan(&self, plan: &QueryPlan<'_>) -> Result<Vec<Arc<FunctionEntry>>> {
+        let footprint = self.footprint(plan);
         let mut hits = 0;
         let pinned = (footprint.iter().enumerate())
             .filter_map(|(i, n)| n.map(|with_field| self.entry(i, with_field, &mut hits)))
@@ -372,15 +382,15 @@ impl LazyIndex {
     }
 
     /// What an eager session adds to its resident hot-only entries for
-    /// `queries`: per segment, in [`LazyIndex::load`]'s order, the
-    /// entry with its scalar field where a `thresholds` clause of the batch
-    /// can reach it — faulted like any lazy pin, through the same verdicts
-    /// and the same bounded decode cache.
+    /// `plan`: per segment, in [`LazyIndex::load`]'s order, the entry with
+    /// its scalar field where a `thresholds` clause of a miss can reach
+    /// it — faulted like any lazy pin, through the same verdicts and the
+    /// same bounded decode cache.
     pub(crate) fn pin_fields_for(
         &self,
-        queries: &[RelationshipQuery],
+        plan: &QueryPlan<'_>,
     ) -> Result<Vec<Option<Arc<FunctionEntry>>>> {
-        let footprint = self.footprint(queries)?;
+        let footprint = self.footprint(plan);
         let mut hits = 0;
         let pinned = (footprint.iter().enumerate())
             .map(|(i, n)| match n {
@@ -392,46 +402,56 @@ impl LazyIndex {
         pinned
     }
 
-    /// Per directory entry: `None` when no query of the batch can reach
-    /// it, else whether one of them needs its scalar field. Checks shard
-    /// availability for every data set the batch names, pair or no pair.
-    fn footprint(&self, queries: &[RelationshipQuery]) -> Result<Vec<Option<bool>>> {
-        let datasets = &self.catalog.datasets;
+    /// Rejects a batch naming a data set whose file failed to open, with
+    /// [`StoreError::ShardUnavailable`] — whether the cache would answer
+    /// its pairs or not, and for a named data set that forms no pair
+    /// (`between A and A`). Queries are checked in order, each for unknown
+    /// names first (the [`polygamy_core::Error::UnknownDataset`] its plan
+    /// would raise), so the first failing query decides the error. With
+    /// every file open there is nothing to check.
+    pub(crate) fn require_named(&self, queries: &[RelationshipQuery]) -> Result<()> {
+        if self.files.iter().all(|f| f.is_ok()) {
+            return Ok(());
+        }
+        let all = 0..self.catalog.datasets.len();
+        for query in queries {
+            let mut named = Vec::new();
+            for collection in [&query.left, &query.right] {
+                let Some(list) = collection else {
+                    named.extend(all.clone());
+                    continue;
+                };
+                for name in list {
+                    let di = self.catalog.dataset_index(name);
+                    named.push(di.map_err(|_| Error::UnknownDataset(name.clone()))?);
+                }
+            }
+            self.require_files_of(named)?;
+        }
+        Ok(())
+    }
+
+    /// Per directory entry: `None` when no miss of `plan` can reach it,
+    /// else whether one of them needs its scalar field.
+    fn footprint(&self, plan: &QueryPlan<'_>) -> Vec<Option<bool>> {
         // Per data set, the resolutions to pin, those among them to pin
-        // with the field, and those that naming the data set alone — the
-        // bound before pairs were looked at — would have pinned.
-        let mut pinned: Vec<ResolutionSet> = vec![0; datasets.len()];
+        // with the field, and those that naming the pair's data sets alone
+        // — the bound before pairs were looked at — would have pinned.
+        let mut pinned: Vec<ResolutionSet> = vec![0; self.catalog.datasets.len()];
         let mut with_field = pinned.clone();
         let mut named = pinned.clone();
-        for query in queries {
-            let pairs = query_pairs(datasets, query)?;
-            let admitted = match &query.clause.resolutions {
+        for (a, b, clause) in plan.misses() {
+            let admitted = match &clause.resolutions {
                 None => ResolutionSet::MAX,
                 Some(list) => list.iter().fold(0, |set, &r| set | resolution_bit(r)),
             };
-            for collection in [&query.left, &query.right] {
-                let named_here: Vec<usize> = match collection {
-                    None => (0..datasets.len()).collect(),
-                    // Unknown names did not get past `query_pairs`.
-                    Some(list) => (list.iter())
-                        .filter_map(|name| self.catalog.dataset_index(name).ok())
-                        .collect(),
-                };
-                self.require_files_of(named_here.iter().copied())?;
-                for di in named_here {
-                    named[di] |= self.resolutions[di] & admitted;
-                }
-            }
-            let overridden: Vec<usize> = (query.clause.thresholds.iter())
-                .filter_map(|t| self.catalog.dataset_index(&t.dataset).ok())
-                .collect();
-            for (a, b) in pairs {
-                let shared = self.resolutions[a] & self.resolutions[b] & admitted;
-                for di in [a, b] {
-                    pinned[di] |= shared;
-                    if overridden.contains(&di) {
-                        with_field[di] |= shared;
-                    }
+            let shared = self.resolutions[a] & self.resolutions[b] & admitted;
+            for di in [a, b] {
+                named[di] |= self.resolutions[di] & admitted;
+                pinned[di] |= shared;
+                let name = &self.catalog.datasets[di].meta.name;
+                if clause.thresholds.iter().any(|t| t.dataset == *name) {
+                    with_field[di] |= shared;
                 }
             }
         }
@@ -447,7 +467,7 @@ impl LazyIndex {
             .count() as u64;
         count(names::STORE_PIN_SEGMENTS, n_pinned);
         count(names::STORE_PIN_SKIPPED, n_named - n_pinned);
-        Ok(footprint)
+        footprint
     }
 
     /// Faults in one segment by global directory position: cache hit, or

@@ -115,13 +115,24 @@ impl PqlOutcome {
     /// offline `polygamy-store query --json` output are both exactly this
     /// string, byte for byte.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"query\":");
-        polygamy_json::write_str(&mut out, &to_pql(&self.query));
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends [`PqlOutcome::to_json`]'s object to `out`, reserving room
+    /// for all of it first, so that a response of many lines renders into
+    /// one buffer.
+    pub fn write_json(&self, out: &mut String) {
+        let query = to_pql(&self.query);
+        // A relationship's object is ≈ 300 bytes with urban-length names.
+        out.reserve(32 + 2 * query.len() + 320 * self.relationships.len());
+        out.push_str("{\"query\":");
+        polygamy_json::write_str(out, &query);
         out.push_str(",\"relationships\":");
         // Every measure is finite: τ ∈ [−1, 1], ρ and p ∈ [0, 1].
-        write_json_array(&mut out, &self.relationships).expect("relationships serialize");
+        write_json_array(out, &self.relationships).expect("relationships serialize");
         out.push('}');
-        out
     }
 
     /// Renders the human-readable report the CLI and REPL print: a
@@ -397,7 +408,10 @@ mod tests {
                 .unwrap_or(f64::NAN),
             _ => (w >> 2) as i32 as f64 / 8.0,
         };
-        let function = |dataset, function| FunctionRef { dataset, function };
+        let function = |dataset: String, function: String| FunctionRef {
+            dataset: dataset.into(),
+            function: function.into(),
+        };
         let w = next();
         Relationship {
             left: function(name(next()), name(next())),
@@ -462,8 +476,8 @@ mod tests {
                 for (key, function) in [("left", &rel.left), ("right", &rel.right)] {
                     let f = v.get(key).unwrap();
                     proptest::prop_assert_eq!(keys(f), ["dataset", "function"]);
-                    proptest::prop_assert_eq!(&text(f, "dataset"), &function.dataset);
-                    proptest::prop_assert_eq!(&text(f, "function"), &function.function);
+                    proptest::prop_assert_eq!(&*text(f, "dataset"), &*function.dataset);
+                    proptest::prop_assert_eq!(&*text(f, "function"), &*function.function);
                 }
                 let resolution = v.get("resolution").unwrap();
                 proptest::prop_assert_eq!(keys(resolution), ["spatial", "temporal"]);
@@ -490,6 +504,165 @@ mod tests {
                     rel.significant
                 );
             }
+        }
+    }
+
+    /// `to_json` as it was written with `write!`, before it pushed strings
+    /// and digits itself: the oracle the byte-identity proptest holds the
+    /// writer to. Its escapes are spelled per character, not taken from
+    /// `polygamy_json`.
+    fn to_json_with_fmt(outcome: &PqlOutcome) -> String {
+        use std::fmt::Write as _;
+        fn string(out: &mut String, s: &str) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if c < ' ' => write!(out, "\\u{:04x}", c as u32).unwrap(),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+        fn float(out: &mut String, f: f64) {
+            if f.is_nan() {
+                out.push_str("null");
+            } else if f.fract() == 0.0 && f.abs() < 1e15 {
+                write!(out, "{f:.1}").unwrap();
+            } else {
+                write!(out, "{f}").unwrap();
+            }
+        }
+        let mut out = String::from("{\"query\":");
+        string(&mut out, &to_pql(&outcome.query));
+        out.push_str(",\"relationships\":[");
+        for (i, r) in outcome.relationships.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            for (key, f) in [("{\"left\":", &r.left), (",\"right\":", &r.right)] {
+                out.push_str(key);
+                out.push_str("{\"dataset\":");
+                string(&mut out, &f.dataset);
+                out.push_str(",\"function\":");
+                string(&mut out, &f.function);
+                out.push('}');
+            }
+            let m = &r.measures;
+            write!(
+                out,
+                ",\"resolution\":{{\"spatial\":\"{}\",\"temporal\":\"{}\"}},\"class\":\"{}\",\
+                 \"measures\":{{\"n_pos\":{},\"n_neg\":{},\"n_left\":{},\"n_right\":{},\"score\":",
+                r.resolution.spatial.name(),
+                r.resolution.temporal.name(),
+                r.class.name(),
+                m.n_pos,
+                m.n_neg,
+                m.n_left,
+                m.n_right
+            )
+            .unwrap();
+            float(&mut out, m.score);
+            out.push_str(",\"strength\":");
+            float(&mut out, m.strength);
+            out.push_str("},\"p_value\":");
+            float(&mut out, r.p_value);
+            write!(out, ",\"significant\":{}}}", r.significant).unwrap();
+        }
+        out.push_str("]}");
+        out
+    }
+
+    /// Counts of every digit length, both ends of `usize` included.
+    const COUNTS: [usize; 8] = [
+        0,
+        1,
+        9,
+        10,
+        99,
+        1_000_000_007,
+        u32::MAX as usize,
+        usize::MAX,
+    ];
+
+    /// Floats that need all 17 significant digits to round-trip.
+    const LONG_FLOATS: [f64; 4] = [
+        0.30000000000000004,
+        1.2345678901234567,
+        -0.12345678901234568,
+        123_456.789_012_345_68,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(500))]
+
+        /// The writer renders every outcome byte for byte as the `write!`
+        /// oracle does, alone and appended after another outcome's line
+        /// (as the daemon renders a response): names with every escape
+        /// class, floats on every branch of the float rule (NaN, ±0.0,
+        /// integral below and at or above 1e15, subnormals, 17
+        /// significant digits, arbitrary bits), counts of every length.
+        #[test]
+        fn json_rendering_is_byte_identical_to_the_fmt_writer(
+            words in proptest::collection::vec(0u64..u64::MAX, 1..120)
+        ) {
+            let mut words = words.iter().copied();
+            let mut next = || words.next().unwrap_or(0);
+            let float = |w: u64| match w % 5 {
+                0 => FLOATS[(w >> 3) as usize % FLOATS.len()],
+                1 => LONG_FLOATS[(w >> 3) as usize % LONG_FLOATS.len()],
+                // Integral, on both sides of 1e15 and of 2⁵³.
+                2 => ((w >> 3) % (1 << 55)) as f64 * if w & 4 == 0 { 1.0 } else { -1.0 },
+                3 => Some(f64::from_bits(w.rotate_right(3)))
+                    .filter(|f| !f.is_infinite())
+                    .unwrap_or(0.25),
+                _ => (w >> 3) as i32 as f64 / 1024.0,
+            };
+            let count = |w: u64| match w % 3 {
+                0 => COUNTS[(w >> 2) as usize % COUNTS.len()],
+                1 => (w >> 2) as usize % 100_000,
+                _ => w as usize,
+            };
+            let outcomes: Vec<PqlOutcome> = (0..2)
+                .map(|_| {
+                    let (a, b) = (name(next()), name(next()));
+                    let n = next() % 4;
+                    let relationships = (0..n)
+                        .map(|_| {
+                            let mut seed = [next(), next(), next(), next(), next(), next()].into_iter();
+                            let mut r = arbitrary_relationship(&mut seed);
+                            r.measures.n_pos = count(next());
+                            r.measures.n_neg = count(next());
+                            r.measures.n_left = count(next());
+                            r.measures.n_right = count(next());
+                            r.measures.score = float(next());
+                            r.measures.strength = float(next());
+                            r.p_value = float(next());
+                            r.significant = next() & 1 == 0;
+                            r
+                        })
+                        .collect();
+                    PqlOutcome {
+                        query: RelationshipQuery::between(&[&a], &[&b]),
+                        relationships,
+                        trace: None,
+                    }
+                })
+                .collect();
+            let expected: Vec<String> = outcomes.iter().map(to_json_with_fmt).collect();
+            proptest::prop_assert_eq!(outcomes[0].to_json(), expected[0].clone());
+            let mut body = String::new();
+            for (i, outcome) in outcomes.iter().enumerate() {
+                if i > 0 {
+                    body.push('\n');
+                }
+                outcome.write_json(&mut body);
+            }
+            proptest::prop_assert_eq!(body, expected.join("\n"));
         }
     }
 

@@ -35,13 +35,16 @@
 //! Every session opens through one [`LazyIndex`] — the global segment
 //! directory over the store's file(s) — and keeps it; "eager" means every
 //! hot blob was pinned at open. Every query — single or batched, on either
-//! backing — then takes the same two steps: *pin* the entries it can touch
-//! (`Backing::pinned`: a segment fault-in for a lazy session; for an eager
-//! one nothing, or the fields a `thresholds` clause asks for), and hand the
-//! resulting [`IndexView`] to [`polygamy_core::run_query_many`]. A single
-//! query is a batch of one. Underneath, every byte either mode reads is a positioned read into an
-//! owned buffer through the one handle each store file was opened with
-//! ([`crate::source`]).
+//! backing — then takes the same three steps (`Backing::pinned`): *plan*
+//! the batch against the catalog and the query cache
+//! ([`polygamy_core::QueryPlan`]), *pin* the entries its misses can touch
+//! (a segment fault-in for a lazy session; for an eager one nothing, or the
+//! fields a `thresholds` clause asks for), and hand the plan and the
+//! resulting [`IndexView`] to [`polygamy_core::run_plan`]. A batch the
+//! cache answers whole pins, faults and reads nothing. A single query is
+//! a batch of one. Underneath, every byte either mode reads is a
+//! positioned read into an owned buffer through the one handle each store
+//! file was opened with ([`crate::source`]).
 //!
 //! ## Sharded stores
 //!
@@ -67,7 +70,7 @@ use polygamy_core::cache::{QueryCache, DEFAULT_QUERY_CACHE_CAPACITY};
 use polygamy_core::index::{DatasetEntry, IndexView, PolygamyIndex};
 use polygamy_core::query::RelationshipQuery;
 use polygamy_core::relationship::Relationship;
-use polygamy_core::{run_query_many, CityGeometry, Config};
+use polygamy_core::{run_plan, CityGeometry, Config, QueryPlan};
 use std::path::Path;
 
 /// What a session reads function segments through: the one index over the
@@ -84,33 +87,41 @@ struct Backing {
 }
 
 impl Backing {
-    /// Pins every entry `queries` can touch and runs `f` over the view of
-    /// them — the one place a backing turns into something the executor
-    /// reads. A lazy session faults in the batch's footprint (rejecting
-    /// queries that touch an unavailable shard file here, before
-    /// evaluation); an eager one pinned every hot blob at open and faults
-    /// in only the scalar fields a `thresholds` clause of the batch reads,
-    /// substituting those entries for their field-less residents in place.
-    /// Either way the view is in directory order and the pins stay alive
-    /// for the duration of `f`.
-    fn pinned<T>(
+    /// Plans `queries` over the catalog and `cache`, pins every entry the
+    /// plan's misses can touch and runs `f` over the view of them and the
+    /// plan — the one place a backing turns into something the executor
+    /// reads. A batch naming a data set in an unavailable shard file is
+    /// rejected first, before anything is planned, read or evaluated. A
+    /// lazy session then faults in the misses' footprint; an eager one
+    /// pinned every hot blob at open and faults in only the scalar fields a
+    /// `thresholds` clause of a miss reads, substituting those entries for
+    /// their field-less residents in place. A pair the cache answers pins
+    /// nothing. Either way the view is in directory order and the pins
+    /// stay alive for the duration of `f`.
+    fn pinned<'q, T>(
         &self,
-        queries: &[RelationshipQuery],
-        f: impl FnOnce(IndexView<'_>) -> T,
+        queries: &'q [RelationshipQuery],
+        cache: &QueryCache,
+        f: impl FnOnce(IndexView<'_>, QueryPlan<'q>) -> T,
     ) -> Result<T> {
+        self.lazy.require_named(queries)?;
+        let plan = QueryPlan::new(self.lazy.catalog(), Some(cache), queries)?;
         let Some(index) = &self.resident else {
-            let faulted = self.lazy.pin_for(queries)?;
+            let faulted = self.lazy.pin_plan(&plan)?;
             let entries = faulted.iter().map(|entry| &**entry).collect();
-            return Ok(f(IndexView::new(self.lazy.catalog(), entries)));
+            return Ok(f(IndexView::new(self.lazy.catalog(), entries), plan));
         };
-        if queries.iter().all(|q| q.clause.thresholds.is_empty()) {
-            return Ok(f(index.into()));
+        if plan
+            .misses()
+            .all(|(_, _, clause)| clause.thresholds.is_empty())
+        {
+            return Ok(f(index.into(), plan));
         }
-        let with_fields = self.lazy.pin_fields_for(queries)?;
+        let with_fields = self.lazy.pin_fields_for(&plan)?;
         let entries = (index.functions.iter().zip(&with_fields))
             .map(|(resident, with_field)| with_field.as_deref().unwrap_or(resident))
             .collect();
-        Ok(f(IndexView::new(&index.datasets, entries)))
+        Ok(f(IndexView::new(&index.datasets, entries), plan))
     }
 }
 
@@ -248,8 +259,8 @@ impl StoreSession {
     /// shared by several queries fault in once.
     pub fn query_many(&self, queries: &[RelationshipQuery]) -> Result<Vec<Vec<Relationship>>> {
         self.backing
-            .pinned(queries, |view| {
-                run_query_many(view, &self.geometry, &self.config, &self.cache, queries)
+            .pinned(queries, &self.cache, |view, plan| {
+                run_plan(view, &self.geometry, &self.config, &self.cache, plan)
             })?
             .map_err(Into::into)
     }

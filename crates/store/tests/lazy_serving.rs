@@ -492,7 +492,7 @@ fn thresholds_over_a_store_without_field_blobs_is_a_typed_error() {
                 .unwrap_err();
             match err {
                 StoreError::Query(polygamy_core::Error::MissingField(function)) => {
-                    assert_eq!(function.dataset, "alpha")
+                    assert_eq!(&*function.dataset, "alpha")
                 }
                 other => panic!("expected a missing-field error, got {other:?}"),
             }
@@ -684,11 +684,11 @@ fn a_pair_reads_only_the_resolutions_both_sides_have() {
         (bytes_weekly + bytes_all, n_weekly + n_all, 0)
     );
 
-    // A data set against itself is no pair: nothing is pinned.
+    // A data set against itself is no pair: nothing is pinned, and with
+    // no pair to evaluate nothing counts as skipped either.
     let session = open_lazy(&path);
     let query = between(&["hourly1"], &["hourly1"], test_clause());
-    let (n_self, _) = hot_blobs_at(&store, "hourly1", &hourly);
-    assert_eq!(footprint_of(&session, &eager, &dp, &query), (0, 0, n_self));
+    assert_eq!(footprint_of(&session, &eager, &dp, &query), (0, 0, 0));
 
     // A resolution clause intersects with what the pair shares.
     let nbhd_day = Resolution::new(SpatialResolution::Neighborhood, TemporalResolution::Day);
@@ -844,4 +844,142 @@ fn an_eager_session_reads_fields_only_when_a_thresholds_clause_asks() {
             "{what}: the resident index stays hot-only"
         );
     }
+}
+
+/// A batch asked again is answered from the query cache before anything
+/// is pinned: no byte read, no segment pinned or faulted — and the
+/// answer, rendered, is byte for byte the uncached one.
+#[test]
+fn a_batch_the_cache_answers_reads_and_pins_nothing() {
+    let path = tmp_path("cache-first");
+    let _cleanup = Cleanup(path.clone());
+    save_corpus(&path);
+    let batch = "between alpha and beta where permutations = 40 and include insignificant\n\
+                 between * and * where permutations = 40 and include insignificant\n\
+                 between gamma and * where permutations = 40";
+    let render = |session: &StoreSession| -> Vec<String> {
+        let outcomes = polygamy_store::execute_pql_batch(session, batch).unwrap();
+        outcomes.iter().map(|o| o.to_json()).collect()
+    };
+    let session = open_lazy(&path);
+    let uncached = render(&session);
+    assert!(uncached.iter().any(|line| line.contains("\"left\"")));
+    let read = lazy_bytes(&session);
+    let (cached, t) = polygamy_obs::trace::record(|| render(&session));
+    assert_eq!(cached, uncached);
+    assert_eq!(session.bytes_fetched(), read);
+    assert_eq!(t.counter(names::CORE_QUERY_CACHE_MISSES), 0);
+    assert!(t.counter(names::CORE_QUERY_CACHE_HITS) > 0);
+    for name in [
+        names::STORE_PIN_SEGMENTS,
+        names::STORE_PIN_SKIPPED,
+        names::STORE_SEGMENT_FAULTS,
+        names::STORE_SEGMENT_CACHE_HITS,
+    ] {
+        assert_eq!(t.counter(name), 0, "{name}");
+    }
+    // The same bytes as a fresh lazy session's and an eager one's, which
+    // evaluate every pair.
+    assert_eq!(render(&open_lazy(&path)), uncached);
+    let eager = StoreSession::open_with(&path, Config::fast_test(), &LoadFilter::all()).unwrap();
+    assert_eq!(render(&eager), uncached);
+    assert_eq!(render(&eager), uncached);
+}
+
+/// `between hourly1 and *` after `between weekly and hourly1`: the
+/// cached pair pins nothing, and the batch pins exactly the footprint of
+/// the pair that missed, hourly1 × hourly2 — weekly's (week, city) blobs
+/// are not even looked up again.
+#[test]
+fn a_partly_cached_batch_pins_only_the_pairs_that_missed() {
+    let path = tmp_path("cache-partial");
+    let _cleanup = Cleanup(path.clone());
+    let dp = save_mixed(&path);
+    let store = Store::open(&path).unwrap();
+    let eager = StoreSession::open_with(&path, Config::fast_test(), &LoadFilter::all()).unwrap();
+    let hourly = resolutions_of(&store, "hourly1");
+    let weekly = resolutions_of(&store, "weekly");
+    let between = |left: &[&str], right: &[&str]| {
+        RelationshipQuery::between(left, right).with_clause(test_clause())
+    };
+
+    let session = open_lazy(&path);
+    let first = between(&["weekly"], &["hourly1"]);
+    let (n_first, bytes_first) = {
+        let (a, bytes_a) = hot_blobs_at(&store, "weekly", &weekly);
+        let (b, bytes_b) = hot_blobs_at(&store, "hourly1", &weekly);
+        (a + b, bytes_a + bytes_b)
+    };
+    let n_named =
+        hot_blobs_at(&store, "weekly", &hourly).0 + hot_blobs_at(&store, "hourly1", &hourly).0;
+    assert_eq!(
+        footprint_of(&session, &eager, &dp, &first),
+        (bytes_first, n_first, n_named - n_first)
+    );
+
+    let sweep = RelationshipQuery::of("hourly1").with_clause(test_clause());
+    let (n1, bytes1) = hot_blobs_at(&store, "hourly1", &hourly);
+    let (n2, bytes2) = hot_blobs_at(&store, "hourly2", &hourly);
+    // hourly1's (week, city) blobs were read for the first query.
+    let (n_known, bytes_known) = hot_blobs_at(&store, "hourly1", &weekly);
+    let before = lazy_bytes(&session);
+    let (rels, t) = polygamy_obs::trace::record(|| session.query(&sweep).unwrap());
+    assert_eq!(rels, dp.query(&sweep).unwrap());
+    assert_eq!(rels, eager.query(&sweep).unwrap());
+    assert_eq!(lazy_bytes(&session) - before, bytes1 + bytes2 - bytes_known);
+    assert_eq!(t.counter(names::CORE_QUERY_CACHE_HITS), 1);
+    assert_eq!(t.counter(names::CORE_QUERY_CACHE_MISSES), 1);
+    assert_eq!(t.counter(names::STORE_PIN_SEGMENTS), n1 + n2);
+    assert_eq!(t.counter(names::STORE_PIN_SKIPPED), 0);
+    assert_eq!(t.counter(names::STORE_SEGMENT_FAULTS), n1 + n2 - n_known);
+    assert_eq!(t.counter(names::STORE_SEGMENT_CACHE_HITS), n_known);
+}
+
+/// The query cache answers a pair, but it never answers for a batch that
+/// names a data set in an unavailable shard file or an unknown data set:
+/// those are rejected as before, before anything is read or evaluated,
+/// and in a batch the first failing query decides the error.
+#[test]
+fn a_cached_pair_hides_no_unavailable_shard_and_no_unknown_name() {
+    let monolith = tmp_path("cache-shards-mono");
+    let path = tmp_path("cache-shards");
+    let _cleanup = Cleanup(monolith.clone());
+    let _catalog = Cleanup(path.clone());
+    save_corpus(&monolith);
+    // Round-robin: alpha, beta and gamma get a shard each.
+    let catalog = shard_store(&monolith, &path, 3).unwrap();
+    let shard_files: Vec<Cleanup> = (0..3)
+        .map(|s| Cleanup(catalog.shard_path(&path, s)))
+        .collect();
+    std::fs::remove_file(&shard_files[2].0).unwrap();
+    let session = open_lazy(&path);
+    let between =
+        |a: &str, b: &str| RelationshipQuery::between(&[a], &[b]).with_clause(test_clause());
+    let ab = between("alpha", "beta");
+    let answer = session.query(&ab).unwrap();
+    assert_eq!(session.query(&ab).unwrap(), answer);
+    let read = lazy_bytes(&session);
+
+    let unavailable = |batch: &[RelationshipQuery]| match session.query_many(batch) {
+        Err(StoreError::ShardUnavailable { shard: 2, .. }) => {}
+        other => panic!("expected shard 2 unavailable, got {other:?}"),
+    };
+    let unknown = |batch: &[RelationshipQuery]| match session.query_many(batch) {
+        Err(StoreError::Query(polygamy_core::Error::UnknownDataset(name))) => {
+            assert_eq!(name, "nosuch")
+        }
+        other => panic!("expected nosuch unknown, got {other:?}"),
+    };
+    unavailable(&[ab.clone(), between("gamma", "alpha")]);
+    unavailable(&[
+        ab.clone(),
+        RelationshipQuery::of("alpha").with_clause(test_clause()),
+    ]);
+    unavailable(&[between("gamma", "gamma")]);
+    unavailable(&[between("gamma", "alpha"), between("nosuch", "alpha")]);
+    unknown(&[ab.clone(), between("alpha", "nosuch")]);
+    unknown(&[between("nosuch", "alpha"), between("gamma", "alpha")]);
+    unknown(&[between("gamma", "nosuch")]);
+    assert_eq!(lazy_bytes(&session), read);
+    assert_eq!(session.query(&ab).unwrap(), answer);
 }

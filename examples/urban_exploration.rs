@@ -44,13 +44,13 @@ fn main() {
     let mut partners: BTreeMap<&str, std::collections::BTreeSet<&str>> = BTreeMap::new();
     for r in &rels {
         partners
-            .entry(r.left.dataset.as_str())
+            .entry(r.left.dataset.as_ref())
             .or_default()
-            .insert(r.right.dataset.as_str());
+            .insert(r.right.dataset.as_ref());
         partners
-            .entry(r.right.dataset.as_str())
+            .entry(r.right.dataset.as_ref())
             .or_default()
-            .insert(r.left.dataset.as_str());
+            .insert(r.left.dataset.as_ref());
     }
     let mut ranked: Vec<(&str, usize)> = partners.iter().map(|(d, s)| (*d, s.len())).collect();
     ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
@@ -61,9 +61,9 @@ fn main() {
 
     // Show the strongest relationship per data-set pair.
     println!("\nstrongest relationship per pair:");
-    let mut best: BTreeMap<(String, String), &Relationship> = BTreeMap::new();
+    let mut best: BTreeMap<(&str, &str), &Relationship> = BTreeMap::new();
     for r in &rels {
-        let key = (r.left.dataset.clone(), r.right.dataset.clone());
+        let key = (&*r.left.dataset, &*r.right.dataset);
         let current = best.get(&key);
         if current.is_none_or(|c| r.score().abs() > c.score().abs()) {
             best.insert(key, r);

@@ -74,7 +74,7 @@ fn correctness_year_over_year_taxi_density() {
     // toolchain only.)
     let densities: Vec<_> = rels
         .iter()
-        .filter(|r| r.left.function == "density" && r.right.function == "density")
+        .filter(|r| &*r.left.function == "density" && &*r.right.function == "density")
         .collect();
     let strongest = densities.first().expect("no density~density relationship");
     assert!(

@@ -255,10 +255,10 @@ fn weather_is_polygamous() {
     let partners: std::collections::BTreeSet<&str> = rels
         .iter()
         .map(|r| {
-            if r.left.dataset == "weather" {
-                r.right.dataset.as_str()
+            if &*r.left.dataset == "weather" {
+                &*r.right.dataset
             } else {
-                r.left.dataset.as_str()
+                &*r.left.dataset
             }
         })
         .collect();
