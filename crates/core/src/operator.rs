@@ -89,6 +89,9 @@ type ThresholdOverride<'a> = (&'a DatasetThresholds, &'a ScalarField);
 /// once per dispatch by whichever task asks first.
 pub(crate) struct Operand<'a> {
     entry: &'a FunctionEntry,
+    /// The entry's names, shared by every operand of the entry and every
+    /// relationship they take part in.
+    name: FunctionRef,
     class: FeatureClass,
     /// Steps `[z0, z0 + steps)` of the entry, as `(z0, steps)`.
     window: (usize, usize),
@@ -172,6 +175,10 @@ pub(crate) struct OperandTable<'a> {
     /// Keyed by addresses and small codes, hashed a word at a time; slot
     /// numbers are insertion order, so the hasher decides nothing visible.
     slot_of: HashMap<OperandKey, usize, BuildHasherDefault<WordHasher>>,
+    /// One [`FunctionRef`] per entry, keyed by its address as
+    /// [`OperandKey`] is: the names are allocated once per dispatch, not
+    /// once per relationship.
+    name_of: HashMap<usize, FunctionRef, BuildHasherDefault<WordHasher>>,
 }
 
 impl<'a> OperandTable<'a> {
@@ -184,15 +191,19 @@ impl<'a> OperandTable<'a> {
         window: (usize, usize),
         custom: Option<ThresholdOverride<'a>>,
     ) -> usize {
+        let address = std::ptr::from_ref(entry) as usize;
         let key = OperandKey {
-            entry: std::ptr::from_ref(entry) as usize,
+            entry: address,
             class,
             window,
             thresholds: custom.map(|(t, _)| (t.theta_pos.to_bits(), t.theta_neg.to_bits())),
         };
         *self.slot_of.entry(key).or_insert_with(|| {
+            let name =
+                (self.name_of.entry(address)).or_insert_with(|| FunctionRef::from(&entry.spec));
             self.slots.push(Operand {
                 entry,
+                name: name.clone(),
                 class,
                 window,
                 custom,
@@ -365,8 +376,8 @@ pub(crate) fn evaluate_unit(
         return None;
     }
     Some(Relationship {
-        left: FunctionRef::from(&e1.spec),
-        right: FunctionRef::from(&e2.spec),
+        left: left.name.clone(),
+        right: right.name.clone(),
         resolution: e1.resolution,
         class,
         measures,
@@ -487,6 +498,51 @@ mod tests {
         let signal = signal.expect("planted signal~signal relationship missing");
         assert!(signal.score() > 0.8, "τ = {}", signal.score());
         assert!(signal.significant);
+    }
+
+    /// One function's relationships share its names: every relationship
+    /// naming one entry holds the same two `Arc`s (the operands intern one
+    /// [`FunctionRef`] per entry per dispatch), and renders the bytes a
+    /// relationship with freshly allocated names does.
+    #[test]
+    fn relationships_of_one_function_share_its_names() {
+        let dp = corpus();
+        let rels = dp
+            .query(
+                &crate::query::RelationshipQuery::between(&["alpha"], &["beta"])
+                    .with_clause(Clause::default().permutations(20).include_insignificant()),
+            )
+            .unwrap();
+        let mut first: HashMap<(String, String, Resolution), FunctionRef> = HashMap::new();
+        let mut shared = 0;
+        for r in &rels {
+            for f in [&r.left, &r.right] {
+                let key = (f.dataset.to_string(), f.function.to_string(), r.resolution);
+                match first.get(&key) {
+                    None => drop(first.insert(key, f.clone())),
+                    Some(seen) => {
+                        assert!(std::sync::Arc::ptr_eq(&seen.dataset, &f.dataset), "{f}");
+                        assert!(std::sync::Arc::ptr_eq(&seen.function, &f.function), "{f}");
+                        shared += 1;
+                    }
+                }
+            }
+            let fresh = |f: &FunctionRef| FunctionRef {
+                dataset: (*f.dataset).into(),
+                function: (*f.function).into(),
+            };
+            let copy = Relationship {
+                left: fresh(&r.left),
+                right: fresh(&r.right),
+                ..r.clone()
+            };
+            let (mut json, mut copied) = (String::new(), String::new());
+            r.write_json(&mut json).unwrap();
+            copy.write_json(&mut copied).unwrap();
+            assert_eq!(json, copied);
+        }
+        // Both classes of a pair, and every partner of a function.
+        assert!(shared >= rels.len(), "{shared} of {}", 2 * rels.len());
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Every JSON boundary of the Data Polygamy reproduction writes and reads
 //! through this crate: query results (`query --json` lines, the daemon's
-//! `R` frames), the store's geometry blob, the daemon's `H` and `E`
-//! payloads, metrics snapshots and traces, and `polygamy-lint --json`
-//! (`docs/architecture.md`, "What has a JSON form", names each codec).
+//! `R` frames), the daemon's `H` and `E` payloads, metrics snapshots and
+//! traces, and `polygamy-lint --json` (`docs/architecture.md`, "What has a
+//! JSON form", names each codec). Nothing in a store file is JSON.
 //!
 //! **Writing** has no value tree: each boundary's hand-written codec
 //! appends its keys and values straight into one output `String`, through

@@ -31,7 +31,11 @@
 //! and segment directory without decoding any segment (`--verify`
 //! additionally reads every blob, hot and field, and checks its checksum); on a sharded store it prints
 //! the shard layout with per-shard availability instead, and `--verify`
-//! checks every shard (failing on the first unavailable one). `query`
+//! checks every shard (failing on the first unavailable one). Either way
+//! it decodes the geometry — of the first available shard file, on a
+//! sharded store — into one `geometry:` line (its size and each
+//! partition's region and vertex counts); under `--verify` a geometry that
+//! does not decode fails the command. `query`
 //! opens a serving session and evaluates PQL (see `docs/pql.md`): `--pql`
 //! takes one query — collections *and* clause in one string — and `--file`
 //! a batch file (one query per line, `#` comments) that runs through
@@ -375,6 +379,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
         manifest.segments.len(),
         manifest.geometry.len
     );
+    print_geometry(&store, verify)?;
     if verify {
         // Route the force-check through the demand-paged reader so the
         // exact serving read path is what gets exercised.
@@ -451,6 +456,11 @@ fn cmd_inspect_sharded(path: &str, verify: bool) -> Result<(), String> {
             }
         );
     }
+    let first_available = (0..catalog.n_shards())
+        .find(|&shard| lazy.unavailable_reason(shard).is_none())
+        .expect("an open catalog has an available shard");
+    let first = catalog.shard_path(std::path::Path::new(path), first_available);
+    print_geometry(&Store::open(first).map_err(|e| e.to_string())?, verify)?;
     if verify {
         let checked = lazy.verify_all().map_err(|e| e.to_string())?;
         outln!(
@@ -459,6 +469,38 @@ fn cmd_inspect_sharded(path: &str, verify: bool) -> Result<(), String> {
             lazy.bytes_fetched()
         );
     }
+    Ok(())
+}
+
+/// `inspect`'s `geometry:` line, decoded from `store`'s geometry blob: the
+/// blob's size and each partition's region and vertex counts. A blob that
+/// does not decode says so — and fails the command under `--verify`, as a
+/// bad segment does.
+fn print_geometry(store: &Store, verify: bool) -> Result<(), String> {
+    let bytes = store.manifest().geometry.len;
+    let geometry = match store.load_geometry() {
+        Ok(geometry) => geometry,
+        Err(e) if verify => return Err(format!("geometry: {e}")),
+        Err(e) => {
+            outln!("geometry: {bytes} bytes, not decodable: {e}");
+            return Ok(());
+        }
+    };
+    let partitions = [
+        ("zip", geometry.zip.as_ref()),
+        ("neighborhood", geometry.neighborhood.as_ref()),
+        ("city", Some(&geometry.city)),
+    ];
+    let described: Vec<String> = (partitions.iter())
+        .map(|(name, partition)| match partition {
+            Some(p) => {
+                let vertices: usize = p.polygons.iter().map(|q| q.ring.len()).sum();
+                format!("{name} {} region(s) / {vertices} vertices", p.len())
+            }
+            None => format!("{name} none"),
+        })
+        .collect();
+    outln!("geometry: {bytes} bytes, {}", described.join(", "));
     Ok(())
 }
 

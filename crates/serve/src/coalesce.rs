@@ -61,7 +61,8 @@ pub enum Rejection {
 /// One admitted request: its queries plus the channel its submitter
 /// blocks on.
 struct Pending {
-    queries: Vec<RelationshipQuery>,
+    /// Shared with the submitter, which renders the answer from them.
+    queries: Arc<[RelationshipQuery]>,
     tx: Sender<Wake>,
 }
 
@@ -150,7 +151,7 @@ impl Coalescer {
     /// with [`Coalescer::dispatch`]. Otherwise it sleeps until a batch
     /// answers it, or until the running batch's leader, done, hands it the
     /// lead of the next batch.
-    pub fn submit(&self, queries: Vec<RelationshipQuery>) -> Result<BatchResult, Rejection> {
+    pub fn submit(&self, queries: Arc<[RelationshipQuery]>) -> Result<BatchResult, Rejection> {
         debug_assert!(!queries.is_empty(), "empty requests are answered inline");
         if queries.len() > self.max_inflight {
             return Err(Rejection::TooLarge {
@@ -259,7 +260,7 @@ impl Coalescer {
             batch,
         };
         let requests: Vec<&[RelationshipQuery]> =
-            turn.batch.iter().map(|p| p.queries.as_slice()).collect();
+            turn.batch.iter().map(|p| &p.queries[..]).collect();
         let results = self.dispatch(&requests);
         for (pending, result) in turn.batch.drain(..).zip(results) {
             let _ = pending.tx.send(Wake::Answer(result));

@@ -11,9 +11,10 @@ use crate::coalesce::{CoalesceStats, Coalescer, Rejection};
 use crate::protocol::{
     check_length, write_frame, Frame, FrameError, FrameTag, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
+use polygamy_core::query::RelationshipQuery;
 use polygamy_json as json;
 use polygamy_obs::{count, global, names};
-use polygamy_store::{PqlOutcome, StoreSession};
+use polygamy_store::{write_outcome_json, StoreSession};
 use std::fmt::{self, Write as _};
 use std::io::{self, IoSliceMut, Read, Write as _};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -615,8 +616,8 @@ fn handle_query(stream: &mut TcpStream, shared: &Shared, payload: &[u8]) -> bool
     // Parse before submitting: a parse error never joins a batch, and the
     // error frame carries the same caret diagnostic the REPL prints
     // (docs/serving.md §6).
-    let queries = match polygamy_core::pql::parse_batch(src) {
-        Ok(qs) => qs,
+    let queries: Arc<[RelationshipQuery]> = match polygamy_core::pql::parse_batch(src) {
+        Ok(qs) => qs.into(),
         Err(e) => {
             return send_error(stream, &WireError::new("parse", e.render(src))).is_ok();
         }
@@ -625,7 +626,7 @@ fn handle_query(stream: &mut TcpStream, shared: &Shared, payload: &[u8]) -> bool
         // A comment-only batch is a valid, empty request.
         return write_frame(stream, FrameTag::Result, b"").is_ok();
     }
-    let outcome = match shared.coalescer.submit(queries.clone()) {
+    let outcome = match shared.coalescer.submit(Arc::clone(&queries)) {
         Ok(outcome) => outcome,
         Err(rejection) => return report_rejection(stream, rejection),
     };
@@ -636,16 +637,11 @@ fn handle_query(stream: &mut TcpStream, shared: &Shared, payload: &[u8]) -> bool
             // `polygamy-store query --json` prints for that query alone
             // (docs/serving.md §5).
             let mut body = String::new();
-            for (i, (query, relationships)) in queries.into_iter().zip(results).enumerate() {
+            for (i, (query, relationships)) in queries.iter().zip(results).enumerate() {
                 if i > 0 {
                     body.push('\n');
                 }
-                let outcome = PqlOutcome {
-                    query,
-                    relationships,
-                    trace: None,
-                };
-                outcome.write_json(&mut body);
+                write_outcome_json(&mut body, query, &relationships);
             }
             write_frame(stream, FrameTag::Result, body.as_bytes()).is_ok()
         }

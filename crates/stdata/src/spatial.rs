@@ -6,13 +6,13 @@
 //! higher resolutions partition it into zip-code- or neighborhood-sized
 //! polygons; raw GPS data is assigned to regions by point-in-polygon tests.
 //!
-//! A partition has a JSON form, in the store's geometry blob
-//! (`docs/store-format.md`): [`SpatialPartition::write_json`] and
-//! [`SpatialPartition::from_json`] are its codec.
+//! A partition's resolution, rings and adjacency lists are all a store
+//! keeps of it (`docs/store-format.md`, the geometry blob): the store's
+//! decoder rebuilds every ring with [`Polygon::new`] and every partition
+//! with [`SpatialPartition::new`], which re-derives the point-location grid.
 
 use crate::error::{Error, Result};
-use polygamy_json::{self as json, Value};
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 /// The spatial resolutions of the paper's Figure 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -68,17 +68,6 @@ impl SpatialResolution {
             SpatialResolution::Zip => "Zip",
             SpatialResolution::Neighborhood => "Neighborhood",
             SpatialResolution::City => "City",
-        }
-    }
-
-    /// Inverse of [`SpatialResolution::name`].
-    fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "Gps" => Some(SpatialResolution::Gps),
-            "Zip" => Some(SpatialResolution::Zip),
-            "Neighborhood" => Some(SpatialResolution::Neighborhood),
-            "City" => Some(SpatialResolution::City),
-            _ => None,
         }
     }
 
@@ -429,112 +418,6 @@ impl SpatialPartition {
                 .map(move |&j| (i as u32, j))
         })
     }
-
-    /// Appends the partition's JSON object to `out`:
-    /// `{"resolution","polygons":[{"ring":[{"x","y"},…]},…],"adjacency":[[…],…],"grid":{…}}`,
-    /// keys in that order, the locator grid written whole
-    /// (`{"bbox":{"min","max"},"nx","ny","cells"}`). A coordinate of ±∞
-    /// has no JSON form and is an error.
-    pub fn write_json(&self, out: &mut String) -> JsonResult<()> {
-        let _ = write!(
-            out,
-            "{{\"resolution\":\"{}\",\"polygons\":",
-            self.resolution.name()
-        );
-        json::write_array(out, &self.polygons, Polygon::write_json)?;
-        out.push_str(",\"adjacency\":");
-        write_index_lists(out, &self.adjacency);
-        out.push_str(",\"grid\":");
-        self.grid.write_json(out)?;
-        out.push('}');
-        Ok(())
-    }
-
-    /// Reads a partition [`SpatialPartition::write_json`] wrote. The value
-    /// is untrusted: rings go through [`Polygon::new`] and the partition
-    /// through [`SpatialPartition::new`], so whatever they refuse is an
-    /// error, and the locator grid is re-derived from the polygons — the
-    /// `grid` key must be present, but its value is never read.
-    pub fn from_json(value: &Value) -> JsonResult<Self> {
-        let name = value.get("resolution")?.as_str()?;
-        let resolution = SpatialResolution::from_name(name)
-            .ok_or_else(|| json::Error::Invalid(format!("unknown spatial resolution `{name}`")))?;
-        let polygons = value.get("polygons")?.as_array()?;
-        let polygons = polygons
-            .iter()
-            .map(Polygon::from_json)
-            .collect::<JsonResult<_>>()?;
-        let adjacency = value.get("adjacency")?.as_array()?.iter();
-        let adjacency = adjacency
-            .map(|list| list.as_array()?.iter().map(Value::as_int).collect())
-            .collect::<JsonResult<_>>()?;
-        value.get("grid")?;
-        Self::new(resolution, polygons, adjacency).map_err(invalid)
-    }
-}
-
-type JsonResult<T> = std::result::Result<T, json::Error>;
-
-fn invalid(e: Error) -> json::Error {
-    json::Error::Invalid(e.to_string())
-}
-
-impl GeoPoint {
-    fn write_json(&self, out: &mut String) -> JsonResult<()> {
-        out.push_str("{\"x\":");
-        json::write_f64(out, self.x)?;
-        out.push_str(",\"y\":");
-        json::write_f64(out, self.y)?;
-        out.push('}');
-        Ok(())
-    }
-
-    fn from_json(value: &Value) -> JsonResult<Self> {
-        Ok(Self::new(
-            value.get("x")?.as_f64()?,
-            value.get("y")?.as_f64()?,
-        ))
-    }
-}
-
-impl Polygon {
-    fn write_json(&self, out: &mut String) -> JsonResult<()> {
-        out.push_str("{\"ring\":");
-        json::write_array(out, &self.ring, GeoPoint::write_json)?;
-        out.push('}');
-        Ok(())
-    }
-
-    fn from_json(value: &Value) -> JsonResult<Self> {
-        let ring = value.get("ring")?.as_array()?.iter();
-        Self::new(ring.map(GeoPoint::from_json).collect::<JsonResult<_>>()?).map_err(invalid)
-    }
-}
-
-impl LocatorGrid {
-    fn write_json(&self, out: &mut String) -> JsonResult<()> {
-        out.push_str("{\"bbox\":{\"min\":");
-        self.bbox.min.write_json(out)?;
-        out.push_str(",\"max\":");
-        self.bbox.max.write_json(out)?;
-        let _ = write!(out, "}},\"nx\":{},\"ny\":{},\"cells\":", self.nx, self.ny);
-        write_index_lists(out, &self.cells);
-        out.push('}');
-        Ok(())
-    }
-}
-
-/// `[[1,2],[0],[]]`: adjacency lists and grid cells.
-fn write_index_lists(out: &mut String, lists: &[Vec<u32>]) {
-    out.push('[');
-    for (i, list) in lists.iter().enumerate() {
-        out.push_str(if i > 0 { ",[" } else { "[" });
-        for (j, n) in list.iter().enumerate() {
-            let _ = write!(out, "{}{n}", if j > 0 { "," } else { "" });
-        }
-        out.push(']');
-    }
-    out.push(']');
 }
 
 #[cfg(test)]

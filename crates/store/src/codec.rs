@@ -9,7 +9,9 @@
 //! and all-ones words between literal stretches (`enc_bitvec`), and a
 //! function's scalar field as a mask of its defined values followed by
 //! those values, run-length coded as words or as varint counts
-//! ([`encode_field`]).
+//! ([`encode_field`]). The city geometry travels plain: per partition its
+//! resolution code, its rings as coordinate bit patterns and its adjacency
+//! lists ([`encode_geometry`]).
 //!
 //! Decoding is total: any byte sequence either decodes to a valid structure
 //! or yields a typed [`StoreError`]. The decoder therefore checks every
@@ -22,9 +24,10 @@
 
 use crate::error::{Result, StoreError};
 use polygamy_core::index::FunctionEntry;
-use polygamy_core::FunctionSpec;
+use polygamy_core::{CityGeometry, FunctionSpec};
 use polygamy_stdata::{
-    AggregateKind, FunctionKind, Resolution, ScalarField, SpatialResolution, TemporalResolution,
+    AggregateKind, FunctionKind, GeoPoint, Polygon, Resolution, ScalarField, SpatialPartition,
+    SpatialResolution, TemporalResolution,
 };
 use polygamy_topology::{BitVec, FeatureSet, FeatureSets};
 
@@ -934,6 +937,123 @@ pub fn decode_function_segment(
         features,
         field,
     })
+}
+
+/// The geometry blob's presence tags of an optional partition slot.
+const ABSENT: u8 = 0;
+const PRESENT: u8 = 1;
+
+/// Encodes the geometry blob: the zip and neighborhood slots, each a
+/// presence tag, then the city partition, which is always there.
+///
+/// ```text
+/// geometry  = slot slot partition              zip, neighborhood, city
+/// slot      = 0x00 | 0x01 partition            absent | present
+/// partition = code u64(n) ring{n} list{n}      code: SpatialResolution::code
+/// ring      = u64(len) (f64 x, f64 y){len}     bit patterns, LE
+/// list      = u64(len) u32{len}                one region's neighbours
+/// ```
+///
+/// The point-location grid is not stored: [`SpatialPartition::new`]
+/// derives it from the polygons. NaN travels as its bit pattern; a
+/// coordinate of ±∞ is refused ([`StoreError::Corrupt`]), as the decoder
+/// refuses it. Shared by every writer: a sharded store embeds the identical
+/// blob in every shard file.
+pub fn encode_geometry(geometry: &CityGeometry) -> Result<Vec<u8>> {
+    let mut e = Enc::new();
+    for slot in [&geometry.zip, &geometry.neighborhood] {
+        match slot {
+            None => e.u8(ABSENT),
+            Some(partition) => {
+                e.u8(PRESENT);
+                enc_partition(&mut e, partition)?;
+            }
+        }
+    }
+    enc_partition(&mut e, &geometry.city)?;
+    Ok(e.into_bytes())
+}
+
+fn enc_partition(e: &mut Enc, partition: &SpatialPartition) -> Result<()> {
+    e.u8(partition.resolution.code());
+    e.usize(partition.polygons.len());
+    for polygon in &partition.polygons {
+        e.usize(polygon.ring.len());
+        for v in &polygon.ring {
+            if v.x.is_infinite() || v.y.is_infinite() {
+                return Err(StoreError::Corrupt(
+                    "geometry encode failed: a coordinate is infinite".into(),
+                ));
+            }
+            e.f64(v.x);
+            e.f64(v.y);
+        }
+    }
+    for list in &partition.adjacency {
+        e.usize(list.len());
+        list.iter().for_each(|&j| e.u32(j));
+    }
+    Ok(())
+}
+
+/// Decodes the geometry blob (see [`encode_geometry`]), untrusted bytes:
+/// every count is bounded by the bytes left before anything is allocated,
+/// every ring goes through [`Polygon::new`] and every partition through
+/// [`SpatialPartition::new`] — the constructors that enforce what the
+/// executor indexes by (rings of ≥ 3 vertices, one adjacency list per
+/// polygon, neighbours in range) — and each partition must hold its slot's
+/// resolution. An unknown tag or code, an infinite coordinate, a blob
+/// ending early and bytes after the city are each [`StoreError::Corrupt`].
+/// For a geometry this crate wrote, the decoded value is the one saved.
+pub fn decode_geometry(bytes: &[u8]) -> Result<CityGeometry> {
+    let mut d = Dec::new(bytes, "geometry");
+    let mut optional = |slot: SpatialResolution| match d.u8()? {
+        ABSENT => Ok(None),
+        PRESENT => dec_partition(&mut d, slot).map(Some),
+        tag => Err(d.corrupt(&format!("unknown {slot} slot tag {tag}"))),
+    };
+    let zip = optional(SpatialResolution::Zip)?;
+    let neighborhood = optional(SpatialResolution::Neighborhood)?;
+    let city = dec_partition(&mut d, SpatialResolution::City)?;
+    d.finish()?;
+    Ok(CityGeometry {
+        zip,
+        neighborhood,
+        city,
+    })
+}
+
+fn dec_partition(d: &mut Dec<'_>, slot: SpatialResolution) -> Result<SpatialPartition> {
+    let code = d.u8()?;
+    let resolution = SpatialResolution::from_code(code)
+        .ok_or_else(|| d.corrupt(&format!("unknown spatial resolution code {code}")))?;
+    if resolution != slot {
+        return Err(d.corrupt(&format!("{slot} slot holds a {resolution} partition")));
+    }
+    // A region costs at least its ring's count and its list's.
+    let n = d.seq_len(16)?;
+    let mut polygons = Vec::with_capacity(n);
+    for _ in 0..n {
+        let len = d.seq_len(16)?;
+        let coordinate = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8"));
+        let ring: Vec<GeoPoint> = (d.take(16 * len)?.chunks_exact(16))
+            .map(|v| GeoPoint::new(coordinate(&v[..8]), coordinate(&v[8..])))
+            .collect();
+        if ring.iter().any(|v| v.x.is_infinite() || v.y.is_infinite()) {
+            return Err(d.corrupt("a coordinate is infinite"));
+        }
+        polygons.push(Polygon::new(ring).map_err(|e| d.corrupt(&e.to_string()))?);
+    }
+    let mut adjacency = Vec::with_capacity(n);
+    for _ in 0..n {
+        let len = d.seq_len(4)?;
+        let list = d.take(4 * len)?.chunks_exact(4);
+        adjacency.push(
+            list.map(|j| u32::from_le_bytes(j.try_into().expect("4")))
+                .collect(),
+        );
+    }
+    SpatialPartition::new(resolution, polygons, adjacency).map_err(|e| d.corrupt(&e.to_string()))
 }
 
 #[cfg(test)]

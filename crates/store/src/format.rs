@@ -6,7 +6,7 @@
 //! │   magic "PLGYSTOR" · version u32 · flags u32                 │
 //! │   manifest_offset u64 · manifest_len u64 · manifest_sum u64  │
 //! ├──────────────────────────────────────────────────────────────┤
-//! │ geometry blob (JSON payload, checksummed)                    │
+//! │ geometry blob (partitions, LE codec, checksummed)            │
 //! ├──────────────────────────────────────────────────────────────┤
 //! │ hot blob 0 (one FunctionEntry minus its field, checksummed)  │
 //! │ hot blob 1                                                   │
@@ -39,9 +39,11 @@ pub const MAGIC: [u8; 8] = *b"PLGYSTOR";
 /// Current format version. Bump whenever the codec's byte stream, the
 /// clause fingerprint derivation, the segment layout or the meaning of a
 /// stored bit changes; readers reject other versions with a typed error
-/// instead of guessing. Version 7 hot blobs end with the feature bit
-/// vectors; version 6 stored the seasonal thresholds after them.
-pub const VERSION: u32 = 7;
+/// instead of guessing. Version 8 writes the geometry blob in the binary
+/// codec (version 7's was JSON text); version 7 hot blobs already ended
+/// with the feature bit vectors, where version 6 stored the seasonal
+/// thresholds after them.
+pub const VERSION: u32 = 8;
 
 /// Fixed header length in bytes.
 pub const HEADER_LEN: u64 = 40;
@@ -127,8 +129,7 @@ pub struct SegmentInfo {
     /// Resolution of the entry, for selective loading.
     pub resolution: Resolution,
     /// Where the hot blob lives — the payload every query over this
-    /// function reads: spec, shape, feature bit vectors, seasonal
-    /// thresholds.
+    /// function reads: spec, shape, feature bit vectors.
     pub loc: BlobLoc,
     /// Where the field blob (the `n_regions × n_steps` scalar values)
     /// lives, if the function was indexed with its field. Read only for

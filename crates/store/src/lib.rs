@@ -7,7 +7,7 @@
 //! form and served from then on by concurrent read sessions — no rebuild on
 //! restart, no raw data at query time.
 //!
-//! ## On-disk format (version 6)
+//! ## On-disk format (version 8)
 //!
 //! The normative specification of the format lives in
 //! [`docs/store-format.md`](https://github.com/paper-repro/data-polygamy/blob/main/docs/store-format.md)
@@ -17,7 +17,9 @@
 //! ```text
 //! header    40 bytes, fixed: magic "PLGYSTOR", version u32, flags u32,
 //!           manifest offset/len/checksum (3 × u64)
-//! geometry  the CityGeometry as a checksummed JSON blob
+//! geometry  the CityGeometry as one checksummed binary blob: per
+//!           partition its resolution, rings and adjacency lists
+//!           ([`codec::encode_geometry`])
 //! hot       one independently checksummed binary blob per indexed scalar
 //!           function (FunctionEntry): spec, resolution, window, salient/
 //!           extreme feature bit vectors, region-major (bit x·n_steps + z;
@@ -35,8 +37,8 @@
 //!           written at the tail
 //! ```
 //!
-//! Everything outside the geometry blob is encoded by an explicit
-//! little-endian codec ([`codec`]): integers are little-endian, floats
+//! Every region is encoded by an explicit little-endian codec
+//! ([`codec`]): integers are little-endian, floats
 //! travel as IEEE-754 bit patterns (NaN-exact) — run-length coded, and as
 //! varint counts where every value allows it, inside field blobs; bit
 //! vectors travel as word runs — strings
@@ -110,7 +112,7 @@ pub use format::{BlobLoc, Header, Manifest, SegmentInfo, VERSION};
 pub use lazy::LazyIndex;
 pub use pql_exec::{
     execute_pql_batch, execute_pql_batch_traced, execute_pql_query, execute_pql_query_traced,
-    PqlOutcome, PqlServeError,
+    write_outcome_json, PqlOutcome, PqlServeError,
 };
 pub use session::StoreSession;
 pub use shard::{

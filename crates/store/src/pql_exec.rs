@@ -9,7 +9,8 @@
 //! render — so the frontends cannot drift apart. The byte-identity
 //! guarantees the daemon documents (a coalesced network response equals
 //! the offline `polygamy-store query --json` output for the same query)
-//! hold *because* both sides call [`PqlOutcome::to_json`].
+//! hold *because* both sides render through [`write_outcome_json`] — the
+//! offline side by way of [`PqlOutcome::to_json`].
 //!
 //! ```
 //! use polygamy_core::prelude::*;
@@ -116,23 +117,8 @@ impl PqlOutcome {
     /// string, byte for byte.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        self.write_json(&mut out);
+        write_outcome_json(&mut out, &self.query, &self.relationships);
         out
-    }
-
-    /// Appends [`PqlOutcome::to_json`]'s object to `out`, reserving room
-    /// for all of it first, so that a response of many lines renders into
-    /// one buffer.
-    pub fn write_json(&self, out: &mut String) {
-        let query = to_pql(&self.query);
-        // A relationship's object is ≈ 300 bytes with urban-length names.
-        out.reserve(32 + 2 * query.len() + 320 * self.relationships.len());
-        out.push_str("{\"query\":");
-        polygamy_json::write_str(out, &query);
-        out.push_str(",\"relationships\":");
-        // Every measure is finite: τ ∈ [−1, 1], ρ and p ∈ [0, 1].
-        write_json_array(out, &self.relationships).expect("relationships serialize");
-        out.push('}');
     }
 
     /// Renders the human-readable report the CLI and REPL print: a
@@ -150,6 +136,27 @@ impl PqlOutcome {
         }
         out
     }
+}
+
+/// Appends the [`PqlOutcome::to_json`] object of `query` answered by
+/// `relationships` to `out`, reserving room for all of it first, so that a
+/// response of many lines renders into one buffer — the daemon's, which
+/// shares a request's parsed queries with the coalescer's queue instead of
+/// owning them.
+pub fn write_outcome_json(
+    out: &mut String,
+    query: &RelationshipQuery,
+    relationships: &[Relationship],
+) {
+    let query = to_pql(query);
+    // A relationship's object is ≈ 300 bytes with urban-length names.
+    out.reserve(32 + 2 * query.len() + 320 * relationships.len());
+    out.push_str("{\"query\":");
+    polygamy_json::write_str(out, &query);
+    out.push_str(",\"relationships\":");
+    // Every measure is finite: τ ∈ [−1, 1], ρ and p ∈ [0, 1].
+    write_json_array(out, relationships).expect("relationships serialize");
+    out.push('}');
 }
 
 /// Parses `src` as a single PQL query (newlines and comments allowed) and
@@ -660,7 +667,7 @@ mod tests {
                 if i > 0 {
                     body.push('\n');
                 }
-                outcome.write_json(&mut body);
+                write_outcome_json(&mut body, &outcome.query, &outcome.relationships);
             }
             proptest::prop_assert_eq!(body, expected.join("\n"));
         }

@@ -47,8 +47,7 @@ use crate::codec::{Dec, Enc};
 use crate::error::{Result, StoreError};
 use crate::format::{dec_dataset_entry, enc_dataset_entry};
 use crate::store::{
-    encode_geometry, encode_segment_groups, write_atomically, write_store, Blob, SegmentGroup,
-    Store,
+    encode_segment_groups, geometry_blob, write_atomically, write_store, Blob, SegmentGroup, Store,
 };
 use polygamy_core::index::{DatasetEntry, PolygamyIndex};
 use polygamy_core::{CityGeometry, Config};
@@ -294,7 +293,7 @@ pub fn save_sharded(
     }
     write_sharded(
         path.as_ref(),
-        &encode_geometry(geometry)?,
+        &geometry_blob(geometry)?,
         index.datasets.clone(),
         encode_segment_groups(index),
         round_robin(index.datasets.len(), n_shards),

@@ -36,16 +36,15 @@
 //! (`POLYGAMY_WORKERS`).
 
 use crate::checksum::blob_checksum;
-use crate::codec::{encode_field, encode_hot};
+use crate::codec::{decode_geometry, encode_field, encode_geometry, encode_hot};
 use crate::error::{Result, StoreError};
 use crate::format::{BlobLoc, Header, Manifest, SegmentInfo, HEADER_LEN, VERSION};
 use crate::source::SegmentSource;
 use polygamy_core::index::{DatasetEntry, FunctionEntry, PolygamyIndex};
 use polygamy_core::{index_dataset, CityGeometry, Config};
-use polygamy_json::Value;
 use polygamy_mapreduce::{run_weighted_tasks, Cluster};
 use polygamy_obs::{count, names, stage};
-use polygamy_stdata::{Dataset, Resolution, SpatialPartition, SpatialResolution};
+use polygamy_stdata::{Dataset, Resolution};
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -89,7 +88,7 @@ impl Store {
     ) -> Result<Store> {
         write_store(
             path.as_ref(),
-            &encode_geometry(geometry)?,
+            &geometry_blob(geometry)?,
             index.datasets.clone(),
             encode_segment_groups(index),
         )
@@ -450,70 +449,11 @@ pub(crate) fn per_segment<R: Send, C: FromIterator<R>>(
     results.into_iter().collect()
 }
 
-/// Serialises the geometry blob (JSON payload inside the checksummed
-/// segment framing — polygon soup gains nothing from a binary codec and
-/// stays debuggable this way): `{"zip","neighborhood","city"}`, each a
-/// [`SpatialPartition::write_json`] object or, for the optional two,
-/// `null`. Shared with [`crate::shard`], which embeds the identical blob
-/// in every shard file.
-pub(crate) fn encode_geometry(geometry: &CityGeometry) -> Result<Blob> {
-    let mut json = String::new();
-    write_geometry(&mut json, geometry)
-        .map_err(|e| StoreError::Corrupt(format!("geometry encode failed: {e}")))?;
-    Ok(Blob::encoded(json.into_bytes()))
-}
-
-fn write_geometry(
-    out: &mut String,
-    geometry: &CityGeometry,
-) -> std::result::Result<(), polygamy_json::Error> {
-    let optional = |out: &mut String, partition: Option<&SpatialPartition>| match partition {
-        Some(partition) => partition.write_json(out),
-        None => {
-            out.push_str("null");
-            Ok(())
-        }
-    };
-    out.push_str("{\"zip\":");
-    optional(out, geometry.zip.as_ref())?;
-    out.push_str(",\"neighborhood\":");
-    optional(out, geometry.neighborhood.as_ref())?;
-    out.push_str(",\"city\":");
-    geometry.city.write_json(out)?;
-    out.push('}');
-    Ok(())
-}
-
-/// Decodes the geometry blob, untrusted text: every partition is read
-/// through [`SpatialPartition::from_json`], which builds it with the
-/// constructors that enforce what the executor indexes by (rings of ≥ 3
-/// vertices, one adjacency list per polygon, neighbours in range) and
-/// re-derives the point-location grid from the polygons — the file's copy
-/// of the grid is never read — and each partition must sit in the slot of
-/// its own resolution. For a geometry this crate wrote, the decoded value
-/// is the one that was saved.
-fn decode_geometry(bytes: &[u8]) -> Result<CityGeometry> {
-    let corrupt = |e: &dyn std::fmt::Display| StoreError::Corrupt(format!("geometry: {e}"));
-    let text = std::str::from_utf8(bytes).map_err(|_| corrupt(&"blob is not utf-8"))?;
-    let root = polygamy_json::parse(text).map_err(|e| corrupt(&e))?;
-    let slot = |key: &str| root.get(key).map_err(|e| corrupt(&e));
-    let read = |value: &Value, slot: SpatialResolution| {
-        let partition = SpatialPartition::from_json(value).map_err(|e| corrupt(&e))?;
-        if partition.resolution != slot {
-            let found = partition.resolution;
-            return Err(corrupt(&format!("{slot} slot holds a {found} partition")));
-        }
-        Ok(partition)
-    };
-    let optional = |key: &str, resolution| match slot(key)? {
-        Value::Null => Ok(None),
-        value => read(value, resolution).map(Some),
-    };
-    Ok(CityGeometry {
-        zip: optional("zip", SpatialResolution::Zip)?,
-        neighborhood: optional("neighborhood", SpatialResolution::Neighborhood)?,
-        city: read(slot("city")?, SpatialResolution::City)?,
-    })
+/// The geometry blob of `geometry` ([`encode_geometry`]), checksummed.
+/// Shared with [`crate::shard`], which embeds the identical blob in every
+/// shard file.
+pub(crate) fn geometry_blob(geometry: &CityGeometry) -> Result<Blob> {
+    Ok(Blob::encoded(encode_geometry(geometry)?))
 }
 
 /// Composes and atomically writes a complete store file, then reopens it.
@@ -786,7 +726,7 @@ impl Write for BlockWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polygamy_stdata::{GeoPoint, Polygon};
+    use polygamy_stdata::{GeoPoint, Polygon, SpatialPartition, SpatialResolution};
 
     /// A 2 × 2 grid of unit squares with 4-adjacency.
     fn grid_partition(resolution: SpatialResolution) -> SpatialPartition {
@@ -809,8 +749,8 @@ mod tests {
             city: SpatialPartition::city(0.0, 0.0, 2.0, 2.0),
         };
         let blob = encode_geometry(&geometry).unwrap();
-        let decoded = decode_geometry(&blob.bytes).unwrap();
-        assert_eq!(encode_geometry(&decoded).unwrap().bytes, blob.bytes);
+        let decoded = decode_geometry(&blob).unwrap();
+        assert_eq!(encode_geometry(&decoded).unwrap(), blob);
         let (zip, decoded_zip) = (geometry.zip.unwrap(), decoded.zip.unwrap());
         assert_eq!(decoded_zip.adjacency, zip.adjacency);
         for p in [(0.5, 0.5), (1.5, 0.5), (0.5, 1.5), (1.5, 1.5), (9.0, 9.0)] {
@@ -819,10 +759,9 @@ mod tests {
         }
     }
 
-    /// Coordinates that take a branch of the float rule each: signed
-    /// zeros, integral values on both sides of 1e15 (1e15 itself is
-    /// written as the integer token `1000000000000000`), a subnormal, NaN
-    /// (written `null`, read back as NaN).
+    /// Edge cases of the coordinate codec, each of which must come back
+    /// with its bit pattern: signed zeros, integral values on both sides of
+    /// 1e15, a subnormal, a decimal fraction, NaN.
     const COORDINATES: [f64; 9] = [
         0.0,
         -0.0,
@@ -886,8 +825,8 @@ mod tests {
                 city: arbitrary_partition(&mut words, SpatialResolution::City),
             };
             let blob = encode_geometry(&geometry).unwrap();
-            let decoded = decode_geometry(&blob.bytes).unwrap();
-            proptest::prop_assert!(encode_geometry(&decoded).unwrap().bytes == blob.bytes);
+            let decoded = decode_geometry(&blob).unwrap();
+            proptest::prop_assert!(encode_geometry(&decoded).unwrap() == blob);
             let pairs = [
                 (geometry.zip.as_ref(), decoded.zip.as_ref()),
                 (geometry.neighborhood.as_ref(), decoded.neighborhood.as_ref()),
@@ -907,51 +846,47 @@ mod tests {
         }
     }
 
-    /// The file's `grid` is written but never read: the key must be there,
-    /// but its value — here no grid at all — does not matter, because the
-    /// decoder re-derives the grid from the polygons, so a blob whose only
-    /// defect lies inside the grid decodes.
+    /// ±∞ is no coordinate of a city: the encoder refuses it, and so does
+    /// the decoder when a blob spells it.
     #[test]
-    fn a_grid_is_written_but_not_read() {
-        let geometry = CityGeometry::city_only(0.0, 0.0, 1.0, 1.0);
-        let blob = encode_geometry(&geometry).unwrap();
-        let text = String::from_utf8(blob.bytes.clone()).unwrap();
-        let grid = r#""grid":{"bbox":{"min":{"x":0.0,"y":0.0},"max":{"x":1.0,"y":1.0}},"nx":1,"ny":1,"cells":[[0]]}"#;
-        assert!(text.contains(grid), "{text}");
-        for garbage in [
-            r#""grid":"none""#,
-            r#""grid":{"nx":-1,"cells":[[7]]}"#,
-            r#""grid":null"#,
-        ] {
-            let decoded = decode_geometry(text.replace(grid, garbage).as_bytes()).unwrap();
-            assert_eq!(
-                encode_geometry(&decoded).unwrap().bytes,
-                blob.bytes,
-                "{garbage}"
+    fn infinite_coordinates_are_refused_both_ways() {
+        let finite = CityGeometry::city_only(0.0, 0.0, 1.0, 1.0);
+        let blob = encode_geometry(&finite).unwrap();
+        for inf in [f64::INFINITY, f64::NEG_INFINITY] {
+            let mut geometry = finite.clone();
+            geometry.city.polygons[0].ring[2].y = inf;
+            let err = encode_geometry(&geometry).unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+            // The third vertex's y: tags, code, two counts, 2½ vertices in.
+            let mut bytes = blob.clone();
+            bytes[19 + 40..][..8].copy_from_slice(&inf.to_le_bytes());
+            let err = decode_geometry(&bytes).unwrap_err();
+            assert!(
+                matches!(&err, StoreError::Corrupt(m) if m.contains("infinite")),
+                "{err:?}"
             );
         }
-        let without = text.replace(&format!(",{grid}"), "");
-        let err = decode_geometry(without.as_bytes()).unwrap_err();
-        assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
     }
 
-    /// The bytes of the geometry boundary (`docs/store-format.md`): every
-    /// store file embeds this encoding, locator grid included, and
-    /// maintenance copies it verbatim — it may only change together with
-    /// [`VERSION`].
+    /// The bytes of the geometry boundary (`docs/store-format.md`, where
+    /// the same bytes are listed): every store file embeds this encoding,
+    /// and maintenance copies it verbatim — it may only change together
+    /// with [`VERSION`].
     #[test]
     fn geometry_encoding_bytes_are_pinned() {
         let blob = encode_geometry(&CityGeometry::city_only(0.0, 0.0, 1.0, 1.0)).unwrap();
-        assert_eq!(
-            String::from_utf8(blob.bytes).unwrap(),
-            concat!(
-                r#"{"zip":null,"neighborhood":null,"city":{"resolution":"City","#,
-                r#""polygons":[{"ring":[{"x":0.0,"y":0.0},{"x":1.0,"y":0.0},"#,
-                r#"{"x":1.0,"y":1.0},{"x":0.0,"y":1.0}]}],"adjacency":[[]],"#,
-                r#""grid":{"bbox":{"min":{"x":0.0,"y":0.0},"max":{"x":1.0,"y":1.0}},"#,
-                r#""nx":1,"ny":1,"cells":[[0]]}}}"#,
-            )
-        );
+        let expected: [&[u8]; 8] = [
+            &[0x00, 0x00],                                           // no zip, no neighborhood
+            &[0x03, 1, 0, 0, 0, 0, 0, 0, 0],                         // the city: code 3, 1 region
+            &[4, 0, 0, 0, 0, 0, 0, 0],                               // its ring: 4 vertices
+            &[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],       // (0, 0)
+            &[0, 0, 0, 0, 0, 0, 0xF0, 0x3F, 0, 0, 0, 0, 0, 0, 0, 0], // (1, 0)
+            &[0, 0, 0, 0, 0, 0, 0xF0, 0x3F, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F], // (1, 1)
+            &[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F], // (0, 1)
+            &[0, 0, 0, 0, 0, 0, 0, 0],                               // its neighbours: none
+        ];
+        assert_eq!(blob, expected.concat());
+        assert_eq!(blob.len(), 91);
     }
 
     /// Whatever the lengths on either side of a block or stage boundary

@@ -17,15 +17,17 @@
 //! also through `validate_field`, the walk an eager open runs in place of
 //! the decode, which must agree word for word; and a manifest whose `field`
 //! location is hostile is driven through real sessions. Files of versions
-//! 1 to 6 are refused by version, not decoded.
+//! 1 to 7 are refused by version, not decoded.
 //!
-//! The sixth decoder, the geometry blob's, is JSON text rather than the
-//! binary codec, and is reached the way a reader reaches it: through
-//! `Store::load_geometry` on a truthfully sealed file. Arbitrary bytes and
-//! mutated valid JSON (bytes flipped, the tail cut off, one digit or one
-//! whole number replaced) must end in a typed error or in a geometry that
-//! is safe to index by, and a store carrying a hostile geometry must end
-//! every session path in a typed error on the coordinating thread.
+//! The sixth decoder, the geometry blob's, is reached the way a reader
+//! reaches it: through `Store::load_geometry` on a truthfully sealed file.
+//! Arbitrary bytes and damaged valid blobs (bytes flipped, the tail cut
+//! off, a count, a coordinate or a neighbour index replaced) must end in a
+//! typed error or in a geometry that is safe to index by; every count of a
+//! valid blob overwritten with a hostile value, a cut at every section
+//! boundary and bytes appended must each end in a typed error; and a store
+//! carrying a hostile geometry must end every session path in a typed
+//! error on the coordinating thread.
 //!
 //! The shard catalog carries its own checksum, which would reject almost
 //! every mutation before the payload decoder runs; mutated catalogs are
@@ -40,7 +42,7 @@ use polygamy_core::DataPolygamy;
 use polygamy_stdata::Polygon;
 use polygamy_store::codec::{
     decode_field, decode_function_segment, enc_resolution, enc_spec, encode_field,
-    encode_function_segment, validate_field, Enc,
+    encode_function_segment, encode_geometry, validate_field, Enc,
 };
 use polygamy_store::{
     blob_checksum, BlobLoc, Header, LazyIndex, Manifest, SegmentInfo, ShardCatalog, Store,
@@ -668,31 +670,36 @@ fn scratch_path(tag: &str) -> Cleanup {
     )))
 }
 
-/// A segment-less store over a two-region zip partition plus the city, and
-/// the JSON text of its geometry blob.
+/// The seed geometry: a two-region zip partition, no neighborhoods, the
+/// city.
+fn seed_geometry() -> CityGeometry {
+    let zip = SpatialPartition::new(
+        SpatialResolution::Zip,
+        vec![
+            Polygon::rect(0.0, 0.0, 1.0, 1.0),
+            Polygon::rect(1.0, 0.0, 2.0, 1.0),
+        ],
+        vec![vec![1], vec![0]],
+    )
+    .unwrap();
+    CityGeometry {
+        zip: Some(zip),
+        neighborhood: None,
+        city: SpatialPartition::city(0.0, 0.0, 2.0, 1.0),
+    }
+}
+
+/// A segment-less store over [`seed_geometry`], and its geometry blob.
 fn geometry_seed() -> &'static (Vec<u8>, Vec<u8>) {
     static SEED: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
     SEED.get_or_init(|| {
-        let zip = SpatialPartition::new(
-            SpatialResolution::Zip,
-            vec![
-                Polygon::rect(0.0, 0.0, 1.0, 1.0),
-                Polygon::rect(1.0, 0.0, 2.0, 1.0),
-            ],
-            vec![vec![1], vec![0]],
-        )
-        .unwrap();
-        let geometry = CityGeometry {
-            zip: Some(zip),
-            neighborhood: None,
-            city: SpatialPartition::city(0.0, 0.0, 2.0, 1.0),
-        };
         let file = scratch_path("geometry-seed");
-        let store = Store::save(&file.0, &geometry, &Default::default()).unwrap();
+        let store = Store::save(&file.0, &seed_geometry(), &Default::default()).unwrap();
         let loc = store.manifest().geometry;
         let bytes = std::fs::read(&file.0).unwrap();
-        let json = bytes[loc.offset as usize..][..loc.len as usize].to_vec();
-        (bytes, json)
+        let blob = bytes[loc.offset as usize..][..loc.len as usize].to_vec();
+        assert_eq!(blob, encode_geometry(&seed_geometry()).unwrap());
+        (bytes, blob)
     })
 }
 
@@ -723,10 +730,84 @@ fn assert_safe_to_index_by(geometry: &CityGeometry) {
     }
 }
 
-fn replaced(json: &[u8], from: &str, to: &str) -> Vec<u8> {
-    let text = std::str::from_utf8(json).unwrap();
-    assert!(text.contains(from), "`{from}` not in {text}");
-    text.replacen(from, to, 1).into_bytes()
+/// A decode outcome the reader can live with: a typed error, or a
+/// geometry safe to index by.
+fn assert_typed_or_safe(outcome: Result<CityGeometry, StoreError>, case: &str) {
+    match outcome {
+        Ok(geometry) => assert_safe_to_index_by(&geometry),
+        Err(StoreError::Corrupt(_)) => {}
+        Err(other) => panic!("{case}: {other:?}"),
+    }
+}
+
+/// Byte offsets of a valid geometry blob's fields, by kind, found by
+/// walking it as `docs/store-format.md` lays it out.
+#[derive(Debug, Default)]
+struct GeometryLayout {
+    /// Every `u64` count: polygons, ring vertices, neighbours.
+    counts: Vec<usize>,
+    /// Every `f64` coordinate.
+    coordinates: Vec<usize>,
+    /// Every `u32` neighbour index.
+    neighbours: Vec<usize>,
+    /// Where each section ends: a slot tag, a partition's code, every
+    /// count, ring and neighbour list, every partition.
+    boundaries: Vec<usize>,
+}
+
+fn geometry_layout(blob: &[u8]) -> GeometryLayout {
+    fn count(blob: &[u8], at: &mut usize, layout: &mut GeometryLayout) -> usize {
+        layout.counts.push(*at);
+        *at += 8;
+        layout.boundaries.push(*at);
+        u64::from_le_bytes(blob[*at - 8..*at].try_into().unwrap()) as usize
+    }
+    fn partition(blob: &[u8], at: &mut usize, layout: &mut GeometryLayout) {
+        *at += 1;
+        layout.boundaries.push(*at);
+        let n = count(blob, at, layout);
+        for _ in 0..n {
+            let len = count(blob, at, layout);
+            layout.coordinates.extend((0..2 * len).map(|i| *at + 8 * i));
+            *at += 16 * len;
+            layout.boundaries.push(*at);
+        }
+        for _ in 0..n {
+            let len = count(blob, at, layout);
+            layout.neighbours.extend((0..len).map(|i| *at + 4 * i));
+            *at += 4 * len;
+            layout.boundaries.push(*at);
+        }
+    }
+    let mut layout = GeometryLayout::default();
+    let mut at = 0;
+    for _slot in ["zip", "neighborhood"] {
+        at += 1;
+        layout.boundaries.push(at);
+        if blob[at - 1] == 1 {
+            partition(blob, &mut at, &mut layout);
+        }
+    }
+    partition(blob, &mut at, &mut layout);
+    assert_eq!(at, blob.len(), "the walk ends with the blob");
+    layout
+}
+
+/// Values a count field is overwritten with: each larger than the blob
+/// could hold, and each past any allocation a decoder could make up front.
+const HOSTILE_COUNTS: [u64; 3] = [u64::MAX, 1 << 40, u32::MAX as u64];
+
+/// Coordinates the decoder must refuse (±∞) or carry through (NaN with or
+/// without a payload, the smallest subnormals).
+fn odd_coordinates() -> [f64; 6] {
+    [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::from_bits(0x7FF8_0000_DEAD_BEEF),
+        f64::from_bits(1),
+        -f64::MIN_POSITIVE / 2.0,
+    ]
 }
 
 proptest! {
@@ -735,29 +816,27 @@ proptest! {
     #[test]
     fn geometry_decoder_returns_typed_errors_for_any_input(
         raw in proptest::collection::vec(0u8..=u8::MAX, 0..192),
-        mutation in 0u8..4,
+        mutation in 0u8..5,
         positions in proptest::collection::vec(0usize..usize::MAX, 1..5),
         masks in proptest::collection::vec(1u8..=u8::MAX, 4),
-        digit in b'0'..=b'9',
-        number in prop_oneof![
-            Just("-1"),
-            Just("0"),
-            Just("4294967296"),
-            Just("18446744073709551616"),
-            Just("1e999"),
-            Just("0.5"),
-            Just("null"),
-            Just("[]"),
+        count in prop_oneof![
+            Just(u64::MAX),
+            Just(1u64 << 40),
+            Just(u32::MAX as u64),
+            0u64..6,
         ],
+        coordinate in 0usize..6,
+        neighbour in 0u32..=u32::MAX,
     ) {
         // (a) Arbitrary bytes.
-        let _ = decode_geometry(&raw);
+        assert_typed_or_safe(decode_geometry(&raw), "arbitrary bytes");
 
-        // (b) The valid JSON, damaged.
+        // (b) The valid blob, damaged.
         let valid = &geometry_seed().1;
         prop_assert!(decode_geometry(valid).is_ok());
+        let layout = geometry_layout(valid);
+        let pick = |offsets: &[usize]| offsets[positions[0] % offsets.len()];
         let mut bytes = valid.clone();
-        let digits: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i].is_ascii_digit()).collect();
         match mutation {
             0 => {
                 for (p, m) in positions.iter().zip(&masks) {
@@ -766,59 +845,128 @@ proptest! {
                 }
             }
             1 => bytes.truncate(positions[0] % bytes.len()),
-            // Still JSON, one number off: a neighbour index, a grid
-            // dimension or cell, a coordinate.
-            2 => bytes[digits[positions[0] % digits.len()]] = digit,
-            // One whole number replaced by a hostile one.
+            // One count off: a ring or a neighbour list longer or shorter,
+            // or a partition of another size.
+            2 => {
+                let at = pick(&layout.counts);
+                bytes[at..at + 8].copy_from_slice(&count.to_le_bytes());
+            }
+            3 => {
+                let at = pick(&layout.coordinates);
+                bytes[at..at + 8].copy_from_slice(&odd_coordinates()[coordinate].to_le_bytes());
+            }
             _ => {
-                let at = digits[positions[0] % digits.len()];
-                let in_number = |b: &u8| b.is_ascii_digit() || *b == b'.';
-                let start = at - bytes[..at].iter().rev().take_while(|b| in_number(b)).count();
-                let end = at + bytes[at..].iter().take_while(|b| in_number(b)).count();
-                bytes.splice(start..end, number.bytes());
+                let at = pick(&layout.neighbours);
+                bytes[at..at + 4].copy_from_slice(&neighbour.to_le_bytes());
             }
         }
-        if let Ok(geometry) = decode_geometry(&bytes) {
-            assert_safe_to_index_by(&geometry);
+        assert_typed_or_safe(decode_geometry(&bytes), "damaged blob");
+    }
+}
+
+/// Every field of the seed blob damaged in turn: each count overwritten
+/// with each of [`HOSTILE_COUNTS`], the blob cut at each section boundary
+/// (and at every other byte), bytes appended, each coordinate replaced by
+/// each of [`odd_coordinates`]. A hostile count, a cut and an appended
+/// byte are each a typed error; an infinite coordinate is too, and a NaN or
+/// subnormal one decodes to a geometry safe to index by.
+#[test]
+fn every_field_of_a_geometry_blob_is_checked() {
+    let valid = &geometry_seed().1;
+    let layout = geometry_layout(valid);
+    assert_eq!(layout.counts.len(), 1 + 2 + 2 + 1 + 1 + 1);
+    let corrupt = |bytes: &[u8], case: &str| {
+        let err = decode_geometry(bytes).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{case}: {err:?}");
+    };
+    for &at in &layout.counts {
+        for count in HOSTILE_COUNTS {
+            let mut bytes = valid.clone();
+            bytes[at..at + 8].copy_from_slice(&count.to_le_bytes());
+            corrupt(&bytes, &format!("count at {at} = {count}"));
+        }
+    }
+    assert!(layout.boundaries.len() > 10);
+    for cut in (0..valid.len()).chain(layout.boundaries.iter().map(|&b| b - 1)) {
+        corrupt(&valid[..cut], &format!("cut at {cut}"));
+    }
+    for tail in [&[0x00][..], &[0x01], &[0u8; 8]] {
+        corrupt(&[valid.as_slice(), tail].concat(), "trailing bytes");
+    }
+    for &at in &layout.coordinates {
+        for odd in odd_coordinates() {
+            let mut bytes = valid.clone();
+            bytes[at..at + 8].copy_from_slice(&odd.to_le_bytes());
+            let outcome = decode_geometry(&bytes);
+            if odd.is_infinite() {
+                corrupt(&bytes, &format!("{odd} at {at}"));
+            } else {
+                let geometry = outcome.unwrap();
+                assert_safe_to_index_by(&geometry);
+                assert_eq!(
+                    encode_geometry(&geometry).unwrap(),
+                    bytes,
+                    "{odd:?} at {at}"
+                );
+            }
         }
     }
 }
 
-/// The three ways a geometry blob used to reach a panic: a neighbour index
-/// past the partition (out-of-bounds in the graph shift, on a worker), a
-/// locator grid with no columns (underflow at the next upsert) and a
-/// partition with another region count than the indexed functions (a
-/// failed assertion in the permutation test). The first is refused at
-/// decode, the second cannot matter — the grid is rebuilt from the
-/// polygons — and the third is refused at task expansion.
+/// The seed geometry with one thing wrong, as the encoder writes whatever
+/// it is handed: a neighbour index past the partition (out-of-bounds in
+/// the graph shift, on a worker, before the decoder refused it), a missing
+/// adjacency list, a partition in another resolution's slot, a ring of two
+/// vertices.
+fn hostile_variants(
+    geometry: &CityGeometry,
+    slot: SpatialResolution,
+) -> [(&'static str, Vec<u8>); 4] {
+    let variant = |damage: &dyn Fn(&mut SpatialPartition)| {
+        let mut geometry = geometry.clone();
+        let partition = match slot {
+            SpatialResolution::Zip => geometry.zip.as_mut().unwrap(),
+            _ => &mut geometry.city,
+        };
+        damage(partition);
+        encode_geometry(&geometry).unwrap()
+    };
+    [
+        (
+            "a neighbour out of range",
+            variant(&|p| p.adjacency[0] = vec![7]),
+        ),
+        (
+            "a missing adjacency list",
+            variant(&|p| drop(p.adjacency.pop())),
+        ),
+        (
+            "another resolution",
+            variant(&|p| p.resolution = SpatialResolution::Neighborhood),
+        ),
+        (
+            "a ring of two vertices",
+            variant(&|p| p.polygons[0].ring.truncate(2)),
+        ),
+    ]
+}
+
+/// The ways a geometry blob reached a panic, or could: each variant of
+/// [`hostile_variants`] is refused at decode, and a partition with another
+/// region count than the indexed functions (a failed assertion in the
+/// permutation test) is refused at task expansion — also in a real store,
+/// opened eager and lazy, whose `verify_all` (checksums only) passes.
 #[test]
 fn hostile_geometries_yield_typed_errors() {
-    let valid = &geometry_seed().1;
-    let err = decode_geometry(&replaced(
-        valid,
-        r#""adjacency":[[1],[0]]"#,
-        r#""adjacency":[[7],[0]]"#,
-    ))
-    .unwrap_err();
-    assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
-    for (from, to) in [
-        (r#""adjacency":[[1],[0]]"#, r#""adjacency":[[1]]"#),
-        (r#""resolution":"Zip""#, r#""resolution":"Neighborhood""#),
-        (r#"{"x":0.0,"y":0.0},{"x":1.0,"y":0.0},"#, ""),
-    ] {
-        let err = decode_geometry(&replaced(valid, from, to)).unwrap_err();
-        assert!(matches!(err, StoreError::Corrupt(_)), "{to}: {err:?}");
+    for (case, bytes) in hostile_variants(&seed_geometry(), SpatialResolution::Zip) {
+        let err = decode_geometry(&bytes).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{case}: {err:?}");
     }
-    let no_columns = decode_geometry(&replaced(valid, r#""nx":2"#, r#""nx":0"#)).unwrap();
-    assert_safe_to_index_by(&no_columns);
 
     // A real store under each of them, through every session path.
     let (cleanup, pristine) = saved_store("hostile-geometry");
     let path = &cleanup.0;
-    let stored = {
-        let loc = Store::open(path).unwrap().manifest().geometry;
-        pristine[loc.offset as usize..][..loc.len as usize].to_vec()
-    };
+    let geometry = Store::open(path).unwrap().load_geometry().unwrap();
     let query =
         parse_query("between sensor and twin where permutations = 5 and include insignificant")
             .unwrap();
@@ -830,28 +978,30 @@ fn hostile_geometries_yield_typed_errors() {
         index.verify_all()
     };
 
-    // A neighbour out of range: no session opens.
-    let out_of_range = replaced(&stored, r#""adjacency":[[]]"#, r#""adjacency":[[7]]"#);
-    std::fs::write(path, with_geometry(&pristine, &out_of_range)).unwrap();
-    for session in open_both() {
-        let err = session.unwrap_err();
-        assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+    // No session opens; `verify_all` checks bytes against checksums, and
+    // these are sealed.
+    for (case, bytes) in hostile_variants(&geometry, SpatialResolution::City) {
+        std::fs::write(path, with_geometry(&pristine, &bytes)).unwrap();
+        for session in open_both() {
+            let err = session.unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt(_)), "{case}: {err:?}");
+        }
+        verify().unwrap();
     }
-    // `verify_all` checks bytes against checksums, and these are sealed.
-    verify().unwrap();
 
     // Another city's partition — two regions under one-region functions:
     // sessions open, every query is refused before a task exists.
-    let other_city = replaced(
-        &stored,
-        r#""polygons":["#,
-        r#""polygons":[{"ring":[{"x":5.0,"y":5.0},{"x":6.0,"y":5.0},{"x":6.0,"y":6.0}]},"#,
-    );
-    let other_city = replaced(
-        &other_city,
-        r#""adjacency":[[]]"#,
-        r#""adjacency":[[1],[0]]"#,
-    );
+    let mut other_city = geometry.clone();
+    other_city.city = SpatialPartition::new(
+        SpatialResolution::City,
+        vec![
+            Polygon::rect(5.0, 5.0, 6.0, 6.0),
+            geometry.city.polygons[0].clone(),
+        ],
+        vec![vec![1], vec![0]],
+    )
+    .unwrap();
+    let other_city = encode_geometry(&other_city).unwrap();
     std::fs::write(path, with_geometry(&pristine, &other_city)).unwrap();
     for session in open_both() {
         let err = session.unwrap().query(&query).unwrap_err();
@@ -867,14 +1017,14 @@ fn hostile_geometries_yield_typed_errors() {
     }
     verify().unwrap();
 
-    // A grid with no columns is not read: the store serves, and takes an
-    // upsert, like the pristine one.
-    let no_columns = replaced(&stored, r#""nx":1"#, r#""nx":0"#);
-    std::fs::write(path, with_geometry(&pristine, &no_columns)).unwrap();
+    // The pristine bytes, re-sealed by the same splice, serve as before
+    // and take an upsert.
+    let same = encode_geometry(&geometry).unwrap();
+    std::fs::write(path, with_geometry(&pristine, &same)).unwrap();
+    assert_eq!(std::fs::read(path).unwrap(), pristine);
     for session in open_both() {
         assert_eq!(session.unwrap().query(&query).unwrap(), expected);
     }
-    verify().unwrap();
     let sensor = sample_framework().dataset("sensor").unwrap().clone();
     Store::upsert_dataset(path, &sensor, &Config::fast_test()).unwrap();
     let upserted = StoreSession::open(path).unwrap();
@@ -1032,7 +1182,7 @@ fn version_1_files_are_refused_by_version() {
             result,
             Err(StoreError::UnsupportedVersion {
                 found: 1,
-                supported: 7
+                supported: 8
             })
         ));
     }
@@ -1056,7 +1206,7 @@ fn version_2_files_are_refused_by_version() {
             result,
             Err(StoreError::UnsupportedVersion {
                 found: 2,
-                supported: 7
+                supported: 8
             })
         ));
     }
@@ -1071,7 +1221,7 @@ fn version_3_files_are_refused_by_version() {
             result,
             Err(StoreError::UnsupportedVersion {
                 found: 3,
-                supported: 7
+                supported: 8
             })
         ));
     }
@@ -1086,7 +1236,7 @@ fn version_4_files_are_refused_by_version() {
             result,
             Err(StoreError::UnsupportedVersion {
                 found: 4,
-                supported: 7
+                supported: 8
             })
         ));
     }
@@ -1102,16 +1252,14 @@ fn version_5_files_are_refused_by_version() {
             result,
             Err(StoreError::UnsupportedVersion {
                 found: 5,
-                supported: 7
+                supported: 8
             })
         ));
     }
 }
 
 /// And a version-6 file (seasonal thresholds after the feature vectors of
-/// every hot blob): no hot-blob decoder that skips them is kept for it. The
-/// shard catalog's bytes did not change with formats 3 to 7, so its version
-/// is still 2.
+/// every hot blob): no hot-blob decoder that skips them is kept for it.
 #[test]
 fn version_6_files_are_refused_by_version() {
     for result in open_claiming_version(6) {
@@ -1119,9 +1267,25 @@ fn version_6_files_are_refused_by_version() {
             result,
             Err(StoreError::UnsupportedVersion {
                 found: 6,
-                supported: 7
+                supported: 8
             })
         ));
     }
-    assert_eq!((VERSION, SHARD_CATALOG_VERSION), (7, 2));
+}
+
+/// And a version-7 file (a JSON geometry blob): no second geometry decoder
+/// is kept for it. The shard catalog's bytes did not change with formats 3
+/// to 8, so its version is still 2.
+#[test]
+fn version_7_files_are_refused_by_version() {
+    for result in open_claiming_version(7) {
+        assert!(matches!(
+            result,
+            Err(StoreError::UnsupportedVersion {
+                found: 7,
+                supported: 8
+            })
+        ));
+    }
+    assert_eq!((VERSION, SHARD_CATALOG_VERSION), (8, 2));
 }
