@@ -21,21 +21,22 @@
 //! `build` indexes the synthetic urban corpus from `polygamy_datagen` and
 //! writes it as a store — with `--shards N` a *sharded* store: one
 //! self-contained shard file per partition plus a shard catalog at the
-//! given path. `shard` migrates an existing monolithic store into a
-//! sharded layout and `merge` reassembles a sharded store into one file;
-//! both copy geometry and segment bytes verbatim, so
-//! `shard` → `merge` reproduces the original monolith byte-for-byte.
-//! Every other subcommand auto-detects which kind of file it was given.
+//! given path, the same bytes `build` then `shard` writes. `shard`
+//! migrates an existing monolithic store into a sharded layout and
+//! `merge` reassembles a sharded store into one file; both copy geometry
+//! and segment bytes verbatim, so `shard` → `merge` reproduces the
+//! original monolith byte-for-byte. Every other subcommand auto-detects
+//! which kind of file it was given.
 //!
-//! `inspect` prints the header, catalog (hot vs field bytes per data set)
-//! and segment directory without decoding any segment (`--verify`
-//! additionally reads every blob, hot and field, and checks its checksum); on a sharded store it prints
-//! the shard layout with per-shard availability instead, and `--verify`
-//! checks every shard (failing on the first unavailable one). Either way
-//! it decodes the geometry — of the first available shard file, on a
-//! sharded store — into one `geometry:` line (its size and each
-//! partition's region and vertex counts); under `--verify` a geometry that
-//! does not decode fails the command. `query`
+//! `inspect` prints, per store file, the header, catalog (hot vs field
+//! bytes per data set) and segment directory without decoding any
+//! segment, and decodes the geometry into one `geometry:` line (its size
+//! and each partition's region and vertex counts). A shard catalog first
+//! prints its routing — each data set's shard and each shard file's
+//! availability — and then that block for every available shard file.
+//! `--verify` additionally reads every blob, hot and field, of every file
+//! and checks its checksum, failing on the first unavailable shard file;
+//! under it a geometry that does not decode fails the command. `query`
 //! opens a serving session and evaluates PQL (see `docs/pql.md`): `--pql`
 //! takes one query — collections *and* clause in one string — and `--file`
 //! a batch file (one query per line, `#` comments) that runs through
@@ -85,10 +86,11 @@ use polygamy_obs::names;
 use polygamy_serve::{ServeOptions, Server};
 use polygamy_store::{
     execute_pql_batch, execute_pql_batch_traced, execute_pql_query, execute_pql_query_traced,
-    is_sharded, merge_shards, save_sharded, shard_store, LazyIndex, PqlServeError, ShardCatalog,
-    Store, StoreSession, SHARD_CATALOG_VERSION, VERSION,
+    is_sharded, merge_shards, shard_store, LazyIndex, PqlServeError, ShardCatalog, Store,
+    StoreSession, SHARD_CATALOG_VERSION, VERSION,
 };
 use std::io::{BufRead, IsTerminal, Write};
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -219,9 +221,14 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     );
     let index = dp.index().map_err(|e| e.to_string())?;
     if let Some(n_shards) = n_shards {
-        let catalog =
-            save_sharded(path, dp.geometry(), index, n_shards).map_err(|e| e.to_string())?;
-        print_shard_summary(path, &catalog)?;
+        // A sharded build is a monolith build and a migration: the
+        // monolith is saved beside the target, sharded, and removed.
+        let monolith = format!("{path}.monolith.tmp");
+        Store::save(&monolith, dp.geometry(), index).map_err(|e| e.to_string())?;
+        let sharded = shard_store(&monolith, path, n_shards).map_err(|e| e.to_string());
+        std::fs::remove_file(&monolith)
+            .map_err(|e| format!("build: cannot remove {monolith}: {e}"))?;
+        print_shard_summary(path, &sharded?)?;
     } else {
         let store = Store::save(path, dp.geometry(), index).map_err(|e| e.to_string())?;
         outln!(
@@ -262,24 +269,26 @@ fn print_shard_summary(catalog_path: &str, catalog: &ShardCatalog) -> Result<(),
         catalog.n_shards()
     );
     for shard in 0..catalog.n_shards() {
-        let file = catalog.shard_path(std::path::Path::new(catalog_path), shard);
+        let file = catalog.shard_path(Path::new(catalog_path), shard);
         let bytes = std::fs::metadata(&file).map_err(|e| e.to_string())?.len();
-        let owned: Vec<&str> = catalog
-            .datasets_of_shard(shard)
-            .into_iter()
-            .map(|di| catalog.datasets[di].meta.name.as_str())
-            .collect();
+        let owned = owned_names(catalog, shard);
         outln!(
-            "  shard {shard}: {} ({bytes} bytes) — {}",
-            file.display(),
-            if owned.is_empty() {
-                "no data sets".to_string()
-            } else {
-                owned.join(", ")
-            }
+            "  shard {shard}: {} ({bytes} bytes) — {owned}",
+            file.display()
         );
     }
     Ok(())
+}
+
+/// The data sets shard `shard` owns, for the shard summary and `inspect`.
+fn owned_names(catalog: &ShardCatalog, shard: usize) -> String {
+    let owned: Vec<&str> = (catalog.datasets_of_shard(shard).into_iter())
+        .map(|di| catalog.datasets[di].meta.name.as_str())
+        .collect();
+    if owned.is_empty() {
+        return "no data sets".to_string();
+    }
+    owned.join(", ")
 }
 
 /// `shard <monolith> <out> [--shards N]`: migrate a monolithic store into
@@ -321,6 +330,11 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `inspect <path>`: one body for either kind of path, over the same
+/// degraded open the serving path uses. A shard catalog first prints its
+/// routing — the catalog line, each data set's shard, each shard file's
+/// availability — and then every available file gets the block a
+/// monolith, its own one file, prints alone.
 fn cmd_inspect(args: &[String]) -> Result<(), String> {
     let args = Args::parse("inspect", args, &["--verify"], &[])?;
     let path = *args
@@ -328,14 +342,93 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
         .first()
         .ok_or("inspect: missing <path>")?;
     let verify = args.has("--verify");
-    if is_sharded(path).map_err(|e| e.to_string())? {
-        return cmd_inspect_sharded(path, verify);
+    let lazy = LazyIndex::open(path).map_err(|e| e.to_string())?;
+    let catalog = lazy.shard_catalog();
+    // A monolith is its own one file; a catalog's files lie beside it.
+    let sharded = lazy
+        .shard_file(0)
+        .map_or(true, |store| store.path() != Path::new(path));
+    if sharded {
+        print_routing(path, &lazy)?;
     }
-    let store = Store::open(path).map_err(|e| e.to_string())?;
+    for shard in 0..catalog.n_shards() {
+        if let Ok(store) = lazy.shard_file(shard) {
+            print_file(store, verify)?;
+        }
+    }
+    if verify {
+        let checked = lazy.verify_all().map_err(|e| e.to_string())?;
+        let across = sharded.then(|| format!(" across {} shard(s)", catalog.n_shards()));
+        outln!(
+            "verify: geometry + {checked} segment(s) OK{} ({} bytes read)",
+            across.unwrap_or_default(),
+            lazy.bytes_fetched()
+        );
+    }
+    // This process's registry view: how many bytes inspection itself
+    // fetched, and any cache/fault traffic a --verify pass generated.
+    let snap = polygamy_obs::global().snapshot();
+    outln!(
+        "registry: {} byte(s) fetched, {} segment fault(s), {} segment cache hit(s), \
+         {} eviction(s), {} checksum verification(s) ({} failed)",
+        snap.counter(names::STORE_BYTES_FETCHED),
+        snap.counter(names::STORE_SEGMENT_FAULTS),
+        snap.counter(names::STORE_SEGMENT_CACHE_HITS),
+        snap.counter(names::STORE_SEGMENT_EVICTIONS),
+        snap.counter(names::STORE_CHECKSUM_VERIFICATIONS),
+        snap.counter(names::STORE_CHECKSUM_FAILURES),
+    );
+    Ok(())
+}
+
+/// `inspect`'s routing lines for a shard catalog: its format and size,
+/// each data set's shard, and each shard file's availability as the
+/// degraded open recorded it.
+fn print_routing(path: &str, lazy: &LazyIndex) -> Result<(), String> {
+    let catalog = lazy.shard_catalog();
+    outln!(
+        "shard catalog {path}: format {SHARD_CATALOG_VERSION}, shard files store format {VERSION}, \
+         {} data set(s) over {} shard(s)",
+        catalog.datasets.len(),
+        catalog.n_shards()
+    );
+    outln!("catalog ({} data sets):", catalog.datasets.len());
+    for (di, d) in catalog.datasets.iter().enumerate() {
+        outln!(
+            "  [{di}] {:<14} shard {:>2}, {:>9} records, {:>6} specs",
+            d.meta.name,
+            catalog.shard_of[di],
+            d.n_records,
+            d.n_specs,
+        );
+    }
+    outln!("shards ({}):", catalog.n_shards());
+    for shard in 0..catalog.n_shards() {
+        let status = match lazy.shard_file(shard) {
+            Ok(store) => format!(
+                "available ({} bytes)",
+                store.file_bytes().map_err(|e| e.to_string())?
+            ),
+            Err(reason) => format!("UNAVAILABLE — {reason}"),
+        };
+        outln!(
+            "  shard {shard}: {} — {status} — {}",
+            catalog.shard_path(Path::new(path), shard).display(),
+            owned_names(catalog, shard)
+        );
+    }
+    Ok(())
+}
+
+/// `inspect`'s block for one store file: header, catalog (hot vs field
+/// bytes per data set), segment directory and geometry, without decoding
+/// any segment.
+fn print_file(store: &Store, verify: bool) -> Result<(), String> {
     let header = store.header();
     let manifest = store.manifest();
     outln!(
-        "store {path}: format {}, {} bytes on disk",
+        "store {}: format {}, {} bytes on disk",
+        store.path().display(),
         header.version,
         store.file_bytes().map_err(|e| e.to_string())?
     );
@@ -379,97 +472,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
         manifest.segments.len(),
         manifest.geometry.len
     );
-    print_geometry(&store, verify)?;
-    if verify {
-        // Route the force-check through the demand-paged reader so the
-        // exact serving read path is what gets exercised.
-        let lazy = LazyIndex::new(store).map_err(|e| e.to_string())?;
-        let checked = lazy.verify_all().map_err(|e| e.to_string())?;
-        outln!(
-            "verify: geometry + {checked} segment(s) OK ({} bytes read)",
-            lazy.bytes_fetched()
-        );
-    }
-    // This process's registry view: how many bytes inspection itself
-    // fetched, and any cache/fault traffic a --verify pass generated.
-    let snap = polygamy_obs::global().snapshot();
-    outln!(
-        "registry: {} byte(s) fetched, {} segment fault(s), {} segment cache hit(s), \
-         {} eviction(s), {} checksum verification(s) ({} failed)",
-        snap.counter(names::STORE_BYTES_FETCHED),
-        snap.counter(names::STORE_SEGMENT_FAULTS),
-        snap.counter(names::STORE_SEGMENT_CACHE_HITS),
-        snap.counter(names::STORE_SEGMENT_EVICTIONS),
-        snap.counter(names::STORE_CHECKSUM_VERIFICATIONS),
-        snap.counter(names::STORE_CHECKSUM_FAILURES),
-    );
-    Ok(())
-}
-
-/// `inspect` on a shard catalog: the shard layout with per-shard
-/// availability, probed through the same demand-paged open the serving
-/// path uses. `--verify` checksums every segment of every shard and
-/// fails on the first unavailable one.
-fn cmd_inspect_sharded(path: &str, verify: bool) -> Result<(), String> {
-    // Availability is probed exactly as serving would see it: a degraded
-    // open that records each broken shard instead of failing outright.
-    let lazy = LazyIndex::open(path).map_err(|e| e.to_string())?;
-    let catalog = lazy.shard_catalog();
-    outln!(
-        "shard catalog {path}: format {SHARD_CATALOG_VERSION}, shard files store format {VERSION}, \
-         {} data set(s) over {} shard(s)",
-        catalog.datasets.len(),
-        catalog.n_shards()
-    );
-    outln!("catalog ({} data sets):", catalog.datasets.len());
-    for (di, d) in catalog.datasets.iter().enumerate() {
-        outln!(
-            "  [{di}] {:<14} shard {:>2}, {:>9} records, {:>6} specs",
-            d.meta.name,
-            catalog.shard_of[di],
-            d.n_records,
-            d.n_specs,
-        );
-    }
-    outln!("shards ({}):", catalog.n_shards());
-    for shard in 0..catalog.n_shards() {
-        let file = catalog.shard_path(std::path::Path::new(path), shard);
-        let status = match lazy.unavailable_reason(shard) {
-            None => format!(
-                "available ({} bytes)",
-                std::fs::metadata(&file).map_err(|e| e.to_string())?.len()
-            ),
-            Some(reason) => format!("UNAVAILABLE — {reason}"),
-        };
-        let owned: Vec<&str> = catalog
-            .datasets_of_shard(shard)
-            .into_iter()
-            .map(|di| catalog.datasets[di].meta.name.as_str())
-            .collect();
-        outln!(
-            "  shard {shard}: {} — {status} — {}",
-            file.display(),
-            if owned.is_empty() {
-                "no data sets".to_string()
-            } else {
-                owned.join(", ")
-            }
-        );
-    }
-    let first_available = (0..catalog.n_shards())
-        .find(|&shard| lazy.unavailable_reason(shard).is_none())
-        .expect("an open catalog has an available shard");
-    let first = catalog.shard_path(std::path::Path::new(path), first_available);
-    print_geometry(&Store::open(first).map_err(|e| e.to_string())?, verify)?;
-    if verify {
-        let checked = lazy.verify_all().map_err(|e| e.to_string())?;
-        outln!(
-            "verify: geometry + {checked} segment(s) OK across {} shard(s) ({} bytes read)",
-            catalog.n_shards(),
-            lazy.bytes_fetched()
-        );
-    }
-    Ok(())
+    print_geometry(store, verify)
 }
 
 /// `inspect`'s `geometry:` line, decoded from `store`'s geometry blob: the

@@ -29,7 +29,7 @@
 //! assert!(read_frame(&mut [].as_slice(), MAX_FRAME_BYTES).unwrap().is_none());
 //! ```
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Protocol version, exchanged in the `hello` frame (`docs/serving.md`
 /// §7). Bumped on any change to the frame layout, tag set, or payload
@@ -163,6 +163,11 @@ impl From<io::Error> for FrameError {
 
 /// Writes one frame: `u32 LE (1 + payload.len())`, tag byte, payload.
 ///
+/// The five header bytes and the payload go out as one vectored write —
+/// one syscall, and on a `TCP_NODELAY` socket one segment, for a frame
+/// the kernel takes whole — resumed after a short write, and the payload
+/// is never copied.
+///
 /// Fails with [`io::ErrorKind::InvalidInput`] if the payload is too large
 /// for the length prefix (`docs/serving.md` §2 caps frames well below
 /// that anyway).
@@ -176,9 +181,18 @@ pub fn write_frame(w: &mut impl Write, tag: FrameTag, payload: &[u8]) -> io::Res
                 "frame payload exceeds u32 range",
             )
         })?;
-    w.write_all(&length.to_le_bytes())?;
-    w.write_all(&[tag as u8])?;
-    w.write_all(payload)?;
+    let [l0, l1, l2, l3] = length.to_le_bytes();
+    let head = [l0, l1, l2, l3, tag as u8];
+    let mut slices = [IoSlice::new(&head), IoSlice::new(payload)];
+    let mut unsent = &mut slices[..];
+    while !unsent.is_empty() {
+        match w.write_vectored(unsent) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -328,6 +342,61 @@ mod tests {
             read_frame(&mut wire.as_slice(), MAX_FRAME_BYTES),
             Err(FrameError::Empty)
         ));
+    }
+
+    /// A writer that takes at most `limit` bytes per call and counts the
+    /// calls, vectored or not.
+    struct Counting {
+        wire: Vec<u8>,
+        calls: usize,
+        limit: usize,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let before = self.wire.len();
+            for buf in bufs {
+                let room = self.limit - (self.wire.len() - before);
+                self.wire.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            Ok(self.wire.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A frame is one write call when the writer takes it whole, and the
+    /// same bytes, resumed where they stopped, when it takes a few at a
+    /// time.
+    #[test]
+    fn a_frame_is_one_vectored_write() {
+        for payload in [&b""[..], b"x", b"between taxi and *"] {
+            let mut expected = ((payload.len() + 1) as u32).to_le_bytes().to_vec();
+            expected.push(b'Q');
+            expected.extend_from_slice(payload);
+            let mut whole = Counting {
+                wire: Vec::new(),
+                calls: 0,
+                limit: usize::MAX,
+            };
+            write_frame(&mut whole, FrameTag::Query, payload).unwrap();
+            assert_eq!((whole.wire.as_slice(), whole.calls), (&expected[..], 1));
+            let mut trickle = Counting {
+                wire: Vec::new(),
+                calls: 0,
+                limit: 3,
+            };
+            write_frame(&mut trickle, FrameTag::Query, payload).unwrap();
+            assert_eq!(trickle.wire, expected);
+            assert_eq!(trickle.calls, expected.len().div_ceil(3));
+        }
     }
 
     #[test]

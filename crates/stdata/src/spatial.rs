@@ -13,6 +13,7 @@
 
 use crate::error::{Error, Result};
 use std::fmt;
+use std::ops::Range;
 
 /// The spatial resolutions of the paper's Figure 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -283,38 +284,71 @@ struct LocatorGrid {
     cells: Vec<Vec<u32>>,
 }
 
+/// Cell entries a [`LocatorGrid`] may hold per polygon. Polygons that tile
+/// their partition sit in a few cells each at the grid's ⌈√n⌉ side, but n
+/// polygons whose boxes all span the partition would sit in all n cells
+/// each — n² entries, and a geometry decode builds every grid. Past this
+/// budget the grid coarsens until it fits, so its memory is O(n).
+const MAX_CELL_ENTRIES_PER_POLYGON: usize = 16;
+
 impl LocatorGrid {
     fn build(polygons: &[Polygon]) -> Self {
+        let boxes: Vec<BoundingBox> = polygons.iter().map(Polygon::bbox).collect();
         let mut bbox = BoundingBox::empty();
-        for poly in polygons {
-            let pb = poly.bbox();
+        for pb in &boxes {
             bbox.include(pb.min);
             bbox.include(pb.max);
         }
-        // Roughly one cell per polygon, at least 1.
-        let side = (polygons.len() as f64).sqrt().ceil().max(1.0) as usize;
-        let (nx, ny) = (side, side);
-        let mut cells = vec![Vec::new(); nx * ny];
-        let w = bbox.width().max(f64::MIN_POSITIVE);
-        let h = bbox.height().max(f64::MIN_POSITIVE);
-        for (pi, poly) in polygons.iter().enumerate() {
-            let pb = poly.bbox();
-            let cx0 = (((pb.min.x - bbox.min.x) / w) * nx as f64).floor() as isize;
-            let cx1 = (((pb.max.x - bbox.min.x) / w) * nx as f64).floor() as isize;
-            let cy0 = (((pb.min.y - bbox.min.y) / h) * ny as f64).floor() as isize;
-            let cy1 = (((pb.max.y - bbox.min.y) / h) * ny as f64).floor() as isize;
-            for cy in cy0.max(0)..=cy1.min(ny as isize - 1) {
-                for cx in cx0.max(0)..=cx1.min(nx as isize - 1) {
-                    cells[cy as usize * nx + cx as usize].push(pi as u32);
+        // Roughly one cell per polygon, at least 1 — halved while the
+        // entries exceed the budget; one cell holds each polygon once.
+        let budget = MAX_CELL_ENTRIES_PER_POLYGON * polygons.len();
+        let mut side = (polygons.len() as f64).sqrt().ceil().max(1.0) as usize;
+        let mut grid = Self {
+            bbox,
+            nx: side,
+            ny: side,
+            cells: Vec::new(),
+        };
+        while side > 1 && grid.entries(&boxes) > budget {
+            side /= 2;
+            (grid.nx, grid.ny) = (side, side);
+        }
+        grid.cells = vec![Vec::new(); grid.nx * grid.ny];
+        for (pi, pb) in boxes.iter().enumerate() {
+            let (xs, ys) = grid.span(pb);
+            for cy in ys {
+                for cx in xs.clone() {
+                    grid.cells[cy * grid.nx + cx].push(pi as u32);
                 }
             }
         }
-        Self {
-            bbox,
-            nx,
-            ny,
-            cells,
-        }
+        grid
+    }
+
+    /// The cells, per axis, that the box `pb` overlaps (clamped to the
+    /// grid; empty when the box lies outside it).
+    fn span(&self, pb: &BoundingBox) -> (Range<usize>, Range<usize>) {
+        let w = self.bbox.width().max(f64::MIN_POSITIVE);
+        let h = self.bbox.height().max(f64::MIN_POSITIVE);
+        let axis = |lo: f64, hi: f64, min: f64, extent: f64, n: usize| {
+            let cell = |v: f64| (((v - min) / extent) * n as f64).floor() as isize;
+            let (first, end) = (cell(lo).max(0), cell(hi).min(n as isize - 1) + 1);
+            first as usize..end.max(first) as usize
+        };
+        (
+            axis(pb.min.x, pb.max.x, self.bbox.min.x, w, self.nx),
+            axis(pb.min.y, pb.max.y, self.bbox.min.y, h, self.ny),
+        )
+    }
+
+    /// Cell entries the grid's current side gives `boxes`.
+    fn entries(&self, boxes: &[BoundingBox]) -> usize {
+        (boxes.iter())
+            .map(|pb| {
+                let (xs, ys) = self.span(pb);
+                xs.count() * ys.count()
+            })
+            .sum()
     }
 
     fn candidates(&self, p: GeoPoint) -> &[u32] {
@@ -535,6 +569,79 @@ mod tests {
         assert_eq!(city.len(), 1);
         assert_eq!(city.locate(GeoPoint::new(5.0, 5.0)), Some(0));
         assert_eq!(city.edge_count(), 0);
+    }
+
+    /// Point location by scanning every polygon: what the grid answers.
+    fn brute_force(part: &SpatialPartition, p: GeoPoint) -> Option<u32> {
+        (part.polygons.iter())
+            .position(|poly| poly.contains(p))
+            .map(|i| i as u32)
+    }
+
+    fn cell_entries(part: &SpatialPartition) -> usize {
+        part.grid.cells.iter().map(Vec::len).sum()
+    }
+
+    /// 2,000 triangles whose boxes all span the partition would sit in
+    /// every cell of a 45 × 45 grid, four million entries: the grid
+    /// coarsens to the budget instead, and still locates every point as
+    /// a scan over all polygons does.
+    #[test]
+    fn overlapping_polygons_stay_within_the_cell_budget() {
+        let n = 2_000;
+        let polygons: Vec<Polygon> = (0..n)
+            .map(|i| {
+                let t = 0.5 + 0.5 * i as f64 / n as f64;
+                let ring = [(0.0, 0.0), (1.0, t), (t, 1.0)];
+                Polygon::new(ring.map(|(x, y)| GeoPoint::new(x, y)).to_vec()).unwrap()
+            })
+            .collect();
+        let part =
+            SpatialPartition::new(SpatialResolution::Zip, polygons, vec![vec![]; n]).unwrap();
+        assert!(cell_entries(&part) <= MAX_CELL_ENTRIES_PER_POLYGON * n);
+        for i in 0..=40 {
+            for j in 0..=40 {
+                let p = GeoPoint::new(i as f64 / 36.0 - 0.05, j as f64 / 36.0 - 0.05);
+                assert_eq!(part.locate(p), brute_force(&part, p), "{p:?}");
+            }
+        }
+    }
+
+    /// `polygamy_datagen`'s city partitions — rectangles of one grid cell
+    /// (neighbourhoods) or of a block of them (zips), on the default 9 × 7
+    /// grid and the benchmark's 6 × 5 — fit the budget at the ⌈√n⌉ side,
+    /// so the point location a build runs is what it always was.
+    #[test]
+    fn tiling_partitions_keep_the_square_root_side() {
+        for (nx, ny) in [(9, 7), (6, 5), (40, 30)] {
+            for block in [1, 2] {
+                let (bx, by) = (usize::div_ceil(nx, block), usize::div_ceil(ny, block));
+                let polygons: Vec<Polygon> = (0..bx * by)
+                    .map(|k| {
+                        let (x, y) = ((k % bx * block) as f64, (k / bx * block) as f64);
+                        let (x1, y1) = (
+                            (x + block as f64).min(nx as f64),
+                            (y + block as f64).min(ny as f64),
+                        );
+                        Polygon::rect(2.0 * x, 2.0 * y, 2.0 * x1, 2.0 * y1)
+                    })
+                    .collect();
+                let n = polygons.len();
+                let part = SpatialPartition::new(SpatialResolution::Zip, polygons, vec![vec![]; n])
+                    .unwrap();
+                let side = (n as f64).sqrt().ceil() as usize;
+                assert_eq!(
+                    (part.grid.nx, part.grid.ny),
+                    (side, side),
+                    "{nx} × {ny} / {block}"
+                );
+                for k in 0..n {
+                    let (x, y) = ((k % bx * block) as f64, (k / bx * block) as f64);
+                    let p = GeoPoint::new(2.0 * x + 0.5, 2.0 * y + 0.5);
+                    assert_eq!(part.locate(p), Some(k as u32));
+                }
+            }
+        }
     }
 
     #[test]

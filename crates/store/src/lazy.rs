@@ -53,7 +53,11 @@
 //!   whose footprint touches it is rejected at pin time with
 //!   [`StoreError::ShardUnavailable`], repeatably, while every other query
 //!   keeps serving. A monolith's one file must open, so its open errors
-//!   propagate unchanged.
+//!   propagate unchanged; files that open must carry the same geometry
+//!   blob (length and checksum), or the open fails;
+//! * **blobs that match their directory** — a hot blob naming another
+//!   function, resolution or data set than its directory entry is
+//!   [`StoreError::Corrupt`], at the eager open and the fault alike.
 //!
 //! Corruption surfaces *at query time*, only for queries whose footprint
 //! touches the corrupt segment — opening the store and querying other data
@@ -77,7 +81,7 @@
 use crate::codec::{decode_function_segment, validate_field};
 use crate::error::{Result, StoreError};
 use crate::format::{BlobLoc, SegmentInfo};
-use crate::shard::{is_sharded, open_shard_file, ShardCatalog};
+use crate::shard::{is_sharded, open_shard_file, same_city, ShardCatalog};
 use crate::source::SegmentSource;
 use crate::store::{per_segment, segment_bytes, Store, COPY_PS_PER_BYTE, OPEN_PS_PER_BYTE};
 use polygamy_core::index::{DatasetEntry, FunctionEntry, PolygamyIndex};
@@ -201,21 +205,17 @@ impl LazyIndex {
     /// nothing to serve, not even geometry).
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref();
-        if !is_sharded(path)? {
-            return Self::new(Store::open(path)?);
+        if is_sharded(path)? {
+            let catalog = ShardCatalog::read(path)?;
+            let stores = (0..catalog.n_shards())
+                .map(|s| open_shard_file(&catalog, path, s).map_err(|e| e.to_string()))
+                .collect();
+            return Self::assemble(catalog, stores);
         }
-        let catalog = ShardCatalog::read(path)?;
-        let stores = (0..catalog.n_shards())
-            .map(|s| open_shard_file(&catalog, path, s).map_err(|e| e.to_string()))
-            .collect();
-        Self::assemble(catalog, stores)
-    }
-
-    /// Wraps an open monolithic store: the one-file case. Reads nothing
-    /// beyond what `store` already read (header + manifest).
-    pub fn new(store: Store) -> Result<Self> {
+        // A monolith: the trivial one-file layout.
+        let store = Store::open(path)?;
         let datasets = store.manifest().datasets.clone();
-        let file = store.path().file_name().unwrap_or_default();
+        let file = path.file_name().unwrap_or_default();
         let catalog = ShardCatalog {
             shard_of: vec![0; datasets.len()],
             datasets,
@@ -264,6 +264,10 @@ impl LazyIndex {
         };
         if index.files.iter().all(|f| f.is_err()) {
             index.file(0)?;
+        }
+        let mut open = index.files.iter().flatten();
+        if let Some(first) = open.next() {
+            open.try_for_each(|other| same_city(&first.store, &other.store))?;
         }
         Ok(index)
     }
@@ -319,10 +323,14 @@ impl LazyIndex {
         &self.catalog
     }
 
-    /// Per-file availability: `None` when file `shard` serves, or its
-    /// recorded open-failure reason.
-    pub fn unavailable_reason(&self, shard: usize) -> Option<&str> {
-        self.files[shard].as_ref().err().map(String::as_str)
+    /// File `shard` of the layout ([`LazyIndex::shard_catalog`]) as it
+    /// opened — header and manifest read — or its recorded open-failure
+    /// reason.
+    pub fn shard_file(&self, shard: usize) -> std::result::Result<&Store, &str> {
+        self.files[shard]
+            .as_ref()
+            .map(|f| &f.store)
+            .map_err(String::as_str)
     }
 
     /// Total bytes fetched across every open file's byte source.
@@ -501,11 +509,11 @@ impl LazyIndex {
         Ok(decoded)
     }
 
-    /// The one "read → verify → decode a directory entry" step behind
-    /// lazy faults and the eager open alike ([`Read`] says which, and what
-    /// becomes of the field blob). Only faults bump the fault and
-    /// verification counters, so an eager open leaves them describing
-    /// demand paging.
+    /// The one "read → verify → decode → check against the directory"
+    /// step behind lazy faults and the eager open alike ([`Read`] says
+    /// which, and what becomes of the field blob). Only faults bump the
+    /// fault and verification counters, so an eager open leaves them
+    /// describing demand paging.
     fn read_entry(&self, seg_index: usize, read: Read) -> Result<FunctionEntry> {
         let entry = &self.directory[seg_index];
         let (file, info) = self.locate(entry)?;
@@ -514,18 +522,41 @@ impl LazyIndex {
         let faulting = matches!(read, Read::Fault { .. });
         let hot = read_blob(file, info.loc, hot_verdict, &what, faulting)?;
         let wanted = !matches!(read, Read::Fault { with_field: false });
-        let Some(loc) = info.field.filter(|_| wanted) else {
-            return decode_function_segment(&hot, None, entry.dataset, &what);
+        let (field, field_what) = match info.field.filter(|_| wanted) {
+            None => (None, String::new()),
+            Some(loc) => {
+                let field_what = format!("{what} field");
+                let field = read_blob(file, loc, field_verdict, &field_what, faulting)?;
+                count(names::STORE_FIELD_BYTES_FETCHED, loc.len);
+                if faulting {
+                    count(names::STORE_FIELD_FAULTS, 1);
+                }
+                (Some(field), field_what)
+            }
         };
-        let field_what = format!("{what} field");
-        let field = read_blob(file, loc, field_verdict, &field_what, faulting)?;
-        count(names::STORE_FIELD_BYTES_FETCHED, loc.len);
-        if faulting {
-            count(names::STORE_FIELD_FAULTS, 1);
-            return decode_function_segment(&hot, Some(&field), entry.dataset, &what);
+        // A fault decodes the field into the entry; the open only walks it.
+        let to_decode = field.as_deref().filter(|_| faulting);
+        let decoded = decode_function_segment(&hot, to_decode, entry.dataset, &what)?;
+        // The pin picks segments by the directory's resolution and expansion
+        // pairs them by the blob's: a file re-sealed over a disagreement must
+        // not answer differently eager and lazy.
+        let dataset = &self.catalog.datasets[entry.dataset].meta.name;
+        let spec = &decoded.spec;
+        if (&spec.name, decoded.resolution, &spec.dataset)
+            != (&info.function, info.resolution, dataset)
+        {
+            return Err(StoreError::Corrupt(format!(
+                "{what}: the blob holds {}.{} at {}, not {dataset}.{} at {}",
+                spec.dataset,
+                spec.name,
+                decoded.resolution.label(),
+                info.function,
+                info.resolution.label()
+            )));
         }
-        let decoded = decode_function_segment(&hot, None, entry.dataset, &what)?;
-        validate_field(&field, decoded.n_regions * decoded.n_steps, &field_what)?;
+        if let Some(field) = field.filter(|_| !faulting) {
+            validate_field(&field, decoded.n_regions * decoded.n_steps, &field_what)?;
+        }
         Ok(decoded)
     }
 

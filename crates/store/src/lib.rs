@@ -116,8 +116,7 @@ pub use pql_exec::{
 };
 pub use session::StoreSession;
 pub use shard::{
-    is_sharded, merge_shards, remove_dataset_sharded, save_sharded, shard_store,
-    upsert_dataset_sharded, ShardCatalog, SHARD_CATALOG_VERSION, SHARD_MAGIC,
+    is_sharded, merge_shards, shard_store, ShardCatalog, SHARD_CATALOG_VERSION, SHARD_MAGIC,
 };
 pub use source::{SegmentSource, SourceBackend};
 pub use store::{LoadFilter, Store};

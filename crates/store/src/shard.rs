@@ -1,8 +1,11 @@
 //! Sharded stores: one self-contained `.plst` per shard plus a small
 //! versioned shard-catalog file tying them together. This module owns the
-//! catalog *format* and the write side (build, migrate, maintain); reading
-//! a sharded store is not a separate path — [`crate::lazy::LazyIndex`]
-//! serves a monolith as the one-shard case.
+//! catalog *format*, the migrations ([`shard_store`], [`merge_shards`])
+//! and maintenance's catalog half. No caller says which kind of path it
+//! holds: [`crate::lazy::LazyIndex::open`] serves a monolith as the
+//! one-shard case, and [`Store::upsert_dataset`] /
+//! [`Store::remove_dataset`] on a catalog rewrite the owning shard file,
+//! then the catalog.
 //!
 //! A monolithic store keeps every data set in one file; a *sharded* store
 //! partitions the catalog across independent shard files — each a complete
@@ -46,11 +49,9 @@ use crate::checksum::blob_checksum;
 use crate::codec::{Dec, Enc};
 use crate::error::{Result, StoreError};
 use crate::format::{dec_dataset_entry, enc_dataset_entry};
-use crate::store::{
-    encode_segment_groups, geometry_blob, write_atomically, write_store, Blob, SegmentGroup, Store,
-};
-use polygamy_core::index::{DatasetEntry, PolygamyIndex};
-use polygamy_core::{CityGeometry, Config};
+use crate::store::{write_atomically, write_store, SegmentGroup, Store};
+use polygamy_core::index::DatasetEntry;
+use polygamy_core::Config;
 use polygamy_mapreduce::Cluster;
 use polygamy_stdata::Dataset;
 use std::fs::File;
@@ -239,7 +240,8 @@ impl ShardCatalog {
 }
 
 /// True when the file at `path` starts with the shard-catalog magic — the
-/// sniff `StoreSession` and the CLI use to pick the sharded open path.
+/// one sniff behind [`crate::lazy::LazyIndex::open`] and store
+/// maintenance, which take either kind of path.
 pub fn is_sharded(path: impl AsRef<Path>) -> Result<bool> {
     let mut head = [0u8; 8];
     let mut f = File::open(path)?;
@@ -270,41 +272,11 @@ fn default_shard_files(path: &Path, n_shards: usize) -> Vec<String> {
         .collect()
 }
 
-/// Round-robin shard assignment for `n_datasets` over `n_shards` — the
-/// layout [`save_sharded`] and [`shard_store`] produce.
-fn round_robin(n_datasets: usize, n_shards: usize) -> Vec<usize> {
-    (0..n_datasets).map(|di| di % n_shards).collect()
-}
-
-/// Writes `index` as a sharded store at `path`: one self-contained shard
-/// file per round-robin partition plus the shard catalog at `path`
-/// itself. `n_shards` must be ≥ 1; shard files that own no data set are
-/// still written (geometry + empty catalog), keeping the layout uniform.
-pub fn save_sharded(
-    path: impl AsRef<Path>,
-    geometry: &CityGeometry,
-    index: &PolygamyIndex,
-    n_shards: usize,
-) -> Result<ShardCatalog> {
-    if n_shards == 0 {
-        return Err(StoreError::Corrupt(
-            "a sharded store needs at least one shard".into(),
-        ));
-    }
-    write_sharded(
-        path.as_ref(),
-        &geometry_blob(geometry)?,
-        index.datasets.clone(),
-        encode_segment_groups(index),
-        round_robin(index.datasets.len(), n_shards),
-        n_shards,
-    )
-}
-
 /// Migrates a monolithic store into an `n_shards`-way sharded store at
-/// `out` (catalog file; shard files land beside it). Geometry and segment
-/// bytes are copied verbatim, checksums verified — never decoded — so a
-/// later [`merge_shards`] reproduces the monolith byte-for-byte.
+/// `out` (catalog file; shard files land beside it), assigning data sets
+/// round-robin. Geometry and segment bytes are copied verbatim, checksums
+/// verified — never decoded — so a later [`merge_shards`] reproduces the
+/// monolith byte-for-byte. The one writer of shard files.
 pub fn shard_store(
     monolith: impl AsRef<Path>,
     out: impl AsRef<Path>,
@@ -315,60 +287,35 @@ pub fn shard_store(
             "a sharded store needs at least one shard".into(),
         ));
     }
+    let out = out.as_ref();
     let store = Store::open(monolith)?;
     let geometry = store.read_geometry_blob()?;
-    let per_dataset = store.read_retained_segments(|_| true, Cluster::default())?;
-    let catalog = store.manifest().datasets.clone();
-    let n = catalog.len();
-    write_sharded(
-        out.as_ref(),
-        &geometry,
-        catalog,
-        per_dataset,
-        round_robin(n, n_shards),
-        n_shards,
-    )
-}
-
-/// Composes one shard file per partition plus the catalog file. The
-/// catalog is written last, after every shard landed, so a crashed
-/// migration never leaves a catalog pointing at missing shards.
-fn write_sharded(
-    path: &Path,
-    geometry: &Blob,
-    catalog: Vec<DatasetEntry>,
-    mut per_dataset: Vec<SegmentGroup>,
-    shard_of: Vec<usize>,
-    n_shards: usize,
-) -> Result<ShardCatalog> {
-    let files = default_shard_files(path, n_shards);
-    let shard_catalog = ShardCatalog {
-        datasets: catalog,
-        shard_of,
-        files,
+    let segments = store.read_retained_segments(|_| true, Cluster::default())?;
+    let mut groups: Vec<Option<SegmentGroup>> = segments.into_iter().map(Some).collect();
+    let datasets = store.manifest().datasets.clone();
+    let catalog = ShardCatalog {
+        shard_of: (0..datasets.len()).map(|di| di % n_shards).collect(),
+        datasets,
+        files: default_shard_files(out, n_shards),
     };
-    // Drain the groups into per-shard (catalog, groups) in ascending
-    // global order — the shard files' local order.
-    let mut groups: Vec<Option<SegmentGroup>> = per_dataset.drain(..).map(Some).collect();
+    // Each shard file lists its data sets in ascending global order. The
+    // catalog is written last, after every shard landed, so a crashed
+    // migration never leaves a catalog pointing at missing shards.
     for s in 0..n_shards {
-        let owned = shard_catalog.datasets_of_shard(s);
-        let local_catalog: Vec<DatasetEntry> = owned
+        let owned = catalog.datasets_of_shard(s);
+        let local_catalog = owned.iter().map(|&di| catalog.datasets[di].clone());
+        let local_groups = owned
             .iter()
-            .map(|&di| shard_catalog.datasets[di].clone())
-            .collect();
-        let local_groups: Vec<SegmentGroup> = owned
-            .iter()
-            .map(|&di| groups[di].take().expect("each data set owned once"))
-            .collect();
+            .map(|&di| groups[di].take().expect("each data set owned once"));
         write_store(
-            &shard_catalog.shard_path(path, s),
-            geometry,
-            local_catalog,
-            local_groups,
+            &catalog.shard_path(out, s),
+            &geometry,
+            local_catalog.collect(),
+            local_groups.collect(),
         )?;
     }
-    shard_catalog.write(path)?;
-    Ok(shard_catalog)
+    catalog.write(out)?;
+    Ok(catalog)
 }
 
 /// Merges a sharded store back into one monolithic file at `out`. Every
@@ -379,14 +326,21 @@ fn write_sharded(
 pub fn merge_shards(catalog_path: impl AsRef<Path>, out: impl AsRef<Path>) -> Result<Store> {
     let catalog_path = catalog_path.as_ref();
     let catalog = ShardCatalog::read(catalog_path)?;
-    let mut geometry: Option<Blob> = None;
+    let stores = (0..catalog.n_shards())
+        .map(|s| open_shard(&catalog, catalog_path, s))
+        .collect::<Result<Vec<Store>>>()?;
+    let Some(first) = stores.first() else {
+        return Err(StoreError::Corrupt(
+            "sharded store has no shards to merge geometry from".into(),
+        ));
+    };
+    for store in &stores[1..] {
+        same_city(first, store)?;
+    }
+    let geometry = first.read_geometry_blob()?;
     let mut per_dataset: Vec<SegmentGroup> =
         (0..catalog.datasets.len()).map(|_| Vec::new()).collect();
-    for s in 0..catalog.n_shards() {
-        let store = open_shard(&catalog, catalog_path, s)?;
-        if geometry.is_none() {
-            geometry = Some(store.read_geometry_blob()?);
-        }
+    for (s, store) in stores.iter().enumerate() {
         let owned = catalog.datasets_of_shard(s);
         for (li, group) in store
             .read_retained_segments(|_| true, Cluster::default())?
@@ -396,53 +350,50 @@ pub fn merge_shards(catalog_path: impl AsRef<Path>, out: impl AsRef<Path>) -> Re
             per_dataset[owned[li]] = group;
         }
     }
-    let geometry = geometry.ok_or_else(|| {
-        StoreError::Corrupt("sharded store has no shards to merge geometry from".into())
-    })?;
     write_store(out.as_ref(), &geometry, catalog.datasets, per_dataset)
 }
 
-/// Checks one opened shard file against the shard catalog: its local
-/// catalog must list exactly the owned data sets, in ascending global
-/// order. A mismatch means the files drifted (e.g. a stale shard beside a
-/// rewritten catalog) and the shard must not serve.
-fn verify_shard_catalog(catalog: &ShardCatalog, shard: usize, store: &Store) -> Result<()> {
-    let owned = catalog.datasets_of_shard(shard);
-    let local = &store.manifest().datasets;
-    let matches = local.len() == owned.len()
-        && owned
-            .iter()
-            .zip(local)
-            .all(|(&di, l)| catalog.datasets[di].meta.name == l.meta.name);
-    if matches {
-        Ok(())
-    } else {
-        Err(StoreError::Corrupt(format!(
-            "shard catalog drift: shard file lists [{}], catalog expects [{}]",
-            local
-                .iter()
-                .map(|d| d.meta.name.as_str())
-                .collect::<Vec<_>>()
-                .join(", "),
-            owned
-                .iter()
-                .map(|&di| catalog.datasets[di].meta.name.as_str())
-                .collect::<Vec<_>>()
-                .join(", ")
-        )))
+/// Checks that two files of one store carry the same city: every shard
+/// embeds the identical geometry blob, so a blob of another length or
+/// checksum means a shard built over another `CityGeometry` — which would
+/// be served, or merged, with the wrong regions and adjacency.
+pub(crate) fn same_city(first: &Store, other: &Store) -> Result<()> {
+    let (a, b) = (first.manifest().geometry, other.manifest().geometry);
+    if (a.len, a.checksum) == (b.len, b.checksum) {
+        return Ok(());
     }
+    Err(StoreError::Corrupt(format!(
+        "shard files {} and {} carry different city geometries",
+        first.path().display(),
+        other.path().display()
+    )))
 }
 
-/// Opens and catalog-verifies one shard file. Any failure — missing file,
-/// truncation, corruption, catalog drift — means the shard must not serve;
-/// the read path records it, the write paths wrap it ([`open_shard`]).
+/// Opens one shard file and checks it against the shard catalog: its
+/// local catalog must list exactly the owned data sets, in ascending
+/// global order, or the files drifted (e.g. a stale shard beside a
+/// rewritten catalog). Any failure — missing file, truncation,
+/// corruption, drift — means the shard must not serve; the read path
+/// records it, the write paths wrap it ([`open_shard`]).
 pub(crate) fn open_shard_file(
     catalog: &ShardCatalog,
     catalog_path: &Path,
     shard: usize,
 ) -> Result<Store> {
     let store = Store::open(catalog.shard_path(catalog_path, shard))?;
-    verify_shard_catalog(catalog, shard, &store)?;
+    let local: Vec<&str> = (store.manifest().datasets.iter())
+        .map(|d| d.meta.name.as_str())
+        .collect();
+    let owned: Vec<&str> = (catalog.datasets_of_shard(shard).into_iter())
+        .map(|di| catalog.datasets[di].meta.name.as_str())
+        .collect();
+    if local != owned {
+        return Err(StoreError::Corrupt(format!(
+            "shard catalog drift: shard file lists [{}], catalog expects [{}]",
+            local.join(", "),
+            owned.join(", ")
+        )));
+    }
     Ok(store)
 }
 
@@ -456,16 +407,15 @@ fn open_shard(catalog: &ShardCatalog, catalog_path: &Path, shard: usize) -> Resu
     })
 }
 
-/// Adds or replaces one data set in a sharded store, rewriting **exactly
-/// one shard file** (plus the small catalog file) — the sharded twin of
-/// [`Store::upsert_dataset`](crate::store::Store::upsert_dataset). A new
-/// data set goes to the least-loaded shard (ties to the lowest index).
-pub fn upsert_dataset_sharded(
-    catalog_path: impl AsRef<Path>,
+/// [`Store::upsert_dataset`] on a shard catalog: rewrites the owning
+/// shard file — for a new data set the least-loaded one (ties to the
+/// lowest index) — and then the catalog file. Returns the rewritten shard
+/// file, reopened.
+pub(crate) fn upsert_dataset(
+    catalog_path: &Path,
     dataset: &Dataset,
     config: &Config,
-) -> Result<ShardCatalog> {
-    let catalog_path = catalog_path.as_ref();
+) -> Result<Store> {
     let mut catalog = ShardCatalog::read(catalog_path)?;
     let existing = catalog.dataset_index(&dataset.meta.name).ok();
     let shard = match existing {
@@ -475,7 +425,7 @@ pub fn upsert_dataset_sharded(
             .expect("catalog has at least one shard"),
     };
     let store = open_shard(&catalog, catalog_path, shard)?;
-    let (_store, entry) = store.with_dataset(dataset, config)?;
+    let (store, entry) = store.with_dataset(dataset, config)?;
     match existing {
         Some(di) => catalog.datasets[di] = entry,
         None => {
@@ -484,22 +434,22 @@ pub fn upsert_dataset_sharded(
         }
     }
     catalog.write(catalog_path)?;
-    Ok(catalog)
+    Ok(store)
 }
 
-/// Removes one data set from a sharded store, rewriting exactly its owning
-/// shard file (plus the catalog file). Later data sets keep their shards:
-/// the assignment is explicit in the catalog, so removal never cascades.
-pub fn remove_dataset_sharded(catalog_path: impl AsRef<Path>, name: &str) -> Result<ShardCatalog> {
-    let catalog_path = catalog_path.as_ref();
+/// [`Store::remove_dataset`] on a shard catalog: rewrites the owning shard
+/// file and then the catalog file. Later data sets keep their shards: the
+/// assignment is explicit in the catalog, so removal never cascades.
+/// Returns the rewritten shard file, reopened.
+pub(crate) fn remove_dataset(catalog_path: &Path, name: &str) -> Result<Store> {
     let mut catalog = ShardCatalog::read(catalog_path)?;
     let target = catalog.dataset_index(name)?;
     let shard = catalog.shard_of[target];
-    open_shard(&catalog, catalog_path, shard)?.without_dataset(name)?;
+    let store = open_shard(&catalog, catalog_path, shard)?.without_dataset(name)?;
     catalog.datasets.remove(target);
     catalog.shard_of.remove(target);
     catalog.write(catalog_path)?;
-    Ok(catalog)
+    Ok(store)
 }
 
 #[cfg(test)]

@@ -19,11 +19,13 @@
 //! makes read-path costs observable.
 //!
 //! Incremental maintenance ([`Store::upsert_dataset`] /
-//! [`Store::remove_dataset`]) copies retained blob bytes verbatim — each
-//! verified once against the manifest's checksum as it is read, never
-//! decoded, and that verified checksum is what the new manifest records —
-//! and re-indexes only the data set being changed, preserving the
-//! index-once/query-many economics for corpus updates.
+//! [`Store::remove_dataset`]) takes a monolith or a shard catalog, whose
+//! owning shard file it rewrites ([`crate::shard`]). It copies retained
+//! blob bytes verbatim — each verified once against the manifest's
+//! checksum as it is read, never decoded, and that verified checksum is
+//! what the new manifest records — and re-indexes only the data set being
+//! changed, preserving the index-once/query-many economics for corpus
+//! updates.
 //!
 //! Every pass that touches each segment of a store once — the encode of a
 //! save or upsert, the verified copy behind maintenance and shard
@@ -39,6 +41,7 @@ use crate::checksum::blob_checksum;
 use crate::codec::{decode_geometry, encode_field, encode_geometry, encode_hot};
 use crate::error::{Result, StoreError};
 use crate::format::{BlobLoc, Header, Manifest, SegmentInfo, HEADER_LEN, VERSION};
+use crate::shard::{self, is_sharded};
 use crate::source::SegmentSource;
 use polygamy_core::index::{DatasetEntry, FunctionEntry, PolygamyIndex};
 use polygamy_core::{index_dataset, CityGeometry, Config};
@@ -86,11 +89,17 @@ impl Store {
         geometry: &CityGeometry,
         index: &PolygamyIndex,
     ) -> Result<Store> {
+        let mut per_dataset: Vec<SegmentGroup> =
+            (0..index.datasets.len()).map(|_| Vec::new()).collect();
+        let encoded = encode_segments(&index.functions, Cluster::default());
+        for (entry, segment) in index.functions.iter().zip(encoded) {
+            per_dataset[entry.dataset_index].push(segment);
+        }
         write_store(
             path.as_ref(),
             &geometry_blob(geometry)?,
             index.datasets.clone(),
-            encode_segment_groups(index),
+            per_dataset,
         )
     }
 
@@ -182,22 +191,33 @@ impl Store {
 
     // -- incremental maintenance ------------------------------------------
 
-    /// Adds or replaces one data set in the store without re-indexing the
-    /// rest of the corpus: only `dataset` runs through the indexing jobs;
-    /// every other data set's segment bytes are copied verbatim (checksums
-    /// verified). Returns the reopened store.
+    /// Adds or replaces one data set in the store at `path` without
+    /// re-indexing the rest of the corpus: only `dataset` runs through the
+    /// indexing jobs; every other data set's segment bytes are copied
+    /// verbatim (checksums verified). `path` is a monolith or a shard
+    /// catalog, whose owning shard file (for a new data set the
+    /// least-loaded one) is rewritten, then the catalog. Returns the file
+    /// it rewrote, reopened.
     pub fn upsert_dataset(
         path: impl AsRef<Path>,
         dataset: &Dataset,
         config: &Config,
     ) -> Result<Store> {
-        let (store, _entry) = Store::open(path)?.with_dataset(dataset, config)?;
-        Ok(store)
+        let path = path.as_ref();
+        if is_sharded(path)? {
+            return shard::upsert_dataset(path, dataset, config);
+        }
+        Ok(Store::open(path)?.with_dataset(dataset, config)?.0)
     }
 
-    /// Removes one data set's catalog entry and segments, copying everything
-    /// else verbatim. Returns the reopened store.
+    /// Removes one data set's catalog entry and segments from the store at
+    /// `path`, a monolith or a shard catalog, copying everything else
+    /// verbatim. Returns the file it rewrote, reopened.
     pub fn remove_dataset(path: impl AsRef<Path>, name: &str) -> Result<Store> {
+        let path = path.as_ref();
+        if is_sharded(path)? {
+            return shard::remove_dataset(path, name);
+        }
         Store::open(path)?.without_dataset(name)
     }
 
@@ -380,19 +400,6 @@ fn encode_segments(functions: &[FunctionEntry], cluster: Cluster) -> Vec<Segment
     })
 }
 
-/// Encodes an index's segments grouped by data set in catalog order — the
-/// canonical layout every writer (save, sharded save, maintenance)
-/// produces — on the host's pool.
-pub(crate) fn encode_segment_groups(index: &PolygamyIndex) -> Vec<SegmentGroup> {
-    let mut per_dataset: Vec<SegmentGroup> =
-        (0..index.datasets.len()).map(|_| Vec::new()).collect();
-    let encoded = encode_segments(&index.functions, Cluster::default());
-    for (entry, segment) in index.functions.iter().zip(encoded) {
-        per_dataset[entry.dataset_index].push(segment);
-    }
-    per_dataset
-}
-
 // -- whole-store passes -------------------------------------------------------
 
 // The cost constants are single-thread picoseconds per unit, measured
@@ -450,9 +457,7 @@ pub(crate) fn per_segment<R: Send, C: FromIterator<R>>(
 }
 
 /// The geometry blob of `geometry` ([`encode_geometry`]), checksummed.
-/// Shared with [`crate::shard`], which embeds the identical blob in every
-/// shard file.
-pub(crate) fn geometry_blob(geometry: &CityGeometry) -> Result<Blob> {
+fn geometry_blob(geometry: &CityGeometry) -> Result<Blob> {
     Ok(Blob::encoded(encode_geometry(geometry)?))
 }
 

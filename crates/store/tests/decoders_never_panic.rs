@@ -16,8 +16,10 @@
 //! mask's length, the mode byte and the tail damaged in turn, each input
 //! also through `validate_field`, the walk an eager open runs in place of
 //! the decode, which must agree word for word; and a manifest whose `field`
-//! location is hostile is driven through real sessions. Files of versions
-//! 1 to 7 are refused by version, not decoded.
+//! location is hostile is driven through real sessions, as is one whose
+//! directory names another resolution or function than the hot blob it
+//! points at. Files of versions 1 to 7 are refused by version, not
+//! decoded.
 //!
 //! The sixth decoder, the geometry blob's, is reached the way a reader
 //! reaches it: through `Store::load_geometry` on a truthfully sealed file.
@@ -974,7 +976,7 @@ fn hostile_geometries_yield_typed_errors() {
     assert!(!expected.is_empty());
     let open_both = || [StoreSession::open_lazy(path), StoreSession::open(path)];
     let verify = || {
-        let index = LazyIndex::new(Store::open(path).unwrap()).unwrap();
+        let index = LazyIndex::open(path).unwrap();
         index.verify_all()
     };
 
@@ -1061,6 +1063,74 @@ fn saved_store(tag: &str) -> (Cleanup, Vec<u8>) {
     (Cleanup(path), bytes)
 }
 
+/// `pristine` with its manifest replaced by `manifest`, truthfully
+/// re-sealed: the header's manifest length and checksum say so.
+fn with_manifest(pristine: &[u8], manifest: &Manifest) -> Vec<u8> {
+    let header = Header::decode(pristine).unwrap();
+    let manifest_bytes = manifest.encode();
+    let mut bytes = pristine[..header.manifest_offset as usize].to_vec();
+    bytes.extend_from_slice(&manifest_bytes);
+    let header = Header {
+        manifest_len: manifest_bytes.len() as u64,
+        manifest_checksum: blob_checksum(&manifest_bytes),
+        ..header
+    };
+    bytes[..40].copy_from_slice(&header.encode());
+    bytes
+}
+
+/// A segment's directory entry routes it — the lazy pin picks segments
+/// by the directory's resolution — while the hot blob is what expansion
+/// pairs, by its own resolution. A well-sealed manifest that names
+/// another resolution, or another function, than the blob it points at
+/// must fail the eager open and a lazy query reaching that segment with a
+/// typed `Corrupt` naming the segment, not answer differently on the two.
+#[test]
+fn a_hot_blob_must_match_its_directory_entry() {
+    let (cleanup, pristine) = saved_store("directory-mismatch");
+    let path = &cleanup.0;
+    let header = Header::decode(&pristine).unwrap();
+    let manifest = Manifest::decode(&pristine[header.manifest_offset as usize..]).unwrap();
+    let victim = &manifest.segments[0];
+    assert_eq!(victim.dataset_index, 0);
+    let other_resolution = (manifest.segments.iter())
+        .map(|s| s.resolution)
+        .find(|&r| r != victim.resolution)
+        .expect("the sample indexes several resolutions");
+    let query =
+        parse_query("between sensor and twin where permutations = 5 and include insignificant")
+            .unwrap();
+    let mismatches = [
+        SegmentInfo {
+            resolution: other_resolution,
+            ..victim.clone()
+        },
+        SegmentInfo {
+            function: format!("not-{}", victim.function),
+            ..victim.clone()
+        },
+    ];
+    for relabelled in mismatches {
+        let label = format!("segment sensor.{}: ", relabelled.function);
+        let mut manifest = manifest.clone();
+        manifest.segments[0] = relabelled;
+        std::fs::write(path, with_manifest(&pristine, &manifest)).unwrap();
+        let names_the_segment = |err: StoreError| {
+            assert!(
+                matches!(&err, StoreError::Corrupt(m) if m.starts_with(&label)),
+                "{err:?}"
+            );
+        };
+        names_the_segment(StoreSession::open(path).unwrap_err());
+        let lazy = StoreSession::open_lazy(path).unwrap();
+        names_the_segment(lazy.query(&query).unwrap_err());
+    }
+    // The pristine manifest, re-sealed the same way, serves.
+    std::fs::write(path, with_manifest(&pristine, &manifest)).unwrap();
+    assert_eq!(std::fs::read(path).unwrap(), pristine);
+    StoreSession::open(path).unwrap().query(&query).unwrap();
+}
+
 /// The manifest is trusted only as far as its checksum goes, and the
 /// checksum is no MAC: a well-sealed manifest can name any `field`
 /// location. Every hostile one must end in a typed error — from the lazy
@@ -1127,16 +1197,7 @@ fn hostile_field_locations_yield_typed_errors() {
     for loc in hostile {
         let mut manifest = manifest.clone();
         manifest.segments[victim].field = Some(loc);
-        let manifest_bytes = manifest.encode();
-        let mut bytes = pristine[..manifest_at].to_vec();
-        bytes.extend_from_slice(&manifest_bytes);
-        let header = Header {
-            manifest_len: manifest_bytes.len() as u64,
-            manifest_checksum: blob_checksum(&manifest_bytes),
-            ..header
-        };
-        bytes[..40].copy_from_slice(&header.encode());
-        std::fs::write(path, &bytes).unwrap();
+        std::fs::write(path, with_manifest(&pristine, &manifest)).unwrap();
 
         let typed = |e: &StoreError| {
             matches!(
@@ -1152,7 +1213,7 @@ fn hostile_field_locations_yield_typed_errors() {
         assert!(typed(&err), "{loc:?}: lazy thresholds query gave {err:?}");
         let err = StoreSession::open(path).unwrap_err();
         assert!(typed(&err), "{loc:?}: eager open gave {err:?}");
-        let index = LazyIndex::new(Store::open(path).unwrap()).unwrap();
+        let index = LazyIndex::open(path).unwrap();
         // `verify_all` checks bytes against checksums, not shapes: the two
         // well-sealed wrong-size blobs pass it and fail at decode above.
         if let Err(err) = index.verify_all() {

@@ -11,11 +11,17 @@
 //!   reaching the corrupt segment see [`StoreError::ChecksumMismatch`];
 //! * eager sharded opens fail up front when the filter's footprint
 //!   touches a broken shard, and succeed when a load filter keeps the
-//!   footprint on healthy shards.
+//!   footprint on healthy shards;
+//! * a shard file built over another city — same data set names, another
+//!   geometry blob — fails every open and the merge with
+//!   [`StoreError::Corrupt`] naming both files.
 
 use polygamy_core::prelude::*;
 use polygamy_core::DataPolygamy;
-use polygamy_store::{shard_store, LoadFilter, SourceBackend, Store, StoreError, StoreSession};
+use polygamy_store::{
+    merge_shards, shard_store, LazyIndex, LoadFilter, SourceBackend, Store, StoreError,
+    StoreSession,
+};
 use std::path::PathBuf;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -56,6 +62,11 @@ fn spiky_dataset(name: &str, level: f64, bump_at: i64) -> Dataset {
 /// Five data sets over three shards (round-robin): shard 0 = {alpha,
 /// delta}, shard 1 = {beta, epsilon}, shard 2 = {gamma}.
 fn build_sharded(dir: &std::path::Path) -> (DataPolygamy, PathBuf) {
+    build_sharded_over(dir, CityGeometry::city_only(0.0, 0.0, 1.0, 1.0))
+}
+
+/// [`build_sharded`] over another city.
+fn build_sharded_over(dir: &std::path::Path, geometry: CityGeometry) -> (DataPolygamy, PathBuf) {
     let datasets = vec![
         spiky_dataset("alpha", 1.0, 100),
         spiky_dataset("beta", -2.0, 100),
@@ -63,10 +74,7 @@ fn build_sharded(dir: &std::path::Path) -> (DataPolygamy, PathBuf) {
         spiky_dataset("delta", 3.0, 210),
         spiky_dataset("epsilon", -0.5, 210),
     ];
-    let mut dp = DataPolygamy::new(
-        CityGeometry::city_only(0.0, 0.0, 1.0, 1.0),
-        Config::fast_test(),
-    );
+    let mut dp = DataPolygamy::new(geometry, Config::fast_test());
     for d in &datasets {
         dp.add_dataset(d.clone());
     }
@@ -123,9 +131,9 @@ fn missing_shard_fails_only_touching_queries_repeatably() {
     let session = open_lazy(&catalog_path);
     assert_eq!(session.n_shards(), 3);
     let lazy = session.lazy_index().expect("lazy session");
-    assert!(lazy.unavailable_reason(0).is_none());
-    assert!(lazy.unavailable_reason(1).is_none());
-    assert!(lazy.unavailable_reason(2).is_some());
+    assert!(lazy.shard_file(0).is_ok());
+    assert!(lazy.shard_file(1).is_ok());
+    assert!(lazy.shard_file(2).is_err());
 
     // ...and queries that stay on shards 0/1 serve the monolithic
     // bytes (alpha–beta crosses shards, alpha–delta stays on one).
@@ -175,9 +183,9 @@ fn truncated_and_corrupted_shards_degrade_the_same_way() {
 
     let session = open_lazy(&catalog_path);
     let lazy = session.lazy_index().unwrap();
-    assert!(lazy.unavailable_reason(0).is_none());
-    assert!(lazy.unavailable_reason(1).unwrap().contains("truncated"));
-    assert!(lazy.unavailable_reason(2).unwrap().contains("checksum"));
+    assert!(lazy.shard_file(0).is_ok());
+    assert!(lazy.shard_file(1).unwrap_err().contains("truncated"));
+    assert!(lazy.shard_file(2).unwrap_err().contains("checksum"));
 
     // Shard 0's pair still answers with monolithic bytes.
     let q = between("alpha", "delta");
@@ -207,7 +215,7 @@ fn segment_corruption_inside_a_healthy_shard_stays_segment_scoped() {
 
     let session = open_lazy(&catalog_path);
     let lazy = session.lazy_index().unwrap();
-    assert!(lazy.unavailable_reason(2).is_none(), "shard itself is fine");
+    assert!(lazy.shard_file(2).is_ok(), "shard itself is fine");
 
     // Only queries reaching the corrupt segment fail — with the narrower
     // checksum error naming gamma, twice (the verdict is sticky).
@@ -233,4 +241,34 @@ fn eager_open_needs_every_shard() {
         Err(StoreError::ShardUnavailable { shard: 2, .. }) => {}
         other => panic!("expected ShardUnavailable for shard 2, got {other:?}"),
     }
+}
+
+/// Every shard file embeds the same geometry blob. A shard from another
+/// city whose local catalog lists the same data sets passes every
+/// catalog check, so only the blob's length and checksum tell: the open,
+/// eager or lazy, and the merge must fail naming both files rather than
+/// pair its segments with the wrong regions.
+#[test]
+fn a_shard_of_another_city_fails_the_open_and_the_merge() {
+    let dir = tmp_dir("city");
+    let _cleanup = Cleanup(dir.clone());
+    let (_, catalog_path) = build_sharded(&dir);
+    let elsewhere = dir.join("elsewhere");
+    std::fs::create_dir_all(&elsewhere).unwrap();
+    build_sharded_over(&elsewhere, CityGeometry::city_only(0.0, 0.0, 2.0, 2.0));
+    let shard1 = dir.join("corpus.shard1.plst");
+    std::fs::copy(elsewhere.join("corpus.shard1.plst"), &shard1).unwrap();
+
+    let names_both = |result: Result<(), StoreError>| match result {
+        Err(StoreError::Corrupt(msg)) => {
+            assert!(msg.contains("corpus.shard0.plst"), "{msg}");
+            assert!(msg.contains("corpus.shard1.plst"), "{msg}");
+        }
+        other => panic!("expected Corrupt naming both shard files, got {other:?}"),
+    };
+    names_both(LazyIndex::open(&catalog_path).map(drop));
+    names_both(StoreSession::open(&catalog_path).map(drop));
+    names_both(StoreSession::open_lazy(&catalog_path).map(drop));
+    names_both(merge_shards(&catalog_path, dir.join("merged.plst")).map(drop));
+    assert!(!dir.join("merged.plst").exists());
 }

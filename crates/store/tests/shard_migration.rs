@@ -3,20 +3,19 @@
 //! * monolith → N shards → monolith reproduces the original file
 //!   **byte-for-byte** — manifest, geometry and segment bytes — for every
 //!   shard count, including the degenerate 1-shard layout;
-//! * [`save_sharded`] (index → shards directly) produces the exact shard
-//!   files [`shard_store`] (monolith → shards) produces, so the two build
-//!   paths can never drift;
-//! * sharded maintenance rewrites **exactly one shard file**: after an
-//!   upsert or removal every other shard's bytes are untouched, and the
-//!   rewritten layout still merges back to the byte-identical monolith a
-//!   monolithic maintenance pass would have produced.
+//! * maintenance takes the catalog's path as it takes a monolith's:
+//!   [`Store::upsert_dataset`] / [`Store::remove_dataset`] on a catalog
+//!   rewrite **exactly one shard file** and return it: after an upsert or
+//!   removal every other shard's bytes are untouched, and the rewritten
+//!   layout still merges back to the byte-identical monolith a monolithic
+//!   maintenance pass would have produced.
 
 use polygamy_core::prelude::*;
 use polygamy_core::DataPolygamy;
 use polygamy_obs::{names, trace};
 use polygamy_store::{
-    is_sharded, merge_shards, remove_dataset_sharded, save_sharded, shard_store,
-    upsert_dataset_sharded, LoadFilter, ShardCatalog, SourceBackend, Store, StoreSession,
+    is_sharded, merge_shards, shard_store, LoadFilter, ShardCatalog, SourceBackend, Store,
+    StoreSession,
 };
 use std::path::{Path, PathBuf};
 
@@ -160,31 +159,6 @@ fn shard_then_merge_reproduces_the_monolith_byte_for_byte() {
 }
 
 #[test]
-fn save_sharded_matches_shard_store_output_exactly() {
-    let dir = tmp_dir("buildpaths");
-    let _cleanup = Cleanup(dir.clone());
-    let dp = build_framework(&corpus());
-
-    // Path A: monolith on disk, then migrate.
-    let monolith = dir.join("mono.plst");
-    Store::save(&monolith, dp.geometry(), dp.index().unwrap()).unwrap();
-    let via_migrate = dir.join("migrated.plst");
-    shard_store(&monolith, &via_migrate, 3).unwrap();
-
-    // Path B: straight from the in-memory index.
-    let via_save = dir.join("direct.plst");
-    save_sharded(&via_save, dp.geometry(), dp.index().unwrap(), 3).unwrap();
-
-    for i in 0..3 {
-        assert_eq!(
-            std::fs::read(dir.join(format!("migrated.shard{i}.plst"))).unwrap(),
-            std::fs::read(dir.join(format!("direct.shard{i}.plst"))).unwrap(),
-            "shard {i} must be identical from both build paths"
-        );
-    }
-}
-
-#[test]
 fn sharded_upsert_rewrites_exactly_one_shard() {
     let dir = tmp_dir("upsert");
     let _cleanup = Cleanup(dir.clone());
@@ -201,8 +175,10 @@ fn sharded_upsert_rewrites_exactly_one_shard() {
 
     // Replace beta (shard 1) with different data.
     let replacement = spiky_dataset("beta", -5.0, 42);
-    let catalog =
-        upsert_dataset_sharded(&catalog_path, &replacement, &Config::fast_test()).unwrap();
+    let rewritten =
+        Store::upsert_dataset(&catalog_path, &replacement, &Config::fast_test()).unwrap();
+    assert_eq!(rewritten.path(), dir.join("sharded.shard1.plst"));
+    let catalog = ShardCatalog::read(&catalog_path).unwrap();
     assert_eq!(catalog.shard_of, vec![0, 1, 2, 0]);
     let after: Vec<Vec<u8>> = (0..3)
         .map(|i| std::fs::read(dir.join(format!("sharded.shard{i}.plst"))).unwrap())
@@ -224,7 +200,8 @@ fn sharded_upsert_rewrites_exactly_one_shard() {
     // A brand-new data set lands on the least-loaded shard (shard 1 or 2
     // hold one each; ties go lowest → shard 1) and queries still match.
     let fresh = spiky_dataset("zeta", 2.0, 77);
-    let catalog = upsert_dataset_sharded(&catalog_path, &fresh, &Config::fast_test()).unwrap();
+    Store::upsert_dataset(&catalog_path, &fresh, &Config::fast_test()).unwrap();
+    let catalog = ShardCatalog::read(&catalog_path).unwrap();
     assert_eq!(catalog.shard_of, vec![0, 1, 2, 0, 1]);
     Store::upsert_dataset(&monolith, &fresh, &Config::fast_test()).unwrap();
     let merged2 = dir.join("merged2.plst");
@@ -250,7 +227,9 @@ fn sharded_removal_rewrites_exactly_one_shard_and_keeps_assignments() {
 
     // Remove alpha (shard 0). The explicit assignment means beta, gamma
     // and delta keep their shards — no cascade.
-    let catalog = remove_dataset_sharded(&catalog_path, "alpha").unwrap();
+    let rewritten = Store::remove_dataset(&catalog_path, "alpha").unwrap();
+    assert_eq!(rewritten.path(), dir.join("sharded.shard0.plst"));
+    let catalog = ShardCatalog::read(&catalog_path).unwrap();
     assert_eq!(
         catalog
             .datasets
