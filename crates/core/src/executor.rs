@@ -6,11 +6,15 @@
 //! path. A query — or a whole batch of queries — is planned on the
 //! coordinating thread and expanded *up front* into its complete flat list
 //! of (pair × function-unit × class) [`UnitTask`]s; the tasks then run on a
-//! **single shared worker pool** ([`run_weighted_tasks`]: the calling
-//! thread is one of its workers, tasks are claimed heaviest-first by an
-//! estimated cost, and a dispatch too small to repay a thread's start runs
-//! inline), and results are assembled in canonical task order. The
-//! invariants this buys:
+//! **single shared worker pool** ([`run_weighted_ranges`]: the calling
+//! thread is one of its workers, contiguous ranges of tasks of about equal
+//! estimated cost are claimed costliest first, and a dispatch too small to
+//! repay a thread's start runs inline as one range), and results are
+//! assembled in canonical task order. A range is folded by the thread that
+//! claimed it: it tallies its counts locally and keeps only the tasks that
+//! found a relationship the clause keeps, as (task index, measures,
+//! p-value, verdict); *assemble* names them with the operands' shared
+//! [`FunctionRef`]s on the coordinating thread. The invariants this buys:
 //!
 //! * **no per-pair pool spawn** — one pool serves an entire
 //!   `query`/`query_many` call, however many pairs it expands to;
@@ -38,10 +42,12 @@ use crate::error::{Error, Result};
 use crate::framework::{CityGeometry, Config};
 use crate::function::FunctionRef;
 use crate::index::{DatasetEntry, IndexView};
-use crate::operator::{evaluate_unit, expand_pair_tasks, EvalCounts, OperandTable, UnitTask};
+use crate::operator::{
+    evaluate_unit, expand_pair_tasks, EvalCounts, OperandTable, UnitTask, Verdict,
+};
 use crate::query::{Clause, RelationshipQuery};
 use crate::relationship::Relationship;
-use polygamy_mapreduce::run_weighted_tasks;
+use polygamy_mapreduce::run_weighted_ranges;
 use polygamy_obs::{count, names, stage};
 use polygamy_stdata::Resolution;
 use std::cmp::Ordering;
@@ -55,6 +61,18 @@ enum PairSource {
     Cached(Arc<Vec<Relationship>>),
     /// Evaluated by this batch; index into the miss list.
     Pending(usize),
+}
+
+/// What one range of an evaluate dispatch hands back.
+#[derive(Default)]
+struct EvaluatedRange {
+    /// What its tasks did.
+    counts: EvalCounts,
+    /// Its tasks that found a relationship the clause keeps, in task
+    /// order, by task index.
+    found: Vec<(usize, Verdict)>,
+    /// Its task count, if a helper thread ran it; 0 on the calling thread.
+    on_helper: u64,
 }
 
 /// One distinct (pair, clause) evaluation this batch owes.
@@ -325,21 +343,33 @@ pub fn run_plan<'a>(
     drop(expand_stage);
     count(names::CORE_TASKS_EXPANDED, tasks.len() as u64);
 
-    // ---- Evaluate the entire batch on one shared pool; operands are
-    // prepared inside it, each by the first task that needs it.
+    // ---- Evaluate the entire batch on one shared pool, a range of tasks
+    // at a time; operands are prepared inside it, each by the first task
+    // that needs it. A range keeps only what its tasks found.
     let evaluate_stage = stage(names::CORE_STAGE_EVALUATE_NS);
     let costs: Vec<u64> = tasks.iter().map(|t| t.estimated_ns(&operands)).collect();
-    let counts = EvalCounts::default();
-    let (results, threads) = run_weighted_tasks(config.cluster.workers(), &costs, |i| {
-        evaluate_unit(&tasks[i], &operands, &counts)
+    let caller = std::thread::current().id();
+    let (runs, threads) = run_weighted_ranges(config.cluster.workers(), &costs, |range| {
+        let mut run = EvaluatedRange::default();
+        if std::thread::current().id() != caller {
+            run.on_helper = range.len() as u64;
+        }
+        for i in range {
+            if let Some(found) = evaluate_unit(&tasks[i], &operands, &mut run.counts) {
+                run.found.push((i, found));
+            }
+        }
+        run
     });
     drop(evaluate_stage);
-    count(names::CORE_PERMUTATIONS_RUN, counts.permutations.get());
-    count(
-        names::CORE_PERMUTATION_TESTS_STOPPED,
-        counts.tests_stopped.get(),
-    );
-    count(names::CORE_SIGN_OVERLAP_PASSES, counts.overlap_passes.get());
+    let (mut counts, mut on_helpers) = (EvalCounts::default(), 0);
+    for run in &runs {
+        counts += run.counts;
+        on_helpers += run.on_helper;
+    }
+    count(names::CORE_PERMUTATIONS_RUN, counts.permutations);
+    count(names::CORE_PERMUTATION_TESTS_STOPPED, counts.tests_stopped);
+    count(names::CORE_SIGN_OVERLAP_PASSES, counts.overlap_passes);
     // Every task reads two operands; all but the first read of a slot reuse
     // what that first read prepared.
     let prepared = operands.prepared() as u64;
@@ -353,17 +383,22 @@ pub fn run_plan<'a>(
             _ => names::CORE_DISPATCHES_PARALLEL,
         };
         count(dispatches, 1);
+        count(names::CORE_TASKS_ON_HELPERS, on_helpers);
     }
 
-    // ---- Assemble per-miss results in canonical task order, sorted once
-    // here so that every later use — this batch, a cache hit — starts from
-    // a sorted run; fill the cache.
+    // ---- Assemble per-miss results in canonical task order — the ranges
+    // came back in range order, each in task order — naming each with its
+    // operands' shared names, sorted once here so that every later use —
+    // this batch, a cache hit — starts from a sorted run; fill the cache.
     let assemble_stage = stage(names::CORE_STAGE_ASSEMBLE_NS);
-    let mut results = results.into_iter();
+    let mut found = runs.iter().flat_map(|run| &run.found).peekable();
     let mut evaluated: Vec<Arc<Vec<Relationship>>> = Vec::with_capacity(misses.len());
     let mut evictions = 0u64;
     for (miss, range) in misses.iter().zip(&task_ranges) {
-        let mut rels: Vec<Relationship> = results.by_ref().take(range.len()).flatten().collect();
+        let mut rels = Vec::new();
+        while let Some((i, verdict)) = found.next_if(|(i, _)| *i < range.end) {
+            rels.push(tasks[*i].relationship(&operands, verdict));
+        }
         sort_relationships(&mut rels);
         let rels = Arc::new(rels);
         evictions += u64::from(cache.insert(miss.key, Arc::clone(&rels)));

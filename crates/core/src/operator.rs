@@ -15,18 +15,21 @@
 //! task carries two slot indices. A slot is prepared by the first task that
 //! needs it and read by every other: an `n × m` pair counts `n + m`
 //! windows' features (and runs as many threshold scans under custom
-//! thresholds), not `2·n·m`. No window is copied: an operand is the
-//! entry's own feature set plus a window of steps, read in place in every
-//! region row ([`RowWindows`]) by the intersection and by every draw. The
-//! index stores its feature sets region-major, and a `thresholds` override
-//! scans its field into that layout, so nothing is transposed at query
-//! time.
+//! thresholds), not `2·n·m`. An operand is the entry's own feature set
+//! plus a window of steps, read in place in every region row
+//! ([`RowWindows`]) by the intersection and by every draw. The index
+//! stores its feature sets region-major, and a `thresholds` override scans
+//! its field into that layout, so nothing is transposed at query time. The
+//! one copy is of a 1-D window of at most 128 steps (a day, week or month
+//! series): preparing the operand takes its bits into registers once
+//! ([`ShortWindow`]), and the intersection and every rotation read those.
 //!
 //! Monte Carlo seeds are derived per task with an explicit FNV-1a over a
 //! fully framed byte stream, so significance verdicts are reproducible
 //! across machines, toolchains and worker counts (`std`'s `DefaultHasher`
 //! is documented to change between releases and must never seed a
-//! hypothesis test).
+//! hypothesis test). The stream's left-function part is hashed once per
+//! entry, at interning, and continued per task.
 
 use crate::cache::{Fnv1a, WordHasher};
 use crate::error::{Error, Result};
@@ -34,12 +37,11 @@ use crate::framework::CityGeometry;
 use crate::function::FunctionRef;
 use crate::index::{FunctionEntry, IndexView};
 use crate::query::{Clause, DatasetThresholds};
-use crate::relationship::{measures, Relationship};
-use crate::significance::permutation_p_value;
-use polygamy_obs::Counter;
+use crate::relationship::{measures, Relationship, RelationshipMeasures};
+use crate::significance::{permutation_p_value, rotation_p_value};
 use polygamy_stats::permutation::MonteCarlo;
-use polygamy_stdata::ScalarField;
-use polygamy_topology::{FeatureClass, FeatureSet, RowWindows};
+use polygamy_stdata::{Resolution, ScalarField};
+use polygamy_topology::{FeatureClass, FeatureSet, RowWindows, ShortWindow};
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::sync::OnceLock;
@@ -92,6 +94,9 @@ pub(crate) struct Operand<'a> {
     /// The entry's names, shared by every operand of the entry and every
     /// relationship they take part in.
     name: FunctionRef,
+    /// `pair_seed`'s hash state after the base and the entry's names:
+    /// what every task with this operand on its left continues.
+    seed: Fnv1a,
     class: FeatureClass,
     /// Steps `[z0, z0 + steps)` of the entry, as `(z0, steps)`.
     window: (usize, usize),
@@ -106,29 +111,40 @@ struct Prepared {
     custom: Option<FeatureSet>,
     /// `|Σ|` of the window.
     count: usize,
+    /// The window in registers, if it is one region of at most
+    /// [`ShortWindow::MAX_LEN`] steps: what the intersection and every
+    /// rotation then read instead of the rows.
+    short: Option<ShortWindow>,
 }
 
-/// What the unit tasks of one dispatch did, for the executor's counters
-/// (observation only).
-#[derive(Default)]
+/// What the unit tasks of a range did, for the executor's counters
+/// (observation only): tallied by the thread that ran the range, added up
+/// on the coordinating thread.
+#[derive(Default, Clone, Copy)]
 pub(crate) struct EvalCounts {
     /// Permutations drawn by tasks that reached the significance test.
-    pub(crate) permutations: Counter,
+    pub(crate) permutations: u64,
     /// Significance tests stopped before their last draw.
-    pub(crate) tests_stopped: Counter,
+    pub(crate) tests_stopped: u64,
     /// Sign-count second passes over points both positive and negative.
-    pub(crate) overlap_passes: Counter,
+    pub(crate) overlap_passes: u64,
 }
 
-impl EvalCounts {
-    /// Adds `passes` to `overlap_passes` unless it is 0, as it is for
-    /// almost every task: an atomic add per task would bounce the
-    /// counter's cache line between the workers.
-    fn note_overlap_passes(&self, passes: usize) {
-        if passes != 0 {
-            self.overlap_passes.add(passes as u64);
-        }
+impl std::ops::AddAssign for EvalCounts {
+    fn add_assign(&mut self, other: EvalCounts) {
+        self.permutations += other.permutations;
+        self.tests_stopped += other.tests_stopped;
+        self.overlap_passes += other.overlap_passes;
     }
+}
+
+/// What a unit task found: the measures and verdict of a relationship the
+/// clause keeps. The executor attaches the names on the coordinating
+/// thread ([`UnitTask::relationship`]).
+pub(crate) struct Verdict {
+    measures: RelationshipMeasures,
+    p_value: f64,
+    significant: bool,
 }
 
 impl Operand<'_> {
@@ -140,8 +156,16 @@ impl Operand<'_> {
             let set = custom
                 .as_ref()
                 .unwrap_or_else(|| self.entry.features.class(self.class));
-            let count = self.rows_of(set).count();
-            Prepared { custom, count }
+            let rows = self.rows_of(set);
+            let short = (rows.n_rows() == 1)
+                .then(|| ShortWindow::new(&rows.row(0)))
+                .flatten();
+            let count = short.map_or_else(|| rows.count(), |w| w.count());
+            Prepared {
+                custom,
+                count,
+                short,
+            }
         })
     }
 
@@ -160,11 +184,6 @@ impl Operand<'_> {
         let (z0, steps) = self.window;
         RowWindows::new(set, self.entry.n_regions, self.entry.n_steps, z0, steps)
     }
-
-    /// `|Σ|` of the window.
-    fn count(&self) -> usize {
-        self.prepared().count
-    }
 }
 
 /// The operands of one dispatch, interned at expansion time on the
@@ -177,8 +196,8 @@ pub(crate) struct OperandTable<'a> {
     slot_of: HashMap<OperandKey, usize, BuildHasherDefault<WordHasher>>,
     /// One [`FunctionRef`] per entry, keyed by its address as
     /// [`OperandKey`] is: the names are allocated once per dispatch, not
-    /// once per relationship.
-    name_of: HashMap<usize, FunctionRef, BuildHasherDefault<WordHasher>>,
+    /// once per relationship — and hashed into the seed prefix once.
+    name_of: HashMap<usize, (FunctionRef, Fnv1a), BuildHasherDefault<WordHasher>>,
 }
 
 impl<'a> OperandTable<'a> {
@@ -199,11 +218,16 @@ impl<'a> OperandTable<'a> {
             thresholds: custom.map(|(t, _)| (t.theta_pos.to_bits(), t.theta_neg.to_bits())),
         };
         *self.slot_of.entry(key).or_insert_with(|| {
-            let name =
-                (self.name_of.entry(address)).or_insert_with(|| FunctionRef::from(&entry.spec));
+            let (name, seed) = (self.name_of.entry(address)).or_insert_with(|| {
+                (
+                    FunctionRef::from(&entry.spec),
+                    seed_prefix(BASE_SEED, entry),
+                )
+            });
             self.slots.push(Operand {
                 entry,
                 name: name.clone(),
+                seed: seed.clone(),
                 class,
                 window,
                 custom,
@@ -306,14 +330,33 @@ const VERTEX_PASSES_PER_NS: u64 = 8;
 
 impl UnitTask<'_> {
     /// Estimated single-thread nanoseconds of [`evaluate_unit`] on this
-    /// task: window vertices × (1 + permutations). What the pool balances
-    /// chunks by — a task the clause prunes after its intersection costs
-    /// less, which unbalances a chunk, never a result.
+    /// task: window vertices × (1 + permutations). What the pool cuts its
+    /// ranges by — a task the clause prunes after its intersection costs
+    /// less, and a tiny window's fixed cost is invisible here, which
+    /// unbalances a range, never a result.
     pub(crate) fn estimated_ns(&self, operands: &OperandTable<'_>) -> u64 {
         let (_, steps) = operands.slots[self.left].window;
         let vertices = (steps * self.e1.n_regions) as u64;
         let passes = 1 + self.clause.permutations as u64;
         vertices.saturating_mul(passes) / VERTEX_PASSES_PER_NS
+    }
+
+    /// The relationship this task found, with the names its operands share
+    /// with every other relationship of the dispatch.
+    pub(crate) fn relationship(
+        &self,
+        operands: &OperandTable<'_>,
+        found: &Verdict,
+    ) -> Relationship {
+        Relationship {
+            left: operands.slots[self.left].name.clone(),
+            right: operands.slots[self.right].name.clone(),
+            resolution: self.e1.resolution,
+            class: self.class,
+            measures: found.measures,
+            p_value: found.p_value,
+            significant: found.significant,
+        }
     }
 }
 
@@ -324,8 +367,8 @@ impl UnitTask<'_> {
 pub(crate) fn evaluate_unit(
     task: &UnitTask<'_>,
     operands: &OperandTable<'_>,
-    counts: &EvalCounts,
-) -> Option<Relationship> {
+    counts: &mut EvalCounts,
+) -> Option<Verdict> {
     let UnitTask {
         e1,
         e2,
@@ -340,11 +383,16 @@ pub(crate) fn evaluate_unit(
         alpha: clause.alpha,
         ..MonteCarlo::default()
     };
-    let scheme = clause.scheme.unwrap_or_default();
-    let (left_rows, right_rows) = (left.rows(), right.rows());
-    let meet = left_rows.intersect(&right_rows);
-    counts.note_overlap_passes(meet.0.overlap_passes);
-    let measures = measures(meet, left.count(), right.count());
+    let (left_prepared, right_prepared) = (left.prepared(), right.prepared());
+    // Both sides share the resolution and the window's length, so both or
+    // neither are held in registers.
+    let short = left_prepared.short.zip(right_prepared.short);
+    let meet = match short {
+        Some((l, r)) => l.intersect(&r),
+        None => left.rows().intersect(&right.rows()),
+    };
+    counts.overlap_passes += meet.0.overlap_passes as u64;
+    let measures = measures(meet, left_prepared.count, right_prepared.count);
     if measures.related_count() == 0 {
         return None;
     }
@@ -353,33 +401,33 @@ pub(crate) fn evaluate_unit(
     if measures.score.abs() < clause.min_score || measures.strength < clause.min_strength {
         return None;
     }
-    let seed = pair_seed(BASE_SEED, e1, e2, class);
-    let tested = permutation_p_value(
-        left_rows,
-        right_rows,
-        adjacency,
-        measures.score,
-        &mc,
-        scheme,
-        seed,
-        clause.significant_only,
-    );
-    counts.permutations.add(tested.draws as u64);
-    counts.note_overlap_passes(tested.overlap_passes);
+    let seed = continue_seed(left.seed.clone(), e2, e1.resolution, class);
+    let significant_only = clause.significant_only;
+    let tested = match short {
+        Some((l, r)) => rotation_p_value(l, r, measures.score, &mc, seed, significant_only),
+        None => permutation_p_value(
+            left.rows(),
+            right.rows(),
+            adjacency,
+            measures.score,
+            &mc,
+            clause.scheme.unwrap_or_default(),
+            seed,
+            significant_only,
+        ),
+    };
+    counts.permutations += tested.draws as u64;
+    counts.overlap_passes += tested.overlap_passes as u64;
     let Some(p) = tested.p else {
         // Stopped: the pair cannot be significant, and the clause drops it.
-        counts.tests_stopped.inc();
+        counts.tests_stopped += 1;
         return None;
     };
     let significant = mc.is_significant(p);
-    if clause.significant_only && !significant {
+    if significant_only && !significant {
         return None;
     }
-    Some(Relationship {
-        left: left.name.clone(),
-        right: right.name.clone(),
-        resolution: e1.resolution,
-        class,
+    Some(Verdict {
         measures,
         p_value: p,
         significant,
@@ -422,15 +470,36 @@ const BASE_SEED: u64 = 0xDA7A_9A17;
 /// FNV-1a over a fully framed byte stream (length-prefixed strings, stable
 /// resolution wire codes) — the same scheme `Clause::cache_key` uses — and
 /// is pinned by the `seed_format_pinned` regression test.
+///
+/// The executor hashes the left function's part once per entry
+/// ([`seed_prefix`]) and continues it per task ([`continue_seed`]); the
+/// stream, and so the seed, is the same.
+#[cfg(test)]
 fn pair_seed(base: u64, e1: &FunctionEntry, e2: &FunctionEntry, class: FeatureClass) -> u64 {
+    continue_seed(seed_prefix(base, e1), e2, e1.resolution, class)
+}
+
+/// `pair_seed`'s hash state after the base and the left function's names.
+fn seed_prefix(base: u64, e1: &FunctionEntry) -> Fnv1a {
     let mut h = Fnv1a::new();
     h.write_u64(base);
     h.write_str(&e1.spec.dataset);
     h.write_str(&e1.spec.name);
+    h
+}
+
+/// `pair_seed` from the left function's [`seed_prefix`] on: the right
+/// function's names, the shared resolution and the class.
+fn continue_seed(
+    mut h: Fnv1a,
+    e2: &FunctionEntry,
+    resolution: Resolution,
+    class: FeatureClass,
+) -> u64 {
     h.write_str(&e2.spec.dataset);
     h.write_str(&e2.spec.name);
-    h.write_u8(e1.resolution.spatial.code());
-    h.write_u8(e1.resolution.temporal.code());
+    h.write_u8(resolution.spatial.code());
+    h.write_u8(resolution.temporal.code());
     h.write_u8(match class {
         FeatureClass::Salient => 1,
         FeatureClass::Extreme => 2,
@@ -773,9 +842,9 @@ mod tests {
                 clause,
                 adjacency: &[],
             };
-            let counts = EvalCounts::default();
-            let found = evaluate_unit(&task, &operands, &counts);
-            (found, counts.permutations.get(), counts.tests_stopped.get())
+            let mut counts = EvalCounts::default();
+            let found = evaluate_unit(&task, &operands, &mut counts);
+            (found, counts.permutations, counts.tests_stopped)
         };
         let (found, draws, stopped) = run(&Clause::default().permutations(100));
         assert!(found.is_none());

@@ -19,10 +19,12 @@
 //! feature set), and either way the shifted counts
 //! `#p`/`#n` come from the two-popcount kernel the intersection uses
 //! ([`FeatureWindow::rotated_sign_counts`]), on each row's window read in
-//! place. The random draws — one `gen_range` per rotation, one
-//! [`GraphShifter::draw`] per graph shift — are the ones the definition
-//! (a dense vertex permutation applied bit by bit; the oracle in
-//! `tests/oracle_statistics.rs`) makes, in the same order, so every
+//! place — or, for a 1-D window of at most 128 steps, from the same counts
+//! on the window held in registers ([`ShortWindow`], extracted once per
+//! operand; `rotation_p_value`). The random draws — one `gen_range` per
+//! rotation, one [`GraphShifter::draw`] per graph shift — are the ones the
+//! definition (a dense vertex permutation applied bit by bit; the oracle
+//! in `tests/oracle_statistics.rs`) makes, in the same order, so every
 //! p-value is bit-identical to it.
 //!
 //! # Stopping a test whose verdict is decided
@@ -47,7 +49,7 @@
 
 use crate::relationship::score;
 use polygamy_stats::permutation::{GraphShifter, MonteCarlo, TailCounts};
-use polygamy_topology::{FeatureSet, RowWindows, SignCounts};
+use polygamy_topology::{FeatureSet, RowWindows, ShortWindow, SignCounts};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -162,31 +164,77 @@ pub fn permutation_p_value(
         left.steps(),
         right.steps()
     );
-    let n_steps = left.steps();
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let (n_steps, observed) = (left.steps(), observed_score);
+    if n_regions == 1 {
+        if let (Some(l), Some(r)) = (
+            ShortWindow::new(&left.row(0)),
+            ShortWindow::new(&right.row(0)),
+        ) {
+            return rotation_p_value(l, r, observed, mc, seed, significant_only);
+        }
+        // 1-D: rotate time by 1..n_steps, never by 0 — except on a single
+        // step, whose only rotation is the identity (p = 1).
+        let (l, r) = (left.row(0), right.row(0));
+        return monte_carlo(mc, seed, significant_only, observed, |rng| {
+            l.rotated_sign_counts(&r, rng.gen_range(1..n_steps.max(2)))
+        });
+    }
     let mut shifter = GraphShifter::default();
+    monte_carlo(mc, seed, significant_only, observed, |rng| {
+        let sigma = shifter.draw(spatial_adjacency, rng);
+        let shift = match scheme {
+            PermutationScheme::Paper => 0,
+            PermutationScheme::SpatioTemporal => rng.gen_range(0..n_steps.max(1)),
+        };
+        let mut counts = SignCounts::default();
+        for (x, &image) in sigma.iter().enumerate() {
+            counts += left
+                .row(x)
+                .rotated_sign_counts(&right.row(image as usize), shift);
+        }
+        counts
+    })
+}
+
+/// [`permutation_p_value`] on a 1-D domain whose windows are held in
+/// registers ([`ShortWindow`]): the same rotations drawn from the same
+/// stream, each two shifts and three popcounts, so the same [`Tested`] bit
+/// for bit. The executor extracts an operand's window once and calls this
+/// for every pair that reads it.
+///
+/// # Panics
+///
+/// If the windows differ in length.
+pub(crate) fn rotation_p_value(
+    left: ShortWindow,
+    right: ShortWindow,
+    observed_score: f64,
+    mc: &MonteCarlo,
+    seed: u64,
+    significant_only: bool,
+) -> Tested {
+    let n_steps = left.len();
+    monte_carlo(mc, seed, significant_only, observed_score, |rng| {
+        left.rotated_sign_counts(&right, rng.gen_range(1..n_steps.max(2)))
+    })
+}
+
+/// The Monte Carlo loop around one kind of draw: up to |m| permuted sign
+/// counts from `permuted`, drawn from one stream seeded by `seed`, their
+/// scores tallied against `observed_score`, stopped early where the module
+/// docs say.
+fn monte_carlo(
+    mc: &MonteCarlo,
+    seed: u64,
+    significant_only: bool,
+    observed_score: f64,
+    mut permuted: impl FnMut(&mut SmallRng) -> SignCounts,
+) -> Tested {
+    let mut rng = SmallRng::seed_from_u64(seed);
     let mut tally = TailCounts::new(observed_score);
     let mut overlap_passes = 0;
     for draws in 1..=mc.permutations {
-        let counts = if n_regions == 1 {
-            // 1-D: rotate time by 1..n_steps, never by 0 — except on a
-            // single step, whose only rotation is the identity (p = 1).
-            let shift = rng.gen_range(1..n_steps.max(2));
-            left.row(0).rotated_sign_counts(&right.row(0), shift)
-        } else {
-            let sigma = shifter.draw(spatial_adjacency, &mut rng);
-            let shift = match scheme {
-                PermutationScheme::Paper => 0,
-                PermutationScheme::SpatioTemporal => rng.gen_range(0..n_steps.max(1)),
-            };
-            let mut counts = SignCounts::default();
-            for (x, &image) in sigma.iter().enumerate() {
-                counts += left
-                    .row(x)
-                    .rotated_sign_counts(&right.row(image as usize), shift);
-            }
-            counts
-        };
+        let counts = permuted(&mut rng);
         overlap_passes += counts.overlap_passes;
         tally.push(score(counts.n_pos, counts.n_neg));
         if significant_only

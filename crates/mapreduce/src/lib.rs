@@ -9,10 +9,11 @@
 //! * **cluster sizing**: a [`Cluster`] is a worker count, modelled as
 //!   nodes × cores, which is how the Figure 10 speedup experiment sweeps
 //!   "cluster sizes";
-//! * **an ordered task pool**: [`run_weighted_tasks`] (chunks cut from a
-//!   per-task cost estimate, small dispatches inline), its equal-cost case
-//!   [`run_chunked_tasks`] (and that one's single-index form
-//!   [`run_indexed_tasks`], and [`par_map`] over owned inputs) run
+//! * **an ordered task pool**: [`run_weighted_ranges`] (contiguous ranges
+//!   cut from a per-task cost estimate and folded one result per range,
+//!   small dispatches inline), its per-task form [`run_weighted_tasks`],
+//!   and the equal-cost case [`run_chunked_tasks`] (with its single-index
+//!   form [`run_indexed_tasks`], and [`par_map`] over owned inputs) run
 //!   independent tasks on the calling thread plus that many minus one
 //!   scoped helpers and return results in task order, so output never
 //!   depends on the worker count.
@@ -23,4 +24,6 @@ pub mod cluster;
 pub mod pool;
 
 pub use cluster::Cluster;
-pub use pool::{par_map, run_chunked_tasks, run_indexed_tasks, run_weighted_tasks};
+pub use pool::{
+    par_map, run_chunked_tasks, run_indexed_tasks, run_weighted_ranges, run_weighted_tasks,
+};

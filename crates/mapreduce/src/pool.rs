@@ -1,35 +1,48 @@
 //! Scoped worker pool over `std::thread::scope`.
 //!
-//! Tasks are indexed work items, cut into *chunks* that a fixed number of
-//! workers claim off a shared atomic counter — the same self-scheduling
-//! model Hadoop task trackers use within a node, and the mechanism by
-//! which [`crate::cluster::Cluster`] bounds parallelism. There is one pool
-//! body, `run_chunks`:
+//! Tasks are indexed work items, cut into contiguous *ranges* that a fixed
+//! number of workers claim off a shared atomic counter — the same
+//! self-scheduling model Hadoop task trackers use within a node, and the
+//! mechanism by which [`crate::cluster::Cluster`] bounds parallelism. There
+//! is one pool body, `run_ranges`:
 //!
 //! * **the caller is worker 0.** `workers − 1` scoped helpers join it, so a
 //!   helper's start-up overlaps the caller's own work instead of preceding
-//!   everyone's; each worker keeps its `(index, result)` pairs and the
-//!   caller writes them to their slots after the join, so the output is in
+//!   everyone's. A range is folded into one result by the thread that
+//!   claimed it; each worker keeps its `(range, result)` pairs, and after
+//!   the join the caller puts them in range order, so the output is in
 //!   task order whatever was claimed by whom;
-//! * [`run_weighted_tasks`] cuts the chunks from a per-task cost estimate,
-//!   in *descending-cost* order at roughly equal cost: the heavy tasks are
-//!   claimed first and singly, the cheap tail in bulk — and a dispatch
-//!   whose whole estimate is below the inline floor never spawns;
-//! * [`run_chunked_tasks`] is the equal-cost case (contiguous chunks of a
-//!   given size, in index order), [`run_indexed_tasks`] its one-task-a-chunk
+//! * [`run_weighted_ranges`] cuts the ranges from a per-task cost estimate:
+//!   consecutive tasks of about equal total cost, a task at or above that
+//!   cost a range of its own, claimed *costliest range first* — and a
+//!   dispatch whose whole estimate is below the inline floor never spawns
+//!   and is one range. [`run_weighted_tasks`] is its one-result-per-task
+//!   form: each range's results come back as one run, and the runs are
+//!   concatenated in range order;
+//! * [`run_chunked_tasks`] is the equal-cost case (ranges of a given size,
+//!   claimed in index order), [`run_indexed_tasks`] its one-task-a-range
 //!   form and [`par_map`] the same over owned inputs.
 //!
-//! Chunking and the floor only change who runs a task and when, never what
-//! is computed: every entry point returns exactly `(0..n).map(f)`.
+//! Ranges keep neighbouring tasks together: a task's estimate may be off
+//! by a large factor (a tiny task's fixed cost is invisible to it), but a
+//! run of consecutive tasks of a query mixes its kinds of task, so a
+//! range's real cost follows its estimate far better than a single
+//! task's does — and a worker hands back one run of results per range, not
+//! one record per task.
+//!
+//! Ranges and the floor only change who runs a task and when, never what
+//! is computed: every per-task entry point returns exactly
+//! `(0..n).map(f)`.
 
 use crate::cluster::Cluster;
 use std::cmp::Reverse;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-/// Chunks a weighted dispatch cuts per worker: enough that the chunk a
+/// Ranges a weighted dispatch cuts per worker: enough that the range a
 /// worker is still on when the others run dry is ≤ 1/8 of its share, few
-/// enough that claiming (one relaxed `fetch_add` per chunk) stays free.
+/// enough that claiming (one relaxed `fetch_add` per range) stays free.
 const CHUNKS_PER_WORKER: usize = 8;
 
 /// Estimated single-thread nanoseconds below which a weighted dispatch runs
@@ -54,8 +67,8 @@ where
 }
 
 /// Runs `f(i)` for every `i in 0..n_tasks` on `workers` threads, with each
-/// worker claiming `chunk_size` consecutive indices at a time, and returns
-/// the results in task order.
+/// worker claiming `chunk_size` consecutive indices at a time, in index
+/// order, and returns the results in task order.
 ///
 /// Chunking only changes how indices are claimed, never what is computed or
 /// how results are ordered: for any `workers`, `chunk_size` combination the
@@ -66,12 +79,12 @@ where
     F: Fn(usize) -> R + Sync,
 {
     let chunk = chunk_size.max(1);
-    let order: Vec<usize> = (0..n_tasks).collect();
-    let ends: Vec<usize> = (0..n_tasks)
+    let ranges: Vec<Range<usize>> = (0..n_tasks)
         .step_by(chunk)
-        .map(|start| (start + chunk).min(n_tasks))
+        .map(|start| start..(start + chunk).min(n_tasks))
         .collect();
-    run_chunks(workers, &order, &ends, f).0
+    let order: Vec<usize> = (0..ranges.len()).collect();
+    concat(run_ranges(workers, &ranges, &order, |r| r.map(&f).collect()).0)
 }
 
 /// Runs `f(i)` for every `i in 0..costs.len()` on up to `workers` threads,
@@ -80,92 +93,130 @@ where
 /// the number of threads that ran them (1: the dispatch never left the
 /// calling thread).
 ///
-/// Ratios between costs decide the chunks (see the module docs); their
-/// absolute scale matters only against the inline floor. A wrong estimate
-/// costs balance, never correctness: the returned vector is identical to
-/// the sequential `(0..costs.len()).map(f)`.
+/// It is [`run_weighted_ranges`] with each range mapped task by task. A
+/// wrong estimate costs balance, never correctness: the returned vector is
+/// identical to the sequential `(0..costs.len()).map(f)`.
 pub fn run_weighted_tasks<R, F>(workers: usize, costs: &[u64], f: F) -> (Vec<R>, usize)
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let total = costs.iter().fold(0u64, |sum, &c| sum.saturating_add(c));
-    if workers <= 1 || total < INLINE_FLOOR_NS {
-        return ((0..costs.len()).map(f).collect(), 1);
-    }
-    let (order, ends) = weighted_chunks(costs, total / (workers * CHUNKS_PER_WORKER) as u64);
-    run_chunks(workers, &order, &ends, f)
+    let (runs, threads) = run_weighted_ranges(workers, costs, |r| r.map(&f).collect());
+    (concat(runs), threads)
 }
 
-/// Cuts tasks into chunks of about `target` cost each, heaviest first: the
-/// task indices in descending-cost order, and the end of each chunk in that
-/// order. A task of `target` or more is a chunk of its own.
-fn weighted_chunks(costs: &[u64], target: u64) -> (Vec<usize>, Vec<usize>) {
-    let mut order: Vec<usize> = (0..costs.len()).collect();
-    // Stable: equal costs keep index order, so the cut is a function of
-    // the costs alone.
-    order.sort_by_key(|&i| Reverse(costs[i]));
-    let mut ends = Vec::new();
-    let mut chunk_cost = 0u64;
-    for (at, &i) in order.iter().enumerate() {
-        chunk_cost = chunk_cost.saturating_add(costs[i]);
-        if chunk_cost >= target.max(1) {
-            ends.push(at + 1);
-            chunk_cost = 0;
-        }
-    }
-    if ends.last() != Some(&order.len()) {
-        ends.push(order.len());
-    }
-    (order, ends)
-}
-
-/// The pool body. Chunk `k` is the task indices `order[ends[k − 1]..ends[k]]`
-/// (`order` a permutation of `0..n`, `ends` ascending, the last one `n`);
-/// the caller and up to `workers − 1` scoped helpers claim chunks in `k`
-/// order until none is left. Returns the results in task order and the
-/// number of threads that took part. A task's panic reaches the caller,
-/// whichever thread ran it, once every worker has stopped.
-fn run_chunks<R, F>(workers: usize, order: &[usize], ends: &[usize], f: F) -> (Vec<R>, usize)
+/// Folds contiguous ranges of `0..costs.len()` with `f` on up to `workers`
+/// threads, scheduled by `costs[i]` — the caller's estimate of task `i`'s
+/// single-thread nanoseconds — and returns one result per range, in range
+/// order, with the number of threads that ran them (1: the dispatch never
+/// left the calling thread).
+///
+/// The ranges cover every task once, in order. A dispatch estimated under
+/// the inline floor, or given one worker, is the one range `0..n` (none if
+/// there is no task); otherwise ranges are cut to about `total ÷ (workers ×
+/// 8)` each and claimed costliest first (see the module docs). Ratios
+/// between costs decide the cut; their absolute scale matters only against
+/// the floor.
+pub fn run_weighted_ranges<R, F>(workers: usize, costs: &[u64], f: F) -> (Vec<R>, usize)
 where
     R: Send,
-    F: Fn(usize) -> R + Sync,
+    F: Fn(Range<usize>) -> R + Sync,
 {
-    let threads = workers.min(ends.len()).max(1);
-    if threads == 1 {
-        return ((0..order.len()).map(f).collect(), 1);
+    let n = costs.len();
+    let total = costs.iter().fold(0u64, |sum, &c| sum.saturating_add(c));
+    if workers <= 1 || total < INLINE_FLOOR_NS {
+        return ((n > 0).then(|| f(0..n)).into_iter().collect(), 1);
     }
-    // Relaxed: the counter hands out chunk numbers and publishes nothing —
+    let (ranges, order) = cost_ranges(costs, total / (workers * CHUNKS_PER_WORKER) as u64);
+    run_ranges(workers, &ranges, &order, f)
+}
+
+/// Cuts `0..costs.len()` into contiguous ranges of about `target` cost
+/// each, and orders them for claiming costliest first. A range closes once
+/// its cost reaches `target`; a task of `target` or more closes the range
+/// before it and is a range of its own. Returns the ranges in index order
+/// and their claim order (range numbers; a stable sort, so equal costs
+/// keep index order and the cut is a function of the costs alone).
+fn cost_ranges(costs: &[u64], target: u64) -> (Vec<Range<usize>>, Vec<usize>) {
+    let target = target.max(1);
+    let (mut ranges, mut range_costs) = (Vec::new(), Vec::new());
+    let (mut start, mut cost) = (0, 0u64);
+    for (i, &c) in costs.iter().enumerate() {
+        if c >= target && start < i {
+            ranges.push(start..i);
+            range_costs.push(cost);
+            (start, cost) = (i, 0);
+        }
+        cost = cost.saturating_add(c);
+        if cost >= target {
+            ranges.push(start..i + 1);
+            range_costs.push(cost);
+            (start, cost) = (i + 1, 0);
+        }
+    }
+    if start < costs.len() {
+        ranges.push(start..costs.len());
+        range_costs.push(cost);
+    }
+    let mut order: Vec<usize> = (0..ranges.len()).collect();
+    order.sort_by_key(|&k| Reverse(range_costs[k]));
+    (ranges, order)
+}
+
+/// The pool body. The caller and up to `workers − 1` scoped helpers claim
+/// `ranges[order[0]]`, `ranges[order[1]]`, … until none is left, each
+/// folding its range with `f`. Returns one result per range in *range*
+/// order and the number of threads that took part. A task's panic reaches
+/// the caller, whichever thread ran it, once every worker has stopped.
+fn run_ranges<R, F>(
+    workers: usize,
+    ranges: &[Range<usize>],
+    order: &[usize],
+    f: F,
+) -> (Vec<R>, usize)
+where
+    R: Send,
+    F: Fn(Range<usize>) -> R + Sync,
+{
+    let threads = workers.min(ranges.len()).max(1);
+    if threads == 1 {
+        return (ranges.iter().cloned().map(f).collect(), 1);
+    }
+    // Relaxed: the counter hands out claim numbers and publishes nothing —
     // everything a worker reads was written before the scope began.
     let next = AtomicUsize::new(0);
     let work = || {
         let mut done: Vec<(usize, R)> = Vec::new();
-        loop {
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            if k >= ends.len() {
-                return done;
-            }
-            let start = if k == 0 { 0 } else { ends[k - 1] };
-            done.extend(order[start..ends[k]].iter().map(|&i| (i, f(i))));
+        while let Some(&k) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            done.push((k, f(ranges[k].clone())));
         }
+        done
     };
-    let done = std::thread::scope(|scope| {
+    let mut done = std::thread::scope(|scope| {
         let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
-        let mut done = vec![work()];
+        let mut done = work();
         for helper in helpers {
             match helper.join() {
-                Ok(theirs) => done.push(theirs),
+                Ok(theirs) => done.extend(theirs),
                 Err(panic) => std::panic::resume_unwind(panic),
             }
         }
         done
     });
-    let mut slots: Vec<Option<R>> = (0..order.len()).map(|_| None).collect();
-    for (i, r) in done.into_iter().flatten() {
-        slots[i] = Some(r);
+    done.sort_unstable_by_key(|&(k, _)| k);
+    (done.into_iter().map(|(_, r)| r).collect(), threads)
+}
+
+/// The runs of a ranged dispatch, end to end.
+fn concat<R>(mut runs: Vec<Vec<R>>) -> Vec<R> {
+    if runs.len() == 1 {
+        return runs.pop().unwrap_or_default();
     }
-    let results = slots.into_iter().map(|s| s.expect("every task ran"));
-    (results.collect(), threads)
+    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    for run in runs {
+        out.extend(run);
+    }
+    out
 }
 
 /// Parallel map over owned inputs, results in input order — the shape of
@@ -330,21 +381,83 @@ mod tests {
         assert_eq!(threads, 7);
     }
 
+    /// Checks `cost_ranges`' contract on `costs` at `target`: the ranges
+    /// tile `0..n` in order; each reaches the target, unless it is the last
+    /// or a task at or above the target follows it; such a task is alone;
+    /// and the claim order is costliest first, ties in index order.
+    fn assert_cost_cut(costs: &[u64], target: u64) {
+        let (ranges, order) = cost_ranges(costs, target);
+        let cost = |r: &Range<usize>| costs[r.clone()].iter().sum::<u64>();
+        let heavy = |i: usize| costs[i] >= target.max(1);
+        let mut end = 0;
+        for (k, r) in ranges.iter().enumerate() {
+            assert_eq!(r.start, end, "contiguous: range {k} of {ranges:?}");
+            assert!(r.start < r.end, "range {k} is empty");
+            end = r.end;
+            if r.clone().any(heavy) {
+                assert_eq!(r.len(), 1, "a heavy task is alone: range {k}");
+            } else if k + 1 < ranges.len() {
+                assert!(
+                    cost(r) >= target.max(1) || heavy(r.end),
+                    "range {k} ({}) stops short of {target}",
+                    cost(r)
+                );
+            }
+        }
+        assert_eq!(end, costs.len());
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..ranges.len()).collect::<Vec<_>>());
+        for w in order.windows(2) {
+            let (a, b) = (cost(&ranges[w[0]]), cost(&ranges[w[1]]));
+            assert!(
+                a > b || (a == b && w[0] < w[1]),
+                "claimed {w:?}: {a} then {b}"
+            );
+        }
+    }
+
     #[test]
-    fn heavy_tasks_are_claimed_first_and_singly() {
-        // Total 1,600 over a target of 100: the three heavy tasks are the
-        // first three chunks, one each; the hundred 10s follow ten a chunk.
-        let mut costs = vec![10u64; 100];
-        costs.extend([150, 250, 200]);
-        let (order, ends) = weighted_chunks(&costs, 100);
-        assert_eq!(order[..3], [101, 102, 100]);
-        assert_eq!(ends[..4], [1, 2, 3, 13]);
-        assert_eq!(order[3..], (0..100).collect::<Vec<_>>()[..]);
-        assert_eq!(ends.len(), 13);
-        assert_eq!(ends.last(), Some(&103));
-        // A zero target (a total smaller than the chunk count) still cuts.
-        let (order, ends) = weighted_chunks(&[0, 3, 0], 0);
-        assert_eq!((order, ends), (vec![1, 0, 2], vec![1, 3]));
+    fn ranges_are_contiguous_cost_cuts_claimed_costliest_first() {
+        // Total 1,600 over a target of 100: ten 10s a range, then the heavy
+        // 150 closes the 10s before it and stands alone, as do 250 and 200.
+        let mut costs = vec![10u64; 95];
+        costs.extend([150, 250, 10, 200, 10, 10, 10, 10]);
+        let (ranges, order) = cost_ranges(&costs, 100);
+        let expect: Vec<Range<usize>> = (0..9)
+            .map(|k| 10 * k..10 * k + 10)
+            .chain([90..95, 95..96, 96..97, 97..98, 98..99, 99..103])
+            .collect();
+        assert_eq!(ranges, expect);
+        // 250, 200, 150, then the nine full ranges in index order, then
+        // the 50 cut short, the 40 of the last and the lone 10.
+        assert_eq!(order, [11, 13, 10, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 14, 12]);
+        assert_cost_cut(&costs, 100);
+        // A zero target (a total smaller than the range count) still cuts.
+        let (ranges, order) = cost_ranges(&[0, 3, 0], 0);
+        assert_eq!((ranges, order), (vec![0..1, 1..2, 2..3], vec![1, 0, 2]));
+        for (_, costs) in cost_shapes() {
+            let total: u64 = costs.iter().sum();
+            for workers in [2, 3, 7] {
+                assert_cost_cut(&costs, total / (workers * CHUNKS_PER_WORKER) as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_ranges_come_back_in_range_order() {
+        for (shape, costs) in cost_shapes() {
+            let n = costs.len();
+            for workers in [1, 2, 3, 7] {
+                let (runs, threads) = run_weighted_ranges(workers, &costs, |r| r);
+                let covered: Vec<usize> = runs.iter().cloned().flatten().collect();
+                assert_eq!(covered, (0..n).collect::<Vec<_>>(), "{shape} @ {workers}");
+                assert!(runs.iter().all(|r| !r.is_empty()), "{shape} @ {workers}");
+                if threads == 1 {
+                    assert!(runs.len() <= 1, "{shape} @ {workers}: inline is one range");
+                }
+            }
+        }
     }
 
     /// Runs 64 one-task chunks on two workers, the first task the chosen

@@ -144,6 +144,9 @@ pub mod names {
     pub const CORE_DISPATCHES_INLINE: &str = "core.dispatches_inline";
     /// Evaluate dispatches that spawned helper threads (counter).
     pub const CORE_DISPATCHES_PARALLEL: &str = "core.dispatches_parallel";
+    /// Unit tasks of evaluate dispatches that a helper thread ran, not the
+    /// calling thread (counter): did a second worker help?
+    pub const CORE_TASKS_ON_HELPERS: &str = "core.tasks_on_helpers";
 
     /// Wall time of the scalar-function job, summed over indexed data sets
     /// (counter, ns).
@@ -286,6 +289,7 @@ pub mod names {
         CORE_SIGN_OVERLAP_PASSES,
         CORE_DISPATCHES_INLINE,
         CORE_DISPATCHES_PARALLEL,
+        CORE_TASKS_ON_HELPERS,
         INDEX_STAGE_SCALAR_NS,
         INDEX_STAGE_TREES_NS,
         INDEX_STAGE_THRESHOLDS_NS,

@@ -433,9 +433,9 @@ pub(crate) fn segment_bytes(info: &SegmentInfo) -> u64 {
 /// caller.
 ///
 /// Every segment gets the same share of the estimate: the pool then cuts
-/// equal runs of consecutive segments and hands them out in directory
-/// order (its sort is stable), so each worker reads the file front to
-/// back. Weighted by size, heaviest first, the pool read it in size order:
+/// equal ranges of consecutive segments and hands them out in directory
+/// order (its costliest-first claim order is stable, and equal ranges tie),
+/// so each worker reads the file front to back. Weighted by size, heaviest first, the pool read it in size order:
 /// a `verify_all` straight after a write — every blob from the device,
 /// past the page cache — took 2.3× the serial pass at two workers instead
 /// of the same time.

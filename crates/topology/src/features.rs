@@ -381,6 +381,141 @@ impl<'a> RowWindows<'a> {
     }
 }
 
+/// A window of at most [`ShortWindow::MAX_LEN`] bits held in registers:
+/// its positive and negative bits as two `u128`s, bit `z` of each the
+/// window's bit `z`. A 1-D operand of a short window (a day, week or month
+/// series) is extracted once and then intersected and rotated with a few
+/// word operations, where [`FeatureWindow`] re-reads and re-aligns its
+/// words on every call. Every count equals [`FeatureWindow`]'s on the same
+/// bits, [`SignCounts::overlap_passes`] included.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShortWindow {
+    pos: u128,
+    neg: u128,
+    len: usize,
+}
+
+impl ShortWindow {
+    /// The longest window held in registers.
+    pub const MAX_LEN: usize = 128;
+
+    /// `window`'s bits, if it is at most [`ShortWindow::MAX_LEN`] long.
+    pub fn new(window: &FeatureWindow<'_>) -> Option<Self> {
+        let (start, len) = (window.start, window.len);
+        (len <= Self::MAX_LEN).then(|| Self {
+            pos: window_bits(window.set.pos.words(), start, len),
+            neg: window_bits(window.set.neg.words(), start, len),
+            len,
+        })
+    }
+
+    /// Bits in the window.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the window holds no bit.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Feature points (positive or negative) in the window.
+    pub fn count(&self) -> usize {
+        (self.pos | self.neg).count_ones() as usize
+    }
+
+    /// [`FeatureWindow::intersect`] on the windows' bits.
+    ///
+    /// # Panics
+    ///
+    /// If the windows differ in length.
+    pub fn intersect(&self, other: &ShortWindow) -> (SignCounts, usize) {
+        self.assert_aligned_with(other);
+        let (counts, quad) = sign_quad(self, other.pos, other.neg);
+        // `|same ∨ opposite| = |(P1∨N1) ∧ (P2∨N2)|`.
+        let related = ((self.pos | self.neg) & (other.pos | other.neg)).count_ones() as usize;
+        let passes = usize::from(quad != 0);
+        (
+            SignCounts {
+                overlap_passes: passes,
+                ..counts
+            },
+            related,
+        )
+    }
+
+    /// [`FeatureWindow::rotated_sign_counts`] on the windows' bits: this
+    /// window rotated by `shift` against `other`, which is `other` rotated
+    /// back by `shift` against this one — two shifts and a mask. The
+    /// kernel's second pass runs once per arc that holds a point both
+    /// positive and negative on both sides, and so is counted here.
+    ///
+    /// # Panics
+    ///
+    /// If the windows differ in length.
+    pub fn rotated_sign_counts(&self, other: &ShortWindow, shift: usize) -> SignCounts {
+        self.assert_aligned_with(other);
+        let len = self.len;
+        if len == 0 {
+            return SignCounts::default();
+        }
+        let s = shift % len;
+        // Bit `z` of `other` rotated back is bit `(z + s) % len` of `other`:
+        // the first arc, `z < len − s`, from its top, the second from its
+        // bottom.
+        let mask = low_bits(len);
+        let back = |w: u128| ((w >> s) | w.checked_shl((len - s) as u32).unwrap_or(0)) & mask;
+        let (counts, quad) = sign_quad(self, back(other.pos), back(other.neg));
+        let first = low_bits(len - s);
+        let passes = usize::from(quad & first != 0) + usize::from(quad & !first != 0);
+        SignCounts {
+            overlap_passes: passes,
+            ..counts
+        }
+    }
+
+    fn assert_aligned_with(&self, other: &ShortWindow) {
+        assert_eq!(
+            self.len, other.len,
+            "sign counts of a {}-bit and a {}-bit window",
+            self.len, other.len
+        );
+    }
+}
+
+/// `#p` and `#n` of `w` against the bits `(p2, n2)` lined up with it, with
+/// the points positive and negative on both sides (`P1∧N1∧P2∧N2`), which
+/// both counts take twice.
+#[inline(always)]
+fn sign_quad(w: &ShortWindow, p2: u128, n2: u128) -> (SignCounts, u128) {
+    let (p1, n1) = (w.pos, w.neg);
+    let same = (p1 & p2) | (n1 & n2);
+    let opposite = (p1 & n2) | (n1 & p2);
+    let quad = p1 & n1 & p2 & n2;
+    let twice = quad.count_ones() as usize;
+    let counts = SignCounts {
+        n_pos: same.count_ones() as usize + twice,
+        n_neg: opposite.count_ones() as usize + twice,
+        overlap_passes: 0,
+    };
+    (counts, quad)
+}
+
+/// The lowest `n ≤ 128` bits set.
+fn low_bits(n: usize) -> u128 {
+    u128::MAX.checked_shr((128 - n) as u32).unwrap_or(0)
+}
+
+/// Bits `[start, start + len)` of `words` (`len ≤ 128`), bit `start` at
+/// bit 0: at most three words, those past the end read as zeros.
+fn window_bits(words: &[u64], start: usize, len: usize) -> u128 {
+    let (first, offset) = (start / 64, (start % 64) as u32);
+    let word = |k: usize| u128::from(words.get(first + k).copied().unwrap_or(0));
+    let low = (word(0) | (word(1) << 64)) >> offset;
+    let high = word(2).checked_shl(128 - offset).unwrap_or(0);
+    (low | high) & low_bits(len)
+}
+
 /// What one pass of the kernel adds up over a range, 64 points at a time
 /// (`p1`, `n1` of one side and `p2`, `n2` of the other). Every pass is
 /// symmetric in the two sides.
@@ -815,5 +950,73 @@ mod tests {
         assert_eq!(fs.class(FeatureClass::Salient), &fs.salient);
         assert_eq!(fs.class(FeatureClass::Extreme), &fs.extreme);
         assert_eq!(FeatureClass::Salient.label(), "salient");
+    }
+
+    mod short_windows_are_the_kernel {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Five words of random bits, thinned by ANDing rotated copies in
+        /// `thin` times: from half the points down to one in sixteen.
+        fn side(bits: &[u64], thin: u32) -> BitVec {
+            let words = bits
+                .iter()
+                .map(|&w| (0..thin).fold(w, |acc, k| acc & w.rotate_left(13 + 7 * k)))
+                .collect();
+            BitVec::from_words(64 * bits.len(), words).expect("whole words")
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Register-held windows of every length up to 128, starting
+            /// anywhere in a word so that they span one, two or three
+            /// words, against [`FeatureWindow`] at every shift: the counts,
+            /// the overlap passes per arc, the intersection and `|Σ|`.
+            #[test]
+            fn at_every_shift(
+                len in 0usize..=ShortWindow::MAX_LEN,
+                starts in prop::collection::vec(0usize..128, 2),
+                bits in prop::collection::vec(0u64..u64::MAX, 20),
+                thin in prop::collection::vec(0u32..4, 4),
+            ) {
+                let a = FeatureSet { pos: side(&bits[0..5], thin[0]), neg: side(&bits[5..10], thin[1]) };
+                let b = FeatureSet { pos: side(&bits[10..15], thin[2]), neg: side(&bits[15..20], thin[3]) };
+                let (wa, wb) = (FeatureWindow::new(&a, starts[0], len), FeatureWindow::new(&b, starts[1], len));
+                let (sa, sb) = (ShortWindow::new(&wa).unwrap(), ShortWindow::new(&wb).unwrap());
+                prop_assert_eq!((sa.len(), sa.count(), sb.count()), (len, wa.count(), wb.count()));
+                prop_assert_eq!(sa.intersect(&sb), wa.intersect(&wb));
+                for shift in 0..len.max(1) {
+                    // The shift rides along, so a failure names it.
+                    prop_assert_eq!(
+                        (shift, sa.rotated_sign_counts(&sb, shift)),
+                        (shift, wa.rotated_sign_counts(&wb, shift))
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn the_cases_reach_every_word_span_and_both_overlap_arcs() {
+            // What the proptest's draws must cover for it to mean anything:
+            // windows over one, two and three words, and rotations whose
+            // overlap passes are 0, 1 and 2.
+            let mut set = FeatureSet::empty(320);
+            for i in 0..320 {
+                set.pos.set(i);
+                set.neg.set(i);
+            }
+            let span = |start: usize, len: usize| (start + len - 1) / 64 - start / 64 + 1;
+            assert_eq!([span(0, 64), span(1, 64), span(63, 128)], [1, 2, 3]);
+            let w = ShortWindow::new(&FeatureWindow::new(&set, 63, 128)).unwrap();
+            assert_eq!(w.rotated_sign_counts(&w, 5).overlap_passes, 2);
+            assert_eq!(w.rotated_sign_counts(&w, 0).overlap_passes, 1);
+            let empty =
+                ShortWindow::new(&FeatureWindow::new(&FeatureSet::empty(64), 0, 64)).unwrap();
+            assert_eq!(w.count(), 128);
+            let half = ShortWindow::new(&FeatureWindow::new(&set, 0, 64)).unwrap();
+            assert_eq!(half.rotated_sign_counts(&empty, 3).overlap_passes, 0);
+            assert!(ShortWindow::new(&FeatureWindow::new(&set, 0, 129)).is_none());
+        }
     }
 }

@@ -39,7 +39,9 @@ pub mod union_find;
 
 pub use bitvec::BitVec;
 pub use error::Error;
-pub use features::{FeatureClass, FeatureSet, FeatureSets, FeatureWindow, RowWindows, SignCounts};
+pub use features::{
+    FeatureClass, FeatureSet, FeatureSets, FeatureWindow, RowWindows, ShortWindow, SignCounts,
+};
 pub use graph::DomainGraph;
 pub use level_set::{sub_level_set, super_level_set};
 pub use merge_tree::{persistence_pairs, Direction, MergeTree, TreeNode, TreePairs};
