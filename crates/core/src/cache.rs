@@ -91,35 +91,6 @@ impl Fnv1a {
     }
 }
 
-/// A word-at-a-time multiply-rotate hasher for in-process maps keyed by
-/// integers — an operand's entry address, class and window — where SipHash's
-/// flood resistance buys nothing. Never persisted, so never [`Fnv1a`]'s
-/// job, and byte-wise FNV-1a is slower on word-sized keys.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct WordHasher(u64);
-
-impl std::hash::Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// One shard: a bounded map with LRU eviction via monotonic access stamps.
 ///
 /// Shards are small (capacity / shard count), so the O(capacity) eviction

@@ -42,14 +42,13 @@ use crate::error::{Error, Result};
 use crate::framework::{CityGeometry, Config};
 use crate::function::FunctionRef;
 use crate::index::{DatasetEntry, IndexView};
-use crate::operator::{
-    evaluate_unit, expand_pair_tasks, EvalCounts, OperandTable, UnitTask, Verdict,
-};
+use crate::operator::{evaluate_unit, EvalCounts, Expansion, Verdict};
 use crate::query::{Clause, RelationshipQuery};
 use crate::relationship::Relationship;
 use polygamy_mapreduce::run_weighted_ranges;
 use polygamy_obs::{count, names, stage};
-use polygamy_stdata::Resolution;
+use polygamy_stdata::{Resolution, SpatialResolution, TemporalResolution};
+use polygamy_topology::FeatureClass;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -91,6 +90,54 @@ fn cmp_concat<const N: usize>(a: [&str; N], b: [&str; N]) -> Ordering {
     a.cmp(b.into_iter().flat_map(str::bytes))
 }
 
+/// Orders two function names as their display forms `dataset.function`
+/// compare, allocating nothing. Equal data sets leave the function names
+/// to decide; data sets that differ inside their common prefix decide
+/// alone; only when one data set name is a prefix of the other does the
+/// `.` take part, and the bytes are walked as one string.
+fn cmp_names(a: &FunctionRef, b: &FunctionRef) -> Ordering {
+    if Arc::ptr_eq(&a.dataset, &b.dataset) || a.dataset == b.dataset {
+        return a.function.cmp(&b.function);
+    }
+    let (x, y) = (a.dataset.as_bytes(), b.dataset.as_bytes());
+    let common = x.len().min(y.len());
+    match x[..common].cmp(&y[..common]) {
+        Ordering::Equal => cmp_concat(
+            [&a.dataset, ".", &a.function],
+            [&b.dataset, ".", &b.function],
+        ),
+        decided => decided,
+    }
+}
+
+/// A resolution's place in the order of its display form
+/// `(temporal, spatial)`: temporal labels first, then spatial ones (no
+/// label is a prefix of another of its kind, so the `", "` decides
+/// nothing).
+fn resolution_rank(r: Resolution) -> u8 {
+    let temporal = match r.temporal {
+        TemporalResolution::Day => 0,
+        TemporalResolution::Hour => 1,
+        TemporalResolution::Month => 2,
+        TemporalResolution::Week => 3,
+    };
+    let spatial = match r.spatial {
+        SpatialResolution::City => 0,
+        SpatialResolution::Gps => 1,
+        SpatialResolution::Neighborhood => 2,
+        SpatialResolution::Zip => 3,
+    };
+    temporal * 4 + spatial
+}
+
+/// A feature class's place in the order of its label.
+fn class_rank(class: FeatureClass) -> u8 {
+    match class {
+        FeatureClass::Extreme => 0,
+        FeatureClass::Salient => 1,
+    }
+}
+
 /// Deterministic presentation order: strongest |τ| first, ties broken by
 /// function names, resolution and class.
 ///
@@ -99,27 +146,164 @@ fn cmp_concat<const N: usize>(a: [&str; N], b: [&str; N]) -> Ordering {
 /// thresholds — sorts to a stable position (NaN |τ| first, as the largest
 /// value in total order) instead of panicking the query.
 ///
-/// Names and resolutions tie-break in the order of their display forms,
-/// `dataset.function` and `(temporal, spatial)`, compared piecewise so
-/// that a tie allocates nothing. The separators are part of the key: a
-/// data set named `a.b` sorts where the string `a.b.f` does.
+/// Names, resolutions and classes tie-break in the order of their display
+/// forms — `dataset.function`, `(temporal, spatial)`, the class label —
+/// with no allocation ([`cmp_names`], [`resolution_rank`],
+/// [`class_rank`]). The separators are part of the key: a data set named
+/// `a.b` sorts where the string `a.b.f` does.
+fn cmp_relationships(x: &Relationship, y: &Relationship) -> Ordering {
+    (y.score().abs().total_cmp(&x.score().abs()))
+        .then_with(|| cmp_names(&x.left, &y.left))
+        .then_with(|| cmp_names(&x.right, &y.right))
+        .then_with(|| resolution_rank(x.resolution).cmp(&resolution_rank(y.resolution)))
+        .then_with(|| class_rank(x.class).cmp(&class_rank(y.class)))
+}
+
+/// Sorts relationships into presentation order ([`cmp_relationships`]);
+/// the sort is stable. What the executor's sorted runs and their merge
+/// must equal.
+#[cfg(test)]
 pub(crate) fn sort_relationships(rels: &mut [Relationship]) {
-    fn name(f: &FunctionRef) -> [&str; 3] {
-        [&f.dataset, ".", &f.function]
+    rels.sort_by(cmp_relationships);
+}
+
+/// A relationship's place in presentation order as one integer, for the
+/// relationships of one dispatch. From the most significant bit: |τ|'s
+/// bits, descending (63 of them: `abs` clears the sign, so the bits order
+/// as [`f64::total_cmp`] does, NaN largest), the ranks of its names among
+/// the dispatch's names ([`rank_names`], 30 bits each), of its resolution
+/// (4) and of its class (1). Keys of one dispatch compare as
+/// [`cmp_relationships`] compares their relationships.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct SortKey(u128);
+
+impl SortKey {
+    fn new(
+        score: f64,
+        (left, right): (u32, u32),
+        resolution: Resolution,
+        class: FeatureClass,
+    ) -> Self {
+        let descending = !score.abs().to_bits() & (u64::MAX >> 1);
+        Self(
+            u128::from(descending) << 65
+                | u128::from(left) << 35
+                | u128::from(right) << 5
+                | u128::from(resolution_rank(resolution)) << 1
+                | u128::from(class_rank(class)),
+        )
     }
-    // `Resolution::label` without its leading `(`, which decides nothing.
-    fn resolution(r: Resolution) -> [&'static str; 4] {
-        [r.temporal.label(), ", ", r.spatial.label(), ")"]
+}
+
+/// Puts one pair's found relationships, given as `(key, task index, …)`
+/// in task order, into presentation order. The task index decides only
+/// what a stable sort would leave in task order: two entries of one data
+/// set with equal names at one resolution.
+fn into_presentation_order<T>(keyed: &mut [(SortKey, usize, T)]) {
+    keyed.sort_unstable_by_key(|&(key, i, _)| (key, i));
+}
+
+/// Each name's rank in the order of [`cmp_names`]; equal names (the same
+/// function at several resolutions, or `a.b` + `c` and `a` + `b.c`) share
+/// one.
+fn rank_names(names: &[FunctionRef]) -> Vec<u32> {
+    assert!(
+        names.len() < 1 << 30,
+        "a rank must fit a sort key's 30 bits"
+    );
+    let mut order: Vec<u32> = (0..names.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| cmp_names(&names[a as usize], &names[b as usize]));
+    let mut ranks = vec![0; names.len()];
+    for (at, pair) in order.windows(2).enumerate() {
+        let [before, name] = [pair[0] as usize, pair[1] as usize];
+        ranks[name] = match cmp_names(&names[before], &names[name]) {
+            Ordering::Equal => ranks[before],
+            _ => at as u32 + 1,
+        };
     }
-    rels.sort_by(|x, y| {
-        y.score()
-            .abs()
-            .total_cmp(&x.score().abs())
-            .then_with(|| cmp_concat(name(&x.left), name(&y.left)))
-            .then_with(|| cmp_concat(name(&x.right), name(&y.right)))
-            .then_with(|| cmp_concat(resolution(x.resolution), resolution(y.resolution)))
-            .then_with(|| x.class.label().cmp(y.class.label()))
-    });
+    ranks
+}
+
+/// A pair this dispatch evaluated: its relationships in presentation
+/// order, as cached, and their keys.
+type EvaluatedRun = (Arc<Vec<Relationship>>, Vec<SortKey>);
+
+/// One sorted run of a query's answer — one pair's relationships — at the
+/// head of its unmerged part: the next relationship, and its key if this
+/// dispatch evaluated the pair.
+struct Head<'r> {
+    rels: &'r [Relationship],
+    keys: Option<&'r [SortKey]>,
+    /// The run's place in the query's plan: equal relationships merge in
+    /// plan order.
+    run: usize,
+}
+
+impl<'r> Head<'r> {
+    /// The run of a query's `run`-th pair, answered by `source`: from the
+    /// cache, or `evaluated` (with its keys) by this dispatch.
+    fn of(run: usize, source: &'r PairSource, evaluated: &'r [EvaluatedRun]) -> Self {
+        match source {
+            PairSource::Cached(rels) => Head {
+                rels,
+                keys: None,
+                run,
+            },
+            PairSource::Pending(mi) => Head {
+                rels: &evaluated[*mi].0,
+                keys: Some(&evaluated[*mi].1),
+                run,
+            },
+        }
+    }
+
+    /// Whether this run's next relationship precedes `other`'s.
+    fn precedes(&self, other: &Head<'_>) -> bool {
+        let order = match (self.keys, other.keys) {
+            (Some(a), Some(b)) => a[0].cmp(&b[0]),
+            _ => cmp_relationships(&self.rels[0], &other.rels[0]),
+        };
+        order.then(self.run.cmp(&other.run)).is_lt()
+    }
+}
+
+/// Merges sorted runs into one answer in presentation order, cloning each
+/// relationship once. Equal relationships keep run order, so the answer is
+/// what a stable sort of the runs' concatenation gives. Runs of this
+/// dispatch compare by their keys; a cached run, named by an earlier
+/// dispatch, by [`cmp_relationships`].
+fn merge_runs(runs: Vec<Head<'_>>) -> Vec<Relationship> {
+    // A binary min-heap of the non-empty runs, by their next relationship.
+    let mut heap: Vec<Head<'_>> = runs.into_iter().filter(|r| !r.rels.is_empty()).collect();
+    let mut out = Vec::with_capacity(heap.iter().map(|r| r.rels.len()).sum());
+    let sift_down = |heap: &mut [Head<'_>], mut at: usize| loop {
+        let (left, right) = (2 * at + 1, 2 * at + 2);
+        let mut first = at;
+        if left < heap.len() && heap[left].precedes(&heap[first]) {
+            first = left;
+        }
+        if right < heap.len() && heap[right].precedes(&heap[first]) {
+            first = right;
+        }
+        if first == at {
+            return;
+        }
+        heap.swap(at, first);
+        at = first;
+    };
+    for at in (0..heap.len() / 2).rev() {
+        sift_down(&mut heap, at);
+    }
+    while let Some(head) = heap.first_mut() {
+        out.push(head.rels[0].clone());
+        head.rels = &head.rels[1..];
+        head.keys = head.keys.map(|keys| &keys[1..]);
+        if head.rels.is_empty() {
+            heap.swap_remove(0);
+        }
+        sift_down(&mut heap, 0);
+    }
+    out
 }
 
 /// Resolves one collection of a query against a catalog: `None` ranges
@@ -322,24 +506,23 @@ pub fn run_plan<'a>(
     );
 
     // ---- Expand every miss into its flat unit-task list (geometry is
-    // validated here, on the coordinating thread).
+    // validated here, on the coordinating thread), each task with its cost
+    // estimate.
     let expand_stage = stage(names::CORE_STAGE_EXPAND_NS);
-    let mut tasks: Vec<UnitTask> = Vec::new();
-    let mut operands = OperandTable::default();
+    let pairs = misses.iter().map(|m| (m.key.0, m.key.1));
+    let mut expansion = Expansion::new(&index, pairs);
     let mut task_ranges: Vec<Range<usize>> = Vec::with_capacity(misses.len());
-    for miss in &misses {
-        let start = tasks.len();
-        expand_pair_tasks(
-            &index,
-            geometry,
-            miss.key.0,
-            miss.key.1,
-            miss.clause,
-            &mut operands,
-            &mut tasks,
-        )?;
-        task_ranges.push(start..tasks.len());
+    for (at, miss) in misses.iter().enumerate() {
+        let start = expansion.tasks.len();
+        let pair = (miss.key.0, miss.key.1);
+        expansion.expand_pair(&index, geometry, pair, miss.clause, at as u32)?;
+        task_ranges.push(start..expansion.tasks.len());
     }
+    let Expansion {
+        operands,
+        tasks,
+        costs,
+    } = expansion;
     drop(expand_stage);
     count(names::CORE_TASKS_EXPANDED, tasks.len() as u64);
 
@@ -347,7 +530,6 @@ pub fn run_plan<'a>(
     // at a time; operands are prepared inside it, each by the first task
     // that needs it. A range keeps only what its tasks found.
     let evaluate_stage = stage(names::CORE_STAGE_EVALUATE_NS);
-    let costs: Vec<u64> = tasks.iter().map(|t| t.estimated_ns(&operands)).collect();
     let caller = std::thread::current().id();
     let (runs, threads) = run_weighted_ranges(config.cluster.workers(), &costs, |range| {
         let mut run = EvaluatedRange::default();
@@ -355,7 +537,9 @@ pub fn run_plan<'a>(
             run.on_helper = range.len() as u64;
         }
         for i in range {
-            if let Some(found) = evaluate_unit(&tasks[i], &operands, &mut run.counts) {
+            let task = &tasks[i];
+            let clause = misses[task.miss as usize].clause;
+            if let Some(found) = evaluate_unit(task, &operands, clause, &mut run.counts) {
                 run.found.push((i, found));
             }
         }
@@ -386,44 +570,52 @@ pub fn run_plan<'a>(
         count(names::CORE_TASKS_ON_HELPERS, on_helpers);
     }
 
-    // ---- Assemble per-miss results in canonical task order — the ranges
-    // came back in range order, each in task order — naming each with its
-    // operands' shared names, sorted once here so that every later use —
-    // this batch, a cache hit — starts from a sorted run; fill the cache.
+    // ---- Assemble per-miss results — the ranges came back in range
+    // order, each in task order —: key each found task by its place in
+    // presentation order, with the dispatch's names ranked once, sort by
+    // the keys, and only then name the relationships, with their operands'
+    // shared names. Every later use — this batch's stitch, a cache hit —
+    // starts from a sorted run; fill the cache.
     let assemble_stage = stage(names::CORE_STAGE_ASSEMBLE_NS);
+    let ranks = rank_names(operands.names());
     let mut found = runs.iter().flat_map(|run| &run.found).peekable();
-    let mut evaluated: Vec<Arc<Vec<Relationship>>> = Vec::with_capacity(misses.len());
-    let mut evictions = 0u64;
+    let mut evaluated: Vec<EvaluatedRun> = Vec::with_capacity(misses.len());
+    let (mut n_found, mut evictions) = (0, 0);
     for (miss, range) in misses.iter().zip(&task_ranges) {
-        let mut rels = Vec::new();
+        let mut keyed = Vec::new();
         while let Some((i, verdict)) = found.next_if(|(i, _)| *i < range.end) {
-            rels.push(tasks[*i].relationship(&operands, verdict));
+            let task = &tasks[*i];
+            let (left, right) = task.names(&operands);
+            let names = (ranks[left as usize], ranks[right as usize]);
+            let resolution = task.resolution(&operands);
+            let key = SortKey::new(verdict.score(), names, resolution, task.class);
+            keyed.push((key, *i, verdict));
         }
-        sort_relationships(&mut rels);
+        into_presentation_order(&mut keyed);
+        n_found += keyed.len();
+        let keys: Vec<SortKey> = keyed.iter().map(|&(key, ..)| key).collect();
+        let rels = (keyed.iter())
+            .map(|&(_, i, verdict)| tasks[i].relationship(&operands, verdict))
+            .collect();
         let rels = Arc::new(rels);
         evictions += u64::from(cache.insert(miss.key, Arc::clone(&rels)));
-        evaluated.push(rels);
+        evaluated.push((rels, keys));
     }
+    count(names::CORE_RELATIONSHIPS_FOUND, n_found as u64);
     count(names::CORE_QUERY_CACHE_EVICTIONS, evictions);
 
     // ---- Stitch each query's output from hits and fresh evaluations: one
-    // pair's run is the answer, several are merged by a stable sort (which
-    // finds the runs; keys are unique per relationship, so the result is
-    // the one total order however it is reached).
+    // pair's run is the answer, several are merged.
     let mut out = Vec::with_capacity(sources.len());
-    for plan in sources {
-        let runs: Vec<&[Relationship]> = plan
-            .iter()
-            .map(|source| match source {
-                PairSource::Cached(r) => r.as_slice(),
-                PairSource::Pending(mi) => evaluated[*mi].as_slice(),
-            })
-            .collect();
-        let mut rels = runs.concat();
-        if runs.len() > 1 {
-            sort_relationships(&mut rels);
-        }
-        out.push(rels);
+    for plan in &sources {
+        out.push(match &plan[..] {
+            [only] => Head::of(0, only, &evaluated).rels.to_vec(),
+            _ => merge_runs(
+                (plan.iter().enumerate())
+                    .map(|(run, source)| Head::of(run, source, &evaluated))
+                    .collect(),
+            ),
+        });
     }
     drop(assemble_stage);
     Ok(out)
@@ -434,8 +626,6 @@ mod tests {
     use super::*;
     use crate::cache::Fnv1a;
     use crate::relationship::RelationshipMeasures;
-    use polygamy_stdata::{SpatialResolution, TemporalResolution};
-    use polygamy_topology::FeatureClass;
 
     fn rel(left: &str, score: f64) -> Relationship {
         Relationship {
@@ -541,5 +731,167 @@ mod tests {
             .filter(|w| w[0].score().abs().total_cmp(&w[1].score().abs()).is_eq())
             .count();
         assert!(ties > 300, "the names must decide most places: {ties}");
+    }
+
+    #[test]
+    fn rank_tables_follow_the_labels() {
+        let spatial = [
+            SpatialResolution::Gps,
+            SpatialResolution::Zip,
+            SpatialResolution::Neighborhood,
+            SpatialResolution::City,
+        ];
+        let resolutions: Vec<Resolution> = (spatial.iter())
+            .flat_map(|&s| TemporalResolution::ALL.map(|t| Resolution::new(s, t)))
+            .collect();
+        for &a in &resolutions {
+            for &b in &resolutions {
+                let by_rank = resolution_rank(a).cmp(&resolution_rank(b));
+                assert_eq!(by_rank, a.label().cmp(&b.label()), "{a} vs {b}");
+                assert_eq!(by_rank.is_eq(), a == b);
+            }
+        }
+        for a in FeatureClass::ALL {
+            for b in FeatureClass::ALL {
+                let by_rank = class_rank(a).cmp(&class_rank(b));
+                assert_eq!(by_rank, a.label().cmp(b.label()), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    /// Names where comparing piecewise and comparing the joined string
+    /// could part ways: `.` inside names, data set names that are prefixes
+    /// of others, the empty name, bytes below and above `.`, non-ASCII.
+    const DATASETS: [&str; 9] = ["a", "a.b", "a.", "ab", "a b", "", "é", "éa", "a.b.c"];
+    const FUNCTIONS: [&str; 7] = ["", "b", "b.c", ".", "c", "density", "é"];
+    /// ±τ ties, and NaN of either sign (`abs` makes them one).
+    const SCORES: [f64; 7] = [1.0, -1.0, 0.5, -0.5, f64::NAN, -f64::NAN, 0.25];
+
+    /// The names of one dispatch: one [`FunctionRef`] per (data set,
+    /// function, resolution) — per entry, as the operands intern them —
+    /// allocated for this dispatch alone.
+    #[derive(Default)]
+    struct Dispatch {
+        names: Vec<FunctionRef>,
+        at: HashMap<(usize, usize, Resolution), u32>,
+    }
+
+    impl Dispatch {
+        fn name(&mut self, dataset: usize, function: usize, resolution: Resolution) -> u32 {
+            let names = &mut self.names;
+            *self
+                .at
+                .entry((dataset, function, resolution))
+                .or_insert_with(|| {
+                    names.push(FunctionRef {
+                        dataset: DATASETS[dataset].into(),
+                        function: FUNCTIONS[function].into(),
+                    });
+                    names.len() as u32 - 1
+                })
+        }
+    }
+
+    /// One pair's relationships, in task order, as name indices of their
+    /// dispatch: (left, right, resolution, class, score).
+    type Found = Vec<(u32, u32, Resolution, FeatureClass, f64)>;
+
+    /// A run as `run_plan` makes one: keyed with the dispatch's ranks, put
+    /// in presentation order, then named.
+    fn sorted_run(dispatch: &Dispatch, found: &Found) -> (Vec<Relationship>, Vec<SortKey>) {
+        let ranks = rank_names(&dispatch.names);
+        let mut keyed: Vec<_> = (found.iter().enumerate())
+            .map(|(i, &(l, r, resolution, class, score))| {
+                let names = (ranks[l as usize], ranks[r as usize]);
+                (SortKey::new(score, names, resolution, class), i, (l, r))
+            })
+            .collect();
+        into_presentation_order(&mut keyed);
+        let rels = (keyed.iter())
+            .map(|&(_, i, (l, r))| {
+                let (_, _, resolution, class, score) = found[i];
+                Relationship {
+                    left: dispatch.names[l as usize].clone(),
+                    right: dispatch.names[r as usize].clone(),
+                    resolution,
+                    class,
+                    ..rel("", score)
+                }
+            })
+            .collect();
+        (rels, keyed.iter().map(|&(key, ..)| key).collect())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Sorting each pair's relationships by integer keys ranked once
+        /// per dispatch, then merging the pairs' runs — some cached from an
+        /// earlier dispatch, whose names are the same strings behind other
+        /// `Arc`s and carry no keys here, some fresh — gives the order the
+        /// display strings give the concatenated pairs, stably sorted. Each
+        /// word is one relationship of the current pair; a word that is 0
+        /// mod 8 opens the next pair (its data sets, and whether it is
+        /// cached, from its upper bits).
+        #[test]
+        fn keyed_runs_merge_into_the_display_strings_order(
+            words in proptest::collection::vec(0u64..u64::MAX, 1..300)
+        ) {
+            let spatial = [
+                SpatialResolution::Gps,
+                SpatialResolution::Zip,
+                SpatialResolution::Neighborhood,
+                SpatialResolution::City,
+            ];
+            let pick = |w: u64, shift: u32, n: usize| (w >> shift) as usize % n;
+            let (mut earlier, mut this) = (Dispatch::default(), Dispatch::default());
+            // Per pair: its data sets, whether it is cached, what it found.
+            let mut pairs: Vec<(usize, usize, bool, Found)> = Vec::new();
+            for &w in &words {
+                if pairs.is_empty() || w % 8 == 0 {
+                    let cached = (w >> 9) & 1 == 1;
+                    pairs.push((pick(w, 3, 9), pick(w, 6, 9), cached, Vec::new()));
+                }
+                let (d1, d2, cached, found) = pairs.last_mut().unwrap();
+                let dispatch = if *cached { &mut earlier } else { &mut this };
+                let resolution = Resolution::new(
+                    spatial[pick(w, 10, 4)],
+                    TemporalResolution::ALL[pick(w, 12, 4)],
+                );
+                let class = FeatureClass::ALL[pick(w, 14, 2)];
+                let left = dispatch.name(*d1, pick(w, 15, 7), resolution);
+                let right = dispatch.name(*d2, pick(w, 18, 7), resolution);
+                found.push((left, right, resolution, class, SCORES[pick(w, 21, 7)]));
+            }
+            let runs: Vec<_> = (pairs.iter())
+                .map(|(_, _, cached, found)| {
+                    let (rels, keys) = sorted_run(if *cached { &earlier } else { &this }, found);
+                    (rels, (!cached).then_some(keys))
+                })
+                .collect();
+            let heads = (runs.iter().enumerate())
+                .map(|(run, (rels, keys))| Head {
+                    rels,
+                    keys: keys.as_deref(),
+                    run,
+                })
+                .collect();
+            let merged = merge_runs(heads);
+
+            let mut expected: Vec<Relationship> = (pairs.iter())
+                .flat_map(|(_, _, cached, found)| {
+                    let dispatch = if *cached { &earlier } else { &this };
+                    found.iter().map(|&(l, r, resolution, class, score)| Relationship {
+                        left: dispatch.names[l as usize].clone(),
+                        right: dispatch.names[r as usize].clone(),
+                        resolution,
+                        class,
+                        ..rel("", score)
+                    })
+                })
+                .collect();
+            sort_by_display_strings(&mut expected);
+            proptest::prop_assert_eq!(format!("{merged:?}"), format!("{expected:?}"));
+        }
     }
 }

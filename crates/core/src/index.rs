@@ -11,6 +11,8 @@ use crate::error::{Error, Result};
 use crate::function::FunctionSpec;
 use polygamy_stdata::{DatasetMeta, Resolution, ScalarField};
 use polygamy_topology::FeatureSets;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Catalog entry for one data set (the paper's Table 1 row).
 #[derive(Debug, Clone, PartialEq)]
@@ -128,20 +130,60 @@ pub struct PolygamyIndex {
 /// **Determinism contract:** `entries` must be in a canonical order that
 /// does not depend on which subset is present (e.g. the store's manifest
 /// order, or [`PolygamyIndex::functions`] order). Task expansion iterates
-/// entries in the order given here; a subset presented in the same
-/// relative order as the full set therefore expands to the same task list
-/// and produces byte-identical results.
+/// each data set's entries in the order given here; a subset presented in
+/// the same relative order as the full set therefore expands to the same
+/// task list and produces byte-identical results.
+///
+/// The view groups the entries by data set once, at its first
+/// [`IndexView::functions_of`] (a stable sort, which keeps the order given
+/// within each data set, and none on the store's and the index's order,
+/// which are grouped already), so that call hands out one data set's
+/// entries without scanning the others' — and a batch the query cache
+/// answers, which expands nothing, never groups them.
 #[derive(Debug)]
 pub struct IndexView<'a> {
     datasets: &'a [DatasetEntry],
+    /// The entries, in the order given.
     entries: Vec<&'a FunctionEntry>,
+    grouped: OnceLock<Grouped<'a>>,
+}
+
+/// A view's entries grouped by data set.
+#[derive(Debug)]
+struct Grouped<'a> {
+    /// In the given order within each data set.
+    entries: Vec<&'a FunctionEntry>,
+    /// Data set `d`'s entries are `entries[starts[d]..starts[d + 1]]`.
+    starts: Vec<usize>,
 }
 
 impl<'a> IndexView<'a> {
     /// A view over an explicit catalog and entry subset (see the
     /// determinism contract on [`IndexView`]).
     pub fn new(datasets: &'a [DatasetEntry], entries: Vec<&'a FunctionEntry>) -> Self {
-        Self { datasets, entries }
+        Self {
+            datasets,
+            entries,
+            grouped: OnceLock::new(),
+        }
+    }
+
+    fn grouped(&self) -> &Grouped<'a> {
+        self.grouped.get_or_init(|| {
+            let mut entries = self.entries.clone();
+            if !entries.is_sorted_by_key(|e| e.dataset_index) {
+                entries.sort_by_key(|e| e.dataset_index);
+            }
+            let groups = entries.last().map_or(0, |e| e.dataset_index + 1);
+            let mut starts = vec![0; groups + 1];
+            for e in &entries {
+                starts[e.dataset_index + 1] += 1;
+            }
+            for d in 0..groups {
+                starts[d + 1] += starts[d];
+            }
+            Grouped { entries, starts }
+        })
     }
 
     /// The data set catalog.
@@ -157,15 +199,24 @@ impl<'a> IndexView<'a> {
             .ok_or_else(|| Error::UnknownDataset(name.to_string()))
     }
 
+    /// How many function entries the view holds.
+    pub(crate) fn n_entries(&self) -> usize {
+        self.entries.len()
+    }
+
     /// The function entries of one data set, in view order.
-    pub fn functions_of(
-        &self,
-        dataset_index: usize,
-    ) -> impl Iterator<Item = &'a FunctionEntry> + '_ {
-        self.entries
-            .iter()
-            .copied()
-            .filter(move |f| f.dataset_index == dataset_index)
+    pub fn functions_of(&self, dataset_index: usize) -> &[&'a FunctionEntry] {
+        &self.grouped().entries[self.positions_of(dataset_index)]
+    }
+
+    /// Where [`IndexView::functions_of`] sits among all the view's entries,
+    /// `0..n_entries`: an entry's position is its identity for one
+    /// dispatch.
+    pub(crate) fn positions_of(&self, dataset_index: usize) -> Range<usize> {
+        match self.grouped().starts.get(dataset_index..dataset_index + 2) {
+            Some(&[start, end]) => start..end,
+            _ => 0..0,
+        }
     }
 }
 
@@ -292,6 +343,36 @@ mod tests {
         assert_eq!(stats.n_datasets, 1);
         assert_eq!(stats.n_functions, 1);
         assert_eq!(stats.raw_bytes, 320);
+    }
+
+    #[test]
+    fn a_view_hands_out_each_data_set_in_the_order_given() {
+        // Entries of three data sets, interleaved and out of data set order;
+        // `start_bucket` numbers them.
+        let entries: Vec<FunctionEntry> = [2, 0, 2, 1, 0, 2, 0]
+            .into_iter()
+            .enumerate()
+            .map(|(i, d)| FunctionEntry {
+                dataset_index: d,
+                ..entry(i as i64, 4)
+            })
+            .collect();
+        for subset in [vec![0, 1, 2, 3, 4, 5, 6], vec![6, 5, 3, 1], vec![], vec![2]] {
+            let given: Vec<&FunctionEntry> = subset.iter().map(|&i| &entries[i]).collect();
+            let view = IndexView::new(&[], given.clone());
+            for d in 0..5 {
+                let filtered: Vec<i64> = (given.iter())
+                    .filter(|e| e.dataset_index == d)
+                    .map(|e| e.start_bucket)
+                    .collect();
+                let handed: Vec<i64> = view
+                    .functions_of(d)
+                    .iter()
+                    .map(|e| e.start_bucket)
+                    .collect();
+                assert_eq!(handed, filtered, "data set {d} of {subset:?}");
+            }
+        }
     }
 
     /// An `n_regions × n_steps` entry whose four feature vectors take their

@@ -29,12 +29,12 @@
 //! across machines, toolchains and worker counts (`std`'s `DefaultHasher`
 //! is documented to change between releases and must never seed a
 //! hypothesis test). The stream's left-function part is hashed once per
-//! entry, at interning, and continued per task.
+//! name, at interning, and continued per task.
 
-use crate::cache::{Fnv1a, WordHasher};
+use crate::cache::Fnv1a;
 use crate::error::{Error, Result};
 use crate::framework::CityGeometry;
-use crate::function::FunctionRef;
+use crate::function::{FunctionRef, FunctionSpec};
 use crate::index::{FunctionEntry, IndexView};
 use crate::query::{Clause, DatasetThresholds};
 use crate::relationship::{measures, Relationship, RelationshipMeasures};
@@ -42,58 +42,49 @@ use crate::significance::{permutation_p_value, rotation_p_value};
 use polygamy_stats::permutation::MonteCarlo;
 use polygamy_stdata::{Resolution, ScalarField};
 use polygamy_topology::{FeatureClass, FeatureSet, RowWindows, ShortWindow};
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// One schedulable unit of relationship evaluation: a (left, right)
 /// function pair at their shared resolution, for one feature class.
 ///
-/// Tasks are self-contained — every input is resolved at expansion time on
-/// the coordinating thread — so workers evaluate them in any order while
-/// the executor assembles results in canonical task order.
+/// Every input is resolved at expansion time on the coordinating thread:
+/// the two [`OperandTable`] slots carry the entries, their windows and the
+/// region adjacency, and the miss names the clause. Workers evaluate tasks
+/// in any order while the executor assembles results in canonical task
+/// order.
 #[derive(Clone, Copy)]
-pub(crate) struct UnitTask<'a> {
-    /// Left function entry.
-    pub(crate) e1: &'a FunctionEntry,
-    /// Right function entry (same resolution as `e1`).
-    pub(crate) e2: &'a FunctionEntry,
-    /// [`OperandTable`] slot of `e1`'s features on the pair's window.
-    left: usize,
-    /// [`OperandTable`] slot of `e2`'s features on the pair's window.
-    right: usize,
+pub(crate) struct UnitTask {
+    /// Slot of the left function's features on the pair's window.
+    left: u32,
+    /// Slot of the right function's features on the pair's window (same
+    /// resolution, same window length).
+    right: u32,
+    /// The (pair, clause) evaluation the task belongs to, as the executor
+    /// numbers them: its clause is that miss's.
+    pub(crate) miss: u32,
     /// Feature class this task evaluates.
     pub(crate) class: FeatureClass,
-    /// The query clause (pre-filters, permutation setup, thresholds).
-    pub(crate) clause: &'a Clause,
-    /// Region adjacency of the shared spatial resolution.
-    pub(crate) adjacency: &'a [Vec<u32>],
-}
-
-/// What identifies an operand: which function, which of its feature sets
-/// (class, or the user thresholds that replace it), which window of steps.
-#[derive(PartialEq, Eq, Hash)]
-struct OperandKey {
-    /// Address of the entry — entries are pinned for the whole dispatch, so
-    /// the address is the function's identity, and cheaper than its names.
-    entry: usize,
-    class: FeatureClass,
-    window: (usize, usize),
-    /// Bit patterns of the overriding (θ⁺, θ⁻), if any.
-    thresholds: Option<(u64, u64)>,
 }
 
 /// User thresholds that replace a function's precomputed features, with
 /// the stored field they are evaluated on.
 type ThresholdOverride<'a> = (&'a DatasetThresholds, &'a ScalarField);
 
+/// Bit patterns of an override's (θ⁺, θ⁻): with the entry, the class and
+/// the window, what identifies an operand.
+fn threshold_bits(custom: Option<ThresholdOverride<'_>>) -> Option<(u64, u64)> {
+    custom.map(|(t, _)| (t.theta_pos.to_bits(), t.theta_neg.to_bits()))
+}
+
+/// No slot, or no name, yet.
+const NONE: u32 = u32::MAX;
+
 /// One function's features as unit tasks consume them, prepared at most
 /// once per dispatch by whichever task asks first.
 pub(crate) struct Operand<'a> {
     entry: &'a FunctionEntry,
-    /// The entry's names, shared by every operand of the entry and every
-    /// relationship they take part in.
-    name: FunctionRef,
+    /// The entry's [`OperandTable::names`] index.
+    name: u32,
     /// `pair_seed`'s hash state after the base and the entry's names:
     /// what every task with this operand on its left continues.
     seed: Fnv1a,
@@ -102,13 +93,18 @@ pub(crate) struct Operand<'a> {
     window: (usize, usize),
     /// User thresholds replacing the precomputed features.
     custom: Option<ThresholdOverride<'a>>,
+    /// Region adjacency of the entry's spatial resolution.
+    adjacency: &'a [Vec<u32>],
+    /// The entry's previous slot, or [`NONE`].
+    next: u32,
     prepared: OnceLock<Prepared>,
 }
 
 /// What the first task to read an operand works out for every other.
 struct Prepared {
-    /// The whole-field features a `thresholds` clause defines.
-    custom: Option<FeatureSet>,
+    /// The whole-field features a `thresholds` clause defines (boxed: the
+    /// rare case should not size every slot).
+    custom: Option<Box<FeatureSet>>,
     /// `|Σ|` of the window.
     count: usize,
     /// The window in registers, if it is one region of at most
@@ -147,14 +143,20 @@ pub(crate) struct Verdict {
     significant: bool,
 }
 
+impl Verdict {
+    /// Score τ of the relationship found.
+    pub(crate) fn score(&self) -> f64 {
+        self.measures.score
+    }
+}
+
 impl Operand<'_> {
     fn prepared(&self) -> &Prepared {
         self.prepared.get_or_init(|| {
-            let custom = self
-                .custom
-                .map(|(thresholds, field)| custom_features(field, thresholds));
+            let custom = (self.custom)
+                .map(|(thresholds, field)| Box::new(custom_features(field, thresholds)));
             let set = custom
-                .as_ref()
+                .as_deref()
                 .unwrap_or_else(|| self.entry.features.class(self.class));
             let rows = self.rows_of(set);
             let short = (rows.n_rows() == 1)
@@ -174,7 +176,7 @@ impl Operand<'_> {
     /// and the significance test shifts.
     fn rows(&self) -> RowWindows<'_> {
         let set = match &self.prepared().custom {
-            Some(custom) => custom,
+            Some(custom) => &**custom,
             None => self.entry.features.class(self.class),
         };
         self.rows_of(set)
@@ -187,54 +189,126 @@ impl Operand<'_> {
 }
 
 /// The operands of one dispatch, interned at expansion time on the
-/// coordinating thread and shared read-only by the workers.
-#[derive(Default)]
+/// coordinating thread and shared read-only by the workers. An entry is
+/// known by its position in the dispatch's [`IndexView`], so interning
+/// hashes nothing: the position indexes the entry's slots (a short chain,
+/// one per class and window) and its name.
 pub(crate) struct OperandTable<'a> {
+    /// In interning order.
     slots: Vec<Operand<'a>>,
-    /// Keyed by addresses and small codes, hashed a word at a time; slot
-    /// numbers are insertion order, so the hasher decides nothing visible.
-    slot_of: HashMap<OperandKey, usize, BuildHasherDefault<WordHasher>>,
-    /// One [`FunctionRef`] per entry, keyed by its address as
-    /// [`OperandKey`] is: the names are allocated once per dispatch, not
-    /// once per relationship — and hashed into the seed prefix once.
-    name_of: HashMap<usize, (FunctionRef, Fnv1a), BuildHasherDefault<WordHasher>>,
+    /// Per view position, the entry's newest slot, or [`NONE`].
+    newest: Vec<u32>,
+    /// Per view position, the entry's [`OperandTable::names`] index, or
+    /// [`NONE`].
+    name_at: Vec<u32>,
+    /// One [`FunctionRef`] per distinct name reached, in first-interned
+    /// order: the names are allocated once per dispatch, not once per
+    /// relationship or per resolution, and a data set's names share its
+    /// name's `Arc`.
+    names: Vec<FunctionRef>,
+    /// Per name, `pair_seed`'s hash state after the base and the name,
+    /// hashed once.
+    seeds: Vec<Fnv1a>,
+    /// Per name, the previous name of its data set, or [`NONE`].
+    previous: Vec<u32>,
+    /// Per catalog position, the data set name's shared `Arc` and its
+    /// newest name.
+    datasets: Vec<Option<(Arc<str>, u32)>>,
 }
 
 impl<'a> OperandTable<'a> {
-    /// The slot for `entry`'s `class` features on `window`, or for the
-    /// features `custom` replaces them with.
+    /// A table for a view of `entries` entries, with room for `slots`
+    /// operands, so that interning them never moves the slots.
+    pub(crate) fn new(entries: usize, slots: usize) -> Self {
+        Self {
+            slots: Vec::with_capacity(slots),
+            newest: vec![NONE; entries],
+            name_at: vec![NONE; entries],
+            names: Vec::new(),
+            seeds: Vec::new(),
+            previous: Vec::new(),
+            datasets: Vec::new(),
+        }
+    }
+
+    /// The slot for the `class` features on `window` of `entry`, at view
+    /// position `at`, or for the features `custom` replaces them with.
     fn intern(
         &mut self,
+        at: usize,
         entry: &'a FunctionEntry,
         class: FeatureClass,
         window: (usize, usize),
         custom: Option<ThresholdOverride<'a>>,
-    ) -> usize {
-        let address = std::ptr::from_ref(entry) as usize;
-        let key = OperandKey {
-            entry: address,
+        adjacency: &'a [Vec<u32>],
+    ) -> u32 {
+        let mut slot = self.newest[at];
+        while slot != NONE {
+            let o = &self.slots[slot as usize];
+            if (o.class, o.window) == (class, window)
+                && threshold_bits(o.custom) == threshold_bits(custom)
+            {
+                return slot;
+            }
+            slot = o.next;
+        }
+        let name = self.name(at, entry);
+        self.slots.push(Operand {
+            entry,
+            name,
+            seed: self.seeds[name as usize].clone(),
             class,
             window,
-            thresholds: custom.map(|(t, _)| (t.theta_pos.to_bits(), t.theta_neg.to_bits())),
+            custom,
+            adjacency,
+            next: self.newest[at],
+            prepared: OnceLock::new(),
+        });
+        self.newest[at] = self.slots.len() as u32 - 1;
+        self.newest[at]
+    }
+
+    /// The [`OperandTable::names`] index of `entry`'s name, found among
+    /// its data set's names (a handful: its functions) or added.
+    fn name(&mut self, at: usize, entry: &'a FunctionEntry) -> u32 {
+        if self.name_at[at] != NONE {
+            return self.name_at[at];
+        }
+        let FunctionSpec { dataset, name, .. } = &entry.spec;
+        let d = entry.dataset_index;
+        if d >= self.datasets.len() {
+            self.datasets.resize(d + 1, None);
+        }
+        let (shared, newest) = match &self.datasets[d] {
+            Some((shared, newest)) if **shared == **dataset => (Arc::clone(shared), *newest),
+            _ => (Arc::from(dataset.as_str()), NONE),
         };
-        *self.slot_of.entry(key).or_insert_with(|| {
-            let (name, seed) = (self.name_of.entry(address)).or_insert_with(|| {
-                (
-                    FunctionRef::from(&entry.spec),
-                    seed_prefix(BASE_SEED, entry),
-                )
+        let mut id = newest;
+        while id != NONE && *self.names[id as usize].function != **name {
+            id = self.previous[id as usize];
+        }
+        if id == NONE {
+            id = self.names.len() as u32;
+            self.names.push(FunctionRef {
+                dataset: Arc::clone(&shared),
+                function: name.as_str().into(),
             });
-            self.slots.push(Operand {
-                entry,
-                name: name.clone(),
-                seed: seed.clone(),
-                class,
-                window,
-                custom,
-                prepared: OnceLock::new(),
-            });
-            self.slots.len() - 1
-        })
+            self.seeds.push(seed_prefix(BASE_SEED, entry));
+            self.previous.push(newest);
+            self.datasets[d] = Some((shared, id));
+        }
+        self.name_at[at] = id;
+        id
+    }
+
+    /// The distinct names interned so far, shared by all their
+    /// relationships; a task's are [`UnitTask::names`].
+    pub(crate) fn names(&self) -> &[FunctionRef] {
+        &self.names
+    }
+
+    fn slot(&self, slot: u32) -> &Operand<'a> {
+        &self.slots[slot as usize]
     }
 
     /// Slots some task has prepared so far.
@@ -244,79 +318,160 @@ impl<'a> OperandTable<'a> {
     }
 }
 
-/// Expands `relation(d1, d2)` under `clause` into unit tasks, appended to
-/// `out` in canonical order: left entries in index order, right entries in
-/// index order, classes in [`FeatureClass::ALL`] order. Their operands are
-/// interned into `operands`.
-///
-/// What workers index by is validated here, on the coordinating thread —
-/// a typed error, never a worker panic: an indexed resolution with no
-/// geometry partition ([`Error::MissingGeometry`]) or one of another region
-/// count ([`Error::GeometryMismatch`]), and a `thresholds` clause over a
-/// function with no stored field ([`Error::MissingField`]).
-pub(crate) fn expand_pair_tasks<'a>(
-    index: &IndexView<'a>,
-    geometry: &'a CityGeometry,
-    d1: usize,
-    d2: usize,
-    clause: &'a Clause,
-    operands: &mut OperandTable<'a>,
-    out: &mut Vec<UnitTask<'a>>,
-) -> Result<()> {
-    let rights: Vec<&'a FunctionEntry> = index.functions_of(d2).collect();
-    for e1 in index.functions_of(d1) {
-        if !clause.admits_resolution(e1.resolution) {
-            continue;
-        }
-        for &e2 in &rights {
-            if e1.resolution != e2.resolution {
-                continue;
-            }
-            let Some((start, n_steps)) = e1.overlap(e2) else {
-                continue;
+/// One side of a pair as one miss's expansion meets it: the operand slots
+/// its entry was last interned at, per class, and on which window. Within a
+/// miss an entry's override is fixed, and its window is the same for
+/// nearly every partner (the data set's time range), so a side is looked
+/// up in the [`OperandTable`] once per class per miss, not once per task.
+#[derive(Clone, Copy, Default)]
+struct Side {
+    window: (usize, usize),
+    /// By [`FeatureClass::ALL`] position.
+    slots: [Option<u32>; 2],
+}
+
+impl Side {
+    /// The slot of the `class` operand of `(view position, entry, window,
+    /// override)`.
+    fn slot<'a>(
+        &mut self,
+        operands: &mut OperandTable<'a>,
+        (at, entry, window, custom): (
+            usize,
+            &'a FunctionEntry,
+            (usize, usize),
+            Option<ThresholdOverride<'a>>,
+        ),
+        class: FeatureClass,
+        adjacency: &'a [Vec<u32>],
+    ) -> u32 {
+        if self.window != window {
+            *self = Side {
+                window,
+                slots: [None; 2],
             };
-            let adjacency = geometry
-                .adjacency(e1.resolution.spatial)
-                .ok_or(Error::MissingGeometry(e1.resolution.spatial))?;
-            if adjacency.len() != e1.n_regions {
-                return Err(Error::GeometryMismatch {
-                    resolution: e1.resolution.spatial,
-                    geometry_regions: adjacency.len(),
-                    function_regions: e1.n_regions,
-                });
-            }
-            // User-defined thresholds replace the salient features of the
-            // named data set's functions and suppress the extreme class for
-            // the pair (a single threshold pair defines a single feature
-            // set).
-            let (custom1, custom2) = (
-                threshold_override(e1, clause)?,
-                threshold_override(e2, clause)?,
-            );
-            let overridden = custom1.is_some() || custom2.is_some();
-            // `overlap` starts at or after both entries' first buckets.
-            let window1 = ((start - e1.start_bucket) as usize, n_steps);
-            let window2 = ((start - e2.start_bucket) as usize, n_steps);
-            for class in FeatureClass::ALL {
-                if !clause.admits_class(class) {
-                    continue;
-                }
-                if overridden && class == FeatureClass::Extreme {
-                    continue;
-                }
-                out.push(UnitTask {
-                    e1,
-                    e2,
-                    left: operands.intern(e1, class, window1, custom1),
-                    right: operands.intern(e2, class, window2, custom2),
-                    class,
-                    clause,
-                    adjacency,
-                });
-            }
+        }
+        let class_at = match class {
+            FeatureClass::Salient => 0,
+            FeatureClass::Extreme => 1,
+        };
+        *self.slots[class_at]
+            .get_or_insert_with(|| operands.intern(at, entry, class, window, custom, adjacency))
+    }
+}
+
+/// A dispatch's expansion: the operands its misses intern, and their unit
+/// tasks in canonical order, each with its estimated cost
+/// ([`estimated_ns`]).
+pub(crate) struct Expansion<'a> {
+    pub(crate) operands: OperandTable<'a>,
+    pub(crate) tasks: Vec<UnitTask>,
+    pub(crate) costs: Vec<u64>,
+}
+
+impl<'a> Expansion<'a> {
+    /// An empty expansion over `index`, with room for every operand the
+    /// data set pairs `pairs` can intern — each entry they reach, per
+    /// class — unless some pair's windows differ. With no pairs (a batch
+    /// the cache answered) it allocates nothing.
+    pub(crate) fn new(index: &IndexView<'_>, pairs: impl Iterator<Item = (usize, usize)>) -> Self {
+        let reached: usize = pairs
+            .map(|(d1, d2)| index.functions_of(d1).len() + index.functions_of(d2).len())
+            .sum();
+        let entries = if reached == 0 { 0 } else { index.n_entries() };
+        let slots = reached.min(entries) * FeatureClass::ALL.len();
+        Self {
+            operands: OperandTable::new(entries, slots),
+            tasks: Vec::new(),
+            costs: Vec::new(),
         }
     }
-    Ok(())
+
+    /// Expands `relation(d1, d2)` under `clause` — the executor's miss
+    /// number `miss` — into unit tasks, appended in canonical order: left
+    /// entries in index order, right entries in index order, classes in
+    /// [`FeatureClass::ALL`] order.
+    ///
+    /// What workers index by is validated here, on the coordinating
+    /// thread — a typed error, never a worker panic: an indexed resolution
+    /// with no geometry partition ([`Error::MissingGeometry`]) or one of
+    /// another region count ([`Error::GeometryMismatch`]), and a
+    /// `thresholds` clause over a function with no stored field
+    /// ([`Error::MissingField`]).
+    pub(crate) fn expand_pair<'v: 'a>(
+        &mut self,
+        index: &IndexView<'v>,
+        geometry: &'a CityGeometry,
+        (d1, d2): (usize, usize),
+        clause: &'a Clause,
+        miss: u32,
+    ) -> Result<()> {
+        let Self {
+            operands,
+            tasks,
+            costs,
+        } = self;
+        let (first_left, first_right) =
+            (index.positions_of(d1).start, index.positions_of(d2).start);
+        let rights = index.functions_of(d2);
+        let mut right_sides = vec![Side::default(); rights.len()];
+        // The right entries by resolution, in view order within each: a left
+        // entry meets only those at its own.
+        let mut by_resolution: Vec<usize> = (0..rights.len()).collect();
+        by_resolution.sort_by_key(|&j| rights[j].resolution);
+        for (i, &e1) in index.functions_of(d1).iter().enumerate() {
+            if !clause.admits_resolution(e1.resolution) {
+                continue;
+            }
+            let (mut left_side, mut adjacency) = (Side::default(), None);
+            let from = by_resolution.partition_point(|&j| rights[j].resolution < e1.resolution);
+            for &j in &by_resolution[from..] {
+                let e2 = rights[j];
+                if e2.resolution != e1.resolution {
+                    break;
+                }
+                let right_side = &mut right_sides[j];
+                let Some((start, n_steps)) = e1.overlap(e2) else {
+                    continue;
+                };
+                let adjacency = match adjacency {
+                    Some(adjacency) => adjacency,
+                    None => *adjacency.insert(region_adjacency(geometry, e1)?),
+                };
+                // User-defined thresholds replace the salient features of the
+                // named data set's functions and suppress the extreme class for
+                // the pair (a single threshold pair defines a single feature
+                // set).
+                let (custom1, custom2) = (
+                    threshold_override(e1, clause)?,
+                    threshold_override(e2, clause)?,
+                );
+                let overridden = custom1.is_some() || custom2.is_some();
+                // `overlap` starts at or after both entries' first buckets.
+                let window1 = ((start - e1.start_bucket) as usize, n_steps);
+                let window2 = ((start - e2.start_bucket) as usize, n_steps);
+                let cost = estimated_ns(n_steps * e1.n_regions, clause);
+                for class in FeatureClass::ALL {
+                    if !clause.admits_class(class) {
+                        continue;
+                    }
+                    if overridden && class == FeatureClass::Extreme {
+                        continue;
+                    }
+                    let left = (first_left + i, e1, window1, custom1);
+                    let right = (first_right + j, e2, window2, custom2);
+                    tasks.push(UnitTask {
+                        left: left_side.slot(operands, left, class, adjacency),
+                        right: right_side.slot(operands, right, class, adjacency),
+                        miss,
+                        class,
+                    });
+                    costs.push(cost);
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Window vertices a unit task passes over per nanosecond: one pass for the
@@ -328,17 +483,29 @@ pub(crate) fn expand_pair_tasks<'a>(
 /// magnitude matters.
 const VERTEX_PASSES_PER_NS: u64 = 8;
 
-impl UnitTask<'_> {
-    /// Estimated single-thread nanoseconds of [`evaluate_unit`] on this
-    /// task: window vertices × (1 + permutations). What the pool cuts its
-    /// ranges by — a task the clause prunes after its intersection costs
-    /// less, and a tiny window's fixed cost is invisible here, which
-    /// unbalances a range, never a result.
-    pub(crate) fn estimated_ns(&self, operands: &OperandTable<'_>) -> u64 {
-        let (_, steps) = operands.slots[self.left].window;
-        let vertices = (steps * self.e1.n_regions) as u64;
-        let passes = 1 + self.clause.permutations as u64;
-        vertices.saturating_mul(passes) / VERTEX_PASSES_PER_NS
+/// Estimated single-thread nanoseconds of [`evaluate_unit`] on a task over
+/// `vertices` window vertices: vertices × (1 + permutations). What the pool
+/// cuts its ranges by — a task the clause prunes after its intersection
+/// costs less, and a tiny window's fixed cost is invisible here, which
+/// unbalances a range, never a result.
+fn estimated_ns(vertices: usize, clause: &Clause) -> u64 {
+    let passes = 1 + clause.permutations as u64;
+    (vertices as u64).saturating_mul(passes) / VERTEX_PASSES_PER_NS
+}
+
+impl UnitTask {
+    /// The [`OperandTable::names`] indices of the task's left and right
+    /// functions.
+    pub(crate) fn names(&self, operands: &OperandTable<'_>) -> (u32, u32) {
+        (
+            operands.slot(self.left).name,
+            operands.slot(self.right).name,
+        )
+    }
+
+    /// The resolution both functions share.
+    pub(crate) fn resolution(&self, operands: &OperandTable<'_>) -> Resolution {
+        operands.slot(self.left).entry.resolution
     }
 
     /// The relationship this task found, with the names its operands share
@@ -348,10 +515,11 @@ impl UnitTask<'_> {
         operands: &OperandTable<'_>,
         found: &Verdict,
     ) -> Relationship {
+        let (left, right) = self.names(operands);
         Relationship {
-            left: operands.slots[self.left].name.clone(),
-            right: operands.slots[self.right].name.clone(),
-            resolution: self.e1.resolution,
+            left: operands.names[left as usize].clone(),
+            right: operands.names[right as usize].clone(),
+            resolution: self.resolution(operands),
             class: self.class,
             measures: found.measures,
             p_value: found.p_value,
@@ -362,22 +530,17 @@ impl UnitTask<'_> {
 
 /// Evaluates one unit task. Pure: the result depends only on the task,
 /// never on scheduling, which is what makes the flat executor's output
-/// worker-count-independent. Adds what it did to `counts` (observation
-/// only).
+/// worker-count-independent. `clause` is the task's miss's. Adds what it
+/// did to `counts` (observation only).
 pub(crate) fn evaluate_unit(
-    task: &UnitTask<'_>,
+    task: &UnitTask,
     operands: &OperandTable<'_>,
+    clause: &Clause,
     counts: &mut EvalCounts,
 ) -> Option<Verdict> {
-    let UnitTask {
-        e1,
-        e2,
-        class,
-        clause,
-        adjacency,
-        ..
-    } = *task;
-    let (left, right) = (&operands.slots[task.left], &operands.slots[task.right]);
+    let class = task.class;
+    let (left, right) = (operands.slot(task.left), operands.slot(task.right));
+    let (e1, e2) = (left.entry, right.entry);
     let mc = MonteCarlo {
         permutations: clause.permutations,
         alpha: clause.alpha,
@@ -408,7 +571,7 @@ pub(crate) fn evaluate_unit(
         None => permutation_p_value(
             left.rows(),
             right.rows(),
-            adjacency,
+            left.adjacency,
             measures.score,
             &mc,
             clause.scheme.unwrap_or_default(),
@@ -432,6 +595,24 @@ pub(crate) fn evaluate_unit(
         p_value: p,
         significant,
     })
+}
+
+/// The region adjacency of `entry`'s spatial resolution, checked against
+/// its region count.
+fn region_adjacency<'a>(
+    geometry: &'a CityGeometry,
+    entry: &FunctionEntry,
+) -> Result<&'a [Vec<u32>]> {
+    let spatial = entry.resolution.spatial;
+    let adjacency = (geometry.adjacency(spatial)).ok_or(Error::MissingGeometry(spatial))?;
+    if adjacency.len() != entry.n_regions {
+        return Err(Error::GeometryMismatch {
+            resolution: spatial,
+            geometry_regions: adjacency.len(),
+            function_regions: entry.n_regions,
+        });
+    }
+    Ok(adjacency)
 }
 
 /// The user thresholds in `clause` that replace this entry's precomputed
@@ -471,7 +652,7 @@ const BASE_SEED: u64 = 0xDA7A_9A17;
 /// resolution wire codes) — the same scheme `Clause::cache_key` uses — and
 /// is pinned by the `seed_format_pinned` regression test.
 ///
-/// The executor hashes the left function's part once per entry
+/// The executor hashes the left function's part once per name
 /// ([`seed_prefix`]) and continues it per task ([`continue_seed`]); the
 /// stream, and so the seed, is the same.
 #[cfg(test)]
@@ -519,6 +700,7 @@ mod tests {
         TemporalResolution,
     };
     use polygamy_topology::FeatureSets;
+    use std::collections::HashMap;
 
     /// Two city-resolution hourly data sets with attribute spikes at the
     /// same instants (strong positive relationship) plus an unrelated flat
@@ -571,7 +753,7 @@ mod tests {
 
     /// One function's relationships share its names: every relationship
     /// naming one entry holds the same two `Arc`s (the operands intern one
-    /// [`FunctionRef`] per entry per dispatch), and renders the bytes a
+    /// [`FunctionRef`] per name per dispatch), and renders the bytes a
     /// relationship with freshly allocated names does.
     #[test]
     fn relationships_of_one_function_share_its_names() {
@@ -831,19 +1013,16 @@ mod tests {
             entry.features.extreme = FeatureSet::empty(steps);
         }
         let run = |clause: &Clause| {
-            let mut operands = OperandTable::default();
+            let mut operands = OperandTable::new(2, 2);
             let class = FeatureClass::Salient;
             let task = UnitTask {
-                e1: &taxi,
-                e2: &wind,
-                left: operands.intern(&taxi, class, (0, steps), None),
-                right: operands.intern(&wind, class, (0, steps), None),
+                left: operands.intern(0, &taxi, class, (0, steps), None, &[]),
+                right: operands.intern(1, &wind, class, (0, steps), None, &[]),
+                miss: 0,
                 class,
-                clause,
-                adjacency: &[],
             };
             let mut counts = EvalCounts::default();
-            let found = evaluate_unit(&task, &operands, &mut counts);
+            let found = evaluate_unit(&task, &operands, clause, &mut counts);
             (found, counts.permutations, counts.tests_stopped)
         };
         let (found, draws, stopped) = run(&Clause::default().permutations(100));

@@ -147,6 +147,9 @@ pub mod names {
     /// Unit tasks of evaluate dispatches that a helper thread ran, not the
     /// calling thread (counter): did a second worker help?
     pub const CORE_TASKS_ON_HELPERS: &str = "core.tasks_on_helpers";
+    /// Relationships the assemble stage named, sorted and cached — what
+    /// evaluate dispatches found and the clause kept (counter).
+    pub const CORE_RELATIONSHIPS_FOUND: &str = "core.relationships_found";
 
     /// Wall time of the scalar-function job, summed over indexed data sets
     /// (counter, ns).
@@ -290,6 +293,7 @@ pub mod names {
         CORE_DISPATCHES_INLINE,
         CORE_DISPATCHES_PARALLEL,
         CORE_TASKS_ON_HELPERS,
+        CORE_RELATIONSHIPS_FOUND,
         INDEX_STAGE_SCALAR_NS,
         INDEX_STAGE_TREES_NS,
         INDEX_STAGE_THRESHOLDS_NS,

@@ -271,6 +271,57 @@ fn sharded_sessions_identical_to_monolith_for_any_shard_count() {
     }
 }
 
+/// The warm stitch: a `class = extreme` sweep answered partly from the
+/// query cache — some of its pairs asked before under the same clause, so
+/// its answer merges runs named by earlier dispatches (the same names
+/// behind other `Arc`s) with runs this dispatch keyed — equals the cold
+/// sweep byte for byte, eager and lazy, at workers {1, 2, 4}. The spikes
+/// line up, so most pairs tie at |τ| = 1 and the names decide most places,
+/// and `alpha` is a prefix of two other data set names, so the `.` of
+/// `dataset.function` takes part: `alpha.b.*` sorts between `alpha.avg(…)`
+/// and `alpha.density`.
+#[test]
+fn a_partly_cached_extreme_sweep_equals_the_cold_sweep() {
+    let path = tmp_path("warm-stitch");
+    let _cleanup = Cleanup(path.clone());
+    let datasets = vec![
+        spiky_dataset("alpha", 1.0, 100),
+        spiky_dataset("alpha.b", -2.0, 100),
+        spiky_dataset("alphab", 0.5, 100),
+        spiky_dataset("al", 3.0, 100),
+        spiky_dataset("beta", 0.2, 222),
+    ];
+    let dp = build_framework(&datasets, Cluster::local(1));
+    Store::save(&path, dp.geometry(), dp.index().unwrap()).unwrap();
+    let clause = Clause::default()
+        .class(FeatureClass::Extreme)
+        .permutations(20)
+        .include_insignificant();
+    let sweep = RelationshipQuery::of("alpha").with_clause(clause.clone());
+    let cold = json(&dp.query(&sweep).unwrap());
+    let ties = cold.matches(r#""score":1.0,"#).count() + cold.matches(r#""score":-1.0,"#).count();
+    assert!(ties > 20, "the names must decide most places: {ties} ties");
+    assert!(cold.contains(r#""dataset":"alpha.b""#) && cold.contains(r#""dataset":"alphab""#));
+    let earlier: Vec<RelationshipQuery> = ["alpha.b", "al"]
+        .iter()
+        .map(|&other| RelationshipQuery::between(&[other], &["alpha"]).with_clause(clause.clone()))
+        .collect();
+    for workers in [1, 2, 4] {
+        let cluster = Cluster::local(workers);
+        for (mode, session) in session_matrix(&path, cluster) {
+            let (warm, trace) = trace::record(|| {
+                for query in &earlier {
+                    session.query(query).unwrap();
+                }
+                session.query(&sweep).unwrap()
+            });
+            assert_eq!(json(&warm), cold, "{mode} @ {workers} workers");
+            // The sweep's two pairs asked before came from the cache.
+            assert_eq!(trace.counter(names::CORE_QUERY_CACHE_HITS), 2, "{mode}");
+        }
+    }
+}
+
 /// The `thresholds` axis of the matrix: a clause that overrides feature
 /// thresholds is the only reader of a stored scalar field, and since
 /// store format 2 a lazy session fetches field blobs only for the data
