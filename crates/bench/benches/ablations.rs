@@ -221,7 +221,7 @@ fn bench_field_codec(c: &mut Criterion) {
             .functions
             .iter()
             .find(|f| {
-                f.spec.dataset == dataset
+                &*f.spec.name.dataset == dataset
                     && f.resolution == resolution
                     && matches!(f.spec.kind, FunctionKind::Attribute { .. }) == attribute
             })

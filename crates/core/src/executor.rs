@@ -13,7 +13,7 @@
 //! assembled in canonical task order. A range is folded by the thread that
 //! claimed it: it tallies its counts locally and keeps only the tasks that
 //! found a relationship the clause keeps, as (task index, measures,
-//! p-value, verdict); *assemble* names them with the operands' shared
+//! p-value, verdict); *assemble* names them with their entries' own
 //! [`FunctionRef`]s on the coordinating thread. The invariants this buys:
 //!
 //! * **no per-pair pool spawn** — one pool serves an entire
@@ -110,6 +110,32 @@ fn cmp_names(a: &FunctionRef, b: &FunctionRef) -> Ordering {
     }
 }
 
+/// A name as [`rank_names`] sorts it: the first 16 bytes of its display
+/// form `dataset.function`, zero-padded, as one big-endian integer, the
+/// form's length, and the name. Made once per entry a dispatch reaches, it
+/// orders names without reading them: only two names whose prefixes tie
+/// and of which one is longer than 16 bytes go to [`cmp_names`].
+#[derive(Clone, Copy)]
+pub(crate) struct NameKey<'a>(u128, usize, &'a FunctionRef);
+
+impl<'a> NameKey<'a> {
+    pub(crate) fn of(name: &'a FunctionRef) -> Self {
+        let (dataset, function) = (name.dataset.bytes(), name.function.bytes());
+        let form = dataset.chain([b'.']).chain(function).chain([0; 16]);
+        let prefix = (form.take(16)).fold(0, |key, b| key << 8 | u128::from(b));
+        Self(prefix, name.dataset.len() + 1 + name.function.len(), name)
+    }
+
+    /// Orders two names as [`cmp_names`] does.
+    fn cmp(&self, other: &Self) -> Ordering {
+        match self.0.cmp(&other.0) {
+            Ordering::Equal if self.1.max(other.1) <= 16 => self.1.cmp(&other.1),
+            Ordering::Equal => cmp_names(self.2, other.2),
+            decided => decided,
+        }
+    }
+}
+
 /// A resolution's place in the order of its display form
 /// `(temporal, spatial)`: temporal labels first, then spatial ones (no
 /// label is a prefix of another of its kind, so the `", "` decides
@@ -171,8 +197,8 @@ pub(crate) fn sort_relationships(rels: &mut [Relationship]) {
 /// relationships of one dispatch. From the most significant bit: |τ|'s
 /// bits, descending (63 of them: `abs` clears the sign, so the bits order
 /// as [`f64::total_cmp`] does, NaN largest), the ranks of its names among
-/// the dispatch's names ([`rank_names`], 30 bits each), of its resolution
-/// (4) and of its class (1). Keys of one dispatch compare as
+/// those the dispatch reached ([`rank_names`], 30 bits each), of its
+/// resolution (4) and of its class (1). Keys of one dispatch compare as
 /// [`cmp_relationships`] compares their relationships.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct SortKey(u128);
@@ -203,21 +229,21 @@ fn into_presentation_order<T>(keyed: &mut [(SortKey, usize, T)]) {
     keyed.sort_unstable_by_key(|&(key, i, _)| (key, i));
 }
 
-/// Each name's rank in the order of [`cmp_names`]; equal names (the same
-/// function at several resolutions, or `a.b` + `c` and `a` + `b.c`) share
-/// one.
-fn rank_names(names: &[FunctionRef]) -> Vec<u32> {
+/// Each name's rank in the order of [`cmp_names`], at the index it is
+/// given with; equal names (the same function at several resolutions, or
+/// `a.b` + `c` and `a` + `b.c`) share one.
+fn rank_names(mut names: Vec<(NameKey, u32)>) -> Vec<u32> {
+    let len = names.iter().map(|&(_, at)| at as usize + 1).max();
     assert!(
         names.len() < 1 << 30,
         "a rank must fit a sort key's 30 bits"
     );
-    let mut order: Vec<u32> = (0..names.len() as u32).collect();
-    order.sort_unstable_by(|&a, &b| cmp_names(&names[a as usize], &names[b as usize]));
-    let mut ranks = vec![0; names.len()];
-    for (at, pair) in order.windows(2).enumerate() {
-        let [before, name] = [pair[0] as usize, pair[1] as usize];
-        ranks[name] = match cmp_names(&names[before], &names[name]) {
-            Ordering::Equal => ranks[before],
+    names.sort_unstable_by(|(x, _), (y, _)| x.cmp(y));
+    let mut ranks = vec![0; len.unwrap_or(0)];
+    for (at, pair) in names.windows(2).enumerate() {
+        let [(x, before), (y, name)] = [pair[0], pair[1]];
+        ranks[name as usize] = match x.cmp(&y) {
+            Ordering::Equal => ranks[before as usize],
             _ => at as u32 + 1,
         };
     }
@@ -572,10 +598,10 @@ pub fn run_plan<'a>(
 
     // ---- Assemble per-miss results — the ranges came back in range
     // order, each in task order —: key each found task by its place in
-    // presentation order, with the dispatch's names ranked once, sort by
-    // the keys, and only then name the relationships, with their operands'
-    // shared names. Every later use — this batch's stitch, a cache hit —
-    // starts from a sorted run; fill the cache.
+    // presentation order, with the reached entries' names ranked once,
+    // sort by the keys, and only then name the relationships, with their
+    // entries' own names. Every later use — this batch's stitch, a cache
+    // hit — starts from a sorted run; fill the cache.
     let assemble_stage = stage(names::CORE_STAGE_ASSEMBLE_NS);
     let ranks = rank_names(operands.names());
     let mut found = runs.iter().flat_map(|run| &run.found).peekable();
@@ -761,15 +787,52 @@ mod tests {
 
     /// Names where comparing piecewise and comparing the joined string
     /// could part ways: `.` inside names, data set names that are prefixes
-    /// of others, the empty name, bytes below and above `.`, non-ASCII.
-    const DATASETS: [&str; 9] = ["a", "a.b", "a.", "ab", "a b", "", "é", "éa", "a.b.c"];
+    /// of others, the empty name, bytes below and above `.`, non-ASCII —
+    /// and display forms that tie on their first 16 bytes ([`NameKey`]).
+    const DATASETS: [&str; 12] = [
+        "a",
+        "a.b",
+        "a.",
+        "ab",
+        "a b",
+        "",
+        "é",
+        "éa",
+        "a.b.c",
+        "abcdefghijklmno",
+        "abcdefghijklmnop",
+        "abcdefghijklmno.b",
+    ];
     const FUNCTIONS: [&str; 7] = ["", "b", "b.c", ".", "c", "density", "é"];
     /// ±τ ties, and NaN of either sign (`abs` makes them one).
     const SCORES: [f64; 7] = [1.0, -1.0, 0.5, -0.5, f64::NAN, -f64::NAN, 0.25];
 
-    /// The names of one dispatch: one [`FunctionRef`] per (data set,
-    /// function, resolution) — per entry, as the operands intern them —
-    /// allocated for this dispatch alone.
+    #[test]
+    fn prefixes_order_names_as_their_display_forms_do() {
+        let names: Vec<FunctionRef> = (DATASETS.iter())
+            .flat_map(|&dataset| {
+                FUNCTIONS.iter().map(move |&function| FunctionRef {
+                    dataset: dataset.into(),
+                    function: function.into(),
+                })
+            })
+            .collect();
+        let mut long_ties = 0;
+        for x in &names {
+            for y in &names {
+                let (a, b) = (NameKey::of(x), NameKey::of(y));
+                let by_form = x.to_string().cmp(&y.to_string());
+                assert_eq!(a.cmp(&b), by_form, "{x} vs {y}");
+                long_ties += usize::from(a.0 == b.0 && a.1.max(b.1) > 16);
+            }
+        }
+        assert!(long_ties > 0, "some forms must tie past their prefixes");
+    }
+
+    /// The entries one dispatch reaches, as their names: one
+    /// [`FunctionRef`] per (data set, function, resolution), allocated
+    /// apart, as decoded store entries hold theirs. The index is the
+    /// entry's view position.
     #[derive(Default)]
     struct Dispatch {
         names: Vec<FunctionRef>,
@@ -799,7 +862,10 @@ mod tests {
     /// A run as `run_plan` makes one: keyed with the dispatch's ranks, put
     /// in presentation order, then named.
     fn sorted_run(dispatch: &Dispatch, found: &Found) -> (Vec<Relationship>, Vec<SortKey>) {
-        let ranks = rank_names(&dispatch.names);
+        let names = (dispatch.names.iter().enumerate())
+            .map(|(at, name)| (NameKey::of(name), at as u32))
+            .collect();
+        let ranks = rank_names(names);
         let mut keyed: Vec<_> = (found.iter().enumerate())
             .map(|(i, &(l, r, resolution, class, score))| {
                 let names = (ranks[l as usize], ranks[r as usize]);
@@ -850,7 +916,8 @@ mod tests {
             for &w in &words {
                 if pairs.is_empty() || w % 8 == 0 {
                     let cached = (w >> 9) & 1 == 1;
-                    pairs.push((pick(w, 3, 9), pick(w, 6, 9), cached, Vec::new()));
+                    let n = DATASETS.len();
+                    pairs.push((pick(w, 3, n), pick(w, 6, n), cached, Vec::new()));
                 }
                 let (d1, d2, cached, found) = pairs.last_mut().unwrap();
                 let dispatch = if *cached { &mut earlier } else { &mut this };

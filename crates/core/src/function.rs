@@ -12,62 +12,68 @@ use std::sync::Arc;
 /// A scalar function derived from one data set.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FunctionSpec {
-    /// Data set name.
-    pub dataset: String,
-    /// Human-readable function name (`"density"`, `"unique"`,
-    /// `"avg(wind-speed)"`, …).
-    pub name: String,
+    /// The data set's name and the function's (`"density"`, `"unique"`,
+    /// `"avg(wind-speed)"`, …), made once, where the spec is: an index
+    /// entry's clones and every relationship naming it share them.
+    pub name: FunctionRef,
     /// What to compute.
     pub kind: FunctionKind,
 }
 
 impl FunctionSpec {
+    /// The spec of `kind` named `dataset.function`.
+    pub fn new(
+        dataset: impl Into<Arc<str>>,
+        function: impl Into<Arc<str>>,
+        kind: FunctionKind,
+    ) -> Self {
+        let name = FunctionRef {
+            dataset: dataset.into(),
+            function: function.into(),
+        };
+        Self { name, kind }
+    }
+
     /// The density function of a data set.
-    pub fn density(dataset: &str) -> Self {
-        Self {
-            dataset: dataset.to_string(),
-            name: "density".to_string(),
-            kind: FunctionKind::Density,
-        }
+    pub fn density(dataset: impl Into<Arc<str>>) -> Self {
+        Self::new(dataset, "density", FunctionKind::Density)
     }
 
     /// The unique (distinct identifier count) function.
-    pub fn unique(dataset: &str) -> Self {
-        Self {
-            dataset: dataset.to_string(),
-            name: "unique".to_string(),
-            kind: FunctionKind::Unique,
-        }
+    pub fn unique(dataset: impl Into<Arc<str>>) -> Self {
+        Self::new(dataset, "unique", FunctionKind::Unique)
     }
 
     /// An attribute function.
     pub fn attribute(
-        dataset: &str,
+        dataset: impl Into<Arc<str>>,
         attr_index: usize,
         attr_name: &str,
         agg: AggregateKind,
     ) -> Self {
-        Self {
-            dataset: dataset.to_string(),
-            name: format!("{}({})", agg.label(), attr_name),
-            kind: FunctionKind::Attribute {
-                attr: attr_index,
-                agg,
-            },
-        }
+        let kind = FunctionKind::Attribute {
+            attr: attr_index,
+            agg,
+        };
+        Self::new(dataset, format!("{}({})", agg.label(), attr_name), kind)
     }
 
     /// Enumerates every scalar function the framework derives from a data
     /// set: density, unique (when keys exist) and the average of each
-    /// numerical attribute.
+    /// numerical attribute. The specs share one data set name.
     pub fn enumerate(dataset: &Dataset) -> Vec<FunctionSpec> {
-        let name = dataset.meta.name.as_str();
-        let mut out = vec![Self::density(name)];
+        let name: Arc<str> = dataset.meta.name.as_str().into();
+        let mut out = vec![Self::density(Arc::clone(&name))];
         if dataset.has_keys() {
-            out.push(Self::unique(name));
+            out.push(Self::unique(Arc::clone(&name)));
         }
         for (i, attr) in dataset.attributes.iter().enumerate() {
-            out.push(Self::attribute(name, i, &attr.name, AggregateKind::Mean));
+            out.push(Self::attribute(
+                Arc::clone(&name),
+                i,
+                &attr.name,
+                AggregateKind::Mean,
+            ));
         }
         out
     }
@@ -75,7 +81,7 @@ impl FunctionSpec {
 
 impl fmt::Display for FunctionSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}.{}", self.dataset, self.name)
+        fmt::Display::fmt(&self.name, f)
     }
 }
 
@@ -98,12 +104,10 @@ impl fmt::Display for FunctionRef {
     }
 }
 
+/// The spec's own name: a clone of its two `Arc`s.
 impl From<&FunctionSpec> for FunctionRef {
     fn from(spec: &FunctionSpec) -> Self {
-        Self {
-            dataset: spec.dataset.as_str().into(),
-            function: spec.name.as_str().into(),
-        }
+        spec.name.clone()
     }
 }
 
@@ -133,16 +137,35 @@ mod tests {
     #[test]
     fn enumerate_with_keys() {
         let specs = FunctionSpec::enumerate(&dataset(true));
-        let names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = specs.iter().map(|s| &*s.name.function).collect();
         assert_eq!(names, vec!["density", "unique", "avg(fare)", "avg(miles)"]);
-        assert!(specs.iter().all(|s| s.dataset == "taxi"));
+        assert!(specs.iter().all(|s| &*s.name.dataset == "taxi"));
     }
 
     #[test]
     fn enumerate_without_keys() {
         let specs = FunctionSpec::enumerate(&dataset(false));
-        let names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = specs.iter().map(|s| &*s.name.function).collect();
         assert_eq!(names, vec!["density", "avg(fare)", "avg(miles)"]);
+    }
+
+    #[test]
+    fn enumerated_specs_share_one_data_set_name() {
+        let specs = FunctionSpec::enumerate(&dataset(true));
+        let first = &specs[0].name.dataset;
+        assert!(specs.iter().all(|s| Arc::ptr_eq(&s.name.dataset, first)));
+    }
+
+    #[test]
+    fn a_reference_holds_its_specs_names() {
+        let spec = FunctionSpec::attribute("taxi", 0, "fare", AggregateKind::Mean);
+        let r = FunctionRef::from(&spec);
+        assert!(Arc::ptr_eq(&r.dataset, &spec.name.dataset));
+        assert!(Arc::ptr_eq(&r.function, &spec.name.function));
+        assert!(Arc::ptr_eq(
+            &spec.clone().name.function,
+            &spec.name.function
+        ));
     }
 
     #[test]

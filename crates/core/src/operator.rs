@@ -29,12 +29,13 @@
 //! across machines, toolchains and worker counts (`std`'s `DefaultHasher`
 //! is documented to change between releases and must never seed a
 //! hypothesis test). The stream's left-function part is hashed once per
-//! name, at interning, and continued per task.
+//! entry, by the first task with the entry on its left, and continued per
+//! task.
 
 use crate::cache::Fnv1a;
 use crate::error::{Error, Result};
+use crate::executor::NameKey;
 use crate::framework::CityGeometry;
-use crate::function::{FunctionRef, FunctionSpec};
 use crate::index::{FunctionEntry, IndexView};
 use crate::query::{Clause, DatasetThresholds};
 use crate::relationship::{measures, Relationship, RelationshipMeasures};
@@ -42,7 +43,7 @@ use crate::significance::{permutation_p_value, rotation_p_value};
 use polygamy_stats::permutation::MonteCarlo;
 use polygamy_stdata::{Resolution, ScalarField};
 use polygamy_topology::{FeatureClass, FeatureSet, RowWindows, ShortWindow};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// One schedulable unit of relationship evaluation: a (left, right)
 /// function pair at their shared resolution, for one feature class.
@@ -76,18 +77,22 @@ fn threshold_bits(custom: Option<ThresholdOverride<'_>>) -> Option<(u64, u64)> {
     custom.map(|(t, _)| (t.theta_pos.to_bits(), t.theta_neg.to_bits()))
 }
 
-/// No slot, or no name, yet.
+/// No slot yet.
 const NONE: u32 = u32::MAX;
 
 /// One function's features as unit tasks consume them, prepared at most
 /// once per dispatch by whichever task asks first.
 pub(crate) struct Operand<'a> {
     entry: &'a FunctionEntry,
-    /// The entry's [`OperandTable::names`] index.
-    name: u32,
-    /// `pair_seed`'s hash state after the base and the entry's names:
-    /// what every task with this operand on its left continues.
-    seed: Fnv1a,
+    /// The entry's first slot: it keeps the seed prefix, and the name is
+    /// ranked by it.
+    first: u32,
+    /// On the entry's first slot: `pair_seed`'s hash state after the base
+    /// and the entry's names, what every task with the entry on its left
+    /// continues, hashed by the first of them.
+    seed: OnceLock<Fnv1a>,
+    /// The entry's name, as assemble sorts it.
+    name: NameKey<'a>,
     class: FeatureClass,
     /// Steps `[z0, z0 + steps)` of the entry, as `(z0, steps)`.
     window: (usize, usize),
@@ -135,8 +140,8 @@ impl std::ops::AddAssign for EvalCounts {
 }
 
 /// What a unit task found: the measures and verdict of a relationship the
-/// clause keeps. The executor attaches the names on the coordinating
-/// thread ([`UnitTask::relationship`]).
+/// clause keeps. The executor attaches the entries' names on the
+/// coordinating thread ([`UnitTask::relationship`]).
 pub(crate) struct Verdict {
     measures: RelationshipMeasures,
     p_value: f64,
@@ -192,28 +197,12 @@ impl Operand<'_> {
 /// coordinating thread and shared read-only by the workers. An entry is
 /// known by its position in the dispatch's [`IndexView`], so interning
 /// hashes nothing: the position indexes the entry's slots (a short chain,
-/// one per class and window) and its name.
+/// one per class and window). Names are the entries' own.
 pub(crate) struct OperandTable<'a> {
     /// In interning order.
     slots: Vec<Operand<'a>>,
     /// Per view position, the entry's newest slot, or [`NONE`].
     newest: Vec<u32>,
-    /// Per view position, the entry's [`OperandTable::names`] index, or
-    /// [`NONE`].
-    name_at: Vec<u32>,
-    /// One [`FunctionRef`] per distinct name reached, in first-interned
-    /// order: the names are allocated once per dispatch, not once per
-    /// relationship or per resolution, and a data set's names share its
-    /// name's `Arc`.
-    names: Vec<FunctionRef>,
-    /// Per name, `pair_seed`'s hash state after the base and the name,
-    /// hashed once.
-    seeds: Vec<Fnv1a>,
-    /// Per name, the previous name of its data set, or [`NONE`].
-    previous: Vec<u32>,
-    /// Per catalog position, the data set name's shared `Arc` and its
-    /// newest name.
-    datasets: Vec<Option<(Arc<str>, u32)>>,
 }
 
 impl<'a> OperandTable<'a> {
@@ -223,11 +212,6 @@ impl<'a> OperandTable<'a> {
         Self {
             slots: Vec::with_capacity(slots),
             newest: vec![NONE; entries],
-            name_at: vec![NONE; entries],
-            names: Vec::new(),
-            seeds: Vec::new(),
-            previous: Vec::new(),
-            datasets: Vec::new(),
         }
     }
 
@@ -252,11 +236,18 @@ impl<'a> OperandTable<'a> {
             }
             slot = o.next;
         }
-        let name = self.name(at, entry);
+        let (first, name) = match self.newest[at] {
+            NONE => (self.slots.len() as u32, NameKey::of(&entry.spec.name)),
+            newest => {
+                let newest = &self.slots[newest as usize];
+                (newest.first, newest.name)
+            }
+        };
         self.slots.push(Operand {
             entry,
+            first,
+            seed: OnceLock::new(),
             name,
-            seed: self.seeds[name as usize].clone(),
             class,
             window,
             custom,
@@ -268,43 +259,12 @@ impl<'a> OperandTable<'a> {
         self.newest[at]
     }
 
-    /// The [`OperandTable::names`] index of `entry`'s name, found among
-    /// its data set's names (a handful: its functions) or added.
-    fn name(&mut self, at: usize, entry: &'a FunctionEntry) -> u32 {
-        if self.name_at[at] != NONE {
-            return self.name_at[at];
-        }
-        let FunctionSpec { dataset, name, .. } = &entry.spec;
-        let d = entry.dataset_index;
-        if d >= self.datasets.len() {
-            self.datasets.resize(d + 1, None);
-        }
-        let (shared, newest) = match &self.datasets[d] {
-            Some((shared, newest)) if **shared == **dataset => (Arc::clone(shared), *newest),
-            _ => (Arc::from(dataset.as_str()), NONE),
-        };
-        let mut id = newest;
-        while id != NONE && *self.names[id as usize].function != **name {
-            id = self.previous[id as usize];
-        }
-        if id == NONE {
-            id = self.names.len() as u32;
-            self.names.push(FunctionRef {
-                dataset: Arc::clone(&shared),
-                function: name.as_str().into(),
-            });
-            self.seeds.push(seed_prefix(BASE_SEED, entry));
-            self.previous.push(newest);
-            self.datasets[d] = Some((shared, id));
-        }
-        self.name_at[at] = id;
-        id
-    }
-
-    /// The distinct names interned so far, shared by all their
-    /// relationships; a task's are [`UnitTask::names`].
-    pub(crate) fn names(&self) -> &[FunctionRef] {
-        &self.names
+    /// The name of every entry reached so far, with its first slot.
+    pub(crate) fn names(&self) -> Vec<(NameKey<'a>, u32)> {
+        (self.slots.iter().enumerate())
+            .filter(|(_, o)| o.next == NONE)
+            .map(|(first, o)| (o.name, first as u32))
+            .collect()
     }
 
     fn slot(&self, slot: u32) -> &Operand<'a> {
@@ -494,12 +454,12 @@ fn estimated_ns(vertices: usize, clause: &Clause) -> u64 {
 }
 
 impl UnitTask {
-    /// The [`OperandTable::names`] indices of the task's left and right
-    /// functions.
+    /// The first slots of the task's left and right entries, by which
+    /// their names are ranked.
     pub(crate) fn names(&self, operands: &OperandTable<'_>) -> (u32, u32) {
         (
-            operands.slot(self.left).name,
-            operands.slot(self.right).name,
+            operands.slot(self.left).first,
+            operands.slot(self.right).first,
         )
     }
 
@@ -508,17 +468,17 @@ impl UnitTask {
         operands.slot(self.left).entry.resolution
     }
 
-    /// The relationship this task found, with the names its operands share
-    /// with every other relationship of the dispatch.
+    /// The relationship this task found, named with its entries' own
+    /// names.
     pub(crate) fn relationship(
         &self,
         operands: &OperandTable<'_>,
         found: &Verdict,
     ) -> Relationship {
-        let (left, right) = self.names(operands);
+        let (left, right) = (operands.slot(self.left), operands.slot(self.right));
         Relationship {
-            left: operands.names[left as usize].clone(),
-            right: operands.names[right as usize].clone(),
+            left: left.entry.spec.name.clone(),
+            right: right.entry.spec.name.clone(),
             resolution: self.resolution(operands),
             class: self.class,
             measures: found.measures,
@@ -564,7 +524,11 @@ pub(crate) fn evaluate_unit(
     if measures.score.abs() < clause.min_score || measures.strength < clause.min_strength {
         return None;
     }
-    let seed = continue_seed(left.seed.clone(), e2, e1.resolution, class);
+    let prefix = operands
+        .slot(left.first)
+        .seed
+        .get_or_init(|| seed_prefix(BASE_SEED, e1));
+    let seed = continue_seed(prefix.clone(), e2, e1.resolution, class);
     let significant_only = clause.significant_only;
     let tested = match short {
         Some((l, r)) => rotation_p_value(l, r, measures.score, &mc, seed, significant_only),
@@ -623,13 +587,13 @@ fn threshold_override<'a>(
     entry: &'a FunctionEntry,
     clause: &'a Clause,
 ) -> Result<Option<ThresholdOverride<'a>>> {
-    let named = |t: &&DatasetThresholds| t.dataset == entry.spec.dataset;
+    let named = |t: &&DatasetThresholds| *t.dataset == *entry.spec.name.dataset;
     let Some(thresholds) = clause.thresholds.iter().find(named) else {
         return Ok(None);
     };
     match &entry.field {
         Some(field) => Ok(Some((thresholds, field))),
-        None => Err(Error::MissingField(FunctionRef::from(&entry.spec))),
+        None => Err(Error::MissingField(entry.spec.name.clone())),
     }
 }
 
@@ -652,7 +616,7 @@ const BASE_SEED: u64 = 0xDA7A_9A17;
 /// resolution wire codes) — the same scheme `Clause::cache_key` uses — and
 /// is pinned by the `seed_format_pinned` regression test.
 ///
-/// The executor hashes the left function's part once per name
+/// The executor hashes the left function's part once per entry
 /// ([`seed_prefix`]) and continues it per task ([`continue_seed`]); the
 /// stream, and so the seed, is the same.
 #[cfg(test)]
@@ -664,8 +628,8 @@ fn pair_seed(base: u64, e1: &FunctionEntry, e2: &FunctionEntry, class: FeatureCl
 fn seed_prefix(base: u64, e1: &FunctionEntry) -> Fnv1a {
     let mut h = Fnv1a::new();
     h.write_u64(base);
-    h.write_str(&e1.spec.dataset);
-    h.write_str(&e1.spec.name);
+    h.write_str(&e1.spec.name.dataset);
+    h.write_str(&e1.spec.name.function);
     h
 }
 
@@ -677,8 +641,8 @@ fn continue_seed(
     resolution: Resolution,
     class: FeatureClass,
 ) -> u64 {
-    h.write_str(&e2.spec.dataset);
-    h.write_str(&e2.spec.name);
+    h.write_str(&e2.spec.name.dataset);
+    h.write_str(&e2.spec.name.function);
     h.write_u8(resolution.spatial.code());
     h.write_u8(resolution.temporal.code());
     h.write_u8(match class {
@@ -692,7 +656,7 @@ fn continue_seed(
 mod tests {
     use super::*;
     use crate::framework::{CityGeometry, Config, DataPolygamy};
-    use crate::function::FunctionSpec;
+    use crate::function::{FunctionRef, FunctionSpec};
     use crate::query::Clause;
     use crate::relationship::evaluate_features;
     use polygamy_stdata::{
@@ -700,7 +664,7 @@ mod tests {
         TemporalResolution,
     };
     use polygamy_topology::FeatureSets;
-    use std::collections::HashMap;
+    use std::sync::Arc;
 
     /// Two city-resolution hourly data sets with attribute spikes at the
     /// same instants (strong positive relationship) plus an unrelated flat
@@ -751,33 +715,56 @@ mod tests {
         assert!(signal.significant);
     }
 
-    /// One function's relationships share its names: every relationship
-    /// naming one entry holds the same two `Arc`s (the operands intern one
-    /// [`FunctionRef`] per name per dispatch), and renders the bytes a
-    /// relationship with freshly allocated names does.
+    /// An indexed function is named once: its entries at every resolution
+    /// hold one [`FunctionRef`], and a data set's functions one data set
+    /// name.
+    #[test]
+    fn an_indexed_functions_entries_share_one_name() {
+        let dp = corpus();
+        let functions = &dp.index().unwrap().functions;
+        let mut resolutions = 0;
+        for a in functions {
+            for b in functions
+                .iter()
+                .filter(|b| b.dataset_index == a.dataset_index)
+            {
+                let (x, y) = (&a.spec.name, &b.spec.name);
+                assert!(Arc::ptr_eq(&x.dataset, &y.dataset), "{x} vs {y}");
+                if x == y {
+                    assert!(Arc::ptr_eq(&x.function, &y.function), "{x}");
+                    resolutions += usize::from(a.resolution != b.resolution);
+                }
+            }
+        }
+        assert!(
+            resolutions > 0,
+            "some function is indexed at several resolutions"
+        );
+    }
+
+    /// Every relationship's names are the `Arc`s of the entries it came
+    /// from — the executor makes no name of its own — and render as
+    /// freshly allocated names do.
     #[test]
     fn relationships_of_one_function_share_its_names() {
         let dp = corpus();
+        let functions = &dp.index().unwrap().functions;
         let rels = dp
             .query(
                 &crate::query::RelationshipQuery::between(&["alpha"], &["beta"])
                     .with_clause(Clause::default().permutations(20).include_insignificant()),
             )
             .unwrap();
-        let mut first: HashMap<(String, String, Resolution), FunctionRef> = HashMap::new();
-        let mut shared = 0;
+        assert!(!rels.is_empty());
         for r in &rels {
             for f in [&r.left, &r.right] {
-                let key = (f.dataset.to_string(), f.function.to_string(), r.resolution);
-                match first.get(&key) {
-                    None => drop(first.insert(key, f.clone())),
-                    Some(seen) => {
-                        assert!(std::sync::Arc::ptr_eq(&seen.dataset, &f.dataset), "{f}");
-                        assert!(std::sync::Arc::ptr_eq(&seen.function, &f.function), "{f}");
-                        shared += 1;
-                    }
-                }
+                let entry = (functions.iter())
+                    .find(|e| e.spec.name == *f && e.resolution == r.resolution)
+                    .expect("a relationship names indexed entries");
+                assert!(Arc::ptr_eq(&entry.spec.name.dataset, &f.dataset), "{f}");
+                assert!(Arc::ptr_eq(&entry.spec.name.function, &f.function), "{f}");
             }
+            // And renders the bytes a relationship with fresh names does.
             let fresh = |f: &FunctionRef| FunctionRef {
                 dataset: (*f.dataset).into(),
                 function: (*f.function).into(),
@@ -792,8 +779,6 @@ mod tests {
             copy.write_json(&mut copied).unwrap();
             assert_eq!(json, copied);
         }
-        // Both classes of a pair, and every partner of a function.
-        assert!(shared >= rels.len(), "{shared} of {}", 2 * rels.len());
     }
 
     #[test]
@@ -948,7 +933,7 @@ mod tests {
         let dp = corpus();
         let mut index = dp.index().unwrap().clone();
         for entry in &mut index.functions {
-            if entry.spec.dataset == "alpha" {
+            if &*entry.spec.name.dataset == "alpha" {
                 entry.field = None;
             }
         }
@@ -978,7 +963,7 @@ mod tests {
     fn seed_entry(dataset: &str, function: &str) -> FunctionEntry {
         let steps = 4;
         let mut spec = FunctionSpec::density(dataset);
-        spec.name = function.to_string();
+        spec.name.function = function.into();
         FunctionEntry {
             spec,
             dataset_index: 0,

@@ -262,11 +262,11 @@ impl<'a> Dec<'a> {
         &window[..n]
     }
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String> {
+    /// Reads a length-prefixed UTF-8 string, in place.
+    pub fn str(&mut self) -> Result<&'a str> {
         let n = self.seq_len(1)?;
         let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| self.corrupt("invalid utf-8 in string"))
+        std::str::from_utf8(bytes).map_err(|_| self.corrupt("invalid utf-8 in string"))
     }
 
     /// Bytes not yet consumed.
@@ -341,18 +341,14 @@ fn dec_function_kind(d: &mut Dec<'_>) -> Result<FunctionKind> {
 
 /// Encodes a function spec.
 pub fn enc_spec(e: &mut Enc, spec: &FunctionSpec) {
-    e.str(&spec.dataset);
-    e.str(&spec.name);
+    e.str(&spec.name.dataset);
+    e.str(&spec.name.function);
     enc_function_kind(e, spec.kind);
 }
 
-/// Decodes a function spec.
+/// Decodes a function spec: where a stored entry's names are made.
 pub fn dec_spec(d: &mut Dec<'_>) -> Result<FunctionSpec> {
-    Ok(FunctionSpec {
-        dataset: d.str()?,
-        name: d.str()?,
-        kind: dec_function_kind(d)?,
-    })
+    Ok(FunctionSpec::new(d.str()?, d.str()?, dec_function_kind(d)?))
 }
 
 /// Bit-vector token kinds, the low two bits of a token: a run of all-zero

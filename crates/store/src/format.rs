@@ -217,7 +217,7 @@ impl Manifest {
         let mut segments = Vec::with_capacity(n);
         for _ in 0..n {
             let dataset_index = d.usize()?;
-            let function = d.str()?;
+            let function = d.str()?.to_owned();
             let resolution = dec_resolution(&mut d)?;
             let loc = dec_blob_loc(&mut d)?;
             let field = match d.u8()? {
@@ -281,14 +281,14 @@ pub(crate) fn enc_dataset_entry(e: &mut Enc, entry: &DatasetEntry) {
 
 /// Decodes one catalog entry (see [`enc_dataset_entry`]).
 pub(crate) fn dec_dataset_entry(d: &mut Dec<'_>) -> Result<DatasetEntry> {
-    let name = d.str()?;
+    let name = d.str()?.to_owned();
     let s = d.u8()?;
     let t = d.u8()?;
     let spatial_resolution = SpatialResolution::from_code(s)
         .ok_or_else(|| StoreError::Corrupt(format!("unknown spatial resolution code {s}")))?;
     let temporal_resolution = TemporalResolution::from_code(t)
         .ok_or_else(|| StoreError::Corrupt(format!("unknown temporal resolution code {t}")))?;
-    let description = d.str()?;
+    let description = d.str()?.to_owned();
     Ok(DatasetEntry {
         meta: DatasetMeta {
             name,

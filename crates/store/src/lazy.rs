@@ -541,14 +541,12 @@ impl LazyIndex {
         // pairs them by the blob's: a file re-sealed over a disagreement must
         // not answer differently eager and lazy.
         let dataset = &self.catalog.datasets[entry.dataset].meta.name;
-        let spec = &decoded.spec;
-        if (&spec.name, decoded.resolution, &spec.dataset)
-            != (&info.function, info.resolution, dataset)
+        let name = &decoded.spec.name;
+        if (&*name.function, decoded.resolution, &*name.dataset)
+            != (info.function.as_str(), info.resolution, dataset.as_str())
         {
             return Err(StoreError::Corrupt(format!(
-                "{what}: the blob holds {}.{} at {}, not {dataset}.{} at {}",
-                spec.dataset,
-                spec.name,
+                "{what}: the blob holds {name} at {}, not {dataset}.{} at {}",
                 decoded.resolution.label(),
                 info.function,
                 info.resolution.label()

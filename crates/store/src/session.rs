@@ -41,7 +41,8 @@
 //! (a segment fault-in for a lazy session; for an eager one nothing, or the
 //! fields a `thresholds` clause asks for), and hand the plan and the
 //! resulting [`IndexView`] to [`polygamy_core::run_plan`]. A batch the
-//! cache answers whole pins, faults and reads nothing. A single query is
+//! cache answers whole pins, faults and reads nothing, and its view holds
+//! no entry. A single query is
 //! a batch of one. Underneath, every byte either mode reads is a
 //! positioned read into an owned buffer through the one handle each store
 //! file was opened with ([`crate::source`]).
@@ -92,12 +93,12 @@ impl Backing {
     /// plan — the one place a backing turns into something the executor
     /// reads. A batch naming a data set in an unavailable shard file is
     /// rejected first, before anything is planned, read or evaluated. A
-    /// lazy session then faults in the misses' footprint; an eager one
-    /// pinned every hot blob at open and faults in only the scalar fields a
+    /// batch the cache answers whole gets a view of no entry. Otherwise a
+    /// lazy session faults in the misses' footprint; an eager one pinned
+    /// every hot blob at open and faults in only the scalar fields a
     /// `thresholds` clause of a miss reads, substituting those entries for
-    /// their field-less residents in place. A pair the cache answers pins
-    /// nothing. Either way the view is in directory order and the pins
-    /// stay alive for the duration of `f`.
+    /// their residents in place. The view is in directory order and the
+    /// pins stay alive for the duration of `f`.
     fn pinned<'q, T>(
         &self,
         queries: &'q [RelationshipQuery],
@@ -106,6 +107,9 @@ impl Backing {
     ) -> Result<T> {
         self.lazy.require_named(queries)?;
         let plan = QueryPlan::new(self.lazy.catalog(), Some(cache), queries)?;
+        if plan.misses().len() == 0 {
+            return Ok(f(IndexView::new(self.lazy.catalog(), Vec::new()), plan));
+        }
         let Some(index) = &self.resident else {
             let faulted = self.lazy.pin_plan(&plan)?;
             let entries = faulted.iter().map(|entry| &**entry).collect();

@@ -189,7 +189,7 @@ impl ShardCatalog {
         let n_files = d.seq_len(1)?;
         let mut files = Vec::with_capacity(n_files);
         for _ in 0..n_files {
-            files.push(d.str()?);
+            files.push(d.str()?.to_owned());
         }
         d.finish()?;
         if files.is_empty() {

@@ -383,7 +383,7 @@ fn encode_segment(entry: &FunctionEntry) -> Segment {
         count(names::STORE_SAVE_FIELD_STORED_BYTES, stored.len() as u64);
     }
     Segment {
-        function: entry.spec.name.clone(),
+        function: entry.spec.name.function.to_string(),
         resolution: entry.resolution,
         hot: Blob::encoded(hot),
         field: field.map(Blob::encoded),

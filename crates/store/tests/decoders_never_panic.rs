@@ -164,7 +164,7 @@ fn valid_encodings() -> &'static [Vec<u8>; 5] {
                 .enumerate()
                 .map(|(i, f)| SegmentInfo {
                     dataset_index: f.dataset_index,
-                    function: f.spec.name.clone(),
+                    function: f.spec.name.function.to_string(),
                     resolution: f.resolution,
                     loc: loc(140 + 512 * i as u64, 512),
                     field: (i % 2 == 0).then(|| loc(1 << 20, 4_096 * i as u64)),
@@ -1055,7 +1055,7 @@ fn saved_store(tag: &str) -> (Cleanup, Vec<u8>) {
     twin.datasets.push(second);
     for mut f in twin.functions.clone() {
         f.dataset_index = 1;
-        f.spec.dataset = "twin".into();
+        f.spec.name.dataset = "twin".into();
         twin.functions.push(f);
     }
     Store::save(&path, one.geometry(), &twin).unwrap();

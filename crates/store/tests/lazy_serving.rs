@@ -18,6 +18,7 @@
 //! * an eager session decodes hot blobs only and goes back to the file
 //!   for exactly the scalar fields a `thresholds` clause names.
 
+use polygamy_core::index::FunctionEntry;
 use polygamy_core::prelude::*;
 use polygamy_core::DataPolygamy;
 use polygamy_obs::names;
@@ -25,6 +26,7 @@ use polygamy_stdata::Polygon;
 use polygamy_store::{shard_store, LoadFilter, SourceBackend, Store, StoreError, StoreSession};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn tmp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -182,6 +184,39 @@ fn lazy_matches_eager_for_every_query_form() {
     let batched = lazy.query_many(&queries).unwrap();
     for (q, rels) in queries.iter().zip(&batched) {
         assert_eq!(rels, &dp.query(q).unwrap());
+    }
+}
+
+/// A relationship's names are the `Arc`s of the decoded entry it came
+/// from — an eager session's resident entry, a lazy session's cached
+/// segment — never names the executor made.
+#[test]
+fn relationships_hold_the_names_of_their_entries_eager_and_lazy() {
+    let path = tmp_path("names");
+    let _cleanup = Cleanup(path.clone());
+    save_corpus(&path);
+    let q = RelationshipQuery::of("alpha").with_clause(test_clause());
+    let eager = StoreSession::open_with(&path, Config::fast_test(), &LoadFilter::all()).unwrap();
+    let lazy = open_lazy(&path);
+    let answers = [eager.query(&q).unwrap(), lazy.query(&q).unwrap()];
+    assert!(!answers[0].is_empty());
+    // Pinning the query again hands out the lazy session's cached entries.
+    let cached = lazy.lazy_index().unwrap().pin_for(std::slice::from_ref(&q));
+    let cached = cached.unwrap();
+    let entries: [Vec<&FunctionEntry>; 2] = [
+        eager.index().unwrap().functions.iter().collect(),
+        cached.iter().map(|e| &**e).collect(),
+    ];
+    for (answer, entries) in answers.iter().zip(&entries) {
+        for r in answer {
+            for f in [&r.left, &r.right] {
+                let entry = (entries.iter())
+                    .find(|e| e.spec.name == *f && e.resolution == r.resolution)
+                    .expect("a relationship names pinned entries");
+                assert!(Arc::ptr_eq(&entry.spec.name.dataset, &f.dataset), "{f}");
+                assert!(Arc::ptr_eq(&entry.spec.name.function, &f.function), "{f}");
+            }
+        }
     }
 }
 
@@ -474,7 +509,7 @@ fn thresholds_over_a_store_without_field_blobs_is_a_typed_error() {
     let dp = build_framework(&corpus());
     let mut stripped = dp.index().unwrap().clone();
     for entry in &mut stripped.functions {
-        if entry.spec.dataset == "alpha" {
+        if &*entry.spec.name.dataset == "alpha" {
             entry.field = None;
         }
     }

@@ -107,7 +107,7 @@ fn pin_sequence(path: &Path) -> (Vec<(usize, String, Resolution)>, u64) {
             for entry in lazy.pin_for(std::slice::from_ref(query)).unwrap() {
                 pinned.push((
                     entry.dataset_index,
-                    entry.spec.name.clone(),
+                    entry.spec.name.function.to_string(),
                     entry.resolution,
                 ));
             }

@@ -273,9 +273,9 @@ fn sharded_sessions_identical_to_monolith_for_any_shard_count() {
 
 /// The warm stitch: a `class = extreme` sweep answered partly from the
 /// query cache — some of its pairs asked before under the same clause, so
-/// its answer merges runs named by earlier dispatches (the same names
-/// behind other `Arc`s) with runs this dispatch keyed — equals the cold
-/// sweep byte for byte, eager and lazy, at workers {1, 2, 4}. The spikes
+/// its answer merges runs cached by earlier dispatches with runs this
+/// dispatch keyed — equals the monolith's cold sweep byte for byte, eager,
+/// lazy and lazy over 3 shard files, at workers {1, 2, 4}. The spikes
 /// line up, so most pairs tie at |τ| = 1 and the names decide most places,
 /// and `alpha` is a prefix of two other data set names, so the `.` of
 /// `dataset.function` takes part: `alpha.b.*` sorts between `alpha.avg(…)`
@@ -293,6 +293,12 @@ fn a_partly_cached_extreme_sweep_equals_the_cold_sweep() {
     ];
     let dp = build_framework(&datasets, Cluster::local(1));
     Store::save(&path, dp.geometry(), dp.index().unwrap()).unwrap();
+    let catalog_path = tmp_path("warm-stitch-shards");
+    let mut cleanups = vec![Cleanup(catalog_path.clone())];
+    let catalog = shard_store(&path, &catalog_path, 3).unwrap();
+    for i in 0..3 {
+        cleanups.push(Cleanup(catalog.shard_path(&catalog_path, i)));
+    }
     let clause = Clause::default()
         .class(FeatureClass::Extreme)
         .permutations(20)
@@ -308,7 +314,13 @@ fn a_partly_cached_extreme_sweep_equals_the_cold_sweep() {
         .collect();
     for workers in [1, 2, 4] {
         let cluster = Cluster::local(workers);
-        for (mode, session) in session_matrix(&path, cluster) {
+        let (_, monolith) = session_matrix(&path, cluster).pop().unwrap();
+        assert_eq!(json(&monolith.query(&sweep).unwrap()), cold);
+        let mut sessions = session_matrix(&path, cluster);
+        let (_, sharded) = session_matrix(&catalog_path, cluster).pop().unwrap();
+        assert_eq!(sharded.n_shards(), 3);
+        sessions.push(("lazy × 3 shards", sharded));
+        for (mode, session) in sessions {
             let (warm, trace) = trace::record(|| {
                 for query in &earlier {
                     session.query(query).unwrap();
@@ -743,10 +755,10 @@ fn unit_seed(base: u64, e1: &FunctionEntry, e2: &FunctionEntry, class: FeatureCl
     let mut h = Fnv1a::new();
     h.write_u64(base);
     for name in [
-        &e1.spec.dataset,
-        &e1.spec.name,
-        &e2.spec.dataset,
-        &e2.spec.name,
+        &e1.spec.name.dataset,
+        &e1.spec.name.function,
+        &e2.spec.name.dataset,
+        &e2.spec.name.function,
     ] {
         h.write_str(name);
     }

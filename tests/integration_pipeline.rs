@@ -459,9 +459,9 @@ fn content_digest<'a>(entries: impl Iterator<Item = &'a FunctionEntry>) -> (u64,
     }
     let (mut hot, mut fields) = (Vec::new(), Vec::new());
     for e in entries {
-        let (spec, res) = (&e.spec, e.resolution.label());
+        let (name, res) = (&e.spec.name, e.resolution.label());
         hot.extend_from_slice(
-            format!("{}/{}/{:?}/{res}", spec.dataset, spec.name, spec.kind).as_bytes(),
+            format!("{}/{}/{:?}/{res}", name.dataset, name.function, e.spec.kind).as_bytes(),
         );
         let shape = [e.n_regions, e.start_bucket as usize, e.n_steps];
         put(&mut hot, shape.map(|n| n as u64));
