@@ -23,13 +23,15 @@
 //! vector token by token rather than from the length it declares.
 
 use crate::error::{Result, StoreError};
+use crate::format::SegmentInfo;
 use polygamy_core::index::FunctionEntry;
 use polygamy_core::{CityGeometry, FunctionSpec};
 use polygamy_stdata::{
-    AggregateKind, FunctionKind, GeoPoint, Polygon, Resolution, ScalarField, SpatialPartition,
-    SpatialResolution, TemporalResolution,
+    GeoPoint, Polygon, Resolution, ScalarField, SpatialPartition, SpatialResolution,
+    TemporalResolution,
 };
 use polygamy_topology::{BitVec, FeatureSet, FeatureSets};
+use std::sync::Arc;
 
 /// An append-only little-endian encoder.
 #[derive(Debug, Default)]
@@ -46,16 +48,6 @@ impl Enc {
     /// The encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Makes room for `additional` more bytes in one allocation.
@@ -75,11 +67,6 @@ impl Enc {
 
     /// Appends a `u64`.
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `i64`.
-    pub fn i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -146,7 +133,7 @@ impl<'a> Dec<'a> {
         Self { buf, pos: 0, what }
     }
 
-    fn corrupt(&self, detail: &str) -> StoreError {
+    pub(crate) fn corrupt(&self, detail: &str) -> StoreError {
         StoreError::Corrupt(format!("{}: {detail}", self.what))
     }
 
@@ -174,11 +161,6 @@ impl<'a> Dec<'a> {
     /// Reads a `u64`.
     pub fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    /// Reads an `i64`.
-    pub fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
     /// Reads an `f64` bit pattern.
@@ -241,6 +223,11 @@ impl<'a> Dec<'a> {
         Err(self.corrupt("varint longer than 10 bytes"))
     }
 
+    /// Reads a varint (see [`Dec::varint`]) narrowed to `usize`.
+    pub fn usize_varint(&mut self) -> Result<usize> {
+        usize::try_from(self.varint()?).map_err(|_| self.corrupt("length exceeds usize"))
+    }
+
     /// Consumes the one-byte varints (bytes under `0x80`) at the cursor, at
     /// most `max` of them, and returns them: eight at a time, which is what
     /// makes a literal stretch of small counts cheap to walk.
@@ -269,19 +256,9 @@ impl<'a> Dec<'a> {
         std::str::from_utf8(bytes).map_err(|_| self.corrupt("invalid utf-8 in string"))
     }
 
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// True when every byte has been consumed.
-    pub fn at_end(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
     /// Asserts full consumption — trailing garbage means corruption.
     pub fn finish(self) -> Result<()> {
-        if self.at_end() {
+        if self.pos == self.buf.len() {
             Ok(())
         } else {
             Err(self.corrupt("trailing bytes after structure"))
@@ -308,47 +285,6 @@ pub fn dec_resolution(d: &mut Dec<'_>) -> Result<Resolution> {
     let temporal = TemporalResolution::from_code(t)
         .ok_or_else(|| StoreError::Corrupt(format!("unknown temporal resolution code {t}")))?;
     Ok(Resolution::new(spatial, temporal))
-}
-
-fn enc_function_kind(e: &mut Enc, kind: FunctionKind) {
-    match kind {
-        FunctionKind::Density => e.u8(0),
-        FunctionKind::Unique => e.u8(1),
-        FunctionKind::Attribute { attr, agg } => {
-            e.u8(2);
-            e.usize(attr);
-            e.u8(agg.code());
-        }
-    }
-}
-
-fn dec_function_kind(d: &mut Dec<'_>) -> Result<FunctionKind> {
-    match d.u8()? {
-        0 => Ok(FunctionKind::Density),
-        1 => Ok(FunctionKind::Unique),
-        2 => {
-            let attr = d.usize()?;
-            let code = d.u8()?;
-            let agg = AggregateKind::from_code(code)
-                .ok_or_else(|| StoreError::Corrupt(format!("unknown aggregate code {code}")))?;
-            Ok(FunctionKind::Attribute { attr, agg })
-        }
-        t => Err(StoreError::Corrupt(format!(
-            "unknown function kind tag {t}"
-        ))),
-    }
-}
-
-/// Encodes a function spec.
-pub fn enc_spec(e: &mut Enc, spec: &FunctionSpec) {
-    e.str(&spec.name.dataset);
-    e.str(&spec.name.function);
-    enc_function_kind(e, spec.kind);
-}
-
-/// Decodes a function spec: where a stored entry's names are made.
-pub fn dec_spec(d: &mut Dec<'_>) -> Result<FunctionSpec> {
-    Ok(FunctionSpec::new(d.str()?, d.str()?, dec_function_kind(d)?))
 }
 
 /// Bit-vector token kinds, the low two bits of a token: a run of all-zero
@@ -856,59 +792,40 @@ pub fn validate_field(bytes: &[u8], n_vertices: usize, what: &str) -> Result<()>
 }
 
 /// Encodes one function entry as its two blobs: the *hot* blob every
-/// query reads (spec, shape, feature bit vectors) and, when the entry kept
-/// its scalar field, the *field* blob only `thresholds` clauses read.
+/// query reads (the four feature bit vectors) and, when the entry kept its
+/// scalar field, the *field* blob only `thresholds` clauses read.
 ///
-/// `dataset_index` is deliberately *not* part of either payload: it lives
-/// in the manifest's segment directory, so incremental upsert/remove can
-/// renumber data sets by rewriting only the manifest while copying blob
-/// bytes verbatim.
+/// What the entry *is* — data set, function, kind, resolution and window —
+/// is part of neither payload: it is the segment's directory record
+/// ([`SegmentInfo`]), so incremental upsert/remove can renumber data sets
+/// by rewriting only the manifest while copying blob bytes verbatim.
 pub fn encode_function_segment(entry: &FunctionEntry) -> (Vec<u8>, Option<Vec<u8>>) {
+    let mut hot = Enc::new();
+    enc_feature_sets(&mut hot, &entry.features);
     let field = entry.field.as_ref().map(|f| encode_field(&f.values));
-    (encode_hot(entry).0, field)
+    (hot.into_bytes(), field)
 }
 
-/// Encodes `entry`'s hot blob, and returns with it the length the blob
-/// would have with its four feature vectors as raw words — 8 bytes for the
-/// bit count and 8 per word, the store format 3 layout — which is what
-/// `store.save.hot_raw_bytes` counts.
-pub(crate) fn encode_hot(entry: &FunctionEntry) -> (Vec<u8>, usize) {
-    let mut e = Enc::new();
-    enc_spec(&mut e, &entry.spec);
-    enc_resolution(&mut e, entry.resolution);
-    e.usize(entry.n_regions);
-    e.i64(entry.start_bucket);
-    e.usize(entry.n_steps);
-    let raw_len = e.len() + 4 * 8 + entry.features.approx_bytes();
-    enc_feature_sets(&mut e, &entry.features);
-    (e.into_bytes(), raw_len)
-}
-
-/// Decodes one function entry from its hot blob and, when the caller
-/// fetched it, its field blob; `dataset_index` comes from the manifest's
-/// segment directory. Without `field` the entry decodes field-less — every
-/// clause except `thresholds` evaluates on it unchanged.
+/// Decodes the entry `info` records from its hot blob and, when fetched,
+/// its field blob (without, the entry is field-less: every clause but
+/// `thresholds` evaluates on it unchanged), named by the `Arc`s it is
+/// handed — data set `dataset_index`'s and the record's: it makes no name.
 pub fn decode_function_segment(
+    info: &SegmentInfo,
+    dataset_index: usize,
+    dataset: &Arc<str>,
     hot: &[u8],
     field: Option<&[u8]>,
-    dataset_index: usize,
     what: &str,
 ) -> Result<FunctionEntry> {
-    let mut d = Dec::new(hot, what);
-    let spec = dec_spec(&mut d)?;
-    let resolution = dec_resolution(&mut d)?;
-    let n_regions = d.usize()?;
-    let start_bucket = d.i64()?;
-    let n_steps = d.usize()?;
-    let n_vertices = n_regions
-        .checked_mul(n_steps)
-        .filter(|_| n_regions >= 1)
+    let n_vertices = (info.n_vertices())
         .ok_or_else(|| StoreError::Corrupt(format!("{what}: impossible entry shape")))?;
     // The bound every later allocation stands on: each vector must declare
     // `n_vertices` bits and grows only token by token, so once the four are
     // decoded `n_vertices` is a number 256 bytes per byte consumed have
     // spelled out — and the field decoder (8 bytes a vertex) allocates
     // under it.
+    let mut d = Dec::new(hot, what);
     let features = dec_feature_sets(&mut d, n_vertices)?;
     d.finish()?;
     // A field blob carries no shape of its own: it must hold exactly one
@@ -916,20 +833,20 @@ pub fn decode_function_segment(
     let field = match field {
         None => None,
         Some(bytes) => Some(ScalarField {
-            resolution,
-            n_regions,
-            start_bucket,
-            n_steps,
+            resolution: info.resolution,
+            n_regions: info.n_regions,
+            start_bucket: info.start_bucket,
+            n_steps: info.n_steps,
             values: decode_field(bytes, n_vertices, &format!("{what} field"))?,
         }),
     };
     Ok(FunctionEntry {
-        spec,
+        spec: FunctionSpec::new(Arc::clone(dataset), Arc::clone(&info.function), info.kind),
         dataset_index,
-        resolution,
-        n_regions,
-        start_bucket,
-        n_steps,
+        resolution: info.resolution,
+        n_regions: info.n_regions,
+        start_bucket: info.start_bucket,
+        n_steps: info.n_steps,
         features,
         field,
     })
@@ -1055,6 +972,7 @@ fn dec_partition(d: &mut Dec<'_>, slot: SpatialResolution) -> Result<SpatialPart
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polygamy_stdata::AggregateKind;
     use proptest::prelude::*;
 
     fn sample_entry(with_field: bool, n_regions: usize, n_steps: usize) -> FunctionEntry {
@@ -1098,22 +1016,28 @@ mod tests {
         }
     }
 
-    fn decode(blobs: &(Vec<u8>, Option<Vec<u8>>)) -> Result<FunctionEntry> {
-        decode_function_segment(&blobs.0, blobs.1.as_deref(), 4, "test")
+    /// Decodes `entry`'s blobs against its own directory record.
+    fn decode(entry: &FunctionEntry, hot: &[u8], field: Option<&[u8]>) -> Result<FunctionEntry> {
+        let info = SegmentInfo::of(entry);
+        decode_function_segment(&info, 4, &entry.spec.name.dataset, hot, field, "test")
     }
 
     /// Round trip: decode(encode(x)) re-encodes to the identical bytes
     /// (which covers the field's NaNs through their bit patterns), and the
-    /// hot blob alone decodes to the entry itself without its field.
+    /// hot blob alone decodes to the entry itself without its field — named
+    /// by the very `Arc`s it was handed.
     #[test]
     fn segment_roundtrip_bytes() {
         for (with_field, nr, ns) in [(true, 3, 50), (false, 1, 200), (true, 1, 1)] {
             let entry = sample_entry(with_field, nr, ns);
-            let blobs = encode_function_segment(&entry);
-            assert_eq!(blobs.1.is_some(), with_field);
-            let back = decode(&blobs).unwrap();
-            assert_eq!(encode_function_segment(&back), blobs);
-            let hot_only = decode_function_segment(&blobs.0, None, 4, "test").unwrap();
+            let (hot, field) = encode_function_segment(&entry);
+            assert_eq!(field.is_some(), with_field);
+            let back = decode(&entry, &hot, field.as_deref()).unwrap();
+            assert_eq!(encode_function_segment(&back), (hot.clone(), field));
+            let hot_only = decode(&entry, &hot, None).unwrap();
+            let (name, decoded) = (&entry.spec.name, &hot_only.spec.name);
+            assert!(Arc::ptr_eq(&name.dataset, &decoded.dataset));
+            assert!(Arc::ptr_eq(&name.function, &decoded.function));
             assert_eq!(
                 hot_only,
                 FunctionEntry {
@@ -1126,17 +1050,18 @@ mod tests {
 
     #[test]
     fn truncated_segment_is_corrupt_not_panic() {
-        let (hot, field) = encode_function_segment(&sample_entry(true, 2, 30));
+        let entry = sample_entry(true, 2, 30);
+        let (hot, field) = encode_function_segment(&entry);
         let field = field.unwrap();
         for cut in [0, 1, 7, hot.len() / 2, hot.len() - 1] {
-            let err = decode_function_segment(&hot[..cut], Some(&field), 0, "test").unwrap_err();
+            let err = decode(&entry, &hot[..cut], Some(&field)).unwrap_err();
             assert!(
                 matches!(err, StoreError::Corrupt(_)),
                 "cut at {cut} gave {err:?}"
             );
         }
         for cut in [0, 8, field.len() - 1] {
-            let err = decode_function_segment(&hot, Some(&field[..cut]), 0, "test").unwrap_err();
+            let err = decode(&entry, &hot, Some(&field[..cut])).unwrap_err();
             assert!(
                 matches!(err, StoreError::Corrupt(_)),
                 "field cut at {cut} gave {err:?}"
@@ -1149,24 +1074,53 @@ mod tests {
         // A field blob carries no shape: one holding fewer (or more) values
         // than its entry has vertices must decode to Corrupt, not pass and
         // panic later during slicing.
-        let mut entry = sample_entry(true, 2, 30);
-        entry.field.as_mut().unwrap().values.truncate(2 * 10);
-        assert!(matches!(
-            decode(&encode_function_segment(&entry)),
-            Err(StoreError::Corrupt(_))
-        ));
-        entry.field.as_mut().unwrap().values.resize(2 * 30 + 1, 0.0);
-        assert!(matches!(
-            decode(&encode_function_segment(&entry)),
-            Err(StoreError::Corrupt(_))
-        ));
+        let entry = sample_entry(true, 2, 30);
+        let hot = encode_function_segment(&entry).0;
+        for n in [2 * 10, 2 * 30 + 1] {
+            let mut values = entry.field.as_ref().unwrap().values.clone();
+            values.resize(n, 0.0);
+            assert!(matches!(
+                decode(&entry, &hot, Some(&encode_field(&values))),
+                Err(StoreError::Corrupt(_))
+            ));
+        }
+    }
+
+    /// A window other than the one the vectors were encoded over is refused
+    /// at the first vector's bit count, and one no entry has before it.
+    #[test]
+    fn a_hot_blob_decodes_only_under_its_own_window() {
+        let entry = sample_entry(false, 2, 30);
+        let hot = encode_function_segment(&entry).0;
+        for (n_regions, n_steps) in [(3, 21), (1, 59), (2, 31), (0, 30), (2, usize::MAX)] {
+            let info = SegmentInfo {
+                n_regions,
+                n_steps,
+                ..SegmentInfo::of(&entry)
+            };
+            let err =
+                decode_function_segment(&info, 4, &entry.spec.name.dataset, &hot, None, "test")
+                    .unwrap_err();
+            let refused = [
+                "test: salient.pos covers 60 bits",
+                "test: impossible entry shape",
+            ];
+            assert!(
+                matches!(&err, StoreError::Corrupt(m) if refused.iter().any(|r| m.starts_with(r))),
+                "{n_regions} × {n_steps}: {err:?}"
+            );
+        }
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut blobs = encode_function_segment(&sample_entry(false, 1, 10));
-        blobs.0.push(0);
-        assert!(matches!(decode(&blobs), Err(StoreError::Corrupt(_))));
+        let entry = sample_entry(false, 1, 10);
+        let mut hot = encode_function_segment(&entry).0;
+        hot.push(0);
+        assert!(matches!(
+            decode(&entry, &hot, None),
+            Err(StoreError::Corrupt(_))
+        ));
     }
 
     fn bits(values: &[f64]) -> Vec<u64> {
@@ -1487,7 +1441,7 @@ mod tests {
         #[test]
         fn primitives_roundtrip(
             a in 0u64..u64::MAX,
-            b in i64::MIN..i64::MAX,
+            b in prop_oneof![Just(u64::MAX), Just(0x80), 0u64..u64::MAX],
             c in 0u32..u32::MAX,
             d_ in 0u8..u8::MAX,
             f_bits in 0u64..u64::MAX,
@@ -1495,14 +1449,14 @@ mod tests {
             let f = f64::from_bits(f_bits);
             let mut e = Enc::new();
             e.u64(a);
-            e.i64(b);
+            e.varint(b);
             e.u32(c);
             e.u8(d_);
             e.f64(f);
             let bytes = e.into_bytes();
             let mut d = Dec::new(&bytes, "prop");
             prop_assert_eq!(d.u64().unwrap(), a);
-            prop_assert_eq!(d.i64().unwrap(), b);
+            prop_assert_eq!(d.varint().unwrap(), b);
             prop_assert_eq!(d.u32().unwrap(), c);
             prop_assert_eq!(d.u8().unwrap(), d_);
             prop_assert_eq!(d.f64().unwrap().to_bits(), f.to_bits());
@@ -1581,7 +1535,7 @@ mod tests {
                 field.values[0] = f64::from_bits(seed);
             }
             let blobs = encode_function_segment(&entry);
-            let back = decode(&blobs).unwrap();
+            let back = decode(&entry, &blobs.0, blobs.1.as_deref()).unwrap();
             prop_assert_eq!(encode_function_segment(&back), blobs);
         }
     }

@@ -79,6 +79,24 @@ impl fmt::Display for StoreError {
     }
 }
 
+impl StoreError {
+    /// This error with `label` put before what it names: how a read that
+    /// formats no label while it succeeds names its segment once it fails.
+    pub(crate) fn labelled(self, label: &str) -> Self {
+        let labelled = |what: String| label.to_owned() + &what;
+        match self {
+            StoreError::Truncated { what } => StoreError::Truncated {
+                what: labelled(what),
+            },
+            StoreError::ChecksumMismatch { what } => StoreError::ChecksumMismatch {
+                what: labelled(what),
+            },
+            StoreError::Corrupt(msg) => StoreError::Corrupt(labelled(msg)),
+            other => other,
+        }
+    }
+}
+
 impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {

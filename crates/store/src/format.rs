@@ -8,7 +8,7 @@
 //! ├──────────────────────────────────────────────────────────────┤
 //! │ geometry blob (partitions, LE codec, checksummed)            │
 //! ├──────────────────────────────────────────────────────────────┤
-//! │ hot blob 0 (one FunctionEntry minus its field, checksummed)  │
+//! │ hot blob 0 (one entry's four feature vectors, checksummed)   │
 //! │ hot blob 1                                                   │
 //! │ …                                                            │
 //! ├──────────────────────────────────────────────────────────────┤
@@ -18,6 +18,8 @@
 //! ├──────────────────────────────────────────────────────────────┤
 //! │ manifest (LE codec):                                         │
 //! │   geometry location · dataset catalog · segment directory    │
+//! │   (per segment: data set, function, kind, resolution, window │
+//! │    and where its blobs are)                                  │
 //! └──────────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -30,8 +32,9 @@
 
 use crate::codec::{dec_resolution, enc_resolution, Dec, Enc};
 use crate::error::{Result, StoreError};
-use polygamy_core::index::DatasetEntry;
-use polygamy_stdata::{DatasetMeta, Resolution, SpatialResolution, TemporalResolution};
+use polygamy_core::index::{DatasetEntry, FunctionEntry};
+use polygamy_stdata::{AggregateKind, DatasetMeta, FunctionKind, Resolution};
+use std::sync::Arc;
 
 /// File magic: identifies a polygamy store.
 pub const MAGIC: [u8; 8] = *b"PLGYSTOR";
@@ -39,11 +42,10 @@ pub const MAGIC: [u8; 8] = *b"PLGYSTOR";
 /// Current format version. Bump whenever the codec's byte stream, the
 /// clause fingerprint derivation, the segment layout or the meaning of a
 /// stored bit changes; readers reject other versions with a typed error
-/// instead of guessing. Version 8 writes the geometry blob in the binary
-/// codec (version 7's was JSON text); version 7 hot blobs already ended
-/// with the feature bit vectors, where version 6 stored the seasonal
-/// thresholds after them.
-pub const VERSION: u32 = 8;
+/// instead of guessing. Version 9 hot blobs are the four feature vectors
+/// alone, the directory record the one record of what a segment is
+/// (version 8's hot blobs began with spec, resolution and window again).
+pub const VERSION: u32 = 9;
 
 /// Fixed header length in bytes.
 pub const HEADER_LEN: u64 = 40;
@@ -105,7 +107,7 @@ impl Header {
 }
 
 /// Location of one checksummed byte range within the file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlobLoc {
     /// Byte offset from the start of the file.
     pub offset: u64,
@@ -115,27 +117,66 @@ pub struct BlobLoc {
     pub checksum: u64,
 }
 
-/// Directory entry for one function segment: its hot blob and, when the
-/// function was indexed with its scalar field, its field blob.
+/// Directory record of one function segment, the one record of what it is
+/// (data set, function, kind, resolution, window), and where its hot blob
+/// and, if the function was indexed with its scalar field, field blob live.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentInfo {
     /// Catalog index of the owning data set. Lives here — not in the
     /// segment payload — so maintenance can renumber data sets without
     /// rewriting segment bytes.
     pub dataset_index: usize,
-    /// Function name (`"density"`, `"avg(fare)"`, …) for filtering and
-    /// inspection without decoding the payload.
-    pub function: String,
+    /// Function name (`"density"`, `"avg(fare)"`, …), made once per data set
+    /// and function at decode, and shared by every entry decoded from it.
+    pub function: Arc<str>,
+    /// What the function computes.
+    pub kind: FunctionKind,
     /// Resolution of the entry, for selective loading.
     pub resolution: Resolution,
+    /// Spatial regions of the entry's window (at least one).
+    pub n_regions: usize,
+    /// First temporal bucket of the window (global numbering).
+    pub start_bucket: i64,
+    /// Time steps of the window.
+    pub n_steps: usize,
     /// Where the hot blob lives — the payload every query over this
-    /// function reads: spec, shape, feature bit vectors.
+    /// function reads: its four feature bit vectors.
     pub loc: BlobLoc,
     /// Where the field blob (the `n_regions × n_steps` scalar values)
     /// lives, if the function was indexed with its field. Read only for
     /// data sets a query's `thresholds` clause names.
     pub field: Option<BlobLoc>,
 }
+
+impl SegmentInfo {
+    /// The directory record of `entry`, its blobs not placed yet.
+    pub fn of(entry: &FunctionEntry) -> Self {
+        Self {
+            dataset_index: entry.dataset_index,
+            function: Arc::clone(&entry.spec.name.function),
+            kind: entry.spec.kind,
+            resolution: entry.resolution,
+            n_regions: entry.n_regions,
+            start_bucket: entry.start_bucket,
+            n_steps: entry.n_steps,
+            loc: BlobLoc::default(),
+            field: None,
+        }
+    }
+
+    /// The window's `n_regions × n_steps` vertices (a bit or value each), or
+    /// `None` for a window no entry has: no region, or a product past `usize`.
+    pub fn n_vertices(&self) -> Option<usize> {
+        (self.n_regions.checked_mul(self.n_steps)).filter(|_| self.n_regions >= 1)
+    }
+}
+
+/// The fewest bytes a catalog entry encodes to (two empty strings, two codes,
+/// three counts): what a count of them is bounded by before it allocates.
+pub(crate) const MIN_DATASET_ENTRY_LEN: usize = 8 + 2 + 8 + 3 * 8;
+
+/// The fewest bytes a directory record encodes to (see [`enc_segment`]).
+const MIN_SEGMENT_RECORD_LEN: usize = 8 + 8 + 1 + 2 + 3 + 3 * 8 + 1;
 
 /// The store manifest: everything needed to route reads, loaded in one
 /// cheap tail read.
@@ -189,17 +230,7 @@ impl Manifest {
         }
         e.usize(self.segments.len());
         for s in &self.segments {
-            e.usize(s.dataset_index);
-            e.str(&s.function);
-            enc_resolution(&mut e, s.resolution);
-            enc_blob_loc(&mut e, s.loc);
-            match s.field {
-                None => e.u8(0),
-                Some(loc) => {
-                    e.u8(1);
-                    enc_blob_loc(&mut e, loc);
-                }
-            }
+            enc_segment(&mut e, s);
         }
         e.into_bytes()
     }
@@ -208,41 +239,30 @@ impl Manifest {
     pub fn decode(bytes: &[u8]) -> Result<Self> {
         let mut d = Dec::new(bytes, "manifest");
         let geometry = dec_blob_loc(&mut d)?;
-        let n = d.seq_len(1)?;
+        let n = d.seq_len(MIN_DATASET_ENTRY_LEN)?;
         let mut datasets = Vec::with_capacity(n);
         for _ in 0..n {
             datasets.push(dec_dataset_entry(&mut d)?);
         }
-        let n = d.seq_len(1)?;
+        let n = d.seq_len(MIN_SEGMENT_RECORD_LEN)?;
         let mut segments = Vec::with_capacity(n);
         for _ in 0..n {
-            let dataset_index = d.usize()?;
-            let function = d.str()?.to_owned();
-            let resolution = dec_resolution(&mut d)?;
-            let loc = dec_blob_loc(&mut d)?;
-            let field = match d.u8()? {
-                0 => None,
-                1 => Some(dec_blob_loc(&mut d)?),
-                t => {
-                    return Err(StoreError::Corrupt(format!(
-                        "segment {function}: unknown field presence tag {t}"
-                    )))
-                }
-            };
-            if dataset_index >= datasets.len() {
+            let s = dec_segment(&mut d, &segments)?;
+            if s.dataset_index >= datasets.len() {
                 return Err(StoreError::Corrupt(format!(
-                    "segment {function} references data set {dataset_index} \
-                     beyond the {}-entry catalog",
+                    "segment {} references data set {} beyond the {}-entry catalog",
+                    s.function,
+                    s.dataset_index,
                     datasets.len()
                 )));
             }
-            segments.push(SegmentInfo {
-                dataset_index,
-                function,
-                resolution,
-                loc,
-                field,
-            });
+            if s.n_vertices().is_none() {
+                return Err(StoreError::Corrupt(format!(
+                    "segment {}: impossible window of {} region(s) × {} step(s)",
+                    s.function, s.n_regions, s.n_steps
+                )));
+            }
+            segments.push(s);
         }
         d.finish()?;
         Ok(Self {
@@ -282,19 +302,13 @@ pub(crate) fn enc_dataset_entry(e: &mut Enc, entry: &DatasetEntry) {
 /// Decodes one catalog entry (see [`enc_dataset_entry`]).
 pub(crate) fn dec_dataset_entry(d: &mut Dec<'_>) -> Result<DatasetEntry> {
     let name = d.str()?.to_owned();
-    let s = d.u8()?;
-    let t = d.u8()?;
-    let spatial_resolution = SpatialResolution::from_code(s)
-        .ok_or_else(|| StoreError::Corrupt(format!("unknown spatial resolution code {s}")))?;
-    let temporal_resolution = TemporalResolution::from_code(t)
-        .ok_or_else(|| StoreError::Corrupt(format!("unknown temporal resolution code {t}")))?;
-    let description = d.str()?.to_owned();
+    let resolution = dec_resolution(d)?;
     Ok(DatasetEntry {
         meta: DatasetMeta {
             name,
-            spatial_resolution,
-            temporal_resolution,
-            description,
+            spatial_resolution: resolution.spatial,
+            temporal_resolution: resolution.temporal,
+            description: d.str()?.to_owned(),
         },
         n_records: d.usize()?,
         raw_bytes: d.usize()?,
@@ -302,9 +316,73 @@ pub(crate) fn dec_dataset_entry(d: &mut Dec<'_>) -> Result<DatasetEntry> {
     })
 }
 
+/// Encodes one directory record: `u64 dataset_index · str function · kind
+/// · resolution · LEB128 n_regions · zigzag LEB128 start_bucket · LEB128
+/// n_steps · loc · 0x00 | 0x01 loc` (the last, the field blob's).
+fn enc_segment(e: &mut Enc, s: &SegmentInfo) {
+    e.usize(s.dataset_index);
+    e.str(&s.function);
+    match s.kind {
+        FunctionKind::Density => e.u8(0),
+        FunctionKind::Unique => e.u8(1),
+        FunctionKind::Attribute { attr, agg } => {
+            e.u8(2);
+            e.varint(attr as u64);
+            e.u8(agg.code());
+        }
+    }
+    enc_resolution(e, s.resolution);
+    e.varint(s.n_regions as u64);
+    // Zigzag (0, −1, 1, −2, … as 0, 1, 2, 3, …): short for either sign.
+    e.varint(((s.start_bucket << 1) ^ (s.start_bucket >> 63)) as u64);
+    e.varint(s.n_steps as u64);
+    enc_blob_loc(e, s.loc);
+    e.u8(u8::from(s.field.is_some()));
+    s.field.into_iter().for_each(|loc| enc_blob_loc(e, loc));
+}
+
+/// Decodes one directory record (see [`enc_segment`]). A function's records
+/// lie one resolution (a data set's spec count) apart, so a name one of the
+/// last 64 `earlier` records of its data set holds is shared, not made
+/// again — as the build's entries share it — at a bounded cost a record.
+fn dec_segment(d: &mut Dec<'_>, earlier: &[SegmentInfo]) -> Result<SegmentInfo> {
+    let dataset_index = d.usize()?;
+    let name = d.str()?;
+    let mut same_dataset =
+        (earlier.iter().rev().take(64)).take_while(|s| s.dataset_index == dataset_index);
+    Ok(SegmentInfo {
+        dataset_index,
+        function: match same_dataset.find(|s| *s.function == *name) {
+            Some(s) => Arc::clone(&s.function),
+            None => name.into(),
+        },
+        kind: match d.u8()? {
+            0 => FunctionKind::Density,
+            1 => FunctionKind::Unique,
+            2 => FunctionKind::Attribute {
+                attr: d.usize_varint()?,
+                agg: (d.u8().map(AggregateKind::from_code)?)
+                    .ok_or_else(|| d.corrupt("unknown aggregate code"))?,
+            },
+            t => return Err(d.corrupt(&format!("unknown function kind tag {t}"))),
+        },
+        resolution: dec_resolution(d)?,
+        n_regions: d.usize_varint()?,
+        start_bucket: d.varint().map(|z| (z >> 1) as i64 ^ -((z & 1) as i64))?,
+        n_steps: d.usize_varint()?,
+        loc: dec_blob_loc(d)?,
+        field: match d.u8()? {
+            0 => None,
+            1 => Some(dec_blob_loc(d)?),
+            t => return Err(d.corrupt(&format!("unknown field presence tag {t}"))),
+        },
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polygamy_stdata::{SpatialResolution, TemporalResolution};
 
     fn sample_manifest() -> Manifest {
         Manifest {
@@ -327,7 +405,11 @@ mod tests {
             segments: vec![SegmentInfo {
                 dataset_index: 0,
                 function: "density".into(),
+                kind: FunctionKind::Density,
                 resolution: Resolution::new(SpatialResolution::City, TemporalResolution::Hour),
+                n_regions: 1,
+                start_bucket: -5,
+                n_steps: 200,
                 loc: BlobLoc {
                     offset: 140,
                     len: 512,
@@ -388,6 +470,95 @@ mod tests {
         assert_eq!(Manifest::decode(&m.encode()).unwrap(), m);
         m.segments[0].field = None;
         assert_eq!(Manifest::decode(&m.encode()).unwrap(), m);
+        let kinds = [
+            FunctionKind::Unique,
+            FunctionKind::Attribute {
+                attr: 300,
+                agg: AggregateKind::Max,
+            },
+        ];
+        let windows = [
+            (1, i64::MIN, usize::MAX),
+            (7, -1, 0),
+            (usize::MAX, i64::MAX, 1),
+        ];
+        for (kind, (n_regions, start_bucket, n_steps)) in kinds.into_iter().cycle().zip(windows) {
+            m.segments[0] = SegmentInfo {
+                kind,
+                n_regions,
+                start_bucket,
+                n_steps,
+                ..m.segments[0].clone()
+            };
+            assert_eq!(Manifest::decode(&m.encode()).unwrap(), m);
+        }
+    }
+
+    /// A function's records, at every resolution, share one name `Arc`:
+    /// a decode makes a name once per data set and function.
+    #[test]
+    fn a_functions_records_share_one_name() {
+        let mut m = sample_manifest();
+        let daily = Resolution::new(SpatialResolution::City, TemporalResolution::Day);
+        let unique = SegmentInfo {
+            function: "unique".into(),
+            ..m.segments[0].clone()
+        };
+        let density_daily = SegmentInfo {
+            resolution: daily,
+            ..m.segments[0].clone()
+        };
+        m.segments.extend([unique, density_daily]);
+        let decoded = Manifest::decode(&m.encode()).unwrap();
+        assert_eq!(decoded, m);
+        let [density, unique, density_daily] = [0, 1, 2].map(|i| &decoded.segments[i].function);
+        assert!(Arc::ptr_eq(density, density_daily) && !Arc::ptr_eq(density, unique));
+    }
+
+    /// The bytes of one directory record (`docs/store-format.md` lists the
+    /// same): they may only change together with [`VERSION`].
+    #[test]
+    fn directory_record_bytes_are_pinned() {
+        let mut m = sample_manifest();
+        m.segments[0].kind = FunctionKind::Attribute {
+            attr: 2,
+            agg: AggregateKind::Mean,
+        };
+        let no_segments = Manifest {
+            segments: Vec::new(),
+            ..m.clone()
+        };
+        let u64_le = |v: u64| v.to_le_bytes();
+        let expected: [&[u8]; 12] = [
+            &u64_le(0),                                // data set 0
+            &u64_le(7),                                // a name of 7 bytes
+            b"density",                                //
+            &[0x02, 0x02, AggregateKind::Mean.code()], // attribute 2, mean
+            &[0x03, 0x00],                             // (city, hour)
+            &[0x01, 0x09, 0xC8, 0x01],                 // 1 region, bucket -5, 200 steps
+            &u64_le(140),                              // hot blob: offset,
+            &u64_le(512),                              // length,
+            &u64_le(99),                               // checksum
+            &[0x01],                                   // a field blob:
+            &[u64_le(652), u64_le(4_096)].concat(),    // offset, length,
+            &u64_le(3),                                // checksum
+        ];
+        let bytes = m.encode();
+        assert_eq!(bytes[no_segments.encode().len()..], expected.concat());
+    }
+
+    #[test]
+    fn manifest_rejects_a_window_no_entry_has() {
+        for (n_regions, n_steps) in [(0, 10), (0, 0), (2, usize::MAX), (usize::MAX, 2)] {
+            let mut m = sample_manifest();
+            m.segments[0].n_regions = n_regions;
+            m.segments[0].n_steps = n_steps;
+            let err = Manifest::decode(&m.encode()).unwrap_err();
+            assert!(
+                matches!(&err, StoreError::Corrupt(msg) if msg.starts_with("segment density: impossible window")),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

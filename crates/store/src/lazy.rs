@@ -8,10 +8,11 @@
 //! O(header + manifest) per file and materializes function segments on
 //! first touch:
 //!
-//! * **hot blobs by default, field blobs by clause** — a directory entry
-//!   names two checksummed blobs ([`crate::format::SegmentInfo`]): the hot
-//!   one (spec, shape, features) every query over the function
-//!   reads, and the scalar field only `thresholds` clauses read. A fault
+//! * **hot blobs by default, field blobs by clause** — a directory record
+//!   ([`crate::format::SegmentInfo`]) says what a segment is (data set,
+//!   function, kind, resolution, window) and names two checksummed blobs:
+//!   the hot one (the features) every query over the function reads, and
+//!   the scalar field only `thresholds` clauses read. A fault
 //!   fetches the field blob only for data sets the query's `thresholds`
 //!   clause names; every other fault never touches field bytes;
 //! * **pair-exact faulting** — before evaluation, the executor's plan
@@ -27,8 +28,8 @@
 //!   reads the one (week, city) blob of each side, not the hourly ones.
 //!   The bound is exact in data set × resolution and still loose in time:
 //!   two entries at a shared resolution whose time windows do not overlap
-//!   are read and then skipped by the executor (the windows are in the
-//!   blobs, not in the directory). A cached pair pins nothing.
+//!   are read and then skipped by the executor (the pin does not read the
+//!   directory's windows). A cached pair pins nothing.
 //!   `store.pin.segments` and `store.pin.skipped` in a query's trace say
 //!   what a pin read and what naming the missed pairs' data sets alone
 //!   would have added;
@@ -55,9 +56,9 @@
 //!   keeps serving. A monolith's one file must open, so its open errors
 //!   propagate unchanged; files that open must carry the same geometry
 //!   blob (length and checksum), or the open fails;
-//! * **blobs that match their directory** — a hot blob naming another
-//!   function, resolution or data set than its directory entry is
-//!   [`StoreError::Corrupt`], at the eager open and the fault alike.
+//! * **names made at open** — a decoded entry, eager or faulted, holds its
+//!   data set's one name `Arc` (made when the index opens) and its
+//!   directory record's function name: a decode makes no name.
 //!
 //! Corruption surfaces *at query time*, only for queries whose footprint
 //! touches the corrupt segment — opening the store and querying other data
@@ -175,6 +176,8 @@ pub struct LazyIndex {
     /// Global catalog, data set → file assignment and file names; a
     /// monolith gets the trivial one-file layout.
     catalog: ShardCatalog,
+    /// Per catalog data set, the one name `Arc` its decoded entries hold.
+    names: Vec<Arc<str>>,
     /// Per file: the open store, or the recorded open-failure reason.
     files: Vec<std::result::Result<OpenFile, String>>,
     /// Every segment of every open file in global directory order — data
@@ -251,6 +254,9 @@ impl LazyIndex {
         // monolith's directory (already grouped by data set) is unchanged.
         directory.sort_by_key(|e| e.dataset);
         let index = Self {
+            names: (catalog.datasets.iter())
+                .map(|d| d.meta.name.as_str().into())
+                .collect(),
             verified: directory
                 .iter()
                 .map(|_| [UNVERIFIED, UNVERIFIED].map(AtomicU8::new))
@@ -362,47 +368,39 @@ impl LazyIndex {
     /// before anything is read.
     pub fn pin_for(&self, queries: &[RelationshipQuery]) -> Result<Vec<Arc<FunctionEntry>>> {
         self.require_named(queries)?;
-        self.pin_plan(&QueryPlan::new(self.catalog(), None, queries)?)
+        let plan = QueryPlan::new(self.catalog(), None, queries)?;
+        Ok(self.pin_plan(&plan, false)?.into_iter().flatten().collect())
     }
 
-    /// Faults in every segment the misses of `plan` can touch, returning
-    /// the decoded entries in directory (canonical) order.
+    /// Faults in, per directory entry, every segment the misses of `plan`
+    /// can touch (`None` for the others) — or, `fields_only`, what an eager
+    /// session adds to its resident hot-only entries: only those a
+    /// `thresholds` clause of a miss reads.
     ///
-    /// This is the serving path's page-in step: the returned entries back
-    /// an [`polygamy_core::IndexView`] whose expansion order — and
-    /// therefore whose output — is byte-identical to an eager load's and
-    /// the same for any shard count, because all enumerate the one global
-    /// directory in order. What a miss can touch is the segments of either
-    /// side of its pair at a resolution its clause admits and the *other*
-    /// side also has; entries of data sets the clause's `thresholds` names
-    /// come with their scalar field (its only reader is the operator's
-    /// threshold override), all others are pinned field-less. A pair the
+    /// This is the serving path's page-in step: the entries back an
+    /// [`polygamy_core::IndexView`] whose expansion order — and therefore
+    /// whose output — is byte-identical to an eager load's and the same for
+    /// any shard count, because all enumerate the one global directory in
+    /// order. What a miss can touch is the segments of either side of its
+    /// pair at a resolution its clause admits and the *other* side also
+    /// has; entries of data sets the clause's `thresholds` names come with
+    /// their scalar field (its only reader is the operator's threshold
+    /// override), all others are pinned field-less — through the same
+    /// verdicts and the same bounded decode cache, eager or lazy. A pair the
     /// query cache answered pins nothing, so a batch answered from the
     /// cache alone reads, faults and pins nothing.
-    pub(crate) fn pin_plan(&self, plan: &QueryPlan<'_>) -> Result<Vec<Arc<FunctionEntry>>> {
-        let footprint = self.footprint(plan);
-        let mut hits = 0;
-        let pinned = (footprint.iter().enumerate())
-            .filter_map(|(i, n)| n.map(|with_field| self.entry(i, with_field, &mut hits)))
-            .collect();
-        count(names::STORE_SEGMENT_CACHE_HITS, hits);
-        pinned
-    }
-
-    /// What an eager session adds to its resident hot-only entries for
-    /// `plan`: per segment, in [`LazyIndex::load`]'s order, the entry with
-    /// its scalar field where a `thresholds` clause of a miss can reach
-    /// it — faulted like any lazy pin, through the same verdicts and the
-    /// same bounded decode cache.
-    pub(crate) fn pin_fields_for(
+    pub(crate) fn pin_plan(
         &self,
         plan: &QueryPlan<'_>,
+        fields_only: bool,
     ) -> Result<Vec<Option<Arc<FunctionEntry>>>> {
         let footprint = self.footprint(plan);
         let mut hits = 0;
-        let pinned = (footprint.iter().enumerate())
+        let pinned = (footprint.into_iter().enumerate())
             .map(|(i, n)| match n {
-                Some(true) => self.entry(i, true, &mut hits).map(Some),
+                Some(with_field) if with_field || !fields_only => {
+                    self.entry(i, with_field, &mut hits).map(Some)
+                }
                 _ => Ok(None),
             })
             .collect();
@@ -509,51 +507,39 @@ impl LazyIndex {
         Ok(decoded)
     }
 
-    /// The one "read → verify → decode → check against the directory"
-    /// step behind lazy faults and the eager open alike ([`Read`] says
-    /// which, and what becomes of the field blob). Only faults bump the
-    /// fault and verification counters, so an eager open leaves them
-    /// describing demand paging.
+    /// The one "read → verify → decode" step behind lazy faults and the
+    /// eager open alike ([`Read`] says which, and what becomes of the field
+    /// blob). Only faults bump the fault and verification counters, so an
+    /// eager open leaves them describing demand paging. The segment's label
+    /// is formatted only for an error: a read that succeeds makes no name.
     fn read_entry(&self, seg_index: usize, read: Read) -> Result<FunctionEntry> {
         let entry = &self.directory[seg_index];
         let (file, info) = self.locate(entry)?;
-        let what = file.store.segment_label(info);
         let [hot_verdict, field_verdict] = &self.verified[seg_index];
         let faulting = matches!(read, Read::Fault { .. });
-        let hot = read_blob(file, info.loc, hot_verdict, &what, faulting)?;
+        let label = |e: StoreError| e.labelled(&file.store.segment_label(info));
+        let hot = read_blob(file, info.loc, hot_verdict, "", faulting).map_err(label)?;
         let wanted = !matches!(read, Read::Fault { with_field: false });
-        let (field, field_what) = match info.field.filter(|_| wanted) {
-            None => (None, String::new()),
+        let field = match info.field.filter(|_| wanted) {
+            None => None,
             Some(loc) => {
-                let field_what = format!("{what} field");
-                let field = read_blob(file, loc, field_verdict, &field_what, faulting)?;
+                let field = read_blob(file, loc, field_verdict, " field", faulting);
+                let field = field.map_err(label)?;
                 count(names::STORE_FIELD_BYTES_FETCHED, loc.len);
                 if faulting {
                     count(names::STORE_FIELD_FAULTS, 1);
                 }
-                (Some(field), field_what)
+                Some(field)
             }
         };
         // A fault decodes the field into the entry; the open only walks it.
         let to_decode = field.as_deref().filter(|_| faulting);
-        let decoded = decode_function_segment(&hot, to_decode, entry.dataset, &what)?;
-        // The pin picks segments by the directory's resolution and expansion
-        // pairs them by the blob's: a file re-sealed over a disagreement must
-        // not answer differently eager and lazy.
-        let dataset = &self.catalog.datasets[entry.dataset].meta.name;
-        let name = &decoded.spec.name;
-        if (&*name.function, decoded.resolution, &*name.dataset)
-            != (info.function.as_str(), info.resolution, dataset.as_str())
-        {
-            return Err(StoreError::Corrupt(format!(
-                "{what}: the blob holds {name} at {}, not {dataset}.{} at {}",
-                decoded.resolution.label(),
-                info.function,
-                info.resolution.label()
-            )));
-        }
+        let name = &self.names[entry.dataset];
+        let decoded = decode_function_segment(info, entry.dataset, name, &hot, to_decode, "");
+        let decoded = decoded.map_err(label)?;
         if let Some(field) = field.filter(|_| !faulting) {
-            validate_field(&field, decoded.n_regions * decoded.n_steps, &field_what)?;
+            let n_vertices = decoded.n_regions * decoded.n_steps;
+            validate_field(&field, n_vertices, " field").map_err(label)?;
         }
         Ok(decoded)
     }
@@ -565,7 +551,7 @@ impl LazyIndex {
     /// segment on this index's pool and come back in directory order; a
     /// failure is the first failing segment's in that order. The entries
     /// come back field-less: a session serves `thresholds` clauses through
-    /// [`LazyIndex::pin_fields_for`]. Every file must be available.
+    /// [`LazyIndex::pin_plan`]. Every file must be available.
     pub(crate) fn load(&self) -> Result<PolygamyIndex> {
         let datasets = &self.catalog.datasets;
         self.require_files_of(0..datasets.len())?;

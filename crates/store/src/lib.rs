@@ -7,7 +7,7 @@
 //! form and served from then on by concurrent read sessions — no rebuild on
 //! restart, no raw data at query time.
 //!
-//! ## On-disk format (version 8)
+//! ## On-disk format (version 9)
 //!
 //! The normative specification of the format lives in
 //! [`docs/store-format.md`](https://github.com/paper-repro/data-polygamy/blob/main/docs/store-format.md)
@@ -21,20 +21,20 @@
 //!           partition its resolution, rings and adjacency lists
 //!           ([`codec::encode_geometry`])
 //! hot       one independently checksummed binary blob per indexed scalar
-//!           function (FunctionEntry): spec, resolution, window, salient/
-//!           extreme feature bit vectors, region-major (bit x·n_steps + z;
+//!           function (FunctionEntry): its salient/extreme feature bit
+//!           vectors and nothing else, region-major (bit x·n_steps + z;
 //!           runs of all-zero and all-ones words between literal
 //!           stretches) — all a query reads unless its clause overrides
-//!           thresholds, and nothing else
+//!           thresholds
 //! fields    one checksummed blob per function indexed with its scalar
 //!           field, time-major (vertex z·n_regions + x): a bit vector of
 //!           the defined values, then those values
 //!           as lossless runs and counts ([`codec::encode_field`]), read
 //!           only for data sets a query's `thresholds` clause names
 //! manifest  geometry location, data set catalog, and a segment directory
-//!           (owner data set, function name, resolution, offset/len/
-//!           checksum of the hot blob and, if any, of the field blob),
-//!           written at the tail
+//!           (owner data set, function name and kind, resolution, window —
+//!           the one record of what a segment is — and offset/len/checksum
+//!           of the hot blob and, if any, of the field blob), at the tail
 //! ```
 //!
 //! Every region is encoded by an explicit little-endian codec

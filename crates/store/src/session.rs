@@ -111,8 +111,8 @@ impl Backing {
             return Ok(f(IndexView::new(self.lazy.catalog(), Vec::new()), plan));
         }
         let Some(index) = &self.resident else {
-            let faulted = self.lazy.pin_plan(&plan)?;
-            let entries = faulted.iter().map(|entry| &**entry).collect();
+            let faulted = self.lazy.pin_plan(&plan, false)?;
+            let entries = faulted.iter().flatten().map(|entry| &**entry).collect();
             return Ok(f(IndexView::new(self.lazy.catalog(), entries), plan));
         };
         if plan
@@ -121,7 +121,7 @@ impl Backing {
         {
             return Ok(f(index.into(), plan));
         }
-        let with_fields = self.lazy.pin_fields_for(&plan)?;
+        let with_fields = self.lazy.pin_plan(&plan, true)?;
         let entries = (index.functions.iter().zip(&with_fields))
             .map(|(resident, with_field)| with_field.as_deref().unwrap_or(resident))
             .collect();

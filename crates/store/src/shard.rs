@@ -48,7 +48,7 @@
 use crate::checksum::blob_checksum;
 use crate::codec::{Dec, Enc};
 use crate::error::{Result, StoreError};
-use crate::format::{dec_dataset_entry, enc_dataset_entry};
+use crate::format::{dec_dataset_entry, enc_dataset_entry, MIN_DATASET_ENTRY_LEN};
 use crate::store::{write_atomically, write_store, SegmentGroup, Store};
 use polygamy_core::index::DatasetEntry;
 use polygamy_core::Config;
@@ -177,7 +177,7 @@ impl ShardCatalog {
         }
 
         let mut d = Dec::new(payload, "shard catalog");
-        let n = d.seq_len(1)?;
+        let n = d.seq_len(MIN_DATASET_ENTRY_LEN + 8)?; // the entry, its shard
         let mut datasets = Vec::with_capacity(n);
         for _ in 0..n {
             datasets.push(dec_dataset_entry(&mut d)?);
@@ -186,7 +186,7 @@ impl ShardCatalog {
         for _ in 0..n {
             shard_of.push(d.usize()?);
         }
-        let n_files = d.seq_len(1)?;
+        let n_files = d.seq_len(8)?; // a name's length, at least
         let mut files = Vec::with_capacity(n_files);
         for _ in 0..n_files {
             files.push(d.str()?.to_owned());

@@ -38,7 +38,7 @@
 //! (`POLYGAMY_WORKERS`).
 
 use crate::checksum::blob_checksum;
-use crate::codec::{decode_geometry, encode_field, encode_geometry, encode_hot};
+use crate::codec::{decode_geometry, encode_function_segment, encode_geometry};
 use crate::error::{Result, StoreError};
 use crate::format::{BlobLoc, Header, Manifest, SegmentInfo, HEADER_LEN, VERSION};
 use crate::shard::{self, is_sharded};
@@ -47,7 +47,7 @@ use polygamy_core::index::{DatasetEntry, FunctionEntry, PolygamyIndex};
 use polygamy_core::{index_dataset, CityGeometry, Config};
 use polygamy_mapreduce::{run_weighted_tasks, Cluster};
 use polygamy_obs::{count, names, stage};
-use polygamy_stdata::{Dataset, Resolution};
+use polygamy_stdata::Dataset;
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -315,8 +315,7 @@ impl Store {
     fn read_segment(&self, info: &SegmentInfo) -> Result<Segment> {
         let what = self.segment_label(info);
         Ok(Segment {
-            function: info.function.clone(),
-            resolution: info.resolution,
+            info: info.clone(),
             hot: self.read_blob(info.loc, &what)?,
             field: (info.field)
                 .map(|loc| self.read_blob(loc, &format!("{what} field")))
@@ -358,11 +357,11 @@ impl Blob {
     }
 }
 
-/// One function segment being written: routing metadata plus its blobs.
+/// One function segment being written: its directory record, whose data
+/// set and blob locations the writer sets, and its blobs.
 #[derive(Debug)]
 pub(crate) struct Segment {
-    function: String,
-    resolution: Resolution,
+    info: SegmentInfo,
     hot: Blob,
     field: Option<Blob>,
 }
@@ -371,8 +370,10 @@ pub(crate) struct Segment {
 pub(crate) type SegmentGroup = Vec<Segment>;
 
 fn encode_segment(entry: &FunctionEntry) -> Segment {
-    let (hot, hot_raw) = encode_hot(entry);
-    let field = entry.field.as_ref().map(|f| encode_field(&f.values));
+    let (hot, field) = encode_function_segment(entry);
+    // The four vectors as raw words: 8 bytes for each bit count and 8 per
+    // word (the store format 3 layout).
+    let hot_raw = 4 * 8 + entry.features.approx_bytes();
     count(names::STORE_SAVE_HOT_RAW_BYTES, hot_raw as u64);
     count(names::STORE_SAVE_HOT_STORED_BYTES, hot.len() as u64);
     if let (Some(raw), Some(stored)) = (&entry.field, &field) {
@@ -383,8 +384,7 @@ fn encode_segment(entry: &FunctionEntry) -> Segment {
         count(names::STORE_SAVE_FIELD_STORED_BYTES, stored.len() as u64);
     }
     Segment {
-        function: entry.spec.name.function.to_string(),
-        resolution: entry.resolution,
+        info: SegmentInfo::of(entry),
         hot: Blob::encoded(hot),
         field: field.map(Blob::encoded),
     }
@@ -510,10 +510,9 @@ fn compose_and_write(
         for segment in group {
             segments.push(SegmentInfo {
                 dataset_index: di,
-                function: segment.function.clone(),
-                resolution: segment.resolution,
                 loc: place(&segment.hot),
                 field: None,
+                ..segment.info.clone()
             });
             payloads.push(&segment.hot.bytes);
         }

@@ -3,12 +3,14 @@
 //! length field overwritten with a huge value — yields `Ok` or a typed
 //! [`StoreError`], never a panic, an arithmetic overflow or an allocation
 //! sized by an unvalidated length (which would abort the test process).
-//! The hot blob's shape gets its own mutation (`n_regions` or `n_steps`
-//! overwritten: a product that overflows, is zero, or misses the bits its
-//! vectors declare), its word-run bit vectors are fed arbitrary
-//! token streams behind a valid shape, round-trip bit for bit at the
-//! lengths around a word boundary, and a hot blob of under 100 bytes that
-//! declares 2⁴⁰ bits is refused within a counted allocation bound. The
+//! A hot blob is decoded under its directory record, whose window gets its
+//! own mutation (`n_regions` or `n_steps` replaced: a product that
+//! overflows, is zero, or misses the bits the vectors declare); its
+//! word-run bit vectors are fed arbitrary token streams under a valid
+//! window, round-trip bit for bit at the lengths around a word boundary,
+//! and a directory declaring 2⁴⁰ vertices over a hot blob of under 100
+//! bytes is refused within a counted allocation bound, as is a manifest or
+//! shard catalog whose count claims a record per byte. The
 //! field blob — a word-run mask, then the defined values run-length coded —
 //! carries no shape, so its decoder is also driven directly: arbitrary
 //! bytes against arbitrary shapes, bare and behind a valid mask, and valid
@@ -17,9 +19,8 @@
 //! also through `validate_field`, the walk an eager open runs in place of
 //! the decode, which must agree word for word; and a manifest whose `field`
 //! location is hostile is driven through real sessions, as is one whose
-//! directory names another resolution or function than the hot blob it
-//! points at. Files of versions 1 to 7 are refused by version, not
-//! decoded.
+//! window misses its vectors. Files of versions 1 to 8 are refused by
+//! version, not decoded.
 //!
 //! The sixth decoder, the geometry blob's, is reached the way a reader
 //! reaches it: through `Store::load_geometry` on a truthfully sealed file.
@@ -43,8 +44,8 @@ use polygamy_core::prelude::*;
 use polygamy_core::DataPolygamy;
 use polygamy_stdata::Polygon;
 use polygamy_store::codec::{
-    decode_field, decode_function_segment, enc_resolution, enc_spec, encode_field,
-    encode_function_segment, encode_geometry, validate_field, Enc,
+    decode_field, decode_function_segment, encode_field, encode_function_segment, encode_geometry,
+    validate_field,
 };
 use polygamy_store::{
     blob_checksum, BlobLoc, Header, LazyIndex, Manifest, SegmentInfo, ShardCatalog, Store,
@@ -53,7 +54,7 @@ use polygamy_store::{
 use polygamy_topology::{BitVec, FeatureSet, FeatureSets};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 #[global_allocator]
 static GLOBAL: support::Counting = support::Counting;
@@ -62,12 +63,54 @@ static GLOBAL: support::Counting = support::Counting;
 /// payload length, checksum).
 const CATALOG_HEADER_LEN: usize = 32;
 
-/// Byte offsets of leading u64 length/offset fields per format, indexed
-/// like [`decode`]: the header's manifest offset and length, the
-/// manifest's geometry location and catalog count, the hot blob's first
-/// string length, the catalog's payload length and data set count, the
-/// field blob's mask length and first mask token.
-const LENGTH_FIELDS: [&[usize]; 5] = [&[16, 24], &[0, 8, 24], &[0], &[16, 32], &[0]];
+/// Byte offsets of length fields per format, indexed like [`decode`]: the
+/// header's manifest offset and length; the manifest's geometry location,
+/// catalog and directory counts, and its first record's name length,
+/// `n_regions` and `n_steps`; the hot blob's first bit count; the catalog's
+/// payload length and data set count; the field blob's mask length and
+/// first mask token. A u64 overwrites eight bytes from each.
+fn length_fields(kind: usize) -> &'static [usize] {
+    static MANIFEST: OnceLock<Vec<usize>> = OnceLock::new();
+    let fixed: [&'static [usize]; 5] = [&[16, 24], &[], &[0], &[16, 32], &[0]];
+    if kind != 1 {
+        return fixed[kind];
+    }
+    MANIFEST.get_or_init(|| {
+        let manifest = Manifest::decode(&valid_encodings()[1]).unwrap();
+        let records_at = Manifest {
+            segments: Vec::new(),
+            ..manifest.clone()
+        }
+        .encode()
+        .len();
+        let [regions_at, steps_at] = window_fields(&manifest);
+        vec![
+            0,
+            8,
+            24,
+            records_at - 8,
+            records_at + 8,
+            regions_at,
+            steps_at,
+        ]
+    })
+}
+
+/// Offsets, in `manifest`'s encoding, of its first record's `n_regions`
+/// and `n_steps`: the first byte that moves when either does (each a
+/// varint whose low bit is flipped).
+fn window_fields(manifest: &Manifest) -> [usize; 2] {
+    let bytes = manifest.encode();
+    let moved = |flip: &dyn Fn(&mut SegmentInfo)| {
+        let mut flipped = manifest.clone();
+        flip(&mut flipped.segments[0]);
+        let other = flipped.encode();
+        (bytes.iter().zip(&other))
+            .position(|(a, b)| a != b)
+            .unwrap()
+    };
+    [moved(&|s| s.n_regions ^= 1), moved(&|s| s.n_steps ^= 1)]
+}
 
 const HOT: usize = 2;
 const FIELD: usize = 4;
@@ -78,42 +121,35 @@ fn decode(kind: usize, bytes: &[u8]) -> Result<(), StoreError> {
         0 => Header::decode(bytes).map(drop),
         1 => Manifest::decode(bytes).map(drop),
         // A damaged hot blob, alone and beside its intact field blob...
-        HOT => decode_function_segment(bytes, None, 0, "fuzz")
-            .and(decode_function_segment(
-                bytes,
-                Some(&valid[FIELD]),
-                0,
-                "fuzz",
-            ))
+        HOT => decode_seed(bytes, None)
+            .and(decode_seed(bytes, Some(&valid[FIELD])))
             .map(drop),
         3 => ShardCatalog::decode(bytes).map(drop),
         // ...and a damaged field blob beside its intact hot blob.
-        _ => decode_function_segment(&valid[HOT], Some(bytes), 0, "fuzz").map(drop),
+        _ => decode_seed(&valid[HOT], Some(bytes)).map(drop),
     }
 }
 
-/// Offsets, in the valid hot blob, of its fixed-width `n_regions` and
-/// `n_steps`: they follow the spec and the resolution, around the start
-/// bucket.
-fn shape_fields() -> [usize; 2] {
-    static FIELDS: OnceLock<[usize; 2]> = OnceLock::new();
-    *FIELDS.get_or_init(|| {
-        let hot = &valid_encodings()[HOT];
-        let entry = decode_function_segment(hot, None, 0, "seed").unwrap();
-        let mut e = Enc::new();
-        enc_spec(&mut e, &entry.spec);
-        enc_resolution(&mut e, entry.resolution);
-        let [regions_at, steps_at] = [e.len(), e.len() + 16];
-        assert_eq!(
-            hot[regions_at..regions_at + 8],
-            (entry.n_regions as u64).to_le_bytes()
-        );
-        assert_eq!(
-            hot[steps_at..steps_at + 8],
-            (entry.n_steps as u64).to_le_bytes()
-        );
-        [regions_at, steps_at]
-    })
+/// Decodes a hot blob, and a field blob, under the seed's directory record.
+fn decode_seed(hot: &[u8], field: Option<&[u8]>) -> Result<FunctionEntry, StoreError> {
+    decode_under(&seed().record, hot, field)
+}
+
+/// Decodes blobs under `record` and the seed's data set name.
+fn decode_under(
+    record: &SegmentInfo,
+    hot: &[u8],
+    field: Option<&[u8]>,
+) -> Result<FunctionEntry, StoreError> {
+    decode_function_segment(record, 0, &seed().dataset, hot, field, "fuzz")
+}
+
+/// `record` as a reader gets it: in a one-segment manifest over the seed's
+/// catalog, encoded and decoded again — or the manifest's refusal.
+fn through_a_manifest(record: SegmentInfo) -> Result<SegmentInfo, StoreError> {
+    let mut manifest = Manifest::decode(&valid_encodings()[1]).unwrap();
+    manifest.segments = vec![record];
+    Ok(Manifest::decode(&manifest.encode())?.segments.remove(0))
 }
 
 fn sample_framework() -> DataPolygamy {
@@ -139,10 +175,18 @@ fn sample_framework() -> DataPolygamy {
     dp
 }
 
-/// One valid encoding per decoder, indexed like [`decode`].
-fn valid_encodings() -> &'static [Vec<u8>; 5] {
-    static VALID: OnceLock<[Vec<u8>; 5]> = OnceLock::new();
-    VALID.get_or_init(|| {
+/// One valid encoding per decoder, indexed like [`decode`]; the directory
+/// record the hot and field blobs were written under, and their data set's
+/// name.
+struct Seed {
+    encodings: [Vec<u8>; 5],
+    record: SegmentInfo,
+    dataset: Arc<str>,
+}
+
+fn seed() -> &'static Seed {
+    static SEED: OnceLock<Seed> = OnceLock::new();
+    SEED.get_or_init(|| {
         let dp = sample_framework();
         let index = dp.index().unwrap();
         // The finest entry: the most steps, hence the most feature words.
@@ -163,11 +207,9 @@ fn valid_encodings() -> &'static [Vec<u8>; 5] {
                 .iter()
                 .enumerate()
                 .map(|(i, f)| SegmentInfo {
-                    dataset_index: f.dataset_index,
-                    function: f.spec.name.function.to_string(),
-                    resolution: f.resolution,
                     loc: loc(140 + 512 * i as u64, 512),
                     field: (i % 2 == 0).then(|| loc(1 << 20, 4_096 * i as u64)),
+                    ..SegmentInfo::of(f)
                 })
                 .collect(),
         }
@@ -185,8 +227,16 @@ fn valid_encodings() -> &'static [Vec<u8>; 5] {
             files: vec!["c.shard0.plst".into(), "c.shard1.plst".into()],
         }
         .encode();
-        [header, manifest, hot, catalog, field]
+        Seed {
+            encodings: [header, manifest, hot, catalog, field],
+            record: SegmentInfo::of(finest),
+            dataset: Arc::clone(&finest.spec.name.dataset),
+        }
     })
+}
+
+fn valid_encodings() -> &'static [Vec<u8>; 5] {
+    &seed().encodings
 }
 
 /// A catalog file whose header truthfully describes `payload`.
@@ -237,24 +287,30 @@ proptest! {
                 }
             }
             1 => bytes.truncate(positions[0] % bytes.len()),
-            // The shape: `n_regions` or `n_steps` replaced — a product
-            // that overflows, is zero, or misses the vectors' bits by a
-            // little or a lot.
+            // The window of the hot blob's directory record: `n_regions`
+            // or `n_steps` replaced — a product that overflows, is zero, or
+            // misses the vectors' bits by a little or a lot.
             3 if kind == HOT => {
-                let at = shape_fields()[positions[0] % 2];
-                bytes[at..at + 8].copy_from_slice(&huge.to_le_bytes());
-                // Any *different* shape breaks the vectors' headers.
+                let mut record = seed().record.clone();
+                match positions[0] % 2 {
+                    0 => record.n_regions = huge as usize,
+                    _ => record.n_steps = huge as usize,
+                }
+                // The manifest refuses a window no entry has; any other
+                // *different* window breaks the vectors' bit counts.
+                let decoded = through_a_manifest(record.clone())
+                    .and_then(|record| decode_under(&record, &bytes, None));
                 prop_assert!(
-                    bytes == *valid || decode(kind, &bytes).is_err(),
-                    "shape field at {} = {}",
-                    at,
-                    huge
+                    record == seed().record || decoded.is_err(),
+                    "window {} × {}",
+                    record.n_regions,
+                    record.n_steps
                 );
             }
             _ => {
                 // Half the time aim at a field that sizes a slice or an
-                // allocation (see `LENGTH_FIELDS`), else anywhere.
-                let fields = LENGTH_FIELDS[kind];
+                // allocation (see `length_fields`), else anywhere.
+                let fields = length_fields(kind);
                 let at = match positions[0] % 2 {
                     0 => fields[(positions[0] / 2) % fields.len()],
                     _ => positions[0] % (bytes.len() - 7),
@@ -297,9 +353,9 @@ proptest! {
         }
     }
 
-    /// A hot blob's bit vectors as arbitrary word-run token streams behind
-    /// a valid spec and shape: each decodes to the entry's vertex count or
-    /// is a typed error.
+    /// A hot blob's bit vectors as arbitrary word-run token streams under a
+    /// valid window: each decodes to the entry's vertex count or is a typed
+    /// error.
     #[test]
     fn hot_bit_vectors_return_typed_errors_for_any_token_stream(
         raw in proptest::collection::vec(0u8..=u8::MAX, 0..128),
@@ -308,8 +364,8 @@ proptest! {
     ) {
         for tokens in [&raw, &small] {
             let header = leb128(u128::from(n_steps));
-            let bytes = [hot_prefix(1, n_steps).as_slice(), &header, tokens].concat();
-            match decode_function_segment(&bytes, None, 0, "fuzz") {
+            let bytes = [header.as_slice(), tokens].concat();
+            match decode_under(&one_region(n_steps as usize), &bytes, None) {
                 Ok(entry) => prop_assert_eq!(entry.features.salient.pos.len() as u64, n_steps),
                 Err(StoreError::Corrupt(_)) => {}
                 Err(other) => prop_assert!(false, "{:?}", other),
@@ -351,7 +407,7 @@ proptest! {
         }
         let entry = entry_with_features(vectors.clone());
         let (hot, _) = encode_function_segment(&entry);
-        let back = decode_function_segment(&hot, None, 0, "prop").unwrap();
+        let back = decode_under(&SegmentInfo::of(&entry), &hot, None).unwrap();
         let fs = &back.features;
         let decoded = [&fs.salient.pos, &fs.salient.neg, &fs.extreme.pos, &fs.extreme.neg];
         for (got, want) in decoded.into_iter().zip(&vectors) {
@@ -362,19 +418,14 @@ proptest! {
     }
 }
 
-/// The leading spec, resolution and shape of a hot blob: everything up to
-/// its first bit vector.
-fn hot_prefix(n_regions: u64, n_steps: u64) -> Vec<u8> {
-    let mut e = Enc::new();
-    enc_spec(&mut e, &FunctionSpec::density("d"));
-    enc_resolution(
-        &mut e,
-        Resolution::new(SpatialResolution::City, TemporalResolution::Hour),
-    );
-    e.u64(n_regions);
-    e.i64(0);
-    e.u64(n_steps);
-    e.into_bytes()
+/// The seed's directory record with a window of one region and `n_steps`
+/// steps.
+fn one_region(n_steps: usize) -> SegmentInfo {
+    SegmentInfo {
+        n_regions: 1,
+        n_steps,
+        ..seed().record.clone()
+    }
 }
 
 /// A one-region, field-less entry over the four vectors' length.
@@ -395,24 +446,26 @@ fn entry_with_features([sp, sn, ep, en]: [BitVec; 4]) -> FunctionEntry {
     }
 }
 
-/// A hot blob of under 100 bytes whose shape and first vector declare 2⁴⁰
-/// bits, spelled by two-byte tokens of 64 zero words each until the bytes
-/// run out. The decoder grows the vector token by token, so it fails at
-/// the payload's end having allocated what the bytes it consumed could
+/// A directory record declaring 2⁴⁰ vertices — a window the manifest
+/// accepts — over a hot blob of under 100 bytes whose first vector declares
+/// as many bits, spelled by two-byte tokens of 64 zero words each until the
+/// bytes run out. The decoder grows the vector token by token, so it fails
+/// at the payload's end having allocated what the bytes it consumed could
 /// spell — at most 256 bytes of words per byte, four times that counting
 /// every capacity a doubling vector passes through — never the 128 GiB
-/// declared. A vector declaring another length than the shape's is refused
+/// declared. A vector declaring another length than the window is refused
 /// before its first token.
 #[test]
 fn a_short_hot_blob_declaring_2_pow_40_bits_is_refused_within_the_bound() {
     let bits = 1u64 << 40;
+    let record = through_a_manifest(one_region(bits as usize)).unwrap();
     let run_of_64_zero_words = leb128(64 << 2);
-    let mut hot = [hot_prefix(1, bits), leb128(bits.into())].concat();
+    let mut hot = leb128(bits.into());
     while hot.len() + run_of_64_zero_words.len() < 100 {
         hot.extend_from_slice(&run_of_64_zero_words);
     }
     let before = support::allocated_bytes();
-    let result = decode_function_segment(&hot, None, 0, "hostile");
+    let result = decode_under(&record, &hot, None);
     let allocated = support::allocated_bytes() - before;
     assert!(
         matches!(
@@ -428,14 +481,65 @@ fn a_short_hot_blob_declaring_2_pow_40_bits_is_refused_within_the_bound() {
         hot.len()
     );
 
-    let mismatched = [hot_prefix(1, 1_000), leb128(bits.into()), vec![0x80, 0x02]].concat();
+    let mismatched = [leb128(bits.into()), vec![0x80, 0x02]].concat();
+    let record = through_a_manifest(one_region(1_000)).unwrap();
     let before = support::allocated_bytes();
-    let err = decode_function_segment(&mismatched, None, 0, "hostile").unwrap_err();
+    let err = decode_under(&record, &mismatched, None).unwrap_err();
     assert!(support::allocated_bytes() - before <= 1_024);
     assert!(
-        matches!(&err, StoreError::Corrupt(m) if m.contains("salient.pos covers 1099511627776 bits")),
+        matches!(&err, StoreError::Corrupt(m) if m.contains("salient.pos covers 1099511627776 bits, expected 1000")),
         "{err:?}"
     );
+}
+
+/// A count that claims one record per byte left — of a manifest's catalog
+/// or segment directory, of a shard catalog's data sets or file names — in
+/// a 64 KiB payload of zeros is refused having allocated at most four bytes
+/// per payload byte: each count is bounded by its record's smallest
+/// encoding before anything is reserved for the records. (Bounded by one
+/// byte a record, the reservation alone was 24–96 bytes per payload byte.)
+/// So is a count of one record per 8, 42, 47 or 50 bytes — the smallest
+/// file name, catalog entry, directory record and shard catalog data set —
+/// which the bound lets through to records of zeros.
+#[test]
+fn a_count_claiming_a_record_per_byte_is_refused_within_the_bound() {
+    let zeros = vec![0u8; 64 << 10];
+    let none = 0u64.to_le_bytes();
+    let geometry = [0u8; 24];
+    for bytes_per_record in [1, 8, 42, 47, 50] {
+        let claimed = ((zeros.len() / bytes_per_record) as u64).to_le_bytes();
+        let manifests = [
+            ("catalog", [&geometry[..], &claimed, &zeros].concat()),
+            (
+                "directory",
+                [&geometry[..], &none, &claimed, &zeros].concat(),
+            ),
+        ];
+        let catalogs = [
+            ("shard data sets", [&claimed[..], &zeros].concat()),
+            ("shard files", [&none[..], &claimed, &zeros].concat()),
+        ]
+        .map(|(case, payload)| (case, sealed_catalog(&payload)));
+        for (i, (case, bytes)) in manifests.iter().chain(&catalogs).enumerate() {
+            let before = support::allocated_bytes();
+            let result = match i {
+                0 | 1 => Manifest::decode(bytes).map(drop),
+                _ => ShardCatalog::decode(bytes).map(drop),
+            };
+            let allocated = support::allocated_bytes() - before;
+            let case = format!("{case}, a record per {bytes_per_record} B");
+            assert!(
+                matches!(result, Err(StoreError::Corrupt(_))),
+                "{case}: {result:?}"
+            );
+            let bound = 4 * bytes.len() as u64 + 1_024;
+            assert!(
+                allocated <= bound,
+                "{case}: {allocated} B allocated decoding {} B, bound {bound} B",
+                bytes.len()
+            );
+        }
+    }
 }
 
 /// `decode_field` answers with exactly `n_vertices` values or with
@@ -552,7 +656,7 @@ fn damaged_field_blobs_are_rejected_or_decode_to_the_shape() {
         })
         .collect();
     let (hot, dense_blob) = (&valid_encodings()[HOT], &valid_encodings()[FIELD]);
-    let dense = decode_function_segment(hot, Some(dense_blob), 0, "seed")
+    let dense = decode_seed(hot, Some(dense_blob))
         .unwrap()
         .field
         .unwrap()
@@ -617,7 +721,9 @@ fn damaged_field_blobs_are_rejected_or_decode_to_the_shape() {
     }
 
     // Through the segment decoder the error names `<segment> field`.
-    let err = decode_function_segment(hot, Some(&dense_blob[..3]), 0, "segment sensor.avg(signal)")
+    let label = "segment sensor.avg(signal)";
+    let (record, dataset) = (&seed().record, &seed().dataset);
+    let err = decode_function_segment(record, 0, dataset, hot, Some(&dense_blob[..3]), label)
         .unwrap_err();
     assert!(
         matches!(&err, StoreError::Corrupt(m) if m.starts_with("segment sensor.avg(signal) field: ")),
@@ -1079,42 +1185,55 @@ fn with_manifest(pristine: &[u8], manifest: &Manifest) -> Vec<u8> {
     bytes
 }
 
-/// A segment's directory entry routes it — the lazy pin picks segments
-/// by the directory's resolution — while the hot blob is what expansion
-/// pairs, by its own resolution. A well-sealed manifest that names
-/// another resolution, or another function, than the blob it points at
-/// must fail the eager open and a lazy query reaching that segment with a
-/// typed `Corrupt` naming the segment, not answer differently on the two.
+/// A segment's directory record is the one record of what it is: the
+/// lazy pin picks segments by its resolution, and eager and lazy entries
+/// alike take their names, kind, resolution and window from it. A
+/// well-sealed manifest that renames a function is answered under the new
+/// name, the same eager and lazy; one whose window misses the bits its hot
+/// blob's vectors declare fails the eager open and a lazy query reaching
+/// that segment with a typed `Corrupt` naming the segment.
 #[test]
-fn a_hot_blob_must_match_its_directory_entry() {
-    let (cleanup, pristine) = saved_store("directory-mismatch");
+fn a_directory_record_alone_says_what_its_segment_is() {
+    let (cleanup, pristine) = saved_store("directory-record");
     let path = &cleanup.0;
     let header = Header::decode(&pristine).unwrap();
     let manifest = Manifest::decode(&pristine[header.manifest_offset as usize..]).unwrap();
     let victim = &manifest.segments[0];
     assert_eq!(victim.dataset_index, 0);
-    let other_resolution = (manifest.segments.iter())
-        .map(|s| s.resolution)
-        .find(|&r| r != victim.resolution)
-        .expect("the sample indexes several resolutions");
     let query =
         parse_query("between sensor and twin where permutations = 5 and include insignificant")
             .unwrap();
-    let mismatches = [
-        SegmentInfo {
-            resolution: other_resolution,
-            ..victim.clone()
-        },
-        SegmentInfo {
-            function: format!("not-{}", victim.function),
-            ..victim.clone()
-        },
-    ];
-    for relabelled in mismatches {
-        let label = format!("segment sensor.{}: ", relabelled.function);
+    let reseal = |relabelled: SegmentInfo| {
         let mut manifest = manifest.clone();
         manifest.segments[0] = relabelled;
         std::fs::write(path, with_manifest(&pristine, &manifest)).unwrap();
+    };
+
+    let renamed: Arc<str> = format!("not-{}", victim.function).into();
+    reseal(SegmentInfo {
+        function: Arc::clone(&renamed),
+        ..victim.clone()
+    });
+    let eager = StoreSession::open(path).unwrap().query(&query).unwrap();
+    assert_eq!(
+        StoreSession::open_lazy(path)
+            .unwrap()
+            .query(&query)
+            .unwrap(),
+        eager
+    );
+    // At the victim's resolution sensor's function has its new name only.
+    let at_victim = eager.iter().filter(|r| r.resolution == victim.resolution);
+    let names: Vec<&str> = at_victim.map(|r| &*r.left.function).collect();
+    assert!(names.contains(&&*renamed) && !names.contains(&&*victim.function));
+
+    for (n_regions, n_steps) in [(victim.n_regions, victim.n_steps + 1), (2, victim.n_steps)] {
+        reseal(SegmentInfo {
+            n_regions,
+            n_steps,
+            ..victim.clone()
+        });
+        let label = format!("segment sensor.{}: ", victim.function);
         let names_the_segment = |err: StoreError| {
             assert!(
                 matches!(&err, StoreError::Corrupt(m) if m.starts_with(&label)),
@@ -1126,7 +1245,7 @@ fn a_hot_blob_must_match_its_directory_entry() {
         names_the_segment(lazy.query(&query).unwrap_err());
     }
     // The pristine manifest, re-sealed the same way, serves.
-    std::fs::write(path, with_manifest(&pristine, &manifest)).unwrap();
+    reseal(victim.clone());
     assert_eq!(std::fs::read(path).unwrap(), pristine);
     StoreSession::open(path).unwrap().query(&query).unwrap();
 }
@@ -1243,7 +1362,7 @@ fn version_1_files_are_refused_by_version() {
             result,
             Err(StoreError::UnsupportedVersion {
                 found: 1,
-                supported: 8
+                supported: 9
             })
         ));
     }
@@ -1267,7 +1386,7 @@ fn version_2_files_are_refused_by_version() {
             result,
             Err(StoreError::UnsupportedVersion {
                 found: 2,
-                supported: 8
+                supported: 9
             })
         ));
     }
@@ -1282,7 +1401,7 @@ fn version_3_files_are_refused_by_version() {
             result,
             Err(StoreError::UnsupportedVersion {
                 found: 3,
-                supported: 8
+                supported: 9
             })
         ));
     }
@@ -1297,7 +1416,7 @@ fn version_4_files_are_refused_by_version() {
             result,
             Err(StoreError::UnsupportedVersion {
                 found: 4,
-                supported: 8
+                supported: 9
             })
         ));
     }
@@ -1313,7 +1432,7 @@ fn version_5_files_are_refused_by_version() {
             result,
             Err(StoreError::UnsupportedVersion {
                 found: 5,
-                supported: 8
+                supported: 9
             })
         ));
     }
@@ -1328,15 +1447,14 @@ fn version_6_files_are_refused_by_version() {
             result,
             Err(StoreError::UnsupportedVersion {
                 found: 6,
-                supported: 8
+                supported: 9
             })
         ));
     }
 }
 
 /// And a version-7 file (a JSON geometry blob): no second geometry decoder
-/// is kept for it. The shard catalog's bytes did not change with formats 3
-/// to 8, so its version is still 2.
+/// is kept for it.
 #[test]
 fn version_7_files_are_refused_by_version() {
     for result in open_claiming_version(7) {
@@ -1344,9 +1462,27 @@ fn version_7_files_are_refused_by_version() {
             result,
             Err(StoreError::UnsupportedVersion {
                 found: 7,
-                supported: 8
+                supported: 9
             })
         ));
     }
-    assert_eq!((VERSION, SHARD_CATALOG_VERSION), (8, 2));
+}
+
+/// And a version-8 file (spec, resolution and window at the head of every
+/// hot blob, again after the directory's data set, function and
+/// resolution): no hot-blob decoder that skips them is kept for it. The
+/// shard catalog's bytes did not change with formats 3 to 9, so its
+/// version is still 2.
+#[test]
+fn version_8_files_are_refused_by_version() {
+    for result in open_claiming_version(8) {
+        assert!(matches!(
+            result,
+            Err(StoreError::UnsupportedVersion {
+                found: 8,
+                supported: 9
+            })
+        ));
+    }
+    assert_eq!((VERSION, SHARD_CATALOG_VERSION), (9, 2));
 }

@@ -16,9 +16,13 @@
 //!   exactly Σ `loc.len` of those directory entries — and corruption is
 //!   scoped by the same bound;
 //! * an eager session decodes hot blobs only and goes back to the file
-//!   for exactly the scalar fields a `thresholds` clause names.
+//!   for exactly the scalar fields a `thresholds` clause names;
+//! * a decoded entry holds its data set's one name `Arc` and its directory
+//!   record's function name: a fault allocates no name.
 
-use polygamy_core::index::FunctionEntry;
+mod support;
+
+use polygamy_core::index::{FunctionEntry, PolygamyIndex};
 use polygamy_core::prelude::*;
 use polygamy_core::DataPolygamy;
 use polygamy_obs::names;
@@ -27,6 +31,9 @@ use polygamy_store::{shard_store, LoadFilter, SourceBackend, Store, StoreError, 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
+
+#[global_allocator]
+static GLOBAL: support::Counting = support::Counting;
 
 fn tmp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -189,35 +196,89 @@ fn lazy_matches_eager_for_every_query_form() {
 
 /// A relationship's names are the `Arc`s of the decoded entry it came
 /// from — an eager session's resident entry, a lazy session's cached
-/// segment — never names the executor made.
+/// segment — never names the executor made; and every entry of a data set
+/// holds that data set's one name `Arc`, and every entry of a function, at
+/// any resolution, that function's, over a monolith and over 3 shard files
+/// alike.
 #[test]
 fn relationships_hold_the_names_of_their_entries_eager_and_lazy() {
     let path = tmp_path("names");
-    let _cleanup = Cleanup(path.clone());
+    let catalog_path = tmp_path("names-catalog");
+    let mut cleanups = vec![Cleanup(path.clone()), Cleanup(catalog_path.clone())];
     save_corpus(&path);
+    let catalog = shard_store(&path, &catalog_path, 3).unwrap();
+    cleanups.extend((0..3).map(|i| Cleanup(catalog.shard_path(&catalog_path, i))));
     let q = RelationshipQuery::of("alpha").with_clause(test_clause());
-    let eager = StoreSession::open_with(&path, Config::fast_test(), &LoadFilter::all()).unwrap();
-    let lazy = open_lazy(&path);
-    let answers = [eager.query(&q).unwrap(), lazy.query(&q).unwrap()];
-    assert!(!answers[0].is_empty());
-    // Pinning the query again hands out the lazy session's cached entries.
-    let cached = lazy.lazy_index().unwrap().pin_for(std::slice::from_ref(&q));
-    let cached = cached.unwrap();
-    let entries: [Vec<&FunctionEntry>; 2] = [
-        eager.index().unwrap().functions.iter().collect(),
-        cached.iter().map(|e| &**e).collect(),
-    ];
-    for (answer, entries) in answers.iter().zip(&entries) {
-        for r in answer {
-            for f in [&r.left, &r.right] {
-                let entry = (entries.iter())
-                    .find(|e| e.spec.name == *f && e.resolution == r.resolution)
-                    .expect("a relationship names pinned entries");
-                assert!(Arc::ptr_eq(&entry.spec.name.dataset, &f.dataset), "{f}");
-                assert!(Arc::ptr_eq(&entry.spec.name.function, &f.function), "{f}");
+    for store in [&path, &catalog_path] {
+        let eager =
+            StoreSession::open_with(store, Config::fast_test(), &LoadFilter::all()).unwrap();
+        let lazy = open_lazy(store);
+        let answers = [eager.query(&q).unwrap(), lazy.query(&q).unwrap()];
+        assert!(!answers[0].is_empty());
+        // Pinning every pair hands out the lazy session's entries, those the
+        // query faulted from its cache.
+        let index = lazy.lazy_index().unwrap();
+        let cached = index.pin_for(&[RelationshipQuery::all()]).unwrap();
+        let entries: [Vec<&FunctionEntry>; 2] = [
+            eager.index().unwrap().functions.iter().collect(),
+            cached.iter().map(|e| &**e).collect(),
+        ];
+        for (answer, entries) in answers.iter().zip(&entries) {
+            assert_eq!(entries.len(), eager.index().unwrap().functions.len());
+            for e in entries {
+                let first = entries.iter().find(|f| f.dataset_index == e.dataset_index);
+                let dataset = &first.unwrap().spec.name.dataset;
+                let first = entries.iter().find(|f| f.spec.name == e.spec.name);
+                let function = &first.unwrap().spec.name.function;
+                let name = &e.spec.name;
+                assert!(Arc::ptr_eq(&name.dataset, dataset), "{name}");
+                assert!(Arc::ptr_eq(&name.function, function), "{name}");
+            }
+            for r in answer {
+                for f in [&r.left, &r.right] {
+                    let entry = (entries.iter())
+                        .find(|e| e.spec.name == *f && e.resolution == r.resolution)
+                        .expect("a relationship names pinned entries");
+                    assert!(Arc::ptr_eq(&entry.spec.name.dataset, &f.dataset), "{f}");
+                    assert!(Arc::ptr_eq(&entry.spec.name.function, &f.function), "{f}");
+                }
             }
         }
     }
+
+    // A fault makes no name: faulting one pair's segments allocates the same
+    // bytes whether its data sets and functions are named in a few bytes or
+    // in a thousand more.
+    let dp = build_framework(&corpus());
+    let longer = |index: &PolygamyIndex, suffix: &str| {
+        let mut index = index.clone();
+        for d in &mut index.datasets {
+            d.meta.name += suffix;
+        }
+        for f in &mut index.functions {
+            let name = &mut f.spec.name;
+            name.dataset = format!("{}{suffix}", name.dataset).into();
+            name.function = format!("{}{suffix}", name.function).into();
+        }
+        index
+    };
+    let fault_bytes = |suffix: &str| {
+        let path = tmp_path(&format!("names-{}", suffix.len()));
+        let _cleanup = Cleanup(path.clone());
+        let index = longer(dp.index().unwrap(), suffix);
+        Store::save(&path, dp.geometry(), &index).unwrap();
+        let (alpha, beta) = (format!("alpha{suffix}"), format!("beta{suffix}"));
+        let pair = [RelationshipQuery::between(&[&alpha], &[&beta]).with_clause(test_clause())];
+        let index = polygamy_store::LazyIndex::open(&path).unwrap();
+        let before = support::allocated_bytes();
+        let pinned = index.pin_for(&pair).unwrap();
+        let bytes = support::allocated_bytes() - before;
+        assert!(!pinned.is_empty());
+        bytes
+    };
+    fault_bytes(""); // registers the counters a fault bumps
+    let short = fault_bytes("");
+    assert_eq!(fault_bytes(&"-".repeat(1_000)), short);
 }
 
 #[test]

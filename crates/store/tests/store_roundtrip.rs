@@ -321,7 +321,7 @@ fn corruption_yields_typed_errors() {
         Store::open(&path),
         Err(StoreError::UnsupportedVersion {
             found: 0x7F,
-            supported: 8
+            supported: 9
         })
     ));
 

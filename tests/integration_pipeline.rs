@@ -357,14 +357,19 @@ fn kind_errors_precede_time_range_errors() {
 /// Write-path bytes are pinned here, not only in CI's `cmp` legs: the
 /// fixed small corpus, built at one and at two workers and saved, is a
 /// file of exactly this length and checksum. The values are store format
-/// 8's — format 4's word-run bit vectors and masked field blobs, which took
+/// 9's — format 4's word-run bit vectors and masked field blobs, which took
 /// the file from 31,050,941 bytes to 15,342,244, less the merge-tree node
 /// count format 5 dropped from every hot blob (8 bytes each), with the
 /// feature vectors region-major (15,339,540 → 15,200,180 bytes: longer
-/// zero runs), without format 6's seasonal thresholds (→ 15,017,684) and
-/// with a binary geometry blob (8,128 → 6,509 bytes, → 15,016,065) — and
-/// what the file decodes to is pinned apart from them by
-/// `index_content_of_the_small_corpus_is_pinned`.
+/// zero runs), without format 6's seasonal thresholds (→ 15,017,684), with
+/// a binary geometry blob (8,128 → 6,509 bytes, → 15,016,065) and with each
+/// segment's identity in its directory record alone (→ 14,995,465): the 338
+/// hot blobs lose their spec, resolution and window (23,112 bytes: 12,177
+/// of name lengths and names, 2,147 of kinds, 338 × 26 of resolution and
+/// window) and the directory gains the kinds and LEB128 windows (2,512
+/// bytes); every format-9 hot blob is its format-8 blob's tail, and the
+/// field blobs are unchanged — and what the file decodes to is pinned
+/// apart from them by `index_content_of_the_small_corpus_is_pinned`.
 #[test]
 fn store_bytes_of_the_small_corpus_are_pinned() {
     let c = small_collection();
@@ -395,7 +400,7 @@ fn store_bytes_of_the_small_corpus_are_pinned() {
 }
 
 /// `(length, blob_checksum)` of the small corpus's store.
-const PINNED_SMALL_CORPUS_STORE: (usize, u64) = (15_016_065, 4_081_587_719_074_647_903);
+const PINNED_SMALL_CORPUS_STORE: (usize, u64) = (14_995_465, 12_264_330_288_446_623_039);
 
 /// What the small corpus's store *means*, pinned apart from the bytes that
 /// carry it: every entry, decoded by an eager session and by a lazy one,
